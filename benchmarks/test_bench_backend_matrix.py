@@ -25,7 +25,12 @@ import numpy as np
 import pytest
 
 from repro.analysis.throughput import measure_backend_matrix
-from repro.backend import FLOAT32, available_backends, get_backend
+from repro.backend import (
+    FLOAT32,
+    ComputeConfig,
+    available_backends,
+    get_backend,
+)
 from repro.engine import ExecutionEngine, KernelBankCache, available_workers
 from repro.masks.generators import ISPDMetalGenerator
 from repro.optics import OpticsConfig
@@ -36,6 +41,7 @@ PIXEL_NM = 4.0
 LAYOUT_SHAPE = (1024, 768)
 CONFIG = OpticsConfig(tile_size_px=TILE, pixel_size_nm=PIXEL_NM, max_socs_order=24)
 SOURCE = AnnularSource(0.5, 0.8)
+NUMPY = ComputeConfig(fft_backend="numpy")
 
 
 def _layout(seed: int = 3) -> np.ndarray:
@@ -78,7 +84,7 @@ def _seed_band_limited_aerial(masks: np.ndarray, kernels: np.ndarray) -> np.ndar
 def test_backend_precision_matrix(record_output, record_json):
     cache = KernelBankCache()
     engine = ExecutionEngine.for_optics(CONFIG, source=SOURCE, cache=cache,
-                                        fft_backend="numpy")
+                                        compute=NUMPY)
     kernels = engine.kernels
     layout = _layout()
     from repro.engine.tiling import TilingSpec, extract_tiles
@@ -95,7 +101,7 @@ def test_backend_precision_matrix(record_output, record_json):
     # documented tolerance of the numpy/float64 reference — which itself
     # must match the literal seed pipeline to rounding.
     reference = ExecutionEngine.for_optics(
-        CONFIG, source=SOURCE, cache=cache, fft_backend="numpy").aerial_batch(tiles)
+        CONFIG, source=SOURCE, cache=cache, compute=NUMPY).aerial_batch(tiles)
     seed_reference = _seed_band_limited_aerial(tiles, kernels)
     assert float(np.abs(seed_reference - reference).max() /
                  reference.max()) < 1e-12
@@ -103,8 +109,9 @@ def test_backend_precision_matrix(record_output, record_json):
     accuracy = {}
     for (backend_name, precision), entry in matrix.items():
         imaged = ExecutionEngine.for_optics(
-            CONFIG, source=SOURCE, cache=cache, fft_backend=backend_name,
-            precision=precision).aerial_batch(tiles)
+            CONFIG, source=SOURCE, cache=cache,
+            compute=ComputeConfig(fft_backend=backend_name,
+                                  precision=precision)).aerial_batch(tiles)
         rel = float(np.abs(np.asarray(imaged, dtype=float) - reference).max() / scale)
         accuracy[(backend_name, precision)] = rel
         tolerance = FLOAT32.aerial_rtol if precision == "float32" else 1e-12
@@ -175,7 +182,8 @@ def test_fakegpu_residency_transfers(record_output, record_json):
     cache = KernelBankCache()
     module = get_backend("fakegpu")
     engine = ExecutionEngine.for_optics(CONFIG, source=SOURCE, cache=cache,
-                                        fft_backend=module, tile_cache=False)
+                                        fft_backend=module,
+                                        compute=ComputeConfig(tile_cache=False))
     layout = _layout()
     from repro.engine.tiling import TilingSpec, extract_tiles
 
@@ -204,7 +212,7 @@ def test_fakegpu_residency_transfers(record_output, record_json):
     # bookkeeping, never numerics.
     reference = ExecutionEngine.for_optics(
         CONFIG, source=SOURCE, cache=cache,
-        fft_backend="numpy").aerial_batch(tiles)
+        compute=NUMPY).aerial_batch(tiles)
     np.testing.assert_array_equal(reference, resident)
     assert transfers_per_chunk == 2.0
     assert bank_uploads == 1
@@ -249,7 +257,8 @@ def test_pyfftw_plan_cache(record_output, record_json):
 
     cache = KernelBankCache()
     engine = ExecutionEngine.for_optics(CONFIG, source=SOURCE, cache=cache,
-                                        fft_backend=backend, tile_cache=False)
+                                        fft_backend=backend,
+                                        compute=ComputeConfig(tile_cache=False))
     layout = _layout()
     from repro.engine.tiling import TilingSpec, extract_tiles
 
@@ -270,7 +279,7 @@ def test_pyfftw_plan_cache(record_output, record_json):
 
     reference = ExecutionEngine.for_optics(
         CONFIG, source=SOURCE, cache=cache,
-        fft_backend="numpy").aerial_batch(tiles)
+        compute=NUMPY).aerial_batch(tiles)
     scale = float(reference.max())
     rel = float(np.abs(warm_result - reference).max() / scale)
     assert rel < 1e-12, f"pyfftw deviates {rel:.3g} from the numpy reference"

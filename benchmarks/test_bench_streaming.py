@@ -1,25 +1,28 @@
-"""Micro-benchmark — out-of-core streaming stitch vs the in-memory layout path.
+"""Micro-benchmark — bounded-batch layout imaging vs the unbatched reference.
 
-The claim of :mod:`repro.engine.streaming` is *memory*, not speed: the
-in-memory path materialises the full guard-banded tile stack plus the full
-aerial tile stack (O(layout area)), while the streaming path holds one
-bounded tile batch at a time (O(tile-batch)).  This benchmark measures both
-paths' **peak RSS in fresh subprocesses** (`measure_peak_memory`; the OS
-high-water mark is per-process-lifetime, so each candidate gets its own
-interpreter) on a layout at least 4x the engine's chunk budget, and records
+The claim of :mod:`repro.engine.streaming` is *memory*, not speed: the plain
+reference (``tests/reference.py`` — what the in-memory path used to be)
+materialises the full guard-banded tile stack plus the full aerial tile
+stack (O(layout area)), while the pipeline run in bounded batches holds one
+tile batch at a time (O(tile-batch)).  This benchmark measures both **peak
+RSS in fresh subprocesses** (`measure_peak_memory`; the OS high-water mark
+is per-process-lifetime, so each candidate gets its own interpreter) on a
+layout at least 4x the engine's chunk budget, and records
 
-* the peak RAM of each path *above* a no-imaging baseline subprocess that
+* the peak RAM of each *above* a no-imaging baseline subprocess that
   builds the same engine and layout (isolating what imaging itself
   allocates),
-* ``peak_memory_ratio`` — in-memory / streaming peak — asserted ``>= 4`` and
-  gated in CI by ``benchmarks/compare_trajectory.py``, and
-* wall-clock of both paths (streaming should cost little: same FFT work,
+* ``peak_memory_ratio`` — reference / bounded-batch peak — asserted ``>= 4``
+  and gated in CI by ``benchmarks/compare_trajectory.py``, and
+* wall-clock of both (batching should cost little: same FFT work,
   incremental writes).
 
-Results land in ``benchmarks/results/streaming.{txt,json}``.
+Results land in ``benchmarks/results/streaming.{txt,json}`` (the JSON keeps
+its ``in_memory`` / ``streaming`` keys so the trajectory stays comparable).
 """
 
 import os
+import sys
 
 import numpy as np
 
@@ -27,6 +30,11 @@ from repro.analysis.throughput import measure_peak_memory
 from repro.engine import ExecutionEngine, KernelBankCache
 from repro.optics import OpticsConfig
 from repro.optics.source import AnnularSource
+
+# The unbatched side is the test suite's oracle, not product code.
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "tests"))
+from reference import reference_image_layout
 
 TILE = 128
 PIXEL_NM = 4.0
@@ -69,13 +77,15 @@ def _run_baseline(cache_dir: str, shape) -> None:
 
 
 def _run_in_memory(cache_dir: str, shape) -> None:
-    _build_engine(cache_dir).image_layout(_build_layout(shape),
-                                          guard_px=GUARD)
+    reference_image_layout(_build_engine(cache_dir), _build_layout(shape),
+                           guard_px=GUARD)
 
 
 def _run_streaming(cache_dir: str, shape) -> None:
-    _build_engine(cache_dir).image_layout(_build_layout(shape),
-                                          guard_px=GUARD, streaming=True)
+    engine = _build_engine(cache_dir)
+    tiling = engine.resolve_tiling(None, None, GUARD)
+    engine.image_layout(_build_layout(shape), tiling=tiling,
+                        batch_tiles=engine.stream_batch_tiles(tiling))
 
 
 def test_streaming_peak_memory(preset, record_output, record_json, tmp_path):
@@ -85,8 +95,8 @@ def test_streaming_peak_memory(preset, record_output, record_json, tmp_path):
 
     # Correctness stays pinned at bench scale too (cheap, small slice).
     small = _build_layout((4 * TILE, 2 * TILE))
-    reference = engine.image_layout(small, guard_px=GUARD)
-    streamed = engine.image_layout(small, guard_px=GUARD, streaming=True)
+    reference = reference_image_layout(engine, small, guard_px=GUARD)
+    streamed = engine.image_layout(small, guard_px=GUARD, batch_tiles=2)
     np.testing.assert_array_equal(streamed.aerial, reference.aerial)
 
     baseline = measure_peak_memory(_run_baseline, cache_dir, shape)
@@ -99,16 +109,16 @@ def test_streaming_peak_memory(preset, record_output, record_json, tmp_path):
     ratio = in_memory_delta / streaming_delta
 
     lines = [
-        f"streaming vs in-memory image_layout "
+        f"bounded-batch image_layout vs the unbatched reference "
         f"({shape[0]}x{shape[1]} px, {TILE} px tiles, guard {GUARD} px, "
         f"chunk budget {CHUNK_BYTES / 2**20:.0f} MiB, "
         f"layout {layout_bytes / CHUNK_BYTES:.1f}x the budget)",
         f"  baseline  (no imaging): peak {baseline.peak_mib:8.1f} MiB",
-        f"  in-memory             : peak {in_memory.peak_mib:8.1f} MiB "
+        f"  reference (unbatched) : peak {in_memory.peak_mib:8.1f} MiB "
         f"(+{in_memory_delta / 2**20:7.1f} MiB)  {in_memory.elapsed_s:6.2f} s",
-        f"  streaming             : peak {streaming.peak_mib:8.1f} MiB "
+        f"  bounded batches       : peak {streaming.peak_mib:8.1f} MiB "
         f"(+{streaming_delta / 2**20:7.1f} MiB)  {streaming.elapsed_s:6.2f} s",
-        f"  peak-memory ratio (in-memory / streaming): {ratio:.2f}x",
+        f"  peak-memory ratio (reference / bounded): {ratio:.2f}x",
         f"  measured in fresh subprocesses: "
         f"{in_memory.in_subprocess and streaming.in_subprocess}",
     ]
@@ -133,13 +143,13 @@ def test_streaming_peak_memory(preset, record_output, record_json, tmp_path):
         "cpus": os.cpu_count(),
     })
 
-    # The acceptance floor: streaming images a layout >= 4x the chunk budget
-    # in >= 4x less imaging RAM.  Only meaningful when the subprocess
+    # The acceptance floor: bounded batches image a layout >= 4x the chunk
+    # budget in >= 4x less imaging RAM than the unbatched reference.  Only meaningful when the subprocess
     # measurement worked (the in-process fallback measures lifetime
     # high-water, which the first-run path would dominate).
     assert layout_bytes >= 4 * CHUNK_BYTES
     if in_memory.in_subprocess and streaming.in_subprocess:
         assert ratio >= 4.0, (
-            f"streaming path saved only {ratio:.2f}x peak imaging RAM "
-            f"(floor 4x): in-memory +{in_memory_delta / 2**20:.1f} MiB vs "
-            f"streaming +{streaming_delta / 2**20:.1f} MiB")
+            f"bounded batches saved only {ratio:.2f}x peak imaging RAM "
+            f"(floor 4x): reference +{in_memory_delta / 2**20:.1f} MiB vs "
+            f"bounded +{streaming_delta / 2**20:.1f} MiB")

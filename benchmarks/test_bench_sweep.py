@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from repro.backend import available_backends, get_backend
+from repro.backend import ComputeConfig, available_backends, get_backend
 from repro.engine import ShardedExecutor, available_workers
 from repro.masks.generators import ISPDMetalGenerator
 from repro.optics import OpticsConfig
@@ -96,12 +96,12 @@ def test_sharded_sweep_speedup(record_output, record_json, tmp_path):
                                 cache_dir=cache_dir) as b_sharded_ex:
             b_serial = ProcessWindowSweep(
                 config, source=source, executor=b_serial_ex,
-                fft_backend=backend_name).run(layout, grid=GRID,
-                                              keep_aerials=True)
+                compute=ComputeConfig(fft_backend=backend_name),
+            ).run(layout, grid=GRID, keep_aerials=True)
             b_sharded = ProcessWindowSweep(
                 config, source=source, executor=b_sharded_ex,
-                fft_backend=backend_name).run(layout, grid=GRID,
-                                              keep_aerials=True)
+                compute=ComputeConfig(fft_backend=backend_name),
+            ).run(layout, grid=GRID, keep_aerials=True)
         assert b_sharded.window == b_serial.window
         for focus in GRID.focus_values_nm:
             np.testing.assert_array_equal(b_sharded.aerials[focus],

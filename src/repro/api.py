@@ -65,7 +65,6 @@ def image_layout(layout, optics: Optional[OpticsConfig] = None, *,
                  compute: Optional[ComputeConfig] = None,
                  tile_px: Optional[int] = None,
                  guard_px: Optional[int] = None,
-                 streaming: bool = False,
                  num_workers: int = 1,
                  cache_dir: Optional[str] = None) -> LayoutImage:
     """Image one layout (array or file path) at one focus setting.
@@ -81,13 +80,10 @@ def image_layout(layout, optics: Optional[OpticsConfig] = None, *,
                       pupil=pupil, cache_dir=cache_dir, compute=compute)
     if focus_nm:
         spec = spec.with_focus(focus_nm)
-    executor = ShardedExecutor(num_workers=num_workers, cache_dir=cache_dir,
-                               compute=compute)
-    try:
+    with ShardedExecutor(num_workers=num_workers, cache_dir=cache_dir,
+                         compute=compute) as executor:
         return executor.image_layout(spec, layout, tile_px=tile_px,
-                                     guard_px=guard_px, streaming=streaming)
-    finally:
-        executor.close()
+                                     guard_px=guard_px)
 
 
 def sweep_window(layout, optics: Optional[OpticsConfig] = None, *,

@@ -26,13 +26,14 @@ owns two orthogonal policies that the whole engine stack
 Both policies (plus the tile-cache and scheduler switches) bundle into one
 serialisable :class:`ComputeConfig` (see :mod:`repro.backend.config`) — the
 ``compute=`` argument every engine-stack constructor accepts, and the JSON
-object campaign-service requests carry.  The loose per-knob kwargs remain
-accepted through a deprecation shim.
+object campaign-service requests carry.  Names travel only there; the
+engines' own ``fft_backend`` / ``precision`` / ``tile_cache`` keywords take
+live objects (an :class:`FFTBackend`, a :class:`Precision`, a tile cache).
 
 Usage
 -----
 >>> import numpy as np
->>> from repro.backend import get_backend, resolve_precision
+>>> from repro.backend import ComputeConfig, get_backend, resolve_precision
 >>> backend = get_backend("numpy")           # or get_backend() = env/auto
 >>> backend.rfft2(np.ones((8, 8)), norm="ortho").shape   # half spectrum
 (8, 5)
@@ -42,8 +43,8 @@ dtype('float32')
 >>> np.dtype(policy.complex_dtype)           # ... complex64 spectra
 dtype('complex64')
 >>> from repro.engine import ExecutionEngine
->>> engine = ExecutionEngine(np.ones((1, 3, 3)), fft_backend="numpy",
-...                          precision="float32")
+>>> engine = ExecutionEngine(np.ones((1, 3, 3)), compute=ComputeConfig(
+...     fft_backend="numpy", precision="float32"))
 >>> engine.backend.name, engine.kernels.dtype
 ('numpy', dtype('complex64'))
 
@@ -98,7 +99,6 @@ from .config import (
     TILE_CACHE_DIR_ENV_VAR,
     TILE_CACHE_ENV_VAR,
     ComputeConfig,
-    apply_legacy_kwargs,
 )
 from .precision import (
     AUTO_PRECISION,
@@ -124,6 +124,6 @@ __all__ = [
     "Precision", "FLOAT32", "FLOAT64", "resolve_precision",
     "available_precisions", "PRECISION_ENV_VAR",
     "AUTO_PRECISION", "is_auto_precision", "autotune_precision",
-    "ComputeConfig", "apply_legacy_kwargs",
+    "ComputeConfig",
     "TILE_CACHE_ENV_VAR", "TILE_CACHE_DIR_ENV_VAR", "SCHEDULER_ENV_VAR",
 ]

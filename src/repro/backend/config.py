@@ -12,12 +12,10 @@ campaign *service* request needs that policy to be one serialisable object:
   requests and stored campaign manifests can carry it,
 * reads the same environment variables the loose kwargs honoured
   (:meth:`from_env`: ``REPRO_FFT_BACKEND``, ``REPRO_FFT_WORKERS``,
-  ``REPRO_PRECISION``, ``REPRO_TILE_CACHE``, ``REPRO_SCHEDULER``),
+  ``REPRO_PRECISION``, ``REPRO_TILE_CACHE``, ``REPRO_SCHEDULER``), and
 * normalises names to concrete choices (:meth:`resolve`) — e.g.
   ``fft_backend=None`` becomes the ``auto``-resolved backend's name — so a
-  config can be pinned into a manifest and reproduced later, and
-* merges over the legacy kwargs via :func:`apply_legacy_kwargs`, the
-  deprecation shim that keeps every existing call site working.
+  config can be pinned into a manifest and reproduced later.
 
 Every field defaults to ``None`` = "consumer decides", which preserves each
 consumer's historical default (engines consult the environment, the executor
@@ -29,7 +27,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Union
 
@@ -219,29 +216,3 @@ class ComputeConfig:
     def replace(self, **changes: Any) -> "ComputeConfig":
         """A copy with the named fields replaced (dataclasses.replace)."""
         return dataclasses.replace(self, **changes)
-
-
-def apply_legacy_kwargs(config: Optional[ComputeConfig],
-                        caller: str,
-                        stacklevel: int = 3,
-                        **legacy: Any) -> ComputeConfig:
-    """The deprecation shim: fold loose compute kwargs into a ComputeConfig.
-
-    ``legacy`` maps field name -> the value the caller passed (``None`` =
-    not passed).  Passing any non-``None`` legacy value emits a
-    ``DeprecationWarning`` naming the replacement, then overrides the
-    corresponding config field — so legacy call sites keep working, mixed
-    call sites behave predictably (explicit kwarg wins), and migrated call
-    sites pay nothing.  Rich instances (FFTBackend, Precision,
-    TileResultCache, Scheduler objects) must be stripped by the caller
-    before reaching this shim — a ComputeConfig holds names only.
-    """
-    named = {key: value for key, value in legacy.items() if value is not None}
-    if not named:
-        return config if config is not None else ComputeConfig()
-    warnings.warn(
-        f"{caller}: the {', '.join(sorted(named))} keyword argument(s) are "
-        f"deprecated; bundle them into compute=ComputeConfig(...) instead",
-        DeprecationWarning, stacklevel=stacklevel)
-    base = config if config is not None else ComputeConfig()
-    return dataclasses.replace(base, **named)

@@ -10,9 +10,9 @@ Subcommands cover the typical library workflow without writing any Python:
   report how well a checkpoint reproduces it (sanity check),
 * ``image-layout`` — image an arbitrarily sized layout raster (synthetic or
   loaded from ``.npy``/``.npz``) through the batched, guard-banded tiling
-  engine and save the stitched aerial / resist images; ``--streaming`` /
-  ``--out DIR`` image out-of-core in bounded-memory batches stitched
-  incrementally into ``.npy`` memmaps,
+  engine and save the stitched aerial / resist images; ``--out DIR`` images
+  out-of-core in bounded-memory batches stitched incrementally into ``.npy``
+  memmaps,
 * ``sweep-window`` — run a focus x dose process-window qualification campaign
   over an arbitrary layout through the sweep layer, sharded across worker
   processes, and print the focus-exposure matrix + window summary;
@@ -140,85 +140,62 @@ def command_simulate(arguments) -> int:
     return 0
 
 
-def _load_layout_source(path: str, pixel_size_nm: float):
-    """Dense raster (``.npy``/``.npz``) or windowed geometry reader — the
-    shared resolution path in :mod:`repro.layout.sources` (the campaign
-    service resolves its layout references through the same code)."""
-    from .layout import load_layout_source
+def _layout_from_args(arguments):
+    """The ``--input`` layout — a dense raster (``.npy``/``.npz``) or a
+    windowed geometry reader, resolved by :mod:`repro.layout.sources` exactly
+    as the campaign service resolves its layout references — or, without
+    ``--input``, a synthesized raster."""
+    from .layout import load_layout_source, synthesize_layout_mask
 
-    return load_layout_source(path, pixel_size_nm)
-
-
-def _synthesize_layout_mask(height_px: int, width_px: int, tile_size_px: int,
-                            pixel_size_nm: float, family: str, seed: int) -> np.ndarray:
-    from .layout import synthesize_layout_mask
-
-    return synthesize_layout_mask(height_px, width_px, tile_size_px,
-                                  pixel_size_nm, family, seed)
+    if arguments.input:
+        return load_layout_source(arguments.input, arguments.pixel_size_nm)
+    return synthesize_layout_mask(arguments.height, arguments.width,
+                                  arguments.tile_size, arguments.pixel_size_nm,
+                                  arguments.family, arguments.seed)
 
 
 def command_image_layout(arguments) -> int:
     import time
 
-    from .engine import EngineSpec, ExecutionEngine, ShardedExecutor
+    from .engine import EngineSpec, ShardedExecutor
     from .optics.source import make_source
 
     if not arguments.output and not arguments.out:
         print("image-layout needs --output (npz) and/or --out (memmap dir)",
               file=sys.stderr)
         return 2
-    if arguments.input:
-        mask = _load_layout_source(arguments.input, arguments.pixel_size_nm)
-    else:
-        mask = _synthesize_layout_mask(arguments.height, arguments.width,
-                                       arguments.tile_size, arguments.pixel_size_nm,
-                                       arguments.family, arguments.seed)
+    mask = _layout_from_args(arguments)
     config = OpticsConfig(tile_size_px=arguments.tile_size,
                           pixel_size_nm=arguments.pixel_size_nm)
     source = make_source(arguments.source) if arguments.source else None
     compute = _compute_from_args(arguments)
     scheduler = (compute.scheduler
                  or os.environ.get("REPRO_SCHEDULER", "") or "serial")
-    guard_px = arguments.guard if arguments.guard >= 0 else None
-    if scheduler == "serial":
-        engine = ExecutionEngine.for_optics(config, source=source,
-                                            compute=compute)
-        tile_cache = engine.tile_cache
+    spec = EngineSpec(config=config, source=source, compute=compute)
+    # serial is sharding with one shard: a single in-process worker; pool /
+    # stealing / service shard the tile batches over the available CPUs
+    # (bit-for-bit the serial output).
+    with ShardedExecutor(num_workers=1 if scheduler == "serial" else None,
+                         scheduler=scheduler, compute=compute) as executor:
+        engine = executor.warm(spec)
         start = time.perf_counter()
-        result = engine.image_layout(mask, tile_px=arguments.tile_size,
-                                     guard_px=guard_px,
-                                     streaming=arguments.streaming,
-                                     out_dir=arguments.out or None)
+        result = executor.image_layout(
+            spec, mask, tile_px=arguments.tile_size,
+            guard_px=arguments.guard if arguments.guard >= 0 else None,
+            out_dir=arguments.out or None)
         elapsed = time.perf_counter() - start
-    else:
-        # pool / stealing / service: shard the tile batches through the
-        # named scheduler (bit-for-bit the serial output).
-        spec = EngineSpec(config=config, source=source, compute=compute)
-        with ShardedExecutor(scheduler=scheduler,
-                             compute=compute.replace(scheduler=None),
-                             ) as executor:
-            tile_cache = executor.tile_cache
-            engine = executor.warm(spec)
-            start = time.perf_counter()
-            result = executor.image_layout(spec, mask,
-                                           tile_px=arguments.tile_size,
-                                           guard_px=guard_px,
-                                           streaming=arguments.streaming,
-                                           out_dir=arguments.out or None)
-            elapsed = time.perf_counter() - start
 
     is_reader = hasattr(mask, "read_window")
     height, width = mask.shape
     area_um2 = height * width * (arguments.pixel_size_nm / 1000.0) ** 2
-    mode = "streamed" if (arguments.streaming or arguments.out or is_reader) \
-        else "imaged"
+    mode = "streamed" if (arguments.out or is_reader) else "imaged"
     print(f"{mode} {height}x{width} px layout "
           f"({result.num_tiles} tiles of {result.tiling.tile_px} px, "
           f"guard {result.tiling.guard_px} px) in {elapsed:.2f} s "
           f"({area_um2 / max(elapsed, 1e-9):.1f} um^2/s) "
           f"[{engine.backend.name} backend, {engine.precision.name}]")
-    if tile_cache is not None:
-        stats = tile_cache.stats
+    if executor.tile_cache is not None:
+        stats = executor.tile_cache.stats
         print(f"tile cache: {stats.served}/{stats.tiles} tiles served from "
               f"cache ({stats.hit_rate * 100:.1f}% hit rate, "
               f"{stats.misses} imaged)")
@@ -280,12 +257,7 @@ def _run_sweep_window(arguments, grid, num_workers: int,
     from .optics.source import make_source
     from .sweep import ProcessWindowSweep
 
-    if arguments.input:
-        mask = _load_layout_source(arguments.input, arguments.pixel_size_nm)
-    else:
-        mask = _synthesize_layout_mask(arguments.height, arguments.width,
-                                       arguments.tile_size, arguments.pixel_size_nm,
-                                       arguments.family, arguments.seed)
+    mask = _layout_from_args(arguments)
     config = OpticsConfig(tile_size_px=arguments.tile_size,
                           pixel_size_nm=arguments.pixel_size_nm)
     source = make_source(arguments.source) if arguments.source else None
@@ -558,13 +530,12 @@ def build_parser() -> argparse.ArgumentParser:
         "image-layout", help="image an arbitrary layout via batched guard-banded tiling",
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog="examples:\n"
-               "  # in-memory imaging, save the stitched result as npz\n"
+               "  # save the stitched result as npz\n"
                "  repro image-layout --width 1024 --height 768 --output chip.npz\n"
-               "  # out-of-core: stream tile batches, stitch into .npy memmaps\n"
-               "  repro image-layout --streaming --width 8192 --height 8192 \\\n"
-               "      --out chip_dir\n"
+               "  # out-of-core: bounded tile batches stitched into .npy memmaps\n"
+               "  repro image-layout --width 8192 --height 8192 --out chip_dir\n"
                "  # both: bounded-memory imaging plus an npz copy\n"
-               "  repro image-layout --streaming --out chip_dir --output chip.npz\n")
+               "  repro image-layout --out chip_dir --output chip.npz\n")
     _add_common(image_layout)
     image_layout.add_argument("--input",
                               help="load a layout instead of synthesizing one: "
@@ -587,13 +558,14 @@ def build_parser() -> argparse.ArgumentParser:
     image_layout.add_argument("--output", default="",
                               help="output .npz path (this and/or --out)")
     image_layout.add_argument("--streaming", action="store_true",
-                              help="generator-fed tiles, bounded-memory batches, "
-                                   "incremental stitch: O(tile-batch) RAM, "
-                                   "bit-for-bit the in-memory result")
+                              help="accepted for compatibility and ignored: "
+                                   "every layout runs through the one "
+                                   "batch-by-batch pipeline (geometry inputs "
+                                   "and --out bound RAM at one tile batch)")
     image_layout.add_argument("--out", default="",
                               help="stream the stitched aerial/resist into .npy "
-                                   "memmaps under this directory (implies "
-                                   "--streaming; see repro.engine.streaming)")
+                                   "memmaps under this directory in bounded "
+                                   "tile batches (see repro.engine.streaming)")
     _add_compute_options(image_layout)
     image_layout.set_defaults(handler=command_image_layout)
 

@@ -12,7 +12,7 @@ and the throughput benchmarks all share the same vectorised batched hot path.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -28,11 +28,6 @@ class KernelBankEngine(ExecutionEngine):
     calls reject masks of any other size.
     """
 
-    def __init__(self, kernels: np.ndarray, resist_threshold: float = 0.225,
-                 tile_size_px: Optional[int] = None, **kwargs):
-        super().__init__(kernels, resist_threshold=resist_threshold,
-                         tile_size_px=tile_size_px, **kwargs)
-
     def _check_tile(self, mask: np.ndarray) -> np.ndarray:
         mask = self.precision.as_real(mask)
         if self.tile_size_px is not None and mask.shape[-2:] != (self.tile_size_px,
@@ -45,33 +40,14 @@ class KernelBankEngine(ExecutionEngine):
         """Aerial image of one mask tile."""
         return super().aerial(self._check_tile(mask))
 
-    def aerial_batch(self, masks: Iterable[np.ndarray]) -> np.ndarray:
+    def aerial_batch(self, masks: Iterable[np.ndarray],
+                     output_shape: Optional[Tuple[int, int]] = None,
+                     out: Optional[np.ndarray] = None) -> np.ndarray:
         """Aerial images of a batch of tiles in one vectorised pass."""
         if not isinstance(masks, np.ndarray):
             masks = np.stack([self.precision.as_real(mask) for mask in masks], axis=0)
         masks = self.precision.as_real(masks)
         if masks.ndim != 3:
             raise ValueError("masks must have shape (B, H, W)")
-        return super().aerial_batch(self._check_tile(masks))
-
-    def truncate(self, order: int) -> "KernelBankEngine":
-        """Return a new engine keeping only the first ``order`` kernels.
-
-        Raises
-        ------
-        ValueError
-            If ``order`` is not positive or exceeds the available kernel
-            count (the seed silently returned the full bank in that case).
-        """
-        if order <= 0:
-            raise ValueError("order must be positive")
-        if order > self.order:
-            raise ValueError(
-                f"cannot truncate to {order} kernels: engine only holds {self.order}")
-        return KernelBankEngine(self.kernels[:order],
-                                resist_threshold=self.resist_model.threshold,
-                                tile_size_px=self.tile_size_px,
-                                band_limited=self.band_limited,
-                                max_chunk_bytes=self.max_chunk_bytes,
-                                fft_backend=self.backend,
-                                precision=self.precision)
+        return super().aerial_batch(self._check_tile(masks),
+                                    output_shape=output_shape, out=out)

@@ -14,14 +14,16 @@ throughput benchmarks — runs through this package:
   arbitrary ``(H, W)`` layouts,
 * :mod:`repro.engine.execution` — the :class:`ExecutionEngine` facade tying
   the three together,
-* :mod:`repro.engine.streaming` — out-of-core layout imaging: generator-fed
-  tile batches, bounded-memory imaging, incremental stitch into preallocated
-  (optionally memmapped) outputs — bit-for-bit the in-memory result,
+* :mod:`repro.engine.streaming` — the one layout-imaging pipeline every
+  ``image_layout`` runs through: tile batches cut on demand, the tile-cache
+  stage, batched imaging, incremental stitch into (optionally memmapped)
+  outputs — one batch for a dense raster, O(tile-batch) RAM for readers and
+  ``out_dir`` runs, bit-for-bit the same result whatever the batch size,
 * :mod:`repro.engine.sharded` — multiprocess sharding of tile batches
   (:class:`ShardedExecutor`), with workers warmed from the disk-backed
   kernel cache, a deterministic bit-identical stitch order, and
   (condition, shard) campaign scheduling over one shared pool
-  (:meth:`ShardedExecutor.run_conditions` / ``campaign_aerials``),
+  (:meth:`ShardedExecutor.run_conditions`),
 * :mod:`repro.engine.scheduler` — the condition-level task scheduling seam
   (:class:`Scheduler` / :class:`TaskSpec`): serial, pool and work-stealing
   implementations (selected via ``scheduler=`` / ``REPRO_SCHEDULER``), plus
@@ -34,12 +36,12 @@ throughput benchmarks — runs through this package:
   from the cache, bit-for-bit the uncached result.
 
 Every FFT and dtype decision is delegated to the compute-backend layer in
-:mod:`repro.backend`: engines accept ``fft_backend`` / ``fft_workers`` /
-``precision`` and default to the environment-selected backend
+:mod:`repro.backend`: engines take one ``compute=ComputeConfig(...)`` of
+policy names and default to the environment-selected backend
 (``REPRO_FFT_BACKEND``, auto = multi-threaded scipy when importable) at
 float64.  Layout input is a dense ``(H, W)`` raster or a windowed
-:mod:`repro.layout` reader — readers stream tile-by-tile, so the dense
-raster never needs to exist.
+:mod:`repro.layout` reader — readers are rasterised batch by batch, so the
+dense raster never needs to exist.
 
 Usage
 -----

@@ -170,9 +170,9 @@ def effective_chunk_tiles(batch: int, kernel_shape: Tuple[int, int, int],
 
     Bounds BOTH per-chunk intermediates: the ``(chunk, r, work_h, work_w)``
     kernel-product stack and — on the band-limited fast path — the
-    ``(chunk, out_h, out_w)`` complex upsampling spectra.  The streaming
-    layout path sizes its tile batches with this same arithmetic, so its
-    peak memory is one chunk of the in-memory path, no more.
+    ``(chunk, out_h, out_w)`` complex upsampling spectra.  The layout
+    pipeline sizes its bounded tile batches with this same arithmetic, so
+    its peak memory is one chunk, no more.
     """
     order, n, m = kernel_shape
     use_fast = band_limited and 2 * n <= out_h and 2 * m <= out_w
@@ -230,7 +230,7 @@ def batched_aerial_from_kernels(masks: np.ndarray, kernels: np.ndarray,
         complex-spectrum path — the property tests pin the two equal to
         ~1e-12 relative in float64.
     out:
-        Optional preallocated ``(B, H, W)`` host array (the streaming path's
+        Optional preallocated ``(B, H, W)`` host array (the layout pipeline's
         reusable — on CUDA, pinned — staging buffer) the results are written
         into; returned when given.  Results are identical either way.
     """

@@ -14,11 +14,12 @@ learned Nitho kernels, anything of shape ``(r, n, m)`` — and provides:
   process-wide kernel-bank cache in :mod:`repro.engine.cache`, so the TCC +
   eigendecomposition for a given optics fingerprint happens at most once per
   process no matter how many simulators, experiments or benchmarks ask, and
-* the compute policy knobs of :mod:`repro.backend`: ``fft_backend`` /
-  ``fft_workers`` select the FFT implementation (numpy, multi-threaded
-  scipy, or anything registered), ``precision`` selects the float64 / float32
-  dtype pair the whole pipeline runs at (the kernel bank is cast once at
-  construction; the cache keys banks by precision so dtypes never mix).
+* the compute policy of :mod:`repro.backend`, carried by one
+  ``compute=ComputeConfig(...)``: ``fft_backend`` / ``fft_workers`` select
+  the FFT implementation (numpy, multi-threaded scipy, or anything
+  registered), ``precision`` selects the float64 / float32 dtype pair the
+  whole pipeline runs at (the kernel bank is cast once at construction; the
+  cache keys banks by precision so dtypes never mix).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -35,7 +36,6 @@ from ..backend import (
     ComputeConfig,
     FFTBackend,
     Precision,
-    apply_legacy_kwargs,
     as_array_module,
     autotune_precision,
     get_backend,
@@ -50,15 +50,8 @@ from .batched import (
 )
 from .cache import KernelBankCache, default_kernel_cache
 from .streaming import stream_image_layout
-from .tile_cache import TileCacheContext, resolve_tile_cache
-from .tiling import (
-    TilingSpec,
-    default_guard_px,
-    extract_tile_batch,
-    extract_tiles,
-    plan_tiles,
-    stitch_tiles,
-)
+from .tile_cache import TileCacheContext, TileResultCache, resolve_tile_cache
+from .tiling import TilingSpec, default_guard_px
 
 
 # --------------------------------------------------------------------------- #
@@ -102,9 +95,9 @@ def device_kernel_bank(module, fingerprint: str, kernels: np.ndarray):
 class LayoutImage:
     """Result of imaging a full layout: stitched aerial + resist + provenance.
 
-    ``aerial`` / ``resist`` are plain arrays on the in-memory path and
-    ``numpy.memmap`` views when the layout was streamed into an ``out_dir``
-    (recorded here; ``None`` otherwise).
+    ``aerial`` / ``resist`` are plain arrays, or ``numpy.memmap`` views when
+    the layout was imaged into an ``out_dir`` (recorded here; ``None``
+    otherwise).
     """
 
     aerial: np.ndarray
@@ -118,41 +111,39 @@ class LayoutImage:
         return self.aerial.shape
 
 
+def _live_object(keyword: str, value, kind: type):
+    """``value`` when it is ``None`` or a ``kind`` instance; a name raises."""
+    if value is not None and not isinstance(value, kind):
+        raise TypeError(
+            f"ExecutionEngine: {keyword}= takes a {kind.__name__} instance, "
+            f"got {value!r}; pass names and switches as "
+            f"compute=ComputeConfig({keyword}=...)")
+    return value
+
+
 class ExecutionEngine:
-    """Batched, cached, tiling-aware forward lithography from a kernel bank."""
+    """Batched, cached, tiling-aware forward lithography from a kernel bank.
+
+    Policy *names* arrive in one ``compute=ComputeConfig(...)``; the
+    ``fft_backend`` / ``precision`` / ``tile_cache`` keywords take the live
+    objects a serialisable config cannot hold (and win over its fields).
+    """
 
     def __init__(self, kernels: np.ndarray, resist_threshold: float = 0.225,
                  tile_size_px: Optional[int] = None,
                  band_limited: bool = True,
                  max_chunk_bytes: int = DEFAULT_MAX_CHUNK_BYTES,
-                 fft_backend: Optional[Union[FFTBackend, str]] = None,
-                 fft_workers: Optional[int] = None,
-                 precision: Optional[Union[Precision, str]] = None,
-                 tile_cache=None,
+                 fft_backend: Optional[FFTBackend] = None,
+                 precision: Optional[Precision] = None,
+                 tile_cache: Optional[TileResultCache] = None,
                  compute: Optional[ComputeConfig] = None):
         kernels = np.asarray(kernels)
         if kernels.ndim != 3:
             raise ValueError("kernels must have shape (r, n, m)")
-        # The loose per-knob kwargs are deprecated in favour of one
-        # serialisable ``compute=ComputeConfig(...)``.  Rich instances
-        # (FFTBackend / Precision / TileResultCache) are not expressible in
-        # a config — strip them out before the shim so they keep working
-        # warning-free.
-        backend_instance = fft_backend \
-            if isinstance(fft_backend, FFTBackend) else None
-        if backend_instance is not None:
-            fft_backend = None
-        precision_policy = precision if isinstance(precision, Precision) \
-            else None
-        if precision_policy is not None:
-            precision = None
-        tile_cache_obj = None
-        if tile_cache is not None and not isinstance(tile_cache, bool):
-            tile_cache_obj, tile_cache = tile_cache, None
-        compute = apply_legacy_kwargs(
-            compute, "ExecutionEngine", fft_backend=fft_backend,
-            fft_workers=fft_workers, precision=precision,
-            tile_cache=tile_cache)
+        fft_backend = _live_object("fft_backend", fft_backend, FFTBackend)
+        precision = _live_object("precision", precision, Precision)
+        tile_cache = _live_object("tile_cache", tile_cache, TileResultCache)
+        compute = compute if compute is not None else ComputeConfig()
         #: The names-only compute policy this engine was built with (live
         #: objects — an injected FFTBackend / Precision / TileResultCache —
         #: live on :attr:`backend` / :attr:`precision` / :attr:`tile_cache`).
@@ -162,17 +153,17 @@ class ExecutionEngine:
         #: The deferred ``"auto"`` spelling is resolved right here, against
         #: this bank: float32 exactly when the bank's SOCS truncation error
         #: already dominates the float32 dtype error (measured once).
-        requested_precision = precision_policy if precision_policy is not None \
+        requested_precision = precision if precision is not None \
             else compute.precision
         self.precision = autotune_precision(kernels) \
             if is_auto_precision(requested_precision) \
             else resolve_precision(requested_precision)
-        if backend_instance is not None:
+        if fft_backend is not None:
             if compute.fft_workers is not None:
                 raise ValueError(
                     "fft_workers cannot be applied to an already-constructed "
                     "FFTBackend instance; pass a backend name instead")
-            self.backend = backend_instance
+            self.backend = fft_backend
         else:
             self.backend = get_backend(compute.fft_backend,
                                        workers=compute.fft_workers)
@@ -185,12 +176,12 @@ class ExecutionEngine:
         self.tile_size_px = tile_size_px
         self.band_limited = band_limited
         self.max_chunk_bytes = max_chunk_bytes
-        #: Content-addressed tile-result cache (None = caching off).  A
-        #: TileResultCache instance / True / False / None — None consults
-        #: REPRO_TILE_CACHE / REPRO_TILE_CACHE_DIR (see resolve_tile_cache).
-        self.tile_cache = resolve_tile_cache(
-            tile_cache_obj if tile_cache_obj is not None
-            else compute.tile_cache)
+        #: Content-addressed tile-result cache (None = caching off): the
+        #: injected instance, else ``compute.tile_cache`` — True / False /
+        #: None, None consulting REPRO_TILE_CACHE / REPRO_TILE_CACHE_DIR
+        #: (see resolve_tile_cache).
+        self.tile_cache = tile_cache if tile_cache is not None \
+            else resolve_tile_cache(compute.tile_cache)
         self._kernel_fingerprint: Optional[str] = None
 
     # ------------------------------------------------------------------ #
@@ -199,22 +190,21 @@ class ExecutionEngine:
     @classmethod
     def for_optics(cls, config, source=None, pupil=None,
                    cache: Optional[KernelBankCache] = None,
-                   precision: Optional[Union[Precision, str]] = None,
+                   precision: Optional[Precision] = None,
                    compute: Optional[ComputeConfig] = None,
                    **kwargs) -> "ExecutionEngine":
         """Engine for an optics description, kernels served by the shared cache.
 
         ``source`` / ``pupil`` default to the golden simulator's defaults
         (annular illumination, ideal pupil plus the configured defocus).
-        ``precision`` keys the cache lookup, so a float32 engine receives a
-        complex64 bank and never re-casts per batch.  ``"auto"`` first pulls
-        the float64 master bank (computed at most once per fingerprint
-        anyway), autotunes against it, then fetches the bank at the chosen
-        precision — a float32 verdict costs one cached cast, never a second
-        decomposition.  ``compute`` carries the whole policy as one
-        :class:`~repro.backend.ComputeConfig` (its ``precision`` field is
-        honoured when the ``precision`` argument is unset); the loose
-        per-knob kwargs remain accepted via the constructor's shim.
+        The precision — the ``precision`` policy object, else ``compute``'s
+        ``precision`` name — keys the cache lookup, so a float32 engine
+        receives a complex64 bank and never re-casts per batch.  ``"auto"``
+        first pulls the float64 master bank (computed at most once per
+        fingerprint anyway), autotunes against it, then fetches the bank at
+        the chosen precision — a float32 verdict costs one cached cast,
+        never a second decomposition.  Remaining keywords (``fft_backend``,
+        ``tile_cache``, ``band_limited``, ...) go to the constructor.
         """
         from ..optics.pupil import Pupil
         from ..optics.source import AnnularSource
@@ -224,6 +214,7 @@ class ExecutionEngine:
         # "cache or default" would discard an *empty* injected cache, because
         # KernelBankCache defines __len__ and a fresh cache is falsy.
         cache = default_kernel_cache() if cache is None else cache
+        precision = _live_object("precision", precision, Precision)
         if precision is None and compute is not None:
             precision = compute.precision
         if is_auto_precision(precision):
@@ -235,10 +226,6 @@ class ExecutionEngine:
         bank = cache.get_kernels(config, source, pupil, precision=precision)
         kwargs.setdefault("resist_threshold", config.resist_threshold)
         kwargs.setdefault("tile_size_px", config.tile_size_px)
-        if compute is not None:
-            # Precision is passed as the resolved policy object below; a
-            # stale name in the config would shadow the autotune verdict.
-            compute = compute.replace(precision=None)
         return cls(bank.kernels, precision=precision, compute=compute,
                    **kwargs)
 
@@ -254,12 +241,13 @@ class ExecutionEngine:
         return self.kernels.shape[1], self.kernels.shape[2]
 
     def truncate(self, order: int) -> "ExecutionEngine":
-        """New engine keeping only the ``order`` most energetic kernels."""
+        """New engine keeping only the ``order`` most energetic kernels
+        (``ValueError`` unless ``0 < order <= self.order``)."""
         if order <= 0:
             raise ValueError("order must be positive")
         if order > self.order:
             raise ValueError(
-                f"cannot truncate to {order} kernels: only {self.order} available")
+                f"cannot truncate to {order} kernels: engine only holds {self.order}")
         return type(self)(self.kernels[:order],
                           resist_threshold=self.resist_model.threshold,
                           tile_size_px=self.tile_size_px,
@@ -318,7 +306,7 @@ class ExecutionEngine:
         process-wide :func:`device_kernel_bank` memo — one upload per
         (fingerprint, device), shared by every engine and every batch — and
         each chunk pays exactly one mask upload + one intensity download.
-        ``out`` optionally receives the results (the streaming path's
+        ``out`` optionally receives the results (the layout pipeline's
         reusable staging buffer); contents are identical either way.
         """
         masks = np.stack([self.precision.as_real(mask) for mask in masks], axis=0) \
@@ -375,11 +363,11 @@ class ExecutionEngine:
         return TilingSpec(tile_px=int(tile_px), guard_px=int(guard_px))
 
     def stream_batch_tiles(self, tiling: TilingSpec) -> int:
-        """Default tiles-per-batch of the streaming path for this engine.
+        """Default tiles-per-batch of a bounded-memory layout run.
 
         Exactly the chunk size :meth:`aerial_batch` would split a large batch
         into internally (the byte-denominated ``max_chunk_bytes`` budget), so
-        streaming adds no extra chunking and peak RAM is one chunk.
+        batching adds no extra chunking and peak RAM is one chunk.
         """
         return max(1, effective_chunk_tiles(
             np.iinfo(np.int32).max, self.kernels.shape,
@@ -392,20 +380,22 @@ class ExecutionEngine:
                      tiling: Optional[TilingSpec] = None,
                      tile_px: Optional[int] = None,
                      guard_px: Optional[int] = None,
-                     streaming: bool = False,
                      out_dir: Optional[str] = None,
                      batch_tiles: Optional[int] = None) -> LayoutImage:
         """Image an arbitrary ``(H, W)`` layout by guard-banded tiling.
+
+        Every layout runs through the one batch-by-batch pipeline of
+        :mod:`repro.engine.streaming`; the result does not depend on the
+        batch size, bit for bit.
 
         Parameters
         ----------
         layout:
             A dense ``(H, W)`` raster, a ``numpy.memmap``, or a windowed
             :class:`repro.layout.LayoutReader` (anything with a
-            ``read_window`` method).  Readers always image through the
-            streaming path — tiles are rasterised on demand and the dense
-            raster never exists — and produce bit-for-bit the dense-array
-            result.
+            ``read_window`` method).  A reader's tiles are rasterised on
+            demand — the dense raster never exists — and produce bit-for-bit
+            the dense-array result.
         tiling:
             Explicit tile geometry; overrides ``tile_px`` / ``guard_px``.
         tile_px:
@@ -419,71 +409,74 @@ class ExecutionEngine:
             Guard band per side; defaults to :func:`default_guard_px`
             (one kernel window), the scale over which partially coherent
             cross-talk decays.
-        streaming:
-            Produce tiles from a generator, image in bounded batches and
-            stitch incrementally (:mod:`repro.engine.streaming`): peak RAM
-            is O(one tile batch) instead of O(layout), and the result is
-            bit-for-bit the in-memory result.  Implied by ``out_dir``.
         out_dir:
-            Stream the stitched aerial / resist into ``.npy`` memmaps under
+            Write the stitched aerial / resist into ``.npy`` memmaps under
             this directory (see the :mod:`repro.engine.streaming` docstring
             for the layout), so even the output needn't fit in RAM.
         batch_tiles:
-            Streamed tiles per batch; defaults to :meth:`stream_batch_tiles`
-            (the batched core's own chunk size).
+            Tiles per batch; peak RAM is O(one batch).  Defaults to every
+            tile at once for a dense raster whose results stay in RAM, and
+            to :meth:`stream_batch_tiles` (the batched core's own chunk
+            size) for a reader or an ``out_dir`` — O(tile-batch) RAM
+            however large the layout.
         """
-        is_reader = hasattr(layout, "read_window")
-        if not is_reader:
-            # Readers rasterise per window; their tiles are cast per batch
-            # inside aerial_batch instead of up front.
-            layout = self.precision.as_real(layout)
-        if len(layout.shape) != 2:
-            raise ValueError("layout must be a 2-D image")
-        tiling = self.resolve_tiling(tiling, tile_px, guard_px)
+        return image_layout_through(self, layout, tiling, tile_px, guard_px,
+                                    out_dir, batch_tiles,
+                                    tile_cache=self.tile_cache)
 
-        if is_reader or streaming or out_dir is not None \
-                or batch_tiles is not None:
-            if batch_tiles is None:
-                batch_tiles = self.stream_batch_tiles(tiling)
-            image_batch = self.aerial_batch
-            module = as_array_module(self.backend)
-            if module.is_resident and self.tile_cache is None:
-                # Stage every device->host download through one reusable
-                # (pinned, where the module supports it) host buffer instead
-                # of allocating a fresh batch-sized array per batch.  The
-                # streamer fully consumes each batch (stitch + develop copy
-                # out of it) before requesting the next, so reuse is safe;
-                # with a tile cache it is NOT (TileResultCache retains row
-                # views of the returned batch), hence the gate above.
-                staging = module.empty_host(
-                    (batch_tiles, tiling.tile_px, tiling.tile_px),
-                    self.precision.real_dtype)
 
-                def image_batch(tiles, _staging=staging):
-                    return self.aerial_batch(tiles, out=_staging[:len(tiles)])
-            aerial, resist, num_tiles = stream_image_layout(
-                layout, tiling, image_batch, self.resist_model.develop,
-                self.precision.real_dtype, batch_tiles, out_dir=out_dir,
-                meta={"backend": self.backend.name,
-                      "precision": self.precision.name},
-                tile_cache=self.tile_cache,
-                cache_context=self.tile_cache_context(tiling)
-                if self.tile_cache is not None else None)
-            return LayoutImage(aerial=aerial, resist=resist, tiling=tiling,
-                               num_tiles=num_tiles, out_dir=out_dir)
+def image_layout_through(engine: ExecutionEngine, layout,
+                         tiling: Optional[TilingSpec],
+                         tile_px: Optional[int], guard_px: Optional[int],
+                         out_dir: Optional[str], batch_tiles: Optional[int],
+                         tile_cache: Optional[TileResultCache],
+                         image_batch=None,
+                         num_workers: Optional[int] = None) -> LayoutImage:
+    """Run the layout pipeline for ``engine`` — the adapter both front ends share.
 
-        height, width = layout.shape
-        if self.tile_cache is not None:
-            placements = plan_tiles(height, width, tiling)
-            tiles, digests = extract_tile_batch(layout, placements, tiling,
-                                                with_digests=True)
-            aerial_tiles = self.tile_cache.image_tile_batch(
-                tiles, digests, self.aerial_batch,
-                self.tile_cache_context(tiling))
-        else:
-            tiles, placements = extract_tiles(layout, tiling)
-            aerial_tiles = self.aerial_batch(tiles)
-        aerial = stitch_tiles(aerial_tiles, placements, height, width, tiling)
-        resist = self.resist_model.develop(aerial)
-        return LayoutImage(aerial=aerial, resist=resist, tiling=tiling,
-                           num_tiles=len(placements))
+    :meth:`ExecutionEngine.image_layout` images batches with the engine's own
+    ``aerial_batch``; ``ShardedExecutor.image_layout`` passes its sharded
+    ``image_batch``, its own ``tile_cache`` and its ``num_workers``.  The
+    precision cast, tiling, default batch, cache context, staging buffer and
+    provenance are decided here, once.
+    """
+    is_reader = hasattr(layout, "read_window")
+    if not is_reader:
+        # Readers rasterise per window; their tiles are cast per batch
+        # inside aerial_batch instead of up front.
+        layout = engine.precision.as_real(layout)
+    tiling = engine.resolve_tiling(tiling, tile_px, guard_px)
+    if batch_tiles is None and (is_reader or out_dir is not None):
+        batch_tiles = engine.stream_batch_tiles(tiling) * \
+            max(1, num_workers or 1)
+    meta = {"backend": engine.backend.name,
+            "precision": engine.precision.name}
+    if num_workers is not None:
+        meta["num_workers"] = num_workers
+    if image_batch is None:
+        image_batch = engine.aerial_batch
+        module = as_array_module(engine.backend)
+        if module.is_resident and tile_cache is None:
+            # Stage every device->host download through one reusable
+            # (pinned, where the module supports it) host buffer instead of
+            # allocating a fresh batch-sized array per batch.  The pipeline
+            # fully consumes each batch (stitch + develop copy out of it)
+            # before requesting the next, so reuse is safe; with a tile
+            # cache it is NOT (TileResultCache retains row views of the
+            # returned batch), hence the gate above.
+            staging = []
+
+            def image_batch(tiles):
+                if not staging:  # sized by the first batch: none is larger
+                    staging.append(module.empty_host(
+                        tiles.shape, engine.precision.real_dtype))
+                return engine.aerial_batch(tiles,
+                                           out=staging[0][:len(tiles)])
+    aerial, resist, num_tiles = stream_image_layout(
+        layout, tiling, image_batch, engine.resist_model.develop,
+        engine.precision.real_dtype, batch_tiles, out_dir=out_dir, meta=meta,
+        tile_cache=tile_cache,
+        cache_context=engine.tile_cache_context(tiling)
+        if tile_cache is not None else None)
+    return LayoutImage(aerial=aerial, resist=resist, tiling=tiling,
+                       num_tiles=num_tiles, out_dir=out_dir)

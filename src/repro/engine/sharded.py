@@ -51,12 +51,10 @@ from ..optics.simulator import OpticsConfig
 from ..optics.source import AnnularSource, Source
 from .batched import DEFAULT_MAX_CHUNK_BYTES
 from .cache import KernelBankCache, default_kernel_cache, optics_fingerprint
-from .execution import ExecutionEngine, LayoutImage
+from .execution import ExecutionEngine, LayoutImage, image_layout_through
 from .scheduler import Scheduler, SerialScheduler, TaskSpec, resolve_scheduler
-from .streaming import stream_image_layout
 from .tile_cache import resolve_tile_cache
-from .tiling import TilingSpec, extract_tile_batch, extract_tiles, \
-    plan_tiles, stitch_tiles
+from .tiling import TilingSpec
 
 
 @dataclass(frozen=True)
@@ -571,19 +569,6 @@ class ShardedExecutor:
                 yield key, self.warm(spec).aerial_batch(
                     masks, output_shape=output_shape)
 
-    def campaign_aerials(self, specs: Sequence[EngineSpec], masks: np.ndarray,
-                         output_shape: Optional[Tuple[int, int]] = None,
-                         ) -> Iterator[Tuple[int, np.ndarray]]:
-        """Image one mask batch under many specs across ONE shared pool.
-
-        The index-keyed veneer over :meth:`run_conditions`: yields
-        ``(spec_index, aerial_batch)`` per completed spec, any order, every
-        batch bit-for-bit the serial result (see :meth:`run_conditions` for
-        the scheduling, degradation and cancellation story).
-        """
-        return self.run_conditions(list(enumerate(specs)), masks,
-                                   output_shape=output_shape)
-
     # ------------------------------------------------------------------ #
     # sharded layouts
     # ------------------------------------------------------------------ #
@@ -591,69 +576,22 @@ class ShardedExecutor:
                      tiling: Optional[TilingSpec] = None,
                      tile_px: Optional[int] = None,
                      guard_px: Optional[int] = None,
-                     streaming: bool = False,
                      out_dir: Optional[str] = None,
                      batch_tiles: Optional[int] = None) -> LayoutImage:
         """Guard-banded tiling of an ``(H, W)`` layout with sharded tile imaging.
 
-        Split and stitch happen in the parent (they are cheap memory moves);
-        only the per-tile FFT work is distributed.  Geometry semantics match
-        :meth:`ExecutionEngine.image_layout` exactly, including the
-        ``streaming`` / ``out_dir`` out-of-core path: tiles stream through
-        the pool in bounded batches (each batch sharded across the workers)
-        and stitch incrementally into the preallocated output.  The streamed
-        batch defaults to one engine chunk *per worker*, so per-process
-        memory stays at one chunk while every worker has a shard.  Each
-        batch rides :meth:`aerial_batch`, so a pool that breaks mid-stream
-        degrades to serial for the remaining batches instead of raising.
-        ``layout`` may be a dense raster or a windowed
-        :class:`repro.layout.LayoutReader`; readers always stream (each
-        rasterised batch sharded across the pool) and match the dense-array
-        output bit for bit.
+        :meth:`ExecutionEngine.image_layout`, argument for argument, with
+        only the per-tile FFT work distributed: split, tile cache and stitch
+        happen in the parent (cheap memory moves; deduplicating before any
+        shard is cut keeps repeated cells from crossing a process boundary
+        twice).  A bounded batch defaults to one engine chunk *per worker*,
+        so per-process memory stays at one chunk while every worker has a
+        shard.  Each batch rides :meth:`aerial_batch`, so a pool that breaks
+        mid-layout degrades to serial for the remaining batches.
         """
         spec = self._resolve_spec(spec)
-        is_reader = hasattr(layout, "read_window")
-        if not is_reader:
-            layout = resolve_precision(spec.precision).as_real(layout)
-        if len(layout.shape) != 2:
-            raise ValueError("layout must be a 2-D image")
-        engine = self.warm(spec)
-        tiling = engine.resolve_tiling(tiling, tile_px, guard_px)
-
-        if is_reader or streaming or out_dir is not None \
-                or batch_tiles is not None:
-            if batch_tiles is None:
-                batch_tiles = engine.stream_batch_tiles(tiling) * \
-                    max(1, self.num_workers)
-            aerial, resist, num_tiles = stream_image_layout(
-                layout, tiling,
-                lambda tiles: self.aerial_batch(spec, tiles),
-                engine.resist_model.develop, engine.precision.real_dtype,
-                batch_tiles, out_dir=out_dir,
-                meta={"backend": engine.backend.name,
-                      "precision": engine.precision.name,
-                      "num_workers": self.num_workers},
-                tile_cache=self.tile_cache,
-                cache_context=engine.tile_cache_context(tiling)
-                if self.tile_cache is not None else None)
-            return LayoutImage(aerial=aerial, resist=resist, tiling=tiling,
-                               num_tiles=num_tiles, out_dir=out_dir)
-
-        height, width = layout.shape
-        if self.tile_cache is not None:
-            # Dedup in the parent, before sharding: the pool images only the
-            # unique survivors, so repeated cells never cross a process
-            # boundary twice.
-            placements = plan_tiles(height, width, tiling)
-            tiles, digests = extract_tile_batch(layout, placements, tiling,
-                                                with_digests=True)
-            aerial_tiles = self.tile_cache.image_tile_batch(
-                tiles, digests, lambda unique: self.aerial_batch(spec, unique),
-                engine.tile_cache_context(tiling))
-        else:
-            tiles, placements = extract_tiles(layout, tiling)
-            aerial_tiles = self.aerial_batch(spec, tiles)
-        aerial = stitch_tiles(aerial_tiles, placements, height, width, tiling)
-        resist = engine.resist_model.develop(aerial)
-        return LayoutImage(aerial=aerial, resist=resist, tiling=tiling,
-                           num_tiles=len(placements))
+        return image_layout_through(
+            self.warm(spec), layout, tiling, tile_px, guard_px, out_dir,
+            batch_tiles, tile_cache=self.tile_cache,
+            image_batch=lambda tiles: self.aerial_batch(spec, tiles),
+            num_workers=self.num_workers)

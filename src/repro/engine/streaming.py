@@ -1,19 +1,24 @@
-"""Out-of-core layout imaging: generator-fed tiles, bounded batches, memmap stitch.
+"""The layout-imaging pipeline: generator-fed tile batches, incremental stitch.
 
-The in-memory path (:meth:`~repro.engine.execution.ExecutionEngine.image_layout`)
-materialises the full guard-banded tile stack ``(N, tile, tile)``, images it,
-holds the full aerial tile stack, and only then stitches — peak memory grows
-linearly with layout area.  This module is the same pipeline restructured as a
-stream so an arbitrarily large layout images in **O(tile-batch) RAM**:
+:func:`stream_image_layout` is the one implementation of the tile operation
+chain; ``ExecutionEngine.image_layout`` and ``ShardedExecutor.image_layout``
+are adapters that hand it their ``image_batch``, resist model, batch size
+and tile cache.  Whatever the layout — a dense raster, a ``numpy.memmap``
+or a windowed :class:`repro.layout.LayoutReader`:
 
 1. tile *placements* are planned up front (cheap metadata, no pixels),
-2. a generator cuts guard-banded tiles for one bounded batch of placements at
-   a time (:func:`iter_tile_batches`) — the full tile stack never exists,
+2. a generator cuts guard-banded tiles for one batch of placements at a
+   time (:func:`iter_tile_batches`), with content digests when a tile cache
+   is attached — its stage images only the batch's first-occurrence misses,
 3. each batch is imaged through the ordinary batched core (or a sharded
    executor), and
-4. each batch's interior cores are stitched **incrementally** into a
-   preallocated output — a plain array, or a ``numpy.memmap`` when an
-   ``out_dir`` is given, so even the stitched result needn't fit in RAM.
+4. each batch's interior cores are stitched **incrementally** into the
+   output — a plain array, or a ``numpy.memmap`` when an ``out_dir`` is
+   given — and developed core by core.
+
+A dense raster whose results stay in RAM defaults to one batch of all its
+tiles; a reader or an ``out_dir`` defaults to batches of one engine chunk, so
+an arbitrarily large layout images in **O(tile-batch) RAM**.
 
 Because every batch is fully consumed (stitched + developed) before the next
 one is requested, a device-resident engine passes a single reusable host
@@ -24,12 +29,12 @@ disappears; ``ExecutionEngine.image_layout`` wires this up automatically.
 Bit-for-bit guarantee
 ---------------------
 Per-tile FFT work is independent of how the batch axis is chunked (the
-invariant pinned since PR 1 by ``tests/test_engine.py``), every layout pixel
-belongs to exactly one tile core, and the default batch size is exactly the
-chunk size the in-memory path would have used internally
-(:func:`repro.engine.batched.effective_chunk_tiles`).  Streaming therefore
-reproduces the in-memory stitched aerial **bit for bit** across guard bands,
-backends and precisions — pinned by ``tests/test_streaming.py``.
+invariant pinned since PR 1 by ``tests/test_engine.py``) and every layout
+pixel belongs to exactly one tile core, so the result does not depend on
+the batch size, the tile cache or the sharding: each equals the plain
+cut-all / image-once / stitch reference (``tests/reference.py``) **bit for
+bit** across guard bands, backends and precisions — pinned by
+``tests/test_streaming.py``.
 
 Memmap directory layout (``out_dir``)
 -------------------------------------
@@ -43,8 +48,9 @@ Memmap directory layout (``out_dir``)
 * ``meta.json``   — provenance: layout shape, dtypes, tile/guard geometry,
   tile count and the writing engine's backend/precision names.
 
-The files are preallocated at full size before imaging starts and filled
-core-by-core; :func:`open_layout_dir` reopens a completed directory.
+The files are created at full size once the first batch is imaged (a
+rejected call leaves none behind) and filled core-by-core;
+:func:`open_layout_dir` reopens a completed directory.
 """
 
 from __future__ import annotations
@@ -98,39 +104,38 @@ def iter_tile_batches(layout,
             yield extract_tile_batch(layout, subset, spec), subset
 
 
-def _preallocate(out_dir: Optional[str], name: str, shape: Tuple[int, int],
-                 dtype) -> np.ndarray:
+def _allocate(out_dir: Optional[str], name: str, shape: Tuple[int, int],
+              dtype) -> np.ndarray:
     """A zeroed ``(H, W)`` output: in-memory, or a ``.npy`` memmap under ``out_dir``."""
     if out_dir is None:
         return np.zeros(shape, dtype=dtype)
     os.makedirs(out_dir, exist_ok=True)
-    out = np.lib.format.open_memmap(os.path.join(out_dir, name), mode="w+",
-                                    dtype=np.dtype(dtype), shape=shape)
-    return out
+    return np.lib.format.open_memmap(os.path.join(out_dir, name), mode="w+",
+                                     dtype=np.dtype(dtype), shape=shape)
 
 
 def stream_image_layout(layout, tiling: TilingSpec,
                         image_batch: Callable[[np.ndarray], np.ndarray],
                         develop: Callable[[np.ndarray], np.ndarray],
-                        real_dtype, batch_tiles: int,
+                        real_dtype, batch_tiles: Optional[int] = None,
                         out_dir: Optional[str] = None,
                         meta: Optional[dict] = None,
                         tile_cache=None, cache_context=None,
                         ) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Image a layout tile-stream into preallocated aerial / resist rasters.
+    """Image a layout batch by batch into its aerial / resist rasters.
 
     Parameters
     ----------
     image_batch:
-        ``(B, tile, tile) -> (B, tile, tile)`` aerial imaging of one bounded
-        batch — an engine's ``aerial_batch`` or a sharded executor's.
+        ``(B, tile, tile) -> (B, tile, tile)`` aerial imaging of one batch —
+        an engine's ``aerial_batch`` or a sharded executor's.
     develop:
         Elementwise resist development applied to each stitched core (the
-        constant-threshold model; elementwise, so per-batch application
+        constant-threshold model; elementwise, so per-core application
         equals whole-raster application exactly).
     batch_tiles:
-        Tiles per streamed batch; peak RAM is O(this batch), independent of
-        the layout size.
+        Tiles per batch; peak RAM is O(this batch), independent of the
+        layout size.  ``None`` images every tile in one batch.
     out_dir:
         When given, aerial / resist become disk-backed memmaps in the
         documented directory layout and ``meta.json`` is written on success.
@@ -139,27 +144,27 @@ def stream_image_layout(layout, tiling: TilingSpec,
         :class:`~repro.engine.tile_cache.TileCacheContext`: each batch is
         deduplicated to its unique tile contents, ``image_batch`` sees only
         first-occurrence misses, and results are scattered back before the
-        stitch — bit-for-bit the uncached stream (per-tile FFT work is
+        stitch — bit-for-bit the uncached result (per-tile FFT work is
         independent of batch composition).
 
     Returns ``(aerial, resist, num_tiles)``; the arrays are memmaps when
     ``out_dir`` was given (flushed before returning).  ``layout`` may be a
-    dense array, a ``numpy.memmap`` or a windowed layout reader.
+    dense array, a ``numpy.memmap`` or a windowed layout reader.  Every
+    argument is validated before ``out_dir`` is touched.
     """
     if not hasattr(layout, "read_window"):
         layout = np.asarray(layout)
     if len(layout.shape) != 2:
         raise ValueError("layout must be a 2-D image")
-    height, width = layout.shape
-    placements = plan_tiles(height, width, tiling)
-
-    aerial = _preallocate(out_dir, AERIAL_FILE, (height, width), real_dtype)
-    resist = _preallocate(out_dir, RESIST_FILE, (height, width), np.uint8)
-
     if tile_cache is not None and cache_context is None:
         raise ValueError("tile_cache requires a cache_context")
+    height, width = layout.shape
+    placements = plan_tiles(height, width, tiling)
+    if batch_tiles is None:
+        batch_tiles = len(placements)
 
     guard = tiling.guard_px
+    aerial = resist = None  # allocated below; a bad batch_tiles raises first
     for batch in iter_tile_batches(layout, placements, tiling, batch_tiles,
                                    with_digests=tile_cache is not None):
         if tile_cache is not None:
@@ -169,9 +174,17 @@ def stream_image_layout(layout, tiling: TilingSpec,
         else:
             tiles, subset = batch
             aerial_tiles = image_batch(tiles)
+        if aerial is None:
+            # Allocated once the first batch is back, not up front: zeroed
+            # rasters touched before imaging would sit in RAM next to the
+            # batch's FFT intermediates and raise the peak by their size.
+            aerial = _allocate(out_dir, AERIAL_FILE, (height, width),
+                               real_dtype)
+            resist = _allocate(out_dir, RESIST_FILE, (height, width),
+                               np.uint8)
         stitch_into(aerial, aerial_tiles, subset, tiling)
-        # Development is elementwise, so the resist can be streamed from the
-        # just-written aerial cores without ever thresholding the full raster.
+        # Development is elementwise, so the resist is filled from the
+        # just-imaged cores without ever thresholding the full raster.
         for image, place in zip(aerial_tiles, subset):
             core = image[guard:guard + place.core_h,
                          guard:guard + place.core_w]

@@ -90,9 +90,9 @@ def extract_tile_batch(layout: np.ndarray, placements: Sequence[TilePlacement],
                        spec: TilingSpec, with_digests: bool = False):
     """Cut the guard-banded tiles of a subset of placements from a layout.
 
-    The streaming path calls this once per bounded batch of placements, so a
-    full tile stack for the layout is never materialised; ``extract_tiles``
-    is the all-placements special case.  ``layout`` may be any 2-D array-like
+    The layout pipeline calls this once per batch of placements, so with
+    bounded batches the full tile stack is never materialised;
+    ``extract_tiles`` is the all-placements special case.  ``layout`` may be any 2-D array-like
     including a ``numpy.memmap`` — only the windows actually read are paged
     in — or a windowed :class:`repro.layout.LayoutReader` (anything with a
     ``read_window`` method), in which case each guard-banded tile is
@@ -164,7 +164,7 @@ def stitch_into(out: np.ndarray, tile_images: np.ndarray,
     """Write each tile's interior core into ``out`` at its placement.
 
     ``out`` is any preallocated ``(H, W)`` array — an in-memory buffer or a
-    ``numpy.memmap`` — so the streaming path can stitch one bounded batch at
+    ``numpy.memmap`` — so the layout pipeline can stitch one batch at
     a time without holding the assembled raster and the tile stack together.
     Every layout pixel belongs to exactly one core, so repeated calls over
     disjoint placement batches write each output pixel exactly once.

@@ -22,7 +22,7 @@ Three implementations cover the spectrum:
   :class:`LayoutFormatError` with a file offset).
 
 Readers plug in wherever a dense layout was accepted —
-``ExecutionEngine.image_layout(reader, streaming=True)``,
+``ExecutionEngine.image_layout(reader)``,
 ``ShardedExecutor.image_layout``, ``ProcessWindowSweep.run`` and the
 ``image-layout`` / ``sweep-window`` CLI — and the imaged result is
 **bit-for-bit identical** to the dense-array path (pinned by

@@ -9,8 +9,8 @@ Kernel banks are served by the process-wide cache in
 :mod:`repro.engine.cache`, so any number of simulators sharing an optics
 fingerprint pay for the TCC + SOCS eigendecomposition exactly once.  Batched
 (:meth:`LithographySimulator.aerial_batch`) and whole-layout
-(:meth:`LithographySimulator.image_layout`) imaging run through the
-vectorised :class:`~repro.engine.execution.ExecutionEngine`.
+(``simulator.engine.image_layout``) imaging run through the vectorised
+:class:`~repro.engine.execution.ExecutionEngine`.
 """
 
 from __future__ import annotations
@@ -186,20 +186,6 @@ class LithographySimulator:
     def resist_batch(self, masks: np.ndarray) -> np.ndarray:
         """Golden binary resist images of a tile batch."""
         return self.resist_model.develop(self.aerial_batch(masks))
-
-    def image_layout(self, layout: np.ndarray, guard_px: Optional[int] = None,
-                     tile_px: Optional[int] = None):
-        """Image an arbitrary ``(H, W)`` layout raster by guard-banded tiling.
-
-        Lifts the single-tile restriction of :meth:`aerial`: the layout is
-        split into overlapping ``tile_px`` tiles (default: the configured
-        tile size), imaged in vectorised batches, and stitched back with the
-        guard bands discarded.  Returns a
-        :class:`~repro.engine.execution.LayoutImage`.
-        """
-        return self.engine.image_layout(layout,
-                                        tile_px=tile_px or self.config.tile_size_px,
-                                        guard_px=guard_px)
 
     def _check_mask(self, mask: np.ndarray) -> None:
         mask = np.asarray(mask)

@@ -23,9 +23,10 @@ Campaign-scale features (PR 4):
   :class:`~repro.sweep.store.CampaignStore` or a directory path) and every
   completed condition is persisted immediately; a killed campaign re-run
   against the same store computes exactly the remaining conditions.
-* **Out-of-core imaging** — ``streaming=True`` routes each focus through the
-  generator-fed streaming stitch (:mod:`repro.engine.streaming`), bounding
-  peak RAM at one tile batch regardless of layout size.
+* **Out-of-core imaging** — ``streaming=True`` images focus-by-focus in
+  bounded tile batches (:mod:`repro.engine.streaming`) instead of cutting
+  the full tile stack, bounding peak RAM at one tile batch regardless of
+  layout size.
 * **Content-addressed tile dedup** (PR 6) — attach a tile-result cache to
   the executor (``ShardedExecutor(tile_cache=True)``, the CLI's
   ``--tile-cache``, or ``REPRO_TILE_CACHE`` / ``REPRO_TILE_CACHE_DIR``) and
@@ -45,9 +46,10 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Un
 
 import numpy as np
 
-from ..backend import ComputeConfig, apply_legacy_kwargs
+from ..backend import ComputeConfig
 from ..engine.sharded import EngineSpec, ShardedExecutor
 from ..engine.tiling import extract_tiles, stitch_tiles
+from ..layout.reader import as_layout_reader
 from ..optics.process_window import (
     FocusExposurePoint,
     ProcessWindowResult,
@@ -142,9 +144,6 @@ class ProcessWindowSweep:
         environment defaults at construction) — and its ``tile_cache`` /
         ``scheduler`` fields configure the default executor (an explicitly
         passed ``executor`` keeps its own policy).
-    fft_backend / fft_workers / precision:
-        Deprecated loose spellings of the ``compute`` fields (kept working
-        through the shim; explicit kwargs win over the config).
     """
 
     def __init__(self, config: OpticsConfig, source: Optional[Source] = None,
@@ -152,22 +151,15 @@ class ProcessWindowSweep:
                  executor: Optional[ShardedExecutor] = None,
                  cache_dir: Optional[str] = None,
                  cd_row: Optional[int] = None,
-                 fft_backend: Optional[str] = None,
-                 fft_workers: Optional[int] = None,
-                 precision: Optional[str] = None,
                  compute: Optional[ComputeConfig] = None):
-        compute = apply_legacy_kwargs(compute, "ProcessWindowSweep",
-                                      fft_backend=fft_backend,
-                                      fft_workers=fft_workers,
-                                      precision=precision)
         #: The names-only compute policy every derived spec carries.
-        self.compute = compute
+        self.compute = compute if compute is not None else ComputeConfig()
         self.config = config
         self.executor = executor if executor is not None else \
             ShardedExecutor(num_workers=1, cache_dir=cache_dir,
-                            compute=compute)
+                            compute=self.compute)
         self.base_spec = EngineSpec(config=config, source=source, pupil=pupil,
-                                    cache_dir=cache_dir, compute=compute)
+                                    cache_dir=cache_dir, compute=self.compute)
         self.cd_row = cd_row
 
     # ------------------------------------------------------------------ #
@@ -218,7 +210,7 @@ class ProcessWindowSweep:
         overlap for O(tile-batch) RAM.  Windowed layout readers always take
         the streaming path — materialising their full guard-banded tile
         stack would cost more memory than the dense raster they exist to
-        avoid — mirroring ``ExecutionEngine.image_layout``.
+        avoid.
 
         An executor carrying a tile-result cache routes multi-tile foci
         through :meth:`ShardedExecutor.image_layout` focus-by-focus too:
@@ -241,10 +233,14 @@ class ProcessWindowSweep:
                 yield focus, batch[0], 1
         elif streaming or getattr(self.executor, "tile_cache", None) \
                 is not None:
+            if streaming:
+                # A reader's default batch is one engine chunk per worker; a
+                # dense raster's would hold every tile.
+                layout = as_layout_reader(layout)
             for focus in foci:
                 imaged = self.executor.image_layout(
                     self.spec_for_focus(focus), layout, tile_px=tile_px,
-                    guard_px=guard_px, streaming=streaming)
+                    guard_px=guard_px)
                 yield focus, imaged.aerial, imaged.num_tiles
         else:
             engine = self.executor.warm(self.spec_for_focus(foci[0]))
@@ -296,10 +292,12 @@ class ProcessWindowSweep:
             ``False`` refuses to touch a non-empty store, preventing two
             different campaigns from silently interleaving records.
         streaming:
-            Image each focus out-of-core (bounded tile batches, incremental
-            stitch) instead of materialising the full tile stack; see
-            :mod:`repro.engine.streaming`.  Results are bit-for-bit
-            identical either way.
+            Image focus-by-focus through
+            :meth:`ShardedExecutor.image_layout` in bounded tile batches
+            (O(tile-batch) RAM — what a windowed reader always gets) instead
+            of cutting the full tile stack once and scheduling every
+            (condition, shard) task through ``run_conditions``.  Results
+            are bit-for-bit identical either way.
         progress:
             ``progress(focus_nm, dose, cd_nm)`` after every *computed*
             condition — already persisted when a store is attached, so an

@@ -29,9 +29,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from reference import reference_image_layout
 from repro.backend import (
     FLOAT32,
     FLOAT64,
+    ComputeConfig,
     DeviceMixingError,
     HostArrayModule,
     NumpyFFTBackend,
@@ -69,13 +71,16 @@ def fakegpu():
     _DEVICE_BANKS.clear()
 
 
+NO_CACHE = ComputeConfig(tile_cache=False)
+
+
 def make_engines(**kwargs):
-    numpy_engine = ExecutionEngine(KERNELS, tile_size_px=32,
-                                   fft_backend="numpy", tile_cache=False,
-                                   **kwargs)
+    numpy_engine = ExecutionEngine(
+        KERNELS, tile_size_px=32,
+        compute=NO_CACHE.replace(fft_backend="numpy"), **kwargs)
     fake_engine = ExecutionEngine(KERNELS, tile_size_px=32,
                                   fft_backend=get_backend("fakegpu"),
-                                  tile_cache=False, **kwargs)
+                                  compute=NO_CACHE, **kwargs)
     return numpy_engine, fake_engine
 
 
@@ -92,7 +97,7 @@ class TestTransferCounts:
         masks = RNG.random((6, 32, 32))
         # A chunk budget of one tile: every tile is its own chunk.
         tiny = ExecutionEngine(KERNELS, tile_size_px=32, fft_backend=fakegpu,
-                               max_chunk_bytes=1, tile_cache=False)
+                               max_chunk_bytes=1, compute=NO_CACHE)
         tiny.aerial_batch(masks)
         stats = fakegpu.transfer_stats
         assert stats.uploads == 6 + 1  # one per chunk + the bank, once
@@ -112,24 +117,31 @@ class TestTransferCounts:
         assert fakegpu.transfer_stats.uploads == 3 + 1
         # A second engine sharing the bank shares the device copy too.
         other = ExecutionEngine(KERNELS, tile_size_px=32, fft_backend=fakegpu,
-                                tile_cache=False)
+                                compute=NO_CACHE)
         other.aerial_batch(masks)
         assert fakegpu.transfer_stats.uploads == 4 + 1
 
     def test_streaming_layout_counts_and_staging_buffer(self, fakegpu):
         numpy_engine, fake_engine = make_engines()
         layout = RNG.random((70, 70))
-        reference = numpy_engine.image_layout(layout, tile_px=32, guard_px=8,
-                                              streaming=True)
+        reference = reference_image_layout(numpy_engine, layout, tile_px=32,
+                                           guard_px=8)
         result = fake_engine.image_layout(layout, tile_px=32, guard_px=8,
-                                          streaming=True)
+                                          batch_tiles=4)
         np.testing.assert_array_equal(reference.aerial, result.aerial)
         np.testing.assert_array_equal(reference.resist, result.resist)
         stats = fakegpu.transfer_stats
-        # The default stream batch is the engine's own chunk size, so each
-        # streamed batch is one chunk: one upload + one download each, plus
-        # the bank upload, staged through ONE reusable host buffer.
+        # Each 4-tile batch fits the engine's chunk: one upload + one
+        # download each (7 batches for 25 tiles), plus the bank upload,
+        # staged through ONE reusable host buffer.
+        assert stats.downloads == 7
         assert stats.uploads == stats.downloads + 1
+        assert stats.host_buffer_allocations == 1
+        # A dense raster's default single batch stages the same way.
+        fakegpu.transfer_stats.reset()
+        single = fake_engine.image_layout(layout, tile_px=32, guard_px=8)
+        np.testing.assert_array_equal(reference.aerial, single.aerial)
+        assert (stats.uploads, stats.downloads) == (1, 1)
         assert stats.host_buffer_allocations == 1
 
     def test_streaming_download_bytes_match_aerial_payload(self, fakegpu):
@@ -308,13 +320,14 @@ class TestAutoPrecision:
             resolve_precision("auto")
 
     def test_engine_constructor_resolves_auto(self):
-        engine = ExecutionEngine(KERNELS, tile_size_px=32, precision="auto",
-                                 tile_cache=False)
+        engine = ExecutionEngine(KERNELS, tile_size_px=32,
+                                 compute=NO_CACHE.replace(precision="auto"))
         assert engine.precision in (FLOAT32, FLOAT64)
         assert engine.kernels.dtype == engine.precision.complex_dtype
 
     def test_for_optics_resolves_auto(self):
-        engine = ExecutionEngine.for_optics(CONFIG, precision="auto")
+        engine = ExecutionEngine.for_optics(
+            CONFIG, compute=ComputeConfig(precision="auto"))
         assert engine.precision in (FLOAT32, FLOAT64)
 
     def test_engine_spec_ships_concrete_name_to_workers(self, tmp_path):

@@ -29,6 +29,7 @@ from hypothesis.extra.numpy import arrays
 from repro.backend import (
     FLOAT32,
     FLOAT64,
+    ComputeConfig,
     FFTBackend,
     NumpyFFTBackend,
     available_backends,
@@ -269,7 +270,7 @@ class TestFloat32Accuracy:
         ref = ExecutionEngine.for_optics(FINE, source=SOURCE, cache=cache) \
             .image_layout(layout, tile_px=64, guard_px=16)
         low = ExecutionEngine.for_optics(FINE, source=SOURCE, cache=cache,
-                                         precision="float32") \
+                                         precision=FLOAT32) \
             .image_layout(layout, tile_px=64, guard_px=16)
         assert low.aerial.dtype == np.float32
         scale = float(ref.aerial.max())
@@ -282,13 +283,13 @@ class TestFloat32Accuracy:
         """fft_workers cannot silently miss an already-built backend."""
         with pytest.raises(ValueError, match="fft_workers"):
             ExecutionEngine(kernels, fft_backend=get_backend("numpy"),
-                            fft_workers=4)
+                            compute=ComputeConfig(fft_workers=4))
 
     def test_engine_preserves_policy_through_truncate(self):
         cache = KernelBankCache()
-        engine = ExecutionEngine.for_optics(FINE, source=SOURCE, cache=cache,
-                                            fft_backend="numpy",
-                                            precision="float32")
+        engine = ExecutionEngine.for_optics(
+            FINE, source=SOURCE, cache=cache,
+            compute=ComputeConfig(fft_backend="numpy", precision="float32"))
         truncated = engine.truncate(4)
         assert truncated.precision is FLOAT32
         assert truncated.backend.name == "numpy"

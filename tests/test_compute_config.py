@@ -1,9 +1,11 @@
-"""The unified ComputeConfig policy object and its deprecation shim.
+"""The unified ComputeConfig policy object — the only carrier of policy names.
 
-Pins the API-redesign contract: one serialisable object carries every
-compute-policy knob through the engine, executor, sweep and CLI layers;
-legacy loose kwargs keep working behind a DeprecationWarning; migrated and
-legacy spellings produce bit-for-bit identical engines and equal specs.
+Pins the API contract: one serialisable object carries every compute-policy
+knob through the engine, executor, sweep and CLI layers; the engine's own
+``fft_backend`` / ``precision`` / ``tile_cache`` keywords take live objects
+and reject names with a ``TypeError`` pointing at ``ComputeConfig``; both
+spellings of one policy produce bit-for-bit identical engines and equal
+specs.
 """
 
 import json
@@ -12,7 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.backend import ComputeConfig, apply_legacy_kwargs
+from repro.backend import FLOAT32, ComputeConfig, get_backend
 from repro.cli import _compute_from_args, build_parser
 from repro.engine import EngineSpec, ExecutionEngine, ShardedExecutor
 from repro.optics.simulator import OpticsConfig
@@ -85,40 +87,44 @@ class TestComputeConfig:
 
 
 class TestLegacyShim:
-    def test_legacy_kwargs_warn_and_override(self):
-        with pytest.warns(DeprecationWarning, match="fft_backend"):
-            merged = apply_legacy_kwargs(
-                ComputeConfig(precision="float64"), "Caller",
-                fft_backend="numpy", fft_workers=None, precision=None)
-        assert merged == ComputeConfig(fft_backend="numpy",
-                                       precision="float64")
+    """What replaced the legacy-kwarg shim: names raise, objects pass."""
 
-    def test_no_legacy_kwargs_is_silent(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            merged = apply_legacy_kwargs(None, "Caller", fft_backend=None)
-        assert merged == ComputeConfig()
-
-    def test_engine_legacy_kwargs_warn(self):
+    @pytest.mark.parametrize("keyword,name", [
+        ("fft_backend", "numpy"), ("precision", "float32"),
+        ("tile_cache", True), ("tile_cache", False),
+    ])
+    def test_engine_policy_names_raise_type_error(self, keyword, name):
         bank = np.zeros((1, 9, 9), dtype=complex)
         bank[0, 4, 4] = 1.0
-        with pytest.warns(DeprecationWarning, match="ExecutionEngine"):
-            ExecutionEngine(bank, fft_backend="numpy")
+        with pytest.raises(TypeError, match=rf"ComputeConfig\({keyword}="):
+            ExecutionEngine(bank, **{keyword: name})
+
+    def test_for_optics_precision_name_raises_type_error(self):
+        with pytest.raises(TypeError, match=r"ComputeConfig\(precision="):
+            ExecutionEngine.for_optics(OPTICS, precision="float32")
+
+    def test_loose_worker_and_sweep_keywords_are_gone(self):
+        from repro.sweep import ProcessWindowSweep
+
+        bank = np.ones((1, 3, 3), dtype=complex)
+        with pytest.raises(TypeError, match="fft_workers"):
+            ExecutionEngine(bank, fft_workers=2)
+        with pytest.raises(TypeError, match="precision"):
+            ProcessWindowSweep(OPTICS, precision="float32")
 
     def test_engine_compute_kwarg_is_silent_and_equivalent(self):
         masks = make_masks()
-        with pytest.warns(DeprecationWarning):
-            legacy = ExecutionEngine.for_optics(
-                OPTICS, fft_backend="numpy", precision="float32")
         with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
+            warnings.simplefilter("error")
+            objects = ExecutionEngine.for_optics(
+                OPTICS, fft_backend=get_backend("numpy"), precision=FLOAT32)
             unified = ExecutionEngine.for_optics(
                 OPTICS, compute=ComputeConfig(fft_backend="numpy",
                                               precision="float32"))
-        assert unified.backend.name == legacy.backend.name
-        assert unified.precision.name == legacy.precision.name
+        assert unified.backend.name == objects.backend.name
+        assert unified.precision.name == objects.precision.name
         np.testing.assert_array_equal(unified.aerial_batch(masks),
-                                      legacy.aerial_batch(masks))
+                                      objects.aerial_batch(masks))
 
     def test_engine_spec_equal_and_same_fingerprint_both_ways(self):
         with warnings.catch_warnings():

@@ -184,6 +184,40 @@ class TestKernelBankEngine:
         with pytest.raises(ValueError, match="only holds"):
             engine.truncate(engine.order + 1)
 
+    def test_aerial_batch_forwards_out_on_a_device_module(self, tiny_simulator):
+        """Regression: the override dropped ``out=``, so a layout on a
+        device-resident backend (whose downloads stage through ``out=``)
+        raised ``TypeError: unexpected keyword argument 'out'``."""
+        from repro.backend import ComputeConfig, get_backend
+        from repro.engine import ExecutionEngine
+
+        tile = tiny_simulator.config.tile_size_px
+        no_cache = ComputeConfig(tile_cache=False)
+        layout = (np.random.default_rng(4).random((2 * tile + 5, tile + 9))
+                  > 0.7).astype(float)
+        device = KernelBankEngine(tiny_simulator.kernels.kernels,
+                                  tile_size_px=tile, compute=no_cache,
+                                  fft_backend=get_backend("fakegpu"))
+        host = ExecutionEngine(tiny_simulator.kernels.kernels,
+                               tile_size_px=tile,
+                               compute=no_cache.replace(fft_backend="numpy"))
+        np.testing.assert_array_equal(
+            device.image_layout(layout, guard_px=4, batch_tiles=2).aerial,
+            host.image_layout(layout, guard_px=4).aerial)
+
+    def test_aerial_batch_forwards_output_shape(self, tiny_simulator,
+                                                tiny_masks):
+        from repro.engine import ExecutionEngine
+
+        kernels = tiny_simulator.kernels.kernels
+        shape = (2 * tiny_masks.shape[-2], 2 * tiny_masks.shape[-1])
+        upsampled = KernelBankEngine(kernels).aerial_batch(
+            tiny_masks[:2], output_shape=shape)
+        assert upsampled.shape == (2, *shape)
+        np.testing.assert_array_equal(
+            upsampled, ExecutionEngine(kernels).aerial_batch(
+                tiny_masks[:2], output_shape=shape))
+
     def test_kernel_energy_sorted_descending_for_golden(self, tiny_simulator):
         engine = KernelBankEngine(tiny_simulator.kernels.kernels)
         energy = engine.kernel_energy()

@@ -244,7 +244,7 @@ class TestTiling:
 
     def test_simulator_image_layout(self, tiny_simulator):
         layout = (np.random.default_rng(6).random((100, 70)) > 0.8).astype(float)
-        result = tiny_simulator.image_layout(layout)
+        result = tiny_simulator.engine.image_layout(layout)
         assert result.shape == (100, 70)
         assert result.tiling.tile_px <= 100
 

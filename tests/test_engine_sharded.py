@@ -22,6 +22,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from reference import reference_image_layout
 from repro.engine import (
     EngineSpec,
     KernelBankCache,
@@ -172,8 +173,8 @@ class TestShardedExecutor:
         layout = (np.random.default_rng(4).random((70, 90)) > 0.75).astype(float)
         with ShardedExecutor(num_workers=2, cache_dir=str(tmp_path)) as executor:
             sharded = executor.image_layout(spec, layout, guard_px=8)
-        reference = spec.build(cache=KernelBankCache()).image_layout(
-            layout, guard_px=8)
+        reference = reference_image_layout(
+            spec.build(cache=KernelBankCache()), layout, guard_px=8)
         np.testing.assert_array_equal(sharded.aerial, reference.aerial)
         np.testing.assert_array_equal(sharded.resist, reference.resist)
         assert sharded.num_tiles == reference.num_tiles
@@ -234,7 +235,7 @@ class TestCampaignScheduling:
         specs = self._specs(spec)
         reference = self._serial_reference(specs, masks, tmp_path)
         with ShardedExecutor(num_workers=2, cache_dir=str(tmp_path)) as ex:
-            results = dict(ex.campaign_aerials(specs, masks))
+            results = dict(ex.run_conditions(list(enumerate(specs)), masks))
             assert ex.last_used_pool
         assert set(results) == {0, 1, 2}
         for index, expected in enumerate(reference):
@@ -246,7 +247,8 @@ class TestCampaignScheduling:
         reference = self._serial_reference(specs, masks, tmp_path)
         executor = ShardedExecutor(num_workers=1, cache_dir=str(tmp_path))
         indices = []
-        for index, aerial in executor.campaign_aerials(specs, masks):
+        for index, aerial in executor.run_conditions(list(enumerate(specs)),
+                                                     masks):
             indices.append(index)
             np.testing.assert_array_equal(aerial, reference[index])
         assert indices == [0, 1, 2]
@@ -254,7 +256,7 @@ class TestCampaignScheduling:
 
     def test_campaign_empty_specs(self, spec, masks):
         executor = ShardedExecutor(num_workers=2)
-        assert list(executor.campaign_aerials([], masks)) == []
+        assert list(executor.run_conditions([], masks)) == []
 
     def test_broken_pool_mid_campaign_degrades_to_serial(self, spec, masks,
                                                          tmp_path):
@@ -265,7 +267,7 @@ class TestCampaignScheduling:
         executor = ShardedExecutor(num_workers=2, cache_dir=str(tmp_path))
         shards = len(executor._shard_slices(masks.shape[0]))
         executor._pool = _FlakyPool(healthy=shards)  # focus 0 succeeds
-        results = dict(executor.campaign_aerials(specs, masks))
+        results = dict(executor.run_conditions(list(enumerate(specs)), masks))
         assert executor._pool is None  # close() ran on the broken pool
         assert set(results) == {0, 1, 2}
         for index, expected in enumerate(reference):
@@ -278,7 +280,7 @@ class TestCampaignScheduling:
         reference = self._serial_reference(specs, masks, tmp_path)
         executor = ShardedExecutor(num_workers=2, cache_dir=str(tmp_path))
         executor._pool = _FlakyPool(healthy=0)
-        results = dict(executor.campaign_aerials(specs, masks))
+        results = dict(executor.run_conditions(list(enumerate(specs)), masks))
         for index, expected in enumerate(reference):
             np.testing.assert_array_equal(results[index], expected)
         assert not executor.last_used_pool
@@ -287,11 +289,11 @@ class TestCampaignScheduling:
 class TestStreamingThroughExecutor:
     def test_streaming_layout_matches_serial_engine(self, spec, tmp_path):
         layout = (np.random.default_rng(7).random((70, 90)) > 0.75).astype(float)
-        reference = spec.build(cache=KernelBankCache()).image_layout(
-            layout, guard_px=8)
+        reference = reference_image_layout(
+            spec.build(cache=KernelBankCache()), layout, guard_px=8)
         with ShardedExecutor(num_workers=2, cache_dir=str(tmp_path)) as ex:
             streamed = ex.image_layout(spec, layout, guard_px=8,
-                                       streaming=True, batch_tiles=3)
+                                       batch_tiles=3)
         np.testing.assert_array_equal(streamed.aerial, reference.aerial)
         np.testing.assert_array_equal(streamed.resist, reference.resist)
 
@@ -301,8 +303,8 @@ class TestStreamingThroughExecutor:
         with ShardedExecutor(num_workers=1, cache_dir=str(tmp_path)) as ex:
             result = ex.image_layout(spec, layout, guard_px=6,
                                      out_dir=out_dir)
-        reference = spec.build(cache=KernelBankCache()).image_layout(
-            layout, guard_px=6)
+        reference = reference_image_layout(
+            spec.build(cache=KernelBankCache()), layout, guard_px=6)
         assert isinstance(result.aerial, np.memmap)
         np.testing.assert_array_equal(np.asarray(result.aerial),
                                       reference.aerial)
@@ -312,8 +314,8 @@ class TestStreamingThroughExecutor:
         """Serial fallback + close() exercised *under the streaming path*:
         every batch's pool attempt fails, every batch must fall back."""
         layout = (np.random.default_rng(3).random((70, 90)) > 0.75).astype(float)
-        reference = spec.build(cache=KernelBankCache()).image_layout(
-            layout, guard_px=8)
+        reference = reference_image_layout(
+            spec.build(cache=KernelBankCache()), layout, guard_px=8)
         executor = ShardedExecutor(num_workers=2, cache_dir=str(tmp_path))
 
         def poisoned_pool():
@@ -321,7 +323,7 @@ class TestStreamingThroughExecutor:
 
         monkeypatch.setattr(executor, "_pool_handle", poisoned_pool)
         streamed = executor.image_layout(spec, layout, guard_px=8,
-                                         streaming=True, batch_tiles=3)
+                                         batch_tiles=3)
         assert not executor.last_used_pool
         np.testing.assert_array_equal(streamed.aerial, reference.aerial)
         np.testing.assert_array_equal(streamed.resist, reference.resist)
@@ -331,12 +333,12 @@ class TestStreamingThroughExecutor:
         """First streamed batch shards through the pool, then the pool dies:
         the remaining batches degrade to serial, output bit-identical."""
         layout = (np.random.default_rng(5).random((70, 90)) > 0.75).astype(float)
-        reference = spec.build(cache=KernelBankCache()).image_layout(
-            layout, guard_px=8)
+        reference = reference_image_layout(
+            spec.build(cache=KernelBankCache()), layout, guard_px=8)
         executor = ShardedExecutor(num_workers=2, cache_dir=str(tmp_path))
         executor._pool = _FlakyPool(healthy=2)  # one sharded batch succeeds
         streamed = executor.image_layout(spec, layout, guard_px=8,
-                                         streaming=True, batch_tiles=4)
+                                         batch_tiles=4)
         np.testing.assert_array_equal(streamed.aerial, reference.aerial)
         executor.close()
 

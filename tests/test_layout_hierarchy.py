@@ -18,6 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import reference_image_layout
+from repro.backend import ComputeConfig
 from repro.engine import (
     EngineSpec,
     ExecutionEngine,
@@ -279,10 +281,11 @@ class TestEngineWiring:
                                          backend_name, precision):
         if backend_name == "scipy":
             pytest.importorskip("scipy.fft")
-        engine = ExecutionEngine.for_optics(CONFIG, fft_backend=backend_name,
-                                            precision=precision)
-        ref = engine.image_layout(hier_dense, tile_px=32, guard_px=8)
-        for kwargs in ({}, {"streaming": True}, {"batch_tiles": 2}):
+        engine = ExecutionEngine.for_optics(CONFIG, compute=ComputeConfig(
+            fft_backend=backend_name, precision=precision))
+        ref = reference_image_layout(engine, hier_dense, tile_px=32,
+                                     guard_px=8)
+        for kwargs in ({}, {"batch_tiles": 1}, {"batch_tiles": 2}):
             imaged = engine.image_layout(hier_reader, tile_px=32,
                                          guard_px=8, **kwargs)
             assert imaged.num_tiles == ref.num_tiles
@@ -293,7 +296,8 @@ class TestEngineWiring:
 
     def test_sharded_image_layout_bitwise(self, hier_reader, hier_dense):
         engine = ExecutionEngine.for_optics(CONFIG)
-        ref = engine.image_layout(hier_dense, tile_px=32, guard_px=8)
+        ref = reference_image_layout(engine, hier_dense, tile_px=32,
+                                     guard_px=8)
         with ShardedExecutor(num_workers=1) as executor:
             imaged = executor.image_layout(EngineSpec(config=CONFIG),
                                            hier_reader, tile_px=32,
@@ -310,9 +314,10 @@ class TestTileCacheSynergy:
         assert reader.shape == (256, 256)  # 8 x 8 tiles of 32 px
         cache = TileResultCache()
         cached_engine = ExecutionEngine.for_optics(CONFIG, tile_cache=cache)
-        plain_engine = ExecutionEngine.for_optics(CONFIG, tile_cache=False)
         result = cached_engine.image_layout(reader, tile_px=32, guard_px=0)
-        reference = plain_engine.image_layout(reader, tile_px=32, guard_px=0)
+        reference = reference_image_layout(
+            cached_engine, reader.read_window(0, 0, 256, 256), tile_px=32,
+            guard_px=0)
         np.testing.assert_array_equal(result.aerial, reference.aerial)
         np.testing.assert_array_equal(result.resist, reference.resist)
         assert cache.stats.tiles == 64
@@ -326,8 +331,9 @@ class TestTileCacheSynergy:
         with ShardedExecutor(num_workers=2, tile_cache=cache) as executor:
             result = executor.image_layout(spec, reader, tile_px=32,
                                            guard_px=0)
-        reference = ExecutionEngine.for_optics(CONFIG).image_layout(
-            reader, tile_px=32, guard_px=0)
+        reference = reference_image_layout(
+            ExecutionEngine.for_optics(CONFIG),
+            reader.read_window(0, 0, 256, 256), tile_px=32, guard_px=0)
         np.testing.assert_array_equal(np.asarray(result.aerial),
                                       reference.aerial)
         assert cache.stats.tiles == 64

@@ -1,8 +1,9 @@
 """Windowed layout readers (repro.layout): protocol, index, files, wiring.
 
-The headline invariant of the subsystem is pinned here: reader-fed streaming
-imaging is **bit-for-bit identical** to the dense-array path, across guard
-bands, backends, precisions and the sharded executor — and campaign identity
+The headline invariant of the subsystem is pinned here: reader-fed imaging
+is **bit-for-bit identical** to the plain dense-array reference
+(``tests/reference.py``), across guard bands, backends, precisions, batch
+sizes and the sharded executor — and campaign identity
 comes from the reader's canonical shape digest without the dense raster ever
 existing.
 """
@@ -15,6 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import reference_image_layout
+from repro.backend import ComputeConfig
 from repro.engine import (
     EngineSpec,
     ExecutionEngine,
@@ -277,10 +280,10 @@ class TestEngineWiring:
         if backend_name == "scipy":
             pytest.importorskip("scipy.fft")
         config = OpticsConfig(tile_size_px=32, pixel_size_nm=8.0)
-        engine = ExecutionEngine.for_optics(config, fft_backend=backend_name,
-                                            precision=precision)
-        ref = engine.image_layout(dense, tile_px=32, guard_px=8)
-        for kwargs in ({}, {"streaming": True}, {"batch_tiles": 2}):
+        engine = ExecutionEngine.for_optics(config, compute=ComputeConfig(
+            fft_backend=backend_name, precision=precision))
+        ref = reference_image_layout(engine, dense, tile_px=32, guard_px=8)
+        for kwargs in ({}, {"batch_tiles": 1}, {"batch_tiles": 2}):
             imaged = engine.image_layout(geometry_reader, tile_px=32,
                                          guard_px=8, **kwargs)
             assert imaged.num_tiles == ref.num_tiles
@@ -293,7 +296,7 @@ class TestEngineWiring:
                                           tmp_path):
         config = OpticsConfig(tile_size_px=32, pixel_size_nm=8.0)
         engine = ExecutionEngine.for_optics(config)
-        ref = engine.image_layout(dense, tile_px=32, guard_px=8)
+        ref = reference_image_layout(engine, dense, tile_px=32, guard_px=8)
         out = engine.image_layout(geometry_reader, tile_px=32, guard_px=8,
                                   out_dir=str(tmp_path / "stream"))
         np.testing.assert_array_equal(np.asarray(out.aerial), ref.aerial)
@@ -302,7 +305,7 @@ class TestEngineWiring:
     def test_sharded_image_layout_bitwise(self, geometry_reader, dense):
         config = OpticsConfig(tile_size_px=32, pixel_size_nm=8.0)
         engine = ExecutionEngine.for_optics(config)
-        ref = engine.image_layout(dense, tile_px=32, guard_px=8)
+        ref = reference_image_layout(engine, dense, tile_px=32, guard_px=8)
         with ShardedExecutor(num_workers=1) as executor:
             imaged = executor.image_layout(EngineSpec(config=config),
                                            geometry_reader, tile_px=32,
@@ -326,17 +329,19 @@ class TestSweepWiring:
         """Readers must never materialise the full tile stack in a sweep."""
         config = OpticsConfig(tile_size_px=32, pixel_size_nm=8.0)
         sweep = ProcessWindowSweep(config)
-        streaming_flags = []
+        routed = []
         original = type(sweep.executor).image_layout
 
         def spy(self, spec, layout, **kwargs):
-            streaming_flags.append(kwargs.get("streaming"))
+            routed.append(layout)
             return original(self, spec, layout, **kwargs)
 
         monkeypatch.setattr(type(sweep.executor), "image_layout", spy)
         grid = FocusExposureGrid(focus_values_nm=(0.0,), dose_values=(1.0,))
         sweep.run(geometry_reader, grid=grid, guard_px=8)
-        assert streaming_flags and all(streaming_flags)
+        # The reader itself reaches the pipeline, which rasterises it in
+        # bounded batches — not a dense stand-in cut into a full stack.
+        assert routed and all(layout is geometry_reader for layout in routed)
 
     def test_campaign_identity_uses_reader_digest(self, geometry_reader,
                                                   tmp_path):

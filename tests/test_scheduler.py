@@ -347,7 +347,7 @@ class TestCancelOnAbandon:
         pool = _LazyPool(eager=shards)  # condition 0 completes, rest hangs
         executor._pool = pool
         specs = [spec.with_focus(focus) for focus in (0.0, 60.0, 120.0)]
-        campaign = executor.campaign_aerials(specs, masks)
+        campaign = executor.run_conditions(list(enumerate(specs)), masks)
         index, first = next(campaign)
         assert index == 0
         campaign.close()  # the consumer walks away mid-campaign
@@ -368,7 +368,7 @@ class TestCancelOnAbandon:
 
         executor.warm = counting_warm
         specs = [spec.with_focus(focus) for focus in (0.0, 60.0, 120.0)]
-        campaign = executor.campaign_aerials(specs, masks)
+        campaign = executor.run_conditions(list(enumerate(specs)), masks)
         next(campaign)
         campaign.close()
         assert len(set(calls)) == 1  # only the first focus was ever built
@@ -389,7 +389,8 @@ class TestFaultInjection:
         executor.scheduler = FaultInjectingScheduler(
             PoolScheduler(executor._pool_handle, executor._task_engine),
             break_after=1)
-        results = dict(executor.campaign_aerials(specs, masks))
+        results = dict(executor.run_conditions(list(enumerate(specs)),
+                                               masks))
         assert executor._pool is None  # the facade closed the "broken" pool
         assert set(results) == {0, 1, 2}
         for index, expected in enumerate(reference):
@@ -405,7 +406,8 @@ class TestFaultInjection:
             drop=(0, 3))
         executor.scheduler = dropper
         with executor:
-            results = dict(executor.campaign_aerials(specs, masks))
+            results = dict(executor.run_conditions(list(enumerate(specs)),
+                                               masks))
         assert len(dropper.dropped) == 0  # cancel_pending reclaimed them
         assert set(results) == {0, 1, 2}
         for index, expected in enumerate(reference):
@@ -422,7 +424,8 @@ class TestFaultInjection:
             PoolScheduler(executor._pool_handle, executor._task_engine),
             kill_after=1)
         with executor:
-            results = dict(executor.campaign_aerials(specs, masks))
+            results = dict(executor.run_conditions(list(enumerate(specs)),
+                                               masks))
         assert set(results) == {0, 1, 2}
         for index, expected in enumerate(reference):
             np.testing.assert_array_equal(results[index], expected)
@@ -448,7 +451,8 @@ class TestFaultInjection:
                              scheduler="pool") as executor:
             scheduler, owned = executor._make_scheduler()
             assert owned and isinstance(scheduler, FaultInjectingScheduler)
-            results = dict(executor.campaign_aerials(specs, masks))
+            results = dict(executor.run_conditions(list(enumerate(specs)),
+                                               masks))
         assert set(results) == {0, 1, 2}
         for index, expected in enumerate(reference):
             np.testing.assert_array_equal(results[index], expected)

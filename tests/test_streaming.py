@@ -1,15 +1,19 @@
-"""Tests for the out-of-core streaming layout path (repro.engine.streaming).
+"""Tests for the layout-imaging pipeline (repro.engine.streaming).
 
 Pinned guarantees:
 
-* the streaming stitch is **bit-for-bit** the in-memory ``image_layout``
-  result — across guard bands, batch sizes, FFT backends (numpy / scipy)
-  and precisions (float64 / float32), including a hypothesis sweep over
-  random layout geometries,
+* the batch-by-batch pipeline is **bit-for-bit** the plain unbatched
+  reference (``tests/reference.py``: full tile stack, one ``aerial_batch``,
+  stitch, develop) — across guard bands, batch sizes, FFT backends (numpy /
+  scipy) and precisions (float64 / float32), including a hypothesis sweep
+  over random layout geometries,
+* a dense raster with no ``batch_tiles`` is one batch; a reader or an
+  ``out_dir`` defaults to the engine's chunk size,
 * ``iter_tile_batches`` covers every placement exactly once and never
   materialises more than one batch,
 * the ``out_dir`` memmap layout round-trips through ``open_layout_dir``
-  (self-describing ``.npy`` files + ``meta.json``), and
+  (self-describing ``.npy`` files + ``meta.json``), and a rejected call
+  leaves no file behind, and
 * memmapped *inputs* work: a layout opened with ``mmap_mode="r"`` streams
   through without being loaded wholesale.
 """
@@ -21,8 +25,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import reference_image_layout
 from repro.engine import (
     EngineSpec,
+    TileResultCache,
     TilingSpec,
     extract_tile_batch,
     extract_tiles,
@@ -30,7 +36,9 @@ from repro.engine import (
     open_layout_dir,
     plan_tiles,
     stitch_into,
+    stream_image_layout,
 )
+from repro.layout import as_layout_reader
 from repro.optics import OpticsConfig
 from repro.optics.source import CircularSource
 
@@ -105,9 +113,9 @@ class TestStreamingEqualsInMemory:
         engine = EngineSpec(config=CONFIG, source=SOURCE,
                             fft_backend=backend_name,
                             precision=precision).build()
-        reference = engine.image_layout(layout, guard_px=guard_px)
+        reference = reference_image_layout(engine, layout, guard_px=guard_px)
         streamed = engine.image_layout(layout, guard_px=guard_px,
-                                       streaming=True, batch_tiles=3)
+                                       batch_tiles=3)
         np.testing.assert_array_equal(streamed.aerial, reference.aerial)
         np.testing.assert_array_equal(streamed.resist, reference.resist)
         assert streamed.num_tiles == reference.num_tiles
@@ -115,10 +123,11 @@ class TestStreamingEqualsInMemory:
 
     @pytest.mark.parametrize("batch_tiles", [1, 2, 7, None])
     def test_bit_for_bit_across_batch_sizes(self, engine, layout, batch_tiles):
-        reference = engine.image_layout(layout, guard_px=8)
-        streamed = engine.image_layout(layout, guard_px=8, streaming=True,
+        reference = reference_image_layout(engine, layout, guard_px=8)
+        streamed = engine.image_layout(layout, guard_px=8,
                                        batch_tiles=batch_tiles)
         np.testing.assert_array_equal(streamed.aerial, reference.aerial)
+        np.testing.assert_array_equal(streamed.resist, reference.resist)
 
     @settings(max_examples=10, deadline=None)
     @given(height=st.integers(20, 70), width=st.integers(20, 70),
@@ -128,9 +137,9 @@ class TestStreamingEqualsInMemory:
                                          batch, seed):
         rng = np.random.default_rng(seed)
         layout = (rng.random((height, width)) > 0.7).astype(float)
-        reference = engine.image_layout(layout, guard_px=guard)
+        reference = reference_image_layout(engine, layout, guard_px=guard)
         streamed = engine.image_layout(layout, guard_px=guard,
-                                       streaming=True, batch_tiles=batch)
+                                       batch_tiles=batch)
         np.testing.assert_array_equal(streamed.aerial, reference.aerial)
         np.testing.assert_array_equal(streamed.resist, reference.resist)
 
@@ -141,11 +150,74 @@ class TestStreamingEqualsInMemory:
                                  max_chunk_bytes=32 * 32 * 16).build()
         assert small_chunk.stream_batch_tiles(tiling) == 1
 
+    def test_dense_raster_without_batch_tiles_is_one_batch(self, monkeypatch):
+        """36 tiles, a one-tile chunk budget: still ONE aerial_batch call —
+        the pipeline adds no batching of its own to a dense raster (which is
+        what keeps the FFT call count of a dense chip what it always was)."""
+        small_chunk = EngineSpec(config=CONFIG, source=SOURCE,
+                                 max_chunk_bytes=32 * 32 * 16).build()
+        calls = []
+        plain = small_chunk.aerial_batch
+        monkeypatch.setattr(
+            small_chunk, "aerial_batch",
+            lambda tiles, **kw: calls.append(len(tiles)) or plain(tiles, **kw))
+        dense = (np.random.default_rng(3).random((96, 96)) > 0.7).astype(float)
+        result = small_chunk.image_layout(dense, guard_px=8)
+        assert calls == [36] and result.num_tiles == 36
+        # The same raster behind the reader protocol, or written to an
+        # out_dir, images in engine-chunk batches (here: tile by tile).
+        del calls[:]
+        small_chunk.image_layout(as_layout_reader(dense), guard_px=8)
+        assert calls == [1] * 36
+
+
+def test_no_image_layout_takes_a_streaming_switch():
+    """One pipeline: there is nothing left for a ``streaming=`` to select."""
+    import inspect
+
+    import repro.api
+    from repro.engine import ExecutionEngine, ShardedExecutor
+
+    for function in (ExecutionEngine.image_layout,
+                     ShardedExecutor.image_layout, repro.api.image_layout):
+        assert "streaming" not in inspect.signature(function).parameters
+
+
+class TestPipelineValidation:
+    """A rejected call must not leave full-size rasters behind."""
+
+    @pytest.mark.parametrize("bad", [
+        {"batch_tiles": 0},
+        {"tile_cache": TileResultCache()},      # no cache_context
+    ])
+    def test_rejected_call_creates_no_file(self, engine, layout, tmp_path,
+                                           bad):
+        out_dir = tmp_path / "rejected"
+        kwargs = {"batch_tiles": 4, **bad}
+        with pytest.raises(ValueError):
+            stream_image_layout(layout, TilingSpec(tile_px=32, guard_px=8),
+                                engine.aerial_batch,
+                                engine.resist_model.develop, np.float64,
+                                out_dir=str(out_dir), **kwargs)
+        assert not out_dir.exists()
+
+    def test_engine_rejects_bad_batch_before_touching_out_dir(self, engine,
+                                                              layout,
+                                                              tmp_path):
+        out_dir = tmp_path / "rejected"
+        with pytest.raises(ValueError, match="batch_tiles"):
+            engine.image_layout(layout, guard_px=8, batch_tiles=0,
+                                out_dir=str(out_dir))
+        with pytest.raises(ValueError, match="2-D"):
+            engine.image_layout(layout[None], guard_px=8,
+                                out_dir=str(out_dir))
+        assert not out_dir.exists()
+
 
 class TestMemmapOutput:
     def test_out_dir_roundtrip(self, engine, layout, tmp_path):
         out_dir = str(tmp_path / "streamed")
-        reference = engine.image_layout(layout, guard_px=8)
+        reference = reference_image_layout(engine, layout, guard_px=8)
         result = engine.image_layout(layout, guard_px=8, out_dir=out_dir)
         assert isinstance(result.aerial, np.memmap)
         assert result.out_dir == out_dir
@@ -171,8 +243,8 @@ class TestMemmapOutput:
         path = str(tmp_path / "layout.npy")
         np.save(path, layout)
         mapped = np.load(path, mmap_mode="r")
-        reference = engine.image_layout(layout, guard_px=8)
-        streamed = engine.image_layout(mapped, guard_px=8, streaming=True)
+        reference = reference_image_layout(engine, layout, guard_px=8)
+        streamed = engine.image_layout(mapped, guard_px=8, batch_tiles=4)
         np.testing.assert_array_equal(streamed.aerial, reference.aerial)
 
     def test_out_dir_files_exist(self, engine, layout, tmp_path):

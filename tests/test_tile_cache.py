@@ -28,6 +28,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import reference_image_layout
+from repro.backend import ComputeConfig
 from repro.engine import (
     ZERO_TILE_DIGEST,
     ExecutionEngine,
@@ -69,10 +71,11 @@ def counting(function):
 def engine_pair(backend, precision):
     """(uncached, cached) engines sharing optics; kernel banks come from the
     process-wide kernel cache, so each pair is built once per session."""
+    compute = ComputeConfig(fft_backend=backend, precision=precision,
+                            tile_cache=False)
     build = functools.partial(ExecutionEngine.for_optics, CONFIG,
-                              source=SOURCE, fft_backend=backend,
-                              precision=precision)
-    return build(tile_cache=False), build(tile_cache=TileResultCache())
+                              source=SOURCE, compute=compute)
+    return build(), build(tile_cache=TileResultCache())
 
 
 class TestTileDigest:
@@ -325,7 +328,8 @@ class TestCachedImagingBitForBit:
         plain, cached = engine_pair("numpy", "float64")
         cache = cached.tile_cache
         cache.clear()
-        reference = plain.image_layout(layout, tile_px=32, guard_px=0)
+        reference = reference_image_layout(plain, layout, tile_px=32,
+                                           guard_px=0)
         result = cached.image_layout(layout, tile_px=32, guard_px=0)
         np.testing.assert_array_equal(result.aerial, reference.aerial)
         np.testing.assert_array_equal(result.resist, reference.resist)
@@ -354,8 +358,9 @@ class TestCachedImagingBitForBit:
            height=st.integers(33, 70), width=st.integers(33, 96))
     def test_dedup_is_bit_for_bit(self, backend, precision, seed, guard,
                                   height, width):
-        """Cached == uncached, bit for bit, across backends, precisions and
-        the in-memory / streaming paths, on random repetitive layouts."""
+        """Cached == the uncached reference, bit for bit, across backends,
+        precisions and one-batch / bounded-batch runs, on random repetitive
+        layouts."""
         if backend == "scipy":
             pytest.importorskip("scipy.fft")
         rng = np.random.default_rng(seed)
@@ -365,21 +370,22 @@ class TestCachedImagingBitForBit:
             layout[row:row + int(rng.integers(1, 20)),
                    col:col + int(rng.integers(1, 20))] = 1.0
         plain, cached = engine_pair(backend, precision)
-        reference = plain.image_layout(layout, tile_px=32, guard_px=guard)
+        reference = reference_image_layout(plain, layout, tile_px=32,
+                                           guard_px=guard)
         dense = cached.image_layout(layout, tile_px=32, guard_px=guard)
         streamed = cached.image_layout(layout, tile_px=32, guard_px=guard,
-                                       streaming=True, batch_tiles=3)
+                                       batch_tiles=3)
         np.testing.assert_array_equal(dense.aerial, reference.aerial)
         np.testing.assert_array_equal(dense.resist, reference.resist)
         np.testing.assert_array_equal(streamed.aerial, reference.aerial)
         np.testing.assert_array_equal(streamed.resist, reference.resist)
 
     @pytest.mark.parametrize("precision", ["float64", "float32"])
-    @pytest.mark.parametrize("streaming", [False, True])
+    @pytest.mark.parametrize("bounded", [False, True])
     def test_sharded_dedup_is_bit_for_bit(self, tmp_path, precision,
-                                          streaming):
-        """Parent-side dedup in ShardedExecutor matches the uncached sharded
-        result exactly (which itself is pinned to match serial)."""
+                                          bounded):
+        """Parent-side dedup in ShardedExecutor — one batch or bounded
+        batches — matches the uncached reference exactly."""
         from repro.engine import EngineSpec
 
         layout = np.zeros((80, 110))
@@ -388,13 +394,11 @@ class TestCachedImagingBitForBit:
         spec = EngineSpec(config=CONFIG, source=SOURCE, precision=precision)
         cache = TileResultCache()
         with ShardedExecutor(num_workers=2, cache_dir=str(tmp_path),
-                             tile_cache=False) as executor:
-            reference = executor.image_layout(spec, layout, guard_px=8,
-                                              streaming=streaming)
-        with ShardedExecutor(num_workers=2, cache_dir=str(tmp_path),
                              tile_cache=cache) as executor:
+            reference = reference_image_layout(executor.warm(spec), layout,
+                                               guard_px=8)
             result = executor.image_layout(spec, layout, guard_px=8,
-                                           streaming=streaming)
+                                           batch_tiles=3 if bounded else None)
         np.testing.assert_array_equal(result.aerial, reference.aerial)
         np.testing.assert_array_equal(result.resist, reference.resist)
         assert cache.stats.tiles == reference.num_tiles

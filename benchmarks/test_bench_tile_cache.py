@@ -15,7 +15,10 @@ images it with and without the cache, and records
   asserted ``> 0.9`` and gated (it is a deterministic property of the
   layout, not of the hardware), and
 * ``warm_hit_rate`` — a second run against the now-warm cache, which must
-  serve **every** tile (1.0, zero imaged).
+  serve **every** tile (1.0, zero imaged), and
+* ``warm_share`` — that all-hit run's wall-clock over the uncached run's
+  (self-normalised, lower is better, gated): what a hit costs — window,
+  digest, look-up, one copy into the raster — relative to imaging the tile.
 
 Results land in ``benchmarks/results/tile_cache.{txt,json}``.
 """
@@ -115,6 +118,7 @@ def test_tile_cache_dedup(preset, record_output, record_json, tmp_path):
     warm = cached_engine.tile_cache.stats
     warm_misses = warm.misses - stats.misses
     warm_hit_rate = (warm.served - stats.served) / num_tiles
+    warm_share = warm_seconds / uncached_seconds
 
     lines = [
         f"tile-result cache dedup ({grid[0]}x{grid[1]} cell array, "
@@ -125,7 +129,8 @@ def test_tile_cache_dedup(preset, record_output, record_json, tmp_path):
         f"({stats.misses} imaged, {stats.served} served, "
         f"{hit_rate * 100:.1f}% hit rate)",
         f"  warm cache                 : {warm_seconds:7.3f} s "
-        f"({warm_misses} imaged, {warm_hit_rate * 100:.1f}% hit rate)",
+        f"({warm_misses} imaged, {warm_hit_rate * 100:.1f}% hit rate, "
+        f"{warm_share:.3f} of uncached)",
         f"  dedup speedup (uncached / cold cache): {speedup:.2f}x",
     ]
     record_output("tile_cache", "\n".join(lines))
@@ -143,6 +148,7 @@ def test_tile_cache_dedup(preset, record_output, record_json, tmp_path):
         "served": stats.served,
         "hit_rate": hit_rate,
         "warm_hit_rate": warm_hit_rate,
+        "warm_share": warm_share,
         "dedup_speedup": speedup,
         "cpus": os.cpu_count(),
     })

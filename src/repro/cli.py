@@ -203,8 +203,10 @@ def command_image_layout(arguments) -> int:
         print(f"aerial / resist memmaps written to {arguments.out}/ "
               f"(aerial.npy, resist.npy, meta.json)")
     if arguments.output:
-        mask_array = mask.read_window(0, 0, height, width) if is_reader \
-            else np.asarray(mask)
+        # float: a geometry reader rasterises uint8 coverage, the file
+        # format predates that
+        mask_array = np.asarray(mask.read_window(0, 0, height, width),
+                                dtype=float) if is_reader else np.asarray(mask)
         np.savez_compressed(arguments.output, mask=mask_array,
                             aerial=np.asarray(result.aerial),
                             resist=np.asarray(result.resist))
@@ -349,7 +351,8 @@ def _run_sweep_window(arguments, grid, num_workers: int,
               for dose in grid.dose_values]
              for focus in grid.focus_values_nm])
         if hasattr(mask, "read_window"):
-            mask = mask.read_window(0, 0, height, width)
+            mask = np.asarray(mask.read_window(0, 0, height, width),
+                              dtype=float)
         np.savez_compressed(arguments.output, mask=mask, cd_nm=cd_nm,
                             in_spec=in_spec,
                             focus_values_nm=np.asarray(grid.focus_values_nm),

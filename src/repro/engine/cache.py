@@ -33,6 +33,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import os
+import tempfile
 import threading
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
@@ -84,6 +85,21 @@ def optics_fingerprint(config, source: Source, pupil: Pupil) -> str:
         describe_component(pupil),
     ]
     return hashlib.sha1("|".join(parts).encode("utf-8")).hexdigest()
+
+
+def save_npz_atomically(path: str, **arrays) -> None:
+    """``np.savez_compressed`` published by rename: a concurrent reader — or
+    the run after a SIGKILL — finds the old file, the new one or none, never
+    a torn one, whoever else is writing the same path."""
+    handle, partial = tempfile.mkstemp(dir=os.path.dirname(path),
+                                       suffix=".tmp")
+    try:
+        with os.fdopen(handle, "wb") as stream:
+            np.savez_compressed(stream, **arrays)
+        os.replace(partial, path)
+    except BaseException:
+        os.unlink(partial)
+        raise
 
 
 @dataclass
@@ -245,7 +261,7 @@ class KernelBankCache:
         if path is None:
             return
         os.makedirs(self.cache_dir, exist_ok=True)
-        np.savez_compressed(path,
+        save_npz_atomically(path,
                             kernels=bank.kernels,
                             eigenvalues=bank.eigenvalues,
                             kernel_shape=np.asarray(bank.kernel_shape),

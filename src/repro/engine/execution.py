@@ -51,7 +51,7 @@ from .batched import (
 from .cache import KernelBankCache, default_kernel_cache
 from .streaming import stream_image_layout
 from .tile_cache import TileCacheContext, TileResultCache, resolve_tile_cache
-from .tiling import TilingSpec, default_guard_px
+from .tiling import TilingSpec, default_guard_px, plan_tiles
 
 
 # --------------------------------------------------------------------------- #
@@ -456,20 +456,26 @@ def image_layout_through(engine: ExecutionEngine, layout,
     if image_batch is None:
         image_batch = engine.aerial_batch
         module = as_array_module(engine.backend)
-        if module.is_resident and tile_cache is None:
+        if module.is_resident:
             # Stage every device->host download through one reusable
             # (pinned, where the module supports it) host buffer instead of
             # allocating a fresh batch-sized array per batch.  The pipeline
-            # fully consumes each batch (stitch + develop copy out of it)
-            # before requesting the next, so reuse is safe; with a tile
-            # cache it is NOT (TileResultCache retains row views of the
-            # returned batch), hence the gate above.
+            # fully consumes each batch (stitch + develop copy out of it,
+            # the tile cache admits copies) before requesting the next, so
+            # reuse is safe.
             staging = []
 
             def image_batch(tiles):
-                if not staging:  # sized by the first batch: none is larger
+                if not staging:
+                    # Sized for a whole batch of placements: none is larger,
+                    # but behind a tile cache the first stack of misses may
+                    # well be smaller than a later one.
+                    rows = len(plan_tiles(*layout.shape, tiling))
+                    if batch_tiles is not None:
+                        rows = min(rows, batch_tiles)
                     staging.append(module.empty_host(
-                        tiles.shape, engine.precision.real_dtype))
+                        (rows,) + tiles.shape[1:],
+                        engine.precision.real_dtype))
                 return engine.aerial_batch(tiles,
                                            out=staging[0][:len(tiles)])
     aerial, resist, num_tiles = stream_image_layout(

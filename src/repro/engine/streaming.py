@@ -87,9 +87,9 @@ def iter_tile_batches(layout,
     are rasterised window-by-window and the dense raster never exists, so
     peak RAM for layout data is O(one batch) end to end.
 
-    With ``with_digests=True`` each batch is a ``(tiles, digests,
-    placements)`` triple — per-tile content digests for the tile-result
-    cache, computed during extraction so the tiles are hashed while still
+    With ``with_digests=True`` each batch is a ``(windows, digests,
+    placements)`` triple for the tile-result cache — the windows unstacked
+    in the reader's dtype, each hashed as soon as it is read, while still
     hot in cache (see :func:`~repro.engine.tiling.extract_tile_batch`).
     """
     if batch_tiles < 1:
@@ -143,9 +143,9 @@ def stream_image_layout(layout, tiling: TilingSpec,
         Optional :class:`~repro.engine.tile_cache.TileResultCache` plus its
         :class:`~repro.engine.tile_cache.TileCacheContext`: each batch is
         deduplicated to its unique tile contents, ``image_batch`` sees only
-        first-occurrence misses, and results are scattered back before the
-        stitch — bit-for-bit the uncached result (per-tile FFT work is
-        independent of batch composition).
+        first-occurrence misses, and the stitch reads every other core
+        straight out of the cache's entries — bit-for-bit the uncached
+        result (per-tile FFT work is independent of batch composition).
 
     Returns ``(aerial, resist, num_tiles)``; the arrays are memmaps when
     ``out_dir`` was given (flushed before returning).  ``layout`` may be a

@@ -27,7 +27,14 @@ The all-zero fast path never touches either tier: an empty reticle tile
 images to exactly zero under every backend and precision (the DFT of an
 exactly-zero array is exactly ±0 and ``|0|^2`` is ``+0``), so zero tiles —
 detected upstream without rasterising via ``window_is_empty`` and tagged
-with :data:`ZERO_TILE_DIGEST` — are filled with ``0.0`` directly.
+with :data:`ZERO_TILE_DIGEST` — are all served by one shared zero tile.
+
+Each pixel moves once.  The content key digests a window exactly as the
+layout reader produced it (its dtype is part of the key; nothing is cast or
+copied to hash it), only first-occurrence misses are stacked for imaging,
+and :meth:`TileResultCache.image_tile_batch` hands back per-row *references*
+— a cached entry is read-only and owned by the cache, so serving it copies
+nothing until the stitch writes its core into the output raster.
 
 :class:`TileCacheStats` counts every served tile (memory hits, zero hits,
 disk loads) and every miss, giving tests and the CLI an observable dedup
@@ -39,6 +46,8 @@ from __future__ import annotations
 import hashlib
 import os
 import threading
+import zipfile
+import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
@@ -46,6 +55,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from ..backend import resolve_precision
+from .cache import save_npz_atomically
 
 #: Sentinel digest for an all-zero (empty reticle) guard-banded tile.  Not a
 #: hex hash on purpose: zero tiles are served by the constant fast path and
@@ -60,8 +70,9 @@ DEFAULT_MAX_BYTES = 512 * 2 ** 20
 def tile_digest(tile: np.ndarray) -> str:
     """Content digest of one guard-banded tile (shape + dtype + bytes)."""
     tile = np.ascontiguousarray(tile)
-    header = f"{tile.shape}|{tile.dtype.str}|".encode("utf-8")
-    return hashlib.sha1(header + tile.tobytes()).hexdigest()
+    digest = hashlib.sha1(f"{tile.shape}|{tile.dtype.str}|".encode("utf-8"))
+    digest.update(tile)  # buffer protocol: hashed in place, no copy
+    return digest.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -96,6 +107,9 @@ class TileCacheStats:
     disk_loads: int = 0
     misses: int = 0
     evictions: int = 0
+    #: Unreadable disk entries (torn / truncated ``.npz``): each one is also
+    #: counted as a miss, re-imaged and overwritten.
+    disk_errors: int = 0
 
     @property
     def served(self) -> int:
@@ -135,33 +149,44 @@ class TileResultCache:
     # ------------------------------------------------------------------ #
     # the dedup entry point
     # ------------------------------------------------------------------ #
-    def image_tile_batch(self, tiles: np.ndarray, digests: Sequence[str],
+    def image_tile_batch(self, tiles: Sequence[np.ndarray],
+                         digests: Sequence[str],
                          image_batch: Callable[[np.ndarray], np.ndarray],
-                         context: TileCacheContext) -> np.ndarray:
-        """Image a batch through the cache: unique misses only, then scatter.
+                         context: TileCacheContext) -> List[np.ndarray]:
+        """Image a batch through the cache: unique misses only, no scatter.
 
-        ``tiles`` is the guard-banded ``(N, tile_px, tile_px)`` stack and
-        ``digests`` its per-tile content digests (``ZERO_TILE_DIGEST`` marks
-        all-zero tiles).  ``image_batch`` is called **at most once**, on the
-        sub-stack of first-occurrence misses; every other row is served from
-        the zero fast path, the in-memory tier, the disk tier, or its
-        within-batch duplicate.  The returned stack is bit-for-bit what
-        ``image_batch(tiles)`` would have produced.
+        ``tiles`` holds the batch's guard-banded windows — an
+        ``(N, tile_px, tile_px)`` stack or any sequence of 2-D windows in
+        the reader's own dtype — and ``digests`` their content digests;
+        rows tagged ``ZERO_TILE_DIGEST`` are never read (the extractor
+        leaves ``None`` there).  ``image_batch`` is called **at most once**,
+        on the stack of first-occurrence misses; every other row is served
+        from the zero fast path, the in-memory tier, the disk tier, or its
+        within-batch duplicate.
+
+        Returns one ``(tile_px, tile_px)`` image per row, bit-for-bit what
+        ``image_batch(tiles)`` would have produced — as *references*, not
+        copies: a read-only cache entry, a row of the imaged sub-batch, or
+        the shared read-only zero tile.  Consume the rows before the next
+        ``image_batch`` call if that callable reuses its output buffer.
         """
-        tiles = np.asarray(tiles)
         if len(digests) != len(tiles):
             raise ValueError(
                 f"{len(digests)} digests for {len(tiles)} tiles")
         real_dtype = resolve_precision(context.precision).real_dtype
-        out = np.empty(tiles.shape, dtype=real_dtype)
+        # A zero-stride view: every empty tile of the batch reads the same
+        # eight bytes, and nothing tile-sized is allocated for them.
+        zero_tile = np.broadcast_to(real_dtype.type(0),
+                                    (context.tile_px, context.tile_px))
         prefix = context.key_prefix()
+        out: List[Optional[np.ndarray]] = [None] * len(digests)
         # key -> rows of the batch it serves; the first row is the one imaged.
         pending: "OrderedDict[str, List[int]]" = OrderedDict()
         with self._lock:
-            self.stats.tiles += len(tiles)
+            self.stats.tiles += len(digests)
             for index, digest in enumerate(digests):
                 if digest == ZERO_TILE_DIGEST:
-                    out[index] = 0.0
+                    out[index] = zero_tile
                     self.stats.zero_hits += 1
                     continue
                 key = prefix + digest
@@ -170,21 +195,27 @@ class TileResultCache:
                     rows.append(index)
                     self.stats.hits += 1
                     continue
-                cached = self._lookup(key)
-                if cached is not None:
-                    out[index] = cached
-                    continue
-                pending[key] = [index]
-                self.stats.misses += 1
+                out[index] = self._lookup(key)
+                if out[index] is None:
+                    pending[key] = [index]
+                    self.stats.misses += 1
         if pending:
-            first_rows = [rows[0] for rows in pending.values()]
-            imaged = np.asarray(image_batch(tiles[np.asarray(first_rows)]))
-            for result, rows in zip(imaged, pending.values()):
-                for index in rows:
-                    out[index] = result
+            # Only the misses are stacked; aerial_batch casts that stack to
+            # the engine's real dtype, hits never leave the reader's.
+            imaged = np.asarray(image_batch(
+                np.stack([tiles[rows[0]] for rows in pending.values()])))
+            admitted = []
             with self._lock:
-                for result, key in zip(imaged, pending):
-                    self._store(key, result)
+                for result, (key, rows) in zip(imaged, pending.items()):
+                    for index in rows:
+                        out[index] = result
+                    if key not in self._memory:
+                        # An owned copy, never a row view: a view would pin
+                        # the whole imaged batch past its own eviction.
+                        admitted.append((key, self._admit(key,
+                                                          np.array(result))))
+            for key, entry in admitted:  # compression runs outside the lock
+                self._save_to_disk(key, entry)
         return out
 
     # ------------------------------------------------------------------ #
@@ -199,22 +230,19 @@ class TileResultCache:
         loaded = self._load_from_disk(key)
         if loaded is not None:
             self.stats.disk_loads += 1
-            self._admit(key, loaded)  # promote without re-writing the file
-            return loaded
+            return self._admit(key, loaded)  # promote, file left as it is
         return None
 
-    def _store(self, key: str, value: np.ndarray) -> None:
-        if key not in self._memory:
-            self._admit(key, value)
-            self._save_to_disk(key, value)
-
-    def _admit(self, key: str, value: np.ndarray) -> None:
+    def _admit(self, key: str, value: np.ndarray) -> np.ndarray:
+        """Take ownership of ``value`` as the (read-only) entry for ``key``."""
+        value.flags.writeable = False  # entries are served without a copy
         self._memory[key] = value
         self._memory_bytes += value.nbytes
         while self._memory_bytes > self.max_bytes and len(self._memory) > 1:
             _, evicted = self._memory.popitem(last=False)
             self._memory_bytes -= evicted.nbytes
             self.stats.evictions += 1
+        return value
 
     def clear(self) -> None:
         """Drop every in-memory entry and reset the counters (disk is kept)."""
@@ -241,14 +269,21 @@ class TileResultCache:
         if path is None:
             return
         os.makedirs(self.cache_dir, exist_ok=True)
-        np.savez_compressed(path, tile=value)
+        save_npz_atomically(path, tile=value)
 
     def _load_from_disk(self, key: str) -> Optional[np.ndarray]:
         path = self._disk_path(key)
         if path is None or not os.path.exists(path):
             return None
-        with np.load(path) as data:
-            return np.ascontiguousarray(data["tile"])
+        try:
+            with np.load(path) as data:
+                return np.ascontiguousarray(data["tile"])
+        except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile,
+                zlib.error):
+            # A file torn by a crash or written by something else: a miss,
+            # counted; the re-imaged tile overwrites it.
+            self.stats.disk_errors += 1
+            return None
 
 
 _default_cache: Optional[TileResultCache] = None

@@ -99,12 +99,14 @@ def extract_tile_batch(layout: np.ndarray, placements: Sequence[TilePlacement],
     rasterised on demand and the dense raster never exists.  Content beyond
     the layout boundary is zero (an empty reticle) on every path.
 
-    With ``with_digests=True`` the return value is ``(tiles, digests)``:
-    one content digest per tile for the tile-result cache
-    (:mod:`repro.engine.tile_cache`), with all-zero tiles tagged
-    ``ZERO_TILE_DIGEST``.  Readers exposing ``window_is_empty`` (both
-    bundled readers do) have their empty windows detected from geometry
-    alone — the window is zero-filled without being rasterised or hashed.
+    With ``with_digests=True`` the return value is ``(windows, digests)``
+    for the tile-result cache (:mod:`repro.engine.tile_cache`): no stack is
+    built — each window stays the array the reader returned, in the
+    reader's dtype, hashed in place — because the cache stacks and casts
+    only the tiles it has to image.  All-zero windows are tagged
+    ``ZERO_TILE_DIGEST`` and their list slot is ``None``; readers exposing
+    ``window_is_empty`` (the bundled readers do) have them detected from
+    geometry alone, without being rasterised or hashed.
     """
     if not hasattr(layout, "read_window"):
         # Dense arrays speak the same protocol through the adapter, so the
@@ -114,11 +116,12 @@ def extract_tile_batch(layout: np.ndarray, placements: Sequence[TilePlacement],
 
         layout = ArrayLayoutReader(np.asarray(layout))
     tile, guard = spec.tile_px, spec.guard_px
-    # np.empty, not np.zeros: every row is fully overwritten below (pinned by
-    # tests/test_tile_cache.py), so the O(batch) memset would be pure waste.
-    tiles = np.empty((len(placements), tile, tile),
-                     dtype=getattr(layout, "dtype", float))
     if not with_digests:
+        # np.empty, not np.zeros: every row is fully overwritten below
+        # (pinned by tests/test_tile_cache.py), so the O(batch) memset would
+        # be pure waste.
+        tiles = np.empty((len(placements), tile, tile),
+                         dtype=getattr(layout, "dtype", float))
         for index, place in enumerate(placements):
             tiles[index] = layout.read_window(place.row - guard,
                                               place.col - guard, tile, tile)
@@ -126,20 +129,19 @@ def extract_tile_batch(layout: np.ndarray, placements: Sequence[TilePlacement],
     from .tile_cache import ZERO_TILE_DIGEST, tile_digest
 
     window_is_empty = getattr(layout, "window_is_empty", None)
-    digests = []
-    for index, place in enumerate(placements):
+    windows, digests = [], []
+    for place in placements:
         row, col = place.row - guard, place.col - guard
-        if window_is_empty is not None and window_is_empty(row, col,
-                                                           tile, tile):
-            tiles[index] = 0.0
-            digests.append(ZERO_TILE_DIGEST)
-            continue
-        tiles[index] = layout.read_window(row, col, tile, tile)
-        if not tiles[index].any():
-            digests.append(ZERO_TILE_DIGEST)
-        else:
-            digests.append(tile_digest(tiles[index]))
-    return tiles, digests
+        window = None
+        if window_is_empty is None or not window_is_empty(row, col,
+                                                          tile, tile):
+            window = layout.read_window(row, col, tile, tile)
+            if not window.any():
+                window = None
+        windows.append(window)
+        digests.append(ZERO_TILE_DIGEST if window is None
+                       else tile_digest(window))
+    return windows, digests
 
 
 def extract_tiles(layout: np.ndarray, spec: TilingSpec,
@@ -159,19 +161,19 @@ def extract_tiles(layout: np.ndarray, spec: TilingSpec,
     return extract_tile_batch(layout, placements, spec), placements
 
 
-def stitch_into(out: np.ndarray, tile_images: np.ndarray,
+def stitch_into(out: np.ndarray, tile_images: Sequence[np.ndarray],
                 placements: Sequence[TilePlacement], spec: TilingSpec) -> None:
     """Write each tile's interior core into ``out`` at its placement.
 
     ``out`` is any preallocated ``(H, W)`` array — an in-memory buffer or a
     ``numpy.memmap`` — so the layout pipeline can stitch one batch at
     a time without holding the assembled raster and the tile stack together.
-    Every layout pixel belongs to exactly one core, so repeated calls over
-    disjoint placement batches write each output pixel exactly once.
+    ``tile_images`` is an ``(N, tile_px, tile_px)`` stack or any sequence of
+    ``(tile_px, tile_px)`` images (the tile cache's per-row references); it
+    is read row by row and never stacked.  Every layout pixel belongs to
+    exactly one core, so repeated calls over disjoint placement batches
+    write each output pixel exactly once.
     """
-    tile_images = np.asarray(tile_images)
-    if tile_images.ndim != 3:
-        raise ValueError("tile_images must have shape (N, tile_px, tile_px)")
     if len(tile_images) != len(placements):
         raise ValueError(
             f"{len(tile_images)} tile images for {len(placements)} placements")

@@ -554,7 +554,7 @@ class HierarchicalLayoutReader:
                     width: int) -> np.ndarray:
         if height <= 0 or width <= 0:
             raise ValueError("window dimensions must be positive")
-        out = np.zeros((height, width), dtype=float)
+        out = np.zeros((height, width), dtype=np.uint8)
         row0, col0 = max(row, 0), max(col, 0)
         row1 = min(row + height, self._shape[0])
         col1 = min(col + width, self._shape[1])
@@ -563,7 +563,7 @@ class HierarchicalLayoutReader:
             return out
         for _, top, bottom, left, right in self._window_rects(row0, row1,
                                                               col0, col1):
-            out[top - row:bottom - row, left - col:right - col] = 1.0
+            out[top - row:bottom - row, left - col:right - col] = 1
         return out
 
     def window_is_empty(self, row: int, col: int, height: int,

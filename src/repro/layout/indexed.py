@@ -114,9 +114,9 @@ class GeometryLayoutReader:
     ...                               pixel_size_nm=8.0, extent_nm=64.0)
     >>> reader.shape
     (8, 8)
-    >>> reader.read_window(0, 0, 4, 4)[1:3, 1:3]
-    array([[1., 1.],
-           [1., 1.]])
+    >>> reader.read_window(0, 0, 4, 4)[1:3, 1:3]   # binary uint8 coverage
+    array([[1, 1],
+           [1, 1]], dtype=uint8)
     """
 
     def __init__(self, shapes: Mapping[str, Sequence[Shape]],
@@ -199,7 +199,7 @@ class GeometryLayoutReader:
                     width: int) -> np.ndarray:
         if height <= 0 or width <= 0:
             raise ValueError("window dimensions must be positive")
-        out = np.zeros((height, width), dtype=float)
+        out = np.zeros((height, width), dtype=np.uint8)
         row0, col0 = max(row, 0), max(col, 0)
         row1 = min(row + height, self._shape[0])
         col1 = min(col + width, self._shape[1])
@@ -216,7 +216,7 @@ class GeometryLayoutReader:
                 left = max(grid.cols0[index], col0)
                 right = min(grid.cols1[index], col1)
                 if bottom > top and right > left:
-                    out[top - row:bottom - row, left - col:right - col] = 1.0
+                    out[top - row:bottom - row, left - col:right - col] = 1
         return out
 
     def window_is_empty(self, row: int, col: int, height: int,

@@ -69,7 +69,13 @@ class LayoutReader(Protocol):
                     width: int) -> np.ndarray:
         """Rasterise the ``(height, width)`` window whose top-left pixel is
         ``(row, col)``.  Coordinates may extend beyond — or lie entirely
-        outside — the layout; out-of-bounds content is zero."""
+        outside — the layout; out-of-bounds content is zero.
+
+        Any real dtype may be returned, the same one for every window: the
+        engine casts only the tiles it images, and the tile-result cache
+        keys a window by the bytes the reader produced.  The geometry
+        readers return binary ``uint8`` coverage, :class:`ArrayLayoutReader`
+        the wrapped raster's floating dtype."""
         ...  # pragma: no cover - protocol
 
     def digest(self) -> str:
@@ -113,9 +119,10 @@ class ArrayLayoutReader:
     def dtype(self) -> np.dtype:
         """Window dtype (the wrapped array's floating dtype).
 
-        The tile extractor allocates its batch in this dtype, so a float32
-        layout keeps its float32 tile stack — geometry readers have no
-        ``dtype`` and default to float64 there.
+        The tile extractor allocates its uncached batch in this dtype, so a
+        float32 layout keeps its float32 tile stack — geometry readers have
+        no ``dtype`` and their ``uint8`` windows are cast into a float64
+        stack there.
         """
         return self._layout.dtype
 

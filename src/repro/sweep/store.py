@@ -68,7 +68,8 @@ Manifest schema (``manifest.json``)
       "tile_cache": {          # optional: tile-result-cache counters,
         "tiles": 640, "hits": 560,   # summed across (resumed) runs so
         "zero_hits": 40, "misses": 40,   # campaign-report shows dedup
-        "disk_loads": 0, "evictions": 0  # effectiveness from disk alone
+        "disk_loads": 0, "evictions": 0, # effectiveness from disk alone
+        "disk_errors": 0
       },
       "completed": {           # condition id -> inline summary
         "f0.0_d1.0": {"focus_nm": 0.0, "dose": 1.0,

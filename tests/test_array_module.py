@@ -8,7 +8,7 @@ Pinned guarantees:
   is uploaded once per (fingerprint, device), never per chunk or per batch,
 * **streamed downloads stage through one reusable host buffer** (the pinned
   -buffer hook): ``host_buffer_allocations == 1`` for a whole streamed
-  layout,
+  layout, with or without a tile cache,
 * **fakegpu == numpy bit for bit** across precisions, real/complex FFT paths
   and band limiting (hypothesis-pinned), so the residency bookkeeping can
   never drift the numerics,
@@ -43,7 +43,12 @@ from repro.backend import (
     is_auto_precision,
     resolve_precision,
 )
-from repro.engine import EngineSpec, ExecutionEngine, ShardedExecutor
+from repro.engine import (
+    EngineSpec,
+    ExecutionEngine,
+    ShardedExecutor,
+    TileResultCache,
+)
 from repro.engine.batched import batched_aerial_from_kernels
 from repro.engine.execution import (
     DEVICE_BANK_LIMIT,
@@ -143,6 +148,31 @@ class TestTransferCounts:
         np.testing.assert_array_equal(reference.aerial, single.aerial)
         assert (stats.uploads, stats.downloads) == (1, 1)
         assert stats.host_buffer_allocations == 1
+
+    def test_streaming_layout_with_tile_cache_reuses_the_staging_buffer(
+            self, fakegpu):
+        """The tile cache admits owned copies, never views of the staged
+        batch, so the one-buffer staging holds under a cache too — and
+        entries served in later batches were not overwritten by it."""
+        numpy_engine, _ = make_engines()
+        cache = TileResultCache()
+        cached = ExecutionEngine(KERNELS, tile_size_px=32,
+                                 fft_backend=fakegpu, compute=NO_CACHE,
+                                 tile_cache=cache)
+        # 16 px cells at the tile-core pitch: interior tiles repeat, so
+        # later batches hit entries admitted from earlier staged batches.
+        layout = np.tile(np.random.default_rng(3).random((16, 16)), (5, 5))
+        reference = reference_image_layout(numpy_engine, layout, tile_px=32,
+                                           guard_px=8)
+        result = cached.image_layout(layout, tile_px=32, guard_px=8,
+                                     batch_tiles=4)
+        np.testing.assert_array_equal(reference.aerial, result.aerial)
+        np.testing.assert_array_equal(reference.resist, result.resist)
+        stats = fakegpu.transfer_stats
+        assert cache.stats.hits > 0 and cache.stats.misses > 4
+        assert stats.downloads >= 2          # several staged batches ...
+        assert stats.uploads == stats.downloads + 1
+        assert stats.host_buffer_allocations == 1  # ... through ONE buffer
 
     def test_streaming_download_bytes_match_aerial_payload(self, fakegpu):
         _, fake_engine = make_engines()

@@ -62,8 +62,8 @@ class TestClassification:
             assert gate._classify(key, absolute=True) is None
 
     def test_transfers_per_chunk_gated_lower_better(self):
-        assert gate._classify("transfers_per_chunk", absolute=False) == \
-            (False, True, 1.0)
+        for key in ("transfers_per_chunk", "warm_share"):
+            assert gate._classify(key, absolute=False) == (False, True, 1.0)
 
     def test_transfer_count_growth_fails_the_gate(self, dirs):
         """A host detour raising transfers/chunk 2.0 -> 3.0 is a regression."""

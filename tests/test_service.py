@@ -156,6 +156,21 @@ class TestSharedKernelCache:
             assert stats["submitted"] > 0
 
 
+def durably_completed(store_dir):
+    """Conditions the store has marked complete (manifest + completion log).
+
+    Not a count of ``cond_*.npz`` files: a record exists a moment before its
+    completion-log line, and a kill landing in between leaves a file the
+    resume rightly recomputes.
+    """
+    from repro.sweep import CampaignStore
+
+    try:
+        return len(CampaignStore(store_dir).read_manifest()["completed"])
+    except FileNotFoundError:
+        return 0
+
+
 class TestKillAndResume:
     def test_sigkilled_server_recomputes_exactly_the_remainder(self,
                                                                tmp_path):
@@ -188,7 +203,7 @@ class TestKillAndResume:
             store_dir = os.path.join(data_dir, "campaigns", job["id"])
             deadline = time.monotonic() + 60
             while time.monotonic() < deadline:
-                if len(glob.glob(os.path.join(store_dir, "cond_*.npz"))) >= 1:
+                if durably_completed(store_dir) >= 1:
                     break
                 time.sleep(0.02)
             else:
@@ -197,8 +212,7 @@ class TestKillAndResume:
             proc.kill()  # SIGKILL: no atexit, no manifest consolidation
             proc.wait(timeout=10)
 
-        completed_before = len(glob.glob(os.path.join(store_dir,
-                                                      "cond_*.npz")))
+        completed_before = durably_completed(store_dir)
         assert 0 < completed_before  # the kill landed after >= 1 condition
 
         # Phase 2: restart over the same data dir; recovery must compute

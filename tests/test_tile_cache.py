@@ -11,7 +11,14 @@ Pinned guarantees:
 * all-zero tiles are served by the constant fast path without ever calling
   the imaging function,
 * ``extract_tile_batch`` writes every row of its ``np.empty`` allocation
-  (the satellite that dropped the ``np.zeros`` memset),
+  (the satellite that dropped the ``np.zeros`` memset) — and in digest mode
+  builds no stack at all: windows stay in the reader's dtype, empty ones are
+  ``None``,
+* each pixel moves once: geometry readers rasterise ``uint8`` windows equal
+  value-for-value to the float raster, only misses are stacked, an all-hit
+  batch allocates nothing tile-sized and its rows *are* the cache entries,
+* cache entries are owned read-only copies, so the LRU budget bounds memory,
+* the disk tier survives torn files and concurrent writers of one key,
 * ``window_is_empty`` agrees with ``read_window(...).any()`` on both bundled
   readers, including bucket-grid candidates that do not really intersect,
 * the disk tier round-trips imaged tiles to a fresh cache instance, and the
@@ -103,26 +110,35 @@ class TestExtractTileBatchDigests:
     LAYOUT[8:24, 8:24] = 1.0  # content only in the top-left tile
 
     def test_digest_mode_matches_plain_mode(self):
+        """Digest mode returns the same windows unstacked: ``None`` exactly
+        where the plain stack's row is all zero, else the row itself."""
         spec = TilingSpec(tile_px=32, guard_px=8)
         placements = plan_tiles(*self.LAYOUT.shape, spec)
         plain = extract_tile_batch(self.LAYOUT, placements, spec)
-        tiles, digests = extract_tile_batch(self.LAYOUT, placements, spec,
-                                            with_digests=True)
-        np.testing.assert_array_equal(tiles, plain)
-        assert len(digests) == len(tiles)
-        for tile, digest in zip(tiles, digests):
-            if tile.any():
-                assert digest == tile_digest(tile)
+        windows, digests = extract_tile_batch(self.LAYOUT, placements, spec,
+                                              with_digests=True)
+        assert isinstance(windows, list)
+        assert len(windows) == len(digests) == len(plain)
+        assert any(window is not None for window in windows)
+        for window, digest, row in zip(windows, digests, plain):
+            if row.any():
+                assert window.dtype == plain.dtype
+                np.testing.assert_array_equal(window, row)
+                assert digest == tile_digest(window) == tile_digest(row)
             else:
-                assert digest == ZERO_TILE_DIGEST
+                assert window is None and digest == ZERO_TILE_DIGEST
 
     def test_every_row_is_written(self, monkeypatch):
         """Pin the np.zeros -> np.empty switch: poison the allocation with
-        NaNs and require that extraction fully overwrites every row."""
+        NaNs and require that plain extraction fully overwrites every row —
+        and that digest mode allocates no tile stack in the first place."""
         real_empty = np.empty
+        stacks = []
 
         def poisoned_empty(shape, dtype=float, **kwargs):
             out = real_empty(shape, dtype=dtype, **kwargs)
+            if out.ndim == 3:
+                stacks.append(out.shape)
             if np.issubdtype(out.dtype, np.floating):
                 out.fill(np.nan)
             return out
@@ -130,11 +146,14 @@ class TestExtractTileBatchDigests:
         monkeypatch.setattr(np, "empty", poisoned_empty)
         spec = TilingSpec(tile_px=32, guard_px=8)
         placements = plan_tiles(*self.LAYOUT.shape, spec)
-        for with_digests in (False, True):
-            result = extract_tile_batch(self.LAYOUT, placements, spec,
-                                        with_digests=with_digests)
-            tiles = result[0] if with_digests else result
-            assert np.isfinite(tiles).all()
+        tiles = extract_tile_batch(self.LAYOUT, placements, spec)
+        assert np.isfinite(tiles).all()
+        assert stacks == [tiles.shape]
+        windows, _ = extract_tile_batch(self.LAYOUT, placements, spec,
+                                        with_digests=True)
+        assert stacks == [tiles.shape]  # nothing (N, tile, tile) was built
+        assert all(np.isfinite(window).all() for window in windows
+                   if window is not None)
 
     def test_reader_empty_windows_skip_rasterising(self):
         """A reader advertising window_is_empty never gets read_window calls
@@ -147,12 +166,19 @@ class TestExtractTileBatchDigests:
                                             real_read(*args))[1]
         spec = TilingSpec(tile_px=32, guard_px=0)
         placements = plan_tiles(*reader.shape, spec)
-        tiles, digests = extract_tile_batch(reader, placements, spec,
-                                            with_digests=True)
+        windows, digests = extract_tile_batch(reader, placements, spec,
+                                              with_digests=True)
         assert digests.count(ZERO_TILE_DIGEST) == len(placements) - 1
         assert len(reads) == 1  # only the one non-empty tile was rasterised
-        np.testing.assert_array_equal(
-            tiles, extract_tile_batch(reader, placements, spec))
+        assert [window is None for window in windows] == \
+            [digest == ZERO_TILE_DIGEST for digest in digests]
+        # The rasterised window is kept as the reader made it (uint8
+        # coverage); the uncached stack is the same pixels cast to float.
+        assert windows[0].dtype == np.uint8
+        plain = extract_tile_batch(reader, placements, spec)
+        assert plain.dtype == np.float64
+        np.testing.assert_array_equal(windows[0], plain[0])
+        assert not plain[1:].any()
 
 
 class TestWindowIsEmpty:
@@ -215,7 +241,7 @@ class TestTileResultCache:
         np.testing.assert_array_equal(out[3], 0.0)
         assert dataclasses.asdict(cache.stats) == {
             "tiles": 4, "hits": 1, "zero_hits": 1, "disk_loads": 0,
-            "misses": 2, "evictions": 0}
+            "misses": 2, "evictions": 0, "disk_errors": 0}
 
     def test_second_batch_is_served_entirely_from_memory(self):
         cache = TileResultCache()
@@ -239,13 +265,93 @@ class TestTileResultCache:
         assert cache.stats.zero_hits == 3 and len(cache) == 0
 
     def test_output_dtype_follows_precision_not_input(self):
+        """Every served row — imaged, duplicate, and the zero tile nothing
+        imaged — carries the context precision's dtype, whatever the
+        windows' dtype was."""
         cache = TileResultCache()
         tiles, digests = self.batch()
         context = dataclasses.replace(CONTEXT, precision="float32")
         out = cache.image_tile_batch(
             tiles, digests,
             lambda batch: (batch * 3.0).astype(np.float32), context)
-        assert out.dtype == np.float32
+        assert [row.dtype for row in out] == [np.float32] * 4
+        assert [row.shape for row in out] == [(4, 4)] * 4
+        assert np.stack(out).dtype == np.float32
+
+    def test_windows_may_be_an_unstacked_sequence_with_holes(self):
+        """The extractor's contract: a list in the reader's dtype, ``None``
+        at zero rows; only first-occurrence misses are stacked and cast."""
+        cache = TileResultCache()
+        tile_a = np.full((4, 4), 2, dtype=np.uint8)
+        tile_b = np.arange(16, dtype=np.uint8).reshape(4, 4)
+        windows = [tile_a, None, tile_b, tile_a.copy()]
+        digests = [tile_digest(tile_a), ZERO_TILE_DIGEST,
+                   tile_digest(tile_b), tile_digest(tile_a)]
+        image = counting(lambda batch: batch * 3.0)
+        out = cache.image_tile_batch(windows, digests, image, CONTEXT)
+        assert len(image.batches) == 1
+        assert image.batches[0].dtype == np.uint8
+        np.testing.assert_array_equal(image.batches[0],
+                                      np.stack([tile_a, tile_b]))
+        np.testing.assert_array_equal(
+            np.stack(out), np.stack([tile_a * 3.0, np.zeros((4, 4)),
+                                     tile_b * 3.0, tile_a * 3.0]))
+
+    def test_all_hit_batch_is_zero_copy(self):
+        """A warm batch never images, allocates nothing tile-stack-sized, and
+        hands back the cache's own (read-only) entries."""
+        import tracemalloc
+
+        side, count = 64, 8
+        context = dataclasses.replace(CONTEXT, tile_px=side)
+        rng = np.random.default_rng(5)
+        tiles = rng.random((count, side, side))
+        digests = [tile_digest(tile) for tile in tiles]
+        cache = TileResultCache()
+        cache.image_tile_batch(tiles, digests, lambda batch: batch * 3.0,
+                               context)
+
+        def refuse(batch):
+            raise AssertionError("an all-hit batch must not be imaged")
+
+        tracemalloc.start()
+        try:
+            out = cache.image_tile_batch(tiles, digests, refuse, context)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < tiles[0].nbytes  # not one tile, let alone (N, t, t)
+        entries = list(cache._memory.values())
+        for row, tile in zip(out, tiles):
+            assert any(np.shares_memory(row, entry) for entry in entries)
+            np.testing.assert_array_equal(row, tile * 3.0)
+        assert cache.stats.hits == count and cache.stats.misses == count
+
+    def test_eviction_frees_memory_and_entries_are_read_only(self):
+        """Regression: entries used to be row views of the imaged batch, so
+        evicting one freed nothing while the byte count said otherwise."""
+        tile_bytes = np.zeros((4, 4)).nbytes
+        cache = TileResultCache(max_bytes=2 * tile_bytes)
+        tiles = np.arange(5 * 16, dtype=float).reshape(5, 4, 4) + 1.0
+        digests = [tile_digest(tile) for tile in tiles]
+        out = cache.image_tile_batch(tiles, digests,
+                                     lambda batch: batch * 3.0, CONTEXT)
+        assert cache.stats.evictions == 3 and len(cache) == 2
+        survivors = list(cache._memory.values())
+        assert all(entry.base is None for entry in survivors)
+        assert not any(np.shares_memory(entry, row)
+                       for entry in survivors for row in out)
+        assert cache._memory_bytes == sum(entry.nbytes
+                                          for entry in survivors)
+        served = cache.image_tile_batch(tiles[-1:], digests[-1:],
+                                        lambda batch: batch * 3.0, CONTEXT)
+        np.testing.assert_array_equal(served[0], tiles[-1] * 3.0)
+        with pytest.raises(ValueError, match="read-only"):
+            served[0][0, 0] = 7.0
+        zero = cache.image_tile_batch([None], [ZERO_TILE_DIGEST],
+                                      lambda batch: batch, CONTEXT)
+        with pytest.raises(ValueError, match="read-only"):
+            zero[0][0, 0] = 7.0
 
     def test_lru_evicts_oldest_under_byte_budget(self):
         tile = np.zeros((4, 4))
@@ -287,6 +393,101 @@ class TestTileResultCache:
         assert len(cache) == 0 and cache.stats.tiles == 0
         cache.image_tile_batch(tiles, digests, lambda batch: batch, CONTEXT)
         assert cache.stats.disk_loads == 2
+
+    @pytest.mark.parametrize("damage", ["truncated", "empty", "garbage"])
+    def test_torn_disk_entry_is_a_counted_miss_and_is_overwritten(
+            self, tmp_path, damage):
+        tiles, digests = self.batch()
+        warm = TileResultCache(cache_dir=str(tmp_path))
+        expected = warm.image_tile_batch(tiles, digests,
+                                         lambda batch: batch * 3.0, CONTEXT)
+        files = sorted(tmp_path.glob("tiles-*.npz"))
+        assert len(files) == 2
+        intact = files[0].read_bytes()
+        files[0].write_bytes({"truncated": intact[:len(intact) // 2],
+                              "empty": b"",
+                              "garbage": b"not a zip archive"}[damage])
+        cold = TileResultCache(cache_dir=str(tmp_path))
+        image = counting(lambda batch: batch * 3.0)
+        out = cold.image_tile_batch(tiles, digests, image, CONTEXT)
+        np.testing.assert_array_equal(np.stack(out), np.stack(expected))
+        assert len(image.batches) == 1 and len(image.batches[0]) == 1
+        stats = cold.stats
+        assert stats.disk_errors == 1 and stats.misses == 1
+        assert stats.disk_loads == 1
+        assert stats.tiles == (stats.hits + stats.zero_hits
+                               + stats.disk_loads + stats.misses)
+        # The re-imaged tile replaced the torn file: a third cache reads it.
+        assert not list(tmp_path.glob("*.tmp"))
+        third = TileResultCache(cache_dir=str(tmp_path))
+        third.image_tile_batch(tiles, digests, image, CONTEXT)
+        assert len(image.batches) == 1 and third.stats.disk_errors == 0
+
+    def test_a_failed_write_leaves_the_old_file_and_no_debris(
+            self, tmp_path, monkeypatch):
+        """Both disk tiers publish through this: an interrupted write never
+        replaces — or tears — what readers can see."""
+        from repro.engine.cache import save_npz_atomically
+
+        path = tmp_path / "entry.npz"
+        save_npz_atomically(str(path), tile=np.ones((2, 2)))
+        before = path.read_bytes()
+
+        def torn(stream, **arrays):
+            stream.write(b"PK half a zip")
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(np, "savez_compressed", torn)
+        with pytest.raises(KeyboardInterrupt):
+            save_npz_atomically(str(path), tile=np.zeros((2, 2)))
+        assert path.read_bytes() == before
+        assert sorted(entry.name for entry in tmp_path.iterdir()) == \
+            ["entry.npz"]
+
+    def test_concurrent_writers_of_one_key_leave_one_readable_file(
+            self, tmp_path):
+        """Two threads miss on the same tile at once (the barrier sits inside
+        image_batch, after both look-ups): one entry, one intact file."""
+        import threading
+
+        side = 64
+        context = dataclasses.replace(CONTEXT, tile_px=side)
+        tile = np.random.default_rng(11).random((1, side, side))
+        digests = [tile_digest(tile[0])]
+        cache = TileResultCache(cache_dir=str(tmp_path))
+        barrier = threading.Barrier(2, timeout=30)
+        results, errors = [], []
+
+        def image(batch):
+            barrier.wait()
+            return batch * 3.0
+
+        def work():
+            try:
+                results.append(cache.image_tile_batch(tile, digests, image,
+                                                      context))
+            except BaseException as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and len(results) == 2
+        for out in results:
+            np.testing.assert_array_equal(out[0], tile[0] * 3.0)
+        stats = cache.stats
+        assert stats.misses == 2 and len(cache) == 1
+        assert stats.tiles == (stats.hits + stats.zero_hits
+                               + stats.disk_loads + stats.misses)
+        assert len(list(tmp_path.glob("tiles-*.npz"))) == 1
+        assert not list(tmp_path.glob("*.tmp"))
+        fresh = TileResultCache(cache_dir=str(tmp_path))
+        out = fresh.image_tile_batch(tile, digests, image, context)
+        np.testing.assert_array_equal(out[0], tile[0] * 3.0)
+        assert fresh.stats.disk_loads == 1 and fresh.stats.disk_errors == 0
 
     def test_validates_arguments(self):
         with pytest.raises(ValueError):
@@ -403,6 +604,126 @@ class TestCachedImagingBitForBit:
         np.testing.assert_array_equal(result.resist, reference.resist)
         assert cache.stats.tiles == reference.num_tiles
         assert cache.stats.misses < cache.stats.tiles  # zero tiles dedup
+
+
+def _geometry_case():
+    """(reader, float64 raster by the independent dense rasteriser)."""
+    from repro.masks.layout import Layout
+
+    rng = np.random.default_rng(0)
+    layout = Layout(extent_nm=768.0)
+    for _ in range(60):
+        x, y = rng.uniform(0, 700, 2)
+        w, h = rng.uniform(16, 90, 2)
+        layout.add("m1", Rect(float(x), float(y), float(w), float(h)))
+    return (GeometryLayoutReader.from_layout(layout, shape=(96, 96)),
+            layout.rasterize("m1", 96))
+
+
+def _hierarchy_case():
+    import os
+
+    from repro.layout import load_layout_file
+    from repro.masks.geometry import rasterize
+
+    reader = load_layout_file(
+        os.path.join(os.path.dirname(__file__), "data", "hier4.gds"),
+        pixel_size_nm=8.0)
+    rects = [rect for layer in reader.flatten_shapes().values()
+             for rect in layer]
+    return reader, rasterize(rects, reader.shape[0], 8.0)
+
+
+READER_CASES = {"geometry": _geometry_case, "hierarchy": _hierarchy_case}
+
+
+@pytest.fixture(scope="module", params=sorted(READER_CASES))
+def reader_case(request):
+    return READER_CASES[request.param]()
+
+
+class TestCompactWindows:
+    """Geometry readers rasterise uint8 coverage; nothing downstream moves."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(row=st.integers(-140, 140), col=st.integers(-140, 140),
+           height=st.integers(1, 48), width=st.integers(1, 48))
+    def test_uint8_windows_equal_the_float64_windows(self, reader_case, row,
+                                                     col, height, width):
+        """In bounds, straddling the edge or fully outside: the window is
+        value-for-value the float64 window cut from the dense raster."""
+        reader, dense = reader_case
+        window = reader.read_window(row, col, height, width)
+        expected = ArrayLayoutReader(dense).read_window(row, col, height,
+                                                        width)
+        assert window.dtype == np.uint8 and expected.dtype == np.float64
+        assert window.shape == expected.shape
+        np.testing.assert_array_equal(window, expected)
+        np.testing.assert_array_equal(window.astype(np.float64), expected)
+        assert reader.window_is_empty(row, col, height, width) == \
+            (not expected.any())
+
+    @pytest.mark.parametrize("backend,precision", [
+        ("numpy", "float64"),
+        ("numpy", "float32"),
+        ("scipy", "float64"),
+        ("scipy", "float32"),
+    ])
+    def test_images_to_the_identical_aerial(self, reader_case, tmp_path,
+                                            backend, precision):
+        """{serial, 2 workers} x {cache on, off}: the reader images bit for
+        bit the dense float64 raster's uncached reference."""
+        from repro.engine import EngineSpec
+
+        if backend == "scipy":
+            pytest.importorskip("scipy.fft")
+        reader, dense = reader_case
+        plain, _ = engine_pair(backend, precision)
+        reference = reference_image_layout(plain, dense, tile_px=32,
+                                           guard_px=8)
+        spec = EngineSpec(config=CONFIG, source=SOURCE, fft_backend=backend,
+                          precision=precision)
+        for workers in (1, 2):
+            for cache in (None, TileResultCache()):
+                with ShardedExecutor(num_workers=workers,
+                                     cache_dir=str(tmp_path),
+                                     tile_cache=cache) as executor:
+                    result = executor.image_layout(spec, reader, guard_px=8)
+                    np.testing.assert_array_equal(result.aerial,
+                                                  reference.aerial)
+                    np.testing.assert_array_equal(result.resist,
+                                                  reference.resist)
+                    assert result.aerial.dtype == reference.aerial.dtype
+                    if cache is not None:
+                        assert cache.stats.tiles == reference.num_tiles
+                        cold_misses = cache.stats.misses
+                        # A second, all-hit pass is still the same image.
+                        warm = executor.image_layout(spec, reader,
+                                                     guard_px=8)
+                        np.testing.assert_array_equal(warm.aerial,
+                                                      reference.aerial)
+                        assert cache.stats.misses == cold_misses
+
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    def test_greyscale_raster_through_the_cache_is_unchanged(self,
+                                                             precision):
+        """A dense float raster (not just 0/1) keys and images as before."""
+        rng = np.random.default_rng(21)
+        cell = rng.random((32, 32))
+        layout = np.tile(cell, (2, 3))
+        layout[40:56, 10:70] = rng.random((16, 60))  # break some repeats
+        plain, cached = engine_pair("numpy", precision)
+        cached.tile_cache.clear()
+        reference = reference_image_layout(plain, layout, tile_px=32,
+                                           guard_px=0)
+        for batch_tiles in (None, 2):
+            result = cached.image_layout(layout, tile_px=32, guard_px=0,
+                                         batch_tiles=batch_tiles)
+            np.testing.assert_array_equal(result.aerial, reference.aerial)
+            np.testing.assert_array_equal(result.resist, reference.resist)
+        stats = cached.tile_cache.stats
+        assert stats.tiles == 12 and 0 < stats.misses < 6
+        assert stats.zero_hits == 0
 
 
 class TestSweepIntegration:

@@ -307,6 +307,47 @@ def test_pyfftw_plan_cache(record_output, record_json):
     record_output("backend_pyfftw", report)
 
 
+def test_pyfftw_plans_are_per_thread():
+    """Worker threads share one backend instance: a planned FFTW object owns
+    its input / output buffers, so each thread must execute its own plan.
+    Two threads x 200 same-shape transforms, every result equal to numpy's."""
+    pytest.importorskip("pyfftw")
+    import sys
+    import threading
+
+    from repro.backend import register_pyfftw_backend
+    from repro.backend.fft import _REGISTRY
+
+    register_pyfftw_backend()
+    backend = _REGISTRY["pyfftw"](1)
+    rng = np.random.default_rng(8)
+    inputs = [rng.standard_normal((4, 64, 64)) for _ in range(2)]
+    expected = [np.fft.rfft2(array) for array in inputs]
+    wrong = []
+
+    def transform(index):
+        for _ in range(200):
+            result = backend.rfft2(inputs[index])
+            if not np.allclose(result, expected[index], rtol=1e-10,
+                               atol=1e-10):
+                wrong.append(index)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=transform, args=(index,))
+                   for index in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
+    assert backend.plan_stats.misses == 2  # one plan per thread, planned once
+
+
 def test_env_selected_backend(record_output, record_json):
     """Smoke the environment-driven selection path end to end.
 

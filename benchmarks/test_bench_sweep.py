@@ -4,11 +4,11 @@ Tracks the two wins of the sweep subsystem:
 
 * **TCC / kernel-bank economy**: an ``F x D`` focus-exposure campaign builds
   exactly ``F`` kernel banks (dose never touches the optics), and the banks
-  persist in the shared cache dir so worker processes load ``.npz`` files
-  (~2 ms) instead of re-running the TCC accumulation + eigendecomposition
+  persist in the cache dir so a later run loads ``.npz`` files (~2 ms)
+  instead of re-running the TCC accumulation + eigendecomposition
   (~0.6 s at 256 px).
-* **Multiprocess sharding**: tile batches split across worker processes with
-  a bit-for-bit identical stitch.  The wall-clock speedup is asserted only
+* **Sharding**: tile batches split across worker threads with a bit-for-bit
+  identical stitch.  The wall-clock speedup is asserted only
   when the machine actually has more than one CPU; the equality guarantee is
   asserted everywhere.
 """
@@ -56,8 +56,7 @@ def test_sharded_sweep_speedup(record_output, record_json, tmp_path):
                                            executor=sharded_executor)
 
         # Warm outside the timed region: banks are decomposed once per focus
-        # and persisted, the pool is spun up, and every worker loads its
-        # banks from disk on its first shard.
+        # and persisted, and the worker threads are started.
         warm_start = time.perf_counter()
         for focus in GRID.focus_values_nm:
             serial_sweep.engine_for_focus(focus)

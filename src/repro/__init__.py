@@ -12,7 +12,7 @@ Subpackages
 ``repro.engine``
     Unified execution layer: vectorised batched imaging, the process-wide
     kernel-bank cache, guard-banded large-layout tiling, out-of-core
-    streaming and multiprocess sharding.
+    streaming and sharding over worker threads.
 ``repro.layout``
     Windowed layout readers: rasterise arbitrary windows of dense rasters
     or bucket-grid indexed geometry (JSON / GDSII-text files) on demand.

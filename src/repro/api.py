@@ -71,7 +71,7 @@ def image_layout(layout, optics: Optional[OpticsConfig] = None, *,
 
     Returns the engine's :class:`~repro.engine.execution.LayoutImage`
     (aerial + resist + tiling metadata).  ``num_workers > 1`` shards tile
-    batches over a process pool; either way results are bit-for-bit the
+    batches over worker threads; either way results are bit-for-bit the
     serial output.
     """
     optics = optics or OpticsConfig()
@@ -100,7 +100,6 @@ def sweep_window(layout, optics: Optional[OpticsConfig] = None, *,
                  store: Optional[str] = None,
                  resume: bool = True,
                  keep_aerials: bool = False,
-                 streaming: bool = False,
                  num_workers: int = 1,
                  cache_dir: Optional[str] = None) -> SweepOutcome:
     """Run a focus-exposure campaign over a layout (array or file path).
@@ -122,7 +121,7 @@ def sweep_window(layout, optics: Optional[OpticsConfig] = None, *,
         return sweep.run(layout, target_cd_nm=target_cd_nm, grid=grid,
                          tolerance=tolerance, tile_px=tile_px,
                          guard_px=guard_px, keep_aerials=keep_aerials,
-                         store=store, resume=resume, streaming=streaming)
+                         store=store, resume=resume)
     finally:
         executor.close()
 

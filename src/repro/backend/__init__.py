@@ -23,7 +23,7 @@ owns two orthogonal policies that the whole engine stack
   float32 once a kernel bank's own truncation error provably dominates the
   dtype error (measured once per bank).
 
-Both policies (plus the tile-cache and scheduler switches) bundle into one
+Both policies (plus the tile-cache switch) bundle into one
 serialisable :class:`ComputeConfig` (see :mod:`repro.backend.config`) — the
 ``compute=`` argument every engine-stack constructor accepts, and the JSON
 object campaign-service requests carry.  Names travel only there; the
@@ -95,7 +95,6 @@ from .array_module import (
     register_cupy_backend,
 )
 from .config import (
-    SCHEDULER_ENV_VAR,
     TILE_CACHE_DIR_ENV_VAR,
     TILE_CACHE_ENV_VAR,
     ComputeConfig,
@@ -125,5 +124,5 @@ __all__ = [
     "available_precisions", "PRECISION_ENV_VAR",
     "AUTO_PRECISION", "is_auto_precision", "autotune_precision",
     "ComputeConfig",
-    "TILE_CACHE_ENV_VAR", "TILE_CACHE_DIR_ENV_VAR", "SCHEDULER_ENV_VAR",
+    "TILE_CACHE_ENV_VAR", "TILE_CACHE_DIR_ENV_VAR",
 ]

@@ -40,7 +40,8 @@ residency saves).
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
@@ -56,7 +57,9 @@ class TransferStats:
     host array, one per ``to_host`` of a device array), the ``*_bytes``
     fields their payload sizes, and ``host_buffer_allocations`` how many
     staging buffers :meth:`ArrayModule.empty_host` handed out — the pinned
-    -buffer reuse tests pin this at one per stream.
+    -buffer reuse tests pin this at one per stream.  Increments take a lock:
+    the worker threads of a sharded batch share one module, and the
+    one-upload-one-download-per-chunk pins must hold there too.
     """
 
     uploads: int = 0
@@ -64,14 +67,22 @@ class TransferStats:
     upload_bytes: int = 0
     download_bytes: int = 0
     host_buffer_allocations: int = 0
+    _lock: threading.Lock = field(default_factory=threading.Lock,
+                                  repr=False, compare=False)
 
     def count_upload(self, nbytes: int) -> None:
-        self.uploads += 1
-        self.upload_bytes += int(nbytes)
+        with self._lock:
+            self.uploads += 1
+            self.upload_bytes += int(nbytes)
 
     def count_download(self, nbytes: int) -> None:
-        self.downloads += 1
-        self.download_bytes += int(nbytes)
+        with self._lock:
+            self.downloads += 1
+            self.download_bytes += int(nbytes)
+
+    def count_host_buffer(self) -> None:
+        with self._lock:
+            self.host_buffer_allocations += 1
 
     def reset(self) -> None:
         self.uploads = self.downloads = 0
@@ -128,7 +139,7 @@ class ArrayModule(FFTBackend):
         memory on CUDA so device->host copies run at full PCIe bandwidth.
         Allocations are counted so buffer *reuse* is testable.
         """
-        self.transfer_stats.host_buffer_allocations += 1
+        self.transfer_stats.count_host_buffer()
         return np.empty(shape, dtype=dtype)
 
     def host_view(self) -> "HostArrayModule":
@@ -556,7 +567,7 @@ def register_cupy_backend() -> None:
             return out
 
         def empty_host(self, shape, dtype) -> np.ndarray:
-            self.transfer_stats.host_buffer_allocations += 1
+            self.transfer_stats.count_host_buffer()
             dtype = np.dtype(dtype)
             nbytes = int(np.prod(shape)) * dtype.itemsize
             if nbytes == 0:

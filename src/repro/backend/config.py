@@ -1,8 +1,8 @@
 """The unified, serialisable compute policy: :class:`ComputeConfig`.
 
 Historically the compute-policy knobs — ``fft_backend``, ``fft_workers``,
-``precision``, ``tile_cache``, ``scheduler`` — were threaded as five loose
-keyword arguments through :class:`~repro.engine.ExecutionEngine`,
+``precision``, ``tile_cache`` — were threaded as loose keyword arguments
+through :class:`~repro.engine.ExecutionEngine`,
 :class:`~repro.engine.EngineSpec`, :class:`~repro.engine.ShardedExecutor`,
 :class:`~repro.sweep.ProcessWindowSweep` and every CLI subcommand.  A
 campaign *service* request needs that policy to be one serialisable object:
@@ -12,14 +12,13 @@ campaign *service* request needs that policy to be one serialisable object:
   requests and stored campaign manifests can carry it,
 * reads the same environment variables the loose kwargs honoured
   (:meth:`from_env`: ``REPRO_FFT_BACKEND``, ``REPRO_FFT_WORKERS``,
-  ``REPRO_PRECISION``, ``REPRO_TILE_CACHE``, ``REPRO_SCHEDULER``), and
+  ``REPRO_PRECISION``, ``REPRO_TILE_CACHE``), and
 * normalises names to concrete choices (:meth:`resolve`) — e.g.
   ``fft_backend=None`` becomes the ``auto``-resolved backend's name — so a
   config can be pinned into a manifest and reproduced later.
 
 Every field defaults to ``None`` = "consumer decides", which preserves each
-consumer's historical default (engines consult the environment, the executor
-defaults to the ``pool`` scheduler, the CLI's imaging path to ``serial``).
+consumer's historical default (engines consult the environment).
 """
 
 from __future__ import annotations
@@ -40,13 +39,11 @@ from .precision import (
 
 TILE_CACHE_ENV_VAR = "REPRO_TILE_CACHE"
 TILE_CACHE_DIR_ENV_VAR = "REPRO_TILE_CACHE_DIR"
-SCHEDULER_ENV_VAR = "REPRO_SCHEDULER"
 
 #: The JSON field names, in canonical order.  ``from_json`` rejects anything
 #: else loudly — a misspelled knob in a service request must not silently
 #: fall back to defaults.
-_FIELDS = ("fft_backend", "fft_workers", "precision", "tile_cache",
-           "scheduler")
+_FIELDS = ("fft_backend", "fft_workers", "precision", "tile_cache")
 
 _FALSY = {"0", "false", "no", "off"}
 
@@ -74,15 +71,14 @@ class ComputeConfig:
     its historical default (usually: consult the environment).  Fields hold
     *names*, never live objects, so a config pickles, JSON-serialises and
     crosses process / HTTP boundaries; places that accept rich instances
-    (an :class:`~repro.backend.FFTBackend`, a ``TileResultCache``, a wired
-    ``Scheduler``) keep accepting them as before, outside the config.
+    (an :class:`~repro.backend.FFTBackend`, a ``TileResultCache``) keep
+    accepting them as before, outside the config.
     """
 
     fft_backend: Optional[str] = None
     fft_workers: Optional[int] = None
     precision: Optional[str] = None
     tile_cache: Optional[bool] = None
-    scheduler: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.fft_backend is not None and not isinstance(self.fft_backend, str):
@@ -109,11 +105,6 @@ class ComputeConfig:
                 f"tile_cache must be True, False or None in a ComputeConfig, "
                 f"got {self.tile_cache!r}; pass TileResultCache instances "
                 f"directly to the consumer")
-        if self.scheduler is not None and not isinstance(self.scheduler, str):
-            raise TypeError(
-                f"scheduler must be a scheduler name or None, got "
-                f"{self.scheduler!r}; pass Scheduler instances directly to "
-                f"the consumer")
 
     # ------------------------------------------------------------------ #
     # construction
@@ -123,9 +114,8 @@ class ComputeConfig:
         """The policy the environment variables express (unset = ``None``).
 
         Reads exactly the variables the loose kwargs honoured:
-        ``REPRO_FFT_BACKEND``, ``REPRO_FFT_WORKERS``, ``REPRO_PRECISION``,
-        ``REPRO_TILE_CACHE`` (+ ``REPRO_TILE_CACHE_DIR`` implying on) and
-        ``REPRO_SCHEDULER``.
+        ``REPRO_FFT_BACKEND``, ``REPRO_FFT_WORKERS``, ``REPRO_PRECISION``
+        and ``REPRO_TILE_CACHE`` (+ ``REPRO_TILE_CACHE_DIR`` implying on).
         """
         workers = os.environ.get(FFT_WORKERS_ENV_VAR)
         return cls(
@@ -133,7 +123,6 @@ class ComputeConfig:
             fft_workers=int(workers) if workers else None,
             precision=os.environ.get(PRECISION_ENV_VAR) or None,
             tile_cache=_env_tile_cache_flag(),
-            scheduler=os.environ.get(SCHEDULER_ENV_VAR) or None,
         )
 
     @classmethod
@@ -185,9 +174,7 @@ class ComputeConfig:
         ``precision`` becomes a concrete policy name, except the deferred
         ``auto`` spelling which survives (it needs a kernel bank and is
         resolved by the engines); ``tile_cache`` consults the environment
-        when unset; ``scheduler``, when named, is validated against the
-        registry (and left ``None`` = consumer default otherwise).  The
-        result is what a campaign manifest should pin.
+        when unset.  The result is what a campaign manifest should pin.
         """
         backend = get_backend(self.fft_backend, workers=self.fft_workers)
         if self.precision is None or is_auto_precision(self.precision):
@@ -198,20 +185,10 @@ class ComputeConfig:
         tile_cache = self.tile_cache
         if tile_cache is None:
             tile_cache = _env_tile_cache_flag()
-        scheduler = self.scheduler
-        if scheduler is not None:
-            # Lazy import: repro.engine imports repro.backend at module load,
-            # so the reverse edge must stay runtime-only.
-            from ..engine.scheduler import SCHEDULERS
-            if scheduler not in SCHEDULERS:
-                raise ValueError(
-                    f"unknown scheduler {scheduler!r}; registered "
-                    f"schedulers: {', '.join(sorted(SCHEDULERS))}")
         return ComputeConfig(fft_backend=backend.name,
                              fft_workers=self.fft_workers,
                              precision=precision,
-                             tile_cache=tile_cache,
-                             scheduler=scheduler)
+                             tile_cache=tile_cache)
 
     def replace(self, **changes: Any) -> "ComputeConfig":
         """A copy with the named fields replaced (dataclasses.replace)."""

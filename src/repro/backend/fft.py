@@ -35,6 +35,7 @@ module registered there proves residency on CI without hardware.
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
@@ -81,7 +82,7 @@ def available_cpus() -> int:
     """CPUs actually available to this process (affinity-aware).
 
     The single source of the platform probe: FFT thread defaults here and
-    process-worker defaults in :mod:`repro.engine.sharded` both delegate to
+    worker-thread defaults in :mod:`repro.engine.sharded` both delegate to
     it.
     """
     try:
@@ -303,16 +304,23 @@ def register_pyfftw_backend() -> None:
 
         def __init__(self, workers: Optional[int] = None):
             self.workers = workers if workers else default_fft_workers()
-            #: (kind, shape, dtype, s) -> planned FFTW object.  Unbounded on
-            #: purpose: the engine's chunk shapes are a handful per run, and
-            #: a plan is exactly what we never want to re-measure.
-            self._plans: Dict[Tuple, object] = {}
+            #: Per thread: (kind, shape, dtype, s) -> planned FFTW object.
+            #: A plan owns its input / output buffers, so two worker threads
+            #: executing one plan would transform each other's data.
+            #: Unbounded on purpose: the engine's chunk shapes are a handful
+            #: per run, and a plan is exactly what we never want to
+            #: re-measure.
+            self._local = threading.local()
             self.plan_stats = PlanCacheStats()
 
         def _plan(self, kind: str, array: np.ndarray,
                   s: Optional[Tuple[int, int]] = None):
+            try:
+                plans = self._local.plans
+            except AttributeError:
+                plans = self._local.plans = {}
             key = (kind, array.shape, array.dtype.str, s)
-            plan = self._plans.get(key)
+            plan = plans.get(key)
             if plan is None:
                 self.plan_stats.misses += 1
                 builder = getattr(fftw_builders, kind)
@@ -325,7 +333,7 @@ def register_pyfftw_backend() -> None:
                     # uniformly for every transform kind.
                     kwargs["normalise_idft"] = False
                 plan = builder(array, **kwargs)
-                self._plans[key] = plan
+                plans[key] = plan
             else:
                 self.plan_stats.hits += 1
             return plan

@@ -15,7 +15,7 @@ Subcommands cover the typical library workflow without writing any Python:
   memmaps,
 * ``sweep-window`` — run a focus x dose process-window qualification campaign
   over an arbitrary layout through the sweep layer, sharded across worker
-  processes, and print the focus-exposure matrix + window summary;
+  threads, and print the focus-exposure matrix + window summary;
   ``--store DIR`` persists every condition to a resumable campaign store
   (``--resume`` continues a killed campaign, computing only the remainder),
 * ``campaign-report`` — render a stored campaign (CD table, process-window
@@ -157,7 +157,7 @@ def _layout_from_args(arguments):
 def command_image_layout(arguments) -> int:
     import time
 
-    from .engine import EngineSpec, ShardedExecutor
+    from .engine import EngineSpec, ShardedExecutor, available_workers
     from .optics.source import make_source
 
     if not arguments.output and not arguments.out:
@@ -169,14 +169,9 @@ def command_image_layout(arguments) -> int:
                           pixel_size_nm=arguments.pixel_size_nm)
     source = make_source(arguments.source) if arguments.source else None
     compute = _compute_from_args(arguments)
-    scheduler = (compute.scheduler
-                 or os.environ.get("REPRO_SCHEDULER", "") or "serial")
     spec = EngineSpec(config=config, source=source, compute=compute)
-    # serial is sharding with one shard: a single in-process worker; pool /
-    # stealing / service shard the tile batches over the available CPUs
-    # (bit-for-bit the serial output).
-    with ShardedExecutor(num_workers=1 if scheduler == "serial" else None,
-                         scheduler=scheduler, compute=compute) as executor:
+    with ShardedExecutor(num_workers=arguments.workers or available_workers(),
+                         compute=compute) as executor:
         engine = executor.warm(spec)
         start = time.perf_counter()
         result = executor.image_layout(
@@ -225,11 +220,11 @@ def _parse_float_list(text: str, option: str) -> List[float]:
 
 
 def command_sweep_window(arguments) -> int:
-    import shutil
-    import tempfile
+    import time
 
-    from .engine import available_workers
-    from .sweep import FocusExposureGrid
+    from .engine import ShardedExecutor, available_workers
+    from .optics.source import make_source
+    from .sweep import FocusExposureGrid, ProcessWindowSweep
 
     grid = FocusExposureGrid.from_sequences(
         _parse_float_list(arguments.focus, "--focus"),
@@ -237,28 +232,6 @@ def command_sweep_window(arguments) -> int:
     num_workers = arguments.workers or available_workers()
     cache_dir = (arguments.cache_dir or
                  os.environ.get("REPRO_KERNEL_CACHE_DIR") or None)
-    temp_cache_dir = None
-    if cache_dir is None and num_workers > 1:
-        # Without a shared cache dir every worker would re-eigendecompose
-        # each focus bank inside the timed campaign (the parent's in-memory
-        # warm-up cannot reach spawned workers).  Minted per run, removed
-        # on the way out.
-        cache_dir = temp_cache_dir = tempfile.mkdtemp(prefix="repro-kernel-cache-")
-    try:
-        return _run_sweep_window(arguments, grid, num_workers, cache_dir)
-    finally:
-        if temp_cache_dir is not None:
-            shutil.rmtree(temp_cache_dir, ignore_errors=True)
-
-
-def _run_sweep_window(arguments, grid, num_workers: int,
-                      cache_dir: Optional[str]) -> int:
-    import time
-
-    from .engine import ShardedExecutor
-    from .optics.source import make_source
-    from .sweep import ProcessWindowSweep
-
     mask = _layout_from_args(arguments)
     config = OpticsConfig(tile_size_px=arguments.tile_size,
                           pixel_size_nm=arguments.pixel_size_nm)
@@ -269,17 +242,11 @@ def _run_sweep_window(arguments, grid, num_workers: int,
         sweep = ProcessWindowSweep(config, source=source, executor=executor,
                                    compute=compute)
 
-        # Build (or disk-load) the per-focus kernel banks and spin the worker
-        # pool up before the timed campaign so the reported time — and any
-        # --compare-serial speedup — measures imaging, not one-off bank
-        # decomposition, pool startup or per-worker warm-up.
+        # Build (or disk-load) the per-focus kernel banks before the timed
+        # campaign so the reported time — and any --compare-serial speedup —
+        # measures imaging, not one-off bank decomposition.
         for focus in grid.focus_values_nm:
             sweep.engine_for_focus(focus)
-        if executor.num_workers > 1:
-            executor.aerial_batch(
-                sweep.spec_for_focus(grid.focus_values_nm[0]),
-                np.zeros((executor.num_workers, arguments.tile_size,
-                          arguments.tile_size)))
 
         from .sweep import CampaignIdentityError, CampaignStore
 
@@ -293,8 +260,7 @@ def _run_sweep_window(arguments, grid, num_workers: int,
                                     arguments.store,
                                     store_aerials=arguments.store_aerials)
                                 if arguments.store else None,
-                                resume=arguments.resume,
-                                streaming=arguments.streaming)
+                                resume=arguments.resume)
         except CampaignIdentityError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -326,7 +292,7 @@ def _run_sweep_window(arguments, grid, num_workers: int,
             config, source=source,
             executor=ShardedExecutor(num_workers=1, cache_dir=cache_dir,
                                      tile_cache=False),
-            compute=compute.replace(tile_cache=None, scheduler=None))
+            compute=compute.replace(tile_cache=None))
         serial_start = time.perf_counter()
         serial_outcome = serial_sweep.run(
             mask, target_cd_nm=arguments.target_cd or None, grid=grid,
@@ -446,17 +412,6 @@ def _add_compute_options(parser: argparse.ArgumentParser) -> None:
                              "REPRO_TILE_CACHE_DIR is set, else off; "
                              "REPRO_TILE_CACHE_DIR adds a disk tier that "
                              "persists across runs")
-    parser.add_argument("--scheduler", default="",
-                        choices=("", "serial", "pool", "stealing", "service"),
-                        help="task scheduler for (condition, shard) work: "
-                             "serial (in-process), pool (one task per shard "
-                             "over the worker pool), stealing (finer "
-                             "sub-tasks + parent-side work stealing across "
-                             "uneven shards), service (the campaign "
-                             "service's shared thread queue); output is "
-                             "bit-for-bit identical under all of them "
-                             "(default: REPRO_SCHEDULER, else serial for "
-                             "image-layout and pool for sweep-window)")
     parser.add_argument("--compute-config", default="",
                         help="whole compute policy as ComputeConfig JSON "
                              "(inline, or @file.json to read a file), e.g. "
@@ -488,8 +443,6 @@ def _compute_from_args(arguments):
         overrides["precision"] = arguments.precision
     if arguments.tile_cache is not None:
         overrides["tile_cache"] = arguments.tile_cache
-    if arguments.scheduler:
-        overrides["scheduler"] = arguments.scheduler
     return compute.replace(**overrides) if overrides else compute
 
 
@@ -560,15 +513,13 @@ def build_parser() -> argparse.ArgumentParser:
                                    "default: the engine's annular source")
     image_layout.add_argument("--output", default="",
                               help="output .npz path (this and/or --out)")
-    image_layout.add_argument("--streaming", action="store_true",
-                              help="accepted for compatibility and ignored: "
-                                   "every layout runs through the one "
-                                   "batch-by-batch pipeline (geometry inputs "
-                                   "and --out bound RAM at one tile batch)")
     image_layout.add_argument("--out", default="",
                               help="stream the stitched aerial/resist into .npy "
                                    "memmaps under this directory in bounded "
                                    "tile batches (see repro.engine.streaming)")
+    image_layout.add_argument("--workers", type=int, default=1,
+                              help="worker threads for tile sharding; 0 = all "
+                                   "available CPUs, 1 = serial (the default)")
     _add_compute_options(image_layout)
     image_layout.set_defaults(handler=command_image_layout)
 
@@ -584,8 +535,8 @@ def build_parser() -> argparse.ArgumentParser:
                "  repro sweep-window --store campaign_dir --output window.npz\n"
                "  # killed mid-campaign?  resume computes only the remainder\n"
                "  repro sweep-window --store campaign_dir --resume --output window.npz\n"
-               "  # out-of-core imaging for layouts that do not fit in RAM\n"
-               "  repro sweep-window --streaming --store campaign_dir --input huge.npy\n")
+               "  # a layout larger than RAM images in bounded tile batches\n"
+               "  repro sweep-window --store campaign_dir --input huge.npy\n")
     _add_common(sweep)
     sweep.add_argument("--input",
                        help="load a layout instead of synthesizing one: a "
@@ -621,10 +572,11 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--tolerance", type=float, default=0.1,
                        help="relative CD tolerance defining the window")
     sweep.add_argument("--workers", type=int, default=0,
-                       help="worker processes for tile sharding; 0 = all "
+                       help="worker threads for tile sharding; 0 = all "
                             "available CPUs, 1 = serial")
     sweep.add_argument("--cache-dir", default="",
-                       help="kernel-bank cache directory shared with the workers "
+                       help="kernel-bank cache directory: decomposed banks "
+                            "persist here across runs "
                             "(default: REPRO_KERNEL_CACHE_DIR)")
     sweep.add_argument("--compare-serial", action="store_true",
                        help="re-run serially and report the sharded speedup "
@@ -641,9 +593,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also persist each focus's stitched aerial into "
                             "--store as an .npy memmap (rendered by "
                             "campaign-report --thumbnail-width/--thumbnails)")
-    sweep.add_argument("--streaming", action="store_true",
-                       help="image each focus out-of-core (bounded tile "
-                            "batches, incremental stitch)")
     sweep.add_argument("--output", default="",
                        help="optional output .npz for the focus-exposure matrix")
     _add_compute_options(sweep)
@@ -704,8 +653,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8765,
                        help="TCP port; 0 lets the OS pick one")
     serve.add_argument("--queue-workers", type=int, default=0,
-                       help="threads in the shared imaging-task queue all "
-                            "campaigns drain through; 0 = all available CPUs")
+                       help="worker threads every campaign's tile shards "
+                            "run on; 0 = all available CPUs")
     serve.add_argument("--campaign-workers", type=int, default=2,
                        help="how many campaigns may orchestrate concurrently")
     serve.set_defaults(handler=command_serve)

@@ -19,16 +19,11 @@ throughput benchmarks — runs through this package:
   stage, batched imaging, incremental stitch into (optionally memmapped)
   outputs — one batch for a dense raster, O(tile-batch) RAM for readers and
   ``out_dir`` runs, bit-for-bit the same result whatever the batch size,
-* :mod:`repro.engine.sharded` — multiprocess sharding of tile batches
-  (:class:`ShardedExecutor`), with workers warmed from the disk-backed
-  kernel cache, a deterministic bit-identical stitch order, and
-  (condition, shard) campaign scheduling over one shared pool
-  (:meth:`ShardedExecutor.run_conditions`),
-* :mod:`repro.engine.scheduler` — the condition-level task scheduling seam
-  (:class:`Scheduler` / :class:`TaskSpec`): serial, pool and work-stealing
-  implementations (selected via ``scheduler=`` / ``REPRO_SCHEDULER``), plus
-  the :class:`FaultInjectingScheduler` chaos wrapper CI uses to prove the
-  bit-for-bit-or-serial-fallback guarantee under induced failure, and
+* :mod:`repro.engine.sharded` — the one place tiles run in parallel:
+  :class:`ShardedExecutor` cuts a tile batch into contiguous shards, images
+  them on the threads of a :class:`WorkerPool` (its own, or one shared by
+  every campaign of the service) through one shared engine, and
+  concatenates in shard order — bit-for-bit the serial result, and
 * :mod:`repro.engine.tile_cache` — the content-addressed tile-result cache
   (:class:`TileResultCache`): each *unique* guard-banded tile content is
   imaged once per (kernel bank, backend, precision, geometry) and every
@@ -83,19 +78,13 @@ from .cache import (
     optics_fingerprint,
 )
 from .execution import ExecutionEngine, LayoutImage
-from .scheduler import (
+from .sharded import (
     DEFAULT_SCHEDULER,
-    SCHEDULERS,
-    FaultInjectingScheduler,
-    PoolScheduler,
-    Scheduler,
-    SerialScheduler,
-    StealingPoolScheduler,
-    TaskSpec,
-    faults_from_env,
-    resolve_scheduler,
+    EngineSpec,
+    ShardedExecutor,
+    WorkerPool,
+    available_workers,
 )
-from .sharded import EngineSpec, ShardedExecutor, available_workers
 from .streaming import (
     iter_tile_batches,
     open_layout_dir,
@@ -129,10 +118,8 @@ __all__ = [
     "CacheStats", "KernelBankCache", "configure_default_cache",
     "default_kernel_cache", "optics_fingerprint",
     "ExecutionEngine", "LayoutImage",
-    "DEFAULT_SCHEDULER", "SCHEDULERS", "Scheduler", "TaskSpec",
-    "SerialScheduler", "PoolScheduler", "StealingPoolScheduler",
-    "FaultInjectingScheduler", "faults_from_env", "resolve_scheduler",
-    "EngineSpec", "ShardedExecutor", "available_workers",
+    "DEFAULT_SCHEDULER", "EngineSpec", "ShardedExecutor", "WorkerPool",
+    "available_workers",
     "iter_tile_batches", "open_layout_dir", "stream_image_layout",
     "ZERO_TILE_DIGEST", "TileCacheContext", "TileCacheStats",
     "TileResultCache", "configure_default_tile_cache", "default_tile_cache",

@@ -25,7 +25,6 @@ learned Nitho kernels, anything of shape ``(r, n, m)`` — and provides:
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -48,7 +47,7 @@ from .batched import (
     batched_aerial_from_kernels,
     effective_chunk_tiles,
 )
-from .cache import KernelBankCache, default_kernel_cache
+from .cache import KernelBankCache, LockedLRU, default_kernel_cache
 from .streaming import stream_image_layout
 from .tile_cache import TileCacheContext, TileResultCache, resolve_tile_cache
 from .tiling import TilingSpec, default_guard_px, plan_tiles
@@ -67,8 +66,9 @@ DEVICE_BANK_LIMIT = 8
 #: device-side mirror of :class:`~repro.engine.cache.KernelBankCache`: keyed
 #: by content + device so every engine sharing a bank (and backend module)
 #: shares ONE upload — the transfer-count tests pin "bank uploaded once per
-#: fingerprint, not once per chunk or per batch".
-_DEVICE_BANKS: "OrderedDict[Tuple[str, str], object]" = OrderedDict()
+#: fingerprint, not once per chunk or per batch".  Locked: the worker threads
+#: of every executor in the process image through it concurrently.
+_DEVICE_BANKS = LockedLRU(DEVICE_BANK_LIMIT)
 
 
 def device_kernel_bank(module, fingerprint: str, kernels: np.ndarray):
@@ -79,16 +79,9 @@ def device_kernel_bank(module, fingerprint: str, kernels: np.ndarray):
     so distinct devices (or dtypes — the fingerprint hashes dtype + bytes)
     never share a bank.
     """
-    key = (fingerprint, f"{module.name}:{module.device}")
-    bank = _DEVICE_BANKS.get(key)
-    if bank is None:
-        bank = module.asarray(kernels)
-        _DEVICE_BANKS[key] = bank
-        while len(_DEVICE_BANKS) > DEVICE_BANK_LIMIT:
-            _DEVICE_BANKS.popitem(last=False)
-    else:
-        _DEVICE_BANKS.move_to_end(key)
-    return bank
+    return _DEVICE_BANKS.get_or_build(
+        (fingerprint, f"{module.name}:{module.device}"),
+        lambda: module.asarray(kernels))
 
 
 @dataclass(frozen=True)

@@ -146,8 +146,8 @@ class ProcessWindowAnalyzer:
 
     This is a thin facade over the sweep orchestration layer
     (:class:`repro.sweep.ProcessWindowSweep`), which adds per-focus kernel
-    caching, batched imaging, arbitrary-layout tiling and multiprocess
-    sharding on top of the same focus-exposure semantics.  One behavioural
+    caching, batched imaging, arbitrary-layout tiling and sharding over
+    worker threads on top of the same focus-exposure semantics.  One behavioural
     upgrade over the pre-sweep analyzer: when ``cd_row`` is ``None`` the
     measured row now tracks the widest feature printed at the nominal
     condition instead of blindly using the centre row, so off-centre

@@ -1,16 +1,15 @@
 """Campaign service: process-window campaigns over HTTP, stdlib only.
 
-Three layers, each usable on its own:
+Two layers, each usable on its own:
 
-* :mod:`repro.service.scheduler` — the shared imaging-task queue and the
-  ``"service"`` entry in the scheduler registry, so tasks from concurrent
-  campaigns interleave at (focus, dose, shard) granularity on one thread
-  pool while sharing the process-wide kernel-bank cache.
 * :mod:`repro.service.jobs` — :class:`CampaignManager`: validates JSON
   campaign requests, runs each through the ordinary
   :class:`~repro.sweep.ProcessWindowSweep` + resumable
-  :class:`~repro.sweep.CampaignStore`, and replays incomplete campaigns on
-  startup so a killed-and-restarted server computes exactly the remainder.
+  :class:`~repro.sweep.CampaignStore` with every campaign's tile shards on
+  one shared :class:`~repro.engine.WorkerPool` (the engine's worker
+  threads, and the ``queue`` block of ``/healthz``), and replays incomplete
+  campaigns on startup so a killed-and-restarted server computes exactly
+  the remainder.
 * :mod:`repro.service.server` / :mod:`repro.service.client` — the
   ``http.server`` surface (``repro serve``) and its urllib client.
 
@@ -20,13 +19,6 @@ the on-disk store with zero recomputation.
 
 from .client import ServiceClient, ServiceError
 from .jobs import CampaignCancelled, CampaignJob, CampaignManager, CampaignRequest
-from .scheduler import (
-    ServiceScheduler,
-    ServiceTaskQueue,
-    configure_service_queue,
-    default_service_queue,
-    shutdown_service_queue,
-)
 from .server import CampaignServer, serve
 
 __all__ = [
@@ -37,10 +29,5 @@ __all__ = [
     "CampaignServer",
     "ServiceClient",
     "ServiceError",
-    "ServiceScheduler",
-    "ServiceTaskQueue",
-    "configure_service_queue",
-    "default_service_queue",
     "serve",
-    "shutdown_service_queue",
 ]

@@ -22,14 +22,20 @@ Requests are plain JSON::
       "grid":    {"focus_nm": [-40, 0, 40], "dose": [0.95, 1.0, 1.05]},
       "compute": {... ComputeConfig JSON ...},              (optional)
       "tolerance": 0.1, "target_cd_nm": null, "guard_px": null,
-      "store_aerials": false, "streaming": false            (all optional)
+      "store_aerials": false                                (all optional)
     }
 
+This module alone reads and writes ``request.json``, so it alone knows the
+two keys older servers accepted and persisted — ``streaming`` and
+``compute.scheduler``, both selecting between paths that no longer exist:
+:func:`_without_legacy_keys` drops them before parsing, whether the request
+was just submitted or is being replayed on restart.
+
 Scheduling: each job runs on a manager thread (``campaign_workers`` of
-them), its imaging tasks draining through the shared service task queue via
-the ``"service"`` scheduler — so several campaigns interleave at
-(focus, dose, shard) granularity while sharing the process-wide kernel-bank
-cache and one disk cache dir.
+them) and its tile shards run on the manager's one
+:class:`~repro.engine.WorkerPool` (``queue_workers`` threads), which every
+campaign's executor shares — so several campaigns interleave shard by shard
+while sharing the process-wide kernel-bank cache and one disk cache dir.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ from typing import Any, Callable, Dict, List, Optional
 import numpy as np
 
 from ..backend import ComputeConfig
-from ..engine.sharded import ShardedExecutor
+from ..engine.sharded import ShardedExecutor, WorkerPool
 from ..layout.sources import load_layout_source, synthesize_layout_mask
 from ..optics.simulator import OpticsConfig
 from ..optics.source import make_source
@@ -55,7 +61,6 @@ from ..sweep import (
     FocusExposureGrid,
     ProcessWindowSweep,
 )
-from .scheduler import configure_service_queue, default_service_queue
 
 __all__ = [
     "CampaignCancelled",
@@ -72,6 +77,18 @@ class CampaignCancelled(Exception):
     """Raised inside a sweep's progress callback to stop a cancelled job."""
 
 
+def _without_legacy_keys(request: Dict[str, Any]) -> Dict[str, Any]:
+    """``request`` minus the keys older servers persisted (module docstring);
+    everything else unknown still reaches the typed rejection."""
+    request = {key: value for key, value in request.items()
+               if key != "streaming"}
+    if isinstance(request.get("compute"), dict):
+        request["compute"] = {key: value
+                              for key, value in request["compute"].items()
+                              if key != "scheduler"}
+    return request
+
+
 @dataclass(frozen=True)
 class CampaignRequest:
     """A validated campaign submission (see the module docstring schema)."""
@@ -84,14 +101,14 @@ class CampaignRequest:
     target_cd_nm: Optional[float] = None
     guard_px: Optional[int] = None
     store_aerials: bool = False
-    streaming: bool = False
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "CampaignRequest":
         if not isinstance(data, dict):
             raise ValueError("campaign request must be a JSON object")
+        data = _without_legacy_keys(data)
         known = {"layout", "optics", "grid", "compute", "tolerance",
-                 "target_cd_nm", "guard_px", "store_aerials", "streaming"}
+                 "target_cd_nm", "guard_px", "store_aerials"}
         unknown = sorted(set(data) - known)
         if unknown:
             raise ValueError(
@@ -123,8 +140,7 @@ class CampaignRequest:
                    target_cd_nm=float(target) if target else None,
                    guard_px=int(data["guard_px"])
                    if data.get("guard_px") is not None else None,
-                   store_aerials=bool(data.get("store_aerials", False)),
-                   streaming=bool(data.get("streaming", False)))
+                   store_aerials=bool(data.get("store_aerials", False)))
 
     # -- resolution ----------------------------------------------------- #
     def optics_config(self) -> OpticsConfig:
@@ -208,13 +224,13 @@ class CampaignJob:
 class CampaignManager:
     """Owns the job table, the campaign runner threads and the data dir.
 
-    ``queue_workers`` sizes the shared imaging-task queue (every campaign's
-    ``ServiceScheduler`` drains through it); ``campaign_workers`` caps how
-    many campaigns *orchestrate* concurrently (each campaign occupies one
-    runner thread for its sweep bookkeeping while its imaging tasks
-    interleave in the queue).  On construction the manager scans the data
-    dir and re-enqueues every incomplete campaign with ``resume=True`` —
-    the restart half of the kill/resume guarantee.
+    ``queue_workers`` sizes the one worker pool every campaign's executor
+    shards its tile batches over (default: the available CPUs);
+    ``campaign_workers`` caps how many campaigns *orchestrate* concurrently
+    (each campaign occupies one runner thread for its sweep bookkeeping
+    while its shards interleave on the pool).  On construction the manager
+    scans the data dir and re-enqueues every incomplete campaign with
+    ``resume=True`` — the restart half of the kill/resume guarantee.
     """
 
     def __init__(self, data_dir: str, queue_workers: Optional[int] = None,
@@ -226,9 +242,7 @@ class CampaignManager:
         self.kernel_cache_dir = os.path.join(self.data_dir, "kernel-cache")
         os.makedirs(self.campaigns_dir, exist_ok=True)
         os.makedirs(self.kernel_cache_dir, exist_ok=True)
-        if queue_workers is not None:
-            configure_service_queue(queue_workers)
-        self.queue = default_service_queue()
+        self.queue = WorkerPool(queue_workers)
         self._jobs: Dict[str, CampaignJob] = {}
         self._lock = threading.Lock()
         self._runner = ThreadPoolExecutor(max_workers=int(campaign_workers),
@@ -309,13 +323,11 @@ class CampaignManager:
         job.state = "running"
         job.started_at = time.time()
         compute = parsed.compute
-        if compute.scheduler is None:
-            # The service's whole point: tasks from concurrent campaigns
-            # interleave through the shared thread queue.
-            compute = compute.replace(scheduler="service")
-        executor = ShardedExecutor(num_workers=1,
+        # The service's whole point: shards from concurrent campaigns
+        # interleave on the one shared pool.
+        executor = ShardedExecutor(num_workers=self.queue.num_workers,
                                    cache_dir=self.kernel_cache_dir,
-                                   compute=compute)
+                                   compute=compute, pool=self.queue)
         try:
             layout = parsed.resolve_layout()
             sweep = ProcessWindowSweep(parsed.optics_config(),
@@ -333,7 +345,6 @@ class CampaignManager:
                                 tolerance=parsed.tolerance,
                                 guard_px=parsed.guard_px,
                                 store=store, resume=resume,
-                                streaming=parsed.streaming,
                                 progress=progress)
             job.computed_conditions = outcome.computed_conditions
             job.resumed_conditions = outcome.skipped_conditions
@@ -389,3 +400,4 @@ class CampaignManager:
         with self._lock:
             self._closed = True
         self._runner.shutdown(wait=wait, cancel_futures=True)
+        self.queue.shutdown(wait=wait)

@@ -2,7 +2,7 @@
 
 Endpoints::
 
-    GET    /healthz                      liveness + shared-queue stats
+    GET    /healthz                      liveness + worker-pool stats
     POST   /campaigns                    submit a campaign (JSON request)
     GET    /campaigns                    list jobs
     GET    /campaigns/{id}               one job's status
@@ -18,8 +18,8 @@ report never re-images anything, even for a campaign that is still running
 (the CD table just shows pending cells).
 
 The server is a ``ThreadingHTTPServer``: request handling must not block on
-campaign execution, which lives on the manager's runner threads and the
-shared service task queue.  Bind to port 0 to let the OS pick (tests).
+campaign execution, which lives on the manager's runner threads and its
+worker pool.  Bind to port 0 to let the OS pick (tests).
 """
 
 from __future__ import annotations

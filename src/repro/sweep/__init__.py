@@ -9,9 +9,10 @@ production lithography service — and this layer:
 * derives one kernel bank per focus setting through the shared
   :class:`~repro.engine.cache.KernelBankCache` (dose never touches the
   kernels, so an ``F x D`` campaign costs ``F`` banks, all persisted to the
-  shared cache dir for the worker processes),
-* batch-images every condition through the vectorised batched core, sharded
-  across worker processes by :class:`~repro.engine.sharded.ShardedExecutor`,
+  cache dir for later runs),
+* images each focus with one ``image_layout`` pass through the vectorised
+  batched core, each tile batch sharded across worker threads by
+  :class:`~repro.engine.sharded.ShardedExecutor`,
 * extracts CDs via :func:`repro.optics.process_window.measure_cd` and returns
   the standard :class:`~repro.optics.process_window.ProcessWindowResult`,
 * persists every condition to a resumable :class:`CampaignStore`

@@ -3,30 +3,25 @@
 ``ProcessWindowSweep`` turns "fast single image" into "fast qualification
 campaign".  For each focus setting it derives the refocused optics (a new
 fingerprint into the shared kernel-bank cache — the TCC and SOCS bank for a
-focus are computed at most once and persist in the cache dir for every worker
-process), images the layout once through the batched/sharded engine, then
+focus are computed at most once and persist in the cache dir for later
+runs), images the layout once through the batched/sharded engine, then
 develops every dose from that single aerial (dose only scales the resist
 threshold).  An ``F x D`` campaign therefore costs ``F`` kernel banks and
 ``F`` imaging passes, not ``F x D`` of each.
 
-Campaign-scale features (PR 4):
+Campaign-scale features:
 
-* **(condition, shard) scheduling** — the pending conditions are imaged
-  through :meth:`ShardedExecutor.run_conditions`, one task per
-  (condition, shard) routed through the executor's pluggable scheduler
-  (serial / pool / work-stealing — ``REPRO_SCHEDULER`` or the CLI's
-  ``--scheduler``; see :mod:`repro.engine.scheduler`), so workers never
-  idle at condition boundaries; conditions complete in *any* order and the
-  store persists each one as it lands, holding at most one stitched aerial
-  at a time.
+* **One imaging path** — every pending focus is one
+  :meth:`ShardedExecutor.image_layout` call: tile batches cut on demand and
+  imaged in bounded batches (:mod:`repro.engine.streaming`), each batch
+  sharded over the executor's worker threads, so peak RAM is one tile batch
+  plus the stitched aerial however large the layout.  (Scheduling
+  (condition, shard) tasks across focus boundaries was measured against
+  this and bought nothing — ``docs/architecture.md``, "Worker threads".)
 * **Disk-backed resumability** — pass ``store=`` (a
   :class:`~repro.sweep.store.CampaignStore` or a directory path) and every
   completed condition is persisted immediately; a killed campaign re-run
   against the same store computes exactly the remaining conditions.
-* **Out-of-core imaging** — ``streaming=True`` images focus-by-focus in
-  bounded tile batches (:mod:`repro.engine.streaming`) instead of cutting
-  the full tile stack, bounding peak RAM at one tile batch regardless of
-  layout size.
 * **Content-addressed tile dedup** (PR 6) — attach a tile-result cache to
   the executor (``ShardedExecutor(tile_cache=True)``, the CLI's
   ``--tile-cache``, or ``REPRO_TILE_CACHE`` / ``REPRO_TILE_CACHE_DIR``) and
@@ -48,7 +43,6 @@ import numpy as np
 
 from ..backend import ComputeConfig
 from ..engine.sharded import EngineSpec, ShardedExecutor
-from ..engine.tiling import extract_tiles, stitch_tiles
 from ..layout.reader import as_layout_reader
 from ..optics.process_window import (
     FocusExposurePoint,
@@ -128,8 +122,9 @@ class ProcessWindowSweep:
         term is swept).  Defaults match the golden simulator.
     executor:
         The sharded executor to image through; defaults to a serial one.
-        Pass ``ShardedExecutor(num_workers=N, cache_dir=...)`` to distribute
-        tile batches over ``N`` worker processes warmed from the cache dir.
+        Pass ``ShardedExecutor(num_workers=N, cache_dir=...)`` to shard
+        tile batches over ``N`` worker threads and persist the kernel banks
+        in the cache dir.
     cd_row:
         Row for CD extraction.  ``None`` (the default) tracks the widest
         feature printed at the grid's nominal condition: the row is chosen
@@ -139,11 +134,10 @@ class ProcessWindowSweep:
     compute:
         The unified :class:`~repro.backend.ComputeConfig`: its FFT /
         precision fields thread into every :class:`EngineSpec` the campaign
-        derives — parent engines and sharded workers all image through the
-        same FFT backend at the same precision (``None`` fields resolve the
-        environment defaults at construction) — and its ``tile_cache`` /
-        ``scheduler`` fields configure the default executor (an explicitly
-        passed ``executor`` keeps its own policy).
+        derives — every focus images through the same FFT backend at the
+        same precision (``None`` fields resolve the environment defaults at
+        construction) — and its ``tile_cache`` field configures the default
+        executor (an explicitly passed ``executor`` keeps its own policy).
     """
 
     def __init__(self, config: OpticsConfig, source: Optional[Source] = None,
@@ -166,100 +160,49 @@ class ProcessWindowSweep:
     # per-focus engines
     # ------------------------------------------------------------------ #
     def spec_for_focus(self, focus_nm: float) -> EngineSpec:
-        """The picklable engine recipe for one focus setting of this system."""
+        """The engine recipe for one focus setting of this system."""
         return self.base_spec.with_focus(focus_nm)
 
     def engine_for_focus(self, focus_nm: float):
-        """A warmed in-process engine for one focus (bank persisted for workers)."""
+        """The executor's memoised engine for one focus (bank persisted to
+        the cache dir when there is one)."""
         return self.executor.warm(self.spec_for_focus(focus_nm))
 
     # ------------------------------------------------------------------ #
     # the campaign
     # ------------------------------------------------------------------ #
-    def _conditions_for(self, foci: Sequence[float],
-                        doses: Sequence[float],
-                        ) -> List[Tuple[Tuple[float, Tuple[float, ...]],
-                                        EngineSpec]]:
-        """The scheduler's condition list: one task group per pending focus.
-
-        Each condition key is ``(focus, doses)`` — the focus plus every dose
-        developed from its aerial.  Under the constant-threshold resist the
-        aerial is dose-independent, so the doses of a focus share one
-        imaging pass (``F`` passes for an ``F x D`` grid) and the imaging
-        spec carries no dose; a dose-*dependent* resist model would instead
-        emit one ``(focus, (dose,))`` condition per cell with
-        ``spec.with_condition(focus, dose)`` carrying the dose — same
-        scheduler, same store, finer tasks.
-        """
-        return [((focus, tuple(doses)), self.spec_for_focus(focus))
-                for focus in foci]
-
-    def _iter_focus_aerials(self, foci: Sequence[float], layout: np.ndarray,
+    def _iter_focus_aerials(self, foci: Sequence[float], layout,
                             tile_px: Optional[int], guard_px: Optional[int],
-                            single_tile: bool, streaming: bool,
-                            doses: Sequence[float] = (),
+                            single_tile: bool,
                             ) -> Iterator[Tuple[float, np.ndarray, int]]:
         """Yield ``(focus, stitched aerial, num_tiles)`` per pending focus.
 
-        The multi-tile in-memory path schedules one task per
-        (condition, shard) through the executor's scheduler
-        (:meth:`ShardedExecutor.run_conditions`) and yields each condition
-        as it completes — in any order; contents deterministic — so the
-        store persists conditions as they land.  The streaming path images
-        focus-by-focus in bounded batches instead, trading cross-condition
-        overlap for O(tile-batch) RAM.  Windowed layout readers always take
-        the streaming path — materialising their full guard-banded tile
-        stack would cost more memory than the dense raster they exist to
-        avoid.
-
-        An executor carrying a tile-result cache routes multi-tile foci
-        through :meth:`ShardedExecutor.image_layout` focus-by-focus too:
-        each focus's kernel fingerprint keys its own cache namespace, so
-        repeated cells within a focus hit (and a resumed campaign with a
-        disk tier hits across runs) while distinct foci never mix.  The
-        per-focus routing trades the (condition, shard) overlap of the
-        scheduler for the dedup — opt-in by construction, and on
-        repetitive layouts the dedup removes far more work than the overlap
-        recovers.
+        One :meth:`ShardedExecutor.image_layout` call per focus.  A dense
+        raster goes in as a windowed reader, so its default batch is one
+        engine chunk per worker instead of every tile at once.  With a
+        tile-result cache on the executor each focus's kernel fingerprint
+        keys its own namespace: repeated cells within a focus hit (and a
+        resumed campaign with a disk tier hits across runs) while distinct
+        foci never mix.  A layout of exactly one tile has no guard band to
+        cut and goes to the batched core directly.
         """
-        if not foci:
-            return
-        if hasattr(layout, "read_window"):
-            streaming = True
-        if single_tile:
-            conditions = self._conditions_for(foci, doses)
-            for (focus, _), batch in self.executor.run_conditions(
-                    conditions, layout[None]):
-                yield focus, batch[0], 1
-        elif streaming or getattr(self.executor, "tile_cache", None) \
-                is not None:
-            if streaming:
-                # A reader's default batch is one engine chunk per worker; a
-                # dense raster's would hold every tile.
-                layout = as_layout_reader(layout)
-            for focus in foci:
+        if not single_tile:
+            layout = as_layout_reader(layout)
+        for focus in foci:
+            spec = self.spec_for_focus(focus)
+            if single_tile:
+                yield focus, self.executor.aerial_batch(spec, layout[None])[0], 1
+            else:
                 imaged = self.executor.image_layout(
-                    self.spec_for_focus(focus), layout, tile_px=tile_px,
-                    guard_px=guard_px)
+                    spec, layout, tile_px=tile_px, guard_px=guard_px)
                 yield focus, imaged.aerial, imaged.num_tiles
-        else:
-            engine = self.executor.warm(self.spec_for_focus(foci[0]))
-            tiling = engine.resolve_tiling(None, tile_px, guard_px)
-            height, width = layout.shape
-            tiles, placements = extract_tiles(layout, tiling)
-            conditions = self._conditions_for(foci, doses)
-            for (focus, _), aerial_tiles in self.executor.run_conditions(
-                    conditions, tiles):
-                aerial = stitch_tiles(aerial_tiles, placements, height,
-                                      width, tiling)
-                yield focus, aerial, len(placements)
 
     def run(self, layout: np.ndarray, target_cd_nm: Optional[float] = None,
             grid: Optional[FocusExposureGrid] = None, tolerance: float = 0.1,
             tile_px: Optional[int] = None, guard_px: Optional[int] = None,
             keep_aerials: bool = False,
             store: Optional[Union[CampaignStore, str]] = None,
-            resume: bool = True, streaming: bool = False,
+            resume: bool = True,
             progress: Optional[Callable[[float, float, float], None]] = None,
             ) -> SweepOutcome:
         """Image the layout through the whole focus-exposure matrix.
@@ -291,13 +234,6 @@ class ProcessWindowSweep:
             Honour a pre-existing manifest in ``store`` (the default).
             ``False`` refuses to touch a non-empty store, preventing two
             different campaigns from silently interleaving records.
-        streaming:
-            Image focus-by-focus through
-            :meth:`ShardedExecutor.image_layout` in bounded tile batches
-            (O(tile-batch) RAM — what a windowed reader always gets) instead
-            of cutting the full tile stack once and scheduling every
-            (condition, shard) task through ``run_conditions``.  Results
-            are bit-for-bit identical either way.
         progress:
             ``progress(focus_nm, dose, cd_nm)`` after every *computed*
             condition — already persisted when a store is attached, so an
@@ -391,17 +327,14 @@ class ProcessWindowSweep:
             # row.  It is imaged even when all its doses were resumed (only
             # possible when a pinned cd_row went missing from the store).
             for item in self._iter_focus_aerials(
-                    [nominal], layout, tile_px, guard_px, single_tile,
-                    streaming, doses=grid.dose_values):
+                    [nominal], layout, tile_px, guard_px, single_tile):
                 handle_focus(*item)
             pending = [focus for focus in pending if focus != nominal]
         else:
             pending = [nominal] * (nominal in pending) + \
                 [focus for focus in pending if focus != nominal]
         for item in self._iter_focus_aerials(pending, layout, tile_px,
-                                             guard_px, single_tile,
-                                             streaming,
-                                             doses=grid.dose_values):
+                                             guard_px, single_tile):
             handle_focus(*item)
         elapsed = time.perf_counter() - start
 

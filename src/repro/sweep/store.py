@@ -18,10 +18,9 @@ layer both properties:
   campaign identity matches.
 
 Conditions may be persisted in **any order**: records are keyed by exact
-condition id, never by position, so out-of-order completion — the norm now
-that campaigns run through the scheduler seam (pool and work-stealing
-schedulers yield conditions as they finish, not as submitted) — needs no
-special handling, and resume semantics are unchanged whichever scheduler
+condition id, never by position, so the sweep's nominal-focus-first order —
+or a store written by a release that completed conditions out of order —
+needs no special handling, and resume semantics do not depend on what
 produced the store.
 
 Directory layout

@@ -4,8 +4,9 @@ Pinned guarantees:
 
 * **residency is provable**: on the ``fakegpu`` module the batched core pays
   exactly one upload per mask chunk and one download per aerial chunk — for
-  the dense, streaming and sharded-serial paths alike — and the kernel bank
-  is uploaded once per (fingerprint, device), never per chunk or per batch,
+  the dense, streaming, one-shard and worker-thread paths alike — and the
+  kernel bank is uploaded once per (fingerprint, device), never per chunk
+  or per batch,
 * **streamed downloads stage through one reusable host buffer** (the pinned
   -buffer hook): ``host_buffer_allocations == 1`` for a whole streamed
   layout, with or without a tile cache,
@@ -195,6 +196,28 @@ class TestTransferCounts:
         stats = fakegpu.transfer_stats
         assert stats.uploads == 1 + 1  # one chunk + the bank
         assert stats.downloads == 1
+
+    def test_sharded_worker_threads_stay_resident(self, fakegpu, tmp_path):
+        """Worker threads share this process's module: each shard is one
+        chunk — one upload, one download — and the bank still goes up once,
+        counted without a lost update."""
+        spec = EngineSpec(config=CONFIG, fft_backend="fakegpu",
+                          cache_dir=str(tmp_path))
+        masks = RNG.random((8, 32, 32))  # four 2-tile shards
+        reference = ShardedExecutor(num_workers=0).aerial_batch(
+            EngineSpec(config=CONFIG, fft_backend="numpy"), masks)
+        with ShardedExecutor(num_workers=2,
+                             cache_dir=str(tmp_path)) as executor:
+            executor.warm(spec)
+            fakegpu.transfer_stats.reset()
+            _DEVICE_BANKS.clear()
+            for _ in range(20):
+                result = executor.aerial_batch(spec, masks)
+        np.testing.assert_array_equal(reference, result)
+        stats = fakegpu.transfer_stats
+        assert stats.uploads == 20 * 4 + 1  # a chunk per shard + the bank
+        assert stats.downloads == 20 * 4
+        assert stats.download_bytes == 20 * masks.size * 8
 
     def test_device_bank_memo_is_lru_bounded(self, fakegpu):
         for index in range(DEVICE_BANK_LIMIT + 3):

@@ -8,6 +8,7 @@ spellings of one policy produce bit-for-bit identical engines and equal
 specs.
 """
 
+import dataclasses
 import json
 import warnings
 
@@ -30,8 +31,7 @@ def make_masks(count: int = 2) -> np.ndarray:
 class TestComputeConfig:
     def test_json_round_trip(self):
         config = ComputeConfig(fft_backend="numpy", fft_workers=2,
-                               precision="float32", tile_cache=True,
-                               scheduler="pool")
+                               precision="float32", tile_cache=True)
         assert ComputeConfig.from_json(config.to_json()) == config
         assert ComputeConfig.from_json(config.as_dict()) == config
         # drop_none keeps the round trip: missing keys stay None
@@ -41,6 +41,10 @@ class TestComputeConfig:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="fft_backnd"):
             ComputeConfig.from_dict({"fft_backnd": "numpy"})
+        # four fields, no fifth: the scheduler name is gone with its seam
+        assert len(dataclasses.fields(ComputeConfig)) == 4
+        with pytest.raises(ValueError, match="scheduler"):
+            ComputeConfig.from_dict({"scheduler": "pool"})
 
     def test_from_json_rejects_non_object(self):
         with pytest.raises(ValueError, match="object"):
@@ -59,17 +63,17 @@ class TestComputeConfig:
     def test_from_env_reads_the_legacy_variables(self, monkeypatch):
         for var in ("REPRO_FFT_BACKEND", "REPRO_FFT_WORKERS",
                     "REPRO_PRECISION", "REPRO_TILE_CACHE",
-                    "REPRO_TILE_CACHE_DIR", "REPRO_SCHEDULER"):
+                    "REPRO_TILE_CACHE_DIR"):
             monkeypatch.delenv(var, raising=False)
         assert ComputeConfig.from_env() == ComputeConfig()
         monkeypatch.setenv("REPRO_FFT_BACKEND", "numpy")
         monkeypatch.setenv("REPRO_FFT_WORKERS", "3")
         monkeypatch.setenv("REPRO_PRECISION", "float32")
         monkeypatch.setenv("REPRO_TILE_CACHE", "off")
-        monkeypatch.setenv("REPRO_SCHEDULER", "stealing")
+        monkeypatch.setenv("REPRO_SCHEDULER", "stealing")  # no longer read
         assert ComputeConfig.from_env() == ComputeConfig(
             fft_backend="numpy", fft_workers=3, precision="float32",
-            tile_cache=False, scheduler="stealing")
+            tile_cache=False)
         # REPRO_TILE_CACHE_DIR alone implies caching on
         monkeypatch.delenv("REPRO_TILE_CACHE")
         monkeypatch.setenv("REPRO_TILE_CACHE_DIR", "/tmp/somewhere")
@@ -79,11 +83,8 @@ class TestComputeConfig:
         resolved = ComputeConfig(fft_backend="numpy").resolve()
         assert resolved.fft_backend == "numpy"
         assert resolved.precision in ("float64", "float32")
-        with pytest.raises(ValueError, match="registered schedulers"):
-            ComputeConfig(scheduler="bogus").resolve()
-        # every registered scheduler name resolves, including "service"
-        for name in ("serial", "pool", "stealing", "service"):
-            assert ComputeConfig(scheduler=name).resolve().scheduler == name
+        with pytest.raises(ValueError, match="registered backends"):
+            ComputeConfig(fft_backend="bogus").resolve()
 
 
 class TestLegacyShim:
@@ -111,6 +112,11 @@ class TestLegacyShim:
             ExecutionEngine(bank, fft_workers=2)
         with pytest.raises(TypeError, match="precision"):
             ProcessWindowSweep(OPTICS, precision="float32")
+        # the switches that selected between execution paths went with them
+        with pytest.raises(TypeError, match="scheduler"):
+            ShardedExecutor(scheduler="pool")
+        with pytest.raises(TypeError, match="scheduler"):
+            ComputeConfig(scheduler="pool")
 
     def test_engine_compute_kwarg_is_silent_and_equivalent(self):
         masks = make_masks()
@@ -142,9 +148,8 @@ class TestLegacyShim:
     def test_sharded_executor_takes_policy_from_compute(self):
         executor = ShardedExecutor(
             num_workers=1,
-            compute=ComputeConfig(tile_cache=True, scheduler="serial"))
+            compute=ComputeConfig(tile_cache=True))
         try:
-            assert executor.scheduler == "serial"
             assert executor.tile_cache is not None
         finally:
             executor.close()
@@ -174,13 +179,11 @@ class TestCliComputeConfig:
     def test_explicit_flags_override_the_json(self):
         arguments = self._args(["--compute-config",
                                 '{"fft_backend": "numpy", '
-                                '"scheduler": "pool"}',
-                                "--scheduler", "serial",
+                                '"precision": "float32"}',
                                 "--precision", "float64"])
         compute = _compute_from_args(arguments)
         assert compute == ComputeConfig(fft_backend="numpy",
-                                        precision="float64",
-                                        scheduler="serial")
+                                        precision="float64")
 
     def test_compute_config_from_file(self, tmp_path):
         path = tmp_path / "compute.json"

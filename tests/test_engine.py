@@ -389,7 +389,7 @@ class TestImageLayoutCLI:
             assert data["aerial"].shape == mask.shape
 
     def test_image_layout_streaming_matches_in_memory(self, tmp_path, capsys):
-        """--streaming --out produces the bit-identical stitched result."""
+        """--out produces the bit-identical stitched result."""
         from repro.cli import main
         from repro.engine import open_layout_dir
 
@@ -402,7 +402,7 @@ class TestImageLayoutCLI:
                      "--output", reference]) == 0
         out_dir = str(tmp_path / "streamed")
         assert main(["image-layout", "--input", mask_path, "--tile-size", "32",
-                     "--pixel-size-nm", "8", "--guard", "8", "--streaming",
+                     "--pixel-size-nm", "8", "--guard", "8",
                      "--out", out_dir]) == 0
         assert "streamed" in capsys.readouterr().out
         aerial, resist, meta = open_layout_dir(out_dir)

@@ -1,23 +1,28 @@
-"""Tests for multiprocess sharding (repro.engine.sharded) and its cache-warm protocol.
+"""Tests for ``EngineSpec`` and the basics of ``ShardedExecutor``
+(repro.engine.sharded); the workers x backend x precision x tile-cache x
+layout-source matrix lives in ``tests/test_worker_threads.py``.
 
 Pinned guarantees:
 
-* sharded output is bit-for-bit the serial output (deterministic stitch
-  order), with fork and spawn worker processes alike,
-* the serial fallback engages for one worker, tiny batches and broken pools,
-* ``EngineSpec`` round-trips focus changes and keys the kernel cache
-  correctly, and
+* sharded output is bit-for-bit the serial output (deterministic shard
+  order),
+* one worker, and batches of at most one tile, image inline — no thread
+  starts,
+* ``EngineSpec`` round-trips focus and dose changes and keys the kernel
+  cache correctly,
+* the engine memo and the device-bank memo are bounded and survive
+  concurrent callers, and
 * the disk-backed kernel cache hands a pre-computed bank to a *fresh
-  process* with zero TCC computations and zero eigendecompositions — the
-  mechanism every sharded worker relies on.
+  process* with zero TCC computations and zero eigendecompositions — what
+  ``cache_dir`` buys a resumed campaign or a restarted service.
 """
 
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
 import textwrap
+import threading
 
 import numpy as np
 import pytest
@@ -69,13 +74,46 @@ class TestEngineSpec:
         engine = spec.build(cache=cache)
         assert cache.stats.decompositions == 1
         assert engine.order > 0
-        assert len(os.listdir(tmp_path)) == 1  # bank persisted for workers
+        assert len(os.listdir(tmp_path)) == 1  # bank persisted for later runs
 
     def test_spec_is_picklable(self, spec):
         import pickle
 
         clone = pickle.loads(pickle.dumps(spec.with_focus(30.0)))
         assert clone.fingerprint() == spec.with_focus(30.0).fingerprint()
+
+
+class TestEngineSpecDose:
+    def test_dose_scales_resist_threshold_only(self, spec, masks):
+        dosed = spec.with_condition(0.0, dose=1.25)
+        nominal = spec.with_condition(0.0)
+        assert dosed.build().resist_model.threshold == pytest.approx(
+            CONFIG.resist_threshold / 1.25)
+        assert nominal.build().resist_model.threshold == pytest.approx(
+            CONFIG.resist_threshold)
+        # The aerial is dose-independent: only develop changes.
+        np.testing.assert_array_equal(dosed.build().aerial_batch(masks),
+                                      nominal.build().aerial_batch(masks))
+
+    def test_dose_changes_fingerprint(self, spec):
+        assert spec.with_condition(0.0, 1.1).fingerprint() != \
+            spec.with_condition(0.0).fingerprint()
+        # Pre-dose fingerprints are unchanged (campaign-store identities!).
+        assert "dose" not in spec.fingerprint()
+        assert spec.with_condition(30.0).fingerprint() == \
+            spec.with_focus(30.0).fingerprint()
+
+    def test_dose_survives_refocus_and_pickling(self, spec):
+        import pickle
+
+        dosed = spec.with_condition(40.0, 0.9)
+        assert dosed.with_focus(80.0).dose == 0.9
+        assert pickle.loads(pickle.dumps(dosed)).fingerprint() == \
+            dosed.fingerprint()
+
+    def test_dose_validation(self):
+        with pytest.raises(ValueError):
+            EngineSpec(config=CONFIG, dose=0.0)
 
 
 class TestShardedExecutor:
@@ -97,47 +135,24 @@ class TestShardedExecutor:
         reference = serial.aerial_batch(policy_spec, masks)
         with ShardedExecutor(num_workers=2, cache_dir=str(tmp_path)) as sharded:
             result = sharded.aerial_batch(policy_spec, masks)
-            assert sharded.last_used_pool
+            assert sharded.pool.stats()["submitted"] == 3  # 6 tiles, 2 each
         np.testing.assert_array_equal(result, reference)
         expected_dtype = np.float32 if precision == "float32" else np.float64
         assert result.dtype == expected_dtype
 
-    def test_worker_spec_splits_fft_thread_budget(self, spec):
-        executor = ShardedExecutor(num_workers=4)
-        shipped = executor._worker_spec(spec, active_workers=4)
-        assert shipped.fft_workers == max(1, available_workers() // 4)
-        # Small batches activate fewer workers than the pool size: the
-        # budget divides over the shards that actually run.
-        assert executor._worker_spec(spec, active_workers=2).fft_workers == \
-            max(1, available_workers() // 2)
-        pinned = EngineSpec(config=CONFIG, source=SOURCE, fft_workers=2)
-        assert executor._worker_spec(pinned, 4).fft_workers == 2  # explicit wins
-
     def test_sharded_equals_serial_bit_for_bit(self, spec, masks, tmp_path):
         serial = ShardedExecutor(num_workers=1, cache_dir=str(tmp_path))
         reference = serial.aerial_batch(spec, masks)
-        assert not serial.last_used_pool
+        assert serial.pool.stats()["submitted"] == 0  # one shard: inline
         with ShardedExecutor(num_workers=2, cache_dir=str(tmp_path)) as sharded:
             result = sharded.aerial_batch(spec, masks)
-            assert sharded.last_used_pool
-            assert sharded.last_num_shards == 2
-        np.testing.assert_array_equal(result, reference)
-
-    def test_spawn_workers_match_serial(self, spec, masks, tmp_path):
-        """Spawn context: workers inherit nothing and must use the disk cache."""
-        serial = ShardedExecutor(num_workers=1, cache_dir=str(tmp_path))
-        reference = serial.aerial_batch(spec, masks)
-        context = multiprocessing.get_context("spawn")
-        with ShardedExecutor(num_workers=2, cache_dir=str(tmp_path),
-                             mp_context=context) as sharded:
-            result = sharded.aerial_batch(spec, masks)
-            assert sharded.last_used_pool
+            assert sharded.pool.stats()["submitted"] == 3  # 6 tiles, 2 each
         np.testing.assert_array_equal(result, reference)
 
     def test_zero_workers_falls_back_to_serial(self, spec, masks):
         executor = ShardedExecutor(num_workers=0)
         result = executor.aerial_batch(spec, masks)
-        assert not executor.last_used_pool
+        assert executor.pool.stats()["submitted"] == 0
         reference = ShardedExecutor(num_workers=1).aerial_batch(spec, masks)
         np.testing.assert_array_equal(result, reference)
 
@@ -148,7 +163,7 @@ class TestShardedExecutor:
         base = EngineSpec(config=CONFIG, source=SOURCE)
         for index in range(ENGINE_MEMO_LIMIT + 3):
             executor.warm(base.with_focus(10.0 * index))
-        assert len(executor._local_engines) == ENGINE_MEMO_LIMIT
+        assert len(executor._engines) == ENGINE_MEMO_LIMIT
         # The backing cache was trimmed after each build: banks live on disk,
         # not in memory, so long campaigns stay bounded.
         assert len(executor._local_cache) == 0
@@ -157,7 +172,7 @@ class TestShardedExecutor:
     def test_single_tile_batch_stays_serial(self, spec, masks):
         executor = ShardedExecutor(num_workers=4)
         result = executor.aerial_batch(spec, masks[:1])
-        assert not executor.last_used_pool
+        assert executor.pool.stats()["submitted"] == 0
         assert result.shape == (1, 32, 32)
 
     def test_empty_batch(self, spec):
@@ -166,8 +181,11 @@ class TestShardedExecutor:
 
     def test_shard_slices_partition_deterministically(self):
         executor = ShardedExecutor(num_workers=3)
-        slices = executor._shard_slices(8)
-        assert [(s.start, s.stop) for s in slices] == [(0, 3), (3, 6), (6, 8)]
+        slices = executor._shard_slices(8)  # up to 2 shards per worker
+        assert [(s.start, s.stop) for s in slices] == \
+            [(0, 2), (2, 4), (4, 6), (6, 8)]
+        assert [(s.start, s.stop) for s in
+                ShardedExecutor(num_workers=1)._shard_slices(8)] == [(0, 8)]
 
     def test_image_layout_matches_in_process_engine(self, spec, tmp_path):
         layout = (np.random.default_rng(4).random((70, 90)) > 0.75).astype(float)
@@ -188,8 +206,6 @@ class TestShardedExecutor:
         with pytest.raises(ValueError):
             ShardedExecutor(num_workers=-1)
         with pytest.raises(ValueError):
-            ShardedExecutor(min_shard_tiles=0)
-        with pytest.raises(ValueError):
             ShardedExecutor(num_workers=1).aerial_batch(
                 EngineSpec(config=CONFIG), np.zeros((4, 4)))
 
@@ -197,93 +213,82 @@ class TestShardedExecutor:
         assert available_workers() >= 1
 
 
-class _FlakyPool:
-    """A stand-in pool: serves the first ``healthy`` submits in-process,
-    then raises ``BrokenProcessPool`` — a deterministic mid-campaign death."""
+class TestMemosUnderThreads:
+    """The engine memo and the device-bank memo are LRUs that worker and
+    campaign threads share: lookup, build and eviction are one locked step."""
 
-    def __init__(self, healthy: int):
-        self.healthy = healthy
-        self.submits = 0
+    @staticmethod
+    def _hammer(call, keys, threads=4, rounds=150):
+        errors = []
+        barrier = threading.Barrier(threads)
 
-    def submit(self, fn, *args, **kwargs):
-        from concurrent.futures import Future
-        from concurrent.futures.process import BrokenProcessPool
+        def worker(offset):
+            try:
+                barrier.wait(timeout=30)
+                for step in range(rounds):
+                    call(keys[(offset + step) % len(keys)])
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
 
-        self.submits += 1
-        future = Future()
-        if self.submits <= self.healthy:
-            future.set_result(fn(*args, **kwargs))
-        else:
-            future.set_exception(BrokenProcessPool("pool died mid-campaign"))
-        return future
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=worker, args=(3 * index,))
+                       for index in range(threads)]
+            for thread in workers:
+                thread.start()
+            for thread in workers:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
 
-    def shutdown(self, *args, **kwargs):
-        pass
+    def test_warm_builds_once_per_residency_and_never_raises(self, spec,
+                                                             monkeypatch):
+        from repro.engine.sharded import ENGINE_MEMO_LIMIT
 
+        builds = []
 
-class TestCampaignScheduling:
-    """(focus, shard) work units over one shared pool — and its fallbacks."""
+        def counting_build(self, cache=None):
+            builds.append(self.fingerprint())
+            return object()  # the memo never looks inside
 
-    def _specs(self, spec):
-        return [spec.with_focus(focus) for focus in (0.0, 60.0, 120.0)]
+        monkeypatch.setattr(EngineSpec, "build", counting_build)
+        specs = [spec.with_focus(10.0 * index) for index in range(12)]
+        # Everything fits: one residency each, so exactly one build each.
+        executor = ShardedExecutor(num_workers=1)
+        self._hammer(executor.warm, specs[:ENGINE_MEMO_LIMIT])
+        assert sorted(builds) == sorted(
+            one.fingerprint() for one in specs[:ENGINE_MEMO_LIMIT])
+        # More fingerprints than the memo holds: evictions race lookups.
+        self._hammer(executor.warm, specs)
+        assert len(executor._engines) == ENGINE_MEMO_LIMIT
 
-    def _serial_reference(self, specs, masks, tmp_path):
-        executor = ShardedExecutor(num_workers=1, cache_dir=str(tmp_path))
-        return [executor.warm(spec).aerial_batch(masks) for spec in specs]
+    def test_device_bank_memo_uploads_once_and_never_raises(self):
+        from repro.backend import get_backend
+        from repro.engine.execution import (
+            DEVICE_BANK_LIMIT,
+            _DEVICE_BANKS,
+            device_kernel_bank,
+        )
 
-    def test_campaign_matches_serial_bit_for_bit(self, spec, masks, tmp_path):
-        specs = self._specs(spec)
-        reference = self._serial_reference(specs, masks, tmp_path)
-        with ShardedExecutor(num_workers=2, cache_dir=str(tmp_path)) as ex:
-            results = dict(ex.run_conditions(list(enumerate(specs)), masks))
-            assert ex.last_used_pool
-        assert set(results) == {0, 1, 2}
-        for index, expected in enumerate(reference):
-            np.testing.assert_array_equal(results[index], expected)
-
-    def test_campaign_serial_executor_yields_in_order(self, spec, masks,
-                                                      tmp_path):
-        specs = self._specs(spec)
-        reference = self._serial_reference(specs, masks, tmp_path)
-        executor = ShardedExecutor(num_workers=1, cache_dir=str(tmp_path))
-        indices = []
-        for index, aerial in executor.run_conditions(list(enumerate(specs)),
-                                                     masks):
-            indices.append(index)
-            np.testing.assert_array_equal(aerial, reference[index])
-        assert indices == [0, 1, 2]
-        assert not executor.last_used_pool
-
-    def test_campaign_empty_specs(self, spec, masks):
-        executor = ShardedExecutor(num_workers=2)
-        assert list(executor.run_conditions([], masks)) == []
-
-    def test_broken_pool_mid_campaign_degrades_to_serial(self, spec, masks,
-                                                         tmp_path):
-        """The pool dies after the first focus: remaining foci must be
-        computed serially with identical results — not raise."""
-        specs = self._specs(spec)
-        reference = self._serial_reference(specs, masks, tmp_path)
-        executor = ShardedExecutor(num_workers=2, cache_dir=str(tmp_path))
-        shards = len(executor._shard_slices(masks.shape[0]))
-        executor._pool = _FlakyPool(healthy=shards)  # focus 0 succeeds
-        results = dict(executor.run_conditions(list(enumerate(specs)), masks))
-        assert executor._pool is None  # close() ran on the broken pool
-        assert set(results) == {0, 1, 2}
-        for index, expected in enumerate(reference):
-            np.testing.assert_array_equal(results[index], expected)
-        executor.close()  # idempotent after the fallback
-
-    def test_pool_broken_from_the_start_degrades_to_serial(self, spec, masks,
-                                                           tmp_path):
-        specs = self._specs(spec)
-        reference = self._serial_reference(specs, masks, tmp_path)
-        executor = ShardedExecutor(num_workers=2, cache_dir=str(tmp_path))
-        executor._pool = _FlakyPool(healthy=0)
-        results = dict(executor.run_conditions(list(enumerate(specs)), masks))
-        for index, expected in enumerate(reference):
-            np.testing.assert_array_equal(results[index], expected)
-        assert not executor.last_used_pool
+        module = get_backend("fakegpu")
+        kernels = np.ones((2, 5, 5), dtype=complex)
+        names = [f"threads-bank-{index}" for index in range(12)]
+        _DEVICE_BANKS.clear()
+        module.transfer_stats.reset()
+        try:
+            self._hammer(lambda name: device_kernel_bank(module, name,
+                                                         kernels),
+                         names[:DEVICE_BANK_LIMIT])
+            assert module.transfer_stats.uploads == DEVICE_BANK_LIMIT
+            self._hammer(lambda name: device_kernel_bank(module, name,
+                                                         kernels), names)
+            assert len(_DEVICE_BANKS) == DEVICE_BANK_LIMIT
+        finally:
+            _DEVICE_BANKS.clear()
+            module.transfer_stats.reset()
 
 
 class TestStreamingThroughExecutor:
@@ -309,42 +314,9 @@ class TestStreamingThroughExecutor:
         np.testing.assert_array_equal(np.asarray(result.aerial),
                                       reference.aerial)
 
-    def test_streaming_survives_broken_pool_every_batch(self, spec, tmp_path,
-                                                        monkeypatch):
-        """Serial fallback + close() exercised *under the streaming path*:
-        every batch's pool attempt fails, every batch must fall back."""
-        layout = (np.random.default_rng(3).random((70, 90)) > 0.75).astype(float)
-        reference = reference_image_layout(
-            spec.build(cache=KernelBankCache()), layout, guard_px=8)
-        executor = ShardedExecutor(num_workers=2, cache_dir=str(tmp_path))
-
-        def poisoned_pool():
-            raise OSError("subprocesses forbidden")
-
-        monkeypatch.setattr(executor, "_pool_handle", poisoned_pool)
-        streamed = executor.image_layout(spec, layout, guard_px=8,
-                                         batch_tiles=3)
-        assert not executor.last_used_pool
-        np.testing.assert_array_equal(streamed.aerial, reference.aerial)
-        np.testing.assert_array_equal(streamed.resist, reference.resist)
-        executor.close()
-
-    def test_streaming_pool_dies_mid_stream(self, spec, tmp_path):
-        """First streamed batch shards through the pool, then the pool dies:
-        the remaining batches degrade to serial, output bit-identical."""
-        layout = (np.random.default_rng(5).random((70, 90)) > 0.75).astype(float)
-        reference = reference_image_layout(
-            spec.build(cache=KernelBankCache()), layout, guard_px=8)
-        executor = ShardedExecutor(num_workers=2, cache_dir=str(tmp_path))
-        executor._pool = _FlakyPool(healthy=2)  # one sharded batch succeeds
-        streamed = executor.image_layout(spec, layout, guard_px=8,
-                                         batch_tiles=4)
-        np.testing.assert_array_equal(streamed.aerial, reference.aerial)
-        executor.close()
-
 
 class TestCacheWarmAcrossProcesses:
-    """The sharded executor's enabling mechanism: banks persist across processes."""
+    """What ``cache_dir`` is for: banks persist across processes."""
 
     def test_fresh_process_loads_bank_without_recomputation(self, tmp_path):
         cache = KernelBankCache(cache_dir=str(tmp_path))

@@ -340,13 +340,13 @@ class TestTileCacheSynergy:
         assert cache.stats.misses == 1
         assert cache.stats.hit_rate >= 0.9
 
-    @pytest.mark.parametrize("scheduler_args", [
-        [],                        # serial engine path
-        ["--scheduler", "pool"],   # sharded executor path
+    @pytest.mark.parametrize("worker_args", [
+        [],                     # one inline shard
+        ["--workers", "2"],     # two shards on worker threads
     ], ids=["serial", "sharded"])
     def test_cli_image_layout_reports_array_reuse(self, tmp_path,
                                                   monkeypatch, capsys,
-                                                  scheduler_args):
+                                                  worker_args):
         from repro.cli import main
 
         monkeypatch.setattr(tile_cache_module, "_default_cache", None)
@@ -354,7 +354,7 @@ class TestTileCacheSynergy:
         assert main(["image-layout", "--input", AREF_GRID,
                      "--tile-size", "32", "--guard", "0",
                      "--pixel-size-nm", "8", "--tile-cache",
-                     "--output", output] + scheduler_args) == 0
+                     "--output", output] + worker_args) == 0
         out = capsys.readouterr().out
         match = re.search(r"tile cache: (\d+)/(\d+) tiles served from cache "
                           r"\(([\d.]+)% hit rate, (\d+) imaged\)", out)

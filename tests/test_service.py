@@ -1,4 +1,4 @@
-"""The campaign service: HTTP round trips, shared caches, kill/resume, chaos.
+"""The campaign service: HTTP round trips, shared caches and pool, kill/resume.
 
 The acceptance properties of the service PR, each pinned directly:
 
@@ -6,10 +6,12 @@ The acceptance properties of the service PR, each pinned directly:
   same campaign run serially in-process,
 * concurrent campaigns share the process-wide kernel-bank machinery — two
   campaigns over the same optics leave one set of bank files, not two,
+* every campaign's tile shards — whatever the layout source — run on the
+  manager's one worker pool, visibly (``/healthz`` ``queue.submitted``),
 * a server killed mid-campaign (SIGKILL, no cleanup) recomputes exactly the
-  remainder on restart,
-* ``REPRO_SCHEDULER_FAULTS`` chaos through the ServiceScheduler still ends
-  in correct, complete results (the facade's serial recompute answers).
+  remainder on restart, and
+* a ``request.json`` persisted by a release that still had the ``streaming``
+  and ``compute.scheduler`` keys keeps resuming.
 """
 
 import glob
@@ -25,7 +27,6 @@ import pytest
 
 import repro.api as api
 from repro.backend import ComputeConfig
-from repro.engine import ShardedExecutor
 from repro.layout.sources import synthesize_layout_mask
 from repro.optics.simulator import OpticsConfig
 from repro.service import (
@@ -35,13 +36,18 @@ from repro.service import (
     ServiceClient,
     ServiceError,
 )
-from repro.sweep import FocusExposureGrid, ProcessWindowSweep, report_as_dict
+from repro.sweep import CampaignStore, ProcessWindowSweep, report_as_dict
 
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+HIER4 = os.path.join(os.path.dirname(__file__), "data", "hier4.gds")
 
 FOCI = [-40.0, 0.0, 40.0]
 DOSES = [0.95, 1.0, 1.05]
 COMPUTE_JSON = {"fft_backend": "numpy", "precision": "float64"}
+#: 96 px at 32 px tiles: 36 guard-banded tiles, so batches really shard.
+MULTI_TILE = {"layout": {"kind": "synthetic", "family": "B2m",
+                         "width_px": 96, "height_px": 96, "seed": 1},
+              "optics": {"tile_size_px": 32, "pixel_size_nm": 8.0}}
 
 
 def make_request(seed: int = 0, **overrides) -> dict:
@@ -140,13 +146,15 @@ class TestHttpRoundTrip:
 
 class TestSharedKernelCache:
     def test_concurrent_campaigns_share_bank_files(self, tmp_path):
-        with CampaignServer(str(tmp_path / "svc"),
-                            campaign_workers=2) as server:
+        with CampaignServer(str(tmp_path / "svc"), campaign_workers=2,
+                            queue_workers=2) as server:
             client = ServiceClient(server.url)
             # same optics, different layouts: the kernel banks must be
             # decomposed once per focus, not once per campaign
-            first = client.submit(make_request(seed=0))
-            second = client.submit(make_request(seed=9))
+            first = client.submit(make_request(**MULTI_TILE))
+            second = client.submit(make_request(
+                **dict(MULTI_TILE, layout=dict(MULTI_TILE["layout"],
+                                               seed=9))))
             assert client.wait(first["id"])["state"] == "completed"
             assert client.wait(second["id"])["state"] == "completed"
             banks = glob.glob(os.path.join(server.manager.kernel_cache_dir,
@@ -156,6 +164,43 @@ class TestSharedKernelCache:
             assert stats["submitted"] > 0
 
 
+class TestSharedWorkerPool:
+    def test_concurrent_gds_campaigns_shard_on_the_pool(self, tmp_path):
+        """Reader layouts image through ``image_layout``: two concurrent
+        campaigns over a ``.gds`` finish bit for bit and their shards ran on
+        the shared pool (they ran single-threaded before the pool moved
+        under ``ShardedExecutor.aerial_batch``)."""
+        request = make_request(layout={"kind": "file", "path": HIER4},
+                               optics={"tile_size_px": 32,
+                                       "pixel_size_nm": 8.0},
+                               target_cd_nm=64.0, guard_px=8)
+        with CampaignServer(str(tmp_path / "svc"), campaign_workers=2,
+                            queue_workers=2) as server:
+            client = ServiceClient(server.url)
+            before = client.health()["queue"]["submitted"]
+            jobs = [client.submit(request) for _ in range(2)]
+            finals = [client.wait(job["id"]) for job in jobs]
+            assert [final["state"] for final in finals] == ["completed"] * 2, \
+                [final["error"] for final in finals]
+            served = [client.report(job["id"], format="json")
+                      for job in jobs]
+            queue = client.health()["queue"]
+        assert queue["submitted"] > before
+        assert queue["num_workers"] == 2
+
+        serial_store = str(tmp_path / "serial")
+        api.sweep_window(HIER4,
+                         OpticsConfig(tile_size_px=32, pixel_size_nm=8.0),
+                         focus_nm=FOCI, dose=DOSES, tolerance=0.2,
+                         target_cd_nm=64.0, guard_px=8,
+                         compute=ComputeConfig(**COMPUTE_JSON),
+                         store=serial_store)
+        serial = report_as_dict(api.open_campaign(serial_store))
+        for report in served:
+            assert report["cd_matrix"] == serial["cd_matrix"]
+            assert report["window"] == serial["window"]
+
+
 def durably_completed(store_dir):
     """Conditions the store has marked complete (manifest + completion log).
 
@@ -163,8 +208,6 @@ def durably_completed(store_dir):
     completion-log line, and a kill landing in between leaves a file the
     resume rightly recomputes.
     """
-    from repro.sweep import CampaignStore
-
     try:
         return len(CampaignStore(store_dir).read_manifest()["completed"])
     except FileNotFoundError:
@@ -250,22 +293,52 @@ class TestKillAndResume:
             revived.close()
 
 
-class TestChaosThroughServiceScheduler:
-    def test_faults_still_end_in_serial_results(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHEDULER_FAULTS", "break_after=1")
-        optics = OpticsConfig(tile_size_px=32, pixel_size_nm=8.0)
-        layout = synthesize_layout_mask(64, 64, 32, 8.0, "B2m", 2)
-        grid = FocusExposureGrid.from_sequences(FOCI, DOSES)
-        compute = ComputeConfig(fft_backend="numpy", precision="float64",
-                                scheduler="service")
-        with ShardedExecutor(num_workers=1, compute=compute) as executor:
-            chaotic = ProcessWindowSweep(optics, executor=executor,
-                                         compute=compute).run(
-                layout, grid=grid, tolerance=0.2,
-                store=str(tmp_path / "chaotic"))
-        monkeypatch.delenv("REPRO_SCHEDULER_FAULTS")
-        serial = api.sweep_window(layout, optics, grid=grid, tolerance=0.2,
-                                  compute=ComputeConfig(fft_backend="numpy",
-                                                        precision="float64"),
-                                  store=str(tmp_path / "serial"))
-        assert chaotic.window.cd_matrix() == serial.window.cd_matrix()
+class TestLegacyRequestKeys:
+    def test_persisted_request_with_removed_keys_resumes(self, tmp_path):
+        """A campaign directory written by a release that accepted
+        ``streaming`` / ``compute.scheduler``: half done, then the manager
+        restarts and computes exactly the remainder."""
+        legacy = make_request(streaming=True, **MULTI_TILE)
+        legacy["compute"]["scheduler"] = "service"
+        total = len(FOCI) * len(DOSES)
+
+        # 4 of the 9 conditions, stored the way the service stores them.
+        data_dir = str(tmp_path / "svc")
+        store_dir = os.path.join(data_dir, "campaigns", "legacy")
+        done = []
+
+        def stop_part_way(focus, dose, cd):
+            done.append((focus, dose))
+            if len(done) == 4:
+                raise KeyboardInterrupt
+
+        parsed = CampaignRequest.from_dict(make_request(**MULTI_TILE))
+        with pytest.raises(KeyboardInterrupt):
+            ProcessWindowSweep(parsed.optics_config(),
+                               compute=parsed.compute).run(
+                parsed.resolve_layout(), grid=parsed.focus_exposure_grid(),
+                tolerance=parsed.tolerance, store=store_dir,
+                progress=stop_part_way)
+        assert durably_completed(store_dir) == 4
+        with open(os.path.join(store_dir, "request.json"), "w",
+                  encoding="utf-8") as handle:
+            json.dump(legacy, handle)
+
+        manager = CampaignManager(data_dir, campaign_workers=1)
+        try:
+            job = manager.wait("legacy")
+            assert job.state == "completed", job.error
+            assert job.resumed is True
+            assert job.computed_conditions == total - 4
+            assert job.resumed_conditions == 4
+            # submitted afresh, the same legacy body is accepted too ...
+            again = manager.wait(manager.submit(legacy).id)
+            assert again.state == "completed", again.error
+        finally:
+            manager.close()
+        # ... and anything else unknown still gets the typed rejection.
+        with pytest.raises(ValueError, match="unknown request field"):
+            CampaignRequest.from_dict(make_request(streamin=True))
+        with pytest.raises(ValueError, match="unknown ComputeConfig field"):
+            CampaignRequest.from_dict(
+                make_request(compute={"schedulr": "pool"}))

@@ -177,9 +177,11 @@ def test_no_image_layout_takes_a_streaming_switch():
 
     import repro.api
     from repro.engine import ExecutionEngine, ShardedExecutor
+    from repro.sweep import ProcessWindowSweep
 
     for function in (ExecutionEngine.image_layout,
-                     ShardedExecutor.image_layout, repro.api.image_layout):
+                     ShardedExecutor.image_layout, repro.api.image_layout,
+                     ProcessWindowSweep.run, repro.api.sweep_window):
         assert "streaming" not in inspect.signature(function).parameters
 
 

@@ -225,14 +225,23 @@ class TestSweepWindowCLI:
         assert first.splitlines()[-1] == second.splitlines()[-1]  # same window
 
     def test_sweep_window_streaming_flag(self, tmp_path, capsys):
+        """The flags that selected between paths are gone, not ignored: a
+        multi-tile sweep images in bounded batches without being asked."""
         from repro.cli import main
 
-        assert main(["sweep-window", "--width", "96", "--height", "80",
-                     "--tile-size", "48", "--pixel-size-nm", "8",
-                     "--focus", "0", "--dose", "1.0", "--workers", "1",
-                     "--tolerance", "0.3", "--streaming",
-                     "--cache-dir", str(tmp_path / "cache")]) == 0
+        base = ["sweep-window", "--width", "96", "--height", "80",
+                "--tile-size", "48", "--pixel-size-nm", "8",
+                "--focus", "0", "--dose", "1.0", "--workers", "1",
+                "--tolerance", "0.3",
+                "--cache-dir", str(tmp_path / "cache")]
+        assert main(base) == 0
         assert "process window" in capsys.readouterr().out
+        for flag in (["--streaming"], ["--scheduler", "pool"]):
+            for command in (base, ["image-layout", "--output", "x.npz"]):
+                with pytest.raises(SystemExit) as excinfo:
+                    main(command + flag)
+                assert excinfo.value.code == 2
+                assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_sweep_window_accepts_space_separated_negative_focus(self):
         """`--focus -80,-40,0` must parse without the `=` workaround."""

@@ -247,7 +247,7 @@ class TestSweepResumability:
 
     def test_store_with_streaming_and_sharded_campaign(self, baseline,
                                                        tmp_path):
-        """Store + streaming + multi-tile layout + (focus, shard) pool."""
+        """Store + multi-tile layout in bounded batches + two worker threads."""
         layout = np.zeros((80, 110))
         layout[10:70, 20:28] = 1.0
         layout[30:38, 40:100] = 1.0
@@ -261,7 +261,7 @@ class TestSweepResumability:
             sweep = ProcessWindowSweep(CONFIG, source=SOURCE,
                                        executor=executor)
             outcome = sweep.run(layout, grid=grid, tolerance=0.3,
-                                guard_px=10, store=store_dir, streaming=True)
+                                guard_px=10, store=store_dir)
         assert outcome.window == reference.window
         assert outcome.computed_conditions == len(grid)
 

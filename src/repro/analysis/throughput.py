@@ -206,21 +206,19 @@ def measure_backend_matrix(kernels: np.ndarray, masks: Sequence[np.ndarray],
                            combos: Optional[Sequence[Tuple[str, str]]] = None,
                            repeats: int = 1,
                            max_chunk_bytes: Optional[int] = None,
-                           baseline_run: Optional[Callable[[np.ndarray],
-                                                           np.ndarray]] = None,
-                           baseline_name: Optional[str] = None,
+                           *,
+                           baseline_run: Callable[[np.ndarray], np.ndarray],
+                           baseline_name: str,
                            ) -> Tuple[Dict[Tuple[str, str], BackendMatrixEntry],
                                       ThroughputResult]:
     """Image the same tile batch under every (backend, precision) combination.
 
-    Returns the matrix plus a baseline measurement against which each
-    entry's ``speedup_vs_seed`` is computed.  ``baseline_run`` defaults to
-    the current engine's full-spectrum numpy/complex128 path (which still
-    benefits from the fused shift-free embeds); pass the literal seed
-    pipeline — as the backend benchmark does — when the recorded speedups
-    must be attributable against the pre-backend-layer code.  ``combos``
-    defaults to every backend available on this machine crossed with
-    float64 and float32.
+    Returns the matrix plus the measurement of ``baseline_run`` (labelled
+    ``baseline_name``) against which each entry's ``speedup_vs_seed`` is
+    computed — the backend benchmark passes the literal seed pipeline, so
+    the recorded speedups are attributable against the pre-backend-layer
+    code.  ``combos`` defaults to every backend available on this machine
+    crossed with float64 and float32.
     """
     from ..backend import available_backends
     from ..engine.batched import (
@@ -235,15 +233,8 @@ def measure_backend_matrix(kernels: np.ndarray, masks: Sequence[np.ndarray],
     chunk_bytes = DEFAULT_MAX_CHUNK_BYTES if max_chunk_bytes is None \
         else max_chunk_bytes
 
-    if baseline_run is None:
-        baseline_run = lambda batch: batched_aerial_from_kernels(  # noqa: E731
-            batch, kernels, backend="numpy", precision="float64",
-            real_fft=False, max_chunk_bytes=chunk_bytes)
-        baseline_name = baseline_name or \
-            "numpy/complex128 full spectrum (current engine)"
     baseline = measure_batched_throughput(
-        baseline_name or "baseline", baseline_run,
-        masks, pixel_size_nm, batch_size=len(masks), repeats=repeats)
+        baseline_name, baseline_run, masks, pixel_size_nm, batch_size=len(masks), repeats=repeats)
 
     matrix: Dict[Tuple[str, str], BackendMatrixEntry] = {}
     for backend, precision in combos:

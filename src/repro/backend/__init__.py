@@ -9,12 +9,14 @@ owns two orthogonal policies that the whole engine stack
   :class:`FFTBackend` by explicit name, the ``REPRO_FFT_BACKEND`` environment
   variable, or the ``auto`` policy (``scipy`` with ``workers=N``
   multi-threaded transforms when scipy is importable, ``numpy`` otherwise).
-  New engines (pyFFTW, CuPy, ...) plug in via :func:`register_backend`.
-  Backends that are also :class:`ArrayModule` instances additionally own the
-  small array namespace the batched hot path needs, letting whole chunks
-  stay **device-resident** (one upload per mask chunk, one download per
-  aerial chunk); the always-available ``fakegpu`` module is a numpy-backed
-  device whose transfer counters make residency provable on CI.
+  New engines (pyFFTW, CuPy, ...) subclass :class:`FFTBackend` and plug in
+  via :func:`register_backend`.  :class:`FFTBackend` is the one backend
+  protocol: next to the four transforms it owns the small array namespace
+  the batched hot path needs — numpy on the host backends, overridden by
+  device backends so whole chunks stay **device-resident** (one upload per
+  mask chunk, one download per aerial chunk); the always-available
+  ``fakegpu`` backend is a numpy-backed device whose transfer counters make
+  residency provable on CI.
 * **Which precision the pipeline runs at** — :func:`resolve_precision` maps
   ``"float64"`` (default) or ``"float32"`` (opt-in) to a :class:`Precision`
   policy carrying the real/complex dtype pair, the byte size used by the
@@ -60,9 +62,9 @@ Registering a GPU backend::
 
 Guarantees
 ----------
-* ``rfft2``/``irfft2`` half-spectrum paths equal the full complex transforms
-  to ~1e-12 relative in float64 (property-tested), and worker counts never
-  change results (pocketfft is bit-for-bit deterministic across threads).
+* the ``rfft2``/``irfft2`` half-spectrum paths equal a plain ``numpy.fft``
+  full-spectrum reference (``tests/reference.py``) to ~1e-12 in float64
+  (property-tested), and worker counts never change results (pocketfft is bit-for-bit deterministic across threads).
 * float32 aerial images agree with the float64 reference to the documented
   :attr:`Precision.aerial_rtol` (~1e-4, typically ~1e-6 observed).
 * An unknown ``REPRO_FFT_BACKEND`` value fails loudly with the list of
@@ -76,6 +78,7 @@ from .fft import (
     NumpyFFTBackend,
     PlanCacheStats,
     ScipyFFTBackend,
+    TransferStats,
     available_backends,
     available_cpus,
     default_fft_workers,
@@ -85,13 +88,9 @@ from .fft import (
     registered_backends,
 )
 from .array_module import (
-    ArrayModule,
     DeviceMixingError,
     FakeDeviceArray,
     FakeGpuArrayModule,
-    HostArrayModule,
-    TransferStats,
-    as_array_module,
     register_cupy_backend,
 )
 from .config import (
@@ -117,9 +116,8 @@ __all__ = [
     "available_backends", "available_cpus", "default_fft_workers",
     "register_pyfftw_backend", "register_cupy_backend",
     "FFT_BACKEND_ENV_VAR", "FFT_WORKERS_ENV_VAR",
-    "ArrayModule", "HostArrayModule", "FakeGpuArrayModule",
-    "FakeDeviceArray", "DeviceMixingError", "TransferStats",
-    "as_array_module",
+    "FakeGpuArrayModule", "FakeDeviceArray", "DeviceMixingError",
+    "TransferStats",
     "Precision", "FLOAT32", "FLOAT64", "resolve_precision",
     "available_precisions", "PRECISION_ENV_VAR",
     "AUTO_PRECISION", "is_auto_precision", "autotune_precision",

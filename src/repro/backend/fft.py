@@ -1,7 +1,10 @@
-"""Pluggable FFT backends: one seam owning every transform in the repo.
+"""Pluggable compute backends: one protocol owning every transform in the repo.
 
-Every FFT in the imaging stack goes through an :class:`FFTBackend`.  Two
-implementations ship:
+Every FFT in the imaging stack goes through an :class:`FFTBackend` — the one
+backend protocol: four abstract transforms plus a small array namespace
+(``asarray`` / ``to_host`` / ``zeros`` / ``empty`` / ``conj`` / ``abs2_sum``)
+that the base class implements with numpy, so a subclass that only defines
+the transforms is a complete host backend.  Two host implementations ship:
 
 * :class:`NumpyFFTBackend` — ``numpy.fft`` (always available, single
   threaded).  ``numpy.fft`` computes in double precision regardless of the
@@ -20,23 +23,23 @@ listing the registered names — for anything unknown.
 
 GPU / FFTW hooks
 ----------------
-:func:`register_backend` is the extension point.  A third-party backend only
-has to provide the four transform methods and a ``name``; see
+:func:`register_backend` is the extension point.  An adapter subclasses
+:class:`FFTBackend` and provides the four transform methods and a ``name``
+(:func:`get_backend` rejects anything else with a ``TypeError``); see
 :func:`register_pyfftw_backend` (explicit FFTW plan cache, below) and
 :func:`repro.backend.array_module.register_cupy_backend` (the resident GPU
-module) for ready-made adapters that activate when the library is installed
+backend) for ready-made adapters that activate when the library is installed
 (they are documented stubs on machines without the dependency — importing
 this module never requires anything beyond numpy).  Backends that also want
-device residency implement the wider
-:class:`~repro.backend.array_module.ArrayModule` interface — the ``fakegpu``
-module registered there proves residency on CI without hardware.
+device residency override the array namespace — the ``fakegpu`` backend in
+:mod:`repro.backend.array_module` proves residency on CI without hardware.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -47,18 +50,79 @@ FFT_WORKERS_ENV_VAR = "REPRO_FFT_WORKERS"
 _SINGLE = (np.dtype(np.float32), np.dtype(np.complex64))
 
 
-class FFTBackend:
-    """Protocol every compute backend implements (2-D transforms, last two axes).
+@dataclass
+class TransferStats:
+    """Host<->device traffic counters of one :class:`FFTBackend` instance.
 
-    All four methods accept/return numpy-compatible arrays, transform the last
-    two axes and honour the numpy ``norm`` conventions.  Implementations must
-    preserve the precision family of the input: single-precision in,
-    single-precision out.
+    ``uploads`` / ``downloads`` count crossings (one per ``asarray`` of a
+    host array, one per ``to_host`` of a device array), the ``*_bytes``
+    fields their payload sizes, and ``host_buffer_allocations`` how many
+    staging buffers :meth:`FFTBackend.empty_host` handed out — the pinned
+    -buffer reuse tests pin this at one per stream.  Increments take a lock:
+    the worker threads of a sharded batch share one backend, and the
+    one-upload-one-download-per-chunk pins must hold there too.
+    """
+
+    uploads: int = 0
+    downloads: int = 0
+    upload_bytes: int = 0
+    download_bytes: int = 0
+    host_buffer_allocations: int = 0
+    _lock: threading.Lock = field(default_factory=threading.Lock,
+                                  repr=False, compare=False)
+
+    def count_upload(self, nbytes: int) -> None:
+        with self._lock:
+            self.uploads += 1
+            self.upload_bytes += int(nbytes)
+
+    def count_download(self, nbytes: int) -> None:
+        with self._lock:
+            self.downloads += 1
+            self.download_bytes += int(nbytes)
+
+    def count_host_buffer(self) -> None:
+        with self._lock:
+            self.host_buffer_allocations += 1
+
+    def reset(self) -> None:
+        self.uploads = self.downloads = 0
+        self.upload_bytes = self.download_bytes = 0
+        self.host_buffer_allocations = 0
+
+
+class FFTBackend:
+    """The one backend protocol: 2-D transforms + the hot path's array namespace.
+
+    A subclass must provide the four transforms: they act on the last two
+    axes, honour the numpy ``norm`` conventions and preserve the precision
+    family of the input (single-precision in, single-precision out).
+
+    The array namespace below is what lets :mod:`repro.engine.batched` run a
+    whole chunk in one place.  The base class implements it for the **host**
+    — every op literally the numpy expression, ``asarray`` / ``to_host``
+    pass-throughs — so a transforms-only subclass is a complete backend and
+    host results are bit-for-bit the plain numpy code.  A **device** backend
+    (cupy, the CI-testable ``fakegpu``) overrides the namespace to create and
+    consume device arrays, sets :attr:`is_resident`, and makes its transforms
+    polymorphic: a device array in yields a device array out (resident
+    compute), a host array in yields a host array out (a per-call round
+    trip, counted in :attr:`transfer_stats`).  Indices, shapes and scalars
+    stay host-side everywhere (they are metadata, not data).
     """
 
     #: Registry name (also what ``REPRO_FFT_BACKEND`` selects).
     name: str = "abstract"
+    #: Device tag (``"cpu"``, ``"fakegpu:0"``, ``"cuda:N"``).
+    device: str = "cpu"
+    #: Whether ``asarray`` moves data to an accelerator (and the batched
+    #: core should run the chunk-resident flow).
+    is_resident: bool = False
 
+    def __init__(self):
+        self.transfer_stats = TransferStats()
+
+    # -- transforms ------------------------------------------------------ #
     def fft2(self, array: np.ndarray, norm: Optional[str] = None) -> np.ndarray:
         raise NotImplementedError
 
@@ -73,6 +137,53 @@ class FFTBackend:
                norm: Optional[str] = None) -> np.ndarray:
         """Inverse of :meth:`rfft2` onto an explicit spatial shape ``s``."""
         raise NotImplementedError
+
+    # -- residency ------------------------------------------------------- #
+    def is_device_array(self, array) -> bool:
+        """Whether ``array`` already lives on this backend's device."""
+        return False
+
+    def asarray(self, array):
+        """Move a host array onto the device (counted); pass device arrays through."""
+        return np.asarray(array)
+
+    def to_host(self, array, out: Optional[np.ndarray] = None):
+        """Move a device array back to the host (counted), optionally into ``out``.
+
+        ``out`` is the staging hook for streamed downloads: a reusable —
+        on CUDA, pinned — host buffer allocated via :meth:`empty_host`.
+        Host arrays pass through (copied into ``out`` when given).
+        """
+        if out is None:
+            return np.asarray(array)
+        np.copyto(out, array)
+        return out
+
+    def empty_host(self, shape: Tuple[int, ...], dtype) -> np.ndarray:
+        """Allocate a host staging buffer for :meth:`to_host` downloads.
+
+        Plain ``numpy.empty`` here and on fakegpu; page-locked (pinned)
+        memory on CUDA so device->host copies run at full PCIe bandwidth.
+        Allocations are counted so buffer *reuse* is testable.
+        """
+        self.transfer_stats.count_host_buffer()
+        return np.empty(shape, dtype=dtype)
+
+    # -- array namespace ------------------------------------------------- #
+    def zeros(self, shape: Tuple[int, ...], dtype):
+        return np.zeros(shape, dtype=dtype)
+
+    def empty(self, shape: Tuple[int, ...], dtype):
+        return np.empty(shape, dtype=dtype)
+
+    def conj(self, array):
+        return np.conj(array)
+
+    def abs2_sum(self, fields, axis: int):
+        """``sum(|fields|^2)`` over ``axis`` — the SOCS intensity reduction."""
+        # Deliberately the two-temporary expression: host results must stay
+        # bit-for-bit; a fused variant is a device-backend optimisation.
+        return np.sum(np.abs(fields) ** 2, axis=axis)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"{type(self).__name__}(name={self.name!r})"
@@ -111,6 +222,7 @@ class NumpyFFTBackend(FFTBackend):
     name = "numpy"
 
     def __init__(self, workers: Optional[int] = None):
+        super().__init__()
         # numpy.fft has no worker knob; accepted for interface uniformity.
         self.workers = workers
 
@@ -154,6 +266,7 @@ class ScipyFFTBackend(FFTBackend):
     def __init__(self, workers: Optional[int] = None):
         import scipy.fft  # noqa: F401 - fail loudly at construction, not first use
 
+        super().__init__()
         self._fft = __import__("scipy.fft", fromlist=["fft2"])
         # Resolved once: per-call env reads / affinity syscalls would cost a
         # syscall per transform and let an already-built backend silently
@@ -200,12 +313,25 @@ def registered_backends() -> Tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
+def _construct(key: str, workers: Optional[int]) -> FFTBackend:
+    backend = _REGISTRY[key](workers)
+    if not isinstance(backend, FFTBackend):
+        # The engine calls the array namespace on whatever it is handed, so
+        # a duck-typed transforms-only object would fail mid-chunk instead.
+        raise TypeError(
+            f"the factory registered for FFT backend {key!r} returned "
+            f"{type(backend).__name__}, which is not an FFTBackend; subclass "
+            f"repro.backend.FFTBackend (only `name` and the four transforms "
+            f"are required)")
+    return backend
+
+
 def available_backends() -> Tuple[str, ...]:
     """Registered backends that actually construct on this machine."""
     names = []
     for name in registered_backends():
         try:
-            _REGISTRY[name](None)
+            _construct(name, None)
         except Exception:
             continue
         names.append(name)
@@ -227,7 +353,9 @@ def get_backend(name: Optional[str] = None,
     Resolution order: explicit ``name`` argument, then ``REPRO_FFT_BACKEND``,
     then ``auto`` (scipy when importable, numpy otherwise).  Unknown names
     raise ``ValueError`` listing every registered backend — a misconfigured
-    environment fails loudly instead of silently imaging on the wrong engine.
+    environment fails loudly instead of silently imaging on the wrong engine
+    — and a factory that returns something other than an
+    :class:`FFTBackend` raises ``TypeError`` naming the backend.
     """
     requested = name or os.environ.get(FFT_BACKEND_ENV_VAR) or "auto"
     key = requested.strip().lower()
@@ -241,7 +369,7 @@ def get_backend(name: Optional[str] = None,
     cache_key = (key, workers)
     backend = _INSTANCES.get(cache_key)
     if backend is None:
-        backend = _REGISTRY[key](workers)
+        backend = _construct(key, workers)
         _INSTANCES[cache_key] = backend
     return backend
 
@@ -303,6 +431,7 @@ def register_pyfftw_backend() -> None:
         name = "pyfftw"
 
         def __init__(self, workers: Optional[int] = None):
+            super().__init__()
             self.workers = workers if workers else default_fft_workers()
             #: Per thread: (kind, shape, dtype, s) -> planned FFTW object.
             #: A plan owns its input / output buffers, so two worker threads

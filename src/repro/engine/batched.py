@@ -31,13 +31,14 @@ Every transform goes through the pluggable compute backend
   dtype decision through the pipeline; float32 halves every byte moved, and
   because the chunk budget is denominated in **bytes** the effective batch
   size per chunk doubles.
-* **Device residency** — when the backend is a resident
-  :class:`~repro.backend.ArrayModule` (cupy, or the CI-testable ``fakegpu``),
-  each chunk pays exactly one host->device upload and one device->host
-  download; spectra, kernel products, fields, the ``|field|^2`` reduction
-  and the Fourier upsampling all run in the module's namespace on the
-  device.  Host modules route the identical expressions through numpy, so
-  host results are bit-for-bit unchanged.
+* **Device residency** — when the backend is device-resident
+  (:attr:`~repro.backend.FFTBackend.is_resident`: cupy, or the CI-testable
+  ``fakegpu``), each chunk pays exactly one host->device upload and one
+  device->host download; spectra, kernel products, fields, the
+  ``|field|^2`` reduction and the Fourier upsampling all run in the
+  backend's array namespace on the device.  Host backends inherit that
+  namespace from :class:`~repro.backend.FFTBackend`, where every op is the
+  numpy expression, so host results are bit-for-bit plain numpy.
 
 Memory is bounded by chunking the batch axis so the intermediate
 ``(B, r, ...)`` product array never exceeds ``max_chunk_bytes``; within a
@@ -50,14 +51,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from ..backend import (
-    ArrayModule,
-    FFTBackend,
-    Precision,
-    as_array_module,
-    get_backend,
-    resolve_precision,
-)
+from ..backend import FFTBackend, Precision, get_backend, resolve_precision
 from ..optics.aerial import mask_spectrum
 from ..optics.grid import embed_centre_unshifted
 
@@ -83,18 +77,16 @@ def _as_kernel_stack(kernels: np.ndarray, precision: Precision) -> np.ndarray:
     return kernels
 
 
-def _direct_chunk(masks, kernels, out_h: int, out_w: int,
-                  xp: ArrayModule, real_fft: bool):
+def _direct_chunk(masks, kernels, out_h: int, out_w: int, xp: FFTBackend):
     """Plain batched evaluation at full output resolution (reference path).
 
-    ``xp`` is the array module the chunk lives in: a host module leaves
-    every expression bit-for-bit the historical numpy code; a device module
-    (cupy / fakegpu) receives device-resident ``masks`` / ``kernels`` and
-    returns a device-resident intensity chunk — no transfer happens here.
+    ``xp`` is the backend the chunk lives in: a host backend leaves every
+    expression bit-for-bit plain numpy; a device backend (cupy / fakegpu)
+    receives device-resident ``masks`` / ``kernels`` and returns a
+    device-resident intensity chunk — no transfer happens here.
     """
     n, m = kernels.shape[-2], kernels.shape[-1]
-    spectra = mask_spectrum(masks, (n, m), backend=xp,
-                            real_fft=None if real_fft else False)  # (B, n, m)
+    spectra = mask_spectrum(masks, (n, m), backend=xp)          # (B, n, m)
     products = kernels[None, :, :, :] * spectra[:, None, :, :]  # (B, r, n, m)
     embedded = embed_centre_unshifted(products, out_h, out_w, xp=xp)
     fields = xp.ifft2(embedded, norm="ortho")
@@ -102,19 +94,17 @@ def _direct_chunk(masks, kernels, out_h: int, out_w: int,
 
 
 def _band_limited_chunk(masks, kernels, out_h: int, out_w: int,
-                        xp: ArrayModule, real_fft: bool):
+                        xp: FFTBackend):
     """Exact evaluation on the intensity band-limit grid + Fourier upsampling.
 
     Like :func:`_direct_chunk`, the whole pipeline — spectrum, kernel
     product, fields, ``|field|^2`` reduction, upsampling — runs inside
-    ``xp``'s namespace, so a device chunk stays resident end to end (the
-    satellite that removed the raw ``np.fft.fftshift`` from this loop).
+    ``xp``'s namespace, so a device chunk stays resident end to end.
     """
     n, m = kernels.shape[-2], kernels.shape[-1]
     small_h, small_w = 2 * n, 2 * m
 
-    spectra = mask_spectrum(masks, (n, m), backend=xp,
-                            real_fft=None if real_fft else False)
+    spectra = mask_spectrum(masks, (n, m), backend=xp)
     products = kernels[None, :, :, :] * spectra[:, None, :, :]
     embedded = embed_centre_unshifted(products, small_h, small_w, xp=xp)
     fields = xp.ifft2(embedded, norm="ortho")
@@ -124,24 +114,18 @@ def _band_limited_chunk(masks, kernels, out_h: int, out_w: int,
     # zero-padding it to (out_h, out_w) is an exact sinc interpolation.  The
     # "forward" norm preserves sample values; the area ratio restores the
     # orthonormal-FFT intensity scale of the full-resolution evaluation.
-    if real_fft:
-        # Half-spectrum upsampling: the small intensity is real, its rfft2
-        # columns 0..m all fit inside the target half spectrum (2m <= out_w),
-        # and the band limit keeps the Nyquist bins at rounding level, so
-        # placing the n positive- and n negative-frequency row blocks at the
-        # target's corners is the same zero-padding — without ever forming
-        # the full spectrum or shifting it.
-        half = xp.rfft2(small, norm="forward")                # (B, 2n, m + 1)
-        padded = xp.zeros(small.shape[:-2] + (out_h, out_w // 2 + 1),
-                          dtype=half.dtype)
-        padded[..., :n, :m + 1] = half[..., :n, :]
-        padded[..., out_h - n:, :m + 1] = half[..., n:, :]
-        upsampled = xp.irfft2(padded, s=(out_h, out_w), norm="forward")
-    else:
-        spectrum = xp.fftshift(xp.fft2(small, norm="forward"),
-                               axes=(-2, -1))
-        padded = embed_centre_unshifted(spectrum, out_h, out_w, xp=xp)
-        upsampled = xp.real(xp.ifft2(padded, norm="forward"))
+    # Half-spectrum upsampling: the small intensity is real, its rfft2
+    # columns 0..m all fit inside the target half spectrum (2m <= out_w),
+    # and the band limit keeps the Nyquist bins at rounding level, so
+    # placing the n positive- and n negative-frequency row blocks at the
+    # target's corners is the same zero-padding — without ever forming
+    # the full spectrum or shifting it.
+    half = xp.rfft2(small, norm="forward")                    # (B, 2n, m + 1)
+    padded = xp.zeros(small.shape[:-2] + (out_h, out_w // 2 + 1),
+                      dtype=half.dtype)
+    padded[..., :n, :m + 1] = half[..., :n, :]
+    padded[..., out_h - n:, :m + 1] = half[..., n:, :]
+    upsampled = xp.irfft2(padded, s=(out_h, out_w), norm="forward")
     scale = (small_h * small_w) / float(out_h * out_w)
     return upsampled * small.dtype.type(scale)
 
@@ -189,7 +173,6 @@ def batched_aerial_from_kernels(masks: np.ndarray, kernels: np.ndarray,
                                 max_chunk_bytes: int = DEFAULT_MAX_CHUNK_BYTES,
                                 backend: Optional[Union[FFTBackend, str]] = None,
                                 precision: Optional[Union[Precision, str]] = None,
-                                real_fft: bool = True,
                                 out: Optional[np.ndarray] = None,
                                 ) -> np.ndarray:
     """Aerial images of a mask batch ``(B, H, W)`` -> ``(B, H, W)``.
@@ -201,7 +184,7 @@ def batched_aerial_from_kernels(masks: np.ndarray, kernels: np.ndarray,
     kernels:
         Complex frequency-domain kernel stack ``(r, n, m)`` (centred DC),
         each kernel already scaled by ``sqrt(eigenvalue)``.  May already be
-        a **device array** of the backend's module (the engine uploads its
+        a **device array** of the backend (the engine uploads its
         bank once and passes it here), in which case its dtype must match
         ``precision`` and no per-call upload happens.
     output_shape:
@@ -216,27 +199,21 @@ def batched_aerial_from_kernels(masks: np.ndarray, kernels: np.ndarray,
         :data:`DEFAULT_MAX_CHUNK_BYTES`.
     backend:
         FFT backend (instance or registered name); ``None`` resolves the
-        default (``REPRO_FFT_BACKEND`` / auto).  A backend that is a
-        device-resident :class:`~repro.backend.ArrayModule` (cupy, fakegpu)
-        switches the loop below to the resident flow: **one upload per mask
+        default (``REPRO_FFT_BACKEND`` / auto).  A device-resident backend
+        (``is_resident``: cupy, fakegpu) switches the loop below to the
+        resident flow: **one upload per mask
         chunk, one download per aerial chunk**, every intermediate staying
         on the device.
     precision:
         Precision policy (:class:`~repro.backend.Precision` or name);
         ``None`` resolves the default (``REPRO_PRECISION`` / float64).
-    real_fft:
-        Use the ``rfft2`` half-spectrum fast path for the real forward /
-        upsampling transforms (default).  ``False`` retains the full
-        complex-spectrum path — the property tests pin the two equal to
-        ~1e-12 relative in float64.
     out:
         Optional preallocated ``(B, H, W)`` host array (the layout pipeline's
         reusable — on CUDA, pinned — staging buffer) the results are written
         into; returned when given.  Results are identical either way.
     """
-    if backend is None or isinstance(backend, str):
-        backend = get_backend(backend)
-    xp = as_array_module(backend)
+    xp = get_backend(backend) \
+        if backend is None or isinstance(backend, str) else backend
     precision = resolve_precision(precision)
     masks = _as_mask_batch(masks, precision)
     device_kernels = xp.is_device_array(kernels)
@@ -286,25 +263,23 @@ def batched_aerial_from_kernels(masks: np.ndarray, kernels: np.ndarray,
         for start in range(0, batch, chunk):
             stop = min(start + chunk, batch)
             chunk_masks = xp.asarray(masks[start:stop])
-            device_chunk = evaluate(chunk_masks, kernels, out_h, out_w,
-                                    xp, real_fft)
+            device_chunk = evaluate(chunk_masks, kernels, out_h, out_w, xp)
             xp.to_host(device_chunk, out=result[start:stop])
         return result
 
-    # Host flow: bit-for-bit the historical numpy/scipy code (the host
-    # module's ops ARE the numpy functions; no staging copies unless the
-    # caller provided an ``out`` to fill).
+    # Host flow: bit-for-bit plain numpy/scipy (a host backend's array ops
+    # ARE the numpy functions; no staging copies unless the caller provided
+    # an ``out`` to fill).
     if out is None:
         if chunk >= batch:
-            return evaluate(masks, kernels, out_h, out_w, xp, real_fft)
+            return evaluate(masks, kernels, out_h, out_w, xp)
         pieces = [evaluate(masks[start:start + chunk], kernels, out_h, out_w,
-                           xp, real_fft)
+                           xp)
                   for start in range(0, batch, chunk)]
         return np.concatenate(pieces, axis=0)
     for start in range(0, batch, chunk):
         stop = min(start + chunk, batch)
-        out[start:stop] = evaluate(masks[start:stop], kernels, out_h, out_w,
-                                   xp, real_fft)
+        out[start:stop] = evaluate(masks[start:stop], kernels, out_h, out_w, xp)
     return out
 
 

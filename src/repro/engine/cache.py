@@ -25,7 +25,9 @@ single-precision variant is derived from it by casting, costing one cast
 instead of a second eigendecomposition.  Setting a ``cache_dir`` (or the
 ``REPRO_KERNEL_CACHE_DIR`` environment variable for the default cache) also
 persists decomposed kernel banks to disk as ``.npz`` files, letting separate
-processes skip the eigendecomposition entirely.
+processes skip the eigendecomposition entirely.  Entries are published by
+rename and an unreadable one is a counted miss (``CacheStats.disk_errors``):
+the bank is rebuilt and the entry overwritten.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ import hashlib
 import os
 import tempfile
 import threading
+import zipfile
+import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, Optional, Tuple
@@ -86,6 +90,13 @@ def optics_fingerprint(config, source: Source, pupil: Pupil) -> str:
         describe_component(pupil),
     ]
     return hashlib.sha1("|".join(parts).encode("utf-8")).hexdigest()
+
+
+#: What ``np.load`` (or reading a member) raises on an ``.npz`` torn by a
+#: crash or written by something else.  Both disk tiers treat these as a
+#: counted miss and overwrite the entry; anything else propagates.
+UNREADABLE_NPZ_ERRORS = (OSError, ValueError, EOFError, KeyError,
+                         zipfile.BadZipFile, zlib.error)
 
 
 def save_npz_atomically(path: str, **arrays) -> None:
@@ -148,6 +159,9 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     disk_loads: int = 0
+    #: Disk entries that existed but could not be read (torn / foreign file):
+    #: each is a miss whose rebuilt bank overwrites the entry.
+    disk_errors: int = 0
 
 
 class KernelBankCache:
@@ -308,12 +322,17 @@ class KernelBankCache:
         path = self._disk_path(key)
         if path is None or not os.path.exists(path):
             return None
-        with np.load(path) as data:
-            return SOCSKernels(
-                kernels=data["kernels"],
-                eigenvalues=data["eigenvalues"],
-                kernel_shape=tuple(int(v) for v in data["kernel_shape"]),
-                total_energy=float(data["total_energy"]))
+        try:
+            with np.load(path) as data:
+                return SOCSKernels(
+                    kernels=data["kernels"],
+                    eigenvalues=data["eigenvalues"],
+                    kernel_shape=tuple(int(v) for v in data["kernel_shape"]),
+                    total_energy=float(data["total_energy"]))
+        except UNREADABLE_NPZ_ERRORS:
+            # A miss, counted; the rebuilt bank overwrites the entry.
+            self.stats.disk_errors += 1
+            return None
 
 
 _default_cache = KernelBankCache(cache_dir=os.environ.get("REPRO_KERNEL_CACHE_DIR"))

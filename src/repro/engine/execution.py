@@ -35,7 +35,6 @@ from ..backend import (
     ComputeConfig,
     FFTBackend,
     Precision,
-    as_array_module,
     autotune_precision,
     get_backend,
     is_auto_precision,
@@ -64,24 +63,25 @@ DEVICE_BANK_LIMIT = 8
 
 #: (kernel fingerprint, device tag) -> device-resident kernel bank.  The
 #: device-side mirror of :class:`~repro.engine.cache.KernelBankCache`: keyed
-#: by content + device so every engine sharing a bank (and backend module)
+#: by content + device so every engine sharing a bank (and backend)
 #: shares ONE upload — the transfer-count tests pin "bank uploaded once per
 #: fingerprint, not once per chunk or per batch".  Locked: the worker threads
 #: of every executor in the process image through it concurrently.
 _DEVICE_BANKS = LockedLRU(DEVICE_BANK_LIMIT)
 
 
-def device_kernel_bank(module, fingerprint: str, kernels: np.ndarray):
+def device_kernel_bank(backend: FFTBackend, fingerprint: str,
+                       kernels: np.ndarray):
     """The device-resident copy of ``kernels``, uploaded at most once.
 
-    ``module`` is a resident :class:`~repro.backend.ArrayModule`; the memo
-    key pairs the engine's kernel fingerprint with the module's device tag,
-    so distinct devices (or dtypes — the fingerprint hashes dtype + bytes)
-    never share a bank.
+    ``backend`` is a device-resident :class:`~repro.backend.FFTBackend`; the
+    memo key pairs the engine's kernel fingerprint with the backend's device
+    tag, so distinct devices (or dtypes — the fingerprint hashes dtype +
+    bytes) never share a bank.
     """
     return _DEVICE_BANKS.get_or_build(
-        (fingerprint, f"{module.name}:{module.device}"),
-        lambda: module.asarray(kernels))
+        (fingerprint, f"{backend.name}:{backend.device}"),
+        lambda: backend.asarray(kernels))
 
 
 @dataclass(frozen=True)
@@ -305,9 +305,9 @@ class ExecutionEngine:
         masks = np.stack([self.precision.as_real(mask) for mask in masks], axis=0) \
             if isinstance(masks, (list, tuple)) else self.precision.as_real(masks)
         kernels = self.kernels
-        module = as_array_module(self.backend)
-        if module.is_resident:
-            kernels = device_kernel_bank(module, self.kernel_fingerprint(),
+        if self.backend.is_resident:
+            kernels = device_kernel_bank(self.backend,
+                                         self.kernel_fingerprint(),
                                          self.kernels)
         return batched_aerial_from_kernels(
             masks, kernels, output_shape=output_shape,
@@ -448,10 +448,9 @@ def image_layout_through(engine: ExecutionEngine, layout,
         meta["num_workers"] = num_workers
     if image_batch is None:
         image_batch = engine.aerial_batch
-        module = as_array_module(engine.backend)
-        if module.is_resident:
+        if engine.backend.is_resident:
             # Stage every device->host download through one reusable
-            # (pinned, where the module supports it) host buffer instead of
+            # (pinned, where the backend supports it) host buffer instead of
             # allocating a fresh batch-sized array per batch.  The pipeline
             # fully consumes each batch (stitch + develop copy out of it,
             # the tile cache admits copies) before requesting the next, so
@@ -466,7 +465,7 @@ def image_layout_through(engine: ExecutionEngine, layout,
                     rows = len(plan_tiles(*layout.shape, tiling))
                     if batch_tiles is not None:
                         rows = min(rows, batch_tiles)
-                    staging.append(module.empty_host(
+                    staging.append(engine.backend.empty_host(
                         (rows,) + tiles.shape[1:],
                         engine.precision.real_dtype))
                 return engine.aerial_batch(tiles,

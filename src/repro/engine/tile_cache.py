@@ -46,8 +46,6 @@ from __future__ import annotations
 import hashlib
 import os
 import threading
-import zipfile
-import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
@@ -55,7 +53,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from ..backend import resolve_precision
-from .cache import save_npz_atomically
+from .cache import UNREADABLE_NPZ_ERRORS, save_npz_atomically
 
 #: Sentinel digest for an all-zero (empty reticle) guard-banded tile.  Not a
 #: hex hash on purpose: zero tiles are served by the constant fast path and
@@ -278,10 +276,8 @@ class TileResultCache:
         try:
             with np.load(path) as data:
                 return np.ascontiguousarray(data["tile"])
-        except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile,
-                zlib.error):
-            # A file torn by a crash or written by something else: a miss,
-            # counted; the re-imaged tile overwrites it.
+        except UNREADABLE_NPZ_ERRORS:
+            # A miss, counted; the re-imaged tile overwrites the entry.
             self.stats.disk_errors += 1
             return None
 

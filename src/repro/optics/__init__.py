@@ -11,7 +11,6 @@ from .grid import FrequencyGrid, centred_indices, crop_centre, embed_centre, mak
 from .hopkins import abbe_aerial
 from .process_window import (
     FocusExposurePoint,
-    ProcessWindowAnalyzer,
     ProcessWindowResult,
     bossung_curves,
     measure_cd,
@@ -42,6 +41,6 @@ __all__ = [
     "abbe_aerial",
     "ConstantThresholdResist", "VariableThresholdResist", "edge_placement_error",
     "LithographySimulator", "OpticsConfig", "lithosim_engine", "calibre_like_engine",
-    "ProcessWindowAnalyzer", "ProcessWindowResult", "FocusExposurePoint",
+    "ProcessWindowResult", "FocusExposurePoint",
     "measure_cd", "bossung_curves",
 ]

@@ -11,11 +11,12 @@ Three paths are provided:
   :mod:`repro.core.nitho`.
 
 Every transform routes through the pluggable compute backend
-(:mod:`repro.backend`): real mask batches take the ``rfft2`` half-spectrum
-fast path (masks are real, so half the spectrum is redundant), and the
-centred crop is gathered straight from the half spectrum via Hermitian
-symmetry — no full-size ``fftshift`` ever materialises.  The full-spectrum
-path is retained (``real_fft=False``) and property-tested for equivalence.
+(:mod:`repro.backend`): masks are real, so half the spectrum is redundant —
+mask batches take the ``rfft2`` half-spectrum transform and the centred crop
+is gathered straight from the half spectrum via Hermitian symmetry; no
+full-size ``fftshift`` ever materialises.  The textbook full-spectrum
+expression lives test-side (``tests/reference.py``) as the oracle this path
+is property-tested against.
 """
 
 from __future__ import annotations
@@ -24,61 +25,45 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..backend import FFTBackend, as_array_module, get_backend
-from .grid import crop_centre, embed_centre_unshifted
+from ..backend import FFTBackend, get_backend
+from .grid import embed_centre_unshifted
 
 
 def mask_spectrum(mask: np.ndarray, kernel_shape: Optional[Tuple[int, int]] = None,
-                  backend: Optional[FFTBackend] = None,
-                  real_fft: Optional[bool] = None) -> np.ndarray:
-    """Centred 2-D spectrum of a mask image, optionally cropped to the kernel window.
+                  backend: Optional[FFTBackend] = None) -> np.ndarray:
+    """Centred 2-D spectrum of a real mask, optionally cropped to the kernel window.
 
     Mirrors lines 6-7 of Algorithm 1: ``fftshift(fft2(M))`` followed by a
-    central crop to the optical-kernel dimensions.  Accepts a single mask
-    ``(H, W)`` or a batch ``(..., H, W)``; the transform always acts on the
-    last two axes.
+    central crop to the optical-kernel dimensions — computed from the
+    ``rfft2`` half spectrum, which agrees with that expression to ~1e-12 in
+    float64 (the half-spectrum values are the same pocketfft sums gathered
+    via Hermitian symmetry).  Accepts a single mask ``(H, W)`` or a batch
+    ``(..., H, W)``; the transform always acts on the last two axes.  A
+    complex mask raises ``ValueError``.
 
-    Parameters
-    ----------
-    backend:
-        FFT backend to transform through; ``None`` resolves the default
-        (``REPRO_FFT_BACKEND`` / auto).
-    real_fft:
-        ``None`` (default) auto-selects the ``rfft2`` half-spectrum fast path
-        for real inputs; ``False`` forces the full complex transform (the
-        reference path the equivalence property tests compare against);
-        ``True`` requires a real input.
+    ``backend`` is the FFT backend to transform through; ``None`` resolves
+    the default (``REPRO_FFT_BACKEND`` / auto).
 
-    The two paths agree to ~1e-12 relative in float64 (the half-spectrum
-    values are the same pocketfft sums gathered via Hermitian symmetry).
-
-    Device residency: with an :class:`~repro.backend.ArrayModule` backend and
-    a mask batch already living on its device, every op below — transform,
-    shift, crop, Hermitian gather — runs through the module, so the spectrum
-    comes back device-resident and nothing crosses the host boundary.  Host
-    masks keep today's host semantics verbatim (index arrays are host-side
+    Device residency: the transform always goes through the backend; the
+    array ops around it (allocation, Hermitian gather) run in the backend's
+    namespace when the mask already lives on its device — the spectrum
+    comes back device-resident and nothing crosses the host boundary — and
+    in numpy otherwise, so a host mask handed to a device backend keeps host
+    semantics and pays one counted round trip (index arrays are host-side
     metadata either way).
     """
     backend = backend or get_backend()
-    xp = as_array_module(backend, like=mask)
+    xp = backend if backend.is_device_array(mask) else np
     mask = xp.asarray(mask)
-    if real_fft is None:
-        real_fft = not np.issubdtype(mask.dtype, np.complexfloating)
-    elif real_fft and np.issubdtype(mask.dtype, np.complexfloating):
-        raise ValueError("real_fft=True requires a real-valued mask")
-
-    if not real_fft:
-        spectrum = xp.fftshift(xp.fft2(mask, norm="ortho"), axes=(-2, -1))
-        if kernel_shape is not None:
-            spectrum = crop_centre(spectrum, kernel_shape[0], kernel_shape[1])
-        return spectrum
+    if np.issubdtype(mask.dtype, np.complexfloating):
+        raise ValueError("mask_spectrum requires a real-valued mask")
 
     height, width = mask.shape[-2], mask.shape[-1]
     n, m = kernel_shape if kernel_shape is not None else (height, width)
     if n > height or m > width:
         raise ValueError(f"crop ({n}, {m}) larger than input ({height}, {width})")
 
-    half = xp.rfft2(mask, norm="ortho")  # (..., H, W//2 + 1)
+    half = backend.rfft2(mask, norm="ortho")  # (..., H, W//2 + 1)
     # Gather the centred n x m window straight from the half spectrum: column
     # frequency c >= -(m//2); non-negative c reads the stored coefficient,
     # negative c its Hermitian mirror conj(F[-row, -col]).

@@ -99,7 +99,7 @@ def embed_centre_unshifted(block: np.ndarray, height: int, width: int,
     per-chunk full-size ``ifftshift`` from the batched imaging hot loop.
 
     ``xp`` is the array namespace the zero target is allocated in — numpy by
-    default, or an :class:`~repro.backend.ArrayModule` so a device-resident
+    default, or an :class:`~repro.backend.FFTBackend` so a device-resident
     ``block`` embeds into a device array without ever visiting the host (the
     quadrant writes are plain slice assignments, valid on both).
     """

@@ -4,20 +4,18 @@ Lithographers qualify a process by printing a critical feature through a
 matrix of focus and exposure-dose conditions and measuring the printed
 critical dimension (CD).  The process window is the set of (dose, focus)
 conditions that keep the CD within a tolerance band.  This module provides
-that analysis on top of the Hopkins/SOCS simulator — and, because the engine
-only needs a kernel bank, it works just as well with kernels learned by Nitho
+the CD extraction and the window summary; the focus-exposure matrix itself
+is run by :class:`repro.sweep.ProcessWindowSweep` — which, because the engine
+only needs a kernel bank, works just as well with kernels learned by Nitho
 (a natural downstream application of the paper's fast-lithography claim).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-
-from .simulator import OpticsConfig
-from .source import Source
 
 
 def longest_printed_run(line: np.ndarray) -> int:
@@ -39,15 +37,6 @@ def longest_printed_run(line: np.ndarray) -> int:
         return 0
     ends = np.flatnonzero(edges == -1)
     return int((ends - starts).max())
-
-
-def _longest_printed_run_loop(line: np.ndarray) -> int:
-    """Pre-vectorisation reference scan, kept as the property-test oracle."""
-    best = current = 0
-    for printed in np.asarray(line, dtype=bool):
-        current = current + 1 if printed else 0
-        best = max(best, current)
-    return best
 
 
 def widest_feature_row(resist: np.ndarray) -> int:
@@ -135,56 +124,6 @@ class ProcessWindowResult:
         if not doses:
             return 0.0
         return max(doses) / min(doses) - 1.0
-
-
-class ProcessWindowAnalyzer:
-    """Run a focus-exposure matrix for one mask with a given simulator configuration.
-
-    Dose is modelled (as in the paper's constant-threshold resist) as a scale
-    on the resist threshold: a higher dose prints at a lower effective
-    threshold.
-
-    This is a thin facade over the sweep orchestration layer
-    (:class:`repro.sweep.ProcessWindowSweep`), which adds per-focus kernel
-    caching, batched imaging, arbitrary-layout tiling and sharding over
-    worker threads on top of the same focus-exposure semantics.  One behavioural
-    upgrade over the pre-sweep analyzer: when ``cd_row`` is ``None`` the
-    measured row now tracks the widest feature printed at the nominal
-    condition instead of blindly using the centre row, so off-centre
-    features are qualified rather than reported as CD 0.
-    """
-
-    def __init__(self, config: OpticsConfig, source: Optional[Source] = None,
-                 cd_row: Optional[int] = None):
-        self.config = config
-        self.source = source
-        self.cd_row = cd_row
-
-    def run(self, mask: np.ndarray, target_cd_nm: float,
-            focus_values_nm: Sequence[float] = (-80.0, -40.0, 0.0, 40.0, 80.0),
-            dose_values: Sequence[float] = (0.9, 1.0, 1.1),
-            tolerance: float = 0.1) -> ProcessWindowResult:
-        """Compute CDs over the focus-exposure matrix.
-
-        Parameters
-        ----------
-        target_cd_nm:
-            Nominal CD of the measured feature; the window keeps CDs within
-            ``target_cd_nm * (1 +/- tolerance)``.
-        dose_values:
-            Relative doses; the effective resist threshold is
-            ``nominal_threshold / dose``.
-        """
-        # Imported here: repro.sweep is built on repro.optics, not vice versa.
-        from ..sweep import FocusExposureGrid, ProcessWindowSweep
-
-        if target_cd_nm <= 0:
-            raise ValueError("target_cd_nm must be positive")
-        grid = FocusExposureGrid.from_sequences(focus_values_nm, dose_values)
-        sweep = ProcessWindowSweep(self.config, source=self.source,
-                                   cd_row=self.cd_row)
-        return sweep.run(mask, target_cd_nm=float(target_cd_nm), grid=grid,
-                         tolerance=tolerance).window
 
 
 def bossung_curves(result: ProcessWindowResult) -> Dict[float, List[Tuple[float, float]]]:

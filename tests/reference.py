@@ -10,10 +10,38 @@ batching, no tile cache, no sharding, no incremental stitch.  It shares only
 the leaf operations with the pipeline (``extract_tiles`` / ``stitch_tiles``,
 pinned as split-inverse by ``tests/test_engine.py``).
 
+The product's transforms are likewise one path — ``rfft2`` half spectra with
+a Hermitian gather, shift-free embeds, half-spectrum upsampling — so
+:func:`reference_mask_spectrum` and :func:`reference_aerial` spell the
+textbook full-spectrum expressions of Algorithm 1 in plain ``numpy.fft``,
+touching no compute backend at all.
+
 It lives under ``tests/`` on purpose: the product keeps one path.
 """
 
+import numpy as np
+
 from repro.engine import LayoutImage, extract_tiles, stitch_tiles
+from repro.optics.grid import crop_centre, embed_centre
+
+
+def reference_mask_spectrum(mask, kernel_shape=None):
+    """``crop_centre(fftshift(fft2(mask)))``: lines 6-7 of Algorithm 1."""
+    spectrum = np.fft.fftshift(np.fft.fft2(mask, norm="ortho"), axes=(-2, -1))
+    if kernel_shape is None:
+        return spectrum
+    return crop_centre(spectrum, kernel_shape[0], kernel_shape[1])
+
+
+def reference_aerial(masks, kernels, output_shape=None):
+    """``sum_i |ifft2(K_i * F(M))|^2`` of a ``(B, H, W)`` batch at full output
+    resolution: full complex spectra, centred embed, explicit ``ifftshift``."""
+    out_h, out_w = masks.shape[-2:] if output_shape is None else output_shape
+    spectra = reference_mask_spectrum(masks, kernels.shape[-2:])
+    products = kernels[None, :, :, :] * spectra[:, None, :, :]
+    embedded = np.fft.ifftshift(embed_centre(products, out_h, out_w),
+                                axes=(-2, -1))
+    return np.sum(np.abs(np.fft.ifft2(embedded, norm="ortho")) ** 2, axis=1)
 
 
 def reference_image_layout(engine, layout, tiling=None, *, tile_px=None,

@@ -1,8 +1,8 @@
-"""Tests for the ArrayModule device seam (repro.backend.array_module).
+"""Tests for the device side of the backend protocol (repro.backend.array_module).
 
 Pinned guarantees:
 
-* **residency is provable**: on the ``fakegpu`` module the batched core pays
+* **residency is provable**: on the ``fakegpu`` backend the batched core pays
   exactly one upload per mask chunk and one download per aerial chunk — for
   the dense, streaming, one-shard and worker-thread paths alike — and the
   kernel bank is uploaded once per (fingerprint, device), never per chunk
@@ -10,19 +10,25 @@ Pinned guarantees:
 * **streamed downloads stage through one reusable host buffer** (the pinned
   -buffer hook): ``host_buffer_allocations == 1`` for a whole streamed
   layout, with or without a tile cache,
-* **fakegpu == numpy bit for bit** across precisions, real/complex FFT paths
-  and band limiting (hypothesis-pinned), so the residency bookkeeping can
-  never drift the numerics,
+* **fakegpu == numpy bit for bit** across precisions and band limiting
+  (hypothesis-pinned), so the residency bookkeeping can never drift the
+  numerics,
 * **host-math mixing raises**: numpy ufuncs on a :class:`FakeDeviceArray`
   and device<->host binary ops fail loudly instead of silently detouring
   through the host,
-* **host modules are pass-throughs**: wrapping a plain backend changes
-  nothing (same results, zero counted transfers), and the wrapper is cached
-  per backend instance,
+* **one protocol**: every registered backend is an ``FFTBackend``; a host
+  backend's array namespace is numpy verbatim with zero counted transfers;
+  ``mask_spectrum`` follows the mask (host in -> host out through one
+  counted round trip, device in -> device out with none); and a subclass
+  that defines only ``name`` + the four transforms — the shape of the
+  benchmark's FFT probe — is a complete backend for an engine and for a
+  sharded executor, changing no output bit,
 * ``--precision auto`` resolves deterministically everywhere an engine is
   built (constructor, ``for_optics``, ``EngineSpec``) and never leaks the
   string ``"auto"`` into a worker-bound spec.
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -36,10 +42,10 @@ from repro.backend import (
     FLOAT64,
     ComputeConfig,
     DeviceMixingError,
-    HostArrayModule,
+    FFTBackend,
     NumpyFFTBackend,
-    as_array_module,
     autotune_precision,
+    available_backends,
     get_backend,
     is_auto_precision,
     resolve_precision,
@@ -56,8 +62,12 @@ from repro.engine.execution import (
     _DEVICE_BANKS,
     device_kernel_bank,
 )
+from repro.engine.streaming import open_layout_dir
+from repro.layout import load_layout_source
 from repro.optics import OpticsConfig
 from repro.optics.aerial import mask_spectrum
+
+HIER4 = os.path.join(os.path.dirname(__file__), "data", "hier4.gds")
 
 CONFIG = OpticsConfig(tile_size_px=32, pixel_size_nm=8.0, max_socs_order=8)
 
@@ -68,7 +78,7 @@ KERNELS = (RNG.standard_normal((3, 9, 9))
 
 @pytest.fixture()
 def fakegpu():
-    """The process-cached fakegpu module with counters and bank memo reset."""
+    """The process-cached fakegpu backend with counters and bank memo reset."""
     module = get_backend("fakegpu")
     module.transfer_stats.reset()
     _DEVICE_BANKS.clear()
@@ -260,13 +270,11 @@ class TestFakeGpuEqualsNumpy:
         np.testing.assert_array_equal(reference, result)
 
     @settings(max_examples=10, deadline=None)
-    @given(masks=binary_masks, real_fft=st.booleans())
-    def test_mask_spectrum_bit_for_bit(self, masks, real_fft):
+    @given(masks=binary_masks)
+    def test_mask_spectrum_bit_for_bit(self, masks):
         module = get_backend("fakegpu")
-        reference = mask_spectrum(masks, (9, 9), backend=get_backend("numpy"),
-                                  real_fft=real_fft)
-        device = mask_spectrum(module.asarray(masks), (9, 9), backend=module,
-                               real_fft=real_fft)
+        reference = mask_spectrum(masks, (9, 9), backend=get_backend("numpy"))
+        device = mask_spectrum(module.asarray(masks), (9, 9), backend=module)
         np.testing.assert_array_equal(reference, module.to_host(device))
 
     def test_out_buffer_result_identical(self, fakegpu):
@@ -308,39 +316,111 @@ class TestDeviceMixing:
 
 
 # --------------------------------------------------------------------------- #
-# host modules are cached pass-throughs
+# one backend protocol
 # --------------------------------------------------------------------------- #
-class TestAsArrayModule:
-    def test_plain_backend_wrapped_once(self):
-        backend = NumpyFFTBackend()
-        module = as_array_module(backend)
-        assert isinstance(module, HostArrayModule)
-        assert module.name == "numpy"
-        assert not module.is_resident
-        assert as_array_module(backend) is module
+class ForwardingBackend(FFTBackend):
+    """Only ``name`` + the four transforms, forwarded to the default backend:
+    exactly what ``bench/probes.py::make_fft_probe`` subclasses."""
+
+    def __init__(self):
+        super().__init__()
+        self.inner = get_backend()
+        self.name = self.inner.name
+        self.calls = 0
+
+    def fft2(self, array, norm=None):
+        self.calls += 1
+        return self.inner.fft2(array, norm=norm)
+
+    def ifft2(self, array, norm=None):
+        self.calls += 1
+        return self.inner.ifft2(array, norm=norm)
+
+    def rfft2(self, array, norm=None):
+        self.calls += 1
+        return self.inner.rfft2(array, norm=norm)
+
+    def irfft2(self, array, s, norm=None):
+        self.calls += 1
+        return self.inner.irfft2(array, s=s, norm=norm)
+
+
+class TestBackendProtocol:
+    def test_every_registered_backend_is_an_fft_backend(self):
+        for name in available_backends():
+            assert isinstance(get_backend(name), FFTBackend), name
 
     def test_host_ops_are_numpy_verbatim(self):
-        module = as_array_module(NumpyFFTBackend())
+        backend = NumpyFFTBackend()
+        assert backend.device == "cpu" and not backend.is_resident
         fields = RNG.standard_normal((2, 3, 4, 4)) \
             + 1j * RNG.standard_normal((2, 3, 4, 4))
-        np.testing.assert_array_equal(module.abs2_sum(fields, axis=1),
+        assert backend.asarray(fields) is fields
+        assert backend.to_host(fields) is fields
+        assert not backend.is_device_array(fields)
+        np.testing.assert_array_equal(backend.abs2_sum(fields, axis=1),
                                       np.sum(np.abs(fields) ** 2, axis=1))
-        np.testing.assert_array_equal(module.fftshift(fields),
-                                      np.fft.fftshift(fields, axes=(-2, -1)))
-        assert module.transfer_stats.uploads == 0
-        assert module.transfer_stats.downloads == 0
+        np.testing.assert_array_equal(backend.conj(fields), np.conj(fields))
+        zeros = backend.zeros((2, 3), dtype=np.complex64)
+        assert isinstance(zeros, np.ndarray) and zeros.dtype == np.complex64
+        assert not zeros.any()
+        assert backend.empty((2, 3), dtype=np.float32).dtype == np.float32
+        out = np.empty_like(fields)
+        assert backend.to_host(fields, out=out) is out
+        np.testing.assert_array_equal(out, fields)
+        stats = backend.transfer_stats
+        assert (stats.uploads, stats.downloads) == (0, 0)
 
-    def test_like_narrows_device_module_to_host_view(self, fakegpu):
-        host_mask = np.ones((4, 4))
-        module = as_array_module(fakegpu, like=host_mask)
-        assert not module.is_resident
-        assert module.host_view() is module
-        # ... but a device operand keeps the device namespace.
+    def test_mask_spectrum_follows_the_mask(self, fakegpu):
+        host_mask = RNG.random((2, 32, 32))
+        reference = mask_spectrum(host_mask, (9, 9),
+                                  backend=get_backend("numpy"))
+        # A host mask keeps host semantics: numpy array ops around ONE
+        # transform through the device backend — one counted round trip.
+        spectrum = mask_spectrum(host_mask, (9, 9), backend=fakegpu)
+        assert isinstance(spectrum, np.ndarray)
+        np.testing.assert_array_equal(spectrum, reference)
+        stats = fakegpu.transfer_stats
+        assert (stats.uploads, stats.downloads) == (1, 1)
+        # A device mask stays on the device: nothing crosses.
         device_mask = fakegpu.asarray(host_mask)
-        assert as_array_module(fakegpu, like=device_mask) is fakegpu
+        stats.reset()
+        device = mask_spectrum(device_mask, (9, 9), backend=fakegpu)
+        assert fakegpu.is_device_array(device)
+        assert (stats.uploads, stats.downloads) == (0, 0)
+        np.testing.assert_array_equal(fakegpu.to_host(device), reference)
 
-    def test_module_passes_through_unwrapped(self, fakegpu):
-        assert as_array_module(fakegpu) is fakegpu
+    def test_transforms_only_backend_drives_an_engine(self, tmp_path):
+        probe = ForwardingBackend()
+        plain = ExecutionEngine.for_optics(CONFIG, compute=NO_CACHE)
+        probed = ExecutionEngine.for_optics(CONFIG, fft_backend=probe,
+                                            compute=NO_CACHE)
+        layout = RNG.random((70, 70))
+        expected = plain.image_layout(layout, guard_px=8,
+                                      out_dir=str(tmp_path / "plain"))
+        result = probed.image_layout(layout, guard_px=8,
+                                     out_dir=str(tmp_path / "probed"))
+        assert probe.calls > 0
+        np.testing.assert_array_equal(expected.aerial, result.aerial)
+        np.testing.assert_array_equal(expected.resist, result.resist)
+        assert open_layout_dir(str(tmp_path / "probed"))[2]["backend"] == \
+            open_layout_dir(str(tmp_path / "plain"))[2]["backend"]
+
+    def test_transforms_only_backend_drives_a_sharded_executor(self):
+        probe = ForwardingBackend()
+        spec = EngineSpec(config=CONFIG)
+        assert spec.fft_backend == probe.name
+        reader = load_layout_source(HIER4, CONFIG.pixel_size_nm)
+        with ShardedExecutor(num_workers=2, tile_cache=False) as plain:
+            expected = plain.image_layout(spec, reader, guard_px=8)
+        with ShardedExecutor(num_workers=2,
+                             tile_cache=TileResultCache()) as probed:
+            probed.warm(spec).backend = probe
+            result = probed.image_layout(spec, reader, guard_px=8)
+            assert probed.tile_cache.stats.misses > 0
+        assert probe.calls > 0
+        np.testing.assert_array_equal(expected.aerial, result.aerial)
+        np.testing.assert_array_equal(expected.resist, result.resist)
 
 
 # --------------------------------------------------------------------------- #

@@ -320,6 +320,34 @@ class TestKernelBankCache:
         assert loaded.total_energy == pytest.approx(bank.total_energy)
         assert loaded.energy_captured() == pytest.approx(bank.energy_captured())
 
+    @pytest.mark.parametrize("damage", ["truncated", "empty", "garbage"])
+    def test_torn_disk_entry_is_a_counted_miss(self, tmp_path, damage):
+        """An unreadable ``kernels-*.npz`` must not crash every later run:
+        it is a miss, the bank is rebuilt and the entry overwritten."""
+        config = OpticsConfig(tile_size_px=32, pixel_size_nm=8.0, max_socs_order=8)
+        fresh = KernelBankCache().get_kernels(config, self.SOURCE, Pupil())
+        KernelBankCache(cache_dir=str(tmp_path)).get_kernels(
+            config, self.SOURCE, Pupil())
+        (entry,) = tmp_path.glob("kernels-*.npz")
+        intact = entry.read_bytes()
+        entry.write_bytes({"truncated": intact[:len(intact) // 2],
+                           "empty": b"",
+                           "garbage": b"not a zip archive" * 64}[damage])
+
+        second = KernelBankCache(cache_dir=str(tmp_path))
+        engine = ExecutionEngine.for_optics(config, source=self.SOURCE,
+                                            cache=second)
+        np.testing.assert_array_equal(engine.kernels, fresh.kernels)
+        assert second.stats.disk_errors == 1
+        assert second.stats.decompositions == 1
+        assert second.stats.disk_loads == 0
+
+        third = KernelBankCache(cache_dir=str(tmp_path))
+        rebuilt = third.get_kernels(config, self.SOURCE, Pupil())
+        np.testing.assert_array_equal(rebuilt.kernels, fresh.kernels)
+        assert third.stats.disk_loads == 1
+        assert third.stats.disk_errors == 0 and third.stats.decompositions == 0
+
     def test_clear_resets(self):
         cache = KernelBankCache()
         config = OpticsConfig(tile_size_px=32, pixel_size_nm=8.0, max_socs_order=4)

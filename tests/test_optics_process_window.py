@@ -8,18 +8,27 @@ from hypothesis import strategies as st
 from repro.optics import OpticsConfig
 from repro.optics.process_window import (
     FocusExposurePoint,
-    ProcessWindowAnalyzer,
     ProcessWindowResult,
-    _longest_printed_run_loop,
     bossung_curves,
     longest_printed_run,
     measure_cd,
     widest_feature_row,
 )
 from repro.optics.source import CircularSource
+from repro.sweep import FocusExposureGrid, ProcessWindowSweep
 
 TILE = 48
 PIXEL = 20.0
+CONFIG = OpticsConfig(tile_size_px=TILE, pixel_size_nm=PIXEL, max_socs_order=12)
+
+
+def _longest_printed_run_loop(line: np.ndarray) -> int:
+    """The plain scan ``longest_printed_run`` vectorises: the property oracle."""
+    best = current = 0
+    for printed in np.asarray(line, dtype=bool):
+        current = current + 1 if printed else 0
+        best = max(best, current)
+    return best
 
 
 @pytest.fixture(scope="module")
@@ -30,17 +39,21 @@ def line_mask():
     return mask
 
 
-@pytest.fixture(scope="module")
-def analyzer():
-    config = OpticsConfig(tile_size_px=TILE, pixel_size_nm=PIXEL, max_socs_order=12)
-    return ProcessWindowAnalyzer(config, source=CircularSource(sigma=0.6))
+def run_window(mask, target_cd_nm,
+               focus_values_nm=(-80.0, -40.0, 0.0, 40.0, 80.0),
+               dose_values=(0.9, 1.0, 1.1), tolerance=0.1):
+    """The focus-exposure matrix of one mask, straight from the sweep layer."""
+    grid = FocusExposureGrid.from_sequences(focus_values_nm, dose_values)
+    sweep = ProcessWindowSweep(CONFIG, source=CircularSource(sigma=0.6))
+    return sweep.run(mask, target_cd_nm=target_cd_nm, grid=grid,
+                     tolerance=tolerance).window
 
 
 @pytest.fixture(scope="module")
-def window(analyzer, line_mask):
-    return analyzer.run(line_mask, target_cd_nm=160.0,
-                        focus_values_nm=(-100.0, 0.0, 100.0),
-                        dose_values=(0.85, 1.0, 1.15), tolerance=0.25)
+def window(line_mask):
+    return run_window(line_mask, target_cd_nm=160.0,
+                      focus_values_nm=(-100.0, 0.0, 100.0),
+                      dose_values=(0.85, 1.0, 1.15), tolerance=0.25)
 
 
 class TestMeasureCD:
@@ -120,10 +133,10 @@ class TestProcessWindow:
         at_dose = {p.focus_nm: p.cd_nm for p in window.points if p.dose == 1.0}
         assert at_dose[100.0] == pytest.approx(at_dose[-100.0], abs=PIXEL)
 
-    def test_defocus_changes_the_print(self, analyzer, line_mask):
+    def test_defocus_changes_the_print(self, line_mask):
         """A large defocus must change the printed CD relative to best focus."""
-        wide = analyzer.run(line_mask, target_cd_nm=160.0,
-                            focus_values_nm=(0.0, 250.0), dose_values=(1.0,), tolerance=0.25)
+        wide = run_window(line_mask, target_cd_nm=160.0,
+                          focus_values_nm=(0.0, 250.0), dose_values=(1.0,), tolerance=0.25)
         at_dose = {p.focus_nm: p.cd_nm for p in wide.points}
         assert at_dose[250.0] != pytest.approx(at_dose[0.0], abs=1e-9)
 
@@ -148,17 +161,17 @@ class TestProcessWindow:
         assert result.depth_of_focus_nm(1.0) == 0.0
         assert result.exposure_latitude() == 0.0
 
-    def test_input_validation(self, analyzer, line_mask):
+    def test_input_validation(self, line_mask):
         with pytest.raises(ValueError):
-            analyzer.run(line_mask, target_cd_nm=0.0)
+            run_window(line_mask, target_cd_nm=0.0)
         with pytest.raises(ValueError):
-            analyzer.run(line_mask, target_cd_nm=100.0, tolerance=1.5)
+            run_window(line_mask, target_cd_nm=100.0, tolerance=1.5)
         with pytest.raises(ValueError):
-            analyzer.run(line_mask, target_cd_nm=100.0, dose_values=())
+            run_window(line_mask, target_cd_nm=100.0, dose_values=())
         with pytest.raises(ValueError):
-            analyzer.run(line_mask, target_cd_nm=100.0, dose_values=(0.0,))
+            run_window(line_mask, target_cd_nm=100.0, dose_values=(0.0,))
         with pytest.raises(ValueError):
-            analyzer.run(np.zeros((2, 2, 2)), target_cd_nm=100.0)
+            run_window(np.zeros((2, 2, 2)), target_cd_nm=100.0)
 
 
 class TestBossung:

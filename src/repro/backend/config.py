@@ -45,15 +45,16 @@ TILE_CACHE_DIR_ENV_VAR = "REPRO_TILE_CACHE_DIR"
 #: fall back to defaults.
 _FIELDS = ("fft_backend", "fft_workers", "precision", "tile_cache")
 
-_FALSY = {"0", "false", "no", "off"}
+_FALSY = {"", "0", "false", "no", "off"}
 
 
-def _env_tile_cache_flag() -> Optional[bool]:
+def env_tile_cache_flag() -> Optional[bool]:
     """The tile-cache on/off verdict of the environment, or ``None`` = unset.
 
-    Mirrors :func:`repro.engine.tile_cache.resolve_tile_cache`'s ``None``
-    branch: ``REPRO_TILE_CACHE`` switches caching on unless falsy, and
-    setting ``REPRO_TILE_CACHE_DIR`` alone also implies on.
+    The one parser of these variables (``ComputeConfig`` and
+    :func:`repro.engine.tile_cache.resolve_tile_cache` both ask here):
+    ``REPRO_TILE_CACHE`` switches caching on unless falsy (empty counts as
+    falsy), and setting ``REPRO_TILE_CACHE_DIR`` alone also implies on.
     """
     flag = os.environ.get(TILE_CACHE_ENV_VAR)
     if flag is not None:
@@ -122,7 +123,7 @@ class ComputeConfig:
             fft_backend=os.environ.get(FFT_BACKEND_ENV_VAR) or None,
             fft_workers=int(workers) if workers else None,
             precision=os.environ.get(PRECISION_ENV_VAR) or None,
-            tile_cache=_env_tile_cache_flag(),
+            tile_cache=env_tile_cache_flag(),
         )
 
     @classmethod
@@ -184,7 +185,7 @@ class ComputeConfig:
             precision = resolve_precision(self.precision).name
         tile_cache = self.tile_cache
         if tile_cache is None:
-            tile_cache = _env_tile_cache_flag()
+            tile_cache = env_tile_cache_flag()
         return ComputeConfig(fft_backend=backend.name,
                              fft_workers=self.fft_workers,
                              precision=precision,

@@ -37,12 +37,15 @@ device residency override the array namespace — the ``fakegpu`` backend in
 
 from __future__ import annotations
 
+import logging
 import os
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
+
+_LOG = logging.getLogger(__name__)
 
 FFT_BACKEND_ENV_VAR = "REPRO_FFT_BACKEND"
 FFT_WORKERS_ENV_VAR = "REPRO_FFT_WORKERS"
@@ -346,6 +349,9 @@ def _scipy_importable() -> bool:
     return True
 
 
+_auto_logged = False
+
+
 def get_backend(name: Optional[str] = None,
                 workers: Optional[int] = None) -> FFTBackend:
     """Resolve a backend by name, environment variable or the ``auto`` policy.
@@ -360,7 +366,13 @@ def get_backend(name: Optional[str] = None,
     requested = name or os.environ.get(FFT_BACKEND_ENV_VAR) or "auto"
     key = requested.strip().lower()
     if key == "auto":
-        key = "scipy" if "scipy" in _REGISTRY and _scipy_importable() else "numpy"
+        have_scipy = "scipy" in _REGISTRY and _scipy_importable()
+        key = "scipy" if have_scipy else "numpy"
+        global _auto_logged
+        if not _auto_logged:  # said once per process, not once per engine
+            _auto_logged = True
+            _LOG.info("FFT backend 'auto' resolved to %r: scipy is %s", key,
+                      "importable" if have_scipy else "not importable")
     if key not in _REGISTRY:
         raise ValueError(
             f"unknown FFT backend {requested!r} (from "

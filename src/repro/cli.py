@@ -243,8 +243,8 @@ def command_sweep_window(arguments) -> int:
                                    compute=compute)
 
         # Build (or disk-load) the per-focus kernel banks before the timed
-        # campaign so the reported time — and any --compare-serial speedup —
-        # measures imaging, not one-off bank decomposition.
+        # campaign so the reported time measures imaging, not one-off bank
+        # decomposition.
         for focus in grid.focus_values_nm:
             sweep.engine_for_focus(focus)
 
@@ -284,26 +284,6 @@ def command_sweep_window(arguments) -> int:
     print(outcome.cd_table())
     print()
     print(outcome.summary())
-
-    if arguments.compare_serial and executor.num_workers > 1:
-        # tile_cache=False: the serial comparator must re-image everything,
-        # or a shared default cache would make the speedup read as ~1x.
-        serial_sweep = ProcessWindowSweep(
-            config, source=source,
-            executor=ShardedExecutor(num_workers=1, cache_dir=cache_dir,
-                                     tile_cache=False),
-            compute=compute.replace(tile_cache=None))
-        serial_start = time.perf_counter()
-        serial_outcome = serial_sweep.run(
-            mask, target_cd_nm=arguments.target_cd or None, grid=grid,
-            tolerance=arguments.tolerance,
-            guard_px=arguments.guard if arguments.guard >= 0 else None)
-        serial_elapsed = time.perf_counter() - serial_start
-        identical = serial_outcome.window == outcome.window
-        print()
-        print(f"serial re-run: {serial_elapsed:.2f} s "
-              f"(sharded speedup {serial_elapsed / max(elapsed, 1e-9):.2f}x, "
-              f"windows identical: {identical})")
 
     if arguments.output:
         matrix = outcome.window.cd_matrix()
@@ -578,9 +558,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="kernel-bank cache directory: decomposed banks "
                             "persist here across runs "
                             "(default: REPRO_KERNEL_CACHE_DIR)")
-    sweep.add_argument("--compare-serial", action="store_true",
-                       help="re-run serially and report the sharded speedup "
-                            "and output equality")
     sweep.add_argument("--store", default="",
                        help="campaign-store directory: per-condition .npz "
                             "records + a resumable manifest (see "

@@ -67,13 +67,11 @@ from .batched import (
     DEFAULT_MAX_CHUNK_BYTES,
     batch_chunk_size,
     batched_aerial_from_kernels,
-    batched_resist_from_kernels,
     effective_chunk_tiles,
 )
 from .cache import (
     CacheStats,
     KernelBankCache,
-    configure_default_cache,
     default_kernel_cache,
     optics_fingerprint,
 )
@@ -113,10 +111,10 @@ from .tiling import (
 
 __all__ = [
     "DEFAULT_MAX_CHUNK_BYTES", "batch_chunk_size",
-    "batched_aerial_from_kernels", "batched_resist_from_kernels",
+    "batched_aerial_from_kernels",
     "effective_chunk_tiles",
-    "CacheStats", "KernelBankCache", "configure_default_cache",
-    "default_kernel_cache", "optics_fingerprint",
+    "CacheStats", "KernelBankCache", "default_kernel_cache",
+    "optics_fingerprint",
     "ExecutionEngine", "LayoutImage",
     "DEFAULT_SCHEDULER", "EngineSpec", "ShardedExecutor", "WorkerPool",
     "available_workers",

@@ -281,11 +281,3 @@ def batched_aerial_from_kernels(masks: np.ndarray, kernels: np.ndarray,
         stop = min(start + chunk, batch)
         out[start:stop] = evaluate(masks[start:stop], kernels, out_h, out_w, xp)
     return out
-
-
-def batched_resist_from_kernels(masks: np.ndarray, kernels: np.ndarray,
-                                threshold: float,
-                                **kwargs) -> np.ndarray:
-    """Binary resist batch via constant-threshold development of the aerial batch."""
-    aerial = batched_aerial_from_kernels(masks, kernels, **kwargs)
-    return (aerial > threshold).astype(np.uint8)

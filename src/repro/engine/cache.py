@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import logging
 import os
 import tempfile
 import threading
@@ -50,6 +51,8 @@ from ..optics.pupil import Pupil
 from ..optics.socs import SOCSKernels, decompose_tcc
 from ..optics.source import Source
 from ..optics.tcc import TCCResult, compute_tcc
+
+_LOG = logging.getLogger(__name__)
 
 
 def _describe_value(value) -> str:
@@ -329,9 +332,11 @@ class KernelBankCache:
                     eigenvalues=data["eigenvalues"],
                     kernel_shape=tuple(int(v) for v in data["kernel_shape"]),
                     total_energy=float(data["total_energy"]))
-        except UNREADABLE_NPZ_ERRORS:
-            # A miss, counted; the rebuilt bank overwrites the entry.
+        except UNREADABLE_NPZ_ERRORS as exc:
+            # A miss, counted and said; the rebuilt bank overwrites the entry.
             self.stats.disk_errors += 1
+            _LOG.warning("unreadable kernel-bank cache entry %s (%s): "
+                         "rebuilding", path, type(exc).__name__)
             return None
 
 
@@ -340,11 +345,4 @@ _default_cache = KernelBankCache(cache_dir=os.environ.get("REPRO_KERNEL_CACHE_DI
 
 def default_kernel_cache() -> KernelBankCache:
     """The process-wide cache shared by simulators, engines and experiments."""
-    return _default_cache
-
-
-def configure_default_cache(cache_dir: Optional[str]) -> KernelBankCache:
-    """Replace the process-wide cache (e.g. to enable on-disk persistence)."""
-    global _default_cache
-    _default_cache = KernelBankCache(cache_dir=cache_dir)
     return _default_cache

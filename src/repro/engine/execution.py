@@ -40,6 +40,7 @@ from ..backend import (
     is_auto_precision,
     resolve_precision,
 )
+from ..layout.reader import ArrayLayoutReader
 from ..optics.resist import ConstantThresholdResist
 from .batched import (
     DEFAULT_MAX_CHUNK_BYTES,
@@ -435,9 +436,9 @@ def image_layout_through(engine: ExecutionEngine, layout,
     """
     is_reader = hasattr(layout, "read_window")
     if not is_reader:
-        # Readers rasterise per window; their tiles are cast per batch
-        # inside aerial_batch instead of up front.
-        layout = engine.precision.as_real(layout)
+        # The one place a dense raster becomes a reader; it is cast up front
+        # (a reader's tiles are cast per batch inside aerial_batch).
+        layout = ArrayLayoutReader(engine.precision.as_real(layout))
     tiling = engine.resolve_tiling(tiling, tile_px, guard_px)
     if batch_tiles is None and (is_reader or out_dir is not None):
         batch_tiles = engine.stream_batch_tiles(tiling) * \

@@ -81,12 +81,6 @@ class EngineSpec:
     reconstructs the exact same backend + precision, and the fingerprint
     names what actually ran.  ``fft_workers`` only affects wall-clock
     (pocketfft is deterministic across worker counts), never output.
-
-    ``dose`` is the optional exposure axis: a relative dose scales the
-    resist threshold of the built engine (``threshold / dose`` — the aerial
-    image is dose-independent under the constant-threshold resist), for a
-    resist model that needs one engine per (focus, dose).  ``None`` keeps
-    the config's nominal threshold and the pre-dose fingerprints.
     """
 
     config: OpticsConfig
@@ -98,7 +92,6 @@ class EngineSpec:
     fft_backend: Optional[str] = None
     fft_workers: Optional[int] = None
     precision: Optional[str] = None
-    dose: Optional[float] = None
     #: Construction-time convenience only: a :class:`ComputeConfig` whose
     #: ``fft_backend`` / ``fft_workers`` / ``precision`` seed the fields
     #: above (explicit fields win), then the attribute resets to ``None`` —
@@ -133,8 +126,6 @@ class EngineSpec:
         else:
             object.__setattr__(self, "precision",
                                resolve_precision(self.precision).name)
-        if self.dose is not None and self.dose <= 0:
-            raise ValueError("dose must be positive")
 
     def resolved_optics(self) -> Tuple[Source, Pupil]:
         """Source / pupil with the same defaults as ``ExecutionEngine.for_optics``."""
@@ -146,16 +137,11 @@ class EngineSpec:
         """Cache key: optics fingerprint + the engine options that change output."""
         source, pupil = self.resolved_optics()
         base = optics_fingerprint(self.config, source, pupil)
-        fingerprint = (
+        return (
             f"{base}|order={getattr(self.config, 'max_socs_order', None)}"
             f"|band={self.band_limited}|chunk={self.max_chunk_bytes}"
             f"|backend={self.fft_backend}|workers={self.fft_workers}"
             f"|prec={self.precision}")
-        if self.dose is not None:
-            # Appended only when set, so pre-dose fingerprints (and the
-            # campaign-store identities derived from them) are unchanged.
-            fingerprint += f"|dose={self.dose}"
-        return fingerprint
 
     def with_focus(self, focus_nm: float) -> "EngineSpec":
         """The same imaging system refocused: config + pupil defocus replaced."""
@@ -166,31 +152,19 @@ class EngineSpec:
             source=source,
             pupil=dataclasses.replace(pupil, defocus_nm=float(focus_nm)))
 
-    def with_condition(self, focus_nm: float,
-                       dose: Optional[float] = None) -> "EngineSpec":
-        """The spec for one (focus, dose) process condition of this system."""
-        refocused = self.with_focus(focus_nm)
-        return dataclasses.replace(
-            refocused, dose=float(dose) if dose is not None else None)
-
     def build(self, cache: Optional[KernelBankCache] = None) -> ExecutionEngine:
         """Build the engine, serving kernels through ``cache`` (or the spec's dir)."""
         source, pupil = self.resolved_optics()
         if cache is None:
             cache = (KernelBankCache(cache_dir=self.cache_dir) if self.cache_dir
                      else default_kernel_cache())
-        kwargs = {}
-        if self.dose is not None:
-            # Dose rescales the develop threshold only; the kernel bank (and
-            # its cache entry) is shared across every dose of a focus.
-            kwargs["resist_threshold"] = self.config.resist_threshold / self.dose
         return ExecutionEngine.for_optics(
             self.config, source=source, pupil=pupil, cache=cache,
             band_limited=self.band_limited,
             max_chunk_bytes=self.max_chunk_bytes,
             compute=ComputeConfig(fft_backend=self.fft_backend,
                                   fft_workers=self.fft_workers,
-                                  precision=self.precision), **kwargs)
+                                  precision=self.precision))
 
 
 #: Shards cut per worker thread once there is more than one worker.  Shards

@@ -3,15 +3,19 @@
 :func:`stream_image_layout` is the one implementation of the tile operation
 chain; ``ExecutionEngine.image_layout`` and ``ShardedExecutor.image_layout``
 are adapters that hand it their ``image_batch``, resist model, batch size
-and tile cache.  Whatever the layout — a dense raster, a ``numpy.memmap``
-or a windowed :class:`repro.layout.LayoutReader`:
+and tile cache.  The layout is always a windowed
+:class:`repro.layout.LayoutReader` — the adapters wrap a dense raster or
+``numpy.memmap`` once, on the way in:
 
 1. tile *placements* are planned up front (cheap metadata, no pixels),
-2. a generator cuts guard-banded tiles for one batch of placements at a
-   time (:func:`iter_tile_batches`), with content digests when a tile cache
-   is attached — its stage images only the batch's first-occurrence misses,
-3. each batch is imaged through the ordinary batched core (or a sharded
-   executor), and
+2. a generator reads one guard-banded window per placement, one batch of
+   placements at a time (:func:`iter_tile_batches`) — every batch has the
+   same shape: the reader's own windows,
+3. the one fork: with a tile cache each window is digested as read (an
+   all-zero one is tagged, not hashed) and the cache stage images only the
+   batch's first-occurrence misses; without one the windows fill a single
+   preallocated stack for the ordinary batched core (or a sharded executor),
+   and
 4. each batch's interior cores are stitched **incrementally** into the
    output — a plain array, or a ``numpy.memmap`` when an ``out_dir`` is
    given — and developed core by core.
@@ -61,11 +65,13 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .tile_cache import tile_digest
 from .tiling import (
     TilePlacement,
     TilingSpec,
     extract_tile_batch,
     plan_tiles,
+    stack_windows,
     stitch_into,
 )
 
@@ -74,34 +80,23 @@ RESIST_FILE = "resist.npy"
 META_FILE = "meta.json"
 
 
-def iter_tile_batches(layout,
-                      placements: Sequence[TilePlacement],
+def iter_tile_batches(reader, placements: Sequence[TilePlacement],
                       spec: TilingSpec, batch_tiles: int,
-                      with_digests: bool = False,
-                      ) -> Iterator[Tuple[np.ndarray, List[TilePlacement]]]:
-    """Yield ``(tiles, placements)`` batches of at most ``batch_tiles`` tiles.
+                      ) -> Iterator[Tuple[Iterator[np.ndarray],
+                                          List[TilePlacement]]]:
+    """Yield ``(windows, placements)`` batches of at most ``batch_tiles`` tiles.
 
-    Tiles are cut lazily per batch, so only ``batch_tiles`` guard-banded
-    tiles are ever resident; ``layout`` may itself be a ``numpy.memmap`` or
-    a windowed :class:`repro.layout.LayoutReader` — with a reader the tiles
-    are rasterised window-by-window and the dense raster never exists, so
-    peak RAM for layout data is O(one batch) end to end.
-
-    With ``with_digests=True`` each batch is a ``(windows, digests,
-    placements)`` triple for the tile-result cache — the windows unstacked
-    in the reader's dtype, each hashed as soon as it is read, while still
-    hot in cache (see :func:`~repro.engine.tiling.extract_tile_batch`).
+    ``windows`` is :func:`~repro.engine.tiling.extract_tile_batch`'s lazy
+    iterator over the batch — consume it before asking for the next batch.
+    Windows are rasterised one by one as they are consumed and the dense
+    raster never exists, so peak RAM for layout data is O(one batch) end to
+    end.
     """
     if batch_tiles < 1:
         raise ValueError("batch_tiles must be at least 1")
     for start in range(0, len(placements), batch_tiles):
         subset = list(placements[start:start + batch_tiles])
-        if with_digests:
-            tiles, digests = extract_tile_batch(layout, subset, spec,
-                                                with_digests=True)
-            yield tiles, digests, subset
-        else:
-            yield extract_tile_batch(layout, subset, spec), subset
+        yield extract_tile_batch(reader, subset, spec), subset
 
 
 def _allocate(out_dir: Optional[str], name: str, shape: Tuple[int, int],
@@ -114,7 +109,7 @@ def _allocate(out_dir: Optional[str], name: str, shape: Tuple[int, int],
                                      dtype=np.dtype(dtype), shape=shape)
 
 
-def stream_image_layout(layout, tiling: TilingSpec,
+def stream_image_layout(reader, tiling: TilingSpec,
                         image_batch: Callable[[np.ndarray], np.ndarray],
                         develop: Callable[[np.ndarray], np.ndarray],
                         real_dtype, batch_tiles: Optional[int] = None,
@@ -148,32 +143,33 @@ def stream_image_layout(layout, tiling: TilingSpec,
         result (per-tile FFT work is independent of batch composition).
 
     Returns ``(aerial, resist, num_tiles)``; the arrays are memmaps when
-    ``out_dir`` was given (flushed before returning).  ``layout`` may be a
-    dense array, a ``numpy.memmap`` or a windowed layout reader.  Every
-    argument is validated before ``out_dir`` is touched.
+    ``out_dir`` was given (flushed before returning).  ``reader`` is a
+    :class:`repro.layout.LayoutReader` (``image_layout`` wraps dense arrays
+    on the way in).  Every argument is validated before ``out_dir`` is
+    touched.
     """
-    if not hasattr(layout, "read_window"):
-        layout = np.asarray(layout)
-    if len(layout.shape) != 2:
-        raise ValueError("layout must be a 2-D image")
     if tile_cache is not None and cache_context is None:
         raise ValueError("tile_cache requires a cache_context")
-    height, width = layout.shape
+    height, width = reader.shape
     placements = plan_tiles(height, width, tiling)
     if batch_tiles is None:
         batch_tiles = len(placements)
 
     guard = tiling.guard_px
     aerial = resist = None  # allocated below; a bad batch_tiles raises first
-    for batch in iter_tile_batches(layout, placements, tiling, batch_tiles,
-                                   with_digests=tile_cache is not None):
+    for windows, subset in iter_tile_batches(reader, placements, tiling,
+                                             batch_tiles):
         if tile_cache is not None:
-            tiles, digests, subset = batch
+            # Windows stay as the reader made them, each hashed as soon as
+            # it is read (still hot in cache); only misses get stacked.
+            kept, digests = [], []
+            for window in windows:
+                kept.append(window)
+                digests.append(tile_digest(window))
             aerial_tiles = tile_cache.image_tile_batch(
-                tiles, digests, image_batch, cache_context)
+                kept, digests, image_batch, cache_context)
         else:
-            tiles, subset = batch
-            aerial_tiles = image_batch(tiles)
+            aerial_tiles = image_batch(stack_windows(windows, len(subset)))
         if aerial is None:
             # Allocated once the first batch is back, not up front: zeroed
             # rasters touched before imaging would sit in RAM next to the

@@ -26,8 +26,8 @@ Two tiers, mirroring :class:`~repro.engine.cache.KernelBankCache`:
 The all-zero fast path never touches either tier: an empty reticle tile
 images to exactly zero under every backend and precision (the DFT of an
 exactly-zero array is exactly ±0 and ``|0|^2`` is ``+0``), so zero tiles —
-detected upstream without rasterising via ``window_is_empty`` and tagged
-with :data:`ZERO_TILE_DIGEST` — are all served by one shared zero tile.
+:func:`tile_digest` answers :data:`ZERO_TILE_DIGEST` for an all-zero window
+instead of hashing it — are all served by one shared zero tile.
 
 Each pixel moves once.  The content key digests a window exactly as the
 layout reader produced it (its dtype is part of the key; nothing is cast or
@@ -44,6 +44,7 @@ rate with zero recomputation.
 from __future__ import annotations
 
 import hashlib
+import logging
 import os
 import threading
 from collections import OrderedDict
@@ -53,7 +54,10 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from ..backend import resolve_precision
+from ..backend.config import env_tile_cache_flag
 from .cache import UNREADABLE_NPZ_ERRORS, save_npz_atomically
+
+_LOG = logging.getLogger(__name__)
 
 #: Sentinel digest for an all-zero (empty reticle) guard-banded tile.  Not a
 #: hex hash on purpose: zero tiles are served by the constant fast path and
@@ -66,7 +70,13 @@ DEFAULT_MAX_BYTES = 512 * 2 ** 20
 
 
 def tile_digest(tile: np.ndarray) -> str:
-    """Content digest of one guard-banded tile (shape + dtype + bytes)."""
+    """Content digest of one guard-banded tile (shape + dtype + bytes).
+
+    The one place that says a tile is empty: an all-zero window of any
+    shape or dtype digests to :data:`ZERO_TILE_DIGEST` and is never hashed.
+    """
+    if not tile.any():
+        return ZERO_TILE_DIGEST
     tile = np.ascontiguousarray(tile)
     digest = hashlib.sha1(f"{tile.shape}|{tile.dtype.str}|".encode("utf-8"))
     digest.update(tile)  # buffer protocol: hashed in place, no copy
@@ -155,9 +165,9 @@ class TileResultCache:
 
         ``tiles`` holds the batch's guard-banded windows — an
         ``(N, tile_px, tile_px)`` stack or any sequence of 2-D windows in
-        the reader's own dtype — and ``digests`` their content digests;
-        rows tagged ``ZERO_TILE_DIGEST`` are never read (the extractor
-        leaves ``None`` there).  ``image_batch`` is called **at most once**,
+        the reader's own dtype — and ``digests`` their :func:`tile_digest`
+        values; rows tagged ``ZERO_TILE_DIGEST`` are never read.
+        ``image_batch`` is called **at most once**,
         on the stack of first-occurrence misses; every other row is served
         from the zero fast path, the in-memory tier, the disk tier, or its
         within-batch duplicate.
@@ -276,9 +286,11 @@ class TileResultCache:
         try:
             with np.load(path) as data:
                 return np.ascontiguousarray(data["tile"])
-        except UNREADABLE_NPZ_ERRORS:
-            # A miss, counted; the re-imaged tile overwrites the entry.
+        except UNREADABLE_NPZ_ERRORS as exc:
+            # A miss, counted and said; the re-imaged tile overwrites it.
             self.stats.disk_errors += 1
+            _LOG.warning("unreadable tile cache entry %s (%s): re-imaging",
+                         path, type(exc).__name__)
             return None
 
 
@@ -309,9 +321,11 @@ def resolve_tile_cache(tile_cache=None) -> Optional[TileResultCache]:
     * a :class:`TileResultCache` instance — used as-is,
     * ``True`` — the process-wide default cache,
     * ``False`` — caching off, regardless of the environment,
-    * ``None`` — consult the environment: ``REPRO_TILE_CACHE`` switches the
-      default cache on (any value but ``0``/``false``/``no``/``off``), and
-      setting ``REPRO_TILE_CACHE_DIR`` alone also implies on.
+    * ``None`` — consult the environment
+      (:func:`repro.backend.config.env_tile_cache_flag`):
+      ``REPRO_TILE_CACHE`` switches the default cache on (any value but
+      empty / ``0`` / ``false`` / ``no`` / ``off``), and setting
+      ``REPRO_TILE_CACHE_DIR`` alone also implies on.
     """
     if isinstance(tile_cache, TileResultCache):
         return tile_cache
@@ -323,11 +337,4 @@ def resolve_tile_cache(tile_cache=None) -> Optional[TileResultCache]:
         raise TypeError(
             f"tile_cache must be a TileResultCache, bool or None, "
             f"got {tile_cache!r}")
-    flag = os.environ.get("REPRO_TILE_CACHE")
-    if flag is not None:
-        if flag.strip().lower() in ("", "0", "false", "no", "off"):
-            return None
-        return default_tile_cache()
-    if os.environ.get("REPRO_TILE_CACHE_DIR"):
-        return default_tile_cache()
-    return None
+    return default_tile_cache() if env_tile_cache_flag() else None

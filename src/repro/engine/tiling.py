@@ -22,14 +22,22 @@ Guarantees
   widens; it is *not* exactly zero because the optical point-spread function
   has unbounded support.  Choose ``guard_px`` of the order of the kernel
   window for production work; :func:`default_guard_px` applies that rule.
+
+Pixels come from a :class:`repro.layout.LayoutReader` and nowhere else:
+:func:`extract_tile_batch` is one ``read_window`` per placement, yielding
+the reader's own arrays, and what a batch is *for* — one stack to image, or
+a list to digest for the tile cache — is the pipeline's decision
+(:mod:`repro.engine.streaming`), not the extractor's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
+
+from ..layout.reader import as_layout_reader
 
 
 @dataclass(frozen=True)
@@ -86,79 +94,52 @@ def plan_tiles(height: int, width: int, spec: TilingSpec) -> List[TilePlacement]
     return placements
 
 
-def extract_tile_batch(layout: np.ndarray, placements: Sequence[TilePlacement],
-                       spec: TilingSpec, with_digests: bool = False):
-    """Cut the guard-banded tiles of a subset of placements from a layout.
+def extract_tile_batch(reader, placements: Sequence[TilePlacement],
+                       spec: TilingSpec) -> Iterator[np.ndarray]:
+    """Yield the guard-banded window of each placement, one ``read_window`` each.
 
-    The layout pipeline calls this once per batch of placements, so with
-    bounded batches the full tile stack is never materialised;
-    ``extract_tiles`` is the all-placements special case.  ``layout`` may be any 2-D array-like
-    including a ``numpy.memmap`` — only the windows actually read are paged
-    in — or a windowed :class:`repro.layout.LayoutReader` (anything with a
-    ``read_window`` method), in which case each guard-banded tile is
-    rasterised on demand and the dense raster never exists.  Content beyond
-    the layout boundary is zero (an empty reticle) on every path.
-
-    With ``with_digests=True`` the return value is ``(windows, digests)``
-    for the tile-result cache (:mod:`repro.engine.tile_cache`): no stack is
-    built — each window stays the array the reader returned, in the
-    reader's dtype, hashed in place — because the cache stacks and casts
-    only the tiles it has to image.  All-zero windows are tagged
-    ``ZERO_TILE_DIGEST`` and their list slot is ``None``; readers exposing
-    ``window_is_empty`` (the bundled readers do) have them detected from
-    geometry alone, without being rasterised or hashed.
+    ``reader`` is a :class:`repro.layout.LayoutReader`; every window comes
+    back exactly as the reader produced it — its array, its dtype, zeros
+    beyond the layout boundary (an empty reticle) — and lazily, so a caller
+    that copies each one onward (:func:`stack_windows`) never holds a second
+    batch, while the tile-cache stage keeps the list and hashes it in place.
     """
-    if not hasattr(layout, "read_window"):
-        # Dense arrays speak the same protocol through the adapter, so the
-        # zero-padded window-clipping arithmetic lives in exactly one place
-        # (ArrayLayoutReader.read_window).
-        from ..layout.reader import ArrayLayoutReader
-
-        layout = ArrayLayoutReader(np.asarray(layout))
     tile, guard = spec.tile_px, spec.guard_px
-    if not with_digests:
-        # np.empty, not np.zeros: every row is fully overwritten below
-        # (pinned by tests/test_tile_cache.py), so the O(batch) memset would
-        # be pure waste.
-        tiles = np.empty((len(placements), tile, tile),
-                         dtype=getattr(layout, "dtype", float))
-        for index, place in enumerate(placements):
-            tiles[index] = layout.read_window(place.row - guard,
-                                              place.col - guard, tile, tile)
-        return tiles
-    from .tile_cache import ZERO_TILE_DIGEST, tile_digest
-
-    window_is_empty = getattr(layout, "window_is_empty", None)
-    windows, digests = [], []
     for place in placements:
-        row, col = place.row - guard, place.col - guard
-        window = None
-        if window_is_empty is None or not window_is_empty(row, col,
-                                                          tile, tile):
-            window = layout.read_window(row, col, tile, tile)
-            if not window.any():
-                window = None
-        windows.append(window)
-        digests.append(ZERO_TILE_DIGEST if window is None
-                       else tile_digest(window))
-    return windows, digests
+        yield reader.read_window(place.row - guard, place.col - guard,
+                                 tile, tile)
 
 
-def extract_tiles(layout: np.ndarray, spec: TilingSpec,
+def stack_windows(windows: Iterable[np.ndarray], count: int) -> np.ndarray:
+    """Fill one ``(count, tile_px, tile_px)`` stack from ``count`` windows.
+
+    The stack is allocated once, in the first window's dtype, and filled
+    window by window: np.empty, not np.zeros — every row is overwritten
+    (pinned by tests/test_tile_cache.py), so the O(batch) memset would be
+    pure waste.
+    """
+    windows = iter(windows)
+    first = next(windows)
+    tiles = np.empty((count,) + first.shape, dtype=first.dtype)
+    tiles[0] = first
+    for index, window in enumerate(windows, start=1):
+        tiles[index] = window
+    return tiles
+
+
+def extract_tiles(layout, spec: TilingSpec,
                   ) -> Tuple[np.ndarray, List[TilePlacement]]:
     """Cut a layout into guard-banded tiles ``(N, tile_px, tile_px)``.
 
-    Each tile window extends ``guard_px`` pixels beyond its core on every
-    side; content beyond the layout boundary is zero (an empty reticle).
-    ``layout`` may be a dense array or a windowed layout reader (see
-    :func:`extract_tile_batch`).
+    The all-placements convenience over :func:`extract_tile_batch` for
+    callers holding a whole layout: ``layout`` is a dense 2-D array (a
+    ``numpy.memmap`` pages in only the windows read) or a layout reader, and
+    the stack has the dtype of the reader's windows.
     """
-    if not hasattr(layout, "read_window"):
-        layout = np.asarray(layout)
-    if len(layout.shape) != 2:
-        raise ValueError("layout must be a 2-D image")
-    placements = plan_tiles(layout.shape[0], layout.shape[1], spec)
-    return extract_tile_batch(layout, placements, spec), placements
+    reader = as_layout_reader(layout)
+    placements = plan_tiles(*reader.shape, spec)
+    return stack_windows(extract_tile_batch(reader, placements, spec),
+                         len(placements)), placements
 
 
 def stitch_into(out: np.ndarray, tile_images: Sequence[np.ndarray],

@@ -9,17 +9,19 @@ peak RAM for layout data is O(one batch) end to end, and campaign identity
 comes from the reader's canonical :meth:`~LayoutReader.digest` instead of a
 dense-raster hash.
 
-Three implementations cover the spectrum:
+The protocol is three members — ``shape``, ``read_window``, ``digest`` —
+and three implementations cover the spectrum:
 
 * :class:`ArrayLayoutReader` — adapter over a dense array / ``numpy.memmap``
   (anything that already has a raster),
 * :class:`GeometryLayoutReader` — bucket-grid indexed rectangles + polygons;
   window queries touch O(window) shapes, not O(layout),
 * :class:`HierarchicalLayoutReader` — binary GDSII cell graphs; SREF/AREF
-  placements are resolved lazily per window, never flattened up front,
-* :func:`load_layout_file` — JSON / GDSII-text / binary-GDSII scenario files
-  on disk (binary streams are detected by content, and malformed ones raise
-  :class:`LayoutFormatError` with a file offset).
+  placements are resolved lazily per window, never flattened up front.
+
+:func:`load_layout_file` opens JSON / GDSII-text / binary-GDSII scenario
+files on disk as one of them (binary streams are detected by content, and
+malformed ones raise :class:`LayoutFormatError` with a file offset).
 
 Readers plug in wherever a dense layout was accepted —
 ``ExecutionEngine.image_layout(reader)``,

@@ -517,28 +517,6 @@ class HierarchicalLayoutReader:
                     continue
                 yield from self._iter_cell(instance.cell, placed, window)
 
-    def _window_rects(self, row0: int, row1: int, col0: int, col1: int,
-                      ) -> Iterator[Tuple[str, int, int, int, int]]:
-        """Exact pixel intervals (clipped to the window) of every rectangle
-        reaching the pixel window — the shared core of ``read_window`` and
-        ``window_is_empty``."""
-        pixel = self.pixel_size_nm
-        pad = 0.5 * pixel + 1e-9  # pixel-centre sampling slack
-        window = (col0 * pixel - pad, row0 * pixel - pad,
-                  col1 * pixel + pad, row1 * pixel + pad)
-        height, width = self._shape
-        for layer, x1, y1, x2, y2 in self._iter_cell(
-                self._top, Transform.identity(), window):
-            self.last_candidates += 1
-            rect_row0, rect_row1 = _pixel_interval(y1, y2, pixel, height)
-            rect_col0, rect_col1 = _pixel_interval(x1, x2, pixel, width)
-            top = max(rect_row0, row0)
-            bottom = min(rect_row1, row1)
-            left = max(rect_col0, col0)
-            right = min(rect_col1, col1)
-            if bottom > top and right > left:
-                yield layer, top, bottom, left, right
-
     # -------------------------------------------------------------- #
     # the reader protocol
     # -------------------------------------------------------------- #
@@ -555,35 +533,29 @@ class HierarchicalLayoutReader:
         if height <= 0 or width <= 0:
             raise ValueError("window dimensions must be positive")
         out = np.zeros((height, width), dtype=np.uint8)
+        layout_h, layout_w = self._shape
         row0, col0 = max(row, 0), max(col, 0)
-        row1 = min(row + height, self._shape[0])
-        col1 = min(col + width, self._shape[1])
+        row1 = min(row + height, layout_h)
+        col1 = min(col + width, layout_w)
         self.last_candidates = 0
         if row1 <= row0 or col1 <= col0:
             return out
-        for _, top, bottom, left, right in self._window_rects(row0, row1,
-                                                              col0, col1):
-            out[top - row:bottom - row, left - col:right - col] = 1
+        pixel = self.pixel_size_nm
+        pad = 0.5 * pixel + 1e-9  # pixel-centre sampling slack
+        window = (col0 * pixel - pad, row0 * pixel - pad,
+                  col1 * pixel + pad, row1 * pixel + pad)
+        for _, x1, y1, x2, y2 in self._iter_cell(
+                self._top, Transform.identity(), window):
+            self.last_candidates += 1
+            rect_row0, rect_row1 = _pixel_interval(y1, y2, pixel, layout_h)
+            rect_col0, rect_col1 = _pixel_interval(x1, x2, pixel, layout_w)
+            top = max(rect_row0, row0)
+            bottom = min(rect_row1, row1)
+            left = max(rect_col0, col0)
+            right = min(rect_col1, col1)
+            if bottom > top and right > left:
+                out[top - row:bottom - row, left - col:right - col] = 1
         return out
-
-    def window_is_empty(self, row: int, col: int, height: int,
-                        width: int) -> bool:
-        """True when the window rasterises to all zeros — decided from the
-        placement walk alone (first surviving rectangle short-circuits),
-        powering the tile-result cache's zero-tile fast path."""
-        if height <= 0 or width <= 0:
-            raise ValueError("window dimensions must be positive")
-        row0, col0 = max(row, 0), max(col, 0)
-        row1 = min(row + height, self._shape[0])
-        col1 = min(col + width, self._shape[1])
-        if row1 <= row0 or col1 <= col0:
-            return True
-        candidates = self.last_candidates  # existence probe, not a query:
-        try:                               # leave the observable untouched
-            return next(self._window_rects(row0, row1, col0, col1),
-                        None) is None
-        finally:
-            self.last_candidates = candidates
 
     def digest(self) -> str:
         """Canonical campaign identity — **equal to the digest of the

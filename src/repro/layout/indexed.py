@@ -219,34 +219,6 @@ class GeometryLayoutReader:
                     out[top - row:bottom - row, left - col:right - col] = 1
         return out
 
-    def window_is_empty(self, row: int, col: int, height: int,
-                        width: int) -> bool:
-        """True when the window rasterises to all zeros — without rasterising.
-
-        Pure index work: the bucket grid supplies candidate shapes near the
-        window and each candidate's pre-computed pixel interval is
-        intersected with the window (candidates share a bucket with the
-        window but need not overlap it, so the interval check is what
-        decides).  No pixel buffer is allocated and ``last_candidates`` is
-        left untouched — this query powers the tile-result cache's zero-tile
-        fast path, not the sublinearity observable.
-        """
-        if height <= 0 or width <= 0:
-            raise ValueError("window dimensions must be positive")
-        row0, col0 = max(row, 0), max(col, 0)
-        row1 = min(row + height, self._shape[0])
-        col1 = min(col + width, self._shape[1])
-        if row1 <= row0 or col1 <= col0:
-            return True
-        for layer in self.layers:
-            grid = self._indices[layer]
-            for index in grid.query(row0, row1, col0, col1):
-                if (min(grid.rows1[index], row1) > max(grid.rows0[index], row0)
-                        and min(grid.cols1[index], col1)
-                        > max(grid.cols0[index], col0)):
-                    return False
-        return True
-
     def digest(self) -> str:
         """Canonical shape digest — the campaign identity of this layout.
 

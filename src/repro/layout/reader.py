@@ -14,10 +14,10 @@ It is anything that can
   identity can be established without ever materialising the raster.
 
 The tiling / streaming layers (:mod:`repro.engine.tiling`,
-:mod:`repro.engine.streaming`) duck-type on ``read_window``: anywhere a dense
-layout array is accepted, a reader is too, and the imaged result is
-**bit-for-bit identical** because tile extraction asks the reader for exactly
-the same guard-banded windows it would have sliced from the dense raster.
+:mod:`repro.engine.streaming`) consume readers only — ``image_layout`` wraps
+a dense array in :class:`ArrayLayoutReader` once, on the way in — and the
+imaged result is **bit-for-bit identical** because tile extraction asks every
+reader for exactly the same guard-banded windows.
 
 Implementations in this package:
 
@@ -25,8 +25,8 @@ Implementations in this package:
   ``numpy.memmap`` (this module),
 * :class:`~repro.layout.indexed.GeometryLayoutReader` — bucket-grid indexed
   rectangles/polygons, window queries touch O(window) shapes,
-* :func:`~repro.layout.files.load_layout_file` — JSON / GDSII-text scenario
-  files on disk.
+* :class:`~repro.layout.hierarchy.HierarchicalLayoutReader` — binary GDSII
+  cell graphs, SREF/AREF resolved lazily per window.
 """
 
 from __future__ import annotations
@@ -56,8 +56,11 @@ def array_digest(layout: np.ndarray) -> str:
 class LayoutReader(Protocol):
     """Anything that rasterises ``(origin, size)`` windows of a layout on demand.
 
-    The protocol is structural (duck-typed): the engine layers only ever call
-    the three members below, so readers need not inherit from anything.
+    The protocol is structural (duck-typed) and exactly three members wide:
+    ``shape``, ``read_window`` and ``digest`` — nothing is optional and the
+    engine layers call nothing else, so readers need not inherit from
+    anything.  Whether a window is empty is the engine's question, answered
+    from the window itself.
     """
 
     @property
@@ -115,17 +118,6 @@ class ArrayLayoutReader:
     def shape(self) -> Tuple[int, int]:
         return int(self._layout.shape[0]), int(self._layout.shape[1])
 
-    @property
-    def dtype(self) -> np.dtype:
-        """Window dtype (the wrapped array's floating dtype).
-
-        The tile extractor allocates its uncached batch in this dtype, so a
-        float32 layout keeps its float32 tile stack — geometry readers have
-        no ``dtype`` and their ``uint8`` windows are cast into a float64
-        stack there.
-        """
-        return self._layout.dtype
-
     def read_window(self, row: int, col: int, height: int,
                     width: int) -> np.ndarray:
         if height <= 0 or width <= 0:
@@ -140,27 +132,6 @@ class ArrayLayoutReader:
                 src_left - col:src_right - col] = (
                 self._layout[src_top:src_bottom, src_left:src_right])
         return out
-
-    def window_is_empty(self, row: int, col: int, height: int,
-                        width: int) -> bool:
-        """True when the window rasterises to all zeros.
-
-        Same clipping arithmetic as :meth:`read_window`, but no window array
-        is allocated: the in-bounds slice is scanned in place (``.any()``
-        short-circuits on the first set pixel) and a window entirely outside
-        the layout is empty by definition.  Used by the tile-result cache's
-        zero-tile fast path.
-        """
-        if height <= 0 or width <= 0:
-            raise ValueError("window dimensions must be positive")
-        layout_h, layout_w = self.shape
-        src_top, src_left = max(row, 0), max(col, 0)
-        src_bottom = min(row + height, layout_h)
-        src_right = min(col + width, layout_w)
-        if src_bottom <= src_top or src_right <= src_left:
-            return True
-        return not self._layout[src_top:src_bottom,
-                                src_left:src_right].any()
 
     def digest(self) -> str:
         return array_digest(np.asarray(self._layout))

@@ -134,13 +134,24 @@ class CampaignRequest:
         if not 0.0 < tolerance < 1.0:
             raise ValueError("tolerance must be in (0, 1)")
         target = data.get("target_cd_nm")
-        return cls(layout=layout, optics=optics, grid=grid,
-                   compute=ComputeConfig.from_json(data.get("compute") or {}),
-                   tolerance=tolerance,
-                   target_cd_nm=float(target) if target else None,
-                   guard_px=int(data["guard_px"])
-                   if data.get("guard_px") is not None else None,
-                   store_aerials=bool(data.get("store_aerials", False)))
+        request = cls(
+            layout=layout, optics=optics, grid=grid,
+            compute=ComputeConfig.from_json(data.get("compute") or {}),
+            tolerance=tolerance,
+            target_cd_nm=float(target) if target else None,
+            guard_px=int(data["guard_px"])
+            if data.get("guard_px") is not None else None,
+            store_aerials=bool(data.get("store_aerials", False)))
+        # Build everything the job will build, now: a bad block is the
+        # submitter's 400, not a failed job found by polling.
+        for block, build in (("optics", request.optics_config),
+                             ("optics.source", request.source),
+                             ("grid", request.focus_exposure_grid)):
+            try:
+                build()
+            except (TypeError, ValueError, AttributeError) as exc:
+                raise ValueError(f"invalid {block}: {exc}") from exc
+        return request
 
     # -- resolution ----------------------------------------------------- #
     def optics_config(self) -> OpticsConfig:

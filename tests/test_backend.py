@@ -97,6 +97,36 @@ class TestRegistry:
         pytest.importorskip("scipy.fft")
         assert get_backend("auto").name == "scipy"
 
+    @pytest.mark.parametrize("have_scipy,resolved,why", [
+        (True, "scipy", "scipy is importable"),
+        (False, "numpy", "scipy is not importable"),
+    ])
+    def test_auto_resolution_is_logged_once_with_its_reason(
+            self, monkeypatch, caplog, have_scipy, resolved, why):
+        """The silent ``auto`` decision is said — INFO under
+        ``repro.backend``, once per process, naming what it chose and why;
+        an explicit name decides nothing and logs nothing."""
+        import logging
+
+        from repro.backend import fft as fft_module
+
+        if have_scipy:
+            pytest.importorskip("scipy.fft")
+        monkeypatch.setattr(fft_module, "_scipy_importable",
+                            lambda: have_scipy)
+        monkeypatch.setattr(fft_module, "_auto_logged", False)
+        monkeypatch.delenv("REPRO_FFT_BACKEND", raising=False)
+        with caplog.at_level(logging.INFO, logger="repro.backend"):
+            get_backend("numpy")
+            assert not caplog.records
+            for _ in range(3):
+                assert get_backend().name == resolved
+        (record,) = caplog.records
+        assert record.name.startswith("repro.backend")
+        assert record.levelno == logging.INFO
+        assert repr(resolved) in record.getMessage()
+        assert why in record.getMessage()
+
     def test_register_backend_makes_name_selectable(self):
         class Probe(NumpyFFTBackend):
             name = "probe"

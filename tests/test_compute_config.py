@@ -79,6 +79,32 @@ class TestComputeConfig:
         monkeypatch.setenv("REPRO_TILE_CACHE_DIR", "/tmp/somewhere")
         assert ComputeConfig.from_env().tile_cache is True
 
+    @pytest.mark.parametrize("flag,cache_dir,expected", [
+        ("", None, False), ("", "/tmp/somewhere", False),
+        ("0", None, False), ("off", "/tmp/somewhere", False),
+        ("1", None, True), (None, "/tmp/somewhere", True),
+        (None, None, None),
+    ])
+    def test_one_tile_cache_env_parser(self, monkeypatch, flag, cache_dir,
+                                       expected):
+        """``ComputeConfig`` and the engine's ``resolve_tile_cache`` read
+        ``REPRO_TILE_CACHE`` / ``_DIR`` through one parser, so they cannot
+        disagree — the empty string used to be on here and off there."""
+        from repro.engine import resolve_tile_cache
+        from repro.engine import tile_cache as tile_cache_module
+
+        monkeypatch.setattr(tile_cache_module, "_default_cache", None)
+        for var, value in (("REPRO_TILE_CACHE", flag),
+                           ("REPRO_TILE_CACHE_DIR", cache_dir)):
+            if value is None:
+                monkeypatch.delenv(var, raising=False)
+            else:
+                monkeypatch.setenv(var, value)
+        assert ComputeConfig.from_env().tile_cache is expected
+        resolved = ComputeConfig(fft_backend="numpy").resolve().tile_cache
+        assert resolved is expected
+        assert (resolve_tile_cache(None) is not None) is bool(expected)
+
     def test_resolve_pins_concrete_names(self):
         resolved = ComputeConfig(fft_backend="numpy").resolve()
         assert resolved.fft_backend == "numpy"

@@ -13,6 +13,8 @@ Pinned guarantees:
   once per optics fingerprint per process (and round-trips through disk).
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -321,9 +323,12 @@ class TestKernelBankCache:
         assert loaded.energy_captured() == pytest.approx(bank.energy_captured())
 
     @pytest.mark.parametrize("damage", ["truncated", "empty", "garbage"])
-    def test_torn_disk_entry_is_a_counted_miss(self, tmp_path, damage):
+    def test_torn_disk_entry_is_a_counted_miss(self, tmp_path, damage,
+                                               caplog):
         """An unreadable ``kernels-*.npz`` must not crash every later run:
-        it is a miss, the bank is rebuilt and the entry overwritten."""
+        it is a miss — counted, and logged once as a WARNING under
+        ``repro.engine`` naming the file — the bank is rebuilt and the entry
+        overwritten."""
         config = OpticsConfig(tile_size_px=32, pixel_size_nm=8.0, max_socs_order=8)
         fresh = KernelBankCache().get_kernels(config, self.SOURCE, Pupil())
         KernelBankCache(cache_dir=str(tmp_path)).get_kernels(
@@ -341,12 +346,19 @@ class TestKernelBankCache:
         assert second.stats.disk_errors == 1
         assert second.stats.decompositions == 1
         assert second.stats.disk_loads == 0
+        (record,) = [r for r in caplog.records
+                     if r.name.startswith("repro.engine")]
+        assert record.levelname == "WARNING"
+        assert str(entry) in record.getMessage()
+        assert re.search(r"\(\w+\)", record.getMessage())  # the error class
+        caplog.clear()
 
         third = KernelBankCache(cache_dir=str(tmp_path))
         rebuilt = third.get_kernels(config, self.SOURCE, Pupil())
         np.testing.assert_array_equal(rebuilt.kernels, fresh.kernels)
         assert third.stats.disk_loads == 1
         assert third.stats.disk_errors == 0 and third.stats.decompositions == 0
+        assert not caplog.records
 
     def test_clear_resets(self):
         cache = KernelBankCache()

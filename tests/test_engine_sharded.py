@@ -8,8 +8,8 @@ Pinned guarantees:
   order),
 * one worker, and batches of at most one tile, image inline — no thread
   starts,
-* ``EngineSpec`` round-trips focus and dose changes and keys the kernel
-  cache correctly,
+* ``EngineSpec`` round-trips focus changes and keys the kernel cache
+  correctly,
 * the engine memo and the device-bank memo are bounded and survive
   concurrent callers, and
 * the disk-backed kernel cache hands a pre-computed bank to a *fresh
@@ -81,39 +81,6 @@ class TestEngineSpec:
 
         clone = pickle.loads(pickle.dumps(spec.with_focus(30.0)))
         assert clone.fingerprint() == spec.with_focus(30.0).fingerprint()
-
-
-class TestEngineSpecDose:
-    def test_dose_scales_resist_threshold_only(self, spec, masks):
-        dosed = spec.with_condition(0.0, dose=1.25)
-        nominal = spec.with_condition(0.0)
-        assert dosed.build().resist_model.threshold == pytest.approx(
-            CONFIG.resist_threshold / 1.25)
-        assert nominal.build().resist_model.threshold == pytest.approx(
-            CONFIG.resist_threshold)
-        # The aerial is dose-independent: only develop changes.
-        np.testing.assert_array_equal(dosed.build().aerial_batch(masks),
-                                      nominal.build().aerial_batch(masks))
-
-    def test_dose_changes_fingerprint(self, spec):
-        assert spec.with_condition(0.0, 1.1).fingerprint() != \
-            spec.with_condition(0.0).fingerprint()
-        # Pre-dose fingerprints are unchanged (campaign-store identities!).
-        assert "dose" not in spec.fingerprint()
-        assert spec.with_condition(30.0).fingerprint() == \
-            spec.with_focus(30.0).fingerprint()
-
-    def test_dose_survives_refocus_and_pickling(self, spec):
-        import pickle
-
-        dosed = spec.with_condition(40.0, 0.9)
-        assert dosed.with_focus(80.0).dose == 0.9
-        assert pickle.loads(pickle.dumps(dosed)).fingerprint() == \
-            dosed.fingerprint()
-
-    def test_dose_validation(self):
-        with pytest.raises(ValueError):
-            EngineSpec(config=CONFIG, dose=0.0)
 
 
 class TestShardedExecutor:

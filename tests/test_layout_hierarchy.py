@@ -133,13 +133,6 @@ class TestHierarchyResolution:
         finer = load_layout_file(HIER4, pixel_size_nm=4.0)
         assert finer.digest() != hier_reader.digest()
 
-    def test_window_is_empty_agrees_with_rasterisation(self, hier_reader):
-        for row in range(0, hier_reader.shape[0], 16):
-            for col in range(0, hier_reader.shape[1], 16):
-                empty = hier_reader.window_is_empty(row, col, 16, 16)
-                assert empty == (not hier_reader.read_window(
-                    row, col, 16, 16).any())
-
     def test_window_cost_is_flat_in_instance_count(self):
         """One tile of a 64-instance array touches ~one instance's worth of
         rectangles, not the whole array (the laziness observable)."""
@@ -339,6 +332,26 @@ class TestTileCacheSynergy:
         assert cache.stats.tiles == 64
         assert cache.stats.misses == 1
         assert cache.stats.hit_rate >= 0.9
+
+    def test_one_hierarchy_walk_per_tile(self):
+        """Tile-cached imaging walks the cell graph from the root exactly
+        once per placement — empty or not — and never asks the reader a
+        second question about the same window."""
+        reader = load_layout_file(HIER4, pixel_size_nm=8.0)
+        walks = []
+        real_walk = reader._iter_cell
+
+        def counted(name, transform, window):
+            if name == reader.top_cell:
+                walks.append(window)
+            return real_walk(name, transform, window)
+
+        reader._iter_cell = counted
+        cache = TileResultCache()
+        engine = ExecutionEngine.for_optics(CONFIG, tile_cache=cache)
+        result = engine.image_layout(reader, tile_px=32, guard_px=8)
+        assert len(walks) == result.num_tiles == cache.stats.tiles
+        assert 0 < cache.stats.zero_hits < cache.stats.tiles
 
     @pytest.mark.parametrize("worker_args", [
         [],                     # one inline shard

@@ -22,6 +22,7 @@ from repro.engine import (
     EngineSpec,
     ExecutionEngine,
     ShardedExecutor,
+    TileResultCache,
     TilingSpec,
     extract_tiles,
     iter_tile_batches,
@@ -265,9 +266,10 @@ class TestEngineWiring:
     def test_iter_tile_batches_accepts_reader(self, geometry_reader, dense):
         spec = TilingSpec(tile_px=32, guard_px=8)
         placements = plan_tiles(*geometry_reader.shape, spec)
-        batches = [tiles for tiles, _ in
-                   iter_tile_batches(geometry_reader, placements, spec, 3)]
-        stacked = np.concatenate(batches, axis=0)
+        stacked = np.stack(
+            [window for windows, _ in
+             iter_tile_batches(geometry_reader, placements, spec, 3)
+             for window in windows])
         dense_tiles, _ = extract_tiles(dense, spec)
         np.testing.assert_array_equal(stacked, dense_tiles)
 
@@ -311,6 +313,67 @@ class TestEngineWiring:
                                            geometry_reader, tile_px=32,
                                            guard_px=8)
         np.testing.assert_array_equal(np.asarray(imaged.aerial), ref.aerial)
+
+
+class ThreeMemberReader:
+    """A third-party reader: ``shape``, ``read_window``, ``digest`` and
+    nothing else (``__slots__``: asking for any other member raises)."""
+
+    __slots__ = ("_raster",)
+
+    def __init__(self, raster):
+        self._raster = raster
+
+    @property
+    def shape(self):
+        return self._raster.shape
+
+    def read_window(self, row, col, height, width):
+        out = np.zeros((height, width), dtype=np.int16)
+        rows, cols = self._raster.shape
+        top, left = max(row, 0), max(col, 0)
+        bottom, right = min(row + height, rows), min(col + width, cols)
+        if bottom > top and right > left:
+            out[top - row:bottom - row, left - col:right - col] = \
+                self._raster[top:bottom, left:right]
+        return out
+
+    def digest(self):
+        return array_digest(self._raster)
+
+
+class TestThirdPartyReader:
+    """The three documented members are the whole seam."""
+
+    @pytest.mark.parametrize("tile_cache,workers", [
+        (False, 1), (True, 1), (False, 2), (True, 2),
+    ], ids=["uncached", "cached", "uncached-2w", "cached-2w"])
+    def test_image_layout_bitwise(self, dense, tile_cache, workers):
+        config = OpticsConfig(tile_size_px=32, pixel_size_nm=8.0)
+        dense = dense.copy()
+        dense[:, 40:] = 0  # leave whole tiles empty for the zero fast path
+        reader = ThreeMemberReader(dense.astype(np.int16))
+        assert [name for name in dir(reader) if not name.startswith("_")] \
+            == ["digest", "read_window", "shape"]
+        ref = reference_image_layout(ExecutionEngine.for_optics(config),
+                                     dense, tile_px=32, guard_px=8)
+        cache = TileResultCache() if tile_cache else None
+        with ShardedExecutor(num_workers=workers, tile_cache=cache,
+                             compute=ComputeConfig(tile_cache=False),
+                             ) as executor:
+            for batch_tiles in (None, 3):
+                imaged = executor.image_layout(
+                    EngineSpec(config=config), reader, tile_px=32,
+                    guard_px=8, batch_tiles=batch_tiles)
+                np.testing.assert_array_equal(np.asarray(imaged.aerial),
+                                              ref.aerial)
+                np.testing.assert_array_equal(np.asarray(imaged.resist),
+                                              ref.resist)
+        if cache is not None:
+            stats = cache.stats
+            assert stats.zero_hits > 0 and stats.misses > 0
+            assert stats.tiles == (stats.hits + stats.zero_hits
+                                   + stats.disk_loads + stats.misses)
 
 
 class TestSweepWiring:

@@ -81,6 +81,30 @@ class TestRequestValidation:
             CampaignRequest.from_dict(
                 make_request(layout={"kind": "hologram"}))
 
+    BAD_BLOCKS = [
+        ({"optics": {"tile_size_px": 32, "bogus": 1}}, "invalid optics: "),
+        ({"optics": {"tile_size_px": "x"}}, "invalid optics: "),
+        ({"optics": {"tile_size_px": 32, "source": "nonesuch"}},
+         "invalid optics.source: "),
+        ({"grid": {"focus_nm": ["a"], "dose": DOSES}}, "invalid grid: "),
+        ({"grid": {"focus_nm": FOCI, "dose": [None]}}, "invalid grid: "),
+    ]
+
+    @pytest.mark.parametrize("overrides,message", BAD_BLOCKS)
+    def test_builds_what_it_will_run(self, overrides, message):
+        """Block *contents* fail at parse time, naming the block."""
+        with pytest.raises(ValueError, match=message):
+            CampaignRequest.from_dict(make_request(**overrides))
+
+    @pytest.mark.parametrize("overrides,message", BAD_BLOCKS)
+    def test_bad_block_is_a_400_with_nothing_on_disk(self, server, overrides,
+                                                     message):
+        with pytest.raises(ServiceError) as excinfo:
+            ServiceClient(server.url).submit(make_request(**overrides))
+        assert excinfo.value.status == 400
+        assert message in str(excinfo.value)
+        assert os.listdir(server.manager.campaigns_dir) == []
+
     def test_resolves_layouts_like_the_cli(self):
         parsed = CampaignRequest.from_dict(make_request(seed=3))
         layout = parsed.resolve_layout()

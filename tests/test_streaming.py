@@ -58,21 +58,25 @@ def layout():
 
 
 class TestTileBatching:
+    """Every batch has one shape: a lazy iterator over the reader's windows."""
+
     def test_batches_cover_all_placements_once(self, layout):
         spec = TilingSpec(tile_px=32, guard_px=8)
         placements = plan_tiles(*layout.shape, spec)
         seen = []
-        for tiles, subset in iter_tile_batches(layout, placements, spec, 3):
-            assert len(tiles) == len(subset) <= 3
+        for windows, subset in iter_tile_batches(as_layout_reader(layout),
+                                                 placements, spec, 3):
+            assert len(list(windows)) == len(subset) <= 3
             seen.extend(subset)
         assert seen == placements
 
     def test_batches_match_full_extraction(self, layout):
         spec = TilingSpec(tile_px=32, guard_px=8)
         full, placements = extract_tiles(layout, spec)
-        streamed = np.concatenate(
-            [tiles for tiles, _ in iter_tile_batches(layout, placements,
-                                                     spec, 4)], axis=0)
+        streamed = np.stack(
+            [window for windows, _ in iter_tile_batches(
+                as_layout_reader(layout), placements, spec, 4)
+             for window in windows])
         np.testing.assert_array_equal(streamed, full)
 
     def test_extract_tile_batch_is_a_slice_of_extract_tiles(self, layout):
@@ -80,21 +84,23 @@ class TestTileBatching:
         full, placements = extract_tiles(layout, spec)
         subset = placements[2:5]
         np.testing.assert_array_equal(
-            extract_tile_batch(layout, subset, spec), full[2:5])
+            list(extract_tile_batch(as_layout_reader(layout), subset, spec)),
+            full[2:5])
 
     def test_batch_tiles_validation(self, layout):
         spec = TilingSpec(tile_px=32, guard_px=0)
         with pytest.raises(ValueError):
-            list(iter_tile_batches(layout, plan_tiles(*layout.shape, spec),
-                                   spec, 0))
+            list(iter_tile_batches(as_layout_reader(layout),
+                                   plan_tiles(*layout.shape, spec), spec, 0))
 
     def test_stitch_into_is_split_inverse(self, layout):
         """Incremental stitch of the raw tiles reproduces the layout exactly."""
         spec = TilingSpec(tile_px=32, guard_px=8)
         placements = plan_tiles(*layout.shape, spec)
         out = np.zeros_like(layout)
-        for tiles, subset in iter_tile_batches(layout, placements, spec, 5):
-            stitch_into(out, tiles, subset, spec)
+        for windows, subset in iter_tile_batches(as_layout_reader(layout),
+                                                 placements, spec, 5):
+            stitch_into(out, list(windows), subset, spec)
         np.testing.assert_array_equal(out, layout)
 
 
@@ -197,7 +203,8 @@ class TestPipelineValidation:
         out_dir = tmp_path / "rejected"
         kwargs = {"batch_tiles": 4, **bad}
         with pytest.raises(ValueError):
-            stream_image_layout(layout, TilingSpec(tile_px=32, guard_px=8),
+            stream_image_layout(as_layout_reader(layout),
+                                TilingSpec(tile_px=32, guard_px=8),
                                 engine.aerial_batch,
                                 engine.resist_model.develop, np.float64,
                                 out_dir=str(out_dir), **kwargs)

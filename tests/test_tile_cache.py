@@ -10,17 +10,16 @@ Pinned guarantees:
   other three are served from the cache (:class:`TileCacheStats` observable),
 * all-zero tiles are served by the constant fast path without ever calling
   the imaging function,
-* ``extract_tile_batch`` writes every row of its ``np.empty`` allocation
-  (the satellite that dropped the ``np.zeros`` memset) — and in digest mode
-  builds no stack at all: windows stay in the reader's dtype, empty ones are
-  ``None``,
+* the one tile stack is an ``np.empty`` allocation whose every row is
+  written (the satellite that dropped the ``np.zeros`` memset), and
+  ``extract_tile_batch`` builds no stack at all: it yields the reader's own
+  windows, one ``read_window`` per placement, in the reader's dtype;
+  ``tile_digest`` tags exactly the all-zero ones ``ZERO_TILE_DIGEST``,
 * each pixel moves once: geometry readers rasterise ``uint8`` windows equal
   value-for-value to the float raster, only misses are stacked, an all-hit
   batch allocates nothing tile-sized and its rows *are* the cache entries,
 * cache entries are owned read-only copies, so the LRU budget bounds memory,
 * the disk tier survives torn files and concurrent writers of one key,
-* ``window_is_empty`` agrees with ``read_window(...).any()`` on both bundled
-  readers, including bucket-grid candidates that do not really intersect,
 * the disk tier round-trips imaged tiles to a fresh cache instance, and the
   LRU tier evicts oldest-first under a byte budget, and
 * a campaign store accumulates the sweep's cache counters and the rendered
@@ -45,6 +44,7 @@ from repro.engine import (
     TileResultCache,
     TilingSpec,
     extract_tile_batch,
+    extract_tiles,
     plan_tiles,
     resolve_tile_cache,
     tile_digest,
@@ -106,32 +106,35 @@ class TestTileDigest:
 
 
 class TestExtractTileBatchDigests:
+    """One return shape: the reader's own windows, one ``read_window`` per
+    placement; :func:`tile_digest` alone says which of them are empty."""
+
     LAYOUT = np.zeros((64, 64))
     LAYOUT[8:24, 8:24] = 1.0  # content only in the top-left tile
 
     def test_digest_mode_matches_plain_mode(self):
-        """Digest mode returns the same windows unstacked: ``None`` exactly
-        where the plain stack's row is all zero, else the row itself."""
+        """What the pipeline's cache branch digests is, row for row, what
+        its uncached branch stacks — and ``ZERO_TILE_DIGEST`` tags exactly
+        the all-zero rows; every other one is digested by content."""
         spec = TilingSpec(tile_px=32, guard_px=8)
-        placements = plan_tiles(*self.LAYOUT.shape, spec)
-        plain = extract_tile_batch(self.LAYOUT, placements, spec)
-        windows, digests = extract_tile_batch(self.LAYOUT, placements, spec,
-                                              with_digests=True)
-        assert isinstance(windows, list)
-        assert len(windows) == len(digests) == len(plain)
-        assert any(window is not None for window in windows)
-        for window, digest, row in zip(windows, digests, plain):
-            if row.any():
-                assert window.dtype == plain.dtype
-                np.testing.assert_array_equal(window, row)
-                assert digest == tile_digest(window) == tile_digest(row)
-            else:
-                assert window is None and digest == ZERO_TILE_DIGEST
+        stack, placements = extract_tiles(self.LAYOUT, spec)
+        windows = list(extract_tile_batch(ArrayLayoutReader(self.LAYOUT),
+                                          placements, spec))
+        assert len(windows) == len(stack) == len(placements)
+        digests = [tile_digest(window) for window in windows]
+        assert 0 < digests.count(ZERO_TILE_DIGEST) < len(digests)
+        for window, digest, row in zip(windows, digests, stack):
+            assert window.dtype == stack.dtype
+            np.testing.assert_array_equal(window, row)
+            assert (digest == ZERO_TILE_DIGEST) == (not row.any())
+            assert digest == tile_digest(row)
+        non_zero = [d for d in digests if d != ZERO_TILE_DIGEST]
+        assert all(len(d) == 40 for d in non_zero)  # sha1 hex, not a tag
 
     def test_every_row_is_written(self, monkeypatch):
         """Pin the np.zeros -> np.empty switch: poison the allocation with
-        NaNs and require that plain extraction fully overwrites every row —
-        and that digest mode allocates no tile stack in the first place."""
+        NaNs and require that the one stack is fully overwritten — and that
+        yielding windows allocates no tile stack in the first place."""
         real_empty = np.empty
         stacks = []
 
@@ -145,80 +148,36 @@ class TestExtractTileBatchDigests:
 
         monkeypatch.setattr(np, "empty", poisoned_empty)
         spec = TilingSpec(tile_px=32, guard_px=8)
-        placements = plan_tiles(*self.LAYOUT.shape, spec)
-        tiles = extract_tile_batch(self.LAYOUT, placements, spec)
+        tiles, placements = extract_tiles(self.LAYOUT, spec)
         assert np.isfinite(tiles).all()
         assert stacks == [tiles.shape]
-        windows, _ = extract_tile_batch(self.LAYOUT, placements, spec,
-                                        with_digests=True)
+        windows = list(extract_tile_batch(ArrayLayoutReader(self.LAYOUT),
+                                          placements, spec))
         assert stacks == [tiles.shape]  # nothing (N, tile, tile) was built
-        assert all(np.isfinite(window).all() for window in windows
-                   if window is not None)
+        assert all(np.isfinite(window).all() for window in windows)
 
-    def test_reader_empty_windows_skip_rasterising(self):
-        """A reader advertising window_is_empty never gets read_window calls
-        for windows its geometry proves empty."""
+    def test_windows_are_kept_as_the_reader_produced_them(self):
+        """Each placement is exactly one ``read_window`` call and its array
+        comes back untouched: uint8 coverage stays uint8, in the window
+        list and in the uncached stack alike."""
         reader = GeometryLayoutReader({"m1": [Rect(0, 0, 64, 64)]},
                                       pixel_size_nm=8.0, extent_nm=512.0)
-        reads = []
+        produced = []
         real_read = reader.read_window
-        reader.read_window = lambda *args: (reads.append(args),
-                                            real_read(*args))[1]
+        reader.read_window = lambda *args: (produced.append(real_read(*args)),
+                                            produced[-1])[1]
         spec = TilingSpec(tile_px=32, guard_px=0)
         placements = plan_tiles(*reader.shape, spec)
-        windows, digests = extract_tile_batch(reader, placements, spec,
-                                              with_digests=True)
-        assert digests.count(ZERO_TILE_DIGEST) == len(placements) - 1
-        assert len(reads) == 1  # only the one non-empty tile was rasterised
-        assert [window is None for window in windows] == \
-            [digest == ZERO_TILE_DIGEST for digest in digests]
-        # The rasterised window is kept as the reader made it (uint8
-        # coverage); the uncached stack is the same pixels cast to float.
+        windows = list(extract_tile_batch(reader, placements, spec))
+        assert len(produced) == len(placements)
+        assert all(window is made for window, made in zip(windows, produced))
         assert windows[0].dtype == np.uint8
-        plain = extract_tile_batch(reader, placements, spec)
-        assert plain.dtype == np.float64
-        np.testing.assert_array_equal(windows[0], plain[0])
-        assert not plain[1:].any()
-
-
-class TestWindowIsEmpty:
-    def scan(self, reader):
-        for row in range(-8, reader.shape[0] + 8, 5):
-            for col in range(-8, reader.shape[1] + 8, 5):
-                empty = reader.window_is_empty(row, col, 12, 12)
-                assert empty == (not reader.read_window(row, col,
-                                                        12, 12).any())
-
-    def test_array_reader_agrees_with_read_window(self):
-        layout = np.zeros((40, 56))
-        layout[10:20, 30:44] = 1.0
-        self.scan(ArrayLayoutReader(layout))
-
-    def test_geometry_reader_agrees_with_read_window(self):
-        reader = GeometryLayoutReader(
-            {"m1": [Rect(64, 80, 80, 48)], "m2": [Rect(240, 8, 32, 96)]},
-            pixel_size_nm=8.0, extent_nm=448.0)
-        self.scan(reader)
-
-    def test_geometry_candidate_must_really_intersect(self):
-        """A shape sharing the query's bucket but not its extent is not a
-        hit: the interval check, not the bucket grid, decides emptiness."""
-        reader = GeometryLayoutReader({"m1": [Rect(0, 0, 16, 16)]},
-                                      pixel_size_nm=8.0, extent_nm=1024.0,
-                                      bucket_px=64)
-        # Same bucket as the 2x2 px rect at the origin, no real overlap.
-        assert reader.window_is_empty(10, 10, 20, 20)
-        assert not reader.window_is_empty(0, 0, 20, 20)
-
-    def test_validates_window_dims(self):
-        for reader in (ArrayLayoutReader(np.zeros((8, 8))),
-                       GeometryLayoutReader({"m1": [Rect(0, 0, 8, 8)]},
-                                            pixel_size_nm=8.0,
-                                            extent_nm=64.0)):
-            with pytest.raises(ValueError):
-                reader.window_is_empty(0, 0, 0, 4)
-            with pytest.raises(ValueError):
-                reader.window_is_empty(0, 0, 4, -1)
+        digests = [tile_digest(window) for window in windows]
+        assert digests.count(ZERO_TILE_DIGEST) == len(placements) - 1
+        assert digests[0] != ZERO_TILE_DIGEST
+        stack, _ = extract_tiles(reader, spec)
+        assert stack.dtype == np.uint8
+        np.testing.assert_array_equal(stack, windows)
 
 
 class TestTileResultCache:
@@ -396,7 +355,7 @@ class TestTileResultCache:
 
     @pytest.mark.parametrize("damage", ["truncated", "empty", "garbage"])
     def test_torn_disk_entry_is_a_counted_miss_and_is_overwritten(
-            self, tmp_path, damage):
+            self, tmp_path, damage, caplog):
         tiles, digests = self.batch()
         warm = TileResultCache(cache_dir=str(tmp_path))
         expected = warm.image_tile_batch(tiles, digests,
@@ -415,6 +374,12 @@ class TestTileResultCache:
         stats = cold.stats
         assert stats.disk_errors == 1 and stats.misses == 1
         assert stats.disk_loads == 1
+        # ... and said: one WARNING under repro.engine, file + error class.
+        (record,) = [r for r in caplog.records
+                     if r.name.startswith("repro.engine")]
+        assert record.levelname == "WARNING"
+        assert str(files[0]) in record.getMessage()
+        caplog.clear()
         assert stats.tiles == (stats.hits + stats.zero_hits
                                + stats.disk_loads + stats.misses)
         # The re-imaged tile replaced the torn file: a third cache reads it.
@@ -422,6 +387,7 @@ class TestTileResultCache:
         third = TileResultCache(cache_dir=str(tmp_path))
         third.image_tile_batch(tiles, digests, image, CONTEXT)
         assert len(image.batches) == 1 and third.stats.disk_errors == 0
+        assert not caplog.records
 
     def test_a_failed_write_leaves_the_old_file_and_no_debris(
             self, tmp_path, monkeypatch):
@@ -660,8 +626,6 @@ class TestCompactWindows:
         assert window.shape == expected.shape
         np.testing.assert_array_equal(window, expected)
         np.testing.assert_array_equal(window.astype(np.float64), expected)
-        assert reader.window_is_empty(row, col, height, width) == \
-            (not expected.any())
 
     @pytest.mark.parametrize("backend,precision", [
         ("numpy", "float64"),

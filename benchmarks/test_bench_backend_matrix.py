@@ -192,7 +192,6 @@ def test_fakegpu_residency_transfers(record_output, record_json):
 
     chunk_tiles = effective_chunk_tiles(
         tiles.shape[0], engine.kernels.shape, TILE, TILE,
-        band_limited=engine.band_limited,
         max_chunk_bytes=engine.max_chunk_bytes,
         itemsize=engine.precision.complex_itemsize)
     num_chunks = -(-tiles.shape[0] // chunk_tiles)

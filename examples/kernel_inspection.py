@@ -15,7 +15,7 @@ Run with:  python examples/kernel_inspection.py
 import numpy as np
 
 from repro.analysis import ascii_image
-from repro.core import KernelBankEngine, NithoConfig, NithoModel
+from repro.core import NithoConfig, NithoModel
 from repro.masks import ICCAD2013Generator
 from repro.metrics import psnr
 from repro.optics import OpticsConfig, lithosim_engine
@@ -27,15 +27,17 @@ def main() -> None:
 
     generator = ICCAD2013Generator(tile_size_px, pixel_size_nm, seed=4)
     train_masks = generator.generate(10)
-    train_aerials = np.stack([simulator.aerial(m) for m in train_masks])
+    train_aerials = simulator.aerial_batch(train_masks)
 
     optics = OpticsConfig(tile_size_px=tile_size_px, pixel_size_nm=pixel_size_nm)
     model = NithoModel(optics, NithoConfig(num_kernels=16, hidden_dim=48,
                                            num_hidden_blocks=2, epochs=250))
     model.fit(train_masks, train_aerials)
 
-    golden_bank = KernelBankEngine(simulator.kernels.kernels)
-    learned_bank = KernelBankEngine(model.export_kernels())
+    # Both banks image through the same ExecutionEngine: a learned bank is a
+    # drop-in SOCS bank.
+    golden_bank = simulator.engine
+    learned_bank = model.execution_engine()
 
     print(f"golden kernel bank : {golden_bank.order} kernels of {golden_bank.kernel_shape}")
     print(f"learned kernel bank: {learned_bank.order} kernels of {learned_bank.kernel_shape}")

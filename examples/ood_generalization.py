@@ -9,8 +9,6 @@ learned part — the optical kernels — is independent of the mask.
 Run with:  python examples/ood_generalization.py
 """
 
-import numpy as np
-
 from repro.baselines import DoinnModel
 from repro.core import NithoConfig, NithoModel
 from repro.masks import ICCAD2013Generator, ISPDViaGenerator
@@ -19,8 +17,8 @@ from repro.optics import OpticsConfig, lithosim_engine
 
 
 def evaluate(name, model, masks, aerials, resists):
-    predicted_aerials = np.stack([model.predict_aerial(mask) for mask in masks])
-    predicted_resists = np.stack([model.predict_resist(mask) for mask in masks])
+    predicted_aerials = model.predict_batch(masks)
+    predicted_resists = model.resist_model.develop(predicted_aerials)
     aerial_scores = aerial_metrics(aerials, predicted_aerials)
     resist_scores = resist_metrics(resists, predicted_resists)
     print(f"  {name:<18} PSNR={aerial_scores['psnr']:6.2f} dB   "
@@ -35,7 +33,7 @@ def main() -> None:
     # Training distribution: contest-style metal clips.
     metal_generator = ICCAD2013Generator(tile_size_px, pixel_size_nm, seed=2)
     train_masks = metal_generator.generate(10)
-    train_aerials = np.stack([simulator.aerial(m) for m in train_masks])
+    train_aerials = simulator.aerial_batch(train_masks)
 
     # In-distribution test tiles and the unseen (via-layer) family.
     test_metal = metal_generator.generate(3)
@@ -43,9 +41,8 @@ def main() -> None:
     test_via = via_generator.generate(3)
 
     def golden(masks):
-        aerials = np.stack([simulator.aerial(m) for m in masks])
-        resists = np.stack([simulator.resist_model.develop(a) for a in aerials])
-        return aerials, resists
+        aerials = simulator.aerial_batch(masks)
+        return aerials, simulator.resist_model.develop(aerials)
 
     metal_aerials, metal_resists = golden(test_metal)
     via_aerials, via_resists = golden(test_via)

@@ -12,9 +12,7 @@ Run with:  python examples/opc_verification_flow.py
 
 import time
 
-import numpy as np
-
-from repro.core import KernelBankEngine, NithoConfig, NithoModel
+from repro.core import NithoConfig, NithoModel
 from repro.masks import Layout, Rect, iter_tiles, rule_based_opc
 from repro.masks.generators import ISPDMetalGenerator
 from repro.metrics import mean_iou
@@ -45,14 +43,13 @@ def main() -> None:
     # mask independent, so any representative tiles will do).
     generator = ISPDMetalGenerator(tile_size_px, pixel_size_nm, seed=5)
     train_masks = generator.generate(8)
-    train_aerials = np.stack([simulator.aerial(m) for m in train_masks])
+    train_aerials = simulator.aerial_batch(train_masks)
     optics = OpticsConfig(tile_size_px=tile_size_px, pixel_size_nm=pixel_size_nm,
                           resist_threshold=simulator.config.resist_threshold)
     nitho = NithoModel(optics, NithoConfig(num_kernels=14, hidden_dim=48,
                                            num_hidden_blocks=2, epochs=160))
     nitho.fit(train_masks, train_aerials)
-    fast_engine = KernelBankEngine(nitho.export_kernels(),
-                                   resist_threshold=simulator.config.resist_threshold)
+    fast_engine = nitho.execution_engine()
 
     tiles = list(iter_tiles(layout, "M1", tile_size_px, tile_extent_nm, dataset="block"))
     print(f"layout tiled into {len(tiles)} tiles of {tile_extent_nm:.0f} nm")

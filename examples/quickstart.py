@@ -10,8 +10,6 @@ This walks the full pipeline of the paper at a laptop-friendly scale:
 Run with:  python examples/quickstart.py
 """
 
-import numpy as np
-
 from repro.analysis import ascii_image
 from repro.core import NithoConfig, NithoModel
 from repro.masks import ICCAD2013Generator
@@ -30,9 +28,9 @@ def main() -> None:
 
     # 2. Golden aerial / resist images from the physics simulator.
     simulator = lithosim_engine(tile_size_px=tile_size_px, pixel_size_nm=pixel_size_nm)
-    train_aerials = np.stack([simulator.aerial(mask) for mask in train_masks])
-    test_aerials = np.stack([simulator.aerial(mask) for mask in test_masks])
-    test_resists = np.stack([simulator.resist_model.develop(a) for a in test_aerials])
+    train_aerials = simulator.aerial_batch(train_masks)
+    test_aerials = simulator.aerial_batch(test_masks)
+    test_resists = simulator.resist_model.develop(test_aerials)
 
     # 3. Train Nitho: the only learned component is the optical-kernel field.
     optics = OpticsConfig(tile_size_px=tile_size_px, pixel_size_nm=pixel_size_nm)
@@ -48,7 +46,7 @@ def main() -> None:
 
     # 4. Fast lithography on unseen masks: no network inference, just the kernel bank.
     predicted_aerials = model.predict_batch(test_masks)
-    predicted_resists = np.stack([model.predict_resist(mask) for mask in test_masks])
+    predicted_resists = model.resist_model.develop(predicted_aerials)
 
     aerial_scores = aerial_metrics(test_aerials, predicted_aerials)
     resist_scores = resist_metrics(test_resists, predicted_resists)

@@ -111,7 +111,7 @@ def command_evaluate(arguments) -> int:
     model.load_state_dict(model.network.state_dict())
 
     predicted_aerials = model.predict_batch(dataset.test_masks)
-    predicted_resists = np.stack([model.predict_resist(m) for m in dataset.test_masks])
+    predicted_resists = model.resist_model.develop(predicted_aerials)
     aerial = aerial_metrics(dataset.test_aerials, predicted_aerials)
     resist = resist_metrics(dataset.test_resists, predicted_resists)
     _print_metrics("aerial", aerial)

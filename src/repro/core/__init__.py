@@ -12,7 +12,6 @@ from .encoding import (
 from .inverse import GradientILT, ILTSettings, print_fidelity
 from .kernel_dims import kernel_dimensions, kernel_half_width, resolution_nm, suggest_kernel_order
 from .nitho import NithoConfig, NithoModel
-from .socs_engine import KernelBankEngine
 from .trainer import NithoTrainer
 
 __all__ = [
@@ -20,6 +19,6 @@ __all__ = [
     "PositionalEncoding", "IdentityEncoding", "NeRFEncoding", "RandomFourierEncoding",
     "kernel_coordinates", "make_encoding",
     "kernel_dimensions", "kernel_half_width", "resolution_nm", "suggest_kernel_order",
-    "NithoConfig", "NithoModel", "NithoTrainer", "KernelBankEngine",
+    "NithoConfig", "NithoModel", "NithoTrainer",
     "GradientILT", "ILTSettings", "print_fidelity",
 ]

@@ -24,7 +24,7 @@ import numpy as np
 
 from ..nn import functional as F
 from ..nn.tensor import Tensor
-from ..optics.aerial import aerial_from_kernels, mask_spectrum
+from ..optics.aerial import mask_spectrum
 from ..optics.resist import ConstantThresholdResist
 from ..optics.simulator import OpticsConfig
 from .cmlp import CMLP, RealMLP
@@ -228,8 +228,7 @@ class NithoModel:
 
     def predict_aerial(self, mask: np.ndarray) -> np.ndarray:
         """Aerial image of a mask at full tile resolution using the stored kernel bank."""
-        mask = np.asarray(mask, dtype=float)
-        return aerial_from_kernels(mask, self.export_kernels())
+        return self.execution_engine().aerial(mask)
 
     def predict_resist(self, mask: np.ndarray) -> np.ndarray:
         """Binary resist prediction via the constant-threshold model."""
@@ -237,7 +236,7 @@ class NithoModel:
 
     def predict_batch(self, masks: np.ndarray) -> np.ndarray:
         """Aerial images for a mask batch through the vectorised execution engine."""
-        masks = np.asarray(masks, dtype=float)
+        masks = np.asarray(masks)
         if masks.ndim == 2:
             masks = masks[None]
         return self.execution_engine().aerial_batch(masks)

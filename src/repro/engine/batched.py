@@ -1,22 +1,24 @@
-"""Truly vectorised batched SOCS imaging — the engine's numerical core.
+"""Batched SOCS imaging — the one numerical "kernel bank -> aerial image".
 
-The seed code imaged batches of masks by looping the single-tile path in
-Python.  Here a whole batch ``(B, H, W)`` moves through the pipeline as one
-array program:
+Every aerial image in the package (a single tile, a batch, a layout tile, a
+learned or a golden bank) comes from :func:`batched_aerial_from_kernels`.  A
+whole batch ``(B, H, W)`` moves through the pipeline as one array program:
 
 1. one broadcast FFT produces every mask spectrum at once,
 2. one broadcast multiply forms the ``(B, r, n, m)`` kernel products,
 3. one batched inverse FFT returns the coherent fields, and
 4. a reduction over the kernel axis yields the aerial intensities.
 
-On top of the plain batched evaluation, :func:`batched_aerial_from_kernels`
-exploits the paper's band-limit argument (Eq. (10)) for a large additional
+On top of that, the paper's band-limit argument (Eq. (10)) buys a large
 speed-up: the coherent fields only carry ``n x m`` frequency samples, so the
 intensity — whose spectrum is the autocorrelation of the field spectrum — is
 band-limited to ``(2n - 1) x (2m - 1)`` samples.  The intensity is therefore
 evaluated exactly on a small ``2n x 2m`` grid and Fourier-upsampled (zero-pad
 in the frequency domain, an exact sinc interpolation for band-limited
-signals) to the requested output resolution.
+signals) to the requested output resolution (:func:`_band_limited_chunk`).
+Only an output smaller than that grid (``2n > H`` or ``2m > W``: coarse
+pixels, tiny tiles) is evaluated at full size instead
+(:func:`_direct_chunk`); the array shapes alone decide, there is no switch.
 
 Every transform goes through the pluggable compute backend
 (:mod:`repro.backend`), which adds two further hot-path wins:
@@ -78,7 +80,8 @@ def _as_kernel_stack(kernels: np.ndarray, precision: Precision) -> np.ndarray:
 
 
 def _direct_chunk(masks, kernels, out_h: int, out_w: int, xp: FFTBackend):
-    """Plain batched evaluation at full output resolution (reference path).
+    """Evaluation at full output resolution, for an output smaller than the
+    ``2n x 2m`` band-limit grid.
 
     ``xp`` is the backend the chunk lives in: a host backend leaves every
     expression bit-for-bit plain numpy; a device backend (cupy / fakegpu)
@@ -146,21 +149,26 @@ def batch_chunk_size(batch: int, order: int, height: int, width: int,
     return int(np.clip(max_chunk_bytes // per_mask, 1, max(batch, 1)))
 
 
+def _fits_band_limit_grid(n: int, m: int, out_h: int, out_w: int) -> bool:
+    """Whether the ``2n x 2m`` intensity grid fits inside the output."""
+    return 2 * n <= out_h and 2 * m <= out_w
+
+
 def effective_chunk_tiles(batch: int, kernel_shape: Tuple[int, int, int],
-                          out_h: int, out_w: int, band_limited: bool = True,
+                          out_h: int, out_w: int,
                           max_chunk_bytes: int = DEFAULT_MAX_CHUNK_BYTES,
                           itemsize: int = 16) -> int:
     """Tiles per chunk :func:`batched_aerial_from_kernels` actually evaluates.
 
     Bounds BOTH per-chunk intermediates: the ``(chunk, r, work_h, work_w)``
-    kernel-product stack and — on the band-limited fast path — the
-    ``(chunk, out_h, out_w)`` complex upsampling spectra.  The layout
+    kernel-product stack and the ``(chunk, out_h, out_w)`` complex
+    upsampling spectra of the band-limited chunk.  The layout
     pipeline sizes its bounded tile batches with this same arithmetic, so
     its peak memory is one chunk, no more.
     """
     order, n, m = kernel_shape
-    use_fast = band_limited and 2 * n <= out_h and 2 * m <= out_w
-    work_h, work_w = (2 * n, 2 * m) if use_fast else (out_h, out_w)
+    work_h, work_w = (2 * n, 2 * m) \
+        if _fits_band_limit_grid(n, m, out_h, out_w) else (out_h, out_w)
     return min(batch_chunk_size(batch, order, work_h, work_w,
                                 max_chunk_bytes, itemsize),
                batch_chunk_size(batch, 1, out_h, out_w,
@@ -169,13 +177,16 @@ def effective_chunk_tiles(batch: int, kernel_shape: Tuple[int, int, int],
 
 def batched_aerial_from_kernels(masks: np.ndarray, kernels: np.ndarray,
                                 output_shape: Optional[Tuple[int, int]] = None,
-                                band_limited: bool = True,
                                 max_chunk_bytes: int = DEFAULT_MAX_CHUNK_BYTES,
                                 backend: Optional[Union[FFTBackend, str]] = None,
                                 precision: Optional[Union[Precision, str]] = None,
                                 out: Optional[np.ndarray] = None,
                                 ) -> np.ndarray:
     """Aerial images of a mask batch ``(B, H, W)`` -> ``(B, H, W)``.
+
+    Evaluated on the ``2n x 2m`` intensity band-limit grid and
+    Fourier-upsampled (exact) whenever that grid fits the output; at full
+    output size otherwise.
 
     Parameters
     ----------
@@ -189,11 +200,6 @@ def batched_aerial_from_kernels(masks: np.ndarray, kernels: np.ndarray,
         ``precision`` and no per-call upload happens.
     output_shape:
         Resolution of the returned aerial images; defaults to the mask shape.
-    band_limited:
-        Evaluate on the intensity band-limit grid and Fourier-upsample
-        (exact, and much faster whenever ``2n < H``).  The direct full-size
-        path is used automatically when it is the cheaper or the only exact
-        option.
     max_chunk_bytes:
         Memory cap in bytes for the ``(chunk, r, ...)`` intermediates; see
         :data:`DEFAULT_MAX_CHUNK_BYTES`.
@@ -230,8 +236,8 @@ def batched_aerial_from_kernels(masks: np.ndarray, kernels: np.ndarray,
     out_h, out_w = masks.shape[-2:] if output_shape is None else output_shape
     order, n, m = kernels.shape
 
-    use_fast = band_limited and 2 * n <= out_h and 2 * m <= out_w
-    evaluate = _band_limited_chunk if use_fast else _direct_chunk
+    evaluate = _band_limited_chunk \
+        if _fits_band_limit_grid(n, m, out_h, out_w) else _direct_chunk
 
     if out is not None:
         if tuple(out.shape) != (batch, out_h, out_w):
@@ -247,7 +253,6 @@ def batched_aerial_from_kernels(masks: np.ndarray, kernels: np.ndarray,
             else np.zeros((0, out_h, out_w), dtype=precision.real_dtype)
 
     chunk = effective_chunk_tiles(batch, (order, n, m), out_h, out_w,
-                                  band_limited=band_limited,
                                   max_chunk_bytes=max_chunk_bytes,
                                   itemsize=precision.complex_itemsize)
 

@@ -5,8 +5,8 @@ matrix (``O((n m)^2)`` accumulation) followed by a dense Hermitian
 eigendecomposition.  The seed recomputed both in every simulator, engine and
 experiment that needed kernels.  This module computes them **once per optics
 fingerprint per process** and shares the result between the golden simulator,
-:class:`~repro.core.socs_engine.KernelBankEngine`, the experiment drivers and
-the throughput benchmarks.
+every :class:`~repro.engine.execution.ExecutionEngine`, the experiment
+drivers and the throughput benchmarks.
 
 The fingerprint hashes everything that determines the kernel bank:
 

@@ -4,9 +4,9 @@
 through.  It owns a fixed frequency-domain kernel bank — golden SOCS kernels,
 learned Nitho kernels, anything of shape ``(r, n, m)`` — and provides:
 
-* vectorised single-tile and batched imaging (:meth:`aerial`,
-  :meth:`aerial_batch`, :meth:`resist`, :meth:`resist_batch`) built on
-  :mod:`repro.engine.batched`,
+* batched imaging (:meth:`aerial_batch`, :meth:`resist_batch`; a single
+  tile — :meth:`aerial`, :meth:`resist` — is a batch of one) through the one
+  SOCS forward in :mod:`repro.engine.batched`,
 * large-layout imaging (:meth:`image_layout`) via the guard-banded tiling
   pipeline in :mod:`repro.engine.tiling`, lifting the historical
   "exactly one tile" restriction,
@@ -125,7 +125,6 @@ class ExecutionEngine:
 
     def __init__(self, kernels: np.ndarray, resist_threshold: float = 0.225,
                  tile_size_px: Optional[int] = None,
-                 band_limited: bool = True,
                  max_chunk_bytes: int = DEFAULT_MAX_CHUNK_BYTES,
                  fft_backend: Optional[FFTBackend] = None,
                  precision: Optional[Precision] = None,
@@ -166,9 +165,9 @@ class ExecutionEngine:
         #: Tile size the kernel bank was calibrated for.  The kernels sample
         #: frequencies at spacing ``1 / (tile_size_px * pixel_size)``, so
         #: imaging masks of a different size re-interprets them on a
-        #: different physical grid; layout tiling always uses this size.
+        #: different physical grid: :meth:`aerial_batch` rejects any other
+        #: mask size (``None`` = uncalibrated bank, any size accepted).
         self.tile_size_px = tile_size_px
-        self.band_limited = band_limited
         self.max_chunk_bytes = max_chunk_bytes
         #: Content-addressed tile-result cache (None = caching off): the
         #: injected instance, else ``compute.tile_cache`` — True / False /
@@ -198,7 +197,7 @@ class ExecutionEngine:
         fingerprint anyway), autotunes against it, then fetches the bank at
         the chosen precision — a float32 verdict costs one cached cast,
         never a second decomposition.  Remaining keywords (``fft_backend``,
-        ``tile_cache``, ``band_limited``, ...) go to the constructor.
+        ``tile_cache``, ``max_chunk_bytes``, ...) go to the constructor.
         """
         from ..optics.pupil import Pupil
         from ..optics.source import AnnularSource
@@ -245,7 +244,6 @@ class ExecutionEngine:
         return type(self)(self.kernels[:order],
                           resist_threshold=self.resist_model.threshold,
                           tile_size_px=self.tile_size_px,
-                          band_limited=self.band_limited,
                           max_chunk_bytes=self.max_chunk_bytes,
                           fft_backend=self.backend,
                           precision=self.precision,
@@ -260,23 +258,23 @@ class ExecutionEngine:
         return np.sum(np.abs(self.kernels) ** 2, axis=(1, 2))
 
     def kernel_fingerprint(self) -> str:
-        """Content hash of the kernel bank (+ band limiting), computed once.
+        """Content hash of the kernel bank, computed once.
 
         Identifies everything about *this engine's kernels* that determines
         an aerial tile: the bank's values (which already encode optics,
-        truncation order and precision — the bank is cast at construction)
-        and the band-limited evaluation mode.  Chunk size and the resist
-        threshold are excluded: the former never changes results (pinned),
-        the latter only affects development.  This is the kernel component
-        of the tile-result cache key, so two engines sharing a bank share
-        cached tiles.
+        truncation order and precision — the bank is cast at construction).
+        Chunk size and the resist threshold are excluded: the former never
+        changes results (pinned), the latter only affects development.  This
+        is the kernel component of the tile-result cache key, so two engines
+        sharing a bank share cached tiles.
         """
         if self._kernel_fingerprint is None:
             bank = np.ascontiguousarray(self.kernels)
             digest = hashlib.sha1()
             digest.update(f"{bank.shape}|{bank.dtype.str}|".encode("utf-8"))
             digest.update(bank.tobytes())
-            digest.update(f"|band={self.band_limited}".encode("utf-8"))
+            # Literal: persisted tile-cache entries are keyed by this segment.
+            digest.update(b"|band=True")
             self._kernel_fingerprint = digest.hexdigest()
         return self._kernel_fingerprint
 
@@ -302,9 +300,18 @@ class ExecutionEngine:
         each chunk pays exactly one mask upload + one intensity download.
         ``out`` optionally receives the results (the layout pipeline's
         reusable staging buffer); contents are identical either way.
+
+        A bank with a calibrated :attr:`tile_size_px` images masks of
+        exactly that size; any other raises ``ValueError`` (the kernels would
+        land on a different frequency grid — a silently wrong image).
         """
         masks = np.stack([self.precision.as_real(mask) for mask in masks], axis=0) \
             if isinstance(masks, (list, tuple)) else self.precision.as_real(masks)
+        tile = self.tile_size_px
+        if tile is not None and masks.shape[-2:] != (tile, tile):
+            raise ValueError(
+                f"mask shape {masks.shape[-2:]} does not match the "
+                f"{tile} px tile this kernel bank was calibrated for")
         kernels = self.kernels
         if self.backend.is_resident:
             kernels = device_kernel_bank(self.backend,
@@ -312,25 +319,15 @@ class ExecutionEngine:
                                          self.kernels)
         return batched_aerial_from_kernels(
             masks, kernels, output_shape=output_shape,
-            band_limited=self.band_limited,
             max_chunk_bytes=self.max_chunk_bytes,
             backend=self.backend, precision=self.precision, out=out)
 
     def aerial(self, mask: np.ndarray) -> np.ndarray:
-        """Aerial image of one mask tile.
-
-        Dispatches straight to the single-tile reference path (no batch
-        stacking / chunk bookkeeping), which is the faster option for one
-        tile.  Masks of a size other than :attr:`tile_size_px` are accepted
-        but re-interpret the bank on a different frequency grid — exact only
-        at the calibrated tile size.
-        """
-        from ..optics.aerial import aerial_from_kernels
-
-        mask = self.precision.as_real(mask)
+        """Aerial image of one mask tile: a batch of one."""
+        mask = np.asarray(mask)
         if mask.ndim != 2:
             raise ValueError("mask must be a 2-D image")
-        return aerial_from_kernels(mask, self.kernels, backend=self.backend)
+        return self.aerial_batch(mask[None])[0]
 
     def resist_batch(self, masks: np.ndarray) -> np.ndarray:
         return self.resist_model.develop(self.aerial_batch(masks))
@@ -366,7 +363,6 @@ class ExecutionEngine:
         return max(1, effective_chunk_tiles(
             np.iinfo(np.int32).max, self.kernels.shape,
             tiling.tile_px, tiling.tile_px,
-            band_limited=self.band_limited,
             max_chunk_bytes=self.max_chunk_bytes,
             itemsize=self.precision.complex_itemsize))
 

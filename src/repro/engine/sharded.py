@@ -86,7 +86,6 @@ class EngineSpec:
     config: OpticsConfig
     source: Optional[Source] = None
     pupil: Optional[Pupil] = None
-    band_limited: bool = True
     max_chunk_bytes: int = DEFAULT_MAX_CHUNK_BYTES
     cache_dir: Optional[str] = None
     fft_backend: Optional[str] = None
@@ -137,9 +136,10 @@ class EngineSpec:
         """Cache key: optics fingerprint + the engine options that change output."""
         source, pupil = self.resolved_optics()
         base = optics_fingerprint(self.config, source, pupil)
+        # "|band=True" is a literal: persisted campaign stores are keyed by it.
         return (
             f"{base}|order={getattr(self.config, 'max_socs_order', None)}"
-            f"|band={self.band_limited}|chunk={self.max_chunk_bytes}"
+            f"|band=True|chunk={self.max_chunk_bytes}"
             f"|backend={self.fft_backend}|workers={self.fft_workers}"
             f"|prec={self.precision}")
 
@@ -160,7 +160,6 @@ class EngineSpec:
                      else default_kernel_cache())
         return ExecutionEngine.for_optics(
             self.config, source=source, pupil=pupil, cache=cache,
-            band_limited=self.band_limited,
             max_chunk_bytes=self.max_chunk_bytes,
             compute=ComputeConfig(fft_backend=self.fft_backend,
                                   fft_workers=self.fft_workers,

@@ -12,11 +12,8 @@ from __future__ import annotations
 
 from typing import Dict, Sequence
 
-import numpy as np
-
 from ..analysis.reporting import render_series
-from ..core.socs_engine import KernelBankEngine
-from ..metrics import aerial_metrics, psnr
+from ..metrics import aerial_metrics
 from ..optics.simulator import LithographySimulator
 from .context import get_context
 
@@ -30,14 +27,14 @@ def run_socs_order_ablation(preset: str = "tiny", seed: int = 0,
     masks = dataset.test_masks[:max(1, tiles)]
 
     simulator = LithographySimulator(context.config.optics_config())
-    full_bank = KernelBankEngine(simulator.kernels.kernels)
-    reference = np.stack([full_bank.aerial(mask) for mask in masks], axis=0)
+    full_bank = simulator.engine
+    reference = full_bank.aerial_batch(masks)
 
     usable_orders = [order for order in orders if order <= full_bank.order]
     series = []
     for order in usable_orders:
         truncated = full_bank.truncate(order)
-        prediction = np.stack([truncated.aerial(mask) for mask in masks], axis=0)
+        prediction = truncated.aerial_batch(masks)
         series.append(aerial_metrics(reference, prediction)["psnr"])
 
     return {
@@ -64,7 +61,7 @@ def run_real_vs_complex_ablation(preset: str = "tiny", seed: int = 0,
     for label, real_valued in (("complex CMLP", False), ("real MLP", True)):
         model = context.make_model("Nitho", real_valued_mlp=real_valued)
         model.fit(dataset.train_masks, dataset.train_aerials)
-        predictions = np.stack([model.predict_aerial(m) for m in test_masks], axis=0)
+        predictions = model.predict_batch(test_masks)
         results[label] = aerial_metrics(test_aerials, predictions)
     return {"results": results}
 
@@ -85,7 +82,7 @@ def run_rff_sigma_ablation(preset: str = "tiny", seed: int = 0, dataset_name: st
     for sigma in sigmas:
         model = context.make_model("Nitho", encoding_kwargs={"sigma": float(sigma)})
         model.fit(dataset.train_masks, dataset.train_aerials)
-        predictions = np.stack([model.predict_aerial(m) for m in test_masks], axis=0)
+        predictions = model.predict_batch(test_masks)
         series.append(aerial_metrics(test_aerials, predictions)["psnr"])
     return {
         "sigmas": list(sigmas),

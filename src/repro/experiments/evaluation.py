@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import Dict
 
-import numpy as np
-
 from ..masks.datasets import LithoDataset
 from ..metrics import aerial_metrics, resist_metrics
 
@@ -27,8 +25,10 @@ def evaluate_on_dataset(model, dataset: LithoDataset, max_tiles: int = 0) -> Dic
     if len(masks) == 0:
         raise ValueError(f"dataset {dataset.name} has no test tiles")
 
-    predicted_aerials = np.stack([model.predict_aerial(mask) for mask in masks], axis=0)
-    predicted_resists = np.stack([model.predict_resist(mask) for mask in masks], axis=0)
+    # One batched forward; the resist is developed from those same aerials
+    # (predict_resist per tile would image every tile a second time).
+    predicted_aerials = model.predict_batch(masks)
+    predicted_resists = model.resist_model.develop(predicted_aerials)
 
     metrics = {}
     metrics.update(aerial_metrics(aerials, predicted_aerials))

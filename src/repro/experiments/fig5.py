@@ -16,7 +16,6 @@ from typing import Dict
 
 from ..analysis.reporting import render_bar_chart
 from ..analysis.throughput import compare_throughput, speedup
-from ..core.socs_engine import KernelBankEngine
 from ..optics.simulator import calibre_like_engine
 from .context import MODEL_NAMES, get_context
 
@@ -35,11 +34,11 @@ def run_fig5(preset: str = "tiny", seed: int = 0, dataset_name: str = "B1",
     for model_name in MODEL_NAMES:
         model = context.trained_model(model_name, dataset_name)
         if model_name == "Nitho":
-            # Fast-lithography path: exported kernel bank, no network inference.
-            bank = KernelBankEngine(model.export_kernels(), tile_size_px=tile_size)
+            # Fast-lithography path: exported kernel bank, no network
+            # inference — the execution engine the product ships, timed per
+            # tile and as one batch.
+            bank = model.execution_engine()
             engines["Nitho"] = bank.aerial
-            # The production entry point: the same bank through the vectorised
-            # batched execution engine (one FFT pipeline per batch).
             batched_engines["Nitho (batched)"] = bank.aerial_batch
         else:
             engines[model_name] = model.predict_aerial

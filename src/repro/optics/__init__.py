@@ -6,7 +6,7 @@ and resist images through a physically-grounded partially-coherent imaging
 model with λ = 193 nm and NA = 1.35 defaults.
 """
 
-from .aerial import aerial_batch, aerial_from_kernels, clear_field_intensity, mask_spectrum
+from .aerial import mask_spectrum
 from .grid import FrequencyGrid, centred_indices, crop_centre, embed_centre, make_grid
 from .hopkins import abbe_aerial
 from .process_window import (
@@ -37,8 +37,7 @@ __all__ = [
     "Pupil",
     "TCCResult", "compute_tcc", "tcc_diagonal",
     "SOCSKernels", "decompose_tcc", "kernels_from_matrix", "truncation_error_bound",
-    "aerial_from_kernels", "aerial_batch", "mask_spectrum", "clear_field_intensity",
-    "abbe_aerial",
+    "mask_spectrum", "abbe_aerial",
     "ConstantThresholdResist", "VariableThresholdResist", "edge_placement_error",
     "LithographySimulator", "OpticsConfig", "lithosim_engine", "calibre_like_engine",
     "ProcessWindowResult", "FocusExposurePoint",

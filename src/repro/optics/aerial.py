@@ -1,16 +1,11 @@
-"""Aerial-image formation from SOCS kernels (Eq. (4) / Eq. (9)).
+"""Centred mask spectra for SOCS imaging (lines 6-7 of Algorithm 1).
 
-Three paths are provided:
+This module holds :func:`mask_spectrum` only — the forward transform shared
+by the batched SOCS core (:mod:`repro.engine.batched`, the one place
+Eq. (4) / Eq. (9) is evaluated numerically) and the differentiable training
+graph in :mod:`repro.core.nitho`.
 
-* :func:`aerial_from_kernels` — the single-tile reference path used by the
-  golden simulator and pinned by the equivalence regression tests,
-* :func:`aerial_batch` — the broadcast batched evaluation (one FFT pipeline
-  for a whole ``(B, H, W)`` stack); the chunked, band-limited production
-  variant lives in :mod:`repro.engine.batched`, and
-* helper utilities shared with the differentiable training graph in
-  :mod:`repro.core.nitho`.
-
-Every transform routes through the pluggable compute backend
+The transform routes through the pluggable compute backend
 (:mod:`repro.backend`): masks are real, so half the spectrum is redundant —
 mask batches take the ``rfft2`` half-spectrum transform and the centred crop
 is gathered straight from the half spectrum via Hermitian symmetry; no
@@ -26,7 +21,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..backend import FFTBackend, get_backend
-from .grid import embed_centre_unshifted
 
 
 def mask_spectrum(mask: np.ndarray, kernel_shape: Optional[Tuple[int, int]] = None,
@@ -76,76 +70,3 @@ def mask_spectrum(mask: np.ndarray, kernel_shape: Optional[Tuple[int, int]] = No
         out[..., :, ~direct] = xp.conj(
             half[..., ((-rows) % height)[:, None], (width - cols[~direct])[None, :]])
     return out
-
-
-def aerial_from_kernels(mask: np.ndarray, kernels: np.ndarray,
-                        output_shape: Optional[Tuple[int, int]] = None,
-                        backend: Optional[FFTBackend] = None) -> np.ndarray:
-    """Aerial image ``sum_i |IFFT(K_i * F(M))|^2`` at full mask resolution.
-
-    Parameters
-    ----------
-    mask:
-        Real 2-D mask image (``H x W``).
-    kernels:
-        Complex array ``(r, n, m)`` of frequency-domain kernels (centred DC),
-        each already scaled by ``sqrt(eigenvalue)``.
-    output_shape:
-        Resolution of the returned aerial image; defaults to the mask shape.
-        The band-limited product is zero-embedded into this size before the
-        inverse FFT, which is an exact (sinc) interpolation.
-    backend:
-        FFT backend; ``None`` resolves the default.
-    """
-    if mask.ndim != 2:
-        raise ValueError("mask must be a 2-D image")
-    if kernels.ndim != 3:
-        raise ValueError("kernels must have shape (r, n, m)")
-    backend = backend or get_backend()
-    height, width = mask.shape if output_shape is None else output_shape
-    n, m = kernels.shape[-2], kernels.shape[-1]
-
-    spectrum = mask_spectrum(mask, (n, m), backend=backend)
-    products = kernels * spectrum[None, :, :]
-    embedded = embed_centre_unshifted(products, height, width)
-    fields = backend.ifft2(embedded, norm="ortho")
-    return np.sum(np.abs(fields) ** 2, axis=0)
-
-
-def aerial_batch(masks: np.ndarray, kernels: np.ndarray) -> np.ndarray:
-    """Aerial images of a mask batch ``(B, H, W)`` in one broadcast FFT pipeline.
-
-    This is the genuinely vectorised path (the seed version looped the
-    single-tile computation in Python): one batched ``fft2`` produces every
-    spectrum, one broadcast multiply forms the ``(B, r, n, m)`` kernel
-    products, and one batched ``ifft2`` plus a reduction over the kernel axis
-    yields the intensities.  The numerics live in
-    :func:`repro.engine.batched.batched_aerial_from_kernels`, which also
-    offers the chunked, band-limited production variant.
-    """
-    from ..engine.batched import batched_aerial_from_kernels  # deferred: engine imports optics
-
-    masks = np.asarray(masks)
-    if masks.ndim != 3:
-        raise ValueError("masks must have shape (B, H, W)")
-    if kernels.ndim != 3:
-        raise ValueError("kernels must have shape (r, n, m)")
-    return batched_aerial_from_kernels(masks, kernels, band_limited=False)
-
-
-def normalize_aerial(aerial: np.ndarray, clear_field_intensity: float) -> np.ndarray:
-    """Scale an aerial image so a fully clear mask images to intensity 1.0."""
-    if clear_field_intensity <= 0:
-        raise ValueError("clear_field_intensity must be positive")
-    return aerial / clear_field_intensity
-
-
-def clear_field_intensity(kernels: np.ndarray, height: int, width: int) -> float:
-    """Peak intensity produced by an all-ones (fully transparent) mask.
-
-    Used to express aerial images in dimensionless exposure units so a single
-    resist threshold applies across tiles.
-    """
-    clear = np.ones((height, width))
-    aerial = aerial_from_kernels(clear, kernels)
-    return float(aerial.max())

@@ -7,9 +7,9 @@ learned models are trained against.
 
 Kernel banks are served by the process-wide cache in
 :mod:`repro.engine.cache`, so any number of simulators sharing an optics
-fingerprint pay for the TCC + SOCS eigendecomposition exactly once.  Batched
-(:meth:`LithographySimulator.aerial_batch`) and whole-layout
-(``simulator.engine.image_layout``) imaging run through the vectorised
+fingerprint pay for the TCC + SOCS eigendecomposition exactly once.  Every
+SOCS image — one tile, a batch, a whole layout
+(``simulator.engine.image_layout``) — comes from the simulator's
 :class:`~repro.engine.execution.ExecutionEngine`.
 """
 
@@ -20,7 +20,6 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .aerial import aerial_from_kernels
 from .hopkins import abbe_aerial
 from .pupil import Pupil
 from .resist import ConstantThresholdResist
@@ -148,8 +147,7 @@ class LithographySimulator:
     # ------------------------------------------------------------------ #
     def aerial(self, mask: np.ndarray) -> np.ndarray:
         """Golden aerial image of a mask tile (SOCS fast path)."""
-        self._check_mask(mask)
-        return aerial_from_kernels(mask, self.kernels.kernels)
+        return self.engine.aerial(mask)
 
     def aerial_rigorous(self, mask: np.ndarray) -> np.ndarray:
         """Aerial image via direct Abbe summation (slow reference path)."""
@@ -174,13 +172,6 @@ class LithographySimulator:
 
     def aerial_batch(self, masks: np.ndarray) -> np.ndarray:
         """Golden aerial images of a tile batch ``(B, H, W)`` in one vectorised pass."""
-        masks = np.asarray(masks, dtype=float)
-        if masks.ndim != 3:
-            raise ValueError("masks must have shape (B, H, W)")
-        expected = (self.config.tile_size_px, self.config.tile_size_px)
-        if masks.shape[-2:] != expected:
-            raise ValueError(f"mask shape {masks.shape[-2:]} does not match "
-                             f"configured tile {expected}")
         return self.engine.aerial_batch(masks)
 
     def resist_batch(self, masks: np.ndarray) -> np.ndarray:

@@ -16,11 +16,17 @@ a Hermitian gather, shift-free embeds, half-spectrum upsampling — so
 textbook full-spectrum expressions of Algorithm 1 in plain ``numpy.fft``,
 touching no compute backend at all.
 
+The product also has exactly one SOCS forward
+(``repro.engine.batched.batched_aerial_from_kernels``), which picks its chunk
+kernel from array shapes alone; :class:`RecordingBackend` lets a test see
+which one ran by the transform shapes it issued.
+
 It lives under ``tests/`` on purpose: the product keeps one path.
 """
 
 import numpy as np
 
+from repro.backend import FFTBackend, get_backend
 from repro.engine import LayoutImage, extract_tiles, stitch_tiles
 from repro.optics.grid import crop_centre, embed_centre
 
@@ -42,6 +48,38 @@ def reference_aerial(masks, kernels, output_shape=None):
     embedded = np.fft.ifftshift(embed_centre(products, out_h, out_w),
                                 axes=(-2, -1))
     return np.sum(np.abs(np.fft.ifft2(embedded, norm="ortho")) ** 2, axis=1)
+
+
+class RecordingBackend(FFTBackend):
+    """Only ``name`` + the four transforms, forwarded to the ``inner`` backend
+    (``None`` = the default one) — exactly what
+    ``bench/probes.py::make_fft_probe`` subclasses — recording
+    ``(method, shape)`` per call; ``irfft2`` records the shape it produces."""
+
+    def __init__(self, inner=None):
+        super().__init__()
+        self.inner = get_backend(inner)
+        self.name = self.inner.name
+        self.calls = []
+
+    def shapes(self, method):
+        return [shape for name, shape in self.calls if name == method]
+
+    def fft2(self, array, norm=None):
+        self.calls.append(("fft2", tuple(array.shape)))
+        return self.inner.fft2(array, norm=norm)
+
+    def ifft2(self, array, norm=None):
+        self.calls.append(("ifft2", tuple(array.shape)))
+        return self.inner.ifft2(array, norm=norm)
+
+    def rfft2(self, array, norm=None):
+        self.calls.append(("rfft2", tuple(array.shape)))
+        return self.inner.rfft2(array, norm=norm)
+
+    def irfft2(self, array, s, norm=None):
+        self.calls.append(("irfft2", tuple(array.shape[:-2]) + tuple(s)))
+        return self.inner.irfft2(array, s=s, norm=norm)
 
 
 def reference_image_layout(engine, layout, tiling=None, *, tile_px=None,

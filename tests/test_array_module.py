@@ -36,7 +36,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from reference import reference_image_layout
+from reference import RecordingBackend, reference_image_layout
 from repro.backend import (
     FLOAT32,
     FLOAT64,
@@ -255,17 +255,17 @@ class TestFakeGpuEqualsNumpy:
     @settings(max_examples=10, deadline=None)
     @given(masks=binary_masks,
            precision=st.sampled_from(["float64", "float32"]),
-           band_limited=st.booleans())
-    def test_batched_aerial_bit_for_bit(self, masks, precision, band_limited):
+           tile=st.sampled_from([32, 16]))
+    def test_batched_aerial_bit_for_bit(self, masks, precision, tile):
+        # 32 px fits the 2n = 18 px band-limit grid of the 9x9 bank (the
+        # band-limited chunk); 16 px does not (the direct chunk).
         policy = resolve_precision(precision)
-        masks = policy.as_real(masks)
+        masks = policy.as_real(masks[:, :tile, :tile])
         kernels = KERNELS.astype(policy.complex_dtype)
         reference = batched_aerial_from_kernels(
-            masks, kernels, band_limited=band_limited,
-            backend=get_backend("numpy"), precision=policy)
+            masks, kernels, backend=get_backend("numpy"), precision=policy)
         result = batched_aerial_from_kernels(
-            masks, kernels, band_limited=band_limited,
-            backend=get_backend("fakegpu"), precision=policy)
+            masks, kernels, backend=get_backend("fakegpu"), precision=policy)
         assert result.dtype == reference.dtype
         np.testing.assert_array_equal(reference, result)
 
@@ -318,33 +318,6 @@ class TestDeviceMixing:
 # --------------------------------------------------------------------------- #
 # one backend protocol
 # --------------------------------------------------------------------------- #
-class ForwardingBackend(FFTBackend):
-    """Only ``name`` + the four transforms, forwarded to the default backend:
-    exactly what ``bench/probes.py::make_fft_probe`` subclasses."""
-
-    def __init__(self):
-        super().__init__()
-        self.inner = get_backend()
-        self.name = self.inner.name
-        self.calls = 0
-
-    def fft2(self, array, norm=None):
-        self.calls += 1
-        return self.inner.fft2(array, norm=norm)
-
-    def ifft2(self, array, norm=None):
-        self.calls += 1
-        return self.inner.ifft2(array, norm=norm)
-
-    def rfft2(self, array, norm=None):
-        self.calls += 1
-        return self.inner.rfft2(array, norm=norm)
-
-    def irfft2(self, array, s, norm=None):
-        self.calls += 1
-        return self.inner.irfft2(array, s=s, norm=norm)
-
-
 class TestBackendProtocol:
     def test_every_registered_backend_is_an_fft_backend(self):
         for name in available_backends():
@@ -391,7 +364,7 @@ class TestBackendProtocol:
         np.testing.assert_array_equal(fakegpu.to_host(device), reference)
 
     def test_transforms_only_backend_drives_an_engine(self, tmp_path):
-        probe = ForwardingBackend()
+        probe = RecordingBackend()
         plain = ExecutionEngine.for_optics(CONFIG, compute=NO_CACHE)
         probed = ExecutionEngine.for_optics(CONFIG, fft_backend=probe,
                                             compute=NO_CACHE)
@@ -400,14 +373,14 @@ class TestBackendProtocol:
                                       out_dir=str(tmp_path / "plain"))
         result = probed.image_layout(layout, guard_px=8,
                                      out_dir=str(tmp_path / "probed"))
-        assert probe.calls > 0
+        assert probe.calls
         np.testing.assert_array_equal(expected.aerial, result.aerial)
         np.testing.assert_array_equal(expected.resist, result.resist)
         assert open_layout_dir(str(tmp_path / "probed"))[2]["backend"] == \
             open_layout_dir(str(tmp_path / "plain"))[2]["backend"]
 
     def test_transforms_only_backend_drives_a_sharded_executor(self):
-        probe = ForwardingBackend()
+        probe = RecordingBackend()
         spec = EngineSpec(config=CONFIG)
         assert spec.fft_backend == probe.name
         reader = load_layout_source(HIER4, CONFIG.pixel_size_nm)
@@ -418,7 +391,7 @@ class TestBackendProtocol:
             probed.warm(spec).backend = probe
             result = probed.image_layout(spec, reader, guard_px=8)
             assert probed.tile_cache.stats.misses > 0
-        assert probe.calls > 0
+        assert probe.calls
         np.testing.assert_array_equal(expected.aerial, result.aerial)
         np.testing.assert_array_equal(expected.resist, result.resist)
 

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core import KernelBankEngine, NithoConfig, NithoModel, NithoTrainer
+from reference import reference_aerial
+from repro.core import NithoConfig, NithoModel, NithoTrainer
+from repro.engine import ExecutionEngine
 from repro.metrics import aerial_metrics
 
 
@@ -151,28 +153,53 @@ class TestNithoTraining:
 
 
 class TestKernelBankEngine:
+    """A kernel bank — learned or golden — images through ``ExecutionEngine``
+    (the cases of the former tile-size-checking veneer class)."""
+
     def test_requires_3d_kernels(self):
         with pytest.raises(ValueError):
-            KernelBankEngine(np.zeros((4, 4)))
+            ExecutionEngine(np.zeros((4, 4)))
 
     def test_aerial_matches_nitho_fast_path(self, trained_tiny_nitho, tiny_masks):
-        engine = KernelBankEngine(trained_tiny_nitho.export_kernels())
-        np.testing.assert_allclose(engine.aerial(tiny_masks[0]),
-                                   trained_tiny_nitho.predict_aerial(tiny_masks[0]))
+        kernels = trained_tiny_nitho.export_kernels()
+        expected = reference_aerial(tiny_masks[:1], kernels)[0]
+        np.testing.assert_allclose(ExecutionEngine(kernels).aerial(tiny_masks[0]),
+                                   expected, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(trained_tiny_nitho.predict_aerial(tiny_masks[0]),
+                                   expected, rtol=1e-10, atol=1e-12)
 
     def test_golden_kernels_reproduce_simulator(self, tiny_simulator, tiny_masks):
-        engine = KernelBankEngine(tiny_simulator.kernels.kernels,
+        engine = ExecutionEngine(tiny_simulator.kernels.kernels,
                                   resist_threshold=tiny_simulator.config.resist_threshold)
         np.testing.assert_allclose(engine.aerial(tiny_masks[0]), tiny_simulator.aerial(tiny_masks[0]))
         np.testing.assert_array_equal(engine.resist(tiny_masks[0]), tiny_simulator.resist(tiny_masks[0]))
 
     def test_tile_size_validation(self, trained_tiny_nitho, tiny_masks):
-        engine = KernelBankEngine(trained_tiny_nitho.export_kernels(), tile_size_px=8)
-        with pytest.raises(ValueError):
+        engine = ExecutionEngine(trained_tiny_nitho.export_kernels(), tile_size_px=8)
+        with pytest.raises(ValueError, match="8 px tile"):
             engine.aerial(tiny_masks[0])
+        with pytest.raises(ValueError, match="8 px tile"):
+            engine.aerial_batch(tiny_masks[:2])
+        with pytest.raises(ValueError, match="8 px tile"):
+            engine.resist_batch(list(tiny_masks[:2]))
+
+    def test_float32_bank(self, tiny_simulator, tiny_masks):
+        from repro.backend import FLOAT32
+
+        kernels = tiny_simulator.kernels.kernels
+        tile = tiny_simulator.config.tile_size_px
+        engine = ExecutionEngine(kernels.astype(np.complex64), precision=FLOAT32,
+                                 tile_size_px=tile)
+        assert engine.kernels.dtype == np.complex64
+        aerial = engine.aerial(tiny_masks[0])
+        assert aerial.dtype == np.float32
+        expected = reference_aerial(np.asarray(tiny_masks[:1], dtype=float), kernels)[0]
+        assert np.abs(aerial - expected).max() / expected.max() < FLOAT32.aerial_rtol
+        with pytest.raises(ValueError, match=f"{tile} px tile"):
+            engine.aerial(np.zeros((tile // 2, tile // 2), dtype=np.float32))
 
     def test_truncate(self, tiny_simulator):
-        engine = KernelBankEngine(tiny_simulator.kernels.kernels)
+        engine = ExecutionEngine(tiny_simulator.kernels.kernels)
         truncated = engine.truncate(2)
         assert truncated.order == 2
         with pytest.raises(ValueError):
@@ -180,7 +207,7 @@ class TestKernelBankEngine:
 
     def test_truncate_rejects_order_beyond_bank(self, tiny_simulator):
         """The seed silently returned the full bank for an over-long truncation."""
-        engine = KernelBankEngine(tiny_simulator.kernels.kernels)
+        engine = ExecutionEngine(tiny_simulator.kernels.kernels)
         with pytest.raises(ValueError, match="only holds"):
             engine.truncate(engine.order + 1)
 
@@ -189,15 +216,14 @@ class TestKernelBankEngine:
         device-resident backend (whose downloads stage through ``out=``)
         raised ``TypeError: unexpected keyword argument 'out'``."""
         from repro.backend import ComputeConfig, get_backend
-        from repro.engine import ExecutionEngine
 
         tile = tiny_simulator.config.tile_size_px
         no_cache = ComputeConfig(tile_cache=False)
         layout = (np.random.default_rng(4).random((2 * tile + 5, tile + 9))
                   > 0.7).astype(float)
-        device = KernelBankEngine(tiny_simulator.kernels.kernels,
-                                  tile_size_px=tile, compute=no_cache,
-                                  fft_backend=get_backend("fakegpu"))
+        device = ExecutionEngine(tiny_simulator.kernels.kernels,
+                                 tile_size_px=tile, compute=no_cache,
+                                 fft_backend=get_backend("fakegpu"))
         host = ExecutionEngine(tiny_simulator.kernels.kernels,
                                tile_size_px=tile,
                                compute=no_cache.replace(fft_backend="numpy"))
@@ -207,24 +233,23 @@ class TestKernelBankEngine:
 
     def test_aerial_batch_forwards_output_shape(self, tiny_simulator,
                                                 tiny_masks):
-        from repro.engine import ExecutionEngine
-
         kernels = tiny_simulator.kernels.kernels
         shape = (2 * tiny_masks.shape[-2], 2 * tiny_masks.shape[-1])
-        upsampled = KernelBankEngine(kernels).aerial_batch(
+        upsampled = ExecutionEngine(kernels).aerial_batch(
             tiny_masks[:2], output_shape=shape)
         assert upsampled.shape == (2, *shape)
-        np.testing.assert_array_equal(
-            upsampled, ExecutionEngine(kernels).aerial_batch(
-                tiny_masks[:2], output_shape=shape))
+        np.testing.assert_allclose(
+            upsampled, reference_aerial(np.asarray(tiny_masks[:2], dtype=float),
+                                        kernels, output_shape=shape),
+            rtol=1e-10, atol=1e-12)
 
     def test_kernel_energy_sorted_descending_for_golden(self, tiny_simulator):
-        engine = KernelBankEngine(tiny_simulator.kernels.kernels)
+        engine = ExecutionEngine(tiny_simulator.kernels.kernels)
         energy = engine.kernel_energy()
         assert np.all(np.diff(energy) <= 1e-9)
 
     def test_batch_helpers(self, tiny_simulator, tiny_masks):
-        engine = KernelBankEngine(tiny_simulator.kernels.kernels)
+        engine = ExecutionEngine(tiny_simulator.kernels.kernels)
         aerials = engine.aerial_batch(tiny_masks[:2])
         resists = engine.resist_batch(tiny_masks[:2])
         assert aerials.shape == (2, *tiny_masks[0].shape)

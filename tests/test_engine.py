@@ -2,10 +2,11 @@
 
 Pinned guarantees:
 
-* the vectorised batched core is numerically equivalent to the per-tile
-  reference path (bit-for-bit within floating-point rounding) across dtypes,
-  odd tile sizes, truncated kernel orders, chunk boundaries and the
-  band-limited fast-evaluation grid,
+* the batched core — the one SOCS forward — is numerically equivalent to the
+  plain-numpy textbook oracle (``tests/reference.py::reference_aerial``)
+  across dtypes, odd tile sizes, truncated kernel orders, chunk boundaries
+  and both chunk kernels (band-limited grid / direct full size), on every
+  backend,
 * split -> image -> stitch round-trips arbitrary layouts, is exactly the
   per-tile path when no guard band is needed, and has vanishing seam error
   in the guarded interior,
@@ -18,7 +19,8 @@ import re
 import numpy as np
 import pytest
 
-from repro.core import KernelBankEngine
+from reference import RecordingBackend, reference_aerial
+from repro.backend import available_backends
 from repro.engine import (
     ExecutionEngine,
     KernelBankCache,
@@ -31,14 +33,14 @@ from repro.engine import (
     stitch_tiles,
 )
 from repro.optics import OpticsConfig, LithographySimulator
-from repro.optics.aerial import aerial_from_kernels
 from repro.optics.pupil import Pupil
 from repro.optics.socs import SOCSKernels
 from repro.optics.source import AnnularSource, CircularSource, PixelatedSource
 from repro.utils.imaging import fourier_resize, fourier_resize_batch
 
 # A fine-pitch configuration whose kernel window (7x7) is far below the tile
-# size, so the band-limited fast evaluation path actually engages (2n << H).
+# size, so the band-limited chunk runs (2n << H); the tiny fixtures (48 px at
+# 20 nm, a 27x27 window) take the direct full-size chunk (2n > H).
 FINE = OpticsConfig(tile_size_px=64, pixel_size_nm=4.0, max_socs_order=None)
 
 
@@ -71,46 +73,81 @@ def random_masks():
     return (np.random.default_rng(42).random((6, 64, 64)) > 0.7).astype(float)
 
 
-def _looped_reference(masks, kernels):
-    return np.stack([aerial_from_kernels(np.asarray(m, dtype=float), kernels)
-                     for m in masks], axis=0)
+def _oracle(masks, kernels):
+    return reference_aerial(np.asarray(masks, dtype=float), kernels)
 
 
 class TestBatchedEquivalence:
     def test_matches_per_tile_path(self, tiny_simulator, tiny_masks):
         kernels = tiny_simulator.kernels.kernels
-        reference = _looped_reference(tiny_masks, kernels)
+        reference = _oracle(tiny_masks, kernels)
         batched = batched_aerial_from_kernels(np.asarray(tiny_masks, dtype=float), kernels)
         np.testing.assert_allclose(batched, reference, rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.uint8])
     def test_dtypes(self, fine_engine, random_masks, dtype):
         masks = random_masks.astype(dtype)
-        reference = _looped_reference(masks, fine_engine.kernels)
+        reference = _oracle(masks, fine_engine.kernels)
         np.testing.assert_allclose(fine_engine.aerial_batch(masks), reference,
                                    rtol=1e-10, atol=1e-12)
 
     def test_odd_tile_size(self, fine_engine):
         masks = (np.random.default_rng(3).random((4, 47, 47)) > 0.6).astype(float)
-        reference = _looped_reference(masks, fine_engine.kernels)
-        np.testing.assert_allclose(fine_engine.aerial_batch(masks), reference,
+        reference = _oracle(masks, fine_engine.kernels)
+        # No calibrated tile: the bank is deliberately imaged at another size.
+        uncalibrated = ExecutionEngine(fine_engine.kernels,
+                                       fft_backend=fine_engine.backend)
+        np.testing.assert_allclose(uncalibrated.aerial_batch(masks), reference,
                                    rtol=1e-10, atol=1e-12)
+        with pytest.raises(ValueError, match="47.*64 px tile"):
+            fine_engine.aerial_batch(masks)
 
     @pytest.mark.parametrize("order", [1, 3])
     def test_truncated_orders(self, fine_engine, random_masks, order):
         truncated = fine_engine.truncate(order)
-        reference = _looped_reference(random_masks, truncated.kernels)
+        reference = _oracle(random_masks, truncated.kernels)
         np.testing.assert_allclose(truncated.aerial_batch(random_masks), reference,
                                    rtol=1e-10, atol=1e-12)
 
     def test_band_limited_fast_path_engages_and_is_exact(self, fine_engine, random_masks):
         n, m = fine_engine.kernel_shape
         assert 2 * n <= 64 and 2 * m <= 64  # the fast grid really is smaller
-        fast = batched_aerial_from_kernels(random_masks, fine_engine.kernels,
-                                           band_limited=True)
-        direct = batched_aerial_from_kernels(random_masks, fine_engine.kernels,
-                                             band_limited=False)
-        np.testing.assert_allclose(fast, direct, rtol=1e-10, atol=1e-12)
+        order = fine_engine.order
+        recorder = RecordingBackend()
+        batched_aerial_from_kernels(random_masks, fine_engine.kernels,
+                                    backend=recorder)
+        assert recorder.shapes("ifft2") == [(6, order, 2 * n, 2 * m)]
+        assert recorder.shapes("irfft2") == [(6, 64, 64)]
+        reference = _oracle(random_masks, fine_engine.kernels)
+        for name in available_backends():
+            fast = batched_aerial_from_kernels(random_masks, fine_engine.kernels,
+                                               backend=name)
+            np.testing.assert_allclose(fast, reference, rtol=1e-10, atol=1e-12)
+
+    def test_direct_chunk_runs_when_grid_exceeds_tile(self, tiny_simulator, tiny_masks):
+        kernels = tiny_simulator.kernels.kernels
+        order, n, m = kernels.shape
+        tile = tiny_masks.shape[-1]
+        assert 2 * n > tile  # the band-limit grid does not fit the output
+        masks = np.asarray(tiny_masks, dtype=float)
+        recorder = RecordingBackend()
+        batched_aerial_from_kernels(masks, kernels, backend=recorder)
+        assert recorder.shapes("ifft2") == [(len(masks), order, tile, tile)]
+        assert recorder.shapes("irfft2") == []
+        reference = _oracle(masks, kernels)
+        for name in available_backends():
+            direct = batched_aerial_from_kernels(masks, kernels, backend=name)
+            np.testing.assert_allclose(direct, reference, rtol=1e-10, atol=1e-12)
+
+    def test_clear_field_is_the_dc_sample_energy(self, fine_engine, tiny_simulator):
+        """An all-ones mask has only a DC component, so either chunk images it
+        to the constant ``sum_i |K_i[DC]|^2``."""
+        for engine in (fine_engine, tiny_simulator.engine):
+            n, m = engine.kernel_shape
+            tile = engine.tile_size_px
+            dc_energy = np.sum(np.abs(engine.kernels[:, n // 2, m // 2]) ** 2)
+            np.testing.assert_allclose(engine.aerial(np.ones((tile, tile))),
+                                       dc_energy, rtol=1e-12, atol=1e-14)
 
     def test_chunking_is_invisible(self, fine_engine, random_masks):
         whole = fine_engine.aerial_batch(random_masks)
@@ -130,8 +167,11 @@ class TestBatchedEquivalence:
 
     def test_simulator_batch_matches_per_tile(self, tiny_simulator, tiny_masks):
         batched = tiny_simulator.aerial_batch(np.asarray(tiny_masks, dtype=float))
-        reference = np.stack([tiny_simulator.aerial(mask) for mask in tiny_masks])
+        reference = _oracle(tiny_masks, tiny_simulator.kernels.kernels)
         np.testing.assert_allclose(batched, reference, rtol=1e-10, atol=1e-12)
+        # One tile is a batch of one: same forward, same bits.
+        np.testing.assert_array_equal(tiny_simulator.aerial(tiny_masks[0]),
+                                      tiny_simulator.aerial_batch(tiny_masks[:1])[0])
         resist = tiny_simulator.resist_batch(np.asarray(tiny_masks, dtype=float))
         assert set(np.unique(resist)).issubset({0, 1})
 
@@ -155,12 +195,6 @@ class TestTruncate:
             fine_engine.truncate(fine_engine.order + 1)
         with pytest.raises(ValueError):
             fine_engine.truncate(0)
-
-    def test_kernel_bank_engine_rejects_overlong_truncate(self, fine_engine):
-        engine = KernelBankEngine(fine_engine.kernels)
-        with pytest.raises(ValueError, match="only holds"):
-            engine.truncate(engine.order + 1)
-        assert engine.truncate(engine.order).order == engine.order
 
 
 class TestTiling:
@@ -186,7 +220,7 @@ class TestTiling:
         spec = TilingSpec(tile_px=64, guard_px=0)
         result = fine_engine.image_layout(layout, tiling=spec)
         tiles, placements = extract_tiles(layout, spec)
-        reference = stitch_tiles(_looped_reference(tiles, fine_engine.kernels),
+        reference = stitch_tiles(_oracle(tiles, fine_engine.kernels),
                                  placements, 128, 192, spec)
         np.testing.assert_allclose(result.aerial, reference, rtol=1e-10, atol=1e-12)
         np.testing.assert_array_equal(

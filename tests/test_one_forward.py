@@ -1,0 +1,193 @@
+"""One SOCS forward, one bank owner, identities that do not move.
+
+Pinned guarantees:
+
+* every public "mask -> aerial image" entry point — golden simulator or
+  learned model, one tile or a batch — runs the batched band-limited core:
+  on a 256 px / 4 nm tile each issues the small ``(…, 2n, 2m)`` inverse
+  transform and never a full-size one, and one tile is bit for bit a batch
+  of one,
+* ``evaluate_on_dataset`` images each test tile once (one batched call),
+* ``ExecutionEngine.kernel_fingerprint()`` (tile-cache key) and
+  ``EngineSpec.fingerprint()`` (engine memo + campaign-store identity) are
+  byte-for-byte the strings recorded before the band-limiting switch was
+  removed, so tile-cache entries and campaign stores persisted by older
+  checkouts stay hits / resumable.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from reference import RecordingBackend
+from repro.backend import ComputeConfig, resolve_precision
+from repro.core import NithoConfig, NithoModel
+from repro.engine import EngineSpec, ExecutionEngine
+from repro.experiments.evaluation import evaluate_on_dataset
+from repro.masks.datasets import LithoDataset
+from repro.metrics import aerial_metrics, resist_metrics
+from repro.optics import LithographySimulator, OpticsConfig
+from repro.optics.source import CircularSource
+from repro.sweep import CampaignStore, FocusExposureGrid, ProcessWindowSweep
+
+TILE = 256
+# A narrow source and a short bank keep the 29x29-window TCC cheap (~0.5 s).
+PRODUCT = OpticsConfig(tile_size_px=TILE, pixel_size_nm=4.0, max_socs_order=4)
+
+
+@pytest.fixture(scope="module")
+def mask():
+    return (np.random.default_rng(17).random((TILE, TILE)) > 0.7).astype(float)
+
+
+@pytest.fixture(scope="module")
+def simulator():
+    return LithographySimulator(PRODUCT, source=CircularSource(sigma=0.3))
+
+
+@pytest.fixture(scope="module")
+def model():
+    return NithoModel(PRODUCT, NithoConfig(num_kernels=3, hidden_dim=8,
+                                           num_hidden_blocks=1))
+
+
+def _record(engine, call):
+    """Run ``call`` with ``engine`` imaging through a fresh recorder."""
+    recorder = RecordingBackend(engine.backend.name)
+    original, engine.backend = engine.backend, recorder
+    try:
+        result = call()
+    finally:
+        engine.backend = original
+    return recorder, result
+
+
+class TestOneForward:
+    def _assert_band_limited(self, recorder, engine, batch=1):
+        n, m = engine.kernel_shape
+        assert 2 * n <= TILE and 2 * m <= TILE
+        assert recorder.shapes("ifft2") == [(batch, engine.order, 2 * n, 2 * m)]
+        assert recorder.shapes("rfft2") == [(batch, TILE, TILE),
+                                            (batch, 2 * n, 2 * m)]
+        assert recorder.shapes("irfft2") == [(batch, TILE, TILE)]
+        assert recorder.shapes("fft2") == []
+
+    def test_simulator_entry_points(self, simulator, mask):
+        engine = simulator.engine
+        recorder, single = _record(engine, lambda: simulator.aerial(mask))
+        self._assert_band_limited(recorder, engine)
+        recorder, batched = _record(
+            engine, lambda: simulator.aerial_batch(np.stack([mask, mask])))
+        self._assert_band_limited(recorder, engine, batch=2)
+        recorder, resist = _record(engine, lambda: simulator.resist(mask))
+        self._assert_band_limited(recorder, engine)
+        np.testing.assert_array_equal(single, batched[0])
+        np.testing.assert_array_equal(single,
+                                      simulator.aerial_batch(mask[None])[0])
+        np.testing.assert_array_equal(resist,
+                                      simulator.resist_model.develop(single))
+
+    def test_model_entry_points(self, model, mask):
+        engine = model.execution_engine()
+        recorder, single = _record(engine, lambda: model.predict_aerial(mask))
+        self._assert_band_limited(recorder, engine)
+        recorder, batched = _record(
+            engine, lambda: model.predict_batch(np.stack([mask, mask])))
+        self._assert_band_limited(recorder, engine, batch=2)
+        np.testing.assert_array_equal(single, batched[0])
+        np.testing.assert_array_equal(model.predict_resist(mask),
+                                      model.resist_model.develop(single))
+
+    def test_engine_single_tile_is_a_batch_of_one(self, simulator, mask):
+        engine = ExecutionEngine(simulator.kernels.kernels, tile_size_px=TILE)
+        recorder, single = _record(engine, lambda: engine.aerial(mask))
+        self._assert_band_limited(recorder, engine)
+        np.testing.assert_array_equal(single, engine.aerial_batch(mask[None])[0])
+        np.testing.assert_array_equal(engine.resist(mask),
+                                      engine.resist_batch(mask[None])[0])
+
+
+class TestEvaluationImagesEachTileOnce:
+    def test_one_batched_forward_per_dataset(self, monkeypatch, tiny_optics,
+                                             trained_tiny_nitho, tiny_masks,
+                                             tiny_aerials, tiny_resists):
+        dataset = LithoDataset(
+            name="pin", train_masks=tiny_masks[:1],
+            train_aerials=tiny_aerials[:1], train_resists=tiny_resists[:1],
+            test_masks=tiny_masks, test_aerials=tiny_aerials,
+            test_resists=tiny_resists,
+            pixel_size_nm=tiny_optics.pixel_size_nm, litho_engine="tiny")
+        calls = []
+        forward = ExecutionEngine.aerial_batch
+
+        def spy(self, masks, *args, **kwargs):
+            calls.append(len(masks))
+            return forward(self, masks, *args, **kwargs)
+
+        monkeypatch.setattr(ExecutionEngine, "aerial_batch", spy)
+        metrics = evaluate_on_dataset(trained_tiny_nitho, dataset)
+        assert calls == [len(tiny_masks)]
+
+        # The per-tile evaluation this replaced, spelled out.
+        aerials = np.stack([trained_tiny_nitho.predict_aerial(tile)
+                            for tile in tiny_masks])
+        resists = np.stack([trained_tiny_nitho.predict_resist(tile)
+                            for tile in tiny_masks])
+        expected = {**aerial_metrics(tiny_aerials, aerials),
+                    **resist_metrics(tiny_resists, resists)}
+        assert metrics.keys() == expected.keys()
+        for key, value in expected.items():
+            assert metrics[key] == pytest.approx(value, abs=1e-10), key
+
+
+class TestPersistedIdentities:
+    """Values recorded at the commit before the band-limiting switch went."""
+
+    CONFIG = OpticsConfig(tile_size_px=32, pixel_size_nm=8.0, max_socs_order=8)
+    SOURCE = CircularSource(sigma=0.6)
+    COMPUTE = ComputeConfig(fft_backend="numpy", precision="float64")
+    SPEC_FINGERPRINT = (
+        "b2be813f119f3be7ff23adc3957f7114372de2f4|order=8|band=True"
+        "|chunk=268435456|backend=numpy|workers=None|prec=float64")
+    REFOCUSED_FINGERPRINT = (
+        "b98f51a438ffb53eb808e9f546aab3a3611b80b9|order=8|band=True"
+        "|chunk=268435456|backend=numpy|workers=None|prec=float64")
+    BANK = np.arange(3 * 5 * 5, dtype=float).reshape(3, 5, 5) * (1 + 0.5j)
+    BANK_FINGERPRINTS = {"float64": "906a0687607e922c38a064b16dcc41816ba93770",
+                         "float32": "72b97addf44683e7c28a558c0a645c2ae832a880"}
+
+    def test_engine_spec_fingerprint_is_unchanged(self):
+        spec = EngineSpec(config=self.CONFIG, source=self.SOURCE,
+                          compute=self.COMPUTE)
+        assert spec.fingerprint() == self.SPEC_FINGERPRINT
+        assert spec.with_focus(40.0).fingerprint() == self.REFOCUSED_FINGERPRINT
+
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    def test_kernel_fingerprint_is_unchanged(self, precision):
+        engine = ExecutionEngine(self.BANK,
+                                 precision=resolve_precision(precision))
+        assert engine.kernel_fingerprint() == self.BANK_FINGERPRINTS[precision]
+
+    def test_store_with_the_recorded_identity_resumes(self, tmp_path):
+        """A manifest carrying the recorded identity string (as an older
+        checkout wrote it) is continued, not refused."""
+        layout = np.zeros((32, 32))
+        layout[4:-4, 12:20] = 1.0
+        grid = FocusExposureGrid((0.0,), (0.9, 1.0))
+        identity, _ = CampaignStore.campaign_identity(
+            layout, grid.focus_values_nm, grid.dose_values, 0.25,
+            self.SPEC_FINGERPRINT)
+        store = CampaignStore(str(tmp_path / "campaign"))
+        store.begin(identity)
+        store.record(0.0, 0.9, cd_nm=61.0, threshold=0.25)
+        with open(store.manifest_path, encoding="utf-8") as handle:
+            assert json.load(handle)["campaign"]["optics_fingerprint"] \
+                == self.SPEC_FINGERPRINT
+
+        sweep = ProcessWindowSweep(self.CONFIG, source=self.SOURCE,
+                                   compute=self.COMPUTE)
+        resumed = sweep.run(layout, grid=grid, tolerance=0.25,
+                            store=store.root)
+        assert resumed.skipped_conditions == 1
+        assert resumed.computed_conditions == 1

@@ -11,12 +11,10 @@ from repro.optics import (
     ConstantThresholdResist,
     VariableThresholdResist,
     abbe_aerial,
-    aerial_batch,
-    aerial_from_kernels,
-    clear_field_intensity,
     edge_placement_error,
     mask_spectrum,
 )
+from repro.engine import ExecutionEngine
 from repro.optics.pupil import Pupil
 from repro.optics.socs import decompose_tcc
 from repro.optics.source import CircularSource
@@ -39,6 +37,11 @@ def socs_kernels():
     tcc = compute_tcc(CircularSource(sigma=0.6), Pupil(), KERNEL_SHAPE,
                       field_size_nm=FIELD, wavelength_nm=WAVELENGTH, numerical_aperture=NA)
     return decompose_tcc(tcc, max_order=None, energy_tolerance=1e-12)
+
+
+def socs_aerial(mask, kernels):
+    """One tile through the product's SOCS forward (an uncalibrated bank)."""
+    return ExecutionEngine(kernels).aerial(mask)
 
 
 @pytest.fixture(scope="module")
@@ -65,55 +68,56 @@ class TestMaskSpectrum:
 
 class TestAerialFromKernels:
     def test_output_is_real_non_negative(self, socs_kernels, sample_mask):
-        aerial = aerial_from_kernels(sample_mask, socs_kernels.kernels)
+        aerial = socs_aerial(sample_mask, socs_kernels.kernels)
         assert aerial.shape == sample_mask.shape
         assert np.all(aerial >= -1e-12)
         assert not np.iscomplexobj(aerial)
 
     def test_empty_mask_gives_zero_intensity(self, socs_kernels):
-        aerial = aerial_from_kernels(np.zeros((TILE, TILE)), socs_kernels.kernels)
+        aerial = socs_aerial(np.zeros((TILE, TILE)), socs_kernels.kernels)
         np.testing.assert_allclose(aerial, 0.0, atol=1e-15)
 
     def test_clear_field_is_about_one(self, socs_kernels):
-        value = clear_field_intensity(socs_kernels.kernels, TILE, TILE)
-        assert value == pytest.approx(1.0, abs=0.02)
+        """An all-ones mask is pure DC: a spatially constant intensity equal to
+        the DC-sample energy of the bank, ~1 for a normalised source."""
+        kernels = socs_kernels.kernels
+        n, m = KERNEL_SHAPE
+        dc_energy = np.sum(np.abs(kernels[:, n // 2, m // 2]) ** 2)
+        aerial = socs_aerial(np.ones((TILE, TILE)), kernels)
+        np.testing.assert_allclose(aerial, dc_energy, rtol=1e-12, atol=1e-14)
+        assert dc_energy == pytest.approx(1.0, abs=0.02)
 
     def test_intensity_peaks_inside_features(self, socs_kernels, sample_mask):
-        aerial = aerial_from_kernels(sample_mask, socs_kernels.kernels)
+        aerial = socs_aerial(sample_mask, socs_kernels.kernels)
         inside = aerial[sample_mask > 0.5].mean()
         outside = aerial[sample_mask < 0.5].mean()
         assert inside > 3 * outside
 
     def test_invalid_inputs_raise(self, socs_kernels):
         with pytest.raises(ValueError):
-            aerial_from_kernels(np.zeros((4, 4, 4)), socs_kernels.kernels)
+            socs_aerial(np.zeros((4, TILE, TILE)), socs_kernels.kernels)
         with pytest.raises(ValueError):
-            aerial_from_kernels(np.zeros((8, 8)), socs_kernels.kernels[0])
-
-    def test_batch_helper(self, socs_kernels, sample_mask):
-        batch = aerial_batch(np.stack([sample_mask, sample_mask]), socs_kernels.kernels)
-        assert batch.shape == (2, TILE, TILE)
-        np.testing.assert_allclose(batch[0], batch[1])
+            socs_aerial(np.zeros((TILE, TILE)), socs_kernels.kernels[0])
 
     def test_linearity_in_intensity_is_not_assumed(self, socs_kernels, sample_mask):
         """Partially coherent imaging is not linear in the mask: I(2M) != 2 I(M)."""
-        aerial_one = aerial_from_kernels(sample_mask, socs_kernels.kernels)
-        aerial_two = aerial_from_kernels(2.0 * sample_mask, socs_kernels.kernels)
+        aerial_one = socs_aerial(sample_mask, socs_kernels.kernels)
+        aerial_two = socs_aerial(2.0 * sample_mask, socs_kernels.kernels)
         assert not np.allclose(aerial_two, 2.0 * aerial_one)
         np.testing.assert_allclose(aerial_two, 4.0 * aerial_one, rtol=1e-6)
 
     def test_translation_covariance(self, socs_kernels, sample_mask):
         """Shifting the mask shifts the aerial image (cyclically) by the same amount."""
-        aerial = aerial_from_kernels(sample_mask, socs_kernels.kernels)
+        aerial = socs_aerial(sample_mask, socs_kernels.kernels)
         shifted_mask = np.roll(sample_mask, (5, -3), axis=(0, 1))
-        shifted_aerial = aerial_from_kernels(shifted_mask, socs_kernels.kernels)
+        shifted_aerial = socs_aerial(shifted_mask, socs_kernels.kernels)
         np.testing.assert_allclose(shifted_aerial, np.roll(aerial, (5, -3), axis=(0, 1)), atol=1e-9)
 
 
 class TestSOCSEqualsAbbe:
     def test_socs_matches_rigorous_abbe(self, socs_kernels, sample_mask):
         """The central physics validation: kernel imaging == direct source-point summation."""
-        socs = aerial_from_kernels(sample_mask, socs_kernels.kernels)
+        socs = socs_aerial(sample_mask, socs_kernels.kernels)
         abbe = abbe_aerial(sample_mask, CircularSource(sigma=0.6), Pupil(),
                            field_size_nm=FIELD, wavelength_nm=WAVELENGTH,
                            numerical_aperture=NA)
@@ -121,7 +125,7 @@ class TestSOCSEqualsAbbe:
 
     def test_truncated_socs_is_close_but_not_exact(self, socs_kernels, sample_mask):
         truncated = socs_kernels.kernels[:4]
-        socs = aerial_from_kernels(sample_mask, truncated)
+        socs = socs_aerial(sample_mask, truncated)
         abbe = abbe_aerial(sample_mask, CircularSource(sigma=0.6), Pupil(),
                            field_size_nm=FIELD, wavelength_nm=WAVELENGTH,
                            numerical_aperture=NA)
@@ -136,12 +140,12 @@ class TestSOCSEqualsAbbe:
 
 class TestResistModels:
     def test_constant_threshold_binary_output(self, socs_kernels, sample_mask):
-        aerial = aerial_from_kernels(sample_mask, socs_kernels.kernels)
+        aerial = socs_aerial(sample_mask, socs_kernels.kernels)
         resist = ConstantThresholdResist(0.3).develop(aerial)
         assert set(np.unique(resist)).issubset({0, 1})
 
     def test_lower_threshold_prints_more(self, socs_kernels, sample_mask):
-        aerial = aerial_from_kernels(sample_mask, socs_kernels.kernels)
+        aerial = socs_aerial(sample_mask, socs_kernels.kernels)
         low = ConstantThresholdResist(0.1).develop(aerial).sum()
         high = ConstantThresholdResist(0.5).develop(aerial).sum()
         assert low >= high
@@ -151,19 +155,19 @@ class TestResistModels:
             ConstantThresholdResist(0.0)
 
     def test_soft_develop_bounds_and_monotonicity(self, socs_kernels, sample_mask):
-        aerial = aerial_from_kernels(sample_mask, socs_kernels.kernels)
+        aerial = socs_aerial(sample_mask, socs_kernels.kernels)
         soft = ConstantThresholdResist(0.3).soft_develop(aerial)
         assert np.all((soft >= 0) & (soft <= 1))
         assert soft[aerial > 0.5].min() > soft[aerial < 0.1].max()
 
     def test_variable_threshold_develops_binary(self, socs_kernels, sample_mask):
-        aerial = aerial_from_kernels(sample_mask, socs_kernels.kernels)
+        aerial = socs_aerial(sample_mask, socs_kernels.kernels)
         resist = VariableThresholdResist(base_threshold=0.3).develop(aerial)
         assert set(np.unique(resist)).issubset({0, 1})
 
     def test_variable_threshold_prints_at_least_constant(self, socs_kernels, sample_mask):
         """Slope sensitivity only lowers the local threshold, never raises it."""
-        aerial = aerial_from_kernels(sample_mask, socs_kernels.kernels)
+        aerial = socs_aerial(sample_mask, socs_kernels.kernels)
         constant = ConstantThresholdResist(0.3).develop(aerial)
         variable = VariableThresholdResist(base_threshold=0.3, slope_sensitivity=0.1).develop(aerial)
         assert variable.sum() >= constant.sum()

@@ -230,14 +230,13 @@ def command_sweep_window(arguments) -> int:
         _parse_float_list(arguments.focus, "--focus"),
         _parse_float_list(arguments.dose, "--dose"))
     num_workers = arguments.workers or available_workers()
-    cache_dir = (arguments.cache_dir or
-                 os.environ.get("REPRO_KERNEL_CACHE_DIR") or None)
     mask = _layout_from_args(arguments)
     config = OpticsConfig(tile_size_px=arguments.tile_size,
                           pixel_size_nm=arguments.pixel_size_nm)
     source = make_source(arguments.source) if arguments.source else None
     compute = _compute_from_args(arguments)
-    with ShardedExecutor(num_workers=num_workers, cache_dir=cache_dir,
+    with ShardedExecutor(num_workers=num_workers,
+                         cache_dir=arguments.cache_dir or None,
                          compute=compute) as executor:
         sweep = ProcessWindowSweep(config, source=source, executor=executor,
                                    compute=compute)

@@ -32,6 +32,7 @@ the bank is rebuilt and the entry overwritten.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import logging
@@ -42,11 +43,17 @@ import zipfile
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Optional, Tuple
+from typing import Callable, Dict, Hashable, Iterator, Optional, Tuple
 
 import numpy as np
 
-from ..backend import FLOAT64, Precision, resolve_precision
+from ..backend import (
+    FLOAT64,
+    Precision,
+    autotune_precision,
+    is_auto_precision,
+    resolve_precision,
+)
 from ..optics.pupil import Pupil
 from ..optics.socs import SOCSKernels, decompose_tcc
 from ..optics.source import Source
@@ -102,19 +109,32 @@ UNREADABLE_NPZ_ERRORS = (OSError, ValueError, EOFError, KeyError,
                          zipfile.BadZipFile, zlib.error)
 
 
-def save_npz_atomically(path: str, **arrays) -> None:
-    """``np.savez_compressed`` published by rename: a concurrent reader — or
-    the run after a SIGKILL — finds the old file, the new one or none, never
-    a torn one, whoever else is writing the same path."""
+@contextlib.contextmanager
+def atomic_write(path: str, mode: str = "w") -> Iterator:
+    """Open a stream whose contents become ``path`` only on a clean exit.
+
+    Written to a uniquely named temp file beside ``path`` and published by
+    rename: a concurrent reader — or the run after a SIGKILL or a full disk —
+    finds the old file, the new one or none, never a torn one, whoever else
+    is writing the same path.  An exception inside the block removes the
+    temp file and propagates.
+    """
     handle, partial = tempfile.mkstemp(dir=os.path.dirname(path),
                                        suffix=".tmp")
     try:
-        with os.fdopen(handle, "wb") as stream:
-            np.savez_compressed(stream, **arrays)
+        with os.fdopen(handle, mode,
+                       encoding=None if "b" in mode else "utf-8") as stream:
+            yield stream
         os.replace(partial, path)
     except BaseException:
         os.unlink(partial)
         raise
+
+
+def save_npz_atomically(path: str, **arrays) -> None:
+    """``np.savez_compressed`` through :func:`atomic_write`."""
+    with atomic_write(path, "wb") as stream:
+        np.savez_compressed(stream, **arrays)
 
 
 class LockedLRU:
@@ -278,6 +298,22 @@ class KernelBankCache:
             self._save_to_disk(key, bank)
             return bank
 
+    def bank_precision(self, config, source: Source, pupil: Pupil,
+                       precision=None) -> Precision:
+        """The concrete precision a bank for these optics is imaged at.
+
+        The one bank-aware rule: the deferred ``"auto"`` spelling (given, or
+        ``REPRO_PRECISION=auto`` behind a ``None``) pulls the float64 master
+        bank — decomposed at most once per fingerprint anyway — and
+        autotunes against it, so a float32 verdict later costs one cached
+        cast, never a second decomposition; anything else is
+        :func:`~repro.backend.resolve_precision`.
+        """
+        if is_auto_precision(precision):
+            master = self.get_kernels(config, source, pupil, precision=FLOAT64)
+            return autotune_precision(master.kernels)
+        return resolve_precision(precision)
+
     def clear(self) -> None:
         """Drop every in-memory entry and reset the counters (disk is kept)."""
         with self._lock:
@@ -346,3 +382,10 @@ _default_cache = KernelBankCache(cache_dir=os.environ.get("REPRO_KERNEL_CACHE_DI
 def default_kernel_cache() -> KernelBankCache:
     """The process-wide cache shared by simulators, engines and experiments."""
     return _default_cache
+
+
+def kernel_cache_for(cache_dir: Optional[str]) -> KernelBankCache:
+    """A disk-backed cache on ``cache_dir`` when one is named, else the
+    process-wide one."""
+    return KernelBankCache(cache_dir=cache_dir) if cache_dir \
+        else default_kernel_cache()

@@ -31,7 +31,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..backend import (
-    FLOAT64,
     ComputeConfig,
     FFTBackend,
     Precision,
@@ -42,6 +41,7 @@ from ..backend import (
 )
 from ..layout.reader import ArrayLayoutReader
 from ..optics.resist import ConstantThresholdResist
+from ..optics.simulator import default_illumination
 from .batched import (
     DEFAULT_MAX_CHUNK_BYTES,
     batched_aerial_from_kernels,
@@ -105,13 +105,12 @@ class LayoutImage:
         return self.aerial.shape
 
 
-def _live_object(keyword: str, value, kind: type):
+def live_object(keyword: str, value, kind: type):
     """``value`` when it is ``None`` or a ``kind`` instance; a name raises."""
     if value is not None and not isinstance(value, kind):
         raise TypeError(
-            f"ExecutionEngine: {keyword}= takes a {kind.__name__} instance, "
-            f"got {value!r}; pass names and switches as "
-            f"compute=ComputeConfig({keyword}=...)")
+            f"{keyword}= takes a {kind.__name__} instance, got {value!r}; "
+            f"pass names and switches as compute=ComputeConfig({keyword}=...)")
     return value
 
 
@@ -133,9 +132,9 @@ class ExecutionEngine:
         kernels = np.asarray(kernels)
         if kernels.ndim != 3:
             raise ValueError("kernels must have shape (r, n, m)")
-        fft_backend = _live_object("fft_backend", fft_backend, FFTBackend)
-        precision = _live_object("precision", precision, Precision)
-        tile_cache = _live_object("tile_cache", tile_cache, TileResultCache)
+        fft_backend = live_object("fft_backend", fft_backend, FFTBackend)
+        precision = live_object("precision", precision, Precision)
+        tile_cache = live_object("tile_cache", tile_cache, TileResultCache)
         compute = compute if compute is not None else ComputeConfig()
         #: The names-only compute policy this engine was built with (live
         #: objects — an injected FFTBackend / Precision / TileResultCache —
@@ -186,36 +185,27 @@ class ExecutionEngine:
                    precision: Optional[Precision] = None,
                    compute: Optional[ComputeConfig] = None,
                    **kwargs) -> "ExecutionEngine":
-        """Engine for an optics description, kernels served by the shared cache.
+        """Engine for an optics description, kernels served by ``cache``.
 
-        ``source`` / ``pupil`` default to the golden simulator's defaults
-        (annular illumination, ideal pupil plus the configured defocus).
-        The precision — the ``precision`` policy object, else ``compute``'s
-        ``precision`` name — keys the cache lookup, so a float32 engine
-        receives a complex64 bank and never re-casts per batch.  ``"auto"``
-        first pulls the float64 master bank (computed at most once per
-        fingerprint anyway), autotunes against it, then fetches the bank at
-        the chosen precision — a float32 verdict costs one cached cast,
-        never a second decomposition.  Remaining keywords (``fft_backend``,
-        ``tile_cache``, ``max_chunk_bytes``, ...) go to the constructor.
+        The one place an optics description becomes a kernel bank — the
+        golden simulator, :class:`~repro.engine.sharded.EngineSpec` and every
+        direct caller arrive here.  ``source`` / ``pupil`` default to
+        :func:`~repro.optics.simulator.default_illumination`, ``cache`` to
+        the process-wide one.  The precision — the ``precision`` policy
+        object, else ``compute``'s ``precision`` name — is made concrete by
+        :meth:`KernelBankCache.bank_precision` and keys the cache lookup, so
+        a float32 engine receives a complex64 bank and never re-casts per
+        batch.  Remaining keywords (``fft_backend``, ``tile_cache``,
+        ``max_chunk_bytes``, ...) go to the constructor.
         """
-        from ..optics.pupil import Pupil
-        from ..optics.source import AnnularSource
-
-        source = source or AnnularSource(sigma_inner=0.5, sigma_outer=0.8)
-        pupil = pupil or Pupil(defocus_nm=config.defocus_nm)
+        source, pupil = default_illumination(config, source, pupil)
         # "cache or default" would discard an *empty* injected cache, because
         # KernelBankCache defines __len__ and a fresh cache is falsy.
         cache = default_kernel_cache() if cache is None else cache
-        precision = _live_object("precision", precision, Precision)
+        precision = live_object("precision", precision, Precision)
         if precision is None and compute is not None:
             precision = compute.precision
-        if is_auto_precision(precision):
-            master = cache.get_kernels(config, source, pupil,
-                                       precision=FLOAT64)
-            precision = autotune_precision(master.kernels)
-        else:
-            precision = resolve_precision(precision)
+        precision = cache.bank_precision(config, source, pupil, precision)
         bank = cache.get_kernels(config, source, pupil, precision=precision)
         kwargs.setdefault("resist_threshold", config.resist_threshold)
         kwargs.setdefault("tile_size_px", config.tile_size_px)

@@ -18,8 +18,8 @@ GIL.  Measured on 2 CPUs (``docs/architecture.md``, "Worker threads"); not
 measured beyond 2 CPUs or on the pyfftw / cupy backends.
 
 An executor takes a small :class:`EngineSpec` (optics config + source +
-pupil + engine options) per call rather than an engine, and memoises the
-engines it builds per fingerprint.  With a ``cache_dir`` (default
+pupil + resolved compute policy) per call rather than an engine, and memoises
+the engines it builds per fingerprint.  With a ``cache_dir`` (default
 ``REPRO_KERNEL_CACHE_DIR``) the decomposed kernel banks persist as ``.npz``,
 so a later run — a resumed campaign, a restarted service — loads them
 instead of re-running the TCC accumulation + eigendecomposition.
@@ -36,27 +36,25 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..backend import (
-    FLOAT64,
-    ComputeConfig,
-    autotune_precision,
-    get_backend,
-    is_auto_precision,
-    resolve_precision,
-)
+from ..backend import ComputeConfig, get_backend, resolve_precision
 from ..backend.fft import available_cpus
 from ..optics.pupil import Pupil
-from ..optics.simulator import OpticsConfig
-from ..optics.source import AnnularSource, Source
+from ..optics.simulator import OpticsConfig, default_illumination
+from ..optics.source import Source
 from .batched import DEFAULT_MAX_CHUNK_BYTES
 from .cache import (
     KernelBankCache,
     LockedLRU,
-    default_kernel_cache,
+    kernel_cache_for,
     optics_fingerprint,
 )
-from .execution import ExecutionEngine, LayoutImage, image_layout_through
-from .tile_cache import resolve_tile_cache
+from .execution import (
+    ExecutionEngine,
+    LayoutImage,
+    image_layout_through,
+    live_object,
+)
+from .tile_cache import TileResultCache, resolve_tile_cache
 from .tiling import TilingSpec
 
 #: What runs a multi-shard batch.  No option selects it any more;
@@ -66,21 +64,23 @@ DEFAULT_SCHEDULER = "threads"
 
 @dataclass(frozen=True)
 class EngineSpec:
-    """Picklable recipe for building an :class:`ExecutionEngine`.
+    """The recipe for an :class:`ExecutionEngine`: optics + compute policy.
 
     Holds the optics description rather than the kernel bank itself: the bank
     can be megabytes, while the spec is a few hundred bytes, hashes to a
     fingerprint (the engine-memo key and the campaign-store identity) and
     resolves its bank through the shared (disk-backed) kernel cache.
 
-    The compute policy travels with the spec: ``fft_backend`` and
-    ``precision`` are normalised to concrete names at construction (``None``
-    resolves the constructing process's environment; ``"auto"`` autotunes
-    against the cached float64 master bank right here), so whoever builds
-    the engine later — this run or the one that resumes its campaign store —
-    reconstructs the exact same backend + precision, and the fingerprint
-    names what actually ran.  ``fft_workers`` only affects wall-clock
-    (pocketfft is deterministic across worker counts), never output.
+    ``compute`` is normalised to concrete names at construction and always
+    reads back resolved: ``fft_backend`` the registered backend's name
+    (``None`` resolves the environment), ``precision`` ``"float64"`` or
+    ``"float32"`` (``"auto"`` autotunes against the cached float64 master
+    bank right here), ``fft_workers`` as given (wall-clock only: pocketfft is
+    deterministic across worker counts) and ``tile_cache`` ``None`` — that
+    one is the executor's policy, not part of the imaging recipe.  So
+    whoever builds the engine later — this run or the one that resumes its
+    campaign store — reconstructs the exact same backend + precision, and
+    the fingerprint names what actually ran.
     """
 
     config: OpticsConfig
@@ -88,60 +88,34 @@ class EngineSpec:
     pupil: Optional[Pupil] = None
     max_chunk_bytes: int = DEFAULT_MAX_CHUNK_BYTES
     cache_dir: Optional[str] = None
-    fft_backend: Optional[str] = None
-    fft_workers: Optional[int] = None
-    precision: Optional[str] = None
-    #: Construction-time convenience only: a :class:`ComputeConfig` whose
-    #: ``fft_backend`` / ``fft_workers`` / ``precision`` seed the fields
-    #: above (explicit fields win), then the attribute resets to ``None`` —
-    #: so fingerprints, equality and pickles are identical whichever way a
-    #: spec was built.  ``tile_cache`` is an executor-level policy, not
-    #: part of the imaging recipe, and is ignored.
     compute: Optional[ComputeConfig] = None
 
     def __post_init__(self):
-        if self.compute is not None:
-            for field in ("fft_backend", "fft_workers", "precision"):
-                if getattr(self, field) is None:
-                    object.__setattr__(self, field,
-                                       getattr(self.compute, field))
-            object.__setattr__(self, "compute", None)
-        # Normalise the compute policy HERE, at construction: "auto" /
-        # env-var / None must not be re-interpreted when the engine is built
-        # (a resumed run's environment could differ).
-        object.__setattr__(self, "fft_backend",
-                           get_backend(self.fft_backend).name)
-        if is_auto_precision(self.precision):
-            # Deferred "auto" resolves against the float64 master bank
-            # (served by the shared cache, so the decomposition happens at
-            # most once) and is stored as a concrete name.
-            source, pupil = self.resolved_optics()
-            cache = (KernelBankCache(cache_dir=self.cache_dir)
-                     if self.cache_dir else default_kernel_cache())
-            master = cache.get_kernels(self.config, source, pupil,
-                                       precision=FLOAT64)
-            object.__setattr__(self, "precision",
-                               autotune_precision(master.kernels).name)
-        else:
-            object.__setattr__(self, "precision",
-                               resolve_precision(self.precision).name)
+        # Normalised HERE, at construction: "auto" / env-var / None must not
+        # be re-interpreted when the engine is built (a resumed run's
+        # environment could differ).
+        compute = self.compute if self.compute is not None else ComputeConfig()
+        precision = kernel_cache_for(self.cache_dir).bank_precision(
+            self.config, *self.resolved_optics(), compute.precision)
+        object.__setattr__(self, "compute", ComputeConfig(
+            fft_backend=get_backend(compute.fft_backend).name,
+            fft_workers=compute.fft_workers,
+            precision=precision.name))
 
     def resolved_optics(self) -> Tuple[Source, Pupil]:
-        """Source / pupil with the same defaults as ``ExecutionEngine.for_optics``."""
-        source = self.source or AnnularSource(sigma_inner=0.5, sigma_outer=0.8)
-        pupil = self.pupil or Pupil(defocus_nm=self.config.defocus_nm)
-        return source, pupil
+        """Source / pupil with the golden defaults filled in."""
+        return default_illumination(self.config, self.source, self.pupil)
 
     def fingerprint(self) -> str:
         """Cache key: optics fingerprint + the engine options that change output."""
-        source, pupil = self.resolved_optics()
-        base = optics_fingerprint(self.config, source, pupil)
+        base = optics_fingerprint(self.config, *self.resolved_optics())
+        compute = self.compute
         # "|band=True" is a literal: persisted campaign stores are keyed by it.
         return (
             f"{base}|order={getattr(self.config, 'max_socs_order', None)}"
             f"|band=True|chunk={self.max_chunk_bytes}"
-            f"|backend={self.fft_backend}|workers={self.fft_workers}"
-            f"|prec={self.precision}")
+            f"|backend={compute.fft_backend}|workers={compute.fft_workers}"
+            f"|prec={compute.precision}")
 
     def with_focus(self, focus_nm: float) -> "EngineSpec":
         """The same imaging system refocused: config + pupil defocus replaced."""
@@ -154,16 +128,10 @@ class EngineSpec:
 
     def build(self, cache: Optional[KernelBankCache] = None) -> ExecutionEngine:
         """Build the engine, serving kernels through ``cache`` (or the spec's dir)."""
-        source, pupil = self.resolved_optics()
-        if cache is None:
-            cache = (KernelBankCache(cache_dir=self.cache_dir) if self.cache_dir
-                     else default_kernel_cache())
         return ExecutionEngine.for_optics(
-            self.config, source=source, pupil=pupil, cache=cache,
-            max_chunk_bytes=self.max_chunk_bytes,
-            compute=ComputeConfig(fft_backend=self.fft_backend,
-                                  fft_workers=self.fft_workers,
-                                  precision=self.precision))
+            self.config, self.source, self.pupil,
+            cache=kernel_cache_for(self.cache_dir) if cache is None else cache,
+            max_chunk_bytes=self.max_chunk_bytes, compute=self.compute)
 
 
 #: Shards cut per worker thread once there is more than one worker.  Shards
@@ -256,17 +224,17 @@ class ShardedExecutor:
         defaults to ``REPRO_KERNEL_CACHE_DIR``.  ``None`` keeps them in the
         process-wide in-memory cache only.
     tile_cache:
-        Content-addressed tile-result cache for :meth:`image_layout`
-        (instance / ``True`` / ``False`` / ``None`` — ``None`` consults
-        ``REPRO_TILE_CACHE`` / ``REPRO_TILE_CACHE_DIR``).  Deduplication
-        happens on the calling thread, before any shard is cut: workers
-        image only first-occurrence unique tiles and never see the cache,
-        so the sharded == serial bit-for-bit guarantee is untouched.
+        A live :class:`TileResultCache` for :meth:`image_layout`, winning
+        over ``compute``.  Deduplication happens on the calling thread,
+        before any shard is cut: workers image only first-occurrence unique
+        tiles and never see the cache, so the sharded == serial bit-for-bit
+        guarantee is untouched.
     compute:
-        A :class:`~repro.backend.ComputeConfig` supplying ``tile_cache``
-        (its FFT / precision fields belong to the :class:`EngineSpec` each
-        call carries and are ignored here).  The loose ``tile_cache``
-        argument wins over the config when both are given.
+        A :class:`~repro.backend.ComputeConfig` whose ``tile_cache`` (``True``
+        / ``False`` / ``None`` — ``None`` consults ``REPRO_TILE_CACHE`` /
+        ``REPRO_TILE_CACHE_DIR``) switches the process-wide tile cache; its
+        FFT / precision fields belong to the :class:`EngineSpec` each call
+        carries and are ignored here.
     pool:
         A :class:`WorkerPool` shared with other executors (the campaign
         service's); the executor then never shuts it down.  ``None`` gives
@@ -274,7 +242,8 @@ class ShardedExecutor:
     """
 
     def __init__(self, num_workers: Optional[int] = None,
-                 cache_dir: Optional[str] = None, tile_cache=None,
+                 cache_dir: Optional[str] = None,
+                 tile_cache: Optional[TileResultCache] = None,
                  compute: Optional[ComputeConfig] = None,
                  pool: Optional[WorkerPool] = None):
         if num_workers is not None and num_workers < 0:
@@ -282,9 +251,10 @@ class ShardedExecutor:
         self.num_workers = available_workers() if num_workers is None else int(num_workers)
         self.cache_dir = cache_dir if cache_dir is not None else \
             os.environ.get("REPRO_KERNEL_CACHE_DIR")
-        if compute is not None and tile_cache is None:
-            tile_cache = compute.tile_cache
-        self.tile_cache = resolve_tile_cache(tile_cache)
+        tile_cache = live_object("tile_cache", tile_cache, TileResultCache)
+        compute = compute if compute is not None else ComputeConfig()
+        self.tile_cache = tile_cache if tile_cache is not None \
+            else resolve_tile_cache(compute.tile_cache)
         self._owns_pool = pool is None
         self.pool = pool if pool is not None \
             else WorkerPool(max(1, self.num_workers))
@@ -357,7 +327,7 @@ class ShardedExecutor:
         exception propagates once the running ones have settled.
         """
         # Cast once, on the calling thread: every shard is then a view.
-        masks = resolve_precision(spec.precision).as_real(masks)
+        masks = resolve_precision(spec.compute.precision).as_real(masks)
         if masks.ndim != 3:
             raise ValueError("masks must have shape (B, H, W)")
         engine = self.warm(spec)

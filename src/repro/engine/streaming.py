@@ -65,6 +65,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .cache import atomic_write
 from .tile_cache import tile_digest
 from .tiling import (
     TilePlacement,
@@ -199,8 +200,9 @@ def stream_image_layout(reader, tiling: TilingSpec,
             "num_tiles": len(placements),
         }
         payload.update(meta or {})
-        with open(os.path.join(out_dir, META_FILE), "w",
-                  encoding="utf-8") as handle:
+        # The completion marker of the directory: published whole or not
+        # at all.
+        with atomic_write(os.path.join(out_dir, META_FILE)) as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
     return aerial, resist, len(placements)

@@ -65,7 +65,6 @@ from .hierarchy import (
     HierarchicalLayoutReader,
     Transform,
     flatten_gds_shapes,
-    load_gds_file,
 )
 from .indexed import DEFAULT_BUCKET_PX, GeometryLayoutReader
 from .sources import (
@@ -90,5 +89,5 @@ __all__ = [
     "load_layout_mask", "load_layout_source", "synthesize_layout_mask",
     "LayoutFormatError", "parse_gds", "write_gds", "GDSLibrary", "GDSCell",
     "GDSBoundary", "GDSReference", "HierarchicalLayoutReader", "Transform",
-    "load_gds_file", "flatten_gds_shapes",
+    "flatten_gds_shapes",
 ]

@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..masks.geometry import Polygon, Rect
 from .gdsii import LayoutFormatError, looks_like_binary_gds, parse_gds
-from .indexed import DEFAULT_BUCKET_PX, GeometryLayoutReader
+from .indexed import GeometryLayoutReader
 
 _LAYOUT_FORMAT = "repro-layout"
 
@@ -146,9 +146,7 @@ def shapes_extent_nm(shapes: Dict[str, List]) -> float:
 
 def load_layout_file(path: str, pixel_size_nm: float,
                      shape: Optional[Tuple[int, int]] = None,
-                     layers=None,
-                     bucket_px: int = DEFAULT_BUCKET_PX,
-                     ):
+                     layers=None):
     """Load a JSON / GDSII-text / binary-GDSII layout file as a windowed
     reader.
 
@@ -162,17 +160,17 @@ def load_layout_file(path: str, pixel_size_nm: float,
     if not os.path.exists(path):
         raise FileNotFoundError(path)
     if not path.endswith(".json") and _probe_layout_kind(path) == "gds":
-        from .hierarchy import load_gds_file
+        from .hierarchy import HierarchicalLayoutReader
 
-        return load_gds_file(path, pixel_size_nm, shape=shape,
-                             layers=layers, bucket_px=bucket_px)
+        return HierarchicalLayoutReader(parse_gds(path), pixel_size_nm,
+                                        shape=shape, layers=layers,
+                                        source=path)
     shapes, extent_nm = read_layout_shapes(path)
     if shape is None and extent_nm is None:
         side = -(-shapes_extent_nm(shapes) // pixel_size_nm)  # ceil
         shape = (int(side), int(side))
     return GeometryLayoutReader(shapes, pixel_size_nm, shape=shape,
-                                extent_nm=extent_nm, layers=layers,
-                                bucket_px=bucket_px)
+                                extent_nm=extent_nm, layers=layers)
 
 
 #: File suffixes :func:`load_layout_file` understands — the CLI uses this to

@@ -48,7 +48,6 @@ from .indexed import DEFAULT_BUCKET_PX, _pixel_interval
 __all__ = [
     "Transform",
     "HierarchicalLayoutReader",
-    "load_gds_file",
     "flatten_gds_shapes",
 ]
 
@@ -220,9 +219,6 @@ class HierarchicalLayoutReader:
     layers:
         Layers rasterised by :meth:`read_window` (GDSII layer numbers as
         strings, matching the flat readers; default: all, unioned).
-    bucket_px:
-        Per-cell bucket-grid granularity in pixels — a performance knob,
-        never results.
 
     Raises :class:`~repro.layout.gdsii.LayoutFormatError` on cyclic cell
     graphs, unknown top cells and layouts with no rasterisable content (when
@@ -233,22 +229,18 @@ class HierarchicalLayoutReader:
                  top: Optional[str] = None,
                  shape: Optional[Tuple[int, int]] = None,
                  layers: Optional[Iterable[str]] = None,
-                 bucket_px: int = DEFAULT_BUCKET_PX,
                  source: Optional[str] = None):
         if not isinstance(library, GDSLibrary):
             library = parse_gds(library, name=source)
         if pixel_size_nm <= 0:
             raise ValueError("pixel_size_nm must be positive")
-        if bucket_px <= 0:
-            raise ValueError("bucket_px must be positive")
         self.library = library
         self.pixel_size_nm = float(pixel_size_nm)
-        self.bucket_px = int(bucket_px)
         self._source = source or library.name
         self._top = self._resolve_top(top)
         self._check_acyclic()
         unit = library.unit_nm
-        bucket_nm = self.bucket_px * self.pixel_size_nm
+        bucket_nm = DEFAULT_BUCKET_PX * self.pixel_size_nm
         #: cell -> layer -> bucket grid over local nm rects (built once).
         self._grids: Dict[str, Dict[str, _NmBucketGrid]] = {}
         #: cell -> placements with nm origins / displacement vectors.
@@ -617,8 +609,7 @@ class HierarchicalLayoutReader:
 
         return GeometryLayoutReader(self.flatten_shapes(),
                                     self.pixel_size_nm, shape=self._shape,
-                                    layers=self.layers,
-                                    bucket_px=self.bucket_px)
+                                    layers=self.layers)
 
     def materialise(self) -> np.ndarray:
         """The full dense raster — for tests and small layouts only."""
@@ -667,14 +658,3 @@ def flatten_gds_shapes(library, top: Optional[str] = None,
     reader = HierarchicalLayoutReader(library, pixel_size_nm=1.0, top=top,
                                       shape=(1, 1))
     return reader.flatten_shapes()
-
-
-def load_gds_file(path: str, pixel_size_nm: float,
-                  shape: Optional[Tuple[int, int]] = None,
-                  layers: Optional[Iterable[str]] = None,
-                  bucket_px: int = DEFAULT_BUCKET_PX,
-                  top: Optional[str] = None) -> HierarchicalLayoutReader:
-    """Load a binary GDSII file as a windowed hierarchical reader."""
-    return HierarchicalLayoutReader(parse_gds(path), pixel_size_nm, top=top,
-                                    shape=shape, layers=layers,
-                                    bucket_px=bucket_px, source=path)

@@ -3,8 +3,8 @@
 A full-chip layout holds millions of rectangles; rasterising a 256 px tile
 must not iterate all of them.  :class:`GeometryLayoutReader` indexes every
 shape into a per-layer **bucket grid** at construction: the raster is divided
-into ``bucket_px``-sized cells and each shape is registered with every cell
-its pixel footprint overlaps.  A window query then gathers candidates from
+into ``DEFAULT_BUCKET_PX``-sized cells and each shape is registered with every
+cell its pixel footprint overlaps.  A window query then gathers candidates from
 only the cells the window touches, so the work per window is proportional to
 the shapes *near the window*, not to the layout — measured sublinear in
 layout size by ``benchmarks/test_bench_layout_reader.py``.
@@ -32,9 +32,10 @@ from ..masks.geometry import Polygon, Rect
 
 Shape = Union[Rect, Polygon]
 
-#: Default bucket-grid cell size (pixels).  Queries are tile-sized (hundreds
-#: of px), so cells a fraction of that keep candidate lists tight without
-#: inflating the per-shape registration cost.
+#: Bucket-grid cell size (pixels) of both geometry readers — performance
+#: only, never results.  Queries are tile-sized (hundreds of px), so cells a
+#: fraction of that keep candidate lists tight without inflating the
+#: per-shape registration cost.
 DEFAULT_BUCKET_PX = 64
 
 
@@ -53,8 +54,7 @@ def _pixel_interval(lo_nm: float, hi_nm: float, pixel_size_nm: float,
 class _BucketGrid:
     """One layer's spatial index: bucket cell -> ids of overlapping shapes."""
 
-    def __init__(self, bucket_px: int):
-        self.bucket_px = int(bucket_px)
+    def __init__(self):
         self.rows0: List[int] = []
         self.rows1: List[int] = []
         self.cols0: List[int] = []
@@ -73,7 +73,7 @@ class _BucketGrid:
         self.rows1.append(row1)
         self.cols0.append(col0)
         self.cols1.append(col1)
-        size = self.bucket_px
+        size = DEFAULT_BUCKET_PX
         for brow in range(row0 // size, (row1 - 1) // size + 1):
             for bcol in range(col0 // size, (col1 - 1) // size + 1):
                 self.buckets.setdefault((brow, bcol), []).append(index)
@@ -82,7 +82,7 @@ class _BucketGrid:
         """Candidate shape ids whose buckets overlap the pixel window."""
         if row1 <= row0 or col1 <= col0:
             return []
-        size = self.bucket_px
+        size = DEFAULT_BUCKET_PX
         candidates: set = set()
         for brow in range(row0 // size, (row1 - 1) // size + 1):
             for bcol in range(col0 // size, (col1 - 1) // size + 1):
@@ -106,8 +106,6 @@ class GeometryLayoutReader:
     layers:
         Layers rasterised by :meth:`read_window` (default: all, unioned —
         a mask is bright wherever any selected layer has a shape).
-    bucket_px:
-        Bucket-grid cell size; purely a performance knob, never results.
 
     >>> from repro.masks.geometry import Rect
     >>> reader = GeometryLayoutReader({"metal": [Rect(8, 8, 16, 16)]},
@@ -123,12 +121,9 @@ class GeometryLayoutReader:
                  pixel_size_nm: float,
                  shape: Optional[Tuple[int, int]] = None,
                  extent_nm: Optional[float] = None,
-                 layers: Optional[Iterable[str]] = None,
-                 bucket_px: int = DEFAULT_BUCKET_PX):
+                 layers: Optional[Iterable[str]] = None):
         if pixel_size_nm <= 0:
             raise ValueError("pixel_size_nm must be positive")
-        if bucket_px <= 0:
-            raise ValueError("bucket_px must be positive")
         if shape is None:
             if extent_nm is None or extent_nm <= 0:
                 raise ValueError("pass shape=(H, W) or a positive extent_nm")
@@ -138,7 +133,6 @@ class GeometryLayoutReader:
             raise ValueError("raster shape must be positive")
         self.pixel_size_nm = float(pixel_size_nm)
         self._shape = (int(shape[0]), int(shape[1]))
-        self.bucket_px = int(bucket_px)
         self._rects: Dict[str, List[Rect]] = {}
         self._indices: Dict[str, _BucketGrid] = {}
         #: Candidate shapes touched by the most recent ``read_window`` —
@@ -152,7 +146,7 @@ class GeometryLayoutReader:
         for layer in self.layers:
             if layer not in self._rects:
                 self._rects[layer] = []
-                self._indices[layer] = _BucketGrid(self.bucket_px)
+                self._indices[layer] = _BucketGrid()
 
     # ------------------------------------------------------------------ #
     # construction
@@ -178,7 +172,7 @@ class GeometryLayoutReader:
         """Index one rectangle or rectilinear polygon on ``layer``."""
         rects = item.to_rects() if isinstance(item, Polygon) else [item]
         store = self._rects.setdefault(layer, [])
-        grid = self._indices.setdefault(layer, _BucketGrid(self.bucket_px))
+        grid = self._indices.setdefault(layer, _BucketGrid())
         height, width = self._shape
         for rect in rects:
             store.append(rect)

@@ -59,6 +59,18 @@ class OpticsConfig:
         return replace(self, tile_size_px=tile_size_px)
 
 
+def default_illumination(config: OpticsConfig, source: Optional[Source] = None,
+                         pupil: Optional[Pupil] = None) -> Tuple[Source, Pupil]:
+    """``(source, pupil)`` with the golden defaults filled in.
+
+    The one statement of them: annular illumination, typical for the metal /
+    via layers targeted by the paper's benchmarks, and an ideal NA-limited
+    pupil carrying the configured defocus.
+    """
+    return (source or AnnularSource(sigma_inner=0.5, sigma_outer=0.8),
+            pupil or Pupil(defocus_nm=config.defocus_nm))
+
+
 class LithographySimulator:
     """Golden partially-coherent imaging engine (Hopkins TCC + SOCS).
 
@@ -66,12 +78,9 @@ class LithographySimulator:
     ----------
     config:
         Optical settings (wavelength, NA, pixel pitch, tile size, threshold).
-    source:
-        Illuminator; defaults to an annular source, typical for the metal /
-        via layers targeted by the paper's benchmarks.
-    pupil:
-        Projection pupil; defaults to an ideal NA-limited pupil (plus the
-        configured defocus, if any).
+    source, pupil:
+        Illuminator and projection pupil; default to
+        :func:`default_illumination`.
     """
 
     def __init__(self, config: Optional[OpticsConfig] = None,
@@ -79,8 +88,8 @@ class LithographySimulator:
                  pupil: Optional[Pupil] = None,
                  cache=None):
         self.config = config or OpticsConfig()
-        self.source = source or AnnularSource(sigma_inner=0.5, sigma_outer=0.8)
-        self.pupil = pupil or Pupil(defocus_nm=self.config.defocus_nm)
+        self.source, self.pupil = default_illumination(self.config, source,
+                                                       pupil)
         self.resist_model = ConstantThresholdResist(self.config.resist_threshold)
         self._cache = cache
         self._tcc: Optional[TCCResult] = None
@@ -133,13 +142,13 @@ class LithographySimulator:
 
     @property
     def engine(self):
-        """The batched :class:`~repro.engine.execution.ExecutionEngine` over this bank."""
+        """The batched :class:`~repro.engine.execution.ExecutionEngine` for these
+        optics, its bank served by :attr:`kernel_cache`."""
         if self._engine is None:
             from ..engine.execution import ExecutionEngine
 
-            self._engine = ExecutionEngine(self.kernels.kernels,
-                                           resist_threshold=self.config.resist_threshold,
-                                           tile_size_px=self.config.tile_size_px)
+            self._engine = ExecutionEngine.for_optics(
+                self.config, self.source, self.pupil, cache=self.kernel_cache)
         return self._engine
 
     # ------------------------------------------------------------------ #

@@ -52,6 +52,7 @@ from typing import Any, Callable, Dict, List, Optional
 import numpy as np
 
 from ..backend import ComputeConfig
+from ..engine.cache import atomic_write
 from ..engine.sharded import ShardedExecutor, WorkerPool
 from ..layout.sources import load_layout_source, synthesize_layout_mask
 from ..optics.simulator import OpticsConfig
@@ -275,10 +276,8 @@ class CampaignManager:
         os.makedirs(store_dir, exist_ok=True)
         request_path = os.path.join(store_dir, "request.json")
         if not os.path.exists(request_path):
-            tmp_path = request_path + ".tmp"
-            with open(tmp_path, "w", encoding="utf-8") as handle:
+            with atomic_write(request_path) as handle:
                 json.dump(request, handle, indent=2, sort_keys=True)
-            os.replace(tmp_path, request_path)
         job = CampaignJob(id=job_id, request=request, store_dir=store_dir,
                           resumed=resume)
         with self._lock:

@@ -23,7 +23,8 @@ Campaign-scale features:
   completed condition is persisted immediately; a killed campaign re-run
   against the same store computes exactly the remaining conditions.
 * **Content-addressed tile dedup** (PR 6) — attach a tile-result cache to
-  the executor (``ShardedExecutor(tile_cache=True)``, the CLI's
+  the executor (``ShardedExecutor(compute=ComputeConfig(tile_cache=True))``,
+  a live ``TileResultCache`` as its ``tile_cache=``, the CLI's
   ``--tile-cache``, or ``REPRO_TILE_CACHE`` / ``REPRO_TILE_CACHE_DIR``) and
   each focus images only its *unique* tile contents (each focus's kernel
   fingerprint keys its own namespace); with a disk tier, resumed runs hit

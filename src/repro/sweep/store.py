@@ -10,7 +10,7 @@ layer both properties:
   via an **append-only completion log** (one JSON line per condition, O(1)
   per record — a thousands-of-conditions campaign never rewrites its whole
   manifest per condition); the manifest itself is rewritten atomically
-  (temp file + ``os.replace``) only at session boundaries, so a kill at any
+  (``atomic_write``) only at session boundaries, so a kill at any
   instant leaves either a complete condition or no trace of it — never a
   corrupt store (a torn final log line is ignored on load), and
 * a re-run against the same store directory skips every completed condition
@@ -86,11 +86,11 @@ from __future__ import annotations
 import json
 import os
 import re
-import tempfile
 from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
+from ..engine.cache import atomic_write
 from ..layout.reader import array_digest, source_digest
 
 MANIFEST_FILE = "manifest.json"
@@ -195,19 +195,9 @@ class CampaignStore:
     def _write_manifest(self) -> None:
         """Atomic rewrite: a kill mid-write leaves the previous manifest."""
         os.makedirs(self.root, exist_ok=True)
-        fd, temp_path = tempfile.mkstemp(dir=self.root, prefix=".manifest-",
-                                         suffix=".json")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(self._manifest, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            os.replace(temp_path, self.manifest_path)
-        except BaseException:
-            try:
-                os.unlink(temp_path)
-            except OSError:
-                pass
-            raise
+        with atomic_write(self.manifest_path) as handle:
+            json.dump(self._manifest, handle, indent=2, sort_keys=True)
+            handle.write("\n")
 
     def begin(self, campaign: dict, resume: bool = True) -> Dict[str, dict]:
         """Open the store for a campaign; returns the completed-condition map.

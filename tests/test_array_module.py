@@ -193,12 +193,13 @@ class TestTransferCounts:
             masks.size * np.dtype(np.float64).itemsize
 
     def test_sharded_serial_path_stays_resident(self, fakegpu, tmp_path):
-        spec = EngineSpec(config=CONFIG, fft_backend="fakegpu",
-                          cache_dir=str(tmp_path))
+        spec = EngineSpec(config=CONFIG, cache_dir=str(tmp_path),
+                          compute=ComputeConfig(fft_backend="fakegpu"))
         executor = ShardedExecutor(num_workers=0, cache_dir=str(tmp_path))
         masks = RNG.random((4, 32, 32))
         reference = ShardedExecutor(num_workers=0).aerial_batch(
-            EngineSpec(config=CONFIG, fft_backend="numpy"), masks)
+            EngineSpec(config=CONFIG,
+                       compute=ComputeConfig(fft_backend="numpy")), masks)
         fakegpu.transfer_stats.reset()
         _DEVICE_BANKS.clear()
         result = executor.aerial_batch(spec, masks)
@@ -211,11 +212,12 @@ class TestTransferCounts:
         """Worker threads share this process's module: each shard is one
         chunk — one upload, one download — and the bank still goes up once,
         counted without a lost update."""
-        spec = EngineSpec(config=CONFIG, fft_backend="fakegpu",
-                          cache_dir=str(tmp_path))
+        spec = EngineSpec(config=CONFIG, cache_dir=str(tmp_path),
+                          compute=ComputeConfig(fft_backend="fakegpu"))
         masks = RNG.random((8, 32, 32))  # four 2-tile shards
         reference = ShardedExecutor(num_workers=0).aerial_batch(
-            EngineSpec(config=CONFIG, fft_backend="numpy"), masks)
+            EngineSpec(config=CONFIG,
+                       compute=ComputeConfig(fft_backend="numpy")), masks)
         with ShardedExecutor(num_workers=2,
                              cache_dir=str(tmp_path)) as executor:
             executor.warm(spec)
@@ -382,9 +384,9 @@ class TestBackendProtocol:
     def test_transforms_only_backend_drives_a_sharded_executor(self):
         probe = RecordingBackend()
         spec = EngineSpec(config=CONFIG)
-        assert spec.fft_backend == probe.name
+        assert spec.compute.fft_backend == probe.name
         reader = load_layout_source(HIER4, CONFIG.pixel_size_nm)
-        with ShardedExecutor(num_workers=2, tile_cache=False) as plain:
+        with ShardedExecutor(num_workers=2, compute=NO_CACHE) as plain:
             expected = plain.image_layout(spec, reader, guard_px=8)
         with ShardedExecutor(num_workers=2,
                              tile_cache=TileResultCache()) as probed:
@@ -437,10 +439,10 @@ class TestAutoPrecision:
         assert engine.precision in (FLOAT32, FLOAT64)
 
     def test_engine_spec_ships_concrete_name_to_workers(self, tmp_path):
-        spec = EngineSpec(config=CONFIG, precision="auto",
-                          cache_dir=str(tmp_path))
-        assert spec.precision in ("float32", "float64")
+        spec = EngineSpec(config=CONFIG, cache_dir=str(tmp_path),
+                          compute=ComputeConfig(precision="auto"))
+        assert spec.compute.precision in ("float32", "float64")
         assert "auto" not in spec.fingerprint()
         # The spec's engine runs at exactly the precision the parent chose.
         engine = spec.build()
-        assert engine.precision.name == spec.precision
+        assert engine.precision.name == spec.compute.precision

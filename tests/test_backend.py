@@ -158,7 +158,8 @@ class TestRegistry:
 
     def test_engine_spec_rejects_bogus_backend(self):
         with pytest.raises(ValueError, match="registered backends"):
-            EngineSpec(config=FINE, fft_backend="warpdrive")
+            EngineSpec(config=FINE,
+                       compute=ComputeConfig(fft_backend="warpdrive"))
 
 
 class TestPrecisionPolicy:
@@ -353,16 +354,18 @@ class TestFloat32Accuracy:
 class TestEngineSpecComputePolicy:
     def test_spec_resolves_concrete_backend_and_precision(self):
         spec = EngineSpec(config=FINE, source=SOURCE)
-        assert spec.fft_backend in registered_backends()
-        assert spec.precision == "float64"
+        assert spec.compute.fft_backend in registered_backends()
+        assert spec.compute.precision == "float64"
 
     def test_spec_roundtrips_backend_and_precision(self):
-        spec = EngineSpec(config=FINE, source=SOURCE, fft_backend="numpy",
-                          fft_workers=3, precision="float32")
+        spec = EngineSpec(config=FINE, source=SOURCE,
+                          compute=ComputeConfig(fft_backend="numpy",
+                                                fft_workers=3,
+                                                precision="float32"))
         clone = pickle.loads(pickle.dumps(spec))
-        assert clone.fft_backend == "numpy"
-        assert clone.fft_workers == 3
-        assert clone.precision == "float32"
+        assert clone.compute == ComputeConfig(fft_backend="numpy",
+                                              fft_workers=3,
+                                              precision="float32")
         assert clone.fingerprint() == spec.fingerprint()
         engine = clone.build(cache=KernelBankCache())
         assert engine.backend.name == "numpy"
@@ -370,17 +373,18 @@ class TestEngineSpecComputePolicy:
         assert engine.kernels.dtype == np.complex64
 
     def test_policy_changes_fingerprint(self):
-        base = EngineSpec(config=FINE, source=SOURCE, fft_backend="numpy")
+        numpy64 = ComputeConfig(fft_backend="numpy")
+        base = EngineSpec(config=FINE, source=SOURCE, compute=numpy64)
         assert base.fingerprint() != \
-            EngineSpec(config=FINE, source=SOURCE, fft_backend="numpy",
-                       precision="float32").fingerprint()
+            EngineSpec(config=FINE, source=SOURCE,
+                       compute=numpy64.replace(precision="float32")
+                       ).fingerprint()
 
     def test_with_focus_keeps_policy(self):
-        spec = EngineSpec(config=FINE, source=SOURCE, fft_backend="numpy",
-                          precision="float32")
-        refocused = spec.with_focus(40.0)
-        assert refocused.fft_backend == "numpy"
-        assert refocused.precision == "float32"
+        spec = EngineSpec(config=FINE, source=SOURCE,
+                          compute=ComputeConfig(fft_backend="numpy",
+                                                precision="float32"))
+        assert spec.with_focus(40.0).compute == spec.compute
 
     def test_spec_resolution_ignores_worker_environment(self, monkeypatch):
         """Policy is frozen at construction: a worker's env cannot reinterpret it."""
@@ -390,7 +394,7 @@ class TestEngineSpecComputePolicy:
         # The spec already carries concrete names; building consults them,
         # not the (now bogus) environment.
         engine = spec.build(cache=KernelBankCache())
-        assert engine.backend.name == spec.fft_backend
+        assert engine.backend.name == spec.compute.fft_backend
         assert engine.precision.name == "float64"
 
 

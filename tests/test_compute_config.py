@@ -17,7 +17,12 @@ import pytest
 
 from repro.backend import FLOAT32, ComputeConfig, get_backend
 from repro.cli import _compute_from_args, build_parser
-from repro.engine import EngineSpec, ExecutionEngine, ShardedExecutor
+from repro.engine import (
+    EngineSpec,
+    ExecutionEngine,
+    ShardedExecutor,
+    TileResultCache,
+)
 from repro.optics.simulator import OpticsConfig
 
 OPTICS = OpticsConfig(tile_size_px=32, pixel_size_nm=8.0)
@@ -158,18 +163,31 @@ class TestLegacyShim:
         np.testing.assert_array_equal(unified.aerial_batch(masks),
                                       objects.aerial_batch(masks))
 
-    def test_engine_spec_equal_and_same_fingerprint_both_ways(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            via_compute = EngineSpec(
-                config=OPTICS, compute=ComputeConfig(fft_backend="numpy",
-                                                     precision="float32"))
-        via_fields = EngineSpec(config=OPTICS, fft_backend="numpy",
-                                precision="float32")
-        assert via_compute == via_fields
-        assert via_compute.fingerprint() == via_fields.fingerprint()
-        # construction-time convenience only: nothing rides along
-        assert via_compute.compute is None
+    def test_engine_spec_carries_one_resolved_compute(self):
+        spec = EngineSpec(
+            config=OPTICS, compute=ComputeConfig(fft_backend="numpy",
+                                                 fft_workers=2,
+                                                 precision="single",
+                                                 tile_cache=True))
+        # concrete names, given workers; tile_cache is the executor's policy
+        assert spec.compute == ComputeConfig(fft_backend="numpy",
+                                             fft_workers=2,
+                                             precision="float32")
+        assert EngineSpec(config=OPTICS, compute=spec.compute) == spec
+        default = EngineSpec(config=OPTICS).compute
+        assert default.fft_backend == get_backend().name
+        assert default.precision == "float64"
+
+    @pytest.mark.parametrize("loose", [{"fft_backend": "numpy"},
+                                       {"fft_workers": 2},
+                                       {"precision": "float32"}])
+    def test_engine_spec_refuses_the_loose_policy_names(self, loose):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            EngineSpec(config=OPTICS, **loose)
+
+    def test_sharded_executor_refuses_a_tile_cache_switch(self):
+        with pytest.raises(TypeError, match="ComputeConfig"):
+            ShardedExecutor(num_workers=1, tile_cache=True)
 
     def test_sharded_executor_takes_policy_from_compute(self):
         executor = ShardedExecutor(
@@ -179,12 +197,13 @@ class TestLegacyShim:
             assert executor.tile_cache is not None
         finally:
             executor.close()
-        # explicit arguments beat the config
+        # a live cache beats the config's switch
+        cache = TileResultCache()
         executor = ShardedExecutor(
-            num_workers=1, tile_cache=False,
-            compute=ComputeConfig(tile_cache=True))
+            num_workers=1, tile_cache=cache,
+            compute=ComputeConfig(tile_cache=False))
         try:
-            assert executor.tile_cache is None
+            assert executor.tile_cache is cache
         finally:
             executor.close()
 

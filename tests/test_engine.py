@@ -356,22 +356,28 @@ class TestKernelBankCache:
         assert loaded.total_energy == pytest.approx(bank.total_energy)
         assert loaded.energy_captured() == pytest.approx(bank.energy_captured())
 
-    @pytest.mark.parametrize("damage", ["truncated", "empty", "garbage"])
+    @pytest.mark.parametrize("damage", ["truncated", "empty", "garbage",
+                                        "flipped"])
     def test_torn_disk_entry_is_a_counted_miss(self, tmp_path, damage,
                                                caplog):
         """An unreadable ``kernels-*.npz`` must not crash every later run:
         it is a miss — counted, and logged once as a WARNING under
         ``repro.engine`` naming the file — the bank is rebuilt and the entry
-        overwritten."""
+        overwritten.  One flipped byte inside an otherwise valid zip is
+        unreadable too (the member's CRC-32), never a wrong bank."""
         config = OpticsConfig(tile_size_px=32, pixel_size_nm=8.0, max_socs_order=8)
         fresh = KernelBankCache().get_kernels(config, self.SOURCE, Pupil())
         KernelBankCache(cache_dir=str(tmp_path)).get_kernels(
             config, self.SOURCE, Pupil())
         (entry,) = tmp_path.glob("kernels-*.npz")
         intact = entry.read_bytes()
-        entry.write_bytes({"truncated": intact[:len(intact) // 2],
+        middle = len(intact) // 2
+        entry.write_bytes({"truncated": intact[:middle],
                            "empty": b"",
-                           "garbage": b"not a zip archive" * 64}[damage])
+                           "garbage": b"not a zip archive" * 64,
+                           "flipped": intact[:middle]
+                           + bytes([intact[middle] ^ 0xFF])
+                           + intact[middle + 1:]}[damage])
 
         second = KernelBankCache(cache_dir=str(tmp_path))
         engine = ExecutionEngine.for_optics(config, source=self.SOURCE,

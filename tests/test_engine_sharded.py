@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 
 from reference import reference_image_layout
+from repro.backend import ComputeConfig
 from repro.engine import (
     EngineSpec,
     KernelBankCache,
@@ -96,8 +97,10 @@ class TestShardedExecutor:
         output is bit-for-bit the serial output under every combination."""
         if backend_name == "scipy":
             pytest.importorskip("scipy.fft")
-        policy_spec = EngineSpec(config=CONFIG, source=SOURCE,
-                                 fft_backend=backend_name, precision=precision)
+        policy_spec = EngineSpec(
+            config=CONFIG, source=SOURCE,
+            compute=ComputeConfig(fft_backend=backend_name,
+                                  precision=precision))
         serial = ShardedExecutor(num_workers=1, cache_dir=str(tmp_path))
         reference = serial.aerial_batch(policy_spec, masks)
         with ShardedExecutor(num_workers=2, cache_dir=str(tmp_path)) as sharded:

@@ -168,19 +168,12 @@ class TestGeometryLayoutReader:
             changed.add("m1", shape)
         changed.add("m1", Rect(8.0, 8.0, 64.0, 64.0))
         assert make(changed).digest() != make(layout).digest()
-        # bucket size is a performance knob, never identity
-        fine = GeometryLayoutReader.from_layout(layout, shape=(64, 64),
-                                                bucket_px=16)
-        assert fine.digest() == make(layout).digest()
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             GeometryLayoutReader({}, pixel_size_nm=4.0)  # no shape/extent
         with pytest.raises(ValueError):
             GeometryLayoutReader({}, pixel_size_nm=0.0, extent_nm=64.0)
-        with pytest.raises(ValueError):
-            GeometryLayoutReader({}, pixel_size_nm=4.0, extent_nm=64.0,
-                                 bucket_px=0)
 
 
 class TestLayoutFiles:

@@ -2,6 +2,11 @@
 
 Pinned guarantees:
 
+* the golden simulator, an ``EngineSpec`` and a direct caller reach their
+  engine by one road — ``ExecutionEngine.for_optics`` — so against one
+  kernel cache they cost one decomposition in total and hold the same bank,
+  whatever ``REPRO_PRECISION`` says,
+
 * every public "mask -> aerial image" entry point — golden simulator or
   learned model, one tile or a batch — runs the batched band-limited core:
   on a 256 px / 4 nm tile each issues the small ``(…, 2n, 2m)`` inverse
@@ -23,7 +28,8 @@ import pytest
 from reference import RecordingBackend
 from repro.backend import ComputeConfig, resolve_precision
 from repro.core import NithoConfig, NithoModel
-from repro.engine import EngineSpec, ExecutionEngine
+from repro.engine import EngineSpec, ExecutionEngine, KernelBankCache
+from repro.engine import cache as cache_module
 from repro.experiments.evaluation import evaluate_on_dataset
 from repro.masks.datasets import LithoDataset
 from repro.metrics import aerial_metrics, resist_metrics
@@ -141,6 +147,31 @@ class TestEvaluationImagesEachTileOnce:
             assert metrics[key] == pytest.approx(value, abs=1e-10), key
 
 
+@pytest.mark.parametrize("env_precision", [None, "float32", "auto"])
+def test_three_front_doors_one_road(monkeypatch, env_precision):
+    if env_precision is None:
+        monkeypatch.delenv("REPRO_PRECISION", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_PRECISION", env_precision)
+    shared = KernelBankCache()
+    monkeypatch.setattr(cache_module, "_default_cache", shared)
+    config = OpticsConfig(tile_size_px=32, pixel_size_nm=8.0, max_socs_order=8)
+
+    golden = LithographySimulator(config).engine
+    spec = EngineSpec(config=config)
+    others = [spec.build(), ExecutionEngine.for_optics(config)]
+
+    assert shared.stats.decompositions == 1
+    assert shared.stats.tcc_computes == 1
+    assert spec.compute.precision == golden.precision.name
+    if env_precision != "auto":
+        assert golden.precision.name == (env_precision or "float64")
+    for engine in others:
+        assert engine.precision is golden.precision
+        assert engine.kernels.dtype == golden.precision.complex_dtype
+        assert np.array_equal(engine.kernels, golden.kernels)
+
+
 class TestPersistedIdentities:
     """Values recorded at the commit before the band-limiting switch went."""
 
@@ -153,6 +184,11 @@ class TestPersistedIdentities:
     REFOCUSED_FINGERPRINT = (
         "b98f51a438ffb53eb808e9f546aab3a3611b80b9|order=8|band=True"
         "|chunk=268435456|backend=numpy|workers=None|prec=float64")
+    # Recorded with the loose ``fft_workers=2, precision="float32"`` fields,
+    # at the commit before EngineSpec carried them in one ``compute``.
+    WORKERS_FLOAT32_FINGERPRINT = (
+        "b2be813f119f3be7ff23adc3957f7114372de2f4|order=8|band=True"
+        "|chunk=268435456|backend=numpy|workers=2|prec=float32")
     BANK = np.arange(3 * 5 * 5, dtype=float).reshape(3, 5, 5) * (1 + 0.5j)
     BANK_FINGERPRINTS = {"float64": "906a0687607e922c38a064b16dcc41816ba93770",
                          "float32": "72b97addf44683e7c28a558c0a645c2ae832a880"}
@@ -162,6 +198,10 @@ class TestPersistedIdentities:
                           compute=self.COMPUTE)
         assert spec.fingerprint() == self.SPEC_FINGERPRINT
         assert spec.with_focus(40.0).fingerprint() == self.REFOCUSED_FINGERPRINT
+        assert EngineSpec(
+            config=self.CONFIG, source=self.SOURCE,
+            compute=self.COMPUTE.replace(fft_workers=2, precision="float32"),
+        ).fingerprint() == self.WORKERS_FLOAT32_FINGERPRINT
 
     @pytest.mark.parametrize("precision", ["float64", "float32"])
     def test_kernel_fingerprint_is_unchanged(self, precision):

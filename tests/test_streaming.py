@@ -18,6 +18,7 @@ Pinned guarantees:
   through without being loaded wholesale.
 """
 
+import json
 import os
 
 import numpy as np
@@ -26,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import reference_image_layout
+from repro.backend import ComputeConfig
 from repro.engine import (
     EngineSpec,
     TileResultCache,
@@ -117,8 +119,8 @@ class TestStreamingEqualsInMemory:
         if backend_name == "scipy":
             pytest.importorskip("scipy.fft")
         engine = EngineSpec(config=CONFIG, source=SOURCE,
-                            fft_backend=backend_name,
-                            precision=precision).build()
+                            compute=ComputeConfig(fft_backend=backend_name,
+                                                  precision=precision)).build()
         reference = reference_image_layout(engine, layout, guard_px=guard_px)
         streamed = engine.image_layout(layout, guard_px=guard_px,
                                        batch_tiles=3)
@@ -246,6 +248,27 @@ class TestMemmapOutput:
     def test_open_layout_dir_requires_meta(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             open_layout_dir(str(tmp_path))
+
+    def test_a_torn_meta_write_leaves_no_completion_marker(
+            self, engine, layout, tmp_path, monkeypatch):
+        """``meta.json`` marks the directory complete, so a write that dies
+        half way (kill, full disk) must publish nothing — not a torn JSON
+        that ``open_layout_dir`` chokes on."""
+        from repro.engine import streaming
+
+        def half_a_dump(payload, handle, **kwargs):
+            handle.write(json.dumps(payload, **kwargs)[:40])
+            handle.flush()
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(streaming.json, "dump", half_a_dump)
+        out_dir = tmp_path / "torn"
+        with pytest.raises(OSError, match="No space left"):
+            engine.image_layout(layout, guard_px=8, out_dir=str(out_dir))
+        monkeypatch.undo()
+        assert sorted(os.listdir(out_dir)) == ["aerial.npy", "resist.npy"]
+        with pytest.raises(FileNotFoundError, match="not a completed"):
+            open_layout_dir(str(out_dir))
 
     def test_memmap_layout_input_streams(self, engine, layout, tmp_path):
         """An np.load(..., mmap_mode='r') layout goes straight through."""

@@ -353,9 +353,12 @@ class TestTileResultCache:
         cache.image_tile_batch(tiles, digests, lambda batch: batch, CONTEXT)
         assert cache.stats.disk_loads == 2
 
-    @pytest.mark.parametrize("damage", ["truncated", "empty", "garbage"])
+    @pytest.mark.parametrize("damage", ["truncated", "empty", "garbage",
+                                        "flipped"])
     def test_torn_disk_entry_is_a_counted_miss_and_is_overwritten(
             self, tmp_path, damage, caplog):
+        """``flipped``: one byte changed inside a valid zip fails the
+        member's CRC-32 — a miss like the rest, never a wrong tile."""
         tiles, digests = self.batch()
         warm = TileResultCache(cache_dir=str(tmp_path))
         expected = warm.image_tile_batch(tiles, digests,
@@ -363,9 +366,13 @@ class TestTileResultCache:
         files = sorted(tmp_path.glob("tiles-*.npz"))
         assert len(files) == 2
         intact = files[0].read_bytes()
-        files[0].write_bytes({"truncated": intact[:len(intact) // 2],
+        middle = len(intact) // 2
+        files[0].write_bytes({"truncated": intact[:middle],
                               "empty": b"",
-                              "garbage": b"not a zip archive"}[damage])
+                              "garbage": b"not a zip archive",
+                              "flipped": intact[:middle]
+                              + bytes([intact[middle] ^ 0xFF])
+                              + intact[middle + 1:]}[damage])
         cold = TileResultCache(cache_dir=str(tmp_path))
         image = counting(lambda batch: batch * 3.0)
         out = cold.image_tile_batch(tiles, digests, image, CONTEXT)
@@ -558,7 +565,8 @@ class TestCachedImagingBitForBit:
         layout = np.zeros((80, 110))
         layout[10:70, 20:28] = 1.0
         layout[30:38, 40:100] = 1.0
-        spec = EngineSpec(config=CONFIG, source=SOURCE, precision=precision)
+        spec = EngineSpec(config=CONFIG, source=SOURCE,
+                          compute=ComputeConfig(precision=precision))
         cache = TileResultCache()
         with ShardedExecutor(num_workers=2, cache_dir=str(tmp_path),
                              tile_cache=cache) as executor:
@@ -645,8 +653,9 @@ class TestCompactWindows:
         plain, _ = engine_pair(backend, precision)
         reference = reference_image_layout(plain, dense, tile_px=32,
                                            guard_px=8)
-        spec = EngineSpec(config=CONFIG, source=SOURCE, fft_backend=backend,
-                          precision=precision)
+        spec = EngineSpec(config=CONFIG, source=SOURCE,
+                          compute=ComputeConfig(fft_backend=backend,
+                                                precision=precision))
         for workers in (1, 2):
             for cache in (None, TileResultCache()):
                 with ShardedExecutor(num_workers=workers,

@@ -86,14 +86,16 @@ def layouts():
 def _spec(backend: str, precision: str) -> EngineSpec:
     if backend == "scipy":
         pytest.importorskip("scipy.fft")
-    return EngineSpec(config=CONFIG, source=SOURCE, fft_backend=backend,
-                      precision=precision)
+    return EngineSpec(config=CONFIG, source=SOURCE,
+                      compute=ComputeConfig(fft_backend=backend,
+                                            precision=precision))
 
 
 def _executor(workers: int, tile_cache: bool, **kwargs) -> ShardedExecutor:
     return ShardedExecutor(
         num_workers=workers,
-        tile_cache=TileResultCache() if tile_cache else False, **kwargs)
+        tile_cache=TileResultCache() if tile_cache else None,
+        compute=ComputeConfig(tile_cache=False), **kwargs)
 
 
 # --------------------------------------------------------------------------- #
@@ -140,8 +142,7 @@ GRID = FocusExposureGrid((0.0, 80.0), (0.95, 1.05))
 
 def _reference_sweep(backend, precision, dense):
     """Per-focus oracle aerials and the CD matrix measured from them."""
-    base = EngineSpec(config=CONFIG, source=SOURCE, fft_backend=backend,
-                      precision=precision)
+    base = _spec(backend, precision)
     aerials = {focus: reference_image_layout(
         base.with_focus(focus).build(), dense, guard_px=GUARD).aerial
         for focus in GRID.focus_values_nm}
@@ -298,7 +299,8 @@ def test_shared_pool_drains_two_concurrent_campaigns(layouts):
     def campaign(name):
         try:
             with ShardedExecutor(num_workers=2, pool=pool,
-                                 tile_cache=False) as executor:
+                                 compute=ComputeConfig(tile_cache=False),
+                                 ) as executor:
                 outcomes[name] = ProcessWindowSweep(
                     CONFIG, source=SOURCE, executor=executor,
                     compute=compute).run(

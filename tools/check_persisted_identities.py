@@ -1,0 +1,147 @@
+#!/usr/bin/env python
+"""Persisted-identity compatibility: what the parent commit wrote, HEAD reads.
+
+Three things outlive a process and are found again by *name*: a campaign
+store (``EngineSpec.fingerprint()`` + layout digest in its manifest), the
+tile-result cache's disk tier (``tiles-*.npz``, keyed by the kernel
+fingerprint) and the kernel-bank cache's (``kernels-*.npz``, keyed by the
+optics fingerprint).  A refactor that moves any of those strings silently
+turns every stored campaign into a refusal and every cache entry into a miss.
+This script writes all three **with the parent checkout's code** and reads
+them **with this checkout's**, through the real CLI, on
+``tests/data/aref_grid.gds``:
+
+1. parent: ``sweep-window --store`` with ``REPRO_TILE_CACHE_DIR`` and
+   ``REPRO_KERNEL_CACHE_DIR`` set (a fresh campaign: 9 computed),
+2. HEAD: the same command with ``--resume`` — every condition must resume,
+   ``0 computed``, and the focus-exposure matrix must be equal bit for bit,
+3. HEAD: the same campaign into a fresh store — every tile must be served
+   from the parent's tile cache (``0 imaged``), neither cache directory may
+   gain a file, and the matrix and every stored per-focus aerial must be
+   ``np.array_equal`` to the parent's,
+4. HEAD, in process: the three per-focus banks load from the parent's
+   ``kernels-*.npz`` with ``decompositions == 0``.
+
+Usage (CI: ``git worktree add /tmp/parent HEAD^`` first; no network)::
+
+    PYTHONPATH=src python tools/check_persisted_identities.py /tmp/parent
+"""
+
+from __future__ import annotations
+
+import argparse
+import glob
+import os
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+FOCI = (-40.0, 0.0, 40.0)
+SWEEP = ["sweep-window", "--input",
+         os.path.join(REPO_ROOT, "tests", "data", "aref_grid.gds"),
+         "--tile-size", "32", "--pixel-size-nm", "8", "--guard", "8",
+         "--focus=" + ",".join(f"{focus:g}" for focus in FOCI),
+         "--dose", "0.95,1.0,1.05", "--target-cd", "64", "--workers", "1",
+         "--tile-cache", "--store-aerials"]
+
+
+def run_cli(checkout: str, work: str, *arguments: str) -> str:
+    """``repro.cli`` of ``checkout`` on the shared cache directories."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"),
+               REPRO_FFT_BACKEND="numpy",
+               REPRO_TILE_CACHE_DIR=os.path.join(work, "tiles"),
+               REPRO_KERNEL_CACHE_DIR=os.path.join(work, "kernels"))
+    env.pop("REPRO_PRECISION", None)
+    done = subprocess.run([sys.executable, "-m", "repro.cli", *arguments],
+                          env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"{checkout}: repro.cli {' '.join(arguments)} "
+                         f"exited {done.returncode}\n{done.stderr}")
+    return done.stdout
+
+
+def expect(text: str, output: str) -> None:
+    if text not in output:
+        raise SystemExit(f"expected {text!r} in:\n{output}")
+    print(f"  ok: {text}")
+
+
+def same_arrays(ours: str, theirs: str) -> None:
+    with np.load(ours) as one, np.load(theirs) as two:
+        assert sorted(one.files) == sorted(two.files), (one.files, two.files)
+        for key in one.files:
+            assert np.array_equal(one[key], two[key]), (ours, key)
+
+
+def cache_files(work: str) -> list:
+    return sorted(glob.glob(os.path.join(work, "tiles", "*"))
+                  + glob.glob(os.path.join(work, "kernels", "*")))
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", help="checkout of the parent commit")
+    arguments = parser.parse_args()
+    parent = os.path.abspath(arguments.parent)
+    with tempfile.TemporaryDirectory(prefix="identity-compat-") as work:
+        store = os.path.join(work, "campaign")
+        parent_npz = os.path.join(work, "parent.npz")
+
+        print(f"parent ({parent}) writes store + tile cache + kernel cache")
+        expect("(9 computed, 0 resumed)",
+               run_cli(parent, work, *SWEEP, "--store", store,
+                       "--output", parent_npz))
+        written = cache_files(work)
+        assert any("tiles-" in path for path in written), written
+        assert any("kernels-" in path for path in written), written
+
+        print("HEAD resumes the parent's store")
+        resumed_npz = os.path.join(work, "resumed.npz")
+        expect("(0 computed, 9 resumed)",
+               run_cli(REPO_ROOT, work, *SWEEP, "--store", store, "--resume",
+                       "--output", resumed_npz))
+        same_arrays(resumed_npz, parent_npz)
+
+        print("HEAD recomputes the campaign off the parent's cache files")
+        again = os.path.join(work, "campaign-again")
+        again_npz = os.path.join(work, "again.npz")
+        output = run_cli(REPO_ROOT, work, *SWEEP, "--store", again,
+                         "--output", again_npz)
+        expect("(9 computed, 0 resumed)", output)
+        expect("hit rate, 0 imaged)", output)
+        same_arrays(again_npz, parent_npz)
+        aerials = sorted(glob.glob(os.path.join(store, "aerial_f*.npy")))
+        assert len(aerials) == len(FOCI), aerials
+        for path in aerials:
+            assert np.array_equal(
+                np.load(path),
+                np.load(os.path.join(again, os.path.basename(path)))), path
+        assert cache_files(work) == written, \
+            sorted(set(cache_files(work)) - set(written))
+        print(f"  ok: {len(aerials)} aerials + matrix np.array_equal, "
+              f"no new file beside the parent's {len(written)}")
+
+        print("HEAD loads the parent's kernel banks")
+        from repro.backend import ComputeConfig
+        from repro.engine import EngineSpec, KernelBankCache
+        from repro.optics.simulator import OpticsConfig
+
+        banks = KernelBankCache(cache_dir=os.path.join(work, "kernels"))
+        spec = EngineSpec(config=OpticsConfig(tile_size_px=32,
+                                              pixel_size_nm=8.0),
+                          compute=ComputeConfig(fft_backend="numpy",
+                                                precision="float64"))
+        for focus in FOCI:
+            spec.with_focus(focus).build(cache=banks)
+        assert banks.stats.decompositions == 0, banks.stats
+        assert banks.stats.disk_loads == len(FOCI), banks.stats
+        print(f"  ok: decompositions == 0, disk_loads == {len(FOCI)}")
+    print("persisted identities: compatible with the parent checkout")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

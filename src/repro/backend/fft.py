@@ -99,7 +99,10 @@ class FFTBackend:
 
     A subclass must provide the four transforms: they act on the last two
     axes, honour the numpy ``norm`` conventions and preserve the precision
-    family of the input (single-precision in, single-precision out).
+    family of the input (single-precision in, single-precision out).  None
+    may modify its input array — the batched core reuses one zero-padded
+    scratch array across transforms (a multi-dimensional c2r that works in
+    place is the classic offender: copy first).
 
     The array namespace below is what lets :mod:`repro.engine.batched` run a
     whole chunk in one place.  The base class implements it for the **host**

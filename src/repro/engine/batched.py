@@ -13,12 +13,22 @@ On top of that, the paper's band-limit argument (Eq. (10)) buys a large
 speed-up: the coherent fields only carry ``n x m`` frequency samples, so the
 intensity — whose spectrum is the autocorrelation of the field spectrum — is
 band-limited to ``(2n - 1) x (2m - 1)`` samples.  The intensity is therefore
-evaluated exactly on a small ``2n x 2m`` grid and Fourier-upsampled (zero-pad
-in the frequency domain, an exact sinc interpolation for band-limited
-signals) to the requested output resolution (:func:`_band_limited_chunk`).
-Only an output smaller than that grid (``2n > H`` or ``2m > W``: coarse
-pixels, tiny tiles) is evaluated at full size instead
+evaluated exactly on the smallest FFT-friendly grid that holds that band
+(:func:`band_limit_grid`: 60 x 60 for a 29 x 29 window, where ``2n = 58`` is
+2 x prime 29) and Fourier-upsampled (zero-pad in the frequency domain, an
+exact sinc interpolation for band-limited signals) to the requested output
+resolution (:func:`_band_limited_chunk`).  Only an output smaller than that
+grid (coarse pixels, tiny tiles) is evaluated at full size instead
 (:func:`_direct_chunk`); the array shapes alone decide, there is no switch.
+
+The band-limited chunk walks its tiles in cache-sized **blocks**
+(:data:`BLOCK_BYTES` of coherent fields at a time) through two zeroed scratch
+arrays allocated once per call — the embedded kernel products and the
+zero-padded half spectrum, whose non-zero corners every block overwrites — so
+a host run never faults in or streams through DRAM a chunk-sized field stack.
+The scratch relies on no transform modifying its input (an
+:class:`~repro.backend.FFTBackend` contract), holds no state across calls and
+needs no lock; block size, like chunk size, never changes a tile's result.
 
 Every transform goes through the pluggable compute backend
 (:mod:`repro.backend`), which adds two further hot-path wins:
@@ -44,7 +54,7 @@ Every transform goes through the pluggable compute backend
 
 Memory is bounded by chunking the batch axis so the intermediate
 ``(B, r, ...)`` product array never exceeds ``max_chunk_bytes``; within a
-chunk everything is a single vectorised expression.
+chunk (a block, on the band-limited host path) everything is vectorised.
 """
 
 from __future__ import annotations
@@ -64,6 +74,19 @@ from ..optics.grid import embed_centre_unshifted
 #: large batches.
 DEFAULT_MAX_CHUNK_BYTES = 2 ** 28
 
+#: Bytes of one block's ``(block, r, gh, gw)`` coherent-field stack in the
+#: band-limited chunk — what a host core keeps near its caches.  Measured on
+#: the 24 x 29 x 29 production bank (1.3 MiB per tile): 4 tiles per block
+#: image a 36-tile batch fastest; 1 and 36 both lose.
+BLOCK_BYTES = 6 * 2 ** 20
+
+#: Names this module's output bits in the tile-cache key
+#: (``ExecutionEngine.kernel_fingerprint``) and the campaign-store identity
+#: (``EngineSpec.fingerprint``).  Change it whenever results move, even at
+#: rounding level: old tiles must never be stitched into a new image, nor an
+#: old store resumed half-new.  (``band=True``: the ``2n x 2m`` grid, PRs 2-18.)
+FORWARD_REVISION = "band=fast-grid"
+
 
 def _as_mask_batch(masks: np.ndarray, precision: Precision) -> np.ndarray:
     masks = precision.as_real(masks)
@@ -81,7 +104,7 @@ def _as_kernel_stack(kernels: np.ndarray, precision: Precision) -> np.ndarray:
 
 def _direct_chunk(masks, kernels, out_h: int, out_w: int, xp: FFTBackend):
     """Evaluation at full output resolution, for an output smaller than the
-    ``2n x 2m`` band-limit grid.
+    :func:`band_limit_grid`.
 
     ``xp`` is the backend the chunk lives in: a host backend leaves every
     expression bit-for-bit plain numpy; a device backend (cupy / fakegpu)
@@ -96,41 +119,68 @@ def _direct_chunk(masks, kernels, out_h: int, out_w: int, xp: FFTBackend):
     return xp.abs2_sum(fields, axis=1)
 
 
+def band_limit_grid(n: int, m: int) -> Tuple[int, int]:
+    """Smallest FFT-friendly grid holding the ``(2n - 1) x (2m - 1)`` intensity
+    band of an ``n x m`` kernel window: per side, the next length from
+    ``2n - 1`` up whose prime factors all have a pocketfft radix kernel —
+    29 -> 60, 7 -> 14, 13 -> 25 (it may be odd, and smaller than ``2n``).
+    """
+    def fast_len(length: int) -> int:
+        rest = length
+        for prime in (2, 3, 5, 7, 11):
+            while rest % prime == 0:
+                rest //= prime
+        return length if rest == 1 else fast_len(length + 1)
+
+    return fast_len(2 * n - 1), fast_len(2 * m - 1)
+
+
 def _band_limited_chunk(masks, kernels, out_h: int, out_w: int,
                         xp: FFTBackend):
     """Exact evaluation on the intensity band-limit grid + Fourier upsampling.
 
     Like :func:`_direct_chunk`, the whole pipeline — spectrum, kernel
     product, fields, ``|field|^2`` reduction, upsampling — runs inside
-    ``xp``'s namespace, so a device chunk stays resident end to end.
+    ``xp``'s namespace, so a device chunk stays resident end to end (as one
+    block: a device has no cache to stay inside).
     """
-    n, m = kernels.shape[-2], kernels.shape[-1]
-    small_h, small_w = 2 * n, 2 * m
+    order, n, m = kernels.shape
+    grid_h, grid_w = band_limit_grid(n, m)
+    batch = masks.shape[0]
+    block = batch if xp.is_resident else batch_chunk_size(
+        batch, order, grid_h, grid_w, BLOCK_BYTES, kernels.dtype.itemsize)
 
-    spectra = mask_spectrum(masks, (n, m), backend=xp)
-    products = kernels[None, :, :, :] * spectra[:, None, :, :]
-    embedded = embed_centre_unshifted(products, small_h, small_w, xp=xp)
-    fields = xp.ifft2(embedded, norm="ortho")
-    small = xp.abs2_sum(fields, axis=1)                       # (B, 2n, 2m)
-
-    # The intensity spectrum occupies (2n - 1) x (2m - 1) centred samples, so
-    # zero-padding it to (out_h, out_w) is an exact sinc interpolation.  The
-    # "forward" norm preserves sample values; the area ratio restores the
+    # Zeroed once: every block overwrites the same corners and no zero.
+    embedded = xp.zeros((block, order, grid_h, grid_w), dtype=kernels.dtype)
+    padded = xp.zeros((block, out_h, out_w // 2 + 1), dtype=kernels.dtype)
+    result = xp.empty((batch, out_h, out_w), dtype=masks.dtype)
+    # The "forward" norm preserves sample values; the area ratio restores the
     # orthonormal-FFT intensity scale of the full-resolution evaluation.
-    # Half-spectrum upsampling: the small intensity is real, its rfft2
-    # columns 0..m all fit inside the target half spectrum (2m <= out_w),
-    # and the band limit keeps the Nyquist bins at rounding level, so
-    # placing the n positive- and n negative-frequency row blocks at the
-    # target's corners is the same zero-padding — without ever forming
-    # the full spectrum or shifting it.
-    half = xp.rfft2(small, norm="forward")                    # (B, 2n, m + 1)
-    padded = xp.zeros(small.shape[:-2] + (out_h, out_w // 2 + 1),
-                      dtype=half.dtype)
-    padded[..., :n, :m + 1] = half[..., :n, :]
-    padded[..., out_h - n:, :m + 1] = half[..., n:, :]
-    upsampled = xp.irfft2(padded, s=(out_h, out_w), norm="forward")
-    scale = (small_h * small_w) / float(out_h * out_w)
-    return upsampled * small.dtype.type(scale)
+    scale = masks.dtype.type((grid_h * grid_w) / float(out_h * out_w))
+
+    for start in range(0, batch, block):
+        stop = min(start + block, batch)
+        rows = stop - start
+        spectra = mask_spectrum(masks[start:stop], (n, m), backend=xp)
+        products = kernels[None, :, :, :] * spectra[:, None, :, :]
+        fields = xp.ifft2(
+            embed_centre_unshifted(products, grid_h, grid_w,
+                                   out=embedded[:rows]), norm="ortho")
+        small = xp.abs2_sum(fields, axis=1)                # (rows, gh, gw)
+
+        # The intensity spectrum occupies the centred samples |row| < n,
+        # |col| < m, so zero-padding it to (out_h, out_w) is an exact sinc
+        # interpolation.  The small intensity is real: columns 0..m-1 of its
+        # rfft2 are the whole band, and placing the n non-negative and n - 1
+        # negative frequency rows at the target's corners is that padding —
+        # without ever forming the full spectrum or shifting it.
+        half = xp.rfft2(small, norm="forward") * scale
+        spectrum = padded[:rows]
+        spectrum[..., :n, :m] = half[..., :n, :m]
+        spectrum[..., out_h - (n - 1):, :m] = half[..., grid_h - (n - 1):, :m]
+        result[start:stop] = xp.irfft2(spectrum, s=(out_h, out_w),
+                                       norm="forward")
+    return result
 
 
 def batch_chunk_size(batch: int, order: int, height: int, width: int,
@@ -150,8 +200,9 @@ def batch_chunk_size(batch: int, order: int, height: int, width: int,
 
 
 def _fits_band_limit_grid(n: int, m: int, out_h: int, out_w: int) -> bool:
-    """Whether the ``2n x 2m`` intensity grid fits inside the output."""
-    return 2 * n <= out_h and 2 * m <= out_w
+    """Whether the :func:`band_limit_grid` fits inside the output."""
+    grid_h, grid_w = band_limit_grid(n, m)
+    return grid_h <= out_h and grid_w <= out_w
 
 
 def effective_chunk_tiles(batch: int, kernel_shape: Tuple[int, int, int],
@@ -167,7 +218,7 @@ def effective_chunk_tiles(batch: int, kernel_shape: Tuple[int, int, int],
     its peak memory is one chunk, no more.
     """
     order, n, m = kernel_shape
-    work_h, work_w = (2 * n, 2 * m) \
+    work_h, work_w = band_limit_grid(n, m) \
         if _fits_band_limit_grid(n, m, out_h, out_w) else (out_h, out_w)
     return min(batch_chunk_size(batch, order, work_h, work_w,
                                 max_chunk_bytes, itemsize),
@@ -184,7 +235,7 @@ def batched_aerial_from_kernels(masks: np.ndarray, kernels: np.ndarray,
                                 ) -> np.ndarray:
     """Aerial images of a mask batch ``(B, H, W)`` -> ``(B, H, W)``.
 
-    Evaluated on the ``2n x 2m`` intensity band-limit grid and
+    Evaluated on the intensity band-limit grid (:func:`band_limit_grid`) and
     Fourier-upsampled (exact) whenever that grid fits the output; at full
     output size otherwise.
 

@@ -44,6 +44,7 @@ from ..optics.resist import ConstantThresholdResist
 from ..optics.simulator import default_illumination
 from .batched import (
     DEFAULT_MAX_CHUNK_BYTES,
+    FORWARD_REVISION,
     batched_aerial_from_kernels,
     effective_chunk_tiles,
 )
@@ -252,7 +253,8 @@ class ExecutionEngine:
 
         Identifies everything about *this engine's kernels* that determines
         an aerial tile: the bank's values (which already encode optics,
-        truncation order and precision — the bank is cast at construction).
+        truncation order and precision — the bank is cast at construction)
+        and the forward imaging with it (``batched.FORWARD_REVISION``).
         Chunk size and the resist threshold are excluded: the former never
         changes results (pinned), the latter only affects development.  This
         is the kernel component of the tile-result cache key, so two engines
@@ -263,8 +265,8 @@ class ExecutionEngine:
             digest = hashlib.sha1()
             digest.update(f"{bank.shape}|{bank.dtype.str}|".encode("utf-8"))
             digest.update(bank.tobytes())
-            # Literal: persisted tile-cache entries are keyed by this segment.
-            digest.update(b"|band=True")
+            # Old and new rounding must never be stitched into one image.
+            digest.update(f"|{FORWARD_REVISION}".encode("ascii"))
             self._kernel_fingerprint = digest.hexdigest()
         return self._kernel_fingerprint
 

@@ -41,7 +41,7 @@ from ..backend.fft import available_cpus
 from ..optics.pupil import Pupil
 from ..optics.simulator import OpticsConfig, default_illumination
 from ..optics.source import Source
-from .batched import DEFAULT_MAX_CHUNK_BYTES
+from .batched import DEFAULT_MAX_CHUNK_BYTES, FORWARD_REVISION
 from .cache import (
     KernelBankCache,
     LockedLRU,
@@ -110,10 +110,10 @@ class EngineSpec:
         """Cache key: optics fingerprint + the engine options that change output."""
         base = optics_fingerprint(self.config, *self.resolved_optics())
         compute = self.compute
-        # "|band=True" is a literal: persisted campaign stores are keyed by it.
+        # A store written under another FORWARD_REVISION is refused, not resumed.
         return (
             f"{base}|order={getattr(self.config, 'max_socs_order', None)}"
-            f"|band=True|chunk={self.max_chunk_bytes}"
+            f"|{FORWARD_REVISION}|chunk={self.max_chunk_bytes}"
             f"|backend={compute.fft_backend}|workers={compute.fft_workers}"
             f"|prec={compute.precision}")
 
@@ -140,6 +140,7 @@ class EngineSpec:
 #: tiles of a 1024² raster image in 0.098 s as 2 shards, 0.087 s as 4 and
 #: 0.083 s as 9 (medians of 12 alternating rounds); 2 per worker is also the
 #: granularity the campaign service ran at before it shared this path.
+#: (Measured before the batched core walked cache-sized blocks by itself.)
 SHARDS_PER_WORKER = 2
 
 #: Most engines an executor's memo retains (LRU).  A campaign visits one

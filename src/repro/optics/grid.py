@@ -88,7 +88,7 @@ def embed_centre(block: np.ndarray, height: int, width: int) -> np.ndarray:
 
 
 def embed_centre_unshifted(block: np.ndarray, height: int, width: int,
-                           xp=np) -> np.ndarray:
+                           xp=np, out=None) -> np.ndarray:
     """Embed a centred-DC ``block`` directly into an *unshifted* spectrum layout.
 
     Bit-for-bit equal to ``np.fft.ifftshift(embed_centre(block, height,
@@ -101,12 +101,15 @@ def embed_centre_unshifted(block: np.ndarray, height: int, width: int,
     ``xp`` is the array namespace the zero target is allocated in — numpy by
     default, or an :class:`~repro.backend.FFTBackend` so a device-resident
     ``block`` embeds into a device array without ever visiting the host (the
-    quadrant writes are plain slice assignments, valid on both).
+    quadrant writes are plain slice assignments, valid on both).  ``out`` is
+    a reusable target instead: zero outside the four quadrants, which every
+    embed of an equally shaped ``block`` overwrites completely.
     """
     bh, bw = block.shape[-2], block.shape[-1]
     if bh > height or bw > width:
         raise ValueError(f"block ({bh}, {bw}) larger than target ({height}, {width})")
-    out = xp.zeros(block.shape[:-2] + (height, width), dtype=block.dtype)
+    if out is None:
+        out = xp.zeros(block.shape[:-2] + (height, width), dtype=block.dtype)
     # Block row i holds centred frequency i - bh//2: the first bh//2 rows are
     # negative frequencies (wrap to the bottom), the rest non-negative.
     neg_h, neg_w = bh // 2, bw // 2

@@ -19,7 +19,9 @@ touching no compute backend at all.
 The product also has exactly one SOCS forward
 (``repro.engine.batched.batched_aerial_from_kernels``), which picks its chunk
 kernel from array shapes alone; :class:`RecordingBackend` lets a test see
-which one ran by the transform shapes it issued.
+which one ran by the transform shapes it issued, and
+:func:`band_limited_blocks` says how many tiles each of those transforms
+should have carried.
 
 It lives under ``tests/`` on purpose: the product keeps one path.
 """
@@ -27,7 +29,7 @@ It lives under ``tests/`` on purpose: the product keeps one path.
 import numpy as np
 
 from repro.backend import FFTBackend, get_backend
-from repro.engine import LayoutImage, extract_tiles, stitch_tiles
+from repro.engine import LayoutImage, batched, extract_tiles, stitch_tiles
 from repro.optics.grid import crop_centre, embed_centre
 
 
@@ -48,6 +50,17 @@ def reference_aerial(masks, kernels, output_shape=None):
     embedded = np.fft.ifftshift(embed_centre(products, out_h, out_w),
                                 axes=(-2, -1))
     return np.sum(np.abs(np.fft.ifft2(embedded, norm="ortho")) ** 2, axis=1)
+
+
+def band_limited_blocks(batch, kernel_shape, itemsize=16):
+    """Tiles per block, in order, of a host band-limited chunk of ``batch``
+    tiles: as many as keep the ``(block, r, gh, gw)`` field stack within
+    ``batched.BLOCK_BYTES`` (read at call time, so a test may patch it)."""
+    order, n, m = kernel_shape
+    grid_h, grid_w = batched.band_limit_grid(n, m)
+    block = batched.BLOCK_BYTES // (order * grid_h * grid_w * itemsize)
+    block = max(1, min(block, batch))
+    return [min(block, batch - start) for start in range(0, batch, block)]
 
 
 class RecordingBackend(FFTBackend):

@@ -259,7 +259,7 @@ class TestFakeGpuEqualsNumpy:
            precision=st.sampled_from(["float64", "float32"]),
            tile=st.sampled_from([32, 16]))
     def test_batched_aerial_bit_for_bit(self, masks, precision, tile):
-        # 32 px fits the 2n = 18 px band-limit grid of the 9x9 bank (the
+        # 32 px fits the 18 px band-limit grid of the 9x9 bank (the
         # band-limited chunk); 16 px does not (the direct chunk).
         policy = resolve_precision(precision)
         masks = policy.as_real(masks[:, :tile, :tile])

@@ -37,6 +37,7 @@ from repro.backend import (
     available_backends,
     get_backend,
     register_backend,
+    register_pyfftw_backend,
     registered_backends,
     resolve_precision,
 )
@@ -261,7 +262,7 @@ class TestHalfSpectrumEquivalence:
             np.testing.assert_allclose(fast, full, rtol=1e-12, atol=1e-12)
 
     def test_direct_path_half_equals_full_spectrum(self, kernels):
-        # 12 px tiles are smaller than the 2n = 14 px band-limit grid of the
+        # 12 px tiles are smaller than the 14 px band-limit grid of the
         # 7x7 bank, so the direct full-size chunk runs (shapes decide).
         masks = (np.random.default_rng(3).random((4, 12, 12)) > 0.6).astype(float)
         recorder = RecordingBackend()
@@ -407,6 +408,40 @@ class TestBackendProtocolCoverage:
         spectrum = backend.rfft2(x32)
         assert backend.irfft2(spectrum, s=(16, 16)).dtype == np.float32
         assert backend.ifft2(backend.fft2(x32)).dtype == np.complex64
+
+    @pytest.mark.parametrize("name", ["numpy", "scipy", "fakegpu", "pyfftw"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_no_transform_modifies_its_input(self, name, dtype):
+        """The batched core transforms one reused scratch array block after
+        block, so an in-place transform (multi-dimensional c2r is the classic
+        one) would corrupt every tile after the first."""
+        if name == "pyfftw":
+            pytest.importorskip("pyfftw")
+            register_pyfftw_backend()
+        elif name not in available_backends():
+            pytest.skip(f"{name} does not construct here")
+        try:
+            backend = get_backend(name)
+            rng = np.random.default_rng(5)
+            real = rng.random((3, 12, 10)).astype(dtype)
+            spectrum = (rng.random((3, 12, 10)) + 1j * rng.random((3, 12, 10))
+                        ).astype(np.result_type(dtype, np.complex64))
+            half = spectrum[..., :6].copy()
+            for method, data, extra in (("fft2", spectrum, {}),
+                                        ("ifft2", spectrum, {}),
+                                        ("rfft2", real, {}),
+                                        ("irfft2", half, {"s": (12, 10)})):
+                for norm in (None, "ortho", "forward"):
+                    # Resident backends get a device array, as the core's
+                    # scratch is one; host backends pass it through.
+                    given = backend.asarray(data.copy())
+                    getattr(backend, method)(given, norm=norm, **extra)
+                    np.testing.assert_array_equal(
+                        backend.to_host(given), data,
+                        err_msg=f"{name}.{method}(norm={norm})")
+        finally:
+            if name == "pyfftw":
+                _REGISTRY.pop("pyfftw", None)
 
     def test_all_available_backends_satisfy_protocol(self):
         rng = np.random.default_rng(1)

@@ -4,9 +4,10 @@ Pinned guarantees:
 
 * the batched core — the one SOCS forward — is numerically equivalent to the
   plain-numpy textbook oracle (``tests/reference.py::reference_aerial``)
-  across dtypes, odd tile sizes, truncated kernel orders, chunk boundaries
-  and both chunk kernels (band-limited grid / direct full size), on every
-  backend,
+  across dtypes, odd tile sizes, truncated kernel orders, chunk and block
+  boundaries, both chunk kernels (band-limited grid / direct full size) and
+  every relation of that grid to ``2n`` (larger, equal, odd and smaller), on
+  every backend; neither chunk size nor block size changes a tile's bits,
 * split -> image -> stitch round-trips arbitrary layouts, is exactly the
   per-tile path when no guard band is needed, and has vanishing seam error
   in the guarded interior,
@@ -19,7 +20,7 @@ import re
 import numpy as np
 import pytest
 
-from reference import RecordingBackend, reference_aerial
+from reference import RecordingBackend, band_limited_blocks, reference_aerial
 from repro.backend import available_backends
 from repro.engine import (
     ExecutionEngine,
@@ -27,11 +28,14 @@ from repro.engine import (
     TilingSpec,
     batch_chunk_size,
     batched_aerial_from_kernels,
+    effective_chunk_tiles,
     extract_tiles,
     optics_fingerprint,
     plan_tiles,
     stitch_tiles,
 )
+from repro.engine import batched
+from repro.engine.batched import band_limit_grid
 from repro.optics import OpticsConfig, LithographySimulator
 from repro.optics.pupil import Pupil
 from repro.optics.socs import SOCSKernels
@@ -39,8 +43,8 @@ from repro.optics.source import AnnularSource, CircularSource, PixelatedSource
 from repro.utils.imaging import fourier_resize, fourier_resize_batch
 
 # A fine-pitch configuration whose kernel window (7x7) is far below the tile
-# size, so the band-limited chunk runs (2n << H); the tiny fixtures (48 px at
-# 20 nm, a 27x27 window) take the direct full-size chunk (2n > H).
+# size, so the band-limited chunk runs (a 14 px grid); the tiny fixtures (48 px
+# at 20 nm, a 27x27 window, a 54 px grid) take the direct full-size chunk.
 FINE = OpticsConfig(tile_size_px=64, pixel_size_nm=4.0, max_socs_order=None)
 
 
@@ -110,25 +114,87 @@ class TestBatchedEquivalence:
                                    rtol=1e-10, atol=1e-12)
 
     def test_band_limited_fast_path_engages_and_is_exact(self, fine_engine, random_masks):
-        n, m = fine_engine.kernel_shape
-        assert 2 * n <= 64 and 2 * m <= 64  # the fast grid really is smaller
+        grid = band_limit_grid(*fine_engine.kernel_shape)
+        assert grid == (14, 14)  # the fast grid really is smaller than 64
         order = fine_engine.order
+        blocks = band_limited_blocks(6, fine_engine.kernels.shape)
         recorder = RecordingBackend()
         batched_aerial_from_kernels(random_masks, fine_engine.kernels,
                                     backend=recorder)
-        assert recorder.shapes("ifft2") == [(6, order, 2 * n, 2 * m)]
-        assert recorder.shapes("irfft2") == [(6, 64, 64)]
+        assert recorder.shapes("ifft2") == [(rows, order) + grid
+                                            for rows in blocks]
+        assert recorder.shapes("irfft2") == [(rows, 64, 64) for rows in blocks]
         reference = _oracle(random_masks, fine_engine.kernels)
         for name in available_backends():
             fast = batched_aerial_from_kernels(random_masks, fine_engine.kernels,
                                                backend=name)
             np.testing.assert_allclose(fast, reference, rtol=1e-10, atol=1e-12)
 
+    @pytest.mark.parametrize("window, grid, tile", [
+        ((29, 29), (60, 60), (64, 64)),   # larger than 2n = 58 = 2 x prime 29
+        ((7, 7), (14, 14), (16, 16)),     # equal to 2n
+        ((13, 13), (25, 25), (32, 32)),   # odd, and smaller than 2n = 26
+        ((13, 13), (25, 25), (25, 25)),   # ... and exactly the output
+        ((13, 29), (25, 60), (40, 61)),   # each axis on its own, odd output
+    ])
+    def test_band_limit_grid_is_exact_whatever_its_relation_to_2n(
+            self, window, grid, tile):
+        assert band_limit_grid(*window) == grid
+        rng = np.random.default_rng(29)
+        kernels = rng.normal(size=(3,) + window) \
+            + 1j * rng.normal(size=(3,) + window)
+        masks = (rng.random((5,) + tile) > 0.6).astype(float)
+        reference = reference_aerial(masks, kernels)
+        for name in available_backends():
+            recorder = RecordingBackend(name)
+            fast = batched_aerial_from_kernels(masks, kernels, backend=recorder)
+            assert {shape[-2:] for shape in recorder.shapes("ifft2")} == {grid}
+            np.testing.assert_allclose(fast, reference, rtol=0,
+                                       atol=1e-12 * reference.max())
+
+    @pytest.mark.parametrize("name", ["numpy", "scipy", "fakegpu"])
+    def test_block_size_is_invisible(self, monkeypatch, name):
+        """Like chunk size, block size never changes a tile's bits — and a
+        block's leftovers in the reused scratch never reach the next one: the
+        all-zero tile between dense ones still images to exactly zero."""
+        if name not in available_backends():
+            pytest.skip(f"{name} does not construct here")
+        rng = np.random.default_rng(7)
+        kernels = rng.normal(size=(3, 9, 9)) + 1j * rng.normal(size=(3, 9, 9))
+        masks = (rng.random((7, 32, 32)) > 0.5).astype(float)
+        masks[3] = 0.0
+        per_tile = 3 * 18 * 18 * 16  # one tile's (r, gh, gw) complex128 fields
+        images = []
+        for tiles in (1, 3, 7, 100):  # 7 % 3 != 0; the last two: one block
+            monkeypatch.setattr(batched, "BLOCK_BYTES", tiles * per_tile)
+            assert max(band_limited_blocks(7, kernels.shape)) == min(tiles, 7)
+            images.append(batched_aerial_from_kernels(masks, kernels,
+                                                      backend=name))
+        for image in images[1:]:
+            np.testing.assert_array_equal(image, images[0])
+        assert not images[0][3].any() and images[0][2].any()
+        np.testing.assert_allclose(images[0], reference_aerial(masks, kernels),
+                                   rtol=0, atol=1e-12)
+
+    def test_no_transform_of_a_large_batch_exceeds_the_block_budget(self):
+        """36 tiles on the production-shaped bank: the coherent fields exist
+        a block at a time, never as one ``(36, 24, 60, 60)`` stack."""
+        rng = np.random.default_rng(11)
+        kernels = rng.normal(size=(24, 29, 29)) * (1 + 0.5j)
+        masks = (rng.random((36, 64, 64)) > 0.7).astype(float)
+        recorder = RecordingBackend()
+        batched_aerial_from_kernels(masks, kernels, backend=recorder)
+        fields = recorder.shapes("ifft2")
+        assert [shape[0] for shape in fields] \
+            == band_limited_blocks(36, kernels.shape) == [4] * 9
+        assert all(np.prod(shape) * 16 <= batched.BLOCK_BYTES
+                   for shape in fields)
+
     def test_direct_chunk_runs_when_grid_exceeds_tile(self, tiny_simulator, tiny_masks):
         kernels = tiny_simulator.kernels.kernels
         order, n, m = kernels.shape
         tile = tiny_masks.shape[-1]
-        assert 2 * n > tile  # the band-limit grid does not fit the output
+        assert band_limit_grid(n, m)[0] > tile  # the grid does not fit the output
         masks = np.asarray(tiny_masks, dtype=float)
         recorder = RecordingBackend()
         batched_aerial_from_kernels(masks, kernels, backend=recorder)
@@ -152,15 +218,26 @@ class TestBatchedEquivalence:
     def test_chunking_is_invisible(self, fine_engine, random_masks):
         whole = fine_engine.aerial_batch(random_masks)
         r, n, m = fine_engine.kernels.shape
+        grid_h, grid_w = band_limit_grid(n, m)
         itemsize = 16  # complex128
-        tiny_budget = r * (2 * n) * (2 * m) * itemsize  # forces one mask per chunk
+        tiny_budget = r * grid_h * grid_w * itemsize  # forces one mask per chunk
         chunked = batched_aerial_from_kernels(random_masks, fine_engine.kernels,
                                               backend=fine_engine.backend,
                                               max_chunk_bytes=tiny_budget)
         np.testing.assert_allclose(chunked, whole, rtol=0, atol=0)
-        assert batch_chunk_size(6, r, 2 * n, 2 * m, tiny_budget, itemsize) == 1
+        assert batch_chunk_size(6, r, grid_h, grid_w, tiny_budget, itemsize) == 1
         # The byte-denominated budget fits twice the masks at single precision.
-        assert batch_chunk_size(6, r, 2 * n, 2 * m, 2 * tiny_budget, 8) == 4
+        assert batch_chunk_size(6, r, grid_h, grid_w, 2 * tiny_budget, 8) == 4
+
+    def test_chunk_arithmetic_counts_the_band_limit_grid(self):
+        bank = (24, 29, 29)
+        per_tile = 24 * 60 * 60 * 16  # the (r, 60, 60) fields, not (r, 58, 58)
+        assert effective_chunk_tiles(36, bank, 256, 256, 15 * per_tile) == 15
+        assert effective_chunk_tiles(36, bank, 256, 256, 15 * per_tile - 1) == 14
+        # 59 px holds 2n = 58 but not the grid: evaluated, and budgeted, direct.
+        direct = 24 * 59 * 59 * 16
+        assert effective_chunk_tiles(36, bank, 59, 59, 15 * direct) == 15
+        assert effective_chunk_tiles(36, bank, 59, 59, 15 * direct - 1) == 14
 
     def test_empty_batch(self, fine_engine):
         assert fine_engine.aerial_batch(np.zeros((0, 64, 64))).shape == (0, 64, 64)

@@ -9,15 +9,15 @@ Pinned guarantees:
 
 * every public "mask -> aerial image" entry point — golden simulator or
   learned model, one tile or a batch — runs the batched band-limited core:
-  on a 256 px / 4 nm tile each issues the small ``(…, 2n, 2m)`` inverse
-  transform and never a full-size one, and one tile is bit for bit a batch
-  of one,
+  on a 256 px / 4 nm tile each issues the small inverse transform on the
+  ``band_limit_grid(n, m)`` and never a full-size one, and one tile is bit
+  for bit a batch of one,
 * ``evaluate_on_dataset`` images each test tile once (one batched call),
 * ``ExecutionEngine.kernel_fingerprint()`` (tile-cache key) and
   ``EngineSpec.fingerprint()`` (engine memo + campaign-store identity) are
-  byte-for-byte the strings recorded before the band-limiting switch was
-  removed, so tile-cache entries and campaign stores persisted by older
-  checkouts stay hits / resumable.
+  byte-for-byte the strings recorded when the forward's bits last moved
+  (``FORWARD_REVISION``), so tile-cache entries and campaign stores persisted
+  since then stay hits / resumable.
 """
 
 import json
@@ -25,17 +25,23 @@ import json
 import numpy as np
 import pytest
 
-from reference import RecordingBackend
+from reference import RecordingBackend, band_limited_blocks
 from repro.backend import ComputeConfig, resolve_precision
 from repro.core import NithoConfig, NithoModel
 from repro.engine import EngineSpec, ExecutionEngine, KernelBankCache
 from repro.engine import cache as cache_module
+from repro.engine.batched import FORWARD_REVISION, band_limit_grid
 from repro.experiments.evaluation import evaluate_on_dataset
 from repro.masks.datasets import LithoDataset
 from repro.metrics import aerial_metrics, resist_metrics
 from repro.optics import LithographySimulator, OpticsConfig
 from repro.optics.source import CircularSource
-from repro.sweep import CampaignStore, FocusExposureGrid, ProcessWindowSweep
+from repro.sweep import (
+    CampaignIdentityError,
+    CampaignStore,
+    FocusExposureGrid,
+    ProcessWindowSweep,
+)
 
 TILE = 256
 # A narrow source and a short bank keep the 29x29-window TCC cheap (~0.5 s).
@@ -71,12 +77,16 @@ def _record(engine, call):
 
 class TestOneForward:
     def _assert_band_limited(self, recorder, engine, batch=1):
-        n, m = engine.kernel_shape
-        assert 2 * n <= TILE and 2 * m <= TILE
-        assert recorder.shapes("ifft2") == [(batch, engine.order, 2 * n, 2 * m)]
-        assert recorder.shapes("rfft2") == [(batch, TILE, TILE),
-                                            (batch, 2 * n, 2 * m)]
-        assert recorder.shapes("irfft2") == [(batch, TILE, TILE)]
+        grid = band_limit_grid(*engine.kernel_shape)
+        assert grid == (60, 60)  # 29 x 29 window: not 2n = 58 = 2 x prime 29
+        blocks = band_limited_blocks(batch, engine.kernels.shape)
+        assert recorder.shapes("ifft2") == [(rows, engine.order) + grid
+                                            for rows in blocks]
+        assert recorder.shapes("rfft2") == [
+            shape for rows in blocks for shape in ((rows, TILE, TILE),
+                                                   (rows,) + grid)]
+        assert recorder.shapes("irfft2") == [(rows, TILE, TILE)
+                                             for rows in blocks]
         assert recorder.shapes("fft2") == []
 
     def test_simulator_entry_points(self, simulator, mask):
@@ -173,25 +183,27 @@ def test_three_front_doors_one_road(monkeypatch, env_precision):
 
 
 class TestPersistedIdentities:
-    """Values recorded at the commit before the band-limiting switch went."""
+    """Values recorded at PR 19, the commit that moved the forward onto the
+    ``band_limit_grid`` (``FORWARD_REVISION = "band=fast-grid"``; they read
+    ``band=True`` / ``906a0687…`` / ``72b97add…`` from PR 17 until then).  The
+    optics-fingerprint prefixes — the ``kernels-*.npz`` names — are PR 17's:
+    kernel banks do not depend on the forward."""
 
     CONFIG = OpticsConfig(tile_size_px=32, pixel_size_nm=8.0, max_socs_order=8)
     SOURCE = CircularSource(sigma=0.6)
     COMPUTE = ComputeConfig(fft_backend="numpy", precision="float64")
     SPEC_FINGERPRINT = (
-        "b2be813f119f3be7ff23adc3957f7114372de2f4|order=8|band=True"
+        "b2be813f119f3be7ff23adc3957f7114372de2f4|order=8|band=fast-grid"
         "|chunk=268435456|backend=numpy|workers=None|prec=float64")
     REFOCUSED_FINGERPRINT = (
-        "b98f51a438ffb53eb808e9f546aab3a3611b80b9|order=8|band=True"
+        "b98f51a438ffb53eb808e9f546aab3a3611b80b9|order=8|band=fast-grid"
         "|chunk=268435456|backend=numpy|workers=None|prec=float64")
-    # Recorded with the loose ``fft_workers=2, precision="float32"`` fields,
-    # at the commit before EngineSpec carried them in one ``compute``.
     WORKERS_FLOAT32_FINGERPRINT = (
-        "b2be813f119f3be7ff23adc3957f7114372de2f4|order=8|band=True"
+        "b2be813f119f3be7ff23adc3957f7114372de2f4|order=8|band=fast-grid"
         "|chunk=268435456|backend=numpy|workers=2|prec=float32")
     BANK = np.arange(3 * 5 * 5, dtype=float).reshape(3, 5, 5) * (1 + 0.5j)
-    BANK_FINGERPRINTS = {"float64": "906a0687607e922c38a064b16dcc41816ba93770",
-                         "float32": "72b97addf44683e7c28a558c0a645c2ae832a880"}
+    BANK_FINGERPRINTS = {"float64": "2e209aefc995244a999a85046848c706b5b2dd93",
+                         "float32": "efffdd30ba6659f15b37b43e733c770bb9e99e19"}
 
     def test_engine_spec_fingerprint_is_unchanged(self):
         spec = EngineSpec(config=self.CONFIG, source=self.SOURCE,
@@ -209,25 +221,39 @@ class TestPersistedIdentities:
                                  precision=resolve_precision(precision))
         assert engine.kernel_fingerprint() == self.BANK_FINGERPRINTS[precision]
 
-    def test_store_with_the_recorded_identity_resumes(self, tmp_path):
-        """A manifest carrying the recorded identity string (as an older
-        checkout wrote it) is continued, not refused."""
+    def _store_recorded_under(self, fingerprint, root):
+        """Store one of two conditions under ``fingerprint`` (as the checkout
+        that formatted it wrote it); returns the sweep's run on that store."""
         layout = np.zeros((32, 32))
         layout[4:-4, 12:20] = 1.0
         grid = FocusExposureGrid((0.0,), (0.9, 1.0))
         identity, _ = CampaignStore.campaign_identity(
-            layout, grid.focus_values_nm, grid.dose_values, 0.25,
-            self.SPEC_FINGERPRINT)
-        store = CampaignStore(str(tmp_path / "campaign"))
+            layout, grid.focus_values_nm, grid.dose_values, 0.25, fingerprint)
+        store = CampaignStore(str(root))
         store.begin(identity)
         store.record(0.0, 0.9, cd_nm=61.0, threshold=0.25)
         with open(store.manifest_path, encoding="utf-8") as handle:
             assert json.load(handle)["campaign"]["optics_fingerprint"] \
-                == self.SPEC_FINGERPRINT
-
+                == fingerprint
         sweep = ProcessWindowSweep(self.CONFIG, source=self.SOURCE,
                                    compute=self.COMPUTE)
-        resumed = sweep.run(layout, grid=grid, tolerance=0.25,
-                            store=store.root)
+        return lambda: sweep.run(layout, grid=grid, tolerance=0.25,
+                                 store=str(root))
+
+    def test_store_with_the_recorded_identity_resumes(self, tmp_path):
+        resumed = self._store_recorded_under(self.SPEC_FINGERPRINT,
+                                             tmp_path / "campaign")()
         assert resumed.skipped_conditions == 1
         assert resumed.computed_conditions == 1
+
+    def test_store_of_an_older_forward_is_refused_untouched(self, tmp_path):
+        """Rounding-level old and new conditions never share one store."""
+        older = self.SPEC_FINGERPRINT.replace(FORWARD_REVISION, "band=True")
+        assert older != self.SPEC_FINGERPRINT
+        root = tmp_path / "campaign"
+        run = self._store_recorded_under(older, root)
+        before = {path.name: path.read_bytes() for path in root.iterdir()}
+        with pytest.raises(CampaignIdentityError, match="different campaign"):
+            run()
+        assert {path.name: path.read_bytes()
+                for path in root.iterdir()} == before

@@ -9,7 +9,11 @@ optics fingerprint).  A refactor that moves any of those strings silently
 turns every stored campaign into a refusal and every cache entry into a miss.
 This script writes all three **with the parent checkout's code** and reads
 them **with this checkout's**, through the real CLI, on
-``tests/data/aref_grid.gds``:
+``tests/data/aref_grid.gds``.  Which of two outcomes it demands is decided by
+the code, not by a flag: ``kernel_fingerprint()`` of one fixed bank is
+computed under each checkout.
+
+Equal — the forward's bits did not move, everything must still be found:
 
 1. parent: ``sweep-window --store`` with ``REPRO_TILE_CACHE_DIR`` and
    ``REPRO_KERNEL_CACHE_DIR`` set (a fresh campaign: 9 computed),
@@ -22,6 +26,17 @@ them **with this checkout's**, through the real CLI, on
 4. HEAD, in process: the three per-focus banks load from the parent's
    ``kernels-*.npz`` with ``decompositions == 0``.
 
+Different — HEAD declares that its forward produces other bits
+(``repro.engine.batched.FORWARD_REVISION`` moved), so nothing imaged by the
+parent may be reused and nothing else may move:
+
+2. HEAD ``--resume`` on the parent's store exits non-zero naming the identity
+   mismatch and leaves every byte of the store as it was,
+3. HEAD runs the campaign into a fresh store: every tile the parent imaged is
+   imaged again, none is loaded from the parent's ``tiles-*.npz``, whose files
+   stay byte-identical,
+4. as above — kernel-bank file names do not depend on the forward.
+
 Usage (CI: ``git worktree add /tmp/parent HEAD^`` first; no network)::
 
     PYTHONPATH=src python tools/check_persisted_identities.py /tmp/parent
@@ -31,6 +46,8 @@ from __future__ import annotations
 
 import argparse
 import glob
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -40,27 +57,33 @@ import numpy as np
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FOCI = (-40.0, 0.0, 40.0)
-SWEEP = ["sweep-window", "--input",
+SWEEP = ["-m", "repro.cli", "sweep-window", "--input",
          os.path.join(REPO_ROOT, "tests", "data", "aref_grid.gds"),
          "--tile-size", "32", "--pixel-size-nm", "8", "--guard", "8",
          "--focus=" + ",".join(f"{focus:g}" for focus in FOCI),
          "--dose", "0.95,1.0,1.05", "--target-cd", "64", "--workers", "1",
          "--tile-cache", "--store-aerials"]
+# What decides the mode: the tile-cache key of one fixed bank.
+FORWARD_IDENTITY = ["-c", (
+    "import numpy as np; from repro.engine import ExecutionEngine; "
+    "bank = np.arange(75.0).reshape(3, 5, 5) * (1 + 0.5j); "
+    "print(ExecutionEngine(bank).kernel_fingerprint())")]
 
 
-def run_cli(checkout: str, work: str, *arguments: str) -> str:
-    """``repro.cli`` of ``checkout`` on the shared cache directories."""
+def run(checkout: str, work: str, *arguments: str, refused=False) -> str:
+    """``python *arguments`` on ``checkout``'s code and the shared cache
+    directories; ``refused`` demands a non-zero exit and returns stderr."""
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"),
                REPRO_FFT_BACKEND="numpy",
                REPRO_TILE_CACHE_DIR=os.path.join(work, "tiles"),
                REPRO_KERNEL_CACHE_DIR=os.path.join(work, "kernels"))
     env.pop("REPRO_PRECISION", None)
-    done = subprocess.run([sys.executable, "-m", "repro.cli", *arguments],
+    done = subprocess.run([sys.executable, *arguments],
                           env=env, capture_output=True, text=True)
-    if done.returncode != 0:
-        raise SystemExit(f"{checkout}: repro.cli {' '.join(arguments)} "
+    if (done.returncode != 0) != refused:
+        raise SystemExit(f"{checkout}: python {' '.join(arguments)} "
                          f"exited {done.returncode}\n{done.stderr}")
-    return done.stdout
+    return done.stderr if refused else done.stdout
 
 
 def expect(text: str, output: str) -> None:
@@ -81,6 +104,76 @@ def cache_files(work: str) -> list:
                   + glob.glob(os.path.join(work, "kernels", "*")))
 
 
+def content(paths) -> dict:
+    """Path -> sha1 of its bytes."""
+    digests = {}
+    for path in paths:
+        with open(path, "rb") as handle:
+            digests[path] = hashlib.sha1(handle.read()).hexdigest()
+    return digests
+
+
+def tile_cache_counters(store: str) -> dict:
+    with open(os.path.join(store, "manifest.json"), encoding="utf-8") as handle:
+        return json.load(handle)["tile_cache"]
+
+
+def check_compatible(work: str, store: str, parent_npz: str, written) -> None:
+    """The forward's bits did not move: resume, hit, equal arrays."""
+    print("HEAD resumes the parent's store")
+    resumed_npz = os.path.join(work, "resumed.npz")
+    expect("(0 computed, 9 resumed)",
+           run(REPO_ROOT, work, *SWEEP, "--store", store, "--resume",
+               "--output", resumed_npz))
+    same_arrays(resumed_npz, parent_npz)
+
+    print("HEAD recomputes the campaign off the parent's cache files")
+    again = os.path.join(work, "campaign-again")
+    again_npz = os.path.join(work, "again.npz")
+    output = run(REPO_ROOT, work, *SWEEP, "--store", again,
+                 "--output", again_npz)
+    expect("(9 computed, 0 resumed)", output)
+    expect("hit rate, 0 imaged)", output)
+    same_arrays(again_npz, parent_npz)
+    aerials = sorted(glob.glob(os.path.join(store, "aerial_f*.npy")))
+    assert len(aerials) == len(FOCI), aerials
+    for path in aerials:
+        assert np.array_equal(
+            np.load(path),
+            np.load(os.path.join(again, os.path.basename(path)))), path
+    assert cache_files(work) == written, \
+        sorted(set(cache_files(work)) - set(written))
+    print(f"  ok: {len(aerials)} aerials + matrix np.array_equal, "
+          f"no new file beside the parent's {len(written)}")
+
+
+def check_declared_break(work: str, store: str, written) -> None:
+    """HEAD's forward produces other bits: refuse the store, re-image every
+    tile, touch nothing the parent wrote."""
+    print("HEAD refuses to resume the parent's store")
+    stored = sorted(glob.glob(os.path.join(store, "*")))
+    before = content(stored + written)
+    expect("records a different campaign",
+           run(REPO_ROOT, work, *SWEEP, "--store", store, "--resume",
+               "--output", os.path.join(work, "resumed.npz"), refused=True))
+    assert sorted(glob.glob(os.path.join(store, "*"))) == stored
+    assert content(stored) == {path: before[path] for path in stored}
+    print(f"  ok: {len(stored)} store files byte-identical")
+
+    print("HEAD images the campaign afresh beside the parent's tile cache")
+    again = os.path.join(work, "campaign-again")
+    expect("(9 computed, 0 resumed)",
+           run(REPO_ROOT, work, *SWEEP, "--store", again,
+               "--output", os.path.join(work, "again.npz")))
+    ours, theirs = tile_cache_counters(again), tile_cache_counters(store)
+    assert ours["disk_loads"] == 0, ours
+    assert ours["misses"] == theirs["misses"] > 0, (ours, theirs)
+    assert content(written) == {path: before[path] for path in written}
+    print(f"  ok: {ours['misses']} tiles imaged (the parent imaged as many), "
+          f"0 loaded from disk, the parent's {len(written)} cache files "
+          f"byte-identical")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", help="checkout of the parent commit")
@@ -92,37 +185,20 @@ def main() -> int:
 
         print(f"parent ({parent}) writes store + tile cache + kernel cache")
         expect("(9 computed, 0 resumed)",
-               run_cli(parent, work, *SWEEP, "--store", store,
-                       "--output", parent_npz))
+               run(parent, work, *SWEEP, "--store", store,
+                   "--output", parent_npz))
         written = cache_files(work)
         assert any("tiles-" in path for path in written), written
         assert any("kernels-" in path for path in written), written
 
-        print("HEAD resumes the parent's store")
-        resumed_npz = os.path.join(work, "resumed.npz")
-        expect("(0 computed, 9 resumed)",
-               run_cli(REPO_ROOT, work, *SWEEP, "--store", store, "--resume",
-                       "--output", resumed_npz))
-        same_arrays(resumed_npz, parent_npz)
-
-        print("HEAD recomputes the campaign off the parent's cache files")
-        again = os.path.join(work, "campaign-again")
-        again_npz = os.path.join(work, "again.npz")
-        output = run_cli(REPO_ROOT, work, *SWEEP, "--store", again,
-                         "--output", again_npz)
-        expect("(9 computed, 0 resumed)", output)
-        expect("hit rate, 0 imaged)", output)
-        same_arrays(again_npz, parent_npz)
-        aerials = sorted(glob.glob(os.path.join(store, "aerial_f*.npy")))
-        assert len(aerials) == len(FOCI), aerials
-        for path in aerials:
-            assert np.array_equal(
-                np.load(path),
-                np.load(os.path.join(again, os.path.basename(path)))), path
-        assert cache_files(work) == written, \
-            sorted(set(cache_files(work)) - set(written))
-        print(f"  ok: {len(aerials)} aerials + matrix np.array_equal, "
-              f"no new file beside the parent's {len(written)}")
+        identities = [run(checkout, work, *FORWARD_IDENTITY)
+                      for checkout in (parent, REPO_ROOT)]
+        if identities[0] == identities[1]:
+            check_compatible(work, store, parent_npz, written)
+        else:
+            print(f"forward identity moved: {identities[0].strip()} -> "
+                  f"{identities[1].strip()} (a declared break)")
+            check_declared_break(work, store, written)
 
         print("HEAD loads the parent's kernel banks")
         from repro.backend import ComputeConfig
@@ -139,7 +215,7 @@ def main() -> int:
         assert banks.stats.decompositions == 0, banks.stats
         assert banks.stats.disk_loads == len(FOCI), banks.stats
         print(f"  ok: decompositions == 0, disk_loads == {len(FOCI)}")
-    print("persisted identities: compatible with the parent checkout")
+    print("persisted identities: safe against the parent checkout")
     return 0
 
 

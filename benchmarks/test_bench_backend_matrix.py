@@ -176,7 +176,10 @@ def test_fakegpu_residency_transfers(record_output, record_json):
     fingerprint, also recorded).  Any growth means a host detour crept back
     into the batched hot loop, and the perf gate fails the run.
     """
-    from repro.engine.batched import effective_chunk_tiles
+    from repro.engine.batched import (
+        RESIDENT_BLOCK_BYTES,
+        effective_chunk_tiles,
+    )
     from repro.engine.execution import _DEVICE_BANKS
 
     cache = KernelBankCache()
@@ -192,8 +195,7 @@ def test_fakegpu_residency_transfers(record_output, record_json):
 
     chunk_tiles = effective_chunk_tiles(
         tiles.shape[0], engine.kernels.shape, TILE, TILE,
-        max_chunk_bytes=engine.max_chunk_bytes,
-        itemsize=engine.precision.complex_itemsize)
+        RESIDENT_BLOCK_BYTES, engine.precision.complex_itemsize)
     num_chunks = -(-tiles.shape[0] // chunk_tiles)
 
     # Warm the device bank memo with a one-tile call, then measure: the

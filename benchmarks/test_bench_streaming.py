@@ -27,7 +27,11 @@ import sys
 import numpy as np
 
 from repro.analysis.throughput import measure_peak_memory
-from repro.engine import ExecutionEngine, KernelBankCache
+from repro.engine import (
+    ExecutionEngine,
+    KernelBankCache,
+    effective_chunk_tiles,
+)
 from repro.optics import OpticsConfig
 from repro.optics.source import AnnularSource
 
@@ -40,7 +44,8 @@ TILE = 128
 PIXEL_NM = 4.0
 GUARD = 32
 ORDER = 12
-#: Deliberately small chunk budget (4 MiB) so the benchmark layout is >= 4x
+#: Deliberately small stream-batch budget (4 MiB, passed as an explicit
+#: ``batch_tiles=`` of that many bytes of spectra) so the layout is >= 4x
 #: the budget without needing a multi-GiB canvas in CI.
 CHUNK_BYTES = 2 ** 22
 #: (H, W) per preset; the tiny layout is 16 MiB of float64 = 4x the budget,
@@ -57,8 +62,13 @@ def _config() -> OpticsConfig:
 def _build_engine(cache_dir: str) -> ExecutionEngine:
     return ExecutionEngine.for_optics(
         _config(), source=AnnularSource(0.5, 0.8),
-        cache=KernelBankCache(cache_dir=cache_dir),
-        max_chunk_bytes=CHUNK_BYTES)
+        cache=KernelBankCache(cache_dir=cache_dir))
+
+
+def _batch_tiles(engine: ExecutionEngine) -> int:
+    return effective_chunk_tiles(np.iinfo(np.int32).max, engine.kernels.shape,
+                                 TILE, TILE, CHUNK_BYTES,
+                                 engine.precision.complex_itemsize)
 
 
 def _build_layout(shape) -> np.ndarray:
@@ -85,7 +95,7 @@ def _run_streaming(cache_dir: str, shape) -> None:
     engine = _build_engine(cache_dir)
     tiling = engine.resolve_tiling(None, None, GUARD)
     engine.image_layout(_build_layout(shape), tiling=tiling,
-                        batch_tiles=engine.stream_batch_tiles(tiling))
+                        batch_tiles=_batch_tiles(engine))
 
 
 def test_streaming_peak_memory(preset, record_output, record_json, tmp_path):

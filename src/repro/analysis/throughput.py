@@ -205,7 +205,6 @@ def measure_backend_matrix(kernels: np.ndarray, masks: Sequence[np.ndarray],
                            pixel_size_nm: float,
                            combos: Optional[Sequence[Tuple[str, str]]] = None,
                            repeats: int = 1,
-                           max_chunk_bytes: Optional[int] = None,
                            *,
                            baseline_run: Callable[[np.ndarray], np.ndarray],
                            baseline_name: str,
@@ -221,17 +220,12 @@ def measure_backend_matrix(kernels: np.ndarray, masks: Sequence[np.ndarray],
     crossed with float64 and float32.
     """
     from ..backend import available_backends
-    from ..engine.batched import (
-        DEFAULT_MAX_CHUNK_BYTES,
-        batched_aerial_from_kernels,
-    )
+    from ..engine.batched import batched_aerial_from_kernels
 
     if combos is None:
         combos = [(backend, precision)
                   for backend in available_backends()
                   for precision in ("float64", "float32")]
-    chunk_bytes = DEFAULT_MAX_CHUNK_BYTES if max_chunk_bytes is None \
-        else max_chunk_bytes
 
     baseline = measure_batched_throughput(
         baseline_name, baseline_run, masks, pixel_size_nm, batch_size=len(masks), repeats=repeats)
@@ -241,8 +235,7 @@ def measure_backend_matrix(kernels: np.ndarray, masks: Sequence[np.ndarray],
         result = measure_batched_throughput(
             f"{backend}/{precision}",
             lambda batch, b=backend, p=precision: batched_aerial_from_kernels(
-                batch, kernels, backend=b, precision=p,
-                max_chunk_bytes=chunk_bytes),
+                batch, kernels, backend=b, precision=p),
             masks, pixel_size_nm, batch_size=len(masks), repeats=repeats)
         speedup_ratio = (result.um2_per_second / baseline.um2_per_second
                          if baseline.um2_per_second > 0 else float("inf"))

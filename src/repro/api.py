@@ -116,7 +116,7 @@ def sweep_window(layout, optics: Optional[OpticsConfig] = None, *,
                                compute=compute)
     sweep = ProcessWindowSweep(optics, source=_resolve_source(source),
                                pupil=pupil, executor=executor,
-                               cache_dir=cache_dir, compute=compute)
+                               compute=compute)
     try:
         return sweep.run(layout, target_cd_nm=target_cd_nm, grid=grid,
                          tolerance=tolerance, tile_px=tile_px,

@@ -5,8 +5,8 @@ Nitho's fast-lithography export, the baselines' batch inference and the
 throughput benchmarks — runs through this package:
 
 * :mod:`repro.engine.batched` — the vectorised batched SOCS core (one
-  broadcast FFT pipeline per batch, band-limited fast evaluation, bounded
-  memory via chunking),
+  broadcast FFT pipeline per cache-sized block of a batch, band-limited
+  fast evaluation),
 * :mod:`repro.engine.cache` — the process-wide kernel-bank cache keyed by an
   optics fingerprint (TCC + eigendecomposition computed at most once per
   process, optional on-disk persistence),
@@ -17,8 +17,8 @@ throughput benchmarks — runs through this package:
 * :mod:`repro.engine.streaming` — the one layout-imaging pipeline every
   ``image_layout`` runs through: tile batches cut on demand, the tile-cache
   stage, batched imaging, incremental stitch into (optionally memmapped)
-  outputs — one batch for a dense raster, O(tile-batch) RAM for readers and
-  ``out_dir`` runs, bit-for-bit the same result whatever the batch size,
+  outputs — O(tile-batch) RAM for every layout, bit-for-bit the same
+  result whatever the batch size,
 * :mod:`repro.engine.sharded` — the one place tiles run in parallel:
   :class:`ShardedExecutor` cuts a tile batch into contiguous shards, images
   them on the threads of a :class:`WorkerPool` (its own, or one shared by
@@ -64,7 +64,6 @@ process-wide cache, and campaigns go through :class:`ShardedExecutor` /
 """
 
 from .batched import (
-    DEFAULT_MAX_CHUNK_BYTES,
     batch_chunk_size,
     batched_aerial_from_kernels,
     effective_chunk_tiles,
@@ -110,7 +109,7 @@ from .tiling import (
 )
 
 __all__ = [
-    "DEFAULT_MAX_CHUNK_BYTES", "batch_chunk_size",
+    "batch_chunk_size",
     "batched_aerial_from_kernels",
     "effective_chunk_tiles",
     "CacheStats", "KernelBankCache", "default_kernel_cache",

@@ -2,10 +2,12 @@
 
 Every aerial image in the package (a single tile, a batch, a layout tile, a
 learned or a golden bank) comes from :func:`batched_aerial_from_kernels`.  A
-whole batch ``(B, H, W)`` moves through the pipeline as one array program:
+batch ``(B, H, W)`` is cut **once**, into blocks of
+:func:`effective_chunk_tiles` tiles, and each block moves through the
+pipeline as one array program:
 
 1. one broadcast FFT produces every mask spectrum at once,
-2. one broadcast multiply forms the ``(B, r, n, m)`` kernel products,
+2. one broadcast multiply forms the ``(block, r, n, m)`` kernel products,
 3. one batched inverse FFT returns the coherent fields, and
 4. a reduction over the kernel axis yields the aerial intensities.
 
@@ -21,40 +23,38 @@ resolution (:func:`_band_limited_chunk`).  Only an output smaller than that
 grid (coarse pixels, tiny tiles) is evaluated at full size instead
 (:func:`_direct_chunk`); the array shapes alone decide, there is no switch.
 
-The band-limited chunk walks its tiles in cache-sized **blocks**
-(:data:`BLOCK_BYTES` of coherent fields at a time) through two zeroed scratch
-arrays allocated once per call — the embedded kernel products and the
-zero-padded half spectrum, whose non-zero corners every block overwrites — so
-a host run never faults in or streams through DRAM a chunk-sized field stack.
-The scratch relies on no transform modifying its input (an
+The block budget is read off the backend: :data:`BLOCK_BYTES` on a host
+backend, so neither per-block intermediate — the coherent-field stack, the
+upsampling spectrum — leaves the CPU caches for DRAM;
+:data:`RESIDENT_BLOCK_BYTES` on a device-resident one, where a block is the
+upload unit.  The band-limited body works through two zeroed scratch arrays
+allocated once per call — the embedded kernel products and the zero-padded
+half spectrum, whose non-zero corners every block overwrites.  The scratch
+relies on no transform modifying its input (an
 :class:`~repro.backend.FFTBackend` contract), holds no state across calls and
-needs no lock; block size, like chunk size, never changes a tile's result.
+needs no lock; block size never changes a tile's result.
 
 Every transform goes through the pluggable compute backend
-(:mod:`repro.backend`), which adds two further hot-path wins:
+(:mod:`repro.backend`), which adds further hot-path wins:
 
 * **Real-input fast path** — masks and intensities are real, so the forward
   transforms use ``rfft2`` half spectra (the centred kernel window is
   gathered via Hermitian symmetry) and the upsampling runs
   ``rfft2``/``irfft2``, halving the transform work; the embeds write
-  quadrants directly into unshifted layout, so no per-chunk full-size
+  quadrants directly into unshifted layout, so no per-block full-size
   ``fftshift``/``ifftshift`` survives in the loop.
 * **Precision policy** — a :class:`~repro.backend.Precision` threads the
   dtype decision through the pipeline; float32 halves every byte moved, and
-  because the chunk budget is denominated in **bytes** the effective batch
-  size per chunk doubles.
+  because the block budget is denominated in **bytes** the tiles per block
+  double.
 * **Device residency** — when the backend is device-resident
   (:attr:`~repro.backend.FFTBackend.is_resident`: cupy, or the CI-testable
-  ``fakegpu``), each chunk pays exactly one host->device upload and one
+  ``fakegpu``), each block pays exactly one host->device upload and one
   device->host download; spectra, kernel products, fields, the
   ``|field|^2`` reduction and the Fourier upsampling all run in the
   backend's array namespace on the device.  Host backends inherit that
   namespace from :class:`~repro.backend.FFTBackend`, where every op is the
   numpy expression, so host results are bit-for-bit plain numpy.
-
-Memory is bounded by chunking the batch axis so the intermediate
-``(B, r, ...)`` product array never exceeds ``max_chunk_bytes``; within a
-chunk (a block, on the band-limited host path) everything is vectorised.
 """
 
 from __future__ import annotations
@@ -67,18 +67,19 @@ from ..backend import FFTBackend, Precision, get_backend, resolve_precision
 from ..optics.aerial import mask_spectrum
 from ..optics.grid import embed_centre_unshifted
 
-#: Upper bound in **bytes** on any per-chunk intermediate — the
-#: ``(B, r, ...)`` kernel-product stack and the ``(B, H, W)`` upsampling
-#: spectra alike (256 MiB; the float64 default admits 2**24 complex128
-#: samples, float32 twice as many), keeping peak memory flat for arbitrarily
-#: large batches.
-DEFAULT_MAX_CHUNK_BYTES = 2 ** 28
-
-#: Bytes of one block's ``(block, r, gh, gw)`` coherent-field stack in the
-#: band-limited chunk — what a host core keeps near its caches.  Measured on
-#: the 24 x 29 x 29 production bank (1.3 MiB per tile): 4 tiles per block
-#: image a 36-tile batch fastest; 1 and 36 both lose.
+#: Bytes a host block's largest intermediate may take — the
+#: ``(block, r, gh, gw)`` coherent-field stack or the ``(block, H, W)``
+#: upsampling spectrum, whichever is larger: what a core keeps near its
+#: caches.  Measured on the 24 x 29 x 29 production bank (1.3 MiB of fields
+#: per tile): 4 tiles per block image a 36-tile batch fastest; 1 and 36 both
+#: lose.
 BLOCK_BYTES = 6 * 2 ** 20
+
+#: The same bound for a block on a device-resident backend, where a block is
+#: the upload unit and there is no cache to stay inside (256 MiB: 2**24
+#: complex128 samples).  The layout pipeline bounds a stream batch's RAM by
+#: the same figure (``ExecutionEngine.stream_batch_tiles``).
+RESIDENT_BLOCK_BYTES = 2 ** 28
 
 #: Names this module's output bits in the tile-cache key
 #: (``ExecutionEngine.kernel_fingerprint``) and the campaign-store identity
@@ -88,28 +89,14 @@ BLOCK_BYTES = 6 * 2 ** 20
 FORWARD_REVISION = "band=fast-grid"
 
 
-def _as_mask_batch(masks: np.ndarray, precision: Precision) -> np.ndarray:
-    masks = precision.as_real(masks)
-    if masks.ndim != 3:
-        raise ValueError("masks must have shape (B, H, W)")
-    return masks
-
-
-def _as_kernel_stack(kernels: np.ndarray, precision: Precision) -> np.ndarray:
-    kernels = precision.as_complex(kernels)
-    if kernels.ndim != 3:
-        raise ValueError("kernels must have shape (r, n, m)")
-    return kernels
-
-
 def _direct_chunk(masks, kernels, out_h: int, out_w: int, xp: FFTBackend):
-    """Evaluation at full output resolution, for an output smaller than the
+    """One block at full output resolution, for an output smaller than the
     :func:`band_limit_grid`.
 
-    ``xp`` is the backend the chunk lives in: a host backend leaves every
+    ``xp`` is the backend the block lives in: a host backend leaves every
     expression bit-for-bit plain numpy; a device backend (cupy / fakegpu)
     receives device-resident ``masks`` / ``kernels`` and returns a
-    device-resident intensity chunk — no transfer happens here.
+    device-resident intensity block — no transfer happens here.
     """
     n, m = kernels.shape[-2], kernels.shape[-1]
     spectra = mask_spectrum(masks, (n, m), backend=xp)          # (B, n, m)
@@ -136,67 +123,54 @@ def band_limit_grid(n: int, m: int) -> Tuple[int, int]:
 
 
 def _band_limited_chunk(masks, kernels, out_h: int, out_w: int,
-                        xp: FFTBackend):
-    """Exact evaluation on the intensity band-limit grid + Fourier upsampling.
+                        xp: FFTBackend, embedded, padded):
+    """One block, exactly, on the intensity band-limit grid + Fourier
+    upsampling.
 
     Like :func:`_direct_chunk`, the whole pipeline — spectrum, kernel
     product, fields, ``|field|^2`` reduction, upsampling — runs inside
-    ``xp``'s namespace, so a device chunk stays resident end to end (as one
-    block: a device has no cache to stay inside).
+    ``xp``'s namespace, so a device block stays resident end to end.
+    ``embedded`` ``(>= rows, r, gh, gw)`` and ``padded``
+    ``(>= rows, out_h, out_w // 2 + 1)`` are the caller's scratch, zero
+    wherever no block writes.
     """
-    order, n, m = kernels.shape
-    grid_h, grid_w = band_limit_grid(n, m)
-    batch = masks.shape[0]
-    block = batch if xp.is_resident else batch_chunk_size(
-        batch, order, grid_h, grid_w, BLOCK_BYTES, kernels.dtype.itemsize)
+    n, m = kernels.shape[-2], kernels.shape[-1]
+    grid_h, grid_w = embedded.shape[-2:]
+    rows = masks.shape[0]
+    spectra = mask_spectrum(masks, (n, m), backend=xp)
+    products = kernels[None, :, :, :] * spectra[:, None, :, :]
+    fields = xp.ifft2(
+        embed_centre_unshifted(products, grid_h, grid_w, out=embedded[:rows]),
+        norm="ortho")
+    small = xp.abs2_sum(fields, axis=1)                    # (rows, gh, gw)
 
-    # Zeroed once: every block overwrites the same corners and no zero.
-    embedded = xp.zeros((block, order, grid_h, grid_w), dtype=kernels.dtype)
-    padded = xp.zeros((block, out_h, out_w // 2 + 1), dtype=kernels.dtype)
-    result = xp.empty((batch, out_h, out_w), dtype=masks.dtype)
-    # The "forward" norm preserves sample values; the area ratio restores the
+    # The intensity spectrum occupies the centred samples |row| < n,
+    # |col| < m, so zero-padding it to (out_h, out_w) is an exact sinc
+    # interpolation.  The small intensity is real: columns 0..m-1 of its
+    # rfft2 are the whole band, and placing the n non-negative and n - 1
+    # negative frequency rows at the target's corners is that padding —
+    # without ever forming the full spectrum or shifting it.  The "forward"
+    # norm preserves sample values; the area ratio restores the
     # orthonormal-FFT intensity scale of the full-resolution evaluation.
     scale = masks.dtype.type((grid_h * grid_w) / float(out_h * out_w))
-
-    for start in range(0, batch, block):
-        stop = min(start + block, batch)
-        rows = stop - start
-        spectra = mask_spectrum(masks[start:stop], (n, m), backend=xp)
-        products = kernels[None, :, :, :] * spectra[:, None, :, :]
-        fields = xp.ifft2(
-            embed_centre_unshifted(products, grid_h, grid_w,
-                                   out=embedded[:rows]), norm="ortho")
-        small = xp.abs2_sum(fields, axis=1)                # (rows, gh, gw)
-
-        # The intensity spectrum occupies the centred samples |row| < n,
-        # |col| < m, so zero-padding it to (out_h, out_w) is an exact sinc
-        # interpolation.  The small intensity is real: columns 0..m-1 of its
-        # rfft2 are the whole band, and placing the n non-negative and n - 1
-        # negative frequency rows at the target's corners is that padding —
-        # without ever forming the full spectrum or shifting it.
-        half = xp.rfft2(small, norm="forward") * scale
-        spectrum = padded[:rows]
-        spectrum[..., :n, :m] = half[..., :n, :m]
-        spectrum[..., out_h - (n - 1):, :m] = half[..., grid_h - (n - 1):, :m]
-        result[start:stop] = xp.irfft2(spectrum, s=(out_h, out_w),
-                                       norm="forward")
-    return result
+    half = xp.rfft2(small, norm="forward") * scale
+    spectrum = padded[:rows]
+    spectrum[..., :n, :m] = half[..., :n, :m]
+    spectrum[..., out_h - (n - 1):, :m] = half[..., grid_h - (n - 1):, :m]
+    return xp.irfft2(spectrum, s=(out_h, out_w), norm="forward")
 
 
 def batch_chunk_size(batch: int, order: int, height: int, width: int,
-                     max_chunk_bytes: int = DEFAULT_MAX_CHUNK_BYTES,
-                     itemsize: int = 16) -> int:
-    """Largest per-chunk batch size keeping ``chunk * r * H * W * itemsize`` bytes
-    under the cap.
+                     budget_bytes: int, itemsize: int = 16) -> int:
+    """Most tiles (at least 1, at most ``batch``) keeping
+    ``tiles * r * H * W * itemsize`` bytes within the budget.
 
     The budget is denominated in bytes, so a single-precision run
-    (``itemsize=8`` complex64 samples) fits twice the masks per chunk of a
+    (``itemsize=8`` complex64 samples) fits twice the tiles of a
     double-precision one.
     """
-    if max_chunk_bytes <= 0:
-        return batch
     per_mask = max(1, order * height * width * itemsize)
-    return int(np.clip(max_chunk_bytes // per_mask, 1, max(batch, 1)))
+    return int(np.clip(budget_bytes // per_mask, 1, max(batch, 1)))
 
 
 def _fits_band_limit_grid(n: int, m: int, out_h: int, out_w: int) -> bool:
@@ -206,29 +180,26 @@ def _fits_band_limit_grid(n: int, m: int, out_h: int, out_w: int) -> bool:
 
 
 def effective_chunk_tiles(batch: int, kernel_shape: Tuple[int, int, int],
-                          out_h: int, out_w: int,
-                          max_chunk_bytes: int = DEFAULT_MAX_CHUNK_BYTES,
+                          out_h: int, out_w: int, budget_bytes: int,
                           itemsize: int = 16) -> int:
-    """Tiles per chunk :func:`batched_aerial_from_kernels` actually evaluates.
+    """Tiles per block of a ``batch``-tile call under ``budget_bytes``.
 
-    Bounds BOTH per-chunk intermediates: the ``(chunk, r, work_h, work_w)``
-    kernel-product stack and the ``(chunk, out_h, out_w)`` complex
-    upsampling spectra of the band-limited chunk.  The layout
-    pipeline sizes its bounded tile batches with this same arithmetic, so
-    its peak memory is one chunk, no more.
+    Bounds BOTH per-block intermediates: the ``(block, r, work_h, work_w)``
+    kernel-product stack and the ``(block, out_h, out_w)`` complex
+    upsampling spectrum of the band-limited body (its half-spectrum scratch
+    plus the real block it becomes).
     """
     order, n, m = kernel_shape
     work_h, work_w = band_limit_grid(n, m) \
         if _fits_band_limit_grid(n, m, out_h, out_w) else (out_h, out_w)
     return min(batch_chunk_size(batch, order, work_h, work_w,
-                                max_chunk_bytes, itemsize),
+                                budget_bytes, itemsize),
                batch_chunk_size(batch, 1, out_h, out_w,
-                                max_chunk_bytes, itemsize))
+                                budget_bytes, itemsize))
 
 
 def batched_aerial_from_kernels(masks: np.ndarray, kernels: np.ndarray,
                                 output_shape: Optional[Tuple[int, int]] = None,
-                                max_chunk_bytes: int = DEFAULT_MAX_CHUNK_BYTES,
                                 backend: Optional[Union[FFTBackend, str]] = None,
                                 precision: Optional[Union[Precision, str]] = None,
                                 out: Optional[np.ndarray] = None,
@@ -251,16 +222,13 @@ def batched_aerial_from_kernels(masks: np.ndarray, kernels: np.ndarray,
         ``precision`` and no per-call upload happens.
     output_shape:
         Resolution of the returned aerial images; defaults to the mask shape.
-    max_chunk_bytes:
-        Memory cap in bytes for the ``(chunk, r, ...)`` intermediates; see
-        :data:`DEFAULT_MAX_CHUNK_BYTES`.
     backend:
         FFT backend (instance or registered name); ``None`` resolves the
-        default (``REPRO_FFT_BACKEND`` / auto).  A device-resident backend
-        (``is_resident``: cupy, fakegpu) switches the loop below to the
-        resident flow: **one upload per mask
-        chunk, one download per aerial chunk**, every intermediate staying
-        on the device.
+        default (``REPRO_FFT_BACKEND`` / auto).  On a device-resident one
+        (``is_resident``: cupy, fakegpu) every block is **one upload of its
+        masks and one download of its images**, every intermediate staying
+        on the device; on a host one the "upload" is a view and the
+        "download" the copy into the result rows.
     precision:
         Precision policy (:class:`~repro.backend.Precision` or name);
         ``None`` resolves the default (``REPRO_PRECISION`` / float64).
@@ -272,68 +240,53 @@ def batched_aerial_from_kernels(masks: np.ndarray, kernels: np.ndarray,
     xp = get_backend(backend) \
         if backend is None or isinstance(backend, str) else backend
     precision = resolve_precision(precision)
-    masks = _as_mask_batch(masks, precision)
+    masks = precision.as_real(masks)
+    if masks.ndim != 3:
+        raise ValueError("masks must have shape (B, H, W)")
     device_kernels = xp.is_device_array(kernels)
-    if device_kernels:
-        if np.dtype(kernels.dtype) != precision.complex_dtype:
-            raise ValueError(
-                f"device kernel bank dtype {kernels.dtype} does not match "
-                f"precision {precision.name}; cast before uploading")
-        if len(kernels.shape) != 3:
-            raise ValueError("kernels must have shape (r, n, m)")
-    else:
-        kernels = _as_kernel_stack(kernels, precision)
+    if not device_kernels:
+        kernels = precision.as_complex(kernels)
+    elif np.dtype(kernels.dtype) != precision.complex_dtype:
+        raise ValueError(
+            f"device kernel bank dtype {kernels.dtype} does not match "
+            f"precision {precision.name}; cast before uploading")
+    if len(kernels.shape) != 3:
+        raise ValueError("kernels must have shape (r, n, m)")
     batch = masks.shape[0]
     out_h, out_w = masks.shape[-2:] if output_shape is None else output_shape
     order, n, m = kernels.shape
 
-    evaluate = _band_limited_chunk \
-        if _fits_band_limit_grid(n, m, out_h, out_w) else _direct_chunk
-
-    if out is not None:
-        if tuple(out.shape) != (batch, out_h, out_w):
-            raise ValueError(
-                f"out has shape {tuple(out.shape)}, expected "
-                f"{(batch, out_h, out_w)}")
-        if np.dtype(out.dtype) != precision.real_dtype:
-            raise ValueError(
-                f"out has dtype {out.dtype}, expected {precision.real_dtype}")
-
-    if batch == 0:
-        return out if out is not None \
-            else np.zeros((0, out_h, out_w), dtype=precision.real_dtype)
-
-    chunk = effective_chunk_tiles(batch, (order, n, m), out_h, out_w,
-                                  max_chunk_bytes=max_chunk_bytes,
-                                  itemsize=precision.complex_itemsize)
-
-    if xp.is_resident:
-        # Device-resident flow: per chunk exactly ONE host->device transfer
-        # (the mask slice) and ONE device->host transfer (the finished
-        # intensity chunk, written straight into the result rows) — the
-        # kernel bank either arrived resident or goes up once per call.
-        if not device_kernels:
-            kernels = xp.asarray(kernels)
-        result = out if out is not None \
-            else np.empty((batch, out_h, out_w), dtype=precision.real_dtype)
-        for start in range(0, batch, chunk):
-            stop = min(start + chunk, batch)
-            chunk_masks = xp.asarray(masks[start:stop])
-            device_chunk = evaluate(chunk_masks, kernels, out_h, out_w, xp)
-            xp.to_host(device_chunk, out=result[start:stop])
-        return result
-
-    # Host flow: bit-for-bit plain numpy/scipy (a host backend's array ops
-    # ARE the numpy functions; no staging copies unless the caller provided
-    # an ``out`` to fill).
     if out is None:
-        if chunk >= batch:
-            return evaluate(masks, kernels, out_h, out_w, xp)
-        pieces = [evaluate(masks[start:start + chunk], kernels, out_h, out_w,
-                           xp)
-                  for start in range(0, batch, chunk)]
-        return np.concatenate(pieces, axis=0)
-    for start in range(0, batch, chunk):
-        stop = min(start + chunk, batch)
-        out[start:stop] = evaluate(masks[start:stop], kernels, out_h, out_w, xp)
+        out = np.empty((batch, out_h, out_w), dtype=precision.real_dtype)
+    elif tuple(out.shape) != (batch, out_h, out_w):
+        raise ValueError(
+            f"out has shape {tuple(out.shape)}, expected "
+            f"{(batch, out_h, out_w)}")
+    elif np.dtype(out.dtype) != precision.real_dtype:
+        raise ValueError(
+            f"out has dtype {out.dtype}, expected {precision.real_dtype}")
+    if batch == 0:
+        return out
+
+    block = effective_chunk_tiles(
+        batch, kernels.shape, out_h, out_w,
+        RESIDENT_BLOCK_BYTES if xp.is_resident else BLOCK_BYTES,
+        precision.complex_itemsize)
+    if not device_kernels:
+        # The bank goes up once per call unless it arrived resident (a host
+        # backend's asarray is the identity).
+        kernels = xp.asarray(kernels)
+    if _fits_band_limit_grid(n, m, out_h, out_w):
+        evaluate = _band_limited_chunk
+        # Zeroed once: every block overwrites the same corners and no zero.
+        scratch = (
+            xp.zeros((block, order) + band_limit_grid(n, m), kernels.dtype),
+            xp.zeros((block, out_h, out_w // 2 + 1), kernels.dtype))
+    else:
+        evaluate, scratch = _direct_chunk, ()
+    for start in range(0, batch, block):
+        stop = min(start + block, batch)
+        image = evaluate(xp.asarray(masks[start:stop]), kernels, out_h, out_w,
+                         xp, *scratch)
+        xp.to_host(image, out=out[start:stop])
     return out

@@ -43,8 +43,8 @@ from ..layout.reader import ArrayLayoutReader
 from ..optics.resist import ConstantThresholdResist
 from ..optics.simulator import default_illumination
 from .batched import (
-    DEFAULT_MAX_CHUNK_BYTES,
     FORWARD_REVISION,
+    RESIDENT_BLOCK_BYTES,
     batched_aerial_from_kernels,
     effective_chunk_tiles,
 )
@@ -125,7 +125,6 @@ class ExecutionEngine:
 
     def __init__(self, kernels: np.ndarray, resist_threshold: float = 0.225,
                  tile_size_px: Optional[int] = None,
-                 max_chunk_bytes: int = DEFAULT_MAX_CHUNK_BYTES,
                  fft_backend: Optional[FFTBackend] = None,
                  precision: Optional[Precision] = None,
                  tile_cache: Optional[TileResultCache] = None,
@@ -168,7 +167,6 @@ class ExecutionEngine:
         #: different physical grid: :meth:`aerial_batch` rejects any other
         #: mask size (``None`` = uncalibrated bank, any size accepted).
         self.tile_size_px = tile_size_px
-        self.max_chunk_bytes = max_chunk_bytes
         #: Content-addressed tile-result cache (None = caching off): the
         #: injected instance, else ``compute.tile_cache`` — True / False /
         #: None, None consulting REPRO_TILE_CACHE / REPRO_TILE_CACHE_DIR
@@ -196,8 +194,8 @@ class ExecutionEngine:
         object, else ``compute``'s ``precision`` name — is made concrete by
         :meth:`KernelBankCache.bank_precision` and keys the cache lookup, so
         a float32 engine receives a complex64 bank and never re-casts per
-        batch.  Remaining keywords (``fft_backend``, ``tile_cache``,
-        ``max_chunk_bytes``, ...) go to the constructor.
+        batch.  Remaining keywords (``fft_backend``, ``tile_cache``, ...) go
+        to the constructor.
         """
         source, pupil = default_illumination(config, source, pupil)
         # "cache or default" would discard an *empty* injected cache, because
@@ -235,7 +233,6 @@ class ExecutionEngine:
         return type(self)(self.kernels[:order],
                           resist_threshold=self.resist_model.threshold,
                           tile_size_px=self.tile_size_px,
-                          max_chunk_bytes=self.max_chunk_bytes,
                           fft_backend=self.backend,
                           precision=self.precision,
                           # A live cache is shared as-is; otherwise caching
@@ -255,7 +252,7 @@ class ExecutionEngine:
         an aerial tile: the bank's values (which already encode optics,
         truncation order and precision — the bank is cast at construction)
         and the forward imaging with it (``batched.FORWARD_REVISION``).
-        Chunk size and the resist threshold are excluded: the former never
+        Block size and the resist threshold are excluded: the former never
         changes results (pinned), the latter only affects development.  This
         is the kernel component of the tile-result cache key, so two engines
         sharing a bank share cached tiles.
@@ -289,7 +286,7 @@ class ExecutionEngine:
         On a device-resident backend the kernel bank goes up through the
         process-wide :func:`device_kernel_bank` memo — one upload per
         (fingerprint, device), shared by every engine and every batch — and
-        each chunk pays exactly one mask upload + one intensity download.
+        each block pays exactly one mask upload + one intensity download.
         ``out`` optionally receives the results (the layout pipeline's
         reusable staging buffer); contents are identical either way.
 
@@ -311,7 +308,6 @@ class ExecutionEngine:
                                          self.kernels)
         return batched_aerial_from_kernels(
             masks, kernels, output_shape=output_shape,
-            max_chunk_bytes=self.max_chunk_bytes,
             backend=self.backend, precision=self.precision, out=out)
 
     def aerial(self, mask: np.ndarray) -> np.ndarray:
@@ -346,17 +342,15 @@ class ExecutionEngine:
         return TilingSpec(tile_px=int(tile_px), guard_px=int(guard_px))
 
     def stream_batch_tiles(self, tiling: TilingSpec) -> int:
-        """Default tiles-per-batch of a bounded-memory layout run.
-
-        Exactly the chunk size :meth:`aerial_batch` would split a large batch
-        into internally (the byte-denominated ``max_chunk_bytes`` budget), so
-        batching adds no extra chunking and peak RAM is one chunk.
+        """Default tiles per stream batch of a layout run — the stream
+        layer's RAM bound: as many tiles as keep a batch's intermediates,
+        were they all alive at once, within 256 MiB (on a device-resident
+        backend they are: such a batch is exactly one upload block).
         """
-        return max(1, effective_chunk_tiles(
+        return effective_chunk_tiles(
             np.iinfo(np.int32).max, self.kernels.shape,
-            tiling.tile_px, tiling.tile_px,
-            max_chunk_bytes=self.max_chunk_bytes,
-            itemsize=self.precision.complex_itemsize))
+            tiling.tile_px, tiling.tile_px, RESIDENT_BLOCK_BYTES,
+            self.precision.complex_itemsize)
 
     def image_layout(self, layout,
                      tiling: Optional[TilingSpec] = None,
@@ -396,11 +390,9 @@ class ExecutionEngine:
             this directory (see the :mod:`repro.engine.streaming` docstring
             for the layout), so even the output needn't fit in RAM.
         batch_tiles:
-            Tiles per batch; peak RAM is O(one batch).  Defaults to every
-            tile at once for a dense raster whose results stay in RAM, and
-            to :meth:`stream_batch_tiles` (the batched core's own chunk
-            size) for a reader or an ``out_dir`` — O(tile-batch) RAM
-            however large the layout.
+            Tiles per batch; peak RAM is O(one batch).  Defaults to
+            :meth:`stream_batch_tiles` (per worker, on a sharded executor) —
+            O(tile-batch) RAM however large the layout, dense or not.
         """
         return image_layout_through(self, layout, tiling, tile_px, guard_px,
                                     out_dir, batch_tiles,
@@ -422,13 +414,12 @@ def image_layout_through(engine: ExecutionEngine, layout,
     precision cast, tiling, default batch, cache context, staging buffer and
     provenance are decided here, once.
     """
-    is_reader = hasattr(layout, "read_window")
-    if not is_reader:
+    if not hasattr(layout, "read_window"):
         # The one place a dense raster becomes a reader; it is cast up front
         # (a reader's tiles are cast per batch inside aerial_batch).
         layout = ArrayLayoutReader(engine.precision.as_real(layout))
     tiling = engine.resolve_tiling(tiling, tile_px, guard_px)
-    if batch_tiles is None and (is_reader or out_dir is not None):
+    if batch_tiles is None:
         batch_tiles = engine.stream_batch_tiles(tiling) * \
             max(1, num_workers or 1)
     meta = {"backend": engine.backend.name,
@@ -451,9 +442,8 @@ def image_layout_through(engine: ExecutionEngine, layout,
                     # Sized for a whole batch of placements: none is larger,
                     # but behind a tile cache the first stack of misses may
                     # well be smaller than a later one.
-                    rows = len(plan_tiles(*layout.shape, tiling))
-                    if batch_tiles is not None:
-                        rows = min(rows, batch_tiles)
+                    rows = min(len(plan_tiles(*layout.shape, tiling)),
+                               batch_tiles)
                     staging.append(engine.backend.empty_host(
                         (rows,) + tiles.shape[1:],
                         engine.precision.real_dtype))

@@ -41,7 +41,7 @@ from ..backend.fft import available_cpus
 from ..optics.pupil import Pupil
 from ..optics.simulator import OpticsConfig, default_illumination
 from ..optics.source import Source
-from .batched import DEFAULT_MAX_CHUNK_BYTES, FORWARD_REVISION
+from .batched import FORWARD_REVISION
 from .cache import (
     KernelBankCache,
     LockedLRU,
@@ -86,7 +86,6 @@ class EngineSpec:
     config: OpticsConfig
     source: Optional[Source] = None
     pupil: Optional[Pupil] = None
-    max_chunk_bytes: int = DEFAULT_MAX_CHUNK_BYTES
     cache_dir: Optional[str] = None
     compute: Optional[ComputeConfig] = None
 
@@ -111,9 +110,10 @@ class EngineSpec:
         base = optics_fingerprint(self.config, *self.resolved_optics())
         compute = self.compute
         # A store written under another FORWARD_REVISION is refused, not resumed.
+        # ("chunk=268435456": a deleted knob's value, kept so no identity moves.)
         return (
             f"{base}|order={getattr(self.config, 'max_socs_order', None)}"
-            f"|{FORWARD_REVISION}|chunk={self.max_chunk_bytes}"
+            f"|{FORWARD_REVISION}|chunk=268435456"
             f"|backend={compute.fft_backend}|workers={compute.fft_workers}"
             f"|prec={compute.precision}")
 
@@ -131,17 +131,8 @@ class EngineSpec:
         return ExecutionEngine.for_optics(
             self.config, self.source, self.pupil,
             cache=kernel_cache_for(self.cache_dir) if cache is None else cache,
-            max_chunk_bytes=self.max_chunk_bytes, compute=self.compute)
+            compute=self.compute)
 
-
-#: Shards cut per worker thread once there is more than one worker.  Shards
-#: smaller than a whole per-worker share keep each thread's working set
-#: nearer the CPU caches and even out stragglers: on 2 CPUs the 36 x 256 px
-#: tiles of a 1024² raster image in 0.098 s as 2 shards, 0.087 s as 4 and
-#: 0.083 s as 9 (medians of 12 alternating rounds); 2 per worker is also the
-#: granularity the campaign service ran at before it shared this path.
-#: (Measured before the batched core walked cache-sized blocks by itself.)
-SHARDS_PER_WORKER = 2
 
 #: Most engines an executor's memo retains (LRU).  A campaign visits one
 #: fingerprint per focus setting; with a disk-backed cache an evicted engine
@@ -216,10 +207,9 @@ class ShardedExecutor:
     ----------
     num_workers:
         How many shards of a batch run at once — the size of the executor's
-        own :class:`WorkerPool`, and with :data:`SHARDS_PER_WORKER` how many
-        contiguous shards a batch is cut into; defaults to the available CPU
-        count.  ``<= 1`` images every batch inline on the calling thread (no
-        thread is ever started).
+        own :class:`WorkerPool`, and how many contiguous shards a batch is
+        cut into; defaults to the available CPU count.  ``<= 1`` images
+        every batch inline on the calling thread (no thread is ever started).
     cache_dir:
         Disk directory the decomposed kernel banks persist in across runs;
         defaults to ``REPRO_KERNEL_CACHE_DIR``.  ``None`` keeps them in the
@@ -308,11 +298,11 @@ class ShardedExecutor:
     # sharded imaging
     # ------------------------------------------------------------------ #
     def _shard_slices(self, batch: int) -> List[slice]:
-        """Contiguous, deterministic shard slices: the whole batch for one
-        worker, else up to :data:`SHARDS_PER_WORKER` per worker."""
+        """Contiguous, deterministic shard slices, one per worker (each
+        walks its share in cache-sized blocks by itself)."""
         if self.num_workers <= 1:
             return [slice(0, batch)]
-        size = max(1, -(-batch // (SHARDS_PER_WORKER * self.num_workers)))
+        size = max(1, -(-batch // self.num_workers))
         return [slice(start, min(start + size, batch))
                 for start in range(0, batch, size)]
 
@@ -367,9 +357,9 @@ class ShardedExecutor:
         only the per-tile FFT work distributed: split, tile cache and stitch
         happen on the calling thread (cheap memory moves; deduplicating
         before any shard is cut keeps repeated cells from being imaged
-        twice).  A bounded batch defaults to one engine chunk *per worker*,
-        so every worker has shards while each thread's scratch memory stays
-        within one chunk.
+        twice).  ``batch_tiles`` defaults to one
+        :meth:`ExecutionEngine.stream_batch_tiles` *per worker*, so every
+        worker has shards whatever the layout size.
         """
         return image_layout_through(
             self.warm(spec), layout, tiling, tile_px, guard_px, out_dir,

@@ -20,9 +20,9 @@ and tile cache.  The layout is always a windowed
    output — a plain array, or a ``numpy.memmap`` when an ``out_dir`` is
    given — and developed core by core.
 
-A dense raster whose results stay in RAM defaults to one batch of all its
-tiles; a reader or an ``out_dir`` defaults to batches of one engine chunk, so
-an arbitrarily large layout images in **O(tile-batch) RAM**.
+Every layout — dense raster or reader, with or without an ``out_dir`` —
+defaults to batches of ``ExecutionEngine.stream_batch_tiles`` tiles (per
+worker), so an arbitrarily large layout images in **O(tile-batch) RAM**.
 
 Because every batch is fully consumed (stitched + developed) before the next
 one is requested, a device-resident engine passes a single reusable host
@@ -113,7 +113,7 @@ def _allocate(out_dir: Optional[str], name: str, shape: Tuple[int, int],
 def stream_image_layout(reader, tiling: TilingSpec,
                         image_batch: Callable[[np.ndarray], np.ndarray],
                         develop: Callable[[np.ndarray], np.ndarray],
-                        real_dtype, batch_tiles: Optional[int] = None,
+                        real_dtype, batch_tiles: int,
                         out_dir: Optional[str] = None,
                         meta: Optional[dict] = None,
                         tile_cache=None, cache_context=None,
@@ -131,7 +131,7 @@ def stream_image_layout(reader, tiling: TilingSpec,
         equals whole-raster application exactly).
     batch_tiles:
         Tiles per batch; peak RAM is O(this batch), independent of the
-        layout size.  ``None`` images every tile in one batch.
+        layout size.
     out_dir:
         When given, aerial / resist become disk-backed memmaps in the
         documented directory layout and ``meta.json`` is written on success.
@@ -153,8 +153,6 @@ def stream_image_layout(reader, tiling: TilingSpec,
         raise ValueError("tile_cache requires a cache_context")
     height, width = reader.shape
     placements = plan_tiles(height, width, tiling)
-    if batch_tiles is None:
-        batch_tiles = len(placements)
 
     guard = tiling.guard_px
     aerial = resist = None  # allocated below; a bad batch_tiles raises first

@@ -44,7 +44,6 @@ import numpy as np
 
 from ..backend import ComputeConfig
 from ..engine.sharded import EngineSpec, ShardedExecutor
-from ..layout.reader import as_layout_reader
 from ..optics.process_window import (
     FocusExposurePoint,
     ProcessWindowResult,
@@ -125,7 +124,8 @@ class ProcessWindowSweep:
         The sharded executor to image through; defaults to a serial one.
         Pass ``ShardedExecutor(num_workers=N, cache_dir=...)`` to shard
         tile batches over ``N`` worker threads and persist the kernel banks
-        in the cache dir.
+        in the cache dir — the one kernel cache the campaign's specs name
+        too, so no bank is decomposed in two caches.
     cd_row:
         Row for CD extraction.  ``None`` (the default) tracks the widest
         feature printed at the grid's nominal condition: the row is chosen
@@ -144,17 +144,16 @@ class ProcessWindowSweep:
     def __init__(self, config: OpticsConfig, source: Optional[Source] = None,
                  pupil: Optional[Pupil] = None,
                  executor: Optional[ShardedExecutor] = None,
-                 cache_dir: Optional[str] = None,
                  cd_row: Optional[int] = None,
                  compute: Optional[ComputeConfig] = None):
         #: The names-only compute policy every derived spec carries.
         self.compute = compute if compute is not None else ComputeConfig()
         self.config = config
         self.executor = executor if executor is not None else \
-            ShardedExecutor(num_workers=1, cache_dir=cache_dir,
-                            compute=self.compute)
+            ShardedExecutor(num_workers=1, compute=self.compute)
         self.base_spec = EngineSpec(config=config, source=source, pupil=pupil,
-                                    cache_dir=cache_dir, compute=self.compute)
+                                    cache_dir=self.executor.cache_dir,
+                                    compute=self.compute)
         self.cd_row = cd_row
 
     # ------------------------------------------------------------------ #
@@ -178,17 +177,13 @@ class ProcessWindowSweep:
                             ) -> Iterator[Tuple[float, np.ndarray, int]]:
         """Yield ``(focus, stitched aerial, num_tiles)`` per pending focus.
 
-        One :meth:`ShardedExecutor.image_layout` call per focus.  A dense
-        raster goes in as a windowed reader, so its default batch is one
-        engine chunk per worker instead of every tile at once.  With a
+        One :meth:`ShardedExecutor.image_layout` call per focus.  With a
         tile-result cache on the executor each focus's kernel fingerprint
         keys its own namespace: repeated cells within a focus hit (and a
         resumed campaign with a disk tier hits across runs) while distinct
         foci never mix.  A layout of exactly one tile has no guard band to
         cut and goes to the batched core directly.
         """
-        if not single_tile:
-            layout = as_layout_reader(layout)
         for focus in foci:
             spec = self.spec_for_focus(focus)
             if single_tile:

@@ -17,8 +17,8 @@ textbook full-spectrum expressions of Algorithm 1 in plain ``numpy.fft``,
 touching no compute backend at all.
 
 The product also has exactly one SOCS forward
-(``repro.engine.batched.batched_aerial_from_kernels``), which picks its chunk
-kernel from array shapes alone; :class:`RecordingBackend` lets a test see
+(``repro.engine.batched.batched_aerial_from_kernels``), which picks its
+per-block body from array shapes alone; :class:`RecordingBackend` lets a test see
 which one ran by the transform shapes it issued, and
 :func:`band_limited_blocks` says how many tiles each of those transforms
 should have carried.
@@ -52,14 +52,15 @@ def reference_aerial(masks, kernels, output_shape=None):
     return np.sum(np.abs(np.fft.ifft2(embedded, norm="ortho")) ** 2, axis=1)
 
 
-def band_limited_blocks(batch, kernel_shape, itemsize=16):
-    """Tiles per block, in order, of a host band-limited chunk of ``batch``
-    tiles: as many as keep the ``(block, r, gh, gw)`` field stack within
+def band_limited_blocks(batch, kernel_shape, out_shape, itemsize=16):
+    """Tiles per block, in order, of a host band-limited call of ``batch``
+    tiles: as many as keep BOTH the ``(block, r, gh, gw)`` field stack and the
+    ``(block, H, W)`` complex upsampling spectrum within
     ``batched.BLOCK_BYTES`` (read at call time, so a test may patch it)."""
     order, n, m = kernel_shape
     grid_h, grid_w = batched.band_limit_grid(n, m)
-    block = batched.BLOCK_BYTES // (order * grid_h * grid_w * itemsize)
-    block = max(1, min(block, batch))
+    per_tile = max(order * grid_h * grid_w, out_shape[0] * out_shape[1])
+    block = max(1, min(batched.BLOCK_BYTES // (per_tile * itemsize), batch))
     return [min(block, batch - start) for start in range(0, batch, block)]
 
 

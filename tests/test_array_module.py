@@ -3,9 +3,9 @@
 Pinned guarantees:
 
 * **residency is provable**: on the ``fakegpu`` backend the batched core pays
-  exactly one upload per mask chunk and one download per aerial chunk — for
+  exactly one upload per mask block and one download per aerial block — for
   the dense, streaming, one-shard and worker-thread paths alike — and the
-  kernel bank is uploaded once per (fingerprint, device), never per chunk
+  kernel bank is uploaded once per (fingerprint, device), never per block
   or per batch,
 * **streamed downloads stage through one reusable host buffer** (the pinned
   -buffer hook): ``host_buffer_allocations == 1`` for a whole streamed
@@ -56,6 +56,7 @@ from repro.engine import (
     ShardedExecutor,
     TileResultCache,
 )
+from repro.engine import batched
 from repro.engine.batched import batched_aerial_from_kernels
 from repro.engine.execution import (
     DEVICE_BANK_LIMIT,
@@ -108,17 +109,18 @@ binary_masks = arrays(np.float64, (4, 32, 32),
 # transfer counting: residency is provable
 # --------------------------------------------------------------------------- #
 class TestTransferCounts:
-    def test_dense_batch_one_upload_one_download_per_chunk(self, fakegpu):
+    def test_dense_batch_one_upload_one_download_per_block(self, fakegpu,
+                                                           monkeypatch):
         _, engine = make_engines()
         masks = RNG.random((6, 32, 32))
-        # A chunk budget of one tile: every tile is its own chunk.
-        tiny = ExecutionEngine(KERNELS, tile_size_px=32, fft_backend=fakegpu,
-                               max_chunk_bytes=1, compute=NO_CACHE)
-        tiny.aerial_batch(masks)
+        # A resident block budget of one tile: every tile is its own block.
+        with monkeypatch.context() as patch:
+            patch.setattr(batched, "RESIDENT_BLOCK_BYTES", 1)
+            engine.aerial_batch(masks)
         stats = fakegpu.transfer_stats
-        assert stats.uploads == 6 + 1  # one per chunk + the bank, once
+        assert stats.uploads == 6 + 1  # one per block + the bank, once
         assert stats.downloads == 6
-        # Full-batch chunk: the whole stack is one upload + one download.
+        # Full-batch block: the whole stack is one upload + one download.
         fakegpu.transfer_stats.reset()
         engine.aerial_batch(masks)
         assert stats.uploads == 1  # bank already device-resident
@@ -147,13 +149,13 @@ class TestTransferCounts:
         np.testing.assert_array_equal(reference.aerial, result.aerial)
         np.testing.assert_array_equal(reference.resist, result.resist)
         stats = fakegpu.transfer_stats
-        # Each 4-tile batch fits the engine's chunk: one upload + one
+        # Each 4-tile batch fits the engine's block: one upload + one
         # download each (7 batches for 25 tiles), plus the bank upload,
         # staged through ONE reusable host buffer.
         assert stats.downloads == 7
         assert stats.uploads == stats.downloads + 1
         assert stats.host_buffer_allocations == 1
-        # A dense raster's default single batch stages the same way.
+        # The default batch (all 25 tiles fit one) stages the same way.
         fakegpu.transfer_stats.reset()
         single = fake_engine.image_layout(layout, tile_px=32, guard_px=8)
         np.testing.assert_array_equal(reference.aerial, single.aerial)
@@ -205,16 +207,16 @@ class TestTransferCounts:
         result = executor.aerial_batch(spec, masks)
         np.testing.assert_array_equal(reference, result)
         stats = fakegpu.transfer_stats
-        assert stats.uploads == 1 + 1  # one chunk + the bank
+        assert stats.uploads == 1 + 1  # one block + the bank
         assert stats.downloads == 1
 
     def test_sharded_worker_threads_stay_resident(self, fakegpu, tmp_path):
         """Worker threads share this process's module: each shard is one
-        chunk — one upload, one download — and the bank still goes up once,
+        block — one upload, one download — and the bank still goes up once,
         counted without a lost update."""
         spec = EngineSpec(config=CONFIG, cache_dir=str(tmp_path),
                           compute=ComputeConfig(fft_backend="fakegpu"))
-        masks = RNG.random((8, 32, 32))  # four 2-tile shards
+        masks = RNG.random((8, 32, 32))  # two 4-tile shards
         reference = ShardedExecutor(num_workers=0).aerial_batch(
             EngineSpec(config=CONFIG,
                        compute=ComputeConfig(fft_backend="numpy")), masks)
@@ -227,8 +229,8 @@ class TestTransferCounts:
                 result = executor.aerial_batch(spec, masks)
         np.testing.assert_array_equal(reference, result)
         stats = fakegpu.transfer_stats
-        assert stats.uploads == 20 * 4 + 1  # a chunk per shard + the bank
-        assert stats.downloads == 20 * 4
+        assert stats.uploads == 20 * 2 + 1  # a block per shard + the bank
+        assert stats.downloads == 20 * 2
         assert stats.download_bytes == 20 * masks.size * 8
 
     def test_device_bank_memo_is_lru_bounded(self, fakegpu):

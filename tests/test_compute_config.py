@@ -149,6 +149,29 @@ class TestLegacyShim:
         with pytest.raises(TypeError, match="scheduler"):
             ComputeConfig(scheduler="pool")
 
+    def test_knob_census(self):
+        """Every settable place on the road to the SOCS core, literally: a
+        removed option (the chunk-bytes knob went in PR 20) cannot drift back
+        unnoticed, and a new one has to be written down here."""
+        import inspect
+
+        from repro.engine import batched_aerial_from_kernels
+        from repro.sweep import ProcessWindowSweep
+
+        def parameters(function):
+            return [name for name in inspect.signature(function).parameters
+                    if name != "self"]
+
+        assert parameters(batched_aerial_from_kernels) == [
+            "masks", "kernels", "output_shape", "backend", "precision", "out"]
+        assert parameters(ExecutionEngine.__init__) == [
+            "kernels", "resist_threshold", "tile_size_px", "fft_backend",
+            "precision", "tile_cache", "compute"]
+        assert [field.name for field in dataclasses.fields(EngineSpec)] == [
+            "config", "source", "pupil", "cache_dir", "compute"]
+        assert parameters(ProcessWindowSweep.__init__) == [
+            "config", "source", "pupil", "executor", "cd_row", "compute"]
+
     def test_engine_compute_kwarg_is_silent_and_equivalent(self):
         masks = make_masks()
         with warnings.catch_warnings():

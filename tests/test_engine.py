@@ -4,10 +4,10 @@ Pinned guarantees:
 
 * the batched core — the one SOCS forward — is numerically equivalent to the
   plain-numpy textbook oracle (``tests/reference.py::reference_aerial``)
-  across dtypes, odd tile sizes, truncated kernel orders, chunk and block
-  boundaries, both chunk kernels (band-limited grid / direct full size) and
-  every relation of that grid to ``2n`` (larger, equal, odd and smaller), on
-  every backend; neither chunk size nor block size changes a tile's bits,
+  across dtypes, odd tile sizes, truncated kernel orders, block boundaries,
+  both per-block bodies (band-limited grid / direct full size) and every
+  relation of that grid to ``2n`` (larger, equal, odd and smaller), on every
+  backend; block size — the one cut of a batch — never changes a tile's bits,
 * split -> image -> stitch round-trips arbitrary layouts, is exactly the
   per-tile path when no guard band is needed, and has vanishing seam error
   in the guarded interior,
@@ -19,6 +19,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reference import RecordingBackend, band_limited_blocks, reference_aerial
 from repro.backend import available_backends
@@ -117,7 +119,7 @@ class TestBatchedEquivalence:
         grid = band_limit_grid(*fine_engine.kernel_shape)
         assert grid == (14, 14)  # the fast grid really is smaller than 64
         order = fine_engine.order
-        blocks = band_limited_blocks(6, fine_engine.kernels.shape)
+        blocks = band_limited_blocks(6, fine_engine.kernels.shape, (64, 64))
         recorder = RecordingBackend()
         batched_aerial_from_kernels(random_masks, fine_engine.kernels,
                                     backend=recorder)
@@ -153,27 +155,38 @@ class TestBatchedEquivalence:
                                        atol=1e-12 * reference.max())
 
     @pytest.mark.parametrize("name", ["numpy", "scipy", "fakegpu"])
-    def test_block_size_is_invisible(self, monkeypatch, name):
-        """Like chunk size, block size never changes a tile's bits — and a
-        block's leftovers in the reused scratch never reach the next one: the
-        all-zero tile between dense ones still images to exactly zero."""
+    @settings(max_examples=15, deadline=None)
+    @given(tiles=st.sampled_from([1, 2, 3, 5, 100]), batch=st.integers(1, 7),
+           band_limited=st.booleans(), seed=st.integers(0, 2 ** 16))
+    def test_block_size_is_invisible(self, name, tiles, batch, band_limited,
+                                     seed):
+        """The one cut of a batch — blocks of 1 / an odd number / all of its
+        tiles, either per-block body, host or resident budget — never changes
+        a tile's bits, and a block's leftovers in the reused scratch never
+        reach the next one: the all-zero tile still images to exactly zero."""
         if name not in available_backends():
             pytest.skip(f"{name} does not construct here")
-        rng = np.random.default_rng(7)
+        rng = np.random.default_rng(seed)
         kernels = rng.normal(size=(3, 9, 9)) + 1j * rng.normal(size=(3, 9, 9))
-        masks = (rng.random((7, 32, 32)) > 0.5).astype(float)
-        masks[3] = 0.0
-        per_tile = 3 * 18 * 18 * 16  # one tile's (r, gh, gw) complex128 fields
-        images = []
-        for tiles in (1, 3, 7, 100):  # 7 % 3 != 0; the last two: one block
-            monkeypatch.setattr(batched, "BLOCK_BYTES", tiles * per_tile)
-            assert max(band_limited_blocks(7, kernels.shape)) == min(tiles, 7)
-            images.append(batched_aerial_from_kernels(masks, kernels,
-                                                      backend=name))
-        for image in images[1:]:
-            np.testing.assert_array_equal(image, images[0])
-        assert not images[0][3].any() and images[0][2].any()
-        np.testing.assert_allclose(images[0], reference_aerial(masks, kernels),
+        tile = 32 if band_limited else 16      # the grid is 18 x 18
+        masks = (rng.random((batch, tile, tile)) > 0.5).astype(float)
+        masks[batch // 2] = 0.0
+        whole = batched_aerial_from_kernels(masks, kernels, backend=name)
+        # One tile's larger intermediate: (H, W) spectrum / (r, H, W) fields.
+        per_tile = (32 * 32 if band_limited else 3 * 16 * 16) * 16
+        recorder = RecordingBackend(name)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(batched, "BLOCK_BYTES", tiles * per_tile)
+            patch.setattr(batched, "RESIDENT_BLOCK_BYTES", tiles * per_tile)
+            cut = batched_aerial_from_kernels(masks, kernels, backend=recorder)
+            if band_limited:
+                assert band_limited_blocks(batch, kernels.shape, (32, 32)) \
+                    == [shape[0] for shape in recorder.shapes("irfft2")]
+        assert max(shape[0] for shape in recorder.shapes("ifft2")) \
+            == min(tiles, batch)
+        np.testing.assert_array_equal(cut, whole)
+        assert not cut[batch // 2].any()
+        np.testing.assert_allclose(cut, reference_aerial(masks, kernels),
                                    rtol=0, atol=1e-12)
 
     def test_no_transform_of_a_large_batch_exceeds_the_block_budget(self):
@@ -186,9 +199,26 @@ class TestBatchedEquivalence:
         batched_aerial_from_kernels(masks, kernels, backend=recorder)
         fields = recorder.shapes("ifft2")
         assert [shape[0] for shape in fields] \
-            == band_limited_blocks(36, kernels.shape) == [4] * 9
+            == band_limited_blocks(36, kernels.shape, (64, 64)) == [4] * 9
         assert all(np.prod(shape) * 16 <= batched.BLOCK_BYTES
                    for shape in fields)
+
+    def test_a_small_bank_on_a_large_tile_is_blocked_by_its_spectrum(self):
+        """The ``(8, 7, 7)`` bank of a bare ``OpticsConfig()`` on 256 px
+        tiles: 250 tiles of its fields fit the block budget, 11 of their
+        zero-padded half spectra do — both intermediates size the block."""
+        rng = np.random.default_rng(13)
+        kernels = rng.normal(size=(8, 7, 7)) * (1 + 0.5j)
+        masks = (rng.random((20, 256, 256)) > 0.7).astype(float)
+        recorder = RecordingBackend()
+        batched_aerial_from_kernels(masks, kernels, backend=recorder)
+        blocks = band_limited_blocks(20, kernels.shape, (256, 256))
+        assert blocks == [6, 6, 6, 2]
+        assert [shape[0] for shape in recorder.shapes("irfft2")] == blocks
+        for rows, height, width in recorder.shapes("irfft2"):
+            assert rows * height * (width // 2 + 1) * 16 <= batched.BLOCK_BYTES
+        for shape in recorder.shapes("ifft2"):
+            assert np.prod(shape) * 16 <= batched.BLOCK_BYTES
 
     def test_direct_chunk_runs_when_grid_exceeds_tile(self, tiny_simulator, tiny_masks):
         kernels = tiny_simulator.kernels.kernels
@@ -215,19 +245,26 @@ class TestBatchedEquivalence:
             np.testing.assert_allclose(engine.aerial(np.ones((tile, tile))),
                                        dc_energy, rtol=1e-12, atol=1e-14)
 
-    def test_chunking_is_invisible(self, fine_engine, random_masks):
-        whole = fine_engine.aerial_batch(random_masks)
-        r, n, m = fine_engine.kernels.shape
-        grid_h, grid_w = band_limit_grid(n, m)
+    def test_chunking_is_invisible(self, monkeypatch, tiny_simulator,
+                                   tiny_masks):
+        """Through an engine, on the direct full-size body: one tile per
+        block images exactly what one block of everything does."""
+        engine = tiny_simulator.engine
+        masks = np.asarray(tiny_masks, dtype=float)
+        whole = engine.aerial_batch(masks)
+        r, n, m = engine.kernels.shape
+        tile = masks.shape[-1]
+        assert band_limit_grid(n, m)[0] > tile
         itemsize = 16  # complex128
-        tiny_budget = r * grid_h * grid_w * itemsize  # forces one mask per chunk
-        chunked = batched_aerial_from_kernels(random_masks, fine_engine.kernels,
-                                              backend=fine_engine.backend,
-                                              max_chunk_bytes=tiny_budget)
-        np.testing.assert_allclose(chunked, whole, rtol=0, atol=0)
-        assert batch_chunk_size(6, r, grid_h, grid_w, tiny_budget, itemsize) == 1
+        tiny_budget = r * tile * tile * itemsize  # one tile's (r, H, W) fields
+        monkeypatch.setattr(batched, "BLOCK_BYTES", tiny_budget)
+        recorder = RecordingBackend(engine.backend.name)
+        monkeypatch.setattr(engine, "backend", recorder)
+        np.testing.assert_array_equal(engine.aerial_batch(masks), whole)
+        assert recorder.shapes("ifft2") == [(1, r, tile, tile)] * len(masks)
+        assert batch_chunk_size(6, r, tile, tile, tiny_budget, itemsize) == 1
         # The byte-denominated budget fits twice the masks at single precision.
-        assert batch_chunk_size(6, r, grid_h, grid_w, 2 * tiny_budget, 8) == 4
+        assert batch_chunk_size(6, r, tile, tile, 2 * tiny_budget, 8) == 4
 
     def test_chunk_arithmetic_counts_the_band_limit_grid(self):
         bank = (24, 29, 29)

@@ -105,7 +105,7 @@ class TestShardedExecutor:
         reference = serial.aerial_batch(policy_spec, masks)
         with ShardedExecutor(num_workers=2, cache_dir=str(tmp_path)) as sharded:
             result = sharded.aerial_batch(policy_spec, masks)
-            assert sharded.pool.stats()["submitted"] == 3  # 6 tiles, 2 each
+            assert sharded.pool.stats()["submitted"] == 2  # 6 tiles, 3 each
         np.testing.assert_array_equal(result, reference)
         expected_dtype = np.float32 if precision == "float32" else np.float64
         assert result.dtype == expected_dtype
@@ -116,7 +116,7 @@ class TestShardedExecutor:
         assert serial.pool.stats()["submitted"] == 0  # one shard: inline
         with ShardedExecutor(num_workers=2, cache_dir=str(tmp_path)) as sharded:
             result = sharded.aerial_batch(spec, masks)
-            assert sharded.pool.stats()["submitted"] == 3  # 6 tiles, 2 each
+            assert sharded.pool.stats()["submitted"] == 2  # 6 tiles, 3 each
         np.testing.assert_array_equal(result, reference)
 
     def test_zero_workers_falls_back_to_serial(self, spec, masks):
@@ -151,9 +151,9 @@ class TestShardedExecutor:
 
     def test_shard_slices_partition_deterministically(self):
         executor = ShardedExecutor(num_workers=3)
-        slices = executor._shard_slices(8)  # up to 2 shards per worker
+        slices = executor._shard_slices(8)  # one shard per worker
         assert [(s.start, s.stop) for s in slices] == \
-            [(0, 2), (2, 4), (4, 6), (6, 8)]
+            [(0, 3), (3, 6), (6, 8)]
         assert [(s.start, s.stop) for s in
                 ShardedExecutor(num_workers=1)._shard_slices(8)] == [(0, 8)]
 

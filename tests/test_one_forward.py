@@ -79,7 +79,7 @@ class TestOneForward:
     def _assert_band_limited(self, recorder, engine, batch=1):
         grid = band_limit_grid(*engine.kernel_shape)
         assert grid == (60, 60)  # 29 x 29 window: not 2n = 58 = 2 x prime 29
-        blocks = band_limited_blocks(batch, engine.kernels.shape)
+        blocks = band_limited_blocks(batch, engine.kernels.shape, (TILE, TILE))
         assert recorder.shapes("ifft2") == [(rows, engine.order) + grid
                                             for rows in blocks]
         assert recorder.shapes("rfft2") == [

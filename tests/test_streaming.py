@@ -7,8 +7,8 @@ Pinned guarantees:
   stitch, develop) — across guard bands, batch sizes, FFT backends (numpy /
   scipy) and precisions (float64 / float32), including a hypothesis sweep
   over random layout geometries,
-* a dense raster with no ``batch_tiles`` is one batch; a reader or an
-  ``out_dir`` defaults to the engine's chunk size,
+* one default-batch rule: a dense raster and the same raster behind a reader
+  image in the same ``stream_batch_tiles`` batches,
 * ``iter_tile_batches`` covers every placement exactly once and never
   materialises more than one batch,
 * the ``out_dir`` memmap layout round-trips through ``open_layout_dir``
@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 
 from reference import reference_image_layout
 from repro.backend import ComputeConfig
+from repro.engine import execution
 from repro.engine import (
     EngineSpec,
     TileResultCache,
@@ -152,31 +153,45 @@ class TestStreamingEqualsInMemory:
         np.testing.assert_array_equal(streamed.resist, reference.resist)
 
     def test_default_batch_matches_engine_chunk(self, engine):
+        """The stream layer's RAM bound is the 2**28-byte arithmetic a
+        device-resident engine cuts its upload blocks by: 16 384 complex128
+        32 px tiles of spectrum, the (5, 14, 14) fields being smaller."""
         tiling = TilingSpec(tile_px=32, guard_px=8)
-        assert engine.stream_batch_tiles(tiling) >= 1
-        small_chunk = EngineSpec(config=CONFIG, source=SOURCE,
-                                 max_chunk_bytes=32 * 32 * 16).build()
-        assert small_chunk.stream_batch_tiles(tiling) == 1
+        assert engine.kernels.shape == (5, 7, 7)
+        assert engine.stream_batch_tiles(tiling) == 2 ** 28 // (32 * 32 * 16)
+        single = EngineSpec(config=CONFIG, source=SOURCE,
+                            compute=ComputeConfig(precision="float32")).build()
+        assert single.stream_batch_tiles(tiling) == 2 ** 28 // (32 * 32 * 8)
 
-    def test_dense_raster_without_batch_tiles_is_one_batch(self, monkeypatch):
-        """36 tiles, a one-tile chunk budget: still ONE aerial_batch call —
-        the pipeline adds no batching of its own to a dense raster (which is
-        what keeps the FFT call count of a dense chip what it always was)."""
-        small_chunk = EngineSpec(config=CONFIG, source=SOURCE,
-                                 max_chunk_bytes=32 * 32 * 16).build()
+    def test_dense_raster_and_reader_share_one_default_batch_rule(
+            self, engine, monkeypatch, tmp_path):
+        """36 tiles under a 5-tile RAM bound: a dense raster, the same raster
+        behind the reader protocol and an ``out_dir`` run all image in the
+        same ``stream_batch_tiles`` batches — and a bound that holds every
+        tile (any layout the benchmark images) is still one batch."""
         calls = []
-        plain = small_chunk.aerial_batch
+        plain = engine.aerial_batch
         monkeypatch.setattr(
-            small_chunk, "aerial_batch",
+            engine, "aerial_batch",
             lambda tiles, **kw: calls.append(len(tiles)) or plain(tiles, **kw))
         dense = (np.random.default_rng(3).random((96, 96)) > 0.7).astype(float)
-        result = small_chunk.image_layout(dense, guard_px=8)
-        assert calls == [36] and result.num_tiles == 36
-        # The same raster behind the reader protocol, or written to an
-        # out_dir, images in engine-chunk batches (here: tile by tile).
+        whole = engine.image_layout(dense, guard_px=8)
+        assert calls == [36] and whole.num_tiles == 36
+        monkeypatch.setattr(execution, "RESIDENT_BLOCK_BYTES",
+                            5 * 32 * 32 * 16)
         del calls[:]
-        small_chunk.image_layout(as_layout_reader(dense), guard_px=8)
-        assert calls == [1] * 36
+        bounded = engine.image_layout(dense, guard_px=8)
+        assert calls == [5] * 7 + [1]
+        del calls[:]
+        via_reader = engine.image_layout(as_layout_reader(dense), guard_px=8)
+        assert calls == [5] * 7 + [1]
+        del calls[:]
+        on_disk = engine.image_layout(dense, guard_px=8,
+                                      out_dir=str(tmp_path / "out"))
+        assert calls == [5] * 7 + [1]
+        for image in (bounded, via_reader, on_disk):
+            np.testing.assert_array_equal(image.aerial, whole.aerial)
+            np.testing.assert_array_equal(image.resist, whole.resist)
 
 
 def test_no_image_layout_takes_a_streaming_switch():

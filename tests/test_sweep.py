@@ -116,14 +116,43 @@ class TestProcessWindowSweep:
         """F x D conditions build exactly F banks, persisted for reuse."""
         import os
 
-        sweep = ProcessWindowSweep(CONFIG, source=SOURCE,
-                                   cache_dir=str(tmp_path))
+        sweep = ProcessWindowSweep(
+            CONFIG, source=SOURCE,
+            executor=ShardedExecutor(num_workers=1, cache_dir=str(tmp_path)))
         sweep.run(line_mask, grid=self.GRID, tolerance=0.25)
         banks = [f for f in os.listdir(tmp_path) if f.endswith(".npz")]
         assert len(banks) == len(self.GRID.focus_values_nm)
         cache = sweep.executor._local_cache
         assert cache.stats.tcc_computes == len(self.GRID.focus_values_nm)
         assert cache.stats.decompositions == len(self.GRID.focus_values_nm)
+
+    def test_auto_precision_decomposes_in_the_executors_cache_only(
+            self, line_mask, tmp_path, monkeypatch):
+        """``precision="auto"`` autotunes against the nominal float64 bank
+        when the sweep is built; with an executor that has its own kernel
+        ``cache_dir`` (the service, ``sweep-window --cache-dir``) that bank
+        must come from — and stay in — that directory, not be decomposed a
+        second time in the process-default cache: one decomposition per
+        focus, not one more."""
+        from repro.backend import ComputeConfig
+        from repro.engine import cache
+
+        calls = []
+        plain = cache.decompose_tcc
+        monkeypatch.setattr(
+            cache, "decompose_tcc",
+            lambda *args, **kw: calls.append(1) or plain(*args, **kw))
+        grid = FocusExposureGrid((0.0, 73.0), (1.0,))  # foci no test shares
+        compute = ComputeConfig(fft_backend="numpy", precision="auto")
+        with ShardedExecutor(num_workers=1, cache_dir=str(tmp_path),
+                             compute=compute) as executor:
+            sweep = ProcessWindowSweep(
+                OpticsConfig(tile_size_px=TILE, pixel_size_nm=PIXEL,
+                             max_socs_order=11),
+                source=SOURCE, executor=executor, compute=compute)
+            sweep.run(line_mask, grid=grid, tolerance=0.25)
+        assert len(calls) == len(grid.focus_values_nm)
+        assert sweep.base_spec.cache_dir == str(tmp_path)
 
     def test_layout_sweep_sharded_matches_serial(self, tmp_path):
         layout = np.zeros((80, 110))

@@ -110,10 +110,10 @@ def test_aerial_batch_equals_one_engine_call(workers, backend, precision):
     expected = spec.build().aerial_batch(masks)
     with _executor(workers, tile_cache=False) as executor:
         result = executor.aerial_batch(spec, masks)
-        # 7 tiles over w workers: ceil(7 / 2w)-tile shards, all on the pool
+        # 7 tiles over w workers: ceil(7 / w)-tile shards, all on the pool
         # — or the one inline shard.
         assert executor.pool.stats()["submitted"] == \
-            {1: 0, 2: 4, 3: 4}[workers]
+            {1: 0, 2: 2, 3: 3}[workers]
     assert result.dtype == expected.dtype
     np.testing.assert_array_equal(result, expected)
 
@@ -215,7 +215,7 @@ def test_raising_shard_cancels_the_unstarted_ones_and_propagates():
     spec = _spec("numpy", "float64")
     masks = np.zeros((6, 32, 32))
     pool = _HeldPool()
-    executor = ShardedExecutor(num_workers=3, pool=pool)  # 6 one-tile shards
+    executor = ShardedExecutor(num_workers=3, pool=pool)  # 3 two-tile shards
     raised = []
 
     def image():
@@ -227,7 +227,7 @@ def test_raising_shard_cancels_the_unstarted_ones_and_propagates():
     caller = threading.Thread(target=image)
     caller.start()
     try:
-        while len(pool.held) < 6:  # the caller submits, then blocks
+        while len(pool.held) < 3:  # the caller submits, then blocks
             assert caller.is_alive()
             caller.join(timeout=0.01)
         first = pool.held[0][0]
@@ -256,16 +256,16 @@ def test_executor_images_correctly_after_a_shard_raised(monkeypatch):
             return healthy(shard, output_shape=output_shape)
 
         poison = masks.copy()
-        poison[3] = -1.0  # the fourth of six one-tile shards
+        poison[3] = -1.0  # in the second of three two-tile shards
         monkeypatch.setattr(engine, "aerial_batch", poisoned)
         with pytest.raises(RuntimeError, match="a middle shard broke"):
             executor.aerial_batch(spec, poison)
         monkeypatch.undo()
-        assert executor.pool.stats()["submitted"] == 6
+        assert executor.pool.stats()["submitted"] == 3
         np.testing.assert_array_equal(executor.aerial_batch(spec, masks),
                                       expected)
     stats = executor.pool.stats()
-    assert stats["submitted"] == stats["completed"] == 12
+    assert stats["submitted"] == stats["completed"] == 6
 
 
 def test_close_leaves_no_worker_thread_alive():

@@ -26,7 +26,7 @@ import time
 import numpy as np
 
 from repro.layout import GeometryLayoutReader
-from repro.masks.geometry import Rect
+from repro.layout.geometry import Rect
 from repro.masks.layout import Layout
 
 PIXEL_NM = 4.0

@@ -1,5 +1,6 @@
 """Analysis tooling: t-SNE embedding, throughput measurement, reporting, visual dumps."""
 
+from ..utils.imaging import ascii_image, write_pgm
 from .reporting import format_table, format_value, ratio_row, render_bar_chart, render_series
 from .throughput import (
     ShardedThroughputResult,
@@ -11,7 +12,7 @@ from .throughput import (
     tile_area_um2,
 )
 from .tsne import TSNE, TSNEResult, cluster_separation, embed_datasets, mask_features
-from .visualize import ascii_image, comparison_panel, save_comparison_pgms, write_pgm
+from .visualize import comparison_panel, save_comparison_pgms
 
 __all__ = [
     "TSNE", "TSNEResult", "embed_datasets", "mask_features", "cluster_separation",

@@ -11,34 +11,7 @@ from typing import Dict
 
 import numpy as np
 
-from ..utils.imaging import normalize01
-
-_ASCII_LEVELS = " .:-=+*#%@"
-
-
-def ascii_image(image: np.ndarray, width: int = 64) -> str:
-    """Render an image as ASCII art (brighter pixels map to denser glyphs)."""
-    image = normalize01(np.asarray(image, dtype=float))
-    height = max(1, int(round(width * image.shape[0] / image.shape[1] / 2)))
-    rows = np.linspace(0, image.shape[0] - 1, height).astype(int)
-    cols = np.linspace(0, image.shape[1] - 1, width).astype(int)
-    sampled = image[np.ix_(rows, cols)]
-    indices = np.clip((sampled * (len(_ASCII_LEVELS) - 1)).round().astype(int),
-                      0, len(_ASCII_LEVELS) - 1)
-    return "\n".join("".join(_ASCII_LEVELS[i] for i in line) for line in indices)
-
-
-def write_pgm(image: np.ndarray, path: str) -> str:
-    """Write an image as an 8-bit binary PGM file; returns the path."""
-    image = normalize01(np.asarray(image, dtype=float))
-    data = (image * 255).astype(np.uint8)
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    header = f"P5\n{data.shape[1]} {data.shape[0]}\n255\n".encode("ascii")
-    with open(path, "wb") as handle:
-        handle.write(header)
-        handle.write(data.tobytes())
-    return path
+from ..utils.imaging import ascii_image, write_pgm
 
 
 def comparison_panel(images: Dict[str, np.ndarray], width: int = 48) -> str:

@@ -50,22 +50,25 @@ from typing import List, Optional
 
 import numpy as np
 
-from .core import NithoModel
-from .experiments import ExperimentConfig, run_all
-from .masks.datasets import LithoDataset, build_dataset
-from .masks.io import load_dataset, save_dataset
-from .metrics import aerial_metrics, resist_metrics
-from .nn.serialization import load_module, save_module
 from .optics.simulator import OpticsConfig
 
+# Paper packages are imported inside the paper handlers, never here: a
+# production verb must not load them (tests/test_import_boundary.py).
 
-def _dataset_from_args(arguments) -> LithoDataset:
+
+def _dataset_from_args(arguments):
+    from .masks.datasets import build_dataset
+    from .masks.io import load_dataset
+
     if getattr(arguments, "dataset_file", None):
         return load_dataset(arguments.dataset_file)
     return build_dataset(arguments.dataset, preset=arguments.preset, seed=arguments.seed)
 
 
-def _model_for_dataset(dataset: LithoDataset, preset: str, seed: int) -> NithoModel:
+def _model_for_dataset(dataset, preset: str, seed: int):
+    from .core import NithoModel
+    from .experiments import ExperimentConfig
+
     config = ExperimentConfig(preset=preset, seed=seed)
     optics = OpticsConfig(tile_size_px=dataset.tile_size_px,
                           pixel_size_nm=dataset.pixel_size_nm)
@@ -80,6 +83,9 @@ def _print_metrics(label: str, metrics: dict) -> None:
 # subcommand implementations
 # --------------------------------------------------------------------------- #
 def command_generate(arguments) -> int:
+    from .masks.datasets import build_dataset
+    from .masks.io import save_dataset
+
     dataset = build_dataset(arguments.dataset, preset=arguments.preset, seed=arguments.seed)
     path = save_dataset(dataset, arguments.output)
     print(f"wrote {dataset.name}: {dataset.num_train} train / {dataset.num_test} test tiles "
@@ -88,6 +94,8 @@ def command_generate(arguments) -> int:
 
 
 def command_train(arguments) -> int:
+    from .nn.serialization import save_module
+
     dataset = _dataset_from_args(arguments)
     if dataset.num_train == 0:
         print(f"dataset {dataset.name} has no training tiles", file=sys.stderr)
@@ -105,6 +113,9 @@ def command_train(arguments) -> int:
 
 
 def command_evaluate(arguments) -> int:
+    from .metrics import aerial_metrics, resist_metrics
+    from .nn.serialization import load_module
+
     dataset = _dataset_from_args(arguments)
     model = _model_for_dataset(dataset, arguments.preset, arguments.seed)
     load_module(model.network, arguments.checkpoint)
@@ -124,6 +135,9 @@ def command_evaluate(arguments) -> int:
 
 
 def command_simulate(arguments) -> int:
+    from .metrics import aerial_metrics
+    from .nn.serialization import load_module
+
     dataset = _dataset_from_args(arguments)
     count = min(arguments.tiles, dataset.num_test) if arguments.tiles else dataset.num_test
     masks = dataset.test_masks[:count]
@@ -154,22 +168,62 @@ def _layout_from_args(arguments):
                                   arguments.family, arguments.seed)
 
 
+def _imaging_inputs(arguments):
+    """``(layout, EngineSpec, ComputeConfig)`` as the user described them, or
+    ``None`` after printing ``error: ...`` for unusable input.
+
+    Builds everything the job will build — the spec resolves backend and
+    precision *values* — before any imaging, as ``CampaignRequest.from_dict``
+    does at submit.  Only this is guarded: an error while imaging is a bug
+    and keeps its traceback.
+    """
+    from .engine import EngineSpec
+    from .optics.source import make_source
+
+    try:
+        mask = _layout_from_args(arguments)
+        config = OpticsConfig(tile_size_px=arguments.tile_size,
+                              pixel_size_nm=arguments.pixel_size_nm)
+        source = make_source(arguments.source) if arguments.source else None
+        compute = _compute_from_args(arguments)
+        spec = EngineSpec(config=config, source=source, compute=compute,
+                          cache_dir=getattr(arguments, "cache_dir", "") or None)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+    return mask, spec, compute
+
+
+def _print_tile_cache_stats(executor) -> None:
+    if executor.tile_cache is not None:
+        stats = executor.tile_cache.stats
+        print(f"tile cache: {stats.served}/{stats.tiles} tiles served from "
+              f"cache ({stats.hit_rate * 100:.1f}% hit rate, "
+              f"{stats.misses} imaged)")
+
+
+def _dense_mask(mask) -> np.ndarray:
+    """The layout as the dense array the ``.npz`` outputs carry."""
+    if hasattr(mask, "read_window"):
+        # float: a geometry reader rasterises uint8 coverage, the file
+        # format predates that
+        return np.asarray(mask.read_window(0, 0, *mask.shape), dtype=float)
+    return np.asarray(mask)
+
+
 def command_image_layout(arguments) -> int:
     import time
 
-    from .engine import EngineSpec, ShardedExecutor, available_workers
-    from .optics.source import make_source
+    from .engine import ShardedExecutor, available_workers
 
     if not arguments.output and not arguments.out:
         print("image-layout needs --output (npz) and/or --out (memmap dir)",
               file=sys.stderr)
         return 2
-    mask = _layout_from_args(arguments)
-    config = OpticsConfig(tile_size_px=arguments.tile_size,
-                          pixel_size_nm=arguments.pixel_size_nm)
-    source = make_source(arguments.source) if arguments.source else None
-    compute = _compute_from_args(arguments)
-    spec = EngineSpec(config=config, source=source, compute=compute)
+    inputs = _imaging_inputs(arguments)
+    if inputs is None:
+        return 2
+    mask, spec, compute = inputs
     with ShardedExecutor(num_workers=arguments.workers or available_workers(),
                          compute=compute) as executor:
         engine = executor.warm(spec)
@@ -180,29 +234,21 @@ def command_image_layout(arguments) -> int:
             out_dir=arguments.out or None)
         elapsed = time.perf_counter() - start
 
-    is_reader = hasattr(mask, "read_window")
     height, width = mask.shape
     area_um2 = height * width * (arguments.pixel_size_nm / 1000.0) ** 2
-    mode = "streamed" if (arguments.out or is_reader) else "imaged"
+    mode = "streamed" if (arguments.out or hasattr(mask, "read_window")) \
+        else "imaged"
     print(f"{mode} {height}x{width} px layout "
           f"({result.num_tiles} tiles of {result.tiling.tile_px} px, "
           f"guard {result.tiling.guard_px} px) in {elapsed:.2f} s "
           f"({area_um2 / max(elapsed, 1e-9):.1f} um^2/s) "
           f"[{engine.backend.name} backend, {engine.precision.name}]")
-    if executor.tile_cache is not None:
-        stats = executor.tile_cache.stats
-        print(f"tile cache: {stats.served}/{stats.tiles} tiles served from "
-              f"cache ({stats.hit_rate * 100:.1f}% hit rate, "
-              f"{stats.misses} imaged)")
+    _print_tile_cache_stats(executor)
     if arguments.out:
         print(f"aerial / resist memmaps written to {arguments.out}/ "
               f"(aerial.npy, resist.npy, meta.json)")
     if arguments.output:
-        # float: a geometry reader rasterises uint8 coverage, the file
-        # format predates that
-        mask_array = np.asarray(mask.read_window(0, 0, height, width),
-                                dtype=float) if is_reader else np.asarray(mask)
-        np.savez_compressed(arguments.output, mask=mask_array,
+        np.savez_compressed(arguments.output, mask=_dense_mask(mask),
                             aerial=np.asarray(result.aerial),
                             resist=np.asarray(result.resist))
         print(f"stitched aerial / resist written to {arguments.output}")
@@ -223,31 +269,33 @@ def command_sweep_window(arguments) -> int:
     import time
 
     from .engine import ShardedExecutor, available_workers
-    from .optics.source import make_source
-    from .sweep import FocusExposureGrid, ProcessWindowSweep
+    from .optics.process_window import FocusExposurePoint
+    from .sweep import (
+        CampaignIdentityError,
+        CampaignStore,
+        FocusExposureGrid,
+        ProcessWindowSweep,
+    )
 
     grid = FocusExposureGrid.from_sequences(
         _parse_float_list(arguments.focus, "--focus"),
         _parse_float_list(arguments.dose, "--dose"))
     num_workers = arguments.workers or available_workers()
-    mask = _layout_from_args(arguments)
-    config = OpticsConfig(tile_size_px=arguments.tile_size,
-                          pixel_size_nm=arguments.pixel_size_nm)
-    source = make_source(arguments.source) if arguments.source else None
-    compute = _compute_from_args(arguments)
+    inputs = _imaging_inputs(arguments)
+    if inputs is None:
+        return 2
+    mask, spec, compute = inputs
     with ShardedExecutor(num_workers=num_workers,
                          cache_dir=arguments.cache_dir or None,
                          compute=compute) as executor:
-        sweep = ProcessWindowSweep(config, source=source, executor=executor,
-                                   compute=compute)
+        sweep = ProcessWindowSweep(spec.config, source=spec.source,
+                                   executor=executor, compute=compute)
 
         # Build (or disk-load) the per-focus kernel banks before the timed
         # campaign so the reported time measures imaging, not one-off bank
         # decomposition.
         for focus in grid.focus_values_nm:
             sweep.engine_for_focus(focus)
-
-        from .sweep import CampaignIdentityError, CampaignStore
 
         start = time.perf_counter()
         try:
@@ -274,11 +322,7 @@ def command_sweep_window(arguments) -> int:
         print(f"campaign store: {outcome.store_dir} "
               f"({outcome.computed_conditions} computed, "
               f"{outcome.skipped_conditions} resumed)")
-    if executor.tile_cache is not None:
-        stats = executor.tile_cache.stats
-        print(f"tile cache: {stats.served}/{stats.tiles} tiles served from "
-              f"cache ({stats.hit_rate * 100:.1f}% hit rate, "
-              f"{stats.misses} imaged)")
+    _print_tile_cache_stats(executor)
     print()
     print(outcome.cd_table())
     print()
@@ -288,17 +332,12 @@ def command_sweep_window(arguments) -> int:
         matrix = outcome.window.cd_matrix()
         cd_nm = np.array([[matrix[focus][dose] for dose in grid.dose_values]
                           for focus in grid.focus_values_nm])
-        from .optics.process_window import FocusExposurePoint
-
         in_spec = np.array(
             [[outcome.window.in_spec(
                 FocusExposurePoint(focus, dose, matrix[focus][dose]))
               for dose in grid.dose_values]
              for focus in grid.focus_values_nm])
-        if hasattr(mask, "read_window"):
-            mask = np.asarray(mask.read_window(0, 0, height, width),
-                              dtype=float)
-        np.savez_compressed(arguments.output, mask=mask, cd_nm=cd_nm,
+        np.savez_compressed(arguments.output, mask=_dense_mask(mask), cd_nm=cd_nm,
                             in_spec=in_spec,
                             focus_values_nm=np.asarray(grid.focus_values_nm),
                             dose_values=np.asarray(grid.dose_values),
@@ -350,6 +389,8 @@ def command_serve(arguments) -> int:
 
 
 def command_experiments(arguments) -> int:
+    from .experiments import run_all
+
     run_all(preset=arguments.preset, seed=arguments.seed,
             include_ablations=not arguments.skip_ablations)
     return 0
@@ -362,6 +403,29 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--preset", default="tiny", choices=("tiny", "small", "default"),
                         help="experiment scale preset")
     parser.add_argument("--seed", type=int, default=0)
+
+
+def _add_layout_options(parser: argparse.ArgumentParser, width: int,
+                        height: int) -> None:
+    """Layout + optics options shared by the imaging subcommands; only the
+    synthetic canvas's default size differs between them."""
+    parser.add_argument("--input",
+                        help="load a layout instead of synthesizing one: a "
+                             "dense .npy/.npz raster, or a geometry file "
+                             "(repro-layout .json / GDSII-text / binary GDSII) "
+                             "imaged through the windowed layout readers")
+    parser.add_argument("--width", type=int, default=width, help="layout width (px)")
+    parser.add_argument("--height", type=int, default=height, help="layout height (px)")
+    parser.add_argument("--tile-size", type=int, default=256, help="tile size (px)")
+    parser.add_argument("--guard", type=int, default=-1,
+                        help="guard band per side (px); -1 sizes it from the "
+                             "optical kernel window")
+    parser.add_argument("--pixel-size-nm", type=float, default=4.0)
+    parser.add_argument("--family", default="B2m", choices=("B1", "B2m", "B2v"),
+                        help="synthetic layout family when no --input is given")
+    parser.add_argument("--source", default="",
+                        help="illuminator (circular/annular/dipole/quadrupole); "
+                             "default: the engine's annular source")
 
 
 def _add_compute_options(parser: argparse.ArgumentParser) -> None:
@@ -472,24 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
                "  # both: bounded-memory imaging plus an npz copy\n"
                "  repro image-layout --out chip_dir --output chip.npz\n")
     _add_common(image_layout)
-    image_layout.add_argument("--input",
-                              help="load a layout instead of synthesizing one: "
-                                   "a dense .npy/.npz raster, or a geometry "
-                                   "file (repro-layout .json / GDSII-text / "
-                                   "binary GDSII) imaged through the windowed "
-                                   "layout readers")
-    image_layout.add_argument("--width", type=int, default=1024, help="layout width (px)")
-    image_layout.add_argument("--height", type=int, default=768, help="layout height (px)")
-    image_layout.add_argument("--tile-size", type=int, default=256, help="tile size (px)")
-    image_layout.add_argument("--guard", type=int, default=-1,
-                              help="guard band per side (px); -1 sizes it from the "
-                                   "optical kernel window")
-    image_layout.add_argument("--pixel-size-nm", type=float, default=4.0)
-    image_layout.add_argument("--family", default="B2m", choices=("B1", "B2m", "B2v"),
-                              help="synthetic layout family when no --input is given")
-    image_layout.add_argument("--source", default="",
-                              help="illuminator (circular/annular/dipole/quadrupole); "
-                                   "default: the engine's annular source")
+    _add_layout_options(image_layout, width=1024, height=768)
     image_layout.add_argument("--output", default="",
                               help="output .npz path (this and/or --out)")
     image_layout.add_argument("--out", default="",
@@ -517,23 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
                "  # a layout larger than RAM images in bounded tile batches\n"
                "  repro sweep-window --store campaign_dir --input huge.npy\n")
     _add_common(sweep)
-    sweep.add_argument("--input",
-                       help="load a layout instead of synthesizing one: a "
-                            "dense .npy/.npz raster, or a geometry file "
-                            "(repro-layout .json / GDSII-text / binary GDSII) "
-                            "imaged through the windowed layout readers")
-    sweep.add_argument("--width", type=int, default=512, help="layout width (px)")
-    sweep.add_argument("--height", type=int, default=384, help="layout height (px)")
-    sweep.add_argument("--tile-size", type=int, default=256, help="tile size (px)")
-    sweep.add_argument("--guard", type=int, default=-1,
-                       help="guard band per side (px); -1 sizes it from the "
-                            "optical kernel window")
-    sweep.add_argument("--pixel-size-nm", type=float, default=4.0)
-    sweep.add_argument("--family", default="B2m", choices=("B1", "B2m", "B2v"),
-                       help="synthetic layout family when no --input is given")
-    sweep.add_argument("--source", default="",
-                       help="illuminator (circular/annular/dipole/quadrupole); "
-                            "default: the engine's annular source")
+    _add_layout_options(sweep, width=512, height=384)
     # argparse treats a bare "-80,-40,0" as an option string; widening the
     # (private, but stable across 3.10-3.13) negative-number matcher lets
     # `--focus -80,-40,0` work as naturally as `--focus=-80,-40,0` — which

@@ -1,5 +1,11 @@
 """Nitho core: kernel dimensioning, positional encodings, CMLP and the model itself."""
 
+from ..optics.kernel_dims import (
+    kernel_dimensions,
+    kernel_half_width,
+    resolution_nm,
+    suggest_kernel_order,
+)
 from .cmlp import CMLP, RealMLP
 from .encoding import (
     IdentityEncoding,
@@ -10,7 +16,6 @@ from .encoding import (
     make_encoding,
 )
 from .inverse import GradientILT, ILTSettings, print_fidelity
-from .kernel_dims import kernel_dimensions, kernel_half_width, resolution_nm, suggest_kernel_order
 from .nitho import NithoConfig, NithoModel
 from .trainer import NithoTrainer
 

@@ -25,11 +25,11 @@ import numpy as np
 from ..nn import functional as F
 from ..nn.tensor import Tensor
 from ..optics.aerial import mask_spectrum
+from ..optics.kernel_dims import kernel_dimensions
 from ..optics.resist import ConstantThresholdResist
 from ..optics.simulator import OpticsConfig
 from .cmlp import CMLP, RealMLP
 from .encoding import PositionalEncoding, kernel_coordinates, make_encoding
-from .kernel_dims import kernel_dimensions
 
 
 @dataclass

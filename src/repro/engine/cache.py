@@ -54,6 +54,7 @@ from ..backend import (
     is_auto_precision,
     resolve_precision,
 )
+from ..optics.kernel_dims import kernel_dimensions
 from ..optics.pupil import Pupil
 from ..optics.socs import SOCSKernels, decompose_tcc
 from ..optics.source import Source
@@ -218,8 +219,6 @@ class KernelBankCache:
         return f"{fingerprint}|order={max_order}|prec={precision.name}"
 
     def _kernel_shape(self, config) -> Tuple[int, int]:
-        from ..core.kernel_dims import kernel_dimensions  # avoid a core<->engine cycle
-
         return kernel_dimensions(
             config.tile_size_px, config.tile_size_px,
             wavelength_nm=config.wavelength_nm,

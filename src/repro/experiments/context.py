@@ -44,13 +44,6 @@ class ExperimentContext:
                     name, preset=self.config.preset, seed=self.config.seed + seed_offset)
         return self._datasets[name]
 
-    def all_datasets(self, include_opc: bool = True) -> Dict[str, LithoDataset]:
-        names = ["B1", "B2m", "B2v"]
-        if include_opc:
-            names.append("B1opc")
-        names.append("B2m+B2v")
-        return {name: self.dataset(name) for name in names}
-
     # ------------------------------------------------------------------ #
     # model factories
     # ------------------------------------------------------------------ #
@@ -92,10 +85,6 @@ class ExperimentContext:
         model.fit(dataset.train_masks, dataset.train_aerials)
         self._models[key] = model
         return model
-
-    def trained_models(self, dataset_name: str) -> Dict[str, object]:
-        """All three models trained on one dataset."""
-        return {name: self.trained_model(name, dataset_name) for name in MODEL_NAMES}
 
     def clear(self) -> None:
         """Drop every cached dataset and model (used between test configurations)."""

@@ -34,15 +34,3 @@ def evaluate_on_dataset(model, dataset: LithoDataset, max_tiles: int = 0) -> Dic
     metrics.update(aerial_metrics(aerials, predicted_aerials))
     metrics.update(resist_metrics(resists, predicted_resists))
     return metrics
-
-
-def scaled_metrics_row(name: str, metrics: Dict[str, float]) -> Dict[str, object]:
-    """Format one table row with the units used in the paper (MSE x1e-5, ME x1e-2)."""
-    return {
-        "model": name,
-        "mse_x1e-5": metrics["mse"] * 1e5,
-        "me_x1e-2": metrics["me"] * 1e2,
-        "psnr_db": metrics["psnr"],
-        "mpa_pct": metrics["mpa"],
-        "miou_pct": metrics["miou"],
-    }

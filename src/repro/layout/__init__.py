@@ -32,7 +32,7 @@ Readers plug in wherever a dense layout was accepted —
 
 >>> import numpy as np
 >>> from repro.layout import GeometryLayoutReader, as_layout_reader
->>> from repro.masks.geometry import Rect
+>>> from repro.layout.geometry import Rect
 >>> reader = GeometryLayoutReader({"m1": [Rect(0, 0, 64, 32)]},
 ...                               pixel_size_nm=8.0, extent_nm=128.0)
 >>> reader.shape

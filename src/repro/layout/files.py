@@ -32,8 +32,8 @@ import json
 import os
 from typing import Dict, List, Optional, Tuple
 
-from ..masks.geometry import Polygon, Rect
 from .gdsii import LayoutFormatError, looks_like_binary_gds, parse_gds
+from .geometry import Polygon, Rect
 from .indexed import GeometryLayoutReader
 
 _LAYOUT_FORMAT = "repro-layout"
@@ -158,7 +158,7 @@ def load_layout_file(path: str, pixel_size_nm: float,
     :class:`~repro.layout.indexed.GeometryLayoutReader`.
     """
     if not os.path.exists(path):
-        raise FileNotFoundError(path)
+        raise FileNotFoundError(f"no layout file at {path}")
     if not path.endswith(".json") and _probe_layout_kind(path) == "gds":
         from .hierarchy import HierarchicalLayoutReader
 

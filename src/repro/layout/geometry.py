@@ -118,6 +118,19 @@ def _vertical_spans(vertices: Sequence[Tuple[float, float]], x: float) -> List[T
     return spans
 
 
+def _pixel_interval(lo_nm: float, hi_nm: float, pixel_size_nm: float,
+                    limit: int) -> Tuple[int, int]:
+    """Half-open pixel-index interval of a 1-D nm span, clipped to [0, limit).
+
+    The one statement of the pixel-centre rule (:func:`rasterize` and both
+    geometry readers call it): a pixel belongs to the span when its centre
+    ``(i + 0.5) * pixel`` lies inside it.
+    """
+    start = int(np.ceil(lo_nm / pixel_size_nm - 0.5))
+    stop = int(np.floor(hi_nm / pixel_size_nm - 0.5)) + 1
+    return max(start, 0), min(stop, limit)
+
+
 def rasterize(shapes: Iterable[Rect], tile_size_px: int, pixel_size_nm: float) -> np.ndarray:
     """Rasterise rectangles onto a ``tile_size_px x tile_size_px`` binary mask.
 
@@ -133,12 +146,10 @@ def rasterize(shapes: Iterable[Rect], tile_size_px: int, pixel_size_nm: float) -
             clipped = shape.clipped(extent)
         except ValueError:
             continue
-        col_start = int(np.ceil(clipped.x / pixel_size_nm - 0.5))
-        col_stop = int(np.floor(clipped.x2 / pixel_size_nm - 0.5)) + 1
-        row_start = int(np.ceil(clipped.y / pixel_size_nm - 0.5))
-        row_stop = int(np.floor(clipped.y2 / pixel_size_nm - 0.5)) + 1
-        col_start, row_start = max(col_start, 0), max(row_start, 0)
-        col_stop, row_stop = min(col_stop, tile_size_px), min(row_stop, tile_size_px)
+        col_start, col_stop = _pixel_interval(clipped.x, clipped.x2,
+                                              pixel_size_nm, tile_size_px)
+        row_start, row_stop = _pixel_interval(clipped.y, clipped.y2,
+                                              pixel_size_nm, tile_size_px)
         if col_stop > col_start and row_stop > row_start:
             mask[row_start:row_stop, col_start:col_stop] = 1.0
     return mask

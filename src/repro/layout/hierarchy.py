@@ -41,9 +41,9 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ..masks.geometry import Polygon
 from .gdsii import GDSLibrary, GDSReference, LayoutFormatError, parse_gds
-from .indexed import DEFAULT_BUCKET_PX, _pixel_interval
+from .geometry import Polygon, Rect, _pixel_interval
+from .indexed import DEFAULT_BUCKET_PX
 
 __all__ = [
     "Transform",
@@ -589,8 +589,6 @@ class HierarchicalLayoutReader:
         """Flatten the hierarchy to chip-space rectangles per layer (the
         dense-equivalence witness; same float arithmetic as the window
         walk)."""
-        from ..masks.geometry import Rect
-
         shapes: Dict[str, List] = {}
         for layer, x1, y1, x2, y2 in self._iter_cell(
                 self._top, Transform.identity(), None):

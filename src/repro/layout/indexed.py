@@ -12,13 +12,13 @@ layout size by ``benchmarks/test_bench_layout_reader.py``.
 Bit-for-bit equality with dense rasterisation
 ---------------------------------------------
 Each shape's pixel-index interval is computed **once**, at index build time,
-with exactly the pixel-centre arithmetic of :func:`repro.masks.geometry.rasterize`
+with exactly the pixel-centre arithmetic of :func:`repro.layout.geometry.rasterize`
 (a pixel is set when its centre falls inside the shape).  Window reads then
 intersect those integer intervals with the window — no floating-point work
 happens per query — so ``read_window(0, 0, H, W)`` equals the full dense
 raster bit for bit, and any tiling of windows equals the corresponding
 slices of it.  Rectilinear polygons participate via
-:meth:`repro.masks.geometry.Polygon.to_rects`.
+:meth:`repro.layout.geometry.Polygon.to_rects`.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 
 import numpy as np
 
-from ..masks.geometry import Polygon, Rect
+from .geometry import Polygon, Rect, _pixel_interval
 
 Shape = Union[Rect, Polygon]
 
@@ -37,18 +37,6 @@ Shape = Union[Rect, Polygon]
 #: fraction of that keep candidate lists tight without inflating the
 #: per-shape registration cost.
 DEFAULT_BUCKET_PX = 64
-
-
-def _pixel_interval(lo_nm: float, hi_nm: float, pixel_size_nm: float,
-                    limit: int) -> Tuple[int, int]:
-    """Half-open pixel-index interval of a 1-D nm span, clipped to [0, limit).
-
-    Identical arithmetic to :func:`repro.masks.geometry.rasterize`: a pixel
-    belongs to the span when its centre ``(i + 0.5) * pixel`` lies inside it.
-    """
-    start = int(np.ceil(lo_nm / pixel_size_nm - 0.5))
-    stop = int(np.floor(hi_nm / pixel_size_nm - 0.5)) + 1
-    return max(start, 0), min(stop, limit)
 
 
 class _BucketGrid:
@@ -107,7 +95,7 @@ class GeometryLayoutReader:
         Layers rasterised by :meth:`read_window` (default: all, unioned —
         a mask is bright wherever any selected layer has a shape).
 
-    >>> from repro.masks.geometry import Rect
+    >>> from repro.layout.geometry import Rect
     >>> reader = GeometryLayoutReader({"metal": [Rect(8, 8, 16, 16)]},
     ...                               pixel_size_nm=8.0, extent_nm=64.0)
     >>> reader.shape

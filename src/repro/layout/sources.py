@@ -49,6 +49,8 @@ def synthesize_layout_mask(height_px: int, width_px: int, tile_size_px: int,
                            pixel_size_nm: float, family: str,
                            seed: int) -> np.ndarray:
     """Paste generator tiles onto an (height, width) canvas — a stand-in full layout."""
+    # The one production -> paper import (tests/test_import_boundary.py):
+    # deferred so only a synthetic layout loads the benchmark generators.
     from ..masks import (
         ICCAD2013Generator,
         ISPDMetalGenerator,

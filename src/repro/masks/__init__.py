@@ -1,5 +1,7 @@
-"""Mask / layout substrate: geometry, generators, OPC and dataset assembly."""
+"""Mask / layout substrate: generators, OPC and dataset assembly (geometry
+primitives are re-exported from :mod:`repro.layout.geometry`)."""
 
+from ..layout.geometry import Polygon, Rect, mask_density, rasterize
 from .datasets import (
     PRESETS,
     DatasetSpec,
@@ -16,7 +18,6 @@ from .generators import (
     MaskGenerator,
     make_generator,
 )
-from .geometry import Polygon, Rect, mask_density, rasterize
 from .io import load_dataset, load_layout, save_dataset, save_layout
 from .layout import Layout, Tile, iter_tiles
 from .opc import ILTRefiner, RuleOPCSettings, apply_opc, rule_based_opc

@@ -21,7 +21,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .geometry import Rect, rasterize
+from ..layout.geometry import Rect, rasterize
 
 
 class MaskGenerator:

@@ -18,8 +18,8 @@ from typing import Dict
 
 import numpy as np
 
+from ..layout.geometry import Rect
 from .datasets import LithoDataset
-from .geometry import Rect
 from .layout import Layout
 
 _LAYOUT_FORMAT_VERSION = 1

@@ -12,7 +12,7 @@ from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 
-from .geometry import Rect, rasterize
+from ..layout.geometry import Rect, rasterize
 
 
 @dataclass

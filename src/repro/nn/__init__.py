@@ -18,13 +18,11 @@ from .layers import (
     CReLU,
     Dropout,
     LayerNorm,
-    LeakyReLU,
     Linear,
     ModReLU,
     Module,
     ReLU,
     Sequential,
-    Sigmoid,
     Tanh,
 )
 from .optim import SGD, Adam, CosineLR, Optimizer, StepLR, clip_grad_norm
@@ -34,8 +32,8 @@ from .tensor import Tensor, as_tensor, ones, tensor, zeros
 
 __all__ = [
     "Tensor", "tensor", "as_tensor", "zeros", "ones", "functional",
-    "Module", "Linear", "CLinear", "ReLU", "CReLU", "ModReLU", "LeakyReLU",
-    "Sigmoid", "Tanh", "Sequential", "Dropout", "LayerNorm", "BatchNorm2d",
+    "Module", "Linear", "CLinear", "ReLU", "CReLU", "ModReLU",
+    "Tanh", "Sequential", "Dropout", "LayerNorm", "BatchNorm2d",
     "Conv2d", "Upsample2x", "AvgPool2d", "conv2d", "upsample2x", "avg_pool2d",
     "SpectralConv2d", "spectral_conv2d",
     "SGD", "Adam", "Optimizer", "StepLR", "CosineLR", "clip_grad_norm",

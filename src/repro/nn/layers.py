@@ -152,20 +152,6 @@ class ReLU(Module):
         return F.relu(x)
 
 
-class LeakyReLU(Module):
-    def __init__(self, negative_slope: float = 0.2):
-        super().__init__()
-        self.negative_slope = negative_slope
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.leaky_relu(x, self.negative_slope)
-
-
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return F.sigmoid(x)
-
-
 class Tanh(Module):
     def forward(self, x: Tensor) -> Tensor:
         return F.tanh(x)

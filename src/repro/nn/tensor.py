@@ -22,7 +22,7 @@ verified against numerical differentiation in ``tests/test_nn_autograd.py``.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -308,9 +308,3 @@ def as_tensor(value: Union[Tensor, ArrayLike]) -> Tensor:
     if isinstance(value, Tensor):
         return value
     return Tensor(value)
-
-
-def no_grad_params(params: Iterable[Tensor]) -> None:
-    """Clear gradients of an iterable of parameters."""
-    for p in params:
-        p.zero_grad()

@@ -21,6 +21,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .hopkins import abbe_aerial
+from .kernel_dims import kernel_dimensions
 from .pupil import Pupil
 from .resist import ConstantThresholdResist
 from .socs import SOCSKernels
@@ -102,8 +103,6 @@ class LithographySimulator:
     @property
     def kernel_shape(self) -> Tuple[int, int]:
         """Optical-kernel window size from the resolution limit (Eq. (10))."""
-        from ..core.kernel_dims import kernel_dimensions
-
         return kernel_dimensions(
             self.config.tile_size_px, self.config.tile_size_px,
             wavelength_nm=self.config.wavelength_nm,

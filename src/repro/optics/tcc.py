@@ -69,7 +69,7 @@ def compute_tcc(source: Source, pupil: Pupil, kernel_shape: Tuple[int, int],
     ----------
     kernel_shape:
         ``(n, m)`` window size, typically from
-        :func:`repro.core.kernel_dims.kernel_dimensions`.
+        :func:`repro.optics.kernel_dims.kernel_dimensions`.
     field_size_nm:
         Physical tile extent; sets the frequency sampling pitch.
     source_shape:

@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..optics.process_window import FocusExposurePoint, ProcessWindowResult
+from ..utils.imaging import ascii_image, write_pgm
 from .grid import FocusExposureGrid
 from .store import CampaignStore, condition_id
 
@@ -204,8 +205,6 @@ def render_campaign_report(report: CampaignReport,
         for token, path in aerials:
             lines.append(f"  focus {token}: {path}")
             if thumbnail_width > 0:
-                from ..analysis.visualize import ascii_image
-
                 aerial = np.load(path, mmap_mode="r")
                 # Stride down before any dense work: ascii_image normalises
                 # over its whole input, which must stay thumbnail-sized.
@@ -368,8 +367,6 @@ def save_aerial_thumbnails(report: CampaignReport, directory: str,
     **before** any dense work — like the ASCII rendering, a multi-GB
     memmapped aerial stays on disk and only the sampled pixels are read.
     """
-    from ..analysis.visualize import write_pgm
-
     if max_width_px <= 0:
         raise ValueError("max_width_px must be positive")
     paths: Dict[str, str] = {}

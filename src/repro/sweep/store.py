@@ -256,10 +256,6 @@ class CampaignStore:
     # ------------------------------------------------------------------ #
     # tile-result-cache accounting
     # ------------------------------------------------------------------ #
-    def get_tile_cache_stats(self) -> Optional[dict]:
-        """Accumulated tile-cache counters, ``None`` before any run recorded."""
-        return self._require_open().get("tile_cache")
-
     def record_tile_cache_stats(self, stats: Dict[str, int]) -> None:
         """Accumulate one run's tile-cache counter deltas into the manifest.
 

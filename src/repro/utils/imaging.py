@@ -4,10 +4,13 @@ The central tool is band-limited (Fourier) resizing: golden aerial images are
 band-limited by construction, so cropping or zero-padding their spectra is an
 exact change of sampling resolution.  Binary masks and resist patterns are
 resized with area pooling / nearest neighbour instead, to stay binary.
+:func:`ascii_image` / :func:`write_pgm` are the matplotlib-free image dumps
+the campaign report and the paper figures share.
 """
 
 from __future__ import annotations
 
+import os
 from typing import Tuple
 
 import numpy as np
@@ -98,6 +101,34 @@ def normalize01(image: np.ndarray) -> np.ndarray:
     if hi - lo <= 0:
         return np.zeros_like(image)
     return (image - lo) / (hi - lo)
+
+
+_ASCII_LEVELS = " .:-=+*#%@"
+
+
+def ascii_image(image: np.ndarray, width: int = 64) -> str:
+    """Render an image as ASCII art (brighter pixels map to denser glyphs)."""
+    image = normalize01(np.asarray(image, dtype=float))
+    height = max(1, int(round(width * image.shape[0] / image.shape[1] / 2)))
+    rows = np.linspace(0, image.shape[0] - 1, height).astype(int)
+    cols = np.linspace(0, image.shape[1] - 1, width).astype(int)
+    sampled = image[np.ix_(rows, cols)]
+    indices = np.clip((sampled * (len(_ASCII_LEVELS) - 1)).round().astype(int),
+                      0, len(_ASCII_LEVELS) - 1)
+    return "\n".join("".join(_ASCII_LEVELS[i] for i in line) for line in indices)
+
+
+def write_pgm(image: np.ndarray, path: str) -> str:
+    """Write an image as an 8-bit binary PGM file; returns the path."""
+    image = normalize01(np.asarray(image, dtype=float))
+    data = (image * 255).astype(np.uint8)
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    header = f"P5\n{data.shape[1]} {data.shape[0]}\n255\n".encode("ascii")
+    with open(path, "wb") as handle:
+        handle.write(header)
+        handle.write(data.tobytes())
+    return path
 
 
 def to_batch(images) -> np.ndarray:

@@ -98,3 +98,56 @@ class TestTrainEvaluateSimulate:
         exit_code = main(["train", "--preset", "tiny", "--dataset-file", opc_path,
                           "--epochs", "1", "--output", str(tmp_path / "ckpt.npz")])
         assert exit_code == 2
+
+
+class TestImagingVerbsRejectBadInput:
+    """Unusable user input to the imaging verbs is one ``error:`` line and
+    exit 2 — like ``campaign-report`` on a missing store — never a traceback,
+    and nothing is written."""
+
+    @pytest.fixture
+    def bad_inputs(self, tmp_path):
+        not_gds = tmp_path / "nul.gds"
+        not_gds.write_bytes(b"abc\0\0\0def\0")
+        return {
+            "missing file": (["--input", str(tmp_path / "nope.gds")],
+                             "no layout file"),
+            "not a layout": (["--input", str(not_gds)], "not a layout file"),
+            "unknown source": (["--source", "nosuch"], "unknown source type"),
+            "bad precision value": (
+                ["--compute-config", '{"precision": "float16"}'],
+                "unknown precision 'float16'"),
+            "missing @file": (
+                ["--compute-config", "@" + str(tmp_path / "missing.json")],
+                "missing.json"),
+        }
+
+    @pytest.mark.parametrize("verb", ["image-layout", "sweep-window"])
+    @pytest.mark.parametrize("case", ["missing file", "not a layout",
+                                      "unknown source", "bad precision value",
+                                      "missing @file"])
+    def test_error_line_exit_2_no_output(self, verb, case, bad_inputs,
+                                         tmp_path, capsys):
+        arguments, message = bad_inputs[case]
+        output = tmp_path / "out.npz"
+        exit_code = main([verb, "--width", "64", "--height", "64",
+                          "--tile-size", "32", "--pixel-size-nm", "8",
+                          "--output", str(output)] + arguments)
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert not output.exists()
+
+    def test_an_error_while_imaging_keeps_its_traceback(self, tmp_path,
+                                                        monkeypatch):
+        from repro.engine import ShardedExecutor
+
+        def broken(self, *args, **kwargs):
+            raise ValueError("internal")
+
+        monkeypatch.setattr(ShardedExecutor, "image_layout", broken)
+        with pytest.raises(ValueError, match="internal"):
+            main(["image-layout", "--width", "64", "--height", "64",
+                  "--tile-size", "32", "--pixel-size-nm", "8",
+                  "--output", str(tmp_path / "out.npz")])

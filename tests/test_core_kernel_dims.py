@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.kernel_dims import (
+from repro.optics.kernel_dims import (
     kernel_dimensions,
     kernel_half_width,
     resolution_nm,

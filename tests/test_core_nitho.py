@@ -24,7 +24,7 @@ class TestNithoConfig:
 
 class TestNithoModelStructure:
     def test_kernel_shape_from_resolution_limit(self, tiny_optics, quick_nitho_config):
-        from repro.core.kernel_dims import kernel_dimensions
+        from repro.optics.kernel_dims import kernel_dimensions
 
         model = NithoModel(tiny_optics, quick_nitho_config)
         expected = kernel_dimensions(tiny_optics.tile_size_px, tiny_optics.tile_size_px,

@@ -38,7 +38,7 @@ from repro.layout import (
     load_layout_file,
     source_digest,
 )
-from repro.masks.geometry import Polygon, Rect
+from repro.layout.geometry import Polygon, Rect
 from repro.masks.io import save_layout
 from repro.masks.layout import Layout
 from repro.optics.simulator import OpticsConfig
@@ -136,7 +136,7 @@ class TestGeometryLayoutReader:
                         (0, 40)))
         reader = GeometryLayoutReader({"m": [poly]}, pixel_size_nm=4.0,
                                       extent_nm=64.0)
-        from repro.masks.geometry import rasterize
+        from repro.layout.geometry import rasterize
 
         np.testing.assert_array_equal(reader.read_window(0, 0, 16, 16),
                                       rasterize(poly.to_rects(), 16, 4.0))

@@ -10,7 +10,7 @@ from repro.masks.generators import (
     ISPDViaGenerator,
     make_generator,
 )
-from repro.masks.geometry import mask_density
+from repro.layout.geometry import mask_density
 
 TILE = 64
 PIXEL = 16.0

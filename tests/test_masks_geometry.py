@@ -1,11 +1,11 @@
-"""Tests for geometry primitives and rasterisation (repro.masks.geometry)."""
+"""Tests for geometry primitives and rasterisation (repro.layout.geometry)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.masks.geometry import Polygon, Rect, mask_density, rasterize
+from repro.layout.geometry import Polygon, Rect, mask_density, rasterize
 
 
 class TestRect:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.masks.geometry import Rect
+from repro.layout.geometry import Rect
 from repro.masks.layout import Layout, Tile, iter_tiles
 
 

@@ -27,7 +27,7 @@ PIXEL = 24.0
 FIELD = TILE * PIXEL
 # The SOCS/Abbe equivalence only holds when the kernel window covers the full
 # intensity band limit 2 NA / lambda, i.e. the Eq. (10) dimension.
-from repro.core.kernel_dims import kernel_dimensions  # noqa: E402
+from repro.optics.kernel_dims import kernel_dimensions  # noqa: E402
 
 KERNEL_SHAPE = kernel_dimensions(TILE, TILE, WAVELENGTH, NA, PIXEL)
 

@@ -35,7 +35,7 @@ class TestOpticsConfig:
 
 class TestSimulator:
     def test_kernel_shape_follows_resolution_limit(self, tiny_simulator, tiny_optics):
-        from repro.core.kernel_dims import kernel_dimensions
+        from repro.optics.kernel_dims import kernel_dimensions
 
         expected = kernel_dimensions(tiny_optics.tile_size_px, tiny_optics.tile_size_px,
                                      pixel_size_nm=tiny_optics.pixel_size_nm)

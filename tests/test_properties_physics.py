@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core.kernel_dims import kernel_dimensions
+from repro.optics.kernel_dims import kernel_dimensions
 from repro.engine import ExecutionEngine
 from repro.optics.aerial import mask_spectrum
 from repro.optics.pupil import Pupil

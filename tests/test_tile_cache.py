@@ -51,7 +51,7 @@ from repro.engine import (
 )
 from repro.engine import tile_cache as tile_cache_module
 from repro.layout import ArrayLayoutReader, GeometryLayoutReader
-from repro.masks.geometry import Rect
+from repro.layout.geometry import Rect
 from repro.optics import OpticsConfig
 from repro.optics.source import CircularSource
 
@@ -598,7 +598,7 @@ def _hierarchy_case():
     import os
 
     from repro.layout import load_layout_file
-    from repro.masks.geometry import rasterize
+    from repro.layout.geometry import rasterize
 
     reader = load_layout_file(
         os.path.join(os.path.dirname(__file__), "data", "hier4.gds"),

@@ -32,7 +32,7 @@ from repro.engine import (
     WorkerPool,
 )
 from repro.layout import GeometryLayoutReader, load_layout_file
-from repro.masks.geometry import Rect
+from repro.layout.geometry import Rect
 from repro.masks.layout import Layout
 from repro.optics import OpticsConfig
 from repro.optics.process_window import measure_cd, widest_feature_row

@@ -26,6 +26,8 @@ emitter-produced streams.
 
 from __future__ import annotations
 
+import math
+import struct
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import (
@@ -178,14 +180,12 @@ def _decode_payload(datatype: int, payload: bytes, offset: int,
     if datatype == _INT2:
         if len(payload) % 2:
             raise fail("2-byte-integer payload has odd length")
-        return tuple(int.from_bytes(payload[i:i + 2], "big", signed=True)
-                     for i in range(0, len(payload), 2))
+        return struct.unpack(f">{len(payload) // 2}h", payload)
     if datatype == _INT4:
         if len(payload) % 4:
             raise fail(f"4-byte-integer payload length {len(payload)} is not "
                        f"a multiple of 4")
-        return tuple(int.from_bytes(payload[i:i + 4], "big", signed=True)
-                     for i in range(0, len(payload), 4))
+        return struct.unpack(f">{len(payload) // 4}i", payload)
     if datatype == _REAL8:
         if len(payload) % 8:
             raise fail(f"8-byte-real payload length {len(payload)} is not "
@@ -700,6 +700,18 @@ def _emit_transform(reference: GDSReference) -> bytes:
     return out
 
 
+def _meters_per_unit(unit_nm: float) -> float:
+    """The metres-per-database-unit value the parser reads back as exactly
+    ``unit_nm``: ``x * 1e-9 * 1e9`` is not ``x`` for every float (0.1 drifts
+    up an ulp per round trip), so take the neighbour that is."""
+    meters = unit_nm * 1e-9
+    for candidate in (meters, math.nextafter(meters, 0.0),
+                      math.nextafter(meters, math.inf)):
+        if candidate * 1e9 == unit_nm:
+            return candidate
+    return meters
+
+
 def write_gds(library: Union[GDSLibrary, Mapping[str, GDSCell]],
               path: Optional[str] = None, *,
               unit_nm: Optional[float] = None,
@@ -728,7 +740,8 @@ def write_gds(library: Union[GDSLibrary, Mapping[str, GDSCell]],
         _record_bytes(BGNLIB, _INT2, zero_stamps),
         _record_bytes(LIBNAME, _ASCII, _ascii(label)),
         _record_bytes(UNITS, _REAL8,
-                      _encode_real8(unit * 1e-3) + _encode_real8(unit * 1e-9)),
+                      _encode_real8(unit * 1e-3)
+                      + _encode_real8(_meters_per_unit(unit))),
     ]
     for cell_name, cell in cells.items():
         chunks.append(_record_bytes(BGNSTR, _INT2, zero_stamps))

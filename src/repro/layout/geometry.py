@@ -7,6 +7,7 @@ and to rasterise them onto the pixel grid consumed by the optics substrate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
@@ -56,14 +57,6 @@ class Rect:
 
     def translated(self, dx: float, dy: float) -> "Rect":
         return Rect(self.x + dx, self.y + dy, self.width, self.height)
-
-    def clipped(self, extent: float) -> "Rect":
-        """Clip to the [0, extent) x [0, extent) tile; raises if fully outside."""
-        x1, y1 = max(self.x, 0.0), max(self.y, 0.0)
-        x2, y2 = min(self.x2, extent), min(self.y2, extent)
-        if x2 <= x1 or y2 <= y1:
-            raise ValueError("rectangle lies entirely outside the tile")
-        return Rect(x1, y1, x2 - x1, y2 - y1)
 
 
 @dataclass(frozen=True)
@@ -126,8 +119,8 @@ def _pixel_interval(lo_nm: float, hi_nm: float, pixel_size_nm: float,
     geometry readers call it): a pixel belongs to the span when its centre
     ``(i + 0.5) * pixel`` lies inside it.
     """
-    start = int(np.ceil(lo_nm / pixel_size_nm - 0.5))
-    stop = int(np.floor(hi_nm / pixel_size_nm - 0.5)) + 1
+    start = math.ceil(lo_nm / pixel_size_nm - 0.5)
+    stop = math.floor(hi_nm / pixel_size_nm - 0.5) + 1
     return max(start, 0), min(stop, limit)
 
 
@@ -140,15 +133,10 @@ def rasterize(shapes: Iterable[Rect], tile_size_px: int, pixel_size_nm: float) -
     if tile_size_px <= 0 or pixel_size_nm <= 0:
         raise ValueError("tile size and pixel size must be positive")
     mask = np.zeros((tile_size_px, tile_size_px), dtype=float)
-    extent = tile_size_px * pixel_size_nm
     for shape in shapes:
-        try:
-            clipped = shape.clipped(extent)
-        except ValueError:
-            continue
-        col_start, col_stop = _pixel_interval(clipped.x, clipped.x2,
+        col_start, col_stop = _pixel_interval(shape.x, shape.x2,
                                               pixel_size_nm, tile_size_px)
-        row_start, row_stop = _pixel_interval(clipped.y, clipped.y2,
+        row_start, row_stop = _pixel_interval(shape.y, shape.y2,
                                               pixel_size_nm, tile_size_px)
         if col_stop > col_start and row_stop > row_start:
             mask[row_start:row_stop, col_start:col_stop] = 1.0

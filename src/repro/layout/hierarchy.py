@@ -16,16 +16,55 @@ graph:
   solved in closed form, so cost is flat in instance count), and only the
   surviving geometry is transformed and rasterised — the dense flat raster
   never materialises;
-* rasterisation reuses the pixel-centre interval arithmetic of
-  :mod:`repro.layout.indexed`, and the window walk and
-  :meth:`HierarchicalLayoutReader.flatten` share every transform operation,
-  so windows are **bit-for-bit** equal to the corresponding slices of the
-  dense flatten (pinned across backends, precisions, sharding and streaming
-  by ``tests/test_layout_hierarchy.py``);
+* **the per-rectangle path** — :meth:`HierarchicalLayoutReader._iter_cell`
+  (every transformed coordinate) followed by
+  :func:`~repro.layout.geometry._pixel_interval` (the pixel-centre rule) —
+  is the only place that arithmetic is written.  The window walk,
+  :meth:`~HierarchicalLayoutReader.flatten`, ``digest()`` and the memo build
+  below all run it, so windows are **bit-for-bit** equal to the
+  corresponding slices of the dense flatten (pinned across backends,
+  precisions, sharding and streaming by ``tests/test_layout_hierarchy.py``);
 * :meth:`~HierarchicalLayoutReader.digest` hashes the flattened pixel
   intervals in exactly the canonical
   :meth:`~repro.layout.indexed.GeometryLayoutReader.digest` form, so a
   hierarchical layout and its flat equivalent share one campaign identity.
+
+**A repeated cell rasterises once.**  A placed cell that touches the window
+is painted as one integer-pixel OR-blit of a memoised raster instead of a
+walk of its subtree.  The memo key is ``(cell, a, b, c, d, phase_x,
+phase_y)``: the cell, the linear part of its composed placement and the
+sub-pixel phase ``t - floor(t / pixel) * pixel`` of its translation.  The
+raster of a key is built once, *through the per-rectangle path* (the
+subtree flattened under the key's transform, unclipped), and a placement
+with translation ``t`` is that raster shifted by ``floor(t / pixel)`` whole
+pixels and clipped to the window.  Nobody turns this on or off; a placement
+is eligible when the shift is provably exact:
+
+    *Lemma (dyadic lattice).*  Let every number that enters a coordinate —
+    the subtree's rectangle corners, placement origins and array steps, and
+    the placement's translation — be a multiple of ``2**-10`` nm no larger
+    than ``2**31`` nm, every magnification a power of two with the
+    cumulative one at least ``2**-10``, and the pixel size a power of two in
+    ``2**-10 .. 2**10`` nm.  Then every value the per-rectangle path
+    computes is a multiple of ``2**-20`` nm no larger than ``2**32`` nm — 53
+    significant bits, what a double holds — so none of its sums and products
+    rounds, and neither do ``x / pixel`` and ``x / pixel - 0.5``:
+    ``ceil(x / p - 0.5)`` *is* the real-number pixel-centre rule.
+    Translating by ``k`` whole pixels
+    therefore adds exactly ``k * p`` to every coordinate and exactly ``k``
+    to every pixel index: the blit sets the pixels the per-rectangle path
+    would.
+
+The 1 / 0.5 / 0.25 nm database units and 1 / 2 / 4 / 8 nm pixels of real
+layouts are on the lattice.  Everything else — a 0.1 nm database unit, a
+magnification of 1.1, a 2.5 nm pixel, and the top cell's own rectangles —
+takes the bucket-query + per-rectangle path unchanged; since that path is
+also what fills the memo and what ``flatten()`` runs, the fallback is the
+oracle, not a second implementation.  Two module constants bound the memo
+and are deliberately not settings: :data:`MAX_CELL_RASTER_PX` (a placed cell
+with a larger pixel hull is walked and pruned, never rasterised whole) and
+:data:`MEMO_BUDGET_BYTES` (rasters kept per reader), so RAM stays O(window)
+whatever the layout repeats.
 
 Transforms follow the GDSII convention restricted to Manhattan layouts:
 optional reflection about the x axis, magnification, then rotation by a
@@ -36,12 +75,22 @@ from __future__ import annotations
 
 import hashlib
 import math
+import threading
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 import numpy as np
 
-from .gdsii import GDSLibrary, GDSReference, LayoutFormatError, parse_gds
+from .gdsii import GDSLibrary, LayoutFormatError, parse_gds
 from .geometry import Polygon, Rect, _pixel_interval
 from .indexed import DEFAULT_BUCKET_PX
 
@@ -55,9 +104,35 @@ __all__ = [
 _COS = (1.0, 0.0, -1.0, 0.0)
 _SIN = (0.0, 1.0, 0.0, -1.0)
 
+#: Largest pixel hull (rows x columns) of a placed cell that is memoised.  A
+#: constant, not a setting: it only has to sit between "a standard cell"
+#: and "a window" — a bigger cell is walked and pruned like the top cell, so
+#: nothing chip-sized is ever rasterised whole.
+MAX_CELL_RASTER_PX = 2 ** 18
+#: Bytes of rasters one reader keeps.  A constant for the same reason: it
+#: bounds the reader at "a few windows" of RAM whatever the layout repeats;
+#: keys that arrive once it is spent take the per-rectangle path.
+MEMO_BUDGET_BYTES = 2 ** 24
+#: Bookkeeping charged per memo entry (key tuple, array header, dict slot),
+#: so a layout of countless tiny cells cannot outgrow the budget either.
+_MEMO_ENTRY_BYTES = 512
 
-@dataclass(frozen=True)
-class Transform:
+#: The dyadic lattice of the module docstring: multiples of 2**-10 nm, at
+#: most 2**31 nm away from the origin, scaled by 2**-10 .. 2**10.
+_LATTICE_SCALE = 2.0 ** 10
+_LATTICE_LIMIT = 2.0 ** 31
+_LATTICE_MIN_SCALE = 1.0 / _LATTICE_SCALE
+
+
+def _on_lattice(value: float) -> bool:
+    return (value * _LATTICE_SCALE).is_integer()
+
+
+def _is_power_of_two(value: float) -> bool:
+    return value > 0.0 and math.frexp(value)[0] == 0.5
+
+
+class Transform(NamedTuple):
     """A Manhattan affine map ``p -> A p + t`` (nm coordinates).
 
     ``A`` is ``[[a, b], [c, d]]`` with entries in ``{0, ±mag}`` — the only
@@ -162,13 +237,13 @@ class _NmBucketGrid:
 
 @dataclass(frozen=True)
 class _Instance:
-    """One placement, pre-scaled to nm: an SREF is the 1x1 array case."""
+    """One placement, pre-scaled to nm: an SREF is the 1x1 array case.
+    ``linear`` is the ``(a, b, c, d)`` of :meth:`Transform.place` — the same
+    for every element of an array."""
 
     cell: str
     origin: Tuple[float, float]
-    mag: float
-    quarter_turns: int
-    reflect: bool
+    linear: Tuple[float, float, float, float]
     columns: int
     rows: int
     column_vector: Tuple[float, float]
@@ -257,15 +332,24 @@ class HierarchicalLayoutReader:
             self._instances[name] = [
                 _Instance(cell=ref.cell,
                           origin=(ref.origin[0] * unit, ref.origin[1] * unit),
-                          mag=ref.mag, quarter_turns=ref.quarter_turns,
-                          reflect=ref.reflect, columns=ref.columns,
-                          rows=ref.rows,
+                          linear=Transform.place(
+                              0.0, 0.0, mag=ref.mag,
+                              quarter_turns=ref.quarter_turns,
+                              reflect=ref.reflect)[:4],
+                          columns=ref.columns, rows=ref.rows,
                           column_vector=(ref.column_vector[0] * unit,
                                          ref.column_vector[1] * unit),
                           row_vector=(ref.row_vector[0] * unit,
                                       ref.row_vector[1] * unit))
                 for ref in cell.references]
         self._bboxes = self._compute_bboxes()
+        self._lattice = self._compute_lattice()
+        #: (cell, a, b, c, d, phase_x, phase_y) -> (raster, chip row and
+        #: column of its [0, 0] at zero whole-pixel shift); see
+        #: :meth:`_placed_raster`.
+        self._rasters: Dict[tuple, Tuple[np.ndarray, int, int]] = {}
+        self._raster_bytes = 0
+        self._memo_lock = threading.Lock()
         all_layers = sorted({layer for grids in self._grids.values()
                              for layer in grids})
         self.layers = tuple(all_layers) if layers is None else tuple(layers)
@@ -274,8 +358,9 @@ class HierarchicalLayoutReader:
         if shape[0] <= 0 or shape[1] <= 0:
             raise ValueError("raster shape must be positive")
         self._shape = (int(shape[0]), int(shape[1]))
-        #: Candidate rectangles touched by the most recent ``read_window`` —
-        #: the flat-in-instance-count observable the hierarchy bench pins.
+        #: Rectangles painted plus cell rasters blitted by the most recent
+        #: ``read_window`` — the flat-in-instance-count observable the
+        #: hierarchy bench pins.
         self.last_candidates = 0
         self._digest: Optional[str] = None
 
@@ -362,10 +447,8 @@ class HierarchicalLayoutReader:
                 child_box = resolve(instance.cell)
                 if child_box is None:
                     continue
-                base = Transform.place(*instance.origin, mag=instance.mag,
-                                       quarter_turns=instance.quarter_turns,
-                                       reflect=instance.reflect)
-                placed = base.apply_box(*child_box)
+                placed = Transform(*instance.linear,
+                                   *instance.origin).apply_box(*child_box)
                 for column in (0, instance.columns - 1):
                     for row in (0, instance.rows - 1):
                         dx = (column * instance.column_vector[0]
@@ -394,24 +477,22 @@ class HierarchicalLayoutReader:
     # -------------------------------------------------------------- #
     # the lazy placement walk
     # -------------------------------------------------------------- #
-    def _element_indices(self, instance: _Instance, transform: Transform,
-                         cell_box: Tuple[float, float, float, float],
+    def _element_indices(self, instance: _Instance,
+                         column_step: Tuple[float, float],
+                         row_step: Tuple[float, float],
+                         element_box: Tuple[float, float, float, float],
                          window: Tuple[float, float, float, float],
                          ) -> Iterator[Tuple[int, int]]:
         """Candidate ``(column, row)`` indices of array elements that may
-        intersect the chip-space ``window`` — solved in closed form, so the
-        cost is the number of *intersecting* elements, not ``cols * rows``.
-        Conservative: callers still bbox-test each candidate exactly.
+        intersect the chip-space ``window`` — solved in closed form from the
+        chip-space box of element ``(0, 0)`` and the chip-space step
+        vectors, so the cost is the number of *intersecting* elements, not
+        ``cols * rows``.  Conservative: callers still bbox-test each
+        candidate exactly.
         """
         columns, rows = instance.columns, instance.rows
-        base = transform.compose(
-            Transform.place(*instance.origin, mag=instance.mag,
-                            quarter_turns=instance.quarter_turns,
-                            reflect=instance.reflect))
-        element_box = base.apply_box(*cell_box)
-        # Chip-space displacement per column / row step.
-        cvx, cvy = transform.apply_vector(*instance.column_vector)
-        rvx, rvy = transform.apply_vector(*instance.row_vector)
+        cvx, cvy = column_step
+        rvx, rvy = row_step
         # The displacement i*CV + j*RV must land inside this box for the
         # element bbox to touch the window.
         low_x, high_x = window[0] - element_box[2], window[2] - element_box[0]
@@ -440,9 +521,7 @@ class HierarchicalLayoutReader:
         if columns == 1 or rows == 1:
             # One-dimensional array: intersect the per-axis constraints.
             count = columns if rows == 1 else rows
-            vector = (instance.column_vector if rows == 1
-                      else instance.row_vector)
-            vx, vy = transform.apply_vector(*vector)
+            vx, vy = column_step if rows == 1 else row_step
             span_x = _index_interval(low_x, high_x, vx, count)
             span_y = _index_interval(low_y, high_y, vy, count)
             if span_x is None or span_y is None:
@@ -460,13 +539,18 @@ class HierarchicalLayoutReader:
 
     def _iter_cell(self, name: str, transform: Transform,
                    window: Optional[Tuple[float, float, float, float]],
+                   place: Optional[Callable[..., bool]] = None,
                    ) -> Iterator[Tuple[str, float, float, float, float]]:
         """Yield ``(layer, x1, y1, x2, y2)`` chip-space nm rectangles of
         ``name`` under ``transform``, pruned to ``window`` (conservative)
-        when one is given.  The flatten path is this very generator with
-        ``window=None``, so both compute identical floating-point
-        coordinates for every surviving rectangle — the root of the
-        bit-for-bit hierarchical == flattened guarantee.
+        when one is given.  The flatten path and the memo build are this
+        very generator with ``window=None``, so all three compute identical
+        floating-point coordinates for every surviving rectangle — the root
+        of the bit-for-bit hierarchical == flattened guarantee.
+
+        ``place(cell, a, b, c, d, tx, ty, box)`` is offered every placed
+        child that touches the window; when it returns true the child is
+        painted already and its subtree is not walked.
         """
         grids = self._grids[name]
         if window is None:
@@ -482,32 +566,176 @@ class HierarchicalLayoutReader:
                     chip = transform.apply_box(*grid.boxes[index])
                     if _boxes_intersect(chip, window):
                         yield (layer, *chip)
+        ta, tb, tc, td, ttx, tty = transform
         for instance in self._instances[name]:
             cell_box = self._bboxes[instance.cell]
             if cell_box is None:
                 continue
+            # Constants of this (instance, parent transform), shared by
+            # every array element: the composed linear part and the child's
+            # box under it.  Each expression keeps the operation order of
+            # Transform.compose / apply_box, so no coordinate moves a bit.
+            la, lb, lc, ld = instance.linear
+            a, b = ta * la + tb * lc, ta * lb + tb * ld
+            c, d = tc * la + td * lc, tc * lb + td * ld
+            ox, oy = instance.origin
+            cvx, cvy = instance.column_vector
+            rvx, rvy = instance.row_vector
             if window is None:
                 candidates: Iterable[Tuple[int, int]] = (
                     (column, row) for column in range(instance.columns)
                     for row in range(instance.rows))
             else:
-                candidates = self._element_indices(instance, transform,
-                                                   cell_box, window)
+                # Rounded addition is monotonic, so the min / max of the two
+                # translated corners is the translated min / max.
+                x1, y1, x2, y2 = cell_box
+                px, py = a * x1 + b * y1, c * x1 + d * y1
+                qx, qy = a * x2 + b * y2, c * x2 + d * y2
+                low_x, high_x = min(px, qx), max(px, qx)
+                low_y, high_y = min(py, qy), max(py, qy)
+                tx, ty = ta * ox + tb * oy + ttx, tc * ox + td * oy + tty
+                candidates = self._element_indices(
+                    instance, (ta * cvx + tb * cvy, tc * cvx + td * cvy),
+                    (ta * rvx + tb * rvy, tc * rvx + td * rvy),
+                    (low_x + tx, low_y + ty, high_x + tx, high_y + ty),
+                    window)
             for column, row in candidates:
-                origin = (instance.origin[0]
-                          + column * instance.column_vector[0]
-                          + row * instance.row_vector[0],
-                          instance.origin[1]
-                          + column * instance.column_vector[1]
-                          + row * instance.row_vector[1])
-                placed = transform.compose(
-                    Transform.place(*origin, mag=instance.mag,
-                                    quarter_turns=instance.quarter_turns,
-                                    reflect=instance.reflect))
-                if window is not None and not _boxes_intersect(
-                        placed.apply_box(*cell_box), window):
-                    continue
-                yield from self._iter_cell(instance.cell, placed, window)
+                ex = ox + column * cvx + row * rvx
+                ey = oy + column * cvy + row * rvy
+                tx, ty = ta * ex + tb * ey + ttx, tc * ex + td * ey + tty
+                if window is not None:
+                    box = (low_x + tx, low_y + ty, high_x + tx, high_y + ty)
+                    if not _boxes_intersect(box, window):
+                        continue
+                    if place is not None and place(instance.cell, a, b, c, d,
+                                                   tx, ty, box):
+                        continue
+                yield from self._iter_cell(
+                    instance.cell, Transform(a, b, c, d, tx, ty), window,
+                    place)
+
+    # -------------------------------------------------------------- #
+    # memoised placed-cell rasters
+    # -------------------------------------------------------------- #
+    def _compute_lattice(self) -> Dict[str, Optional[Tuple[float, float]]]:
+        """Per cell ``(reach, finest)``: a bound on the magnitude of every
+        coordinate and intermediate translation of the cell's flattened
+        subtree in its own frame, and the smallest cumulative magnification
+        inside it — or ``None`` when some input of the subtree (a rectangle
+        coordinate, a placement origin or step, a magnification) or the
+        pixel size is off the dyadic lattice of the module docstring, which
+        sends every placement of the cell down the per-rectangle path."""
+        lattice: Dict[str, Optional[Tuple[float, float]]] = {}
+        pixel = self.pixel_size_nm
+        if not (_is_power_of_two(pixel)
+                and _LATTICE_MIN_SCALE <= pixel <= _LATTICE_SCALE):
+            return dict.fromkeys(self.library.cells)
+
+        def resolve(name: str) -> Optional[Tuple[float, float]]:
+            if name in lattice:
+                return lattice[name]
+            values = [value for grid in self._grids[name].values()
+                      for box in grid.boxes for value in box]
+            reach, finest = 0.0, 1.0
+            for instance in self._instances[name]:
+                child = resolve(instance.cell)
+                scale = max(map(abs, instance.linear))
+                if child is None or not _is_power_of_two(scale):
+                    reach = math.inf
+                    break
+                values += (*instance.origin, *instance.column_vector,
+                           *instance.row_vector)
+                element = max(
+                    abs(origin) + instance.columns * abs(column_step)
+                    + instance.rows * abs(row_step)
+                    for origin, column_step, row_step in zip(
+                        instance.origin, instance.column_vector,
+                        instance.row_vector))
+                reach = max(reach, element + scale * child[0])
+                finest = min(finest, scale * child[1])
+            reach = max([reach, *map(abs, values)])
+            on_lattice = reach <= _LATTICE_LIMIT and all(
+                map(_on_lattice, values))
+            lattice[name] = (reach, finest) if on_lattice else None
+            return lattice[name]
+
+        # Only placed cells are ever looked up: the top cell's own (usually
+        # most numerous) rectangles need no check.
+        for instances in self._instances.values():
+            for instance in instances:
+                resolve(instance.cell)
+        return lattice
+
+    def _placed_raster(self, cell: str, a: float, b: float, c: float,
+                       d: float, tx: float, ty: float,
+                       box: Tuple[float, float, float, float],
+                       ) -> Optional[Tuple[np.ndarray, int, int]]:
+        """The memoised raster of ``cell`` placed by ``Transform(a, b, c, d,
+        tx, ty)`` and the chip pixel ``(row, column)`` of its ``[0, 0]`` —
+        or ``None`` when this placement is not eligible (module docstring)
+        and must take the per-rectangle path."""
+        lattice = self._lattice[cell]
+        pixel = self.pixel_size_nm
+        if (lattice is None
+                or (box[2] - box[0]) * (box[3] - box[1])
+                > MAX_CELL_RASTER_PX * pixel * pixel
+                or not (abs(tx) <= _LATTICE_LIMIT
+                        and abs(ty) <= _LATTICE_LIMIT)):
+            return None
+        shift_x, shift_y = math.floor(tx / pixel), math.floor(ty / pixel)
+        key = (cell, a, b, c, d, tx - shift_x * pixel, ty - shift_y * pixel)
+        entry = self._rasters.get(key)
+        if entry is None:
+            entry = self._build_raster(key, *lattice)
+            if entry is None:
+                return None
+        raster, row_origin, col_origin = entry
+        return raster, row_origin + shift_y, col_origin + shift_x
+
+    def _build_raster(self, key, reach: float, finest: float,
+                      ) -> Optional[Tuple[np.ndarray, int, int]]:
+        """Rasterise one memo key — a cell, a linear part and a sub-pixel
+        translation phase — through the per-rectangle path, unclipped, at
+        the whole-pixel shift that puts its hull at the raster origin."""
+        cell, a, b, c, d, phase_x, phase_y = key
+        scale = max(abs(a), abs(b), abs(c), abs(d))
+        if not (_is_power_of_two(scale)
+                and scale * finest >= _LATTICE_MIN_SCALE
+                and scale * reach <= _LATTICE_LIMIT
+                and _on_lattice(phase_x) and _on_lattice(phase_y)):
+            return None
+        pixel = self.pixel_size_nm
+        x1, y1, x2, y2 = Transform(a, b, c, d, phase_x, phase_y).apply_box(
+            *self._bboxes[cell])
+        col_origin, row_origin = math.floor(x1 / pixel), math.floor(y1 / pixel)
+        width = math.ceil(x2 / pixel) - col_origin
+        height = math.ceil(y2 / pixel) - row_origin
+        cost = height * width + _MEMO_ENTRY_BYTES
+        if (height * width > MAX_CELL_RASTER_PX
+                or self._raster_bytes + cost > MEMO_BUDGET_BYTES):
+            return None
+        raster = np.zeros((height, width), dtype=np.uint8)
+        origin = Transform(a, b, c, d, phase_x - col_origin * pixel,
+                           phase_y - row_origin * pixel)
+        for layer, x1, y1, x2, y2 in self._iter_cell(cell, origin, None):
+            if self.layers and layer not in self.layers:
+                continue
+            row0, row1 = _pixel_interval(y1, y2, pixel, height)
+            col0, col1 = _pixel_interval(x1, x2, pixel, width)
+            if row1 > row0 and col1 > col0:
+                raster[row0:row1, col0:col1] = 1
+        raster.setflags(write=False)
+        entry = (raster, row_origin, col_origin)
+        with self._memo_lock:
+            # Two threads may have built the same key; a thread that lost
+            # the race for the last of the budget paints its own copy once.
+            existing = self._rasters.get(key)
+            if existing is not None:
+                return existing
+            if self._raster_bytes + cost <= MEMO_BUDGET_BYTES:
+                self._rasters[key] = entry
+                self._raster_bytes += cost
+        return entry
 
     # -------------------------------------------------------------- #
     # the reader protocol
@@ -536,8 +764,28 @@ class HierarchicalLayoutReader:
         pad = 0.5 * pixel + 1e-9  # pixel-centre sampling slack
         window = (col0 * pixel - pad, row0 * pixel - pad,
                   col1 * pixel + pad, row1 * pixel + pad)
+
+        def place(cell, a, b, c, d, tx, ty, box) -> bool:
+            """OR the memoised raster of a placed cell into the window."""
+            placed = self._placed_raster(cell, a, b, c, d, tx, ty, box)
+            if placed is None:
+                return False
+            self.last_candidates += 1
+            raster, raster_row, raster_col = placed
+            top = max(raster_row, row0)
+            bottom = min(raster_row + raster.shape[0], row1)
+            left = max(raster_col, col0)
+            right = min(raster_col + raster.shape[1], col1)
+            if bottom > top and right > left:
+                target = out[top - row:bottom - row, left - col:right - col]
+                np.bitwise_or(target, raster[top - raster_row:
+                                             bottom - raster_row,
+                                             left - raster_col:
+                                             right - raster_col], out=target)
+            return True
+
         for _, x1, y1, x2, y2 in self._iter_cell(
-                self._top, Transform.identity(), window):
+                self._top, Transform.identity(), window, place):
             self.last_candidates += 1
             rect_row0, rect_row1 = _pixel_interval(y1, y2, pixel, layout_h)
             rect_col0, rect_col1 = _pixel_interval(x1, x2, pixel, layout_w)

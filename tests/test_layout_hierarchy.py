@@ -10,8 +10,12 @@ payoff: an AREF array of one cell images exactly one unique tile through
 the tile-result cache.
 """
 
+import glob
 import os
 import re
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +41,7 @@ from repro.layout import (
     shapes_extent_nm,
     write_gds,
 )
+from repro.layout import hierarchy as hierarchy_module
 from repro.layout.gdsii import GDSBoundary, GDSCell, GDSReference, parse_gds
 from repro.layout.hierarchy import Transform
 from repro.optics.simulator import OpticsConfig
@@ -44,6 +49,7 @@ from repro.optics.simulator import OpticsConfig
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 HIER4 = os.path.join(DATA_DIR, "hier4.gds")
 AREF_GRID = os.path.join(DATA_DIR, "aref_grid.gds")
+GDS_FIXTURES = sorted(glob.glob(os.path.join(DATA_DIR, "*.gds")))
 
 CONFIG = OpticsConfig(tile_size_px=32, pixel_size_nm=8.0, max_socs_order=8)
 
@@ -134,8 +140,9 @@ class TestHierarchyResolution:
         assert finer.digest() != hier_reader.digest()
 
     def test_window_cost_is_flat_in_instance_count(self):
-        """One tile of a 64-instance array touches ~one instance's worth of
-        rectangles, not the whole array (the laziness observable)."""
+        """One tile of a 64-instance array paints the few placed cells it
+        touches (``last_candidates``: rectangles painted + cell rasters
+        blitted), not the whole array — the laziness observable."""
         reader = load_layout_file(AREF_GRID, pixel_size_nm=8.0)
         assert reader.instance_count == 65  # GRID + 8x8 CHECKERs
         total_rects = 8 * 8 * 3
@@ -197,7 +204,12 @@ class TestHierarchyResolution:
 def cell_hierarchies(draw):
     """Random Manhattan cell graphs: a leaf of rectangles under 1-3 levels
     of SREF / AREF placements with rotation, reflection and magnification.
-    Chained so exactly one top cell exists."""
+    Chained so exactly one top cell exists.  Half the cases sit on the
+    dyadic lattice (placed cells blit memoised rasters), half off it (0.1 nm
+    database unit, 2.5 / 3 nm pixels, magnifications 1.1 / 0.7: every
+    rectangle takes the per-rectangle path)."""
+    on_lattice = draw(st.booleans())
+    magnifications = [1.0, 2.0] if on_lattice else [1.0, 1.1, 0.7]
     levels = draw(st.integers(min_value=1, max_value=3))
     cells = {}
     boundaries = []
@@ -216,7 +228,7 @@ def cell_hierarchies(draw):
             target = level - 1 if index == 0 else draw(
                 st.integers(0, level - 1))
             kwargs = dict(
-                mag=draw(st.sampled_from([1.0, 2.0])),
+                mag=draw(st.sampled_from(magnifications)),
                 quarter_turns=draw(st.integers(0, 3)),
                 reflect=draw(st.booleans()))
             origin = (4 * draw(st.integers(-8, 32)),
@@ -229,8 +241,12 @@ def cell_hierarchies(draw):
                     row_vector=(0, 8 * draw(st.integers(1, 12))))
             references.append(GDSReference(f"C{target}", origin, **kwargs))
         cells[f"C{level}"] = GDSCell(f"C{level}", [], references)
-    unit_nm = draw(st.sampled_from([1.0, 0.5]))
-    pixel = draw(st.sampled_from([4.0, 8.0]))
+    if on_lattice:
+        unit_nm = draw(st.sampled_from([1.0, 0.5]))
+        pixel = draw(st.sampled_from([4.0, 8.0]))
+    else:
+        unit_nm = 0.1
+        pixel = draw(st.sampled_from([2.5, 3.0]))
     return cells, unit_nm, pixel
 
 
@@ -261,6 +277,163 @@ class TestRoundTripProperty:
             np.testing.assert_array_equal(
                 reader.read_window(row, col, height, width),
                 flat.read_window(row, col, height, width))
+
+
+def _tiled_windows(shape, tile=64, margin=96):
+    """Tile-sized windows over the raster and ``margin`` px past every edge
+    (negative and past-the-edge origins included)."""
+    return [(row, col, tile, tile)
+            for row in range(-margin, shape[0] + margin, tile)
+            for col in range(-margin, shape[1] + margin, tile)]
+
+
+class TestWindowsEqualFlatten:
+    """Both sides of the reader's one input-decided choice — placed cells
+    blitted from memoised rasters (dyadic lattice) or every rectangle down
+    the per-rectangle path (off it) — equal the independent flat reader."""
+
+    @pytest.mark.parametrize("pixel", [8.0, 4.0, 2.5, 3.0])
+    @pytest.mark.parametrize("path", GDS_FIXTURES, ids=os.path.basename)
+    def test_fixture_windows_are_the_flatten_windows(self, path, pixel):
+        reader = load_layout_file(path, pixel_size_nm=pixel)
+        flat = reader.flatten()
+        for window in _tiled_windows(reader.shape):
+            ours, theirs = reader.read_window(*window), flat.read_window(*window)
+            assert ours.dtype == theirs.dtype == np.uint8
+            assert ours.tobytes() == theirs.tobytes(), window
+        assert reader.digest() == flat.digest()
+
+    def test_fixtures_sit_on_both_sides_of_the_choice(self):
+        """aref_grid at 8 nm reuses one CHECKER raster; the 0.1 nm database
+        unit, the 1.1x placement and a 2.5 nm pixel each rule reuse out."""
+        on = load_layout_file(AREF_GRID, pixel_size_nm=8.0)
+        on.materialise()
+        assert len(on._rasters) == 1
+        for path, pixel in ((AREF_GRID, 2.5),
+                            (os.path.join(DATA_DIR, "units_offgrid.gds"), 8.0)):
+            off = load_layout_file(path, pixel_size_nm=pixel)
+            off.materialise()
+            assert not off._rasters
+
+    def test_offgrid_fixture_is_a_real_hierarchy(self):
+        reader = load_layout_file(os.path.join(DATA_DIR, "units_offgrid.gds"),
+                                  pixel_size_nm=2.5)
+        assert reader.library.unit_nm == 0.1
+        assert (reader.depth, reader.instance_count) == (3, 37)
+        assert reader.materialise().any()
+
+
+def _array_of(cell_boundaries, columns, rows, pitch):
+    """A ``columns x rows`` AREF of one cell as a parsed library."""
+    cells = {
+        "CELL": GDSCell("CELL", cell_boundaries, []),
+        "TOP": GDSCell("TOP", [], [GDSReference(
+            "CELL", (0, 0), columns=columns, rows=rows,
+            column_vector=(pitch[0], 0), row_vector=(0, pitch[1]))]),
+    }
+    return parse_gds(write_gds(cells), name="array")
+
+
+class TestRasterMemoBounds:
+    """The memo is bounded by two module constants, so RAM stays O(window)."""
+
+    def test_oversized_cell_is_walked_not_rasterised(self):
+        """A cell whose pixel hull exceeds MAX_CELL_RASTER_PX is pruned and
+        painted rectangle by rectangle; the small cell inside it is reused."""
+        side = 4 * (int(hierarchy_module.MAX_CELL_RASTER_PX ** 0.5) + 8)
+        cells = {
+            "VIA": GDSCell("VIA", [_rect(1, 0, 0, 40, 24)], []),
+            "BIG": GDSCell("BIG", [_rect(1, 0, 0, 64, 64),
+                                   _rect(1, side - 64, side - 64, 64, 64)],
+                           [GDSReference("VIA", (128, 128), columns=3, rows=2,
+                                         column_vector=(96, 0),
+                                         row_vector=(0, 64))]),
+            "TOP": GDSCell("TOP", [], [
+                GDSReference("BIG", (0, 0)),
+                GDSReference("BIG", (side + 64, 0))]),
+        }
+        reader = HierarchicalLayoutReader(
+            parse_gds(write_gds(cells), name="big"), pixel_size_nm=4.0)
+        flat = reader.flatten()
+        for window in ((0, 0, 128, 128), (0, side // 4 + 16, 128, 128),
+                       (side // 4 - 64, side // 4 - 64, 128, 128)):
+            np.testing.assert_array_equal(reader.read_window(*window),
+                                          flat.read_window(*window))
+        assert {key[0] for key in reader._rasters} == {"VIA"}
+
+    @pytest.mark.parametrize("budget", [None, 4096])
+    def test_memo_stays_within_its_byte_budget(self, monkeypatch, budget):
+        """128 x 128 placements at a pitch that walks through every
+        sub-pixel phase: the memo holds what fits and the rest takes the
+        per-rectangle path — the output never changes."""
+        if budget is not None:
+            monkeypatch.setattr(hierarchy_module, "MEMO_BUDGET_BYTES", budget)
+        library = parse_gds(write_gds({
+            "CELL": GDSCell("CELL", [_rect(1, 4, 4, 90, 50),
+                                     _rect(1, 100, 60, 30, 120)], []),
+            "TOP": GDSCell("TOP", [], [GDSReference(
+                "CELL", (0, 0), columns=128, rows=128,
+                column_vector=(515, 0), row_vector=(0, 771))]),
+        }, unit_nm=0.5), name="phases")
+        reader = HierarchicalLayoutReader(library, pixel_size_nm=8.0)
+        flat = reader.flatten()
+        for window in _tiled_windows((320, 320), margin=0):
+            np.testing.assert_array_equal(reader.read_window(*window),
+                                          flat.read_window(*window))
+        assert len(reader._rasters) > 1
+        assert 0 < reader._raster_bytes <= hierarchy_module.MEMO_BUDGET_BYTES
+        assert reader._raster_bytes >= sum(
+            raster.nbytes for raster, _, _ in reader._rasters.values())
+
+    def test_million_instance_array_window_allocates_o_window(self):
+        library = _array_of([_rect(1, 32, 32, 96, 96),
+                             _rect(1, 144, 144, 112, 112)], 1000, 1000,
+                            (256, 256))
+        reader = HierarchicalLayoutReader(library, pixel_size_nm=8.0)
+        assert reader.instance_count == 1_000_001
+        tracemalloc.start()
+        try:
+            for origin in ((0, 0), (15_984, 15_984), (31_968, 31_968)):
+                window = reader.read_window(*origin, 64, 64)
+                assert window.any()
+                assert 0 < reader.last_candidates <= 16
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024       # a 64 px window is 4 KiB
+
+
+class TestSharedReaderThreads:
+    def test_two_threads_read_the_serial_bytes(self):
+        """A sweep shares one reader across foci and the service runs two
+        queue threads: concurrent ``read_window`` calls — racing to build
+        the same memo entries — return the bytes a lone caller gets."""
+        windows = _tiled_windows((256, 256), tile=48, margin=16)
+        serial = [load_layout_file(HIER4, pixel_size_nm=4.0).read_window(*w)
+                  for w in windows]
+        reader = load_layout_file(HIER4, pixel_size_nm=4.0)
+        results = {}
+
+        def worker(name, order):
+            results[name] = {w: reader.read_window(*w) for w in order}
+
+        threads = [threading.Thread(target=worker, args=("up", windows)),
+                   threading.Thread(target=worker,
+                                    args=("down", windows[::-1]))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for name in ("up", "down"):
+            for window, expected in zip(windows, serial):
+                np.testing.assert_array_equal(results[name][window], expected)
+        assert reader._rasters
 
 
 class TestEngineWiring:
@@ -334,23 +507,23 @@ class TestTileCacheSynergy:
         assert cache.stats.hit_rate >= 0.9
 
     def test_one_hierarchy_walk_per_tile(self):
-        """Tile-cached imaging walks the cell graph from the root exactly
-        once per placement — empty or not — and never asks the reader a
-        second question about the same window."""
+        """Tile-cached imaging reads each placement's window exactly once —
+        empty or not — and never asks the reader a second question about
+        the same window."""
         reader = load_layout_file(HIER4, pixel_size_nm=8.0)
-        walks = []
-        real_walk = reader._iter_cell
+        windows = []
+        read_window = reader.read_window
 
-        def counted(name, transform, window):
-            if name == reader.top_cell:
-                walks.append(window)
-            return real_walk(name, transform, window)
+        def counted(row, col, height, width):
+            windows.append((row, col, height, width))
+            return read_window(row, col, height, width)
 
-        reader._iter_cell = counted
+        reader.read_window = counted
         cache = TileResultCache()
         engine = ExecutionEngine.for_optics(CONFIG, tile_cache=cache)
         result = engine.image_layout(reader, tile_px=32, guard_px=8)
-        assert len(walks) == result.num_tiles == cache.stats.tiles
+        assert len(windows) == result.num_tiles == cache.stats.tiles
+        assert len(set(windows)) == len(windows)
         assert 0 < cache.stats.zero_hits < cache.stats.tiles
 
     @pytest.mark.parametrize("worker_args", [

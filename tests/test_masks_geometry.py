@@ -39,12 +39,6 @@ class TestRect:
         rect = Rect(0, 0, 4, 4).translated(3, -2)
         assert (rect.x, rect.y) == (3, -2)
 
-    def test_clipped(self):
-        rect = Rect(-5, -5, 20, 20).clipped(10)
-        assert (rect.x, rect.y, rect.x2, rect.y2) == (0, 0, 10, 10)
-        with pytest.raises(ValueError):
-            Rect(20, 20, 5, 5).clipped(10)
-
     @given(x=st.floats(0, 100), y=st.floats(0, 100),
            w=st.floats(1, 50), h=st.floats(1, 50), margin=st.floats(0, 10))
     @settings(max_examples=30, deadline=None)
@@ -131,6 +125,23 @@ class TestRasterize:
     def test_shape_outside_tile_is_ignored(self):
         mask = rasterize([Rect(1000, 1000, 10, 10)], tile_size_px=8, pixel_size_nm=8.0)
         np.testing.assert_allclose(mask, 0.0)
+
+    def test_shapes_rasterise_to_exactly_their_in_tile_pixels(self):
+        """A rectangle partly or fully outside the tile needs no clipping
+        first: it sets its in-tile pixels and nothing else."""
+        # pixel centres at 4, 12, ..., 60 nm; the tile is [0, 64) nm
+        partly = rasterize([Rect(-20, 40, 50, 100)], tile_size_px=8,
+                           pixel_size_nm=8.0)
+        expected = np.zeros((8, 8))
+        expected[5:, :4] = 1.0          # rows 44..60 nm, columns 4..28 nm
+        np.testing.assert_array_equal(partly, expected)
+        for outside in (Rect(-30, -30, 20, 20), Rect(64, 0, 16, 64),
+                        Rect(0, -16, 64, 16), Rect(-5, 70, 80, 5)):
+            assert not rasterize([outside], tile_size_px=8,
+                                 pixel_size_nm=8.0).any()
+        covering = rasterize([Rect(-100, -100, 300, 300)], tile_size_px=8,
+                             pixel_size_nm=8.0)
+        np.testing.assert_array_equal(covering, np.ones((8, 8)))
 
     def test_pixel_centre_sampling(self):
         """A rectangle covering less than half the first pixel leaves it dark."""

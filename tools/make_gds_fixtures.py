@@ -18,6 +18,10 @@ Fixtures::
                           synergy case (every tile identical)
     units_fine.gds        same geometry as flat_boundaries at a 0.5 nm
                           database unit (coordinates double, layout equal)
+    units_offgrid.gds     a small AREF hierarchy at a 0.1 nm database unit
+                          with a 1.1x placement — off the dyadic lattice, so
+                          the hierarchical reader memoises no cell raster
+                          and every rectangle takes the per-rectangle path
 
 Usage::
 
@@ -107,6 +111,24 @@ def aref_grid_cells():
     return {"CHECKER": checker, "GRID": grid}
 
 
+def units_offgrid_cells():
+    """TOP <- 4 x 3 AREF of PAIR <- two LEAFs, in 0.1 nm database units."""
+    leaf = GDSCell("LEAF", boundaries=[
+        _rect(1, 0, 0, 333, 127),
+        _rect(2, 405, 55, 128, 301),
+    ], references=[])
+    pair = GDSCell("PAIR", boundaries=[], references=[
+        GDSReference("LEAF", (0, 0)),
+        GDSReference("LEAF", (1111, 703), mag=1.1, quarter_turns=1),
+    ])
+    top = GDSCell("TOP", boundaries=[_rect(1, 57, 3555, 4801, 99)],
+                  references=[
+        GDSReference("PAIR", (57, 93), columns=4, rows=3,
+                     column_vector=(1237, 0), row_vector=(0, 1111)),
+    ])
+    return {cell.name: cell for cell in (leaf, pair, top)}
+
+
 FIXTURES = {
     "flat_boundaries.gds": lambda: write_gds(flat_boundaries_cells(),
                                              unit_nm=1.0, name="FLATLIB"),
@@ -117,6 +139,8 @@ FIXTURES = {
     # 0.5 nm database unit: database coordinates double, nm geometry equal.
     "units_fine.gds": lambda: write_gds(flat_boundaries_cells(scale=2),
                                         unit_nm=0.5, name="FINELIB"),
+    "units_offgrid.gds": lambda: write_gds(units_offgrid_cells(), unit_nm=0.1,
+                                           name="OFFGRIDLIB"),
 }
 
 

@@ -1,20 +1,35 @@
 """Pluggable compute backends: one protocol owning every transform in the repo.
 
 Every FFT in the imaging stack goes through an :class:`FFTBackend` — the one
-backend protocol: four abstract transforms plus a small array namespace
-(``asarray`` / ``to_host`` / ``zeros`` / ``empty`` / ``conj`` / ``abs2_sum``)
-that the base class implements with numpy, so a subclass that only defines
-the transforms is a complete host backend.  Two host implementations ship:
+backend protocol: four required transforms, two optional ones and a small
+array namespace (``asarray`` / ``to_host`` / ``zeros`` / ``empty`` / ``conj``
+/ ``abs2_sum``) that the base class implements with numpy, so a subclass that
+only defines the four transforms is a complete host backend.
+
+The optional transforms are the two places the batched core knows part of a
+2-D real transform is wasted: :meth:`FFTBackend.rfft2_columns` (it keeps 15
+of a 256-px tile's 129 half-spectrum columns) and
+:meth:`FFTBackend.irfft2_zero_extended` (it inverse-transforms a half
+spectrum of which 100 of 129 columns are zero).  The base class writes both
+in terms of ``rfft2`` / ``irfft2``; a backend whose 2-D real transform *is*
+two 1-D passes overrides them with those passes minus the lines that are
+discarded or zero — **bit for bit** the base-class result, which means
+scaling exactly where the library scales.  Two host implementations ship:
 
 * :class:`NumpyFFTBackend` — ``numpy.fft`` (always available, single
   threaded).  ``numpy.fft`` computes in double precision regardless of the
   input dtype, so this backend casts results back down for single-precision
   inputs to keep the rest of the pipeline (multiplies, reductions, chunk
-  budgets) genuinely single precision.
-* :class:`ScipyFFTBackend` — ``scipy.fft`` with ``workers=N`` multi-threaded
-  transforms.  scipy's pocketfft computes natively in the input precision and
-  is bit-for-bit deterministic across worker counts (each 2-D transform is an
-  independent work item), so the worker knob never changes results.
+  budgets) genuinely single precision.  ``numpy.fft.rfft2`` / ``irfft2``
+  are 1-D calls chained in Python, each pass applying its own ``norm``.
+* :class:`ScipyFFTBackend` — ``scipy.fft`` with a budget of ``workers``
+  threads.  scipy's pocketfft computes natively in the input precision and
+  is bit-for-bit deterministic across worker counts (each 1-D line is an
+  independent work item), so the worker knob never changes results.  Its
+  multi-axis real transforms scale **once**, in the real pass, by a factor
+  computed in long double and rounded to the working precision; the complex
+  pass is unscaled.  The batched core spends the budget on blocks rather
+  than inside transforms (:meth:`FFTBackend.single_threaded`).
 
 Backends register in a process-wide registry; :func:`get_backend` resolves a
 request by explicit name, the ``REPRO_FFT_BACKEND`` environment variable or
@@ -124,6 +139,8 @@ class FFTBackend:
     #: Whether ``asarray`` moves data to an accelerator (and the batched
     #: core should run the chunk-resident flow).
     is_resident: bool = False
+    #: Threads one imaging call may occupy (``None``: no such notion).
+    workers: Optional[int] = None
 
     def __init__(self):
         self.transfer_stats = TransferStats()
@@ -143,6 +160,33 @@ class FFTBackend:
                norm: Optional[str] = None) -> np.ndarray:
         """Inverse of :meth:`rfft2` onto an explicit spatial shape ``s``."""
         raise NotImplementedError
+
+    # -- optional transforms (complete as inherited) --------------------- #
+    def rfft2_columns(self, array, cols: int, norm: Optional[str] = None):
+        """The first ``cols`` last-axis columns of :meth:`rfft2`, bit for bit.
+
+        An override may skip the column passes of the columns not kept.
+        """
+        return self.rfft2(array, norm=norm)[..., :cols]
+
+    def irfft2_zero_extended(self, array, s: Tuple[int, int],
+                             norm: Optional[str] = None):
+        """:meth:`irfft2` of ``array`` zero-extended along its last axis to
+        the ``s[1] // 2 + 1`` columns of a half spectrum, bit for bit.
+
+        An override may skip the column passes of the all-zero columns.
+        """
+        zeros = self.zeros if self.is_device_array(array) else np.zeros
+        full = zeros(tuple(array.shape[:-1]) + (s[1] // 2 + 1,), array.dtype)
+        full[..., :array.shape[-1]] = array
+        return self.irfft2(full, s=s, norm=norm)
+
+    def single_threaded(self) -> "FFTBackend":
+        """The backend the batched core transforms through when it runs
+        several blocks at once: the same bits from one thread per transform.
+        ``self`` — no :attr:`workers` to give up — keeps a call on one thread.
+        """
+        return self
 
     # -- residency ------------------------------------------------------- #
     def is_device_array(self, array) -> bool:
@@ -255,6 +299,19 @@ class NumpyFFTBackend(FFTBackend):
         return self._match(np.fft.irfft2(array, s=s, norm=norm),
                            np.asarray(array).dtype)
 
+    # numpy.fft.rfft2 is rfft along the last axis, then fft down the columns;
+    # irfft2 is ifft down the columns, then irfft (which zero-extends to
+    # n // 2 + 1 by itself).  Each pass scales by its own share of ``norm``.
+    def rfft2_columns(self, array, cols, norm=None):
+        half = np.fft.rfft(array, axis=-1, norm=norm)
+        return self._match(np.fft.fft(half[..., :cols], axis=-2, norm=norm),
+                           np.asarray(array).dtype)
+
+    def irfft2_zero_extended(self, array, s, norm=None):
+        columns = np.fft.ifft(array, n=s[0], axis=-2, norm=norm)
+        return self._match(np.fft.irfft(columns, n=s[1], axis=-1, norm=norm),
+                           np.asarray(array).dtype)
+
 
 class ScipyFFTBackend(FFTBackend):
     """``scipy.fft`` backend: multi-threaded pocketfft, native single precision.
@@ -262,9 +319,11 @@ class ScipyFFTBackend(FFTBackend):
     Parameters
     ----------
     workers:
-        Threads per transform batch; ``None`` defers to
-        :func:`default_fft_workers` at call time.  Worker count never changes
-        results (bit-for-bit deterministic), only wall-clock.
+        Threads one imaging call may occupy; ``None`` defers to
+        :func:`default_fft_workers` at construction.  A lone transform runs
+        on all of them; a multi-block batch gives each block's transforms
+        one (:meth:`single_threaded`).  Worker count never changes results
+        (bit-for-bit deterministic), only wall-clock.
     """
 
     name = "scipy"
@@ -278,6 +337,14 @@ class ScipyFFTBackend(FFTBackend):
         # syscall per transform and let an already-built backend silently
         # change thread counts mid-run.
         self.workers = workers if workers else default_fft_workers()
+        self._single: Optional[ScipyFFTBackend] = None
+
+    def single_threaded(self) -> "ScipyFFTBackend":
+        if self.workers == 1:
+            return self
+        if self._single is None:
+            self._single = ScipyFFTBackend(workers=1)
+        return self._single
 
     def fft2(self, array, norm=None):
         return self._fft.fft2(array, norm=norm, workers=self.workers)
@@ -290,6 +357,44 @@ class ScipyFFTBackend(FFTBackend):
 
     def irfft2(self, array, s, norm=None):
         return self._fft.irfft2(array, s=s, norm=norm, workers=self.workers)
+
+    @staticmethod
+    def _factor(norm: Optional[str], samples: int, forward: bool, real_type):
+        """The one factor pocketfft's multi-axis real transforms apply."""
+        if norm == "ortho":
+            return real_type(1 / np.sqrt(np.longdouble(samples)))
+        if norm not in (None, "backward", "forward"):
+            raise ValueError(f'invalid norm {norm!r}: expected "backward", '
+                             f'"ortho" or "forward"')
+        return real_type(1 / np.longdouble(samples)) \
+            if (norm == "forward") == forward else real_type(1)
+
+    # pocketfft's r2c over two axes is a real pass along the last axis,
+    # scaled, then an unscaled complex pass down the columns; its c2r is the
+    # unscaled complex pass, then a real pass, scaled.  The scale is a
+    # multiply of the real samples after the transform — repeated here on
+    # the real view, because a complex multiply could flip a zero's sign.
+    def rfft2_columns(self, array, cols, norm=None):
+        array = np.asarray(array)
+        kept = np.ascontiguousarray(
+            self._fft.rfft(array, axis=-1, workers=self.workers)[..., :cols])
+        samples = kept.view(kept.real.dtype)
+        factor = self._factor(norm, array.shape[-2] * array.shape[-1], True,
+                              samples.dtype.type)
+        if factor != 1:
+            samples *= factor
+        return self._fft.fft(kept, axis=-2, overwrite_x=True,
+                             workers=self.workers)
+
+    def irfft2_zero_extended(self, array, s, norm=None):
+        columns = self._fft.ifft(array, n=s[0], axis=-2, norm="forward",
+                                 workers=self.workers)
+        out = self._fft.irfft(columns, n=s[1], axis=-1, norm="forward",
+                              workers=self.workers)
+        factor = self._factor(norm, s[0] * s[1], False, out.dtype.type)
+        if factor != 1:
+            out *= factor
+        return out
 
 
 # --------------------------------------------------------------------------- #

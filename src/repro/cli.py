@@ -435,9 +435,10 @@ def _add_compute_options(parser: argparse.ArgumentParser) -> None:
                              "default: REPRO_FFT_BACKEND or auto (scipy when "
                              "importable)")
     parser.add_argument("--fft-workers", type=int, default=0,
-                        help="threads per FFT for multi-threaded backends; "
-                             "0 = backend default (REPRO_FFT_WORKERS or all "
-                             "available CPUs)")
+                        help="threads one imaging call may occupy on "
+                             "multi-threaded backends (never changes "
+                             "results); 0 = backend default "
+                             "(REPRO_FFT_WORKERS or all available CPUs)")
     parser.add_argument("--precision", default="",
                         choices=("", "float64", "float32", "auto"),
                         help="imaging precision; float32 halves memory traffic "

@@ -19,11 +19,12 @@ throughput benchmarks — runs through this package:
   stage, batched imaging, incremental stitch into (optionally memmapped)
   outputs — O(tile-batch) RAM for every layout, bit-for-bit the same
   result whatever the batch size,
-* :mod:`repro.engine.sharded` — the one place tiles run in parallel:
-  :class:`ShardedExecutor` cuts a tile batch into contiguous shards, images
-  them on the threads of a :class:`WorkerPool` (its own, or one shared by
-  every campaign of the service) through one shared engine, and
-  concatenates in shard order — bit-for-bit the serial result, and
+* :mod:`repro.engine.sharded` — :class:`ShardedExecutor` cuts a tile batch
+  into contiguous shards and images them on the threads of a
+  :class:`WorkerPool` (its own, or one shared by every campaign of the
+  service), each shard writing its rows of one result and taking its part
+  of the backend's worker budget (which an unsharded call spends on blocks
+  by itself) — bit-for-bit the serial result, and
 * :mod:`repro.engine.tile_cache` — the content-addressed tile-result cache
   (:class:`TileResultCache`): each *unique* guard-banded tile content is
   imaged once per (kernel bank, backend, precision, geometry) and every

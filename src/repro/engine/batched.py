@@ -28,11 +28,33 @@ backend, so neither per-block intermediate — the coherent-field stack, the
 upsampling spectrum — leaves the CPU caches for DRAM;
 :data:`RESIDENT_BLOCK_BYTES` on a device-resident one, where a block is the
 upload unit.  The band-limited body works through two zeroed scratch arrays
-allocated once per call — the embedded kernel products and the zero-padded
-half spectrum, whose non-zero corners every block overwrites.  The scratch
-relies on no transform modifying its input (an
-:class:`~repro.backend.FFTBackend` contract), holds no state across calls and
-needs no lock; block size never changes a tile's result.
+— the embedded kernel products and the corner rows of the upsampling half
+spectrum, whose non-zero parts every block overwrites.  The scratch relies on
+no transform modifying its input (an :class:`~repro.backend.FFTBackend`
+contract); block size never changes a tile's result.
+
+The thread budget is read off the backend too (``backend.workers``:
+``fft_workers`` / ``REPRO_FFT_WORKERS``, default the CPUs available) and is
+spent **on blocks, not inside transforms**: a batch of several blocks is cut
+into one contiguous share per thread, the calling thread images the first
+and helper threads the rest, and every share transforms through the
+backend's one-thread sibling (:meth:`~repro.backend.FFTBackend.single_threaded`)
+with its own scratch and its part of :data:`BLOCK_BYTES`.  Measured on 2
+CPUs, 36 production tiles: two threads *inside* each transform buy 1.3x
+over one thread (the kernel product, embed, ``|field|^2`` and copies between
+transforms stay serial), two threads *on blocks* 1.6x.  A backend without
+such a sibling (numpy, pyfftw, any transforms-only subclass), a
+device-resident one and a batch of a single block image on the calling
+thread exactly as before.  Shares never change a tile's bits either: each
+1-D line of each transform is an independent, deterministic work item.  The
+scratch holds no state across calls; the one thing this module keeps is the
+idle helper threads (:func:`_helper_threads`, created under a lock).
+
+Both full-size real transforms skip the passes nobody reads: the mask
+spectrum keeps ``m // 2 + 1`` of a tile's ``W // 2 + 1`` half-spectrum
+columns (``rfft2_columns``), and the upsampling inverse-transforms a half
+spectrum whose columns from ``m`` on are zero (``irfft2_zero_extended``) —
+bit for bit the full transforms' results on every backend.
 
 Every transform goes through the pluggable compute backend
 (:mod:`repro.backend`), which adds further hot-path wins:
@@ -59,6 +81,9 @@ Every transform goes through the pluggable compute backend
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -69,10 +94,12 @@ from ..optics.grid import embed_centre_unshifted
 
 #: Bytes a host block's largest intermediate may take — the
 #: ``(block, r, gh, gw)`` coherent-field stack or the ``(block, H, W)``
-#: upsampling spectrum, whichever is larger: what a core keeps near its
-#: caches.  Measured on the 24 x 29 x 29 production bank (1.3 MiB of fields
-#: per tile): 4 tiles per block image a 36-tile batch fastest; 1 and 36 both
-#: lose.
+#: upsampling spectrum, whichever is larger: what the cores keep near their
+#: caches, so the threads of one call divide it.  Measured on the
+#: 24 x 29 x 29 production bank (1.3 MiB of fields per tile): 4 tiles per
+#: block image a 36-tile batch fastest on one thread, 1 and 36 both lose; on
+#: two threads 6 MiB *each* is no faster than 3 and reads 168 MiB peak RSS
+#: against 156.
 BLOCK_BYTES = 6 * 2 ** 20
 
 #: The same bound for a block on a device-resident backend, where a block is
@@ -87,6 +114,35 @@ RESIDENT_BLOCK_BYTES = 2 ** 28
 #: rounding level: old tiles must never be stitched into a new image, nor an
 #: old store resumed half-new.  (``band=True``: the ``2n x 2m`` grid, PRs 2-18.)
 FORWARD_REVISION = "band=fast-grid"
+
+
+_helpers_lock = threading.Lock()
+_helpers: Optional[ThreadPoolExecutor] = None
+
+
+def _helper_threads() -> ThreadPoolExecutor:
+    """The process-wide threads that image every share of a call but its
+    first (the calling thread images that one).  Started on first use and
+    kept: glibc gives each fresh thread a malloc arena of its own, so on
+    ``dense_chip`` a helper thread per call reads +14 % peak RSS and a pool
+    per call +30 % (and both slow whatever runs next) where these read
+    +7 %; an idle one costs nothing.
+    """
+    global _helpers
+    with _helpers_lock:
+        if _helpers is None:
+            _helpers = ThreadPoolExecutor(thread_name_prefix="repro-block")
+        return _helpers
+
+
+def _forget_helper_threads() -> None:
+    # A forked child inherits the executor but none of its threads.
+    global _helpers, _helpers_lock
+    _helpers, _helpers_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper_threads)
 
 
 def _direct_chunk(masks, kernels, out_h: int, out_w: int, xp: FFTBackend):
@@ -131,8 +187,8 @@ def _band_limited_chunk(masks, kernels, out_h: int, out_w: int,
     product, fields, ``|field|^2`` reduction, upsampling — runs inside
     ``xp``'s namespace, so a device block stays resident end to end.
     ``embedded`` ``(>= rows, r, gh, gw)`` and ``padded``
-    ``(>= rows, out_h, out_w // 2 + 1)`` are the caller's scratch, zero
-    wherever no block writes.
+    ``(>= rows, out_h, m)`` are the caller's scratch, zero wherever no block
+    writes.
     """
     n, m = kernels.shape[-2], kernels.shape[-1]
     grid_h, grid_w = embedded.shape[-2:]
@@ -153,11 +209,11 @@ def _band_limited_chunk(masks, kernels, out_h: int, out_w: int,
     # norm preserves sample values; the area ratio restores the
     # orthonormal-FFT intensity scale of the full-resolution evaluation.
     scale = masks.dtype.type((grid_h * grid_w) / float(out_h * out_w))
-    half = xp.rfft2(small, norm="forward") * scale
+    half = xp.rfft2_columns(small, m, norm="forward") * scale
     spectrum = padded[:rows]
-    spectrum[..., :n, :m] = half[..., :n, :m]
-    spectrum[..., out_h - (n - 1):, :m] = half[..., grid_h - (n - 1):, :m]
-    return xp.irfft2(spectrum, s=(out_h, out_w), norm="forward")
+    spectrum[..., :n, :] = half[..., :n, :]
+    spectrum[..., out_h - (n - 1):, :] = half[..., grid_h - (n - 1):, :]
+    return xp.irfft2_zero_extended(spectrum, s=(out_h, out_w), norm="forward")
 
 
 def batch_chunk_size(batch: int, order: int, height: int, width: int,
@@ -268,25 +324,55 @@ def batched_aerial_from_kernels(masks: np.ndarray, kernels: np.ndarray,
     if batch == 0:
         return out
 
-    block = effective_chunk_tiles(
-        batch, kernels.shape, out_h, out_w,
-        RESIDENT_BLOCK_BYTES if xp.is_resident else BLOCK_BYTES,
-        precision.complex_itemsize)
     if not device_kernels:
         # The bank goes up once per call unless it arrived resident (a host
         # backend's asarray is the identity).
         kernels = xp.asarray(kernels)
-    if _fits_band_limit_grid(n, m, out_h, out_w):
-        evaluate = _band_limited_chunk
-        # Zeroed once: every block overwrites the same corners and no zero.
-        scratch = (
-            xp.zeros((block, order) + band_limit_grid(n, m), kernels.dtype),
-            xp.zeros((block, out_h, out_w // 2 + 1), kernels.dtype))
-    else:
-        evaluate, scratch = _direct_chunk, ()
-    for start in range(0, batch, block):
-        stop = min(start + block, batch)
-        image = evaluate(xp.asarray(masks[start:stop]), kernels, out_h, out_w,
-                         xp, *scratch)
-        xp.to_host(image, out=out[start:stop])
+    band_limited = _fits_band_limit_grid(n, m, out_h, out_w)
+
+    def tiles_per_block(budget_bytes: int) -> int:
+        return effective_chunk_tiles(batch, kernels.shape, out_h, out_w,
+                                     budget_bytes, precision.complex_itemsize)
+
+    # The backend's worker budget is spent on blocks: one contiguous share
+    # of the batch per thread, each share transforming through the
+    # one-thread sibling and keeping its part of the budget (the cores share
+    # the cache BLOCK_BYTES names).  A batch of a single block keeps ``xp``
+    # — and its in-transform threads — to itself.
+    budget = RESIDENT_BLOCK_BYTES if xp.is_resident else BLOCK_BYTES
+    block = tiles_per_block(budget)
+    serial = xp.single_threaded()
+    threads = 1 if serial is xp or xp.is_resident \
+        else min(xp.workers, -(-batch // block))
+    if threads > 1:
+        xp, block = serial, tiles_per_block(budget // threads)
+
+    def image(share: slice) -> None:
+        if band_limited:
+            evaluate = _band_limited_chunk
+            # Zeroed once: every block overwrites the same corners and no zero.
+            scratch = (
+                xp.zeros((block, order) + band_limit_grid(n, m), kernels.dtype),
+                xp.zeros((block, out_h, m), kernels.dtype))
+        else:
+            evaluate, scratch = _direct_chunk, ()
+        for start in range(share.start, share.stop, block):
+            stop = min(start + block, share.stop)
+            tiles = evaluate(xp.asarray(masks[start:stop]), kernels, out_h,
+                             out_w, xp, *scratch)
+            xp.to_host(tiles, out=out[start:stop])
+
+    size = -(-batch // threads)
+    shares = [slice(start, min(start + size, batch))
+              for start in range(0, batch, size)]
+    helpers = [_helper_threads().submit(image, share) for share in shares[1:]]
+    try:
+        image(shares[0])
+        for helper in helpers:
+            helper.result()
+    finally:
+        # Nothing propagates while a share may still write into ``out``.
+        for helper in helpers:
+            if not helper.cancel():
+                helper.exception()  # running or done: wait, don't raise
     return out

@@ -1,11 +1,12 @@
 """Sharding of tile batches across worker threads.
 
-The batched core (:mod:`repro.engine.batched`) runs one batch on one thread;
-a qualification campaign (hundreds of (focus, dose) conditions over
-thousands of tiles) wants every core.  :class:`ShardedExecutor` is the one
-place tiles run in parallel: it cuts a tile batch into contiguous shards,
-images the shards on the threads of a :class:`WorkerPool` and concatenates
-the results in submission order, so the sharded output is **bit-for-bit
+The batched core (:mod:`repro.engine.batched`) images one batch, spending
+the backend's worker budget on its blocks; a qualification campaign
+(hundreds of (focus, dose) conditions over thousands of tiles) shares one
+pool of threads between campaigns.  :class:`ShardedExecutor` cuts a tile
+batch into contiguous shards and images them on the threads of a
+:class:`WorkerPool`, each shard writing its rows of the one result and taking
+its part of that worker budget, so the sharded output is **bit-for-bit
 identical** to the serial output (per-tile FFT work is independent of how
 the batch is chunked — pinned by
 ``tests/test_engine.py::TestBatchedEquivalence``).
@@ -311,11 +312,14 @@ class ShardedExecutor:
         """Aerial images of ``(B, H, W)`` masks, sharded across the workers.
 
         One shard (one worker, or a batch of at most one tile) is imaged
-        inline; several are imaged on the pool's threads.  Results are
-        concatenated in shard order, so the output is bit-for-bit the
-        serial output regardless of which thread finished first.  A shard
-        that raises cancels the shards that have not started and the
-        exception propagates once the running ones have settled.
+        inline; several are imaged on the pool's threads, each writing its
+        rows of the one result, so the output is bit-for-bit the serial
+        output regardless of which thread finished first.  The shards
+        divide the backend's worker budget between them (an imaging call
+        spends its own on blocks): cutting a batch never asks the host for
+        more threads than imaging it whole.  A shard that raises cancels
+        the shards that have not started and the exception propagates once
+        the running ones have settled.
         """
         # Cast once, on the calling thread: every shard is then a view.
         masks = resolve_precision(spec.compute.precision).as_real(masks)
@@ -325,13 +329,25 @@ class ShardedExecutor:
         shards = self._shard_slices(masks.shape[0])
         if len(shards) <= 1:
             return engine.aerial_batch(masks, output_shape=output_shape)
+        result = np.empty(
+            (masks.shape[0],) + tuple(output_shape or masks.shape[-2:]),
+            dtype=engine.precision.real_dtype)
+        workers = engine.backend.workers or 1
+        if workers > 1:
+            # Same bank, same bits; the spec's own fingerprint is untouched.
+            engine = self.warm(dataclasses.replace(
+                spec, compute=dataclasses.replace(
+                    spec.compute,
+                    fft_workers=max(1, workers // len(shards)))))
         futures: List[Future] = []
         try:
             for piece in shards:
                 futures.append(self.pool.submit(
-                    engine.aerial_batch, masks[piece], output_shape))
-            return np.concatenate([future.result() for future in futures],
-                                  axis=0)
+                    engine.aerial_batch, masks[piece], output_shape,
+                    result[piece]))
+            for future in futures:
+                future.result()
+            return result
         finally:
             for future in futures:
                 if not future.cancel():

@@ -57,10 +57,11 @@ def mask_spectrum(mask: np.ndarray, kernel_shape: Optional[Tuple[int, int]] = No
     if n > height or m > width:
         raise ValueError(f"crop ({n}, {m}) larger than input ({height}, {width})")
 
-    half = backend.rfft2(mask, norm="ortho")  # (..., H, W//2 + 1)
     # Gather the centred n x m window straight from the half spectrum: column
     # frequency c >= -(m//2); non-negative c reads the stored coefficient,
-    # negative c its Hermitian mirror conj(F[-row, -col]).
+    # negative c its Hermitian mirror conj(F[-row, -col]) — so the window
+    # never reads past column m // 2.
+    half = backend.rfft2_columns(mask, m // 2 + 1, norm="ortho")
     rows = (np.arange(n) - n // 2) % height
     cols = (np.arange(m) - m // 2) % width
     out = xp.empty(mask.shape[:-2] + (n, m), dtype=half.dtype)

@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import RecordingBackend, band_limited_blocks, reference_aerial
-from repro.backend import available_backends
+from repro.backend import available_backends, get_backend
 from repro.engine import (
     ExecutionEngine,
     KernelBankCache,
@@ -157,13 +157,15 @@ class TestBatchedEquivalence:
     @pytest.mark.parametrize("name", ["numpy", "scipy", "fakegpu"])
     @settings(max_examples=15, deadline=None)
     @given(tiles=st.sampled_from([1, 2, 3, 5, 100]), batch=st.integers(1, 7),
-           band_limited=st.booleans(), seed=st.integers(0, 2 ** 16))
+           band_limited=st.booleans(), seed=st.integers(0, 2 ** 16),
+           workers=st.sampled_from([1, 2, 3, 5]))
     def test_block_size_is_invisible(self, name, tiles, batch, band_limited,
-                                     seed):
+                                     seed, workers):
         """The one cut of a batch — blocks of 1 / an odd number / all of its
-        tiles, either per-block body, host or resident budget — never changes
-        a tile's bits, and a block's leftovers in the reused scratch never
-        reach the next one: the all-zero tile still images to exactly zero."""
+        tiles, either per-block body, host or resident budget, imaged on one
+        thread or shared out over several — never changes a tile's bits, and
+        a block's leftovers in the reused scratch never reach the next one:
+        the all-zero tile still images to exactly zero."""
         if name not in available_backends():
             pytest.skip(f"{name} does not construct here")
         rng = np.random.default_rng(seed)
@@ -171,10 +173,12 @@ class TestBatchedEquivalence:
         tile = 32 if band_limited else 16      # the grid is 18 x 18
         masks = (rng.random((batch, tile, tile)) > 0.5).astype(float)
         masks[batch // 2] = 0.0
-        whole = batched_aerial_from_kernels(masks, kernels, backend=name)
+        whole = batched_aerial_from_kernels(
+            masks, kernels, backend=get_backend(name, workers=1))
         # One tile's larger intermediate: (H, W) spectrum / (r, H, W) fields.
         per_tile = (32 * 32 if band_limited else 3 * 16 * 16) * 16
         recorder = RecordingBackend(name)
+        shared = np.full_like(whole, np.nan)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(batched, "BLOCK_BYTES", tiles * per_tile)
             patch.setattr(batched, "RESIDENT_BLOCK_BYTES", tiles * per_tile)
@@ -182,10 +186,16 @@ class TestBatchedEquivalence:
             if band_limited:
                 assert band_limited_blocks(batch, kernels.shape, (32, 32)) \
                     == [shape[0] for shape in recorder.shapes("irfft2")]
+            # The same blocks shared out over the worker budget (scipy; the
+            # others have no one-thread sibling and stay on this thread).
+            assert batched_aerial_from_kernels(
+                masks, kernels, backend=get_backend(name, workers=workers),
+                out=shared) is shared
         assert max(shape[0] for shape in recorder.shapes("ifft2")) \
             == min(tiles, batch)
         np.testing.assert_array_equal(cut, whole)
-        assert not cut[batch // 2].any()
+        assert shared.tobytes() == whole.tobytes()   # every row, in order
+        assert not cut[batch // 2].any() and not shared[batch // 2].any()
         np.testing.assert_allclose(cut, reference_aerial(masks, kernels),
                                    rtol=0, atol=1e-12)
 

@@ -250,10 +250,10 @@ def test_executor_images_correctly_after_a_shard_raised(monkeypatch):
         engine = executor.warm(spec)
         healthy = engine.aerial_batch
 
-        def poisoned(shard, output_shape=None):
+        def poisoned(shard, output_shape=None, out=None):
             if (shard < 0).any():
                 raise RuntimeError("a middle shard broke")
-            return healthy(shard, output_shape=output_shape)
+            return healthy(shard, output_shape=output_shape, out=out)
 
         poison = masks.copy()
         poison[3] = -1.0  # in the second of three two-tile shards

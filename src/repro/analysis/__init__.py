@@ -3,10 +3,8 @@
 from ..utils.imaging import ascii_image, write_pgm
 from .reporting import format_table, format_value, ratio_row, render_bar_chart, render_series
 from .throughput import (
-    ShardedThroughputResult,
     ThroughputResult,
     compare_throughput,
-    measure_sharded_throughput,
     measure_throughput,
     speedup,
     tile_area_um2,
@@ -17,7 +15,6 @@ from .visualize import comparison_panel, save_comparison_pgms
 __all__ = [
     "TSNE", "TSNEResult", "embed_datasets", "mask_features", "cluster_separation",
     "ThroughputResult", "measure_throughput", "compare_throughput", "speedup", "tile_area_um2",
-    "ShardedThroughputResult", "measure_sharded_throughput",
     "format_table", "format_value", "ratio_row", "render_bar_chart", "render_series",
     "ascii_image", "write_pgm", "comparison_panel", "save_comparison_pgms",
 ]

@@ -117,67 +117,6 @@ def measure_batched_throughput(name: str,
 
 
 @dataclass(frozen=True)
-class ShardedThroughputResult:
-    """Serial vs. sharded execution of the same tile batch."""
-
-    serial: ThroughputResult
-    sharded: ThroughputResult
-    num_workers: int
-    identical: bool
-
-    @property
-    def speedup(self) -> float:
-        """Wall-clock sharded / serial throughput ratio."""
-        if self.serial.um2_per_second <= 0:
-            return float("inf")
-        return self.sharded.um2_per_second / self.serial.um2_per_second
-
-
-def measure_sharded_throughput(spec, masks: Sequence[np.ndarray],
-                               pixel_size_nm: float, num_workers: int = 2,
-                               repeats: int = 1, cache_dir: Optional[str] = None,
-                               ) -> ShardedThroughputResult:
-    """Time a tile batch through the engine serially and sharded over workers.
-
-    ``spec`` is a picklable :class:`~repro.engine.sharded.EngineSpec`; the
-    serial and the sharded executor share the same ``cache_dir``, so both pay
-    kernel-bank costs outside the timed region (one warm-up call each: the
-    serial warm-up computes and persists the bank, the sharded warm-up spins
-    up the pool and lets every worker load it).  Also checks the acceptance
-    guarantee that sharding never changes the output: ``identical`` is the
-    bit-for-bit ``np.array_equal`` of the two results.
-    """
-    from ..engine.sharded import ShardedExecutor
-
-    if len(masks) == 0:
-        raise ValueError("need a non-empty (B, H, W) mask set")
-    stacked = np.stack([np.asarray(mask, dtype=float) for mask in masks], axis=0)
-    if stacked.ndim != 3:
-        raise ValueError("need a non-empty (B, H, W) mask set")
-    if num_workers < 2:
-        raise ValueError("sharded measurement needs at least 2 workers")
-
-    with ShardedExecutor(num_workers=1, cache_dir=cache_dir) as serial_executor, \
-            ShardedExecutor(num_workers=num_workers,
-                            cache_dir=cache_dir) as sharded_executor:
-        serial_out = serial_executor.aerial_batch(spec, stacked)    # warm + output
-        sharded_out = sharded_executor.aerial_batch(spec, stacked)  # warm + output
-        identical = bool(np.array_equal(serial_out, sharded_out))
-
-        serial = measure_batched_throughput(
-            "serial", lambda batch: serial_executor.aerial_batch(spec, batch),
-            stacked, pixel_size_nm, batch_size=len(stacked), repeats=repeats,
-            warmup=0)
-        sharded = measure_batched_throughput(
-            f"sharded x{num_workers}",
-            lambda batch: sharded_executor.aerial_batch(spec, batch),
-            stacked, pixel_size_nm, batch_size=len(stacked), repeats=repeats,
-            warmup=0)
-    return ShardedThroughputResult(serial=serial, sharded=sharded,
-                                   num_workers=num_workers, identical=identical)
-
-
-@dataclass(frozen=True)
 class BackendMatrixEntry:
     """One (backend x precision) cell of the compute-policy sweep."""
 

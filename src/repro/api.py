@@ -13,14 +13,14 @@ picks defaults and wires the pieces):
 Compute policy rides in one place: every verb takes
 ``compute=ComputeConfig(...)`` (or inherits the ``REPRO_*`` environment
 through the consumers' defaults) instead of a drift-prone spread of
-``fft_backend=... / precision=...`` keywords.
+``fft_backend=... / precision=...`` keywords — its ``fft_workers`` is also
+how many threads an imaging call may occupy.  ``num_workers=`` is accepted
+and ignored (the end-to-end benchmark still passes it).
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence, Union
-
-import numpy as np
 
 from .backend import ComputeConfig
 from .engine.execution import LayoutImage
@@ -70,9 +70,8 @@ def image_layout(layout, optics: Optional[OpticsConfig] = None, *,
     """Image one layout (array or file path) at one focus setting.
 
     Returns the engine's :class:`~repro.engine.execution.LayoutImage`
-    (aerial + resist + tiling metadata).  ``num_workers > 1`` shards tile
-    batches over worker threads; either way results are bit-for-bit the
-    serial output.
+    (aerial + resist + tiling metadata).  ``num_workers`` is accepted and
+    ignored: ``compute.fft_workers`` is the thread budget.
     """
     optics = optics or OpticsConfig()
     layout = _resolve_layout(layout, optics.pixel_size_nm)
@@ -80,8 +79,7 @@ def image_layout(layout, optics: Optional[OpticsConfig] = None, *,
                       pupil=pupil, cache_dir=cache_dir, compute=compute)
     if focus_nm:
         spec = spec.with_focus(focus_nm)
-    with ShardedExecutor(num_workers=num_workers, cache_dir=cache_dir,
-                         compute=compute) as executor:
+    with ShardedExecutor(cache_dir=cache_dir, compute=compute) as executor:
         return executor.image_layout(spec, layout, tile_px=tile_px,
                                      guard_px=guard_px)
 
@@ -106,14 +104,14 @@ def sweep_window(layout, optics: Optional[OpticsConfig] = None, *,
 
     ``store`` makes the campaign resumable (and reportable via
     :func:`open_campaign`); ``grid`` overrides the ``focus_nm`` / ``dose``
-    sequences when given.
+    sequences when given.  ``num_workers`` is accepted and ignored, as in
+    :func:`image_layout`.
     """
     optics = optics or OpticsConfig()
     layout = _resolve_layout(layout, optics.pixel_size_nm)
     if grid is None:
         grid = FocusExposureGrid.from_sequences(focus_nm, dose)
-    executor = ShardedExecutor(num_workers=num_workers, cache_dir=cache_dir,
-                               compute=compute)
+    executor = ShardedExecutor(cache_dir=cache_dir, compute=compute)
     sweep = ProcessWindowSweep(optics, source=_resolve_source(source),
                                pupil=pupil, executor=executor,
                                compute=compute)

@@ -14,8 +14,8 @@ Subcommands cover the typical library workflow without writing any Python:
   out-of-core in bounded-memory batches stitched incrementally into ``.npy``
   memmaps,
 * ``sweep-window`` — run a focus x dose process-window qualification campaign
-  over an arbitrary layout through the sweep layer, sharded across worker
-  threads, and print the focus-exposure matrix + window summary;
+  over an arbitrary layout through the sweep layer and print the
+  focus-exposure matrix + window summary;
   ``--store DIR`` persists every condition to a resumable campaign store
   (``--resume`` continues a killed campaign, computing only the remainder),
 * ``campaign-report`` — render a stored campaign (CD table, process-window
@@ -31,7 +31,7 @@ Subcommands cover the typical library workflow without writing any Python:
 
 ``image-layout`` and ``sweep-window`` accept ``--input`` as a dense raster
 (``.npy``/``.npz``) **or** a geometry layout file (``.json`` in the
-repro-layout schema, GDSII-text, or hierarchical binary GDSII); geometry
+repro-layout schema, or hierarchical binary GDSII); geometry
 files image through the windowed layout readers in :mod:`repro.layout`, so
 the dense raster never needs to exist — binary-GDSII cell hierarchies stay
 hierarchical, with SREF/AREF instances resolved per window.
@@ -214,7 +214,7 @@ def _dense_mask(mask) -> np.ndarray:
 def command_image_layout(arguments) -> int:
     import time
 
-    from .engine import ShardedExecutor, available_workers
+    from .engine import ShardedExecutor
 
     if not arguments.output and not arguments.out:
         print("image-layout needs --output (npz) and/or --out (memmap dir)",
@@ -224,8 +224,7 @@ def command_image_layout(arguments) -> int:
     if inputs is None:
         return 2
     mask, spec, compute = inputs
-    with ShardedExecutor(num_workers=arguments.workers or available_workers(),
-                         compute=compute) as executor:
+    with ShardedExecutor(compute=compute) as executor:
         engine = executor.warm(spec)
         start = time.perf_counter()
         result = executor.image_layout(
@@ -268,7 +267,7 @@ def _parse_float_list(text: str, option: str) -> List[float]:
 def command_sweep_window(arguments) -> int:
     import time
 
-    from .engine import ShardedExecutor, available_workers
+    from .engine import ShardedExecutor
     from .optics.process_window import FocusExposurePoint
     from .sweep import (
         CampaignIdentityError,
@@ -280,13 +279,11 @@ def command_sweep_window(arguments) -> int:
     grid = FocusExposureGrid.from_sequences(
         _parse_float_list(arguments.focus, "--focus"),
         _parse_float_list(arguments.dose, "--dose"))
-    num_workers = arguments.workers or available_workers()
     inputs = _imaging_inputs(arguments)
     if inputs is None:
         return 2
     mask, spec, compute = inputs
-    with ShardedExecutor(num_workers=num_workers,
-                         cache_dir=arguments.cache_dir or None,
+    with ShardedExecutor(cache_dir=arguments.cache_dir or None,
                          compute=compute) as executor:
         sweep = ProcessWindowSweep(spec.config, source=spec.source,
                                    executor=executor, compute=compute)
@@ -316,8 +313,8 @@ def command_sweep_window(arguments) -> int:
     height, width = mask.shape
     print(f"process window of a {height}x{width} px layout: "
           f"{len(grid.focus_values_nm)} focus x {len(grid.dose_values)} dose "
-          f"conditions, {outcome.num_tiles} tiles per focus, "
-          f"{executor.num_workers} worker(s) -> {elapsed:.2f} s")
+          f"conditions, {outcome.num_tiles} tiles per focus -> "
+          f"{elapsed:.2f} s")
     if outcome.store_dir:
         print(f"campaign store: {outcome.store_dir} "
               f"({outcome.computed_conditions} computed, "
@@ -383,7 +380,6 @@ def command_serve(arguments) -> int:
     from .service import serve
 
     serve(arguments.data_dir, host=arguments.host, port=arguments.port,
-          queue_workers=arguments.queue_workers or None,
           campaign_workers=arguments.campaign_workers)
     return 0
 
@@ -412,7 +408,7 @@ def _add_layout_options(parser: argparse.ArgumentParser, width: int,
     parser.add_argument("--input",
                         help="load a layout instead of synthesizing one: a "
                              "dense .npy/.npz raster, or a geometry file "
-                             "(repro-layout .json / GDSII-text / binary GDSII) "
+                             "(repro-layout .json / binary GDSII) "
                              "imaged through the windowed layout readers")
     parser.add_argument("--width", type=int, default=width, help="layout width (px)")
     parser.add_argument("--height", type=int, default=height, help="layout height (px)")
@@ -544,15 +540,12 @@ def build_parser() -> argparse.ArgumentParser:
                               help="stream the stitched aerial/resist into .npy "
                                    "memmaps under this directory in bounded "
                                    "tile batches (see repro.engine.streaming)")
-    image_layout.add_argument("--workers", type=int, default=1,
-                              help="worker threads for tile sharding; 0 = all "
-                                   "available CPUs, 1 = serial (the default)")
     _add_compute_options(image_layout)
     image_layout.set_defaults(handler=command_image_layout)
 
     sweep = subparsers.add_parser(
         "sweep-window",
-        help="focus x dose process-window sweep over a layout, sharded across workers",
+        help="focus x dose process-window sweep over a layout",
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog="examples:\n"
                "  # plain campaign, focus-exposure matrix to stdout + npz\n"
@@ -582,9 +575,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="target CD (nm); 0 measures it at the nominal condition")
     sweep.add_argument("--tolerance", type=float, default=0.1,
                        help="relative CD tolerance defining the window")
-    sweep.add_argument("--workers", type=int, default=0,
-                       help="worker threads for tile sharding; 0 = all "
-                            "available CPUs, 1 = serial")
     sweep.add_argument("--cache-dir", default="",
                        help="kernel-bank cache directory: decomposed banks "
                             "persist here across runs "
@@ -660,11 +650,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bind address (default: loopback only)")
     serve.add_argument("--port", type=int, default=8765,
                        help="TCP port; 0 lets the OS pick one")
-    serve.add_argument("--queue-workers", type=int, default=0,
-                       help="worker threads every campaign's tile shards "
-                            "run on; 0 = all available CPUs")
     serve.add_argument("--campaign-workers", type=int, default=2,
-                       help="how many campaigns may orchestrate concurrently")
+                       help="how many campaigns run at once (the rest "
+                            "wait queued)")
     serve.set_defaults(handler=command_serve)
 
     experiments = subparsers.add_parser("experiments", help="run every table / figure driver")

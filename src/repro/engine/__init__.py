@@ -6,7 +6,8 @@ throughput benchmarks — runs through this package:
 
 * :mod:`repro.engine.batched` — the vectorised batched SOCS core (one
   broadcast FFT pipeline per cache-sized block of a batch, band-limited
-  fast evaluation),
+  fast evaluation; the one place tiles run in parallel: a call spends the
+  backend's worker budget on shares of its tiles),
 * :mod:`repro.engine.cache` — the process-wide kernel-bank cache keyed by an
   optics fingerprint (TCC + eigendecomposition computed at most once per
   process, optional on-disk persistence),
@@ -19,12 +20,10 @@ throughput benchmarks — runs through this package:
   stage, batched imaging, incremental stitch into (optionally memmapped)
   outputs — O(tile-batch) RAM for every layout, bit-for-bit the same
   result whatever the batch size,
-* :mod:`repro.engine.sharded` — :class:`ShardedExecutor` cuts a tile batch
-  into contiguous shards and images them on the threads of a
-  :class:`WorkerPool` (its own, or one shared by every campaign of the
-  service), each shard writing its rows of one result and taking its part
-  of the backend's worker budget (which an unsharded call spends on blocks
-  by itself) — bit-for-bit the serial result, and
+* :mod:`repro.engine.sharded` — :class:`EngineSpec` (the picklable recipe
+  of an engine) and :class:`ShardedExecutor`, which memoises one engine per
+  spec fingerprint and adds the kernel-cache directory and tile cache a
+  campaign shares, and
 * :mod:`repro.engine.tile_cache` — the content-addressed tile-result cache
   (:class:`TileResultCache`): each *unique* guard-banded tile content is
   imaged once per (kernel bank, backend, precision, geometry) and every
@@ -80,7 +79,6 @@ from .sharded import (
     DEFAULT_SCHEDULER,
     EngineSpec,
     ShardedExecutor,
-    WorkerPool,
     available_workers,
 )
 from .streaming import (
@@ -116,8 +114,7 @@ __all__ = [
     "CacheStats", "KernelBankCache", "default_kernel_cache",
     "optics_fingerprint",
     "ExecutionEngine", "LayoutImage",
-    "DEFAULT_SCHEDULER", "EngineSpec", "ShardedExecutor", "WorkerPool",
-    "available_workers",
+    "DEFAULT_SCHEDULER", "EngineSpec", "ShardedExecutor", "available_workers",
     "iter_tile_batches", "open_layout_dir", "stream_image_layout",
     "ZERO_TILE_DIGEST", "TileCacheContext", "TileCacheStats",
     "TileResultCache", "configure_default_tile_cache", "default_tile_cache",

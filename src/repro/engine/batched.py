@@ -35,20 +35,23 @@ contract); block size never changes a tile's result.
 
 The thread budget is read off the backend too (``backend.workers``:
 ``fft_workers`` / ``REPRO_FFT_WORKERS``, default the CPUs available) and is
-spent **on blocks, not inside transforms**: a batch of several blocks is cut
-into one contiguous share per thread, the calling thread images the first
-and helper threads the rest, and every share transforms through the
-backend's one-thread sibling (:meth:`~repro.backend.FFTBackend.single_threaded`)
-with its own scratch and its part of :data:`BLOCK_BYTES`.  Measured on 2
-CPUs, 36 production tiles: two threads *inside* each transform buy 1.3x
-over one thread (the kernel product, embed, ``|field|^2`` and copies between
-transforms stay serial), two threads *on blocks* 1.6x.  A backend without
+spent **on tiles, not inside transforms**: a batch of ``B > 1`` tiles is
+cut into ``min(workers, B)`` contiguous shares, the calling thread images
+the first and helper threads the rest, and every share transforms through
+the backend's one-thread sibling
+(:meth:`~repro.backend.FFTBackend.single_threaded`) with its own scratch and
+its part of :data:`BLOCK_BYTES`.  Measured on 2 CPUs, 36 production tiles:
+two threads *inside* each transform buy 1.3x over one thread (the kernel
+product, embed, ``|field|^2`` and copies between transforms stay serial),
+two threads *on blocks* 1.6x; and a batch of 2-4 tiles (one block) is
+faster as two shares than as one call with two-thread transforms.  This
+is the only place the package images tiles in parallel.  A backend without
 such a sibling (numpy, pyfftw, any transforms-only subclass), a
-device-resident one and a batch of a single block image on the calling
-thread exactly as before.  Shares never change a tile's bits either: each
-1-D line of each transform is an independent, deterministic work item.  The
-scratch holds no state across calls; the one thing this module keeps is the
-idle helper threads (:func:`_helper_threads`, created under a lock).
+device-resident one and a single tile image on the calling thread exactly
+as before.  Shares never change a tile's bits either: each 1-D line of each
+transform is an independent, deterministic work item.  The scratch holds no
+state across calls; the one thing this module keeps is the idle helper
+threads (:func:`_helper_threads`, created under a lock).
 
 Both full-size real transforms skip the passes nobody reads: the mask
 spectrum keeps ``m // 2 + 1`` of a tile's ``W // 2 + 1`` half-spectrum
@@ -334,18 +337,17 @@ def batched_aerial_from_kernels(masks: np.ndarray, kernels: np.ndarray,
         return effective_chunk_tiles(batch, kernels.shape, out_h, out_w,
                                      budget_bytes, precision.complex_itemsize)
 
-    # The backend's worker budget is spent on blocks: one contiguous share
-    # of the batch per thread, each share transforming through the
-    # one-thread sibling and keeping its part of the budget (the cores share
-    # the cache BLOCK_BYTES names).  A batch of a single block keeps ``xp``
-    # — and its in-transform threads — to itself.
+    # The backend's worker budget is spent on tiles: one contiguous share of
+    # the batch per thread, each share transforming through the one-thread
+    # sibling and keeping its part of the budget (the cores share the cache
+    # BLOCK_BYTES names).  A single tile keeps ``xp`` — and its
+    # in-transform threads — to itself.
     budget = RESIDENT_BLOCK_BYTES if xp.is_resident else BLOCK_BYTES
-    block = tiles_per_block(budget)
     serial = xp.single_threaded()
-    threads = 1 if serial is xp or xp.is_resident \
-        else min(xp.workers, -(-batch // block))
+    threads = 1 if serial is xp or xp.is_resident else min(xp.workers, batch)
     if threads > 1:
-        xp, block = serial, tiles_per_block(budget // threads)
+        xp, budget = serial, budget // threads
+    block = tiles_per_block(budget)
 
     def image(share: slice) -> None:
         if band_limited:

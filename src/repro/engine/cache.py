@@ -325,8 +325,8 @@ class KernelBankCache:
 
         Long sweeps touch one fingerprint per focus setting; with a disk
         backing, re-loading a trimmed bank costs milliseconds while keeping
-        hundreds of decomposed banks resident costs GBs.  The sharded
-        executor trims after each engine build when a ``cache_dir`` is set.
+        hundreds of decomposed banks resident costs GBs.  ``ShardedExecutor``
+        trims after each engine build when a ``cache_dir`` is set.
         """
         with self._lock:
             self._tccs.clear()

@@ -67,8 +67,8 @@ DEVICE_BANK_LIMIT = 8
 #: device-side mirror of :class:`~repro.engine.cache.KernelBankCache`: keyed
 #: by content + device so every engine sharing a bank (and backend)
 #: shares ONE upload — the transfer-count tests pin "bank uploaded once per
-#: fingerprint, not once per chunk or per batch".  Locked: the worker threads
-#: of every executor in the process image through it concurrently.
+#: fingerprint, not once per chunk or per batch".  Locked: concurrent
+#: campaigns (and any caller's threads) image through it at once.
 _DEVICE_BANKS = LockedLRU(DEVICE_BANK_LIMIT)
 
 
@@ -391,8 +391,8 @@ class ExecutionEngine:
             for the layout), so even the output needn't fit in RAM.
         batch_tiles:
             Tiles per batch; peak RAM is O(one batch).  Defaults to
-            :meth:`stream_batch_tiles` (per worker, on a sharded executor) —
-            O(tile-batch) RAM however large the layout, dense or not.
+            :meth:`stream_batch_tiles` — O(tile-batch) RAM however large the
+            layout, dense or not.
         """
         return image_layout_through(self, layout, tiling, tile_px, guard_px,
                                     out_dir, batch_tiles,
@@ -403,14 +403,11 @@ def image_layout_through(engine: ExecutionEngine, layout,
                          tiling: Optional[TilingSpec],
                          tile_px: Optional[int], guard_px: Optional[int],
                          out_dir: Optional[str], batch_tiles: Optional[int],
-                         tile_cache: Optional[TileResultCache],
-                         image_batch=None,
-                         num_workers: Optional[int] = None) -> LayoutImage:
+                         tile_cache: Optional[TileResultCache]) -> LayoutImage:
     """Run the layout pipeline for ``engine`` — the adapter both front ends share.
 
-    :meth:`ExecutionEngine.image_layout` images batches with the engine's own
-    ``aerial_batch``; ``ShardedExecutor.image_layout`` passes its sharded
-    ``image_batch``, its own ``tile_cache`` and its ``num_workers``.  The
+    :meth:`ExecutionEngine.image_layout` passes the engine's own
+    ``tile_cache``, ``ShardedExecutor.image_layout`` the executor's.  The
     precision cast, tiling, default batch, cache context, staging buffer and
     provenance are decided here, once.
     """
@@ -420,38 +417,31 @@ def image_layout_through(engine: ExecutionEngine, layout,
         layout = ArrayLayoutReader(engine.precision.as_real(layout))
     tiling = engine.resolve_tiling(tiling, tile_px, guard_px)
     if batch_tiles is None:
-        batch_tiles = engine.stream_batch_tiles(tiling) * \
-            max(1, num_workers or 1)
-    meta = {"backend": engine.backend.name,
-            "precision": engine.precision.name}
-    if num_workers is not None:
-        meta["num_workers"] = num_workers
-    if image_batch is None:
-        image_batch = engine.aerial_batch
-        if engine.backend.is_resident:
-            # Stage every device->host download through one reusable
-            # (pinned, where the backend supports it) host buffer instead of
-            # allocating a fresh batch-sized array per batch.  The pipeline
-            # fully consumes each batch (stitch + develop copy out of it,
-            # the tile cache admits copies) before requesting the next, so
-            # reuse is safe.
-            staging = []
+        batch_tiles = engine.stream_batch_tiles(tiling)
+    image_batch = engine.aerial_batch
+    if engine.backend.is_resident:
+        # Stage every device->host download through one reusable (pinned,
+        # where the backend supports it) host buffer instead of allocating a
+        # fresh batch-sized array per batch.  The pipeline fully consumes
+        # each batch (stitch + develop copy out of it, the tile cache admits
+        # copies) before requesting the next, so reuse is safe.
+        staging = []
 
-            def image_batch(tiles):
-                if not staging:
-                    # Sized for a whole batch of placements: none is larger,
-                    # but behind a tile cache the first stack of misses may
-                    # well be smaller than a later one.
-                    rows = min(len(plan_tiles(*layout.shape, tiling)),
-                               batch_tiles)
-                    staging.append(engine.backend.empty_host(
-                        (rows,) + tiles.shape[1:],
-                        engine.precision.real_dtype))
-                return engine.aerial_batch(tiles,
-                                           out=staging[0][:len(tiles)])
+        def image_batch(tiles):
+            if not staging:
+                # Sized for a whole batch of placements: none is larger, but
+                # behind a tile cache the first stack of misses may well be
+                # smaller than a later one.
+                rows = min(len(plan_tiles(*layout.shape, tiling)),
+                           batch_tiles)
+                staging.append(engine.backend.empty_host(
+                    (rows,) + tiles.shape[1:], engine.precision.real_dtype))
+            return engine.aerial_batch(tiles, out=staging[0][:len(tiles)])
     aerial, resist, num_tiles = stream_image_layout(
         layout, tiling, image_batch, engine.resist_model.develop,
-        engine.precision.real_dtype, batch_tiles, out_dir=out_dir, meta=meta,
+        engine.precision.real_dtype, batch_tiles, out_dir=out_dir,
+        meta={"backend": engine.backend.name,
+              "precision": engine.precision.name},
         tile_cache=tile_cache,
         cache_context=engine.tile_cache_context(tiling)
         if tile_cache is not None else None)

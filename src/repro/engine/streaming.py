@@ -2,8 +2,8 @@
 
 :func:`stream_image_layout` is the one implementation of the tile operation
 chain; ``ExecutionEngine.image_layout`` and ``ShardedExecutor.image_layout``
-are adapters that hand it their ``image_batch``, resist model, batch size
-and tile cache.  The layout is always a windowed
+reach it through one adapter that hands it the engine's ``image_batch``,
+resist model, batch size and a tile cache.  The layout is always a windowed
 :class:`repro.layout.LayoutReader` — the adapters wrap a dense raster or
 ``numpy.memmap`` once, on the way in:
 
@@ -14,28 +14,27 @@ and tile cache.  The layout is always a windowed
 3. the one fork: with a tile cache each window is digested as read (an
    all-zero one is tagged, not hashed) and the cache stage images only the
    batch's first-occurrence misses; without one the windows fill a single
-   preallocated stack for the ordinary batched core (or a sharded executor),
-   and
+   preallocated stack for the ordinary batched core, and
 4. each batch's interior cores are stitched **incrementally** into the
    output — a plain array, or a ``numpy.memmap`` when an ``out_dir`` is
    given — and developed core by core.
 
 Every layout — dense raster or reader, with or without an ``out_dir`` —
-defaults to batches of ``ExecutionEngine.stream_batch_tiles`` tiles (per
-worker), so an arbitrarily large layout images in **O(tile-batch) RAM**.
+defaults to batches of ``ExecutionEngine.stream_batch_tiles`` tiles, so an
+arbitrarily large layout images in **O(tile-batch) RAM**.
 
 Because every batch is fully consumed (stitched + developed) before the next
 one is requested, a device-resident engine passes a single reusable host
 staging buffer as ``aerial_batch``'s ``out=`` — downloads land in pinned
 memory (where the backend provides it) and the per-batch host allocation
-disappears; ``ExecutionEngine.image_layout`` wires this up automatically.
+disappears; the adapter wires this up automatically.
 
 Bit-for-bit guarantee
 ---------------------
 Per-tile FFT work is independent of how the batch axis is chunked (the
 invariant pinned since PR 1 by ``tests/test_engine.py``) and every layout
 pixel belongs to exactly one tile core, so the result does not depend on
-the batch size, the tile cache or the sharding: each equals the plain
+the batch size, the tile cache or the thread count: each equals the plain
 cut-all / image-once / stitch reference (``tests/reference.py``) **bit for
 bit** across guard bands, backends and precisions — pinned by
 ``tests/test_streaming.py``.
@@ -124,7 +123,8 @@ def stream_image_layout(reader, tiling: TilingSpec,
     ----------
     image_batch:
         ``(B, tile, tile) -> (B, tile, tile)`` aerial imaging of one batch —
-        an engine's ``aerial_batch`` or a sharded executor's.
+        an engine's ``aerial_batch``, or a wrapper of it staging the
+        downloads through one host buffer.
     develop:
         Elementwise resist development applied to each stitched core (the
         constant-threshold model; elementwise, so per-core application

@@ -19,9 +19,9 @@ and three implementations cover the spectrum:
 * :class:`HierarchicalLayoutReader` — binary GDSII cell graphs; SREF/AREF
   placements are resolved lazily per window, never flattened up front.
 
-:func:`load_layout_file` opens JSON / GDSII-text / binary-GDSII scenario
-files on disk as one of them (binary streams are detected by content, and
-malformed ones raise :class:`LayoutFormatError` with a file offset).
+:func:`load_layout_file` opens JSON / binary-GDSII scenario files on disk
+as one of them (binary streams are detected by content; anything else, and
+malformed streams, raise :class:`LayoutFormatError` with a file offset).
 
 Readers plug in wherever a dense layout was accepted —
 ``ExecutionEngine.image_layout(reader)``,

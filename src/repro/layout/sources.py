@@ -1,7 +1,7 @@
 """Turn a layout *description* into something the engines can image.
 
 The CLI and the campaign service both accept layouts three ways — a dense
-``.npy``/``.npz`` raster, a geometry file (repro-layout JSON / GDSII-text /
+``.npy``/``.npz`` raster, a geometry file (repro-layout JSON /
 hierarchical binary GDSII, imaged through the windowed readers), or a
 synthesised benchmark canvas —
 and both must resolve them identically, or a service-submitted campaign
@@ -38,8 +38,8 @@ def load_layout_mask(path: str) -> np.ndarray:
 
 def load_layout_source(path: str, pixel_size_nm: float):
     """Dense raster (``.npy``/``.npz``) or windowed geometry reader (anything
-    :func:`repro.layout.is_layout_file` recognises — JSON / GDSII-text /
-    binary GDSII)."""
+    :func:`repro.layout.is_layout_file` recognises — JSON / binary
+    GDSII)."""
     if is_layout_file(path):
         return load_layout_file(path, pixel_size_nm=pixel_size_nm)
     return load_layout_mask(path)

@@ -5,9 +5,8 @@ Two layers, each usable on its own:
 * :mod:`repro.service.jobs` — :class:`CampaignManager`: validates JSON
   campaign requests, runs each through the ordinary
   :class:`~repro.sweep.ProcessWindowSweep` + resumable
-  :class:`~repro.sweep.CampaignStore` with every campaign's tile shards on
-  one shared :class:`~repro.engine.WorkerPool` (the engine's worker
-  threads, and the ``queue`` block of ``/healthz``), and replays incomplete
+  :class:`~repro.sweep.CampaignStore` on one pool of ``campaign_workers``
+  threads (the ``queue`` block of ``/healthz``), and replays incomplete
   campaigns on startup so a killed-and-restarted server computes exactly
   the remainder.
 * :mod:`repro.service.server` / :mod:`repro.service.client` — the

@@ -31,11 +31,12 @@ two keys older servers accepted and persisted — ``streaming`` and
 :func:`_without_legacy_keys` drops them before parsing, whether the request
 was just submitted or is being replayed on restart.
 
-Scheduling: each job runs on a manager thread (``campaign_workers`` of
-them) and its tile shards run on the manager's one
-:class:`~repro.engine.WorkerPool` (``queue_workers`` threads), which every
-campaign's executor shares — so several campaigns interleave shard by shard
-while sharing the process-wide kernel-bank cache and one disk cache dir.
+Scheduling: the manager's one :class:`WorkerPool` runs the campaigns,
+``campaign_workers`` at a time, each on one of its threads; inside a
+campaign every imaging call spends the request's worker budget
+(``compute.fft_workers``) on its tiles (:mod:`repro.engine.batched`).
+Concurrent campaigns share the process-wide kernel-bank cache and one disk
+cache dir.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import os
 import threading
 import time
 import uuid
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
@@ -53,7 +54,7 @@ import numpy as np
 
 from ..backend import ComputeConfig
 from ..engine.cache import atomic_write
-from ..engine.sharded import ShardedExecutor, WorkerPool
+from ..engine.sharded import ShardedExecutor
 from ..layout.sources import load_layout_source, synthesize_layout_mask
 from ..optics.simulator import OpticsConfig
 from ..optics.source import make_source
@@ -233,20 +234,54 @@ class CampaignJob:
         }
 
 
-class CampaignManager:
-    """Owns the job table, the campaign runner threads and the data dir.
+class WorkerPool:
+    """The threads campaigns run on, with lifetime counters (the ``queue``
+    block of ``/healthz``)."""
 
-    ``queue_workers`` sizes the one worker pool every campaign's executor
-    shards its tile batches over (default: the available CPUs);
-    ``campaign_workers`` caps how many campaigns *orchestrate* concurrently
-    (each campaign occupies one runner thread for its sweep bookkeeping
-    while its shards interleave on the pool).  On construction the manager
-    scans the data dir and re-enqueues every incomplete campaign with
-    ``resume=True`` — the restart half of the kill/resume guarantee.
+    def __init__(self, threads: int):
+        self.threads = int(threads)
+        self._executor = ThreadPoolExecutor(max_workers=self.threads,
+                                            thread_name_prefix="repro-campaign")
+        self._lock = threading.Lock()
+        #: Lifetime counters (monotonic; cancelled futures count as
+        #: completed once they settle).
+        self.submitted = 0
+        self.completed = 0
+
+    def submit(self, fn: Callable, *args) -> Future:
+        with self._lock:
+            future = self._executor.submit(fn, *args)
+            self.submitted += 1
+        future.add_done_callback(self._settled)
+        return future
+
+    def _settled(self, future: Future) -> None:
+        with self._lock:
+            self.completed += 1
+
+    def stats(self) -> Dict[str, int]:
+        with self._lock:
+            return {"num_workers": self.threads,
+                    "submitted": self.submitted,
+                    "completed": self.completed}
+
+    def shutdown(self, wait: bool = True) -> None:
+        """Stop the threads; queued-but-unstarted work is cancelled."""
+        self._executor.shutdown(wait=wait, cancel_futures=True)
+
+
+class CampaignManager:
+    """Owns the job table, the campaign pool and the data dir.
+
+    ``campaign_workers`` sizes the :class:`WorkerPool` the campaigns run
+    on (``self.queue``): that many run at once, the rest wait queued.  On
+    construction the manager scans the data dir and re-enqueues every
+    incomplete campaign with ``resume=True`` — the restart half of the
+    kill/resume guarantee.
     """
 
-    def __init__(self, data_dir: str, queue_workers: Optional[int] = None,
-                 campaign_workers: int = 2, recover: bool = True):
+    def __init__(self, data_dir: str, campaign_workers: int = 2,
+                 recover: bool = True):
         if campaign_workers < 1:
             raise ValueError("campaign_workers must be at least 1")
         self.data_dir = str(data_dir)
@@ -254,11 +289,9 @@ class CampaignManager:
         self.kernel_cache_dir = os.path.join(self.data_dir, "kernel-cache")
         os.makedirs(self.campaigns_dir, exist_ok=True)
         os.makedirs(self.kernel_cache_dir, exist_ok=True)
-        self.queue = WorkerPool(queue_workers)
+        self.queue = WorkerPool(campaign_workers)
         self._jobs: Dict[str, CampaignJob] = {}
         self._lock = threading.Lock()
-        self._runner = ThreadPoolExecutor(max_workers=int(campaign_workers),
-                                          thread_name_prefix="repro-campaign")
         self._closed = False
         if recover:
             self._recover()
@@ -287,7 +320,7 @@ class CampaignManager:
                     self._jobs[job_id].state in ("queued", "running"):
                 raise ValueError(f"campaign {job_id!r} is already active")
             self._jobs[job_id] = job
-        self._runner.submit(self._run, job, parsed, resume)
+        self.queue.submit(self._run, job, parsed, resume)
         return job
 
     def _recover(self) -> None:
@@ -333,11 +366,8 @@ class CampaignManager:
         job.state = "running"
         job.started_at = time.time()
         compute = parsed.compute
-        # The service's whole point: shards from concurrent campaigns
-        # interleave on the one shared pool.
-        executor = ShardedExecutor(num_workers=self.queue.num_workers,
-                                   cache_dir=self.kernel_cache_dir,
-                                   compute=compute, pool=self.queue)
+        executor = ShardedExecutor(cache_dir=self.kernel_cache_dir,
+                                   compute=compute)
         try:
             layout = parsed.resolve_layout()
             sweep = ProcessWindowSweep(parsed.optics_config(),
@@ -409,5 +439,4 @@ class CampaignManager:
     def close(self, wait: bool = True) -> None:
         with self._lock:
             self._closed = True
-        self._runner.shutdown(wait=wait, cancel_futures=True)
         self.queue.shutdown(wait=wait)

@@ -2,7 +2,7 @@
 
 Endpoints::
 
-    GET    /healthz                      liveness + worker-pool stats
+    GET    /healthz                      liveness + campaign-pool stats
     POST   /campaigns                    submit a campaign (JSON request)
     GET    /campaigns                    list jobs
     GET    /campaigns/{id}               one job's status
@@ -18,8 +18,8 @@ report never re-images anything, even for a campaign that is still running
 (the CD table just shows pending cells).
 
 The server is a ``ThreadingHTTPServer``: request handling must not block on
-campaign execution, which lives on the manager's runner threads and its
-worker pool.  Bind to port 0 to let the OS pick (tests).
+campaign execution, which lives on the manager's campaign pool.  Bind to
+port 0 to let the OS pick (tests).
 """
 
 from __future__ import annotations
@@ -204,12 +204,10 @@ class CampaignServer:
     """
 
     def __init__(self, data_dir: str, host: str = "127.0.0.1", port: int = 0,
-                 queue_workers: Optional[int] = None,
                  campaign_workers: int = 2, quiet: bool = True,
                  manager: Optional[CampaignManager] = None):
         self.manager = manager or CampaignManager(
-            data_dir, queue_workers=queue_workers,
-            campaign_workers=campaign_workers)
+            data_dir, campaign_workers=campaign_workers)
         self._httpd = ThreadingHTTPServer((host, port),
                                           _CampaignRequestHandler)
         self._httpd.daemon_threads = True
@@ -255,11 +253,9 @@ class CampaignServer:
 
 
 def serve(data_dir: str, host: str = "127.0.0.1", port: int = 8765,
-          queue_workers: Optional[int] = None, campaign_workers: int = 2,
-          quiet: bool = False) -> None:
+          campaign_workers: int = 2, quiet: bool = False) -> None:
     """Blocking entry point behind ``repro serve``."""
     server = CampaignServer(data_dir, host=host, port=port,
-                            queue_workers=queue_workers,
                             campaign_workers=campaign_workers, quiet=quiet)
     print(f"campaign service listening on {server.url} "
           f"(data dir: {os.path.abspath(data_dir)})")

@@ -10,9 +10,9 @@ production lithography service — and this layer:
   :class:`~repro.engine.cache.KernelBankCache` (dose never touches the
   kernels, so an ``F x D`` campaign costs ``F`` banks, all persisted to the
   cache dir for later runs),
-* images each focus with one ``image_layout`` pass through the vectorised
-  batched core, each tile batch sharded across worker threads by
-  :class:`~repro.engine.sharded.ShardedExecutor`,
+* images each focus with one ``image_layout`` pass of a
+  :class:`~repro.engine.sharded.ShardedExecutor` through the vectorised
+  batched core, which shares each tile batch out over the worker threads,
 * extracts CDs via :func:`repro.optics.process_window.measure_cd` and returns
   the standard :class:`~repro.optics.process_window.ProcessWindowResult`,
 * persists every condition to a resumable :class:`CampaignStore`

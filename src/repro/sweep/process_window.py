@@ -1,10 +1,10 @@
-"""Process-window sweeps: focus x dose campaigns over the sharded engine layer.
+"""Process-window sweeps: focus x dose campaigns over the engine layer.
 
 ``ProcessWindowSweep`` turns "fast single image" into "fast qualification
 campaign".  For each focus setting it derives the refocused optics (a new
 fingerprint into the shared kernel-bank cache — the TCC and SOCS bank for a
 focus are computed at most once and persist in the cache dir for later
-runs), images the layout once through the batched/sharded engine, then
+runs), images the layout once through the batched engine, then
 develops every dose from that single aerial (dose only scales the resist
 threshold).  An ``F x D`` campaign therefore costs ``F`` kernel banks and
 ``F`` imaging passes, not ``F x D`` of each.
@@ -13,11 +13,12 @@ Campaign-scale features:
 
 * **One imaging path** — every pending focus is one
   :meth:`ShardedExecutor.image_layout` call: tile batches cut on demand and
-  imaged in bounded batches (:mod:`repro.engine.streaming`), each batch
-  sharded over the executor's worker threads, so peak RAM is one tile batch
-  plus the stitched aerial however large the layout.  (Scheduling
-  (condition, shard) tasks across focus boundaries was measured against
-  this and bought nothing — ``docs/architecture.md``, "Worker threads".)
+  imaged in bounded batches (:mod:`repro.engine.streaming`), each batch's
+  tiles shared out over the spec's worker threads by the batched core, so
+  peak RAM is one tile batch plus the stitched aerial however large the
+  layout.  (Scheduling (condition, shard) tasks across focus boundaries was
+  measured against this and bought nothing — ``docs/architecture.md``,
+  "Worker threads".)
 * **Disk-backed resumability** — pass ``store=`` (a
   :class:`~repro.sweep.store.CampaignStore` or a directory path) and every
   completed condition is persisted immediately; a killed campaign re-run
@@ -69,7 +70,6 @@ class SweepOutcome:
     window: ProcessWindowResult
     grid: FocusExposureGrid
     num_tiles: int
-    num_workers: int
     elapsed_s: float
     aerials: Optional[Dict[float, np.ndarray]] = None
     computed_conditions: int = 0
@@ -121,11 +121,10 @@ class ProcessWindowSweep:
         Illuminator and base pupil (aberrations are kept, the pupil's defocus
         term is swept).  Defaults match the golden simulator.
     executor:
-        The sharded executor to image through; defaults to a serial one.
-        Pass ``ShardedExecutor(num_workers=N, cache_dir=...)`` to shard
-        tile batches over ``N`` worker threads and persist the kernel banks
-        in the cache dir — the one kernel cache the campaign's specs name
-        too, so no bank is decomposed in two caches.
+        The executor to image through; defaults to a fresh one.  Pass
+        ``ShardedExecutor(cache_dir=...)`` to persist the kernel banks in the
+        cache dir — the one kernel cache the campaign's specs name too, so
+        no bank is decomposed in two caches.
     cd_row:
         Row for CD extraction.  ``None`` (the default) tracks the widest
         feature printed at the grid's nominal condition: the row is chosen
@@ -150,7 +149,7 @@ class ProcessWindowSweep:
         self.compute = compute if compute is not None else ComputeConfig()
         self.config = config
         self.executor = executor if executor is not None else \
-            ShardedExecutor(num_workers=1, compute=self.compute)
+            ShardedExecutor(compute=self.compute)
         self.base_spec = EngineSpec(config=config, source=source, pupil=pupil,
                                     cache_dir=self.executor.cache_dir,
                                     compute=self.compute)
@@ -361,7 +360,6 @@ class ProcessWindowSweep:
                                      tolerance=float(tolerance))
         return SweepOutcome(window=window, grid=grid,
                             num_tiles=state["num_tiles"],
-                            num_workers=self.executor.num_workers,
                             elapsed_s=elapsed,
                             aerials=aerials if keep_aerials else None,
                             computed_conditions=state["computed"],

@@ -90,28 +90,6 @@ class TestThroughput:
         with pytest.raises(ValueError):
             measure_throughput("dummy", lambda m: m, [], pixel_size_nm=8.0)
 
-    def test_measure_sharded_throughput(self, tmp_path):
-        from repro.analysis.throughput import measure_sharded_throughput
-        from repro.engine import EngineSpec
-        from repro.optics import OpticsConfig
-        from repro.optics.source import CircularSource
-
-        spec = EngineSpec(
-            config=OpticsConfig(tile_size_px=32, pixel_size_nm=8.0, max_socs_order=8),
-            source=CircularSource(sigma=0.6))
-        masks = (np.random.default_rng(5).random((4, 32, 32)) > 0.7).astype(float)
-        result = measure_sharded_throughput(spec, masks, pixel_size_nm=8.0,
-                                            num_workers=2,
-                                            cache_dir=str(tmp_path))
-        assert result.identical  # sharding is invisible in the output
-        assert result.num_workers == 2
-        assert result.serial.tiles_per_second > 0
-        assert result.sharded.tiles_per_second > 0
-        assert result.speedup == pytest.approx(
-            result.sharded.um2_per_second / result.serial.um2_per_second)
-        with pytest.raises(ValueError):
-            measure_sharded_throughput(spec, masks, pixel_size_nm=8.0, num_workers=1)
-
     def test_compare_and_speedup(self):
         import time
 

@@ -4,12 +4,13 @@ Pinned guarantees:
 
 * **residency is provable**: on the ``fakegpu`` backend the batched core pays
   exactly one upload per mask block and one download per aerial block — for
-  the dense, streaming, one-shard and worker-thread paths alike — and the
+  the dense, streaming, executor and concurrent-caller paths alike — and the
   kernel bank is uploaded once per (fingerprint, device), never per block
   or per batch,
 * **streamed downloads stage through one reusable host buffer** (the pinned
   -buffer hook): ``host_buffer_allocations == 1`` for a whole streamed
-  layout, with or without a tile cache,
+  layout, with or without a tile cache, through the engine and through
+  ``repro.api`` alike,
 * **fakegpu == numpy bit for bit** across precisions and band limiting
   (hypothesis-pinned), so the residency bookkeeping can never drift the
   numerics,
@@ -21,14 +22,15 @@ Pinned guarantees:
   ``mask_spectrum`` follows the mask (host in -> host out through one
   counted round trip, device in -> device out with none); and a subclass
   that defines only ``name`` + the four transforms — the shape of the
-  benchmark's FFT probe — is a complete backend for an engine and for a
-  sharded executor, changing no output bit,
+  benchmark's FFT probe — is a complete backend for an engine and for an
+  executor, changing no output bit,
 * ``--precision auto`` resolves deterministically everywhere an engine is
   built (constructor, ``for_optics``, ``EngineSpec``) and never leaks the
   string ``"auto"`` into a worker-bound spec.
 """
 
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -36,6 +38,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import repro.api as api
 from reference import RecordingBackend, reference_image_layout
 from repro.backend import (
     FLOAT32,
@@ -187,6 +190,22 @@ class TestTransferCounts:
         assert stats.uploads == stats.downloads + 1
         assert stats.host_buffer_allocations == 1  # ... through ONE buffer
 
+    def test_api_image_layout_stages_through_one_host_buffer(self, fakegpu):
+        """The façade — the CLI, the sweep and the service image the same
+        way — gets the engine's staging buffer too, not a fresh batch-sized
+        host array per batch."""
+        layout = RNG.random((300, 300))
+        expected = api.image_layout(layout, CONFIG, guard_px=8,
+                                    compute=NO_CACHE.replace(
+                                        fft_backend="numpy"))
+        fakegpu.transfer_stats.reset()
+        result = api.image_layout(layout, CONFIG, guard_px=8,
+                                  compute=NO_CACHE.replace(
+                                      fft_backend="fakegpu"))
+        assert fakegpu.transfer_stats.host_buffer_allocations == 1
+        np.testing.assert_array_equal(result.aerial, expected.aerial)
+        np.testing.assert_array_equal(result.resist, expected.resist)
+
     def test_streaming_download_bytes_match_aerial_payload(self, fakegpu):
         _, fake_engine = make_engines()
         masks = RNG.random((3, 32, 32))
@@ -197,9 +216,9 @@ class TestTransferCounts:
     def test_sharded_serial_path_stays_resident(self, fakegpu, tmp_path):
         spec = EngineSpec(config=CONFIG, cache_dir=str(tmp_path),
                           compute=ComputeConfig(fft_backend="fakegpu"))
-        executor = ShardedExecutor(num_workers=0, cache_dir=str(tmp_path))
+        executor = ShardedExecutor(cache_dir=str(tmp_path))
         masks = RNG.random((4, 32, 32))
-        reference = ShardedExecutor(num_workers=0).aerial_batch(
+        reference = ShardedExecutor().aerial_batch(
             EngineSpec(config=CONFIG,
                        compute=ComputeConfig(fft_backend="numpy")), masks)
         fakegpu.transfer_stats.reset()
@@ -211,26 +230,36 @@ class TestTransferCounts:
         assert stats.downloads == 1
 
     def test_sharded_worker_threads_stay_resident(self, fakegpu, tmp_path):
-        """Worker threads share this process's module: each shard is one
-        block — one upload, one download — and the bank still goes up once,
-        counted without a lost update."""
+        """Concurrent callers (two campaigns, say) share this process's
+        module: each call is one block — one upload, one download — and the
+        bank still goes up once, counted without a lost update."""
         spec = EngineSpec(config=CONFIG, cache_dir=str(tmp_path),
                           compute=ComputeConfig(fft_backend="fakegpu"))
-        masks = RNG.random((8, 32, 32))  # two 4-tile shards
-        reference = ShardedExecutor(num_workers=0).aerial_batch(
+        masks = RNG.random((8, 32, 32))  # one resident block
+        reference = ShardedExecutor().aerial_batch(
             EngineSpec(config=CONFIG,
                        compute=ComputeConfig(fft_backend="numpy")), masks)
-        with ShardedExecutor(num_workers=2,
-                             cache_dir=str(tmp_path)) as executor:
+        results = []
+        with ShardedExecutor(cache_dir=str(tmp_path)) as executor:
             executor.warm(spec)
             fakegpu.transfer_stats.reset()
             _DEVICE_BANKS.clear()
-            for _ in range(20):
-                result = executor.aerial_batch(spec, masks)
-        np.testing.assert_array_equal(reference, result)
+
+            def caller():
+                for _ in range(10):
+                    results.append(executor.aerial_batch(spec, masks))
+
+            callers = [threading.Thread(target=caller) for _ in range(2)]
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=60)
+        assert len(results) == 20
+        for result in results:
+            np.testing.assert_array_equal(reference, result)
         stats = fakegpu.transfer_stats
-        assert stats.uploads == 20 * 2 + 1  # a block per shard + the bank
-        assert stats.downloads == 20 * 2
+        assert stats.uploads == 20 + 1  # a block per call + the bank
+        assert stats.downloads == 20
         assert stats.download_bytes == 20 * masks.size * 8
 
     def test_device_bank_memo_is_lru_bounded(self, fakegpu):
@@ -388,10 +417,9 @@ class TestBackendProtocol:
         spec = EngineSpec(config=CONFIG)
         assert spec.compute.fft_backend == probe.name
         reader = load_layout_source(HIER4, CONFIG.pixel_size_nm)
-        with ShardedExecutor(num_workers=2, compute=NO_CACHE) as plain:
+        with ShardedExecutor(compute=NO_CACHE) as plain:
             expected = plain.image_layout(spec, reader, guard_px=8)
-        with ShardedExecutor(num_workers=2,
-                             tile_cache=TileResultCache()) as probed:
+        with ShardedExecutor(tile_cache=TileResultCache()) as probed:
             probed.warm(spec).backend = probe
             result = probed.image_layout(spec, reader, guard_px=8)
             assert probed.tile_cache.stats.misses > 0

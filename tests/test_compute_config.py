@@ -156,6 +156,7 @@ class TestLegacyShim:
         import inspect
 
         from repro.engine import batched_aerial_from_kernels
+        from repro.service import CampaignManager
         from repro.sweep import ProcessWindowSweep
 
         def parameters(function):
@@ -171,6 +172,12 @@ class TestLegacyShim:
             "config", "source", "pupil", "cache_dir", "compute"]
         assert parameters(ProcessWindowSweep.__init__) == [
             "config", "source", "pupil", "executor", "cd_row", "compute"]
+        # num_workers is accepted and ignored (the end-to-end benchmark
+        # still passes it); the shard cut's pool= went with the cut.
+        assert parameters(ShardedExecutor.__init__) == [
+            "num_workers", "cache_dir", "tile_cache", "compute"]
+        assert parameters(CampaignManager.__init__) == [
+            "data_dir", "campaign_workers", "recover"]
 
     def test_engine_compute_kwarg_is_silent_and_equivalent(self):
         masks = make_masks()
@@ -210,12 +217,10 @@ class TestLegacyShim:
 
     def test_sharded_executor_refuses_a_tile_cache_switch(self):
         with pytest.raises(TypeError, match="ComputeConfig"):
-            ShardedExecutor(num_workers=1, tile_cache=True)
+            ShardedExecutor(tile_cache=True)
 
     def test_sharded_executor_takes_policy_from_compute(self):
-        executor = ShardedExecutor(
-            num_workers=1,
-            compute=ComputeConfig(tile_cache=True))
+        executor = ShardedExecutor(compute=ComputeConfig(tile_cache=True))
         try:
             assert executor.tile_cache is not None
         finally:
@@ -223,8 +228,7 @@ class TestLegacyShim:
         # a live cache beats the config's switch
         cache = TileResultCache()
         executor = ShardedExecutor(
-            num_workers=1, tile_cache=cache,
-            compute=ComputeConfig(tile_cache=False))
+            tile_cache=cache, compute=ComputeConfig(tile_cache=False))
         try:
             assert executor.tile_cache is cache
         finally:

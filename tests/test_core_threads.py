@@ -7,12 +7,13 @@ Pinned guarantees:
   every backend — the overriding ones (numpy, scipy), the inheriting ones
   (fakegpu, a transforms-only subclass) and whatever the environment selects
   (CI runs this file per ``REPRO_FFT_BACKEND`` x ``REPRO_FFT_WORKERS``),
-* a multi-block call spends ``backend.workers`` threads on shares of the
-  batch and never more; ``ShardedExecutor`` divides the same budget among
-  its shards; neither moves a persisted identity,
+* a call of ``B > 1`` tiles spends ``min(backend.workers, B)`` threads on
+  shares of the batch and never more — a one-block batch included; an
+  executor call spends the spec's budget the same way whatever its
+  ``num_workers``, and moves no persisted identity,
 * a share that raises propagates only once every share has settled, leaves
   no thread behind, and the next call works — also in a forked child,
-* a call of a single block starts no thread at all.
+* a call of a single tile starts no thread at all.
 """
 
 import contextlib
@@ -270,9 +271,29 @@ def test_a_forked_child_starts_its_own_helper_threads(one_tile_blocks):
 
 
 # --------------------------------------------------------------------------- #
-# one budget, spent once
+# one budget, spent in one place
 # --------------------------------------------------------------------------- #
-def test_shards_divide_the_worker_budget_and_move_no_identity():
+@pytest.mark.parametrize("tiles", [2, 3, 4])
+def test_a_one_block_batch_spends_its_budget_on_tiles(tiles):
+    """Up to four 256-px production-bank tiles are one block; on a budget
+    of two they still run as two one-thread shares, not as one call with
+    two-thread transforms."""
+    rng = np.random.default_rng(tiles)
+    kernels = rng.normal(size=(24, 29, 29)) * (1 + 0.5j)
+    masks = (rng.random((tiles, 256, 256)) > 0.6).astype(float)
+    assert batched.effective_chunk_tiles(
+        tiles, kernels.shape, 256, 256, batched.BLOCK_BYTES) == tiles
+    backend = Watched(2)
+    result = batched_aerial_from_kernels(masks, kernels, backend=backend)
+    assert len(backend.ledger.threads) == 2
+    assert threading.get_ident() in backend.ledger.threads
+    assert backend.ledger.worker_counts == {1}
+    expected = batched_aerial_from_kernels(masks, kernels,
+                                           backend=get_backend("scipy", 1))
+    assert result.tobytes() == expected.tobytes()
+
+
+def test_an_executor_call_spends_the_spec_budget_and_moves_no_identity():
     ledger = Ledger(dwell_s=0.002)
     register_backend("watched", lambda workers: Watched(workers, ledger))
     try:
@@ -284,18 +305,18 @@ def test_shards_divide_the_worker_budget_and_move_no_identity():
         assert fingerprint.endswith("|backend=watched|workers=2|prec=float64")
         masks = (np.random.default_rng(4).random((12, 64, 64)) > 0.6
                  ).astype(float)
+        outputs = []
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(batched, "BLOCK_BYTES", 2 ** 16)  # several per shard
-            with ShardedExecutor(num_workers=1) as executor:
-                whole = executor.aerial_batch(spec, masks)
-            assert ledger.peak <= 2 and len(ledger.threads) == 2
-            ledger.peak, ledger.worker_counts = 0, set()
-            with ShardedExecutor(num_workers=2) as executor:
-                sharded = executor.aerial_batch(spec, masks)
-        # Two shards x one thread each, not two shards x two.
-        assert ledger.peak <= 2
-        assert ledger.worker_counts == {1}
-        assert sharded.tobytes() == whole.tobytes()
+            patch.setattr(batched, "BLOCK_BYTES", 2 ** 16)  # several per share
+            for num_workers in (1, 2):  # accepted and ignored
+                ledger.peak, ledger.threads = 0, set()
+                ledger.worker_counts = set()
+                with ShardedExecutor(num_workers=num_workers) as executor:
+                    outputs.append(executor.aerial_batch(spec, masks))
+                # Two shares x one thread each, never more.
+                assert ledger.peak <= 2 and len(ledger.threads) == 2
+                assert ledger.worker_counts == {1}
+        assert outputs[0].tobytes() == outputs[1].tobytes()
         assert spec.fingerprint() == fingerprint
     finally:
         _REGISTRY.pop("watched", None)
@@ -304,15 +325,15 @@ def test_shards_divide_the_worker_budget_and_move_no_identity():
 # --------------------------------------------------------------------------- #
 # small calls pay nothing
 # --------------------------------------------------------------------------- #
-def test_a_single_block_starts_no_thread(monkeypatch):
+def test_a_single_tile_starts_no_thread(monkeypatch):
     def refuse():
-        raise AssertionError("a one-block call asked for helper threads")
+        raise AssertionError("a one-tile call asked for helper threads")
 
     monkeypatch.setattr(batched, "_helper_threads", refuse)
     rng = np.random.default_rng(2)
     kernels = rng.normal(size=(24, 29, 29)) * (1 + 0.5j)
     backend = Watched(4)
-    for shape in ((1, 256, 256), (4, 64, 64)):
+    for shape in ((1, 256, 256), (1, 64, 64)):
         masks = (rng.random(shape) > 0.6).astype(float)
         batched_aerial_from_kernels(masks, kernels, backend=backend)
     # ... and keeps the transforms' own threads.
@@ -321,13 +342,13 @@ def test_a_single_block_starts_no_thread(monkeypatch):
 
 
 def test_thread_hand_off_does_not_tax_a_small_batch():
-    """Eight 64-px production-bank tiles are two blocks: sharing them out
-    must cost no more than it saves, even on one CPU."""
+    """Two, four and eight 64-px production-bank tiles (one, one and two
+    blocks): sharing them out must cost no more than it saves, even on one
+    CPU."""
     rng = np.random.default_rng(3)
     kernels = rng.normal(size=(24, 29, 29)) * (1 + 0.5j)
-    masks = (rng.random((8, 64, 64)) > 0.6).astype(float)
 
-    def best(backend):
+    def best(backend, masks):
         times = []
         for _ in range(9):
             begin = time.perf_counter()
@@ -336,5 +357,7 @@ def test_thread_hand_off_does_not_tax_a_small_batch():
         return min(times)
 
     one, two = get_backend("scipy", 1), get_backend("scipy", 2)
-    best(two)   # starts the helper thread, warms pocketfft's plans
-    assert best(two) < 1.5 * best(one)
+    for tiles in (2, 4, 8):
+        masks = (rng.random((tiles, 64, 64)) > 0.6).astype(float)
+        best(two, masks)   # starts the helper thread, warms pocketfft's plans
+        assert best(two, masks) < 1.5 * best(one, masks), tiles

@@ -1,13 +1,12 @@
-"""Tests for ``EngineSpec`` and the basics of ``ShardedExecutor``
-(repro.engine.sharded); the workers x backend x precision x tile-cache x
-layout-source matrix lives in ``tests/test_worker_threads.py``.
+"""Tests for ``EngineSpec`` and ``ShardedExecutor`` (repro.engine.sharded);
+the fft_workers x backend x precision x tile-cache x layout-source matrix
+lives in ``tests/test_worker_threads.py``.
 
 Pinned guarantees:
 
-* sharded output is bit-for-bit the serial output (deterministic shard
-  order),
-* one worker, and batches of at most one tile, image inline — no thread
-  starts,
+* an executor call on several threads is bit-for-bit the one-thread call,
+* ``num_workers`` is accepted and ignored, and a one-tile batch starts no
+  thread,
 * ``EngineSpec`` round-trips focus changes and keys the kernel cache
   correctly,
 * the engine memo and the device-bank memo are bounded and survive
@@ -17,6 +16,7 @@ Pinned guarantees:
   ``cache_dir`` buys a resumed campaign or a restarted service.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -34,6 +34,7 @@ from repro.engine import (
     KernelBankCache,
     ShardedExecutor,
     available_workers,
+    batched,
 )
 from repro.optics import OpticsConfig
 from repro.optics.pupil import Pupil
@@ -84,6 +85,11 @@ class TestEngineSpec:
         assert clone.fingerprint() == spec.with_focus(30.0).fingerprint()
 
 
+def _threads(spec, workers):
+    return dataclasses.replace(spec, compute=dataclasses.replace(
+        spec.compute, fft_workers=workers))
+
+
 class TestShardedExecutor:
     @pytest.mark.parametrize("backend_name,precision", [
         ("numpy", "float64"),
@@ -93,43 +99,42 @@ class TestShardedExecutor:
     ])
     def test_sharded_equals_serial_under_every_compute_policy(
             self, masks, tmp_path, backend_name, precision):
-        """The EngineSpec round-trip carries backend + precision: sharded
-        output is bit-for-bit the serial output under every combination."""
+        """The EngineSpec round-trip carries backend + precision: a
+        two-thread call is bit-for-bit the one-thread call under every
+        combination."""
         if backend_name == "scipy":
             pytest.importorskip("scipy.fft")
         policy_spec = EngineSpec(
             config=CONFIG, source=SOURCE,
             compute=ComputeConfig(fft_backend=backend_name,
                                   precision=precision))
-        serial = ShardedExecutor(num_workers=1, cache_dir=str(tmp_path))
-        reference = serial.aerial_batch(policy_spec, masks)
-        with ShardedExecutor(num_workers=2, cache_dir=str(tmp_path)) as sharded:
-            result = sharded.aerial_batch(policy_spec, masks)
-            assert sharded.pool.stats()["submitted"] == 2  # 6 tiles, 3 each
+        with ShardedExecutor(cache_dir=str(tmp_path)) as executor:
+            reference = executor.aerial_batch(_threads(policy_spec, 1), masks)
+            result = executor.aerial_batch(_threads(policy_spec, 2), masks)
         np.testing.assert_array_equal(result, reference)
         expected_dtype = np.float32 if precision == "float32" else np.float64
         assert result.dtype == expected_dtype
 
     def test_sharded_equals_serial_bit_for_bit(self, spec, masks, tmp_path):
-        serial = ShardedExecutor(num_workers=1, cache_dir=str(tmp_path))
-        reference = serial.aerial_batch(spec, masks)
-        assert serial.pool.stats()["submitted"] == 0  # one shard: inline
-        with ShardedExecutor(num_workers=2, cache_dir=str(tmp_path)) as sharded:
-            result = sharded.aerial_batch(spec, masks)
-            assert sharded.pool.stats()["submitted"] == 2  # 6 tiles, 3 each
-        np.testing.assert_array_equal(result, reference)
+        with ShardedExecutor(cache_dir=str(tmp_path)) as executor:
+            reference = executor.aerial_batch(_threads(spec, 1), masks)
+            for workers in (2, 3):
+                np.testing.assert_array_equal(
+                    executor.aerial_batch(_threads(spec, workers), masks),
+                    reference)
 
     def test_zero_workers_falls_back_to_serial(self, spec, masks):
-        executor = ShardedExecutor(num_workers=0)
-        result = executor.aerial_batch(spec, masks)
-        assert executor.pool.stats()["submitted"] == 0
-        reference = ShardedExecutor(num_workers=1).aerial_batch(spec, masks)
-        np.testing.assert_array_equal(result, reference)
+        """``num_workers`` is accepted and ignored, whatever its value."""
+        reference = ShardedExecutor().aerial_batch(spec, masks)
+        for num_workers in (0, 1, 2, -1):
+            executor = ShardedExecutor(num_workers=num_workers)
+            np.testing.assert_array_equal(
+                executor.aerial_batch(spec, masks), reference)
 
     def test_engine_memo_is_bounded(self, tmp_path):
         from repro.engine.sharded import ENGINE_MEMO_LIMIT
 
-        executor = ShardedExecutor(num_workers=1, cache_dir=str(tmp_path))
+        executor = ShardedExecutor(cache_dir=str(tmp_path))
         base = EngineSpec(config=CONFIG, source=SOURCE)
         for index in range(ENGINE_MEMO_LIMIT + 3):
             executor.warm(base.with_focus(10.0 * index))
@@ -138,45 +143,47 @@ class TestShardedExecutor:
         # not in memory, so long campaigns stay bounded.
         assert len(executor._local_cache) == 0
         assert executor._local_cache.stats.decompositions == ENGINE_MEMO_LIMIT + 3
+        executor.close()  # drops the memo; banks reload from disk on demand
+        assert len(executor._engines) == 0
+        executor.warm(base)
+        assert executor._local_cache.stats.decompositions == ENGINE_MEMO_LIMIT + 3
 
-    def test_single_tile_batch_stays_serial(self, spec, masks):
-        executor = ShardedExecutor(num_workers=4)
-        result = executor.aerial_batch(spec, masks[:1])
-        assert executor.pool.stats()["submitted"] == 0
+    def test_single_tile_batch_stays_serial(self, masks, monkeypatch):
+        pytest.importorskip("scipy.fft")
+
+        def refuse():
+            raise AssertionError("a one-tile batch asked for helper threads")
+
+        monkeypatch.setattr(batched, "_helper_threads", refuse)
+        executor = ShardedExecutor()
+        threaded = EngineSpec(config=CONFIG, source=SOURCE, compute=ComputeConfig(
+            fft_backend="scipy", fft_workers=4))
+        result = executor.aerial_batch(threaded, masks[:1])
         assert result.shape == (1, 32, 32)
 
     def test_empty_batch(self, spec):
-        executor = ShardedExecutor(num_workers=2)
+        executor = ShardedExecutor()
         assert executor.aerial_batch(spec, np.zeros((0, 32, 32))).shape == (0, 32, 32)
-
-    def test_shard_slices_partition_deterministically(self):
-        executor = ShardedExecutor(num_workers=3)
-        slices = executor._shard_slices(8)  # one shard per worker
-        assert [(s.start, s.stop) for s in slices] == \
-            [(0, 3), (3, 6), (6, 8)]
-        assert [(s.start, s.stop) for s in
-                ShardedExecutor(num_workers=1)._shard_slices(8)] == [(0, 8)]
 
     def test_image_layout_matches_in_process_engine(self, spec, tmp_path):
         layout = (np.random.default_rng(4).random((70, 90)) > 0.75).astype(float)
-        with ShardedExecutor(num_workers=2, cache_dir=str(tmp_path)) as executor:
-            sharded = executor.image_layout(spec, layout, guard_px=8)
+        with ShardedExecutor(cache_dir=str(tmp_path)) as executor:
+            imaged = executor.image_layout(_threads(spec, 2), layout,
+                                           guard_px=8)
         reference = reference_image_layout(
             spec.build(cache=KernelBankCache()), layout, guard_px=8)
-        np.testing.assert_array_equal(sharded.aerial, reference.aerial)
-        np.testing.assert_array_equal(sharded.resist, reference.resist)
-        assert sharded.num_tiles == reference.num_tiles
+        np.testing.assert_array_equal(imaged.aerial, reference.aerial)
+        np.testing.assert_array_equal(imaged.resist, reference.resist)
+        assert imaged.num_tiles == reference.num_tiles
 
     def test_resist_batch_binary(self, spec, masks):
-        executor = ShardedExecutor(num_workers=1)
+        executor = ShardedExecutor()
         resist = executor.resist_batch(spec, masks)
         assert set(np.unique(resist)).issubset({0, 1})
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ShardedExecutor(num_workers=-1)
-        with pytest.raises(ValueError):
-            ShardedExecutor(num_workers=1).aerial_batch(
+            ShardedExecutor().aerial_batch(
                 EngineSpec(config=CONFIG), np.zeros((4, 4)))
 
     def test_available_workers_positive(self):
@@ -227,7 +234,7 @@ class TestMemosUnderThreads:
         monkeypatch.setattr(EngineSpec, "build", counting_build)
         specs = [spec.with_focus(10.0 * index) for index in range(12)]
         # Everything fits: one residency each, so exactly one build each.
-        executor = ShardedExecutor(num_workers=1)
+        executor = ShardedExecutor()
         self._hammer(executor.warm, specs[:ENGINE_MEMO_LIMIT])
         assert sorted(builds) == sorted(
             one.fingerprint() for one in specs[:ENGINE_MEMO_LIMIT])
@@ -266,8 +273,8 @@ class TestStreamingThroughExecutor:
         layout = (np.random.default_rng(7).random((70, 90)) > 0.75).astype(float)
         reference = reference_image_layout(
             spec.build(cache=KernelBankCache()), layout, guard_px=8)
-        with ShardedExecutor(num_workers=2, cache_dir=str(tmp_path)) as ex:
-            streamed = ex.image_layout(spec, layout, guard_px=8,
+        with ShardedExecutor(cache_dir=str(tmp_path)) as ex:
+            streamed = ex.image_layout(_threads(spec, 2), layout, guard_px=8,
                                        batch_tiles=3)
         np.testing.assert_array_equal(streamed.aerial, reference.aerial)
         np.testing.assert_array_equal(streamed.resist, reference.resist)
@@ -275,7 +282,7 @@ class TestStreamingThroughExecutor:
     def test_streaming_out_dir_through_executor(self, spec, tmp_path):
         layout = (np.random.default_rng(9).random((50, 66)) > 0.75).astype(float)
         out_dir = str(tmp_path / "streamed")
-        with ShardedExecutor(num_workers=1, cache_dir=str(tmp_path)) as ex:
+        with ShardedExecutor(cache_dir=str(tmp_path)) as ex:
             result = ex.image_layout(spec, layout, guard_px=6,
                                      out_dir=out_dir)
         reference = reference_image_layout(

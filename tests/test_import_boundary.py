@@ -70,7 +70,7 @@ common = ["--input", {AREF_GRID!r}, "--tile-size", "32",
           "--pixel-size-nm", "8", "--guard", "8"]
 assert main(["image-layout", *common, "--output", "layout.npz"]) == 0
 assert main(["sweep-window", *common, "--focus=-40,0", "--dose", "1.0",
-             "--target-cd", "64", "--workers", "1", "--store", "store",
+             "--target-cd", "64", "--store", "store",
              "--store-aerials"]) == 0
 assert main(["campaign-report", "--store", "store", "--thumbnail-width",
              "16", "--thumbnails", "thumbs"]) == 0

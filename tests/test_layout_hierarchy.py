@@ -464,7 +464,7 @@ class TestEngineWiring:
         engine = ExecutionEngine.for_optics(CONFIG)
         ref = reference_image_layout(engine, hier_dense, tile_px=32,
                                      guard_px=8)
-        with ShardedExecutor(num_workers=1) as executor:
+        with ShardedExecutor() as executor:
             imaged = executor.image_layout(EngineSpec(config=CONFIG),
                                            hier_reader, tile_px=32,
                                            guard_px=8)
@@ -494,7 +494,7 @@ class TestTileCacheSynergy:
         reader = load_layout_file(AREF_GRID, pixel_size_nm=8.0)
         cache = TileResultCache()
         spec = EngineSpec(config=CONFIG)
-        with ShardedExecutor(num_workers=2, tile_cache=cache) as executor:
+        with ShardedExecutor(tile_cache=cache) as executor:
             result = executor.image_layout(spec, reader, tile_px=32,
                                            guard_px=0)
         reference = reference_image_layout(
@@ -527,8 +527,8 @@ class TestTileCacheSynergy:
         assert 0 < cache.stats.zero_hits < cache.stats.tiles
 
     @pytest.mark.parametrize("worker_args", [
-        [],                     # one inline shard
-        ["--workers", "2"],     # two shards on worker threads
+        ["--fft-workers", "1"],     # one thread
+        ["--fft-workers", "2"],     # the core's shares on two threads
     ], ids=["serial", "sharded"])
     def test_cli_image_layout_reports_array_reuse(self, tmp_path,
                                                   monkeypatch, capsys,

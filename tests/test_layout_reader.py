@@ -36,6 +36,7 @@ from repro.layout import (
     is_layout_file,
     is_layout_reader,
     load_layout_file,
+    read_layout_shapes,
     source_digest,
 )
 from repro.layout.geometry import Polygon, Rect
@@ -194,19 +195,32 @@ class TestLayoutFiles:
             reader.read_window(2, 2, 4, 8), 1.0)
 
     def test_gds_text_loader(self, tmp_path):
+        """GDSII text is no longer read: the file is refused with an error
+        that names it and says what to export instead — through the loader
+        and through the CLI's ``--input`` alike."""
+        from repro.cli import main
+        from repro.layout import LayoutFormatError
+
         path = tmp_path / "chip.gdstxt"
         path.write_text("\n".join([
             "HEADER 600", "BGNLIB", "UNITS 0.001 1e-9", "BGNSTR",
             "STRNAME TOP",
             "BOUNDARY", "LAYER 1",
             "XY 0 0 128 0 128 64 0 64 0 0", "ENDEL",
-            "BOUNDARY", "LAYER 2",
-            "XY 160 160 224 160 224 224 160 224 160 160", "ENDEL",
             "ENDSTR", "ENDLIB"]))
-        reader = load_layout_file(str(path), pixel_size_nm=8.0)
-        assert sorted(reader.layers) == ["1", "2"]
-        assert reader.shape == (28, 28)  # bounding box 224 nm, ceil / 8
-        assert int(reader.materialise().sum()) == 16 * 8 + 8 * 8
+        for load in (lambda: load_layout_file(str(path), pixel_size_nm=8.0),
+                     lambda: read_layout_shapes(str(path))):
+            with pytest.raises(LayoutFormatError) as excinfo:
+                load()
+            message = str(excinfo.value)
+            assert str(path) in message
+            assert "GDSII text is no longer read" in message
+            assert "binary .gds" in message
+        assert is_layout_file(str(path))  # refused, not handed to np.load
+        assert main(["image-layout", "--input", str(path), "--tile-size",
+                     "32", "--pixel-size-nm", "8",
+                     "--output", str(tmp_path / "x.npz")]) == 2
+        assert not os.path.exists(tmp_path / "x.npz")
 
     def test_truncated_binary_gds_fails_loudly(self, tmp_path):
         """Binary GDSII now *loads* (see test_layout_hierarchy.py); a
@@ -227,7 +241,7 @@ class TestLayoutFiles:
         path = tmp_path / "blob.gds"
         path.write_bytes(b"\x89PNG\x00\x00\x00\x0d" * 8)
         with pytest.raises(LayoutFormatError,
-                           match="neither binary GDSII nor GDSII text"):
+                           match="no binary GDSII HEADER record"):
             load_layout_file(str(path), pixel_size_nm=8.0)
 
     def test_suffix_dispatch_and_errors(self, tmp_path):
@@ -301,7 +315,7 @@ class TestEngineWiring:
         config = OpticsConfig(tile_size_px=32, pixel_size_nm=8.0)
         engine = ExecutionEngine.for_optics(config)
         ref = reference_image_layout(engine, dense, tile_px=32, guard_px=8)
-        with ShardedExecutor(num_workers=1) as executor:
+        with ShardedExecutor() as executor:
             imaged = executor.image_layout(EngineSpec(config=config),
                                            geometry_reader, tile_px=32,
                                            guard_px=8)
@@ -351,12 +365,14 @@ class TestThirdPartyReader:
         ref = reference_image_layout(ExecutionEngine.for_optics(config),
                                      dense, tile_px=32, guard_px=8)
         cache = TileResultCache() if tile_cache else None
-        with ShardedExecutor(num_workers=workers, tile_cache=cache,
+        spec = EngineSpec(config=config,
+                          compute=ComputeConfig(fft_workers=workers))
+        with ShardedExecutor(tile_cache=cache,
                              compute=ComputeConfig(tile_cache=False),
                              ) as executor:
             for batch_tiles in (None, 3):
                 imaged = executor.image_layout(
-                    EngineSpec(config=config), reader, tile_px=32,
+                    spec, reader, tile_px=32,
                     guard_px=8, batch_tiles=batch_tiles)
                 np.testing.assert_array_equal(np.asarray(imaged.aerial),
                                               ref.aerial)

@@ -6,8 +6,9 @@ The acceptance properties of the service PR, each pinned directly:
   same campaign run serially in-process,
 * concurrent campaigns share the process-wide kernel-bank machinery — two
   campaigns over the same optics leave one set of bank files, not two,
-* every campaign's tile shards — whatever the layout source — run on the
-  manager's one worker pool, visibly (``/healthz`` ``queue.submitted``),
+* concurrent campaigns — whatever the layout source — run side by side on
+  the manager's one campaign pool, visibly (``/healthz``
+  ``queue.submitted``),
 * a server killed mid-campaign (SIGKILL, no cleanup) recomputes exactly the
   remainder on restart, and
 * a ``request.json`` persisted by a release that still had the ``streaming``
@@ -44,7 +45,7 @@ HIER4 = os.path.join(os.path.dirname(__file__), "data", "hier4.gds")
 FOCI = [-40.0, 0.0, 40.0]
 DOSES = [0.95, 1.0, 1.05]
 COMPUTE_JSON = {"fft_backend": "numpy", "precision": "float64"}
-#: 96 px at 32 px tiles: 36 guard-banded tiles, so batches really shard.
+#: 96 px at 32 px tiles: 36 guard-banded tiles per focus.
 MULTI_TILE = {"layout": {"kind": "synthetic", "family": "B2m",
                          "width_px": 96, "height_px": 96, "seed": 1},
               "optics": {"tile_size_px": 32, "pixel_size_nm": 8.0}}
@@ -170,8 +171,8 @@ class TestHttpRoundTrip:
 
 class TestSharedKernelCache:
     def test_concurrent_campaigns_share_bank_files(self, tmp_path):
-        with CampaignServer(str(tmp_path / "svc"), campaign_workers=2,
-                            queue_workers=2) as server:
+        with CampaignServer(str(tmp_path / "svc"),
+                            campaign_workers=2) as server:
             client = ServiceClient(server.url)
             # same optics, different layouts: the kernel banks must be
             # decomposed once per focus, not once per campaign
@@ -191,15 +192,15 @@ class TestSharedKernelCache:
 class TestSharedWorkerPool:
     def test_concurrent_gds_campaigns_shard_on_the_pool(self, tmp_path):
         """Reader layouts image through ``image_layout``: two concurrent
-        campaigns over a ``.gds`` finish bit for bit and their shards ran on
-        the shared pool (they ran single-threaded before the pool moved
-        under ``ShardedExecutor.aerial_batch``)."""
+        campaigns over a ``.gds`` run side by side on the manager's pool
+        (``campaign_workers=2``, the ``queue`` block of ``/healthz``) and
+        both finish bit for bit the serial result."""
         request = make_request(layout={"kind": "file", "path": HIER4},
                                optics={"tile_size_px": 32,
                                        "pixel_size_nm": 8.0},
                                target_cd_nm=64.0, guard_px=8)
-        with CampaignServer(str(tmp_path / "svc"), campaign_workers=2,
-                            queue_workers=2) as server:
+        with CampaignServer(str(tmp_path / "svc"),
+                            campaign_workers=2) as server:
             client = ServiceClient(server.url)
             before = client.health()["queue"]["submitted"]
             jobs = [client.submit(request) for _ in range(2)]
@@ -209,7 +210,7 @@ class TestSharedWorkerPool:
             served = [client.report(job["id"], format="json")
                       for job in jobs]
             queue = client.health()["queue"]
-        assert queue["submitted"] > before
+        assert queue["submitted"] == before + 2   # one task per campaign
         assert queue["num_workers"] == 2
 
         serial_store = str(tmp_path / "serial")
@@ -247,8 +248,7 @@ class TestKillAndResume:
         script = (
             "import sys; sys.path.insert(0, {src!r})\n"
             "from repro.cli import main\n"
-            "main(['serve', '--data-dir', {data!r}, '--port', '0',\n"
-            "      '--queue-workers', '2'])\n"
+            "main(['serve', '--data-dir', {data!r}, '--port', '0'])\n"
         ).format(src=SRC_DIR, data=data_dir)
         env = dict(os.environ, PYTHONPATH=SRC_DIR)
         proc = subprocess.Popen([sys.executable, "-c", script], env=env,

@@ -5,8 +5,8 @@ Pinned guarantees:
 * a focus-exposure campaign enumerates every condition, derives exactly one
   kernel bank per focus (the TCC-reuse economy) and matches the semantics of
   the pre-refactor per-simulator loop,
-* sharded campaigns produce identical windows and bit-for-bit identical
-  aerials to serial campaigns,
+* campaigns on several threads produce identical windows and bit-for-bit
+  identical aerials to one-thread campaigns,
 * auto target-CD and auto CD-row selection behave sensibly, and
 * ``repro.cli sweep-window`` runs a whole campaign from the command line.
 """
@@ -14,6 +14,7 @@ Pinned guarantees:
 import numpy as np
 import pytest
 
+from repro.backend import ComputeConfig
 from repro.engine import ShardedExecutor
 from repro.optics import LithographySimulator, OpticsConfig
 from repro.optics.process_window import measure_cd
@@ -105,7 +106,6 @@ class TestProcessWindowSweep:
         outcome = sweep.run(line_mask, grid=self.GRID, tolerance=0.25,
                             keep_aerials=True)
         assert outcome.num_tiles == 1
-        assert outcome.num_workers == 1
         assert outcome.elapsed_s > 0
         assert set(outcome.aerials) == set(self.GRID.focus_values_nm)
         table = outcome.cd_table()
@@ -118,7 +118,7 @@ class TestProcessWindowSweep:
 
         sweep = ProcessWindowSweep(
             CONFIG, source=SOURCE,
-            executor=ShardedExecutor(num_workers=1, cache_dir=str(tmp_path)))
+            executor=ShardedExecutor(cache_dir=str(tmp_path)))
         sweep.run(line_mask, grid=self.GRID, tolerance=0.25)
         banks = [f for f in os.listdir(tmp_path) if f.endswith(".npz")]
         assert len(banks) == len(self.GRID.focus_values_nm)
@@ -134,7 +134,6 @@ class TestProcessWindowSweep:
         must come from — and stay in — that directory, not be decomposed a
         second time in the process-default cache: one decomposition per
         focus, not one more."""
-        from repro.backend import ComputeConfig
         from repro.engine import cache
 
         calls = []
@@ -144,7 +143,7 @@ class TestProcessWindowSweep:
             lambda *args, **kw: calls.append(1) or plain(*args, **kw))
         grid = FocusExposureGrid((0.0, 73.0), (1.0,))  # foci no test shares
         compute = ComputeConfig(fft_backend="numpy", precision="auto")
-        with ShardedExecutor(num_workers=1, cache_dir=str(tmp_path),
+        with ShardedExecutor(cache_dir=str(tmp_path),
                              compute=compute) as executor:
             sweep = ProcessWindowSweep(
                 OpticsConfig(tile_size_px=TILE, pixel_size_nm=PIXEL,
@@ -155,18 +154,22 @@ class TestProcessWindowSweep:
         assert sweep.base_spec.cache_dir == str(tmp_path)
 
     def test_layout_sweep_sharded_matches_serial(self, tmp_path):
+        pytest.importorskip("scipy.fft")
         layout = np.zeros((80, 110))
         layout[10:70, 20:28] = 1.0   # off-centre vertical line
         layout[30:38, 40:100] = 1.0  # horizontal bar
         grid = FocusExposureGrid((0.0, 120.0), (0.9, 1.1))
         serial = ProcessWindowSweep(
             CONFIG, source=SOURCE,
-            executor=ShardedExecutor(num_workers=1, cache_dir=str(tmp_path)))
+            executor=ShardedExecutor(cache_dir=str(tmp_path)),
+            compute=ComputeConfig(fft_backend="scipy", fft_workers=1))
         serial_outcome = serial.run(layout, grid=grid, tolerance=0.3,
                                     guard_px=10, keep_aerials=True)
         assert serial_outcome.num_tiles > 1
-        with ShardedExecutor(num_workers=2, cache_dir=str(tmp_path)) as executor:
-            sharded = ProcessWindowSweep(CONFIG, source=SOURCE, executor=executor)
+        with ShardedExecutor(cache_dir=str(tmp_path)) as executor:
+            sharded = ProcessWindowSweep(
+                CONFIG, source=SOURCE, executor=executor,
+                compute=ComputeConfig(fft_backend="scipy", fft_workers=2))
             sharded_outcome = sharded.run(layout, grid=grid, tolerance=0.3,
                                           guard_px=10, keep_aerials=True)
         assert sharded_outcome.window == serial_outcome.window
@@ -208,7 +211,7 @@ class TestSweepWindowCLI:
         code = main(["sweep-window", "--width", "96", "--height", "80",
                      "--tile-size", "48", "--pixel-size-nm", "8",
                      "--focus=-60,0,60", "--dose", "0.9,1.0,1.1",
-                     "--workers", "1", "--tolerance", "0.3",
+                     "--tolerance", "0.3",
                      "--cache-dir", str(tmp_path / "cache"),
                      "--output", output])
         assert code == 0
@@ -237,7 +240,7 @@ class TestSweepWindowCLI:
         base_args = ["sweep-window", "--width", "96", "--height", "80",
                      "--tile-size", "48", "--pixel-size-nm", "8",
                      "--focus=-60,0,60", "--dose", "0.9,1.0,1.1",
-                     "--workers", "1", "--tolerance", "0.3",
+                     "--tolerance", "0.3",
                      "--cache-dir", str(tmp_path / "cache"),
                      "--store", store]
         assert main(base_args) == 0
@@ -255,18 +258,22 @@ class TestSweepWindowCLI:
 
     def test_sweep_window_streaming_flag(self, tmp_path, capsys):
         """The flags that selected between paths are gone, not ignored: a
-        multi-tile sweep images in bounded batches without being asked."""
+        multi-tile sweep images in bounded batches without being asked, and
+        the worker-count flags went with the shard cut they sized."""
         from repro.cli import main
 
         base = ["sweep-window", "--width", "96", "--height", "80",
                 "--tile-size", "48", "--pixel-size-nm", "8",
-                "--focus", "0", "--dose", "1.0", "--workers", "1",
+                "--focus", "0", "--dose", "1.0",
                 "--tolerance", "0.3",
                 "--cache-dir", str(tmp_path / "cache")]
         assert main(base) == 0
         assert "process window" in capsys.readouterr().out
-        for flag in (["--streaming"], ["--scheduler", "pool"]):
-            for command in (base, ["image-layout", "--output", "x.npz"]):
+        serve = ["serve", "--data-dir", str(tmp_path / "svc")]
+        for flag in (["--streaming"], ["--scheduler", "pool"],
+                     ["--workers", "2"], ["--queue-workers", "2"]):
+            for command in (base, ["image-layout", "--output", "x.npz"],
+                            serve):
                 with pytest.raises(SystemExit) as excinfo:
                     main(command + flag)
                 assert excinfo.value.code == 2

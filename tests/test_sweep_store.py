@@ -247,7 +247,8 @@ class TestSweepResumability:
 
     def test_store_with_streaming_and_sharded_campaign(self, baseline,
                                                        tmp_path):
-        """Store + multi-tile layout in bounded batches + two worker threads."""
+        """Store + multi-tile layout in bounded batches, through an
+        executor with its own kernel cache."""
         layout = np.zeros((80, 110))
         layout[10:70, 20:28] = 1.0
         layout[30:38, 40:100] = 1.0
@@ -257,7 +258,7 @@ class TestSweepResumability:
 
         store_dir = str(tmp_path / "campaign")
         cache_dir = str(tmp_path / "cache")
-        with ShardedExecutor(num_workers=2, cache_dir=cache_dir) as executor:
+        with ShardedExecutor(cache_dir=cache_dir) as executor:
             sweep = ProcessWindowSweep(CONFIG, source=SOURCE,
                                        executor=executor)
             outcome = sweep.run(layout, grid=grid, tolerance=0.3,

@@ -568,7 +568,7 @@ class TestCachedImagingBitForBit:
         spec = EngineSpec(config=CONFIG, source=SOURCE,
                           compute=ComputeConfig(precision=precision))
         cache = TileResultCache()
-        with ShardedExecutor(num_workers=2, cache_dir=str(tmp_path),
+        with ShardedExecutor(cache_dir=str(tmp_path),
                              tile_cache=cache) as executor:
             reference = reference_image_layout(executor.warm(spec), layout,
                                                guard_px=8)
@@ -643,7 +643,7 @@ class TestCompactWindows:
     ])
     def test_images_to_the_identical_aerial(self, reader_case, tmp_path,
                                             backend, precision):
-        """{serial, 2 workers} x {cache on, off}: the reader images bit for
+        """{1, 2 threads} x {cache on, off}: the reader images bit for
         bit the dense float64 raster's uncached reference."""
         from repro.engine import EngineSpec
 
@@ -653,13 +653,13 @@ class TestCompactWindows:
         plain, _ = engine_pair(backend, precision)
         reference = reference_image_layout(plain, dense, tile_px=32,
                                            guard_px=8)
-        spec = EngineSpec(config=CONFIG, source=SOURCE,
-                          compute=ComputeConfig(fft_backend=backend,
-                                                precision=precision))
         for workers in (1, 2):
+            spec = EngineSpec(config=CONFIG, source=SOURCE,
+                              compute=ComputeConfig(fft_backend=backend,
+                                                    fft_workers=workers,
+                                                    precision=precision))
             for cache in (None, TileResultCache()):
-                with ShardedExecutor(num_workers=workers,
-                                     cache_dir=str(tmp_path),
+                with ShardedExecutor(cache_dir=str(tmp_path),
                                      tile_cache=cache) as executor:
                     result = executor.image_layout(spec, reader, guard_px=8)
                     np.testing.assert_array_equal(result.aerial,
@@ -711,8 +711,7 @@ class TestSweepIntegration:
         grid = FocusExposureGrid((0.0, 80.0), (1.0,))
         store_dir = str(tmp_path / "store")
         cache = TileResultCache()
-        with ShardedExecutor(num_workers=1,
-                             cache_dir=str(tmp_path / "banks"),
+        with ShardedExecutor(cache_dir=str(tmp_path / "banks"),
                              tile_cache=cache) as executor:
             sweep = ProcessWindowSweep(CONFIG, source=SOURCE,
                                        executor=executor)
@@ -739,8 +738,7 @@ class TestSweepIntegration:
         layout = np.tile(cell, (2, 2))
         grid = FocusExposureGrid((0.0, 80.0), (0.9, 1.0, 1.1))
         cache = TileResultCache()
-        with ShardedExecutor(num_workers=1,
-                             cache_dir=str(tmp_path / "banks"),
+        with ShardedExecutor(cache_dir=str(tmp_path / "banks"),
                              tile_cache=cache) as executor:
             ProcessWindowSweep(CONFIG, source=SOURCE, executor=executor).run(
                 layout, target_cd_nm=100.0, grid=grid, tolerance=0.3,

@@ -1,19 +1,20 @@
-"""Conformance of the one parallel path: shards on worker threads.
+"""Conformance of the one parallel path: the batched core's shares.
 
-``ShardedExecutor.aerial_batch`` is the only place tiles run in parallel, and
-``image_layout`` / ``ProcessWindowSweep.run`` reach it batch by batch.  Every
-cell of
+A ``batched_aerial_from_kernels`` call is the only place tiles run in
+parallel — it spends the spec's ``fft_workers`` on shares of its tiles —
+and ``ShardedExecutor.aerial_batch`` / ``image_layout`` /
+``ProcessWindowSweep.run`` reach it batch by batch.  Every cell of
 
-    num_workers {1, 2, 3} x backend {numpy, scipy, fakegpu}
+    fft_workers {1, 2, 3} x backend {numpy, scipy, fakegpu}
     x precision {float64, float32} x tile cache {off, on}
     x layout source {dense raster, geometry reader, .gds hierarchy}
 
 must equal the test-side oracle (``tests/reference.py``: cut every tile, one
-``aerial_batch``, stitch, develop — no batching, cache, shards or threads)
-**bit for bit**; a sweep must equal per-focus oracle aerials and the CD matrix
-measured from them.  Also pinned: degenerate batches, what a raising shard
-does to its siblings and to the executor, thread lifetime, and the shared
-pool's counters under two concurrent campaigns.
+one-thread ``aerial_batch``, stitch, develop — no batching, cache or
+threads) **bit for bit**; a sweep must equal per-focus oracle aerials and
+the CD matrix measured from them.  Also pinned: degenerate batches, what a
+raising share does to its siblings and to the executor, thread lifetime,
+and two concurrent campaigns on the service's campaign pool.
 """
 
 import os
@@ -25,18 +26,14 @@ import pytest
 
 from reference import reference_image_layout
 from repro.backend import ComputeConfig
-from repro.engine import (
-    EngineSpec,
-    ShardedExecutor,
-    TileResultCache,
-    WorkerPool,
-)
+from repro.engine import EngineSpec, ShardedExecutor, TileResultCache, batched
 from repro.layout import GeometryLayoutReader, load_layout_file
 from repro.layout.geometry import Rect
 from repro.masks.layout import Layout
 from repro.optics import OpticsConfig
 from repro.optics.process_window import measure_cd, widest_feature_row
 from repro.optics.source import CircularSource
+from repro.service.jobs import WorkerPool
 from repro.sweep import FocusExposureGrid, ProcessWindowSweep
 
 CONFIG = OpticsConfig(tile_size_px=32, pixel_size_nm=8.0, max_socs_order=8)
@@ -83,19 +80,32 @@ def layouts():
     }
 
 
-def _spec(backend: str, precision: str) -> EngineSpec:
+def _spec(backend: str, precision: str, workers: int = 1) -> EngineSpec:
     if backend == "scipy":
         pytest.importorskip("scipy.fft")
     return EngineSpec(config=CONFIG, source=SOURCE,
                       compute=ComputeConfig(fft_backend=backend,
+                                            fft_workers=workers,
                                             precision=precision))
 
 
-def _executor(workers: int, tile_cache: bool, **kwargs) -> ShardedExecutor:
+def _executor(tile_cache: bool) -> ShardedExecutor:
     return ShardedExecutor(
-        num_workers=workers,
         tile_cache=TileResultCache() if tile_cache else None,
-        compute=ComputeConfig(tile_cache=False), **kwargs)
+        compute=ComputeConfig(tile_cache=False))
+
+
+def _breaking(monkeypatch, message, when=lambda masks: True):
+    """Make every block whose masks satisfy ``when`` raise ``message``."""
+    for name in ("_band_limited_chunk", "_direct_chunk"):
+        healthy = getattr(batched, name)
+
+        def chunk(masks, *args, healthy=healthy):
+            if when(masks):
+                raise RuntimeError(message)
+            return healthy(masks, *args)
+
+        monkeypatch.setattr(batched, name, chunk)
 
 
 # --------------------------------------------------------------------------- #
@@ -105,15 +115,11 @@ def _executor(workers: int, tile_cache: bool, **kwargs) -> ShardedExecutor:
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("workers", WORKERS)
 def test_aerial_batch_equals_one_engine_call(workers, backend, precision):
-    spec = _spec(backend, precision)
     masks = (np.random.default_rng(21).random((7, 32, 32)) > 0.7).astype(float)
-    expected = spec.build().aerial_batch(masks)
-    with _executor(workers, tile_cache=False) as executor:
-        result = executor.aerial_batch(spec, masks)
-        # 7 tiles over w workers: ceil(7 / w)-tile shards, all on the pool
-        # — or the one inline shard.
-        assert executor.pool.stats()["submitted"] == \
-            {1: 0, 2: 2, 3: 3}[workers]
+    expected = _spec(backend, precision).build().aerial_batch(masks)
+    with _executor(tile_cache=False) as executor:
+        result = executor.aerial_batch(_spec(backend, precision, workers),
+                                       masks)
     assert result.dtype == expected.dtype
     np.testing.assert_array_equal(result, expected)
 
@@ -126,11 +132,12 @@ def test_aerial_batch_equals_one_engine_call(workers, backend, precision):
 @pytest.mark.parametrize("workers", WORKERS)
 def test_image_layout_equals_reference(workers, backend, precision,
                                        tile_cache, source, layouts):
-    spec = _spec(backend, precision)
     layout, dense = layouts[source]
-    expected = reference_image_layout(spec.build(), dense, guard_px=GUARD)
-    with _executor(workers, tile_cache) as executor:
-        result = executor.image_layout(spec, layout, guard_px=GUARD)
+    expected = reference_image_layout(_spec(backend, precision).build(),
+                                      dense, guard_px=GUARD)
+    with _executor(tile_cache) as executor:
+        result = executor.image_layout(_spec(backend, precision, workers),
+                                       layout, guard_px=GUARD)
     np.testing.assert_array_equal(result.aerial, expected.aerial)
     np.testing.assert_array_equal(result.resist, expected.resist)
     assert result.num_tiles == expected.num_tiles
@@ -168,8 +175,9 @@ def test_sweep_equals_per_focus_reference(workers, backend, precision,
         pytest.importorskip("scipy.fft")
     layout, dense = layouts[source]
     aerials, matrix = _reference_sweep(backend, precision, dense)
-    compute = ComputeConfig(fft_backend=backend, precision=precision)
-    with _executor(workers, tile_cache) as executor:
+    compute = ComputeConfig(fft_backend=backend, fft_workers=workers,
+                            precision=precision)
+    with _executor(tile_cache) as executor:
         outcome = ProcessWindowSweep(
             CONFIG, source=SOURCE, executor=executor, compute=compute).run(
                 layout, grid=GRID, guard_px=GUARD, tolerance=0.3,
@@ -177,30 +185,44 @@ def test_sweep_equals_per_focus_reference(workers, backend, precision,
     assert outcome.window.cd_matrix() == matrix
     for focus, expected in aerials.items():
         np.testing.assert_array_equal(outcome.aerials[focus], expected)
-    assert outcome.num_workers == workers
 
 
 # --------------------------------------------------------------------------- #
 # degenerate batches
 # --------------------------------------------------------------------------- #
+class _CountingHelpers:
+    """Stands in for the core's helper threads, counting the shares handed
+    to them."""
+
+    def __init__(self, pool):
+        self.pool, self.submitted = pool, 0
+
+    def submit(self, fn, *args) -> Future:
+        self.submitted += 1
+        return self.pool.submit(fn, *args)
+
+
 @pytest.mark.parametrize("tiles", (0, 1, 2))
-def test_fewer_tiles_than_workers(tiles):
-    spec = _spec("numpy", "float64")
+def test_fewer_tiles_than_workers(tiles, monkeypatch):
+    spec = _spec("scipy", "float64", workers=3)
     masks = (np.random.default_rng(3).random((tiles, 32, 32)) > 0.7) \
         .astype(float)
-    with _executor(3, tile_cache=False) as executor:
+    helpers = _CountingHelpers(batched._helper_threads())
+    monkeypatch.setattr(batched, "_helper_threads", lambda: helpers)
+    with _executor(tile_cache=False) as executor:
         result = executor.aerial_batch(spec, masks)
-        # 0 or 1 tile is one inline shard; 2 tiles are 2 one-tile shards.
-        assert executor.pool.stats()["submitted"] == (2 if tiles == 2 else 0)
+    # 0 or 1 tile is the caller's alone; 2 tiles are 2 one-tile shares.
+    assert helpers.submitted == (1 if tiles == 2 else 0)
     assert result.shape == (tiles, 32, 32)
-    np.testing.assert_array_equal(result, spec.build().aerial_batch(masks))
+    np.testing.assert_array_equal(
+        result, _spec("scipy", "float64").build().aerial_batch(masks))
 
 
 # --------------------------------------------------------------------------- #
-# a shard that raises
+# a share that raises
 # --------------------------------------------------------------------------- #
 class _HeldPool:
-    """A pool whose futures settle only when the test says so."""
+    """Helper threads whose futures settle only when the test says so."""
 
     def __init__(self):
         self.held = []
@@ -211,81 +233,63 @@ class _HeldPool:
         return future
 
 
-def test_raising_shard_cancels_the_unstarted_ones_and_propagates():
-    spec = _spec("numpy", "float64")
+def test_raising_shard_cancels_the_unstarted_ones_and_propagates(
+        monkeypatch):
+    spec = _spec("scipy", "float64", workers=3)  # 3 two-tile shares
     masks = np.zeros((6, 32, 32))
     pool = _HeldPool()
-    executor = ShardedExecutor(num_workers=3, pool=pool)  # 3 two-tile shards
-    raised = []
-
-    def image():
-        try:
-            executor.aerial_batch(spec, masks)
-        except RuntimeError as exc:
-            raised.append(exc)
-
-    caller = threading.Thread(target=image)
-    caller.start()
-    try:
-        while len(pool.held) < 3:  # the caller submits, then blocks
-            assert caller.is_alive()
-            caller.join(timeout=0.01)
-        first = pool.held[0][0]
-        assert first.set_running_or_notify_cancel()
-        first.set_exception(RuntimeError("shard 0 broke"))
-    finally:
-        caller.join(timeout=30)
-    assert not caller.is_alive()
-    assert [str(exc) for exc in raised] == ["shard 0 broke"]
-    # The shards that had not started never will: a worker thread that
-    # dequeues a cancelled future drops it.
-    assert all(future.cancelled() for future, _, _ in pool.held[1:])
+    monkeypatch.setattr(batched, "_helper_threads", lambda: pool)
+    _breaking(monkeypatch, "share 0 broke")
+    with pytest.raises(RuntimeError, match="share 0 broke"):
+        ShardedExecutor().aerial_batch(spec, masks)
+    # The caller's own share raised while the other two were still queued:
+    # they never start (a helper thread drops a cancelled future).
+    assert len(pool.held) == 2
+    assert all(future.cancelled() for future, _, _ in pool.held)
 
 
 def test_executor_images_correctly_after_a_shard_raised(monkeypatch):
-    spec = _spec("numpy", "float64")
+    spec = _spec("scipy", "float64", workers=3)
     masks = (np.random.default_rng(5).random((6, 32, 32)) > 0.7).astype(float)
-    expected = spec.build().aerial_batch(masks)
-    with _executor(3, tile_cache=False) as executor:
-        engine = executor.warm(spec)
-        healthy = engine.aerial_batch
-
-        def poisoned(shard, output_shape=None, out=None):
-            if (shard < 0).any():
-                raise RuntimeError("a middle shard broke")
-            return healthy(shard, output_shape=output_shape, out=out)
-
+    expected = _spec("scipy", "float64").build().aerial_batch(masks)
+    with _executor(tile_cache=False) as executor:
         poison = masks.copy()
-        poison[3] = -1.0  # in the second of three two-tile shards
-        monkeypatch.setattr(engine, "aerial_batch", poisoned)
-        with pytest.raises(RuntimeError, match="a middle shard broke"):
-            executor.aerial_batch(spec, poison)
-        monkeypatch.undo()
-        assert executor.pool.stats()["submitted"] == 3
+        poison[3] = -1.0  # in the second of three two-tile shares
+        with monkeypatch.context() as patch:
+            patch.setattr(batched, "BLOCK_BYTES", 1)  # one tile per block
+            _breaking(patch, "a middle share broke",
+                      when=lambda block: (block < 0).any())
+            with pytest.raises(RuntimeError, match="a middle share broke"):
+                executor.aerial_batch(spec, poison)
         np.testing.assert_array_equal(executor.aerial_batch(spec, masks),
                                       expected)
-    stats = executor.pool.stats()
-    assert stats["submitted"] == stats["completed"] == 6
 
 
 def test_close_leaves_no_worker_thread_alive():
     def repro_threads():
-        return [thread.name for thread in threading.enumerate()
-                if thread.name.startswith("repro-")]
+        # The core's kept helper threads are process-wide by design.
+        return sorted(thread.name for thread in threading.enumerate()
+                      if thread.name.startswith("repro-")
+                      and not thread.name.startswith("repro-block"))
 
-    spec = _spec("numpy", "float64")
-    masks = np.zeros((4, 32, 32))
     before = repro_threads()
-    executor = ShardedExecutor(num_workers=2)
-    executor.aerial_batch(spec, masks)
+    executor = ShardedExecutor()
+    executor.aerial_batch(_spec("scipy", "float64", workers=2),
+                          np.zeros((4, 32, 32)))
+    assert repro_threads() == before  # an executor starts no thread
+    executor.close()
+    assert len(executor._engines) == 0
+
+    pool = WorkerPool(2)
+    for future in [pool.submit(threading.Event().wait, 0.01)
+                   for _ in range(4)]:
+        future.result()
     assert len(repro_threads()) > len(before)
-    executor.close()
+    pool.shutdown()
     assert repro_threads() == before
-    executor.close()  # idempotent
-    # ... and a closed executor starts fresh threads on demand.
-    assert executor.aerial_batch(spec, masks).shape == (4, 32, 32)
-    executor.close()
-    assert repro_threads() == before
+    pool.shutdown()  # idempotent
+    stats = pool.stats()
+    assert stats["submitted"] == stats["completed"] == 4
 
 
 # --------------------------------------------------------------------------- #
@@ -294,35 +298,23 @@ def test_close_leaves_no_worker_thread_alive():
 def test_shared_pool_drains_two_concurrent_campaigns(layouts):
     pool = WorkerPool(2)
     compute = ComputeConfig(fft_backend="numpy", precision="float64")
-    outcomes, errors = {}, []
 
     def campaign(name):
-        try:
-            with ShardedExecutor(num_workers=2, pool=pool,
-                                 compute=ComputeConfig(tile_cache=False),
-                                 ) as executor:
-                outcomes[name] = ProcessWindowSweep(
-                    CONFIG, source=SOURCE, executor=executor,
-                    compute=compute).run(
-                        layouts[name][0], grid=GRID, guard_px=GUARD,
-                        tolerance=0.3, target_cd_nm=64.0)
-        except Exception as exc:  # noqa: BLE001 - reported below
-            errors.append(exc)
+        with ShardedExecutor(compute=ComputeConfig(tile_cache=False)
+                             ) as executor:
+            return ProcessWindowSweep(
+                CONFIG, source=SOURCE, executor=executor,
+                compute=compute).run(
+                    layouts[name][0], grid=GRID, guard_px=GUARD,
+                    tolerance=0.3, target_cd_nm=64.0)
 
-    runners = [threading.Thread(target=campaign, args=(name,))
-               for name in ("dense", "geometry")]
-    for runner in runners:
-        runner.start()
-    for runner in runners:
-        runner.join(timeout=120)
-    assert not any(runner.is_alive() for runner in runners)
-    assert errors == []
-    # An executor never stops a pool it was handed ...
-    assert any(thread.name.startswith("repro-worker")
-               for thread in threading.enumerate())
-    pool.shutdown()  # ... its owner does; joined, so every callback has run
+    futures = {name: pool.submit(campaign, name)
+               for name in ("dense", "geometry")}
+    outcomes = {name: future.result(timeout=120)
+                for name, future in futures.items()}
+    pool.shutdown()  # joined, so every callback has run
     stats = pool.stats()
-    assert stats["submitted"] == stats["completed"] > 0
+    assert stats["submitted"] == stats["completed"] == 2
     for name, outcome in outcomes.items():
         _, matrix = _reference_sweep("numpy", "float64", layouts[name][1])
         assert outcome.window.cd_matrix() == matrix

@@ -61,7 +61,7 @@ SWEEP = ["-m", "repro.cli", "sweep-window", "--input",
          os.path.join(REPO_ROOT, "tests", "data", "aref_grid.gds"),
          "--tile-size", "32", "--pixel-size-nm", "8", "--guard", "8",
          "--focus=" + ",".join(f"{focus:g}" for focus in FOCI),
-         "--dose", "0.95,1.0,1.05", "--target-cd", "64", "--workers", "1",
+         "--dose", "0.95,1.0,1.05", "--target-cd", "64",
          "--tile-cache", "--store-aerials"]
 # What decides the mode: the tile-cache key of one fixed bank.
 FORWARD_IDENTITY = ["-c", (

@@ -54,7 +54,12 @@ def test_bench_tcc_computation(benchmark, micro_simulator):
 
 
 def test_bench_socs_decomposition(benchmark, micro_simulator):
-    tcc = micro_simulator.tcc
+    config = micro_simulator.config
+    tcc = compute_tcc(micro_simulator.source, micro_simulator.pupil,
+                      micro_simulator.kernel_shape,
+                      field_size_nm=config.field_size_nm,
+                      wavelength_nm=config.wavelength_nm,
+                      numerical_aperture=config.numerical_aperture)
     kernels = benchmark(lambda: decompose_tcc(tcc, max_order=16))
     assert kernels.order <= 16
 

@@ -8,7 +8,8 @@ chunk.  A :class:`Precision` names the dtype pair every layer agrees on:
 
 * masks / aerial intensities use :attr:`Precision.real_dtype`,
 * spectra / kernel banks use :attr:`Precision.complex_dtype`,
-* the kernel-bank cache keys banks by precision so banks never mix dtypes,
+* the kernel-bank cache keeps float64 banks and each engine casts its own
+  copy once, so banks never mix dtypes,
 * :attr:`Precision.aerial_rtol` documents the relative tolerance against the
   float64 reference that the property tests pin.
 

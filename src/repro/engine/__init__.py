@@ -9,8 +9,9 @@ throughput benchmarks — runs through this package:
   fast evaluation; the one place tiles run in parallel: a call spends the
   backend's worker budget on shares of its tiles),
 * :mod:`repro.engine.cache` — the process-wide kernel-bank cache keyed by an
-  optics fingerprint (TCC + eigendecomposition computed at most once per
-  process, optional on-disk persistence),
+  optics fingerprint (one float64 bank per optics and order, decomposed at
+  most once per process; the TCC is not kept) and the ``.npz`` disk tier it
+  shares with the tile cache,
 * :mod:`repro.engine.tiling` — guard-banded splitting / stitching of
   arbitrary ``(H, W)`` layouts,
 * :mod:`repro.engine.execution` — the :class:`ExecutionEngine` facade tying

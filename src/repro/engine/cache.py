@@ -16,18 +16,18 @@ The fingerprint hashes everything that determines the kernel bank:
 * the source model (class + parameters; pixelated maps are hashed by value),
 * the pupil model (defocus, Zernike coefficients, apodization).
 
-The TCC and the SOCS decomposition are cached under separate keys so that two
-consumers sharing optics but using different ``max_socs_order`` truncations
-share the single TCC computation.  Bank keys also include the requested
-:class:`~repro.backend.Precision`, so a float32 engine and a float64 engine
-never share (or mix) dtypes: the float64 bank is decomposed once and the
-single-precision variant is derived from it by casting, costing one cast
-instead of a second eigendecomposition.  Setting a ``cache_dir`` (or the
-``REPRO_KERNEL_CACHE_DIR`` environment variable for the default cache) also
-persists decomposed kernel banks to disk as ``.npz`` files, letting separate
-processes skip the eigendecomposition entirely.  Entries are published by
-rename and an unreadable one is a counted miss (``CacheStats.disk_errors``):
-the bank is rebuilt and the entry overwritten.
+The cache keeps one thing per ``(fingerprint, max_socs_order)``: the float64
+SOCS kernel bank.  The TCC is a local of the build, decomposed and dropped
+(10.8 MiB on 256 px / 4 nm optics, against the bank's 0.31), and precision is the engine's business — an
+:class:`~repro.engine.execution.ExecutionEngine` casts the bank it receives,
+so a float32 engine costs one cast of the same master and dtypes never mix.
+Setting a ``cache_dir`` (or the ``REPRO_KERNEL_CACHE_DIR`` environment
+variable for the default cache) also persists the banks as ``.npz`` files,
+letting separate processes skip the eigendecomposition entirely.  That disk
+tier, :class:`NpzDiskTier`, is the one the tile-result cache persists
+through too: entries are published by rename, written outside the cache
+lock, and an unreadable one is a counted miss (``CacheStats.disk_errors``)
+that is rebuilt and overwritten.
 """
 
 from __future__ import annotations
@@ -43,12 +43,11 @@ import zipfile
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Iterator, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterator, Optional, TypeVar
 
 import numpy as np
 
 from ..backend import (
-    FLOAT64,
     Precision,
     autotune_precision,
     is_auto_precision,
@@ -58,9 +57,10 @@ from ..optics.kernel_dims import kernel_dimensions
 from ..optics.pupil import Pupil
 from ..optics.socs import SOCSKernels, decompose_tcc
 from ..optics.source import Source
-from ..optics.tcc import TCCResult, compute_tcc
+from ..optics.tcc import compute_tcc
 
 _LOG = logging.getLogger(__name__)
+T = TypeVar("T")
 
 
 def _describe_value(value) -> str:
@@ -104,8 +104,8 @@ def optics_fingerprint(config, source: Source, pupil: Pupil) -> str:
 
 
 #: What ``np.load`` (or reading a member) raises on an ``.npz`` torn by a
-#: crash or written by something else.  Both disk tiers treat these as a
-#: counted miss and overwrite the entry; anything else propagates.
+#: crash or written by something else.  :class:`NpzDiskTier` treats these
+#: as a counted miss and overwrites the entry; anything else propagates.
 UNREADABLE_NPZ_ERRORS = (OSError, ValueError, EOFError, KeyError,
                          zipfile.BadZipFile, zlib.error)
 
@@ -178,7 +178,6 @@ class LockedLRU:
 class CacheStats:
     """Observable counters for the cache-behaviour regression tests."""
 
-    tcc_computes: int = 0
     decompositions: int = 0
     hits: int = 0
     misses: int = 0
@@ -188,8 +187,58 @@ class CacheStats:
     disk_errors: int = 0
 
 
+class NpzDiskTier:
+    """The ``.npz`` disk tier both caches persist through.
+
+    The entry for ``key`` is ``<cache_dir>/<kind>-<sha1(key)>.npz``.
+    :meth:`save` publishes it through :func:`atomic_write`; :meth:`load`
+    answers ``None`` for a missing entry and for an unreadable one, which is
+    counted on the owner's ``stats.disk_errors`` and logged, so the
+    recomputed value overwrites it.  Without a ``cache_dir`` it holds nothing.
+    """
+
+    def __init__(self, cache_dir: Optional[str], kind: str):
+        self.cache_dir = cache_dir
+        self.kind = kind
+
+    def path(self, key: str) -> str:
+        digest = hashlib.sha1(key.encode("utf-8")).hexdigest()
+        return os.path.join(self.cache_dir, f"{self.kind}-{digest}.npz")
+
+    def save(self, key: str, **arrays) -> None:
+        if self.cache_dir:
+            os.makedirs(self.cache_dir, exist_ok=True)
+            save_npz_atomically(self.path(key), **arrays)
+
+    def load(self, key: str, stats, decode: Callable[[Any], T]) -> Optional[T]:
+        """``decode`` of the open entry for ``key``, or ``None`` on a miss."""
+        if not self.cache_dir:
+            return None
+        path = self.path(key)
+        if not os.path.exists(path):
+            return None
+        try:
+            # Opened here, not by np.load, which leaks the handle when the
+            # archive is torn.
+            with open(path, "rb") as handle, np.load(handle) as data:
+                return decode(data)
+        except UNREADABLE_NPZ_ERRORS as exc:
+            stats.disk_errors += 1
+            _LOG.warning("unreadable %s cache entry %s (%s): recomputing it",
+                         self.kind, path, type(exc).__name__)
+            return None
+
+
+def _bank_from_npz(data) -> SOCSKernels:
+    return SOCSKernels(
+        kernels=data["kernels"],
+        eigenvalues=data["eigenvalues"],
+        kernel_shape=tuple(int(v) for v in data["kernel_shape"]),
+        total_energy=float(data["total_energy"]))
+
+
 class KernelBankCache:
-    """Thread-safe cache of TCC matrices and SOCS kernel banks.
+    """Thread-safe cache of float64 SOCS kernel banks, one per optics + order.
 
     Parameters
     ----------
@@ -202,121 +251,69 @@ class KernelBankCache:
     def __init__(self, cache_dir: Optional[str] = None):
         self.cache_dir = cache_dir
         self.stats = CacheStats()
-        self._tccs: Dict[str, TCCResult] = {}
         self._banks: Dict[str, SOCSKernels] = {}
-        self._lock = threading.RLock()
+        self._disk = NpzDiskTier(cache_dir, "kernels")
+        self._lock = threading.Lock()
 
-    # ------------------------------------------------------------------ #
-    # keys
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def fingerprint(config, source: Source, pupil: Pupil) -> str:
-        return optics_fingerprint(config, source, pupil)
+    def get_kernels(self, config, source: Source, pupil: Pupil) -> SOCSKernels:
+        """The float64 SOCS bank for these optics, decomposed at most once.
 
-    @staticmethod
-    def _bank_key(fingerprint: str, max_order: Optional[int],
-                  precision: Precision = FLOAT64) -> str:
-        return f"{fingerprint}|order={max_order}|prec={precision.name}"
-
-    def _kernel_shape(self, config) -> Tuple[int, int]:
-        return kernel_dimensions(
-            config.tile_size_px, config.tile_size_px,
-            wavelength_nm=config.wavelength_nm,
-            numerical_aperture=config.numerical_aperture,
-            pixel_size_nm=config.pixel_size_nm)
-
-    # ------------------------------------------------------------------ #
-    # lookups
-    # ------------------------------------------------------------------ #
-    def get_tcc(self, config, source: Source, pupil: Pupil) -> TCCResult:
-        """TCC matrix for the fingerprinted optics, computed at most once."""
-        key = self.fingerprint(config, source, pupil)
+        Truncated at ``config.max_socs_order``.  The TCC is built, decomposed
+        and dropped: the bank is the one thing kept, in memory and under a
+        ``cache_dir`` on disk.  An engine of another precision casts it
+        (:class:`~repro.engine.execution.ExecutionEngine`).
+        """
+        order = getattr(config, "max_socs_order", None)
+        # The literal precision keeps the key — and so every kernels-*.npz
+        # name — what it was when banks were also kept per precision.
+        key = (f"{optics_fingerprint(config, source, pupil)}"
+               f"|order={order}|prec=float64")
         with self._lock:
-            cached = self._tccs.get(key)
-            if cached is not None:
+            bank = self._banks.get(key)
+            if bank is not None:
                 self.stats.hits += 1
-                return cached
+                return bank
             self.stats.misses += 1
-            self.stats.tcc_computes += 1
-            result = compute_tcc(
-                source, pupil, self._kernel_shape(config),
+            bank = self._disk.load(key, self.stats, _bank_from_npz)
+            if bank is not None:
+                self.stats.disk_loads += 1
+                self._banks[key] = bank
+                return bank
+            self.stats.decompositions += 1
+            bank = decompose_tcc(compute_tcc(
+                source, pupil,
+                kernel_dimensions(config.tile_size_px, config.tile_size_px,
+                                  wavelength_nm=config.wavelength_nm,
+                                  numerical_aperture=config.numerical_aperture,
+                                  pixel_size_nm=config.pixel_size_nm),
                 field_size_nm=config.field_size_nm,
                 wavelength_nm=config.wavelength_nm,
-                numerical_aperture=config.numerical_aperture)
-            self._tccs[key] = result
-            return result
-
-    def get_kernels(self, config, source: Source, pupil: Pupil,
-                    max_order: Optional[int] = None,
-                    precision=None) -> SOCSKernels:
-        """SOCS kernel bank for the fingerprinted optics, decomposed at most once.
-
-        ``max_order`` defaults to ``config.max_socs_order`` when the config
-        carries one.  ``precision`` keys the bank by dtype (float64 default):
-        the eigendecomposition always runs in double, and a single-precision
-        bank is derived from the cached double bank by casting — so banks
-        never mix dtypes and each precision costs at most one cast, never a
-        second decomposition.
-        """
-        if max_order is None:
-            max_order = getattr(config, "max_socs_order", None)
-        precision = resolve_precision(precision)
-        fingerprint = self.fingerprint(config, source, pupil)
-        key = self._bank_key(fingerprint, max_order, precision)
-        with self._lock:
-            cached = self._banks.get(key)
-            if cached is not None:
-                self.stats.hits += 1
-                return cached
-            loaded = self._load_from_disk(key)
-            if loaded is not None:
-                self.stats.misses += 1
-                self.stats.disk_loads += 1
-                self._banks[key] = loaded
-                return loaded
-            if precision.name != FLOAT64.name:
-                self.stats.misses += 1
-                # Request the float64 master explicitly: a None precision
-                # would re-resolve REPRO_PRECISION and recurse forever when
-                # the environment itself selects float32.
-                base = self.get_kernels(config, source, pupil,
-                                        max_order=max_order, precision=FLOAT64)
-                bank = SOCSKernels(
-                    kernels=base.kernels.astype(precision.complex_dtype),
-                    eigenvalues=base.eigenvalues,
-                    kernel_shape=base.kernel_shape,
-                    total_energy=base.total_energy)
-                self._banks[key] = bank
-                self._save_to_disk(key, bank)
-                return bank
-            tcc = self.get_tcc(config, source, pupil)
-            self.stats.misses += 1
-            self.stats.decompositions += 1
-            bank = decompose_tcc(tcc, max_order=max_order)
+                numerical_aperture=config.numerical_aperture), max_order=order)
             self._banks[key] = bank
-            self._save_to_disk(key, bank)
-            return bank
+        # Compressed and written outside the lock: a hit never waits on it.
+        self._disk.save(key, kernels=bank.kernels,
+                        eigenvalues=bank.eigenvalues,
+                        kernel_shape=np.asarray(bank.kernel_shape),
+                        total_energy=np.asarray(bank.total_energy))
+        return bank
 
     def bank_precision(self, config, source: Source, pupil: Pupil,
                        precision=None) -> Precision:
         """The concrete precision a bank for these optics is imaged at.
 
         The one bank-aware rule: the deferred ``"auto"`` spelling (given, or
-        ``REPRO_PRECISION=auto`` behind a ``None``) pulls the float64 master
-        bank — decomposed at most once per fingerprint anyway — and
-        autotunes against it, so a float32 verdict later costs one cached
-        cast, never a second decomposition; anything else is
-        :func:`~repro.backend.resolve_precision`.
+        ``REPRO_PRECISION=auto`` behind a ``None``) autotunes against the
+        float64 bank — decomposed at most once per fingerprint anyway;
+        anything else is :func:`~repro.backend.resolve_precision`.
         """
         if is_auto_precision(precision):
-            master = self.get_kernels(config, source, pupil, precision=FLOAT64)
-            return autotune_precision(master.kernels)
+            return autotune_precision(
+                self.get_kernels(config, source, pupil).kernels)
         return resolve_precision(precision)
 
     def clear(self) -> None:
         """Drop every in-memory entry and reset the counters (disk is kept)."""
         with self._lock:
-            self._tccs.clear()
             self._banks.clear()
             self.stats = CacheStats()
 
@@ -329,50 +326,11 @@ class KernelBankCache:
         trims after each engine build when a ``cache_dir`` is set.
         """
         with self._lock:
-            self._tccs.clear()
             self._banks.clear()
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._banks)
-
-    # ------------------------------------------------------------------ #
-    # on-disk persistence
-    # ------------------------------------------------------------------ #
-    def _disk_path(self, key: str) -> Optional[str]:
-        if not self.cache_dir:
-            return None
-        digest = hashlib.sha1(key.encode("utf-8")).hexdigest()
-        return os.path.join(self.cache_dir, f"kernels-{digest}.npz")
-
-    def _save_to_disk(self, key: str, bank: SOCSKernels) -> None:
-        path = self._disk_path(key)
-        if path is None:
-            return
-        os.makedirs(self.cache_dir, exist_ok=True)
-        save_npz_atomically(path,
-                            kernels=bank.kernels,
-                            eigenvalues=bank.eigenvalues,
-                            kernel_shape=np.asarray(bank.kernel_shape),
-                            total_energy=np.asarray(bank.total_energy))
-
-    def _load_from_disk(self, key: str) -> Optional[SOCSKernels]:
-        path = self._disk_path(key)
-        if path is None or not os.path.exists(path):
-            return None
-        try:
-            with np.load(path) as data:
-                return SOCSKernels(
-                    kernels=data["kernels"],
-                    eigenvalues=data["eigenvalues"],
-                    kernel_shape=tuple(int(v) for v in data["kernel_shape"]),
-                    total_energy=float(data["total_energy"]))
-        except UNREADABLE_NPZ_ERRORS as exc:
-            # A miss, counted and said; the rebuilt bank overwrites the entry.
-            self.stats.disk_errors += 1
-            _LOG.warning("unreadable kernel-bank cache entry %s (%s): "
-                         "rebuilding", path, type(exc).__name__)
-            return None
 
 
 _default_cache = KernelBankCache(cache_dir=os.environ.get("REPRO_KERNEL_CACHE_DIR"))

@@ -18,8 +18,8 @@ learned Nitho kernels, anything of shape ``(r, n, m)`` — and provides:
   ``compute=ComputeConfig(...)``: ``fft_backend`` / ``fft_workers`` select
   the FFT implementation (numpy, multi-threaded scipy, or anything
   registered), ``precision`` selects the float64 / float32 dtype pair the
-  whole pipeline runs at (the kernel bank is cast once at construction; the
-  cache keys banks by precision so dtypes never mix).
+  whole pipeline runs at (the cache's float64 bank is cast once, at
+  construction, so dtypes never mix).
 """
 
 from __future__ import annotations
@@ -192,10 +192,11 @@ class ExecutionEngine:
         :func:`~repro.optics.simulator.default_illumination`, ``cache`` to
         the process-wide one.  The precision — the ``precision`` policy
         object, else ``compute``'s ``precision`` name — is made concrete by
-        :meth:`KernelBankCache.bank_precision` and keys the cache lookup, so
-        a float32 engine receives a complex64 bank and never re-casts per
-        batch.  Remaining keywords (``fft_backend``, ``tile_cache``, ...) go
-        to the constructor.
+        :meth:`KernelBankCache.bank_precision`; the cache serves its one
+        float64 bank whatever the precision, and the constructor casts it
+        once, so a float32 engine never re-casts per batch.  Remaining
+        keywords (``fft_backend``, ``tile_cache``, ...) go to the
+        constructor.
         """
         source, pupil = default_illumination(config, source, pupil)
         # "cache or default" would discard an *empty* injected cache, because
@@ -205,7 +206,7 @@ class ExecutionEngine:
         if precision is None and compute is not None:
             precision = compute.precision
         precision = cache.bank_precision(config, source, pupil, precision)
-        bank = cache.get_kernels(config, source, pupil, precision=precision)
+        bank = cache.get_kernels(config, source, pupil)
         kwargs.setdefault("resist_threshold", config.resist_threshold)
         kwargs.setdefault("tile_size_px", config.tile_size_px)
         return cls(bank.kernels, precision=precision, compute=compute,

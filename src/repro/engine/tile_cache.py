@@ -14,14 +14,15 @@ batch composition (pinned since the batching PR), so imaging a deduplicated
 sub-batch and scattering the results back is indistinguishable from imaging
 the full batch.
 
-Two tiers, mirroring :class:`~repro.engine.cache.KernelBankCache`:
+Two tiers:
 
 * an in-process LRU tier bounded by ``max_bytes`` (oldest entries evicted
   first, so a huge layout cannot exhaust RAM through its own cache), and
 * an optional disk tier (``cache_dir`` or the ``REPRO_TILE_CACHE_DIR``
   environment variable for the default cache) persisting each imaged tile as
-  a compressed ``.npz``, so repeated CLI runs and resumed campaigns skip the
-  FFTs entirely.
+  a compressed ``.npz`` — the :class:`~repro.engine.cache.NpzDiskTier` the
+  kernel-bank cache persists through too — so repeated CLI runs and resumed
+  campaigns skip the FFTs entirely.
 
 The all-zero fast path never touches either tier: an empty reticle tile
 images to exactly zero under every backend and precision (the DFT of an
@@ -44,7 +45,6 @@ rate with zero recomputation.
 from __future__ import annotations
 
 import hashlib
-import logging
 import os
 import threading
 from collections import OrderedDict
@@ -55,9 +55,7 @@ import numpy as np
 
 from ..backend import resolve_precision
 from ..backend.config import env_tile_cache_flag
-from .cache import UNREADABLE_NPZ_ERRORS, save_npz_atomically
-
-_LOG = logging.getLogger(__name__)
+from .cache import NpzDiskTier
 
 #: Sentinel digest for an all-zero (empty reticle) guard-banded tile.  Not a
 #: hex hash on purpose: zero tiles are served by the constant fast path and
@@ -152,6 +150,7 @@ class TileResultCache:
         self.stats = TileCacheStats()
         self._memory: "OrderedDict[str, np.ndarray]" = OrderedDict()
         self._memory_bytes = 0
+        self._disk = NpzDiskTier(cache_dir, "tiles")
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------ #
@@ -223,7 +222,7 @@ class TileResultCache:
                         admitted.append((key, self._admit(key,
                                                           np.array(result))))
             for key, entry in admitted:  # compression runs outside the lock
-                self._save_to_disk(key, entry)
+                self._disk.save(key, tile=entry)
         return out
 
     # ------------------------------------------------------------------ #
@@ -235,7 +234,8 @@ class TileResultCache:
             self._memory.move_to_end(key)
             self.stats.hits += 1
             return cached
-        loaded = self._load_from_disk(key)
+        loaded = self._disk.load(
+            key, self.stats, lambda data: np.ascontiguousarray(data["tile"]))
         if loaded is not None:
             self.stats.disk_loads += 1
             return self._admit(key, loaded)  # promote, file left as it is
@@ -262,36 +262,6 @@ class TileResultCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._memory)
-
-    # ------------------------------------------------------------------ #
-    # on-disk persistence (same `.npz` protocol as KernelBankCache)
-    # ------------------------------------------------------------------ #
-    def _disk_path(self, key: str) -> Optional[str]:
-        if not self.cache_dir:
-            return None
-        digest = hashlib.sha1(key.encode("utf-8")).hexdigest()
-        return os.path.join(self.cache_dir, f"tiles-{digest}.npz")
-
-    def _save_to_disk(self, key: str, value: np.ndarray) -> None:
-        path = self._disk_path(key)
-        if path is None:
-            return
-        os.makedirs(self.cache_dir, exist_ok=True)
-        save_npz_atomically(path, tile=value)
-
-    def _load_from_disk(self, key: str) -> Optional[np.ndarray]:
-        path = self._disk_path(key)
-        if path is None or not os.path.exists(path):
-            return None
-        try:
-            with np.load(path) as data:
-                return np.ascontiguousarray(data["tile"])
-        except UNREADABLE_NPZ_ERRORS as exc:
-            # A miss, counted and said; the re-imaged tile overwrites it.
-            self.stats.disk_errors += 1
-            _LOG.warning("unreadable tile cache entry %s (%s): re-imaging",
-                         path, type(exc).__name__)
-            return None
 
 
 _default_cache: Optional[TileResultCache] = None

@@ -7,8 +7,9 @@ learned models are trained against.
 
 Kernel banks are served by the process-wide cache in
 :mod:`repro.engine.cache`, so any number of simulators sharing an optics
-fingerprint pay for the TCC + SOCS eigendecomposition exactly once.  Every
-SOCS image — one tile, a batch, a whole layout
+fingerprint pay for the TCC + SOCS eigendecomposition exactly once; the TCC
+itself is not kept (build one with :func:`~repro.optics.tcc.compute_tcc`).
+Every SOCS image — one tile, a batch, a whole layout
 (``simulator.engine.image_layout``) — comes from the simulator's
 :class:`~repro.engine.execution.ExecutionEngine`.
 """
@@ -26,7 +27,6 @@ from .pupil import Pupil
 from .resist import ConstantThresholdResist
 from .socs import SOCSKernels
 from .source import AnnularSource, CircularSource, Source
-from .tcc import TCCResult
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,6 @@ class LithographySimulator:
                                                        pupil)
         self.resist_model = ConstantThresholdResist(self.config.resist_threshold)
         self._cache = cache
-        self._tcc: Optional[TCCResult] = None
         self._kernels: Optional[SOCSKernels] = None
         self._engine = None
 
@@ -119,24 +118,11 @@ class LithographySimulator:
         return self._cache
 
     @property
-    def tcc(self) -> TCCResult:
-        """TCC matrix, computed at most once per optics fingerprint per process.
-
-        Memoised on the instance (the optics are treated as immutable after
-        construction, as in the seed) and resolved through the shared cache
-        on first access.
-        """
-        if self._tcc is None:
-            self._tcc = self.kernel_cache.get_tcc(self.config, self.source, self.pupil)
-        return self._tcc
-
-    @property
     def kernels(self) -> SOCSKernels:
         """SOCS kernel bank, decomposed at most once per optics fingerprint."""
         if self._kernels is None:
             self._kernels = self.kernel_cache.get_kernels(
-                self.config, self.source, self.pupil,
-                max_order=self.config.max_socs_order)
+                self.config, self.source, self.pupil)
         return self._kernels
 
     @property

@@ -2,9 +2,9 @@
 
 ``ProcessWindowSweep`` turns "fast single image" into "fast qualification
 campaign".  For each focus setting it derives the refocused optics (a new
-fingerprint into the shared kernel-bank cache — the TCC and SOCS bank for a
-focus are computed at most once and persist in the cache dir for later
-runs), images the layout once through the batched engine, then
+fingerprint into the shared kernel-bank cache — the SOCS bank for a focus
+is decomposed at most once and persists in the cache dir for later runs),
+images the layout once through the batched engine, then
 develops every dose from that single aerial (dose only scales the resist
 threshold).  An ``F x D`` campaign therefore costs ``F`` kernel banks and
 ``F`` imaging passes, not ``F x D`` of each.

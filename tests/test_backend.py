@@ -12,7 +12,9 @@ Pinned guarantees:
 * float32 aerial images agree with the float64 reference within the
   documented ``Precision.aerial_rtol`` (~1e-4), including through the
   tiled / stitched layout path,
-* the kernel-bank cache keys banks by precision (banks never mix dtypes),
+* the kernel-bank cache keeps one float64 bank per optics and every engine
+  casts it to its own precision (banks never mix dtypes, and a float32 /
+  ``auto`` engine is byte for byte the one a cached float32 bank gave),
   and the byte-denominated chunk budget doubles the effective batch size at
   single precision,
 * ``EngineSpec`` resolves and round-trips backend + precision, so sharded
@@ -188,39 +190,68 @@ class TestPrecisionPolicy:
         assert batch_chunk_size(16, 24, 64, 64, cap, itemsize=8) == 4
 
     def test_cache_banks_never_mix_dtypes(self):
+        """One float64 master per optics; each engine casts its own copy."""
         cache = KernelBankCache()
-        bank64 = cache.get_kernels(FINE, SOURCE, Pupil())
-        bank32 = cache.get_kernels(FINE, SOURCE, Pupil(), precision="float32")
-        assert bank64.kernels.dtype == np.complex128
-        assert bank32.kernels.dtype == np.complex64
-        assert bank64 is cache.get_kernels(FINE, SOURCE, Pupil())
-        assert bank32 is cache.get_kernels(FINE, SOURCE, Pupil(),
-                                           precision=np.float32)
-        # One eigendecomposition serves both precisions (float32 is a cast).
-        assert cache.stats.decompositions == 1
-        np.testing.assert_allclose(bank32.kernels,
-                                   bank64.kernels.astype(np.complex64))
+        bank = cache.get_kernels(FINE, SOURCE, Pupil())
+        engine64 = ExecutionEngine.for_optics(FINE, SOURCE, cache=cache,
+                                              precision=FLOAT64)
+        engine32 = ExecutionEngine.for_optics(FINE, SOURCE, cache=cache,
+                                              precision=FLOAT32)
+        assert engine64.kernels.dtype == np.complex128
+        assert engine32.kernels.dtype == np.complex64
+        assert bank is cache.get_kernels(FINE, SOURCE, Pupil())
+        assert bank.kernels.dtype == np.complex128
+        assert len(cache) == 1 and cache.stats.decompositions == 1
+        np.testing.assert_array_equal(engine32.kernels,
+                                      bank.kernels.astype(np.complex64))
 
     def test_env_selected_float32_bank_terminates(self, monkeypatch):
-        """REPRO_PRECISION=float32 must not recurse while deriving the master.
-
-        The float32 bank is cast from the float64 master; requesting that
-        master with ``precision=None`` would re-resolve the environment and
-        loop forever — pinned here with the env var actually set.
-        """
+        """REPRO_PRECISION=float32: one decomposition, a complex64 engine —
+        the cache serves its float64 master whatever the environment says."""
         monkeypatch.setenv("REPRO_PRECISION", "float32")
         cache = KernelBankCache()
-        bank = cache.get_kernels(FINE, SOURCE, Pupil(), precision=None)
-        assert bank.kernels.dtype == np.complex64
+        engine = ExecutionEngine.for_optics(FINE, SOURCE, cache=cache)
+        assert engine.kernels.dtype == np.complex64
+        assert cache.get_kernels(FINE, SOURCE, Pupil()).kernels.dtype == \
+            np.complex128
         assert cache.stats.decompositions == 1
 
     def test_cache_disk_roundtrip_preserves_precision(self, tmp_path):
         writer = KernelBankCache(cache_dir=str(tmp_path))
-        writer.get_kernels(FINE, SOURCE, Pupil(), precision="float32")
+        written = ExecutionEngine.for_optics(FINE, SOURCE, cache=writer,
+                                             precision=FLOAT32)
         reader = KernelBankCache(cache_dir=str(tmp_path))
-        loaded = reader.get_kernels(FINE, SOURCE, Pupil(), precision="float32")
+        loaded = ExecutionEngine.for_optics(FINE, SOURCE, cache=reader,
+                                            precision=FLOAT32)
         assert reader.stats.decompositions == 0
+        assert reader.stats.disk_loads == 1
         assert loaded.kernels.dtype == np.complex64
+        np.testing.assert_array_equal(loaded.kernels, written.kernels)
+
+    @pytest.mark.parametrize("precision", ["float32", "auto"])
+    def test_single_precision_engine_equals_a_cached_float32_bank(
+            self, tmp_path, precision):
+        """A float32 / ``auto`` engine built through a disk-backed cache is
+        byte for byte the engine a cached float32 bank — the float64 master
+        cast to complex64 — gives: kernels, ``kernel_fingerprint()`` and
+        aerials.  Only the master reaches the disk."""
+        cache_dir = tmp_path / "kernels"
+        engine = ExecutionEngine.for_optics(
+            FINE, SOURCE, cache=KernelBankCache(cache_dir=str(cache_dir)),
+            compute=ComputeConfig(fft_backend="numpy", precision=precision))
+        master = KernelBankCache().get_kernels(FINE, SOURCE, Pupil())
+        reference = ExecutionEngine(
+            master.kernels.astype(np.complex64), precision=FLOAT32,
+            tile_size_px=FINE.tile_size_px,
+            compute=ComputeConfig(fft_backend="numpy"))
+        assert engine.precision is FLOAT32
+        assert engine.kernels.dtype == reference.kernels.dtype
+        assert engine.kernels.tobytes() == reference.kernels.tobytes()
+        assert engine.kernel_fingerprint() == reference.kernel_fingerprint()
+        masks = (np.random.default_rng(5).random((2, 64, 64)) > 0.5) * 1.0
+        np.testing.assert_array_equal(engine.aerial_batch(masks),
+                                      reference.aerial_batch(masks))
+        assert len(list(cache_dir.glob("kernels-*.npz"))) == 1
 
 
 class TestHalfSpectrumEquivalence:

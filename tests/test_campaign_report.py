@@ -78,7 +78,6 @@ class TestCampaignReport:
         report = load_campaign_report(completed_store)
         render_campaign_report(report, thumbnail_width=16)
         assert calls == []
-        assert cache.stats.tcc_computes == 0
         assert cache.stats.decompositions == 0
 
     def test_partial_campaign_renders_progress(self, tmp_path):

@@ -11,11 +11,14 @@ Pinned guarantees:
 * split -> image -> stitch round-trips arbitrary layouts, is exactly the
   per-tile path when no guard band is needed, and has vanishing seam error
   in the guarded interior,
-* the kernel-bank cache computes the TCC and the SOCS decomposition at most
-  once per optics fingerprint per process (and round-trips through disk).
+* the kernel-bank cache decomposes one float64 bank at most once per optics
+  fingerprint per process (and round-trips through disk, written outside
+  its lock).
 """
 
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -419,7 +422,6 @@ class TestKernelBankCache:
         for _ in range(3):
             again = cache.get_kernels(config, self.SOURCE, Pupil())
             assert again is first
-        assert cache.stats.tcc_computes == 1
         assert cache.stats.decompositions == 1
         assert cache.stats.hits == 3
 
@@ -430,18 +432,6 @@ class TestKernelBankCache:
         banks = [sim.kernels for sim in sims]
         assert banks[0] is banks[1] is banks[2]
         assert cache.stats.decompositions == 1
-
-    def test_different_truncations_share_the_tcc(self):
-        cache = KernelBankCache()
-        base = OpticsConfig(tile_size_px=32, pixel_size_nm=8.0, max_socs_order=4)
-        from dataclasses import replace
-
-        wide = replace(base, max_socs_order=8)
-        low = cache.get_kernels(base, self.SOURCE, Pupil())
-        high = cache.get_kernels(wide, self.SOURCE, Pupil())
-        assert low.order <= high.order
-        assert cache.stats.tcc_computes == 1
-        assert cache.stats.decompositions == 2
 
     def test_fingerprint_separates_different_optics(self):
         config = OpticsConfig(tile_size_px=32, pixel_size_nm=8.0)
@@ -523,6 +513,70 @@ class TestKernelBankCache:
         assert third.stats.disk_loads == 1
         assert third.stats.disk_errors == 0 and third.stats.decompositions == 0
         assert not caplog.records
+
+    def test_a_hit_never_waits_on_another_threads_disk_write(
+            self, tmp_path, monkeypatch):
+        """The bank is compressed and written outside the cache lock: while
+        one thread is still persisting a fresh bank, another thread's lookup
+        of the same optics is a memory hit that returns at once."""
+        from repro.engine import cache as cache_module
+
+        writing, release = threading.Event(), threading.Event()
+        save = cache_module.save_npz_atomically
+
+        def stalled(path, **arrays):
+            writing.set()
+            release.wait(timeout=30)
+            save(path, **arrays)
+
+        monkeypatch.setattr(cache_module, "save_npz_atomically", stalled)
+        config = OpticsConfig(tile_size_px=32, pixel_size_nm=8.0, max_socs_order=8)
+        cache = KernelBankCache(cache_dir=str(tmp_path))
+        banks = []
+
+        def lookup():
+            banks.append(cache.get_kernels(config, self.SOURCE, Pupil()))
+
+        writer, reader = threading.Thread(target=lookup), threading.Thread(target=lookup)
+        writer.start()
+        try:
+            assert writing.wait(timeout=30)
+            reader.start()
+            reader.join(timeout=2)
+            assert not reader.is_alive(), "a hit waited on another thread's write"
+            assert writer.is_alive()
+        finally:
+            release.set()
+            writer.join(timeout=30)
+            reader.join(timeout=30)
+        assert len(banks) == 2 and banks[0] is banks[1]
+        assert cache.stats.decompositions == 1 and cache.stats.hits == 1
+        assert len(list(tmp_path.glob("kernels-*.npz"))) == 1
+
+    def test_concurrent_lookups_decompose_once_and_count_every_call(
+            self, tmp_path):
+        config = OpticsConfig(tile_size_px=32, pixel_size_nm=8.0, max_socs_order=8)
+        cache = KernelBankCache(cache_dir=str(tmp_path))
+        threads, banks = 6, []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=lambda: banks.append(
+                cache.get_kernels(config, self.SOURCE, Pupil())))
+                for _ in range(threads)]
+            for thread in workers:
+                thread.start()
+            for thread in workers:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(banks) == threads and all(bank is banks[0] for bank in banks)
+        stats = cache.stats
+        assert (stats.decompositions, stats.misses, stats.hits) == \
+            (1, 1, threads - 1)
+        assert len(list(tmp_path.glob("kernels-*.npz"))) == 1
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_clear_resets(self):
         cache = KernelBankCache()

@@ -172,7 +172,6 @@ def test_three_front_doors_one_road(monkeypatch, env_precision):
     others = [spec.build(), ExecutionEngine.for_optics(config)]
 
     assert shared.stats.decompositions == 1
-    assert shared.stats.tcc_computes == 1
     assert spec.compute.precision == golden.precision.name
     if env_precision != "auto":
         assert golden.precision.name == (env_precision or "float64")

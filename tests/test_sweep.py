@@ -123,7 +123,6 @@ class TestProcessWindowSweep:
         banks = [f for f in os.listdir(tmp_path) if f.endswith(".npz")]
         assert len(banks) == len(self.GRID.focus_values_nm)
         cache = sweep.executor._local_cache
-        assert cache.stats.tcc_computes == len(self.GRID.focus_values_nm)
         assert cache.stats.decompositions == len(self.GRID.focus_values_nm)
 
     def test_auto_precision_decomposes_in_the_executors_cache_only(

@@ -24,7 +24,11 @@ Equal — the forward's bits did not move, everything must still be found:
    gain a file, and the matrix and every stored per-focus aerial must be
    ``np.array_equal`` to the parent's,
 4. HEAD, in process: the three per-focus banks load from the parent's
-   ``kernels-*.npz`` with ``decompositions == 0``.
+   ``kernels-*.npz`` with ``decompositions == 0``; then float32 and ``auto``
+   engines built on HEAD from those files decompose nothing, add no file,
+   and have the ``kernel_fingerprint()`` of the parent's float32 engine
+   (the same snippet run on the parent, against a copy of the directory —
+   the parent writes its float32 bank beside the master).
 
 Different — HEAD declares that its forward produces other bits
 (``repro.engine.batched.FORWARD_REVISION`` moved), so nothing imaged by the
@@ -49,6 +53,7 @@ import glob
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -68,6 +73,21 @@ FORWARD_IDENTITY = ["-c", (
     "import numpy as np; from repro.engine import ExecutionEngine; "
     "bank = np.arange(75.0).reshape(3, 5, 5) * (1 + 0.5j); "
     "print(ExecutionEngine(bank).kernel_fingerprint())")]
+# Step 4's float32 / auto engines from the kernel-cache directory argv[1].
+SINGLE_PRECISION_ENGINES = ["-c", (
+    "import json, sys\n"
+    "from repro.backend import ComputeConfig\n"
+    "from repro.engine import ExecutionEngine, KernelBankCache\n"
+    "from repro.optics.simulator import OpticsConfig\n"
+    "banks = KernelBankCache(cache_dir=sys.argv[1])\n"
+    "engines = {precision: ExecutionEngine.for_optics(\n"
+    "    OpticsConfig(tile_size_px=32, pixel_size_nm=8.0), cache=banks,\n"
+    "    compute=ComputeConfig(fft_backend='numpy', precision=precision))\n"
+    "    for precision in ('float32', 'auto')}\n"
+    "print(json.dumps({'decompositions': banks.stats.decompositions,\n"
+    "                  **{name: [engine.precision.name,\n"
+    "                            engine.kernel_fingerprint()]\n"
+    "                     for name, engine in engines.items()}}))")]
 
 
 def run(checkout: str, work: str, *arguments: str, refused=False) -> str:
@@ -215,6 +235,23 @@ def main() -> int:
         assert banks.stats.decompositions == 0, banks.stats
         assert banks.stats.disk_loads == len(FOCI), banks.stats
         print(f"  ok: decompositions == 0, disk_loads == {len(FOCI)}")
+
+        print("HEAD builds float32 / auto engines off the parent's banks")
+        kernels = os.path.join(work, "kernels")
+        theirs_dir = os.path.join(work, "kernels-parent-copy")
+        shutil.copytree(kernels, theirs_dir)
+        before = cache_files(work)
+        ours, theirs = (json.loads(run(checkout, work,
+                                       *SINGLE_PRECISION_ENGINES, directory))
+                        for checkout, directory in ((REPO_ROOT, kernels),
+                                                    (parent, theirs_dir)))
+        assert ours["decompositions"] == 0, ours
+        assert cache_files(work) == before, \
+            sorted(set(cache_files(work)) - set(before))
+        assert ours["float32"] == ours["auto"] == theirs["float32"] \
+            == ["float32", theirs["float32"][1]], (ours, theirs)
+        print(f"  ok: decompositions == 0, no new file, kernel_fingerprint "
+              f"{theirs['float32'][1]} == the parent's float32 engine's")
     print("persisted identities: safe against the parent checkout")
     return 0
 

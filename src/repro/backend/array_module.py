@@ -260,9 +260,10 @@ class FakeGpuArrayModule(FFTBackend):
     def abs2_sum(self, fields, axis):
         # Same expression as the host backends so fakegpu == numpy bit for bit
         # (the fused real*real + imag*imag variant is reserved for real GPUs,
-        # where it skips the |.| temporary and its sqrt).
-        return FakeDeviceArray(
-            np.sum(np.abs(self._unwrap(fields)) ** 2, axis=axis))
+        # where it skips the |.| temporary and its sqrt); polymorphic like the
+        # transforms, so host fields get a host intensity and a counted trip.
+        return self._transform(
+            fields, lambda a: np.sum(np.abs(a) ** 2, axis=axis))
 
 
 register_backend("fakegpu", lambda workers: FakeGpuArrayModule(workers=workers))

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .. import nn
-from ..nn import functional as F
+from ..nn.optim import fit_minibatches
 from ..nn.tensor import Tensor
 from ..optics.resist import ConstantThresholdResist
 from ..utils.imaging import fourier_resize_batch
@@ -47,7 +47,6 @@ class ImageToImageModel:
         self.seed = seed
         self.resist_model = ConstantThresholdResist(resist_threshold)
         self.history: List[float] = []
-        self._tile_size: Optional[int] = None
 
     # ------------------------------------------------------------------ #
     # resolution handling
@@ -72,44 +71,14 @@ class ImageToImageModel:
     def fit(self, masks: np.ndarray, aerials: np.ndarray,
             epochs: Optional[int] = None, verbose: bool = False) -> List[float]:
         """Train the network to map masks to aerial images (pixel-wise MSE)."""
-        masks = np.asarray(masks, dtype=float)
-        aerials = np.asarray(aerials, dtype=float)
-        if masks.ndim == 2:
-            masks = masks[None]
-        if aerials.ndim == 2:
-            aerials = aerials[None]
-        if len(masks) != len(aerials):
-            raise ValueError("mask / aerial count mismatch")
-        if len(masks) == 0:
-            raise ValueError("training set is empty")
-        self._tile_size = masks.shape[-1]
-
-        inputs = self._to_work(masks)[:, None, :, :]
-        targets = self._to_work(aerials)[:, None, :, :]
-
-        epochs = epochs or self.epochs
-        optimizer = nn.Adam(self.network.parameters(), lr=self.learning_rate)
-        scheduler = nn.CosineLR(optimizer, total_epochs=epochs, min_lr=0.1 * self.learning_rate)
-        rng = np.random.default_rng(self.seed)
-        count = len(inputs)
-        batch_size = min(self.batch_size, count)
-
-        history: List[float] = []
-        for epoch in range(epochs):
-            order = rng.permutation(count)
-            epoch_losses = []
-            for start in range(0, count, batch_size):
-                index = order[start:start + batch_size]
-                prediction = self.network(Tensor(inputs[index]))
-                loss = F.mse_loss(prediction, Tensor(targets[index]))
-                optimizer.zero_grad()
-                loss.backward()
-                optimizer.step()
-                epoch_losses.append(float(loss.item()))
-            history.append(float(np.mean(epoch_losses)))
-            scheduler.step()
-            if verbose:
-                print(f"[{self.name}] epoch {epoch + 1:3d}/{epochs}  loss={history[-1]:.3e}")
+        history = fit_minibatches(
+            nn.Adam(self.network.parameters(), lr=self.learning_rate),
+            lambda batch: self.network(Tensor(batch)),
+            self._to_work(masks)[:, None, :, :],
+            self._to_work(aerials)[:, None, :, :],
+            epochs=epochs or self.epochs, batch_size=self.batch_size,
+            seed=self.seed, min_lr_fraction=0.1, name=self.name,
+            verbose=verbose)
         self.history.extend(history)
         return history
 

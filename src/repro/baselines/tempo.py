@@ -107,7 +107,6 @@ class TempoModel(ImageToImageModel):
             masks = masks[None]
         if aerials.ndim == 2:
             aerials = aerials[None]
-        self._tile_size = masks.shape[-1]
 
         inputs = self._to_work(masks)[:, None, :, :]
         targets = self._to_work(aerials)[:, None, :, :]

@@ -61,14 +61,11 @@ class GradientILT:
     # ------------------------------------------------------------------ #
     def _aerial(self, mask: Tensor) -> Tensor:
         """Aerial image of a (real, continuous) mask tensor through the kernel bank."""
-        height, width = mask.shape[-2], mask.shape[-1]
-        r, n, m = self.kernels.shape
+        n, m = self.kernels.shape[-2:]
         spectrum = F.crop_center(F.fftshift2(F.fft2(F.to_complex(mask))), n, m)
-        spectrum = F.reshape(spectrum, (1, n, m))
-        products = F.mul(self.kernels, spectrum)          # (r, n, m)
-        embedded = F.embed_center(products, height, width)
-        fields = F.ifft2(F.ifftshift2(embedded))
-        return F.sum(F.abs2(fields), axis=0)
+        intensity = F.socs_intensity(self.kernels, F.reshape(spectrum, (1, n, m)),
+                                     mask.shape)
+        return F.reshape(intensity, mask.shape)
 
     def _soft_resist(self, aerial: Tensor) -> Tensor:
         shifted = F.sub(aerial, self.settings.resist_threshold)

@@ -7,8 +7,12 @@
    (Eq. (15) by default),
 3. a CMLP maps features to kernel values (Eq. (13) / (16)),
 4. the predicted kernels are combined with the (non-parametric) mask spectrum
-   through the SOCS formula (Eq. (4)) to produce the aerial image, and
-5. an MSE loss on the aerial image drives plain gradient descent.
+   through the SOCS formula (Eq. (4)) — one autograd node over the
+   production core's field expression, ``F.socs_intensity`` — and
+5. an MSE loss on the aerial image drives plain gradient descent, on the
+   grid the engine images a tile on (``intensity_grid``: the band-limit grid
+   when it fits, else the tile), where the band-limited intensity makes the
+   loss the full-resolution one up to rounding.
 
 After training, the predicted kernels are exported once and all subsequent
 lithography uses the kernel bank directly ("fast lithography", Section III-C1)
@@ -22,6 +26,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..engine.batched import intensity_grid
 from ..nn import functional as F
 from ..nn.tensor import Tensor
 from ..optics.aerial import mask_spectrum
@@ -49,13 +54,14 @@ class NithoConfig:
         Explicit ``(n, m)`` kernel window, bypassing Eq. (10) — used by the
         Fig. 6(b) kernel-size ablation and by the hyperparameter-search path
         when lambda / NA are unknown.
-    train_supersample:
-        The training-time aerial image is evaluated on a grid of
-        ``train_supersample * kernel window`` samples (exact for band-limited
-        intensities); set to 0 to train at full tile resolution.
+    learning_rate / batch_size / epochs / seed:
+        Adam's initial rate (cosine-decayed to 5 % of it), minibatch size,
+        training budget, and the seed of weights, features and shuffle.
     real_valued_mlp:
         Replace the CMLP with a real-valued MLP of the same topology
         (complex-vs-real ablation).
+
+    The loss grid is the engine's, not a setting (module docstring).
     """
 
     num_kernels: int = 12
@@ -64,9 +70,7 @@ class NithoConfig:
     encoding: str = "rff"
     encoding_kwargs: Dict = field(default_factory=dict)
     kernel_shape_override: Optional[Tuple[int, int]] = None
-    train_supersample: int = 3
     learning_rate: float = 5e-3
-    lr_schedule: str = "cosine"
     batch_size: int = 4
     epochs: int = 60
     seed: int = 0
@@ -95,6 +99,9 @@ class NithoModel:
                 wavelength_nm=self.optics.wavelength_nm,
                 numerical_aperture=self.optics.numerical_aperture,
                 pixel_size_nm=self.optics.pixel_size_nm)
+        tile = self.optics.tile_size_px
+        #: Where the training loss is evaluated: the engine's grid for a tile.
+        self.loss_grid = intensity_grid(*self.kernel_shape, tile, tile)
 
         encoding_kwargs = dict(self.config.encoding_kwargs)
         encoding_kwargs.setdefault("seed", self.config.seed)
@@ -126,20 +133,6 @@ class NithoModel:
     # ------------------------------------------------------------------ #
     # data preparation
     # ------------------------------------------------------------------ #
-    @property
-    def train_resolution(self) -> Tuple[int, int]:
-        """Grid on which the training loss is evaluated (band-limited exactness)."""
-        tile = self.optics.tile_size_px
-        if self.config.train_supersample <= 0:
-            return tile, tile
-        n, m = self.kernel_shape
-        size = min(tile, int(self.config.train_supersample * max(n, m)))
-        size = max(size, max(n, m))
-        if size % 2:
-            size += 1
-        size = min(size, tile)
-        return size, size
-
     def prepare_spectra(self, masks: np.ndarray) -> np.ndarray:
         """Cropped, centred mask spectra for a batch of masks (Algorithm 1 lines 6-7)."""
         masks = np.asarray(masks, dtype=float)
@@ -149,16 +142,15 @@ class NithoModel:
         return mask_spectrum(masks, self.kernel_shape)
 
     def prepare_targets(self, aerials: np.ndarray) -> np.ndarray:
-        """Resample golden aerial images to the training-loss resolution."""
+        """Resample golden aerial images to the :attr:`loss_grid`."""
         from ..utils.imaging import fourier_resize_batch
 
         aerials = np.asarray(aerials, dtype=float)
         if aerials.ndim == 2:
             aerials = aerials[None]
-        res = self.train_resolution
-        if res == aerials.shape[-2:]:
+        if self.loss_grid == aerials.shape[-2:]:
             return aerials
-        return fourier_resize_batch(aerials, res)
+        return fourier_resize_batch(aerials, self.loss_grid)
 
     # ------------------------------------------------------------------ #
     # differentiable forward pass
@@ -167,39 +159,19 @@ class NithoModel:
         """Predicted kernel stack ``K_hat`` of shape (r, n, m) as a graph tensor."""
         return self.network.predict_kernels(self._encoded_coordinates, self.kernel_shape)
 
-    def forward_aerial(self, spectra: np.ndarray,
-                       output_shape: Optional[Tuple[int, int]] = None) -> Tensor:
-        """Differentiable SOCS imaging of pre-cropped spectra (Algorithm 1 lines 8-12).
-
-        Parameters
-        ----------
-        spectra:
-            Complex array ``(B, n, m)`` from :meth:`prepare_spectra`.
-        output_shape:
-            Aerial-image resolution; defaults to :attr:`train_resolution`.
-        """
-        if output_shape is None:
-            output_shape = self.train_resolution
-        out_h, out_w = output_shape
-        kernels = self.predicted_kernels_tensor()                      # (r, n, m)
-        r, n, m = kernels.shape
-        batch = spectra.shape[0]
-
-        kernels_b = F.reshape(kernels, (1, r, n, m))
-        spectra_t = Tensor(spectra.reshape(batch, 1, n, m))
-        products = F.mul(kernels_b, spectra_t)                         # (B, r, n, m)
-        embedded = F.embed_center(products, out_h, out_w)
-        fields = F.ifft2(F.ifftshift2(embedded))
-        intensity = F.sum(F.abs2(fields), axis=1)                      # (B, H, W)
+    def forward_aerial(self, spectra: np.ndarray) -> Tensor:
+        """Differentiable SOCS imaging (Algorithm 1 lines 8-12) of ``(B, n, m)``
+        spectra from :meth:`prepare_spectra`, on the :attr:`loss_grid`."""
+        intensity = F.socs_intensity(self.predicted_kernels_tensor(), spectra,
+                                     self.loss_grid)
         # The mask spectra were normalised against the full tile; evaluating the
         # orthonormal inverse FFT on a smaller grid rescales the field by
-        # tile/out, so compensate to keep intensities in physical units (this
+        # tile/grid, so compensate to keep intensities in physical units (this
         # keeps the learned kernels directly usable at full resolution).
+        grid_h, grid_w = self.loss_grid
         tile = self.optics.tile_size_px
-        scale = (out_h * out_w) / float(tile * tile)
-        if scale != 1.0:
-            intensity = F.mul(intensity, scale)
-        return intensity
+        scale = (grid_h * grid_w) / float(tile * tile)
+        return intensity if scale == 1.0 else F.mul(intensity, scale)
 
     # ------------------------------------------------------------------ #
     # training (Algorithm 1)

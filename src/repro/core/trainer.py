@@ -2,7 +2,8 @@
 
 The trainer is deliberately small: the mask-dependent computations (FFT,
 crop) are pre-computed once because they carry no learnable parameters, and
-only the CMLP forward / SOCS combination is replayed every step.
+only the CMLP forward / SOCS combination is replayed every step of the
+shared minibatch loop (:func:`repro.nn.optim.fit_minibatches`).
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from typing import List, Optional
 import numpy as np
 
 from .. import nn
-from ..nn import functional as F
-from ..nn.tensor import Tensor
+from ..nn.optim import fit_minibatches
 
 
 class NithoTrainer:
@@ -29,64 +29,16 @@ class NithoTrainer:
             epochs: Optional[int] = None, verbose: bool = False) -> List[float]:
         """Train on mask/aerial pairs; returns the mean per-epoch MSE loss."""
         config = self.model.config
-        epochs = epochs or config.epochs
-
-        masks = np.asarray(masks, dtype=float)
-        aerials = np.asarray(aerials, dtype=float)
-        if masks.ndim == 2:
-            masks = masks[None]
-        if aerials.ndim == 2:
-            aerials = aerials[None]
-        if len(masks) != len(aerials):
-            raise ValueError(f"got {len(masks)} masks but {len(aerials)} aerial images")
-        if len(masks) == 0:
-            raise ValueError("training set is empty")
-
-        spectra = self.model.prepare_spectra(masks)
-        targets = self.model.prepare_targets(aerials)
-
-        rng = np.random.default_rng(config.seed)
-        count = len(masks)
-        batch_size = min(config.batch_size, count)
-        history: List[float] = []
-        scheduler = None
-        if getattr(config, "lr_schedule", "cosine") == "cosine":
-            self.optimizer.lr = self._base_lr
-            scheduler = nn.CosineLR(self.optimizer, total_epochs=epochs,
-                                    min_lr=0.05 * self._base_lr)
-
-        for epoch in range(epochs):
-            order = rng.permutation(count)
-            epoch_losses = []
-            for start in range(0, count, batch_size):
-                index = order[start:start + batch_size]
-                batch_spectra = spectra[index]
-                batch_targets = Tensor(targets[index])
-
-                prediction = self.model.forward_aerial(batch_spectra)
-                loss = F.mse_loss(prediction, batch_targets)
-
-                self.optimizer.zero_grad()
-                loss.backward()
-                self.optimizer.step()
-                epoch_losses.append(float(loss.item()))
-            mean_loss = float(np.mean(epoch_losses))
-            history.append(mean_loss)
-            if scheduler is not None:
-                scheduler.step()
-            if verbose:
-                print(f"[nitho] epoch {epoch + 1:3d}/{epochs}  loss={mean_loss:.3e}")
-        return history
+        # Every fit decays from the configured rate, however often it is called.
+        self.optimizer.lr = self._base_lr
+        return fit_minibatches(
+            self.optimizer, self.model.forward_aerial,
+            self.model.prepare_spectra(masks), self.model.prepare_targets(aerials),
+            epochs=epochs or config.epochs, batch_size=config.batch_size,
+            seed=config.seed, min_lr_fraction=0.05, name="nitho",
+            verbose=verbose)
 
     def evaluate(self, masks: np.ndarray, aerials: np.ndarray) -> float:
-        """Mean MSE at training resolution without updating parameters."""
-        masks = np.asarray(masks, dtype=float)
-        aerials = np.asarray(aerials, dtype=float)
-        if masks.ndim == 2:
-            masks = masks[None]
-        if aerials.ndim == 2:
-            aerials = aerials[None]
-        spectra = self.model.prepare_spectra(masks)
-        targets = self.model.prepare_targets(aerials)
-        prediction = self.model.forward_aerial(spectra)
-        return float(np.mean((prediction.data - targets) ** 2))
+        """Mean MSE on the training-loss grid without updating parameters."""
+        prediction = self.model.forward_aerial(self.model.prepare_spectra(masks))
+        return float(np.mean((prediction.data - self.model.prepare_targets(aerials)) ** 2))

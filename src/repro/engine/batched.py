@@ -11,6 +11,9 @@ pipeline as one array program:
 3. one batched inverse FFT returns the coherent fields, and
 4. a reduction over the kernel axis yields the aerial intensities.
 
+Steps 2-3 are :func:`coherent_fields`, the package's one statement of
+Eq. (4)'s fields; training and ILT differentiate through it too.
+
 On top of that, the paper's band-limit argument (Eq. (10)) buys a large
 speed-up: the coherent fields only carry ``n x m`` frequency samples, so the
 intensity — whose spectrum is the autocorrelation of the field spectrum — is
@@ -148,6 +151,22 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_helper_threads)
 
 
+def coherent_fields(kernels, spectra, grid_h: int, grid_w: int,
+                    xp: FFTBackend, out=None):
+    """Eq. (4)'s coherent fields ``ifft2(embed(K_i * S_b))``: ``(r, n, m)``
+    kernels and ``(B, n, m)`` centred spectra -> ``(B, r, grid_h, grid_w)``.
+
+    The zero target (or the reusable zeroed ``out``) lives where the products
+    do, as in :func:`mask_spectrum`: host operands on a device backend pay
+    one counted round trip in the transform.
+    """
+    products = kernels[None, :, :, :] * spectra[:, None, :, :]
+    space = xp if xp.is_device_array(products) else np
+    embedded = embed_centre_unshifted(products, grid_h, grid_w, xp=space,
+                                      out=out)
+    return xp.ifft2(embedded, norm="ortho")
+
+
 def _direct_chunk(masks, kernels, out_h: int, out_w: int, xp: FFTBackend):
     """One block at full output resolution, for an output smaller than the
     :func:`band_limit_grid`.
@@ -159,10 +178,8 @@ def _direct_chunk(masks, kernels, out_h: int, out_w: int, xp: FFTBackend):
     """
     n, m = kernels.shape[-2], kernels.shape[-1]
     spectra = mask_spectrum(masks, (n, m), backend=xp)          # (B, n, m)
-    products = kernels[None, :, :, :] * spectra[:, None, :, :]  # (B, r, n, m)
-    embedded = embed_centre_unshifted(products, out_h, out_w, xp=xp)
-    fields = xp.ifft2(embedded, norm="ortho")
-    return xp.abs2_sum(fields, axis=1)
+    return xp.abs2_sum(coherent_fields(kernels, spectra, out_h, out_w, xp),
+                       axis=1)
 
 
 def band_limit_grid(n: int, m: int) -> Tuple[int, int]:
@@ -197,10 +214,8 @@ def _band_limited_chunk(masks, kernels, out_h: int, out_w: int,
     grid_h, grid_w = embedded.shape[-2:]
     rows = masks.shape[0]
     spectra = mask_spectrum(masks, (n, m), backend=xp)
-    products = kernels[None, :, :, :] * spectra[:, None, :, :]
-    fields = xp.ifft2(
-        embed_centre_unshifted(products, grid_h, grid_w, out=embedded[:rows]),
-        norm="ortho")
+    fields = coherent_fields(kernels, spectra, grid_h, grid_w, xp,
+                             out=embedded[:rows])
     small = xp.abs2_sum(fields, axis=1)                    # (rows, gh, gw)
 
     # The intensity spectrum occupies the centred samples |row| < n,
@@ -232,10 +247,11 @@ def batch_chunk_size(batch: int, order: int, height: int, width: int,
     return int(np.clip(budget_bytes // per_mask, 1, max(batch, 1)))
 
 
-def _fits_band_limit_grid(n: int, m: int, out_h: int, out_w: int) -> bool:
-    """Whether the :func:`band_limit_grid` fits inside the output."""
-    grid_h, grid_w = band_limit_grid(n, m)
-    return grid_h <= out_h and grid_w <= out_w
+def intensity_grid(n: int, m: int, out_h: int, out_w: int) -> Tuple[int, int]:
+    """Where an ``out_h x out_w`` output's intensity is evaluated: the
+    :func:`band_limit_grid` when it fits, else the output itself."""
+    grid = band_limit_grid(n, m)
+    return grid if grid[0] <= out_h and grid[1] <= out_w else (out_h, out_w)
 
 
 def effective_chunk_tiles(batch: int, kernel_shape: Tuple[int, int, int],
@@ -249,8 +265,7 @@ def effective_chunk_tiles(batch: int, kernel_shape: Tuple[int, int, int],
     plus the real block it becomes).
     """
     order, n, m = kernel_shape
-    work_h, work_w = band_limit_grid(n, m) \
-        if _fits_band_limit_grid(n, m, out_h, out_w) else (out_h, out_w)
+    work_h, work_w = intensity_grid(n, m, out_h, out_w)
     return min(batch_chunk_size(batch, order, work_h, work_w,
                                 budget_bytes, itemsize),
                batch_chunk_size(batch, 1, out_h, out_w,
@@ -331,7 +346,8 @@ def batched_aerial_from_kernels(masks: np.ndarray, kernels: np.ndarray,
         # The bank goes up once per call unless it arrived resident (a host
         # backend's asarray is the identity).
         kernels = xp.asarray(kernels)
-    band_limited = _fits_band_limit_grid(n, m, out_h, out_w)
+    grid = intensity_grid(n, m, out_h, out_w)
+    band_limited = grid == band_limit_grid(n, m)
 
     def tiles_per_block(budget_bytes: int) -> int:
         return effective_chunk_tiles(batch, kernels.shape, out_h, out_w,
@@ -354,7 +370,7 @@ def batched_aerial_from_kernels(masks: np.ndarray, kernels: np.ndarray,
             evaluate = _band_limited_chunk
             # Zeroed once: every block overwrites the same corners and no zero.
             scratch = (
-                xp.zeros((block, order) + band_limit_grid(n, m), kernels.dtype),
+                xp.zeros((block, order) + grid, kernels.dtype),
                 xp.zeros((block, out_h, m), kernels.dtype))
         else:
             evaluate, scratch = _direct_chunk, ()

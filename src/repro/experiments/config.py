@@ -90,7 +90,6 @@ class ExperimentConfig:
             epochs=budgets.nitho_epochs,
             batch_size=4,
             learning_rate=8e-3,
-            train_supersample=2,
             seed=self.seed,
         )
         settings.update(overrides)

@@ -4,6 +4,16 @@ Every function builds a graph node whose backward closure implements the
 Wirtinger-calculus chain rule described in :mod:`repro.nn.tensor`.  The FFT
 operations use ``norm="ortho"`` so that the adjoint of ``fft2`` is ``ifft2``
 and vice versa, which keeps the backward pass a single transform.
+
+SOCS imaging (Eq. (4)) is one node, :func:`socs_intensity`, whose forward is
+the production core's field expression.  Its vector-Jacobian product is
+closed-form: with fields ``E_bi`` and ``G = dL/dI``, let::
+
+    A_bi = crop_centre(fftshift(fft2_ortho(2 * G_b * E_bi)))     # (n, m)
+
+then ``grad K_i = sum_b conj(S_b) * A_bi`` and
+``grad S_b = sum_i conj(K_i) * A_bi`` — the chain rule of ``mul -> embed ->
+ifftshift -> ifft2 -> |.|^2 -> sum`` (kept test-side as the oracle).
 """
 
 from __future__ import annotations
@@ -17,9 +27,9 @@ from .tensor import Tensor, as_tensor
 __all__ = [
     "add", "sub", "mul", "div", "neg", "matmul", "power", "exp", "log",
     "sum", "mean", "reshape", "transpose", "getitem", "concatenate", "stack",
-    "pad2d", "crop_center", "embed_center", "conj", "real", "imag", "abs", "abs2",
+    "pad2d", "crop_center", "conj", "real", "imag", "abs", "abs2",
     "to_complex", "relu", "leaky_relu", "sigmoid", "tanh", "crelu",
-    "modrelu", "fft2", "ifft2", "fftshift2", "ifftshift2",
+    "modrelu", "fft2", "ifft2", "fftshift2", "ifftshift2", "socs_intensity",
     "mse_loss", "l1_loss", "bce_with_logits_loss", "clamp", "sqrt", "square",
 ]
 
@@ -318,30 +328,6 @@ def crop_center(a, height: int, width: int) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
-def embed_center(a, height: int, width: int) -> Tensor:
-    """Embed the last two axes of ``a`` at the centre of a zero array of size (height, width).
-
-    The inverse of :func:`crop_center`; both keep the fftshift DC sample
-    (index ``size // 2``) aligned, which is what the SOCS formula requires when
-    a band-limited spectrum is interpolated back to full tile resolution.
-    """
-    a = as_tensor(a)
-    block_h, block_w = a.shape[-2], a.shape[-1]
-    if block_h > height or block_w > width:
-        raise ValueError(f"block ({block_h}, {block_w}) larger than target ({height}, {width})")
-    top = height // 2 - block_h // 2
-    left = width // 2 - block_w // 2
-    slicer = (Ellipsis, slice(top, top + block_h), slice(left, left + block_w))
-    out_data = np.zeros(a.shape[:-2] + (height, width), dtype=a.data.dtype)
-    out_data[slicer] = a.data
-
-    def backward(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(grad[slicer])
-
-    return _make(out_data, (a,), backward)
-
-
 # --------------------------------------------------------------------------- #
 # complex structure
 # --------------------------------------------------------------------------- #
@@ -573,6 +559,37 @@ def ifftshift2(a) -> Tensor:
             a._accumulate(np.fft.fftshift(grad, axes=(-2, -1)))
 
     return _make(out_data, (a,), backward)
+
+
+# --------------------------------------------------------------------------- #
+# SOCS imaging (Eq. (4)) as one node
+# --------------------------------------------------------------------------- #
+def socs_intensity(kernels, spectra, grid: Tuple[int, int]) -> Tensor:
+    """Eq. (4): ``(r, n, m)`` kernels and centred ``(B, n, m)`` spectra ->
+    ``(B, grid_h, grid_w)`` intensities, through the batched core's
+    :func:`~repro.engine.batched.coherent_fields` and ``abs2_sum`` (backward:
+    the module docstring).  Host arrays in and out, like :func:`fft2`."""
+    from ..backend import get_backend  # deferred: keep nn importable standalone
+    from ..engine.batched import coherent_fields
+    from ..optics.grid import crop_centre
+
+    backend = get_backend()
+    kernels, spectra = as_tensor(kernels), as_tensor(spectra)
+    n, m = kernels.shape[-2:]
+    fields = coherent_fields(kernels.data, spectra.data, *grid, backend)
+    out_data = backend.abs2_sum(fields, axis=1)
+
+    def backward(grad: np.ndarray) -> None:
+        adjoint = crop_centre(np.fft.fftshift(
+            backend.fft2(2.0 * grad[:, None] * fields, norm="ortho"),
+            axes=(-2, -1)), n, m)                             # (B, r, n, m)
+        if kernels.requires_grad:
+            kernels._accumulate(
+                (adjoint * np.conj(spectra.data)[:, None]).sum(axis=0))
+        if spectra.requires_grad:
+            spectra._accumulate((adjoint * np.conj(kernels.data)).sum(axis=1))
+
+    return _make(out_data, (kernels, spectra), backward)
 
 
 # --------------------------------------------------------------------------- #

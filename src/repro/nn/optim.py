@@ -5,14 +5,18 @@ steepest-descent direction in the underlying real space, complex parameters
 are updated exactly like real ones.  Adam keeps its second moment as the
 squared *magnitude* of the gradient so the effective step size is phase
 invariant (this matches PyTorch's complex Adam behaviour).
+
+:func:`fit_minibatches` is the one training loop: Nitho and the
+image-to-image baselines differ only in what they hand it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Callable, Dict, Iterable, List
 
 import numpy as np
 
+from . import functional as F
 from .tensor import Tensor
 
 
@@ -140,6 +144,42 @@ class CosineLR:
     @property
     def lr(self) -> float:
         return self.optimizer.lr
+
+
+def fit_minibatches(optimizer: Optimizer, predict: Callable[[np.ndarray], Tensor],
+                    inputs: np.ndarray, targets: np.ndarray, epochs: int,
+                    batch_size: int, seed: int, min_lr_fraction: float,
+                    name: str, verbose: bool = False) -> List[float]:
+    """The one minibatch loop: per epoch a seeded shuffle, one optimizer step
+    per batch on the MSE of ``predict(inputs[batch])`` against
+    ``targets[batch]``, a cosine learning-rate step down to
+    ``min_lr_fraction`` of the optimizer's current rate, and the epoch's mean
+    batch loss in the returned history."""
+    if len(inputs) != len(targets):
+        raise ValueError(f"got {len(inputs)} inputs but {len(targets)} targets")
+    if len(inputs) == 0:
+        raise ValueError("training set is empty")
+    scheduler = CosineLR(optimizer, total_epochs=epochs,
+                         min_lr=min_lr_fraction * optimizer.lr)
+    rng = np.random.default_rng(seed)
+    count = len(inputs)
+    batch_size = min(batch_size, count)
+    history: List[float] = []
+    for epoch in range(epochs):
+        order = rng.permutation(count)
+        losses = []
+        for start in range(0, count, batch_size):
+            index = order[start:start + batch_size]
+            loss = F.mse_loss(predict(inputs[index]), Tensor(targets[index]))
+            optimizer.zero_grad()
+            loss.backward()
+            optimizer.step()
+            losses.append(float(loss.item()))
+        history.append(float(np.mean(losses)))
+        scheduler.step()
+        if verbose:
+            print(f"[{name}] epoch {epoch + 1:3d}/{epochs}  loss={history[-1]:.3e}")
+    return history
 
 
 def clip_grad_norm(parameters: Iterable[Tensor], max_norm: float) -> float:

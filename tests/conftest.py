@@ -68,7 +68,7 @@ def quick_nitho_config() -> NithoConfig:
     """Nitho configuration small enough for per-test training."""
     return NithoConfig(num_kernels=10, hidden_dim=32, num_hidden_blocks=1,
                        epochs=90, batch_size=2, learning_rate=1e-2,
-                       train_supersample=2, encoding_kwargs={"num_features": 32},
+                       encoding_kwargs={"num_features": 32},
                        seed=0)
 
 

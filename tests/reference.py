@@ -23,6 +23,11 @@ which one ran by the transform shapes it issued, and
 :func:`band_limited_blocks` says how many tiles each of those transforms
 should have carried.
 
+Training and ILT differentiate through that forward's field expression as one
+autograd node (``repro.nn.functional.socs_intensity``);
+:func:`reference_socs_intensity` is the op-by-op chain it replaced, each op
+with its own backward, kept as the node's oracle.
+
 It lives under ``tests/`` on purpose: the product keeps one path.
 """
 
@@ -30,6 +35,8 @@ import numpy as np
 
 from repro.backend import FFTBackend, get_backend
 from repro.engine import LayoutImage, batched, extract_tiles, stitch_tiles
+from repro.nn import functional as F
+from repro.nn.tensor import as_tensor
 from repro.optics.grid import crop_centre, embed_centre
 
 
@@ -50,6 +57,22 @@ def reference_aerial(masks, kernels, output_shape=None):
     embedded = np.fft.ifftshift(embed_centre(products, out_h, out_w),
                                 axes=(-2, -1))
     return np.sum(np.abs(np.fft.ifft2(embedded, norm="ortho")) ** 2, axis=1)
+
+
+def reference_socs_intensity(kernels, spectra, grid):
+    """Eq. (4) on the autograd, op by op: ``mul -> embed -> ifftshift2 ->
+    ifft2 -> abs2 -> sum`` of ``(r, n, m)`` kernels and ``(B, n, m)``
+    spectra on a ``grid``.  The centred embed is ``pad2d`` then
+    ``crop_center``, which keeps the DC sample (index ``size // 2``)
+    aligned."""
+    grid_h, grid_w = grid
+    kernels, spectra = as_tensor(kernels), as_tensor(spectra)
+    order, n, m = kernels.shape
+    products = F.mul(F.reshape(kernels, (1, order, n, m)),
+                     F.reshape(spectra, (spectra.shape[0], 1, n, m)))
+    embedded = F.crop_center(F.pad2d(products, (grid_h, grid_w)),
+                             grid_h, grid_w)
+    return F.sum(F.abs2(F.ifft2(F.ifftshift2(embedded))), axis=1)
 
 
 def band_limited_blocks(batch, kernel_shape, out_shape, itemsize=16):

@@ -178,6 +178,14 @@ class TestLegacyShim:
             "num_workers", "cache_dir", "tile_cache", "compute"]
         assert parameters(CampaignManager.__init__) == [
             "data_dir", "campaign_workers", "recover"]
+        # The paper's model: the training grid is the engine's and the
+        # learning-rate schedule is the one loop's, neither a setting.
+        from repro.core import NithoConfig
+
+        assert [field.name for field in dataclasses.fields(NithoConfig)] == [
+            "num_kernels", "hidden_dim", "num_hidden_blocks", "encoding",
+            "encoding_kwargs", "kernel_shape_override", "learning_rate",
+            "batch_size", "epochs", "seed", "real_valued_mlp"]
 
     def test_engine_compute_kwarg_is_silent_and_equivalent(self):
         masks = make_masks()

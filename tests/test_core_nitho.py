@@ -38,18 +38,41 @@ class TestNithoModelStructure:
         model = NithoModel(tiny_optics, config)
         assert model.kernel_shape == (9, 9)
 
-    def test_train_resolution_bounds(self, tiny_optics, quick_nitho_config):
-        model = NithoModel(tiny_optics, quick_nitho_config)
-        res = model.train_resolution
-        assert max(model.kernel_shape) <= res[0] <= tiny_optics.tile_size_px
-        assert res[0] % 2 == 0 or res[0] == tiny_optics.tile_size_px
-
-    def test_full_resolution_training_option(self, tiny_optics, quick_nitho_config):
+    @pytest.mark.parametrize("window, grid", [((9, 9), (18, 18)),
+                                              ((27, 27), (48, 48))],
+                             ids=["band-limit-grid", "tile"])
+    def test_loss_grid_is_the_engines_grid(self, tiny_optics, quick_nitho_config,
+                                           tiny_masks, window, grid):
+        """The loss is evaluated on the grid the engine's inverse transform
+        runs on for a tile: the band-limit grid when it fits, else the tile."""
         from dataclasses import replace
 
-        config = replace(quick_nitho_config, train_supersample=0)
+        from reference import RecordingBackend
+
+        config = replace(quick_nitho_config, kernel_shape_override=window)
         model = NithoModel(tiny_optics, config)
-        assert model.train_resolution == (tiny_optics.tile_size_px, tiny_optics.tile_size_px)
+        assert model.loss_grid == grid
+        engine = model.execution_engine()
+        recorder = RecordingBackend(engine.backend.name)
+        engine.backend = recorder
+        engine.aerial(tiny_masks[0])
+        assert [shape[-2:] for shape in recorder.shapes("ifft2")] == [grid]
+
+    def test_wide_window_trains_on_the_tile(self, tiny_optics, quick_nitho_config,
+                                            tiny_masks, tiny_aerials):
+        """A window wider than half the tile has a band-limit grid (49 for
+        25) larger than the 48 px tile: the loss is evaluated on the tile."""
+        from dataclasses import replace
+
+        config = replace(quick_nitho_config, kernel_shape_override=(25, 25))
+        model = NithoModel(tiny_optics, config)
+        tile = (tiny_optics.tile_size_px, tiny_optics.tile_size_px)
+        assert model.loss_grid == tile
+        np.testing.assert_array_equal(model.prepare_targets(tiny_aerials), tiny_aerials)
+        assert model.forward_aerial(model.prepare_spectra(tiny_masks[:2])).shape \
+            == (2, *tile)
+        history = model.fit(tiny_masks[:2], tiny_aerials[:2], epochs=2)
+        assert np.all(np.isfinite(history))
 
     def test_prepare_spectra_shape(self, tiny_optics, quick_nitho_config, tiny_masks):
         model = NithoModel(tiny_optics, quick_nitho_config)
@@ -58,15 +81,19 @@ class TestNithoModelStructure:
         assert spectra.dtype == np.complex128
 
     def test_prepare_targets_resamples(self, tiny_optics, quick_nitho_config, tiny_aerials):
-        model = NithoModel(tiny_optics, quick_nitho_config)
+        from dataclasses import replace
+
+        config = replace(quick_nitho_config, kernel_shape_override=(9, 9))
+        model = NithoModel(tiny_optics, config)
         targets = model.prepare_targets(tiny_aerials)
-        assert targets.shape == (len(tiny_aerials), *model.train_resolution)
+        assert targets.shape == (len(tiny_aerials), *model.loss_grid) \
+            == (len(tiny_aerials), 18, 18)
 
     def test_forward_aerial_shape_and_dtype(self, tiny_optics, quick_nitho_config, tiny_masks):
         model = NithoModel(tiny_optics, quick_nitho_config)
         spectra = model.prepare_spectra(tiny_masks[:2])
         prediction = model.forward_aerial(spectra)
-        assert prediction.shape == (2, *model.train_resolution)
+        assert prediction.shape == (2, *model.loss_grid)
         assert prediction.dtype == np.float64
         assert np.all(prediction.data >= -1e-12)
 

@@ -142,9 +142,6 @@ class TestRealGradients:
     def test_crop_center(self):
         check_gradient(lambda x: F.sum(F.square(F.crop_center(x, 2, 2))), real_array(4, 4))
 
-    def test_embed_center(self):
-        check_gradient(lambda x: F.sum(F.square(F.embed_center(x, 5, 5))), real_array(3, 3))
-
     def test_relu(self):
         check_gradient(lambda x: F.sum(F.square(F.relu(x))), real_array(5) + 0.1)
 
@@ -226,22 +223,25 @@ class TestComplexGradients:
         check_gradient(lambda z: F.sum(F.abs2(F.exp(z))), 0.3 * complex_array(3))
 
     def test_crop_embed_complex(self):
+        """A spectrum cropped to the window, embedded in a grid by the SOCS node."""
+        kernel = Tensor(complex_array(1, 3, 3))
         check_gradient(
-            lambda z: F.sum(F.abs2(F.embed_center(F.crop_center(z, 3, 3), 6, 6))),
+            lambda z: F.sum(F.socs_intensity(kernel, F.reshape(F.crop_center(z, 3, 3),
+                                                               (1, 3, 3)), (6, 6))),
             complex_array(5, 5))
 
     def test_socs_style_pipeline(self):
-        """Gradient through the full Algorithm-1 style path: mul -> embed -> ifft -> |.|^2."""
-        spectrum = Tensor(complex_array(1, 1, 3, 3))
+        """Gradient through the full Algorithm-1 path: the SOCS node under a
+        non-linear loss, for the kernels and for the spectra."""
+        spectra = complex_array(2, 3, 3)
+        kernels = complex_array(2, 3, 3)
 
-        def loss(kernels):
-            products = F.mul(F.reshape(kernels, (1, 2, 3, 3)), spectrum)
-            embedded = F.embed_center(products, 6, 6)
-            fields = F.ifft2(F.ifftshift2(embedded))
-            intensity = F.sum(F.abs2(fields), axis=1)
+        def loss(kernel_values, spectrum_values):
+            intensity = F.socs_intensity(kernel_values, spectrum_values, (6, 5))
             return F.sum(F.square(intensity))
 
-        check_gradient(loss, complex_array(2, 3, 3))
+        check_gradient(lambda k: loss(k, Tensor(spectra)), kernels)
+        check_gradient(lambda s: loss(Tensor(kernels), s), spectra)
 
     def test_complex_linear_layer_weight_gradient(self):
         features = Tensor(complex_array(5, 3))

@@ -83,28 +83,12 @@ class TestReductionsAndShapes:
         with pytest.raises(ValueError):
             F.crop_center(Tensor(np.ones((3, 3))), 5, 5)
 
-    def test_embed_center_too_small_target_raises(self):
-        with pytest.raises(ValueError):
-            F.embed_center(Tensor(np.ones((5, 5))), 3, 3)
-
-    def test_crop_embed_roundtrip_preserves_centre(self):
-        data = RNG.normal(size=(6, 6))
-        cropped = F.crop_center(Tensor(data), 4, 4)
-        embedded = F.embed_center(cropped, 6, 6)
-        np.testing.assert_allclose(embedded.data[1:5, 1:5], data[1:5, 1:5])
-
     def test_crop_keeps_dc_sample_for_even_to_odd(self):
         """DC (index size//2) must remain the centre sample after an even -> odd crop."""
         data = np.zeros((8, 8))
         data[4, 4] = 1.0  # DC position after fftshift of an 8x8 spectrum
         cropped = F.crop_center(Tensor(data), 5, 5)
         assert cropped.data[2, 2] == 1.0  # centre of a 5x5 window is index 2
-
-    def test_embed_keeps_dc_sample_for_odd_to_even(self):
-        data = np.zeros((5, 5))
-        data[2, 2] = 1.0
-        embedded = F.embed_center(Tensor(data), 8, 8)
-        assert embedded.data[4, 4] == 1.0
 
 
 class TestComplexOps:

@@ -89,59 +89,6 @@ def test_bench_cmlp_kernel_prediction(benchmark, micro_nitho):
     assert kernels.shape[0] == micro_nitho.config.num_kernels
 
 
-def test_bench_abs2_sum_fused_vs_legacy(record_output, record_json):
-    """The SOCS intensity reduction: fused |f|^2 vs the two-temporary legacy.
-
-    Host modules keep the legacy ``np.sum(np.abs(fields) ** 2)`` expression
-    (bit-for-bit stability) while the CuPy module uses the fused
-    ``real^2 + imag^2`` reduction, which on a GPU skips the ``abs``
-    temporary and its sqrt.  On CPU numpy the fused form reads the complex
-    array through *strided* real/imag views, so it is NOT automatically
-    faster — this microbench records the measured ratio (informational, not
-    gated) so the per-module choice stays grounded in numbers.
-    """
-    import time
-
-    fields = (np.random.default_rng(11).normal(size=(4, 8, 192, 192))
-              + 1j * np.random.default_rng(12).normal(size=(4, 8, 192, 192)))
-
-    def legacy():
-        return np.sum(np.abs(fields) ** 2, axis=1)
-
-    def fused():
-        return (fields.real * fields.real
-                + fields.imag * fields.imag).sum(axis=1)
-
-    np.testing.assert_allclose(legacy(), fused(), rtol=1e-12)
-
-    def best_of(func, repeats=7):
-        times = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            func()
-            times.append(time.perf_counter() - start)
-        return min(times)
-
-    legacy_seconds = best_of(legacy)
-    fused_seconds = best_of(fused)
-    ratio = legacy_seconds / fused_seconds
-    record_json("micro_abs2_sum", {
-        "op": "abs2_sum",
-        "fields_shape": list(fields.shape),
-        "legacy_seconds": legacy_seconds,
-        "fused_seconds": fused_seconds,
-        # Informational ratio (machine-dependent sign), deliberately NOT
-        # named *_speedup so the trajectory gate reports it without gating.
-        "fused_over_legacy": ratio,
-    })
-    report = (f"abs2_sum over {fields.shape}: legacy "
-              f"{legacy_seconds * 1e3:.2f} ms, fused "
-              f"{fused_seconds * 1e3:.2f} ms ({ratio:.2f}x)")
-    print("\n" + report)
-    record_output("micro_abs2_sum", report)
-    assert fused_seconds > 0 and legacy_seconds > 0
-
-
 def test_bench_fft2_autograd_roundtrip(benchmark):
     data = np.random.default_rng(0).normal(size=(128, 128)) + 0j
 

@@ -13,6 +13,7 @@ import time
 import numpy as np
 
 from repro.engine import ShardedExecutor
+from repro.engine import cache
 from repro.masks.generators import ISPDMetalGenerator
 from repro.optics import OpticsConfig
 from repro.optics.source import AnnularSource
@@ -33,10 +34,21 @@ def _layout(seed: int = 3) -> np.ndarray:
     return canvas.reshape(LAYOUT_SHAPE)
 
 
-def test_sweep_kernel_bank_economy(tmp_path):
+def _spy(monkeypatch, name):
+    """Count the calls of ``repro.engine.cache.<name>``."""
+    calls = []
+    plain = getattr(cache, name)
+    monkeypatch.setattr(cache, name,
+                        lambda *args, **kw: calls.append(1) or plain(*args, **kw))
+    return calls
+
+
+def test_sweep_kernel_bank_economy(tmp_path, monkeypatch):
     config = OpticsConfig(tile_size_px=TILE, pixel_size_nm=PIXEL_NM, max_socs_order=24)
     source = AnnularSource(0.5, 0.8)
     cache_dir = str(tmp_path / "kernel-cache")
+    decompositions = _spy(monkeypatch, "decompose_tcc")
+    disk_loads = _spy(monkeypatch, "_bank_from_npz")
 
     with ShardedExecutor(cache_dir=cache_dir) as executor:
         sweep = ProcessWindowSweep(config, source=source, executor=executor)
@@ -50,7 +62,7 @@ def test_sweep_kernel_bank_economy(tmp_path):
     # F x D conditions -> exactly F kernel banks on disk (the TCC-reuse claim).
     banks = [name for name in os.listdir(cache_dir) if name.endswith(".npz")]
     assert len(banks) == len(GRID.focus_values_nm)
-    assert executor._local_cache.stats.decompositions == len(banks)
+    assert len(decompositions) == len(banks)
     assert outcome.computed_conditions == len(GRID)
 
     # A later run over the same cache dir loads every bank from disk.
@@ -58,8 +70,8 @@ def test_sweep_kernel_bank_economy(tmp_path):
         for focus in GRID.focus_values_nm:
             ProcessWindowSweep(config, source=source,
                                executor=later).engine_for_focus(focus)
-    assert later._local_cache.stats.decompositions == 0
-    assert later._local_cache.stats.disk_loads == len(banks)
+    assert len(decompositions) == len(banks)  # none more
+    assert len(disk_loads) == len(banks)
 
     print(f"\nprocess-window sweep: {LAYOUT_SHAPE[0]}x{LAYOUT_SHAPE[1]} px "
           f"layout, {len(GRID)} conditions, {outcome.num_tiles} tiles/focus: "

@@ -79,8 +79,7 @@ def image_layout(layout, optics: Optional[OpticsConfig] = None, *,
                       pupil=pupil, cache_dir=cache_dir, compute=compute)
     if focus_nm:
         spec = spec.with_focus(focus_nm)
-    with ShardedExecutor(cache_dir=cache_dir, compute=compute) as executor:
-        return executor.image_layout(spec, layout, tile_px=tile_px,
+    return spec.build().image_layout(layout, tile_px=tile_px,
                                      guard_px=guard_px)
 
 
@@ -111,7 +110,7 @@ def sweep_window(layout, optics: Optional[OpticsConfig] = None, *,
     layout = _resolve_layout(layout, optics.pixel_size_nm)
     if grid is None:
         grid = FocusExposureGrid.from_sequences(focus_nm, dose)
-    executor = ShardedExecutor(cache_dir=cache_dir, compute=compute)
+    executor = ShardedExecutor(cache_dir=cache_dir)
     sweep = ProcessWindowSweep(optics, source=_resolve_source(source),
                                pupil=pupil, executor=executor,
                                compute=compute)

@@ -22,9 +22,9 @@ device.
   backend bit for bit.
 * **cupy** (via :func:`register_cupy_backend`) — the real GPU backend: chunks
   upload once through ``cupy.asarray``, every FFT and elementwise op runs on
-  the device (including a fused ``|field|^2`` reduction that never forms the
-  ``abs`` temporary), and downloads stage through ``cupy.asnumpy`` into an
-  optional caller-provided (pinned) host buffer.
+  the device (the ``|field|^2`` reduction is the base class's expression,
+  which numpy dispatches to cupy), and downloads stage through
+  ``cupy.asnumpy`` into an optional caller-provided (pinned) host buffer.
 
 Both keep their transforms polymorphic: callers handing *host* arrays to a
 device backend get host arrays back (a per-call round trip — *counted*,
@@ -258,10 +258,9 @@ class FakeGpuArrayModule(FFTBackend):
         return FakeDeviceArray(np.conj(self._unwrap(array)))
 
     def abs2_sum(self, fields, axis):
-        # Same expression as the host backends so fakegpu == numpy bit for bit
-        # (the fused real*real + imag*imag variant is reserved for real GPUs,
-        # where it skips the |.| temporary and its sqrt); polymorphic like the
-        # transforms, so host fields get a host intensity and a counted trip.
+        # Same expression as the host backends so fakegpu == numpy bit for
+        # bit; polymorphic like the transforms, so host fields get a host
+        # intensity and a counted trip.
         return self._transform(
             fields, lambda a: np.sum(np.abs(a) ** 2, axis=axis))
 
@@ -278,8 +277,8 @@ def register_cupy_backend() -> None:
     Documented stub on machines without CuPy/CUDA.  The backend overrides
     the array namespace of :class:`FFTBackend`, so instead of a host<->device
     round trip on *every* transform the batched core uploads each mask
-    chunk once, runs spectrum -> kernel product -> fields -> fused
-    ``|field|^2`` reduction -> upsampling entirely on the device, and
+    chunk once, runs spectrum -> kernel product -> fields -> ``|field|^2``
+    reduction -> upsampling entirely on the device, and
     downloads each aerial chunk once, staging through a reusable pinned
     buffer on the streaming path.  Host arrays handed to the transform
     methods still round-trip per call (legacy-compatible), now counted.
@@ -368,11 +367,5 @@ def register_cupy_backend() -> None:
 
         def conj(self, array):
             return cupy.conj(array)
-
-        def abs2_sum(self, fields, axis):
-            # Fused |field|^2: no abs temporary, no sqrt -> one read of the
-            # complex field and one write of the real intensity.
-            return (fields.real * fields.real
-                    + fields.imag * fields.imag).sum(axis=axis)
 
     register_backend("cupy", lambda workers: CupyArrayModule(workers=workers))

@@ -3,8 +3,9 @@
 Historically the compute-policy knobs — ``fft_backend``, ``fft_workers``,
 ``precision``, ``tile_cache`` — were threaded as loose keyword arguments
 through :class:`~repro.engine.ExecutionEngine`,
-:class:`~repro.engine.EngineSpec`, :class:`~repro.engine.ShardedExecutor`,
-:class:`~repro.sweep.ProcessWindowSweep` and every CLI subcommand.  A
+:class:`~repro.engine.EngineSpec`, :class:`~repro.sweep.ProcessWindowSweep`
+and every CLI subcommand; today an engine is the one consumer of all four
+(a spec and a sweep only carry the config to it).  A
 campaign *service* request needs that policy to be one serialisable object:
 :class:`ComputeConfig` is that object, a frozen dataclass that
 

@@ -231,8 +231,9 @@ class FFTBackend:
 
     def abs2_sum(self, fields, axis: int):
         """``sum(|fields|^2)`` over ``axis`` — the SOCS intensity reduction."""
-        # Deliberately the two-temporary expression: host results must stay
-        # bit-for-bit; a fused variant is a device-backend optimisation.
+        # The one reduction every backend runs (numpy dispatches it to a
+        # device array's own library): the two-temporary expression keeps
+        # host results bit-for-bit.
         return np.sum(np.abs(fields) ** 2, axis=axis)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety

@@ -169,8 +169,8 @@ def _layout_from_args(arguments):
 
 
 def _imaging_inputs(arguments):
-    """``(layout, EngineSpec, ComputeConfig)`` as the user described them, or
-    ``None`` after printing ``error: ...`` for unusable input.
+    """``(layout, EngineSpec)`` as the user described them, or ``None``
+    after printing ``error: ...`` for unusable input.
 
     Builds everything the job will build — the spec resolves backend and
     precision *values* — before any imaging, as ``CampaignRequest.from_dict``
@@ -185,18 +185,17 @@ def _imaging_inputs(arguments):
         config = OpticsConfig(tile_size_px=arguments.tile_size,
                               pixel_size_nm=arguments.pixel_size_nm)
         source = make_source(arguments.source) if arguments.source else None
-        compute = _compute_from_args(arguments)
-        spec = EngineSpec(config=config, source=source, compute=compute,
+        spec = EngineSpec(config=config, source=source,
+                          compute=_compute_from_args(arguments),
                           cache_dir=getattr(arguments, "cache_dir", "") or None)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
-    return mask, spec, compute
+    return mask, spec
 
 
-def _print_tile_cache_stats(executor) -> None:
-    if executor.tile_cache is not None:
-        stats = executor.tile_cache.stats
+def _print_tile_cache_stats(stats) -> None:
+    if stats is not None:
         print(f"tile cache: {stats.served}/{stats.tiles} tiles served from "
               f"cache ({stats.hit_rate * 100:.1f}% hit rate, "
               f"{stats.misses} imaged)")
@@ -214,8 +213,6 @@ def _dense_mask(mask) -> np.ndarray:
 def command_image_layout(arguments) -> int:
     import time
 
-    from .engine import ShardedExecutor
-
     if not arguments.output and not arguments.out:
         print("image-layout needs --output (npz) and/or --out (memmap dir)",
               file=sys.stderr)
@@ -223,15 +220,14 @@ def command_image_layout(arguments) -> int:
     inputs = _imaging_inputs(arguments)
     if inputs is None:
         return 2
-    mask, spec, compute = inputs
-    with ShardedExecutor(compute=compute) as executor:
-        engine = executor.warm(spec)
-        start = time.perf_counter()
-        result = executor.image_layout(
-            spec, mask, tile_px=arguments.tile_size,
-            guard_px=arguments.guard if arguments.guard >= 0 else None,
-            out_dir=arguments.out or None)
-        elapsed = time.perf_counter() - start
+    mask, spec = inputs
+    engine = spec.build()
+    start = time.perf_counter()
+    result = engine.image_layout(
+        mask, tile_px=arguments.tile_size,
+        guard_px=arguments.guard if arguments.guard >= 0 else None,
+        out_dir=arguments.out or None)
+    elapsed = time.perf_counter() - start
 
     height, width = mask.shape
     area_um2 = height * width * (arguments.pixel_size_nm / 1000.0) ** 2
@@ -242,7 +238,7 @@ def command_image_layout(arguments) -> int:
           f"guard {result.tiling.guard_px} px) in {elapsed:.2f} s "
           f"({area_um2 / max(elapsed, 1e-9):.1f} um^2/s) "
           f"[{engine.backend.name} backend, {engine.precision.name}]")
-    _print_tile_cache_stats(executor)
+    _print_tile_cache_stats(result.tile_stats)
     if arguments.out:
         print(f"aerial / resist memmaps written to {arguments.out}/ "
               f"(aerial.npy, resist.npy, meta.json)")
@@ -282,17 +278,16 @@ def command_sweep_window(arguments) -> int:
     inputs = _imaging_inputs(arguments)
     if inputs is None:
         return 2
-    mask, spec, compute = inputs
-    with ShardedExecutor(cache_dir=arguments.cache_dir or None,
-                         compute=compute) as executor:
+    mask, spec = inputs
+    with ShardedExecutor(cache_dir=arguments.cache_dir or None) as executor:
         sweep = ProcessWindowSweep(spec.config, source=spec.source,
-                                   executor=executor, compute=compute)
+                                   executor=executor, compute=spec.compute)
 
         # Build (or disk-load) the per-focus kernel banks before the timed
         # campaign so the reported time measures imaging, not one-off bank
         # decomposition.
         for focus in grid.focus_values_nm:
-            sweep.engine_for_focus(focus)
+            engine = sweep.engine_for_focus(focus)
 
         start = time.perf_counter()
         try:
@@ -319,7 +314,10 @@ def command_sweep_window(arguments) -> int:
         print(f"campaign store: {outcome.store_dir} "
               f"({outcome.computed_conditions} computed, "
               f"{outcome.skipped_conditions} resumed)")
-    _print_tile_cache_stats(executor)
+    # Every focus's engine shares the one process-wide cache, which only
+    # this campaign used.
+    _print_tile_cache_stats(engine.tile_cache.stats
+                            if engine.tile_cache is not None else None)
     print()
     print(outcome.cd_table())
     print()

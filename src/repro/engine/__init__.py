@@ -22,9 +22,10 @@ throughput benchmarks — runs through this package:
   outputs — O(tile-batch) RAM for every layout, bit-for-bit the same
   result whatever the batch size,
 * :mod:`repro.engine.sharded` — :class:`EngineSpec` (the picklable recipe
-  of an engine) and :class:`ShardedExecutor`, which memoises one engine per
-  spec fingerprint and adds the kernel-cache directory and tile cache a
-  campaign shares, and
+  of an engine: optics, kernel-cache directory and compute policy) and
+  :class:`ShardedExecutor`, a plain memo of one engine per spec fingerprint
+  and tile-cache switch — each engine owns its own tile cache and
+  precision, and
 * :mod:`repro.engine.tile_cache` — the content-addressed tile-result cache
   (:class:`TileResultCache`): each *unique* guard-banded tile content is
   imaged once per (kernel bank, backend, precision, geometry) and every

@@ -47,12 +47,6 @@ from typing import Any, Callable, Dict, Hashable, Iterator, Optional, TypeVar
 
 import numpy as np
 
-from ..backend import (
-    Precision,
-    autotune_precision,
-    is_auto_precision,
-    resolve_precision,
-)
 from ..optics.kernel_dims import kernel_dimensions
 from ..optics.pupil import Pupil
 from ..optics.socs import SOCSKernels, decompose_tcc
@@ -297,36 +291,11 @@ class KernelBankCache:
                         total_energy=np.asarray(bank.total_energy))
         return bank
 
-    def bank_precision(self, config, source: Source, pupil: Pupil,
-                       precision=None) -> Precision:
-        """The concrete precision a bank for these optics is imaged at.
-
-        The one bank-aware rule: the deferred ``"auto"`` spelling (given, or
-        ``REPRO_PRECISION=auto`` behind a ``None``) autotunes against the
-        float64 bank — decomposed at most once per fingerprint anyway;
-        anything else is :func:`~repro.backend.resolve_precision`.
-        """
-        if is_auto_precision(precision):
-            return autotune_precision(
-                self.get_kernels(config, source, pupil).kernels)
-        return resolve_precision(precision)
-
     def clear(self) -> None:
         """Drop every in-memory entry and reset the counters (disk is kept)."""
         with self._lock:
             self._banks.clear()
             self.stats = CacheStats()
-
-    def trim_memory(self) -> None:
-        """Drop the in-memory entries but keep the counters and the disk files.
-
-        Long sweeps touch one fingerprint per focus setting; with a disk
-        backing, re-loading a trimmed bank costs milliseconds while keeping
-        hundreds of decomposed banks resident costs GBs.  ``ShardedExecutor``
-        trims after each engine build when a ``cache_dir`` is set.
-        """
-        with self._lock:
-            self._banks.clear()
 
     def __len__(self) -> int:
         with self._lock:

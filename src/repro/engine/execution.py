@@ -50,7 +50,12 @@ from .batched import (
 )
 from .cache import KernelBankCache, LockedLRU, default_kernel_cache
 from .streaming import stream_image_layout
-from .tile_cache import TileCacheContext, TileResultCache, resolve_tile_cache
+from .tile_cache import (
+    TileCacheContext,
+    TileCacheStats,
+    TileResultCache,
+    resolve_tile_cache,
+)
 from .tiling import TilingSpec, default_guard_px, plan_tiles
 
 
@@ -92,7 +97,8 @@ class LayoutImage:
 
     ``aerial`` / ``resist`` are plain arrays, or ``numpy.memmap`` views when
     the layout was imaged into an ``out_dir`` (recorded here; ``None``
-    otherwise).
+    otherwise).  ``tile_stats`` counts this call's tiles through the tile
+    cache (``None`` when the engine has none).
     """
 
     aerial: np.ndarray
@@ -100,6 +106,7 @@ class LayoutImage:
     tiling: TilingSpec
     num_tiles: int
     out_dir: Optional[str] = None
+    tile_stats: Optional[TileCacheStats] = None
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -181,8 +188,6 @@ class ExecutionEngine:
     @classmethod
     def for_optics(cls, config, source=None, pupil=None,
                    cache: Optional[KernelBankCache] = None,
-                   precision: Optional[Precision] = None,
-                   compute: Optional[ComputeConfig] = None,
                    **kwargs) -> "ExecutionEngine":
         """Engine for an optics description, kernels served by ``cache``.
 
@@ -190,27 +195,19 @@ class ExecutionEngine:
         golden simulator, :class:`~repro.engine.sharded.EngineSpec` and every
         direct caller arrive here.  ``source`` / ``pupil`` default to
         :func:`~repro.optics.simulator.default_illumination`, ``cache`` to
-        the process-wide one.  The precision — the ``precision`` policy
-        object, else ``compute``'s ``precision`` name — is made concrete by
-        :meth:`KernelBankCache.bank_precision`; the cache serves its one
-        float64 bank whatever the precision, and the constructor casts it
-        once, so a float32 engine never re-casts per batch.  Remaining
-        keywords (``fft_backend``, ``tile_cache``, ...) go to the
-        constructor.
+        the process-wide one.  The cache serves its one float64 bank whatever
+        the precision; every other keyword (``compute``, ``precision``,
+        ``fft_backend``, ``tile_cache``, ...) goes to the constructor, which
+        resolves the precision against that bank and casts it once.
         """
         source, pupil = default_illumination(config, source, pupil)
         # "cache or default" would discard an *empty* injected cache, because
         # KernelBankCache defines __len__ and a fresh cache is falsy.
         cache = default_kernel_cache() if cache is None else cache
-        precision = live_object("precision", precision, Precision)
-        if precision is None and compute is not None:
-            precision = compute.precision
-        precision = cache.bank_precision(config, source, pupil, precision)
         bank = cache.get_kernels(config, source, pupil)
         kwargs.setdefault("resist_threshold", config.resist_threshold)
         kwargs.setdefault("tile_size_px", config.tile_size_px)
-        return cls(bank.kernels, precision=precision, compute=compute,
-                   **kwargs)
+        return cls(bank.kernels, **kwargs)
 
     # ------------------------------------------------------------------ #
     # kernel bank
@@ -395,56 +392,41 @@ class ExecutionEngine:
             :meth:`stream_batch_tiles` — O(tile-batch) RAM however large the
             layout, dense or not.
         """
-        return image_layout_through(self, layout, tiling, tile_px, guard_px,
-                                    out_dir, batch_tiles,
-                                    tile_cache=self.tile_cache)
+        if not hasattr(layout, "read_window"):
+            # The one place a dense raster becomes a reader; it is cast up
+            # front (a reader's tiles are cast per batch in aerial_batch).
+            layout = ArrayLayoutReader(self.precision.as_real(layout))
+        tiling = self.resolve_tiling(tiling, tile_px, guard_px)
+        if batch_tiles is None:
+            batch_tiles = self.stream_batch_tiles(tiling)
+        image_batch = self.aerial_batch
+        if self.backend.is_resident:
+            # Stage every device->host download through one reusable (pinned,
+            # where the backend supports it) host buffer instead of
+            # allocating a fresh batch-sized array per batch.  The pipeline
+            # fully consumes each batch (stitch + develop copy out of it, the
+            # tile cache admits copies) before requesting the next, so reuse
+            # is safe.
+            staging = []
 
-
-def image_layout_through(engine: ExecutionEngine, layout,
-                         tiling: Optional[TilingSpec],
-                         tile_px: Optional[int], guard_px: Optional[int],
-                         out_dir: Optional[str], batch_tiles: Optional[int],
-                         tile_cache: Optional[TileResultCache]) -> LayoutImage:
-    """Run the layout pipeline for ``engine`` — the adapter both front ends share.
-
-    :meth:`ExecutionEngine.image_layout` passes the engine's own
-    ``tile_cache``, ``ShardedExecutor.image_layout`` the executor's.  The
-    precision cast, tiling, default batch, cache context, staging buffer and
-    provenance are decided here, once.
-    """
-    if not hasattr(layout, "read_window"):
-        # The one place a dense raster becomes a reader; it is cast up front
-        # (a reader's tiles are cast per batch inside aerial_batch).
-        layout = ArrayLayoutReader(engine.precision.as_real(layout))
-    tiling = engine.resolve_tiling(tiling, tile_px, guard_px)
-    if batch_tiles is None:
-        batch_tiles = engine.stream_batch_tiles(tiling)
-    image_batch = engine.aerial_batch
-    if engine.backend.is_resident:
-        # Stage every device->host download through one reusable (pinned,
-        # where the backend supports it) host buffer instead of allocating a
-        # fresh batch-sized array per batch.  The pipeline fully consumes
-        # each batch (stitch + develop copy out of it, the tile cache admits
-        # copies) before requesting the next, so reuse is safe.
-        staging = []
-
-        def image_batch(tiles):
-            if not staging:
-                # Sized for a whole batch of placements: none is larger, but
-                # behind a tile cache the first stack of misses may well be
-                # smaller than a later one.
-                rows = min(len(plan_tiles(*layout.shape, tiling)),
-                           batch_tiles)
-                staging.append(engine.backend.empty_host(
-                    (rows,) + tiles.shape[1:], engine.precision.real_dtype))
-            return engine.aerial_batch(tiles, out=staging[0][:len(tiles)])
-    aerial, resist, num_tiles = stream_image_layout(
-        layout, tiling, image_batch, engine.resist_model.develop,
-        engine.precision.real_dtype, batch_tiles, out_dir=out_dir,
-        meta={"backend": engine.backend.name,
-              "precision": engine.precision.name},
-        tile_cache=tile_cache,
-        cache_context=engine.tile_cache_context(tiling)
-        if tile_cache is not None else None)
-    return LayoutImage(aerial=aerial, resist=resist, tiling=tiling,
-                       num_tiles=num_tiles, out_dir=out_dir)
+            def image_batch(tiles):
+                if not staging:
+                    # Sized for a whole batch of placements: none is larger,
+                    # but behind a tile cache the first stack of misses may
+                    # well be smaller than a later one.
+                    rows = min(len(plan_tiles(*layout.shape, tiling)),
+                               batch_tiles)
+                    staging.append(self.backend.empty_host(
+                        (rows,) + tiles.shape[1:], self.precision.real_dtype))
+                return self.aerial_batch(tiles, out=staging[0][:len(tiles)])
+        aerial, resist, num_tiles, tile_stats = stream_image_layout(
+            layout, tiling, image_batch, self.resist_model.develop,
+            self.precision.real_dtype, batch_tiles, out_dir=out_dir,
+            meta={"backend": self.backend.name,
+                  "precision": self.precision.name},
+            tile_cache=self.tile_cache,
+            cache_context=self.tile_cache_context(tiling)
+            if self.tile_cache is not None else None)
+        return LayoutImage(aerial=aerial, resist=resist, tiling=tiling,
+                           num_tiles=num_tiles, out_dir=out_dir,
+                           tile_stats=tile_stats)

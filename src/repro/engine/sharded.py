@@ -1,23 +1,26 @@
-"""Executors: the engine memo and campaign policy behind every production call.
+"""Executors: the engine memo behind every production call.
 
 :class:`ShardedExecutor` images tile batches and layouts for a small
-:class:`EngineSpec` (optics config + source + pupil + resolved compute
-policy) per call rather than an engine: it memoises the engines it builds
-per fingerprint and holds what a spec does not carry — the kernel-cache
-directory and the tile cache.  With a ``cache_dir`` (default
+:class:`EngineSpec` (optics config + source + pupil + kernel-cache directory
++ compute policy) per call rather than an engine: it is a bounded memo of
+``spec.build()``, keyed by the spec's fingerprint and its tile-cache switch,
+and every call forwards to the memoised engine.  Each engine owns what
+decides its output — its kernel bank, precision and tile cache — so the
+executor keeps no second copy of any of them.  With a ``cache_dir`` on the
+spec (a sweep stamps the executor's, which defaults to
 ``REPRO_KERNEL_CACHE_DIR``) the decomposed kernel banks persist as ``.npz``,
 so a later run — a resumed campaign, a restarted service — loads them
 instead of re-running the TCC accumulation + eigendecomposition.
 
-Every call goes straight to the memoised engine.  Tiles run in parallel in
-one place only, the batched core (:mod:`repro.engine.batched`), which
-spends the spec's worker budget (``compute.fft_workers``) on the tiles of
-each call.  The executor used to cut batches into shards on a pool of its
-own as well; measured on 2 CPUs, one unsharded call matched or beat that
-cut at every batch size (``docs/architecture.md``, "Worker threads"), so
-the cut is gone and the class keeps its name, its ``num_workers=`` keyword
-and :data:`DEFAULT_SCHEDULER` only for the end-to-end benchmark that still
-uses them.
+Tiles run in parallel in one place only, the batched core
+(:mod:`repro.engine.batched`), which spends the spec's worker budget
+(``compute.fft_workers``) on the tiles of each call.  The executor used to
+cut batches into shards on a pool of its own as well; measured on 2 CPUs,
+one unsharded call matched or beat that cut at every batch size
+(``docs/architecture.md``, "Worker threads"), so the cut is gone and the
+class keeps its name, its ``num_workers=`` keyword and
+:data:`DEFAULT_SCHEDULER` only for the end-to-end benchmark that still uses
+them.
 """
 
 from __future__ import annotations
@@ -29,7 +32,12 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..backend import ComputeConfig, get_backend
+from ..backend import (
+    ComputeConfig,
+    get_backend,
+    is_auto_precision,
+    resolve_precision,
+)
 from ..backend.fft import available_cpus
 from ..optics.pupil import Pupil
 from ..optics.simulator import OpticsConfig, default_illumination
@@ -41,13 +49,7 @@ from .cache import (
     kernel_cache_for,
     optics_fingerprint,
 )
-from .execution import (
-    ExecutionEngine,
-    LayoutImage,
-    image_layout_through,
-    live_object,
-)
-from .tile_cache import TileResultCache, resolve_tile_cache
+from .execution import ExecutionEngine, LayoutImage
 from .tiling import TilingSpec
 
 #: No option selects anything with it; ``bench/run.py`` imports the name to
@@ -67,13 +69,15 @@ class EngineSpec:
     ``compute`` is normalised to concrete names at construction and always
     reads back resolved: ``fft_backend`` the registered backend's name
     (``None`` resolves the environment), ``precision`` ``"float64"`` or
-    ``"float32"`` (``"auto"`` autotunes against the cached float64 master
-    bank right here), ``fft_workers`` as given (wall-clock only: pocketfft is
-    deterministic across worker counts) and ``tile_cache`` ``None`` — that
-    one is the executor's policy, not part of the imaging recipe.  So
-    whoever builds the engine later — this run or the one that resumes its
-    campaign store — reconstructs the exact same backend + precision, and
-    the fingerprint names what actually ran.
+    ``"float32"`` (``"auto"`` is read off an engine built right here, which
+    autotunes against the float64 bank in ``cache_dir``) and ``fft_workers``
+    as given (wall-clock only: pocketfft is deterministic across worker
+    counts).  So whoever builds the engine later — this run or the one that
+    resumes its campaign store — reconstructs the exact same backend +
+    precision, and the fingerprint names what actually ran.  ``tile_cache``
+    is kept as given and left out of the fingerprint: cached tiles are
+    bit-for-bit the uncached ones, so the engine applies it as its own
+    policy.
     """
 
     config: OpticsConfig
@@ -87,12 +91,14 @@ class EngineSpec:
         # be re-interpreted when the engine is built (a resumed run's
         # environment could differ).
         compute = self.compute if self.compute is not None else ComputeConfig()
-        precision = kernel_cache_for(self.cache_dir).bank_precision(
-            self.config, *self.resolved_optics(), compute.precision)
+        precision = self.build().precision \
+            if is_auto_precision(compute.precision) \
+            else resolve_precision(compute.precision)
         object.__setattr__(self, "compute", ComputeConfig(
             fft_backend=get_backend(compute.fft_backend).name,
             fft_workers=compute.fft_workers,
-            precision=precision.name))
+            precision=precision.name,
+            tile_cache=compute.tile_cache))
 
     def resolved_optics(self) -> Tuple[Source, Pupil]:
         """Source / pupil with the golden defaults filled in."""
@@ -143,10 +149,10 @@ def available_workers() -> int:
 class ShardedExecutor:
     """Image tile batches and layouts for an :class:`EngineSpec`.
 
-    Every call goes to the spec's memoised engine, whose batched core
-    spends the spec's worker budget on the tiles; the executor adds the
-    policy a spec does not carry (the kernel-cache directory and the tile
-    cache).
+    A bounded memo of ``spec.build()`` keyed by ``(spec.fingerprint(),
+    spec.compute.tile_cache)``: every call goes to the spec's engine, which
+    owns its kernel bank, precision and tile cache, and whose batched core
+    spends the spec's worker budget on the tiles.
 
     Parameters
     ----------
@@ -155,33 +161,17 @@ class ShardedExecutor:
         ``compute.fft_workers``.  The keyword stays because the end-to-end
         benchmark (``bench/``) still passes it.
     cache_dir:
-        Disk directory the decomposed kernel banks persist in across runs;
-        defaults to ``REPRO_KERNEL_CACHE_DIR``.  ``None`` keeps them in the
-        process-wide in-memory cache only.
-    tile_cache:
-        A live :class:`TileResultCache` for :meth:`image_layout`, winning
-        over ``compute``.
-    compute:
-        A :class:`~repro.backend.ComputeConfig` whose ``tile_cache`` (``True``
-        / ``False`` / ``None`` — ``None`` consults ``REPRO_TILE_CACHE`` /
-        ``REPRO_TILE_CACHE_DIR``) switches the process-wide tile cache; its
-        FFT / precision fields belong to the :class:`EngineSpec` each call
-        carries and are ignored here.
+        The kernel-bank directory a :class:`~repro.sweep.ProcessWindowSweep`
+        stamps on the specs it derives (the spec, not the executor, names
+        the directory its engine loads from); defaults to
+        ``REPRO_KERNEL_CACHE_DIR``.
     """
 
     def __init__(self, num_workers: Optional[int] = None,
-                 cache_dir: Optional[str] = None,
-                 tile_cache: Optional[TileResultCache] = None,
-                 compute: Optional[ComputeConfig] = None):
+                 cache_dir: Optional[str] = None):
         self.cache_dir = cache_dir if cache_dir is not None else \
             os.environ.get("REPRO_KERNEL_CACHE_DIR")
-        tile_cache = live_object("tile_cache", tile_cache, TileResultCache)
-        compute = compute if compute is not None else ComputeConfig()
-        self.tile_cache = tile_cache if tile_cache is not None \
-            else resolve_tile_cache(compute.tile_cache)
         self._engines = LockedLRU(ENGINE_MEMO_LIMIT)
-        self._local_cache = (KernelBankCache(cache_dir=self.cache_dir)
-                             if self.cache_dir else None)
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -201,21 +191,17 @@ class ShardedExecutor:
     # engines
     # ------------------------------------------------------------------ #
     def warm(self, spec: EngineSpec) -> ExecutionEngine:
-        """The engine for ``spec``, built once per fingerprint and memoised.
+        """The engine for ``spec``, built once per fingerprint and tile-cache
+        switch, and memoised.
 
-        With a ``cache_dir`` the build also writes the decomposed kernel
-        bank as ``.npz``, so the next run's first lookup is a disk load
-        rather than a fresh TCC accumulation + eigendecomposition.
+        With a ``cache_dir`` on the spec the build goes through a throwaway
+        disk-backed cache: it writes the decomposed kernel bank as ``.npz``
+        (so the next run's first lookup is a disk load rather than a fresh
+        TCC accumulation + eigendecomposition), and the bank then lives only
+        in the memoised engine.
         """
-        def build() -> ExecutionEngine:
-            # The executor's disk-backed cache when it has a cache_dir,
-            # else whatever the spec names (its own dir or the default).
-            engine = spec.build(cache=self._local_cache)
-            if self._local_cache is not None:
-                self._local_cache.trim_memory()  # bank persisted; engine owns a copy
-            return engine
-
-        return self._engines.get_or_build(spec.fingerprint(), build)
+        return self._engines.get_or_build(
+            (spec.fingerprint(), spec.compute.tile_cache), spec.build)
 
     # ------------------------------------------------------------------ #
     # imaging
@@ -236,7 +222,6 @@ class ShardedExecutor:
                      out_dir: Optional[str] = None,
                      batch_tiles: Optional[int] = None) -> LayoutImage:
         """:meth:`ExecutionEngine.image_layout` of the spec's engine, argument
-        for argument, through the executor's tile cache."""
-        return image_layout_through(
-            self.warm(spec), layout, tiling, tile_px, guard_px, out_dir,
-            batch_tiles, tile_cache=self.tile_cache)
+        for argument."""
+        return self.warm(spec).image_layout(layout, tiling, tile_px,
+                                            guard_px, out_dir, batch_tiles)

@@ -1,11 +1,10 @@
 """The layout-imaging pipeline: generator-fed tile batches, incremental stitch.
 
 :func:`stream_image_layout` is the one implementation of the tile operation
-chain; ``ExecutionEngine.image_layout`` and ``ShardedExecutor.image_layout``
-reach it through one adapter that hands it the engine's ``image_batch``,
-resist model, batch size and a tile cache.  The layout is always a windowed
-:class:`repro.layout.LayoutReader` — the adapters wrap a dense raster or
-``numpy.memmap`` once, on the way in:
+chain; ``ExecutionEngine.image_layout`` (which ``ShardedExecutor`` forwards
+to) hands it the engine's ``image_batch``, resist model, batch size and tile
+cache.  The layout is always a windowed :class:`repro.layout.LayoutReader` —
+the engine wraps a dense raster or ``numpy.memmap`` once, on the way in:
 
 1. tile *placements* are planned up front (cheap metadata, no pixels),
 2. a generator reads one guard-banded window per placement, one batch of
@@ -27,7 +26,7 @@ Because every batch is fully consumed (stitched + developed) before the next
 one is requested, a device-resident engine passes a single reusable host
 staging buffer as ``aerial_batch``'s ``out=`` — downloads land in pinned
 memory (where the backend provides it) and the per-batch host allocation
-disappears; the adapter wires this up automatically.
+disappears; the engine wires this up automatically.
 
 Bit-for-bit guarantee
 ---------------------
@@ -65,7 +64,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .cache import atomic_write
-from .tile_cache import tile_digest
+from .tile_cache import TileCacheStats, tile_digest
 from .tiling import (
     TilePlacement,
     TilingSpec,
@@ -116,7 +115,8 @@ def stream_image_layout(reader, tiling: TilingSpec,
                         out_dir: Optional[str] = None,
                         meta: Optional[dict] = None,
                         tile_cache=None, cache_context=None,
-                        ) -> Tuple[np.ndarray, np.ndarray, int]:
+                        ) -> Tuple[np.ndarray, np.ndarray, int,
+                                   Optional[TileCacheStats]]:
     """Image a layout batch by batch into its aerial / resist rasters.
 
     Parameters
@@ -143,8 +143,10 @@ def stream_image_layout(reader, tiling: TilingSpec,
         straight out of the cache's entries — bit-for-bit the uncached
         result (per-tile FFT work is independent of batch composition).
 
-    Returns ``(aerial, resist, num_tiles)``; the arrays are memmaps when
-    ``out_dir`` was given (flushed before returning).  ``reader`` is a
+    Returns ``(aerial, resist, num_tiles, tile_stats)``; the arrays are
+    memmaps when ``out_dir`` was given (flushed before returning), and
+    ``tile_stats`` sums this call's cache tallies (``None`` without a tile
+    cache), untouched by other threads sharing the cache.  ``reader`` is a
     :class:`repro.layout.LayoutReader` (``image_layout`` wraps dense arrays
     on the way in).  Every argument is validated before ``out_dir`` is
     touched.
@@ -156,6 +158,7 @@ def stream_image_layout(reader, tiling: TilingSpec,
 
     guard = tiling.guard_px
     aerial = resist = None  # allocated below; a bad batch_tiles raises first
+    tile_stats = TileCacheStats() if tile_cache is not None else None
     for windows, subset in iter_tile_batches(reader, placements, tiling,
                                              batch_tiles):
         if tile_cache is not None:
@@ -165,8 +168,9 @@ def stream_image_layout(reader, tiling: TilingSpec,
             for window in windows:
                 kept.append(window)
                 digests.append(tile_digest(window))
-            aerial_tiles = tile_cache.image_tile_batch(
+            aerial_tiles, tally = tile_cache.image_tile_batch(
                 kept, digests, image_batch, cache_context)
+            tile_stats += tally
         else:
             aerial_tiles = image_batch(stack_windows(windows, len(subset)))
         if aerial is None:
@@ -203,7 +207,7 @@ def stream_image_layout(reader, tiling: TilingSpec,
         with atomic_write(os.path.join(out_dir, META_FILE)) as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
-    return aerial, resist, len(placements)
+    return aerial, resist, len(placements), tile_stats
 
 
 def open_layout_dir(out_dir: str, mmap_mode: str = "r",

@@ -39,17 +39,20 @@ nothing until the stitch writes its core into the output raster.
 
 :class:`TileCacheStats` counts every served tile (memory hits, zero hits,
 disk loads) and every miss, giving tests and the CLI an observable dedup
-rate with zero recomputation.
+rate with zero recomputation.  Each :meth:`TileResultCache.image_tile_batch`
+call also returns its own tally, so a caller sharing the cache with other
+threads (two campaigns on one service) counts exactly its own tiles.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -117,6 +120,12 @@ class TileCacheStats:
     #: counted as a miss, re-imaged and overwritten.
     disk_errors: int = 0
 
+    def __iadd__(self, other: "TileCacheStats") -> "TileCacheStats":
+        """Add ``other``'s counters in place (the object stays the same)."""
+        for name, value in dataclasses.asdict(other).items():
+            setattr(self, name, getattr(self, name) + value)
+        return self
+
     @property
     def served(self) -> int:
         """Tiles that skipped imaging entirely."""
@@ -159,7 +168,8 @@ class TileResultCache:
     def image_tile_batch(self, tiles: Sequence[np.ndarray],
                          digests: Sequence[str],
                          image_batch: Callable[[np.ndarray], np.ndarray],
-                         context: TileCacheContext) -> List[np.ndarray]:
+                         context: TileCacheContext,
+                         ) -> Tuple[List[np.ndarray], TileCacheStats]:
         """Image a batch through the cache: unique misses only, no scatter.
 
         ``tiles`` holds the batch's guard-banded windows — an
@@ -171,11 +181,13 @@ class TileResultCache:
         from the zero fast path, the in-memory tier, the disk tier, or its
         within-batch duplicate.
 
-        Returns one ``(tile_px, tile_px)`` image per row, bit-for-bit what
-        ``image_batch(tiles)`` would have produced — as *references*, not
-        copies: a read-only cache entry, a row of the imaged sub-batch, or
-        the shared read-only zero tile.  Consume the rows before the next
-        ``image_batch`` call if that callable reuses its output buffer.
+        Returns ``(images, tally)``: one ``(tile_px, tile_px)`` image per
+        row, bit-for-bit what ``image_batch(tiles)`` would have produced — as
+        *references*, not copies: a read-only cache entry, a row of the
+        imaged sub-batch, or the shared read-only zero tile — and this call's
+        own :class:`TileCacheStats`, already added to :attr:`stats`.  Consume
+        the rows before the next ``image_batch`` call if that callable
+        reuses its output buffer.
         """
         if len(digests) != len(tiles):
             raise ValueError(
@@ -186,26 +198,26 @@ class TileResultCache:
         zero_tile = np.broadcast_to(real_dtype.type(0),
                                     (context.tile_px, context.tile_px))
         prefix = context.key_prefix()
+        tally = TileCacheStats(tiles=len(digests))
         out: List[Optional[np.ndarray]] = [None] * len(digests)
         # key -> rows of the batch it serves; the first row is the one imaged.
         pending: "OrderedDict[str, List[int]]" = OrderedDict()
         with self._lock:
-            self.stats.tiles += len(digests)
             for index, digest in enumerate(digests):
                 if digest == ZERO_TILE_DIGEST:
                     out[index] = zero_tile
-                    self.stats.zero_hits += 1
+                    tally.zero_hits += 1
                     continue
                 key = prefix + digest
                 rows = pending.get(key)
                 if rows is not None:
                     rows.append(index)
-                    self.stats.hits += 1
+                    tally.hits += 1
                     continue
-                out[index] = self._lookup(key)
+                out[index] = self._lookup(key, tally)
                 if out[index] is None:
                     pending[key] = [index]
-                    self.stats.misses += 1
+                    tally.misses += 1
         if pending:
             # Only the misses are stacked; aerial_batch casts that stack to
             # the engine's real dtype, hits never leave the reader's.
@@ -219,29 +231,32 @@ class TileResultCache:
                     if key not in self._memory:
                         # An owned copy, never a row view: a view would pin
                         # the whole imaged batch past its own eviction.
-                        admitted.append((key, self._admit(key,
-                                                          np.array(result))))
+                        admitted.append((key, self._admit(
+                            key, np.array(result), tally)))
             for key, entry in admitted:  # compression runs outside the lock
                 self._disk.save(key, tile=entry)
-        return out
+        with self._lock:
+            self.stats += tally
+        return out, tally
 
     # ------------------------------------------------------------------ #
-    # tiers (lock held by callers)
+    # tiers (lock held by callers, counting into the caller's tally)
     # ------------------------------------------------------------------ #
-    def _lookup(self, key: str) -> Optional[np.ndarray]:
+    def _lookup(self, key: str, tally: TileCacheStats) -> Optional[np.ndarray]:
         cached = self._memory.get(key)
         if cached is not None:
             self._memory.move_to_end(key)
-            self.stats.hits += 1
+            tally.hits += 1
             return cached
         loaded = self._disk.load(
-            key, self.stats, lambda data: np.ascontiguousarray(data["tile"]))
+            key, tally, lambda data: np.ascontiguousarray(data["tile"]))
         if loaded is not None:
-            self.stats.disk_loads += 1
-            return self._admit(key, loaded)  # promote, file left as it is
+            tally.disk_loads += 1
+            return self._admit(key, loaded, tally)  # promote, file left as is
         return None
 
-    def _admit(self, key: str, value: np.ndarray) -> np.ndarray:
+    def _admit(self, key: str, value: np.ndarray,
+               tally: TileCacheStats) -> np.ndarray:
         """Take ownership of ``value`` as the (read-only) entry for ``key``."""
         value.flags.writeable = False  # entries are served without a copy
         self._memory[key] = value
@@ -249,7 +264,7 @@ class TileResultCache:
         while self._memory_bytes > self.max_bytes and len(self._memory) > 1:
             _, evicted = self._memory.popitem(last=False)
             self._memory_bytes -= evicted.nbytes
-            self.stats.evictions += 1
+            tally.evictions += 1
         return value
 
     def clear(self) -> None:

@@ -366,8 +366,7 @@ class CampaignManager:
         job.state = "running"
         job.started_at = time.time()
         compute = parsed.compute
-        executor = ShardedExecutor(cache_dir=self.kernel_cache_dir,
-                                   compute=compute)
+        executor = ShardedExecutor(cache_dir=self.kernel_cache_dir)
         try:
             layout = parsed.resolve_layout()
             sweep = ProcessWindowSweep(parsed.optics_config(),

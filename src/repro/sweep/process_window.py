@@ -23,15 +23,16 @@ Campaign-scale features:
   :class:`~repro.sweep.store.CampaignStore` or a directory path) and every
   completed condition is persisted immediately; a killed campaign re-run
   against the same store computes exactly the remaining conditions.
-* **Content-addressed tile dedup** (PR 6) — attach a tile-result cache to
-  the executor (``ShardedExecutor(compute=ComputeConfig(tile_cache=True))``,
-  a live ``TileResultCache`` as its ``tile_cache=``, the CLI's
-  ``--tile-cache``, or ``REPRO_TILE_CACHE`` / ``REPRO_TILE_CACHE_DIR``) and
-  each focus images only its *unique* tile contents (each focus's kernel
-  fingerprint keys its own namespace); with a disk tier, resumed runs hit
-  across processes, and the campaign store accumulates the hit/miss
-  counters in its manifest so ``campaign-report`` shows dedup
-  effectiveness with zero recomputation.
+* **Content-addressed tile dedup** — switch the process-wide tile
+  cache on for the campaign's engines (``compute=ComputeConfig(
+  tile_cache=True)``, the CLI's ``--tile-cache``, or ``REPRO_TILE_CACHE`` /
+  ``REPRO_TILE_CACHE_DIR``) and each focus images only its *unique* tile
+  contents (each focus's kernel fingerprint keys its own namespace); with a
+  disk tier, resumed runs hit across processes, and the campaign store
+  accumulates this campaign's own hit/miss counters (the tallies its
+  ``image_layout`` calls return, untouched by campaigns sharing the cache)
+  in its manifest so ``campaign-report`` shows dedup effectiveness with
+  zero recomputation.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ import numpy as np
 
 from ..backend import ComputeConfig
 from ..engine.sharded import EngineSpec, ShardedExecutor
+from ..engine.tile_cache import TileCacheStats
 from ..optics.process_window import (
     FocusExposurePoint,
     ProcessWindowResult,
@@ -121,10 +123,10 @@ class ProcessWindowSweep:
         Illuminator and base pupil (aberrations are kept, the pupil's defocus
         term is swept).  Defaults match the golden simulator.
     executor:
-        The executor to image through; defaults to a fresh one.  Pass
-        ``ShardedExecutor(cache_dir=...)`` to persist the kernel banks in the
-        cache dir — the one kernel cache the campaign's specs name too, so
-        no bank is decomposed in two caches.
+        The engine memo to image through; defaults to a fresh one.  Its
+        ``cache_dir`` is stamped on every spec the campaign derives, so
+        ``ShardedExecutor(cache_dir=...)`` persists the kernel banks there
+        and no bank is decomposed in two caches.
     cd_row:
         Row for CD extraction.  ``None`` (the default) tracks the widest
         feature printed at the grid's nominal condition: the row is chosen
@@ -132,12 +134,11 @@ class ProcessWindowSweep:
         every other condition, so one feature is followed through the whole
         matrix.
     compute:
-        The unified :class:`~repro.backend.ComputeConfig`: its FFT /
-        precision fields thread into every :class:`EngineSpec` the campaign
-        derives — every focus images through the same FFT backend at the
-        same precision (``None`` fields resolve the environment defaults at
-        construction) — and its ``tile_cache`` field configures the default
-        executor (an explicitly passed ``executor`` keeps its own policy).
+        The unified :class:`~repro.backend.ComputeConfig`, threaded into
+        every :class:`EngineSpec` the campaign derives: every focus images
+        through the same FFT backend at the same precision (``None`` fields
+        resolve the environment defaults at construction) and with the same
+        ``tile_cache`` switch.
     """
 
     def __init__(self, config: OpticsConfig, source: Optional[Source] = None,
@@ -149,7 +150,7 @@ class ProcessWindowSweep:
         self.compute = compute if compute is not None else ComputeConfig()
         self.config = config
         self.executor = executor if executor is not None else \
-            ShardedExecutor(compute=self.compute)
+            ShardedExecutor()
         self.base_spec = EngineSpec(config=config, source=source, pupil=pupil,
                                     cache_dir=self.executor.cache_dir,
                                     compute=self.compute)
@@ -173,24 +174,27 @@ class ProcessWindowSweep:
     def _iter_focus_aerials(self, foci: Sequence[float], layout,
                             tile_px: Optional[int], guard_px: Optional[int],
                             single_tile: bool,
-                            ) -> Iterator[Tuple[float, np.ndarray, int]]:
-        """Yield ``(focus, stitched aerial, num_tiles)`` per pending focus.
+                            ) -> Iterator[Tuple[float, np.ndarray, int,
+                                                Optional[TileCacheStats]]]:
+        """Yield ``(focus, stitched aerial, num_tiles, tile_stats)`` per
+        pending focus.
 
         One :meth:`ShardedExecutor.image_layout` call per focus.  With a
-        tile-result cache on the executor each focus's kernel fingerprint
+        tile-result cache on the engines each focus's kernel fingerprint
         keys its own namespace: repeated cells within a focus hit (and a
         resumed campaign with a disk tier hits across runs) while distinct
         foci never mix.  A layout of exactly one tile has no guard band to
-        cut and goes to the batched core directly.
+        cut and goes to the batched core directly (no ``tile_stats``).
         """
         for focus in foci:
             spec = self.spec_for_focus(focus)
             if single_tile:
-                yield focus, self.executor.aerial_batch(spec, layout[None])[0], 1
+                yield (focus, self.executor.aerial_batch(spec, layout[None])[0],
+                       1, None)
             else:
                 imaged = self.executor.image_layout(
                     spec, layout, tile_px=tile_px, guard_px=guard_px)
-                yield focus, imaged.aerial, imaged.num_tiles
+                yield focus, imaged.aerial, imaged.num_tiles, imaged.tile_stats
 
     def run(self, layout: np.ndarray, target_cd_nm: Optional[float] = None,
             grid: Optional[FocusExposureGrid] = None, tolerance: float = 0.1,
@@ -254,9 +258,7 @@ class ProcessWindowSweep:
         state = {"num_tiles": 1, "cd_row": self.cd_row, "computed": 0}
         cds: Dict[Tuple[float, float], float] = {}
         aerials: Dict[float, np.ndarray] = {}
-        tile_cache = getattr(self.executor, "tile_cache", None)
-        cache_before = dataclasses.asdict(tile_cache.stats) \
-            if tile_cache is not None else None
+        tile_totals = TileCacheStats()
 
         if store is not None:
             identity, _ = CampaignStore.campaign_identity(
@@ -277,9 +279,12 @@ class ProcessWindowSweep:
             # feeds the batched core its expected dense (1, H, W) stack.
             layout = layout.read_window(0, 0, tile, tile)
 
-        def handle_focus(focus: float, aerial: np.ndarray,
-                         num_tiles: int) -> None:
+        def handle_focus(focus: float, aerial: np.ndarray, num_tiles: int,
+                         tile_stats: Optional[TileCacheStats]) -> None:
+            nonlocal tile_totals
             state["num_tiles"] = num_tiles
+            if tile_stats is not None:
+                tile_totals += tile_stats
             if keep_aerials:
                 aerials[focus] = aerial
             if store is not None:
@@ -333,13 +338,10 @@ class ProcessWindowSweep:
             handle_focus(*item)
         elapsed = time.perf_counter() - start
 
-        if store is not None and tile_cache is not None:
-            # This run's counter deltas accumulate in the manifest, so a
-            # resumed campaign's tile_cache block covers every run of it.
-            delta = {key: value - cache_before[key] for key, value
-                     in dataclasses.asdict(tile_cache.stats).items()}
-            if delta.get("tiles"):
-                store.record_tile_cache_stats(delta)
+        if store is not None and tile_totals.tiles:
+            # This run's counters accumulate in the manifest, so a resumed
+            # campaign's tile_cache block covers every run of it.
+            store.record_tile_cache_stats(dataclasses.asdict(tile_totals))
 
         if target_cd_nm is None and store is not None:
             target_cd_nm = store.get_derived("target_cd_nm")

@@ -257,7 +257,7 @@ class CampaignStore:
     # tile-result-cache accounting
     # ------------------------------------------------------------------ #
     def record_tile_cache_stats(self, stats: Dict[str, int]) -> None:
-        """Accumulate one run's tile-cache counter deltas into the manifest.
+        """Accumulate one run's own tile-cache counters into the manifest.
 
         Counters sum across resumed runs of the campaign, so the manifest's
         ``tile_cache`` block reports dedup effectiveness for the campaign as

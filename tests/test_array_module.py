@@ -60,6 +60,7 @@ from repro.engine import (
     TileResultCache,
 )
 from repro.engine import batched
+from repro.engine import tile_cache as tile_cache_module
 from repro.engine.batched import batched_aerial_from_kernels
 from repro.engine.execution import (
     DEVICE_BANK_LIMIT,
@@ -412,17 +413,22 @@ class TestBackendProtocol:
         assert open_layout_dir(str(tmp_path / "probed"))[2]["backend"] == \
             open_layout_dir(str(tmp_path / "plain"))[2]["backend"]
 
-    def test_transforms_only_backend_drives_a_sharded_executor(self):
+    def test_transforms_only_backend_drives_a_sharded_executor(
+            self, monkeypatch):
         probe = RecordingBackend()
-        spec = EngineSpec(config=CONFIG)
+        spec = EngineSpec(config=CONFIG, compute=NO_CACHE)
         assert spec.compute.fft_backend == probe.name
         reader = load_layout_source(HIER4, CONFIG.pixel_size_nm)
-        with ShardedExecutor(compute=NO_CACHE) as plain:
+        with ShardedExecutor() as plain:
             expected = plain.image_layout(spec, reader, guard_px=8)
-        with ShardedExecutor(tile_cache=TileResultCache()) as probed:
-            probed.warm(spec).backend = probe
-            result = probed.image_layout(spec, reader, guard_px=8)
-            assert probed.tile_cache.stats.misses > 0
+        cache = TileResultCache()
+        monkeypatch.setattr(tile_cache_module, "_default_cache", cache)
+        cached = EngineSpec(config=CONFIG,
+                            compute=NO_CACHE.replace(tile_cache=True))
+        with ShardedExecutor() as probed:
+            probed.warm(cached).backend = probe
+            result = probed.image_layout(cached, reader, guard_px=8)
+            assert cache.stats.misses > 0
         assert probe.calls
         np.testing.assert_array_equal(expected.aerial, result.aerial)
         np.testing.assert_array_equal(expected.resist, result.resist)

@@ -141,12 +141,12 @@ class TestImagingVerbsRejectBadInput:
 
     def test_an_error_while_imaging_keeps_its_traceback(self, tmp_path,
                                                         monkeypatch):
-        from repro.engine import ShardedExecutor
+        from repro.engine import ExecutionEngine
 
         def broken(self, *args, **kwargs):
             raise ValueError("internal")
 
-        monkeypatch.setattr(ShardedExecutor, "image_layout", broken)
+        monkeypatch.setattr(ExecutionEngine, "image_layout", broken)
         with pytest.raises(ValueError, match="internal"):
             main(["image-layout", "--width", "64", "--height", "64",
                   "--tile-size", "32", "--pixel-size-nm", "8",

@@ -22,6 +22,7 @@ from repro.engine import (
     ExecutionEngine,
     ShardedExecutor,
     TileResultCache,
+    default_tile_cache,
 )
 from repro.optics.simulator import OpticsConfig
 
@@ -173,9 +174,19 @@ class TestLegacyShim:
         assert parameters(ProcessWindowSweep.__init__) == [
             "config", "source", "pupil", "executor", "cd_row", "compute"]
         # num_workers is accepted and ignored (the end-to-end benchmark
-        # still passes it); the shard cut's pool= went with the cut.
+        # still passes it); the shard cut's pool= went with the cut, and the
+        # executor's own tile cache and compute= with its second copy of
+        # the engine's policy.
         assert parameters(ShardedExecutor.__init__) == [
-            "num_workers", "cache_dir", "tile_cache", "compute"]
+            "num_workers", "cache_dir"]
+        # precision / compute reach the constructor through **kwargs, which
+        # resolves "auto" against the bank: the cache holds no such rule.
+        assert parameters(ExecutionEngine.for_optics) == [
+            "config", "source", "pupil", "cache", "kwargs"]
+        from repro.engine import KernelBankCache
+
+        assert not hasattr(KernelBankCache, "bank_precision")
+        assert not hasattr(KernelBankCache, "trim_memory")
         assert parameters(CampaignManager.__init__) == [
             "data_dir", "campaign_workers", "recover"]
         # The paper's model: the training grid is the engine's and the
@@ -207,10 +218,11 @@ class TestLegacyShim:
                                                  fft_workers=2,
                                                  precision="single",
                                                  tile_cache=True))
-        # concrete names, given workers; tile_cache is the executor's policy
+        # concrete names, given workers and tile-cache switch
         assert spec.compute == ComputeConfig(fft_backend="numpy",
                                              fft_workers=2,
-                                             precision="float32")
+                                             precision="float32",
+                                             tile_cache=True)
         assert EngineSpec(config=OPTICS, compute=spec.compute) == spec
         default = EngineSpec(config=OPTICS).compute
         assert default.fft_backend == get_backend().name
@@ -223,24 +235,15 @@ class TestLegacyShim:
         with pytest.raises(TypeError, match="unexpected keyword"):
             EngineSpec(config=OPTICS, **loose)
 
-    def test_sharded_executor_refuses_a_tile_cache_switch(self):
-        with pytest.raises(TypeError, match="ComputeConfig"):
-            ShardedExecutor(tile_cache=True)
-
-    def test_sharded_executor_takes_policy_from_compute(self):
-        executor = ShardedExecutor(compute=ComputeConfig(tile_cache=True))
-        try:
-            assert executor.tile_cache is not None
-        finally:
-            executor.close()
+    def test_engine_takes_the_tile_cache_switch_from_compute(self):
+        bank = np.ones((1, 3, 3), dtype=complex)
+        on = ExecutionEngine(bank, compute=ComputeConfig(tile_cache=True))
+        assert on.tile_cache is default_tile_cache()
         # a live cache beats the config's switch
         cache = TileResultCache()
-        executor = ShardedExecutor(
-            tile_cache=cache, compute=ComputeConfig(tile_cache=False))
-        try:
-            assert executor.tile_cache is cache
-        finally:
-            executor.close()
+        live = ExecutionEngine(bank, tile_cache=cache,
+                               compute=ComputeConfig(tile_cache=False))
+        assert live.tile_cache is cache
 
 
 class TestCliComputeConfig:

@@ -9,6 +9,8 @@ Pinned guarantees:
   thread,
 * ``EngineSpec`` round-trips focus changes and keys the kernel cache
   correctly,
+* the executor is a plain engine memo: each engine applies its own spec's
+  tile-cache switch,
 * the engine memo and the device-bank memo are bounded and survive
   concurrent callers, and
 * the disk-backed kernel cache hands a pre-computed bank to a *fresh
@@ -131,22 +133,46 @@ class TestShardedExecutor:
             np.testing.assert_array_equal(
                 executor.aerial_batch(spec, masks), reference)
 
-    def test_engine_memo_is_bounded(self, tmp_path):
+    def test_engine_memo_is_bounded(self, tmp_path, monkeypatch):
+        from repro.engine import cache
         from repro.engine.sharded import ENGINE_MEMO_LIMIT
 
-        executor = ShardedExecutor(cache_dir=str(tmp_path))
-        base = EngineSpec(config=CONFIG, source=SOURCE)
+        calls = []
+        plain = cache.decompose_tcc
+        monkeypatch.setattr(
+            cache, "decompose_tcc",
+            lambda *args, **kw: calls.append(1) or plain(*args, **kw))
+        executor = ShardedExecutor()
+        base = EngineSpec(config=CONFIG, source=SOURCE,
+                          cache_dir=str(tmp_path))
         for index in range(ENGINE_MEMO_LIMIT + 3):
             executor.warm(base.with_focus(10.0 * index))
         assert len(executor._engines) == ENGINE_MEMO_LIMIT
-        # The backing cache was trimmed after each build: banks live on disk,
-        # not in memory, so long campaigns stay bounded.
-        assert len(executor._local_cache) == 0
-        assert executor._local_cache.stats.decompositions == ENGINE_MEMO_LIMIT + 3
+        # Each build went through a throwaway cache on the spec's directory:
+        # banks live on disk and in the memoised engines only, so long
+        # campaigns stay bounded.
+        assert len(calls) == ENGINE_MEMO_LIMIT + 3
+        assert len(os.listdir(tmp_path)) == ENGINE_MEMO_LIMIT + 3
         executor.close()  # drops the memo; banks reload from disk on demand
         assert len(executor._engines) == 0
         executor.warm(base)
-        assert executor._local_cache.stats.decompositions == ENGINE_MEMO_LIMIT + 3
+        assert len(calls) == ENGINE_MEMO_LIMIT + 3
+
+    def test_each_engine_applies_its_own_tile_cache_switch(self):
+        """Two specs differing only in the switch share a fingerprint yet
+        warm two engines, each holding its own spec's tile cache."""
+        from repro.engine import default_tile_cache
+
+        specs = {switch: EngineSpec(config=CONFIG, source=SOURCE,
+                                    compute=ComputeConfig(tile_cache=switch))
+                 for switch in (True, False)}
+        assert specs[True].fingerprint() == specs[False].fingerprint()
+        with ShardedExecutor() as executor:
+            engines = {switch: executor.warm(spec)
+                       for switch, spec in specs.items()}
+            assert len(executor._engines) == 2
+        assert engines[True].tile_cache is default_tile_cache()
+        assert engines[False].tile_cache is None
 
     def test_single_tile_batch_stays_serial(self, masks, monkeypatch):
         pytest.importorskip("scipy.fft")

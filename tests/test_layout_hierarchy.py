@@ -490,11 +490,13 @@ class TestTileCacheSynergy:
         assert cache.stats.misses == 1        # == unique cells in the array
         assert cache.stats.hit_rate >= 0.9
 
-    def test_sharded_array_images_one_unique_tile(self):
+    def test_sharded_array_images_one_unique_tile(self, monkeypatch):
         reader = load_layout_file(AREF_GRID, pixel_size_nm=8.0)
         cache = TileResultCache()
-        spec = EngineSpec(config=CONFIG)
-        with ShardedExecutor(tile_cache=cache) as executor:
+        monkeypatch.setattr(tile_cache_module, "_default_cache", cache)
+        spec = EngineSpec(config=CONFIG,
+                          compute=ComputeConfig(tile_cache=True))
+        with ShardedExecutor() as executor:
             result = executor.image_layout(spec, reader, tile_px=32,
                                            guard_px=0)
         reference = reference_image_layout(

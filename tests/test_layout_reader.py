@@ -28,6 +28,7 @@ from repro.engine import (
     iter_tile_batches,
     plan_tiles,
 )
+from repro.engine import tile_cache as tile_cache_module
 from repro.layout import (
     ArrayLayoutReader,
     GeometryLayoutReader,
@@ -355,7 +356,8 @@ class TestThirdPartyReader:
     @pytest.mark.parametrize("tile_cache,workers", [
         (False, 1), (True, 1), (False, 2), (True, 2),
     ], ids=["uncached", "cached", "uncached-2w", "cached-2w"])
-    def test_image_layout_bitwise(self, dense, tile_cache, workers):
+    def test_image_layout_bitwise(self, dense, tile_cache, workers,
+                                  monkeypatch):
         config = OpticsConfig(tile_size_px=32, pixel_size_nm=8.0)
         dense = dense.copy()
         dense[:, 40:] = 0  # leave whole tiles empty for the zero fast path
@@ -365,11 +367,11 @@ class TestThirdPartyReader:
         ref = reference_image_layout(ExecutionEngine.for_optics(config),
                                      dense, tile_px=32, guard_px=8)
         cache = TileResultCache() if tile_cache else None
+        monkeypatch.setattr(tile_cache_module, "_default_cache", cache)
         spec = EngineSpec(config=config,
-                          compute=ComputeConfig(fft_workers=workers))
-        with ShardedExecutor(tile_cache=cache,
-                             compute=ComputeConfig(tile_cache=False),
-                             ) as executor:
+                          compute=ComputeConfig(fft_workers=workers,
+                                                tile_cache=tile_cache))
+        with ShardedExecutor() as executor:
             for batch_tiles in (None, 3):
                 imaged = executor.image_layout(
                     spec, reader, tile_px=32,

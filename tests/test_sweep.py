@@ -112,18 +112,25 @@ class TestProcessWindowSweep:
         assert "-100.0" in table and "1.000" in table
         assert "window fraction" in outcome.summary()
 
-    def test_kernel_bank_per_focus_not_per_condition(self, line_mask, tmp_path):
+    def test_kernel_bank_per_focus_not_per_condition(self, line_mask, tmp_path,
+                                                     monkeypatch):
         """F x D conditions build exactly F banks, persisted for reuse."""
         import os
 
+        from repro.engine import cache
+
+        calls = []
+        plain = cache.decompose_tcc
+        monkeypatch.setattr(
+            cache, "decompose_tcc",
+            lambda *args, **kw: calls.append(1) or plain(*args, **kw))
         sweep = ProcessWindowSweep(
             CONFIG, source=SOURCE,
             executor=ShardedExecutor(cache_dir=str(tmp_path)))
         sweep.run(line_mask, grid=self.GRID, tolerance=0.25)
         banks = [f for f in os.listdir(tmp_path) if f.endswith(".npz")]
         assert len(banks) == len(self.GRID.focus_values_nm)
-        cache = sweep.executor._local_cache
-        assert cache.stats.decompositions == len(self.GRID.focus_values_nm)
+        assert len(calls) == len(self.GRID.focus_values_nm)
 
     def test_auto_precision_decomposes_in_the_executors_cache_only(
             self, line_mask, tmp_path, monkeypatch):
@@ -142,8 +149,7 @@ class TestProcessWindowSweep:
             lambda *args, **kw: calls.append(1) or plain(*args, **kw))
         grid = FocusExposureGrid((0.0, 73.0), (1.0,))  # foci no test shares
         compute = ComputeConfig(fft_backend="numpy", precision="auto")
-        with ShardedExecutor(cache_dir=str(tmp_path),
-                             compute=compute) as executor:
+        with ShardedExecutor(cache_dir=str(tmp_path)) as executor:
             sweep = ProcessWindowSweep(
                 OpticsConfig(tile_size_px=TILE, pixel_size_nm=PIXEL,
                              max_socs_order=11),

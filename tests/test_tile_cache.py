@@ -41,6 +41,7 @@ from repro.engine import (
     ExecutionEngine,
     ShardedExecutor,
     TileCacheContext,
+    TileCacheStats,
     TileResultCache,
     TilingSpec,
     extract_tile_batch,
@@ -193,7 +194,7 @@ class TestTileResultCache:
         cache = TileResultCache()
         tiles, digests = self.batch()
         image = counting(lambda batch: batch * 3.0)
-        out = cache.image_tile_batch(tiles, digests, image, CONTEXT)
+        out, tally = cache.image_tile_batch(tiles, digests, image, CONTEXT)
         assert len(image.batches) == 1
         np.testing.assert_array_equal(image.batches[0], tiles[:2])
         np.testing.assert_array_equal(out[:3], tiles[:3] * 3.0)
@@ -201,24 +202,28 @@ class TestTileResultCache:
         assert dataclasses.asdict(cache.stats) == {
             "tiles": 4, "hits": 1, "zero_hits": 1, "disk_loads": 0,
             "misses": 2, "evictions": 0, "disk_errors": 0}
+        assert tally == cache.stats and tally is not cache.stats
 
     def test_second_batch_is_served_entirely_from_memory(self):
         cache = TileResultCache()
         tiles, digests = self.batch()
-        first = cache.image_tile_batch(tiles, digests,
-                                       lambda batch: batch * 3.0, CONTEXT)
+        first, _ = cache.image_tile_batch(tiles, digests,
+                                          lambda batch: batch * 3.0, CONTEXT)
         image = counting(lambda batch: batch * 3.0)
-        second = cache.image_tile_batch(tiles, digests, image, CONTEXT)
+        second, tally = cache.image_tile_batch(tiles, digests, image,
+                                               CONTEXT)
         assert image.batches == []  # nothing imaged the second time
         np.testing.assert_array_equal(second, first)
         assert cache.stats.misses == 2 and cache.stats.served == 6
+        # The call's own tally: this batch only, every tile served.
+        assert (tally.tiles, tally.misses, tally.served) == (4, 0, 4)
 
     def test_zero_fast_path_never_calls_image_batch(self):
         cache = TileResultCache()
         tiles = np.zeros((3, 4, 4))
         image = counting(lambda batch: batch)
-        out = cache.image_tile_batch(tiles, [ZERO_TILE_DIGEST] * 3, image,
-                                     CONTEXT)
+        out, _ = cache.image_tile_batch(tiles, [ZERO_TILE_DIGEST] * 3, image,
+                                        CONTEXT)
         assert image.batches == []
         np.testing.assert_array_equal(out, 0.0)
         assert cache.stats.zero_hits == 3 and len(cache) == 0
@@ -230,7 +235,7 @@ class TestTileResultCache:
         cache = TileResultCache()
         tiles, digests = self.batch()
         context = dataclasses.replace(CONTEXT, precision="float32")
-        out = cache.image_tile_batch(
+        out, _ = cache.image_tile_batch(
             tiles, digests,
             lambda batch: (batch * 3.0).astype(np.float32), context)
         assert [row.dtype for row in out] == [np.float32] * 4
@@ -247,7 +252,7 @@ class TestTileResultCache:
         digests = [tile_digest(tile_a), ZERO_TILE_DIGEST,
                    tile_digest(tile_b), tile_digest(tile_a)]
         image = counting(lambda batch: batch * 3.0)
-        out = cache.image_tile_batch(windows, digests, image, CONTEXT)
+        out, _ = cache.image_tile_batch(windows, digests, image, CONTEXT)
         assert len(image.batches) == 1
         assert image.batches[0].dtype == np.uint8
         np.testing.assert_array_equal(image.batches[0],
@@ -275,7 +280,7 @@ class TestTileResultCache:
 
         tracemalloc.start()
         try:
-            out = cache.image_tile_batch(tiles, digests, refuse, context)
+            out, _ = cache.image_tile_batch(tiles, digests, refuse, context)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -293,8 +298,8 @@ class TestTileResultCache:
         cache = TileResultCache(max_bytes=2 * tile_bytes)
         tiles = np.arange(5 * 16, dtype=float).reshape(5, 4, 4) + 1.0
         digests = [tile_digest(tile) for tile in tiles]
-        out = cache.image_tile_batch(tiles, digests,
-                                     lambda batch: batch * 3.0, CONTEXT)
+        out, _ = cache.image_tile_batch(tiles, digests,
+                                        lambda batch: batch * 3.0, CONTEXT)
         assert cache.stats.evictions == 3 and len(cache) == 2
         survivors = list(cache._memory.values())
         assert all(entry.base is None for entry in survivors)
@@ -302,13 +307,13 @@ class TestTileResultCache:
                        for entry in survivors for row in out)
         assert cache._memory_bytes == sum(entry.nbytes
                                           for entry in survivors)
-        served = cache.image_tile_batch(tiles[-1:], digests[-1:],
-                                        lambda batch: batch * 3.0, CONTEXT)
+        served, _ = cache.image_tile_batch(tiles[-1:], digests[-1:],
+                                           lambda batch: batch * 3.0, CONTEXT)
         np.testing.assert_array_equal(served[0], tiles[-1] * 3.0)
         with pytest.raises(ValueError, match="read-only"):
             served[0][0, 0] = 7.0
-        zero = cache.image_tile_batch([None], [ZERO_TILE_DIGEST],
-                                      lambda batch: batch, CONTEXT)
+        zero, _ = cache.image_tile_batch([None], [ZERO_TILE_DIGEST],
+                                         lambda batch: batch, CONTEXT)
         with pytest.raises(ValueError, match="read-only"):
             zero[0][0, 0] = 7.0
 
@@ -334,11 +339,11 @@ class TestTileResultCache:
     def test_disk_tier_round_trips_to_a_fresh_cache(self, tmp_path):
         tiles, digests = self.batch()
         warm = TileResultCache(cache_dir=str(tmp_path))
-        expected = warm.image_tile_batch(tiles, digests,
-                                         lambda batch: batch * 3.0, CONTEXT)
+        expected, _ = warm.image_tile_batch(tiles, digests,
+                                            lambda batch: batch * 3.0, CONTEXT)
         cold = TileResultCache(cache_dir=str(tmp_path))
         image = counting(lambda batch: batch * 3.0)
-        out = cold.image_tile_batch(tiles, digests, image, CONTEXT)
+        out, _ = cold.image_tile_batch(tiles, digests, image, CONTEXT)
         assert image.batches == []  # every tile came from disk or the batch
         np.testing.assert_array_equal(out, expected)
         assert cold.stats.disk_loads == 2
@@ -361,8 +366,8 @@ class TestTileResultCache:
         member's CRC-32 — a miss like the rest, never a wrong tile."""
         tiles, digests = self.batch()
         warm = TileResultCache(cache_dir=str(tmp_path))
-        expected = warm.image_tile_batch(tiles, digests,
-                                         lambda batch: batch * 3.0, CONTEXT)
+        expected, _ = warm.image_tile_batch(tiles, digests,
+                                            lambda batch: batch * 3.0, CONTEXT)
         files = sorted(tmp_path.glob("tiles-*.npz"))
         assert len(files) == 2
         intact = files[0].read_bytes()
@@ -375,7 +380,7 @@ class TestTileResultCache:
                               + intact[middle + 1:]}[damage])
         cold = TileResultCache(cache_dir=str(tmp_path))
         image = counting(lambda batch: batch * 3.0)
-        out = cold.image_tile_batch(tiles, digests, image, CONTEXT)
+        out, _ = cold.image_tile_batch(tiles, digests, image, CONTEXT)
         np.testing.assert_array_equal(np.stack(out), np.stack(expected))
         assert len(image.batches) == 1 and len(image.batches[0]) == 1
         stats = cold.stats
@@ -438,7 +443,7 @@ class TestTileResultCache:
         def work():
             try:
                 results.append(cache.image_tile_batch(tile, digests, image,
-                                                      context))
+                                                      context)[0])
             except BaseException as exc:  # surfaced by the assert below
                 errors.append(exc)
 
@@ -458,9 +463,51 @@ class TestTileResultCache:
         assert len(list(tmp_path.glob("tiles-*.npz"))) == 1
         assert not list(tmp_path.glob("*.tmp"))
         fresh = TileResultCache(cache_dir=str(tmp_path))
-        out = fresh.image_tile_batch(tile, digests, image, context)
+        out, _ = fresh.image_tile_batch(tile, digests, image, context)
         np.testing.assert_array_equal(out[0], tile[0] * 3.0)
         assert fresh.stats.disk_loads == 1 and fresh.stats.disk_errors == 0
+
+    def test_racing_calls_tallies_sum_to_the_cache_counters(self):
+        """Each call counts into its own tally, merged under the lock: with
+        threads racing on one evicting cache, the shared counters are
+        exactly the sum of the tallies handed back — no lost update."""
+        import sys
+        import threading
+
+        tiles, digests = self.batch()
+        cache = TileResultCache(max_bytes=tiles[0].nbytes)  # always evicting
+        threads, rounds = 8, 40
+        barrier = threading.Barrier(threads, timeout=30)
+        tallies, errors = [], []
+
+        def work():
+            try:
+                barrier.wait()
+                for _ in range(rounds):
+                    tallies.append(cache.image_tile_batch(
+                        tiles, digests, lambda batch: batch * 3.0,
+                        CONTEXT)[1])
+            except BaseException as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert errors == [] and len(tallies) == threads * rounds
+        total = TileCacheStats()
+        for tally in tallies:
+            total += tally
+        assert total == cache.stats
+        assert total.tiles == threads * rounds * len(digests)
+        assert total.evictions > 0
 
     def test_validates_arguments(self):
         with pytest.raises(ValueError):
@@ -557,19 +604,21 @@ class TestCachedImagingBitForBit:
     @pytest.mark.parametrize("precision", ["float64", "float32"])
     @pytest.mark.parametrize("bounded", [False, True])
     def test_sharded_dedup_is_bit_for_bit(self, tmp_path, precision,
-                                          bounded):
-        """Parent-side dedup in ShardedExecutor — one batch or bounded
-        batches — matches the uncached reference exactly."""
+                                          bounded, monkeypatch):
+        """Dedup through ShardedExecutor — one batch or bounded batches —
+        matches the uncached reference exactly."""
         from repro.engine import EngineSpec
 
         layout = np.zeros((80, 110))
         layout[10:70, 20:28] = 1.0
         layout[30:38, 40:100] = 1.0
-        spec = EngineSpec(config=CONFIG, source=SOURCE,
-                          compute=ComputeConfig(precision=precision))
         cache = TileResultCache()
-        with ShardedExecutor(cache_dir=str(tmp_path),
-                             tile_cache=cache) as executor:
+        monkeypatch.setattr(tile_cache_module, "_default_cache", cache)
+        spec = EngineSpec(config=CONFIG, source=SOURCE,
+                          cache_dir=str(tmp_path),
+                          compute=ComputeConfig(precision=precision,
+                                                tile_cache=True))
+        with ShardedExecutor() as executor:
             reference = reference_image_layout(executor.warm(spec), layout,
                                                guard_px=8)
             result = executor.image_layout(spec, layout, guard_px=8,
@@ -578,6 +627,7 @@ class TestCachedImagingBitForBit:
         np.testing.assert_array_equal(result.resist, reference.resist)
         assert cache.stats.tiles == reference.num_tiles
         assert cache.stats.misses < cache.stats.tiles  # zero tiles dedup
+        assert result.tile_stats == cache.stats
 
 
 def _geometry_case():
@@ -642,7 +692,7 @@ class TestCompactWindows:
         ("scipy", "float32"),
     ])
     def test_images_to_the_identical_aerial(self, reader_case, tmp_path,
-                                            backend, precision):
+                                            backend, precision, monkeypatch):
         """{1, 2 threads} x {cache on, off}: the reader images bit for
         bit the dense float64 raster's uncached reference."""
         from repro.engine import EngineSpec
@@ -654,13 +704,16 @@ class TestCompactWindows:
         reference = reference_image_layout(plain, dense, tile_px=32,
                                            guard_px=8)
         for workers in (1, 2):
-            spec = EngineSpec(config=CONFIG, source=SOURCE,
-                              compute=ComputeConfig(fft_backend=backend,
-                                                    fft_workers=workers,
-                                                    precision=precision))
             for cache in (None, TileResultCache()):
-                with ShardedExecutor(cache_dir=str(tmp_path),
-                                     tile_cache=cache) as executor:
+                monkeypatch.setattr(tile_cache_module, "_default_cache",
+                                    cache)
+                spec = EngineSpec(config=CONFIG, source=SOURCE,
+                                  compute=ComputeConfig(
+                                      fft_backend=backend,
+                                      fft_workers=workers,
+                                      precision=precision,
+                                      tile_cache=cache is not None))
+                with ShardedExecutor() as executor:
                     result = executor.image_layout(spec, reader, guard_px=8)
                     np.testing.assert_array_equal(result.aerial,
                                                   reference.aerial)
@@ -699,9 +752,12 @@ class TestCompactWindows:
         assert stats.zero_hits == 0
 
 
+CACHED = ComputeConfig(tile_cache=True)
+
+
 class TestSweepIntegration:
     def test_store_accumulates_cache_counters_and_report_renders(
-            self, tmp_path):
+            self, tmp_path, monkeypatch):
         from repro.sweep import (FocusExposureGrid, ProcessWindowSweep,
                                  load_campaign_report,
                                  render_campaign_report)
@@ -711,10 +767,10 @@ class TestSweepIntegration:
         grid = FocusExposureGrid((0.0, 80.0), (1.0,))
         store_dir = str(tmp_path / "store")
         cache = TileResultCache()
-        with ShardedExecutor(cache_dir=str(tmp_path / "banks"),
-                             tile_cache=cache) as executor:
+        monkeypatch.setattr(tile_cache_module, "_default_cache", cache)
+        with ShardedExecutor(cache_dir=str(tmp_path / "banks")) as executor:
             sweep = ProcessWindowSweep(CONFIG, source=SOURCE,
-                                       executor=executor)
+                                       executor=executor, compute=CACHED)
             sweep.run(layout, grid=grid, tolerance=0.3, guard_px=8,
                       store=store_dir)
         stats = dataclasses.asdict(cache.stats)
@@ -728,7 +784,7 @@ class TestSweepIntegration:
         assert "tile cache" in rendered
         assert f"{cache.stats.served}/{cache.stats.tiles} tiles" in rendered
 
-    def test_cache_persists_across_foci(self, tmp_path):
+    def test_cache_persists_across_foci(self, tmp_path, monkeypatch):
         """One cache serves every focus; banks differ per focus so tiles are
         *namespaced* per kernel fingerprint, never served across foci."""
         from repro.sweep import FocusExposureGrid, ProcessWindowSweep
@@ -738,9 +794,10 @@ class TestSweepIntegration:
         layout = np.tile(cell, (2, 2))
         grid = FocusExposureGrid((0.0, 80.0), (0.9, 1.0, 1.1))
         cache = TileResultCache()
-        with ShardedExecutor(cache_dir=str(tmp_path / "banks"),
-                             tile_cache=cache) as executor:
-            ProcessWindowSweep(CONFIG, source=SOURCE, executor=executor).run(
+        monkeypatch.setattr(tile_cache_module, "_default_cache", cache)
+        with ShardedExecutor(cache_dir=str(tmp_path / "banks")) as executor:
+            ProcessWindowSweep(CONFIG, source=SOURCE, executor=executor,
+                               compute=CACHED).run(
                 layout, target_cd_nm=100.0, grid=grid, tolerance=0.3,
                 guard_px=0)
         # One aerial per focus (doses rescale the threshold, not the
@@ -748,6 +805,56 @@ class TestSweepIntegration:
         assert cache.stats.tiles == 8
         assert cache.stats.misses == 2
         assert cache.stats.hits == 6
+
+    def test_concurrent_campaigns_each_record_their_own_counters(
+            self, tmp_path, monkeypatch):
+        """Two tile-cached campaigns on two threads share the process-wide
+        cache (as on one service); each store's ``tile_cache`` block is
+        exactly a solo run's, never the other campaign's tiles too."""
+        import threading
+
+        from repro.sweep import (CampaignStore, FocusExposureGrid,
+                                 ProcessWindowSweep)
+
+        layout = np.zeros((128, 128))
+        layout[8:120, 28:36] = 1.0
+        layout[40:48, 8:120] = 1.0
+        grid = FocusExposureGrid((0.0, 80.0), (1.0,))
+
+        def campaign(store_dir, progress=None):
+            ProcessWindowSweep(CONFIG, source=SOURCE, compute=CACHED).run(
+                layout, grid=grid, tolerance=0.3, guard_px=8,
+                target_cd_nm=64.0, store=store_dir, progress=progress)
+            return CampaignStore(store_dir).read_manifest()["tile_cache"]
+
+        monkeypatch.setattr(tile_cache_module, "_default_cache",
+                            TileResultCache())
+        solo = campaign(str(tmp_path / "solo"))
+        assert solo["tiles"] == 2 * 64  # 2 foci x 8 x 8 tiles
+        # Lock-step after every focus: each campaign has begun — and imaged
+        # a focus — before the other one finishes.  Which of them images a
+        # shared tile first varies, so only the tile count is pinned.
+        barrier = threading.Barrier(2, timeout=60)
+        recorded, errors = {}, []
+
+        def run(name):
+            try:
+                recorded[name] = campaign(str(tmp_path / name),
+                                          lambda *_: barrier.wait())
+            except BaseException as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=(name,))
+                   for name in ("a", "b")]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert errors == [] and set(recorded) == {"a", "b"}
+        for stats in recorded.values():
+            assert stats["tiles"] == solo["tiles"]
+            assert stats["tiles"] == (stats["hits"] + stats["zero_hits"]
+                                      + stats["disk_loads"] + stats["misses"])
 
 
 class TestCLI:

@@ -27,6 +27,7 @@ import pytest
 from reference import reference_image_layout
 from repro.backend import ComputeConfig
 from repro.engine import EngineSpec, ShardedExecutor, TileResultCache, batched
+from repro.engine import tile_cache as tile_cache_module
 from repro.layout import GeometryLayoutReader, load_layout_file
 from repro.layout.geometry import Rect
 from repro.masks.layout import Layout
@@ -80,19 +81,25 @@ def layouts():
     }
 
 
-def _spec(backend: str, precision: str, workers: int = 1) -> EngineSpec:
+def _compute(backend: str, precision: str, workers: int = 1,
+             tile_cache: bool = False) -> ComputeConfig:
     if backend == "scipy":
         pytest.importorskip("scipy.fft")
-    return EngineSpec(config=CONFIG, source=SOURCE,
-                      compute=ComputeConfig(fft_backend=backend,
-                                            fft_workers=workers,
-                                            precision=precision))
+    return ComputeConfig(fft_backend=backend, fft_workers=workers,
+                         precision=precision, tile_cache=tile_cache)
 
 
-def _executor(tile_cache: bool) -> ShardedExecutor:
-    return ShardedExecutor(
-        tile_cache=TileResultCache() if tile_cache else None,
-        compute=ComputeConfig(tile_cache=False))
+def _spec(backend: str, precision: str, workers: int = 1,
+          tile_cache: bool = False) -> EngineSpec:
+    return EngineSpec(config=CONFIG, source=SOURCE, compute=_compute(
+        backend, precision, workers, tile_cache))
+
+
+def _private_tile_cache(monkeypatch, tile_cache: bool) -> None:
+    """A cached case gets a fresh process-wide tile cache of its own."""
+    if tile_cache:
+        monkeypatch.setattr(tile_cache_module, "_default_cache",
+                            TileResultCache())
 
 
 def _breaking(monkeypatch, message, when=lambda masks: True):
@@ -117,7 +124,7 @@ def _breaking(monkeypatch, message, when=lambda masks: True):
 def test_aerial_batch_equals_one_engine_call(workers, backend, precision):
     masks = (np.random.default_rng(21).random((7, 32, 32)) > 0.7).astype(float)
     expected = _spec(backend, precision).build().aerial_batch(masks)
-    with _executor(tile_cache=False) as executor:
+    with ShardedExecutor() as executor:
         result = executor.aerial_batch(_spec(backend, precision, workers),
                                        masks)
     assert result.dtype == expected.dtype
@@ -131,13 +138,16 @@ def test_aerial_batch_equals_one_engine_call(workers, backend, precision):
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("workers", WORKERS)
 def test_image_layout_equals_reference(workers, backend, precision,
-                                       tile_cache, source, layouts):
+                                       tile_cache, source, layouts,
+                                       monkeypatch):
     layout, dense = layouts[source]
     expected = reference_image_layout(_spec(backend, precision).build(),
                                       dense, guard_px=GUARD)
-    with _executor(tile_cache) as executor:
-        result = executor.image_layout(_spec(backend, precision, workers),
-                                       layout, guard_px=GUARD)
+    _private_tile_cache(monkeypatch, tile_cache)
+    with ShardedExecutor() as executor:
+        result = executor.image_layout(
+            _spec(backend, precision, workers, tile_cache), layout,
+            guard_px=GUARD)
     np.testing.assert_array_equal(result.aerial, expected.aerial)
     np.testing.assert_array_equal(result.resist, expected.resist)
     assert result.num_tiles == expected.num_tiles
@@ -170,14 +180,13 @@ def _reference_sweep(backend, precision, dense):
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("workers", WORKERS)
 def test_sweep_equals_per_focus_reference(workers, backend, precision,
-                                          tile_cache, source, layouts):
-    if backend == "scipy":
-        pytest.importorskip("scipy.fft")
+                                          tile_cache, source, layouts,
+                                          monkeypatch):
+    compute = _compute(backend, precision, workers, tile_cache)
     layout, dense = layouts[source]
     aerials, matrix = _reference_sweep(backend, precision, dense)
-    compute = ComputeConfig(fft_backend=backend, fft_workers=workers,
-                            precision=precision)
-    with _executor(tile_cache) as executor:
+    _private_tile_cache(monkeypatch, tile_cache)
+    with ShardedExecutor() as executor:
         outcome = ProcessWindowSweep(
             CONFIG, source=SOURCE, executor=executor, compute=compute).run(
                 layout, grid=GRID, guard_px=GUARD, tolerance=0.3,
@@ -209,7 +218,7 @@ def test_fewer_tiles_than_workers(tiles, monkeypatch):
         .astype(float)
     helpers = _CountingHelpers(batched._helper_threads())
     monkeypatch.setattr(batched, "_helper_threads", lambda: helpers)
-    with _executor(tile_cache=False) as executor:
+    with ShardedExecutor() as executor:
         result = executor.aerial_batch(spec, masks)
     # 0 or 1 tile is the caller's alone; 2 tiles are 2 one-tile shares.
     assert helpers.submitted == (1 if tiles == 2 else 0)
@@ -252,7 +261,7 @@ def test_executor_images_correctly_after_a_shard_raised(monkeypatch):
     spec = _spec("scipy", "float64", workers=3)
     masks = (np.random.default_rng(5).random((6, 32, 32)) > 0.7).astype(float)
     expected = _spec("scipy", "float64").build().aerial_batch(masks)
-    with _executor(tile_cache=False) as executor:
+    with ShardedExecutor() as executor:
         poison = masks.copy()
         poison[3] = -1.0  # in the second of three two-tile shares
         with monkeypatch.context() as patch:
@@ -297,11 +306,11 @@ def test_close_leaves_no_worker_thread_alive():
 # --------------------------------------------------------------------------- #
 def test_shared_pool_drains_two_concurrent_campaigns(layouts):
     pool = WorkerPool(2)
-    compute = ComputeConfig(fft_backend="numpy", precision="float64")
+    compute = ComputeConfig(fft_backend="numpy", precision="float64",
+                            tile_cache=False)
 
     def campaign(name):
-        with ShardedExecutor(compute=ComputeConfig(tile_cache=False)
-                             ) as executor:
+        with ShardedExecutor() as executor:
             return ProcessWindowSweep(
                 CONFIG, source=SOURCE, executor=executor,
                 compute=compute).run(

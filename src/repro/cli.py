@@ -42,6 +42,7 @@ Run ``python -m repro.cli <subcommand> --help`` for the options.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -195,10 +196,10 @@ def _imaging_inputs(arguments):
 
 
 def _print_tile_cache_stats(stats) -> None:
+    from .sweep.report import format_tile_cache
+
     if stats is not None:
-        print(f"tile cache: {stats.served}/{stats.tiles} tiles served from "
-              f"cache ({stats.hit_rate * 100:.1f}% hit rate, "
-              f"{stats.misses} imaged)")
+        print(f"tile cache: {format_tile_cache(dataclasses.asdict(stats))}")
 
 
 def _dense_mask(mask) -> np.ndarray:
@@ -287,7 +288,7 @@ def command_sweep_window(arguments) -> int:
         # campaign so the reported time measures imaging, not one-off bank
         # decomposition.
         for focus in grid.focus_values_nm:
-            engine = sweep.engine_for_focus(focus)
+            sweep.engine_for_focus(focus)
 
         start = time.perf_counter()
         try:
@@ -314,10 +315,7 @@ def command_sweep_window(arguments) -> int:
         print(f"campaign store: {outcome.store_dir} "
               f"({outcome.computed_conditions} computed, "
               f"{outcome.skipped_conditions} resumed)")
-    # Every focus's engine shares the one process-wide cache, which only
-    # this campaign used.
-    _print_tile_cache_stats(engine.tile_cache.stats
-                            if engine.tile_cache is not None else None)
+    _print_tile_cache_stats(outcome.tile_stats)
     print()
     print(outcome.cd_table())
     print()

@@ -25,11 +25,14 @@ Requests are plain JSON::
       "store_aerials": false                                (all optional)
     }
 
-This module alone reads and writes ``request.json``, so it alone knows the
-two keys older servers accepted and persisted — ``streaming`` and
-``compute.scheduler``, both selecting between paths that no longer exist:
-:func:`_without_legacy_keys` drops them before parsing, whether the request
-was just submitted or is being replayed on restart.
+An incomplete campaign's ``request.json`` is replayed through the same
+validation as a fresh submission.  One this release cannot run (an unknown
+key such as the removed ``streaming`` / ``compute.scheduler``, malformed
+JSON) recovers as a ``failed`` job whose error names the problem; the other
+campaigns in the data dir still resume.  Job progress and the restart
+completeness check read the store through
+:func:`~repro.sweep.report.load_campaign_report`, the same view
+``campaign-report`` renders.
 
 Scheduling: the manager's one :class:`WorkerPool` runs the campaigns,
 ``campaign_workers`` at a time, each on one of its threads; inside a
@@ -62,6 +65,7 @@ from ..sweep import (
     CampaignStore,
     FocusExposureGrid,
     ProcessWindowSweep,
+    load_campaign_report,
 )
 
 __all__ = [
@@ -77,18 +81,6 @@ JOB_STATES = ("queued", "running", "completed", "failed", "cancelled")
 
 class CampaignCancelled(Exception):
     """Raised inside a sweep's progress callback to stop a cancelled job."""
-
-
-def _without_legacy_keys(request: Dict[str, Any]) -> Dict[str, Any]:
-    """``request`` minus the keys older servers persisted (module docstring);
-    everything else unknown still reaches the typed rejection."""
-    request = {key: value for key, value in request.items()
-               if key != "streaming"}
-    if isinstance(request.get("compute"), dict):
-        request["compute"] = {key: value
-                              for key, value in request["compute"].items()
-                              if key != "scheduler"}
-    return request
 
 
 @dataclass(frozen=True)
@@ -108,7 +100,6 @@ class CampaignRequest:
     def from_dict(cls, data: Dict[str, Any]) -> "CampaignRequest":
         if not isinstance(data, dict):
             raise ValueError("campaign request must be a JSON object")
-        data = _without_legacy_keys(data)
         known = {"layout", "optics", "grid", "compute", "tolerance",
                  "target_cd_nm", "guard_px", "store_aerials"}
         unknown = sorted(set(data) - known)
@@ -211,12 +202,9 @@ class CampaignJob:
         """The JSON the status endpoint returns (plus live store progress)."""
         progress = {"completed": 0, "total": None}
         try:
-            manifest = CampaignStore(self.store_dir).read_manifest()
-            campaign = manifest.get("campaign", {})
-            total = len(campaign.get("focus_values_nm", ())) * \
-                len(campaign.get("dose_values", ()))
-            progress = {"completed": len(manifest.get("completed", {})),
-                        "total": total or None}
+            report = load_campaign_report(self.store_dir)
+            progress = {"completed": report.completed_conditions,
+                        "total": report.total_conditions}
         except FileNotFoundError:
             pass
         return {
@@ -277,7 +265,8 @@ class CampaignManager:
     on (``self.queue``): that many run at once, the rest wait queued.  On
     construction the manager scans the data dir and re-enqueues every
     incomplete campaign with ``resume=True`` — the restart half of the
-    kill/resume guarantee.
+    kill/resume guarantee; a stored request it cannot run becomes a
+    ``failed`` job instead.
     """
 
     def __init__(self, data_dir: str, campaign_workers: int = 2,
@@ -330,29 +319,31 @@ class CampaignManager:
             request_path = os.path.join(store_dir, "request.json")
             if not os.path.isfile(request_path):
                 continue
-            with open(request_path, "r", encoding="utf-8") as handle:
-                request = json.load(handle)
-            if self._store_complete(store_dir):
+            try:
+                report = load_campaign_report(store_dir)
+            except FileNotFoundError:
+                report = None
+            request = None
+            try:
+                with open(request_path, "r", encoding="utf-8") as handle:
+                    request = json.load(handle)
+                if report is None or not report.is_complete:
+                    self.submit(request, job_id=job_id, resume=True)
+                    continue
                 job = CampaignJob(id=job_id, request=request,
                                   store_dir=store_dir, state="completed",
-                                  resumed=True, computed_conditions=0)
-                job.resumed_conditions = job.as_dict()["progress"]["completed"]
-                job.finished_at = time.time()
-                with self._lock:
-                    self._jobs[job_id] = job
-            else:
-                self.submit(request, job_id=job_id, resume=True)
-
-    @staticmethod
-    def _store_complete(store_dir: str) -> bool:
-        try:
-            manifest = CampaignStore(store_dir).read_manifest()
-        except FileNotFoundError:
-            return False
-        campaign = manifest.get("campaign", {})
-        total = len(campaign.get("focus_values_nm", ())) * \
-            len(campaign.get("dose_values", ()))
-        return bool(total) and len(manifest.get("completed", {})) >= total
+                                  resumed=True, computed_conditions=0,
+                                  resumed_conditions=report.completed_conditions)
+            except (OSError, TypeError, ValueError) as exc:
+                # One campaign this release cannot run must not keep the
+                # server from starting (or the others from resuming).
+                job = CampaignJob(id=job_id, request=request,
+                                  store_dir=store_dir, state="failed",
+                                  resumed=True,
+                                  error=f"stored request.json rejected: {exc}")
+            job.finished_at = time.time()
+            with self._lock:
+                self._jobs[job_id] = job
 
     # ------------------------------------------------------------------ #
     # execution

@@ -11,8 +11,9 @@ threshold).  An ``F x D`` campaign therefore costs ``F`` kernel banks and
 
 Campaign-scale features:
 
-* **One imaging path** — every pending focus is one
-  :meth:`ShardedExecutor.image_layout` call: tile batches cut on demand and
+* **One imaging path** — every pending focus, nominal first, is one
+  :meth:`ShardedExecutor.image_layout` call (a one-tile layout included: it
+  is one placement without a guard band): tile batches cut on demand and
   imaged in bounded batches (:mod:`repro.engine.streaming`), each batch's
   tiles shared out over the spec's worker threads by the batched core, so
   peak RAM is one tile batch plus the stitched aerial however large the
@@ -28,11 +29,11 @@ Campaign-scale features:
   tile_cache=True)``, the CLI's ``--tile-cache``, or ``REPRO_TILE_CACHE`` /
   ``REPRO_TILE_CACHE_DIR``) and each focus images only its *unique* tile
   contents (each focus's kernel fingerprint keys its own namespace); with a
-  disk tier, resumed runs hit across processes, and the campaign store
-  accumulates this campaign's own hit/miss counters (the tallies its
-  ``image_layout`` calls return, untouched by campaigns sharing the cache)
-  in its manifest so ``campaign-report`` shows dedup effectiveness with
-  zero recomputation.
+  disk tier, resumed runs hit across processes.  The run's own hit/miss
+  counters (the tallies its ``image_layout`` calls return, untouched by
+  campaigns sharing the cache) come back as ``SweepOutcome.tile_stats`` and
+  accumulate in the store's manifest, so ``campaign-report`` shows dedup
+  effectiveness with zero recomputation.
 """
 
 from __future__ import annotations
@@ -40,13 +41,14 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..backend import ComputeConfig
 from ..engine.sharded import EngineSpec, ShardedExecutor
 from ..engine.tile_cache import TileCacheStats
+from ..engine.tiling import TilingSpec
 from ..optics.process_window import (
     FocusExposurePoint,
     ProcessWindowResult,
@@ -57,6 +59,7 @@ from ..optics.pupil import Pupil
 from ..optics.simulator import OpticsConfig
 from ..optics.source import Source
 from .grid import FocusExposureGrid
+from .report import format_cd_table, format_summary
 from .store import CampaignStore
 
 
@@ -77,39 +80,17 @@ class SweepOutcome:
     computed_conditions: int = 0
     skipped_conditions: int = 0
     store_dir: Optional[str] = None
+    #: The sum of this run's ``LayoutImage.tile_stats``; ``None`` when no
+    #: focus imaged through a tile-result cache.
+    tile_stats: Optional[TileCacheStats] = None
 
     def cd_table(self) -> str:
         """The focus-exposure matrix as a fixed-width text table (CDs in nm)."""
-        matrix = self.window.cd_matrix()
-        doses = self.grid.dose_values
-        header = "focus_nm \\ dose" + "".join(f"{dose:>10.3f}" for dose in doses)
-        lines = [header]
-        for focus in self.grid.focus_values_nm:
-            row = f"{focus:>15.1f}"
-            for dose in doses:
-                cd = matrix[focus][dose]
-                marker = " " if self.window.in_spec(
-                    FocusExposurePoint(focus, dose, cd)) else "*"
-                row += f"{cd:>9.1f}{marker}"
-            lines.append(row)
-        lines.append("(* = outside the CD tolerance band)")
-        return "\n".join(lines)
+        return format_cd_table(self.grid, self.window.cd_matrix(), self.window)
 
     def summary(self) -> str:
         """Window metrics at the grid's nominal condition, one per line."""
-        window = self.window
-        focus = self.grid.nominal_focus_nm
-        dose = self.grid.nominal_dose
-        return "\n".join([
-            f"target CD       : {window.target_cd_nm:.1f} nm "
-            f"(tolerance +/- {window.tolerance * 100:.0f}%)",
-            f"window fraction : {window.window_fraction() * 100:.1f}% "
-            f"of {len(window.points)} conditions in spec",
-            f"depth of focus  : {window.depth_of_focus_nm(dose):.1f} nm "
-            f"at dose {dose:g}",
-            f"exposure latitude: {window.exposure_latitude(focus) * 100:.1f}% "
-            f"at focus {focus:g} nm",
-        ])
+        return format_summary(self.grid, self.window)
 
 
 class ProcessWindowSweep:
@@ -171,31 +152,6 @@ class ProcessWindowSweep:
     # ------------------------------------------------------------------ #
     # the campaign
     # ------------------------------------------------------------------ #
-    def _iter_focus_aerials(self, foci: Sequence[float], layout,
-                            tile_px: Optional[int], guard_px: Optional[int],
-                            single_tile: bool,
-                            ) -> Iterator[Tuple[float, np.ndarray, int,
-                                                Optional[TileCacheStats]]]:
-        """Yield ``(focus, stitched aerial, num_tiles, tile_stats)`` per
-        pending focus.
-
-        One :meth:`ShardedExecutor.image_layout` call per focus.  With a
-        tile-result cache on the engines each focus's kernel fingerprint
-        keys its own namespace: repeated cells within a focus hit (and a
-        resumed campaign with a disk tier hits across runs) while distinct
-        foci never mix.  A layout of exactly one tile has no guard band to
-        cut and goes to the batched core directly (no ``tile_stats``).
-        """
-        for focus in foci:
-            spec = self.spec_for_focus(focus)
-            if single_tile:
-                yield (focus, self.executor.aerial_batch(spec, layout[None])[0],
-                       1, None)
-            else:
-                imaged = self.executor.image_layout(
-                    spec, layout, tile_px=tile_px, guard_px=guard_px)
-                yield focus, imaged.aerial, imaged.num_tiles, imaged.tile_stats
-
     def run(self, layout: np.ndarray, target_cd_nm: Optional[float] = None,
             grid: Optional[FocusExposureGrid] = None, tolerance: float = 0.1,
             tile_px: Optional[int] = None, guard_px: Optional[int] = None,
@@ -213,10 +169,10 @@ class ProcessWindowSweep:
             :class:`repro.layout.LayoutReader`, in which case tiles are
             rasterised on demand (the dense raster never exists) and the
             campaign identity is the reader's canonical shape digest
-            instead of a dense-raster SHA-256.  A layout of exactly the
-            configured tile size goes straight through the batched core;
-            anything else runs through guard-banded tiling (``tile_px`` /
-            ``guard_px`` as in :meth:`ExecutionEngine.image_layout`).
+            instead of a dense-raster SHA-256.  Every focus is one
+            :meth:`ExecutionEngine.image_layout` call (``tile_px`` /
+            ``guard_px`` as there); a layout of exactly the configured tile
+            size is imaged as that one periodic tile, with no guard band.
         target_cd_nm:
             Nominal CD the window is judged against.  ``None`` measures it
             from the grid's nominal (focus closest to 0, dose closest to 1)
@@ -238,8 +194,7 @@ class ProcessWindowSweep:
             condition — already persisted when a store is attached, so an
             exception raised here (or a kill) loses nothing.
         """
-        is_reader = hasattr(layout, "read_window")
-        if not is_reader:
+        if not hasattr(layout, "read_window"):
             layout = np.asarray(layout, dtype=float)
         if len(layout.shape) != 2:
             raise ValueError("layout must be a 2-D image")
@@ -251,14 +206,19 @@ class ProcessWindowSweep:
         if isinstance(store, str):
             store = CampaignStore(store)
 
+        # A layout of exactly the configured tile is the periodic tile the
+        # kernels were built for: one placement, no guard band.  Campaign
+        # identity still records the *requested* tiling.
         tile = self.config.tile_size_px
-        single_tile = tuple(layout.shape) == (tile, tile)
+        tiling = TilingSpec(tile_px=tile) \
+            if tuple(layout.shape) == (tile, tile) else None
 
         start = time.perf_counter()
-        state = {"num_tiles": 1, "cd_row": self.cd_row, "computed": 0}
+        cd_row = self.cd_row
+        num_tiles = 1
         cds: Dict[Tuple[float, float], float] = {}
         aerials: Dict[float, np.ndarray] = {}
-        tile_totals = TileCacheStats()
+        tile_stats: Optional[TileCacheStats] = None
 
         if store is not None:
             identity, _ = CampaignStore.campaign_identity(
@@ -267,81 +227,65 @@ class ProcessWindowSweep:
                 guard_px=guard_px)
             for entry in store.begin(identity, resume=resume).values():
                 cds[(entry["focus_nm"], entry["dose"])] = entry["cd_nm"]
-            if state["cd_row"] is None:
-                state["cd_row"] = store.get_derived("cd_row")
+            if cd_row is None:
+                cd_row = store.get_derived("cd_row")
             if store.get_derived("num_tiles") is not None:
                 # Provenance survives a full resume (no focus re-imaged).
-                state["num_tiles"] = int(store.get_derived("num_tiles"))
+                num_tiles = int(store.get_derived("num_tiles"))
 
-        if is_reader and single_tile:
-            # One tile is in-memory scale by definition; the identity above
-            # already used the reader's digest, so materialising here only
-            # feeds the batched core its expected dense (1, H, W) stack.
-            layout = layout.read_window(0, 0, tile, tile)
-
-        def handle_focus(focus: float, aerial: np.ndarray, num_tiles: int,
-                         tile_stats: Optional[TileCacheStats]) -> None:
-            nonlocal tile_totals
-            state["num_tiles"] = num_tiles
-            if tile_stats is not None:
-                tile_totals += tile_stats
+        nominal = grid.nominal_focus_nm
+        skipped = sum(condition in cds for condition in grid.conditions())
+        pending = [focus for focus in grid.focus_values_nm
+                   if any((focus, dose) not in cds
+                          for dose in grid.dose_values)]
+        if cd_row is None and nominal not in pending:
+            # Only when a pinned cd_row went missing from the store: the
+            # nominal focus is imaged again to define the tracked row.
+            pending.append(nominal)
+        # The nominal focus goes first — it defines the tracked row.
+        pending.sort(key=lambda focus: focus != nominal)
+        for focus in pending:
+            imaged = self.executor.image_layout(
+                self.spec_for_focus(focus), layout, tiling=tiling,
+                tile_px=tile_px, guard_px=guard_px)
+            aerial, num_tiles = imaged.aerial, imaged.num_tiles
+            if imaged.tile_stats is not None:
+                if tile_stats is None:
+                    tile_stats = TileCacheStats()
+                tile_stats += imaged.tile_stats
             if keep_aerials:
                 aerials[focus] = aerial
             if store is not None:
                 store.set_derived("num_tiles", int(num_tiles))
                 store.save_aerial(focus, aerial)
-            if state["cd_row"] is None:
+            if cd_row is None:
                 # The widest feature printed at the nominal condition fixes
                 # the row every condition is measured on (one feature tracked
                 # through the whole matrix) — and is pinned in the store so
                 # resumed runs keep measuring the same feature.
                 nominal_threshold = (self.config.resist_threshold
                                      / grid.nominal_dose)
-                state["cd_row"] = int(widest_feature_row(
-                    aerial > nominal_threshold))
+                cd_row = int(widest_feature_row(aerial > nominal_threshold))
                 if store is not None:
-                    store.set_derived("cd_row", state["cd_row"])
+                    store.set_derived("cd_row", cd_row)
             for dose in grid.dose_values:
                 if (focus, dose) in cds:
                     continue
                 threshold = self.config.resist_threshold / dose
                 resist = (aerial > threshold).astype(np.uint8)
-                cd = measure_cd(resist, row=state["cd_row"],
+                cd = measure_cd(resist, row=cd_row,
                                 pixel_size_nm=self.config.pixel_size_nm)
                 cds[(focus, dose)] = cd
-                state["computed"] += 1
                 if store is not None:
                     store.record(focus, dose, cd, threshold)
                 if progress is not None:
                     progress(focus, dose, cd)
-
-        nominal = grid.nominal_focus_nm
-        pending = [focus for focus in grid.focus_values_nm
-                   if any((focus, dose) not in cds
-                          for dose in grid.dose_values)]
-        skipped = len(grid) - sum(
-            sum((focus, dose) not in cds for dose in grid.dose_values)
-            for focus in pending)
-        if state["cd_row"] is None:
-            # The nominal focus must complete first — it defines the tracked
-            # row.  It is imaged even when all its doses were resumed (only
-            # possible when a pinned cd_row went missing from the store).
-            for item in self._iter_focus_aerials(
-                    [nominal], layout, tile_px, guard_px, single_tile):
-                handle_focus(*item)
-            pending = [focus for focus in pending if focus != nominal]
-        else:
-            pending = [nominal] * (nominal in pending) + \
-                [focus for focus in pending if focus != nominal]
-        for item in self._iter_focus_aerials(pending, layout, tile_px,
-                                             guard_px, single_tile):
-            handle_focus(*item)
         elapsed = time.perf_counter() - start
 
-        if store is not None and tile_totals.tiles:
+        if store is not None and tile_stats is not None:
             # This run's counters accumulate in the manifest, so a resumed
             # campaign's tile_cache block covers every run of it.
-            store.record_tile_cache_stats(dataclasses.asdict(tile_totals))
+            store.record_tile_cache_stats(dataclasses.asdict(tile_stats))
 
         if target_cd_nm is None and store is not None:
             target_cd_nm = store.get_derived("target_cd_nm")
@@ -361,9 +305,10 @@ class ProcessWindowSweep:
                                      target_cd_nm=float(target_cd_nm),
                                      tolerance=float(tolerance))
         return SweepOutcome(window=window, grid=grid,
-                            num_tiles=state["num_tiles"],
+                            num_tiles=num_tiles,
                             elapsed_s=elapsed,
                             aerials=aerials if keep_aerials else None,
-                            computed_conditions=state["computed"],
+                            computed_conditions=len(grid) - skipped,
                             skipped_conditions=skipped,
+                            tile_stats=tile_stats,
                             store_dir=store.root if store is not None else None)

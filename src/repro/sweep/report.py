@@ -24,7 +24,7 @@ import json
 import os
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -121,15 +121,23 @@ def load_campaign_report(store_dir: str) -> CampaignReport:
                           tile_cache=manifest.get("tile_cache"))
 
 
-def _format_cd_table(report: CampaignReport,
-                     window: Optional[ProcessWindowResult]) -> str:
-    doses = report.grid.dose_values
-    matrix = report.cd_matrix()
+def format_cd_table(grid: FocusExposureGrid,
+                    matrix: Dict[float, Dict[float, Optional[float]]],
+                    window: Optional[ProcessWindowResult]) -> str:
+    """The focus-exposure matrix as a fixed-width text table (CDs in nm).
+
+    ``matrix[focus][dose]`` is ``None`` for a condition not yet computed
+    (printed ``-``); ``*`` marks a CD outside ``window``'s tolerance band.
+    """
+    doses = grid.dose_values
     lines = ["focus_nm \\ dose" + "".join(f"{dose:>10.3f}" for dose in doses)]
-    for focus in report.grid.focus_values_nm:
+    complete = True
+    for focus in grid.focus_values_nm:
         row = f"{focus:>15.1f}"
-        for dose, cd in matrix[focus].items():
+        for dose in doses:
+            cd = matrix[focus][dose]
             if cd is None:
+                complete = False
                 row += f"{'-':>9} "
             else:
                 marker = " "
@@ -139,15 +147,16 @@ def _format_cd_table(report: CampaignReport,
                 row += f"{cd:>9.1f}{marker}"
         lines.append(row)
     legend = "(* = outside the CD tolerance band"
-    legend += "; - = not yet computed)" if not report.is_complete else ")"
+    legend += ")" if complete else "; - = not yet computed)"
     lines.append(legend)
     return "\n".join(lines)
 
 
-def _format_summary(report: CampaignReport,
-                    window: ProcessWindowResult) -> str:
-    focus = report.grid.nominal_focus_nm
-    dose = report.grid.nominal_dose
+def format_summary(grid: FocusExposureGrid,
+                   window: ProcessWindowResult) -> str:
+    """Window metrics at the grid's nominal condition, one per line."""
+    focus = grid.nominal_focus_nm
+    dose = grid.nominal_dose
     return "\n".join([
         f"target CD       : {window.target_cd_nm:.1f} nm "
         f"(tolerance +/- {window.tolerance * 100:.0f}%)",
@@ -158,6 +167,16 @@ def _format_summary(report: CampaignReport,
         f"exposure latitude: {window.exposure_latitude(focus) * 100:.1f}% "
         f"at focus {focus:g} nm",
     ])
+
+
+def format_tile_cache(counters: Mapping[str, int]) -> str:
+    """One line of tile-result-cache counters (``TileCacheStats`` fields)."""
+    tiles = int(counters.get("tiles", 0))
+    served = sum(int(counters.get(key, 0))
+                 for key in ("hits", "zero_hits", "disk_loads"))
+    rate = served / tiles * 100 if tiles else 0.0
+    return (f"{served}/{tiles} tiles served from cache ({rate:.1f}% hit "
+            f"rate, {int(counters.get('misses', 0))} imaged)")
 
 
 def render_campaign_report(report: CampaignReport,
@@ -184,20 +203,13 @@ def render_campaign_report(report: CampaignReport,
         + ("" if report.is_complete else " (campaign in progress)"),
     ]
     if report.tile_cache:
-        stats = report.tile_cache
-        tiles = int(stats.get("tiles", 0))
-        served = sum(int(stats.get(key, 0))
-                     for key in ("hits", "zero_hits", "disk_loads"))
-        rate = served / tiles * 100 if tiles else 0.0
-        lines.append(
-            f"tile cache      : {served}/{tiles} tiles served from cache "
-            f"({rate:.1f}% hit rate, {int(stats.get('misses', 0))} imaged)")
+        lines.append(f"tile cache      : {format_tile_cache(report.tile_cache)}")
     lines.append("")
     window = report.window()
-    lines.append(_format_cd_table(report, window))
+    lines.append(format_cd_table(report.grid, report.cd_matrix(), window))
     if window is not None and window.points:
         lines.append("")
-        lines.append(_format_summary(report, window))
+        lines.append(format_summary(report.grid, window))
     aerials = report.aerial_files()
     if aerials:
         lines.append("")
@@ -342,13 +354,8 @@ def render_campaign_report_html(report: CampaignReport) -> str:
             "</dl>",
         ]
     if data["tile_cache"]:
-        stats = data["tile_cache"]
-        tiles = int(stats.get("tiles", 0))
-        served = sum(int(stats.get(key, 0))
-                     for key in ("hits", "zero_hits", "disk_loads"))
-        rate = served / tiles * 100 if tiles else 0.0
-        tail.append(f"<p>tile cache: {served}/{tiles} tiles served "
-                    f"({rate:.1f}% hit rate).</p>")
+        tail.append(f"<p>tile cache: {format_tile_cache(data['tile_cache'])}."
+                    "</p>")
     if data["aerials"]:
         tail.append("<h2>Stored aerials</h2><ul>")
         tail += [f"<li><a href='thumbnails/{_html.escape(token)}'>"

@@ -132,7 +132,7 @@ class CampaignStore:
 
         store = CampaignStore(path)
         store.begin(campaign_identity, resume=True)   # validates / creates
-        for condition not in store.completed_ids(): compute + store.record(...)
+        for condition not in store.completed(): compute + store.record(...)
         table = store.completed()                     # id -> summary dict
     """
 
@@ -275,9 +275,6 @@ class CampaignStore:
     def completed(self) -> Dict[str, dict]:
         """Condition id -> inline summary (``focus_nm`` / ``dose`` / ``cd_nm``)."""
         return dict(self._require_open().get("completed", {}))
-
-    def completed_ids(self) -> set:
-        return set(self._require_open().get("completed", {}))
 
     def __len__(self) -> int:
         return len(self._require_open().get("completed", {}))

@@ -64,6 +64,17 @@ class TestCampaignReport:
         assert "window fraction" in text
         assert "stored aerials" in text and "3 per-focus memmap(s)" in text
 
+    def test_outcome_prints_what_the_report_renders(self, tmp_path):
+        """One renderer: the sweep's own table and summary appear verbatim
+        in the stored campaign's text report."""
+        store_dir = str(tmp_path / "store")
+        config = OpticsConfig(tile_size_px=32, pixel_size_nm=8.0)
+        outcome = ProcessWindowSweep(config).run(make_mask(), grid=GRID,
+                                                 store=store_dir)
+        text = render_campaign_report(load_campaign_report(store_dir))
+        assert outcome.cd_table() in text
+        assert outcome.summary() in text
+
     def test_zero_recomputation(self, completed_store, monkeypatch):
         """No engine is built, no bank decomposed, no tile imaged."""
         calls = []

@@ -11,8 +11,9 @@ The acceptance properties of the service PR, each pinned directly:
   ``queue.submitted``),
 * a server killed mid-campaign (SIGKILL, no cleanup) recomputes exactly the
   remainder on restart, and
-* a ``request.json`` persisted by a release that still had the ``streaming``
-  and ``compute.scheduler`` keys keeps resuming.
+* a stored ``request.json`` the manager cannot run (such as one carrying the
+  removed ``streaming`` / ``compute.scheduler`` keys) recovers as a failed
+  job while the other campaigns resume.
 """
 
 import glob
@@ -31,13 +32,19 @@ from repro.backend import ComputeConfig
 from repro.layout.sources import synthesize_layout_mask
 from repro.optics.simulator import OpticsConfig
 from repro.service import (
+    CampaignJob,
     CampaignManager,
     CampaignRequest,
     CampaignServer,
     ServiceClient,
     ServiceError,
 )
-from repro.sweep import CampaignStore, ProcessWindowSweep, report_as_dict
+from repro.sweep import (
+    CampaignStore,
+    ProcessWindowSweep,
+    load_campaign_report,
+    report_as_dict,
+)
 
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 HIER4 = os.path.join(os.path.dirname(__file__), "data", "hier4.gds")
@@ -317,52 +324,80 @@ class TestKillAndResume:
             revived.close()
 
 
-class TestLegacyRequestKeys:
-    def test_persisted_request_with_removed_keys_resumes(self, tmp_path):
-        """A campaign directory written by a release that accepted
-        ``streaming`` / ``compute.scheduler``: half done, then the manager
-        restarts and computes exactly the remainder."""
+class TestJobProgress:
+    def test_progress_is_the_reports(self, tmp_path):
+        """A partial store: the status endpoint's progress is the campaign
+        report's completion count, not a second reading of the manifest."""
+        store_dir = str(tmp_path / "partial")
+        identity, _ = CampaignStore.campaign_identity(
+            np.zeros((8, 8)), FOCI, DOSES, 0.2, "fingerprint")
+        store = CampaignStore(store_dir)
+        store.begin(identity, resume=True)
+        store.record(0.0, 1.0, 100.0, 0.225)
+        store.record(40.0, 0.95, 120.0, 0.237)
+        report = load_campaign_report(store_dir)
+        job = CampaignJob(id="partial", request={}, store_dir=store_dir)
+        assert job.as_dict()["progress"] == {
+            "completed": report.completed_conditions,
+            "total": report.total_conditions}
+        assert report.completed_conditions == 2 and not report.is_complete
+
+
+class TestStoredRequestRejection:
+    def test_rejected_request_fails_and_the_others_resume(self, tmp_path):
+        """A data dir holding a half-done campaign whose ``request.json``
+        carries the removed ``streaming`` / ``compute.scheduler`` keys and a
+        half-done valid one: the manager starts, the legacy job is
+        ``failed`` naming the key, the valid one computes the remainder."""
         legacy = make_request(streaming=True, **MULTI_TILE)
         legacy["compute"]["scheduler"] = "service"
+        valid = make_request(**MULTI_TILE)
         total = len(FOCI) * len(DOSES)
 
-        # 4 of the 9 conditions, stored the way the service stores them.
+        # 4 of the 9 conditions of each, stored the way the service does.
         data_dir = str(tmp_path / "svc")
-        store_dir = os.path.join(data_dir, "campaigns", "legacy")
-        done = []
+        parsed = CampaignRequest.from_dict(valid)
+        for job_id, request in (("legacy", legacy), ("valid", valid)):
+            store_dir = os.path.join(data_dir, "campaigns", job_id)
+            done = []
 
-        def stop_part_way(focus, dose, cd):
-            done.append((focus, dose))
-            if len(done) == 4:
-                raise KeyboardInterrupt
+            def stop_part_way(focus, dose, cd):
+                done.append((focus, dose))
+                if len(done) == 4:
+                    raise KeyboardInterrupt
 
-        parsed = CampaignRequest.from_dict(make_request(**MULTI_TILE))
-        with pytest.raises(KeyboardInterrupt):
-            ProcessWindowSweep(parsed.optics_config(),
-                               compute=parsed.compute).run(
-                parsed.resolve_layout(), grid=parsed.focus_exposure_grid(),
-                tolerance=parsed.tolerance, store=store_dir,
-                progress=stop_part_way)
-        assert durably_completed(store_dir) == 4
-        with open(os.path.join(store_dir, "request.json"), "w",
-                  encoding="utf-8") as handle:
-            json.dump(legacy, handle)
+            with pytest.raises(KeyboardInterrupt):
+                ProcessWindowSweep(parsed.optics_config(),
+                                   compute=parsed.compute).run(
+                    parsed.resolve_layout(),
+                    grid=parsed.focus_exposure_grid(),
+                    tolerance=parsed.tolerance, store=store_dir,
+                    progress=stop_part_way)
+            with open(os.path.join(store_dir, "request.json"), "w",
+                      encoding="utf-8") as handle:
+                json.dump(request, handle)
 
         manager = CampaignManager(data_dir, campaign_workers=1)
         try:
-            job = manager.wait("legacy")
+            failed = manager.get("legacy")
+            assert failed.state == "failed"
+            assert failed.error.startswith("stored request.json rejected: ")
+            assert "streaming" in failed.error
+            assert failed.as_dict()["progress"] == {"completed": 4,
+                                                    "total": total}
+            job = manager.wait("valid")
             assert job.state == "completed", job.error
-            assert job.resumed is True
             assert job.computed_conditions == total - 4
             assert job.resumed_conditions == 4
-            # submitted afresh, the same legacy body is accepted too ...
-            again = manager.wait(manager.submit(legacy).id)
-            assert again.state == "completed", again.error
         finally:
             manager.close()
-        # ... and anything else unknown still gets the typed rejection.
-        with pytest.raises(ValueError, match="unknown request field"):
-            CampaignRequest.from_dict(make_request(streamin=True))
-        with pytest.raises(ValueError, match="unknown ComputeConfig field"):
+        assert durably_completed(os.path.join(data_dir, "campaigns",
+                                              "legacy")) == 4
+
+    def test_removed_keys_get_the_typed_rejection(self):
+        with pytest.raises(ValueError, match="unknown request field.*streaming"):
+            CampaignRequest.from_dict(make_request(streaming=True))
+        with pytest.raises(ValueError,
+                           match="unknown ComputeConfig field.*scheduler"):
             CampaignRequest.from_dict(
-                make_request(compute={"schedulr": "pool"}))
+                make_request(compute={"scheduler": "pool"}))

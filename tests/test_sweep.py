@@ -208,6 +208,47 @@ class TestProcessWindowSweep:
         assert sweep.engine_for_focus(40.0) is not sweep.engine_for_focus(0.0)
 
 
+class TestOneTileCampaign:
+    """A layout of exactly one tile is imaged like any other: one
+    ``image_layout`` call per focus, through the tile cache when it is on."""
+
+    GRID = FocusExposureGrid((-100.0, 0.0, 100.0), (0.9, 1.0))
+
+    @pytest.mark.parametrize("kind", ["dense", "reader"])
+    def test_one_tile_campaign_reaches_the_tile_cache(self, kind, line_mask,
+                                                      tmp_path, monkeypatch):
+        from repro.engine import tile_cache as tile_cache_module
+        from repro.engine.tile_cache import TileResultCache
+        from repro.layout import GeometryLayoutReader
+        from repro.layout.geometry import Rect
+        from repro.sweep import load_campaign_report
+
+        layout = line_mask if kind == "dense" else GeometryLayoutReader(
+            {"m1": [Rect(400.0, 80.0, 560.0, 880.0)]}, PIXEL,
+            shape=(TILE, TILE))
+        monkeypatch.setattr(tile_cache_module, "_default_cache",
+                            TileResultCache())
+        outcomes = {}
+        for cached in (False, True):
+            sweep = ProcessWindowSweep(
+                CONFIG, source=SOURCE, executor=ShardedExecutor(),
+                compute=ComputeConfig(fft_backend="numpy",
+                                      tile_cache=cached))
+            outcomes[cached] = sweep.run(
+                layout, grid=self.GRID, tolerance=0.25, keep_aerials=True,
+                store=str(tmp_path / f"store-{cached}"))
+        for focus in self.GRID.focus_values_nm:
+            np.testing.assert_array_equal(outcomes[True].aerials[focus],
+                                          outcomes[False].aerials[focus])
+        assert outcomes[True].window == outcomes[False].window
+        assert outcomes[True].num_tiles == outcomes[False].num_tiles == 1
+        assert outcomes[False].tile_stats is None
+        foci = len(self.GRID.focus_values_nm)
+        assert outcomes[True].tile_stats.tiles == foci
+        stored = load_campaign_report(str(tmp_path / "store-True")).tile_cache
+        assert stored["tiles"] == foci
+
+
 class TestSweepWindowCLI:
     def test_sweep_window_subcommand(self, tmp_path, capsys):
         from repro.cli import main

@@ -23,29 +23,26 @@ its ``in_memory`` / ``streaming`` keys so the trajectory stays comparable).
 
 import os
 import sys
+from unittest import mock
 
 import numpy as np
 
 from repro.analysis.throughput import measure_peak_memory
-from repro.engine import (
-    ExecutionEngine,
-    KernelBankCache,
-    effective_chunk_tiles,
-)
+from repro.engine import ExecutionEngine, KernelBankCache, execution
 from repro.optics import OpticsConfig
 from repro.optics.source import AnnularSource
 
 # The unbatched side is the test suite's oracle, not product code.
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "tests"))
-from reference import reference_image_layout
+from reference import reference_image_layout, stream_batches
 
 TILE = 128
 PIXEL_NM = 4.0
 GUARD = 32
 ORDER = 12
-#: Deliberately small stream-batch budget (4 MiB, passed as an explicit
-#: ``batch_tiles=`` of that many bytes of spectra) so the layout is >= 4x
+#: Deliberately small stream-batch budget (4 MiB of spectra, patched in for
+#: the engine's 256 MiB ``RESIDENT_BLOCK_BYTES``) so the layout is >= 4x
 #: the budget without needing a multi-GiB canvas in CI.
 CHUNK_BYTES = 2 ** 22
 #: (H, W) per preset; the tiny layout is 16 MiB of float64 = 4x the budget,
@@ -63,12 +60,6 @@ def _build_engine(cache_dir: str) -> ExecutionEngine:
     return ExecutionEngine.for_optics(
         _config(), source=AnnularSource(0.5, 0.8),
         cache=KernelBankCache(cache_dir=cache_dir))
-
-
-def _batch_tiles(engine: ExecutionEngine) -> int:
-    return effective_chunk_tiles(np.iinfo(np.int32).max, engine.kernels.shape,
-                                 TILE, TILE, CHUNK_BYTES,
-                                 engine.precision.complex_itemsize)
 
 
 def _build_layout(shape) -> np.ndarray:
@@ -94,8 +85,8 @@ def _run_in_memory(cache_dir: str, shape) -> None:
 def _run_streaming(cache_dir: str, shape) -> None:
     engine = _build_engine(cache_dir)
     tiling = engine.resolve_tiling(None, None, GUARD)
-    engine.image_layout(_build_layout(shape), tiling=tiling,
-                        batch_tiles=_batch_tiles(engine))
+    with mock.patch.object(execution, "RESIDENT_BLOCK_BYTES", CHUNK_BYTES):
+        engine.image_layout(_build_layout(shape), tiling=tiling)
 
 
 def test_streaming_peak_memory(preset, record_output, record_json, tmp_path):
@@ -106,7 +97,8 @@ def test_streaming_peak_memory(preset, record_output, record_json, tmp_path):
     # Correctness stays pinned at bench scale too (cheap, small slice).
     small = _build_layout((4 * TILE, 2 * TILE))
     reference = reference_image_layout(engine, small, guard_px=GUARD)
-    streamed = engine.image_layout(small, guard_px=GUARD, batch_tiles=2)
+    with stream_batches(engine, 2):
+        streamed = engine.image_layout(small, guard_px=GUARD)
     np.testing.assert_array_equal(streamed.aerial, reference.aerial)
 
     baseline = measure_peak_memory(_run_baseline, cache_dir, shape)

@@ -29,8 +29,8 @@ Both policies (plus the tile-cache switch) bundle into one
 serialisable :class:`ComputeConfig` (see :mod:`repro.backend.config`) — the
 ``compute=`` argument every engine-stack constructor accepts, and the JSON
 object campaign-service requests carry.  Names travel only there; the
-engines' own ``fft_backend`` / ``precision`` / ``tile_cache`` keywords take
-live objects (an :class:`FFTBackend`, a :class:`Precision`, a tile cache).
+engine's own ``fft_backend`` / ``tile_cache`` keywords take live objects
+(an :class:`FFTBackend`, a tile cache).
 
 Usage
 -----

@@ -9,39 +9,35 @@ and every CLI subcommand; today an engine is the one consumer of all four
 campaign *service* request needs that policy to be one serialisable object:
 :class:`ComputeConfig` is that object, a frozen dataclass that
 
-* round-trips through JSON (:meth:`to_json` / :meth:`from_json`) so HTTP
-  requests and stored campaign manifests can carry it,
-* reads the same environment variables the loose kwargs honoured
-  (:meth:`from_env`: ``REPRO_FFT_BACKEND``, ``REPRO_FFT_WORKERS``,
-  ``REPRO_PRECISION``, ``REPRO_TILE_CACHE``), and
-* normalises names to concrete choices (:meth:`resolve`) — e.g.
-  ``fft_backend=None`` becomes the ``auto``-resolved backend's name — so a
-  config can be pinned into a manifest and reproduced later.
+* is read from a service request's ``"compute"`` JSON object
+  (:meth:`from_dict`) and built from the CLI's four compute flags
+  ``--fft-backend``, ``--fft-workers``, ``--precision`` and
+  ``--tile-cache``, and
+* normalises names to concrete choices (:meth:`resolve`, written out with
+  :meth:`as_dict`) — e.g. ``fft_backend=None`` becomes the
+  ``auto``-resolved backend's name — so a run can record what it used.
 
 Every field defaults to ``None`` = "consumer decides", which preserves each
-consumer's historical default (engines consult the environment).
+consumer's historical default: the consumers read the environment
+themselves (``REPRO_FFT_BACKEND`` in :func:`~repro.backend.get_backend`,
+``REPRO_FFT_WORKERS`` in :func:`~repro.backend.fft.default_fft_workers`,
+``REPRO_PRECISION`` in :func:`~repro.backend.resolve_precision`,
+``REPRO_TILE_CACHE`` in :func:`env_tile_cache_flag`).
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import os
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Union
+from typing import Any, Dict, Mapping, Optional
 
-from .fft import FFT_BACKEND_ENV_VAR, FFT_WORKERS_ENV_VAR, get_backend
-from .precision import (
-    AUTO_PRECISION,
-    PRECISION_ENV_VAR,
-    is_auto_precision,
-    resolve_precision,
-)
+from .fft import get_backend
+from .precision import AUTO_PRECISION, is_auto_precision, resolve_precision
 
 TILE_CACHE_ENV_VAR = "REPRO_TILE_CACHE"
 TILE_CACHE_DIR_ENV_VAR = "REPRO_TILE_CACHE_DIR"
 
-#: The JSON field names, in canonical order.  ``from_json`` rejects anything
+#: The JSON field names, in canonical order.  ``from_dict`` rejects anything
 #: else loudly — a misspelled knob in a service request must not silently
 #: fall back to defaults.
 _FIELDS = ("fft_backend", "fft_workers", "precision", "tile_cache")
@@ -71,8 +67,8 @@ class ComputeConfig:
 
     ``None`` for any field means "consumer decides" — the consumer applies
     its historical default (usually: consult the environment).  Fields hold
-    *names*, never live objects, so a config pickles, JSON-serialises and
-    crosses process / HTTP boundaries; places that accept rich instances
+    *names*, never live objects, so a config pickles and crosses process /
+    HTTP boundaries; places that accept rich instances
     (an :class:`~repro.backend.FFTBackend`, a ``TileResultCache``) keep
     accepting them as before, outside the config.
     """
@@ -112,24 +108,12 @@ class ComputeConfig:
     # construction
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_env(cls) -> "ComputeConfig":
-        """The policy the environment variables express (unset = ``None``).
-
-        Reads exactly the variables the loose kwargs honoured:
-        ``REPRO_FFT_BACKEND``, ``REPRO_FFT_WORKERS``, ``REPRO_PRECISION``
-        and ``REPRO_TILE_CACHE`` (+ ``REPRO_TILE_CACHE_DIR`` implying on).
-        """
-        workers = os.environ.get(FFT_WORKERS_ENV_VAR)
-        return cls(
-            fft_backend=os.environ.get(FFT_BACKEND_ENV_VAR) or None,
-            fft_workers=int(workers) if workers else None,
-            precision=os.environ.get(PRECISION_ENV_VAR) or None,
-            tile_cache=env_tile_cache_flag(),
-        )
-
-    @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ComputeConfig":
-        """Build from a plain mapping, rejecting unknown keys loudly."""
+        """Build from a decoded JSON object, rejecting anything that is not
+        an object, and unknown keys, loudly."""
+        if not isinstance(data, Mapping):
+            raise ValueError(f"compute must be a JSON object, got "
+                             f"{type(data).__name__}")
         unknown = sorted(set(data) - set(_FIELDS))
         if unknown:
             raise ValueError(
@@ -137,33 +121,9 @@ class ComputeConfig:
                 f"known fields: {', '.join(_FIELDS)}")
         return cls(**{key: data[key] for key in _FIELDS if key in data})
 
-    @classmethod
-    def from_json(cls, text: Union[str, bytes, Mapping[str, Any]],
-                  ) -> "ComputeConfig":
-        """Parse a JSON object (or an already-decoded mapping)."""
-        if isinstance(text, Mapping):
-            return cls.from_dict(text)
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ValueError(
-                f"ComputeConfig JSON must be an object, got "
-                f"{type(data).__name__}")
-        return cls.from_dict(data)
-
-    # ------------------------------------------------------------------ #
-    # serialisation
-    # ------------------------------------------------------------------ #
-    def as_dict(self, drop_none: bool = False) -> Dict[str, Any]:
-        """Plain-dict form; ``drop_none`` omits unset fields."""
-        data = {name: getattr(self, name) for name in _FIELDS}
-        if drop_none:
-            data = {key: value for key, value in data.items()
-                    if value is not None}
-        return data
-
-    def to_json(self, drop_none: bool = False) -> str:
-        """JSON form, round-tripping exactly through :meth:`from_json`."""
-        return json.dumps(self.as_dict(drop_none=drop_none), sort_keys=True)
+    def as_dict(self) -> Dict[str, Any]:
+        """Plain-dict form, every field in canonical order."""
+        return {name: getattr(self, name) for name in _FIELDS}
 
     # ------------------------------------------------------------------ #
     # resolution
@@ -191,7 +151,3 @@ class ComputeConfig:
                              fft_workers=self.fft_workers,
                              precision=precision,
                              tile_cache=tile_cache)
-
-    def replace(self, **changes: Any) -> "ComputeConfig":
-        """A copy with the named fields replaced (dataclasses.replace)."""
-        return dataclasses.replace(self, **changes)

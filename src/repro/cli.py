@@ -173,15 +173,22 @@ def _imaging_inputs(arguments):
     """``(layout, EngineSpec)`` as the user described them, or ``None``
     after printing ``error: ...`` for unusable input.
 
-    Builds everything the job will build — the spec resolves backend and
-    precision *values* — before any imaging, as ``CampaignRequest.from_dict``
-    does at submit.  Only this is guarded: an error while imaging is a bug
-    and keeps its traceback.
+    Checks every rule a bad value would break later — the guard band, and a
+    sweep's target CD and tolerance — and builds everything the job will
+    build (the spec resolves backend and precision *values*) before any
+    imaging, as ``CampaignRequest.from_dict`` does at submit.  Only this is
+    guarded: an error while imaging is a bug and keeps its traceback.
     """
-    from .engine import EngineSpec
+    from .engine import EngineSpec, TilingSpec
     from .optics.source import make_source
+    from .sweep import check_window_targets
 
     try:
+        if arguments.guard >= 0:
+            TilingSpec(arguments.tile_size, arguments.guard)
+        if arguments.command == "sweep-window":
+            check_window_targets(arguments.target_cd or None,
+                                 arguments.tolerance)
         mask = _layout_from_args(arguments)
         config = OpticsConfig(tile_size_px=arguments.tile_size,
                               pixel_size_nm=arguments.pixel_size_nm)
@@ -448,38 +455,18 @@ def _add_compute_options(parser: argparse.ArgumentParser) -> None:
                              "REPRO_TILE_CACHE_DIR is set, else off; "
                              "REPRO_TILE_CACHE_DIR adds a disk tier that "
                              "persists across runs")
-    parser.add_argument("--compute-config", default="",
-                        help="whole compute policy as ComputeConfig JSON "
-                             "(inline, or @file.json to read a file), e.g. "
-                             "'{\"fft_backend\": \"numpy\", \"precision\": "
-                             "\"float32\"}'; explicit flags above override "
-                             "individual fields")
 
 
 def _compute_from_args(arguments):
-    """The unified :class:`~repro.backend.ComputeConfig` for a CLI run.
-
-    ``--compute-config`` (inline JSON or ``@file``) seeds the policy;
-    explicit per-field flags override it; anything still ``None`` falls
-    through to the consumers' ``REPRO_*`` environment defaults.
-    """
+    """The :class:`~repro.backend.ComputeConfig` of the four compute flags;
+    an unset flag stays ``None`` and falls through to the consumers'
+    ``REPRO_*`` environment defaults."""
     from .backend import ComputeConfig
 
-    text = getattr(arguments, "compute_config", "") or ""
-    if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as handle:
-            text = handle.read()
-    compute = ComputeConfig.from_json(text) if text.strip() else ComputeConfig()
-    overrides = {}
-    if arguments.fft_backend:
-        overrides["fft_backend"] = arguments.fft_backend
-    if arguments.fft_workers:
-        overrides["fft_workers"] = arguments.fft_workers
-    if arguments.precision:
-        overrides["precision"] = arguments.precision
-    if arguments.tile_cache is not None:
-        overrides["tile_cache"] = arguments.tile_cache
-    return compute.replace(**overrides) if overrides else compute
+    return ComputeConfig(fft_backend=arguments.fft_backend or None,
+                         fft_workers=arguments.fft_workers or None,
+                         precision=arguments.precision or None,
+                         tile_cache=arguments.tile_cache)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -273,7 +273,6 @@ def effective_chunk_tiles(batch: int, kernel_shape: Tuple[int, int, int],
 
 
 def batched_aerial_from_kernels(masks: np.ndarray, kernels: np.ndarray,
-                                output_shape: Optional[Tuple[int, int]] = None,
                                 backend: Optional[Union[FFTBackend, str]] = None,
                                 precision: Optional[Union[Precision, str]] = None,
                                 out: Optional[np.ndarray] = None,
@@ -294,8 +293,6 @@ def batched_aerial_from_kernels(masks: np.ndarray, kernels: np.ndarray,
         a **device array** of the backend (the engine uploads its
         bank once and passes it here), in which case its dtype must match
         ``precision`` and no per-call upload happens.
-    output_shape:
-        Resolution of the returned aerial images; defaults to the mask shape.
     backend:
         FFT backend (instance or registered name); ``None`` resolves the
         default (``REPRO_FFT_BACKEND`` / auto).  On a device-resident one
@@ -327,7 +324,7 @@ def batched_aerial_from_kernels(masks: np.ndarray, kernels: np.ndarray,
     if len(kernels.shape) != 3:
         raise ValueError("kernels must have shape (r, n, m)")
     batch = masks.shape[0]
-    out_h, out_w = masks.shape[-2:] if output_shape is None else output_shape
+    out_h, out_w = masks.shape[-2:]
     order, n, m = kernels.shape
 
     if out is None:

@@ -33,7 +33,6 @@ import numpy as np
 from ..backend import (
     ComputeConfig,
     FFTBackend,
-    Precision,
     autotune_precision,
     get_backend,
     is_auto_precision,
@@ -126,37 +125,29 @@ class ExecutionEngine:
     """Batched, cached, tiling-aware forward lithography from a kernel bank.
 
     Policy *names* arrive in one ``compute=ComputeConfig(...)``; the
-    ``fft_backend`` / ``precision`` / ``tile_cache`` keywords take the live
-    objects a serialisable config cannot hold (and win over its fields).
+    ``fft_backend`` / ``tile_cache`` keywords take the live objects a
+    serialisable config cannot hold (and win over its fields).
     """
 
     def __init__(self, kernels: np.ndarray, resist_threshold: float = 0.225,
                  tile_size_px: Optional[int] = None,
                  fft_backend: Optional[FFTBackend] = None,
-                 precision: Optional[Precision] = None,
                  tile_cache: Optional[TileResultCache] = None,
                  compute: Optional[ComputeConfig] = None):
         kernels = np.asarray(kernels)
         if kernels.ndim != 3:
             raise ValueError("kernels must have shape (r, n, m)")
         fft_backend = live_object("fft_backend", fft_backend, FFTBackend)
-        precision = live_object("precision", precision, Precision)
         tile_cache = live_object("tile_cache", tile_cache, TileResultCache)
         compute = compute if compute is not None else ComputeConfig()
-        #: The names-only compute policy this engine was built with (live
-        #: objects — an injected FFTBackend / Precision / TileResultCache —
-        #: live on :attr:`backend` / :attr:`precision` / :attr:`tile_cache`).
-        self.compute = compute
         #: Precision policy of every array this engine touches (masks cast on
         #: the way in, kernels cast once here, intensities come back real).
         #: The deferred ``"auto"`` spelling is resolved right here, against
         #: this bank: float32 exactly when the bank's SOCS truncation error
         #: already dominates the float32 dtype error (measured once).
-        requested_precision = precision if precision is not None \
-            else compute.precision
         self.precision = autotune_precision(kernels) \
-            if is_auto_precision(requested_precision) \
-            else resolve_precision(requested_precision)
+            if is_auto_precision(compute.precision) \
+            else resolve_precision(compute.precision)
         if fft_backend is not None:
             if compute.fft_workers is not None:
                 raise ValueError(
@@ -196,9 +187,9 @@ class ExecutionEngine:
         direct caller arrive here.  ``source`` / ``pupil`` default to
         :func:`~repro.optics.simulator.default_illumination`, ``cache`` to
         the process-wide one.  The cache serves its one float64 bank whatever
-        the precision; every other keyword (``compute``, ``precision``,
-        ``fft_backend``, ``tile_cache``, ...) goes to the constructor, which
-        resolves the precision against that bank and casts it once.
+        the precision; every other keyword (``compute``, ``fft_backend``,
+        ``tile_cache``, ...) goes to the constructor, which resolves the
+        precision against that bank and casts it once.
         """
         source, pupil = default_illumination(config, source, pupil)
         # "cache or default" would discard an *empty* injected cache, because
@@ -232,12 +223,13 @@ class ExecutionEngine:
                           resist_threshold=self.resist_model.threshold,
                           tile_size_px=self.tile_size_px,
                           fft_backend=self.backend,
-                          precision=self.precision,
                           # A live cache is shared as-is; otherwise caching
                           # stays off regardless of the environment.
                           tile_cache=self.tile_cache,
-                          compute=ComputeConfig(tile_cache=False)
-                          if self.tile_cache is None else None)
+                          compute=ComputeConfig(
+                              precision=self.precision.name,
+                              tile_cache=False
+                              if self.tile_cache is None else None))
 
     def kernel_energy(self) -> np.ndarray:
         """Per-kernel energy ``sum |K_i|^2`` — proportional to the SOCS eigenvalues."""
@@ -277,7 +269,6 @@ class ExecutionEngine:
     # imaging
     # ------------------------------------------------------------------ #
     def aerial_batch(self, masks: np.ndarray,
-                     output_shape: Optional[Tuple[int, int]] = None,
                      out: Optional[np.ndarray] = None) -> np.ndarray:
         """Aerial images of a mask batch ``(B, H, W)`` in one vectorised pass.
 
@@ -305,8 +296,8 @@ class ExecutionEngine:
                                          self.kernel_fingerprint(),
                                          self.kernels)
         return batched_aerial_from_kernels(
-            masks, kernels, output_shape=output_shape,
-            backend=self.backend, precision=self.precision, out=out)
+            masks, kernels, backend=self.backend, precision=self.precision,
+            out=out)
 
     def aerial(self, mask: np.ndarray) -> np.ndarray:
         """Aerial image of one mask tile: a batch of one."""
@@ -354,13 +345,14 @@ class ExecutionEngine:
                      tiling: Optional[TilingSpec] = None,
                      tile_px: Optional[int] = None,
                      guard_px: Optional[int] = None,
-                     out_dir: Optional[str] = None,
-                     batch_tiles: Optional[int] = None) -> LayoutImage:
+                     out_dir: Optional[str] = None) -> LayoutImage:
         """Image an arbitrary ``(H, W)`` layout by guard-banded tiling.
 
         Every layout runs through the one batch-by-batch pipeline of
-        :mod:`repro.engine.streaming`; the result does not depend on the
-        batch size, bit for bit.
+        :mod:`repro.engine.streaming`, in batches of
+        :meth:`stream_batch_tiles` tiles — O(tile-batch) RAM however large
+        the layout, dense or not; the result does not depend on the batch
+        size, bit for bit.
 
         Parameters
         ----------
@@ -387,18 +379,13 @@ class ExecutionEngine:
             Write the stitched aerial / resist into ``.npy`` memmaps under
             this directory (see the :mod:`repro.engine.streaming` docstring
             for the layout), so even the output needn't fit in RAM.
-        batch_tiles:
-            Tiles per batch; peak RAM is O(one batch).  Defaults to
-            :meth:`stream_batch_tiles` — O(tile-batch) RAM however large the
-            layout, dense or not.
         """
         if not hasattr(layout, "read_window"):
             # The one place a dense raster becomes a reader; it is cast up
             # front (a reader's tiles are cast per batch in aerial_batch).
             layout = ArrayLayoutReader(self.precision.as_real(layout))
         tiling = self.resolve_tiling(tiling, tile_px, guard_px)
-        if batch_tiles is None:
-            batch_tiles = self.stream_batch_tiles(tiling)
+        batch_tiles = self.stream_batch_tiles(tiling)
         image_batch = self.aerial_batch
         if self.backend.is_resident:
             # Stage every device->host download through one reusable (pinned,

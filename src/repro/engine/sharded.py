@@ -206,22 +206,16 @@ class ShardedExecutor:
     # ------------------------------------------------------------------ #
     # imaging
     # ------------------------------------------------------------------ #
-    def aerial_batch(self, spec: EngineSpec, masks: np.ndarray,
-                     output_shape: Optional[Tuple[int, int]] = None) -> np.ndarray:
+    def aerial_batch(self, spec: EngineSpec, masks: np.ndarray) -> np.ndarray:
         """Aerial images of ``(B, H, W)`` masks through the spec's engine."""
-        return self.warm(spec).aerial_batch(masks, output_shape=output_shape)
-
-    def resist_batch(self, spec: EngineSpec, masks: np.ndarray) -> np.ndarray:
-        """Binary resist images of a mask batch."""
-        return self.warm(spec).resist_batch(masks)
+        return self.warm(spec).aerial_batch(masks)
 
     def image_layout(self, spec: EngineSpec, layout,
                      tiling: Optional[TilingSpec] = None,
                      tile_px: Optional[int] = None,
                      guard_px: Optional[int] = None,
-                     out_dir: Optional[str] = None,
-                     batch_tiles: Optional[int] = None) -> LayoutImage:
+                     out_dir: Optional[str] = None) -> LayoutImage:
         """:meth:`ExecutionEngine.image_layout` of the spec's engine, argument
         for argument."""
         return self.warm(spec).image_layout(layout, tiling, tile_px,
-                                            guard_px, out_dir, batch_tiles)
+                                            guard_px, out_dir)

@@ -20,7 +20,7 @@ Requests are plain JSON::
       "optics":  {"tile_size_px": 32, "pixel_size_nm": 8.0,
                   "source": "annular"},                     (source optional)
       "grid":    {"focus_nm": [-40, 0, 40], "dose": [0.95, 1.0, 1.05]},
-      "compute": {... ComputeConfig JSON ...},              (optional)
+      "compute": {"fft_backend": ..., "precision": ...},    (optional object)
       "tolerance": 0.1, "target_cd_nm": null, "guard_px": null,
       "store_aerials": false                                (all optional)
     }
@@ -58,6 +58,7 @@ import numpy as np
 from ..backend import ComputeConfig
 from ..engine.cache import atomic_write
 from ..engine.sharded import ShardedExecutor
+from ..engine.tiling import TilingSpec
 from ..layout.sources import load_layout_source, synthesize_layout_mask
 from ..optics.simulator import OpticsConfig
 from ..optics.source import make_source
@@ -65,6 +66,7 @@ from ..sweep import (
     CampaignStore,
     FocusExposureGrid,
     ProcessWindowSweep,
+    check_window_targets,
     load_campaign_report,
 )
 
@@ -123,23 +125,25 @@ class CampaignRequest:
         optics = dict(data["optics"])
         if "tile_size_px" not in optics:
             raise ValueError("optics.tile_size_px is required")
-        tolerance = float(data.get("tolerance", 0.1))
-        if not 0.0 < tolerance < 1.0:
-            raise ValueError("tolerance must be in (0, 1)")
         target = data.get("target_cd_nm")
+        compute = data.get("compute")
         request = cls(
             layout=layout, optics=optics, grid=grid,
-            compute=ComputeConfig.from_json(data.get("compute") or {}),
-            tolerance=tolerance,
+            compute=ComputeConfig.from_dict({} if compute is None else compute),
+            tolerance=float(data.get("tolerance", 0.1)),
             target_cd_nm=float(target) if target else None,
             guard_px=int(data["guard_px"])
             if data.get("guard_px") is not None else None,
             store_aerials=bool(data.get("store_aerials", False)))
+        check_window_targets(request.target_cd_nm, request.tolerance)
         # Build everything the job will build, now: a bad block is the
         # submitter's 400, not a failed job found by polling.
         for block, build in (("optics", request.optics_config),
                              ("optics.source", request.source),
-                             ("grid", request.focus_exposure_grid)):
+                             ("grid", request.focus_exposure_grid),
+                             ("guard_px", lambda: request.guard_px is None or
+                              TilingSpec(int(optics["tile_size_px"]),
+                                         request.guard_px))):
             try:
                 build()
             except (TypeError, ValueError, AttributeError) as exc:

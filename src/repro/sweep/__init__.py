@@ -45,7 +45,11 @@ store recomputes only what is missing.
 """
 
 from .grid import FocusExposureGrid
-from .process_window import ProcessWindowSweep, SweepOutcome
+from .process_window import (
+    ProcessWindowSweep,
+    SweepOutcome,
+    check_window_targets,
+)
 from .report import (
     CampaignReport,
     load_campaign_report,
@@ -55,11 +59,11 @@ from .report import (
     report_as_dict,
     save_aerial_thumbnails,
 )
-from .store import CampaignIdentityError, CampaignStore, condition_id, layout_digest
+from .store import CampaignIdentityError, CampaignStore, condition_id
 
 __all__ = ["FocusExposureGrid", "ProcessWindowSweep", "SweepOutcome",
+           "check_window_targets",
            "CampaignStore", "CampaignIdentityError", "condition_id",
-           "layout_digest",
            "CampaignReport", "load_campaign_report", "render_campaign_report",
            "render_campaign_report_json", "render_campaign_report_html",
            "report_as_dict", "save_aerial_thumbnails"]

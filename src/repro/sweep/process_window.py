@@ -93,8 +93,28 @@ class SweepOutcome:
         return format_summary(self.grid, self.window)
 
 
+def check_window_targets(target_cd_nm: Optional[float],
+                         tolerance: float) -> None:
+    """Reject a target CD or CD tolerance no process window can be judged
+    against (``ValueError``); ``target_cd_nm=None`` = measure at nominal.
+
+    The one copy of the rule: :meth:`ProcessWindowSweep.run`, the CLI and
+    the campaign service all call it, the latter two before any kernel bank
+    is built.
+    """
+    if target_cd_nm is not None and target_cd_nm <= 0:
+        raise ValueError("target_cd_nm must be positive")
+    if not 0.0 < tolerance < 1.0:
+        raise ValueError("tolerance must be in (0, 1)")
+
+
 class ProcessWindowSweep:
     """Run focus-exposure campaigns for one optics description.
+
+    CDs are measured on one row: the widest feature printed at the grid's
+    nominal condition, chosen from the nominal-focus, nominal-dose resist
+    and then held fixed for every other condition, so one feature is
+    followed through the whole matrix.
 
     Parameters
     ----------
@@ -108,12 +128,6 @@ class ProcessWindowSweep:
         ``cache_dir`` is stamped on every spec the campaign derives, so
         ``ShardedExecutor(cache_dir=...)`` persists the kernel banks there
         and no bank is decomposed in two caches.
-    cd_row:
-        Row for CD extraction.  ``None`` (the default) tracks the widest
-        feature printed at the grid's nominal condition: the row is chosen
-        from the nominal-focus, nominal-dose resist and then held fixed for
-        every other condition, so one feature is followed through the whole
-        matrix.
     compute:
         The unified :class:`~repro.backend.ComputeConfig`, threaded into
         every :class:`EngineSpec` the campaign derives: every focus images
@@ -125,7 +139,6 @@ class ProcessWindowSweep:
     def __init__(self, config: OpticsConfig, source: Optional[Source] = None,
                  pupil: Optional[Pupil] = None,
                  executor: Optional[ShardedExecutor] = None,
-                 cd_row: Optional[int] = None,
                  compute: Optional[ComputeConfig] = None):
         #: The names-only compute policy every derived spec carries.
         self.compute = compute if compute is not None else ComputeConfig()
@@ -135,7 +148,6 @@ class ProcessWindowSweep:
         self.base_spec = EngineSpec(config=config, source=source, pupil=pupil,
                                     cache_dir=self.executor.cache_dir,
                                     compute=self.compute)
-        self.cd_row = cd_row
 
     # ------------------------------------------------------------------ #
     # per-focus engines
@@ -198,10 +210,7 @@ class ProcessWindowSweep:
             layout = np.asarray(layout, dtype=float)
         if len(layout.shape) != 2:
             raise ValueError("layout must be a 2-D image")
-        if target_cd_nm is not None and target_cd_nm <= 0:
-            raise ValueError("target_cd_nm must be positive")
-        if not 0.0 < tolerance < 1.0:
-            raise ValueError("tolerance must be in (0, 1)")
+        check_window_targets(target_cd_nm, tolerance)
         grid = grid if grid is not None else FocusExposureGrid()
         if isinstance(store, str):
             store = CampaignStore(store)
@@ -214,7 +223,7 @@ class ProcessWindowSweep:
             if tuple(layout.shape) == (tile, tile) else None
 
         start = time.perf_counter()
-        cd_row = self.cd_row
+        cd_row: Optional[int] = None
         num_tiles = 1
         cds: Dict[Tuple[float, float], float] = {}
         aerials: Dict[float, np.ndarray] = {}
@@ -227,8 +236,7 @@ class ProcessWindowSweep:
                 guard_px=guard_px)
             for entry in store.begin(identity, resume=resume).values():
                 cds[(entry["focus_nm"], entry["dose"])] = entry["cd_nm"]
-            if cd_row is None:
-                cd_row = store.get_derived("cd_row")
+            cd_row = store.get_derived("cd_row")
             if store.get_derived("num_tiles") is not None:
                 # Provenance survives a full resume (no focus re-imaged).
                 num_tiles = int(store.get_derived("num_tiles"))

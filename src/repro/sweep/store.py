@@ -91,19 +91,11 @@ from typing import Dict, Iterable, Optional, Tuple
 import numpy as np
 
 from ..engine.cache import atomic_write
-from ..layout.reader import array_digest, source_digest
+from ..layout.reader import source_digest
 
 MANIFEST_FILE = "manifest.json"
 COMPLETION_LOG_FILE = "completed.log"
 MANIFEST_VERSION = 1
-
-#: Dense-raster campaign identity (SHA-256 of bytes + shape).  The
-#: implementation lives with the layout readers; re-exported here because
-#: the store is where campaign identity is consumed.  Windowed readers hash
-#: their canonical shape list instead (``LayoutReader.digest()``) — same
-#: manifest field, different witness.
-layout_digest = array_digest
-
 
 def condition_id(focus_nm: float, dose: float) -> str:
     """Exact, filename-safe identity of one (focus, dose) condition."""

@@ -28,8 +28,15 @@ autograd node (``repro.nn.functional.socs_intensity``);
 :func:`reference_socs_intensity` is the op-by-op chain it replaced, each op
 with its own backward, kept as the node's oracle.
 
+The product cuts a layout's stream batches by one rule,
+``ExecutionEngine.stream_batch_tiles``; :func:`stream_batches` is how a test
+makes it cut smaller ones.
+
 It lives under ``tests/`` on purpose: the product keeps one path.
 """
+
+import contextlib
+from unittest import mock
 
 import numpy as np
 
@@ -48,10 +55,10 @@ def reference_mask_spectrum(mask, kernel_shape=None):
     return crop_centre(spectrum, kernel_shape[0], kernel_shape[1])
 
 
-def reference_aerial(masks, kernels, output_shape=None):
-    """``sum_i |ifft2(K_i * F(M))|^2`` of a ``(B, H, W)`` batch at full output
+def reference_aerial(masks, kernels):
+    """``sum_i |ifft2(K_i * F(M))|^2`` of a ``(B, H, W)`` batch at the masks'
     resolution: full complex spectra, centred embed, explicit ``ifftshift``."""
-    out_h, out_w = masks.shape[-2:] if output_shape is None else output_shape
+    out_h, out_w = masks.shape[-2:]
     spectra = reference_mask_spectrum(masks, kernels.shape[-2:])
     products = kernels[None, :, :, :] * spectra[:, None, :, :]
     embedded = np.fft.ifftshift(embed_centre(products, out_h, out_w),
@@ -136,3 +143,14 @@ def reference_image_layout(engine, layout, tiling=None, *, tile_px=None,
     return LayoutImage(aerial=aerial,
                        resist=engine.resist_model.develop(aerial),
                        tiling=tiling, num_tiles=len(placements))
+
+
+def stream_batches(target, batch_tiles):
+    """Context manager: ``image_layout`` cuts stream batches of
+    ``batch_tiles`` tiles.  Patches ``stream_batch_tiles`` on ``target`` —
+    one engine, or ``ExecutionEngine`` itself for the engines an executor
+    builds; ``None`` keeps the default rule."""
+    if batch_tiles is None:
+        return contextlib.nullcontext()
+    return mock.patch.object(target, "stream_batch_tiles",
+                             lambda *args: batch_tiles)

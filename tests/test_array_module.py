@@ -29,6 +29,7 @@ Pinned guarantees:
   string ``"auto"`` into a worker-bound spec.
 """
 
+import dataclasses
 import os
 import threading
 
@@ -39,7 +40,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import repro.api as api
-from reference import RecordingBackend, reference_image_layout
+from reference import RecordingBackend, reference_image_layout, stream_batches
 from repro.backend import (
     FLOAT32,
     FLOAT64,
@@ -98,7 +99,8 @@ NO_CACHE = ComputeConfig(tile_cache=False)
 def make_engines(**kwargs):
     numpy_engine = ExecutionEngine(
         KERNELS, tile_size_px=32,
-        compute=NO_CACHE.replace(fft_backend="numpy"), **kwargs)
+        compute=dataclasses.replace(NO_CACHE, fft_backend="numpy"),
+        **kwargs)
     fake_engine = ExecutionEngine(KERNELS, tile_size_px=32,
                                   fft_backend=get_backend("fakegpu"),
                                   compute=NO_CACHE, **kwargs)
@@ -148,8 +150,8 @@ class TestTransferCounts:
         layout = RNG.random((70, 70))
         reference = reference_image_layout(numpy_engine, layout, tile_px=32,
                                            guard_px=8)
-        result = fake_engine.image_layout(layout, tile_px=32, guard_px=8,
-                                          batch_tiles=4)
+        with stream_batches(fake_engine, 4):
+            result = fake_engine.image_layout(layout, tile_px=32, guard_px=8)
         np.testing.assert_array_equal(reference.aerial, result.aerial)
         np.testing.assert_array_equal(reference.resist, result.resist)
         stats = fakegpu.transfer_stats
@@ -181,8 +183,8 @@ class TestTransferCounts:
         layout = np.tile(np.random.default_rng(3).random((16, 16)), (5, 5))
         reference = reference_image_layout(numpy_engine, layout, tile_px=32,
                                            guard_px=8)
-        result = cached.image_layout(layout, tile_px=32, guard_px=8,
-                                     batch_tiles=4)
+        with stream_batches(cached, 4):
+            result = cached.image_layout(layout, tile_px=32, guard_px=8)
         np.testing.assert_array_equal(reference.aerial, result.aerial)
         np.testing.assert_array_equal(reference.resist, result.resist)
         stats = fakegpu.transfer_stats
@@ -197,12 +199,12 @@ class TestTransferCounts:
         host array per batch."""
         layout = RNG.random((300, 300))
         expected = api.image_layout(layout, CONFIG, guard_px=8,
-                                    compute=NO_CACHE.replace(
-                                        fft_backend="numpy"))
+                                    compute=dataclasses.replace(
+                                        NO_CACHE, fft_backend="numpy"))
         fakegpu.transfer_stats.reset()
         result = api.image_layout(layout, CONFIG, guard_px=8,
-                                  compute=NO_CACHE.replace(
-                                      fft_backend="fakegpu"))
+                                  compute=dataclasses.replace(
+                                      NO_CACHE, fft_backend="fakegpu"))
         assert fakegpu.transfer_stats.host_buffer_allocations == 1
         np.testing.assert_array_equal(result.aerial, expected.aerial)
         np.testing.assert_array_equal(result.resist, expected.resist)
@@ -424,7 +426,8 @@ class TestBackendProtocol:
         cache = TileResultCache()
         monkeypatch.setattr(tile_cache_module, "_default_cache", cache)
         cached = EngineSpec(config=CONFIG,
-                            compute=NO_CACHE.replace(tile_cache=True))
+                            compute=dataclasses.replace(NO_CACHE,
+                                                        tile_cache=True))
         with ShardedExecutor() as probed:
             probed.warm(cached).backend = probe
             result = probed.image_layout(cached, reader, guard_px=8)
@@ -465,7 +468,8 @@ class TestAutoPrecision:
 
     def test_engine_constructor_resolves_auto(self):
         engine = ExecutionEngine(KERNELS, tile_size_px=32,
-                                 compute=NO_CACHE.replace(precision="auto"))
+                                 compute=dataclasses.replace(
+                                     NO_CACHE, precision="auto"))
         assert engine.precision in (FLOAT32, FLOAT64)
         assert engine.kernels.dtype == engine.precision.complex_dtype
 

@@ -21,6 +21,7 @@ Pinned guarantees:
   workers reconstruct the parent's exact compute policy.
 """
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -193,10 +194,10 @@ class TestPrecisionPolicy:
         """One float64 master per optics; each engine casts its own copy."""
         cache = KernelBankCache()
         bank = cache.get_kernels(FINE, SOURCE, Pupil())
-        engine64 = ExecutionEngine.for_optics(FINE, SOURCE, cache=cache,
-                                              precision=FLOAT64)
-        engine32 = ExecutionEngine.for_optics(FINE, SOURCE, cache=cache,
-                                              precision=FLOAT32)
+        engine64 = ExecutionEngine.for_optics(
+            FINE, SOURCE, cache=cache, compute=ComputeConfig(precision="float64"))
+        engine32 = ExecutionEngine.for_optics(
+            FINE, SOURCE, cache=cache, compute=ComputeConfig(precision="float32"))
         assert engine64.kernels.dtype == np.complex128
         assert engine32.kernels.dtype == np.complex64
         assert bank is cache.get_kernels(FINE, SOURCE, Pupil())
@@ -218,11 +219,11 @@ class TestPrecisionPolicy:
 
     def test_cache_disk_roundtrip_preserves_precision(self, tmp_path):
         writer = KernelBankCache(cache_dir=str(tmp_path))
-        written = ExecutionEngine.for_optics(FINE, SOURCE, cache=writer,
-                                             precision=FLOAT32)
+        written = ExecutionEngine.for_optics(
+            FINE, SOURCE, cache=writer, compute=ComputeConfig(precision="float32"))
         reader = KernelBankCache(cache_dir=str(tmp_path))
-        loaded = ExecutionEngine.for_optics(FINE, SOURCE, cache=reader,
-                                            precision=FLOAT32)
+        loaded = ExecutionEngine.for_optics(
+            FINE, SOURCE, cache=reader, compute=ComputeConfig(precision="float32"))
         assert reader.stats.decompositions == 0
         assert reader.stats.disk_loads == 1
         assert loaded.kernels.dtype == np.complex64
@@ -241,9 +242,9 @@ class TestPrecisionPolicy:
             compute=ComputeConfig(fft_backend="numpy", precision=precision))
         master = KernelBankCache().get_kernels(FINE, SOURCE, Pupil())
         reference = ExecutionEngine(
-            master.kernels.astype(np.complex64), precision=FLOAT32,
+            master.kernels.astype(np.complex64),
             tile_size_px=FINE.tile_size_px,
-            compute=ComputeConfig(fft_backend="numpy"))
+            compute=ComputeConfig(fft_backend="numpy", precision="float32"))
         assert engine.precision is FLOAT32
         assert engine.kernels.dtype == reference.kernels.dtype
         assert engine.kernels.tobytes() == reference.kernels.tobytes()
@@ -356,8 +357,9 @@ class TestFloat32Accuracy:
         cache = KernelBankCache()
         ref = ExecutionEngine.for_optics(FINE, source=SOURCE, cache=cache) \
             .image_layout(layout, tile_px=64, guard_px=16)
-        low = ExecutionEngine.for_optics(FINE, source=SOURCE, cache=cache,
-                                         precision=FLOAT32) \
+        low = ExecutionEngine.for_optics(
+            FINE, source=SOURCE, cache=cache,
+            compute=ComputeConfig(precision="float32")) \
             .image_layout(layout, tile_px=64, guard_px=16)
         assert low.aerial.dtype == np.float32
         scale = float(ref.aerial.max())
@@ -409,7 +411,8 @@ class TestEngineSpecComputePolicy:
         base = EngineSpec(config=FINE, source=SOURCE, compute=numpy64)
         assert base.fingerprint() != \
             EngineSpec(config=FINE, source=SOURCE,
-                       compute=numpy64.replace(precision="float32")
+                       compute=dataclasses.replace(numpy64,
+                                                   precision="float32")
                        ).fingerprint()
 
     def test_with_focus_keeps_policy(self):

@@ -103,7 +103,7 @@ class TestTrainEvaluateSimulate:
 class TestImagingVerbsRejectBadInput:
     """Unusable user input to the imaging verbs is one ``error:`` line and
     exit 2 — like ``campaign-report`` on a missing store — never a traceback,
-    and nothing is written."""
+    and nothing is written: no kernel bank is even built."""
 
     @pytest.fixture
     def bad_inputs(self, tmp_path):
@@ -114,20 +114,29 @@ class TestImagingVerbsRejectBadInput:
                              "no layout file"),
             "not a layout": (["--input", str(not_gds)], "not a layout file"),
             "unknown source": (["--source", "nosuch"], "unknown source type"),
-            "bad precision value": (
-                ["--compute-config", '{"precision": "float16"}'],
-                "unknown precision 'float16'"),
-            "missing @file": (
-                ["--compute-config", "@" + str(tmp_path / "missing.json")],
-                "missing.json"),
+            "guard too wide": (["--guard", "40"],
+                               "guard band 40 px leaves no tile core"),
+            "bad tolerance": (["--tolerance", "1.5"],
+                              "tolerance must be in (0, 1)"),
+            "negative target": (["--target-cd", "-5"],
+                                "target_cd_nm must be positive"),
         }
 
-    @pytest.mark.parametrize("verb", ["image-layout", "sweep-window"])
-    @pytest.mark.parametrize("case", ["missing file", "not a layout",
-                                      "unknown source", "bad precision value",
-                                      "missing @file"])
+    @pytest.mark.parametrize("case,verb", [
+        (case, verb)
+        for case in ("missing file", "not a layout", "unknown source",
+                     "guard too wide")
+        for verb in ("image-layout", "sweep-window")] + [
+        (case, "sweep-window") for case in ("bad tolerance",
+                                            "negative target")])
     def test_error_line_exit_2_no_output(self, verb, case, bad_inputs,
-                                         tmp_path, capsys):
+                                         tmp_path, capsys, monkeypatch):
+        from repro.engine import KernelBankCache
+
+        def no_bank(*args, **kwargs):
+            raise AssertionError("a kernel bank was built for bad input")
+
+        monkeypatch.setattr(KernelBankCache, "get_kernels", no_bank)
         arguments, message = bad_inputs[case]
         output = tmp_path / "out.npz"
         exit_code = main([verb, "--width", "64", "--height", "64",

@@ -2,20 +2,18 @@
 
 Pins the API contract: one serialisable object carries every compute-policy
 knob through the engine, executor, sweep and CLI layers; the engine's own
-``fft_backend`` / ``precision`` / ``tile_cache`` keywords take live objects
-and reject names with a ``TypeError`` pointing at ``ComputeConfig``; both
-spellings of one policy produce bit-for-bit identical engines and equal
-specs.
+``fft_backend`` / ``tile_cache`` keywords take live objects and reject names
+with a ``TypeError`` pointing at ``ComputeConfig``; and nothing on the road
+to the SOCS core spells a setting twice.
 """
 
 import dataclasses
 import json
-import warnings
 
 import numpy as np
 import pytest
 
-from repro.backend import FLOAT32, ComputeConfig, get_backend
+from repro.backend import ComputeConfig, get_backend
 from repro.cli import _compute_from_args, build_parser
 from repro.engine import (
     EngineSpec,
@@ -29,20 +27,15 @@ from repro.optics.simulator import OpticsConfig
 OPTICS = OpticsConfig(tile_size_px=32, pixel_size_nm=8.0)
 
 
-def make_masks(count: int = 2) -> np.ndarray:
-    rng = np.random.default_rng(5)
-    return (rng.random((count, 32, 32)) > 0.6).astype(float)
-
-
 class TestComputeConfig:
     def test_json_round_trip(self):
         config = ComputeConfig(fft_backend="numpy", fft_workers=2,
                                precision="float32", tile_cache=True)
-        assert ComputeConfig.from_json(config.to_json()) == config
-        assert ComputeConfig.from_json(config.as_dict()) == config
-        # drop_none keeps the round trip: missing keys stay None
-        sparse = ComputeConfig(precision="float64")
-        assert ComputeConfig.from_json(sparse.to_json(drop_none=True)) == sparse
+        text = json.dumps(config.as_dict())
+        assert ComputeConfig.from_dict(json.loads(text)) == config
+        # missing keys stay None
+        assert ComputeConfig.from_dict({"precision": "float64"}) == \
+            ComputeConfig(precision="float64")
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="fft_backnd"):
@@ -52,9 +45,14 @@ class TestComputeConfig:
         with pytest.raises(ValueError, match="scheduler"):
             ComputeConfig.from_dict({"scheduler": "pool"})
 
-    def test_from_json_rejects_non_object(self):
-        with pytest.raises(ValueError, match="object"):
-            ComputeConfig.from_json(json.dumps(["numpy"]))
+    @pytest.mark.parametrize("value,kind", [
+        ('{"precision": "float32"}', "str"), (["numpy"], "list")],
+        ids=["str", "list"])
+    def test_from_dict_rejects_non_object(self, value, kind):
+        """JSON text is not a second spelling of the object it encodes."""
+        with pytest.raises(ValueError,
+                           match=f"compute must be a JSON object, got {kind}"):
+            ComputeConfig.from_dict(value)
 
     def test_validates_field_types(self):
         with pytest.raises(ValueError):
@@ -66,25 +64,6 @@ class TestComputeConfig:
         with pytest.raises(TypeError, match="instances directly"):
             ComputeConfig(precision=np.float32)
 
-    def test_from_env_reads_the_legacy_variables(self, monkeypatch):
-        for var in ("REPRO_FFT_BACKEND", "REPRO_FFT_WORKERS",
-                    "REPRO_PRECISION", "REPRO_TILE_CACHE",
-                    "REPRO_TILE_CACHE_DIR"):
-            monkeypatch.delenv(var, raising=False)
-        assert ComputeConfig.from_env() == ComputeConfig()
-        monkeypatch.setenv("REPRO_FFT_BACKEND", "numpy")
-        monkeypatch.setenv("REPRO_FFT_WORKERS", "3")
-        monkeypatch.setenv("REPRO_PRECISION", "float32")
-        monkeypatch.setenv("REPRO_TILE_CACHE", "off")
-        monkeypatch.setenv("REPRO_SCHEDULER", "stealing")  # no longer read
-        assert ComputeConfig.from_env() == ComputeConfig(
-            fft_backend="numpy", fft_workers=3, precision="float32",
-            tile_cache=False)
-        # REPRO_TILE_CACHE_DIR alone implies caching on
-        monkeypatch.delenv("REPRO_TILE_CACHE")
-        monkeypatch.setenv("REPRO_TILE_CACHE_DIR", "/tmp/somewhere")
-        assert ComputeConfig.from_env().tile_cache is True
-
     @pytest.mark.parametrize("flag,cache_dir,expected", [
         ("", None, False), ("", "/tmp/somewhere", False),
         ("0", None, False), ("off", "/tmp/somewhere", False),
@@ -93,9 +72,11 @@ class TestComputeConfig:
     ])
     def test_one_tile_cache_env_parser(self, monkeypatch, flag, cache_dir,
                                        expected):
-        """``ComputeConfig`` and the engine's ``resolve_tile_cache`` read
-        ``REPRO_TILE_CACHE`` / ``_DIR`` through one parser, so they cannot
-        disagree — the empty string used to be on here and off there."""
+        """``ComputeConfig.resolve`` and the engine's ``resolve_tile_cache``
+        read ``REPRO_TILE_CACHE`` / ``_DIR`` through one parser, so they
+        cannot disagree — the empty string used to be on here and off
+        there."""
+        from repro.backend.config import env_tile_cache_flag
         from repro.engine import resolve_tile_cache
         from repro.engine import tile_cache as tile_cache_module
 
@@ -106,7 +87,7 @@ class TestComputeConfig:
                 monkeypatch.delenv(var, raising=False)
             else:
                 monkeypatch.setenv(var, value)
-        assert ComputeConfig.from_env().tile_cache is expected
+        assert env_tile_cache_flag() is expected
         resolved = ComputeConfig(fft_backend="numpy").resolve().tile_cache
         assert resolved is expected
         assert (resolve_tile_cache(None) is not None) is bool(expected)
@@ -127,13 +108,18 @@ class TestLegacyShim:
         ("tile_cache", True), ("tile_cache", False),
     ])
     def test_engine_policy_names_raise_type_error(self, keyword, name):
+        """A live-object keyword points a name at ``ComputeConfig``; the
+        precision has no keyword at all: ``compute.precision`` is its one
+        spelling."""
         bank = np.zeros((1, 9, 9), dtype=complex)
         bank[0, 4, 4] = 1.0
-        with pytest.raises(TypeError, match=rf"ComputeConfig\({keyword}="):
+        with pytest.raises(TypeError, match=rf"ComputeConfig\({keyword}=|"
+                           rf"unexpected keyword argument '{keyword}'"):
             ExecutionEngine(bank, **{keyword: name})
 
     def test_for_optics_precision_name_raises_type_error(self):
-        with pytest.raises(TypeError, match=r"ComputeConfig\(precision="):
+        with pytest.raises(TypeError,
+                           match="unexpected keyword argument 'precision'"):
             ExecutionEngine.for_optics(OPTICS, precision="float32")
 
     def test_loose_worker_and_sweep_keywords_are_gone(self):
@@ -152,8 +138,10 @@ class TestLegacyShim:
 
     def test_knob_census(self):
         """Every settable place on the road to the SOCS core, literally: a
-        removed option (the chunk-bytes knob went in PR 20) cannot drift back
-        unnoticed, and a new one has to be written down here."""
+        removed option (the chunk-bytes knob, a second resolution, a second
+        batch size, a second precision keyword) cannot drift back
+        unnoticed, and a new one has to be written down here.  Each one
+        left has a caller outside the tests."""
         import inspect
 
         from repro.engine import batched_aerial_from_kernels
@@ -164,21 +152,45 @@ class TestLegacyShim:
             return [name for name in inspect.signature(function).parameters
                     if name != "self"]
 
+        # Every image is at the mask's own resolution.
         assert parameters(batched_aerial_from_kernels) == [
-            "masks", "kernels", "output_shape", "backend", "precision", "out"]
+            "masks", "kernels", "backend", "precision", "out"]
         assert parameters(ExecutionEngine.__init__) == [
             "kernels", "resist_threshold", "tile_size_px", "fft_backend",
-            "precision", "tile_cache", "compute"]
+            "tile_cache", "compute"]
+        assert parameters(ExecutionEngine.aerial_batch) == ["masks", "out"]
+        # The stream batch is always stream_batch_tiles(tiling).
+        assert parameters(ExecutionEngine.image_layout) == [
+            "layout", "tiling", "tile_px", "guard_px", "out_dir"]
         assert [field.name for field in dataclasses.fields(EngineSpec)] == [
             "config", "source", "pupil", "cache_dir", "compute"]
+        # The tracked CD row is the widest nominal feature, or the store's.
         assert parameters(ProcessWindowSweep.__init__) == [
-            "config", "source", "pupil", "executor", "cd_row", "compute"]
+            "config", "source", "pupil", "executor", "compute"]
         # num_workers is accepted and ignored (the end-to-end benchmark
         # still passes it); the shard cut's pool= went with the cut, and the
         # executor's own tile cache and compute= with its second copy of
         # the engine's policy.
         assert parameters(ShardedExecutor.__init__) == [
             "num_workers", "cache_dir"]
+        assert parameters(ShardedExecutor.aerial_batch) == ["spec", "masks"]
+        assert parameters(ShardedExecutor.image_layout) == [
+            "spec", "layout", "tiling", "tile_px", "guard_px", "out_dir"]
+        assert not hasattr(ShardedExecutor, "resist_batch")
+        # Names: the service's "compute" object in, the resolved record out.
+        assert {name for name, member in vars(ComputeConfig).items()
+                if not name.startswith("_")
+                and callable(getattr(ComputeConfig, name))} == {
+            "from_dict", "as_dict", "resolve"}
+        # The command line spells the policy with its four flags only.
+        verbs = next(action for action in build_parser()._actions
+                     if action.dest == "command").choices
+        for verb in ("image-layout", "sweep-window"):
+            flags = {flag for action in verbs[verb]._actions
+                     for flag in action.option_strings}
+            assert {"--fft-backend", "--fft-workers", "--precision",
+                    "--tile-cache"} <= flags
+            assert "--compute-config" not in flags
         # precision / compute reach the constructor through **kwargs, which
         # resolves "auto" against the bank: the cache holds no such rule.
         assert parameters(ExecutionEngine.for_optics) == [
@@ -197,20 +209,6 @@ class TestLegacyShim:
             "num_kernels", "hidden_dim", "num_hidden_blocks", "encoding",
             "encoding_kwargs", "kernel_shape_override", "learning_rate",
             "batch_size", "epochs", "seed", "real_valued_mlp"]
-
-    def test_engine_compute_kwarg_is_silent_and_equivalent(self):
-        masks = make_masks()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            objects = ExecutionEngine.for_optics(
-                OPTICS, fft_backend=get_backend("numpy"), precision=FLOAT32)
-            unified = ExecutionEngine.for_optics(
-                OPTICS, compute=ComputeConfig(fft_backend="numpy",
-                                              precision="float32"))
-        assert unified.backend.name == objects.backend.name
-        assert unified.precision.name == objects.precision.name
-        np.testing.assert_array_equal(unified.aerial_batch(masks),
-                                      objects.aerial_batch(masks))
 
     def test_engine_spec_carries_one_resolved_compute(self):
         spec = EngineSpec(
@@ -246,35 +244,15 @@ class TestLegacyShim:
         assert live.tile_cache is cache
 
 
-class TestCliComputeConfig:
-    def _args(self, extra):
-        return build_parser().parse_args(
-            ["image-layout", "--output", "x.npz"] + extra)
+class TestCliCompute:
+    def test_the_four_flags_are_the_policy(self):
+        def compute(*flags):
+            return _compute_from_args(build_parser().parse_args(
+                ["image-layout", "--output", "x.npz", *flags]))
 
-    def test_compute_config_flag_seeds_the_policy(self):
-        arguments = self._args(["--compute-config",
-                                '{"fft_backend": "numpy", '
-                                '"precision": "float32"}'])
-        compute = _compute_from_args(arguments)
-        assert compute.fft_backend == "numpy"
-        assert compute.precision == "float32"
-
-    def test_explicit_flags_override_the_json(self):
-        arguments = self._args(["--compute-config",
-                                '{"fft_backend": "numpy", '
-                                '"precision": "float32"}',
-                                "--precision", "float64"])
-        compute = _compute_from_args(arguments)
-        assert compute == ComputeConfig(fft_backend="numpy",
-                                        precision="float64")
-
-    def test_compute_config_from_file(self, tmp_path):
-        path = tmp_path / "compute.json"
-        path.write_text(json.dumps({"precision": "float32"}))
-        arguments = self._args(["--compute-config", f"@{path}"])
-        assert _compute_from_args(arguments).precision == "float32"
-
-    def test_bad_json_fails_loudly(self):
-        arguments = self._args(["--compute-config", '{"precisio": "x"}'])
-        with pytest.raises(ValueError, match="precisio"):
-            _compute_from_args(arguments)
+        assert compute() == ComputeConfig()
+        assert compute("--fft-backend", "numpy", "--fft-workers", "2",
+                       "--precision", "float32", "--tile-cache") == \
+            ComputeConfig(fft_backend="numpy", fft_workers=2,
+                          precision="float32", tile_cache=True)
+        assert compute("--no-tile-cache").tile_cache is False

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from reference import reference_aerial
+from reference import reference_aerial, stream_batches
 from repro.core import NithoConfig, NithoModel, NithoTrainer
 from repro.engine import ExecutionEngine
 from repro.metrics import aerial_metrics
@@ -211,12 +211,13 @@ class TestKernelBankEngine:
             engine.resist_batch(list(tiny_masks[:2]))
 
     def test_float32_bank(self, tiny_simulator, tiny_masks):
-        from repro.backend import FLOAT32
+        from repro.backend import FLOAT32, ComputeConfig
 
         kernels = tiny_simulator.kernels.kernels
         tile = tiny_simulator.config.tile_size_px
-        engine = ExecutionEngine(kernels.astype(np.complex64), precision=FLOAT32,
-                                 tile_size_px=tile)
+        engine = ExecutionEngine(kernels.astype(np.complex64),
+                                 tile_size_px=tile,
+                                 compute=ComputeConfig(precision="float32"))
         assert engine.kernels.dtype == np.complex64
         aerial = engine.aerial(tiny_masks[0])
         assert aerial.dtype == np.float32
@@ -253,22 +254,12 @@ class TestKernelBankEngine:
                                  fft_backend=get_backend("fakegpu"))
         host = ExecutionEngine(tiny_simulator.kernels.kernels,
                                tile_size_px=tile,
-                               compute=no_cache.replace(fft_backend="numpy"))
+                               compute=ComputeConfig(tile_cache=False,
+                                                     fft_backend="numpy"))
+        with stream_batches(device, 2):
+            streamed = device.image_layout(layout, guard_px=4)
         np.testing.assert_array_equal(
-            device.image_layout(layout, guard_px=4, batch_tiles=2).aerial,
-            host.image_layout(layout, guard_px=4).aerial)
-
-    def test_aerial_batch_forwards_output_shape(self, tiny_simulator,
-                                                tiny_masks):
-        kernels = tiny_simulator.kernels.kernels
-        shape = (2 * tiny_masks.shape[-2], 2 * tiny_masks.shape[-1])
-        upsampled = ExecutionEngine(kernels).aerial_batch(
-            tiny_masks[:2], output_shape=shape)
-        assert upsampled.shape == (2, *shape)
-        np.testing.assert_allclose(
-            upsampled, reference_aerial(np.asarray(tiny_masks[:2], dtype=float),
-                                        kernels, output_shape=shape),
-            rtol=1e-10, atol=1e-12)
+            streamed.aerial, host.image_layout(layout, guard_px=4).aerial)
 
     def test_kernel_energy_sorted_descending_for_golden(self, tiny_simulator):
         engine = ExecutionEngine(tiny_simulator.kernels.kernels)

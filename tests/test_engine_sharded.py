@@ -29,7 +29,7 @@ import threading
 import numpy as np
 import pytest
 
-from reference import reference_image_layout
+from reference import reference_image_layout, stream_batches
 from repro.backend import ComputeConfig
 from repro.engine import (
     EngineSpec,
@@ -204,7 +204,7 @@ class TestShardedExecutor:
 
     def test_resist_batch_binary(self, spec, masks):
         executor = ShardedExecutor()
-        resist = executor.resist_batch(spec, masks)
+        resist = executor.warm(spec).resist_batch(masks)
         assert set(np.unique(resist)).issubset({0, 1})
 
     def test_validation(self):
@@ -299,9 +299,9 @@ class TestStreamingThroughExecutor:
         layout = (np.random.default_rng(7).random((70, 90)) > 0.75).astype(float)
         reference = reference_image_layout(
             spec.build(cache=KernelBankCache()), layout, guard_px=8)
-        with ShardedExecutor(cache_dir=str(tmp_path)) as ex:
-            streamed = ex.image_layout(_threads(spec, 2), layout, guard_px=8,
-                                       batch_tiles=3)
+        with ShardedExecutor(cache_dir=str(tmp_path)) as ex, \
+                stream_batches(ex.warm(_threads(spec, 2)), 3):
+            streamed = ex.image_layout(_threads(spec, 2), layout, guard_px=8)
         np.testing.assert_array_equal(streamed.aerial, reference.aerial)
         np.testing.assert_array_equal(streamed.resist, reference.resist)
 

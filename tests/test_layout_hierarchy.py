@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import reference_image_layout
+from reference import reference_image_layout, stream_batches
 from repro.backend import ComputeConfig
 from repro.engine import (
     EngineSpec,
@@ -451,9 +451,10 @@ class TestEngineWiring:
             fft_backend=backend_name, precision=precision))
         ref = reference_image_layout(engine, hier_dense, tile_px=32,
                                      guard_px=8)
-        for kwargs in ({}, {"batch_tiles": 1}, {"batch_tiles": 2}):
-            imaged = engine.image_layout(hier_reader, tile_px=32,
-                                         guard_px=8, **kwargs)
+        for batch_tiles in (None, 1, 2):
+            with stream_batches(engine, batch_tiles):
+                imaged = engine.image_layout(hier_reader, tile_px=32,
+                                             guard_px=8)
             assert imaged.num_tiles == ref.num_tiles
             np.testing.assert_array_equal(np.asarray(imaged.aerial),
                                           ref.aerial)

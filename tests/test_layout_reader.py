@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import reference_image_layout
+from reference import reference_image_layout, stream_batches
 from repro.backend import ComputeConfig
 from repro.engine import (
     EngineSpec,
@@ -44,12 +44,7 @@ from repro.layout.geometry import Polygon, Rect
 from repro.masks.io import save_layout
 from repro.masks.layout import Layout
 from repro.optics.simulator import OpticsConfig
-from repro.sweep import (
-    CampaignStore,
-    FocusExposureGrid,
-    ProcessWindowSweep,
-    layout_digest,
-)
+from repro.sweep import CampaignStore, FocusExposureGrid, ProcessWindowSweep
 
 
 def random_layout(seed: int = 0, extent_nm: float = 768.0,
@@ -102,7 +97,7 @@ class TestArrayLayoutReader:
     def test_digest_matches_store_layout_digest(self):
         """Dense campaign identity is unchanged: same hash either spelling."""
         dense = np.arange(12.0).reshape(3, 4)
-        assert ArrayLayoutReader(dense).digest() == layout_digest(dense)
+        assert ArrayLayoutReader(dense).digest() == array_digest(dense)
         assert source_digest(dense) == array_digest(dense)
 
     def test_as_layout_reader_passthrough(self, geometry_reader):
@@ -293,9 +288,10 @@ class TestEngineWiring:
         engine = ExecutionEngine.for_optics(config, compute=ComputeConfig(
             fft_backend=backend_name, precision=precision))
         ref = reference_image_layout(engine, dense, tile_px=32, guard_px=8)
-        for kwargs in ({}, {"batch_tiles": 1}, {"batch_tiles": 2}):
-            imaged = engine.image_layout(geometry_reader, tile_px=32,
-                                         guard_px=8, **kwargs)
+        for batch_tiles in (None, 1, 2):
+            with stream_batches(engine, batch_tiles):
+                imaged = engine.image_layout(geometry_reader, tile_px=32,
+                                             guard_px=8)
             assert imaged.num_tiles == ref.num_tiles
             np.testing.assert_array_equal(np.asarray(imaged.aerial),
                                           ref.aerial)
@@ -373,9 +369,9 @@ class TestThirdPartyReader:
                                                 tile_cache=tile_cache))
         with ShardedExecutor() as executor:
             for batch_tiles in (None, 3):
-                imaged = executor.image_layout(
-                    spec, reader, tile_px=32,
-                    guard_px=8, batch_tiles=batch_tiles)
+                with stream_batches(executor.warm(spec), batch_tiles):
+                    imaged = executor.image_layout(spec, reader, tile_px=32,
+                                                   guard_px=8)
                 np.testing.assert_array_equal(np.asarray(imaged.aerial),
                                               ref.aerial)
                 np.testing.assert_array_equal(np.asarray(imaged.resist),

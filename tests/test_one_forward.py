@@ -20,13 +20,14 @@ Pinned guarantees:
   since then stay hits / resumable.
 """
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from reference import RecordingBackend, band_limited_blocks
-from repro.backend import ComputeConfig, resolve_precision
+from repro.backend import ComputeConfig
 from repro.core import NithoConfig, NithoModel
 from repro.engine import EngineSpec, ExecutionEngine, KernelBankCache
 from repro.engine import cache as cache_module
@@ -211,13 +212,14 @@ class TestPersistedIdentities:
         assert spec.with_focus(40.0).fingerprint() == self.REFOCUSED_FINGERPRINT
         assert EngineSpec(
             config=self.CONFIG, source=self.SOURCE,
-            compute=self.COMPUTE.replace(fft_workers=2, precision="float32"),
+            compute=dataclasses.replace(self.COMPUTE, fft_workers=2,
+                                        precision="float32"),
         ).fingerprint() == self.WORKERS_FLOAT32_FINGERPRINT
 
     @pytest.mark.parametrize("precision", ["float64", "float32"])
     def test_kernel_fingerprint_is_unchanged(self, precision):
         engine = ExecutionEngine(self.BANK,
-                                 precision=resolve_precision(precision))
+                                 compute=ComputeConfig(precision=precision))
         assert engine.kernel_fingerprint() == self.BANK_FINGERPRINTS[precision]
 
     def _store_recorded_under(self, fingerprint, root):

@@ -19,7 +19,6 @@ The acceptance properties of the service PR, each pinned directly:
 import glob
 import json
 import os
-import signal
 import subprocess
 import sys
 import time
@@ -96,11 +95,20 @@ class TestRequestValidation:
          "invalid optics.source: "),
         ({"grid": {"focus_nm": ["a"], "dose": DOSES}}, "invalid grid: "),
         ({"grid": {"focus_nm": FOCI, "dose": [None]}}, "invalid grid: "),
+        ({"tolerance": 1.5}, "tolerance must be in "),
+        ({"target_cd_nm": -5}, "target_cd_nm must be positive"),
+        ({"optics": {"tile_size_px": 32, "pixel_size_nm": 8.0},
+          "guard_px": 40}, "invalid guard_px: guard band 40 px"),
+        # One spelling of the compute policy: an object, never JSON text.
+        ({"compute": json.dumps(COMPUTE_JSON)},
+         "compute must be a JSON object, got str"),
+        ({"compute": ["numpy"]}, "compute must be a JSON object, got list"),
     ]
 
     @pytest.mark.parametrize("overrides,message", BAD_BLOCKS)
     def test_builds_what_it_will_run(self, overrides, message):
-        """Block *contents* fail at parse time, naming the block."""
+        """Block and field *contents* fail at parse time, naming the block
+        or field, before anything is imaged."""
         with pytest.raises(ValueError, match=message):
             CampaignRequest.from_dict(make_request(**overrides))
 

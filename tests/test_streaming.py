@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import reference_image_layout
+from reference import reference_image_layout, stream_batches
 from repro.backend import ComputeConfig
 from repro.engine import execution
 from repro.engine import (
@@ -123,8 +123,8 @@ class TestStreamingEqualsInMemory:
                             compute=ComputeConfig(fft_backend=backend_name,
                                                   precision=precision)).build()
         reference = reference_image_layout(engine, layout, guard_px=guard_px)
-        streamed = engine.image_layout(layout, guard_px=guard_px,
-                                       batch_tiles=3)
+        with stream_batches(engine, 3):
+            streamed = engine.image_layout(layout, guard_px=guard_px)
         np.testing.assert_array_equal(streamed.aerial, reference.aerial)
         np.testing.assert_array_equal(streamed.resist, reference.resist)
         assert streamed.num_tiles == reference.num_tiles
@@ -133,8 +133,8 @@ class TestStreamingEqualsInMemory:
     @pytest.mark.parametrize("batch_tiles", [1, 2, 7, None])
     def test_bit_for_bit_across_batch_sizes(self, engine, layout, batch_tiles):
         reference = reference_image_layout(engine, layout, guard_px=8)
-        streamed = engine.image_layout(layout, guard_px=8,
-                                       batch_tiles=batch_tiles)
+        with stream_batches(engine, batch_tiles):
+            streamed = engine.image_layout(layout, guard_px=8)
         np.testing.assert_array_equal(streamed.aerial, reference.aerial)
         np.testing.assert_array_equal(streamed.resist, reference.resist)
 
@@ -147,8 +147,8 @@ class TestStreamingEqualsInMemory:
         rng = np.random.default_rng(seed)
         layout = (rng.random((height, width)) > 0.7).astype(float)
         reference = reference_image_layout(engine, layout, guard_px=guard)
-        streamed = engine.image_layout(layout, guard_px=guard,
-                                       batch_tiles=batch)
+        with stream_batches(engine, batch):
+            streamed = engine.image_layout(layout, guard_px=guard)
         np.testing.assert_array_equal(streamed.aerial, reference.aerial)
         np.testing.assert_array_equal(streamed.resist, reference.resist)
 
@@ -231,9 +231,9 @@ class TestPipelineValidation:
                                                               layout,
                                                               tmp_path):
         out_dir = tmp_path / "rejected"
-        with pytest.raises(ValueError, match="batch_tiles"):
-            engine.image_layout(layout, guard_px=8, batch_tiles=0,
-                                out_dir=str(out_dir))
+        with stream_batches(engine, 0), \
+                pytest.raises(ValueError, match="batch_tiles"):
+            engine.image_layout(layout, guard_px=8, out_dir=str(out_dir))
         with pytest.raises(ValueError, match="2-D"):
             engine.image_layout(layout[None], guard_px=8,
                                 out_dir=str(out_dir))
@@ -291,7 +291,8 @@ class TestMemmapOutput:
         np.save(path, layout)
         mapped = np.load(path, mmap_mode="r")
         reference = reference_image_layout(engine, layout, guard_px=8)
-        streamed = engine.image_layout(mapped, guard_px=8, batch_tiles=4)
+        with stream_batches(engine, 4):
+            streamed = engine.image_layout(mapped, guard_px=8)
         np.testing.assert_array_equal(streamed.aerial, reference.aerial)
 
     def test_out_dir_files_exist(self, engine, layout, tmp_path):

@@ -20,13 +20,13 @@ import numpy as np
 import pytest
 
 from repro.engine import ShardedExecutor
+from repro.layout import array_digest
 from repro.sweep import (
     CampaignIdentityError,
     CampaignStore,
     FocusExposureGrid,
     ProcessWindowSweep,
     condition_id,
-    layout_digest,
 )
 from repro.optics import OpticsConfig
 from repro.optics.source import CircularSource
@@ -137,11 +137,11 @@ class TestCampaignStoreUnit:
     def test_layout_digest_depends_on_content_and_shape(self):
         a = np.zeros((4, 4))
         b = np.zeros((2, 8))
-        assert layout_digest(a) != layout_digest(b)
+        assert array_digest(a) != array_digest(b)
         c = a.copy()
         c[0, 0] = 1.0
-        assert layout_digest(a) != layout_digest(c)
-        assert layout_digest(a) == layout_digest(np.zeros((4, 4)))
+        assert array_digest(a) != array_digest(c)
+        assert array_digest(a) == array_digest(np.zeros((4, 4)))
 
     def test_save_and_load_aerial(self, tmp_path):
         store = CampaignStore(str(tmp_path / "s"), store_aerials=True)

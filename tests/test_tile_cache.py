@@ -34,7 +34,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import reference_image_layout
+from reference import reference_image_layout, stream_batches
 from repro.backend import ComputeConfig
 from repro.engine import (
     ZERO_TILE_DIGEST,
@@ -594,8 +594,8 @@ class TestCachedImagingBitForBit:
         reference = reference_image_layout(plain, layout, tile_px=32,
                                            guard_px=guard)
         dense = cached.image_layout(layout, tile_px=32, guard_px=guard)
-        streamed = cached.image_layout(layout, tile_px=32, guard_px=guard,
-                                       batch_tiles=3)
+        with stream_batches(cached, 3):
+            streamed = cached.image_layout(layout, tile_px=32, guard_px=guard)
         np.testing.assert_array_equal(dense.aerial, reference.aerial)
         np.testing.assert_array_equal(dense.resist, reference.resist)
         np.testing.assert_array_equal(streamed.aerial, reference.aerial)
@@ -621,8 +621,8 @@ class TestCachedImagingBitForBit:
         with ShardedExecutor() as executor:
             reference = reference_image_layout(executor.warm(spec), layout,
                                                guard_px=8)
-            result = executor.image_layout(spec, layout, guard_px=8,
-                                           batch_tiles=3 if bounded else None)
+            with stream_batches(executor.warm(spec), 3 if bounded else None):
+                result = executor.image_layout(spec, layout, guard_px=8)
         np.testing.assert_array_equal(result.aerial, reference.aerial)
         np.testing.assert_array_equal(result.resist, reference.resist)
         assert cache.stats.tiles == reference.num_tiles
@@ -743,8 +743,8 @@ class TestCompactWindows:
         reference = reference_image_layout(plain, layout, tile_px=32,
                                            guard_px=0)
         for batch_tiles in (None, 2):
-            result = cached.image_layout(layout, tile_px=32, guard_px=0,
-                                         batch_tiles=batch_tiles)
+            with stream_batches(cached, batch_tiles):
+                result = cached.image_layout(layout, tile_px=32, guard_px=0)
             np.testing.assert_array_equal(result.aerial, reference.aerial)
             np.testing.assert_array_equal(result.resist, reference.resist)
         stats = cached.tile_cache.stats

@@ -47,7 +47,7 @@ def test_sweep_kernel_bank_economy(tmp_path, monkeypatch):
     config = OpticsConfig(tile_size_px=TILE, pixel_size_nm=PIXEL_NM, max_socs_order=24)
     source = AnnularSource(0.5, 0.8)
     cache_dir = str(tmp_path / "kernel-cache")
-    decompositions = _spy(monkeypatch, "decompose_tcc")
+    decompositions = _spy(monkeypatch, "socs_kernels")
     disk_loads = _spy(monkeypatch, "_bank_from_npz")
 
     with ShardedExecutor(cache_dir=cache_dir) as executor:

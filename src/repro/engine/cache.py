@@ -1,12 +1,12 @@
 """Process-wide kernel-bank cache keyed by an optics fingerprint.
 
-The expensive part of SOCS imaging is building the kernel bank: the TCC
-matrix (``O((n m)^2)`` accumulation) followed by a dense Hermitian
-eigendecomposition.  The seed recomputed both in every simulator, engine and
-experiment that needed kernels.  This module computes them **once per optics
-fingerprint per process** and shares the result between the golden simulator,
-every :class:`~repro.engine.execution.ExecutionEngine`, the experiment
-drivers and the throughput benchmarks.
+Building a SOCS kernel bank is a thin SVD of the lit shifted-pupil stack
+(:func:`~repro.optics.socs.socs_kernels`, ~20 ms cold on 256 px / 4 nm
+optics; the ``(n m) x (n m)`` TCC is never formed).  This module builds each
+bank **once per optics fingerprint per process** and shares the result
+between the golden simulator, every
+:class:`~repro.engine.execution.ExecutionEngine`, the experiment drivers and
+the throughput benchmarks.
 
 The fingerprint hashes everything that determines the kernel bank:
 
@@ -17,13 +17,12 @@ The fingerprint hashes everything that determines the kernel bank:
 * the pupil model (defocus, Zernike coefficients, apodization).
 
 The cache keeps one thing per ``(fingerprint, max_socs_order)``: the float64
-SOCS kernel bank.  The TCC is a local of the build, decomposed and dropped
-(10.8 MiB on 256 px / 4 nm optics, against the bank's 0.31), and precision is the engine's business — an
+SOCS kernel bank, and precision is the engine's business — an
 :class:`~repro.engine.execution.ExecutionEngine` casts the bank it receives,
 so a float32 engine costs one cast of the same master and dtypes never mix.
 Setting a ``cache_dir`` (or the ``REPRO_KERNEL_CACHE_DIR`` environment
 variable for the default cache) also persists the banks as ``.npz`` files,
-letting separate processes skip the eigendecomposition entirely.  That disk
+letting separate processes skip the build entirely.  That disk
 tier, :class:`NpzDiskTier`, is the one the tile-result cache persists
 through too: entries are published by rename, written outside the cache
 lock, and an unreadable one is a counted miss (``CacheStats.disk_errors``)
@@ -49,9 +48,8 @@ import numpy as np
 
 from ..optics.kernel_dims import kernel_dimensions
 from ..optics.pupil import Pupil
-from ..optics.socs import SOCSKernels, decompose_tcc
+from ..optics.socs import SOCSKernels, socs_kernels
 from ..optics.source import Source
-from ..optics.tcc import compute_tcc
 
 _LOG = logging.getLogger(__name__)
 T = TypeVar("T")
@@ -250,11 +248,12 @@ class KernelBankCache:
         self._lock = threading.Lock()
 
     def get_kernels(self, config, source: Source, pupil: Pupil) -> SOCSKernels:
-        """The float64 SOCS bank for these optics, decomposed at most once.
+        """The float64 SOCS bank for these optics, built at most once.
 
-        Truncated at ``config.max_socs_order``.  The TCC is built, decomposed
-        and dropped: the bank is the one thing kept, in memory and under a
-        ``cache_dir`` on disk.  An engine of another precision casts it
+        Truncated at ``config.max_socs_order`` and built by
+        :func:`~repro.optics.socs.socs_kernels` (no TCC is formed): the bank
+        is the one thing kept, in memory and under a ``cache_dir`` on disk.
+        An engine of another precision casts it
         (:class:`~repro.engine.execution.ExecutionEngine`).
         """
         order = getattr(config, "max_socs_order", None)
@@ -274,7 +273,7 @@ class KernelBankCache:
                 self._banks[key] = bank
                 return bank
             self.stats.decompositions += 1
-            bank = decompose_tcc(compute_tcc(
+            bank = socs_kernels(
                 source, pupil,
                 kernel_dimensions(config.tile_size_px, config.tile_size_px,
                                   wavelength_nm=config.wavelength_nm,
@@ -282,7 +281,7 @@ class KernelBankCache:
                                   pixel_size_nm=config.pixel_size_nm),
                 field_size_nm=config.field_size_nm,
                 wavelength_nm=config.wavelength_nm,
-                numerical_aperture=config.numerical_aperture), max_order=order)
+                numerical_aperture=config.numerical_aperture, max_order=order)
             self._banks[key] = bank
         # Compressed and written outside the lock: a hit never waits on it.
         self._disk.save(key, kernels=bank.kernels,

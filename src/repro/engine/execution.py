@@ -11,9 +11,10 @@ learned Nitho kernels, anything of shape ``(r, n, m)`` — and provides:
   pipeline in :mod:`repro.engine.tiling`, lifting the historical
   "exactly one tile" restriction,
 * construction from an optics description (:meth:`for_optics`) through the
-  process-wide kernel-bank cache in :mod:`repro.engine.cache`, so the TCC +
-  eigendecomposition for a given optics fingerprint happens at most once per
-  process no matter how many simulators, experiments or benchmarks ask, and
+  process-wide kernel-bank cache in :mod:`repro.engine.cache`, so the thin
+  SVD of the lit shifted-pupil stack (~20 ms cold) for a given optics
+  fingerprint runs at most once per process no matter how many simulators,
+  experiments or benchmarks ask, and
 * the compute policy of :mod:`repro.backend`, carried by one
   ``compute=ComputeConfig(...)``: ``fft_backend`` / ``fft_workers`` select
   the FFT implementation (numpy, multi-threaded scipy, or anything

@@ -8,9 +8,9 @@ and every call forwards to the memoised engine.  Each engine owns what
 decides its output — its kernel bank, precision and tile cache — so the
 executor keeps no second copy of any of them.  With a ``cache_dir`` on the
 spec (a sweep stamps the executor's, which defaults to
-``REPRO_KERNEL_CACHE_DIR``) the decomposed kernel banks persist as ``.npz``,
-so a later run — a resumed campaign, a restarted service — loads them
-instead of re-running the TCC accumulation + eigendecomposition.
+``REPRO_KERNEL_CACHE_DIR``) the kernel banks persist as ``.npz``, so a
+later run — a resumed campaign, a restarted service — loads them instead of
+re-running the thin SVD of the lit shifted-pupil stack (~20 ms cold).
 
 Tiles run in parallel in one place only, the batched core
 (:mod:`repro.engine.batched`), which spends the spec's worker budget
@@ -195,10 +195,10 @@ class ShardedExecutor:
         switch, and memoised.
 
         With a ``cache_dir`` on the spec the build goes through a throwaway
-        disk-backed cache: it writes the decomposed kernel bank as ``.npz``
-        (so the next run's first lookup is a disk load rather than a fresh
-        TCC accumulation + eigendecomposition), and the bank then lives only
-        in the memoised engine.
+        disk-backed cache: it writes the kernel bank as ``.npz`` (so the
+        next run's first lookup is a disk load rather than a fresh thin SVD
+        of the lit shifted-pupil stack, ~20 ms cold), and the bank then
+        lives only in the memoised engine.
         """
         return self._engines.get_or_build(
             (spec.fingerprint(), spec.compute.tile_cache), spec.build)

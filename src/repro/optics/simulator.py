@@ -7,8 +7,10 @@ learned models are trained against.
 
 Kernel banks are served by the process-wide cache in
 :mod:`repro.engine.cache`, so any number of simulators sharing an optics
-fingerprint pay for the TCC + SOCS eigendecomposition exactly once; the TCC
-itself is not kept (build one with :func:`~repro.optics.tcc.compute_tcc`).
+fingerprint pay exactly once for the bank's build, a thin SVD of the lit
+shifted-pupil stack (~20 ms cold, :func:`~repro.optics.socs.socs_kernels`);
+the TCC itself is never formed (build one with
+:func:`~repro.optics.tcc.compute_tcc`).
 Every SOCS image — one tile, a batch, a whole layout
 (``simulator.engine.image_layout``) — comes from the simulator's
 :class:`~repro.engine.execution.ExecutionEngine`.
@@ -119,7 +121,7 @@ class LithographySimulator:
 
     @property
     def kernels(self) -> SOCSKernels:
-        """SOCS kernel bank, decomposed at most once per optics fingerprint."""
+        """SOCS kernel bank, built at most once per optics fingerprint."""
         if self._kernels is None:
             self._kernels = self.kernel_cache.get_kernels(
                 self.config, self.source, self.pupil)

@@ -1,7 +1,10 @@
 """Sum of Coherent Systems (SOCS) decomposition of the TCC (Eqs. (3)-(4)).
 
 The TCC matrix is Hermitian positive semi-definite; its eigendecomposition
-yields coherent kernels.  Truncating the expansion to the ``r`` largest
+yields coherent kernels (:func:`decompose_tcc`).  Because the TCC is a Gram
+matrix of the lit shifted-pupil stack, the same kernels come from a thin SVD
+of that stack without ever forming the TCC (:func:`socs_kernels`, the
+production build).  Truncating the expansion to the ``r`` largest
 eigenvalues gives the fast approximation used both by production OPC tools
 and by the Nitho training target.
 """
@@ -13,7 +16,12 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .tcc import TCCResult
+from .pupil import Pupil
+from .source import Source
+from .tcc import TCCResult, shifted_pupil_stack
+
+# Eigenvalues at or below this fraction of the largest are dropped.
+ENERGY_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -51,8 +59,36 @@ class SOCSKernels:
         return total / self.total_energy
 
 
+def _truncate(eigenvalues: np.ndarray, eigenvectors: np.ndarray,
+              kernel_shape: Tuple[int, int], max_order: Optional[int],
+              energy_tolerance: float) -> SOCSKernels:
+    """Kernels from descending, non-negative eigenpairs (vectors as columns).
+
+    Keeps every eigenvalue above ``energy_tolerance`` times the largest, at
+    most ``max_order`` of them and at least one; ``total_energy`` is the sum
+    of all eigenvalues given.
+    """
+    if eigenvalues.size and eigenvalues[0] > 0:
+        keep = eigenvalues > energy_tolerance * eigenvalues[0]
+    else:
+        keep = np.zeros_like(eigenvalues, dtype=bool)
+    count = int(keep.sum())
+    if max_order is not None:
+        count = min(count, int(max_order))
+    count = max(count, 1)
+
+    n, m = kernel_shape
+    kept_values = eigenvalues[:count]
+    kept_vectors = eigenvectors[:, :count]
+    kernels = np.ascontiguousarray(
+        (np.sqrt(kept_values)[None, :] * kept_vectors).T.reshape(count, n, m))
+
+    return SOCSKernels(kernels=kernels, eigenvalues=kept_values, kernel_shape=(n, m),
+                       total_energy=float(eigenvalues.sum()))
+
+
 def decompose_tcc(tcc: TCCResult, max_order: Optional[int] = None,
-                  energy_tolerance: float = 1e-9) -> SOCSKernels:
+                  energy_tolerance: float = ENERGY_TOLERANCE) -> SOCSKernels:
     """Eigendecompose a TCC matrix into SOCS kernels.
 
     Parameters
@@ -66,29 +102,38 @@ def decompose_tcc(tcc: TCCResult, max_order: Optional[int] = None,
     eigenvalues, eigenvectors = np.linalg.eigh(tcc.matrix)
     # eigh returns ascending order; we want the dominant kernels first.
     order = np.argsort(eigenvalues)[::-1]
-    eigenvalues = eigenvalues[order]
-    eigenvectors = eigenvectors[:, order]
-
     # Numerical noise can produce tiny negative eigenvalues; clamp them.
-    eigenvalues = np.clip(eigenvalues, 0.0, None)
-    total_energy = float(eigenvalues.sum())
+    return _truncate(np.clip(eigenvalues[order], 0.0, None),
+                     eigenvectors[:, order], tcc.kernel_shape, max_order,
+                     energy_tolerance)
 
-    if eigenvalues.size and eigenvalues[0] > 0:
-        keep = eigenvalues > energy_tolerance * eigenvalues[0]
-    else:
-        keep = np.zeros_like(eigenvalues, dtype=bool)
-    count = int(keep.sum())
-    if max_order is not None:
-        count = min(count, int(max_order))
-    count = max(count, 1)
 
-    n, m = tcc.kernel_shape
-    kept_values = eigenvalues[:count]
-    kept_vectors = eigenvectors[:, :count]
-    kernels = (np.sqrt(kept_values)[None, :] * kept_vectors).T.reshape(count, n, m)
+def socs_kernels(source: Source, pupil: Pupil, kernel_shape: Tuple[int, int],
+                 field_size_nm: float, wavelength_nm: float,
+                 numerical_aperture: float,
+                 max_order: Optional[int] = None) -> SOCSKernels:
+    """The SOCS kernels of :func:`decompose_tcc` without forming the TCC.
 
-    return SOCSKernels(kernels=kernels, eigenvalues=kept_values, kernel_shape=(n, m),
-                       total_energy=total_energy)
+    ``T = A diag(J) A^H = B B^H`` with ``B = A[:, J > 0] diag(sqrt(J))``, the
+    shifted-pupil stack (:func:`~repro.optics.tcc.shifted_pupil_stack`) over
+    the source samples that carry light.  The thin SVD ``B = U S V^H`` gives
+    the eigenpairs of ``T`` directly: eigenvalues ``S**2`` (already
+    descending and non-negative), eigenvectors the columns of ``U``, and
+    ``total_energy = sum(S**2) = trace T``.  ``B`` has ``n*m`` rows but only
+    as many columns as lit source samples (64 against 841 rows on 256 px /
+    4 nm optics under an annular 0.5-0.8 source), so this costs a few
+    milliseconds where the ``(n*m, n*m)`` matrix and its dense
+    eigendecomposition cost about half a second.  Truncation follows
+    :func:`decompose_tcc`'s default rule exactly.
+    """
+    shifted, weights = shifted_pupil_stack(
+        source, pupil, kernel_shape, field_size_nm, wavelength_nm,
+        numerical_aperture)
+    lit = weights > 0
+    stack = shifted[:, lit] * np.sqrt(weights[lit])[None, :]
+    vectors, singular_values, _ = np.linalg.svd(stack, full_matrices=False)
+    return _truncate(singular_values ** 2, vectors, tuple(kernel_shape),
+                     max_order, ENERGY_TOLERANCE)
 
 
 def truncation_error_bound(tcc: TCCResult, order: int) -> float:

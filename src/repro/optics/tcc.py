@@ -4,7 +4,9 @@ The TCC couples pairs of mask diffraction orders through the source and the
 pupil.  We compute it on the discrete frequency window that the optical
 system can actually transmit (the ``n x m`` kernel window of Eq. (10)), which
 yields an ``(n*m, n*m)`` Hermitian matrix amenable to the SOCS
-eigendecomposition in :mod:`repro.optics.socs`.
+eigendecomposition in :mod:`repro.optics.socs`.  The matrix is a Gram
+product of one shifted-pupil stack (:func:`shifted_pupil_stack`); the
+production kernel bank is built from that stack directly and never forms it.
 """
 
 from __future__ import annotations
@@ -55,15 +57,19 @@ def _offset_window(values: np.ndarray, row_offset: int, col_offset: int,
     return window
 
 
-def compute_tcc(source: Source, pupil: Pupil, kernel_shape: Tuple[int, int],
-                field_size_nm: float, wavelength_nm: float,
-                numerical_aperture: float,
-                source_shape: Optional[Tuple[int, int]] = None) -> TCCResult:
-    """Compute the TCC matrix on the ``kernel_shape`` frequency window.
+def shifted_pupil_stack(source: Source, pupil: Pupil, kernel_shape: Tuple[int, int],
+                        field_size_nm: float, wavelength_nm: float,
+                        numerical_aperture: float,
+                        source_shape: Optional[Tuple[int, int]] = None
+                        ) -> Tuple[np.ndarray, np.ndarray]:
+    """The factors of Eq. (2): ``T = A diag(J) A^H``.
 
-    The computation discretises Eq. (2): for every source sample ``s`` with
-    weight ``J(s)`` the shifted pupils ``H(s + f1)`` and ``H*(s + f2)`` are
-    accumulated into ``T[f1, f2]``.
+    Row ``p`` of ``A`` (``(n*m, sn*sm)``) is the pupil shifted to kernel
+    frequency ``f_p`` and sampled at every source point, ``H(s + f_p)``;
+    ``J`` (``(sn*sm,)``) is the normalised source intensity at those points.
+    Both the TCC (:func:`compute_tcc`) and the SOCS kernels built without it
+    (:func:`repro.optics.socs.socs_kernels`) start here, so the pupil-offset
+    convention is written once.
 
     Parameters
     ----------
@@ -103,16 +109,33 @@ def compute_tcc(source: Source, pupil: Pupil, kernel_shape: Tuple[int, int],
         for col_offset in cols:
             shifted[flat_index] = _offset_window(pupil_map, int(row_offset), int(col_offset), sn, sm)
             flat_index += 1
+    return shifted.reshape(order, -1), weights.reshape(-1)
+
+
+def compute_tcc(source: Source, pupil: Pupil, kernel_shape: Tuple[int, int],
+                field_size_nm: float, wavelength_nm: float,
+                numerical_aperture: float,
+                source_shape: Optional[Tuple[int, int]] = None) -> TCCResult:
+    """Compute the TCC matrix on the ``kernel_shape`` frequency window.
+
+    The computation discretises Eq. (2): for every source sample ``s`` with
+    weight ``J(s)`` the shifted pupils ``H(s + f1)`` and ``H*(s + f2)`` are
+    accumulated into ``T[f1, f2]``.  Arguments as for
+    :func:`shifted_pupil_stack`.
+    """
+    shifted, weights = shifted_pupil_stack(
+        source, pupil, kernel_shape, field_size_nm, wavelength_nm,
+        numerical_aperture, source_shape)
 
     # T[p, q] = sum_s J(s) * H(s + f_p) * conj(H(s + f_q))
-    weighted = shifted * weights[None, :, :]
-    flat_weighted = weighted.reshape(order, -1)
-    flat_shifted = shifted.reshape(order, -1)
-    matrix = flat_weighted @ np.conj(flat_shifted.T)
+    matrix = (shifted * weights[None, :]) @ np.conj(shifted.T)
 
     # Enforce exact Hermitian symmetry against round-off.
     matrix = 0.5 * (matrix + np.conj(matrix.T))
-    return TCCResult(matrix=matrix, kernel_shape=(n, m), grid=source_grid)
+    sn, sm = source_shape or kernel_shape
+    return TCCResult(matrix=matrix, kernel_shape=tuple(kernel_shape),
+                     grid=make_grid(sn, sm, field_size_nm, wavelength_nm,
+                                    numerical_aperture))
 
 
 def tcc_diagonal(result: TCCResult) -> np.ndarray:

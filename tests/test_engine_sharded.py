@@ -138,9 +138,9 @@ class TestShardedExecutor:
         from repro.engine.sharded import ENGINE_MEMO_LIMIT
 
         calls = []
-        plain = cache.decompose_tcc
+        plain = cache.socs_kernels
         monkeypatch.setattr(
-            cache, "decompose_tcc",
+            cache, "socs_kernels",
             lambda *args, **kw: calls.append(1) or plain(*args, **kw))
         executor = ShardedExecutor()
         base = EngineSpec(config=CONFIG, source=SOURCE,

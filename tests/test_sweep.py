@@ -120,9 +120,9 @@ class TestProcessWindowSweep:
         from repro.engine import cache
 
         calls = []
-        plain = cache.decompose_tcc
+        plain = cache.socs_kernels
         monkeypatch.setattr(
-            cache, "decompose_tcc",
+            cache, "socs_kernels",
             lambda *args, **kw: calls.append(1) or plain(*args, **kw))
         sweep = ProcessWindowSweep(
             CONFIG, source=SOURCE,
@@ -143,9 +143,9 @@ class TestProcessWindowSweep:
         from repro.engine import cache
 
         calls = []
-        plain = cache.decompose_tcc
+        plain = cache.socs_kernels
         monkeypatch.setattr(
-            cache, "decompose_tcc",
+            cache, "socs_kernels",
             lambda *args, **kw: calls.append(1) or plain(*args, **kw))
         grid = FocusExposureGrid((0.0, 73.0), (1.0,))  # foci no test shares
         compute = ComputeConfig(fft_backend="numpy", precision="auto")

@@ -1,10 +1,11 @@
 """Batched SOCS imaging — the one numerical "kernel bank -> aerial image".
 
 Every aerial image in the package (a single tile, a batch, a layout tile, a
-learned or a golden bank) comes from :func:`batched_aerial_from_kernels`.  A
-batch ``(B, H, W)`` is cut **once**, into blocks of
-:func:`effective_chunk_tiles` tiles, and each block moves through the
-pipeline as one array program:
+learned or a golden bank) comes from one loop, :func:`image_tiles`: a
+stack through :func:`batched_aerial_from_kernels`, a layout's windows
+through ``ExecutionEngine.image_layout``.  The tiles are cut **once**, into
+blocks of :func:`effective_chunk_tiles` tiles, and each block moves through
+the pipeline as one array program:
 
 1. one broadcast FFT produces every mask spectrum at once,
 2. one broadcast multiply forms the ``(block, r, n, m)`` kernel products,
@@ -38,13 +39,18 @@ contract); block size never changes a tile's result.
 
 The thread budget is read off the backend too (``backend.workers``:
 ``fft_workers`` / ``REPRO_FFT_WORKERS``, default the CPUs available) and is
-spent **on tiles, not inside transforms**: a batch of ``B > 1`` tiles is
+spent **on tiles, not inside transforms**: a call of ``B > 1`` tiles is
 cut into ``min(workers, B)`` contiguous shares, the calling thread images
 the first and helper threads the rest, and every share transforms through
 the backend's one-thread sibling
-(:meth:`~repro.backend.FFTBackend.single_threaded`) with its own scratch and
-its part of :data:`BLOCK_BYTES`.  Measured on 2 CPUs, 36 production tiles:
-two threads *inside* each transform buy 1.3x over one thread (the kernel
+(:meth:`~repro.backend.FFTBackend.single_threaded`) with its own mask
+buffer and scratch (allocated by the calling thread) and its part of
+:data:`BLOCK_BYTES`.  The share is the unit of work from window to result:
+it reads its tiles (``read``), images them and hands each block on
+(``write``) before reading the next — a layout's windows are read, imaged,
+stitched and developed inside the share, so the layout path holds no
+batch-sized array and no serial stitch.  Measured on 2 CPUs, 36 production
+tiles: two threads *inside* each transform buy 1.3x over one thread (the kernel
 product, embed, ``|field|^2`` and copies between transforms stay serial),
 two threads *on blocks* 1.6x; and a batch of 2-4 tiles (one block) is
 faster as two shares than as one call with two-thread transforms.  This
@@ -90,7 +96,7 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -281,7 +287,8 @@ def batched_aerial_from_kernels(masks: np.ndarray, kernels: np.ndarray,
 
     Evaluated on the intensity band-limit grid (:func:`band_limit_grid`) and
     Fourier-upsampled (exact) whenever that grid fits the output; at full
-    output size otherwise.
+    output size otherwise.  This is :func:`image_tiles` reading blocks of
+    ``masks`` rows and writing them to the same rows of ``out``.
 
     Parameters
     ----------
@@ -304,7 +311,7 @@ def batched_aerial_from_kernels(masks: np.ndarray, kernels: np.ndarray,
         Precision policy (:class:`~repro.backend.Precision` or name);
         ``None`` resolves the default (``REPRO_PRECISION`` / float64).
     out:
-        Optional preallocated ``(B, H, W)`` host array (the layout pipeline's
+        Optional preallocated ``(B, H, W)`` host array (the tile cache's
         reusable — on CUDA, pinned — staging buffer) the results are written
         into; returned when given.  Results are identical either way.
     """
@@ -325,7 +332,6 @@ def batched_aerial_from_kernels(masks: np.ndarray, kernels: np.ndarray,
         raise ValueError("kernels must have shape (r, n, m)")
     batch = masks.shape[0]
     out_h, out_w = masks.shape[-2:]
-    order, n, m = kernels.shape
 
     if out is None:
         out = np.empty((batch, out_h, out_w), dtype=precision.real_dtype)
@@ -343,51 +349,94 @@ def batched_aerial_from_kernels(masks: np.ndarray, kernels: np.ndarray,
         # The bank goes up once per call unless it arrived resident (a host
         # backend's asarray is the identity).
         kernels = xp.asarray(kernels)
+    image_tiles(batch, lambda start, stop, _: masks[start:stop], None,
+                kernels, xp, precision, (out_h, out_w), out=out)
+    return out
+
+
+def image_tiles(count: int,
+                read: Callable[[int, int, np.ndarray], np.ndarray],
+                write: Optional[Callable[[int, np.ndarray], None]],
+                kernels, xp: FFTBackend, precision: Precision,
+                tile_shape: Tuple[int, int], most_tiles: Optional[int] = None,
+                out: Optional[np.ndarray] = None) -> None:
+    """Image tiles ``0 .. count - 1``: the package's one imaging loop.
+
+    ``read(start, stop, buffer)`` returns the masks of tiles ``start ..
+    stop - 1`` as one ``(stop - start, H, W)`` real array — a slice of a
+    stack, or ``buffer`` (the share's own block-sized mask buffer, in
+    ``precision``) filled tile by tile; ``write(start, images)`` receives
+    their host aerial images, valid only for the duration of the call —
+    copy what you keep.  With ``out`` (a ``(count, H, W)`` host array)
+    every block lands in its rows instead and ``write`` is unused.
+    ``kernels`` is the ``(r, n, m)`` bank, cast to ``precision`` and living
+    where ``xp`` computes; ``most_tiles`` caps a block.
+
+    The thread share is the unit of work: each share reads its tiles into a
+    block-sized mask buffer of its own, images them block by block and
+    writes every image before the next block — so a layout is read,
+    imaged, stitched and developed inside the share, and nothing
+    ``count``-sized is ever allocated.  The workspaces are allocated here,
+    on the calling thread (a helper's own malloc arena would keep them).
+    On a device-resident backend there is one share, each block is one
+    upload and one download, and the downloads land in ``out`` or in one
+    host block (``xp.empty_host``) kept for the call.
+    """
+    out_h, out_w = tile_shape
+    order, n, m = kernels.shape
     grid = intensity_grid(n, m, out_h, out_w)
     band_limited = grid == band_limit_grid(n, m)
 
-    def tiles_per_block(budget_bytes: int) -> int:
-        return effective_chunk_tiles(batch, kernels.shape, out_h, out_w,
-                                     budget_bytes, precision.complex_itemsize)
-
-    # The backend's worker budget is spent on tiles: one contiguous share of
-    # the batch per thread, each share transforming through the one-thread
-    # sibling and keeping its part of the budget (the cores share the cache
+    # The backend's worker budget is spent on tiles: one contiguous share
+    # per thread, each transforming through the one-thread sibling and
+    # keeping its part of the budget (the cores share the cache
     # BLOCK_BYTES names).  A single tile keeps ``xp`` — and its
     # in-transform threads — to itself.
     budget = RESIDENT_BLOCK_BYTES if xp.is_resident else BLOCK_BYTES
     serial = xp.single_threaded()
-    threads = 1 if serial is xp or xp.is_resident else min(xp.workers, batch)
+    threads = 1 if serial is xp or xp.is_resident else min(xp.workers, count)
     if threads > 1:
         xp, budget = serial, budget // threads
-    block = tiles_per_block(budget)
+    block = effective_chunk_tiles(count, kernels.shape, out_h, out_w, budget,
+                                  precision.complex_itemsize)
+    if most_tiles is not None:
+        block = min(block, most_tiles)
+    landing = xp.empty_host((block,) + tile_shape, precision.real_dtype) \
+        if xp.is_resident and out is None else None
+    evaluate = _band_limited_chunk if band_limited else _direct_chunk
 
-    def image(share: slice) -> None:
-        if band_limited:
-            evaluate = _band_limited_chunk
-            # Zeroed once: every block overwrites the same corners and no zero.
-            scratch = (
-                xp.zeros((block, order) + grid, kernels.dtype),
-                xp.zeros((block, out_h, m), kernels.dtype))
-        else:
-            evaluate, scratch = _direct_chunk, ()
+    def workspace(share: range) -> tuple:
+        rows = min(block, len(share))
+        masks = np.empty((rows,) + tile_shape, precision.real_dtype)
+        if not band_limited:
+            return masks, ()
+        # Zeroed once: every block overwrites the same corners and no zero.
+        return masks, (xp.zeros((rows, order) + grid, kernels.dtype),
+                       xp.zeros((rows, out_h, m), kernels.dtype))
+
+    def image(share: range, masks: np.ndarray, scratch: tuple) -> None:
         for start in range(share.start, share.stop, block):
             stop = min(start + block, share.stop)
-            tiles = evaluate(xp.asarray(masks[start:stop]), kernels, out_h,
-                             out_w, xp, *scratch)
-            xp.to_host(tiles, out=out[start:stop])
+            tiles = evaluate(xp.asarray(read(start, stop, masks)), kernels,
+                             out_h, out_w, xp, *scratch)
+            if out is not None:
+                xp.to_host(tiles, out=out[start:stop])
+            elif landing is not None:
+                write(start, xp.to_host(tiles, out=landing[:stop - start]))
+            else:
+                write(start, tiles)
 
-    size = -(-batch // threads)
-    shares = [slice(start, min(start + size, batch))
-              for start in range(0, batch, size)]
-    helpers = [_helper_threads().submit(image, share) for share in shares[1:]]
+    size = -(-count // threads)
+    shares = [range(start, min(start + size, count))
+              for start in range(0, count, size)]
+    work = [(share,) + workspace(share) for share in shares]
+    helpers = [_helper_threads().submit(image, *args) for args in work[1:]]
     try:
-        image(shares[0])
+        image(*work[0])
         for helper in helpers:
             helper.result()
     finally:
-        # Nothing propagates while a share may still write into ``out``.
+        # Nothing propagates while a share may still read or write.
         for helper in helpers:
             if not helper.cancel():
                 helper.exception()  # running or done: wait, don't raise
-    return out

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Tuple
 
 import numpy as np
@@ -47,6 +48,7 @@ from .batched import (
     RESIDENT_BLOCK_BYTES,
     batched_aerial_from_kernels,
     effective_chunk_tiles,
+    image_tiles,
 )
 from .cache import KernelBankCache, LockedLRU, default_kernel_cache
 from .streaming import stream_image_layout
@@ -286,19 +288,25 @@ class ExecutionEngine:
         """
         masks = np.stack([self.precision.as_real(mask) for mask in masks], axis=0) \
             if isinstance(masks, (list, tuple)) else self.precision.as_real(masks)
-        tile = self.tile_size_px
-        if tile is not None and masks.shape[-2:] != (tile, tile):
-            raise ValueError(
-                f"mask shape {masks.shape[-2:]} does not match the "
-                f"{tile} px tile this kernel bank was calibrated for")
-        kernels = self.kernels
-        if self.backend.is_resident:
-            kernels = device_kernel_bank(self.backend,
-                                         self.kernel_fingerprint(),
-                                         self.kernels)
+        self._check_tile_shape(masks.shape[-2:])
         return batched_aerial_from_kernels(
-            masks, kernels, backend=self.backend, precision=self.precision,
-            out=out)
+            masks, self._imaging_kernels(), backend=self.backend,
+            precision=self.precision, out=out)
+
+    def _check_tile_shape(self, shape: Tuple[int, ...]) -> None:
+        tile = self.tile_size_px
+        if tile is not None and tuple(shape) != (tile, tile):
+            raise ValueError(
+                f"mask shape {tuple(shape)} does not match the "
+                f"{tile} px tile this kernel bank was calibrated for")
+
+    def _imaging_kernels(self):
+        """The bank where the backend computes: on a device-resident one the
+        process-wide :func:`device_kernel_bank` copy."""
+        if self.backend.is_resident:
+            return device_kernel_bank(self.backend, self.kernel_fingerprint(),
+                                      self.kernels)
+        return self.kernels
 
     def aerial(self, mask: np.ndarray) -> np.ndarray:
         """Aerial image of one mask tile: a batch of one."""
@@ -349,11 +357,13 @@ class ExecutionEngine:
                      out_dir: Optional[str] = None) -> LayoutImage:
         """Image an arbitrary ``(H, W)`` layout by guard-banded tiling.
 
-        Every layout runs through the one batch-by-batch pipeline of
-        :mod:`repro.engine.streaming`, in batches of
-        :meth:`stream_batch_tiles` tiles — O(tile-batch) RAM however large
-        the layout, dense or not; the result does not depend on the batch
-        size, bit for bit.
+        Every layout runs through the one pipeline of
+        :mod:`repro.engine.streaming`: without a tile cache each thread
+        share of the imaging loop reads, images, stitches and develops its
+        own tiles — O(threads x block) RAM beside the output, however large
+        the layout, dense or not; with one, batches of
+        :meth:`stream_batch_tiles` tiles.  The result depends on neither,
+        bit for bit.
 
         Parameters
         ----------
@@ -383,38 +393,44 @@ class ExecutionEngine:
         """
         if not hasattr(layout, "read_window"):
             # The one place a dense raster becomes a reader; it is cast up
-            # front (a reader's tiles are cast per batch in aerial_batch).
+            # front (a reader's tiles are cast as they are read).
             layout = ArrayLayoutReader(self.precision.as_real(layout))
         tiling = self.resolve_tiling(tiling, tile_px, guard_px)
+        tile_shape = (tiling.tile_px, tiling.tile_px)
+        self._check_tile_shape(tile_shape)
         batch_tiles = self.stream_batch_tiles(tiling)
+        image = partial(image_tiles, kernels=self._imaging_kernels(),
+                        xp=self.backend, precision=self.precision,
+                        tile_shape=tile_shape)
+
         image_batch = self.aerial_batch
-        if self.backend.is_resident:
-            # Stage every device->host download through one reusable (pinned,
-            # where the backend supports it) host buffer instead of
-            # allocating a fresh batch-sized array per batch.  The pipeline
-            # fully consumes each batch (stitch + develop copy out of it, the
-            # tile cache admits copies) before requesting the next, so reuse
-            # is safe.
+        if self.tile_cache is not None and self.backend.is_resident:
+            # Stage the tile cache's device->host downloads through one
+            # reusable (pinned, where the backend supports it) host buffer
+            # instead of a fresh array per batch of misses.  The pipeline
+            # consumes each batch (stitch + develop copy out of it, the
+            # cache admits copies) before requesting the next, so reuse is
+            # safe.
             staging = []
 
             def image_batch(tiles):
                 if not staging:
-                    # Sized for a whole batch of placements: none is larger,
-                    # but behind a tile cache the first stack of misses may
-                    # well be smaller than a later one.
+                    # Sized for a whole batch of placements: the first
+                    # stack of misses may well be smaller than a later one.
                     rows = min(len(plan_tiles(*layout.shape, tiling)),
                                batch_tiles)
                     staging.append(self.backend.empty_host(
                         (rows,) + tiles.shape[1:], self.precision.real_dtype))
                 return self.aerial_batch(tiles, out=staging[0][:len(tiles)])
         aerial, resist, num_tiles, tile_stats = stream_image_layout(
-            layout, tiling, image_batch, self.resist_model.develop,
+            layout, tiling, image, self.resist_model.develop,
             self.precision.real_dtype, batch_tiles, out_dir=out_dir,
             meta={"backend": self.backend.name,
                   "precision": self.precision.name},
             tile_cache=self.tile_cache,
             cache_context=self.tile_cache_context(tiling)
-            if self.tile_cache is not None else None)
+            if self.tile_cache is not None else None,
+            image_batch=image_batch)
         return LayoutImage(aerial=aerial, resist=resist, tiling=tiling,
                            num_tiles=num_tiles, out_dir=out_dir,
                            tile_stats=tile_stats)

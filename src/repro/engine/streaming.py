@@ -1,32 +1,35 @@
-"""The layout-imaging pipeline: generator-fed tile batches, incremental stitch.
+"""The layout-imaging pipeline: windows in, stitched and developed cores out.
 
 :func:`stream_image_layout` is the one implementation of the tile operation
 chain; ``ExecutionEngine.image_layout`` (which ``ShardedExecutor`` forwards
-to) hands it the engine's ``image_batch``, resist model, batch size and tile
+to) hands it the engine's imaging loop, resist model, batch size and tile
 cache.  The layout is always a windowed :class:`repro.layout.LayoutReader` —
 the engine wraps a dense raster or ``numpy.memmap`` once, on the way in:
 
 1. tile *placements* are planned up front (cheap metadata, no pixels),
-2. a generator reads one guard-banded window per placement, one batch of
-   placements at a time (:func:`iter_tile_batches`) — every batch has the
-   same shape: the reader's own windows,
-3. the one fork: with a tile cache each window is digested as read (an
-   all-zero one is tagged, not hashed) and the cache stage images only the
-   batch's first-occurrence misses; without one the windows fill a single
-   preallocated stack for the ordinary batched core, and
-4. each batch's interior cores are stitched **incrementally** into the
-   output — a plain array, or a ``numpy.memmap`` when an ``out_dir`` is
-   given — and developed core by core.
+2. the one fork: without a tile cache the engine's imaging loop
+   (:func:`repro.engine.batched.image_tiles`) takes all of them, and each
+   of its thread shares reads its placements' guard-banded windows into
+   its own block-sized mask buffer; with one, a generator reads the
+   windows one batch of placements at a time (:func:`iter_tile_batches`),
+   each window is digested as read (an all-zero one is tagged, not hashed)
+   and the cache stage images only the batch's first-occurrence misses,
+3. every tile's interior core is stitched straight into the output — a
+   plain array, or a ``numpy.memmap`` when an ``out_dir`` is given — and
+   developed core by core: inside the imaging share that made it on the
+   uncached path, batch by batch on the cached one.
 
-Every layout — dense raster or reader, with or without an ``out_dir`` —
-defaults to batches of ``ExecutionEngine.stream_batch_tiles`` tiles, so an
-arbitrarily large layout images in **O(tile-batch) RAM**.
+An arbitrarily large layout — dense raster or reader, with or without an
+``out_dir`` — therefore images in **O(threads x block) RAM** beside its
+output on the uncached path (no array holds a batch of tiles), and in
+O(tile-batch) RAM, batches of ``ExecutionEngine.stream_batch_tiles`` tiles,
+through the tile cache.
 
-Because every batch is fully consumed (stitched + developed) before the next
-one is requested, a device-resident engine passes a single reusable host
-staging buffer as ``aerial_batch``'s ``out=`` — downloads land in pinned
-memory (where the backend provides it) and the per-batch host allocation
-disappears; the engine wires this up automatically.
+On a device-resident engine each block is one upload and one download; the
+uncached loop downloads into one host block it keeps for the call, and the
+engine stages the tile cache's misses through one reusable host buffer, so
+a layout costs one host allocation either way (pinned memory where the
+backend provides it).
 
 Bit-for-bit guarantee
 ---------------------
@@ -50,8 +53,10 @@ Memmap directory layout (``out_dir``)
 * ``meta.json``   — provenance: layout shape, dtypes, tile/guard geometry,
   tile count and the writing engine's backend/precision names.
 
-The files are created at full size once the first batch is imaged (a
-rejected call leaves none behind) and filled core-by-core;
+The files are created at full size once every argument is validated (a
+rejected call leaves none behind) and filled core-by-core; ``meta.json`` is
+written last, only when every tile is in, so a directory without it — a
+call that raised while imaging, say — is incomplete.
 :func:`open_layout_dir` reopens a completed directory.
 """
 
@@ -70,8 +75,6 @@ from .tiling import (
     TilingSpec,
     extract_tile_batch,
     plan_tiles,
-    stack_windows,
-    stitch_into,
 )
 
 AERIAL_FILE = "aerial.npy"
@@ -109,39 +112,48 @@ def _allocate(out_dir: Optional[str], name: str, shape: Tuple[int, int],
 
 
 def stream_image_layout(reader, tiling: TilingSpec,
-                        image_batch: Callable[[np.ndarray], np.ndarray],
+                        image_tiles: Callable[[int, Callable, Callable],
+                                              None],
                         develop: Callable[[np.ndarray], np.ndarray],
                         real_dtype, batch_tiles: int,
                         out_dir: Optional[str] = None,
                         meta: Optional[dict] = None,
                         tile_cache=None, cache_context=None,
+                        image_batch: Optional[
+                            Callable[[np.ndarray], np.ndarray]] = None,
                         ) -> Tuple[np.ndarray, np.ndarray, int,
                                    Optional[TileCacheStats]]:
-    """Image a layout batch by batch into its aerial / resist rasters.
+    """Image a layout into its aerial / resist rasters.
 
     Parameters
     ----------
-    image_batch:
-        ``(B, tile, tile) -> (B, tile, tile)`` aerial imaging of one batch —
-        an engine's ``aerial_batch``, or a wrapper of it staging the
-        downloads through one host buffer.
+    image_tiles:
+        ``image_tiles(count, read, write, most_tiles=...)`` — the engine's
+        imaging loop (:func:`repro.engine.batched.image_tiles` bound to its
+        bank): its ``read`` fills a share's mask buffer window by window,
+        its ``write`` stitches each core and develops it, on whichever
+        thread images the tile.
     develop:
         Elementwise resist development applied to each stitched core (the
         constant-threshold model; elementwise, so per-core application
         equals whole-raster application exactly).
     batch_tiles:
-        Tiles per batch; peak RAM is O(this batch), independent of the
-        layout size.
+        Tiles per tile-cache batch — peak RAM of that branch is O(this
+        batch), independent of the layout size — and the most tiles the
+        uncached loop puts in one block.
     out_dir:
         When given, aerial / resist become disk-backed memmaps in the
         documented directory layout and ``meta.json`` is written on success.
-    tile_cache / cache_context:
-        Optional :class:`~repro.engine.tile_cache.TileResultCache` plus its
-        :class:`~repro.engine.tile_cache.TileCacheContext`: each batch is
-        deduplicated to its unique tile contents, ``image_batch`` sees only
-        first-occurrence misses, and the stitch reads every other core
-        straight out of the cache's entries — bit-for-bit the uncached
-        result (per-tile FFT work is independent of batch composition).
+    tile_cache / cache_context / image_batch:
+        Optional :class:`~repro.engine.tile_cache.TileResultCache`, its
+        :class:`~repro.engine.tile_cache.TileCacheContext` and the
+        ``(B, tile, tile) -> (B, tile, tile)`` imaging of a stack of misses
+        (an engine's ``aerial_batch``, or a wrapper of it staging the
+        downloads through one host buffer): each batch is deduplicated to
+        its unique tile contents, ``image_batch`` sees only first-occurrence
+        misses, and the stitch reads every other core straight out of the
+        cache's entries — bit-for-bit the uncached result (per-tile FFT work
+        is independent of batch composition).
 
     Returns ``(aerial, resist, num_tiles, tile_stats)``; the arrays are
     memmaps when ``out_dir`` was given (flushed before returning), and
@@ -149,46 +161,69 @@ def stream_image_layout(reader, tiling: TilingSpec,
     cache), untouched by other threads sharing the cache.  ``reader`` is a
     :class:`repro.layout.LayoutReader` (``image_layout`` wraps dense arrays
     on the way in).  Every argument is validated before ``out_dir`` is
-    touched.
+    touched, and ``meta.json`` is written only once every tile is in.
     """
-    if tile_cache is not None and cache_context is None:
-        raise ValueError("tile_cache requires a cache_context")
+    if tile_cache is not None and (cache_context is None
+                                   or image_batch is None):
+        raise ValueError("tile_cache requires a cache_context and an "
+                         "image_batch")
+    if batch_tiles < 1:
+        raise ValueError("batch_tiles must be at least 1")
     height, width = reader.shape
     placements = plan_tiles(height, width, tiling)
 
     guard = tiling.guard_px
-    aerial = resist = None  # allocated below; a bad batch_tiles raises first
-    tile_stats = TileCacheStats() if tile_cache is not None else None
-    for windows, subset in iter_tile_batches(reader, placements, tiling,
-                                             batch_tiles):
-        if tile_cache is not None:
+    aerial = resist = None  # allocated below, once every argument passed
+
+    def allocate() -> Tuple[np.ndarray, np.ndarray]:
+        return (_allocate(out_dir, AERIAL_FILE, (height, width), real_dtype),
+                _allocate(out_dir, RESIST_FILE, (height, width), np.uint8))
+
+    def read(start: int, stop: int, buffer: np.ndarray) -> np.ndarray:
+        for row, window in enumerate(extract_tile_batch(
+                reader, placements[start:stop], tiling)):
+            buffer[row] = window
+        return buffer[:stop - start]
+
+    def write(start: int, images) -> None:
+        # Every layout pixel belongs to exactly one core, so concurrent
+        # writers never touch the same pixel; development is elementwise,
+        # so the resist is filled core by core without ever thresholding
+        # the full raster.
+        for image, place in zip(images, placements[start:start + len(images)]):
+            rows = slice(place.row, place.row + place.core_h)
+            cols = slice(place.col, place.col + place.core_w)
+            core = image[guard:guard + place.core_h,
+                         guard:guard + place.core_w]
+            aerial[rows, cols] = core
+            resist[rows, cols] = develop(core)
+
+    tile_stats = None
+    if tile_cache is None:
+        aerial, resist = allocate()
+        image_tiles(len(placements), read, write, most_tiles=batch_tiles)
+    else:
+        tile_stats = TileCacheStats()
+        done = 0
+        for windows, subset in iter_tile_batches(reader, placements, tiling,
+                                                 batch_tiles):
             # Windows stay as the reader made them, each hashed as soon as
             # it is read (still hot in cache); only misses get stacked.
             kept, digests = [], []
             for window in windows:
                 kept.append(window)
                 digests.append(tile_digest(window))
-            aerial_tiles, tally = tile_cache.image_tile_batch(
+            images, tally = tile_cache.image_tile_batch(
                 kept, digests, image_batch, cache_context)
             tile_stats += tally
-        else:
-            aerial_tiles = image_batch(stack_windows(windows, len(subset)))
-        if aerial is None:
-            # Allocated once the first batch is back, not up front: zeroed
-            # rasters touched before imaging would sit in RAM next to the
-            # batch's FFT intermediates and raise the peak by their size.
-            aerial = _allocate(out_dir, AERIAL_FILE, (height, width),
-                               real_dtype)
-            resist = _allocate(out_dir, RESIST_FILE, (height, width),
-                               np.uint8)
-        stitch_into(aerial, aerial_tiles, subset, tiling)
-        # Development is elementwise, so the resist is filled from the
-        # just-imaged cores without ever thresholding the full raster.
-        for image, place in zip(aerial_tiles, subset):
-            core = image[guard:guard + place.core_h,
-                         guard:guard + place.core_w]
-            resist[place.row:place.row + place.core_h,
-                   place.col:place.col + place.core_w] = develop(core)
+            if aerial is None:
+                # Allocated once the first batch is back, not up front: the
+                # rasters would otherwise take the heap the batch's FFT
+                # intermediates reuse from one call to the next, and a
+                # fresh mapping faults in every page of them per call.
+                aerial, resist = allocate()
+            write(done, images)
+            done += len(subset)
 
     if out_dir is not None:
         aerial.flush()

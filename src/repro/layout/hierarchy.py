@@ -757,9 +757,12 @@ class HierarchicalLayoutReader:
         row0, col0 = max(row, 0), max(col, 0)
         row1 = min(row + height, layout_h)
         col1 = min(col + width, layout_w)
-        self.last_candidates = 0
         if row1 <= row0 or col1 <= col0:
+            self.last_candidates = 0
             return out
+        # Counted in a local and published once: threads may read windows
+        # of one reader at the same time.
+        candidates = 0
         pixel = self.pixel_size_nm
         pad = 0.5 * pixel + 1e-9  # pixel-centre sampling slack
         window = (col0 * pixel - pad, row0 * pixel - pad,
@@ -767,10 +770,11 @@ class HierarchicalLayoutReader:
 
         def place(cell, a, b, c, d, tx, ty, box) -> bool:
             """OR the memoised raster of a placed cell into the window."""
+            nonlocal candidates
             placed = self._placed_raster(cell, a, b, c, d, tx, ty, box)
             if placed is None:
                 return False
-            self.last_candidates += 1
+            candidates += 1
             raster, raster_row, raster_col = placed
             top = max(raster_row, row0)
             bottom = min(raster_row + raster.shape[0], row1)
@@ -786,7 +790,7 @@ class HierarchicalLayoutReader:
 
         for _, x1, y1, x2, y2 in self._iter_cell(
                 self._top, Transform.identity(), window, place):
-            self.last_candidates += 1
+            candidates += 1
             rect_row0, rect_row1 = _pixel_interval(y1, y2, pixel, layout_h)
             rect_col0, rect_col1 = _pixel_interval(x1, x2, pixel, layout_w)
             top = max(rect_row0, row0)
@@ -795,6 +799,7 @@ class HierarchicalLayoutReader:
             right = min(rect_col1, col1)
             if bottom > top and right > left:
                 out[top - row:bottom - row, left - col:right - col] = 1
+        self.last_candidates = candidates
         return out
 
     def digest(self) -> str:

@@ -185,13 +185,16 @@ class GeometryLayoutReader:
         row0, col0 = max(row, 0), max(col, 0)
         row1 = min(row + height, self._shape[0])
         col1 = min(col + width, self._shape[1])
-        self.last_candidates = 0
         if row1 <= row0 or col1 <= col0:
+            self.last_candidates = 0
             return out
+        # Counted in a local and published once: threads may read windows
+        # of one reader at the same time.
+        count = 0
         for layer in self.layers:
             grid = self._indices[layer]
             candidates = grid.query(row0, row1, col0, col1)
-            self.last_candidates += len(candidates)
+            count += len(candidates)
             for index in candidates:
                 top = max(grid.rows0[index], row0)
                 bottom = min(grid.rows1[index], row1)
@@ -199,6 +202,7 @@ class GeometryLayoutReader:
                 right = min(grid.cols1[index], col1)
                 if bottom > top and right > left:
                     out[top - row:bottom - row, left - col:right - col] = 1
+        self.last_candidates = count
         return out
 
     def digest(self) -> str:

@@ -10,6 +10,8 @@ existing.
 
 import json
 import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -171,6 +173,51 @@ class TestGeometryLayoutReader:
             GeometryLayoutReader({}, pixel_size_nm=4.0)  # no shape/extent
         with pytest.raises(ValueError):
             GeometryLayoutReader({}, pixel_size_nm=0.0, extent_nm=64.0)
+
+
+HIER4 = os.path.join(os.path.dirname(__file__), "data", "hier4.gds")
+
+
+class TestConcurrentReads:
+    """The uncached imaging loop reads windows from every thread share at
+    once: a reader shared by four threads returns exactly the windows one
+    thread reads, the hierarchical reader's placed-cell memo included."""
+
+    @staticmethod
+    def windows(shape, size=32, step=16):
+        return [(row, col, size, size)
+                for row in range(-8, shape[0], step)
+                for col in range(-8, shape[1], step)]
+
+    @pytest.mark.parametrize("make", [
+        lambda: load_layout_file(HIER4, pixel_size_nm=8.0),
+        lambda: GeometryLayoutReader.from_layout(random_layout(seed=5),
+                                                 shape=(96, 96)),
+    ], ids=["hier4.gds", "geometry"])
+    def test_four_threads_read_the_serial_windows(self, make):
+        serial = make()
+        windows = self.windows(serial.shape)
+        expected, counts = [], set()
+        for window in windows:
+            expected.append(serial.read_window(*window).tobytes())
+            counts.add(serial.last_candidates)
+        shared = make()  # fresh: its memo is built under contention
+
+        def read(window):
+            return shared.read_window(*window).tobytes(), \
+                shared.last_candidates
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                got = list(pool.map(read, windows * 3))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [window for window, _ in got] == expected * 3
+        # The counter is published whole: some window's count, never a
+        # count another thread reset halfway.
+        assert {count for _, count in got} <= counts
 
 
 class TestLayoutFiles:

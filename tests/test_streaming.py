@@ -166,32 +166,67 @@ class TestStreamingEqualsInMemory:
     def test_dense_raster_and_reader_share_one_default_batch_rule(
             self, engine, monkeypatch, tmp_path):
         """36 tiles under a 5-tile RAM bound: a dense raster, the same raster
-        behind the reader protocol and an ``out_dir`` run all image in the
-        same ``stream_batch_tiles`` batches — and a bound that holds every
-        tile (any layout the benchmark images) is still one batch."""
+        behind the reader protocol and an ``out_dir`` run all image in one
+        call of the imaging loop whose blocks hold at most
+        ``stream_batch_tiles`` tiles — and none goes through
+        ``aerial_batch``'s stack."""
         calls = []
-        plain = engine.aerial_batch
-        monkeypatch.setattr(
-            engine, "aerial_batch",
-            lambda tiles, **kw: calls.append(len(tiles)) or plain(tiles, **kw))
+        loop = execution.image_tiles
+
+        def spy(count, read, write, **kwargs):
+            calls.append((count, kwargs["most_tiles"]))
+            return loop(count, read, write, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the uncached path stacked its tiles")
+
+        monkeypatch.setattr(execution, "image_tiles", spy)
+        monkeypatch.setattr(engine, "aerial_batch", refuse)
+        tiling = TilingSpec(tile_px=32, guard_px=8)
         dense = (np.random.default_rng(3).random((96, 96)) > 0.7).astype(float)
         whole = engine.image_layout(dense, guard_px=8)
-        assert calls == [36] and whole.num_tiles == 36
+        assert calls == [(36, engine.stream_batch_tiles(tiling))]
+        assert whole.num_tiles == 36
         monkeypatch.setattr(execution, "RESIDENT_BLOCK_BYTES",
                             5 * 32 * 32 * 16)
         del calls[:]
         bounded = engine.image_layout(dense, guard_px=8)
-        assert calls == [5] * 7 + [1]
-        del calls[:]
         via_reader = engine.image_layout(as_layout_reader(dense), guard_px=8)
-        assert calls == [5] * 7 + [1]
-        del calls[:]
         on_disk = engine.image_layout(dense, guard_px=8,
                                       out_dir=str(tmp_path / "out"))
-        assert calls == [5] * 7 + [1]
+        assert calls == [(36, 5)] * 3
         for image in (bounded, via_reader, on_disk):
             np.testing.assert_array_equal(image.aerial, whole.aerial)
             np.testing.assert_array_equal(image.resist, whole.resist)
+
+
+@pytest.mark.parametrize("backend,workers", [("numpy", 1), ("scipy", 2)])
+def test_uncached_layout_holds_no_batch_of_tiles(backend, workers):
+    """A second 1024 px production-tile image peaks (traced allocations)
+    below its aerial + resist + four blocks: the (36, 256, 256) window and
+    result stacks of the old path, 18.9 MB each, no longer exist."""
+    import tracemalloc
+
+    from repro.engine import ExecutionEngine, batched
+
+    if backend == "scipy":
+        pytest.importorskip("scipy.fft")
+    engine = ExecutionEngine.for_optics(
+        OpticsConfig(tile_size_px=256, pixel_size_nm=4.0),
+        compute=ComputeConfig(fft_backend=backend, fft_workers=workers,
+                              tile_cache=False))
+    layout = (np.random.default_rng(0).random((1024, 1024)) > 0.6
+              ).astype(float)
+    engine.image_layout(layout)
+    tracemalloc.start()
+    try:
+        image = engine.image_layout(layout)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert image.num_tiles == 36
+    outputs = image.aerial.nbytes + image.resist.nbytes
+    assert peak < outputs + 4 * batched.BLOCK_BYTES
 
 
 def test_no_image_layout_takes_a_streaming_switch():
@@ -236,6 +271,10 @@ class TestPipelineValidation:
             engine.image_layout(layout, guard_px=8, out_dir=str(out_dir))
         with pytest.raises(ValueError, match="2-D"):
             engine.image_layout(layout[None], guard_px=8,
+                                out_dir=str(out_dir))
+        # The bank's calibrated tile is checked up front, not by the loop.
+        with pytest.raises(ValueError, match="48, 48.*32 px tile"):
+            engine.image_layout(layout, tile_px=48, guard_px=8,
                                 out_dir=str(out_dir))
         assert not out_dir.exists()
 

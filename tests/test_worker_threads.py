@@ -26,7 +26,13 @@ import pytest
 
 from reference import reference_image_layout
 from repro.backend import ComputeConfig
-from repro.engine import EngineSpec, ShardedExecutor, TileResultCache, batched
+from repro.engine import (
+    EngineSpec,
+    ShardedExecutor,
+    TileResultCache,
+    batched,
+    open_layout_dir,
+)
 from repro.engine import tile_cache as tile_cache_module
 from repro.layout import GeometryLayoutReader, load_layout_file
 from repro.layout.geometry import Rect
@@ -154,6 +160,33 @@ def test_image_layout_equals_reference(workers, backend, precision,
     assert result.aerial.dtype == expected.aerial.dtype
 
 
+@pytest.mark.parametrize("out_dir", (False, True), ids=("memory", "out_dir"))
+@pytest.mark.parametrize("precision", PRECISIONS)
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("workers", (1, 2, 3, 4))
+def test_uncached_layout_in_small_blocks_equals_reference(
+        workers, backend, precision, out_dir, monkeypatch, tmp_path):
+    """The uncached layout path reads, images, stitches and develops inside
+    the thread shares: one tile per block, so every share walks several
+    blocks, in memory or into ``out_dir`` memmaps — the bits never move."""
+    layout = (np.random.default_rng(17).random((70, 90)) > 0.7).astype(float)
+    expected = reference_image_layout(_spec(backend, precision).build(),
+                                      layout, guard_px=GUARD)
+    monkeypatch.setattr(batched, "BLOCK_BYTES", 1)
+    monkeypatch.setattr(batched, "RESIDENT_BLOCK_BYTES", 1)
+    engine = _spec(backend, precision, workers).build()
+    directory = str(tmp_path / "out") if out_dir else None
+    result = engine.image_layout(layout, guard_px=GUARD, out_dir=directory)
+    assert result.num_tiles == expected.num_tiles == 30
+    np.testing.assert_array_equal(np.asarray(result.aerial), expected.aerial)
+    np.testing.assert_array_equal(np.asarray(result.resist), expected.resist)
+    assert result.aerial.dtype == expected.aerial.dtype
+    if out_dir:
+        aerial, resist, _ = open_layout_dir(directory)
+        np.testing.assert_array_equal(np.asarray(aerial), expected.aerial)
+        np.testing.assert_array_equal(np.asarray(resist), expected.resist)
+
+
 GRID = FocusExposureGrid((0.0, 80.0), (0.95, 1.05))
 
 
@@ -272,6 +305,50 @@ def test_executor_images_correctly_after_a_shard_raised(monkeypatch):
                 executor.aerial_batch(spec, poison)
         np.testing.assert_array_equal(executor.aerial_batch(spec, masks),
                                       expected)
+
+
+def test_a_share_raising_mid_layout_settles_the_others_first(monkeypatch,
+                                                             tmp_path):
+    """Three shares of a 30-tile layout, one tile per block: the calling
+    thread's share raises at its second tile while the helpers' shares are
+    still imaging.  The error propagates only after every other share
+    stopped writing, the ``out_dir`` gets no ``meta.json``, and the next
+    call images it all."""
+    layout = (np.random.default_rng(8).random((70, 90)) > 0.7).astype(float)
+    poison = layout.copy()
+    # In the windows of tiles 1, 2, 7 and 8 (rows 0-1, columns 1-2 of the
+    # 5 x 6 grid) only: all of them the first share's.
+    poison[12:18, 28:34] = -1.0
+    engine = _spec("scipy", "float64", workers=3).build()
+    expected = reference_image_layout(_spec("scipy", "float64").build(),
+                                      layout, guard_px=GUARD)
+    imaged = []
+    monkeypatch.setattr(batched, "BLOCK_BYTES", 1)
+    healthy = batched._band_limited_chunk
+
+    def chunk(masks, *args):
+        if (masks < 0).any():
+            raise RuntimeError("a middle share broke")
+        threading.Event().wait(0.005)  # the others are mid-layout
+        imaged.append(len(masks))
+        return healthy(masks, *args)
+
+    monkeypatch.setattr(batched, "_band_limited_chunk", chunk)
+    out_dir = tmp_path / "broken"
+    with pytest.raises(RuntimeError, match="a middle share broke"):
+        engine.image_layout(poison, guard_px=GUARD, out_dir=str(out_dir))
+    settled = len(imaged)
+    threading.Event().wait(0.05)
+    assert len(imaged) == settled  # nobody was still imaging
+    assert 0 < settled < 30
+    assert not (out_dir / "meta.json").exists()
+    with pytest.raises(FileNotFoundError):
+        open_layout_dir(str(out_dir))
+    result = engine.image_layout(layout, guard_px=GUARD,
+                                 out_dir=str(out_dir))
+    np.testing.assert_array_equal(np.asarray(result.aerial), expected.aerial)
+    np.testing.assert_array_equal(np.asarray(result.resist), expected.resist)
+    assert (out_dir / "meta.json").exists()
 
 
 def test_close_leaves_no_worker_thread_alive():

@@ -288,7 +288,7 @@ def batched_aerial_from_kernels(masks: np.ndarray, kernels: np.ndarray,
     Evaluated on the intensity band-limit grid (:func:`band_limit_grid`) and
     Fourier-upsampled (exact) whenever that grid fits the output; at full
     output size otherwise.  This is :func:`image_tiles` reading blocks of
-    ``masks`` rows and writing them to the same rows of ``out``.
+    ``masks`` rows and landing them in the same rows of ``out``.
 
     Parameters
     ----------
@@ -311,9 +311,9 @@ def batched_aerial_from_kernels(masks: np.ndarray, kernels: np.ndarray,
         Precision policy (:class:`~repro.backend.Precision` or name);
         ``None`` resolves the default (``REPRO_PRECISION`` / float64).
     out:
-        Optional preallocated ``(B, H, W)`` host array (the tile cache's
-        reusable — on CUDA, pinned — staging buffer) the results are written
-        into; returned when given.  Results are identical either way.
+        Optional preallocated ``(B, H, W)`` host array the results are
+        written into (on a device backend, the downloads land there);
+        returned when given.  Results are identical either way.
     """
     xp = get_backend(backend) \
         if backend is None or isinstance(backend, str) else backend
@@ -349,28 +349,35 @@ def batched_aerial_from_kernels(masks: np.ndarray, kernels: np.ndarray,
         # The bank goes up once per call unless it arrived resident (a host
         # backend's asarray is the identity).
         kernels = xp.asarray(kernels)
-    image_tiles(batch, lambda start, stop, _: masks[start:stop], None,
-                kernels, xp, precision, (out_h, out_w), out=out)
+    image_tiles(batch, masks, None, kernels, xp, precision, (out_h, out_w),
+                out=out)
     return out
 
 
 def image_tiles(count: int,
-                read: Callable[[int, int, np.ndarray], np.ndarray],
+                read: Union[np.ndarray, Callable[[int, int, np.ndarray],
+                                                 np.ndarray]],
                 write: Optional[Callable[[int, np.ndarray], None]],
                 kernels, xp: FFTBackend, precision: Precision,
-                tile_shape: Tuple[int, int], most_tiles: Optional[int] = None,
-                out: Optional[np.ndarray] = None) -> None:
+                tile_shape: Tuple[int, int],
+                out: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
     """Image tiles ``0 .. count - 1``: the package's one imaging loop.
 
-    ``read(start, stop, buffer)`` returns the masks of tiles ``start ..
-    stop - 1`` as one ``(stop - start, H, W)`` real array — a slice of a
-    stack, or ``buffer`` (the share's own block-sized mask buffer, in
-    ``precision``) filled tile by tile; ``write(start, images)`` receives
-    their host aerial images, valid only for the duration of the call —
-    copy what you keep.  With ``out`` (a ``(count, H, W)`` host array)
-    every block lands in its rows instead and ``write`` is unused.
-    ``kernels`` is the ``(r, n, m)`` bank, cast to ``precision`` and living
-    where ``xp`` computes; ``most_tiles`` caps a block.
+    ``read`` holds the masks: a ``(count, H, W)`` real stack, imaged a row
+    block at a time, or ``read(start, stop, buffer)`` returning tiles
+    ``start .. stop - 1`` as one ``(stop - start, H, W)`` array — normally
+    ``buffer``, the share's own block-sized mask buffer (in
+    ``precision``), filled tile by tile.  ``write(start, images)`` receives
+    each block's host aerial images, valid only for the duration of the
+    call — copy what you keep.  ``kernels`` is the ``(r, n, m)`` bank, cast
+    to ``precision`` and living where ``xp`` computes.
+
+    ``out`` is where device downloads land.  Without ``write`` it is the
+    result — at least ``count`` host rows, allocated here when absent —
+    and the call returns ``out[:count]``.  With ``write`` it is the host
+    block each download lands in before ``write`` sees it, so no block is
+    taller than it (a download without one is a fresh array); a host
+    backend's blocks go to ``write`` as they are.
 
     The thread share is the unit of work: each share reads its tiles into a
     block-sized mask buffer of its own, images them block by block and
@@ -378,14 +385,16 @@ def image_tiles(count: int,
     imaged, stitched and developed inside the share, and nothing
     ``count``-sized is ever allocated.  The workspaces are allocated here,
     on the calling thread (a helper's own malloc arena would keep them).
-    On a device-resident backend there is one share, each block is one
-    upload and one download, and the downloads land in ``out`` or in one
-    host block (``xp.empty_host``) kept for the call.
+    On a device-resident backend there is one share and each block is one
+    upload and one download.
     """
     out_h, out_w = tile_shape
     order, n, m = kernels.shape
     grid = intensity_grid(n, m, out_h, out_w)
     band_limited = grid == band_limit_grid(n, m)
+    stack = None if callable(read) else precision.as_real(read)
+    if write is None and out is None:
+        out = np.empty((count,) + tile_shape, precision.real_dtype)
 
     # The backend's worker budget is spent on tiles: one contiguous share
     # per thread, each transforming through the one-thread sibling and
@@ -399,30 +408,33 @@ def image_tiles(count: int,
         xp, budget = serial, budget // threads
     block = effective_chunk_tiles(count, kernels.shape, out_h, out_w, budget,
                                   precision.complex_itemsize)
-    if most_tiles is not None:
-        block = min(block, most_tiles)
-    landing = xp.empty_host((block,) + tile_shape, precision.real_dtype) \
-        if xp.is_resident and out is None else None
+    if write is not None and out is not None:
+        block = min(block, len(out))
     evaluate = _band_limited_chunk if band_limited else _direct_chunk
 
     def workspace(share: range) -> tuple:
         rows = min(block, len(share))
-        masks = np.empty((rows,) + tile_shape, precision.real_dtype)
+        masks = None if stack is not None \
+            else np.empty((rows,) + tile_shape, precision.real_dtype)
         if not band_limited:
             return masks, ()
         # Zeroed once: every block overwrites the same corners and no zero.
         return masks, (xp.zeros((rows, order) + grid, kernels.dtype),
                        xp.zeros((rows, out_h, m), kernels.dtype))
 
-    def image(share: range, masks: np.ndarray, scratch: tuple) -> None:
+    def image(share: range, masks: Optional[np.ndarray],
+              scratch: tuple) -> None:
         for start in range(share.start, share.stop, block):
             stop = min(start + block, share.stop)
-            tiles = evaluate(xp.asarray(read(start, stop, masks)), kernels,
-                             out_h, out_w, xp, *scratch)
-            if out is not None:
+            tiles = evaluate(
+                xp.asarray(stack[start:stop] if masks is None
+                           else read(start, stop, masks)),
+                kernels, out_h, out_w, xp, *scratch)
+            if write is None:
                 xp.to_host(tiles, out=out[start:stop])
-            elif landing is not None:
-                write(start, xp.to_host(tiles, out=landing[:stop - start]))
+            elif xp.is_resident:
+                write(start, xp.to_host(
+                    tiles, out=None if out is None else out[:stop - start]))
             else:
                 write(start, tiles)
 
@@ -440,3 +452,4 @@ def image_tiles(count: int,
         for helper in helpers:
             if not helper.cancel():
                 helper.exception()  # running or done: wait, don't raise
+    return None if write is not None else out[:count]

@@ -279,8 +279,8 @@ class ExecutionEngine:
         process-wide :func:`device_kernel_bank` memo — one upload per
         (fingerprint, device), shared by every engine and every batch — and
         each block pays exactly one mask upload + one intensity download.
-        ``out`` optionally receives the results (the layout pipeline's
-        reusable staging buffer); contents are identical either way.
+        ``out`` optionally receives the results (the downloads land
+        there); contents are identical either way.
 
         A bank with a calibrated :attr:`tile_size_px` images masks of
         exactly that size; any other raises ``ValueError`` (the kernels would
@@ -402,26 +402,15 @@ class ExecutionEngine:
         image = partial(image_tiles, kernels=self._imaging_kernels(),
                         xp=self.backend, precision=self.precision,
                         tile_shape=tile_shape)
-
-        image_batch = self.aerial_batch
-        if self.tile_cache is not None and self.backend.is_resident:
-            # Stage the tile cache's device->host downloads through one
-            # reusable (pinned, where the backend supports it) host buffer
-            # instead of a fresh array per batch of misses.  The pipeline
-            # consumes each batch (stitch + develop copy out of it, the
-            # cache admits copies) before requesting the next, so reuse is
-            # safe.
-            staging = []
-
-            def image_batch(tiles):
-                if not staging:
-                    # Sized for a whole batch of placements: the first
-                    # stack of misses may well be smaller than a later one.
-                    rows = min(len(plan_tiles(*layout.shape, tiling)),
-                               batch_tiles)
-                    staging.append(self.backend.empty_host(
-                        (rows,) + tiles.shape[1:], self.precision.real_dtype))
-                return self.aerial_batch(tiles, out=staging[0][:len(tiles)])
+        if self.backend.is_resident:
+            # Every download of the call — an uncached block or a stack of
+            # tile-cache misses, neither taller than a stream batch — lands
+            # in one (pinned, where the backend supports it) host block.
+            # The pipeline consumes each (stitch + develop copy out of it,
+            # the cache admits copies) before the next lands.
+            rows = min(len(plan_tiles(*layout.shape, tiling)), batch_tiles)
+            image = partial(image, out=self.backend.empty_host(
+                (rows,) + tile_shape, self.precision.real_dtype))
         aerial, resist, num_tiles, tile_stats = stream_image_layout(
             layout, tiling, image, self.resist_model.develop,
             self.precision.real_dtype, batch_tiles, out_dir=out_dir,
@@ -429,8 +418,7 @@ class ExecutionEngine:
                   "precision": self.precision.name},
             tile_cache=self.tile_cache,
             cache_context=self.tile_cache_context(tiling)
-            if self.tile_cache is not None else None,
-            image_batch=image_batch)
+            if self.tile_cache is not None else None)
         return LayoutImage(aerial=aerial, resist=resist, tiling=tiling,
                            num_tiles=num_tiles, out_dir=out_dir,
                            tile_stats=tile_stats)

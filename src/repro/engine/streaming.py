@@ -25,11 +25,11 @@ output on the uncached path (no array holds a batch of tiles), and in
 O(tile-batch) RAM, batches of ``ExecutionEngine.stream_batch_tiles`` tiles,
 through the tile cache.
 
-On a device-resident engine each block is one upload and one download; the
-uncached loop downloads into one host block it keeps for the call, and the
-engine stages the tile cache's misses through one reusable host buffer, so
-a layout costs one host allocation either way (pinned memory where the
-backend provides it).
+On a device-resident engine each block is one upload and one download, and
+every download of the call — an uncached block or a stack of tile-cache
+misses — lands in the one host block the engine binds into its imaging
+loop (``out``; pinned memory where the backend provides it), so a layout
+costs one host allocation either way.
 
 Bit-for-bit guarantee
 ---------------------
@@ -119,8 +119,6 @@ def stream_image_layout(reader, tiling: TilingSpec,
                         out_dir: Optional[str] = None,
                         meta: Optional[dict] = None,
                         tile_cache=None, cache_context=None,
-                        image_batch: Optional[
-                            Callable[[np.ndarray], np.ndarray]] = None,
                         ) -> Tuple[np.ndarray, np.ndarray, int,
                                    Optional[TileCacheStats]]:
     """Image a layout into its aerial / resist rasters.
@@ -128,32 +126,29 @@ def stream_image_layout(reader, tiling: TilingSpec,
     Parameters
     ----------
     image_tiles:
-        ``image_tiles(count, read, write, most_tiles=...)`` — the engine's
-        imaging loop (:func:`repro.engine.batched.image_tiles` bound to its
-        bank): its ``read`` fills a share's mask buffer window by window,
-        its ``write`` stitches each core and develops it, on whichever
-        thread images the tile.
+        ``image_tiles(count, read, write)`` — the engine's imaging loop
+        (:func:`repro.engine.batched.image_tiles` bound to its bank).
+        Without a tile cache its ``read`` fills a share's mask buffer window
+        by window and its ``write`` stitches each core and develops it, on
+        whichever thread images the tile; with one it images each batch's
+        stack of misses (``write=None``: the call returns the images).
     develop:
         Elementwise resist development applied to each stitched core (the
         constant-threshold model; elementwise, so per-core application
         equals whole-raster application exactly).
     batch_tiles:
-        Tiles per tile-cache batch — peak RAM of that branch is O(this
-        batch), independent of the layout size — and the most tiles the
-        uncached loop puts in one block.
+        Tiles per tile-cache batch: peak RAM of that branch is O(this
+        batch), independent of the layout size.
     out_dir:
         When given, aerial / resist become disk-backed memmaps in the
         documented directory layout and ``meta.json`` is written on success.
-    tile_cache / cache_context / image_batch:
-        Optional :class:`~repro.engine.tile_cache.TileResultCache`, its
-        :class:`~repro.engine.tile_cache.TileCacheContext` and the
-        ``(B, tile, tile) -> (B, tile, tile)`` imaging of a stack of misses
-        (an engine's ``aerial_batch``, or a wrapper of it staging the
-        downloads through one host buffer): each batch is deduplicated to
-        its unique tile contents, ``image_batch`` sees only first-occurrence
-        misses, and the stitch reads every other core straight out of the
-        cache's entries — bit-for-bit the uncached result (per-tile FFT work
-        is independent of batch composition).
+    tile_cache / cache_context:
+        Optional :class:`~repro.engine.tile_cache.TileResultCache` and its
+        :class:`~repro.engine.tile_cache.TileCacheContext`: each batch is
+        deduplicated to its unique tile contents, the imaging loop sees only
+        first-occurrence misses, and the stitch reads every other core
+        straight out of the cache's entries — bit-for-bit the uncached
+        result (per-tile FFT work is independent of batch composition).
 
     Returns ``(aerial, resist, num_tiles, tile_stats)``; the arrays are
     memmaps when ``out_dir`` was given (flushed before returning), and
@@ -163,10 +158,8 @@ def stream_image_layout(reader, tiling: TilingSpec,
     on the way in).  Every argument is validated before ``out_dir`` is
     touched, and ``meta.json`` is written only once every tile is in.
     """
-    if tile_cache is not None and (cache_context is None
-                                   or image_batch is None):
-        raise ValueError("tile_cache requires a cache_context and an "
-                         "image_batch")
+    if tile_cache is not None and cache_context is None:
+        raise ValueError("tile_cache requires a cache_context")
     if batch_tiles < 1:
         raise ValueError("batch_tiles must be at least 1")
     height, width = reader.shape
@@ -201,7 +194,7 @@ def stream_image_layout(reader, tiling: TilingSpec,
     tile_stats = None
     if tile_cache is None:
         aerial, resist = allocate()
-        image_tiles(len(placements), read, write, most_tiles=batch_tiles)
+        image_tiles(len(placements), read, write)
     else:
         tile_stats = TileCacheStats()
         done = 0
@@ -214,7 +207,9 @@ def stream_image_layout(reader, tiling: TilingSpec,
                 kept.append(window)
                 digests.append(tile_digest(window))
             images, tally = tile_cache.image_tile_batch(
-                kept, digests, image_batch, cache_context)
+                kept, digests,
+                lambda misses: image_tiles(len(misses), misses, None),
+                cache_context)
             tile_stats += tally
             if aerial is None:
                 # Allocated once the first batch is back, not up front: the

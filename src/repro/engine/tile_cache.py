@@ -219,8 +219,8 @@ class TileResultCache:
                     pending[key] = [index]
                     tally.misses += 1
         if pending:
-            # Only the misses are stacked; aerial_batch casts that stack to
-            # the engine's real dtype, hits never leave the reader's.
+            # Only the misses are stacked; the imaging loop casts that stack
+            # to the engine's real dtype, hits never leave the reader's.
             imaged = np.asarray(image_batch(
                 np.stack([tiles[rows[0]] for rows in pending.values()])))
             admitted = []

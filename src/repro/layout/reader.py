@@ -78,7 +78,12 @@ class LayoutReader(Protocol):
         engine casts only the tiles it images, and the tile-result cache
         keys a window by the bytes the reader produced.  The geometry
         readers return binary ``uint8`` coverage, :class:`ArrayLayoutReader`
-        the wrapped raster's floating dtype."""
+        the wrapped raster's floating dtype.
+
+        ``read_window`` may be called from several threads at once, on one
+        reader: without a tile cache every imaging thread reads its own
+        tiles' windows.  It must be safe under that: no shared file
+        position, lazily filled cache or counter updated without a lock."""
         ...  # pragma: no cover - protocol
 
     def digest(self) -> str:

@@ -165,16 +165,14 @@ class TestStreamingEqualsInMemory:
 
     def test_dense_raster_and_reader_share_one_default_batch_rule(
             self, engine, monkeypatch, tmp_path):
-        """36 tiles under a 5-tile RAM bound: a dense raster, the same raster
-        behind the reader protocol and an ``out_dir`` run all image in one
-        call of the imaging loop whose blocks hold at most
-        ``stream_batch_tiles`` tiles — and none goes through
-        ``aerial_batch``'s stack."""
+        """36 tiles: a dense raster, the same raster behind the reader
+        protocol and an ``out_dir`` run each image in one call of the imaging
+        loop over all 36 — and none goes through ``aerial_batch``'s stack."""
         calls = []
         loop = execution.image_tiles
 
         def spy(count, read, write, **kwargs):
-            calls.append((count, kwargs["most_tiles"]))
+            calls.append(count)
             return loop(count, read, write, **kwargs)
 
         def refuse(*args, **kwargs):
@@ -182,22 +180,47 @@ class TestStreamingEqualsInMemory:
 
         monkeypatch.setattr(execution, "image_tiles", spy)
         monkeypatch.setattr(engine, "aerial_batch", refuse)
-        tiling = TilingSpec(tile_px=32, guard_px=8)
         dense = (np.random.default_rng(3).random((96, 96)) > 0.7).astype(float)
         whole = engine.image_layout(dense, guard_px=8)
-        assert calls == [(36, engine.stream_batch_tiles(tiling))]
-        assert whole.num_tiles == 36
-        monkeypatch.setattr(execution, "RESIDENT_BLOCK_BYTES",
-                            5 * 32 * 32 * 16)
+        assert calls == [36] and whole.num_tiles == 36
         del calls[:]
-        bounded = engine.image_layout(dense, guard_px=8)
         via_reader = engine.image_layout(as_layout_reader(dense), guard_px=8)
         on_disk = engine.image_layout(dense, guard_px=8,
                                       out_dir=str(tmp_path / "out"))
-        assert calls == [(36, 5)] * 3
-        for image in (bounded, via_reader, on_disk):
+        assert calls == [36] * 2
+        for image in (via_reader, on_disk):
             np.testing.assert_array_equal(image.aerial, whole.aerial)
             np.testing.assert_array_equal(image.resist, whole.resist)
+
+    def test_tile_cache_misses_go_through_the_same_loop(self, engine,
+                                                        monkeypatch):
+        """With a tile cache, each stream batch's stack of misses is one
+        call of the same imaging loop; ``aerial_batch`` is never entered."""
+        cached = execution.ExecutionEngine(engine.kernels, tile_size_px=32,
+                                           tile_cache=TileResultCache())
+        calls = []
+        loop = execution.image_tiles
+
+        def spy(count, read, write, **kwargs):
+            calls.append((count, write))
+            return loop(count, read, write, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a miss went through aerial_batch")
+
+        monkeypatch.setattr(execution, "image_tiles", spy)
+        monkeypatch.setattr(cached, "aerial_batch", refuse)
+        cell = (np.random.default_rng(5).random((16, 16)) > 0.5).astype(float)
+        dense = np.tile(cell, (6, 6))
+        with stream_batches(cached, 9):
+            image = cached.image_layout(dense, guard_px=8)
+        reference = reference_image_layout(engine, dense, guard_px=8)
+        np.testing.assert_array_equal(image.aerial, reference.aerial)
+        np.testing.assert_array_equal(image.resist, reference.resist)
+        assert 0 < image.tile_stats.misses < image.num_tiles == 36
+        assert [write for _, write in calls] == [None] * len(calls)
+        assert sum(count for count, _ in calls) == image.tile_stats.misses
+        assert len(calls) <= 4
 
 
 @pytest.mark.parametrize("backend,workers", [("numpy", 1), ("scipy", 2)])

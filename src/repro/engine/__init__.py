@@ -84,11 +84,7 @@ from .sharded import (
     ShardedExecutor,
     available_workers,
 )
-from .streaming import (
-    iter_tile_batches,
-    open_layout_dir,
-    stream_image_layout,
-)
+from .streaming import open_layout_dir, stream_image_layout
 from .tile_cache import (
     ZERO_TILE_DIGEST,
     TileCacheContext,
@@ -118,7 +114,7 @@ __all__ = [
     "optics_fingerprint",
     "ExecutionEngine", "LayoutImage",
     "DEFAULT_SCHEDULER", "EngineSpec", "ShardedExecutor", "available_workers",
-    "iter_tile_batches", "open_layout_dir", "stream_image_layout",
+    "open_layout_dir", "stream_image_layout",
     "ZERO_TILE_DIGEST", "TileCacheContext", "TileCacheStats",
     "TileResultCache", "configure_default_tile_cache", "default_tile_cache",
     "resolve_tile_cache", "tile_digest",

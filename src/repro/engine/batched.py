@@ -281,14 +281,13 @@ def effective_chunk_tiles(batch: int, kernel_shape: Tuple[int, int, int],
 def batched_aerial_from_kernels(masks: np.ndarray, kernels: np.ndarray,
                                 backend: Optional[Union[FFTBackend, str]] = None,
                                 precision: Optional[Union[Precision, str]] = None,
-                                out: Optional[np.ndarray] = None,
                                 ) -> np.ndarray:
     """Aerial images of a mask batch ``(B, H, W)`` -> ``(B, H, W)``.
 
     Evaluated on the intensity band-limit grid (:func:`band_limit_grid`) and
     Fourier-upsampled (exact) whenever that grid fits the output; at full
     output size otherwise.  This is :func:`image_tiles` reading blocks of
-    ``masks`` rows and landing them in the same rows of ``out``.
+    ``masks`` rows and landing them in the same rows of the result.
 
     Parameters
     ----------
@@ -310,10 +309,6 @@ def batched_aerial_from_kernels(masks: np.ndarray, kernels: np.ndarray,
     precision:
         Precision policy (:class:`~repro.backend.Precision` or name);
         ``None`` resolves the default (``REPRO_PRECISION`` / float64).
-    out:
-        Optional preallocated ``(B, H, W)`` host array the results are
-        written into (on a device backend, the downloads land there);
-        returned when given.  Results are identical either way.
     """
     xp = get_backend(backend) \
         if backend is None or isinstance(backend, str) else backend
@@ -333,25 +328,15 @@ def batched_aerial_from_kernels(masks: np.ndarray, kernels: np.ndarray,
     batch = masks.shape[0]
     out_h, out_w = masks.shape[-2:]
 
-    if out is None:
-        out = np.empty((batch, out_h, out_w), dtype=precision.real_dtype)
-    elif tuple(out.shape) != (batch, out_h, out_w):
-        raise ValueError(
-            f"out has shape {tuple(out.shape)}, expected "
-            f"{(batch, out_h, out_w)}")
-    elif np.dtype(out.dtype) != precision.real_dtype:
-        raise ValueError(
-            f"out has dtype {out.dtype}, expected {precision.real_dtype}")
     if batch == 0:
-        return out
+        return np.empty((0, out_h, out_w), dtype=precision.real_dtype)
 
     if not device_kernels:
         # The bank goes up once per call unless it arrived resident (a host
         # backend's asarray is the identity).
         kernels = xp.asarray(kernels)
-    image_tiles(batch, masks, None, kernels, xp, precision, (out_h, out_w),
-                out=out)
-    return out
+    return image_tiles(batch, masks, None, kernels, xp, precision,
+                       (out_h, out_w))
 
 
 def image_tiles(count: int,

@@ -43,6 +43,7 @@ from ..backend import (
 from ..layout.reader import ArrayLayoutReader
 from ..optics.resist import ConstantThresholdResist
 from ..optics.simulator import default_illumination
+from ..utils.lru import LockedLRU
 from .batched import (
     FORWARD_REVISION,
     RESIDENT_BLOCK_BYTES,
@@ -50,7 +51,7 @@ from .batched import (
     effective_chunk_tiles,
     image_tiles,
 )
-from .cache import KernelBankCache, LockedLRU, default_kernel_cache
+from .cache import KernelBankCache, default_kernel_cache
 from .streaming import stream_image_layout
 from .tile_cache import (
     TileCacheContext,
@@ -271,16 +272,13 @@ class ExecutionEngine:
     # ------------------------------------------------------------------ #
     # imaging
     # ------------------------------------------------------------------ #
-    def aerial_batch(self, masks: np.ndarray,
-                     out: Optional[np.ndarray] = None) -> np.ndarray:
+    def aerial_batch(self, masks: np.ndarray) -> np.ndarray:
         """Aerial images of a mask batch ``(B, H, W)`` in one vectorised pass.
 
         On a device-resident backend the kernel bank goes up through the
         process-wide :func:`device_kernel_bank` memo — one upload per
         (fingerprint, device), shared by every engine and every batch — and
         each block pays exactly one mask upload + one intensity download.
-        ``out`` optionally receives the results (the downloads land
-        there); contents are identical either way.
 
         A bank with a calibrated :attr:`tile_size_px` images masks of
         exactly that size; any other raises ``ValueError`` (the kernels would
@@ -291,7 +289,7 @@ class ExecutionEngine:
         self._check_tile_shape(masks.shape[-2:])
         return batched_aerial_from_kernels(
             masks, self._imaging_kernels(), backend=self.backend,
-            precision=self.precision, out=out)
+            precision=self.precision)
 
     def _check_tile_shape(self, shape: Tuple[int, ...]) -> None:
         tile = self.tile_size_px

@@ -43,9 +43,9 @@ from ..optics.pupil import Pupil
 from ..optics.simulator import OpticsConfig, default_illumination
 from ..optics.source import Source
 from .batched import FORWARD_REVISION
+from ..utils.lru import LockedLRU
 from .cache import (
     KernelBankCache,
-    LockedLRU,
     kernel_cache_for,
     optics_fingerprint,
 )

@@ -10,14 +10,25 @@ the engine wraps a dense raster or ``numpy.memmap`` once, on the way in:
 2. the one fork: without a tile cache the engine's imaging loop
    (:func:`repro.engine.batched.image_tiles`) takes all of them, and each
    of its thread shares reads its placements' guard-banded windows into
-   its own block-sized mask buffer; with one, a generator reads the
-   windows one batch of placements at a time (:func:`iter_tile_batches`),
-   each window is digested as read (an all-zero one is tagged, not hashed)
-   and the cache stage images only the batch's first-occurrence misses,
+   its own block-sized mask buffer; with one, the placements go through
+   the cache one batch at a time: each window is digested (an all-zero
+   one is tagged, not hashed) and the cache stage images only the batch's
+   first-occurrence misses,
 3. every tile's interior core is stitched straight into the output — a
    plain array, or a ``numpy.memmap`` when an ``out_dir`` is given — and
    developed core by core: inside the imaging share that made it on the
    uncached path, batch by batch on the cached one.
+
+A repeat op reads only its misses.  A file-backed geometry reader
+(:class:`~repro.layout.HierarchicalLayoutReader`,
+:class:`~repro.layout.GeometryLayoutReader`) never changes its windows
+after construction, so the cached branch keeps each window's digest per
+reader, keyed by the ``read_window`` arguments, and reads a window only
+when the cache has to image it: a warm op on a kept reader
+(:func:`repro.layout.load_layout_source`) reads no window at all.  An
+:class:`~repro.layout.ArrayLayoutReader` — it may wrap a caller's mutable
+array or memmap — and any other reader have every window read and hashed
+on every call.
 
 An arbitrarily large layout — dense raster or reader, with or without an
 ``out_dir`` — therefore images in **O(threads x block) RAM** beside its
@@ -36,7 +47,8 @@ Bit-for-bit guarantee
 Per-tile FFT work is independent of how the batch axis is chunked (the
 invariant pinned since PR 1 by ``tests/test_engine.py``) and every layout
 pixel belongs to exactly one tile core, so the result does not depend on
-the batch size, the tile cache or the thread count: each equals the plain
+the batch size, the tile cache, the kept digests or the thread count: each
+equals the plain
 cut-all / image-once / stitch reference (``tests/reference.py``) **bit for
 bit** across guard bands, backends and precisions — pinned by
 ``tests/test_streaming.py``.
@@ -64,41 +76,80 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+import threading
+import weakref
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..layout.hierarchy import HierarchicalLayoutReader
+from ..layout.indexed import GeometryLayoutReader
 from .cache import atomic_write
 from .tile_cache import TileCacheStats, tile_digest
-from .tiling import (
-    TilePlacement,
-    TilingSpec,
-    extract_tile_batch,
-    plan_tiles,
-)
+from .tiling import TilingSpec, extract_tile_batch, plan_tiles
 
 AERIAL_FILE = "aerial.npy"
 RESIST_FILE = "resist.npy"
 META_FILE = "meta.json"
 
 
-def iter_tile_batches(reader, placements: Sequence[TilePlacement],
-                      spec: TilingSpec, batch_tiles: int,
-                      ) -> Iterator[Tuple[Iterator[np.ndarray],
-                                          List[TilePlacement]]]:
-    """Yield ``(windows, placements)`` batches of at most ``batch_tiles`` tiles.
+#: Window digests kept per file-backed reader; past this many, the
+#: reader's further windows are read and hashed on every call.
+MAX_MEMO_WINDOWS = 2 ** 16
 
-    ``windows`` is :func:`~repro.engine.tiling.extract_tile_batch`'s lazy
-    iterator over the batch — consume it before asking for the next batch.
-    Windows are rasterised one by one as they are consumed and the dense
-    raster never exists, so peak RAM for layout data is O(one batch) end to
-    end.
+#: Readers whose windows are fixed at construction (exact types: a subclass
+#: may not be).
+_IMMUTABLE_READERS = (GeometryLayoutReader, HierarchicalLayoutReader)
+#: reader -> {read_window arguments: tile_digest}; dies with its reader.
+_WINDOW_DIGESTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+_WINDOW_DIGESTS_LOCK = threading.Lock()
+
+
+def _digest_windows(reader, windows: Sequence[Tuple[int, int, int, int]],
+                   ) -> Tuple[List[str], List[Optional[np.ndarray]]]:
+    """:func:`tile_digest` of each window (``read_window`` arguments).
+
+    Returns ``(digests, read)``: ``read[i]`` is the window's array when it
+    had to be read to digest it, ``None`` when the digest was kept from an
+    earlier call on the same file-backed reader.
     """
-    if batch_tiles < 1:
-        raise ValueError("batch_tiles must be at least 1")
-    for start in range(0, len(placements), batch_tiles):
-        subset = list(placements[start:start + batch_tiles])
-        yield extract_tile_batch(reader, subset, spec), subset
+    memo = None
+    digests: List[Optional[str]] = [None] * len(windows)
+    if type(reader) in _IMMUTABLE_READERS:
+        with _WINDOW_DIGESTS_LOCK:
+            memo = _WINDOW_DIGESTS.setdefault(reader, {})
+            digests = [memo.get(window) for window in windows]
+    read: List[Optional[np.ndarray]] = [None] * len(windows)
+    fresh = {}
+    for index, window in enumerate(windows):
+        if digests[index] is None:
+            read[index] = reader.read_window(*window)
+            digests[index] = fresh[window] = tile_digest(read[index])
+    if memo is not None and fresh:
+        with _WINDOW_DIGESTS_LOCK:
+            for window, digest in fresh.items():
+                if len(memo) >= MAX_MEMO_WINDOWS:
+                    break
+                memo[window] = digest
+    return digests, read
+
+
+class _BatchWindows:
+    """A batch's windows as :meth:`TileResultCache.image_tile_batch` reads
+    them: the ones read to digest them, any other read on access — which
+    the cache makes only for a first-occurrence miss."""
+
+    def __init__(self, reader, windows, read) -> None:
+        self._reader, self._windows, self._read = reader, windows, read
+
+    def __len__(self) -> int:
+        return len(self._windows)
+
+    def __getitem__(self, index: int) -> np.ndarray:
+        window = self._read[index]
+        if window is None:
+            window = self._reader.read_window(*self._windows[index])
+        return window
 
 
 def _allocate(out_dir: Optional[str], name: str, shape: Tuple[int, int],
@@ -197,17 +248,13 @@ def stream_image_layout(reader, tiling: TilingSpec,
         image_tiles(len(placements), read, write)
     else:
         tile_stats = TileCacheStats()
-        done = 0
-        for windows, subset in iter_tile_batches(reader, placements, tiling,
-                                                 batch_tiles):
-            # Windows stay as the reader made them, each hashed as soon as
-            # it is read (still hot in cache); only misses get stacked.
-            kept, digests = [], []
-            for window in windows:
-                kept.append(window)
-                digests.append(tile_digest(window))
+        tile = tiling.tile_px
+        for start in range(0, len(placements), batch_tiles):
+            windows = [(place.row - guard, place.col - guard, tile, tile)
+                       for place in placements[start:start + batch_tiles]]
+            digests, read = _digest_windows(reader, windows)
             images, tally = tile_cache.image_tile_batch(
-                kept, digests,
+                _BatchWindows(reader, windows, read), digests,
                 lambda misses: image_tiles(len(misses), misses, None),
                 cache_context)
             tile_stats += tally
@@ -217,8 +264,7 @@ def stream_image_layout(reader, tiling: TilingSpec,
                 # intermediates reuse from one call to the next, and a
                 # fresh mapping faults in every page of them per call.
                 aerial, resist = allocate()
-            write(done, images)
-            done += len(subset)
+            write(start, images)
 
     if out_dir is not None:
         aerial.flush()

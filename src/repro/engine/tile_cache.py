@@ -30,12 +30,15 @@ exactly-zero array is exactly ±0 and ``|0|^2`` is ``+0``), so zero tiles —
 :func:`tile_digest` answers :data:`ZERO_TILE_DIGEST` for an all-zero window
 instead of hashing it — are all served by one shared zero tile.
 
-Each pixel moves once.  The content key digests a window exactly as the
-layout reader produced it (its dtype is part of the key; nothing is cast or
-copied to hash it), only first-occurrence misses are stacked for imaging,
-and :meth:`TileResultCache.image_tile_batch` hands back per-row *references*
-— a cached entry is read-only and owned by the cache, so serving it copies
-nothing until the stitch writes its core into the output raster.
+A repeat op reads only its misses.  The content key digests a window
+exactly as the layout reader produced it (its dtype is part of the key;
+nothing is cast or copied to hash it), :meth:`TileResultCache.image_tile_batch`
+touches a row of its batch only to stack a first-occurrence miss for
+imaging — so the layout pipeline, which keeps a file-backed reader's window
+digests (:mod:`repro.engine.streaming`), hands it rows that are read on
+access — and it hands back per-row *references*: a cached entry is
+read-only and owned by the cache, so serving it copies nothing until the
+stitch writes its core into the output raster.
 
 :class:`TileCacheStats` counts every served tile (memory hits, zero hits,
 disk loads) and every miss, giving tests and the CLI an observable dedup
@@ -175,7 +178,8 @@ class TileResultCache:
         ``tiles`` holds the batch's guard-banded windows — an
         ``(N, tile_px, tile_px)`` stack or any sequence of 2-D windows in
         the reader's own dtype — and ``digests`` their :func:`tile_digest`
-        values; rows tagged ``ZERO_TILE_DIGEST`` are never read.
+        values; only the first row of each miss is ever indexed, so a lazy
+        sequence that reads a window on access reads just those.
         ``image_batch`` is called **at most once**,
         on the stack of first-occurrence misses; every other row is served
         from the zero fast path, the in-memory tier, the disk tier, or its

@@ -35,17 +35,23 @@ from .indexed import GeometryLayoutReader
 _LAYOUT_FORMAT = "repro-layout"
 
 
-def _parse_binary_gds(path: str):
-    """Parse ``path`` as binary GDSII, or raise a :class:`LayoutFormatError`
-    saying what to export instead."""
-    with open(path, "rb") as probe:
-        head = probe.read(512)
-    if not looks_like_binary_gds(head):
+def read_layout_bytes(path: str) -> bytes:
+    """The whole layout file, read once (``FileNotFoundError`` if missing)."""
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"no layout file at {path}")
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+def _parse_binary_gds(path: str, data: bytes):
+    """Parse ``data`` (the bytes of ``path``) as binary GDSII, or raise a
+    :class:`LayoutFormatError` saying what to export instead."""
+    if not looks_like_binary_gds(data[:512]):
         raise LayoutFormatError(
             path, 0, "not a layout file: no binary GDSII HEADER record "
             "(GDSII text is no longer read — export the layout as binary "
             ".gds)")
-    return parse_gds(path)
+    return parse_gds(data, name=path)
 
 
 def read_layout_shapes(path: str) -> Tuple[Dict[str, List], Optional[float]]:
@@ -56,16 +62,17 @@ def read_layout_shapes(path: str) -> Tuple[Dict[str, List], Optional[float]]:
     hierarchies are flattened to chip-space rectangles here; use
     :func:`load_layout_file` to keep them lazy.
     """
+    data = read_layout_bytes(path)
     if path.endswith(".json"):
-        return _read_json_layout(path)
+        return _read_json_layout(path, data)
     from .hierarchy import flatten_gds_shapes
 
-    return flatten_gds_shapes(_parse_binary_gds(path)), None
+    return flatten_gds_shapes(_parse_binary_gds(path, data)), None
 
 
-def _read_json_layout(path: str) -> Tuple[Dict[str, List], float]:
-    with open(path, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
+def _read_json_layout(path: str, data: bytes,
+                      ) -> Tuple[Dict[str, List], float]:
+    document = json.loads(data.decode("utf-8"))
     if document.get("format") != _LAYOUT_FORMAT:
         raise ValueError(f"{path} is not a {_LAYOUT_FORMAT} JSON file")
     shapes: Dict[str, List] = {}
@@ -102,18 +109,29 @@ def load_layout_file(path: str, pixel_size_nm: float,
     pixels (GDSII).  Binary GDSII returns a lazy
     :class:`~repro.layout.hierarchy.HierarchicalLayoutReader` (the cell
     hierarchy is never flattened); JSON a
-    :class:`~repro.layout.indexed.GeometryLayoutReader`.
+    :class:`~repro.layout.indexed.GeometryLayoutReader`.  Every call reads
+    and parses the file afresh; :func:`repro.layout.load_layout_source`
+    keeps the readers it builds.
     """
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"no layout file at {path}")
+    return layout_reader_from_bytes(path, read_layout_bytes(path),
+                                    pixel_size_nm, shape=shape,
+                                    layers=layers)
+
+
+def layout_reader_from_bytes(path: str, data: bytes, pixel_size_nm: float,
+                             shape: Optional[Tuple[int, int]] = None,
+                             layers=None):
+    """:func:`load_layout_file` on ``data``, the bytes already read from
+    ``path`` (whose suffix picks the format and which labels errors)."""
     if path.endswith(".json"):
-        shapes, extent_nm = _read_json_layout(path)
+        shapes, extent_nm = _read_json_layout(path, data)
         return GeometryLayoutReader(shapes, pixel_size_nm, shape=shape,
                                     extent_nm=extent_nm, layers=layers)
     from .hierarchy import HierarchicalLayoutReader
 
-    return HierarchicalLayoutReader(_parse_binary_gds(path), pixel_size_nm,
-                                    shape=shape, layers=layers, source=path)
+    return HierarchicalLayoutReader(_parse_binary_gds(path, data),
+                                    pixel_size_nm, shape=shape,
+                                    layers=layers, source=path)
 
 
 #: File suffixes the CLI treats as layout files rather than a dense

@@ -310,7 +310,7 @@ class HierarchicalLayoutReader:
         if pixel_size_nm <= 0:
             raise ValueError("pixel_size_nm must be positive")
         self.library = library
-        self.pixel_size_nm = float(pixel_size_nm)
+        self._pixel_size_nm = float(pixel_size_nm)
         self._source = source or library.name
         self._top = self._resolve_top(top)
         self._check_acyclic()
@@ -352,7 +352,7 @@ class HierarchicalLayoutReader:
         self._memo_lock = threading.Lock()
         all_layers = sorted({layer for grids in self._grids.values()
                              for layer in grids})
-        self.layers = tuple(all_layers) if layers is None else tuple(layers)
+        self._layers = tuple(all_layers) if layers is None else tuple(layers)
         if shape is None:
             shape = self._default_shape()
         if shape[0] <= 0 or shape[1] <= 0:
@@ -743,6 +743,16 @@ class HierarchicalLayoutReader:
     @property
     def shape(self) -> Tuple[int, int]:
         return self._shape
+
+    @property
+    def pixel_size_nm(self) -> float:
+        return self._pixel_size_nm
+
+    @property
+    def layers(self) -> Tuple[str, ...]:
+        """Layers :meth:`read_window` rasterises (read-only, like every
+        input of a window)."""
+        return self._layers
 
     @property
     def top_cell(self) -> str:

@@ -119,7 +119,7 @@ class GeometryLayoutReader:
             shape = (side, side)
         if shape[0] <= 0 or shape[1] <= 0:
             raise ValueError("raster shape must be positive")
-        self.pixel_size_nm = float(pixel_size_nm)
+        self._pixel_size_nm = float(pixel_size_nm)
         self._shape = (int(shape[0]), int(shape[1]))
         self._rects: Dict[str, List[Rect]] = {}
         self._indices: Dict[str, _BucketGrid] = {}
@@ -128,8 +128,8 @@ class GeometryLayoutReader:
         self.last_candidates = 0
         for layer, layer_shapes in shapes.items():
             for item in layer_shapes:
-                self.add_shape(layer, item)
-        self.layers = tuple(sorted(self._rects)) if layers is None \
+                self._add_shape(layer, item)
+        self._layers = tuple(sorted(self._rects)) if layers is None \
             else tuple(layers)
         for layer in self.layers:
             if layer not in self._rects:
@@ -156,8 +156,9 @@ class GeometryLayoutReader:
         return cls(layout.layers, pixel_size_nm, shape=shape,
                    extent_nm=layout.extent_nm, **kwargs)
 
-    def add_shape(self, layer: str, item: Shape) -> None:
-        """Index one rectangle or rectilinear polygon on ``layer``."""
+    def _add_shape(self, layer: str, item: Shape) -> None:
+        """Index one rectangle or rectilinear polygon on ``layer`` (at
+        construction only: a reader's windows never change afterwards)."""
         rects = item.to_rects() if isinstance(item, Polygon) else [item]
         store = self._rects.setdefault(layer, [])
         grid = self._indices.setdefault(layer, _BucketGrid())
@@ -176,6 +177,16 @@ class GeometryLayoutReader:
     @property
     def shape(self) -> Tuple[int, int]:
         return self._shape
+
+    @property
+    def pixel_size_nm(self) -> float:
+        return self._pixel_size_nm
+
+    @property
+    def layers(self) -> Tuple[str, ...]:
+        """Layers :meth:`read_window` rasterises (read-only, like every
+        input of a window)."""
+        return self._layers
 
     def read_window(self, row: int, col: int, height: int,
                     width: int) -> np.ndarray:

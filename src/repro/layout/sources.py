@@ -7,13 +7,25 @@ synthesised benchmark canvas —
 and both must resolve them identically, or a service-submitted campaign
 would not be bit-for-bit comparable to the same campaign run via
 ``repro sweep-window``.  These helpers are that single resolution path.
+
+A geometry file is parsed once per process: :func:`load_layout_source`
+keeps the last :data:`READER_MEMO_LIMIT` readers it built, keyed by the
+file's real path, the SHA-256 of its bytes and the pixel size.  A file
+rewritten in place hashes to a new key, so a kept reader is never stale;
+and a reader's windows never change after construction, which is what lets
+the tile-cache pipeline keep each window's digest on it
+(:mod:`repro.engine.streaming`).
 """
 
 from __future__ import annotations
 
+import hashlib
+import os
+
 import numpy as np
 
-from .files import is_layout_file, load_layout_file
+from ..utils.lru import LockedLRU
+from .files import is_layout_file, layout_reader_from_bytes, read_layout_bytes
 
 __all__ = [
     "load_layout_mask",
@@ -36,13 +48,29 @@ def load_layout_mask(path: str) -> np.ndarray:
     return mask
 
 
+#: Geometry-file readers :func:`load_layout_source` keeps per process.
+READER_MEMO_LIMIT = 4
+
+_READERS = LockedLRU(READER_MEMO_LIMIT)
+
+
 def load_layout_source(path: str, pixel_size_nm: float):
     """Dense raster (``.npy``/``.npz``) or windowed geometry reader (anything
-    :func:`repro.layout.is_layout_file` recognises — JSON / binary
-    GDSII)."""
-    if is_layout_file(path):
-        return load_layout_file(path, pixel_size_nm=pixel_size_nm)
-    return load_layout_mask(path)
+    :func:`repro.layout.is_layout_file` recognises — JSON / binary GDSII).
+
+    A geometry file is read whole on every call but parsed only when no
+    kept reader matches its real path, content hash and pixel size; callers
+    that share a reader (a service's campaigns on one file) share a
+    read-only object.  Concurrent first calls on one file parse it once.
+    """
+    if not is_layout_file(path):
+        return load_layout_mask(path)
+    data = read_layout_bytes(path)
+    pixel_size_nm = float(pixel_size_nm)
+    key = (os.path.realpath(path), hashlib.sha256(data).hexdigest(),
+           pixel_size_nm)
+    return _READERS.get_or_build(key, lambda: layout_reader_from_bytes(
+        path, data, pixel_size_nm))
 
 
 def synthesize_layout_mask(height_px: int, width_px: int, tile_size_px: int,

@@ -30,7 +30,8 @@ with its own backward, kept as the node's oracle.
 
 The product cuts a layout's stream batches by one rule,
 ``ExecutionEngine.stream_batch_tiles``; :func:`stream_batches` is how a test
-makes it cut smaller ones.
+makes it cut smaller ones, and :class:`RecordingTileCache` how it sees the
+rows each batch hands the tile cache.
 
 It lives under ``tests/`` on purpose: the product keeps one path.
 """
@@ -41,7 +42,13 @@ from unittest import mock
 import numpy as np
 
 from repro.backend import FFTBackend, get_backend
-from repro.engine import LayoutImage, batched, extract_tiles, stitch_tiles
+from repro.engine import (
+    LayoutImage,
+    TileResultCache,
+    batched,
+    extract_tiles,
+    stitch_tiles,
+)
 from repro.nn import functional as F
 from repro.nn.tensor import as_tensor
 from repro.optics.grid import crop_centre, embed_centre
@@ -154,3 +161,17 @@ def stream_batches(target, batch_tiles):
         return contextlib.nullcontext()
     return mock.patch.object(target, "stream_batch_tiles",
                              lambda *args: batch_tiles)
+
+
+class RecordingTileCache(TileResultCache):
+    """A tile cache that copies out every row of every batch it is handed —
+    rows the pipeline already read and rows it reads only on access."""
+
+    def __init__(self):
+        super().__init__()
+        self.batches = []
+
+    def image_tile_batch(self, tiles, digests, image_batch, context):
+        self.batches.append([np.array(tiles[index])
+                             for index in range(len(tiles))])
+        return super().image_tile_batch(tiles, digests, image_batch, context)

@@ -313,15 +313,6 @@ class TestFakeGpuEqualsNumpy:
         device = mask_spectrum(module.asarray(masks), (9, 9), backend=module)
         np.testing.assert_array_equal(reference, module.to_host(device))
 
-    def test_out_buffer_result_identical(self, fakegpu):
-        _, engine = make_engines()
-        masks = RNG.random((3, 32, 32))
-        reference = engine.aerial_batch(masks)
-        out = np.empty_like(reference)
-        returned = engine.aerial_batch(masks, out=out)
-        assert returned is out
-        np.testing.assert_array_equal(reference, out)
-
 
 # --------------------------------------------------------------------------- #
 # host-math mixing fails loudly

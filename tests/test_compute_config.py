@@ -154,11 +154,11 @@ class TestLegacyShim:
 
         # Every image is at the mask's own resolution.
         assert parameters(batched_aerial_from_kernels) == [
-            "masks", "kernels", "backend", "precision", "out"]
+            "masks", "kernels", "backend", "precision"]
         assert parameters(ExecutionEngine.__init__) == [
             "kernels", "resist_threshold", "tile_size_px", "fft_backend",
             "tile_cache", "compute"]
-        assert parameters(ExecutionEngine.aerial_batch) == ["masks", "out"]
+        assert parameters(ExecutionEngine.aerial_batch) == ["masks"]
         # The stream batch is always stream_batch_tiles(tiling).
         assert parameters(ExecutionEngine.image_layout) == [
             "layout", "tiling", "tile_px", "guard_px", "out_dir"]

@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import RecordingBackend, band_limited_blocks, reference_aerial
-from repro.backend import available_backends, get_backend
+from repro.backend import available_backends, get_backend, resolve_precision
 from repro.engine import (
     ExecutionEngine,
     KernelBankCache,
@@ -190,10 +190,12 @@ class TestBatchedEquivalence:
                 assert band_limited_blocks(batch, kernels.shape, (32, 32)) \
                     == [shape[0] for shape in recorder.shapes("irfft2")]
             # The same blocks shared out over the worker budget (scipy; the
-            # others have no one-thread sibling and stay on this thread).
-            assert batched_aerial_from_kernels(
-                masks, kernels, backend=get_backend(name, workers=workers),
-                out=shared) is shared
+            # others have no one-thread sibling and stay on this thread),
+            # into a NaN-filled result: every row is written.
+            backend = get_backend(name, workers=workers)
+            batched.image_tiles(batch, masks, None, backend.asarray(kernels),
+                                backend, resolve_precision(None),
+                                (tile, tile), out=shared)
         assert max(shape[0] for shape in recorder.shapes("ifft2")) \
             == min(tiles, batch)
         np.testing.assert_array_equal(cut, whole)

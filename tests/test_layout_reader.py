@@ -18,7 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import reference_image_layout, stream_batches
+from reference import (
+    RecordingTileCache,
+    reference_image_layout,
+    stream_batches,
+)
 from repro.backend import ComputeConfig
 from repro.engine import (
     EngineSpec,
@@ -27,8 +31,6 @@ from repro.engine import (
     TileResultCache,
     TilingSpec,
     extract_tiles,
-    iter_tile_batches,
-    plan_tiles,
 )
 from repro.engine import tile_cache as tile_cache_module
 from repro.layout import (
@@ -313,15 +315,22 @@ class TestEngineWiring:
         assert reader_places == dense_places
         np.testing.assert_array_equal(reader_tiles, dense_tiles)
 
-    def test_iter_tile_batches_accepts_reader(self, geometry_reader, dense):
+    def test_tile_cache_batches_accept_reader(self, geometry_reader, dense):
+        """The rows a geometry reader's stream batches hand the tile cache
+        are the dense tiles — on a first call, which reads every window to
+        digest it, and on a repeat, which reads them only on access."""
         spec = TilingSpec(tile_px=32, guard_px=8)
-        placements = plan_tiles(*geometry_reader.shape, spec)
-        stacked = np.stack(
-            [window for windows, _ in
-             iter_tile_batches(geometry_reader, placements, spec, 3)
-             for window in windows])
         dense_tiles, _ = extract_tiles(dense, spec)
-        np.testing.assert_array_equal(stacked, dense_tiles)
+        config = OpticsConfig(tile_size_px=32, pixel_size_nm=8.0)
+        cache = RecordingTileCache()
+        engine = ExecutionEngine.for_optics(config, tile_cache=cache)
+        for _ in range(2):
+            with stream_batches(engine, 3):
+                engine.image_layout(geometry_reader, tiling=spec)
+            np.testing.assert_array_equal(
+                np.stack([row for batch in cache.batches for row in batch]),
+                dense_tiles)
+            del cache.batches[:]
 
     @pytest.mark.parametrize("backend_name,precision", [
         ("numpy", "float64"), ("numpy", "float32"),

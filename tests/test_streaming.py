@@ -9,8 +9,8 @@ Pinned guarantees:
   over random layout geometries,
 * one default-batch rule: a dense raster and the same raster behind a reader
   image in the same ``stream_batch_tiles`` batches,
-* ``iter_tile_batches`` covers every placement exactly once and never
-  materialises more than one batch,
+* the tile cache sees every placement exactly once, in row-major stream
+  batches whose rows are the reader's windows,
 * the ``out_dir`` memmap layout round-trips through ``open_layout_dir``
   (self-describing ``.npy`` files + ``meta.json``), and a rejected call
   leaves no file behind, and
@@ -26,7 +26,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import reference_image_layout, stream_batches
+from reference import (
+    RecordingTileCache,
+    reference_image_layout,
+    stream_batches,
+)
 from repro.backend import ComputeConfig
 from repro.engine import execution
 from repro.engine import (
@@ -35,13 +39,13 @@ from repro.engine import (
     TilingSpec,
     extract_tile_batch,
     extract_tiles,
-    iter_tile_batches,
     open_layout_dir,
     plan_tiles,
     stitch_into,
     stream_image_layout,
 )
-from repro.layout import as_layout_reader
+from repro.layout import GeometryLayoutReader, as_layout_reader
+from repro.layout.geometry import Rect
 from repro.optics import OpticsConfig
 from repro.optics.source import CircularSource
 
@@ -61,26 +65,32 @@ def layout():
 
 
 class TestTileBatching:
-    """Every batch has one shape: a lazy iterator over the reader's windows."""
+    """The tile cache sees the placements in stream batches, row-major."""
 
-    def test_batches_cover_all_placements_once(self, layout):
-        spec = TilingSpec(tile_px=32, guard_px=8)
-        placements = plan_tiles(*layout.shape, spec)
-        seen = []
-        for windows, subset in iter_tile_batches(as_layout_reader(layout),
-                                                 placements, spec, 3):
-            assert len(list(windows)) == len(subset) <= 3
-            seen.extend(subset)
-        assert seen == placements
+    def test_batches_cover_all_placements_once(self, engine, layout):
+        cache = RecordingTileCache()
+        cached = execution.ExecutionEngine(engine.kernels, tile_size_px=32,
+                                           tile_cache=cache)
+        with stream_batches(cached, 3):
+            image = cached.image_layout(layout, guard_px=8)
+        assert [len(batch) for batch in cache.batches[:-1]] == \
+            [3] * (len(cache.batches) - 1)
+        assert 0 < len(cache.batches[-1]) <= 3
+        assert sum(map(len, cache.batches)) == image.num_tiles
 
-    def test_batches_match_full_extraction(self, layout):
+    def test_batches_match_full_extraction(self, engine, layout):
+        """The rows a batch hands the cache — read or not yet read — are
+        ``extract_tiles``' windows in order."""
         spec = TilingSpec(tile_px=32, guard_px=8)
-        full, placements = extract_tiles(layout, spec)
-        streamed = np.stack(
-            [window for windows, _ in iter_tile_batches(
-                as_layout_reader(layout), placements, spec, 4)
-             for window in windows])
-        np.testing.assert_array_equal(streamed, full)
+        full, _ = extract_tiles(layout, spec)
+        cache = RecordingTileCache()
+        cached = execution.ExecutionEngine(engine.kernels, tile_size_px=32,
+                                           tile_cache=cache)
+        with stream_batches(cached, 4):
+            cached.image_layout(layout, tiling=spec)
+        np.testing.assert_array_equal(
+            np.stack([row for batch in cache.batches for row in batch]),
+            full)
 
     def test_extract_tile_batch_is_a_slice_of_extract_tiles(self, layout):
         spec = TilingSpec(tile_px=32, guard_px=6)
@@ -90,20 +100,22 @@ class TestTileBatching:
             list(extract_tile_batch(as_layout_reader(layout), subset, spec)),
             full[2:5])
 
-    def test_batch_tiles_validation(self, layout):
-        spec = TilingSpec(tile_px=32, guard_px=0)
-        with pytest.raises(ValueError):
-            list(iter_tile_batches(as_layout_reader(layout),
-                                   plan_tiles(*layout.shape, spec), spec, 0))
+    def test_batch_tiles_validation(self, engine, layout):
+        with pytest.raises(ValueError, match="batch_tiles"):
+            stream_image_layout(as_layout_reader(layout),
+                                TilingSpec(tile_px=32), None, None,
+                                np.float64, 0)
 
     def test_stitch_into_is_split_inverse(self, layout):
         """Incremental stitch of the raw tiles reproduces the layout exactly."""
         spec = TilingSpec(tile_px=32, guard_px=8)
         placements = plan_tiles(*layout.shape, spec)
+        reader = as_layout_reader(layout)
         out = np.zeros_like(layout)
-        for windows, subset in iter_tile_batches(as_layout_reader(layout),
-                                                 placements, spec, 5):
-            stitch_into(out, list(windows), subset, spec)
+        for start in range(0, len(placements), 5):
+            subset = placements[start:start + 5]
+            stitch_into(out, list(extract_tile_batch(reader, subset, spec)),
+                        subset, spec)
         np.testing.assert_array_equal(out, layout)
 
 
@@ -129,6 +141,43 @@ class TestStreamingEqualsInMemory:
         np.testing.assert_array_equal(streamed.resist, reference.resist)
         assert streamed.num_tiles == reference.num_tiles
         assert streamed.aerial.dtype == reference.aerial.dtype
+
+    @pytest.mark.parametrize("backend_name,precision", [
+        ("numpy", "float64"),
+        ("numpy", "float32"),
+        ("scipy", "float64"),
+        ("scipy", "float32"),
+    ])
+    @pytest.mark.parametrize("guard_px", [0, 8])
+    def test_bit_for_bit_with_window_digests_kept(self, layout, backend_name,
+                                                  precision, guard_px):
+        """The same matrix through the tile cache, on a geometry reader
+        whose window digests the pipeline keeps: the first call (every
+        window read and digested), a repeat on a cold cache (only its
+        misses read) and a warm repeat (no window read) all equal the
+        reference."""
+        if backend_name == "scipy":
+            pytest.importorskip("scipy.fft")
+        rows, cols = np.nonzero(layout)
+        reader = GeometryLayoutReader(
+            {"m1": [Rect(8.0 * col, 8.0 * row, 8.0, 8.0)
+                    for row, col in zip(rows, cols)]},
+            pixel_size_nm=8.0, shape=layout.shape)
+        np.testing.assert_array_equal(reader.materialise(), layout)
+        compute = ComputeConfig(fft_backend=backend_name, precision=precision)
+        plain = EngineSpec(config=CONFIG, source=SOURCE,
+                           compute=compute).build()
+        reference = reference_image_layout(plain, layout, guard_px=guard_px)
+        first, repeat = (execution.ExecutionEngine(
+            plain.kernels, tile_size_px=32, tile_cache=TileResultCache(),
+            compute=compute) for _ in range(2))
+        for engine in (first, repeat, repeat):
+            with stream_batches(engine, 3):
+                streamed = engine.image_layout(reader, guard_px=guard_px)
+            np.testing.assert_array_equal(streamed.aerial, reference.aerial)
+            np.testing.assert_array_equal(streamed.resist, reference.resist)
+        assert streamed.tile_stats.hits == streamed.num_tiles \
+            - streamed.tile_stats.zero_hits
 
     @pytest.mark.parametrize("batch_tiles", [1, 2, 7, None])
     def test_bit_for_bit_across_batch_sizes(self, engine, layout, batch_tiles):

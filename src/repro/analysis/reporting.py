@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import List, Mapping, Optional, Sequence, Union
 
 Number = Union[int, float]
 
@@ -42,18 +42,6 @@ def format_table(rows: Sequence[Mapping[str, object]], columns: Optional[Sequenc
     lines.append("-+-".join("-" * width for width in widths))
     lines.extend(render_line(line) for line in body)
     return "\n".join(lines)
-
-
-def ratio_row(rows: Sequence[Mapping[str, Number]], reference: Mapping[str, Number],
-              columns: Iterable[str], label: str = "Ratio") -> Dict[str, object]:
-    """Build the paper's "Ratio" row: averages of each column divided by the reference."""
-    result: Dict[str, object] = {"bench": label}
-    for column in columns:
-        ref_value = float(reference.get(column, 0.0))
-        values = [float(row.get(column, 0.0)) for row in rows]
-        mean = sum(values) / len(values) if values else 0.0
-        result[column] = mean / ref_value if ref_value else float("inf")
-    return result
 
 
 def render_bar_chart(values: Mapping[str, float], width: int = 40, unit: str = "") -> str:

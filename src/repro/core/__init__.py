@@ -1,11 +1,6 @@
 """Nitho core: kernel dimensioning, positional encodings, CMLP and the model itself."""
 
-from ..optics.kernel_dims import (
-    kernel_dimensions,
-    kernel_half_width,
-    resolution_nm,
-    suggest_kernel_order,
-)
+from ..optics.kernel_dims import kernel_dimensions, kernel_half_width
 from .cmlp import CMLP, RealMLP
 from .encoding import (
     IdentityEncoding,
@@ -23,7 +18,7 @@ __all__ = [
     "CMLP", "RealMLP",
     "PositionalEncoding", "IdentityEncoding", "NeRFEncoding", "RandomFourierEncoding",
     "kernel_coordinates", "make_encoding",
-    "kernel_dimensions", "kernel_half_width", "resolution_nm", "suggest_kernel_order",
+    "kernel_dimensions", "kernel_half_width",
     "NithoConfig", "NithoModel", "NithoTrainer",
     "GradientILT", "ILTSettings", "print_fidelity",
 ]

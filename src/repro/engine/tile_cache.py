@@ -284,15 +284,19 @@ class TileResultCache:
 
 
 _default_cache: Optional[TileResultCache] = None
+#: Held while the process-wide cache is built or replaced, so concurrent
+#: first callers share one cache (and its dedup and counters).
+_default_cache_lock = threading.Lock()
 
 
 def default_tile_cache() -> TileResultCache:
     """The process-wide tile cache (disk tier from ``REPRO_TILE_CACHE_DIR``)."""
     global _default_cache
-    if _default_cache is None:
-        _default_cache = TileResultCache(
-            cache_dir=os.environ.get("REPRO_TILE_CACHE_DIR"))
-    return _default_cache
+    with _default_cache_lock:
+        if _default_cache is None:
+            _default_cache = TileResultCache(
+                cache_dir=os.environ.get("REPRO_TILE_CACHE_DIR"))
+        return _default_cache
 
 
 def configure_default_tile_cache(cache_dir: Optional[str] = None,
@@ -300,8 +304,10 @@ def configure_default_tile_cache(cache_dir: Optional[str] = None,
                                  ) -> TileResultCache:
     """Replace the process-wide tile cache (e.g. to point it at a directory)."""
     global _default_cache
-    _default_cache = TileResultCache(cache_dir=cache_dir, max_bytes=max_bytes)
-    return _default_cache
+    with _default_cache_lock:
+        _default_cache = TileResultCache(cache_dir=cache_dir,
+                                         max_bytes=max_bytes)
+        return _default_cache
 
 
 def resolve_tile_cache(tile_cache=None) -> Optional[TileResultCache]:

@@ -45,13 +45,7 @@ Readers plug in wherever a dense layout was accepted —
 True
 """
 
-from .files import (
-    LAYOUT_FILE_SUFFIXES,
-    is_layout_file,
-    load_layout_file,
-    read_layout_shapes,
-    shapes_extent_nm,
-)
+from .files import LAYOUT_FILE_SUFFIXES, is_layout_file, load_layout_file
 from .gdsii import (
     GDSBoundary,
     GDSCell,
@@ -61,11 +55,7 @@ from .gdsii import (
     parse_gds,
     write_gds,
 )
-from .hierarchy import (
-    HierarchicalLayoutReader,
-    Transform,
-    flatten_gds_shapes,
-)
+from .hierarchy import HierarchicalLayoutReader, Transform
 from .indexed import DEFAULT_BUCKET_PX, GeometryLayoutReader
 from .sources import (
     load_layout_mask,
@@ -84,10 +74,8 @@ from .reader import (
 __all__ = [
     "LayoutReader", "ArrayLayoutReader", "GeometryLayoutReader",
     "as_layout_reader", "is_layout_reader", "array_digest", "source_digest",
-    "load_layout_file", "read_layout_shapes", "shapes_extent_nm",
-    "is_layout_file", "LAYOUT_FILE_SUFFIXES", "DEFAULT_BUCKET_PX",
+    "load_layout_file", "is_layout_file", "LAYOUT_FILE_SUFFIXES", "DEFAULT_BUCKET_PX",
     "load_layout_mask", "load_layout_source", "synthesize_layout_mask",
     "LayoutFormatError", "parse_gds", "write_gds", "GDSLibrary", "GDSCell",
     "GDSBoundary", "GDSReference", "HierarchicalLayoutReader", "Transform",
-    "flatten_gds_shapes",
 ]

@@ -32,7 +32,10 @@ from .gdsii import LayoutFormatError, looks_like_binary_gds, parse_gds
 from .geometry import Polygon, Rect
 from .indexed import GeometryLayoutReader
 
-_LAYOUT_FORMAT = "repro-layout"
+#: The JSON format :func:`repro.masks.io.save_layout` writes; a file
+#: without a ``"version"`` is read as version 1.
+LAYOUT_FORMAT = "repro-layout"
+LAYOUT_FORMAT_VERSION = 1
 
 
 def read_layout_bytes(path: str) -> bytes:
@@ -54,27 +57,16 @@ def _parse_binary_gds(path: str, data: bytes):
     return parse_gds(data, name=path)
 
 
-def read_layout_shapes(path: str) -> Tuple[Dict[str, List], Optional[float]]:
-    """Parse a layout file into ``(layer -> shapes, extent_nm or None)``.
-
-    The JSON format records its extent; binary GDSII does not (``None`` —
-    callers derive it from the shapes' bounding box).  Binary GDSII
-    hierarchies are flattened to chip-space rectangles here; use
-    :func:`load_layout_file` to keep them lazy.
-    """
-    data = read_layout_bytes(path)
-    if path.endswith(".json"):
-        return _read_json_layout(path, data)
-    from .hierarchy import flatten_gds_shapes
-
-    return flatten_gds_shapes(_parse_binary_gds(path, data)), None
-
-
 def _read_json_layout(path: str, data: bytes,
                       ) -> Tuple[Dict[str, List], float]:
     document = json.loads(data.decode("utf-8"))
-    if document.get("format") != _LAYOUT_FORMAT:
-        raise ValueError(f"{path} is not a {_LAYOUT_FORMAT} JSON file")
+    if document.get("format") != LAYOUT_FORMAT:
+        raise ValueError(f"{path} is not a {LAYOUT_FORMAT} JSON file")
+    version = document.get("version", LAYOUT_FORMAT_VERSION)
+    if version != LAYOUT_FORMAT_VERSION:
+        raise LayoutFormatError(
+            path, 0, f"unsupported {LAYOUT_FORMAT} version {version!r} "
+            f"(this reader reads version {LAYOUT_FORMAT_VERSION})")
     shapes: Dict[str, List] = {}
     for layer, rects in document.get("layers", {}).items():
         shapes.setdefault(layer, []).extend(
@@ -85,18 +77,6 @@ def _read_json_layout(path: str, data: bytes,
             Polygon(tuple((float(x), float(y)) for x, y in ring))
             for ring in rings)
     return shapes, float(document["extent_nm"])
-
-
-def shapes_extent_nm(shapes: Dict[str, List]) -> float:
-    """Tight square extent covering every shape (their joint bounding box)."""
-    extent = 0.0
-    for layer_shapes in shapes.values():
-        for item in layer_shapes:
-            box = item.bounding_box() if isinstance(item, Polygon) else item
-            extent = max(extent, box.x2, box.y2)
-    if extent <= 0:
-        raise ValueError("layout file contains no shapes")
-    return extent
 
 
 def load_layout_file(path: str, pixel_size_nm: float,

@@ -141,11 +141,3 @@ def rasterize(shapes: Iterable[Rect], tile_size_px: int, pixel_size_nm: float) -
         if col_stop > col_start and row_stop > row_start:
             mask[row_start:row_stop, col_start:col_stop] = 1.0
     return mask
-
-
-def mask_density(mask: np.ndarray) -> float:
-    """Fraction of bright (pattern) pixels in a mask."""
-    mask = np.asarray(mask)
-    if mask.size == 0:
-        return 0.0
-    return float((mask > 0.5).mean())

@@ -97,7 +97,6 @@ from .indexed import DEFAULT_BUCKET_PX
 __all__ = [
     "Transform",
     "HierarchicalLayoutReader",
-    "flatten_gds_shapes",
 ]
 
 #: Exact unit-circle values for quarter-turn rotations (index = turns % 4).
@@ -173,10 +172,6 @@ class Transform(NamedTuple):
     def apply(self, x: float, y: float) -> Tuple[float, float]:
         return (self.a * x + self.b * y + self.tx,
                 self.c * x + self.d * y + self.ty)
-
-    def apply_vector(self, x: float, y: float) -> Tuple[float, float]:
-        """Linear part only (displacements have no translation)."""
-        return self.a * x + self.b * y, self.c * x + self.d * y
 
     def apply_box(self, x1: float, y1: float, x2: float, y2: float,
                   ) -> Tuple[float, float, float, float]:
@@ -908,14 +903,3 @@ class HierarchicalLayoutReader:
             return depths[name]
 
         return resolve(self._top)
-
-
-def flatten_gds_shapes(library, top: Optional[str] = None,
-                       ) -> Dict[str, List]:
-    """Flatten a parsed (or raw) GDSII library to chip-space nm rectangles
-    per layer — the shapes-only view :func:`repro.layout.read_layout_shapes`
-    returns for binary GDSII (pixel-free, so any raster pitch can follow).
-    """
-    reader = HierarchicalLayoutReader(library, pixel_size_nm=1.0, top=top,
-                                      shape=(1, 1))
-    return reader.flatten_shapes()

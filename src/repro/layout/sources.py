@@ -79,19 +79,9 @@ def synthesize_layout_mask(height_px: int, width_px: int, tile_size_px: int,
     """Paste generator tiles onto an (height, width) canvas — a stand-in full layout."""
     # The one production -> paper import (tests/test_import_boundary.py):
     # deferred so only a synthetic layout loads the benchmark generators.
-    from ..masks import (
-        ICCAD2013Generator,
-        ISPDMetalGenerator,
-        ISPDViaGenerator,
-    )
+    from ..masks import make_generator
 
-    generators = {"B1": ICCAD2013Generator, "B2m": ISPDMetalGenerator,
-                  "B2v": ISPDViaGenerator}
-    if family not in generators:
-        raise ValueError(
-            f"unknown layout family {family!r}; known families: "
-            f"{', '.join(sorted(generators))}")
-    generator = generators[family](tile_size_px, pixel_size_nm, seed=seed)
+    generator = make_generator(family, tile_size_px, pixel_size_nm, seed=seed)
     rows = -(-height_px // tile_size_px)
     cols = -(-width_px // tile_size_px)
     tiles = generator.generate(rows * cols)

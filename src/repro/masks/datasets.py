@@ -20,7 +20,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..optics.simulator import LithographySimulator, calibre_like_engine, lithosim_engine
-from .generators import ICCAD2013Generator, ISPDMetalGenerator, ISPDViaGenerator, MaskGenerator
+from .generators import MaskGenerator, make_generator
 from .opc import apply_opc
 
 
@@ -127,13 +127,8 @@ def _engine_for(name: str, spec: DatasetSpec) -> Tuple[LithographySimulator, str
 
 
 def _generator_for(name: str, spec: DatasetSpec, seed: int) -> MaskGenerator:
-    if name.startswith("B1"):
-        return ICCAD2013Generator(spec.tile_size_px, spec.pixel_size_nm, seed=seed)
-    if name == "B2m":
-        return ISPDMetalGenerator(spec.tile_size_px, spec.pixel_size_nm, seed=seed)
-    if name == "B2v":
-        return ISPDViaGenerator(spec.tile_size_px, spec.pixel_size_nm, seed=seed)
-    raise ValueError(f"unknown dataset '{name}'")
+    family = "B1" if name.startswith("B1") else name  # B1opc too
+    return make_generator(family, spec.tile_size_px, spec.pixel_size_nm, seed=seed)
 
 
 def build_dataset(name: str, preset: str = "tiny", seed: int = 0,
@@ -196,17 +191,3 @@ def merge_datasets(first: LithoDataset, second: LithoDataset, name: Optional[str
         pixel_size_nm=first.pixel_size_nm,
         litho_engine=f"{first.litho_engine}/{second.litho_engine}",
     )
-
-
-def build_benchmark_suite(preset: str = "tiny", seed: int = 0,
-                          include_opc: bool = True) -> Dict[str, LithoDataset]:
-    """Build every dataset of Table II (plus the merged B2m+B2v evaluation set)."""
-    suite = {
-        "B1": build_dataset("B1", preset=preset, seed=seed),
-        "B2m": build_dataset("B2m", preset=preset, seed=seed + 1),
-        "B2v": build_dataset("B2v", preset=preset, seed=seed + 2),
-    }
-    if include_opc:
-        suite["B1opc"] = build_dataset("B1opc", preset=preset, seed=seed)
-    suite["B2m+B2v"] = merge_datasets(suite["B2m"], suite["B2v"])
-    return suite

@@ -224,16 +224,18 @@ class ISPDViaGenerator(MaskGenerator):
         return shapes
 
 
+#: The one family -> generator map (``repro.cli``'s ``--family`` choices,
+#: the synthetic layout and the Table II datasets all name these keys).
+GENERATORS = {"B1": ICCAD2013Generator, "B2m": ISPDMetalGenerator,
+              "B2v": ISPDViaGenerator}
+
+
 def make_generator(family: str, tile_size_px: int = 256, pixel_size_nm: float = 4.0,
                    seed: int = 0) -> MaskGenerator:
-    """Factory keyed by dataset family alias (``B1``, ``B2m``, ``B2v``)."""
-    registry = {
-        "b1": ICCAD2013Generator,
-        "b2m": ISPDMetalGenerator,
-        "b2v": ISPDViaGenerator,
-    }
-    try:
-        cls = registry[family.lower()]
-    except KeyError as exc:
-        raise ValueError(f"unknown generator family '{family}'") from exc
-    return cls(tile_size_px=tile_size_px, pixel_size_nm=pixel_size_nm, seed=seed)
+    """The generator of dataset family ``B1``, ``B2m`` or ``B2v`` (exact names)."""
+    if family not in GENERATORS:
+        raise ValueError(
+            f"unknown layout family {family!r}; known families: "
+            f"{', '.join(sorted(GENERATORS))}")
+    return GENERATORS[family](tile_size_px=tile_size_px,
+                              pixel_size_nm=pixel_size_nm, seed=seed)

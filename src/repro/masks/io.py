@@ -5,7 +5,8 @@ golden images; this module provides the equivalent for the synthetic
 reproduction so expensive dataset builds (and trained-model inputs) can be
 generated once and reused:
 
-* layouts   -> a small JSON format (layer name -> rectangle list, nm units),
+* layouts   -> a small JSON format (layer name -> rectangle list, nm units)
+  that :func:`repro.layout.load_layout_file` reads,
 * datasets  -> a single compressed ``.npz`` archive with all six image stacks
   and the metadata needed to rebuild the :class:`~repro.masks.datasets.LithoDataset`.
 """
@@ -18,11 +19,10 @@ from typing import Dict
 
 import numpy as np
 
-from ..layout.geometry import Rect
+from ..layout.files import LAYOUT_FORMAT, LAYOUT_FORMAT_VERSION
 from .datasets import LithoDataset
 from .layout import Layout
 
-_LAYOUT_FORMAT_VERSION = 1
 _DATASET_FORMAT_VERSION = 1
 
 
@@ -37,8 +37,8 @@ def _ensure_parent(path: str) -> None:
 def save_layout(layout: Layout, path: str) -> str:
     """Write a layout as JSON; returns the path."""
     document = {
-        "format": "repro-layout",
-        "version": _LAYOUT_FORMAT_VERSION,
+        "format": LAYOUT_FORMAT,
+        "version": LAYOUT_FORMAT_VERSION,
         "extent_nm": layout.extent_nm,
         "layers": {
             layer: [[rect.x, rect.y, rect.width, rect.height] for rect in shapes]
@@ -49,21 +49,6 @@ def save_layout(layout: Layout, path: str) -> str:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=2)
     return path
-
-
-def load_layout(path: str) -> Layout:
-    """Read a layout written by :func:`save_layout`."""
-    with open(path, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
-    if document.get("format") != "repro-layout":
-        raise ValueError(f"{path} is not a repro layout file")
-    if document.get("version") != _LAYOUT_FORMAT_VERSION:
-        raise ValueError(f"unsupported layout format version {document.get('version')}")
-    layout = Layout(extent_nm=float(document["extent_nm"]))
-    for layer, rects in document.get("layers", {}).items():
-        for x, y, width, height in rects:
-            layout.add(layer, Rect(float(x), float(y), float(width), float(height)))
-    return layout
 
 
 # --------------------------------------------------------------------------- #

@@ -1,11 +1,11 @@
 """Evaluation metrics used throughout the paper's experiments."""
 
 from .image import aerial_metrics, max_error, mse, psnr
-from .model_size import model_size_mb, parameter_count, size_comparison
-from .segmentation import iou, mean_iou, mean_pixel_accuracy, resist_metrics
+from .model_size import model_size_mb, parameter_count
+from .segmentation import mean_iou, mean_pixel_accuracy, resist_metrics
 
 __all__ = [
     "mse", "psnr", "max_error", "aerial_metrics",
-    "iou", "mean_iou", "mean_pixel_accuracy", "resist_metrics",
-    "parameter_count", "model_size_mb", "size_comparison",
+    "mean_iou", "mean_pixel_accuracy", "resist_metrics",
+    "parameter_count", "model_size_mb",
 ]

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Dict
-
 from ..nn.layers import Module
 
 
@@ -21,13 +19,3 @@ def model_size_mb(model, bytes_per_scalar: int = 4) -> float:
     if bytes_per_scalar <= 0:
         raise ValueError("bytes_per_scalar must be positive")
     return parameter_count(model) * bytes_per_scalar / (1024 * 1024)
-
-
-def size_comparison(models: Dict[str, object]) -> Dict[str, Dict[str, float]]:
-    """Parameter counts and sizes for a dict of named models, plus ratios to the smallest."""
-    rows = {name: {"parameters": parameter_count(model), "size_mb": model_size_mb(model)}
-            for name, model in models.items()}
-    smallest = min(row["parameters"] for row in rows.values())
-    for row in rows.values():
-        row["ratio_to_smallest"] = row["parameters"] / smallest if smallest else float("inf")
-    return rows

@@ -17,17 +17,6 @@ def _as_binary(image: np.ndarray) -> np.ndarray:
     return (image > 0.5).astype(bool)
 
 
-def iou(target: np.ndarray, prediction: np.ndarray) -> float:
-    """Intersection over union of the printed class of one image pair."""
-    target, prediction = _as_binary(target), _as_binary(prediction)
-    if target.shape != prediction.shape:
-        raise ValueError("shape mismatch between target and prediction")
-    union = np.logical_or(target, prediction).sum()
-    if union == 0:
-        return 1.0
-    return float(np.logical_and(target, prediction).sum() / union)
-
-
 def mean_iou(target: np.ndarray, prediction: np.ndarray) -> float:
     """Class-averaged IOU over the printed and background classes (Eq. (7), in %)."""
     target, prediction = _as_binary(target), _as_binary(prediction)

@@ -10,33 +10,20 @@ surface mirrors the familiar ``torch`` / ``torch.nn`` split:
 """
 
 from . import functional
-from .conv import AvgPool2d, Conv2d, Upsample2x, avg_pool2d, conv2d, upsample2x
+from .conv import Conv2d, conv2d, upsample2x
 from .init import complex_glorot, glorot_uniform, he_uniform
-from .layers import (
-    BatchNorm2d,
-    CLinear,
-    CReLU,
-    Dropout,
-    LayerNorm,
-    Linear,
-    ModReLU,
-    Module,
-    ReLU,
-    Sequential,
-    Tanh,
-)
-from .optim import SGD, Adam, CosineLR, Optimizer, StepLR, clip_grad_norm
+from .layers import CLinear, CReLU, Linear, Module, ReLU, Sequential
+from .optim import Adam, CosineLR, Optimizer
 from .serialization import load_module, save_module
 from .spectral import SpectralConv2d, spectral_conv2d
 from .tensor import Tensor, as_tensor, ones, tensor, zeros
 
 __all__ = [
     "Tensor", "tensor", "as_tensor", "zeros", "ones", "functional",
-    "Module", "Linear", "CLinear", "ReLU", "CReLU", "ModReLU",
-    "Tanh", "Sequential", "Dropout", "LayerNorm", "BatchNorm2d",
-    "Conv2d", "Upsample2x", "AvgPool2d", "conv2d", "upsample2x", "avg_pool2d",
+    "Module", "Linear", "CLinear", "ReLU", "CReLU", "Sequential",
+    "Conv2d", "conv2d", "upsample2x",
     "SpectralConv2d", "spectral_conv2d",
-    "SGD", "Adam", "Optimizer", "StepLR", "CosineLR", "clip_grad_norm",
+    "Adam", "Optimizer", "CosineLR",
     "save_module", "load_module",
     "glorot_uniform", "he_uniform", "complex_glorot",
 ]

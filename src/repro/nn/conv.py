@@ -96,25 +96,6 @@ def upsample2x(x) -> Tensor:
     return Tensor(out_data, requires_grad=True, _parents=(x,), _backward=backward)
 
 
-def avg_pool2d(x, kernel: int = 2) -> Tensor:
-    """Average pooling with a square, non-overlapping window."""
-    x = as_tensor(x)
-    h, w = x.shape[-2], x.shape[-1]
-    if h % kernel or w % kernel:
-        raise ValueError(f"spatial dims ({h}, {w}) not divisible by pooling kernel {kernel}")
-    reshaped = x.data.reshape(*x.shape[:-2], h // kernel, kernel, w // kernel, kernel)
-    out_data = reshaped.mean(axis=(-3, -1))
-
-    def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            expanded = np.repeat(np.repeat(grad, kernel, axis=-2), kernel, axis=-1)
-            x._accumulate(expanded / (kernel * kernel))
-
-    if not x.requires_grad:
-        return Tensor(out_data)
-    return Tensor(out_data, requires_grad=True, _parents=(x,), _backward=backward)
-
-
 class Conv2d(Module):
     """Learnable 2-D convolution layer (NCHW)."""
 
@@ -137,17 +118,3 @@ class Conv2d(Module):
     def forward(self, x: Tensor) -> Tensor:
         bias = self.bias if self.use_bias else None
         return conv2d(x, self.weight, bias, stride=self.stride, padding=self.padding)
-
-
-class Upsample2x(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return upsample2x(x)
-
-
-class AvgPool2d(Module):
-    def __init__(self, kernel: int = 2):
-        super().__init__()
-        self.kernel = kernel
-
-    def forward(self, x: Tensor) -> Tensor:
-        return avg_pool2d(x, self.kernel)

@@ -29,8 +29,8 @@ __all__ = [
     "sum", "mean", "reshape", "transpose", "getitem", "concatenate", "stack",
     "pad2d", "crop_center", "conj", "real", "imag", "abs", "abs2",
     "to_complex", "relu", "leaky_relu", "sigmoid", "tanh", "crelu",
-    "modrelu", "fft2", "ifft2", "fftshift2", "ifftshift2", "socs_intensity",
-    "mse_loss", "l1_loss", "bce_with_logits_loss", "clamp", "sqrt", "square",
+    "fft2", "ifft2", "fftshift2", "ifftshift2", "socs_intensity",
+    "mse_loss", "bce_with_logits_loss", "sqrt", "square",
 ]
 
 
@@ -163,23 +163,6 @@ def sqrt(a) -> Tensor:
 
 def square(a) -> Tensor:
     return power(a, 2.0)
-
-
-def clamp(a, minimum: Optional[float] = None, maximum: Optional[float] = None) -> Tensor:
-    """Clamp a real tensor into ``[minimum, maximum]``."""
-    a = as_tensor(a)
-    out_data = np.clip(a.data, minimum, maximum)
-    mask = np.ones_like(a.data)
-    if minimum is not None:
-        mask = mask * (a.data >= minimum)
-    if maximum is not None:
-        mask = mask * (a.data <= maximum)
-
-    def backward(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(grad * mask)
-
-    return _make(out_data, (a,), backward)
 
 
 # --------------------------------------------------------------------------- #
@@ -473,41 +456,6 @@ def crelu(a) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
-def modrelu(a, bias: float = 0.0) -> Tensor:
-    """modReLU activation: ``ReLU(|z| + b) * z / |z|`` (alternative complex activation)."""
-    a = as_tensor(a)
-    magnitude = np.abs(a.data)
-    safe = np.where(magnitude == 0.0, 1.0, magnitude)
-    gate = np.maximum(magnitude + bias, 0.0)
-    active = gate > 0
-    out_data = gate * a.data / safe
-
-    def backward(grad: np.ndarray) -> None:
-        if not a.requires_grad:
-            return
-        # Treat as z * s(|z|) with s = gate / |z|; differentiate through both
-        # the scale and the phase-preserving factor via the real components.
-        z = a.data
-        s = gate / safe
-        # d|z|/d(a, b) = (a, b)/|z|; out = s*z.  Use real-component chain rule.
-        g_re, g_im = grad.real, grad.imag
-        zr, zi = z.real, z.imag
-        dmag_dre = zr / safe
-        dmag_dim = zi / safe
-        ds_dmag = np.where(active, bias / safe ** 2 * -1.0 + 1.0 / safe * 0.0 + 1.0 / safe, 0.0)
-        # s = (|z| + b)/|z| = 1 + b/|z|  =>  ds/d|z| = -b/|z|^2 (when active)
-        ds_dmag = np.where(active, -bias / safe ** 2, 0.0)
-        dout_re_dre = s + zr * ds_dmag * dmag_dre
-        dout_re_dim = zr * ds_dmag * dmag_dim
-        dout_im_dre = zi * ds_dmag * dmag_dre
-        dout_im_dim = s + zi * ds_dmag * dmag_dim
-        grad_re = g_re * dout_re_dre + g_im * dout_im_dre
-        grad_im = g_re * dout_re_dim + g_im * dout_im_dim
-        a._accumulate(grad_re + 1j * grad_im)
-
-    return _make(out_data, (a,), backward)
-
-
 # --------------------------------------------------------------------------- #
 # Fourier transforms (orthonormal so the adjoint equals the inverse)
 # --------------------------------------------------------------------------- #
@@ -600,11 +548,6 @@ def mse_loss(prediction, target) -> Tensor:
     prediction, target = as_tensor(prediction), as_tensor(target)
     diff = sub(prediction, target)
     return mean(square(diff))
-
-
-def l1_loss(prediction, target) -> Tensor:
-    prediction, target = as_tensor(prediction), as_tensor(target)
-    return mean(abs(sub(prediction, target)))
 
 
 def bce_with_logits_loss(logits, target) -> Tensor:

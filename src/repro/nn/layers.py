@@ -152,27 +152,11 @@ class ReLU(Module):
         return F.relu(x)
 
 
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return F.tanh(x)
-
-
 class CReLU(Module):
     """Complex rectified linear unit (Eq. (11))."""
 
     def forward(self, x: Tensor) -> Tensor:
         return F.crelu(x)
-
-
-class ModReLU(Module):
-    """Magnitude-gated complex activation (alternative to CReLU, used in ablations)."""
-
-    def __init__(self, bias: float = 0.0):
-        super().__init__()
-        self.bias = bias
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.modrelu(x, self.bias)
 
 
 class Sequential(Module):
@@ -195,69 +179,3 @@ class Sequential(Module):
         for module in self._ordered:
             x = module(x)
         return x
-
-
-class Dropout(Module):
-    """Inverted dropout; identity in eval mode."""
-
-    def __init__(self, probability: float = 0.5, rng: Optional[np.random.Generator] = None):
-        super().__init__()
-        if not 0.0 <= probability < 1.0:
-            raise ValueError("dropout probability must be in [0, 1)")
-        self.probability = probability
-        self.rng = rng or np.random.default_rng(0)
-
-    def forward(self, x: Tensor) -> Tensor:
-        if not self.training or self.probability == 0.0:
-            return x
-        keep = 1.0 - self.probability
-        mask = (self.rng.random(x.shape) < keep) / keep
-        return F.mul(x, Tensor(mask))
-
-
-class LayerNorm(Module):
-    """Layer normalisation over the last dimension (real tensors)."""
-
-    def __init__(self, features: int, epsilon: float = 1e-5):
-        super().__init__()
-        self.features = features
-        self.epsilon = epsilon
-        self.gamma = self.register_parameter("gamma", Tensor(np.ones(features)))
-        self.beta = self.register_parameter("beta", Tensor(np.zeros(features)))
-
-    def forward(self, x: Tensor) -> Tensor:
-        mu = F.mean(x, axis=-1, keepdims=True)
-        centred = F.sub(x, mu)
-        var = F.mean(F.square(centred), axis=-1, keepdims=True)
-        normalised = F.div(centred, F.sqrt(F.add(var, self.epsilon)))
-        return F.add(F.mul(normalised, self.gamma), self.beta)
-
-
-class BatchNorm2d(Module):
-    """Batch normalisation over (N, H, W) for NCHW real tensors."""
-
-    def __init__(self, channels: int, momentum: float = 0.1, epsilon: float = 1e-5):
-        super().__init__()
-        self.channels = channels
-        self.momentum = momentum
-        self.epsilon = epsilon
-        self.gamma = self.register_parameter("gamma", Tensor(np.ones((1, channels, 1, 1))))
-        self.beta = self.register_parameter("beta", Tensor(np.zeros((1, channels, 1, 1))))
-        self.running_mean = np.zeros((1, channels, 1, 1))
-        self.running_var = np.ones((1, channels, 1, 1))
-
-    def forward(self, x: Tensor) -> Tensor:
-        if self.training:
-            mu = F.mean(x, axis=(0, 2, 3), keepdims=True)
-            centred = F.sub(x, mu)
-            var = F.mean(F.square(centred), axis=(0, 2, 3), keepdims=True)
-            self.running_mean = ((1 - self.momentum) * self.running_mean
-                                 + self.momentum * mu.data)
-            self.running_var = ((1 - self.momentum) * self.running_var
-                                + self.momentum * var.data)
-        else:
-            mu = Tensor(self.running_mean)
-            var = Tensor(self.running_var)
-            centred = F.sub(x, mu)
-        normalised = F.div(centred, F.sqrt(F.add(var, self.epsilon)))
-        return F.add(F.mul(normalised, self.gamma), self.beta)

@@ -36,34 +36,6 @@ class Optimizer:
         raise NotImplementedError
 
 
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(self, parameters: Iterable[Tensor], lr: float = 1e-2,
-                 momentum: float = 0.0, weight_decay: float = 0.0):
-        super().__init__(parameters)
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity: Dict[int, np.ndarray] = {}
-
-    def step(self) -> None:
-        for index, param in enumerate(self.parameters):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                velocity = self._velocity.get(index)
-                if velocity is None:
-                    velocity = np.zeros_like(param.data)
-                velocity = self.momentum * velocity + grad
-                self._velocity[index] = velocity
-                grad = velocity
-            param.data = param.data - self.lr * grad
-
-
 class Adam(Optimizer):
     """Adam with complex-aware second moment (|grad|^2)."""
 
@@ -100,27 +72,6 @@ class Adam(Optimizer):
             m_hat = m / (1 - self.beta1 ** t)
             v_hat = v / (1 - self.beta2 ** t)
             param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-class StepLR:
-    """Multiply the learning rate by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.5):
-        if step_size <= 0:
-            raise ValueError("step_size must be positive")
-        self.optimizer = optimizer
-        self.step_size = step_size
-        self.gamma = gamma
-        self._epoch = 0
-
-    def step(self) -> None:
-        self._epoch += 1
-        if self._epoch % self.step_size == 0:
-            self.optimizer.lr *= self.gamma
-
-    @property
-    def lr(self) -> float:
-        return self.optimizer.lr
 
 
 class CosineLR:
@@ -180,14 +131,3 @@ def fit_minibatches(optimizer: Optimizer, predict: Callable[[np.ndarray], Tensor
         if verbose:
             print(f"[{name}] epoch {epoch + 1:3d}/{epochs}  loss={history[-1]:.3e}")
     return history
-
-
-def clip_grad_norm(parameters: Iterable[Tensor], max_norm: float) -> float:
-    """Scale gradients so their global L2 norm does not exceed ``max_norm``."""
-    params = [p for p in parameters if p.grad is not None]
-    total = float(np.sqrt(sum(float(np.sum(np.abs(p.grad) ** 2)) for p in params)))
-    if total > max_norm and total > 0:
-        scale = max_norm / total
-        for p in params:
-            p.grad = p.grad * scale
-    return total

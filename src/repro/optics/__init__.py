@@ -9,16 +9,11 @@ model with λ = 193 nm and NA = 1.35 defaults.
 from .aerial import mask_spectrum
 from .grid import FrequencyGrid, centred_indices, crop_centre, embed_centre, make_grid
 from .hopkins import abbe_aerial
-from .process_window import (
-    FocusExposurePoint,
-    ProcessWindowResult,
-    bossung_curves,
-    measure_cd,
-)
+from .process_window import FocusExposurePoint, ProcessWindowResult, measure_cd
 from .pupil import Pupil
-from .resist import ConstantThresholdResist, VariableThresholdResist, edge_placement_error
+from .resist import ConstantThresholdResist
 from .simulator import LithographySimulator, OpticsConfig, calibre_like_engine, lithosim_engine
-from .socs import SOCSKernels, decompose_tcc, kernels_from_matrix, truncation_error_bound
+from .socs import SOCSKernels, decompose_tcc, truncation_error_bound
 from .source import (
     AnnularSource,
     CircularSource,
@@ -28,18 +23,18 @@ from .source import (
     Source,
     make_source,
 )
-from .tcc import TCCResult, compute_tcc, tcc_diagonal
+from .tcc import TCCResult, compute_tcc
 
 __all__ = [
     "FrequencyGrid", "make_grid", "centred_indices", "crop_centre", "embed_centre",
     "Source", "CircularSource", "AnnularSource", "DipoleSource", "QuadrupoleSource",
     "PixelatedSource", "make_source",
     "Pupil",
-    "TCCResult", "compute_tcc", "tcc_diagonal",
-    "SOCSKernels", "decompose_tcc", "kernels_from_matrix", "truncation_error_bound",
+    "TCCResult", "compute_tcc",
+    "SOCSKernels", "decompose_tcc", "truncation_error_bound",
     "mask_spectrum", "abbe_aerial",
-    "ConstantThresholdResist", "VariableThresholdResist", "edge_placement_error",
+    "ConstantThresholdResist",
     "LithographySimulator", "OpticsConfig", "lithosim_engine", "calibre_like_engine",
     "ProcessWindowResult", "FocusExposurePoint",
-    "measure_cd", "bossung_curves",
+    "measure_cd",
 ]

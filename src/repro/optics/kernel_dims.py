@@ -50,23 +50,3 @@ def kernel_dimensions(width_px: int, height_px: int, wavelength_nm: float = 193.
     m = min(m, width_px)
     n = min(n, height_px)
     return n, m
-
-
-def resolution_nm(wavelength_nm: float = 193.0, numerical_aperture: float = 1.35,
-                  k1: float = 0.5) -> float:
-    """Rayleigh resolution element ``R = k1 * lambda / NA`` (line or space width)."""
-    if numerical_aperture <= 0:
-        raise ValueError("numerical aperture must be positive")
-    return k1 * wavelength_nm / numerical_aperture
-
-
-def suggest_kernel_order(kernel_shape: Tuple[int, int], max_order: int = 60) -> int:
-    """Default number of retained SOCS orders ``r`` (paper uses r < 60).
-
-    A small fraction of the window size captures essentially all the TCC
-    energy because the eigenvalues decay rapidly; we default to roughly one
-    order per 10 window samples, clamped to ``[4, max_order]``.
-    """
-    n, m = kernel_shape
-    guess = max(4, (n * m) // 10)
-    return int(min(guess, max_order))

@@ -13,7 +13,7 @@ only needs a kernel bank, works just as well with kernels learned by Nitho
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -124,13 +124,3 @@ class ProcessWindowResult:
         if not doses:
             return 0.0
         return max(doses) / min(doses) - 1.0
-
-
-def bossung_curves(result: ProcessWindowResult) -> Dict[float, List[Tuple[float, float]]]:
-    """Bossung plot data: for every dose, the (focus, CD) curve sorted by focus."""
-    curves: Dict[float, List[Tuple[float, float]]] = {}
-    for point in result.points:
-        curves.setdefault(point.dose, []).append((point.focus_nm, point.cd_nm))
-    for dose in curves:
-        curves[dose].sort(key=lambda pair: pair[0])
-    return curves

@@ -29,36 +29,3 @@ class ConstantThresholdResist:
     def soft_develop(self, aerial: np.ndarray, steepness: float = 50.0) -> np.ndarray:
         """Differentiable sigmoid approximation used by gradient-based OPC."""
         return 1.0 / (1.0 + np.exp(-steepness * (aerial - self.threshold)))
-
-
-@dataclass(frozen=True)
-class VariableThresholdResist:
-    """Threshold modulated by the local image slope (simple VTR model).
-
-    A crude but common compact resist model: regions with a steeper aerial
-    image print at a slightly lower threshold.  Included so the dataset
-    generator can emulate the behaviour of a calibrated commercial resist
-    model rather than a purely constant threshold.
-    """
-
-    base_threshold: float = 0.225
-    slope_sensitivity: float = 0.02
-
-    def develop(self, aerial: np.ndarray) -> np.ndarray:
-        gy, gx = np.gradient(aerial)
-        slope = np.hypot(gx, gy)
-        slope_norm = slope / (slope.max() + 1e-12)
-        local_threshold = self.base_threshold * (1.0 - self.slope_sensitivity * slope_norm)
-        return (aerial > local_threshold).astype(np.uint8)
-
-
-def edge_placement_error(resist: np.ndarray, target: np.ndarray) -> float:
-    """Mean absolute disagreement between a printed pattern and its target (in pixels²).
-
-    A lightweight stand-in for EPE used by the OPC substrate's cost function.
-    """
-    resist = np.asarray(resist, dtype=float)
-    target = np.asarray(target, dtype=float)
-    if resist.shape != target.shape:
-        raise ValueError("resist and target shapes differ")
-    return float(np.abs(resist - target).sum())

@@ -149,13 +149,3 @@ def truncation_error_bound(tcc: TCCResult, order: int) -> float:
         return 0.0
     discarded = float(eigenvalues[order:].sum()) if order < eigenvalues.size else 0.0
     return discarded / total
-
-
-def kernels_from_matrix(matrix: np.ndarray, kernel_shape: Tuple[int, int],
-                        max_order: Optional[int] = None) -> SOCSKernels:
-    """Convenience wrapper decomposing an explicit Hermitian matrix."""
-    from .grid import make_grid  # local import to avoid a cycle at module load
-
-    dummy_grid = make_grid(kernel_shape[0], kernel_shape[1], 1000.0, 193.0, 1.35)
-    tcc = TCCResult(matrix=matrix, kernel_shape=kernel_shape, grid=dummy_grid)
-    return decompose_tcc(tcc, max_order=max_order)

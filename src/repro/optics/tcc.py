@@ -136,9 +136,3 @@ def compute_tcc(source: Source, pupil: Pupil, kernel_shape: Tuple[int, int],
     return TCCResult(matrix=matrix, kernel_shape=tuple(kernel_shape),
                      grid=make_grid(sn, sm, field_size_nm, wavelength_nm,
                                     numerical_aperture))
-
-
-def tcc_diagonal(result: TCCResult) -> np.ndarray:
-    """Diagonal of the TCC reshaped to the kernel window (useful for sanity checks)."""
-    n, m = result.kernel_shape
-    return np.real(np.diag(result.matrix)).reshape(n, m)

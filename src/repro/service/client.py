@@ -22,6 +22,9 @@ from typing import Any, Dict, List, Optional
 
 __all__ = ["ServiceClient", "ServiceError"]
 
+#: Seconds between status requests in :meth:`ServiceClient.wait`.
+WAIT_POLL_S = 0.2
+
 
 class ServiceError(RuntimeError):
     """An HTTP-level failure from the campaign service."""
@@ -93,8 +96,7 @@ class ServiceClient:
         """One stored aerial as PGM bytes."""
         return self._request("GET", f"/campaigns/{job_id}/thumbnails/{token}")
 
-    def wait(self, job_id: str, timeout: float = 120.0,
-             poll_s: float = 0.2) -> Dict[str, Any]:
+    def wait(self, job_id: str, timeout: float = 120.0) -> Dict[str, Any]:
         """Poll until the job settles; returns its final status dict."""
         deadline = time.monotonic() + timeout
         while True:
@@ -105,4 +107,4 @@ class ServiceClient:
                 raise TimeoutError(
                     f"campaign {job_id} still {status['state']} "
                     f"after {timeout}s")
-            time.sleep(poll_s)
+            time.sleep(WAIT_POLL_S)

@@ -79,6 +79,8 @@ __all__ = [
 ]
 
 JOB_STATES = ("queued", "running", "completed", "failed", "cancelled")
+#: Seconds between job-table reads in :meth:`CampaignManager.wait`.
+WAIT_POLL_S = 0.05
 
 
 class CampaignCancelled(Exception):
@@ -273,8 +275,7 @@ class CampaignManager:
     ``failed`` job instead.
     """
 
-    def __init__(self, data_dir: str, campaign_workers: int = 2,
-                 recover: bool = True):
+    def __init__(self, data_dir: str, campaign_workers: int = 2):
         if campaign_workers < 1:
             raise ValueError("campaign_workers must be at least 1")
         self.data_dir = str(data_dir)
@@ -286,8 +287,7 @@ class CampaignManager:
         self._jobs: Dict[str, CampaignJob] = {}
         self._lock = threading.Lock()
         self._closed = False
-        if recover:
-            self._recover()
+        self._recover()
 
     # ------------------------------------------------------------------ #
     # submission / recovery
@@ -416,8 +416,7 @@ class CampaignManager:
             job.finished_at = time.time()
         return job
 
-    def wait(self, job_id: str, timeout: float = 60.0,
-             poll_s: float = 0.05) -> CampaignJob:
+    def wait(self, job_id: str, timeout: float = 60.0) -> CampaignJob:
         """Block until a job settles (tests / CLI convenience)."""
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
@@ -426,7 +425,7 @@ class CampaignManager:
                 raise KeyError(job_id)
             if job.state in ("completed", "failed", "cancelled"):
                 return job
-            time.sleep(poll_s)
+            time.sleep(WAIT_POLL_S)
         raise TimeoutError(f"campaign {job_id} still "
                            f"{self.get(job_id).state} after {timeout}s")
 

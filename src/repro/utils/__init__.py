@@ -1,6 +1,5 @@
-"""Small shared utilities (band-limited resizing, batching, binarisation)."""
+"""Small shared utilities (band-limited resizing, binarisation)."""
 
-from .imaging import (area_downsample, binarize, fourier_resize,
-                      fourier_resize_batch, normalize01, to_batch)
+from .imaging import binarize, fourier_resize, fourier_resize_batch, normalize01
 
-__all__ = ["fourier_resize", "fourier_resize_batch", "area_downsample", "binarize", "normalize01", "to_batch"]
+__all__ = ["fourier_resize", "fourier_resize_batch", "binarize", "normalize01"]

@@ -75,20 +75,6 @@ def fourier_resize_batch(images: np.ndarray, output_shape: Tuple[int, int]) -> n
     return np.real(np.fft.ifft2(np.fft.ifftshift(resized, axes=(-2, -1)), norm="forward"))
 
 
-def area_downsample(image: np.ndarray, factor: int) -> np.ndarray:
-    """Downsample by integer ``factor`` using block averaging (keeps mask coverage)."""
-    image = np.asarray(image, dtype=float)
-    if factor <= 0:
-        raise ValueError("factor must be positive")
-    if factor == 1:
-        return image.copy()
-    height, width = image.shape
-    if height % factor or width % factor:
-        raise ValueError(f"image shape {image.shape} not divisible by factor {factor}")
-    reshaped = image.reshape(height // factor, factor, width // factor, factor)
-    return reshaped.mean(axis=(1, 3))
-
-
 def binarize(image: np.ndarray, threshold: float = 0.5) -> np.ndarray:
     """Threshold an image to {0, 1} with values above ``threshold`` mapping to 1."""
     return (np.asarray(image, dtype=float) > threshold).astype(np.uint8)
@@ -129,11 +115,3 @@ def write_pgm(image: np.ndarray, path: str) -> str:
         handle.write(header)
         handle.write(data.tobytes())
     return path
-
-
-def to_batch(images) -> np.ndarray:
-    """Stack a list of equally-sized 2-D images into a (B, H, W) array."""
-    batch = np.stack([np.asarray(img, dtype=float) for img in images], axis=0)
-    if batch.ndim != 3:
-        raise ValueError("expected a list of 2-D images")
-    return batch

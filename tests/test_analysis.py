@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.analysis.reporting import format_table, format_value, ratio_row, render_bar_chart, render_series
+from repro.analysis.reporting import format_table, format_value, render_bar_chart, render_series
 from repro.analysis.throughput import compare_throughput, measure_throughput, speedup, tile_area_um2
 from repro.analysis.tsne import TSNE, cluster_separation, embed_datasets, mask_features
 from repro.analysis.visualize import ascii_image, comparison_panel, save_comparison_pgms, write_pgm
@@ -164,13 +164,6 @@ class TestReporting:
     def test_format_table_missing_column(self):
         table = format_table([{"a": 1}], columns=["a", "missing"])
         assert "missing" in table
-
-    def test_ratio_row(self):
-        rows = [{"mse": 2.0}, {"mse": 4.0}]
-        reference = {"mse": 1.0}
-        row = ratio_row(rows, reference, ["mse"], label="Ratio")
-        assert row["mse"] == pytest.approx(3.0)
-        assert row["bench"] == "Ratio"
 
     def test_render_bar_chart(self):
         chart = render_bar_chart({"a": 10.0, "b": 5.0}, width=10)

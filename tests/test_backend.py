@@ -166,6 +166,33 @@ class TestRegistry:
                        compute=ComputeConfig(fft_backend="warpdrive"))
 
 
+class TestFFTWorkerDefault:
+    def test_env_override(self, monkeypatch):
+        from repro.backend.fft import FFT_WORKERS_ENV_VAR, default_fft_workers
+
+        monkeypatch.setenv(FFT_WORKERS_ENV_VAR, "3")
+        assert default_fft_workers() == 3
+
+    @pytest.mark.parametrize("value", ["", "0", "-2"])
+    def test_unset_or_non_positive_env_follows_cpu_affinity(self, monkeypatch,
+                                                            value):
+        from repro.backend.fft import (
+            FFT_WORKERS_ENV_VAR,
+            available_cpus,
+            default_fft_workers,
+        )
+
+        monkeypatch.setenv(FFT_WORKERS_ENV_VAR, value)
+        assert default_fft_workers() == available_cpus() >= 1
+
+    def test_non_integer_env_fails_loudly(self, monkeypatch):
+        from repro.backend.fft import FFT_WORKERS_ENV_VAR, default_fft_workers
+
+        monkeypatch.setenv(FFT_WORKERS_ENV_VAR, "many")
+        with pytest.raises(ValueError, match="must be an integer, got 'many'"):
+            default_fft_workers()
+
+
 class TestPrecisionPolicy:
     def test_defaults_to_float64(self):
         assert resolve_precision() is FLOAT64
@@ -183,6 +210,13 @@ class TestPrecisionPolicy:
     def test_unknown_precision_fails_loudly(self):
         with pytest.raises(ValueError, match="supported precisions"):
             resolve_precision("float16")
+
+    def test_available_precisions_resolve_to_themselves(self):
+        from repro.backend.precision import available_precisions
+
+        assert available_precisions() == ("float32", "float64")
+        assert [resolve_precision(name) for name in available_precisions()] \
+            == [FLOAT32, FLOAT64]
 
     def test_byte_budget_doubles_float32_batch(self):
         # Same byte cap, half the itemsize -> twice the masks per chunk.

@@ -245,3 +245,19 @@ class TestReportFormats:
                      "--format", "json"]) == 0
         assert main(["campaign-report", "--store", completed_store,
                      "--format", "html"]) == 0
+
+
+class TestTileCacheLine:
+    def test_served_counts_hits_zero_hits_and_disk_loads(self):
+        from repro.sweep.report import format_tile_cache
+
+        line = format_tile_cache({"tiles": 10, "hits": 3, "zero_hits": 1,
+                                  "disk_loads": 2, "misses": 4})
+        assert line == ("6/10 tiles served from cache (60.0% hit rate, "
+                        "4 imaged)")
+
+    def test_no_tiles_is_a_zero_rate(self):
+        from repro.sweep.report import format_tile_cache
+
+        assert format_tile_cache({}) == (
+            "0/0 tiles served from cache (0.0% hit rate, 0 imaged)")

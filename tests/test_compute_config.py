@@ -145,7 +145,7 @@ class TestLegacyShim:
         import inspect
 
         from repro.engine import batched_aerial_from_kernels
-        from repro.service import CampaignManager
+        from repro.service import CampaignManager, ServiceClient
         from repro.sweep import ProcessWindowSweep
 
         def parameters(function):
@@ -200,7 +200,9 @@ class TestLegacyShim:
         assert not hasattr(KernelBankCache, "bank_precision")
         assert not hasattr(KernelBankCache, "trim_memory")
         assert parameters(CampaignManager.__init__) == [
-            "data_dir", "campaign_workers", "recover"]
+            "data_dir", "campaign_workers"]
+        assert parameters(CampaignManager.wait) == ["job_id", "timeout"]
+        assert parameters(ServiceClient.wait) == ["job_id", "timeout"]
         # The paper's model: the training grid is the engine's and the
         # learning-rate schedule is the one loop's, neither a setting.
         from repro.core import NithoConfig

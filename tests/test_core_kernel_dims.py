@@ -4,12 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.optics.kernel_dims import (
-    kernel_dimensions,
-    kernel_half_width,
-    resolution_nm,
-    suggest_kernel_order,
-)
+from repro.optics.kernel_dims import kernel_dimensions, kernel_half_width
 
 
 class TestKernelHalfWidth:
@@ -73,18 +68,3 @@ class TestKernelDimensions:
         n1, m1 = kernel_dimensions(width, width, pixel_size_nm=pixel)
         n2, m2 = kernel_dimensions(width * 2, width * 2, pixel_size_nm=pixel)
         assert m2 >= m1 and n2 >= n1
-
-
-class TestResolutionAndOrder:
-    def test_resolution_paper_value(self):
-        """R = 0.5 * 193 / 1.35 ~= 71.5 nm."""
-        assert resolution_nm() == pytest.approx(71.48, abs=0.1)
-
-    def test_resolution_invalid_na(self):
-        with pytest.raises(ValueError):
-            resolution_nm(numerical_aperture=0.0)
-
-    def test_suggest_kernel_order_bounds(self):
-        assert 4 <= suggest_kernel_order((15, 15)) <= 60
-        assert suggest_kernel_order((57, 57), max_order=60) == 60
-        assert suggest_kernel_order((3, 3)) == 4

@@ -7,8 +7,9 @@ CI ``docs`` job, which also runs ``tools/check_docs.py`` standalone):
   ``repro.sweep``, ``repro.backend``, ``repro.layout`` and the reader
   classes) actually run, and
 * ``docs/cli.md`` matches the live CLI ``--help`` output in both
-  directions, documents every ``REPRO_*`` env var, and no markdown link in
-  ``README.md`` / ``docs/`` is broken.
+  directions, documents every ``REPRO_*`` env var, no markdown link in
+  ``README.md`` / ``docs/`` is broken, and every backticked ``repro.…`` name
+  there resolves.
 """
 
 import doctest
@@ -54,6 +55,9 @@ class TestDocsDrift:
     def test_markdown_links_resolve(self):
         assert check_docs.check_links(REPO_ROOT) == []
 
+    def test_documented_api_names_resolve(self):
+        assert check_docs.check_api_names(REPO_ROOT) == []
+
     def test_checker_detects_missing_flag(self, tmp_path):
         """The drift check itself must actually bite."""
         docs = tmp_path / "docs"
@@ -78,3 +82,14 @@ class TestDocsDrift:
         (tmp_path / "README.md").write_text("[gone](docs/missing.md)\n")
         errors = check_docs.check_links(str(tmp_path))
         assert any("broken link" in error for error in errors)
+
+    def test_checker_detects_a_deleted_api_name(self, tmp_path):
+        docs = tmp_path / "docs"
+        docs.mkdir()
+        (tmp_path / "README.md").write_text(
+            "Plot with `repro.optics.bossung_curves(result)`.\n")
+        (docs / "guide.md").write_text(
+            "`repro.layout.load_layout_file` and `python -m repro.cli`\n")
+        errors = check_docs.check_api_names(str(tmp_path))
+        assert errors == ["README.md: `repro.optics.bossung_curves` does not "
+                          "resolve (deleted or renamed?)"]

@@ -16,6 +16,7 @@ Pinned guarantees:
   its lock).
 """
 
+import dataclasses
 import re
 import sys
 import threading
@@ -41,6 +42,8 @@ from repro.engine import (
 )
 from repro.engine import batched
 from repro.engine.batched import band_limit_grid
+from repro.engine.cache import describe_component
+from repro.engine.tiling import default_guard_px, stack_windows
 from repro.optics import OpticsConfig, LithographySimulator
 from repro.optics.pupil import Pupil
 from repro.optics.socs import SOCSKernels
@@ -399,6 +402,21 @@ class TestTiling:
         assert result.aerial.min() >= -1e-12
         assert set(np.unique(result.resist)).issubset({0, 1})
 
+    def test_default_guard_is_the_kernel_extent(self):
+        assert default_guard_px((9, 11), 64) == 11
+        assert TilingSpec(tile_px=64, guard_px=default_guard_px((9, 11), 64))
+
+    @pytest.mark.parametrize("tile_px, guard", [(32, 14), (33, 15), (2, 0)])
+    def test_default_guard_leaves_a_core_on_small_tiles(self, tile_px, guard):
+        assert default_guard_px((41, 41), tile_px) == guard
+        assert TilingSpec(tile_px=tile_px, guard_px=guard).core_px >= 1
+
+    def test_stack_windows_keeps_order_and_the_first_dtype(self):
+        windows = [np.full((3, 3), value, dtype=np.float32) for value in range(4)]
+        stack = stack_windows(iter(windows), len(windows))
+        assert stack.shape == (4, 3, 3) and stack.dtype == np.float32
+        np.testing.assert_array_equal(stack[:, 0, 0], [0, 1, 2, 3])
+
     def test_invalid_specs(self):
         with pytest.raises(ValueError):
             TilingSpec(tile_px=0)
@@ -412,6 +430,31 @@ class TestTiling:
         result = tiny_simulator.engine.image_layout(layout)
         assert result.shape == (100, 70)
         assert result.tiling.tile_px <= 100
+
+
+class TestDescribeComponent:
+    def test_fields_in_name_order_and_arrays_by_digest(self):
+        @dataclasses.dataclass
+        class Knob:
+            zeta: float
+            alpha: tuple
+            weights: np.ndarray
+
+        text = describe_component(Knob(0.25, (1, 2), np.arange(3.0)))
+        assert text.startswith("Knob(alpha=[1,2],weights=ndarray[(3,)]:")
+        assert text.endswith(",zeta=0.25)")
+        assert text != describe_component(Knob(0.25, (1, 2), np.arange(1.0, 4.0)))
+
+    def test_equal_components_describe_equally(self):
+        assert describe_component(CircularSource(sigma=0.6)) == \
+            describe_component(CircularSource(sigma=0.6))
+        assert describe_component(CircularSource(sigma=0.6)) != \
+            describe_component(CircularSource(sigma=0.7))
+        assert describe_component(AnnularSource(0.5, 0.8)) != \
+            describe_component(CircularSource(sigma=0.8))
+
+    def test_plain_value_falls_back_to_repr(self):
+        assert describe_component(3.5) == "float(3.5)"
 
 
 class TestKernelBankCache:

@@ -1,4 +1,5 @@
-"""The one statement of who may import whom.
+"""The one statement of who may import whom — and of which public names
+may exist at all.
 
 The repository is two products.  **Production** (``backend``, ``optics``,
 ``layout``, ``engine``, ``sweep``, ``service``, ``utils``, ``api.py`` and the
@@ -11,6 +12,11 @@ layout is pasted from the benchmark mask generators).
 
 Every runtime case runs in a fresh subprocess, so the suite's own imports
 cannot mask a leak.
+
+The name census beside the static import walk holds ``src/repro`` to the
+other half of that statement: every public module-level function or class
+has a caller outside ``tests/``, or a line in :data:`UNCALLED_ALLOWED`
+saying why not.
 """
 
 import ast
@@ -179,3 +185,84 @@ def test_the_static_walk_sees_every_spelling(tmp_path, source, expected):
     probe.write_text(source + "\n")
     found = {edge[2] for edge in paper_imports(str(probe), str(package))}
     assert found == ({expected} if expected else set())
+
+
+#: Where a call counts: the product and everything that drives it.
+CALLER_DIRS = ("src/repro", "bench", "benchmarks", "examples", "tools")
+#: Public names under ``src/repro`` that nothing outside ``tests/`` calls,
+#: each with the reason it stays.
+UNCALLED_ALLOWED = {
+    "stitch_tiles": "the stitch oracle tests/reference.py images against",
+    "open_layout_dir": "reads the --out directory image_layout writes",
+    "save_layout": "writes the repro-layout JSON load_layout_file reads",
+    "load_layout_file": "an unshared reader of a layout file; "
+                        "load_layout_source hands every caller one object",
+    "PixelatedSource": "a freeform illuminator for source=",
+    "register_cupy_backend": "the GPU hook for the lane the ROADMAP parks",
+    "truncation_error_bound": "the SOCS truncation budget ROADMAP items 2 "
+                              "and 9 gate on",
+}
+
+
+def python_files(directory: str):
+    for root, _, names in os.walk(directory):
+        for name in sorted(names):
+            if name.endswith(".py"):
+                yield os.path.join(root, name)
+
+
+def uncalled_public_names(repo: str = REPO) -> set:
+    """Module-level public ``def`` / ``class`` names under ``src/repro``
+    that no ``ast.Name`` / ``ast.Attribute`` under :data:`CALLER_DIRS`
+    mentions.  Imports (re-exports), ``__all__`` strings and ``tests/`` do
+    not count; methods are out of scope (their names collide with numpy's
+    and the stdlib's attributes)."""
+    defined = set()
+    for path in python_files(os.path.join(repo, "src", "repro")):
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), filename=path)
+        defined.update(
+            node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and not node.name.startswith("_"))
+    mentioned = set()
+    for directory in CALLER_DIRS:
+        for path in python_files(os.path.join(repo, directory)):
+            with open(path, encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), filename=path)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    mentioned.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    mentioned.add(node.attr)
+    return defined - mentioned
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    """A new orphan fails here, and so does a stale allow-list entry."""
+    assert uncalled_public_names() == set(UNCALLED_ALLOWED)
+
+
+def test_the_name_census_sees_every_spelling(tmp_path):
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text(
+        "from .mod import reexported\n__all__ = ['in_all']\n")
+    (package / "mod.py").write_text(
+        "def called():\n    pass\n\n"
+        "def attribute_called():\n    pass\n\n"
+        "def reexported():\n    pass\n\n"
+        "def in_all():\n    pass\n\n"
+        "def test_only():\n    pass\n\n"
+        "def _private():\n    pass\n\n"
+        "class Orphan:\n    def method(self):\n        pass\n")
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "drive.py").write_text(
+        "import repro.mod\nfrom repro.mod import called\n"
+        "called()\nrepro.mod.attribute_called()\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_mod.py").write_text(
+        "from repro.mod import test_only\ntest_only()\n")
+    assert uncalled_public_names(str(tmp_path)) == {
+        "reexported", "in_all", "test_only", "Orphan"}

@@ -37,8 +37,6 @@ from repro.layout import (
     LayoutFormatError,
     load_layout_file,
     is_layout_reader,
-    read_layout_shapes,
-    shapes_extent_nm,
     write_gds,
 )
 from repro.layout import hierarchy as hierarchy_module
@@ -192,12 +190,6 @@ class TestHierarchyResolution:
         np.testing.assert_array_equal(coarse.materialise(),
                                       fine.materialise())
         assert coarse.digest() == fine.digest()
-
-    def test_read_layout_shapes_flattens_binary_gds(self):
-        shapes, extent = read_layout_shapes(HIER4)
-        assert extent is None
-        assert shapes and all(layer.isdigit() for layer in shapes)
-        assert shapes_extent_nm(shapes) == 568.0
 
 
 @st.composite

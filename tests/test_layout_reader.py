@@ -41,9 +41,10 @@ from repro.layout import (
     is_layout_file,
     is_layout_reader,
     load_layout_file,
-    read_layout_shapes,
+    load_layout_mask,
     source_digest,
 )
+from repro.layout.files import layout_reader_from_bytes, read_layout_bytes
 from repro.layout.geometry import Polygon, Rect
 from repro.masks.io import save_layout
 from repro.masks.layout import Layout
@@ -253,14 +254,12 @@ class TestLayoutFiles:
             "BOUNDARY", "LAYER 1",
             "XY 0 0 128 0 128 64 0 64 0 0", "ENDEL",
             "ENDSTR", "ENDLIB"]))
-        for load in (lambda: load_layout_file(str(path), pixel_size_nm=8.0),
-                     lambda: read_layout_shapes(str(path))):
-            with pytest.raises(LayoutFormatError) as excinfo:
-                load()
-            message = str(excinfo.value)
-            assert str(path) in message
-            assert "GDSII text is no longer read" in message
-            assert "binary .gds" in message
+        with pytest.raises(LayoutFormatError) as excinfo:
+            load_layout_file(str(path), pixel_size_nm=8.0)
+        message = str(excinfo.value)
+        assert str(path) in message
+        assert "GDSII text is no longer read" in message
+        assert "binary .gds" in message
         assert is_layout_file(str(path))  # refused, not handed to np.load
         assert main(["image-layout", "--input", str(path), "--tile-size",
                      "32", "--pixel-size-nm", "8",
@@ -288,6 +287,35 @@ class TestLayoutFiles:
         with pytest.raises(LayoutFormatError,
                            match="no binary GDSII HEADER record"):
             load_layout_file(str(path), pixel_size_nm=8.0)
+
+    def test_reader_from_bytes_needs_only_the_bytes(self, tmp_path):
+        """The bytes read once are the whole input: the file may be gone."""
+        layout = Layout(extent_nm=256.0)
+        layout.add("m1", Rect(16, 16, 64, 32))
+        path = save_layout(layout, str(tmp_path / "chip.json"))
+        expected = load_layout_file(path, pixel_size_nm=8.0).read_window(
+            0, 0, 32, 32)
+        data = read_layout_bytes(path)
+        os.remove(path)
+        reader = layout_reader_from_bytes(path, data, pixel_size_nm=8.0)
+        np.testing.assert_array_equal(reader.read_window(0, 0, 32, 32),
+                                      expected)
+
+    def test_read_layout_bytes_names_a_missing_file(self, tmp_path):
+        missing = str(tmp_path / "gone.gds")
+        with pytest.raises(FileNotFoundError, match="gone.gds"):
+            read_layout_bytes(missing)
+
+    def test_dense_mask_files(self, tmp_path):
+        """``.npz`` reads key ``mask`` before any other; a raster must be 2-D."""
+        mask = (np.arange(12.0).reshape(3, 4) > 5).astype(np.uint8)
+        np.savez(tmp_path / "m.npz", aaa=np.zeros((2, 2)), mask=mask)
+        loaded = load_layout_mask(str(tmp_path / "m.npz"))
+        assert loaded.dtype == float
+        np.testing.assert_array_equal(loaded, mask)
+        np.save(tmp_path / "cube.npy", np.zeros((2, 3, 4)))
+        with pytest.raises(ValueError, match="must be 2-D"):
+            load_layout_mask(str(tmp_path / "cube.npy"))
 
     def test_suffix_dispatch_and_errors(self, tmp_path):
         assert is_layout_file("chip.json")

@@ -7,7 +7,6 @@ from repro.masks.datasets import (
     PRESETS,
     DatasetSpec,
     LithoDataset,
-    build_benchmark_suite,
     build_dataset,
     merge_datasets,
 )
@@ -127,8 +126,3 @@ class TestMergeAndSuite:
                          train_resists=np.zeros((2, 4, 4)), test_masks=np.zeros((2, 4, 4)),
                          test_aerials=np.zeros((2, 4, 4)), test_resists=np.zeros((2, 4, 4)),
                          pixel_size_nm=8.0, litho_engine="x")
-
-    def test_build_benchmark_suite_tiny(self):
-        suite = build_benchmark_suite(preset="tiny", seed=0, include_opc=False)
-        assert set(suite) == {"B1", "B2m", "B2v", "B2m+B2v"}
-        assert suite["B2m+B2v"].num_train == suite["B2m"].num_train + suite["B2v"].num_train

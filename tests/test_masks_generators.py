@@ -1,5 +1,8 @@
 """Tests for the synthetic benchmark mask generators (repro.masks.generators)."""
 
+import argparse
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,9 +11,10 @@ from repro.masks.generators import (
     ICCAD2013Generator,
     ISPDMetalGenerator,
     ISPDViaGenerator,
+    GENERATORS,
     make_generator,
 )
-from repro.layout.geometry import mask_density
+from repro.layout import synthesize_layout_mask
 
 TILE = 64
 PIXEL = 16.0
@@ -46,7 +50,7 @@ class TestGeneratorBase:
 class TestICCAD2013Generator:
     def test_density_in_plausible_range(self):
         masks = ICCAD2013Generator(TILE, PIXEL, seed=3).generate(6)
-        densities = [mask_density(m) for m in masks]
+        densities = [(m > 0.5).mean() for m in masks]
         assert all(0.005 < d < 0.5 for d in densities)
 
     def test_design_rule_validation(self):
@@ -94,7 +98,7 @@ class TestISPDViaGenerator:
     def test_vias_are_small_isolated_features(self):
         mask = ISPDViaGenerator(TILE, PIXEL, seed=0, occupancy=0.3).sample()
         # via cuts are small: the density stays low
-        assert mask_density(mask) < 0.25
+        assert (mask > 0.5).mean() < 0.25
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -126,11 +130,46 @@ class TestDistributionShift:
 
 
 class TestFactory:
+    """``make_generator`` is the one family -> generator map: the CLI's
+    ``--family``, the synthetic layout and the Table II datasets read it."""
+
     def test_known_families(self):
         assert isinstance(make_generator("B1", TILE, PIXEL), ICCAD2013Generator)
-        assert isinstance(make_generator("b2m", TILE, PIXEL), ISPDMetalGenerator)
-        assert isinstance(make_generator("B2V", TILE, PIXEL), ISPDViaGenerator)
+        assert isinstance(make_generator("B2m", TILE, PIXEL), ISPDMetalGenerator)
+        assert isinstance(make_generator("B2v", TILE, PIXEL), ISPDViaGenerator)
+        for family, generator in GENERATORS.items():
+            assert generator.family == family
 
-    def test_unknown_family_raises(self):
-        with pytest.raises(ValueError):
-            make_generator("B3", TILE, PIXEL)
+    @pytest.mark.parametrize("family", ["B3", "b2m", "B2V", "B1opc"])
+    def test_unknown_family_raises(self, family):
+        with pytest.raises(ValueError) as excinfo:
+            make_generator(family, TILE, PIXEL)
+        assert str(excinfo.value) == (f"unknown layout family {family!r}; "
+                                      "known families: B1, B2m, B2v")
+
+    def test_cli_family_choices_are_the_maps_families(self):
+        from repro.cli import build_parser
+
+        subparsers = next(action for action in build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        choices = {name: action.choices
+                   for name, subparser in subparsers.choices.items()
+                   for action in subparser._actions
+                   if action.dest == "family"}
+        assert set(choices) == {"image-layout", "sweep-window"}
+        for family_choices in choices.values():
+            assert tuple(family_choices) == tuple(GENERATORS)
+
+    @pytest.mark.parametrize("family, seed, sha256", [
+        ("B1", 0, "308ce7f2e7e6d1e467b989fa91ee5c35b74fe592bbf5ebac4012c9e5c8366cb1"),
+        ("B1", 1, "4ad7b1771ed68010f2133f48f606eac966cd6f1a1fa3d1b948a20cd602ac362f"),
+        ("B2m", 0, "393ba91c39d064ab8f2249d019b22ab0523c3b127696b9591619709b354eefa8"),
+        ("B2m", 1, "662d37291a89864d46c9f83b19ce20cd131ba9da47e222e4d07a1ded1a54d165"),
+        ("B2v", 0, "96effa4b1912bc5c6ad7f5c10c49248b910f598898c81d005bed00f51c78482e"),
+        ("B2v", 1, "bdb1d34716119c747a00158d78c2c1e6a17acd35109d1ebbb0ded8017a76a84f"),
+    ])
+    def test_synthetic_layout_pixels_are_pinned(self, family, seed, sha256):
+
+        mask = synthesize_layout_mask(96, 160, 64, 8.0, family, seed)
+        assert mask.dtype == np.float64 and mask.shape == (96, 160)
+        assert hashlib.sha256(mask.tobytes()).hexdigest() == sha256

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.layout.geometry import Polygon, Rect, mask_density, rasterize
+from repro.layout.geometry import Polygon, Rect, rasterize
 
 
 class TestRect:
@@ -159,12 +159,6 @@ class TestRasterize:
     def test_empty_shape_list(self):
         mask = rasterize([], tile_size_px=8, pixel_size_nm=8.0)
         np.testing.assert_allclose(mask, 0.0)
-
-    def test_mask_density(self):
-        mask = np.zeros((10, 10))
-        mask[:5] = 1.0
-        assert mask_density(mask) == pytest.approx(0.5)
-        assert mask_density(np.zeros((0, 0))) == 0.0
 
     @given(width=st.floats(8, 120), height=st.floats(8, 120))
     @settings(max_examples=30, deadline=None)

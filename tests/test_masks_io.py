@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from repro.layout import GeometryLayoutReader, LayoutFormatError, load_layout_file
 from repro.masks import Layout, Rect
 from repro.masks.datasets import DatasetSpec, build_dataset
-from repro.masks.io import load_dataset, load_layout, save_dataset, save_layout
+from repro.masks.io import load_dataset, save_dataset, save_layout
 
 
 @pytest.fixture()
@@ -26,36 +27,48 @@ def sample_dataset():
 
 
 class TestLayoutIO:
+    """``save_layout`` writes what the production reader
+    :func:`repro.layout.load_layout_file` reads."""
+
     def test_roundtrip_preserves_shapes(self, sample_layout, tmp_path):
         path = save_layout(sample_layout, str(tmp_path / "nested" / "layout.json"))
-        restored = load_layout(path)
-        assert restored.extent_nm == sample_layout.extent_nm
-        assert restored.layer_names() == sample_layout.layer_names()
+        restored = load_layout_file(path, pixel_size_nm=1000.0 / 32)
+        assert restored.shape == (32, 32)  # the recorded extent
+        assert list(restored.layers) == sample_layout.layer_names()
         assert restored.shape_count() == sample_layout.shape_count()
-        original = sample_layout.shapes("M1")[0]
-        loaded = restored.shapes("M1")[0]
-        assert (loaded.x, loaded.y, loaded.width, loaded.height) == (
-            original.x, original.y, original.width, original.height)
+        assert restored.digest() == GeometryLayoutReader.from_layout(
+            sample_layout, shape=(32, 32)).digest()
 
     def test_roundtrip_preserves_rasterisation(self, sample_layout, tmp_path):
         path = save_layout(sample_layout, str(tmp_path / "layout.json"))
-        restored = load_layout(path)
-        np.testing.assert_array_equal(restored.rasterize("M1", 32),
+        restored = load_layout_file(path, pixel_size_nm=1000.0 / 32,
+                                    layers=["M1"])
+        np.testing.assert_array_equal(restored.materialise(),
                                       sample_layout.rasterize("M1", 32))
 
     def test_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text(json.dumps({"hello": "world"}))
         with pytest.raises(ValueError):
-            load_layout(str(path))
+            load_layout_file(str(path), pixel_size_nm=8.0)
 
     def test_rejects_wrong_version(self, sample_layout, tmp_path):
         path = save_layout(sample_layout, str(tmp_path / "layout.json"))
         document = json.loads(open(path).read())
         document["version"] = 999
         open(path, "w").write(json.dumps(document))
-        with pytest.raises(ValueError):
-            load_layout(path)
+        with pytest.raises(LayoutFormatError, match="version 999"):
+            load_layout_file(path, pixel_size_nm=8.0)
+
+    def test_a_file_without_a_version_reads_as_version_1(self, sample_layout,
+                                                         tmp_path):
+        path = save_layout(sample_layout, str(tmp_path / "layout.json"))
+        document = json.loads(open(path).read())
+        assert document.pop("version") == 1
+        unversioned = tmp_path / "unversioned.json"
+        unversioned.write_text(json.dumps(document))
+        assert load_layout_file(str(unversioned), pixel_size_nm=8.0).digest() \
+            == load_layout_file(path, pixel_size_nm=8.0).digest()
 
 
 class TestDatasetIO:

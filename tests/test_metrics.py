@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 from repro import nn
 from repro.metrics import (
     aerial_metrics,
-    iou,
     max_error,
     mean_iou,
     mean_pixel_accuracy,
@@ -18,7 +17,6 @@ from repro.metrics import (
     parameter_count,
     psnr,
     resist_metrics,
-    size_comparison,
 )
 
 RNG = np.random.default_rng(8)
@@ -81,18 +79,6 @@ class TestImageMetrics:
 
 
 class TestSegmentationMetrics:
-    def test_iou_identical(self):
-        pattern = RNG.random((8, 8)) > 0.5
-        assert iou(pattern, pattern) == 1.0
-
-    def test_iou_disjoint(self):
-        a = np.zeros((4, 4)); a[:2] = 1
-        b = np.zeros((4, 4)); b[2:] = 1
-        assert iou(a, b) == 0.0
-
-    def test_iou_empty_union_is_one(self):
-        assert iou(np.zeros((4, 4)), np.zeros((4, 4))) == 1.0
-
     def test_mean_iou_perfect_is_100(self):
         pattern = RNG.random((8, 8)) > 0.5
         assert mean_iou(pattern, pattern) == pytest.approx(100.0)
@@ -111,6 +97,32 @@ class TestSegmentationMetrics:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             mean_iou(np.zeros((4, 4)), np.zeros((3, 3)))
+
+    def test_mean_iou_complementary_masks_score_zero(self):
+        target = np.zeros((6, 6)); target[:, :3] = 1
+        assert mean_iou(target, 1 - target) == pytest.approx(0.0)
+
+    def test_class_absent_from_both_counts_as_perfect(self):
+        """An empty union (no printed pixel anywhere) scores that class 1."""
+        blank = np.zeros((5, 5))
+        assert mean_iou(blank, blank) == pytest.approx(100.0)
+        assert mean_pixel_accuracy(blank, blank) == pytest.approx(100.0)
+        assert mean_pixel_accuracy(blank, np.ones((5, 5))) == pytest.approx(50.0)
+
+    def test_printed_means_above_one_half(self):
+        at_threshold = np.full((4, 4), 0.5)
+        assert mean_iou(at_threshold, np.zeros((4, 4))) == pytest.approx(100.0)
+        assert mean_iou(at_threshold + 1e-9, np.zeros((4, 4))) == pytest.approx(0.0)
+
+    def test_resist_metrics_single_image_and_batch_mismatch(self):
+        target = np.zeros((6, 6)); target[:2] = 1
+        prediction = np.zeros((6, 6)); prediction[:3] = 1
+        result = resist_metrics(target, prediction)
+        assert result["miou"] == pytest.approx(mean_iou(target, prediction))
+        assert result["mpa"] == pytest.approx(
+            mean_pixel_accuracy(target, prediction))
+        with pytest.raises(ValueError):
+            resist_metrics(np.zeros((2, 4, 4)), np.zeros((3, 4, 4)))
 
     def test_resist_metrics_batch(self):
         target = (RNG.random((3, 8, 8)) > 0.5).astype(float)
@@ -158,8 +170,3 @@ class TestModelSize:
         assert model_size_mb(model) == pytest.approx(256 * 1024 * 4 / 2 ** 20)
         with pytest.raises(ValueError):
             model_size_mb(model, bytes_per_scalar=0)
-
-    def test_size_comparison_ratios(self):
-        rows = size_comparison({"big": nn.Linear(100, 100), "small": nn.Linear(10, 10)})
-        assert rows["small"]["ratio_to_smallest"] == pytest.approx(1.0)
-        assert rows["big"]["ratio_to_smallest"] > 50

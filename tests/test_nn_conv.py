@@ -6,7 +6,7 @@ from scipy import signal
 
 from repro import nn
 from repro.nn import functional as F
-from repro.nn.conv import avg_pool2d, conv2d, upsample2x
+from repro.nn.conv import conv2d, upsample2x
 from repro.nn.tensor import Tensor
 
 RNG = np.random.default_rng(5)
@@ -81,15 +81,6 @@ class TestConvBackward:
 
 
 class TestPoolingAndUpsampling:
-    def test_avg_pool_values(self):
-        x = np.arange(16.0).reshape(1, 1, 4, 4)
-        out = avg_pool2d(Tensor(x), 2).data
-        np.testing.assert_allclose(out[0, 0], [[2.5, 4.5], [10.5, 12.5]])
-
-    def test_avg_pool_requires_divisible_size(self):
-        with pytest.raises(ValueError):
-            avg_pool2d(Tensor(np.zeros((1, 1, 5, 5))), 2)
-
     def test_upsample_shape_and_values(self):
         x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
         out = upsample2x(Tensor(x)).data
@@ -99,18 +90,13 @@ class TestPoolingAndUpsampling:
 
     def test_upsample_then_pool_is_identity(self):
         x = RNG.normal(size=(2, 3, 4, 4))
-        out = avg_pool2d(upsample2x(Tensor(x)), 2).data
+        out = upsample2x(Tensor(x)).data.reshape(2, 3, 4, 2, 4, 2).mean(axis=(3, 5))
         np.testing.assert_allclose(out, x)
 
     def test_upsample_gradient(self):
         x = Tensor(RNG.normal(size=(1, 1, 3, 3)), requires_grad=True)
         F.sum(F.square(upsample2x(x))).backward()
         np.testing.assert_allclose(x.grad, 8 * x.data)  # each pixel appears 4x, d/dx of x^2 = 2x
-
-    def test_avg_pool_gradient(self):
-        x = Tensor(RNG.normal(size=(1, 1, 4, 4)), requires_grad=True)
-        F.sum(avg_pool2d(x, 2)).backward()
-        np.testing.assert_allclose(x.grad, 0.25)
 
 
 class TestConvModules:
@@ -135,8 +121,3 @@ class TestConvModules:
             loss.backward()
             optimizer.step()
         assert layer.weight.data[0, 0, 0, 0] == pytest.approx(3.0, abs=0.05)
-
-    def test_pool_and_upsample_modules(self):
-        x = Tensor(RNG.normal(size=(1, 2, 4, 4)))
-        assert nn.AvgPool2d(2)(x).shape == (1, 2, 2, 2)
-        assert nn.Upsample2x()(x).shape == (1, 2, 8, 8)

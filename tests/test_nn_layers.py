@@ -35,7 +35,7 @@ class TestModulePlumbing:
         assert model.weight.grad is None
 
     def test_train_eval_propagates(self):
-        model = nn.Sequential(nn.Linear(2, 2), nn.Dropout(0.5))
+        model = nn.Sequential(nn.Linear(2, 2), nn.ReLU())
         model.eval()
         assert all(not m.training for m in model)
         model.train()
@@ -117,7 +117,7 @@ class TestActivationsAndContainers:
         assert np.all(out.data >= 0)
 
     def test_sequential_len_and_iter(self):
-        model = nn.Sequential(nn.ReLU(), nn.Tanh())
+        model = nn.Sequential(nn.ReLU(), nn.CReLU())
         assert len(model) == 2
         assert len(list(model)) == 2
 
@@ -125,42 +125,33 @@ class TestActivationsAndContainers:
         out = nn.CReLU()(Tensor([-1 - 1j, 1 + 1j]))
         np.testing.assert_allclose(out.data, [0, 1 + 1j])
 
-    def test_modrelu_module(self):
-        out = nn.ModReLU(bias=-10.0)(Tensor([1 + 1j]))
-        np.testing.assert_allclose(out.data, [0.0])
 
-    def test_dropout_eval_is_identity(self):
-        layer = nn.Dropout(0.9)
-        layer.eval()
-        x = RNG.normal(size=(5, 5))
-        np.testing.assert_allclose(layer(Tensor(x)).data, x)
+class TestInitialisers:
+    @pytest.mark.parametrize("shape, fans", [((6, 10), (6, 10)),
+                                             ((4, 3, 3, 3), (27, 36))])
+    def test_glorot_uniform_stays_inside_its_limit(self, shape, fans):
+        weight = nn.glorot_uniform(shape, np.random.default_rng(0))
+        limit = np.sqrt(6.0 / sum(fans))
+        assert weight.shape == shape and weight.dtype == np.float64
+        assert np.abs(weight).max() <= limit
+        assert np.abs(weight).max() > 0.5 * limit
 
-    def test_dropout_train_zeroes_some_entries(self):
-        layer = nn.Dropout(0.5, rng=np.random.default_rng(0))
-        out = layer(Tensor(np.ones((20, 20))))
-        assert np.sum(out.data == 0) > 0
+    def test_he_uniform_limit_follows_fan_in(self):
+        weight = nn.he_uniform((8, 2, 3, 3), np.random.default_rng(0))
+        limit = np.sqrt(6.0 / (2 * 9))
+        assert np.abs(weight).max() <= limit
+        assert np.abs(weight).max() > 0.5 * limit
 
-    def test_dropout_invalid_probability(self):
-        with pytest.raises(ValueError):
-            nn.Dropout(1.0)
+    def test_complex_glorot_magnitude_variance_and_phase(self):
+        """Rayleigh magnitude with mode 1/sqrt(fan_in + fan_out): E|w|^2 = 2 sigma^2."""
+        weight = nn.complex_glorot((200, 300), np.random.default_rng(0))
+        assert weight.dtype == np.complex128
+        sigma2 = 1.0 / 500
+        assert np.mean(np.abs(weight) ** 2) == pytest.approx(2 * sigma2, rel=0.02)
+        assert abs(np.mean(weight)) < 0.05 * np.sqrt(sigma2)
 
-    def test_layernorm_normalises_last_axis(self):
-        layer = nn.LayerNorm(8)
-        out = layer(Tensor(RNG.normal(loc=3.0, scale=2.0, size=(5, 8)))).data
-        np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-6)
-        np.testing.assert_allclose(out.std(axis=-1), 1.0, atol=1e-2)
-
-    def test_batchnorm_train_normalises(self):
-        layer = nn.BatchNorm2d(3)
-        x = RNG.normal(loc=5.0, scale=3.0, size=(4, 3, 6, 6))
-        out = layer(Tensor(x)).data
-        np.testing.assert_allclose(out.mean(axis=(0, 2, 3)), 0.0, atol=1e-6)
-
-    def test_batchnorm_eval_uses_running_stats(self):
-        layer = nn.BatchNorm2d(2)
-        x = RNG.normal(loc=5.0, scale=3.0, size=(4, 2, 4, 4))
-        for _ in range(20):
-            layer(Tensor(x))
-        layer.eval()
-        out = layer(Tensor(x)).data
-        assert abs(out.mean()) < 1.0
+    def test_same_generator_state_same_weights(self):
+        for init in (nn.glorot_uniform, nn.he_uniform, nn.complex_glorot):
+            np.testing.assert_array_equal(
+                init((5, 7), np.random.default_rng(9)),
+                init((5, 7), np.random.default_rng(9)))

@@ -5,6 +5,7 @@ import pytest
 
 from repro import nn
 from repro.nn import functional as F
+from repro.nn.optim import fit_minibatches
 from repro.nn.tensor import Tensor
 
 
@@ -16,60 +17,17 @@ def complex_quadratic_loss(param: Tensor, target: np.ndarray) -> Tensor:
     return F.sum(F.abs2(F.sub(param, Tensor(target))))
 
 
-class TestSGD:
+class TestAdam:
     def test_empty_parameter_list_raises(self):
         with pytest.raises(ValueError):
-            nn.SGD([], lr=0.1)
-
-    def test_converges_on_quadratic(self):
-        target = np.array([1.0, -2.0, 3.0])
-        param = Tensor(np.zeros(3), requires_grad=True)
-        optimizer = nn.SGD([param], lr=0.1)
-        for _ in range(100):
-            loss = quadratic_loss(param, target)
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
-        np.testing.assert_allclose(param.data, target, atol=1e-3)
-
-    def test_momentum_accelerates(self):
-        target = np.array([5.0])
-
-        def run(momentum):
-            param = Tensor(np.zeros(1), requires_grad=True)
-            optimizer = nn.SGD([param], lr=0.02, momentum=momentum)
-            for _ in range(30):
-                loss = quadratic_loss(param, target)
-                optimizer.zero_grad()
-                loss.backward()
-                optimizer.step()
-            return abs(param.data[0] - target[0])
-
-        assert run(0.9) < run(0.0)
-
-    def test_weight_decay_shrinks_solution(self):
-        target = np.array([1.0])
-
-        def run(weight_decay):
-            param = Tensor(np.zeros(1), requires_grad=True)
-            optimizer = nn.SGD([param], lr=0.1, weight_decay=weight_decay)
-            for _ in range(200):
-                loss = quadratic_loss(param, target)
-                optimizer.zero_grad()
-                loss.backward()
-                optimizer.step()
-            return param.data[0]
-
-        assert run(1.0) < run(0.0)
+            nn.Adam([], lr=0.1)
 
     def test_skips_parameters_without_grad(self):
         param = Tensor(np.ones(2), requires_grad=True)
-        optimizer = nn.SGD([param], lr=0.1)
+        optimizer = nn.Adam([param], lr=0.1)
         optimizer.step()  # no gradient accumulated yet
         np.testing.assert_allclose(param.data, 1.0)
 
-
-class TestAdam:
     def test_converges_on_quadratic(self):
         target = np.array([2.0, -1.0])
         param = Tensor(np.zeros(2), requires_grad=True)
@@ -112,23 +70,9 @@ class TestAdam:
 
 
 class TestSchedulers:
-    def test_step_lr_halves(self):
-        param = Tensor(np.zeros(1), requires_grad=True)
-        optimizer = nn.SGD([param], lr=1.0)
-        scheduler = nn.StepLR(optimizer, step_size=2, gamma=0.5)
-        scheduler.step()
-        assert optimizer.lr == 1.0
-        scheduler.step()
-        assert optimizer.lr == 0.5
-
-    def test_step_lr_invalid_step_size(self):
-        param = Tensor(np.zeros(1), requires_grad=True)
-        with pytest.raises(ValueError):
-            nn.StepLR(nn.SGD([param], lr=1.0), step_size=0)
-
     def test_cosine_reaches_min_lr(self):
         param = Tensor(np.zeros(1), requires_grad=True)
-        optimizer = nn.SGD([param], lr=1.0)
+        optimizer = nn.Adam([param], lr=1.0)
         scheduler = nn.CosineLR(optimizer, total_epochs=10, min_lr=0.1)
         for _ in range(10):
             scheduler.step()
@@ -136,7 +80,7 @@ class TestSchedulers:
 
     def test_cosine_is_monotone_decreasing(self):
         param = Tensor(np.zeros(1), requires_grad=True)
-        optimizer = nn.SGD([param], lr=1.0)
+        optimizer = nn.Adam([param], lr=1.0)
         scheduler = nn.CosineLR(optimizer, total_epochs=20)
         values = []
         for _ in range(20):
@@ -147,25 +91,62 @@ class TestSchedulers:
     def test_cosine_invalid_epochs(self):
         param = Tensor(np.zeros(1), requires_grad=True)
         with pytest.raises(ValueError):
-            nn.CosineLR(nn.SGD([param], lr=1.0), total_epochs=0)
+            nn.CosineLR(nn.Adam([param], lr=1.0), total_epochs=0)
 
 
-class TestGradientClipping:
-    def test_clip_reduces_norm(self):
-        param = Tensor(np.zeros(3), requires_grad=True)
-        param.grad = np.array([3.0, 4.0, 0.0])
-        total = nn.clip_grad_norm([param], max_norm=1.0)
-        assert total == pytest.approx(5.0)
-        assert np.linalg.norm(param.grad) == pytest.approx(1.0)
+def linear_problem(count=12):
+    rng = np.random.default_rng(0)
+    inputs = rng.normal(size=(count, 3))
+    targets = inputs @ np.array([1.0, -2.0, 0.5])
+    return inputs, targets
 
-    def test_clip_leaves_small_gradients(self):
-        param = Tensor(np.zeros(2), requires_grad=True)
-        param.grad = np.array([0.1, 0.1])
-        nn.clip_grad_norm([param], max_norm=10.0)
-        np.testing.assert_allclose(param.grad, [0.1, 0.1])
 
-    def test_clip_handles_complex_gradients(self):
-        param = Tensor(np.zeros(1, dtype=complex), requires_grad=True)
-        param.grad = np.array([3 + 4j])
-        nn.clip_grad_norm([param], max_norm=1.0)
-        assert np.abs(param.grad[0]) == pytest.approx(1.0)
+class TestFitMinibatches:
+    def fit(self, seed=0, epochs=30):
+        inputs, targets = linear_problem()
+        weight = Tensor(np.zeros(3), requires_grad=True)
+        optimizer = nn.Adam([weight], lr=0.1)
+        history = fit_minibatches(
+            optimizer, lambda batch: F.matmul(Tensor(batch), weight),
+            inputs, targets, epochs=epochs, batch_size=5, seed=seed,
+            min_lr_fraction=0.1, name="linear")
+        return history, weight, optimizer
+
+    def test_one_mean_loss_per_epoch_and_it_falls(self):
+        history, weight, _ = self.fit()
+        assert len(history) == 30
+        assert history[-1] < 0.05 * history[0]
+        np.testing.assert_allclose(weight.data, [1.0, -2.0, 0.5], atol=0.1)
+
+    def test_same_seed_same_history(self):
+        assert self.fit(seed=3)[0] == self.fit(seed=3)[0]
+
+    def test_cosine_schedule_ends_at_min_lr_fraction(self):
+        _, _, optimizer = self.fit(epochs=4)
+        assert optimizer.lr == pytest.approx(0.01)
+
+    def test_batch_larger_than_set_is_one_full_batch(self):
+        inputs, targets = linear_problem(count=4)
+        weight = Tensor(np.zeros(3), requires_grad=True)
+        batches = []
+
+        def predict(batch):
+            batches.append(len(batch))
+            return F.matmul(Tensor(batch), weight)
+
+        fit_minibatches(nn.Adam([weight], lr=0.1), predict, inputs, targets,
+                        epochs=2, batch_size=64, seed=0, min_lr_fraction=0.0,
+                        name="linear")
+        assert batches == [4, 4]
+
+    @pytest.mark.parametrize("inputs, targets, message", [
+        (np.zeros((3, 2)), np.zeros(2), "3 inputs but 2 targets"),
+        (np.zeros((0, 2)), np.zeros(0), "training set is empty"),
+    ])
+    def test_unusable_training_set_raises(self, inputs, targets, message):
+        weight = Tensor(np.zeros(2), requires_grad=True)
+        with pytest.raises(ValueError, match=message):
+            fit_minibatches(nn.Adam([weight], lr=0.1),
+                            lambda batch: F.matmul(Tensor(batch), weight),
+                            inputs, targets, epochs=1, batch_size=2,
+                            seed=0, min_lr_fraction=0.1, name="empty")

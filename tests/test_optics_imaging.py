@@ -7,13 +7,7 @@ source-point summation must produce the same aerial image.
 import numpy as np
 import pytest
 
-from repro.optics import (
-    ConstantThresholdResist,
-    VariableThresholdResist,
-    abbe_aerial,
-    edge_placement_error,
-    mask_spectrum,
-)
+from repro.optics import ConstantThresholdResist, abbe_aerial, mask_spectrum
 from repro.engine import ExecutionEngine
 from repro.optics.pupil import Pupil
 from repro.optics.socs import decompose_tcc
@@ -159,24 +153,3 @@ class TestResistModels:
         soft = ConstantThresholdResist(0.3).soft_develop(aerial)
         assert np.all((soft >= 0) & (soft <= 1))
         assert soft[aerial > 0.5].min() > soft[aerial < 0.1].max()
-
-    def test_variable_threshold_develops_binary(self, socs_kernels, sample_mask):
-        aerial = socs_aerial(sample_mask, socs_kernels.kernels)
-        resist = VariableThresholdResist(base_threshold=0.3).develop(aerial)
-        assert set(np.unique(resist)).issubset({0, 1})
-
-    def test_variable_threshold_prints_at_least_constant(self, socs_kernels, sample_mask):
-        """Slope sensitivity only lowers the local threshold, never raises it."""
-        aerial = socs_aerial(sample_mask, socs_kernels.kernels)
-        constant = ConstantThresholdResist(0.3).develop(aerial)
-        variable = VariableThresholdResist(base_threshold=0.3, slope_sensitivity=0.1).develop(aerial)
-        assert variable.sum() >= constant.sum()
-
-    def test_edge_placement_error(self):
-        a = np.zeros((4, 4))
-        b = np.zeros((4, 4))
-        b[0, 0] = 1
-        assert edge_placement_error(a, a) == 0.0
-        assert edge_placement_error(a, b) == 1.0
-        with pytest.raises(ValueError):
-            edge_placement_error(a, np.zeros((3, 3)))

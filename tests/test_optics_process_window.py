@@ -9,7 +9,6 @@ from repro.optics import OpticsConfig
 from repro.optics.process_window import (
     FocusExposurePoint,
     ProcessWindowResult,
-    bossung_curves,
     longest_printed_run,
     measure_cd,
     widest_feature_row,
@@ -172,13 +171,3 @@ class TestProcessWindow:
             run_window(line_mask, target_cd_nm=100.0, dose_values=(0.0,))
         with pytest.raises(ValueError):
             run_window(np.zeros((2, 2, 2)), target_cd_nm=100.0)
-
-
-class TestBossung:
-    def test_curves_sorted_by_focus(self, window):
-        curves = bossung_curves(window)
-        assert set(curves) == {0.85, 1.0, 1.15}
-        for curve in curves.values():
-            focuses = [focus for focus, _ in curve]
-            assert focuses == sorted(focuses)
-            assert len(curve) == 3

@@ -9,11 +9,11 @@ from repro.optics.kernel_dims import kernel_dimensions
 from repro.optics.pupil import Pupil
 from repro.optics.simulator import OpticsConfig
 from repro.optics.socs import (
-    decompose_tcc, kernels_from_matrix, socs_kernels, truncation_error_bound)
+    decompose_tcc, socs_kernels, truncation_error_bound)
 from repro.optics.source import (
     AnnularSource, CircularSource, DipoleSource, PixelatedSource,
     QuadrupoleSource)
-from repro.optics.tcc import compute_tcc, shifted_pupil_stack, tcc_diagonal
+from repro.optics.tcc import compute_tcc, shifted_pupil_stack
 
 WAVELENGTH = 193.0
 NA = 1.35
@@ -48,18 +48,18 @@ class TestTCCMatrix:
 
     def test_dc_diagonal_is_largest(self, tcc_circular):
         """T(0,0) — full source passing through the centred pupil — dominates the diagonal."""
-        diag = tcc_diagonal(tcc_circular)
+        diag = np.real(np.diag(tcc_circular.matrix)).reshape(KERNEL_SHAPE)
         centre = KERNEL_SHAPE[0] // 2
         assert diag[centre, centre] == diag.max()
 
     def test_dc_value_is_transmitted_fraction(self, tcc_circular):
         """For sigma <= 1 the whole source passes the pupil, so T(0,0) == 1."""
-        diag = tcc_diagonal(tcc_circular)
+        diag = np.real(np.diag(tcc_circular.matrix)).reshape(KERNEL_SHAPE)
         centre = KERNEL_SHAPE[0] // 2
         assert diag[centre, centre] == pytest.approx(1.0, abs=1e-9)
 
     def test_diagonal_decays_away_from_dc(self, tcc_circular):
-        diag = tcc_diagonal(tcc_circular)
+        diag = np.real(np.diag(tcc_circular.matrix)).reshape(KERNEL_SHAPE)
         centre = KERNEL_SHAPE[0] // 2
         assert diag[centre, centre] > diag[centre, -1]
 
@@ -120,13 +120,6 @@ class TestSOCS:
         """The paper's premise: a few dozen kernels capture essentially all energy."""
         kernels = decompose_tcc(tcc_circular, max_order=24)
         assert kernels.energy_captured() > 0.95
-
-    def test_kernels_from_matrix_helper(self):
-        rng = np.random.default_rng(0)
-        basis = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-        matrix = basis @ basis.conj().T
-        kernels = kernels_from_matrix(matrix, (3, 3), max_order=4)
-        assert kernels.kernels.shape == (4, 3, 3)
 
 
 class TestTruncationBound:

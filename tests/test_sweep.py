@@ -20,7 +20,7 @@ from repro.optics import LithographySimulator, OpticsConfig
 from repro.optics.process_window import measure_cd
 from repro.optics.pupil import Pupil
 from repro.optics.source import CircularSource
-from repro.sweep import FocusExposureGrid, ProcessWindowSweep
+from repro.sweep import FocusExposureGrid, ProcessWindowSweep, check_window_targets
 
 TILE = 48
 PIXEL = 20.0
@@ -63,6 +63,23 @@ class TestFocusExposureGrid:
         grid = FocusExposureGrid.from_sequences([0, 50], [1])
         assert grid.focus_values_nm == (0.0, 50.0)
         assert grid.dose_values == (1.0,)
+
+
+class TestWindowTargets:
+    @pytest.mark.parametrize("target_cd_nm, tolerance", [(None, 0.1),
+                                                         (45.0, 0.999)])
+    def test_judgeable_targets_pass(self, target_cd_nm, tolerance):
+        check_window_targets(target_cd_nm, tolerance)
+
+    @pytest.mark.parametrize("target_cd_nm, tolerance, message", [
+        (0.0, 0.1, "target_cd_nm must be positive"),
+        (-5.0, 0.1, "target_cd_nm must be positive"),
+        (None, 0.0, r"tolerance must be in \(0, 1\)"),
+        (45.0, 1.0, r"tolerance must be in \(0, 1\)"),
+    ])
+    def test_unjudgeable_targets_raise(self, target_cd_nm, tolerance, message):
+        with pytest.raises(ValueError, match=message):
+            check_window_targets(target_cd_nm, tolerance)
 
 
 class TestProcessWindowSweep:

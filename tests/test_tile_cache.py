@@ -28,6 +28,8 @@ Pinned guarantees:
 
 import dataclasses
 import functools
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -422,6 +424,21 @@ class TestTileResultCache:
         assert sorted(entry.name for entry in tmp_path.iterdir()) == \
             ["entry.npz"]
 
+    def test_atomic_write_publishes_text_only_on_a_clean_exit(self, tmp_path):
+        from repro.engine.cache import atomic_write
+
+        path = tmp_path / "entry.json"
+        with atomic_write(str(path)) as stream:
+            stream.write("{}")
+            assert not path.exists()  # nothing published mid-write
+        assert path.read_text(encoding="utf-8") == "{}"
+        with pytest.raises(RuntimeError):
+            with atomic_write(str(tmp_path / "never.json")) as stream:
+                stream.write("half")
+                raise RuntimeError("stop")
+        assert sorted(entry.name for entry in tmp_path.iterdir()) == \
+            ["entry.json"]
+
     def test_concurrent_writers_of_one_key_leave_one_readable_file(
             self, tmp_path):
         """Two threads miss on the same tile at once (the barrier sits inside
@@ -538,6 +555,35 @@ class TestTileResultCache:
         resolved = resolve_tile_cache(None)
         assert resolved is not None
         assert resolved.cache_dir == "/tmp/somewhere"
+
+    def test_concurrent_first_callers_share_one_default_cache(self,
+                                                              monkeypatch):
+        """Campaigns whose first tile-cached calls race still see one
+        process-wide cache: a constructor that stalls must not let a second
+        caller build another one."""
+        class SlowCache(TileResultCache):
+            def __init__(self, *args, **kwargs):
+                time.sleep(0.01)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(tile_cache_module, "TileResultCache", SlowCache)
+        monkeypatch.setattr(tile_cache_module, "_default_cache", None)
+        monkeypatch.delenv("REPRO_TILE_CACHE_DIR", raising=False)
+        barrier = threading.Barrier(8)
+        caches = []
+
+        def first_call():
+            barrier.wait()
+            caches.append(tile_cache_module.default_tile_cache())
+
+        threads = [threading.Thread(target=first_call) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(caches) == 8
+        assert len({id(cache) for cache in caches}) == 1
+        assert caches[0] is tile_cache_module.default_tile_cache()
 
 
 class TestCachedImagingBitForBit:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.utils.imaging import area_downsample, binarize, fourier_resize, normalize01, to_batch
+from repro.utils.imaging import binarize, fourier_resize, normalize01
 
 RNG = np.random.default_rng(21)
 
@@ -59,29 +59,6 @@ class TestFourierResize:
         assert resized.mean() == pytest.approx(image.mean(), abs=1e-9)
 
 
-class TestAreaDownsample:
-    def test_block_average_values(self):
-        image = np.arange(16.0).reshape(4, 4)
-        out = area_downsample(image, 2)
-        np.testing.assert_allclose(out, [[2.5, 4.5], [10.5, 12.5]])
-
-    def test_factor_one_is_copy(self):
-        image = RNG.random((4, 4))
-        out = area_downsample(image, 1)
-        np.testing.assert_allclose(out, image)
-        assert out is not image
-
-    def test_invalid_factor_or_shape(self):
-        with pytest.raises(ValueError):
-            area_downsample(RNG.random((4, 4)), 0)
-        with pytest.raises(ValueError):
-            area_downsample(RNG.random((5, 5)), 2)
-
-    def test_preserves_mean(self):
-        image = RNG.random((8, 8))
-        assert area_downsample(image, 4).mean() == pytest.approx(image.mean())
-
-
 class TestSmallHelpers:
     def test_binarize(self):
         out = binarize(np.array([0.1, 0.6, 0.5]))
@@ -95,9 +72,3 @@ class TestSmallHelpers:
 
     def test_normalize01_constant_image(self):
         np.testing.assert_allclose(normalize01(np.full((4, 4), 2.0)), 0.0)
-
-    def test_to_batch(self):
-        batch = to_batch([np.zeros((4, 4)), np.ones((4, 4))])
-        assert batch.shape == (2, 4, 4)
-        with pytest.raises(ValueError):
-            to_batch([np.zeros(4), np.zeros(4)])

@@ -1,8 +1,9 @@
 #!/usr/bin/env python
-"""Documentation drift checks: CLI reference, env-var table, markdown links.
+"""Documentation drift checks: CLI reference, env-var table, markdown links,
+API names.
 
-The documentation suite promises three things that rot silently if nothing
-enforces them; this script enforces all three and exits non-zero on any
+The documentation suite promises four things that rot silently if nothing
+enforces them; this script enforces all four and exits non-zero on any
 violation (run by the CI ``docs`` job and by ``tests/test_docs.py``):
 
 1. **CLI reference completeness** (``docs/cli.md``): every subcommand of
@@ -17,6 +18,10 @@ violation (run by the CI ``docs`` job and by ``tests/test_docs.py``):
 3. **Markdown links**: every relative link in ``README.md`` and
    ``docs/*.md`` must resolve to an existing file (external http(s) links
    are not fetched — the check stays offline and deterministic).
+4. **API names**: every dotted ``repro.…`` name inside a backticked span of
+   ``README.md`` and ``docs/*.md`` must resolve — the longest importable
+   module prefix is imported and the rest looked up with ``getattr`` — so a
+   deleted or renamed function cannot stay documented.
 
 Usage::
 
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import glob
+import importlib
 import os
 import re
 import sys
@@ -35,6 +41,8 @@ from typing import Dict, List, Set
 FLAG_PATTERN = re.compile(r"--[a-z][a-z0-9-]*")
 LINK_PATTERN = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 ENV_PATTERN = re.compile(r"REPRO_[A-Z_]+")
+CODE_SPAN_PATTERN = re.compile(r"`([^`\n]+)`")
+API_NAME_PATTERN = re.compile(r"(?<![\w.])repro(?:\.[A-Za-z_]\w*)+")
 #: Help-text boilerplate that mentions flags of *other* commands (examples,
 #: cross-references) is fine; these never need documenting as flags.
 IGNORED_FLAGS = {"--help"}
@@ -113,11 +121,14 @@ def check_env_vars(root: str) -> List[str]:
             for name in sorted(used - documented)]
 
 
+def markdown_documents(root: str) -> List[str]:
+    return [os.path.join(root, "README.md")] + sorted(
+        glob.glob(os.path.join(root, "docs", "*.md")))
+
+
 def check_links(root: str) -> List[str]:
     errors: List[str] = []
-    documents = [os.path.join(root, "README.md")] + sorted(
-        glob.glob(os.path.join(root, "docs", "*.md")))
-    for document in documents:
+    for document in markdown_documents(root):
         if not os.path.exists(document):
             errors.append(f"missing {document}")
             continue
@@ -135,8 +146,44 @@ def check_links(root: str) -> List[str]:
     return errors
 
 
+def resolves(name: str) -> bool:
+    """Import the longest importable module prefix of the dotted ``name``,
+    then ``getattr`` the rest."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            value = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        try:
+            for attribute in parts[cut:]:
+                value = getattr(value, attribute)
+        except AttributeError:
+            return False
+        return True
+    return False
+
+
+def check_api_names(root: str) -> List[str]:
+    errors: List[str] = []
+    for document in markdown_documents(root):
+        if not os.path.exists(document):
+            continue  # already reported by check_links
+        with open(document, "r", encoding="utf-8") as handle:
+            text = handle.read()
+        names = {name for span in CODE_SPAN_PATTERN.findall(text)
+                 for name in API_NAME_PATTERN.findall(span)}
+        for name in sorted(names):
+            if not resolves(name):
+                errors.append(
+                    f"{os.path.relpath(document, root)}: `{name}` does not "
+                    f"resolve (deleted or renamed?)")
+    return errors
+
+
 def run_all(root: str) -> List[str]:
-    return check_cli_docs(root) + check_env_vars(root) + check_links(root)
+    return (check_cli_docs(root) + check_env_vars(root) + check_links(root)
+            + check_api_names(root))
 
 
 def main(argv=None) -> int:
@@ -147,7 +194,8 @@ def main(argv=None) -> int:
     for error in errors:
         print(f"FAIL: {error}", file=sys.stderr)
     if not errors:
-        print("docs checks passed: CLI reference, env vars, links")
+        print("docs checks passed: CLI reference, env vars, links, "
+              "API names")
     return 1 if errors else 0
 
 

@@ -39,10 +39,13 @@ def main() -> None:
     golden_bank = simulator.engine
     learned_bank = model.execution_engine()
 
-    print(f"golden kernel bank : {golden_bank.order} kernels of {golden_bank.kernel_shape}")
+    # The golden bank is packed: each row holds two real-field eigenkernels.
+    golden_socs = simulator.kernels
+    print(f"golden kernel bank : {golden_socs.eigenvalues.size} kernels of "
+          f"{golden_bank.kernel_shape}, two per transform: {golden_bank.order} rows")
     print(f"learned kernel bank: {learned_bank.order} kernels of {learned_bank.kernel_shape}")
 
-    golden_energy = golden_bank.kernel_energy()
+    golden_energy = golden_socs.eigenvalues
     learned_energy = np.sort(learned_bank.kernel_energy())[::-1]
     print("\nper-kernel energy (descending):")
     print("  golden :", " ".join(f"{value:.3f}" for value in golden_energy[:8]))
@@ -63,8 +66,9 @@ def main() -> None:
         value = psnr(golden_aerial, truncated.aerial(unseen))
         print(f"  learned kernels kept = {truncated.order:2d}  ->  {value:6.2f} dB")
 
+    # K_1 is the real-field half of the first packed row K_1 + i K_2.
     print("\ndominant golden kernel (|K_1| in the frequency window):")
-    print(ascii_image(np.abs(simulator.kernels.kernels[0]), width=31))
+    print(ascii_image(np.abs(golden_socs.real_field_kernels()[0]), width=31))
     print("\ndominant learned kernel (largest-energy predicted kernel):")
     strongest = int(np.argmax(learned_bank.kernel_energy()))
     print(ascii_image(np.abs(model.export_kernels()[strongest]), width=31))

@@ -10,7 +10,7 @@ throughput benchmarks — runs through this package:
   backend's worker budget on shares of its tiles),
 * :mod:`repro.engine.cache` — the process-wide kernel-bank cache keyed by an
   optics fingerprint (one float64 bank per optics and order, built at most
-  once per process from a thin SVD of the lit shifted-pupil stack, ~20 ms
+  once per process from a thin SVD of the lit shifted-pupil stack, ~30 ms
   cold; no TCC is formed) and the ``.npz`` disk tier it
   shares with the tile cache,
 * :mod:`repro.engine.tiling` — guard-banded splitting / stitching of

@@ -107,11 +107,12 @@ from ..optics.grid import embed_centre_unshifted
 #: Bytes a host block's largest intermediate may take — the
 #: ``(block, r, gh, gw)`` coherent-field stack or the ``(block, H, W)``
 #: upsampling spectrum, whichever is larger: what the cores keep near their
-#: caches, so the threads of one call divide it.  Measured on the
-#: 24 x 29 x 29 production bank (1.3 MiB of fields per tile): 4 tiles per
-#: block image a 36-tile batch fastest on one thread, 1 and 36 both lose; on
-#: two threads 6 MiB *each* is no faster than 3 and reads 168 MiB peak RSS
-#: against 156.
+#: caches, so the threads of one call divide it.  The packed production bank
+#: is 12 x 29 x 29 (0.66 MiB of fields per tile), so on 256 px tiles the
+#: 1 MiB upsampling spectrum sets the block: 6 tiles on one thread, 3 per
+#: share on two.  Measured on 2 CPUs with a 36-tile batch: one thread is as
+#: fast at 3 MiB and 12 % slower at 12; on two threads 3 MiB in all
+#: (1 tile per share) is no faster, often 20 % slower, and 12 MiB no faster.
 BLOCK_BYTES = 6 * 2 ** 20
 
 #: The same bound for a block on a device-resident backend, where a block is
@@ -124,8 +125,10 @@ RESIDENT_BLOCK_BYTES = 2 ** 28
 #: (``ExecutionEngine.kernel_fingerprint``) and the campaign-store identity
 #: (``EngineSpec.fingerprint``).  Change it whenever results move, even at
 #: rounding level: old tiles must never be stitched into a new image, nor an
-#: old store resumed half-new.  (``band=True``: the ``2n x 2m`` grid, PRs 2-18.)
-FORWARD_REVISION = "band=fast-grid"
+#: old store resumed half-new.  (``band=True``: the ``2n x 2m`` grid;
+#: ``band=fast-grid``: the band-limit grid, one complex eigenkernel per
+#: transform of a golden bank.)
+FORWARD_REVISION = "band=fast-grid|bank=packed-real-field"
 
 
 _helpers_lock = threading.Lock()

@@ -1,7 +1,7 @@
 """Process-wide kernel-bank cache keyed by an optics fingerprint.
 
 Building a SOCS kernel bank is a thin SVD of the lit shifted-pupil stack
-(:func:`~repro.optics.socs.socs_kernels`, ~20 ms cold on 256 px / 4 nm
+(:func:`~repro.optics.socs.socs_kernels`, ~30 ms cold on 256 px / 4 nm
 optics; the ``(n m) x (n m)`` TCC is never formed).  This module builds each
 bank **once per optics fingerprint per process** and shares the result
 between the golden simulator, every
@@ -17,7 +17,9 @@ The fingerprint hashes everything that determines the kernel bank:
 * the pupil model (defocus, Zernike coefficients, apodization).
 
 The cache keeps one thing per ``(fingerprint, max_socs_order)``: the float64
-SOCS kernel bank, and precision is the engine's business — an
+SOCS kernel bank (packed, see :class:`~repro.optics.socs.SOCSKernels`; the
+key also names :data:`~repro.optics.socs.BANK_BUILD`), and precision is the
+engine's business — an
 :class:`~repro.engine.execution.ExecutionEngine` casts the bank it receives,
 so a float32 engine costs one cast of the same master and dtypes never mix.
 Setting a ``cache_dir`` (or the ``REPRO_KERNEL_CACHE_DIR`` environment
@@ -47,7 +49,7 @@ import numpy as np
 
 from ..optics.kernel_dims import kernel_dimensions
 from ..optics.pupil import Pupil
-from ..optics.socs import SOCSKernels, socs_kernels
+from ..optics.socs import BANK_BUILD, SOCSKernels, socs_kernels
 from ..optics.source import Source
 
 _LOG = logging.getLogger(__name__)
@@ -213,17 +215,18 @@ class KernelBankCache:
     def get_kernels(self, config, source: Source, pupil: Pupil) -> SOCSKernels:
         """The float64 SOCS bank for these optics, built at most once.
 
-        Truncated at ``config.max_socs_order`` and built by
-        :func:`~repro.optics.socs.socs_kernels` (no TCC is formed): the bank
-        is the one thing kept, in memory and under a ``cache_dir`` on disk.
+        Built by :func:`~repro.optics.socs.socs_kernels` (no TCC is formed):
+        a packed real-field bank whose truncation error is bounded by
+        ``config.max_socs_order``'s eigen bank.  It is the one thing kept,
+        in memory and under a ``cache_dir`` on disk.
         An engine of another precision casts it
         (:class:`~repro.engine.execution.ExecutionEngine`).
         """
         order = getattr(config, "max_socs_order", None)
-        # The literal precision keeps the key — and so every kernels-*.npz
-        # name — what it was when banks were also kept per precision.
+        # The build names the key — and so every kernels-*.npz file: a bank
+        # built another way is a miss, never served as this one.
         key = (f"{optics_fingerprint(config, source, pupil)}"
-               f"|order={order}|prec=float64")
+               f"|order={order}|bank={BANK_BUILD}")
         with self._lock:
             bank = self._banks.get(key)
             if bank is not None:

@@ -12,7 +12,7 @@ learned Nitho kernels, anything of shape ``(r, n, m)`` — and provides:
   "exactly one tile" restriction,
 * construction from an optics description (:meth:`for_optics`) through the
   process-wide kernel-bank cache in :mod:`repro.engine.cache`, so the thin
-  SVD of the lit shifted-pupil stack (~20 ms cold) for a given optics
+  SVD of the lit shifted-pupil stack (~30 ms cold) for a given optics
   fingerprint runs at most once per process no matter how many simulators,
   experiments or benchmarks ask, and
 * the compute policy of :mod:`repro.backend`, carried by one
@@ -216,8 +216,10 @@ class ExecutionEngine:
         return self.kernels.shape[1], self.kernels.shape[2]
 
     def truncate(self, order: int) -> "ExecutionEngine":
-        """New engine keeping only the ``order`` most energetic kernels
-        (``ValueError`` unless ``0 < order <= self.order``)."""
+        """New engine keeping the bank's first ``order`` rows (transforms):
+        a learned bank's strongest kernels.  A packed golden bank's rows are
+        kernel pairs; cut it with ``max_socs_order`` instead (``ValueError``
+        unless ``0 < order <= self.order``)."""
         if order <= 0:
             raise ValueError("order must be positive")
         if order > self.order:
@@ -236,7 +238,8 @@ class ExecutionEngine:
                               if self.tile_cache is None else None))
 
     def kernel_energy(self) -> np.ndarray:
-        """Per-kernel energy ``sum |K_i|^2`` — proportional to the SOCS eigenvalues."""
+        """Per-row energy ``sum |K_i|^2``: a SOCS eigenvalue per eigenkernel,
+        the sum of the two eigenvalues a packed golden row holds."""
         return np.sum(np.abs(self.kernels) ** 2, axis=(1, 2))
 
     def kernel_fingerprint(self) -> str:

@@ -10,7 +10,7 @@ executor keeps no second copy of any of them.  With a ``cache_dir`` on the
 spec (a sweep stamps the executor's, which defaults to
 ``REPRO_KERNEL_CACHE_DIR``) the kernel banks persist as ``.npz``, so a
 later run — a resumed campaign, a restarted service — loads them instead of
-re-running the thin SVD of the lit shifted-pupil stack (~20 ms cold).
+re-running the thin SVD of the lit shifted-pupil stack (~30 ms cold).
 
 Tiles run in parallel in one place only, the batched core
 (:mod:`repro.engine.batched`), which spends the spec's worker budget
@@ -109,10 +109,9 @@ class EngineSpec:
         base = optics_fingerprint(self.config, *self.resolved_optics())
         compute = self.compute
         # A store written under another FORWARD_REVISION is refused, not resumed.
-        # ("chunk=268435456": a deleted knob's value, kept so no identity moves.)
         return (
             f"{base}|order={getattr(self.config, 'max_socs_order', None)}"
-            f"|{FORWARD_REVISION}|chunk=268435456"
+            f"|{FORWARD_REVISION}"
             f"|backend={compute.fft_backend}|workers={compute.fft_workers}"
             f"|prec={compute.precision}")
 
@@ -197,7 +196,7 @@ class ShardedExecutor:
         With a ``cache_dir`` on the spec the build goes through a throwaway
         disk-backed cache: it writes the kernel bank as ``.npz`` (so the
         next run's first lookup is a disk load rather than a fresh thin SVD
-        of the lit shifted-pupil stack, ~20 ms cold), and the bank then
+        of the lit shifted-pupil stack, ~30 ms cold), and the bank then
         lives only in the memoised engine.
         """
         return self._engines.get_or_build(

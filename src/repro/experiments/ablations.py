@@ -10,6 +10,7 @@ These go beyond the paper's own ablation section:
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, Sequence
 
 from ..analysis.reporting import render_series
@@ -21,27 +22,33 @@ from .context import get_context
 def run_socs_order_ablation(preset: str = "tiny", seed: int = 0,
                             orders: Sequence[int] = (1, 2, 4, 8, 16, 24),
                             tiles: int = 3) -> Dict[str, object]:
-    """Aerial-image PSNR of truncated golden SOCS kernels vs. the full decomposition."""
+    """Aerial-image PSNR of golden SOCS banks truncated at each
+    ``max_socs_order`` vs. the preset's own bank.
+
+    Each order is its own bank: a packed bank's rows are kernel pairs, so
+    slicing one (``ExecutionEngine.truncate``) would not cut at ``order``.
+    """
     context = get_context(preset, seed)
     dataset = context.dataset("B1")
     masks = dataset.test_masks[:max(1, tiles)]
 
-    simulator = LithographySimulator(context.config.optics_config())
-    full_bank = simulator.engine
+    config = context.config.optics_config()
+    full_bank = LithographySimulator(config).engine
     reference = full_bank.aerial_batch(masks)
 
-    usable_orders = [order for order in orders if order <= full_bank.order]
+    orders = list(orders)
     series = []
-    for order in usable_orders:
-        truncated = full_bank.truncate(order)
+    for order in orders:
+        truncated = LithographySimulator(
+            dataclasses.replace(config, max_socs_order=order)).engine
         prediction = truncated.aerial_batch(masks)
         series.append(aerial_metrics(reference, prediction)["psnr"])
 
     return {
-        "orders": usable_orders,
+        "orders": orders,
         "psnr_vs_full": series,
-        "full_order": full_bank.order,
-        "table": render_series({"order": usable_orders, "psnr": series}, x_label="point"),
+        "full_order": config.max_socs_order,
+        "table": render_series({"order": orders, "psnr": series}, x_label="point"),
     }
 
 

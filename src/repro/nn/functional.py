@@ -348,9 +348,13 @@ def imag(a) -> Tensor:
 
 
 def abs2(a) -> Tensor:
-    """Squared magnitude ``|z|^2``; real-valued output."""
+    """Squared magnitude ``|z|^2``; real-valued output.
+
+    Computed as the batched core's ``abs2_sum`` computes it, so an op chain
+    through here rounds like :func:`socs_intensity` also on truly complex
+    fields (a packed kernel pair's)."""
     a = as_tensor(a)
-    out_data = (a.data * np.conj(a.data)).real
+    out_data = np.abs(a.data) ** 2
 
     def backward(grad: np.ndarray) -> None:
         if a.requires_grad:

@@ -8,7 +8,7 @@ learned models are trained against.
 Kernel banks are served by the process-wide cache in
 :mod:`repro.engine.cache`, so any number of simulators sharing an optics
 fingerprint pay exactly once for the bank's build, a thin SVD of the lit
-shifted-pupil stack (~20 ms cold, :func:`~repro.optics.socs.socs_kernels`);
+shifted-pupil stack (~30 ms cold, :func:`~repro.optics.socs.socs_kernels`);
 the TCC itself is never formed (build one with
 :func:`~repro.optics.tcc.compute_tcc`).
 Every SOCS image — one tile, a batch, a whole layout

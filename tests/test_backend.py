@@ -413,7 +413,8 @@ class TestFloat32Accuracy:
         engine = ExecutionEngine.for_optics(
             FINE, source=SOURCE, cache=cache,
             compute=ComputeConfig(fft_backend="numpy", precision="float32"))
-        truncated = engine.truncate(4)
+        truncated = engine.truncate(2)
+        assert truncated.order == 2
         assert truncated.precision is FLOAT32
         assert truncated.backend.name == "numpy"
         assert truncated.kernels.dtype == np.complex64

@@ -193,6 +193,15 @@ class TestAblationDrivers:
         psnr = result["psnr_vs_full"]
         assert psnr[-1] >= psnr[0]
 
+    def test_socs_order_ablation_images_every_order(self):
+        """A packed bank holds fewer rows than its ``max_socs_order`` (12
+        for 24 at focus): every order is its own bank, none is dropped."""
+        result = run_socs_order_ablation(PRESET, SEED, tiles=1)
+        assert result["orders"] == [1, 2, 4, 8, 16, 24]
+        assert len(result["psnr_vs_full"]) == 6
+        assert result["full_order"] == 24
+        assert result["psnr_vs_full"][-2] > result["psnr_vs_full"][0]
+
     def test_real_vs_complex(self):
         result = run_real_vs_complex_ablation(PRESET, SEED, max_eval_tiles=1)
         assert set(result["results"]) == {"complex CMLP", "real MLP"}

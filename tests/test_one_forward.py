@@ -36,6 +36,7 @@ from repro.experiments.evaluation import evaluate_on_dataset
 from repro.masks.datasets import LithoDataset
 from repro.metrics import aerial_metrics, resist_metrics
 from repro.optics import LithographySimulator, OpticsConfig
+from repro.optics.pupil import Pupil
 from repro.optics.source import CircularSource
 from repro.sweep import (
     CampaignIdentityError,
@@ -183,27 +184,30 @@ def test_three_front_doors_one_road(monkeypatch, env_precision):
 
 
 class TestPersistedIdentities:
-    """Values recorded at PR 19, the commit that moved the forward onto the
-    ``band_limit_grid`` (``FORWARD_REVISION = "band=fast-grid"``; they read
-    ``band=True`` / ``906a0687…`` / ``72b97add…`` from PR 17 until then).  The
-    optics-fingerprint prefixes — the ``kernels-*.npz`` names — are PR 17's:
-    kernel banks do not depend on the forward."""
+    """Values recorded when the golden bank became packed real-field kernel
+    pairs (``FORWARD_REVISION = "band=fast-grid|bank=packed-real-field"``;
+    they read ``band=fast-grid`` with a ``|chunk=268435456`` fossil and
+    ``2e209aef…`` / ``efffdd30…`` since the forward moved onto the
+    ``band_limit_grid``, ``band=True`` before).  The optics-fingerprint
+    prefixes are older and do not move with the forward; the bank-cache key
+    — the ``kernels-*.npz`` names — names how the bank was built."""
 
     CONFIG = OpticsConfig(tile_size_px=32, pixel_size_nm=8.0, max_socs_order=8)
     SOURCE = CircularSource(sigma=0.6)
     COMPUTE = ComputeConfig(fft_backend="numpy", precision="float64")
     SPEC_FINGERPRINT = (
         "b2be813f119f3be7ff23adc3957f7114372de2f4|order=8|band=fast-grid"
-        "|chunk=268435456|backend=numpy|workers=None|prec=float64")
+        "|bank=packed-real-field|backend=numpy|workers=None|prec=float64")
     REFOCUSED_FINGERPRINT = (
         "b98f51a438ffb53eb808e9f546aab3a3611b80b9|order=8|band=fast-grid"
-        "|chunk=268435456|backend=numpy|workers=None|prec=float64")
+        "|bank=packed-real-field|backend=numpy|workers=None|prec=float64")
     WORKERS_FLOAT32_FINGERPRINT = (
         "b2be813f119f3be7ff23adc3957f7114372de2f4|order=8|band=fast-grid"
-        "|chunk=268435456|backend=numpy|workers=2|prec=float32")
+        "|bank=packed-real-field|backend=numpy|workers=2|prec=float32")
     BANK = np.arange(3 * 5 * 5, dtype=float).reshape(3, 5, 5) * (1 + 0.5j)
-    BANK_FINGERPRINTS = {"float64": "2e209aefc995244a999a85046848c706b5b2dd93",
-                         "float32": "efffdd30ba6659f15b37b43e733c770bb9e99e19"}
+    BANK_FINGERPRINTS = {"float64": "79bb80f80567ef83e5c2a4fc573cd58646ef148c",
+                         "float32": "f0e73f81609bc8defdecd5528dfdf5625002c881"}
+    BANK_FILE = "kernels-0671f6afbd9850daae41ad285b9863a8c3422323.npz"
 
     def test_engine_spec_fingerprint_is_unchanged(self):
         spec = EngineSpec(config=self.CONFIG, source=self.SOURCE,
@@ -221,6 +225,11 @@ class TestPersistedIdentities:
         engine = ExecutionEngine(self.BANK,
                                  compute=ComputeConfig(precision=precision))
         assert engine.kernel_fingerprint() == self.BANK_FINGERPRINTS[precision]
+
+    def test_kernel_bank_file_name_is_unchanged(self, tmp_path):
+        KernelBankCache(cache_dir=str(tmp_path)).get_kernels(
+            self.CONFIG, self.SOURCE, Pupil())
+        assert [path.name for path in tmp_path.iterdir()] == [self.BANK_FILE]
 
     def _store_recorded_under(self, fingerprint, root):
         """Store one of two conditions under ``fingerprint`` (as the checkout
@@ -249,7 +258,8 @@ class TestPersistedIdentities:
 
     def test_store_of_an_older_forward_is_refused_untouched(self, tmp_path):
         """Rounding-level old and new conditions never share one store."""
-        older = self.SPEC_FINGERPRINT.replace(FORWARD_REVISION, "band=True")
+        older = self.SPEC_FINGERPRINT.replace(
+            FORWARD_REVISION, "band=fast-grid|chunk=268435456")
         assert older != self.SPEC_FINGERPRINT
         root = tmp_path / "campaign"
         run = self._store_recorded_under(older, root)

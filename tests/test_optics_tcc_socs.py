@@ -2,18 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.backend import ComputeConfig
-from repro.engine import ExecutionEngine
+from repro.backend import ComputeConfig, autotune_precision
+from repro.engine import ExecutionEngine, batched
 from repro.optics.kernel_dims import kernel_dimensions
 from repro.optics.pupil import Pupil
 from repro.optics.simulator import OpticsConfig
 from repro.optics.socs import (
-    decompose_tcc, socs_kernels, truncation_error_bound)
+    UnpairedWindowError, _mirror_indices, decompose_tcc, socs_kernels,
+    truncation_error_bound)
 from repro.optics.source import (
     AnnularSource, CircularSource, DipoleSource, PixelatedSource,
     QuadrupoleSource)
-from repro.optics.tcc import compute_tcc, shifted_pupil_stack
+from repro.optics.tcc import TCCResult, compute_tcc, shifted_pupil_stack
 
 WAVELENGTH = 193.0
 NA = 1.35
@@ -136,11 +139,21 @@ class TestTruncationBound:
         assert 0.0 <= bound <= 1.0
 
 
-# The production build, ``socs_kernels`` (a thin SVD of the lit shifted-pupil
-# stack), against the reference it replaced, ``decompose_tcc(compute_tcc())``
-# (a dense eigendecomposition of the formed TCC).
+# The production build, ``socs_kernels`` (a packed bank of real-field kernels
+# from one thin real SVD of the parity-split lit shifted-pupil stack), against
+# the reference, ``decompose_tcc`` (a dense eigendecomposition of the formed
+# TCC): of ``T~ = (T + P conj(T) P) / 2`` for the bank itself, of ``T`` for
+# the truncation budget and for the images at focus.
 BENCH_OPTICS = OpticsConfig(tile_size_px=256, pixel_size_nm=4.0, max_socs_order=24)
 SMALL_OPTICS = OpticsConfig(tile_size_px=32, pixel_size_nm=8.0, max_socs_order=24)
+# 27-sample window on 48 px: the intensity band (53 wide) does not fit, so
+# the direct full-size body images it.
+COARSE_OPTICS = OpticsConfig(tile_size_px=48, pixel_size_nm=20.0, max_socs_order=24)
+# Eq. (10) asks for 45 samples, the 16 px tile has 16: an even window that is
+# the tile's whole lattice.
+CLAMPED_OPTICS = OpticsConfig(tile_size_px=16, pixel_size_nm=100.0, max_socs_order=None)
+SYMMETRIC_SOURCES = ["circular", "annular", "dipole", "quadrupole"]
+NUMPY = ComputeConfig(fft_backend="numpy")
 
 
 def _kernel_shape(config):
@@ -166,12 +179,19 @@ def _source(name, config):
             "quadrupole": QuadrupoleSource()}[name]
 
 
-def _truncated_tcc(bank):
-    flat = bank.kernels.reshape(bank.order, -1)
+def _gram(kernels):
+    flat = kernels.reshape(kernels.shape[0], -1)
     return flat.T @ flat.conj()  # sum_i K_i K_i^H
 
 
-def _both_banks(config, source_name, defocus_nm):
+def _mirrored_tcc(tcc):
+    """``T~ = (T + P conj(T) P) / 2``: all of the TCC a real mask sees."""
+    mirror = _mirror_indices(tcc.kernel_shape)
+    matrix = (tcc.matrix + tcc.matrix[np.ix_(mirror, mirror)].conj()) / 2
+    return TCCResult(matrix=matrix, kernel_shape=tcc.kernel_shape, grid=tcc.grid)
+
+
+def _banks(config, source_name, defocus_nm):
     arguments = _optics_arguments(config, _source(source_name, config),
                                   Pupil(defocus_nm=defocus_nm))
     tcc = compute_tcc(*arguments)
@@ -179,55 +199,198 @@ def _both_banks(config, source_name, defocus_nm):
             decompose_tcc(tcc, max_order=config.max_socs_order), tcc)
 
 
+def _aerials(kernel_banks, masks):
+    return [ExecutionEngine(kernels, compute=NUMPY).aerial_batch(masks)
+            for kernels in kernel_banks]
+
+
+MATRIX = pytest.mark.parametrize("config", [BENCH_OPTICS, SMALL_OPTICS],
+                                 ids=["256px-4nm", "32px-8nm"])
+
+
 @pytest.mark.parametrize("defocus_nm", [0.0, 80.0], ids=["focus", "defocus80"])
-@pytest.mark.parametrize("source_name", ["circular", "annular", "dipole",
-                                         "quadrupole", "pixelated"])
-@pytest.mark.parametrize("config", [BENCH_OPTICS, SMALL_OPTICS],
-                         ids=["256px-4nm", "32px-8nm"])
-def test_thin_svd_bank_equals_the_tcc_eigendecomposition(
+@pytest.mark.parametrize("source_name", SYMMETRIC_SOURCES + ["pixelated"])
+@MATRIX
+def test_unpacked_bank_is_the_mirrored_tcc_eigendecomposition(
         config, source_name, defocus_nm):
-    svd, eigh, tcc = _both_banks(config, source_name, defocus_nm)
-    spectrum = np.clip(np.sort(np.linalg.eigvalsh(tcc.matrix))[::-1], 0.0, None)
-    scale = spectrum[0]
+    packed, eigen, tcc = _banks(config, source_name, defocus_nm)
+    mirrored = _mirrored_tcc(tcc)
+    kernels = packed.real_field_kernels()
+    count = kernels.shape[0]
+    oracle = decompose_tcc(mirrored, max_order=count)
+    scale = oracle.eigenvalues[0]
 
-    assert svd.order == eigh.order
-    cut = svd.order
-    following = spectrum[cut] if cut < spectrum.size else 0.0
-    # A cut inside a (near-)degenerate pair keeps an arbitrary basis of it on
-    # each side; refuse to compare those rather than pass by luck.
-    assert (spectrum[cut - 1] - following) / spectrum[cut - 1] > 1e-6
-
-    assert svd.kernel_shape == eigh.kernel_shape
-    assert svd.kernels.shape == eigh.kernels.shape
+    assert packed.order == (count + 1) // 2
+    assert packed.kernels.shape == (packed.order, *eigen.kernel_shape)
     # Layout decides numpy's reduction order downstream (training, ILT).
-    assert svd.kernels.flags.c_contiguous and eigh.kernels.flags.c_contiguous
-    np.testing.assert_allclose(svd.eigenvalues, eigh.eigenvalues,
+    assert packed.kernels.flags.c_contiguous
+    assert oracle.order == count
+    np.testing.assert_allclose(packed.eigenvalues, oracle.eigenvalues,
                                rtol=0, atol=1e-12 * scale)
-    assert np.all(np.diff(svd.eigenvalues) <= 0)
-    np.testing.assert_allclose(_truncated_tcc(svd), _truncated_tcc(eigh),
+    assert np.all(np.diff(packed.eigenvalues) <= 0)
+    # Every kernel is real-field and an eigenkernel of T~: T~ k = lambda k.
+    flat = kernels.reshape(count, -1)
+    mirror = _mirror_indices(packed.kernel_shape)
+    np.testing.assert_allclose(flat[:, mirror].conj(), flat, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(flat @ mirrored.matrix.T,
+                               packed.eigenvalues[:, None] * flat,
+                               rtol=0, atol=1e-12 * scale)
+    spectrum = np.clip(np.sort(np.linalg.eigvalsh(mirrored.matrix))[::-1],
+                       0.0, None)
+    following = spectrum[count] if count < spectrum.size else 0.0
+    # The cut is never inside a (near-)degenerate eigenspace, so the kept
+    # kernels span exactly the oracle's eigenspaces.
+    assert (spectrum[count - 1] - following) / spectrum[count - 1] > 1e-6
+    np.testing.assert_allclose(_gram(kernels), _gram(oracle.kernels),
                                rtol=0, atol=1e-12 * scale)
     trace = float(np.trace(tcc.matrix).real)
-    assert svd.total_energy == pytest.approx(trace, rel=1e-12)
-    assert svd.total_energy == pytest.approx(eigh.total_energy, rel=1e-12)
+    assert packed.total_energy == pytest.approx(trace, rel=1e-12)
+    assert packed.total_energy == pytest.approx(eigen.total_energy, rel=1e-12)
 
 
-def test_thin_svd_bank_images_like_the_tcc_eigendecomposition():
-    svd, eigh, _ = _both_banks(BENCH_OPTICS, "annular", 0.0)
+@pytest.mark.parametrize("defocus_nm", [0.0, 80.0], ids=["focus", "defocus80"])
+@pytest.mark.parametrize("source_name", SYMMETRIC_SOURCES + ["pixelated"])
+@MATRIX
+def test_max_socs_order_bounds_the_truncation_error(config, source_name,
+                                                    defocus_nm):
+    """The packed bank keeps the fewest real kernels discarding no more of
+    the trace than the ``max_socs_order``-kernel eigen bank of ``T`` — Pati
+    & Kailath's bound — in at most as many transforms."""
+    packed, eigen, tcc = _banks(config, source_name, defocus_nm)
+    budget = eigen.eigenvalues.sum()
+    retained = np.cumsum(packed.eigenvalues)
+    discarded = 1.0 - retained[-1] / packed.total_energy
+    # The fewest that reach the budget, then the rest of the last one's
+    # degenerate eigenspace.
+    fewest = int(np.argmax(retained >= budget * (1 - 1e-12))) + 1
+
+    assert retained[-1] >= budget * (1 - 1e-12)
+    np.testing.assert_allclose(packed.eigenvalues[fewest - 1:],
+                               packed.eigenvalues[fewest - 1], rtol=1e-6)
+    assert discarded <= truncation_error_bound(tcc, eigen.order) + 1e-12
+    assert packed.order <= eigen.order
+    # --precision auto reads the weakest row: a packed pair carries about
+    # twice a real kernel's share, and it still decides alike.
+    assert autotune_precision(packed.kernels) is autotune_precision(eigen.kernels)
+
+
+@pytest.mark.parametrize("source_name", SYMMETRIC_SOURCES)
+def test_at_focus_a_symmetric_source_images_like_the_eigen_bank(source_name):
+    """At focus under a symmetric source ``T~ = T``: the packed bank holds the
+    eigen bank's kernels, two to a transform, and images alike."""
+    packed, eigen, _ = _banks(BENCH_OPTICS, source_name, 0.0)
     mask = np.zeros((256, 256))
     mask[40:216, 100:124] = 1.0
     mask[120:140, 20:236] = 1.0
-    compute = ComputeConfig(fft_backend="numpy")
-    ours = ExecutionEngine(svd.kernels, compute=compute).aerial(mask)
-    theirs = ExecutionEngine(eigh.kernels, compute=compute).aerial(mask)
+    assert packed.eigenvalues.size == eigen.order
+    assert packed.order == (eigen.order + 1) // 2
+    ours, theirs = _aerials([packed.kernels, eigen.kernels], mask[None])
     assert ours.max() > 0.1
     np.testing.assert_allclose(ours, theirs, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("defocus_nm", [20.0, 40.0, 80.0])
+def test_defocus_keeps_the_source_symmetry(defocus_nm):
+    """Annular source and a round pupil are symmetric under ``x <-> y``, and
+    so is the bank's image when no degenerate eigenspace is cut in two."""
+    packed, _, _ = _banks(BENCH_OPTICS, "annular", defocus_nm)
+    mask = np.zeros((256, 256))
+    mask[40:216, 100:124] = 1.0
+    mask[120:140, 20:236] = 1.0
+    mask[60:70, 30:90] = 1.0
+    engine = ExecutionEngine(packed.kernels, compute=NUMPY)
+    aerial = engine.aerial(mask)
+    assert aerial.max() > 0.1
+    np.testing.assert_allclose(engine.aerial(mask.T), aerial.T, rtol=0,
+                               atol=1e-12)
+
+
+def test_only_a_packed_bank_unpacks():
+    arguments = _optics_arguments(SMALL_OPTICS, AnnularSource(0.5, 0.8),
+                                  Pupil())
+    eigen = decompose_tcc(compute_tcc(*arguments), max_order=3)
+    with pytest.raises(ValueError, match="not a packed bank"):
+        eigen.real_field_kernels()
+
+
+def _random_masks(config, seed, density):
+    rng = np.random.default_rng(seed)
+    tile = config.tile_size_px
+    return (rng.random((2, tile, tile)) < density).astype(float)
+
+
+@pytest.mark.parametrize("config, band_limited", [
+    (SMALL_OPTICS, True), (COARSE_OPTICS, False)],
+    ids=["band-limited-body", "direct-body"])
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2 ** 32 - 1), density=st.floats(0.05, 0.95),
+       defocus_nm=st.sampled_from([0.0, 40.0]))
+def test_a_packed_pair_images_like_its_two_kernels(config, band_limited,
+                                                   seed, density, defocus_nm):
+    packed = socs_kernels(*_optics_arguments(
+        config, AnnularSource(0.5, 0.8), Pupil(defocus_nm=defocus_nm)),
+        max_order=config.max_socs_order)
+    n, m = packed.kernel_shape
+    tile = config.tile_size_px
+    assert (batched.intensity_grid(n, m, tile, tile)
+            == batched.band_limit_grid(n, m)) == band_limited
+    masks = _random_masks(config, seed, density)
+    ours, theirs = _aerials([packed.kernels, packed.real_field_kernels()], masks)
+    np.testing.assert_allclose(ours, theirs, rtol=0, atol=1e-12)
+
+
+def test_an_odd_kernel_count_leaves_the_last_one_unpaired():
+    packed = socs_kernels(*_optics_arguments(
+        SMALL_OPTICS, AnnularSource(0.5, 0.8), Pupil()), max_order=5)
+    assert packed.eigenvalues.size == 5
+    assert packed.order == 3
+    last = packed.kernels[-1].ravel()
+    np.testing.assert_allclose(
+        last[_mirror_indices(packed.kernel_shape)].conj(), last,
+        rtol=0, atol=1e-15)
+    assert np.sum(np.abs(last) ** 2) == pytest.approx(packed.eigenvalues[-1],
+                                                      rel=1e-12)
+    masks = _random_masks(SMALL_OPTICS, 3, 0.4)
+    ours, theirs = _aerials([packed.kernels, packed.real_field_kernels()], masks)
+    np.testing.assert_allclose(ours, theirs, rtol=0, atol=1e-12)
+
+
+class TestEvenWindow:
+    def test_the_clamped_window_images_exactly(self):
+        """16 px at 100 nm: the window is the tile's whole lattice, where
+        ``+8`` aliases onto ``-8``; at full rank the packed bank images as
+        the complex eigen bank of ``T`` does."""
+        assert _kernel_shape(CLAMPED_OPTICS) == (16, 16)
+        packed, eigen, tcc = _banks(CLAMPED_OPTICS, "annular", 40.0)
+        assert packed.eigenvalues.sum() == pytest.approx(
+            packed.total_energy, rel=1e-9)
+        masks = _random_masks(CLAMPED_OPTICS, 5, 0.5)
+        ours, unpacked, theirs = _aerials(
+            [packed.kernels, packed.real_field_kernels(), eigen.kernels], masks)
+        scale = theirs.max()
+        np.testing.assert_allclose(ours, unpacked, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(ours, theirs, rtol=0, atol=1e-12 * scale)
+        spectrum = np.linalg.eigvalsh(_mirrored_tcc(tcc).matrix)
+        assert spectrum[spectrum > 1e-9 * spectrum.max()].sum() == \
+            pytest.approx(packed.eigenvalues.sum(), rel=1e-12)
+
+    def test_an_even_window_eq10_does_not_clamp_is_refused(self):
+        """On a 32 px / 8 nm tile Eq. (10) gives 7 samples: a 16-wide window
+        has an edge frequency without a mirror, so no real-field bank."""
+        arguments = _optics_arguments(SMALL_OPTICS, AnnularSource(0.5, 0.8),
+                                      Pupil())
+        with pytest.raises(UnpairedWindowError, match="even size"):
+            socs_kernels(arguments[0], arguments[1], (16, 15), *arguments[3:])
+        assert issubclass(UnpairedWindowError, ValueError)
+
+
 class TestThinSVDEdges:
-    def test_one_lit_sample_is_one_kernel_the_shifted_pupil(self):
+    def test_one_lit_sample_is_one_transform_imaging_the_shifted_pupil(self):
         """One lit sample ``s``: ``T = J(s) a a^H`` with ``a`` the pupil
-        shifted to ``s``, so the one kernel is ``sqrt(J(s)) a`` (an SVD fixes
-        a kernel only up to a unit phase, which no aerial image sees)."""
+        shifted to ``s``.  A real mask sees ``T~ = (a a^H + b b^H) / 2``
+        with ``b = P conj(a)``, two real-field kernels, one transform — and
+        that transform images exactly as ``a`` does."""
         shape = _kernel_shape(SMALL_OPTICS)
         pixels = np.zeros(shape)
         pixels[2, 4] = 0.3
@@ -238,28 +401,36 @@ class TestThinSVDEdges:
         sample = np.ravel_multi_index((2, 4), shape)
         assert weights[sample] == 1.0  # normalised to unit power
         expected = (np.sqrt(weights[sample]) * shifted[:, sample]).reshape(shape)
+        energy = np.sum(np.abs(expected) ** 2)
 
         assert bank.order == 1
         assert bank.kernels.shape == (1, *shape)
-        phase = np.vdot(expected, bank.kernels[0])
-        phase /= abs(phase)
-        np.testing.assert_allclose(bank.kernels[0], phase * expected,
-                                   rtol=0, atol=1e-14)
-        assert bank.eigenvalues[0] == pytest.approx(
-            np.sum(np.abs(expected) ** 2), rel=1e-14)
-        assert bank.total_energy == pytest.approx(bank.eigenvalues[0], rel=1e-14)
+        assert bank.eigenvalues.size == 2
+        assert bank.eigenvalues.sum() == pytest.approx(energy, rel=1e-14)
+        assert bank.total_energy == pytest.approx(energy, rel=1e-14)
+        mirror = expected.ravel()[_mirror_indices(shape)].conj().reshape(shape)
+        np.testing.assert_allclose(
+            _gram(bank.real_field_kernels()),
+            (_gram(expected[None]) + _gram(mirror[None])) / 2,
+            rtol=0, atol=1e-14)
+        masks = _random_masks(SMALL_OPTICS, 11, 0.3)
+        ours, theirs = _aerials([bank.kernels, expected[None]], masks)
+        np.testing.assert_allclose(ours, theirs, rtol=0, atol=1e-14)
 
     def test_an_order_above_the_lit_count_keeps_the_rank_not_padding(self):
-        """``max_order`` above the number of lit samples: both builds keep the
-        ``rank``-many kernels the tolerance rule allows, nothing more."""
+        """``max_order`` above the number of lit samples: the eigen bank keeps
+        the ``rank``-many kernels the tolerance rule allows, the packed bank
+        the trace they hold in no more transforms."""
         arguments = _optics_arguments(BENCH_OPTICS, DipoleSource(), Pupil())
         lit = int(np.count_nonzero(shifted_pupil_stack(*arguments)[1]))
         assert lit < 100
-        svd = socs_kernels(*arguments, max_order=100)
-        eigh = decompose_tcc(compute_tcc(*arguments), max_order=100)
-        assert svd.order == eigh.order <= lit
-        assert svd.kernels.shape == (svd.order, *eigh.kernel_shape)
-        assert np.all(svd.eigenvalues > 1e-9 * svd.eigenvalues[0])
+        packed = socs_kernels(*arguments, max_order=100)
+        eigen = decompose_tcc(compute_tcc(*arguments), max_order=100)
+        assert packed.order <= eigen.order <= lit
+        assert packed.eigenvalues.size <= 2 * eigen.order
+        assert packed.kernels.shape == (packed.order, *eigen.kernel_shape)
+        assert np.all(packed.eigenvalues > 1e-9 * packed.eigenvalues[0])
+        assert packed.energy_captured() >= eigen.energy_captured() - 1e-12
 
     def test_an_all_dark_source_is_refused(self):
         shape = _kernel_shape(SMALL_OPTICS)

@@ -204,9 +204,9 @@ class TestStreamingEqualsInMemory:
     def test_default_batch_matches_engine_chunk(self, engine):
         """The stream layer's RAM bound is the 2**28-byte arithmetic a
         device-resident engine cuts its upload blocks by: 16 384 complex128
-        32 px tiles of spectrum, the (5, 14, 14) fields being smaller."""
+        32 px tiles of spectrum, the (3, 14, 14) fields being smaller."""
         tiling = TilingSpec(tile_px=32, guard_px=8)
-        assert engine.kernels.shape == (5, 7, 7)
+        assert engine.kernels.shape == (3, 7, 7)
         assert engine.stream_batch_tiles(tiling) == 2 ** 28 // (32 * 32 * 16)
         single = EngineSpec(config=CONFIG, source=SOURCE,
                             compute=ComputeConfig(precision="float32")).build()

@@ -9,9 +9,10 @@ optics fingerprint).  A refactor that moves any of those strings silently
 turns every stored campaign into a refusal and every cache entry into a miss.
 This script writes all three **with the parent checkout's code** and reads
 them **with this checkout's**, through the real CLI, on
-``tests/data/aref_grid.gds``.  Which of two outcomes it demands is decided by
-the code, not by a flag: ``kernel_fingerprint()`` of one fixed bank is
-computed under each checkout.
+``tests/data/aref_grid.gds``.  Which outcomes it demands is decided by the
+code, not by a flag: ``kernel_fingerprint()`` of one fixed bank decides the
+store and the tile cache, the ``kernels-*.npz`` name one fixed optics gets
+decides the kernel banks, each computed under each checkout.
 
 Equal — the forward's bits did not move, everything must still be found:
 
@@ -22,13 +23,7 @@ Equal — the forward's bits did not move, everything must still be found:
 3. HEAD: the same campaign into a fresh store — every tile must be served
    from the parent's tile cache (``0 imaged``), neither cache directory may
    gain a file, and the matrix and every stored per-focus aerial must be
-   ``np.array_equal`` to the parent's,
-4. HEAD, in process: the three per-focus banks load from the parent's
-   ``kernels-*.npz`` with ``decompositions == 0``; then float32 and ``auto``
-   engines built on HEAD from those files decompose nothing, add no file,
-   and have the ``kernel_fingerprint()`` of the parent's float32 engine
-   (the same snippet run on the parent, against a copy of the directory —
-   the parent writes its float32 bank beside the master).
+   ``np.array_equal`` to the parent's.
 
 Different — HEAD declares that its forward produces other bits
 (``repro.engine.batched.FORWARD_REVISION`` moved), so nothing imaged by the
@@ -38,8 +33,23 @@ parent may be reused and nothing else may move:
    mismatch and leaves every byte of the store as it was,
 3. HEAD runs the campaign into a fresh store: every tile the parent imaged is
    imaged again, none is loaded from the parent's ``tiles-*.npz``, whose files
-   stay byte-identical,
-4. as above — kernel-bank file names do not depend on the forward.
+   stay byte-identical.
+
+Then the kernel banks, on a directory holding only the parent's
+``kernels-*.npz``.  Same name — the bank is built as the parent built it:
+
+4. HEAD, in process: the three per-focus banks load with
+   ``decompositions == 0``; then float32 and ``auto`` engines built on HEAD
+   from those files decompose nothing, add no file, and have the
+   ``kernel_fingerprint()`` of the parent's float32 engine (the same snippet
+   run on the parent, against a copy of the directory).
+
+Moved name — HEAD builds its banks another way (the cache key names
+``repro.optics.socs.BANK_BUILD``), so no parent bank may be served:
+
+4. HEAD decomposes all three foci, loads none and reads no file as torn;
+   its float32 and ``auto`` engines decompose the one bank they share; the
+   parent's bank files stay byte-identical.
 
 Usage (CI: ``git worktree add /tmp/parent HEAD^`` first; no network)::
 
@@ -73,6 +83,18 @@ FORWARD_IDENTITY = ["-c", (
     "import numpy as np; from repro.engine import ExecutionEngine; "
     "bank = np.arange(75.0).reshape(3, 5, 5) * (1 + 0.5j); "
     "print(ExecutionEngine(bank).kernel_fingerprint())")]
+# What decides the kernel-bank outcome: the file name one fixed bank gets.
+BANK_IDENTITY = ["-c", (
+    "import os, tempfile\n"
+    "from repro.engine import KernelBankCache\n"
+    "from repro.optics.pupil import Pupil\n"
+    "from repro.optics.simulator import OpticsConfig\n"
+    "from repro.optics.source import CircularSource\n"
+    "with tempfile.TemporaryDirectory() as directory:\n"
+    "    KernelBankCache(cache_dir=directory).get_kernels(\n"
+    "        OpticsConfig(tile_size_px=32, pixel_size_nm=8.0),\n"
+    "        CircularSource(sigma=0.6), Pupil())\n"
+    "    print(*sorted(os.listdir(directory)))")]
 # Step 4's float32 / auto engines from the kernel-cache directory argv[1].
 SINGLE_PRECISION_ENGINES = ["-c", (
     "import json, sys\n"
@@ -194,6 +216,70 @@ def check_declared_break(work: str, store: str, written) -> None:
           f"byte-identical")
 
 
+def check_kernel_banks(work: str, parent: str, written, moved: bool) -> None:
+    """HEAD on directories of the parent's bank files only: loads them all
+    when its banks are named as the parent's, else builds its own and
+    leaves the parent's byte-identical."""
+    theirs = [path for path in written
+              if os.path.basename(path).startswith("kernels-")]
+    before = content(theirs)
+
+    def parent_banks(name: str) -> str:
+        directory = os.path.join(work, name)
+        os.makedirs(directory)
+        for path in theirs:
+            shutil.copy(path, directory)
+        return directory
+
+    def files(directory: str) -> dict:
+        return {os.path.basename(path): digest for path, digest in
+                content(glob.glob(os.path.join(directory, "*"))).items()}
+
+    from repro.backend import ComputeConfig
+    from repro.engine import EngineSpec, KernelBankCache
+    from repro.optics.simulator import OpticsConfig
+
+    built = len(FOCI) if moved else 0
+    print(f"HEAD serves the three foci: {built} built, "
+          f"{len(FOCI) - built} loaded from the parent's files")
+    kernels = parent_banks("parent-banks-foci")
+    banks = KernelBankCache(cache_dir=kernels)
+    spec = EngineSpec(config=OpticsConfig(tile_size_px=32,
+                                          pixel_size_nm=8.0),
+                      compute=ComputeConfig(fft_backend="numpy",
+                                            precision="float64"))
+    for focus in FOCI:
+        spec.with_focus(focus).build(cache=banks)
+    assert banks.stats.decompositions == built, banks.stats
+    assert banks.stats.disk_loads == len(FOCI) - built, banks.stats
+    assert banks.stats.disk_errors == 0, banks.stats
+    print(f"  ok: decompositions == {built}, "
+          f"disk_loads == {len(FOCI) - built}")
+
+    print("HEAD builds float32 / auto engines off the parent's banks")
+    kernels = parent_banks("parent-banks-single")
+    ours, parents = (json.loads(run(checkout, work,
+                                    *SINGLE_PRECISION_ENGINES, directory))
+                     for checkout, directory in (
+                         (REPO_ROOT, kernels),
+                         (parent, parent_banks("parent-banks-theirs"))))
+    new = 1 if moved else 0
+    assert ours["decompositions"] == new, ours
+    assert len(files(kernels)) == len(theirs) + new, sorted(files(kernels))
+    assert ours["float32"] == ours["auto"], ours
+    assert (ours["float32"][1] == parents["float32"][1]) != moved, \
+        (ours, parents)
+    assert content(theirs) == before
+    for directory in ("parent-banks-foci", "parent-banks-single"):
+        kept = files(os.path.join(work, directory))
+        assert all(kept[os.path.basename(path)] == before[path]
+                   for path in theirs), directory
+    print(f"  ok: decompositions == {new}, kernel_fingerprint "
+          f"{ours['float32'][1]} {'!=' if moved else '=='} the parent's "
+          f"float32 engine's, the parent's {len(theirs)} bank files "
+          f"byte-identical")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", help="checkout of the parent commit")
@@ -220,38 +306,13 @@ def main() -> int:
                   f"{identities[1].strip()} (a declared break)")
             check_declared_break(work, store, written)
 
-        print("HEAD loads the parent's kernel banks")
-        from repro.backend import ComputeConfig
-        from repro.engine import EngineSpec, KernelBankCache
-        from repro.optics.simulator import OpticsConfig
-
-        banks = KernelBankCache(cache_dir=os.path.join(work, "kernels"))
-        spec = EngineSpec(config=OpticsConfig(tile_size_px=32,
-                                              pixel_size_nm=8.0),
-                          compute=ComputeConfig(fft_backend="numpy",
-                                                precision="float64"))
-        for focus in FOCI:
-            spec.with_focus(focus).build(cache=banks)
-        assert banks.stats.decompositions == 0, banks.stats
-        assert banks.stats.disk_loads == len(FOCI), banks.stats
-        print(f"  ok: decompositions == 0, disk_loads == {len(FOCI)}")
-
-        print("HEAD builds float32 / auto engines off the parent's banks")
-        kernels = os.path.join(work, "kernels")
-        theirs_dir = os.path.join(work, "kernels-parent-copy")
-        shutil.copytree(kernels, theirs_dir)
-        before = cache_files(work)
-        ours, theirs = (json.loads(run(checkout, work,
-                                       *SINGLE_PRECISION_ENGINES, directory))
-                        for checkout, directory in ((REPO_ROOT, kernels),
-                                                    (parent, theirs_dir)))
-        assert ours["decompositions"] == 0, ours
-        assert cache_files(work) == before, \
-            sorted(set(cache_files(work)) - set(before))
-        assert ours["float32"] == ours["auto"] == theirs["float32"] \
-            == ["float32", theirs["float32"][1]], (ours, theirs)
-        print(f"  ok: decompositions == 0, no new file, kernel_fingerprint "
-              f"{theirs['float32'][1]} == the parent's float32 engine's")
+        bank_names = [run(checkout, work, *BANK_IDENTITY).strip()
+                      for checkout in (parent, REPO_ROOT)]
+        if bank_names[0] != bank_names[1]:
+            print(f"kernel-bank name moved: {bank_names[0]} -> "
+                  f"{bank_names[1]} (built another way)")
+        check_kernel_banks(work, parent, written,
+                           moved=bank_names[0] != bank_names[1])
     print("persisted identities: safe against the parent checkout")
     return 0
 

@@ -23,10 +23,6 @@ baseline *within the same run*, which are hardware-stable:
 * ``hit_rate`` / ``warm_hit_rate`` (the tile-cache dedup benchmark) —
   deterministic fractions of the benchmark layout's repeated tiles, so any
   drop means the dedup itself got worse, not the hardware,
-* ``transfers_per_chunk`` (the fakegpu residency benchmark) — a
-  deterministic host<->device crossing count where **lower** is better: the
-  device-resident contract is exactly one upload + one download per chunk,
-  so any growth means a host detour crept back into the hot loop.
 * ``warm_share`` (the tile-cache dedup benchmark) — the all-hit run's
   wall-clock over the uncached run's, **lower** is better: it grows when
   serving a cached tile starts copying or hashing more than it has to.
@@ -69,11 +65,10 @@ RATIO_KEYS = {"peak_memory_ratio": MEMORY_SLACK,
               "hit_rate": 1.0, "warm_hit_rate": 1.0}
 RATIO_SUFFIXES = ("speedup", "_speedup")
 
-#: Gated ratio metrics where LOWER is better.  ``transfers_per_chunk`` is a
-#: deterministic count pinning the device-resident contract (one upload +
-#: one download per chunk); ``warm_share`` is the tile-cache benchmark's
-#: all-hit wall-clock over its uncached one (what serving a hit costs).
-LOWER_BETTER_RATIO_KEYS = {"transfers_per_chunk": 1.0, "warm_share": 1.0}
+#: Gated ratio metrics where LOWER is better.  ``warm_share`` is the
+#: tile-cache benchmark's all-hit wall-clock over its uncached one (what
+#: serving a hit costs).
+LOWER_BETTER_RATIO_KEYS = {"warm_share": 1.0}
 
 #: Absolute metrics — reported always, gated only under --absolute.
 HIGHER_BETTER_ABS = ("um2_per_second", "tiles_per_second")

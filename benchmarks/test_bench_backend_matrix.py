@@ -22,7 +22,6 @@ import os
 import time
 
 import numpy as np
-import pytest
 
 from repro.analysis.throughput import measure_backend_matrix
 from repro.backend import (
@@ -166,189 +165,6 @@ def test_backend_precision_matrix(record_output, record_json):
         assert fast > 0
 
 
-def test_fakegpu_residency_transfers(record_output, record_json):
-    """Transfer accounting of the device-resident path (fakegpu module).
-
-    The fakegpu module counts every host<->device crossing, so this cell
-    records the residency contract as a *gated* trajectory metric:
-    ``transfers_per_chunk`` must stay at 2.0 (one mask upload + one aerial
-    download per chunk; the kernel bank is excluded — it uploads once per
-    fingerprint, also recorded).  Any growth means a host detour crept back
-    into the batched hot loop, and the perf gate fails the run.
-    """
-    from repro.engine.batched import (
-        RESIDENT_BLOCK_BYTES,
-        effective_chunk_tiles,
-    )
-    from repro.engine.execution import _DEVICE_BANKS
-
-    cache = KernelBankCache()
-    module = get_backend("fakegpu")
-    engine = ExecutionEngine.for_optics(CONFIG, source=SOURCE, cache=cache,
-                                        fft_backend=module,
-                                        compute=ComputeConfig(tile_cache=False))
-    layout = _layout()
-    from repro.engine.tiling import TilingSpec, extract_tiles
-
-    tiling = TilingSpec(tile_px=TILE, guard_px=40)
-    tiles, _ = extract_tiles(layout, tiling)
-
-    chunk_tiles = effective_chunk_tiles(
-        tiles.shape[0], engine.kernels.shape, TILE, TILE,
-        RESIDENT_BLOCK_BYTES, engine.precision.complex_itemsize)
-    num_chunks = -(-tiles.shape[0] // chunk_tiles)
-
-    # Warm the device bank memo with a one-tile call, then measure: the
-    # measured pass must contain ONLY per-chunk traffic.
-    module.transfer_stats.reset()
-    _DEVICE_BANKS.clear()
-    engine.aerial_batch(tiles[:1])
-    bank_uploads = module.transfer_stats.uploads - 1  # minus the one-tile chunk
-    module.transfer_stats.reset()
-    resident = engine.aerial_batch(tiles)
-    stats = module.transfer_stats
-    transfers_per_chunk = (stats.uploads + stats.downloads) / num_chunks
-
-    # Contents must equal the numpy backend exactly — residency is pure
-    # bookkeeping, never numerics.
-    reference = ExecutionEngine.for_optics(
-        CONFIG, source=SOURCE, cache=cache,
-        compute=NUMPY).aerial_batch(tiles)
-    np.testing.assert_array_equal(reference, resident)
-    assert transfers_per_chunk == 2.0
-    assert bank_uploads == 1
-
-    record_json("backend_fakegpu", {
-        "op": "aerial_batch_resident",
-        "tile_px": TILE,
-        "chunk_tiles": chunk_tiles,
-        "transfers_per_chunk": transfers_per_chunk,
-        "bank_uploads": bank_uploads,
-        "upload_bytes": stats.upload_bytes,
-        "download_bytes": stats.download_bytes,
-    })
-    report = (
-        f"fakegpu residency: {tiles.shape[0]} tiles in {num_chunks} chunk(s) "
-        f"of {chunk_tiles}\n"
-        f"  chunk uploads {stats.uploads}, downloads {stats.downloads}, "
-        f"kernel-bank uploads {bank_uploads} (once, at warmup)\n"
-        f"  transfers/chunk {transfers_per_chunk:.1f} "
-        f"(contract: 2.0 = one upload + one download)\n"
-        f"  bytes up {stats.upload_bytes:,}  bytes down "
-        f"{stats.download_bytes:,}")
-    print("\n" + report)
-    record_output("backend_fakegpu", report)
-
-
-def test_pyfftw_plan_cache(record_output, record_json):
-    """Warm-vs-cold plan-cache speedup of the pyFFTW backend (when installed).
-
-    A fresh backend instance measures every FFTW plan on first use
-    (``FFTW_MEASURE``); the second pass over the same tile batch hits the
-    explicit (kind, shape, dtype) plan cache for every transform.  The
-    recorded ``plan_cache_speedup`` rides the trajectory gate's ``_speedup``
-    suffix, and the acceptance floor is a deliberately loose >= 1.2x.
-    """
-    pytest.importorskip("pyfftw")
-    from repro.backend import register_pyfftw_backend
-    from repro.backend.fft import _REGISTRY
-
-    register_pyfftw_backend()
-    backend = _REGISTRY["pyfftw"](None)  # fresh instance: a truly cold cache
-
-    cache = KernelBankCache()
-    engine = ExecutionEngine.for_optics(CONFIG, source=SOURCE, cache=cache,
-                                        fft_backend=backend,
-                                        compute=ComputeConfig(tile_cache=False))
-    layout = _layout()
-    from repro.engine.tiling import TilingSpec, extract_tiles
-
-    tiling = TilingSpec(tile_px=TILE, guard_px=40)
-    tiles, _ = extract_tiles(layout, tiling)
-
-    start = time.perf_counter()
-    cold_result = engine.aerial_batch(tiles)
-    cold = time.perf_counter() - start
-    misses = backend.plan_stats.misses
-    assert misses > 0 and backend.plan_stats.hits >= 0
-
-    start = time.perf_counter()
-    warm_result = engine.aerial_batch(tiles)
-    warm = time.perf_counter() - start
-    assert backend.plan_stats.misses == misses, "warm pass re-planned"
-    np.testing.assert_array_equal(cold_result, warm_result)
-
-    reference = ExecutionEngine.for_optics(
-        CONFIG, source=SOURCE, cache=cache,
-        compute=NUMPY).aerial_batch(tiles)
-    scale = float(reference.max())
-    rel = float(np.abs(warm_result - reference).max() / scale)
-    assert rel < 1e-12, f"pyfftw deviates {rel:.3g} from the numpy reference"
-
-    speedup = cold / warm
-    assert speedup >= 1.2, (
-        f"warm plan cache only {speedup:.2f}x over cold (plans re-measured?)")
-
-    record_json("backend_pyfftw", {
-        "op": "aerial_batch",
-        "tile_px": TILE,
-        "num_tiles": int(tiles.shape[0]),
-        "cold_seconds": cold,
-        "warm_seconds": warm,
-        "plan_cache_speedup": speedup,
-        "plan_misses": misses,
-        "plan_hits": backend.plan_stats.hits,
-    })
-    report = (
-        f"pyfftw plan cache: cold {cold * 1e3:.1f} ms -> warm "
-        f"{warm * 1e3:.1f} ms ({speedup:.2f}x), "
-        f"{misses} plans measured, {backend.plan_stats.hits} hits, "
-        f"max rel err vs numpy {rel:.2e}")
-    print("\n" + report)
-    record_output("backend_pyfftw", report)
-
-
-def test_pyfftw_plans_are_per_thread():
-    """Worker threads share one backend instance: a planned FFTW object owns
-    its input / output buffers, so each thread must execute its own plan.
-    Two threads x 200 same-shape transforms, every result equal to numpy's."""
-    pytest.importorskip("pyfftw")
-    import sys
-    import threading
-
-    from repro.backend import register_pyfftw_backend
-    from repro.backend.fft import _REGISTRY
-
-    register_pyfftw_backend()
-    backend = _REGISTRY["pyfftw"](1)
-    rng = np.random.default_rng(8)
-    inputs = [rng.standard_normal((4, 64, 64)) for _ in range(2)]
-    expected = [np.fft.rfft2(array) for array in inputs]
-    wrong = []
-
-    def transform(index):
-        for _ in range(200):
-            result = backend.rfft2(inputs[index])
-            if not np.allclose(result, expected[index], rtol=1e-10,
-                               atol=1e-10):
-                wrong.append(index)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=transform, args=(index,))
-                   for index in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-        assert not any(thread.is_alive() for thread in threads)
-    finally:
-        sys.setswitchinterval(interval)
-    assert wrong == []
-    assert backend.plan_stats.misses == 2  # one plan per thread, planned once
-
-
 def test_env_selected_backend(record_output, record_json):
     """Smoke the environment-driven selection path end to end.
 
@@ -363,8 +179,6 @@ def test_env_selected_backend(record_output, record_json):
     assert engine.backend.name == backend.name
 
     layout = _layout(seed=5)[:512, :512]
-    import time
-
     start = time.perf_counter()
     result = engine.image_layout(layout, guard_px=40)
     elapsed = time.perf_counter() - start

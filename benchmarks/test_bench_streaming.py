@@ -42,7 +42,7 @@ PIXEL_NM = 4.0
 GUARD = 32
 ORDER = 12
 #: Deliberately small stream-batch budget (4 MiB of spectra, patched in for
-#: the engine's 256 MiB ``RESIDENT_BLOCK_BYTES``) so the layout is >= 4x
+#: the engine's 256 MiB ``STREAM_BATCH_BYTES``) so the layout is >= 4x
 #: the budget without needing a multi-GiB canvas in CI.
 CHUNK_BYTES = 2 ** 22
 #: (H, W) per preset; the tiny layout is 16 MiB of float64 = 4x the budget,
@@ -85,7 +85,7 @@ def _run_in_memory(cache_dir: str, shape) -> None:
 def _run_streaming(cache_dir: str, shape) -> None:
     engine = _build_engine(cache_dir)
     tiling = engine.resolve_tiling(None, None, GUARD)
-    with mock.patch.object(execution, "RESIDENT_BLOCK_BYTES", CHUNK_BYTES):
+    with mock.patch.object(execution, "STREAM_BATCH_BYTES", CHUNK_BYTES):
         engine.image_layout(_build_layout(shape), tiling=tiling)
 
 

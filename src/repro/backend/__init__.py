@@ -9,14 +9,9 @@ owns two orthogonal policies that the whole engine stack
   :class:`FFTBackend` by explicit name, the ``REPRO_FFT_BACKEND`` environment
   variable, or the ``auto`` policy (``scipy`` with ``workers=N``
   multi-threaded transforms when scipy is importable, ``numpy`` otherwise).
-  New engines (pyFFTW, CuPy, ...) subclass :class:`FFTBackend` and plug in
-  via :func:`register_backend`.  :class:`FFTBackend` is the one backend
-  protocol: next to the four transforms it owns the small array namespace
-  the batched hot path needs — numpy on the host backends, overridden by
-  device backends so whole chunks stay **device-resident** (one upload per
-  mask chunk, one download per aerial chunk); the always-available
-  ``fakegpu`` backend is a numpy-backed device whose transfer counters make
-  residency provable on CI.
+  Another engine subclasses :class:`FFTBackend` (four transforms are
+  enough) and plugs in via :func:`register_backend`; ``numpy`` and
+  ``scipy`` ship.
 * **Which precision the pipeline runs at** — :func:`resolve_precision` maps
   ``"float64"`` (default) or ``"float32"`` (opt-in) to a :class:`Precision`
   policy carrying the real/complex dtype pair, the byte size used by the
@@ -55,11 +50,6 @@ Selection can also be driven entirely from the environment::
     REPRO_FFT_BACKEND=scipy REPRO_FFT_WORKERS=8 REPRO_PRECISION=float32 \
         python -m repro.cli image-layout ...
 
-Registering a GPU backend::
-
-    from repro.backend import register_cupy_backend
-    register_cupy_backend()                  # then REPRO_FFT_BACKEND=cupy
-
 Guarantees
 ----------
 * the ``rfft2``/``irfft2`` half-spectrum paths equal a plain ``numpy.fft``
@@ -76,22 +66,13 @@ from .fft import (
     FFT_WORKERS_ENV_VAR,
     FFTBackend,
     NumpyFFTBackend,
-    PlanCacheStats,
     ScipyFFTBackend,
-    TransferStats,
     available_backends,
     available_cpus,
     default_fft_workers,
     get_backend,
     register_backend,
-    register_pyfftw_backend,
     registered_backends,
-)
-from .array_module import (
-    DeviceMixingError,
-    FakeDeviceArray,
-    FakeGpuArrayModule,
-    register_cupy_backend,
 )
 from .config import (
     TILE_CACHE_DIR_ENV_VAR,
@@ -111,13 +92,10 @@ from .precision import (
 )
 
 __all__ = [
-    "FFTBackend", "NumpyFFTBackend", "ScipyFFTBackend", "PlanCacheStats",
+    "FFTBackend", "NumpyFFTBackend", "ScipyFFTBackend",
     "get_backend", "register_backend", "registered_backends",
     "available_backends", "available_cpus", "default_fft_workers",
-    "register_pyfftw_backend", "register_cupy_backend",
     "FFT_BACKEND_ENV_VAR", "FFT_WORKERS_ENV_VAR",
-    "FakeGpuArrayModule", "FakeDeviceArray", "DeviceMixingError",
-    "TransferStats",
     "Precision", "FLOAT32", "FLOAT64", "resolve_precision",
     "available_precisions", "PRECISION_ENV_VAR",
     "AUTO_PRECISION", "is_auto_precision", "autotune_precision",

@@ -1,10 +1,10 @@
-"""Pluggable compute backends: one protocol owning every transform in the repo.
+"""Pluggable FFT backends: one protocol owning every transform in the repo.
 
 Every FFT in the imaging stack goes through an :class:`FFTBackend` — the one
-backend protocol: four required transforms, two optional ones and a small
-array namespace (``asarray`` / ``to_host`` / ``zeros`` / ``empty`` / ``conj``
-/ ``abs2_sum``) that the base class implements with numpy, so a subclass that
-only defines the four transforms is a complete host backend.
+backend protocol: four required transforms, two optional ones, a thread
+budget (``workers``) and a one-thread sibling (``single_threaded``).  The
+base class implements everything but the four transforms, so a subclass that
+only defines those is a complete backend.
 
 The optional transforms are the two places the batched core knows part of a
 2-D real transform is wasted: :meth:`FFTBackend.rfft2_columns` (it keeps 15
@@ -14,7 +14,7 @@ spectrum of which 100 of 129 columns are zero).  The base class writes both
 in terms of ``rfft2`` / ``irfft2``; a backend whose 2-D real transform *is*
 two 1-D passes overrides them with those passes minus the lines that are
 discarded or zero — **bit for bit** the base-class result, which means
-scaling exactly where the library scales.  Two host implementations ship:
+scaling exactly where the library scales.  Two implementations ship:
 
 * :class:`NumpyFFTBackend` — ``numpy.fft`` (always available, single
   threaded).  ``numpy.fft`` computes in double precision regardless of the
@@ -36,26 +36,19 @@ request by explicit name, the ``REPRO_FFT_BACKEND`` environment variable or
 the ``auto`` policy (scipy when importable, else numpy), and fails loudly —
 listing the registered names — for anything unknown.
 
-GPU / FFTW hooks
-----------------
-:func:`register_backend` is the extension point.  An adapter subclasses
+Extension point
+---------------
+:func:`register_backend` adds a backend: an adapter subclasses
 :class:`FFTBackend` and provides the four transform methods and a ``name``
-(:func:`get_backend` rejects anything else with a ``TypeError``); see
-:func:`register_pyfftw_backend` (explicit FFTW plan cache, below) and
-:func:`repro.backend.array_module.register_cupy_backend` (the resident GPU
-backend) for ready-made adapters that activate when the library is installed
-(they are documented stubs on machines without the dependency — importing
-this module never requires anything beyond numpy).  Backends that also want
-device residency override the array namespace — the ``fakegpu`` backend in
-:mod:`repro.backend.array_module` proves residency on CI without hardware.
+(:func:`get_backend` rejects anything else with a ``TypeError``).  Every
+array the engine hands it is a host ``numpy`` array; a backend that computes
+elsewhere copies in and out inside its transforms.
 """
 
 from __future__ import annotations
 
 import logging
 import os
-import threading
-from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -68,82 +61,23 @@ FFT_WORKERS_ENV_VAR = "REPRO_FFT_WORKERS"
 _SINGLE = (np.dtype(np.float32), np.dtype(np.complex64))
 
 
-@dataclass
-class TransferStats:
-    """Host<->device traffic counters of one :class:`FFTBackend` instance.
-
-    ``uploads`` / ``downloads`` count crossings (one per ``asarray`` of a
-    host array, one per ``to_host`` of a device array), the ``*_bytes``
-    fields their payload sizes, and ``host_buffer_allocations`` how many
-    staging buffers :meth:`FFTBackend.empty_host` handed out — the pinned
-    -buffer reuse tests pin this at one per stream.  Increments take a lock:
-    the worker threads of a sharded batch share one backend, and the
-    one-upload-one-download-per-chunk pins must hold there too.
-    """
-
-    uploads: int = 0
-    downloads: int = 0
-    upload_bytes: int = 0
-    download_bytes: int = 0
-    host_buffer_allocations: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock,
-                                  repr=False, compare=False)
-
-    def count_upload(self, nbytes: int) -> None:
-        with self._lock:
-            self.uploads += 1
-            self.upload_bytes += int(nbytes)
-
-    def count_download(self, nbytes: int) -> None:
-        with self._lock:
-            self.downloads += 1
-            self.download_bytes += int(nbytes)
-
-    def count_host_buffer(self) -> None:
-        with self._lock:
-            self.host_buffer_allocations += 1
-
-    def reset(self) -> None:
-        self.uploads = self.downloads = 0
-        self.upload_bytes = self.download_bytes = 0
-        self.host_buffer_allocations = 0
-
-
 class FFTBackend:
-    """The one backend protocol: 2-D transforms + the hot path's array namespace.
+    """The one backend protocol: the 2-D transforms the imaging stack calls.
 
     A subclass must provide the four transforms: they act on the last two
     axes, honour the numpy ``norm`` conventions and preserve the precision
     family of the input (single-precision in, single-precision out).  None
     may modify its input array — the batched core reuses one zero-padded
     scratch array across transforms (a multi-dimensional c2r that works in
-    place is the classic offender: copy first).
-
-    The array namespace below is what lets :mod:`repro.engine.batched` run a
-    whole chunk in one place.  The base class implements it for the **host**
-    — every op literally the numpy expression, ``asarray`` / ``to_host``
-    pass-throughs — so a transforms-only subclass is a complete backend and
-    host results are bit-for-bit the plain numpy code.  A **device** backend
-    (cupy, the CI-testable ``fakegpu``) overrides the namespace to create and
-    consume device arrays, sets :attr:`is_resident`, and makes its transforms
-    polymorphic: a device array in yields a device array out (resident
-    compute), a host array in yields a host array out (a per-call round
-    trip, counted in :attr:`transfer_stats`).  Indices, shapes and scalars
-    stay host-side everywhere (they are metadata, not data).
+    place is the classic offender: copy first).  The two optional
+    transforms and :meth:`single_threaded` are complete as inherited, so a
+    transforms-only subclass is a complete backend.
     """
 
     #: Registry name (also what ``REPRO_FFT_BACKEND`` selects).
     name: str = "abstract"
-    #: Device tag (``"cpu"``, ``"fakegpu:0"``, ``"cuda:N"``).
-    device: str = "cpu"
-    #: Whether ``asarray`` moves data to an accelerator (and the batched
-    #: core should run the chunk-resident flow).
-    is_resident: bool = False
     #: Threads one imaging call may occupy (``None``: no such notion).
     workers: Optional[int] = None
-
-    def __init__(self):
-        self.transfer_stats = TransferStats()
 
     # -- transforms ------------------------------------------------------ #
     def fft2(self, array: np.ndarray, norm: Optional[str] = None) -> np.ndarray:
@@ -162,22 +96,23 @@ class FFTBackend:
         raise NotImplementedError
 
     # -- optional transforms (complete as inherited) --------------------- #
-    def rfft2_columns(self, array, cols: int, norm: Optional[str] = None):
+    def rfft2_columns(self, array: np.ndarray, cols: int,
+                      norm: Optional[str] = None) -> np.ndarray:
         """The first ``cols`` last-axis columns of :meth:`rfft2`, bit for bit.
 
         An override may skip the column passes of the columns not kept.
         """
         return self.rfft2(array, norm=norm)[..., :cols]
 
-    def irfft2_zero_extended(self, array, s: Tuple[int, int],
-                             norm: Optional[str] = None):
+    def irfft2_zero_extended(self, array: np.ndarray, s: Tuple[int, int],
+                             norm: Optional[str] = None) -> np.ndarray:
         """:meth:`irfft2` of ``array`` zero-extended along its last axis to
         the ``s[1] // 2 + 1`` columns of a half spectrum, bit for bit.
 
         An override may skip the column passes of the all-zero columns.
         """
-        zeros = self.zeros if self.is_device_array(array) else np.zeros
-        full = zeros(tuple(array.shape[:-1]) + (s[1] // 2 + 1,), array.dtype)
+        full = np.zeros(tuple(array.shape[:-1]) + (s[1] // 2 + 1,),
+                        array.dtype)
         full[..., :array.shape[-1]] = array
         return self.irfft2(full, s=s, norm=norm)
 
@@ -187,54 +122,6 @@ class FFTBackend:
         ``self`` — no :attr:`workers` to give up — keeps a call on one thread.
         """
         return self
-
-    # -- residency ------------------------------------------------------- #
-    def is_device_array(self, array) -> bool:
-        """Whether ``array`` already lives on this backend's device."""
-        return False
-
-    def asarray(self, array):
-        """Move a host array onto the device (counted); pass device arrays through."""
-        return np.asarray(array)
-
-    def to_host(self, array, out: Optional[np.ndarray] = None):
-        """Move a device array back to the host (counted), optionally into ``out``.
-
-        ``out`` is the staging hook for streamed downloads: a reusable —
-        on CUDA, pinned — host buffer allocated via :meth:`empty_host`.
-        Host arrays pass through (copied into ``out`` when given).
-        """
-        if out is None:
-            return np.asarray(array)
-        np.copyto(out, array)
-        return out
-
-    def empty_host(self, shape: Tuple[int, ...], dtype) -> np.ndarray:
-        """Allocate a host staging buffer for :meth:`to_host` downloads.
-
-        Plain ``numpy.empty`` here and on fakegpu; page-locked (pinned)
-        memory on CUDA so device->host copies run at full PCIe bandwidth.
-        Allocations are counted so buffer *reuse* is testable.
-        """
-        self.transfer_stats.count_host_buffer()
-        return np.empty(shape, dtype=dtype)
-
-    # -- array namespace ------------------------------------------------- #
-    def zeros(self, shape: Tuple[int, ...], dtype):
-        return np.zeros(shape, dtype=dtype)
-
-    def empty(self, shape: Tuple[int, ...], dtype):
-        return np.empty(shape, dtype=dtype)
-
-    def conj(self, array):
-        return np.conj(array)
-
-    def abs2_sum(self, fields, axis: int):
-        """``sum(|fields|^2)`` over ``axis`` — the SOCS intensity reduction."""
-        # The one reduction every backend runs (numpy dispatches it to a
-        # device array's own library): the two-temporary expression keeps
-        # host results bit-for-bit.
-        return np.sum(np.abs(fields) ** 2, axis=axis)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"{type(self).__name__}(name={self.name!r})"
@@ -273,7 +160,6 @@ class NumpyFFTBackend(FFTBackend):
     name = "numpy"
 
     def __init__(self, workers: Optional[int] = None):
-        super().__init__()
         # numpy.fft has no worker knob; accepted for interface uniformity.
         self.workers = workers
 
@@ -332,7 +218,6 @@ class ScipyFFTBackend(FFTBackend):
     def __init__(self, workers: Optional[int] = None):
         import scipy.fft  # noqa: F401 - fail loudly at construction, not first use
 
-        super().__init__()
         self._fft = __import__("scipy.fft", fromlist=["fft2"])
         # Resolved once: per-call env reads / affinity syscalls would cost a
         # syscall per transform and let an already-built backend silently
@@ -428,8 +313,8 @@ def registered_backends() -> Tuple[str, ...]:
 def _construct(key: str, workers: Optional[int]) -> FFTBackend:
     backend = _REGISTRY[key](workers)
     if not isinstance(backend, FFTBackend):
-        # The engine calls the array namespace on whatever it is handed, so
-        # a duck-typed transforms-only object would fail mid-chunk instead.
+        # The engine calls the inherited transforms and single_threaded on
+        # whatever it is handed, so a duck-typed object would fail mid-block.
         raise TypeError(
             f"the factory registered for FFT backend {key!r} returned "
             f"{type(backend).__name__}, which is not an FFTBackend; subclass "
@@ -506,126 +391,3 @@ def _scipy_factory(workers: Optional[int]) -> FFTBackend:
 
 register_backend("numpy", lambda workers: NumpyFFTBackend(workers=workers))
 register_backend("scipy", _scipy_factory)
-
-
-# --------------------------------------------------------------------------- #
-# optional third-party backends (documented hooks)
-# --------------------------------------------------------------------------- #
-@dataclass
-class PlanCacheStats:
-    """Hit/miss counters of a :class:`PyFFTWBackend`'s explicit plan cache."""
-
-    hits: int = 0
-    misses: int = 0
-
-    def reset(self) -> None:
-        self.hits = self.misses = 0
-
-
-def register_pyfftw_backend() -> None:
-    """Register a pyFFTW backend under the name ``pyfftw``.
-
-    Documented stub on machines without pyFFTW: calling it raises
-    ``ImportError`` with instructions, and nothing is registered.
-
-    With pyFFTW installed, the backend keeps an **explicit plan cache keyed
-    by (transform kind, shape, dtype, output size)** instead of leaning on
-    the global ``pyfftw.interfaces`` cache: the batched SOCS hot loop calls
-    the same handful of (shape, dtype) combinations thousands of times, so
-    each FFTW plan — measured once with ``FFTW_MEASURE`` — is reused for the
-    life of the backend instance, never times out, and its hit/miss counts
-    are observable via :attr:`PyFFTWBackend.plan_stats` (the backend-matrix
-    benchmark records the warm-vs-cold ``plan_cache_speedup``).  Norm scaling
-    is applied outside the plan (numpy conventions), so one plan serves every
-    ``norm=``.
-    """
-    try:
-        import pyfftw
-        import pyfftw.builders as fftw_builders
-    except ImportError as exc:  # pragma: no cover - optional dependency
-        raise ImportError(
-            "pyFFTW is not installed; `pip install pyfftw` and call "
-            "register_pyfftw_backend() again (or register your own adapter "
-            "via register_backend)") from exc
-
-    class PyFFTWBackend(FFTBackend):  # pragma: no cover - optional dependency
-        name = "pyfftw"
-
-        def __init__(self, workers: Optional[int] = None):
-            super().__init__()
-            self.workers = workers if workers else default_fft_workers()
-            #: Per thread: (kind, shape, dtype, s) -> planned FFTW object.
-            #: A plan owns its input / output buffers, so two worker threads
-            #: executing one plan would transform each other's data.
-            #: Unbounded on purpose: the engine's chunk shapes are a handful
-            #: per run, and a plan is exactly what we never want to
-            #: re-measure.
-            self._local = threading.local()
-            self.plan_stats = PlanCacheStats()
-
-        def _plan(self, kind: str, array: np.ndarray,
-                  s: Optional[Tuple[int, int]] = None):
-            try:
-                plans = self._local.plans
-            except AttributeError:
-                plans = self._local.plans = {}
-            key = (kind, array.shape, array.dtype.str, s)
-            plan = plans.get(key)
-            if plan is None:
-                self.plan_stats.misses += 1
-                builder = getattr(fftw_builders, kind)
-                kwargs = dict(threads=self.workers,
-                              planner_effort="FFTW_MEASURE")
-                if s is not None:
-                    kwargs["s"] = s
-                if kind in ("ifft2", "irfft2"):
-                    # Unnormalised inverse: numpy norm scaling happens below,
-                    # uniformly for every transform kind.
-                    kwargs["normalise_idft"] = False
-                plan = builder(array, **kwargs)
-                plans[key] = plan
-            else:
-                self.plan_stats.hits += 1
-            return plan
-
-        @staticmethod
-        def _scale(result: np.ndarray, samples: int, norm: Optional[str],
-                   inverse: bool) -> np.ndarray:
-            # FFTW is unnormalised both ways; apply the numpy conventions.
-            if norm == "ortho":
-                factor = 1.0 / float(np.sqrt(samples))
-            elif norm == "forward":
-                factor = 1.0 if inverse else 1.0 / samples
-            else:  # numpy's default "backward"
-                factor = 1.0 / samples if inverse else 1.0
-            if factor == 1.0:
-                # The plan owns its output buffer; hand the caller a copy so
-                # the next transform of this shape cannot alias it.
-                return result.copy()
-            return result * result.real.dtype.type(factor)
-
-        def fft2(self, array, norm=None):
-            array = np.asarray(array)
-            samples = array.shape[-2] * array.shape[-1]
-            return self._scale(self._plan("fft2", array)(array), samples,
-                               norm, inverse=False)
-
-        def ifft2(self, array, norm=None):
-            array = np.asarray(array)
-            samples = array.shape[-2] * array.shape[-1]
-            return self._scale(self._plan("ifft2", array)(array), samples,
-                               norm, inverse=True)
-
-        def rfft2(self, array, norm=None):
-            array = np.asarray(array)
-            samples = array.shape[-2] * array.shape[-1]
-            return self._scale(self._plan("rfft2", array)(array), samples,
-                               norm, inverse=False)
-
-        def irfft2(self, array, s, norm=None):
-            array = np.asarray(array)
-            s = (int(s[0]), int(s[1]))
-            return self._scale(self._plan("irfft2", array, s=s)(array),
-                               s[0] * s[1], norm, inverse=True)
-
-    register_backend("pyfftw", lambda workers: PyFFTWBackend(workers=workers))

@@ -27,15 +27,14 @@ resolution (:func:`_band_limited_chunk`).  Only an output smaller than that
 grid (coarse pixels, tiny tiles) is evaluated at full size instead
 (:func:`_direct_chunk`); the array shapes alone decide, there is no switch.
 
-The block budget is read off the backend: :data:`BLOCK_BYTES` on a host
-backend, so neither per-block intermediate — the coherent-field stack, the
-upsampling spectrum — leaves the CPU caches for DRAM;
-:data:`RESIDENT_BLOCK_BYTES` on a device-resident one, where a block is the
-upload unit.  The band-limited body works through two zeroed scratch arrays
-— the embedded kernel products and the corner rows of the upsampling half
-spectrum, whose non-zero parts every block overwrites.  The scratch relies on
-no transform modifying its input (an :class:`~repro.backend.FFTBackend`
-contract); block size never changes a tile's result.
+The block budget is :data:`BLOCK_BYTES`, so neither per-block
+intermediate — the coherent-field stack, the upsampling spectrum — leaves
+the CPU caches for DRAM.  The band-limited body works through two zeroed
+scratch arrays — the embedded kernel products and the corner rows of the
+upsampling half spectrum, whose non-zero parts every block overwrites.
+The scratch relies on no transform modifying its input (an
+:class:`~repro.backend.FFTBackend` contract); block size never changes a
+tile's result.
 
 The thread budget is read off the backend too (``backend.workers``:
 ``fft_workers`` / ``REPRO_FFT_WORKERS``, default the CPUs available) and is
@@ -55,10 +54,10 @@ product, embed, ``|field|^2`` and copies between transforms stay serial),
 two threads *on blocks* 1.6x; and a batch of 2-4 tiles (one block) is
 faster as two shares than as one call with two-thread transforms.  This
 is the only place the package images tiles in parallel.  A backend without
-such a sibling (numpy, pyfftw, any transforms-only subclass), a
-device-resident one and a single tile image on the calling thread exactly
-as before.  Shares never change a tile's bits either: each 1-D line of each
-transform is an independent, deterministic work item.  The scratch holds no
+such a sibling (numpy, any transforms-only subclass) and a single tile
+image on the calling thread exactly as before.  Shares never change a
+tile's bits either: each 1-D line of each transform is an independent,
+deterministic work item.  The scratch holds no
 state across calls; the one thing this module keeps is the idle helper
 threads (:func:`_helper_threads`, created under a lock).
 
@@ -81,14 +80,10 @@ Every transform goes through the pluggable compute backend
   dtype decision through the pipeline; float32 halves every byte moved, and
   because the block budget is denominated in **bytes** the tiles per block
   double.
-* **Device residency** — when the backend is device-resident
-  (:attr:`~repro.backend.FFTBackend.is_resident`: cupy, or the CI-testable
-  ``fakegpu``), each block pays exactly one host->device upload and one
-  device->host download; spectra, kernel products, fields, the
-  ``|field|^2`` reduction and the Fourier upsampling all run in the
-  backend's array namespace on the device.  Host backends inherit that
-  namespace from :class:`~repro.backend.FFTBackend`, where every op is the
-  numpy expression, so host results are bit-for-bit plain numpy.
+
+Everything between the transforms — kernel products, embeds, the
+``|field|^2`` reduction, the upsampling's corner copies — is plain numpy on
+host arrays.
 """
 
 from __future__ import annotations
@@ -114,12 +109,6 @@ from ..optics.grid import embed_centre_unshifted
 #: fast at 3 MiB and 12 % slower at 12; on two threads 3 MiB in all
 #: (1 tile per share) is no faster, often 20 % slower, and 12 MiB no faster.
 BLOCK_BYTES = 6 * 2 ** 20
-
-#: The same bound for a block on a device-resident backend, where a block is
-#: the upload unit and there is no cache to stay inside (256 MiB: 2**24
-#: complex128 samples).  The layout pipeline bounds a stream batch's RAM by
-#: the same figure (``ExecutionEngine.stream_batch_tiles``).
-RESIDENT_BLOCK_BYTES = 2 ** 28
 
 #: Names this module's output bits in the tile-cache key
 #: (``ExecutionEngine.kernel_fingerprint``) and the campaign-store identity
@@ -163,32 +152,22 @@ if hasattr(os, "register_at_fork"):
 def coherent_fields(kernels, spectra, grid_h: int, grid_w: int,
                     xp: FFTBackend, out=None):
     """Eq. (4)'s coherent fields ``ifft2(embed(K_i * S_b))``: ``(r, n, m)``
-    kernels and ``(B, n, m)`` centred spectra -> ``(B, r, grid_h, grid_w)``.
-
-    The zero target (or the reusable zeroed ``out``) lives where the products
-    do, as in :func:`mask_spectrum`: host operands on a device backend pay
-    one counted round trip in the transform.
+    kernels and ``(B, n, m)`` centred spectra -> ``(B, r, grid_h, grid_w)``,
+    embedded into the reusable zeroed ``out`` when given.
     """
     products = kernels[None, :, :, :] * spectra[:, None, :, :]
-    space = xp if xp.is_device_array(products) else np
-    embedded = embed_centre_unshifted(products, grid_h, grid_w, xp=space,
-                                      out=out)
+    embedded = embed_centre_unshifted(products, grid_h, grid_w, out=out)
     return xp.ifft2(embedded, norm="ortho")
 
 
 def _direct_chunk(masks, kernels, out_h: int, out_w: int, xp: FFTBackend):
     """One block at full output resolution, for an output smaller than the
     :func:`band_limit_grid`.
-
-    ``xp`` is the backend the block lives in: a host backend leaves every
-    expression bit-for-bit plain numpy; a device backend (cupy / fakegpu)
-    receives device-resident ``masks`` / ``kernels`` and returns a
-    device-resident intensity block — no transfer happens here.
     """
     n, m = kernels.shape[-2], kernels.shape[-1]
     spectra = mask_spectrum(masks, (n, m), backend=xp)          # (B, n, m)
-    return xp.abs2_sum(coherent_fields(kernels, spectra, out_h, out_w, xp),
-                       axis=1)
+    fields = coherent_fields(kernels, spectra, out_h, out_w, xp)
+    return np.sum(np.abs(fields) ** 2, axis=1)
 
 
 def band_limit_grid(n: int, m: int) -> Tuple[int, int]:
@@ -212,9 +191,6 @@ def _band_limited_chunk(masks, kernels, out_h: int, out_w: int,
     """One block, exactly, on the intensity band-limit grid + Fourier
     upsampling.
 
-    Like :func:`_direct_chunk`, the whole pipeline — spectrum, kernel
-    product, fields, ``|field|^2`` reduction, upsampling — runs inside
-    ``xp``'s namespace, so a device block stays resident end to end.
     ``embedded`` ``(>= rows, r, gh, gw)`` and ``padded``
     ``(>= rows, out_h, m)`` are the caller's scratch, zero wherever no block
     writes.
@@ -225,7 +201,7 @@ def _band_limited_chunk(masks, kernels, out_h: int, out_w: int,
     spectra = mask_spectrum(masks, (n, m), backend=xp)
     fields = coherent_fields(kernels, spectra, grid_h, grid_w, xp,
                              out=embedded[:rows])
-    small = xp.abs2_sum(fields, axis=1)                    # (rows, gh, gw)
+    small = np.sum(np.abs(fields) ** 2, axis=1)            # (rows, gh, gw)
 
     # The intensity spectrum occupies the centred samples |row| < n,
     # |col| < m, so zero-padding it to (out_h, out_w) is an exact sinc
@@ -298,17 +274,10 @@ def batched_aerial_from_kernels(masks: np.ndarray, kernels: np.ndarray,
         Real mask batch ``(B, H, W)``; any real dtype is accepted.
     kernels:
         Complex frequency-domain kernel stack ``(r, n, m)`` (centred DC),
-        each kernel already scaled by ``sqrt(eigenvalue)``.  May already be
-        a **device array** of the backend (the engine uploads its
-        bank once and passes it here), in which case its dtype must match
-        ``precision`` and no per-call upload happens.
+        each kernel already scaled by ``sqrt(eigenvalue)``.
     backend:
         FFT backend (instance or registered name); ``None`` resolves the
-        default (``REPRO_FFT_BACKEND`` / auto).  On a device-resident one
-        (``is_resident``: cupy, fakegpu) every block is **one upload of its
-        masks and one download of its images**, every intermediate staying
-        on the device; on a host one the "upload" is a view and the
-        "download" the copy into the result rows.
+        default (``REPRO_FFT_BACKEND`` / auto).
     precision:
         Precision policy (:class:`~repro.backend.Precision` or name);
         ``None`` resolves the default (``REPRO_PRECISION`` / float64).
@@ -319,25 +288,14 @@ def batched_aerial_from_kernels(masks: np.ndarray, kernels: np.ndarray,
     masks = precision.as_real(masks)
     if masks.ndim != 3:
         raise ValueError("masks must have shape (B, H, W)")
-    device_kernels = xp.is_device_array(kernels)
-    if not device_kernels:
-        kernels = precision.as_complex(kernels)
-    elif np.dtype(kernels.dtype) != precision.complex_dtype:
-        raise ValueError(
-            f"device kernel bank dtype {kernels.dtype} does not match "
-            f"precision {precision.name}; cast before uploading")
-    if len(kernels.shape) != 3:
+    kernels = precision.as_complex(kernels)
+    if kernels.ndim != 3:
         raise ValueError("kernels must have shape (r, n, m)")
     batch = masks.shape[0]
     out_h, out_w = masks.shape[-2:]
 
     if batch == 0:
         return np.empty((0, out_h, out_w), dtype=precision.real_dtype)
-
-    if not device_kernels:
-        # The bank goes up once per call unless it arrived resident (a host
-        # backend's asarray is the identity).
-        kernels = xp.asarray(kernels)
     return image_tiles(batch, masks, None, kernels, xp, precision,
                        (out_h, out_w))
 
@@ -346,9 +304,8 @@ def image_tiles(count: int,
                 read: Union[np.ndarray, Callable[[int, int, np.ndarray],
                                                  np.ndarray]],
                 write: Optional[Callable[[int, np.ndarray], None]],
-                kernels, xp: FFTBackend, precision: Precision,
-                tile_shape: Tuple[int, int],
-                out: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
+                kernels: np.ndarray, xp: FFTBackend, precision: Precision,
+                tile_shape: Tuple[int, int]) -> Optional[np.ndarray]:
     """Image tiles ``0 .. count - 1``: the package's one imaging loop.
 
     ``read`` holds the masks: a ``(count, H, W)`` real stack, imaged a row
@@ -356,16 +313,10 @@ def image_tiles(count: int,
     ``start .. stop - 1`` as one ``(stop - start, H, W)`` array — normally
     ``buffer``, the share's own block-sized mask buffer (in
     ``precision``), filled tile by tile.  ``write(start, images)`` receives
-    each block's host aerial images, valid only for the duration of the
-    call — copy what you keep.  ``kernels`` is the ``(r, n, m)`` bank, cast
-    to ``precision`` and living where ``xp`` computes.
-
-    ``out`` is where device downloads land.  Without ``write`` it is the
-    result — at least ``count`` host rows, allocated here when absent —
-    and the call returns ``out[:count]``.  With ``write`` it is the host
-    block each download lands in before ``write`` sees it, so no block is
-    taller than it (a download without one is a fresh array); a host
-    backend's blocks go to ``write`` as they are.
+    each block's aerial images, valid only for the duration of the call —
+    copy what you keep; without ``write`` the call returns the
+    ``(count, H, W)`` images.  ``kernels`` is the ``(r, n, m)`` bank, cast
+    to ``precision``.
 
     The thread share is the unit of work: each share reads its tiles into a
     block-sized mask buffer of its own, images them block by block and
@@ -373,31 +324,27 @@ def image_tiles(count: int,
     imaged, stitched and developed inside the share, and nothing
     ``count``-sized is ever allocated.  The workspaces are allocated here,
     on the calling thread (a helper's own malloc arena would keep them).
-    On a device-resident backend there is one share and each block is one
-    upload and one download.
     """
     out_h, out_w = tile_shape
     order, n, m = kernels.shape
     grid = intensity_grid(n, m, out_h, out_w)
     band_limited = grid == band_limit_grid(n, m)
     stack = None if callable(read) else precision.as_real(read)
-    if write is None and out is None:
-        out = np.empty((count,) + tile_shape, precision.real_dtype)
+    out = None if write is not None \
+        else np.empty((count,) + tile_shape, precision.real_dtype)
 
     # The backend's worker budget is spent on tiles: one contiguous share
     # per thread, each transforming through the one-thread sibling and
     # keeping its part of the budget (the cores share the cache
     # BLOCK_BYTES names).  A single tile keeps ``xp`` — and its
     # in-transform threads — to itself.
-    budget = RESIDENT_BLOCK_BYTES if xp.is_resident else BLOCK_BYTES
     serial = xp.single_threaded()
-    threads = 1 if serial is xp or xp.is_resident else min(xp.workers, count)
+    threads = 1 if serial is xp else min(xp.workers, count)
+    budget = BLOCK_BYTES // threads
     if threads > 1:
-        xp, budget = serial, budget // threads
+        xp = serial
     block = effective_chunk_tiles(count, kernels.shape, out_h, out_w, budget,
                                   precision.complex_itemsize)
-    if write is not None and out is not None:
-        block = min(block, len(out))
     evaluate = _band_limited_chunk if band_limited else _direct_chunk
 
     def workspace(share: range) -> tuple:
@@ -407,22 +354,18 @@ def image_tiles(count: int,
         if not band_limited:
             return masks, ()
         # Zeroed once: every block overwrites the same corners and no zero.
-        return masks, (xp.zeros((rows, order) + grid, kernels.dtype),
-                       xp.zeros((rows, out_h, m), kernels.dtype))
+        return masks, (np.zeros((rows, order) + grid, kernels.dtype),
+                       np.zeros((rows, out_h, m), kernels.dtype))
 
     def image(share: range, masks: Optional[np.ndarray],
               scratch: tuple) -> None:
         for start in range(share.start, share.stop, block):
             stop = min(start + block, share.stop)
-            tiles = evaluate(
-                xp.asarray(stack[start:stop] if masks is None
-                           else read(start, stop, masks)),
-                kernels, out_h, out_w, xp, *scratch)
+            tiles = evaluate(stack[start:stop] if masks is None
+                             else read(start, stop, masks),
+                             kernels, out_h, out_w, xp, *scratch)
             if write is None:
-                xp.to_host(tiles, out=out[start:stop])
-            elif xp.is_resident:
-                write(start, xp.to_host(
-                    tiles, out=None if out is None else out[:stop - start]))
+                out[start:stop] = tiles
             else:
                 write(start, tiles)
 
@@ -440,4 +383,4 @@ def image_tiles(count: int,
         for helper in helpers:
             if not helper.cancel():
                 helper.exception()  # running or done: wait, don't raise
-    return None if write is not None else out[:count]
+    return out

@@ -43,10 +43,8 @@ from ..backend import (
 from ..layout.reader import ArrayLayoutReader
 from ..optics.resist import ConstantThresholdResist
 from ..optics.simulator import default_illumination
-from ..utils.lru import LockedLRU
 from .batched import (
     FORWARD_REVISION,
-    RESIDENT_BLOCK_BYTES,
     batched_aerial_from_kernels,
     effective_chunk_tiles,
     image_tiles,
@@ -59,39 +57,13 @@ from .tile_cache import (
     TileResultCache,
     resolve_tile_cache,
 )
-from .tiling import TilingSpec, default_guard_px, plan_tiles
+from .tiling import TilingSpec, default_guard_px
 
 
-# --------------------------------------------------------------------------- #
-# device-resident kernel banks
-# --------------------------------------------------------------------------- #
-#: Most device banks the process-wide memo retains (LRU).  A campaign visits
-#: one bank per (focus, precision); an evicted bank re-uploads in one
-#: transfer, whereas an unbounded memo would pin every bank of a long sweep
-#: in device memory.
-DEVICE_BANK_LIMIT = 8
-
-#: (kernel fingerprint, device tag) -> device-resident kernel bank.  The
-#: device-side mirror of :class:`~repro.engine.cache.KernelBankCache`: keyed
-#: by content + device so every engine sharing a bank (and backend)
-#: shares ONE upload — the transfer-count tests pin "bank uploaded once per
-#: fingerprint, not once per chunk or per batch".  Locked: concurrent
-#: campaigns (and any caller's threads) image through it at once.
-_DEVICE_BANKS = LockedLRU(DEVICE_BANK_LIMIT)
-
-
-def device_kernel_bank(backend: FFTBackend, fingerprint: str,
-                       kernels: np.ndarray):
-    """The device-resident copy of ``kernels``, uploaded at most once.
-
-    ``backend`` is a device-resident :class:`~repro.backend.FFTBackend`; the
-    memo key pairs the engine's kernel fingerprint with the backend's device
-    tag, so distinct devices (or dtypes — the fingerprint hashes dtype +
-    bytes) never share a bank.
-    """
-    return _DEVICE_BANKS.get_or_build(
-        (fingerprint, f"{backend.name}:{backend.device}"),
-        lambda: backend.asarray(kernels))
+#: Bytes a tile-cache stream batch's intermediates may take, were they all
+#: alive at once (256 MiB: 2**24 complex128 samples) — the layout pipeline's
+#: RAM bound per batch (:meth:`ExecutionEngine.stream_batch_tiles`).
+STREAM_BATCH_BYTES = 2 ** 28
 
 
 @dataclass(frozen=True)
@@ -278,11 +250,6 @@ class ExecutionEngine:
     def aerial_batch(self, masks: np.ndarray) -> np.ndarray:
         """Aerial images of a mask batch ``(B, H, W)`` in one vectorised pass.
 
-        On a device-resident backend the kernel bank goes up through the
-        process-wide :func:`device_kernel_bank` memo — one upload per
-        (fingerprint, device), shared by every engine and every batch — and
-        each block pays exactly one mask upload + one intensity download.
-
         A bank with a calibrated :attr:`tile_size_px` images masks of
         exactly that size; any other raises ``ValueError`` (the kernels would
         land on a different frequency grid — a silently wrong image).
@@ -291,7 +258,7 @@ class ExecutionEngine:
             if isinstance(masks, (list, tuple)) else self.precision.as_real(masks)
         self._check_tile_shape(masks.shape[-2:])
         return batched_aerial_from_kernels(
-            masks, self._imaging_kernels(), backend=self.backend,
+            masks, self.kernels, backend=self.backend,
             precision=self.precision)
 
     def _check_tile_shape(self, shape: Tuple[int, ...]) -> None:
@@ -300,14 +267,6 @@ class ExecutionEngine:
             raise ValueError(
                 f"mask shape {tuple(shape)} does not match the "
                 f"{tile} px tile this kernel bank was calibrated for")
-
-    def _imaging_kernels(self):
-        """The bank where the backend computes: on a device-resident one the
-        process-wide :func:`device_kernel_bank` copy."""
-        if self.backend.is_resident:
-            return device_kernel_bank(self.backend, self.kernel_fingerprint(),
-                                      self.kernels)
-        return self.kernels
 
     def aerial(self, mask: np.ndarray) -> np.ndarray:
         """Aerial image of one mask tile: a batch of one."""
@@ -343,12 +302,11 @@ class ExecutionEngine:
     def stream_batch_tiles(self, tiling: TilingSpec) -> int:
         """Default tiles per stream batch of a layout run — the stream
         layer's RAM bound: as many tiles as keep a batch's intermediates,
-        were they all alive at once, within 256 MiB (on a device-resident
-        backend they are: such a batch is exactly one upload block).
+        were they all alive at once, within :data:`STREAM_BATCH_BYTES`.
         """
         return effective_chunk_tiles(
             np.iinfo(np.int32).max, self.kernels.shape,
-            tiling.tile_px, tiling.tile_px, RESIDENT_BLOCK_BYTES,
+            tiling.tile_px, tiling.tile_px, STREAM_BATCH_BYTES,
             self.precision.complex_itemsize)
 
     def image_layout(self, layout,
@@ -400,18 +358,8 @@ class ExecutionEngine:
         tile_shape = (tiling.tile_px, tiling.tile_px)
         self._check_tile_shape(tile_shape)
         batch_tiles = self.stream_batch_tiles(tiling)
-        image = partial(image_tiles, kernels=self._imaging_kernels(),
-                        xp=self.backend, precision=self.precision,
-                        tile_shape=tile_shape)
-        if self.backend.is_resident:
-            # Every download of the call — an uncached block or a stack of
-            # tile-cache misses, neither taller than a stream batch — lands
-            # in one (pinned, where the backend supports it) host block.
-            # The pipeline consumes each (stitch + develop copy out of it,
-            # the cache admits copies) before the next lands.
-            rows = min(len(plan_tiles(*layout.shape, tiling)), batch_tiles)
-            image = partial(image, out=self.backend.empty_host(
-                (rows,) + tile_shape, self.precision.real_dtype))
+        image = partial(image_tiles, kernels=self.kernels, xp=self.backend,
+                        precision=self.precision, tile_shape=tile_shape)
         aerial, resist, num_tiles, tile_stats = stream_image_layout(
             layout, tiling, image, self.resist_model.develop,
             self.precision.real_dtype, batch_tiles, out_dir=out_dir,

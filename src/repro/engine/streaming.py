@@ -36,12 +36,6 @@ output on the uncached path (no array holds a batch of tiles), and in
 O(tile-batch) RAM, batches of ``ExecutionEngine.stream_batch_tiles`` tiles,
 through the tile cache.
 
-On a device-resident engine each block is one upload and one download, and
-every download of the call — an uncached block or a stack of tile-cache
-misses — lands in the one host block the engine binds into its imaging
-loop (``out``; pinned memory where the backend provides it), so a layout
-costs one host allocation either way.
-
 Bit-for-bit guarantee
 ---------------------
 Per-tile FFT work is independent of how the batch axis is chunked (the

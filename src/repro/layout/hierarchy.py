@@ -73,7 +73,6 @@ multiple of 90 degrees, then translation (the parser rejects other angles).
 
 from __future__ import annotations
 
-import hashlib
 import math
 import threading
 from dataclasses import dataclass
@@ -92,7 +91,7 @@ import numpy as np
 
 from .gdsii import GDSLibrary, LayoutFormatError, parse_gds
 from .geometry import Polygon, Rect, _pixel_interval
-from .indexed import DEFAULT_BUCKET_PX
+from .indexed import DEFAULT_BUCKET_PX, layout_digest
 
 __all__ = [
     "Transform",
@@ -811,8 +810,9 @@ class HierarchicalLayoutReader:
         """Canonical campaign identity — **equal to the digest of the
         flattened** :class:`~repro.layout.indexed.GeometryLayoutReader`.
 
-        The flattened rectangles' clipped pixel intervals are hashed in
-        exactly the canonical flat-reader form, so whether a campaign loads
+        The flattened rectangles' clipped pixel intervals are hashed by the
+        one canonical :func:`~repro.layout.indexed.layout_digest`, so whether
+        a campaign loads
         the hierarchical ``.gds`` or a pre-flattened equivalent, the store
         sees one identity.  Computed once and cached (the walk enumerates
         every placed rectangle; windows never pay this cost).
@@ -830,14 +830,9 @@ class HierarchicalLayoutReader:
             col0, col1 = _pixel_interval(x1, x2, pixel, width)
             if row1 > row0 and col1 > col0:
                 intervals[layer].add((row0, row1, col0, col1))
-        digest = hashlib.sha256()
-        digest.update(f"repro-layout-reader|shape={self._shape}"
-                      f"|pixel={self.pixel_size_nm!r}".encode("ascii"))
-        for layer in self.layers:
-            digest.update(f"|layer={layer}:".encode("utf-8"))
-            for interval in sorted(intervals[layer]):
-                digest.update(repr(interval).encode("ascii"))
-        self._digest = digest.hexdigest()
+        self._digest = layout_digest(
+            self._shape, pixel,
+            ((layer, intervals[layer]) for layer in self.layers))
         return self._digest
 
     # -------------------------------------------------------------- #

@@ -39,6 +39,27 @@ Shape = Union[Rect, Polygon]
 DEFAULT_BUCKET_PX = 64
 
 
+def layout_digest(shape: Tuple[int, int], pixel_size_nm: float,
+                  intervals: Iterable[Tuple[str, Iterable[tuple]]]) -> str:
+    """The canonical campaign identity of a geometry layout.
+
+    ``intervals`` yields ``(layer, pixel intervals)`` in layer order, each
+    interval a shape's clipped integer ``(row0, row1, col0, col1)``; they
+    are hashed sorted and de-duplicated per layer, after the raster
+    geometry (shape + pixel pitch).  Every reader of geometry — flat or
+    hierarchical — hashes through here, so equal rasterised geometry is one
+    identity whichever reader loaded it.
+    """
+    digest = hashlib.sha256()
+    digest.update(f"repro-layout-reader|shape={shape}"
+                  f"|pixel={pixel_size_nm!r}".encode("ascii"))
+    for layer, spans in intervals:
+        digest.update(f"|layer={layer}:".encode("utf-8"))
+        for interval in sorted(set(spans)):
+            digest.update(repr(interval).encode("ascii"))
+    return digest.hexdigest()
+
+
 class _BucketGrid:
     """One layer's spatial index: bucket cell -> ids of overlapping shapes."""
 
@@ -228,17 +249,10 @@ class GeometryLayoutReader:
         single pixel.  (Two different interval decompositions of the same
         covered area do hash differently; decompose consistently.)
         """
-        digest = hashlib.sha256()
-        digest.update(f"repro-layout-reader|shape={self._shape}"
-                      f"|pixel={self.pixel_size_nm!r}".encode("ascii"))
-        for layer in self.layers:
-            grid = self._indices[layer]
-            intervals = sorted(set(zip(grid.rows0, grid.rows1,
-                                       grid.cols0, grid.cols1)))
-            digest.update(f"|layer={layer}:".encode("utf-8"))
-            for interval in intervals:
-                digest.update(repr(interval).encode("ascii"))
-        return digest.hexdigest()
+        grids = ((layer, self._indices[layer]) for layer in self.layers)
+        return layout_digest(self._shape, self.pixel_size_nm, (
+            (layer, zip(grid.rows0, grid.rows1, grid.cols0, grid.cols1))
+            for layer, grid in grids))
 
     # ------------------------------------------------------------------ #
     # conveniences

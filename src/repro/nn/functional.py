@@ -350,9 +350,9 @@ def imag(a) -> Tensor:
 def abs2(a) -> Tensor:
     """Squared magnitude ``|z|^2``; real-valued output.
 
-    Computed as the batched core's ``abs2_sum`` computes it, so an op chain
-    through here rounds like :func:`socs_intensity` also on truly complex
-    fields (a packed kernel pair's)."""
+    Computed as the batched core's ``|field|^2`` reduction computes it, so
+    an op chain through here rounds like :func:`socs_intensity` also on
+    truly complex fields (a packed kernel pair's)."""
     a = as_tensor(a)
     out_data = np.abs(a.data) ** 2
 
@@ -519,8 +519,9 @@ def ifftshift2(a) -> Tensor:
 def socs_intensity(kernels, spectra, grid: Tuple[int, int]) -> Tensor:
     """Eq. (4): ``(r, n, m)`` kernels and centred ``(B, n, m)`` spectra ->
     ``(B, grid_h, grid_w)`` intensities, through the batched core's
-    :func:`~repro.engine.batched.coherent_fields` and ``abs2_sum`` (backward:
-    the module docstring).  Host arrays in and out, like :func:`fft2`."""
+    :func:`~repro.engine.batched.coherent_fields` and its ``|field|^2`` sum
+    (backward: the module docstring).  Host arrays in and out, like
+    :func:`fft2`."""
     from ..backend import get_backend  # deferred: keep nn importable standalone
     from ..engine.batched import coherent_fields
     from ..optics.grid import crop_centre
@@ -529,7 +530,7 @@ def socs_intensity(kernels, spectra, grid: Tuple[int, int]) -> Tensor:
     kernels, spectra = as_tensor(kernels), as_tensor(spectra)
     n, m = kernels.shape[-2:]
     fields = coherent_fields(kernels.data, spectra.data, *grid, backend)
-    out_data = backend.abs2_sum(fields, axis=1)
+    out_data = np.sum(np.abs(fields) ** 2, axis=1)
 
     def backward(grad: np.ndarray) -> None:
         adjoint = crop_centre(np.fft.fftshift(

@@ -37,18 +37,9 @@ def mask_spectrum(mask: np.ndarray, kernel_shape: Optional[Tuple[int, int]] = No
 
     ``backend`` is the FFT backend to transform through; ``None`` resolves
     the default (``REPRO_FFT_BACKEND`` / auto).
-
-    Device residency: the transform always goes through the backend; the
-    array ops around it (allocation, Hermitian gather) run in the backend's
-    namespace when the mask already lives on its device — the spectrum
-    comes back device-resident and nothing crosses the host boundary — and
-    in numpy otherwise, so a host mask handed to a device backend keeps host
-    semantics and pays one counted round trip (index arrays are host-side
-    metadata either way).
     """
     backend = backend or get_backend()
-    xp = backend if backend.is_device_array(mask) else np
-    mask = xp.asarray(mask)
+    mask = np.asarray(mask)
     if np.issubdtype(mask.dtype, np.complexfloating):
         raise ValueError("mask_spectrum requires a real-valued mask")
 
@@ -64,10 +55,10 @@ def mask_spectrum(mask: np.ndarray, kernel_shape: Optional[Tuple[int, int]] = No
     half = backend.rfft2_columns(mask, m // 2 + 1, norm="ortho")
     rows = (np.arange(n) - n // 2) % height
     cols = (np.arange(m) - m // 2) % width
-    out = xp.empty(mask.shape[:-2] + (n, m), dtype=half.dtype)
+    out = np.empty(mask.shape[:-2] + (n, m), dtype=half.dtype)
     direct = cols <= width // 2
     out[..., :, direct] = half[..., rows[:, None], cols[direct][None, :]]
     if not direct.all():
-        out[..., :, ~direct] = xp.conj(
+        out[..., :, ~direct] = np.conj(
             half[..., ((-rows) % height)[:, None], (width - cols[~direct])[None, :]])
     return out

@@ -88,7 +88,7 @@ def embed_centre(block: np.ndarray, height: int, width: int) -> np.ndarray:
 
 
 def embed_centre_unshifted(block: np.ndarray, height: int, width: int,
-                           xp=np, out=None) -> np.ndarray:
+                           out=None) -> np.ndarray:
     """Embed a centred-DC ``block`` directly into an *unshifted* spectrum layout.
 
     Bit-for-bit equal to ``np.fft.ifftshift(embed_centre(block, height,
@@ -98,18 +98,15 @@ def embed_centre_unshifted(block: np.ndarray, height: int, width: int,
     every sample of the full-size array a second time.  This removes the
     per-chunk full-size ``ifftshift`` from the batched imaging hot loop.
 
-    ``xp`` is the array namespace the zero target is allocated in — numpy by
-    default, or an :class:`~repro.backend.FFTBackend` so a device-resident
-    ``block`` embeds into a device array without ever visiting the host (the
-    quadrant writes are plain slice assignments, valid on both).  ``out`` is
-    a reusable target instead: zero outside the four quadrants, which every
-    embed of an equally shaped ``block`` overwrites completely.
+    ``out`` is a reusable target instead of a fresh zero array: zero outside
+    the four quadrants, which every embed of an equally shaped ``block``
+    overwrites completely.
     """
     bh, bw = block.shape[-2], block.shape[-1]
     if bh > height or bw > width:
         raise ValueError(f"block ({bh}, {bw}) larger than target ({height}, {width})")
     if out is None:
-        out = xp.zeros(block.shape[:-2] + (height, width), dtype=block.dtype)
+        out = np.zeros(block.shape[:-2] + (height, width), dtype=block.dtype)
     # Block row i holds centred frequency i - bh//2: the first bh//2 rows are
     # negative frequencies (wrap to the bottom), the rest non-negative.
     neg_h, neg_w = bh // 2, bw // 2

@@ -143,6 +143,7 @@ class CampaignRequest:
         for block, build in (("optics", request.optics_config),
                              ("optics.source", request.source),
                              ("grid", request.focus_exposure_grid),
+                             ("compute", request.compute.resolve),
                              ("guard_px", lambda: request.guard_px is None or
                               TilingSpec(int(optics["tile_size_px"]),
                                          request.guard_px))):

@@ -41,7 +41,8 @@ from unittest import mock
 
 import numpy as np
 
-from repro.backend import FFTBackend, get_backend
+from repro.backend import FFTBackend, get_backend, register_backend
+from repro.backend.fft import _INSTANCES, _REGISTRY
 from repro.engine import (
     LayoutImage,
     TileResultCache,
@@ -103,14 +104,16 @@ def band_limited_blocks(batch, kernel_shape, out_shape, itemsize=16):
 
 class RecordingBackend(FFTBackend):
     """Only ``name`` + the four transforms, forwarded to the ``inner`` backend
-    (``None`` = the default one) — exactly what
+    (``None`` = the default one, built with ``workers``) — exactly what
     ``bench/probes.py::make_fft_probe`` subclasses — recording
-    ``(method, shape)`` per call; ``irfft2`` records the shape it produces."""
+    ``(method, shape)`` per call; ``irfft2`` records the shape it produces.
+    It has no one-thread sibling, so the batched core runs it as one share.
+    ``name`` defaults to the inner backend's; a registered instance passes
+    its registry name, so an ``EngineSpec`` resolves back to it."""
 
-    def __init__(self, inner=None):
-        super().__init__()
-        self.inner = get_backend(inner)
-        self.name = self.inner.name
+    def __init__(self, inner=None, workers=None, name=None):
+        self.inner = get_backend(inner, workers)
+        self.name = name or self.inner.name
         self.calls = []
 
     def shapes(self, method):
@@ -131,6 +134,26 @@ class RecordingBackend(FFTBackend):
     def irfft2(self, array, s, norm=None):
         self.calls.append(("irfft2", tuple(array.shape[:-2]) + tuple(s)))
         return self.inner.irfft2(array, s=s, norm=norm)
+
+
+#: The backend matrices' third cell, next to numpy and scipy: a
+#: :class:`RecordingBackend` over the ``auto`` backend, selectable by this
+#: name (``REPRO_FFT_BACKEND`` too) inside :func:`transforms_only_registered`.
+TRANSFORMS_ONLY = "transforms-only"
+
+
+@contextlib.contextmanager
+def transforms_only_registered():
+    """Register :data:`TRANSFORMS_ONLY` through ``register_backend`` for the
+    ``with`` block; the registry holds ``numpy`` and ``scipy`` again after."""
+    register_backend(TRANSFORMS_ONLY,
+                     lambda workers: RecordingBackend("auto", workers,
+                                                      name=TRANSFORMS_ONLY))
+    try:
+        yield
+    finally:
+        _REGISTRY.pop(TRANSFORMS_ONLY, None)
+        _INSTANCES.clear()
 
 
 def reference_image_layout(engine, layout, tiling=None, *, tile_px=None,

@@ -30,7 +30,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from reference import RecordingBackend, reference_aerial, reference_mask_spectrum
+from reference import (
+    TRANSFORMS_ONLY,
+    RecordingBackend,
+    reference_aerial,
+    reference_mask_spectrum,
+    transforms_only_registered,
+)
 from repro.backend import (
     FLOAT32,
     FLOAT64,
@@ -40,7 +46,6 @@ from repro.backend import (
     available_backends,
     get_backend,
     register_backend,
-    register_pyfftw_backend,
     registered_backends,
     resolve_precision,
 )
@@ -97,6 +102,17 @@ class TestRegistry:
         with pytest.raises(ValueError, match="registered backends"):
             get_backend("not-a-backend")
 
+    def test_the_registry_holds_the_two_backends_that_ship(self):
+        """The device-resident lane and the pyFFTW hook are gone: their
+        names are as unknown as any other."""
+        assert registered_backends() == ("numpy", "scipy")
+        for name in ("fakegpu", "cupy", "pyfftw"):
+            with pytest.raises(ValueError) as excinfo:
+                get_backend(name)
+            assert str(excinfo.value) == (
+                f"unknown FFT backend {name!r} (from argument); registered "
+                f"backends: numpy, scipy")
+
     def test_auto_prefers_scipy_when_importable(self):
         pytest.importorskip("scipy.fft")
         assert get_backend("auto").name == "scipy"
@@ -143,8 +159,8 @@ class TestRegistry:
             _REGISTRY.pop("probe", None)
 
     def test_factory_must_return_an_fft_backend(self):
-        """A duck-typed object would fail mid-chunk on the array namespace;
-        it is rejected where it is resolved, naming the backend."""
+        """A duck-typed object would fail mid-block on the inherited
+        transforms; it is rejected where it is resolved, naming the backend."""
         class Duck:
             name = "duck"
 
@@ -478,18 +494,15 @@ class TestBackendProtocolCoverage:
         assert backend.irfft2(spectrum, s=(16, 16)).dtype == np.float32
         assert backend.ifft2(backend.fft2(x32)).dtype == np.complex64
 
-    @pytest.mark.parametrize("name", ["numpy", "scipy", "fakegpu", "pyfftw"])
+    @pytest.mark.parametrize("name", ["numpy", "scipy", TRANSFORMS_ONLY])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_no_transform_modifies_its_input(self, name, dtype):
         """The batched core transforms one reused scratch array block after
         block, so an in-place transform (multi-dimensional c2r is the classic
         one) would corrupt every tile after the first."""
-        if name == "pyfftw":
-            pytest.importorskip("pyfftw")
-            register_pyfftw_backend()
-        elif name not in available_backends():
-            pytest.skip(f"{name} does not construct here")
-        try:
+        with transforms_only_registered():
+            if name not in available_backends():
+                pytest.skip(f"{name} does not construct here")
             backend = get_backend(name)
             rng = np.random.default_rng(5)
             real = rng.random((3, 12, 10)).astype(dtype)
@@ -501,16 +514,10 @@ class TestBackendProtocolCoverage:
                                         ("rfft2", real, {}),
                                         ("irfft2", half, {"s": (12, 10)})):
                 for norm in (None, "ortho", "forward"):
-                    # Resident backends get a device array, as the core's
-                    # scratch is one; host backends pass it through.
-                    given = backend.asarray(data.copy())
+                    given = data.copy()
                     getattr(backend, method)(given, norm=norm, **extra)
                     np.testing.assert_array_equal(
-                        backend.to_host(given), data,
-                        err_msg=f"{name}.{method}(norm={norm})")
-        finally:
-            if name == "pyfftw":
-                _REGISTRY.pop("pyfftw", None)
+                        given, data, err_msg=f"{name}.{method}(norm={norm})")
 
     def test_all_available_backends_satisfy_protocol(self):
         rng = np.random.default_rng(1)

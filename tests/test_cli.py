@@ -120,12 +120,14 @@ class TestImagingVerbsRejectBadInput:
                               "tolerance must be in (0, 1)"),
             "negative target": (["--target-cd", "-5"],
                                 "target_cd_nm must be positive"),
+            "removed backend": (["--fft-backend", "fakegpu"],
+                                "unknown FFT backend 'fakegpu'"),
         }
 
     @pytest.mark.parametrize("case,verb", [
         (case, verb)
         for case in ("missing file", "not a layout", "unknown source",
-                     "guard too wide")
+                     "guard too wide", "removed backend")
         for verb in ("image-layout", "sweep-window")] + [
         (case, "sweep-window") for case in ("bad tolerance",
                                             "negative target")])
@@ -146,6 +148,22 @@ class TestImagingVerbsRejectBadInput:
         assert exit_code == 2
         assert captured.err.startswith("error: ") and message in captured.err
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert not output.exists()
+
+    def test_a_removed_backend_from_the_environment_fails_at_the_door(
+            self, tmp_path, capsys, monkeypatch):
+        """``REPRO_FFT_BACKEND`` naming a backend that no longer ships is
+        refused before anything is built, listing the two that do."""
+        monkeypatch.setenv("REPRO_FFT_BACKEND", "fakegpu")
+        output = tmp_path / "out.npz"
+        exit_code = main(["image-layout", "--width", "64", "--height", "64",
+                          "--tile-size", "32", "--pixel-size-nm", "8",
+                          "--output", str(output)])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.err == (
+            "error: unknown FFT backend 'fakegpu' (from REPRO_FFT_BACKEND); "
+            "registered backends: numpy, scipy\n")
         assert not output.exists()
 
     def test_an_error_while_imaging_keeps_its_traceback(self, tmp_path,

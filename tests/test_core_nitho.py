@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from reference import reference_aerial, stream_batches
+from reference import reference_aerial
 from repro.core import NithoConfig, NithoModel, NithoTrainer
 from repro.engine import ExecutionEngine
 from repro.metrics import aerial_metrics
@@ -238,28 +238,6 @@ class TestKernelBankEngine:
         engine = ExecutionEngine(tiny_simulator.kernels.kernels)
         with pytest.raises(ValueError, match="only holds"):
             engine.truncate(engine.order + 1)
-
-    def test_aerial_batch_forwards_out_on_a_device_module(self, tiny_simulator):
-        """Regression: the override dropped ``out=``, so a layout on a
-        device-resident backend (whose downloads stage through ``out=``)
-        raised ``TypeError: unexpected keyword argument 'out'``."""
-        from repro.backend import ComputeConfig, get_backend
-
-        tile = tiny_simulator.config.tile_size_px
-        no_cache = ComputeConfig(tile_cache=False)
-        layout = (np.random.default_rng(4).random((2 * tile + 5, tile + 9))
-                  > 0.7).astype(float)
-        device = ExecutionEngine(tiny_simulator.kernels.kernels,
-                                 tile_size_px=tile, compute=no_cache,
-                                 fft_backend=get_backend("fakegpu"))
-        host = ExecutionEngine(tiny_simulator.kernels.kernels,
-                               tile_size_px=tile,
-                               compute=ComputeConfig(tile_cache=False,
-                                                     fft_backend="numpy"))
-        with stream_batches(device, 2):
-            streamed = device.image_layout(layout, guard_px=4)
-        np.testing.assert_array_equal(
-            streamed.aerial, host.image_layout(layout, guard_px=4).aerial)
 
     def test_kernel_energy_sorted_descending_for_golden(self, tiny_simulator):
         engine = ExecutionEngine(tiny_simulator.kernels.kernels)

@@ -5,7 +5,8 @@ Pinned guarantees:
 * ``rfft2_columns`` / ``irfft2_zero_extended`` equal the backend's own
   ``rfft2(...)[..., :cols]`` / zero-extended ``irfft2`` **bit for bit** on
   every backend — the overriding ones (numpy, scipy), the inheriting ones
-  (fakegpu, a transforms-only subclass) and whatever the environment selects
+  (transforms-only subclasses, registered or not) and whatever the
+  environment selects
   (CI runs this file per ``REPRO_FFT_BACKEND`` x ``REPRO_FFT_WORKERS``),
 * a call of ``B > 1`` tiles spends ``min(backend.workers, B)`` threads on
   shares of the batch and never more — a one-block batch included; an
@@ -27,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import RecordingBackend
+from reference import TRANSFORMS_ONLY, RecordingBackend
 from repro.backend import ComputeConfig, available_backends, get_backend
 from repro.backend.fft import _REGISTRY, ScipyFFTBackend, register_backend
 from repro.engine import EngineSpec, ShardedExecutor, batched
@@ -35,6 +36,8 @@ from repro.engine.batched import batched_aerial_from_kernels
 from repro.optics import OpticsConfig
 
 pytest.importorskip("scipy.fft")
+
+pytestmark = pytest.mark.usefixtures("transforms_only_backend")
 
 
 # --------------------------------------------------------------------------- #
@@ -51,7 +54,8 @@ def _backend(name):
 
 
 @pytest.mark.parametrize("name",
-                         ["numpy", "scipy", "fakegpu", "recording", "env"])
+                         ["numpy", "scipy", TRANSFORMS_ONLY, "recording",
+                          "env"])
 @settings(max_examples=60, deadline=None)
 @given(height=st.sampled_from([1, 2, 3, 5, 8, 13, 16, 25, 31, 60, 64, 97]),
        width=st.sampled_from([1, 2, 3, 5, 8, 13, 16, 25, 31, 60, 64, 97]),
@@ -64,12 +68,10 @@ def test_pruned_transforms_equal_the_full_ones_bit_for_bit(
     rng = np.random.default_rng(seed)
     real = rng.standard_normal((2, height, width)).astype(
         np.float32 if single else np.float64)
-    given_real = backend.asarray(real)
+    given_real = real.copy()
 
-    full = backend.rfft2(given_real, norm=norm)
-    kept = backend.rfft2_columns(given_real, cols, norm=norm)
-    expected = backend.to_host(full)[..., :cols]
-    got = backend.to_host(kept)
+    expected = backend.rfft2(given_real, norm=norm)[..., :cols]
+    got = backend.rfft2_columns(given_real, cols, norm=norm)
     assert got.dtype == expected.dtype and got.shape == expected.shape
     assert np.ascontiguousarray(got).tobytes() \
         == np.ascontiguousarray(expected).tobytes()
@@ -78,16 +80,15 @@ def test_pruned_transforms_equal_the_full_ones_bit_for_bit(
     narrow = np.ascontiguousarray(expected)
     wide = np.zeros(narrow.shape[:-1] + (width // 2 + 1,), narrow.dtype)
     wide[..., :cols] = narrow
-    expected = backend.to_host(backend.irfft2(
-        backend.asarray(wide), s=(height, width), norm=norm))
-    given_narrow = backend.asarray(narrow)
-    got = backend.to_host(backend.irfft2_zero_extended(
-        given_narrow, s=(height, width), norm=norm))
+    expected = backend.irfft2(wide, s=(height, width), norm=norm)
+    given_narrow = narrow.copy()
+    got = backend.irfft2_zero_extended(given_narrow, s=(height, width),
+                                       norm=norm)
     assert got.dtype == expected.dtype
     assert got.tobytes() == expected.tobytes()
     # Neither may modify its input: the core's scratch is reused.
-    assert backend.to_host(given_real).tobytes() == real.tobytes()
-    assert backend.to_host(given_narrow).tobytes() == narrow.tobytes()
+    assert given_real.tobytes() == real.tobytes()
+    assert given_narrow.tobytes() == narrow.tobytes()
 
     if name == "recording":
         # The base-class defaults are a complete backend: the four 2-D

@@ -26,7 +26,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import RecordingBackend, band_limited_blocks, reference_aerial
+from reference import (
+    TRANSFORMS_ONLY,
+    RecordingBackend,
+    band_limited_blocks,
+    reference_aerial,
+)
 from repro.backend import available_backends, get_backend, resolve_precision
 from repro.engine import (
     ExecutionEngine,
@@ -54,6 +59,8 @@ from repro.utils.imaging import fourier_resize, fourier_resize_batch
 # size, so the band-limited chunk runs (a 14 px grid); the tiny fixtures (48 px
 # at 20 nm, a 27x27 window, a 54 px grid) take the direct full-size chunk.
 FINE = OpticsConfig(tile_size_px=64, pixel_size_nm=4.0, max_socs_order=None)
+
+pytestmark = pytest.mark.usefixtures("transforms_only_backend")
 
 
 @pytest.fixture(scope="module")
@@ -160,7 +167,7 @@ class TestBatchedEquivalence:
             np.testing.assert_allclose(fast, reference, rtol=0,
                                        atol=1e-12 * reference.max())
 
-    @pytest.mark.parametrize("name", ["numpy", "scipy", "fakegpu"])
+    @pytest.mark.parametrize("name", ["numpy", "scipy", TRANSFORMS_ONLY])
     @settings(max_examples=15, deadline=None)
     @given(tiles=st.sampled_from([1, 2, 3, 5, 100]), batch=st.integers(1, 7),
            band_limited=st.booleans(), seed=st.integers(0, 2 ** 16),
@@ -168,10 +175,10 @@ class TestBatchedEquivalence:
     def test_block_size_is_invisible(self, name, tiles, batch, band_limited,
                                      seed, workers):
         """The one cut of a batch — blocks of 1 / an odd number / all of its
-        tiles, either per-block body, host or resident budget, imaged on one
-        thread or shared out over several — never changes a tile's bits, and
-        a block's leftovers in the reused scratch never reach the next one:
-        the all-zero tile still images to exactly zero."""
+        tiles, either per-block body, imaged on one thread or shared out over
+        several — never changes a tile's bits, and a block's leftovers in the
+        reused scratch never reach the next one: the all-zero tile still
+        images to exactly zero."""
         if name not in available_backends():
             pytest.skip(f"{name} does not construct here")
         rng = np.random.default_rng(seed)
@@ -187,18 +194,20 @@ class TestBatchedEquivalence:
         shared = np.full_like(whole, np.nan)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(batched, "BLOCK_BYTES", tiles * per_tile)
-            patch.setattr(batched, "RESIDENT_BLOCK_BYTES", tiles * per_tile)
             cut = batched_aerial_from_kernels(masks, kernels, backend=recorder)
             if band_limited:
                 assert band_limited_blocks(batch, kernels.shape, (32, 32)) \
                     == [shape[0] for shape in recorder.shapes("irfft2")]
             # The same blocks shared out over the worker budget (scipy; the
             # others have no one-thread sibling and stay on this thread),
-            # into a NaN-filled result: every row is written.
-            backend = get_backend(name, workers=workers)
-            batched.image_tiles(batch, masks, None, backend.asarray(kernels),
-                                backend, resolve_precision(None),
-                                (tile, tile), out=shared)
+            # written into a NaN-filled result: every row is written.
+
+            def write(start, images):
+                shared[start:start + len(images)] = images
+
+            batched.image_tiles(batch, masks, write, kernels,
+                                get_backend(name, workers=workers),
+                                resolve_precision(None), (tile, tile))
         assert max(shape[0] for shape in recorder.shapes("ifft2")) \
             == min(tiles, batch)
         np.testing.assert_array_equal(cut, whole)

@@ -268,31 +268,6 @@ class TestMemosUnderThreads:
         self._hammer(executor.warm, specs)
         assert len(executor._engines) == ENGINE_MEMO_LIMIT
 
-    def test_device_bank_memo_uploads_once_and_never_raises(self):
-        from repro.backend import get_backend
-        from repro.engine.execution import (
-            DEVICE_BANK_LIMIT,
-            _DEVICE_BANKS,
-            device_kernel_bank,
-        )
-
-        module = get_backend("fakegpu")
-        kernels = np.ones((2, 5, 5), dtype=complex)
-        names = [f"threads-bank-{index}" for index in range(12)]
-        _DEVICE_BANKS.clear()
-        module.transfer_stats.reset()
-        try:
-            self._hammer(lambda name: device_kernel_bank(module, name,
-                                                         kernels),
-                         names[:DEVICE_BANK_LIMIT])
-            assert module.transfer_stats.uploads == DEVICE_BANK_LIMIT
-            self._hammer(lambda name: device_kernel_bank(module, name,
-                                                         kernels), names)
-            assert len(_DEVICE_BANKS) == DEVICE_BANK_LIMIT
-        finally:
-            _DEVICE_BANKS.clear()
-            module.transfer_stats.reset()
-
 
 class TestStreamingThroughExecutor:
     def test_streaming_layout_matches_serial_engine(self, spec, tmp_path):

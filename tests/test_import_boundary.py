@@ -198,7 +198,6 @@ UNCALLED_ALLOWED = {
     "load_layout_file": "an unshared reader of a layout file; "
                         "load_layout_source hands every caller one object",
     "PixelatedSource": "a freeform illuminator for source=",
-    "register_cupy_backend": "the GPU hook for the lane the ROADMAP parks",
     "truncation_error_bound": "the SOCS truncation budget ROADMAP items 2 "
                               "and 9 gate on",
 }

@@ -8,6 +8,7 @@ comes from the reader's canonical shape digest without the dense raster ever
 existing.
 """
 
+import hashlib
 import json
 import os
 import sys
@@ -46,6 +47,7 @@ from repro.layout import (
 )
 from repro.layout.files import layout_reader_from_bytes, read_layout_bytes
 from repro.layout.geometry import Polygon, Rect
+from repro.layout.indexed import layout_digest
 from repro.masks.io import save_layout
 from repro.masks.layout import Layout
 from repro.optics.simulator import OpticsConfig
@@ -170,6 +172,37 @@ class TestGeometryLayoutReader:
             changed.add("m1", shape)
         changed.add("m1", Rect(8.0, 8.0, 64.0, 64.0))
         assert make(changed).digest() != make(layout).digest()
+
+    def test_digest_is_the_pinned_identity_format(self):
+        """Stored campaigns were written under this identity: the raster
+        geometry, then each layer's sorted, de-duplicated pixel intervals
+        ``(row0, row1, col0, col1)`` — spelled out here by hand."""
+        shapes = {"m1": [Rect(0, 0, 32, 32), Rect(0, 0, 32, 32),
+                         Rect(40, 8, 16, 24)],
+                  "v1": [Rect(16, 16, 8, 8)]}
+        reader = GeometryLayoutReader(shapes, pixel_size_nm=8.0,
+                                      extent_nm=64.0)
+        expected = hashlib.sha256(
+            b"repro-layout-reader|shape=(8, 8)|pixel=8.0"
+            b"|layer=m1:(0, 4, 0, 4)(1, 4, 5, 7)"
+            b"|layer=v1:(2, 3, 2, 3)").hexdigest()
+        assert reader.digest() == expected == (
+            "431f5274048ffd8651e2321df7ca0edace11a6f2af12744382dcb5ca035af300")
+
+    def test_layout_digest_hashes_each_layers_interval_set(self):
+        """Interval order and repeats within a layer do not move the
+        identity; the layer an interval sits on, and the raster geometry,
+        do."""
+        a, b = (0, 4, 0, 4), (1, 4, 5, 7)
+        digest = layout_digest((8, 8), 8.0, [("m1", [a, b]), ("v1", [])])
+        assert layout_digest((8, 8), 8.0, [("m1", iter([b, a, b])),
+                                           ("v1", [])]) == digest
+        assert layout_digest((8, 8), 8.0, [("m1", [a]),
+                                           ("v1", [b])]) != digest
+        assert layout_digest((8, 9), 8.0, [("m1", [a, b]),
+                                           ("v1", [])]) != digest
+        assert layout_digest((8, 8), 4.0, [("m1", [a, b]),
+                                           ("v1", [])]) != digest
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):

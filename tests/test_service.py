@@ -103,6 +103,13 @@ class TestRequestValidation:
         ({"compute": json.dumps(COMPUTE_JSON)},
          "compute must be a JSON object, got str"),
         ({"compute": ["numpy"]}, "compute must be a JSON object, got list"),
+        # Names inside the object resolve at submit, not in the job.
+        ({"compute": {"fft_backend": "nosuch"}},
+         "invalid compute: unknown FFT backend 'nosuch'"),
+        ({"compute": {"fft_backend": "fakegpu"}},
+         "invalid compute: unknown FFT backend 'fakegpu'"),
+        ({"compute": {"precision": "float16"}},
+         "invalid compute: unknown precision 'float16'"),
     ]
 
     @pytest.mark.parametrize("overrides,message", BAD_BLOCKS)
@@ -401,6 +408,23 @@ class TestStoredRequestRejection:
             manager.close()
         assert durably_completed(os.path.join(data_dir, "campaigns",
                                               "legacy")) == 4
+
+    def test_a_stored_removed_backend_fails_and_the_server_starts(
+            self, tmp_path):
+        """A campaign stored before the ``fakegpu`` backend was removed comes
+        back ``failed``, naming the backend; the server still serves."""
+        data_dir = tmp_path / "svc"
+        store_dir = data_dir / "campaigns" / "device"
+        store_dir.mkdir(parents=True)
+        request = make_request(compute={"fft_backend": "fakegpu"})
+        (store_dir / "request.json").write_text(json.dumps(request))
+        with CampaignServer(str(data_dir), campaign_workers=1) as svc:
+            client = ServiceClient(svc.url)
+            assert client.health()["status"] == "ok"
+            status = client.status("device")
+        assert status["state"] == "failed"
+        assert status["error"].startswith("stored request.json rejected: ")
+        assert "unknown FFT backend 'fakegpu'" in status["error"]
 
     def test_removed_keys_get_the_typed_rejection(self):
         with pytest.raises(ValueError, match="unknown request field.*streaming"):

@@ -2,8 +2,8 @@
 
 The node's forward is the batched core's own field expression
 (``repro.engine.batched.coherent_fields``) and its backward the closed form
-stated in ``repro/nn/functional.py``.  Pinned here, each on the numpy, scipy
-and fakegpu backends:
+stated in ``repro/nn/functional.py``.  Pinned here, each on the numpy and
+scipy backends and a transforms-only one:
 
 * value, gradient and a central-difference check against
   ``tests/reference.py::reference_socs_intensity`` (the
@@ -21,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from reference import reference_socs_intensity
+from reference import TRANSFORMS_ONLY, reference_socs_intensity
 from repro.backend import get_backend
 from repro.core import GradientILT, ILTSettings, NithoConfig, NithoModel
 from repro.masks import ICCAD2013Generator
@@ -29,7 +29,9 @@ from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 from repro.optics import OpticsConfig, lithosim_engine
 
-BACKENDS = ["numpy", "scipy", "fakegpu"]
+BACKENDS = ["numpy", "scipy", TRANSFORMS_ONLY]
+
+pytestmark = pytest.mark.usefixtures("transforms_only_backend")
 
 
 @pytest.fixture(params=BACKENDS)
@@ -88,13 +90,9 @@ class TestAgainstTheOpChain:
         spectra = _complex(rng, (batch, n, m))
         grid = (n + pad_h, m + pad_w)
         weight = rng.normal(size=(batch,) + grid)
-        stats = backend.transfer_stats
-        before = (stats.uploads, stats.downloads)
 
         value, grad_k, grad_s = _loss_and_grads(
             F.socs_intensity, kernels, spectra, grid, weight)
-        # host in, host out: a device backend's round trips come in pairs
-        assert stats.uploads - before[0] == stats.downloads - before[1]
         oracle, oracle_k, oracle_s = _loss_and_grads(
             reference_socs_intensity, kernels, spectra, grid, weight)
         assert value.shape == (batch,) + grid

@@ -5,7 +5,7 @@ parallel — it spends the spec's ``fft_workers`` on shares of its tiles —
 and ``ShardedExecutor.aerial_batch`` / ``image_layout`` /
 ``ProcessWindowSweep.run`` reach it batch by batch.  Every cell of
 
-    fft_workers {1, 2, 3} x backend {numpy, scipy, fakegpu}
+    fft_workers {1, 2, 3} x backend {numpy, scipy, transforms-only}
     x precision {float64, float32} x tile cache {off, on}
     x layout source {dense raster, geometry reader, .gds hierarchy}
 
@@ -24,8 +24,8 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from reference import reference_image_layout
-from repro.backend import ComputeConfig
+from reference import TRANSFORMS_ONLY, RecordingBackend, reference_image_layout
+from repro.backend import ComputeConfig, get_backend
 from repro.engine import (
     EngineSpec,
     ShardedExecutor,
@@ -49,9 +49,28 @@ GUARD = 8
 HIER4 = os.path.join(os.path.dirname(__file__), "data", "hier4.gds")
 
 WORKERS = (1, 2, 3)
-BACKENDS = ("numpy", "scipy", "fakegpu")
+BACKENDS = ("numpy", "scipy", TRANSFORMS_ONLY)
 PRECISIONS = ("float64", "float32")
 SOURCES = ("dense", "geometry", "gds")
+
+pytestmark = pytest.mark.usefixtures("transforms_only_backend")
+
+
+@pytest.fixture(autouse=True)
+def _transforms_only_cells_image_through_it(request):
+    """A transforms-only cell must transform through the registered
+    :class:`RecordingBackend` at the cell's worker count — not through the
+    backend it wraps — so the cell cannot collapse into the scipy one."""
+    params = getattr(request.node, "callspec", None)
+    params = params.params if params else {}
+    if params.get("backend") != TRANSFORMS_ONLY:
+        yield
+        return
+    recorder = get_backend(TRANSFORMS_ONLY, params["workers"])
+    assert isinstance(recorder, RecordingBackend)
+    recorder.calls.clear()
+    yield
+    assert recorder.calls, "the cell never reached the transforms-only backend"
 
 
 def _dense_raster() -> np.ndarray:
@@ -97,8 +116,10 @@ def _compute(backend: str, precision: str, workers: int = 1,
 
 def _spec(backend: str, precision: str, workers: int = 1,
           tile_cache: bool = False) -> EngineSpec:
-    return EngineSpec(config=CONFIG, source=SOURCE, compute=_compute(
+    spec = EngineSpec(config=CONFIG, source=SOURCE, compute=_compute(
         backend, precision, workers, tile_cache))
+    assert spec.compute.fft_backend == backend  # a registered name resolves
+    return spec
 
 
 def _private_tile_cache(monkeypatch, tile_cache: bool) -> None:
@@ -173,7 +194,6 @@ def test_uncached_layout_in_small_blocks_equals_reference(
     expected = reference_image_layout(_spec(backend, precision).build(),
                                       layout, guard_px=GUARD)
     monkeypatch.setattr(batched, "BLOCK_BYTES", 1)
-    monkeypatch.setattr(batched, "RESIDENT_BLOCK_BYTES", 1)
     engine = _spec(backend, precision, workers).build()
     directory = str(tmp_path / "out") if out_dir else None
     result = engine.image_layout(layout, guard_px=GUARD, out_dir=directory)

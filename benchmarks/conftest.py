@@ -1,18 +1,21 @@
 """Shared fixtures for the benchmark harness.
 
-Every benchmark regenerates one table or figure of the paper.  The scale is
+Every benchmark regenerates one table, figure, ablation or extension of the
+paper, except two that time or count the computation behind them
+(``test_bench_micro_kernels.py``, ``test_bench_sweep.py``).  The scale is
 controlled by the ``REPRO_PRESET`` environment variable (``tiny`` by default,
 ``small`` / ``default`` for longer runs); trained models and datasets are
 cached in a session-wide experiment context so the harness never trains the
 same model twice.
 
-Each benchmark writes the regenerated table to ``benchmarks/results/`` so the
-numbers recorded in EXPERIMENTS.md can be refreshed by re-running the harness.
+The paper benchmarks write the regenerated table to
+``benchmarks/results/<name>.txt``; re-running the harness refreshes the
+committed tables.  The repo's speed is measured elsewhere: ``bench/run.py``
+runs the gated end-to-end workloads that ``BENCHMARK.json`` declares.
 """
 
 from __future__ import annotations
 
-import json
 import os
 
 import pytest
@@ -60,27 +63,6 @@ def record_output():
         path = os.path.join(RESULTS_DIR, f"{name}.txt")
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text if text.endswith("\n") else text + "\n")
-        return path
-
-    return _record
-
-
-@pytest.fixture(scope="session")
-def record_json():
-    """Write a machine-readable benchmark record to benchmarks/results/<name>.json.
-
-    The free-text ``record_output`` reports are for humans; these JSON files
-    are the repo's perf trajectory — benchmark runs append one file per
-    (op, configuration) so regressions are diffable across commits and CI
-    uploads them as artifacts alongside the ``.txt`` tables.
-    """
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-
-    def _record(name: str, payload) -> str:
-        path = os.path.join(RESULTS_DIR, f"{name}.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
         return path
 
     return _record

@@ -3,8 +3,8 @@
 Paper shape to reproduce: the Gaussian random-Fourier-feature encoding
 (Eq. (15)) beats no encoding; at the paper's full scale it also beats the
 axis-aligned NeRF encoding (Eq. (14)).  At the reduced reproduction scale the
-RFF-vs-NeRF margin can shrink (see EXPERIMENTS.md), so the hard assertion here
-is only the "encoding >> no special treatment" claim.
+RFF-vs-NeRF margin can shrink (see ``results/table5_encoding.txt``), so the
+hard assertion here is only the "encoding >> no special treatment" claim.
 """
 
 from repro.experiments.table5 import run_table5

@@ -67,7 +67,6 @@ from .fft import (
     FFTBackend,
     NumpyFFTBackend,
     ScipyFFTBackend,
-    available_backends,
     available_cpus,
     default_fft_workers,
     get_backend,
@@ -94,7 +93,7 @@ from .precision import (
 __all__ = [
     "FFTBackend", "NumpyFFTBackend", "ScipyFFTBackend",
     "get_backend", "register_backend", "registered_backends",
-    "available_backends", "available_cpus", "default_fft_workers",
+    "available_cpus", "default_fft_workers",
     "FFT_BACKEND_ENV_VAR", "FFT_WORKERS_ENV_VAR",
     "Precision", "FLOAT32", "FLOAT64", "resolve_precision",
     "available_precisions", "PRECISION_ENV_VAR",

@@ -323,18 +323,6 @@ def _construct(key: str, workers: Optional[int]) -> FFTBackend:
     return backend
 
 
-def available_backends() -> Tuple[str, ...]:
-    """Registered backends that actually construct on this machine."""
-    names = []
-    for name in registered_backends():
-        try:
-            _construct(name, None)
-        except Exception:
-            continue
-        names.append(name)
-    return tuple(names)
-
-
 def _scipy_importable() -> bool:
     try:
         import scipy.fft  # noqa: F401

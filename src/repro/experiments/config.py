@@ -4,8 +4,7 @@ All experiments run at one of three presets; the preset fixes the dataset
 sizes (see :data:`repro.masks.datasets.PRESETS`), the tile geometry and the
 training budgets of the three models.  ``tiny`` finishes in seconds and is
 used by the unit tests; ``small`` is the default for the benchmark harness;
-``default`` takes the longest and produces the numbers recorded in
-EXPERIMENTS.md.
+``default`` takes the longest and is closest to the paper's scale.
 """
 
 from __future__ import annotations

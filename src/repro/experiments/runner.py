@@ -1,7 +1,8 @@
 """Run every experiment of the paper and print the resulting tables.
 
 ``python -m repro.experiments.runner --preset small`` regenerates the whole
-evaluation section; EXPERIMENTS.md records a captured run.
+evaluation section; ``benchmarks/results/`` holds the tables the benchmark
+harness last wrote.
 """
 
 from __future__ import annotations

@@ -11,11 +11,12 @@ flattening anything; the hierarchy is resolved lazily at window-read time by
 
 The parser ingests *untrusted* bytes, so every failure mode is loud and
 typed: truncation, odd record sizes, unknown record types, missing mandatory
-records, undefined cell references, non-Manhattan ``ANGLE`` values and
-degenerate ``AREF`` spacings all raise :class:`LayoutFormatError` carrying
-the **byte offset** of the offending record — never ``struct.error``,
-``IndexError`` or a hang (pinned by the corruption fuzz suite in
-``tests/test_layout_gdsii.py``).
+records, undefined cell references, non-Manhattan ``ANGLE`` values,
+degenerate ``AREF`` spacings and ``PATH`` / ``BOX`` elements (geometry this
+reader does not rasterise, which skipping would image as empty reticle) all
+raise :class:`LayoutFormatError` carrying the **byte offset** of the
+offending record — never ``struct.error``, ``IndexError`` or a hang (pinned
+by the corruption fuzz suite in ``tests/test_layout_gdsii.py``).
 
 :func:`write_gds` is the inverse: a deterministic emitter (timestamps
 zeroed) used to build golden fixtures and to drive generative round-trip
@@ -340,8 +341,11 @@ class GDSLibrary:
 #: Library-level records carrying metadata the reader does not need.
 _LIBRARY_SKIPPED = frozenset({REFLIBS, FONTS, ATTRTABLE, GENERATIONS,
                               FORMAT, MASK, ENDMASKS})
-#: Element kinds tolerated and ignored (not rasterised): wires, labels, ...
-_SKIPPED_ELEMENTS = frozenset({PATH, TEXT, NODE, BOX})
+#: Element kinds that draw nothing, skipped: labels and net nodes.
+_SKIPPED_ELEMENTS = frozenset({TEXT, NODE})
+#: Element kinds that draw geometry this reader does not rasterise: skipping
+#: them would image a wire or a box as empty reticle, so they are refused.
+_UNSUPPORTED_ELEMENTS = frozenset({PATH, BOX})
 #: Per-element decoration records safe to ignore inside any element.
 _ELEMENT_SKIPPED = frozenset({ELFLAGS, PLEX, PROPATTR, PROPVALUE, DATATYPE,
                               PATHTYPE, WIDTH, TEXTTYPE, PRESENTATION,
@@ -452,6 +456,12 @@ class _GDSParser:
                 cell.references.append(reference)
             elif record.rectype in _SKIPPED_ELEMENTS:
                 self._skip_element(record)
+            elif record.rectype in _UNSUPPORTED_ELEMENTS:
+                raise self.fail(record.offset,
+                                f"{record.name} element in structure "
+                                f"{cell.name!r} is not supported and would "
+                                f"image as nothing; convert it to BOUNDARY "
+                                f"polygons and re-export the layout")
             else:
                 raise self.fail(record.offset,
                                 f"unexpected {record.name} record inside "

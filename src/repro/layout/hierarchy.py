@@ -354,7 +354,7 @@ class HierarchicalLayoutReader:
         self._shape = (int(shape[0]), int(shape[1]))
         #: Rectangles painted plus cell rasters blitted by the most recent
         #: ``read_window`` — the flat-in-instance-count observable the
-        #: hierarchy bench pins.
+        #: tests pin.
         self.last_candidates = 0
         self._digest: Optional[str] = None
 
@@ -382,8 +382,9 @@ class HierarchicalLayoutReader:
                                     "referenced (reference cycle)")
         raise LayoutFormatError(
             self._source, 0,
-            f"ambiguous top cell — pass top=...; candidates: "
-            f"{', '.join(tops)}")
+            f"ambiguous top cell: the layout has {len(tops)} top cells "
+            f"({', '.join(tops)}) and must have exactly one; re-export it "
+            f"with a single top cell")
 
     def _check_acyclic(self) -> None:
         """Iterative three-colour DFS; raises on the first back edge."""

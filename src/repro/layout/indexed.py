@@ -6,8 +6,8 @@ shape into a per-layer **bucket grid** at construction: the raster is divided
 into ``DEFAULT_BUCKET_PX``-sized cells and each shape is registered with every
 cell its pixel footprint overlaps.  A window query then gathers candidates from
 only the cells the window touches, so the work per window is proportional to
-the shapes *near the window*, not to the layout — measured sublinear in
-layout size by ``benchmarks/test_bench_layout_reader.py``.
+the shapes *near the window*, not to the layout — ``last_candidates`` stays
+flat while the layout area grows 16x (``tests/test_layout_reader.py``).
 
 Bit-for-bit equality with dense rasterisation
 ---------------------------------------------
@@ -145,7 +145,7 @@ class GeometryLayoutReader:
         self._rects: Dict[str, List[Rect]] = {}
         self._indices: Dict[str, _BucketGrid] = {}
         #: Candidate shapes touched by the most recent ``read_window`` —
-        #: the observable the sublinearity bench / tests pin.
+        #: the O(window) observable the tests pin.
         self.last_candidates = 0
         for layer, layer_shapes in shapes.items():
             for item in layer_shapes:

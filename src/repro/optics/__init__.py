@@ -7,7 +7,7 @@ model with λ = 193 nm and NA = 1.35 defaults.
 """
 
 from .aerial import mask_spectrum
-from .grid import FrequencyGrid, centred_indices, crop_centre, embed_centre, make_grid
+from .grid import FrequencyGrid, centred_indices, crop_centre, make_grid
 from .hopkins import abbe_aerial
 from .process_window import FocusExposurePoint, ProcessWindowResult, measure_cd
 from .pupil import Pupil
@@ -26,7 +26,7 @@ from .source import (
 from .tcc import TCCResult, compute_tcc
 
 __all__ = [
-    "FrequencyGrid", "make_grid", "centred_indices", "crop_centre", "embed_centre",
+    "FrequencyGrid", "make_grid", "centred_indices", "crop_centre",
     "Source", "CircularSource", "AnnularSource", "DipoleSource", "QuadrupoleSource",
     "PixelatedSource", "make_source",
     "Pupil",

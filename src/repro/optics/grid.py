@@ -74,29 +74,18 @@ def make_grid(height: int, width: int, field_size_nm: float, wavelength_nm: floa
                          numerical_aperture=numerical_aperture)
 
 
-def embed_centre(block: np.ndarray, height: int, width: int) -> np.ndarray:
-    """Embed ``block`` (last two axes) at the centre of a zero array of size (height, width)."""
-    bh, bw = block.shape[-2], block.shape[-1]
-    if bh > height or bw > width:
-        raise ValueError(f"block ({bh}, {bw}) larger than target ({height}, {width})")
-    out = np.zeros(block.shape[:-2] + (height, width), dtype=block.dtype)
-    # Align the DC sample (index size//2 after fftshift) of block and target.
-    top = height // 2 - bh // 2
-    left = width // 2 - bw // 2
-    out[..., top:top + bh, left:left + bw] = block
-    return out
-
-
 def embed_centre_unshifted(block: np.ndarray, height: int, width: int,
                            out=None) -> np.ndarray:
     """Embed a centred-DC ``block`` directly into an *unshifted* spectrum layout.
 
-    Bit-for-bit equal to ``np.fft.ifftshift(embed_centre(block, height,
-    width), axes=(-2, -1))`` — the centred frequency ``c`` lands at unshifted
-    index ``c % size`` — but writes the four quadrants straight to their
-    corners instead of materialising the centred embedding and then moving
-    every sample of the full-size array a second time.  This removes the
-    per-chunk full-size ``ifftshift`` from the batched imaging hot loop.
+    Bit-for-bit equal to zero-padding ``block`` at the centre of a
+    ``(height, width)`` array and then ``ifftshift``-ing it (the textbook
+    spelling, ``tests/reference.py::embed_centre``) — the centred frequency
+    ``c`` lands at unshifted index ``c % size`` — but writes the four
+    quadrants straight to their corners instead of materialising the centred
+    embedding and then moving every sample of the full-size array a second
+    time.  This removes the per-chunk full-size ``ifftshift`` from the
+    batched imaging hot loop.
 
     ``out`` is a reusable target instead of a fresh zero array: zero outside
     the four quadrants, which every embed of an equally shaped ``block``

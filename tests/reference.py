@@ -41,7 +41,12 @@ from unittest import mock
 
 import numpy as np
 
-from repro.backend import FFTBackend, get_backend, register_backend
+from repro.backend import (
+    FFTBackend,
+    get_backend,
+    register_backend,
+    registered_backends,
+)
 from repro.backend.fft import _INSTANCES, _REGISTRY
 from repro.engine import (
     LayoutImage,
@@ -52,7 +57,36 @@ from repro.engine import (
 )
 from repro.nn import functional as F
 from repro.nn.tensor import as_tensor
-from repro.optics.grid import crop_centre, embed_centre
+from repro.optics.grid import crop_centre
+
+
+def embed_centre(block, height, width):
+    """Zero-pad ``block`` (last two axes) at the centre of a ``(height,
+    width)`` array, aligning the DC sample (index ``size // 2`` after
+    ``fftshift``) of block and target: the centred embed Algorithm 1 writes,
+    which the product spells shift-free as
+    ``repro.optics.grid.embed_centre_unshifted``."""
+    bh, bw = block.shape[-2], block.shape[-1]
+    if bh > height or bw > width:
+        raise ValueError(f"block ({bh}, {bw}) larger than target ({height}, {width})")
+    out = np.zeros(block.shape[:-2] + (height, width), dtype=block.dtype)
+    top = height // 2 - bh // 2
+    left = width // 2 - bw // 2
+    out[..., top:top + bh, left:left + bw] = block
+    return out
+
+
+def available_backends():
+    """Registered backends that construct on this machine (the matrices'
+    axis: a backend whose library is missing drops out of it)."""
+    names = []
+    for name in registered_backends():
+        try:
+            get_backend(name)
+        except Exception:
+            continue
+        names.append(name)
+    return tuple(names)
 
 
 def reference_mask_spectrum(mask, kernel_shape=None):

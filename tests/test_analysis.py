@@ -108,41 +108,6 @@ class TestThroughput:
             speedup(results, "fast", "missing")
 
 
-def _allocate_mib(mib: int) -> None:
-    """Module-level (picklable) allocation target for peak-RSS measurement."""
-    block = np.ones((mib, 1024, 1024 // 8))  # mib MiB of float64
-    block += 1.0
-
-
-def _raise_in_child() -> None:
-    """Module-level (picklable under spawn) failing measurement target."""
-    raise RuntimeError("child failed")
-
-
-class TestPeakMemory:
-    def test_bigger_allocation_bigger_peak(self):
-        from repro.analysis.throughput import measure_peak_memory
-
-        small = measure_peak_memory(_allocate_mib, 8)
-        large = measure_peak_memory(_allocate_mib, 128)
-        assert small.peak_bytes > 0
-        assert small.elapsed_s >= 0
-        if small.in_subprocess and large.in_subprocess:
-            # Fresh-process high-water marks: the 128 MiB allocation must
-            # show up against the 8 MiB one.
-            assert large.peak_bytes >= small.peak_bytes + 64 * 2 ** 20
-        assert large.peak_mib == pytest.approx(large.peak_bytes / 2 ** 20)
-
-    def test_child_failure_is_reported(self):
-        from repro.analysis.throughput import measure_peak_memory
-
-        probe = measure_peak_memory(_allocate_mib, 1)
-        if not probe.in_subprocess:
-            pytest.skip("subprocesses unavailable; fallback mode runs inline")
-        with pytest.raises(RuntimeError):
-            measure_peak_memory(_raise_in_child)
-
-
 class TestReporting:
     def test_format_value_styles(self):
         assert format_value(3) == "3"

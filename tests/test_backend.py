@@ -33,6 +33,8 @@ from hypothesis.extra.numpy import arrays
 from reference import (
     TRANSFORMS_ONLY,
     RecordingBackend,
+    available_backends,
+    embed_centre,
     reference_aerial,
     reference_mask_spectrum,
     transforms_only_registered,
@@ -43,7 +45,6 @@ from repro.backend import (
     ComputeConfig,
     FFTBackend,
     NumpyFFTBackend,
-    available_backends,
     get_backend,
     register_backend,
     registered_backends,
@@ -59,7 +60,7 @@ from repro.engine import (
 )
 from repro.optics import OpticsConfig
 from repro.optics.aerial import mask_spectrum
-from repro.optics.grid import embed_centre, embed_centre_unshifted
+from repro.optics.grid import embed_centre_unshifted
 from repro.optics.pupil import Pupil
 from repro.optics.source import CircularSource
 
@@ -87,6 +88,21 @@ class TestRegistry:
     def test_env_var_selects_backend(self, monkeypatch):
         monkeypatch.setenv("REPRO_FFT_BACKEND", "numpy")
         assert get_backend().name == "numpy"
+
+    @pytest.mark.parametrize("name", ["numpy", "scipy"])
+    def test_the_env_selected_backend_is_the_one_an_engine_images_with(
+            self, monkeypatch, name):
+        """``REPRO_FFT_BACKEND`` reaches the engine that images, not just
+        :func:`get_backend`, and that engine images a layout."""
+        if name not in available_backends():
+            pytest.skip(f"{name} does not construct here")
+        monkeypatch.setenv("REPRO_FFT_BACKEND", name)
+        engine = ExecutionEngine.for_optics(FINE, source=SOURCE,
+                                            cache=KernelBankCache())
+        assert engine.backend.name == name
+        layout = (np.random.default_rng(5).random((96, 160)) > 0.7) * 1.0
+        result = engine.image_layout(layout, guard_px=8)
+        assert result.aerial.shape == layout.shape
 
     def test_bogus_env_value_fails_loudly_with_registered_list(self, monkeypatch):
         monkeypatch.setenv("REPRO_FFT_BACKEND", "warpdrive")
@@ -417,6 +433,31 @@ class TestFloat32Accuracy:
         # Resist patterns may differ only where the aerial grazes the
         # threshold; on this fixture they agree everywhere.
         assert (low.resist != ref.resist).mean() < 1e-3
+
+    def test_every_backend_and_precision_images_like_numpy_float64(self):
+        """The backend x precision matrix on one tiled layout: each cell
+        within its documented tolerance of the numpy / float64 image."""
+        layout = (np.random.default_rng(3).random((192, 256)) > 0.8) * 1.0
+        cache = KernelBankCache()
+
+        def aerial(backend, precision):
+            return ExecutionEngine.for_optics(
+                FINE, source=SOURCE, cache=cache,
+                compute=ComputeConfig(fft_backend=backend,
+                                      precision=precision)) \
+                .image_layout(layout, guard_px=16).aerial
+
+        reference = aerial("numpy", "float64")
+        scale = float(reference.max())
+        cells = [(backend, precision) for backend in available_backends()
+                 for precision in ("float64", "float32")]
+        for backend, precision in cells:
+            image = aerial(backend, precision)
+            assert image.dtype == resolve_precision(precision).real_dtype
+            tolerance = FLOAT32.aerial_rtol if precision == "float32" \
+                else 1e-12
+            assert np.abs(image - reference).max() / scale < tolerance, \
+                (backend, precision)
 
     def test_engine_rejects_workers_with_backend_instance(self, kernels):
         """fft_workers cannot silently miss an already-built backend."""

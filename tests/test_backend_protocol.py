@@ -30,6 +30,7 @@ from hypothesis.extra.numpy import arrays
 from reference import (
     TRANSFORMS_ONLY,
     RecordingBackend,
+    available_backends,
     transforms_only_registered,
 )
 from repro.backend import (
@@ -40,7 +41,6 @@ from repro.backend import (
     NumpyFFTBackend,
     ScipyFFTBackend,
     autotune_precision,
-    available_backends,
     get_backend,
     is_auto_precision,
     registered_backends,

@@ -107,12 +107,31 @@ class TestImagingVerbsRejectBadInput:
 
     @pytest.fixture
     def bad_inputs(self, tmp_path):
+        from repro.layout.gdsii import GDSBoundary, GDSCell, write_gds
+
         not_gds = tmp_path / "nul.gds"
         not_gds.write_bytes(b"abc\0\0\0def\0")
+        square = [GDSBoundary(1, ((0, 0), (64, 0), (64, 64), (0, 64)))]
+        two_tops = tmp_path / "twotop.gds"
+        write_gds({"A": GDSCell("A", square, []),
+                   "B": GDSCell("B", square, [])}, str(two_tops))
+        wire = tmp_path / "wire.gds"
+        plain = write_gds({"TOP": GDSCell("TOP", square, [])})
+        # ENDSTR and ENDLIB close the stream; a bare PATH, ENDEL goes first
+        wire.write_bytes(plain[:-8] + b"\x00\x04\x09\x00\x00\x04\x11\x00"
+                         + plain[-8:])
         return {
             "missing file": (["--input", str(tmp_path / "nope.gds")],
                              "no layout file"),
             "not a layout": (["--input", str(not_gds)], "not a layout file"),
+            "two top cells": (["--input", str(two_tops)],
+                              f"error: {two_tops}: ambiguous top cell: the "
+                              f"layout has 2 top cells (A, B) and must have "
+                              f"exactly one; re-export it with a single top "
+                              f"cell (offset 0)\n"),
+            "PATH element": (["--input", str(wire)],
+                             "PATH element in structure 'TOP' is not "
+                             "supported"),
             "unknown source": (["--source", "nosuch"], "unknown source type"),
             "guard too wide": (["--guard", "40"],
                                "guard band 40 px leaves no tile core"),
@@ -126,8 +145,9 @@ class TestImagingVerbsRejectBadInput:
 
     @pytest.mark.parametrize("case,verb", [
         (case, verb)
-        for case in ("missing file", "not a layout", "unknown source",
-                     "guard too wide", "removed backend")
+        for case in ("missing file", "not a layout", "two top cells",
+                     "PATH element", "unknown source", "guard too wide",
+                     "removed backend")
         for verb in ("image-layout", "sweep-window")] + [
         (case, "sweep-window") for case in ("bad tolerance",
                                             "negative target")])

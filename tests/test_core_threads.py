@@ -28,8 +28,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import TRANSFORMS_ONLY, RecordingBackend
-from repro.backend import ComputeConfig, available_backends, get_backend
+from reference import TRANSFORMS_ONLY, RecordingBackend, available_backends
+from repro.backend import ComputeConfig, get_backend
 from repro.backend.fft import _REGISTRY, ScipyFFTBackend, register_backend
 from repro.engine import EngineSpec, ShardedExecutor, batched
 from repro.engine.batched import batched_aerial_from_kernels

@@ -29,10 +29,11 @@ from hypothesis import strategies as st
 from reference import (
     TRANSFORMS_ONLY,
     RecordingBackend,
+    available_backends,
     band_limited_blocks,
     reference_aerial,
 )
-from repro.backend import available_backends, get_backend, resolve_precision
+from repro.backend import get_backend, resolve_precision
 from repro.engine import (
     ExecutionEngine,
     KernelBankCache,

@@ -10,7 +10,10 @@ Pinned guarantees:
   ``tools/make_gds_fixtures.py``, so the goldens also pin the emitter),
 * structural violations (missing HEADER, unknown records, undefined
   reference targets, off-axis angles, degenerate arrays, duplicate
-  structures) raise :class:`LayoutFormatError` naming the file offset, and
+  structures) raise :class:`LayoutFormatError` naming the file offset,
+* ``PATH`` and ``BOX`` elements, which the reader does not rasterise, are
+  refused the same way rather than imaged as empty reticle, while ``TEXT``
+  and ``NODE``, which draw nothing, are skipped, and
 * **fuzzing**: truncating any fixture at *every* byte offset, and corrupting
   any single byte (deterministic sweep + hypothesis), either parses cleanly
   or raises ``LayoutFormatError`` — never ``struct.error`` / ``IndexError``
@@ -24,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.layout import gdsii
 from repro.layout.gdsii import (
     GDSBoundary,
     GDSCell,
@@ -45,6 +49,22 @@ FIXTURE_IDS = [os.path.basename(path) for path in FIXTURES]
 def fixture_bytes(path: str) -> bytes:
     with open(path, "rb") as handle:
         return handle.read()
+
+
+def with_element(data: bytes, kind: str, *records: bytes) -> bytes:
+    """``data`` with one ``kind`` element (``records``, then ENDEL) spliced
+    in just before the first structure's ENDSTR."""
+    end = next(record.offset for record in iter_records(data, "splice")
+               if record.name == "ENDSTR")
+    element = (gdsii._record_bytes(getattr(gdsii, kind), gdsii._NODATA)
+               + b"".join(records)
+               + gdsii._record_bytes(gdsii.ENDEL, gdsii._NODATA))
+    return data[:end] + element + data[end:]
+
+
+def layer_xy(*xy: int) -> bytes:
+    return (gdsii._record_bytes(gdsii.LAYER, gdsii._INT2, gdsii._int2(1))
+            + gdsii._record_bytes(gdsii.XY, gdsii._INT4, gdsii._int4(*xy)))
 
 
 def test_fixtures_are_committed():
@@ -198,6 +218,49 @@ class TestParser:
         }
         with pytest.raises(LayoutFormatError, match="collinear"):
             parse_gds(write_gds(cells), name="collinear")
+
+    @pytest.mark.parametrize("kind,records", [
+        # a 16 nm wide, 256 nm long wire
+        ("PATH", (gdsii._record_bytes(gdsii.WIDTH, gdsii._INT4,
+                                      gdsii._int4(16)),
+                  layer_xy(80, 0, 80, 256))),
+        ("BOX", (gdsii._record_bytes(gdsii.BOXTYPE, gdsii._INT2,
+                                     gdsii._int2(0)),
+                 layer_xy(80, 0, 96, 0, 96, 256, 80, 256, 80, 0))),
+    ])
+    def test_path_and_box_fail_loudly(self, kind, records):
+        """Geometry the reader does not rasterise is refused at its record,
+        naming the remedy — never imaged as the boundary beside it alone."""
+        cell = GDSCell("TOP", [GDSBoundary(
+            1, ((0, 0), (64, 0), (64, 64), (0, 64)))], [])
+        data = with_element(write_gds({"TOP": cell}), kind, *records)
+        offset = next(record.offset for record in iter_records(data, "x")
+                      if record.name == kind)
+        with pytest.raises(LayoutFormatError) as excinfo:
+            parse_gds(data, name="wire.gds")
+        error = excinfo.value
+        assert error.offset == offset
+        assert str(error) == (
+            f"wire.gds: {kind} element in structure 'TOP' is not supported "
+            f"and would image as nothing; convert it to BOUNDARY polygons "
+            f"and re-export the layout (offset {offset})")
+
+    @pytest.mark.parametrize("kind,records", [
+        ("TEXT", (layer_xy(8, 8),
+                  gdsii._record_bytes(gdsii.STRING, gdsii._ASCII,
+                                      gdsii._ascii("VDD")))),
+        ("NODE", (gdsii._record_bytes(gdsii.NODETYPE, gdsii._INT2,
+                                      gdsii._int2(0)),
+                  layer_xy(8, 8))),
+    ])
+    def test_labels_and_nodes_are_skipped(self, kind, records):
+        """Elements that draw nothing parse to the same library."""
+        cell = GDSCell("TOP", [GDSBoundary(
+            1, ((0, 0), (64, 0), (64, 64), (0, 64)))], [])
+        plain = write_gds({"TOP": cell})
+        decorated = with_element(plain, kind, *records)
+        assert decorated != plain
+        assert parse_gds(decorated).cells == parse_gds(plain).cells
 
     def test_error_message_carries_source_and_offset(self):
         try:

@@ -162,8 +162,11 @@ class TestHierarchyResolution:
             "B": GDSCell("B", [_rect(1, 0, 0, 16, 16)], []),
         }
         library = parse_gds(write_gds(cells), name="two_tops")
-        with pytest.raises(LayoutFormatError, match="ambiguous top cell"):
+        with pytest.raises(LayoutFormatError) as excinfo:
             HierarchicalLayoutReader(library, pixel_size_nm=8.0)
+        assert excinfo.value.message == (
+            "ambiguous top cell: the layout has 2 top cells (A, B) and must "
+            "have exactly one; re-export it with a single top cell")
         picked = HierarchicalLayoutReader(library, pixel_size_nm=8.0,
                                           top="B")
         assert picked.shape == (2, 2)

@@ -135,6 +135,26 @@ class TestGeometryLayoutReader:
         assert 0 < geometry_reader.last_candidates < \
             geometry_reader.shape_count() / 2
 
+    def test_window_candidates_stay_flat_as_the_layout_grows(self):
+        """One 20 px square per 32 px cell, so the shape count grows with
+        the area: at 16x the area, a 128 px window still touches at most
+        the 3 x 3 buckets of 64 px it overlaps, 4 shapes each."""
+        counts = {}
+        for side in (256, 1024):
+            cells = side // 32
+            reader = GeometryLayoutReader(
+                {"m1": [Rect(32.0 * col + 4, 32.0 * row + 4, 20.0, 20.0)
+                        for row in range(cells) for col in range(cells)]},
+                pixel_size_nm=1.0, shape=(side, side))
+            assert reader.shape_count() == cells * cells
+            origins = np.random.default_rng(1).integers(0, side - 128,
+                                                        size=(32, 2))
+            counts[side] = []
+            for row, col in origins:
+                reader.read_window(int(row), int(col), 128, 128)
+                counts[side].append(reader.last_candidates)
+        assert max(counts[256]) == max(counts[1024]) == 36
+
     def test_polygons_decompose_and_rasterise(self):
         poly = Polygon(((0, 0), (40, 0), (40, 16), (16, 16), (16, 40),
                         (0, 40)))

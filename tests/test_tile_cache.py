@@ -604,6 +604,26 @@ class TestCachedImagingBitForBit:
         assert cache.stats.misses == 1
         assert cache.stats.hits == 3
 
+    def test_a_cell_library_images_each_cell_once_then_nothing(self):
+        """4 distinct cells over a 4 x 4 array: cold, one miss per cell and
+        the other 12 tiles served; warm, all 16 served and none imaged."""
+        rng = np.random.default_rng(8)
+        library = [(rng.random((32, 32)) > 0.7).astype(float)
+                   for _ in range(4)]
+        layout = np.block([[library[(row + col) % 4] for col in range(4)]
+                           for row in range(4)])
+        plain, cached = engine_pair("numpy", "float64")
+        cache = cached.tile_cache
+        cache.clear()
+        reference = reference_image_layout(plain, layout, tile_px=32,
+                                           guard_px=0)
+        for misses in (4, 0):
+            before = dataclasses.replace(cache.stats)
+            result = cached.image_layout(layout, tile_px=32, guard_px=0)
+            np.testing.assert_array_equal(result.aerial, reference.aerial)
+            assert cache.stats.misses - before.misses == misses
+            assert cache.stats.served - before.served == 16 - misses
+
     def test_all_zero_layout_is_never_imaged(self):
         _, cached = engine_pair("numpy", "float64")
         cache = cached.tile_cache

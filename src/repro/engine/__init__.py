@@ -4,10 +4,9 @@ Everything that images masks — the golden simulator, the kernel-bank engine,
 Nitho's fast-lithography export, the baselines' batch inference and the
 throughput benchmarks — runs through this package:
 
-* :mod:`repro.engine.batched` — the vectorised batched SOCS core (one
-  broadcast FFT pipeline per cache-sized block of a batch, band-limited
-  fast evaluation; the one place tiles run in parallel: a call spends the
-  backend's worker budget on shares of its tiles),
+* :mod:`repro.engine.batched` — the batched SOCS core (one broadcast FFT
+  pipeline per cache-sized block, band-limited) and the one fan-out that
+  spends the backend's worker budget on shares of a call's tiles,
 * :mod:`repro.engine.cache` — the process-wide kernel-bank cache keyed by an
   optics fingerprint (one float64 bank per optics and order, built at most
   once per process from a thin SVD of the lit shifted-pupil stack, ~30 ms

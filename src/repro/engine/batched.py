@@ -38,28 +38,23 @@ tile's result.
 
 The thread budget is read off the backend too (``backend.workers``:
 ``fft_workers`` / ``REPRO_FFT_WORKERS``, default the CPUs available) and is
-spent **on tiles, not inside transforms**: a call of ``B > 1`` tiles is
-cut into ``min(workers, B)`` contiguous shares, the calling thread images
-the first and helper threads the rest, and every share transforms through
+spent **on tiles, not inside transforms** (:func:`share_threads`): a call
+of ``B > 1`` tiles runs as ``min(workers, B)`` contiguous shares
+(:func:`run_shares`, the package's one fan-out), each transforming through
 the backend's one-thread sibling
 (:meth:`~repro.backend.FFTBackend.single_threaded`) with its own mask
-buffer and scratch (allocated by the calling thread) and its part of
-:data:`BLOCK_BYTES`.  The share is the unit of work from window to result:
-it reads its tiles (``read``), images them and hands each block on
-(``write``) before reading the next — a layout's windows are read, imaged,
-stitched and developed inside the share, so the layout path holds no
-batch-sized array and no serial stitch.  Measured on 2 CPUs, 36 production
-tiles: two threads *inside* each transform buy 1.3x over one thread (the kernel
+buffer and scratch and its part of :data:`BLOCK_BYTES`.  A share reads its
+tiles (``read``), images them and hands each block on (``write``) before
+reading the next, so a layout's windows are read, imaged, stitched and
+developed inside the share.  Measured on 2 CPUs, 36 production tiles: two
+threads *inside* each transform buy 1.3x over one thread (the kernel
 product, embed, ``|field|^2`` and copies between transforms stay serial),
-two threads *on blocks* 1.6x; and a batch of 2-4 tiles (one block) is
-faster as two shares than as one call with two-thread transforms.  This
-is the only place the package images tiles in parallel.  A backend without
-such a sibling (numpy, any transforms-only subclass) and a single tile
-image on the calling thread exactly as before.  Shares never change a
-tile's bits either: each 1-D line of each transform is an independent,
-deterministic work item.  The scratch holds no
-state across calls; the one thing this module keeps is the idle helper
-threads (:func:`_helper_threads`, created under a lock).
+two threads *on blocks* 1.6x, and a one-block batch of 2-4 tiles is faster
+as two shares too.  A backend without such a sibling (numpy, any
+transforms-only subclass) and a single tile stay on the calling thread.
+Shares never change a tile's bits: each 1-D line of each transform is an
+independent, deterministic work item.  The one thing this module keeps
+across calls is the idle helper threads (:func:`_helper_threads`).
 
 Both full-size real transforms skip the passes nobody reads: the mask
 spectrum keeps ``m // 2 + 1`` of a tile's ``W // 2 + 1`` half-spectrum
@@ -68,22 +63,15 @@ spectrum whose columns from ``m`` on are zero (``irfft2_zero_extended``) —
 bit for bit the full transforms' results on every backend.
 
 Every transform goes through the pluggable compute backend
-(:mod:`repro.backend`), which adds further hot-path wins:
-
-* **Real-input fast path** — masks and intensities are real, so the forward
-  transforms use ``rfft2`` half spectra (the centred kernel window is
-  gathered via Hermitian symmetry) and the upsampling runs
-  ``rfft2``/``irfft2``, halving the transform work; the embeds write
-  quadrants directly into unshifted layout, so no per-block full-size
-  ``fftshift``/``ifftshift`` survives in the loop.
-* **Precision policy** — a :class:`~repro.backend.Precision` threads the
-  dtype decision through the pipeline; float32 halves every byte moved, and
-  because the block budget is denominated in **bytes** the tiles per block
-  double.
-
-Everything between the transforms — kernel products, embeds, the
-``|field|^2`` reduction, the upsampling's corner copies — is plain numpy on
-host arrays.
+(:mod:`repro.backend`); everything between them — kernel products, embeds,
+the ``|field|^2`` reduction, the upsampling's corner copies — is plain
+numpy.  Masks and intensities are real, so the forward transforms use
+``rfft2`` half spectra (the centred kernel window gathered via Hermitian
+symmetry), and the embeds write quadrants straight into unshifted layout:
+no full-size ``fftshift`` survives in the loop.  A
+:class:`~repro.backend.Precision` threads the dtype through the pipeline;
+float32 halves every byte moved, so the byte-denominated block holds twice
+the tiles.
 """
 
 from __future__ import annotations
@@ -125,13 +113,13 @@ _helpers: Optional[ThreadPoolExecutor] = None
 
 
 def _helper_threads() -> ThreadPoolExecutor:
-    """The process-wide threads that image every share of a call but its
-    first (the calling thread images that one).  Started on first use and
-    kept: glibc gives each fresh thread a malloc arena of its own, so on
-    ``dense_chip`` a helper thread per call reads +14 % peak RSS and a pool
-    per call +30 % (and both slow whatever runs next) where these read
-    +7 %; an idle one costs nothing.
-    """
+    """The process-wide threads that run every share of a
+    :func:`run_shares` call but the caller's: :func:`image_tiles`' imaging
+    shares and a tile-cached batch's stitch-and-develop shares.  Started on
+    first use and kept: glibc gives each fresh thread a malloc arena of its
+    own, so on ``dense_chip`` a helper thread per call reads +14 % peak RSS
+    and a pool per call +30 % (and both slow whatever runs next) where
+    these read +7 %; an idle one costs nothing."""
     global _helpers
     with _helpers_lock:
         if _helpers is None:
@@ -147,6 +135,39 @@ def _forget_helper_threads() -> None:
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_helper_threads)
+
+
+def share_threads(xp: FFTBackend, count: int) -> int:
+    """Threads a call of ``count`` tiles spreads over on backend ``xp``:
+    ``min(workers, count)`` when ``xp`` has a one-thread sibling to give
+    each share, else (numpy, any transforms-only backend) one."""
+    return 1 if xp.single_threaded() is xp else max(1, min(xp.workers, count))
+
+
+def run_shares(count: int, threads: int, run: Callable[..., None],
+               prepare: Callable[[range], tuple] = lambda share: ()) -> None:
+    """``run(share, *prepare(share))`` over ``min(threads, count)``
+    contiguous shares of ``0 .. count - 1``: the first on the calling
+    thread, the rest on :func:`_helper_threads`.  ``prepare`` runs on the
+    calling thread (a helper's malloc arena would keep what it allocates).
+    Every share settles before anything propagates: queued shares are
+    cancelled, running ones awaited, so nothing writes after the call."""
+    if count <= 0:
+        return
+    size = -(-count // min(threads, count))
+    work = [(share,) + prepare(share)
+            for share in (range(start, min(start + size, count))
+                          for start in range(0, count, size))]
+    helpers = [_helper_threads().submit(run, *args) for args in work[1:]]
+    try:
+        run(*work[0])
+        for helper in helpers:
+            helper.result()
+    finally:
+        # Nothing propagates while a share may still read or write.
+        for helper in helpers:
+            if not helper.cancel():
+                helper.exception()  # running or done: wait, don't raise
 
 
 def coherent_fields(kernels, spectra, grid_h: int, grid_w: int,
@@ -291,13 +312,8 @@ def batched_aerial_from_kernels(masks: np.ndarray, kernels: np.ndarray,
     kernels = precision.as_complex(kernels)
     if kernels.ndim != 3:
         raise ValueError("kernels must have shape (r, n, m)")
-    batch = masks.shape[0]
-    out_h, out_w = masks.shape[-2:]
-
-    if batch == 0:
-        return np.empty((0, out_h, out_w), dtype=precision.real_dtype)
-    return image_tiles(batch, masks, None, kernels, xp, precision,
-                       (out_h, out_w))
+    return image_tiles(masks.shape[0], masks, None, kernels, xp, precision,
+                       masks.shape[-2:])
 
 
 def image_tiles(count: int,
@@ -318,12 +334,9 @@ def image_tiles(count: int,
     ``(count, H, W)`` images.  ``kernels`` is the ``(r, n, m)`` bank, cast
     to ``precision``.
 
-    The thread share is the unit of work: each share reads its tiles into a
-    block-sized mask buffer of its own, images them block by block and
-    writes every image before the next block — so a layout is read,
-    imaged, stitched and developed inside the share, and nothing
-    ``count``-sized is ever allocated.  The workspaces are allocated here,
-    on the calling thread (a helper's own malloc arena would keep them).
+    Each thread share reads its tiles into a block-sized mask buffer of
+    its own, images them block by block and writes every image before the
+    next block, so nothing ``count``-sized is ever allocated.
     """
     out_h, out_w = tile_shape
     order, n, m = kernels.shape
@@ -333,16 +346,13 @@ def image_tiles(count: int,
     out = None if write is not None \
         else np.empty((count,) + tile_shape, precision.real_dtype)
 
-    # The backend's worker budget is spent on tiles: one contiguous share
-    # per thread, each transforming through the one-thread sibling and
-    # keeping its part of the budget (the cores share the cache
-    # BLOCK_BYTES names).  A single tile keeps ``xp`` — and its
-    # in-transform threads — to itself.
-    serial = xp.single_threaded()
-    threads = 1 if serial is xp else min(xp.workers, count)
+    # One share per thread, each transforming through the one-thread
+    # sibling with its part of the budget (the cores share the cache
+    # BLOCK_BYTES names); a single tile keeps ``xp``'s threads to itself.
+    threads = share_threads(xp, count)
     budget = BLOCK_BYTES // threads
     if threads > 1:
-        xp = serial
+        xp = xp.single_threaded()
     block = effective_chunk_tiles(count, kernels.shape, out_h, out_w, budget,
                                   precision.complex_itemsize)
     evaluate = _band_limited_chunk if band_limited else _direct_chunk
@@ -369,18 +379,5 @@ def image_tiles(count: int,
             else:
                 write(start, tiles)
 
-    size = -(-count // threads)
-    shares = [range(start, min(start + size, count))
-              for start in range(0, count, size)]
-    work = [(share,) + workspace(share) for share in shares]
-    helpers = [_helper_threads().submit(image, *args) for args in work[1:]]
-    try:
-        image(*work[0])
-        for helper in helpers:
-            helper.result()
-    finally:
-        # Nothing propagates while a share may still read or write.
-        for helper in helpers:
-            if not helper.cancel():
-                helper.exception()  # running or done: wait, don't raise
+    run_shares(count, threads, image, workspace)
     return out

@@ -48,6 +48,7 @@ from .batched import (
     batched_aerial_from_kernels,
     effective_chunk_tiles,
     image_tiles,
+    share_threads,
 )
 from .cache import KernelBankCache, default_kernel_cache
 from .streaming import stream_image_layout
@@ -317,12 +318,10 @@ class ExecutionEngine:
         """Image an arbitrary ``(H, W)`` layout by guard-banded tiling.
 
         Every layout runs through the one pipeline of
-        :mod:`repro.engine.streaming`: without a tile cache each thread
-        share of the imaging loop reads, images, stitches and develops its
-        own tiles — O(threads x block) RAM beside the output, however large
-        the layout, dense or not; with one, batches of
-        :meth:`stream_batch_tiles` tiles.  The result depends on neither,
-        bit for bit.
+        :mod:`repro.engine.streaming`: O(threads x block) RAM beside the
+        output without a tile cache, however large the layout; with one,
+        batches of :meth:`stream_batch_tiles` tiles.  The result depends on
+        neither, bit for bit.
 
         Parameters
         ----------
@@ -362,7 +361,8 @@ class ExecutionEngine:
                         precision=self.precision, tile_shape=tile_shape)
         aerial, resist, num_tiles, tile_stats = stream_image_layout(
             layout, tiling, image, self.resist_model.develop,
-            self.precision.real_dtype, batch_tiles, out_dir=out_dir,
+            self.precision.real_dtype, batch_tiles,
+            partial(share_threads, self.backend), out_dir=out_dir,
             meta={"backend": self.backend.name,
                   "precision": self.precision.name},
             tile_cache=self.tile_cache,

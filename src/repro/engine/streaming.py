@@ -2,9 +2,10 @@
 
 :func:`stream_image_layout` is the one implementation of the tile operation
 chain; ``ExecutionEngine.image_layout`` (which ``ShardedExecutor`` forwards
-to) hands it the engine's imaging loop, resist model, batch size and tile
-cache.  The layout is always a windowed :class:`repro.layout.LayoutReader` —
-the engine wraps a dense raster or ``numpy.memmap`` once, on the way in:
+to) hands it the engine's imaging loop, resist model, batch size, tile
+cache and share rule.  The layout is always a windowed
+:class:`repro.layout.LayoutReader` — the engine wraps a dense raster or
+``numpy.memmap`` once, on the way in:
 
 1. tile *placements* are planned up front (cheap metadata, no pixels),
 2. the one fork: without a tile cache the engine's imaging loop
@@ -17,7 +18,9 @@ the engine wraps a dense raster or ``numpy.memmap`` once, on the way in:
 3. every tile's interior core is stitched straight into the output — a
    plain array, or a ``numpy.memmap`` when an ``out_dir`` is given — and
    developed core by core: inside the imaging share that made it on the
-   uncached path, batch by batch on the cached one.
+   uncached path; batch by batch in the same shares on the cached one
+   (:func:`repro.engine.batched.run_shares`), so a warm op that images
+   nothing still spends its worker budget on the stitch.
 
 A repeat op reads only its misses.  A file-backed geometry reader
 (:class:`~repro.layout.HierarchicalLayoutReader`,
@@ -30,22 +33,18 @@ when the cache has to image it: a warm op on a kept reader
 array or memmap — and any other reader have every window read and hashed
 on every call.
 
-An arbitrarily large layout — dense raster or reader, with or without an
-``out_dir`` — therefore images in **O(threads x block) RAM** beside its
-output on the uncached path (no array holds a batch of tiles), and in
-O(tile-batch) RAM, batches of ``ExecutionEngine.stream_batch_tiles`` tiles,
-through the tile cache.
+An arbitrarily large layout — dense or not, ``out_dir`` or not — therefore
+images in **O(threads x block) RAM** beside its output uncached, and in
+O(tile-batch) RAM (``ExecutionEngine.stream_batch_tiles`` tiles) cached.
 
 Bit-for-bit guarantee
 ---------------------
-Per-tile FFT work is independent of how the batch axis is chunked (the
-invariant pinned since PR 1 by ``tests/test_engine.py``) and every layout
-pixel belongs to exactly one tile core, so the result does not depend on
-the batch size, the tile cache, the kept digests or the thread count: each
-equals the plain
-cut-all / image-once / stitch reference (``tests/reference.py``) **bit for
-bit** across guard bands, backends and precisions — pinned by
-``tests/test_streaming.py``.
+Per-tile FFT work is independent of how the batch axis is chunked and
+every layout pixel belongs to exactly one tile core, so the result does not
+depend on the batch size, the tile cache, the kept digests or the thread
+count: each equals the plain cut-all / image-once / stitch reference
+(``tests/reference.py``) **bit for bit** across guard bands, backends and
+precisions — pinned by ``tests/test_streaming.py``.
 
 Memmap directory layout (``out_dir``)
 -------------------------------------
@@ -78,6 +77,7 @@ import numpy as np
 
 from ..layout.hierarchy import HierarchicalLayoutReader
 from ..layout.indexed import GeometryLayoutReader
+from .batched import run_shares
 from .cache import atomic_write
 from .tile_cache import TileCacheStats, tile_digest
 from .tiling import TilingSpec, extract_tile_batch, plan_tiles
@@ -148,9 +148,12 @@ class _BatchWindows:
 
 def _allocate(out_dir: Optional[str], name: str, shape: Tuple[int, int],
               dtype) -> np.ndarray:
-    """A zeroed ``(H, W)`` output: in-memory, or a ``.npy`` memmap under ``out_dir``."""
+    """An ``(H, W)`` output for the cores to fill: in-memory, or a ``.npy``
+    memmap under ``out_dir``."""
     if out_dir is None:
-        return np.zeros(shape, dtype=dtype)
+        # plan_tiles' cores cover every pixel exactly once: zeroing a heap
+        # chunk malloc hands back (calloc's memset) would be pure waste.
+        return np.empty(shape, dtype=dtype)
     os.makedirs(out_dir, exist_ok=True)
     return np.lib.format.open_memmap(os.path.join(out_dir, name), mode="w+",
                                      dtype=np.dtype(dtype), shape=shape)
@@ -161,6 +164,7 @@ def stream_image_layout(reader, tiling: TilingSpec,
                                               None],
                         develop: Callable[[np.ndarray], np.ndarray],
                         real_dtype, batch_tiles: int,
+                        share_threads: Callable[[int], int],
                         out_dir: Optional[str] = None,
                         meta: Optional[dict] = None,
                         tile_cache=None, cache_context=None,
@@ -173,35 +177,35 @@ def stream_image_layout(reader, tiling: TilingSpec,
     image_tiles:
         ``image_tiles(count, read, write)`` — the engine's imaging loop
         (:func:`repro.engine.batched.image_tiles` bound to its bank).
-        Without a tile cache its ``read`` fills a share's mask buffer window
-        by window and its ``write`` stitches each core and develops it, on
-        whichever thread images the tile; with one it images each batch's
+        Uncached, its ``read`` fills a share's mask buffer and its ``write``
+        stitches and develops each core; cached, it images each batch's
         stack of misses (``write=None``: the call returns the images).
     develop:
-        Elementwise resist development applied to each stitched core (the
-        constant-threshold model; elementwise, so per-core application
-        equals whole-raster application exactly).
+        Elementwise resist development applied to each stitched core, so
+        per-core application equals whole-raster application exactly.
     batch_tiles:
         Tiles per tile-cache batch: peak RAM of that branch is O(this
         batch), independent of the layout size.
+    share_threads:
+        ``share_threads(count)``: the engine's share rule
+        (:func:`repro.engine.batched.share_threads`), the shares each
+        tile-cache batch is stitched and developed in.
     out_dir:
         When given, aerial / resist become disk-backed memmaps in the
         documented directory layout and ``meta.json`` is written on success.
     tile_cache / cache_context:
         Optional :class:`~repro.engine.tile_cache.TileResultCache` and its
-        :class:`~repro.engine.tile_cache.TileCacheContext`: each batch is
-        deduplicated to its unique tile contents, the imaging loop sees only
-        first-occurrence misses, and the stitch reads every other core
-        straight out of the cache's entries — bit-for-bit the uncached
-        result (per-tile FFT work is independent of batch composition).
+        :class:`~repro.engine.tile_cache.TileCacheContext`: the imaging
+        loop sees only each batch's first-occurrence misses, and the stitch
+        reads every other core straight out of the cache's entries —
+        bit-for-bit the uncached result.
 
     Returns ``(aerial, resist, num_tiles, tile_stats)``; the arrays are
     memmaps when ``out_dir`` was given (flushed before returning), and
     ``tile_stats`` sums this call's cache tallies (``None`` without a tile
-    cache), untouched by other threads sharing the cache.  ``reader`` is a
-    :class:`repro.layout.LayoutReader` (``image_layout`` wraps dense arrays
-    on the way in).  Every argument is validated before ``out_dir`` is
-    touched, and ``meta.json`` is written only once every tile is in.
+    cache), untouched by other threads sharing the cache.  Every argument
+    is validated before ``out_dir`` is touched, and ``meta.json`` is
+    written only once every tile is in.
     """
     if tile_cache is not None and cache_context is None:
         raise ValueError("tile_cache requires a cache_context")
@@ -224,10 +228,8 @@ def stream_image_layout(reader, tiling: TilingSpec,
         return buffer[:stop - start]
 
     def write(start: int, images) -> None:
-        # Every layout pixel belongs to exactly one core, so concurrent
-        # writers never touch the same pixel; development is elementwise,
-        # so the resist is filled core by core without ever thresholding
-        # the full raster.
+        # Cores are disjoint, so concurrent writers never touch one pixel;
+        # development is elementwise, so the resist is filled core by core.
         for image, place in zip(images, placements[start:start + len(images)]):
             rows = slice(place.row, place.row + place.core_h)
             cols = slice(place.col, place.col + place.core_w)
@@ -257,8 +259,11 @@ def stream_image_layout(reader, tiling: TilingSpec,
                 # rasters would otherwise take the heap the batch's FFT
                 # intermediates reuse from one call to the next, and a
                 # fresh mapping faults in every page of them per call.
+                # Unzeroed, a reused heap chunk costs no memset either.
                 aerial, resist = allocate()
-            write(start, images)
+            run_shares(len(images), share_threads(len(images)),
+                       lambda share: write(start + share.start,
+                                           images[share.start:share.stop]))
 
     if out_dir is not None:
         aerial.flush()

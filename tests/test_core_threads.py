@@ -29,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import TRANSFORMS_ONLY, RecordingBackend, available_backends
-from repro.backend import ComputeConfig, get_backend
+from repro.backend import ComputeConfig, get_backend, resolve_precision
 from repro.backend.fft import _REGISTRY, ScipyFFTBackend, register_backend
 from repro.engine import EngineSpec, ShardedExecutor, batched
 from repro.engine.batched import batched_aerial_from_kernels
@@ -326,6 +326,40 @@ def test_an_executor_call_spends_the_spec_budget_and_moves_no_identity():
 # --------------------------------------------------------------------------- #
 # small calls pay nothing
 # --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("returned", [True, False])
+@pytest.mark.parametrize("name", ["numpy", "scipy", TRANSFORMS_ONLY,
+                                  "recording"])
+def test_zero_tiles_image_to_nothing(name, returned, workers, monkeypatch):
+    """``image_tiles(0, ...)`` returns an empty ``(0, H, W)`` stack — or,
+    given a ``write``, writes nothing — on every backend, and starts no
+    thread and no transform."""
+    def refuse(*args):
+        raise AssertionError("a zero-tile call imaged or wrote something")
+
+    monkeypatch.setattr(batched, "_helper_threads", refuse)
+    backend = RecordingBackend("numpy", workers) if name == "recording" \
+        else get_backend(name, workers)
+    rng = np.random.default_rng(6)
+    kernels = rng.normal(size=(3, 9, 9)) + 1j * rng.normal(size=(3, 9, 9))
+    for precision in map(resolve_precision, ("float64", "float32")):
+        for tile in (32, 16):       # band-limited and direct bodies
+            result = batched.image_tiles(
+                0, np.zeros((0, tile, tile)), None if returned else refuse,
+                precision.as_complex(kernels), backend, precision,
+                (tile, tile))
+            if returned:
+                assert result.shape == (0, tile, tile)
+                assert result.dtype == precision.real_dtype
+            else:
+                assert result is None
+    empty = batched_aerial_from_kernels(np.zeros((0, 32, 32)), kernels,
+                                        backend=backend)
+    assert empty.shape == (0, 32, 32) and empty.dtype == np.float64
+    if isinstance(backend, RecordingBackend):
+        assert backend.calls == []
+
+
 def test_a_single_tile_starts_no_thread(monkeypatch):
     def refuse():
         raise AssertionError("a one-tile call asked for helper threads")

@@ -18,6 +18,7 @@ Pinned guarantees:
   through without being loaded wholesale.
 """
 
+import contextlib
 import json
 import os
 
@@ -32,7 +33,7 @@ from reference import (
     stream_batches,
 )
 from repro.backend import ComputeConfig
-from repro.engine import execution
+from repro.engine import execution, streaming
 from repro.engine import (
     EngineSpec,
     TileResultCache,
@@ -104,7 +105,7 @@ class TestTileBatching:
         with pytest.raises(ValueError, match="batch_tiles"):
             stream_image_layout(as_layout_reader(layout),
                                 TilingSpec(tile_px=32), None, None,
-                                np.float64, 0)
+                                np.float64, 0, None)
 
     def test_stitch_into_is_split_inverse(self, layout):
         """Incremental stitch of the raw tiles reproduces the layout exactly."""
@@ -272,6 +273,85 @@ class TestStreamingEqualsInMemory:
         assert len(calls) <= 4
 
 
+class TestUnzeroedRasters:
+    """The in-memory aerial / resist come from ``np.empty``: every pixel is
+    written by the one core that owns it, or the output is wrong.  The
+    allocator's rasters are poisoned (NaN, or every byte 0xAB) so that a
+    skipped core shows — repeating an identical op would hide one, because
+    the heap hands back the last op's values."""
+
+    @staticmethod
+    @contextlib.contextmanager
+    def poisoned(fill):
+        allocate = streaming._allocate
+
+        def poison(out_dir, name, shape, dtype):
+            raster = allocate(out_dir, name, shape, dtype)
+            if out_dir is None:
+                if fill == "nan" and raster.dtype.kind == "f":
+                    raster[...] = np.nan
+                else:
+                    raster.view(np.uint8)[...] = 0xAB
+            return raster
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(streaming, "_allocate", poison)
+            yield
+
+    @staticmethod
+    def build(workers, precision, cached):
+        engine = EngineSpec(config=CONFIG, source=SOURCE,
+                            compute=ComputeConfig(
+                                fft_backend="scipy", fft_workers=workers,
+                                precision=precision,
+                                tile_cache=False)).build()
+        engine.tile_cache = TileResultCache() if cached else None
+        return engine
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("cached", [False, True])
+    @settings(max_examples=8, deadline=None)
+    @given(height=st.integers(20, 110), width=st.integers(20, 110),
+           guard=st.integers(0, 12), batch=st.integers(1, 6),
+           blank_rows=st.integers(0, 60),
+           precision=st.sampled_from(["float64", "float32"]),
+           fill=st.sampled_from(["nan", "0xab"]),
+           seed=st.integers(0, 2 ** 16))
+    def test_every_pixel_is_written(self, cached, workers, height, width,
+                                    guard, batch, blank_rows, precision,
+                                    fill, seed):
+        """Random ragged geometries (edge cores smaller than the core, some
+        all-zero tiles), tile cache off / on, one or two stitching shares."""
+        pytest.importorskip("scipy.fft")
+        rng = np.random.default_rng(seed)
+        layout = (rng.random((height, width)) > 0.7).astype(float)
+        layout[:blank_rows] = 0.0
+        engine = self.build(workers, precision, cached)
+        reference = reference_image_layout(engine, layout, guard_px=guard)
+        with self.poisoned(fill), stream_batches(engine, batch):
+            image = engine.image_layout(layout, guard_px=guard)
+        assert image.aerial.tobytes() == reference.aerial.tobytes()
+        assert image.resist.tobytes() == reference.resist.tobytes()
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_a_skipped_core_shows(self, cached, layout, monkeypatch):
+        """The poison is visible: drop one placement from the plan and the
+        output no longer equals the reference."""
+        engine = self.build(2, "float64", cached)
+        reference = reference_image_layout(engine, layout, guard_px=8)
+        plan = streaming.plan_tiles
+        monkeypatch.setattr(streaming, "plan_tiles", lambda *args: [
+            place for index, place in enumerate(plan(*args)) if index != 5])
+        with self.poisoned("nan"):
+            image = engine.image_layout(layout, guard_px=8)
+        skipped = plan(*layout.shape, image.tiling)[5]
+        assert np.isnan(image.aerial).sum() \
+            == skipped.core_h * skipped.core_w
+        assert (image.resist == 0xAB).sum() \
+            == skipped.core_h * skipped.core_w
+        assert not np.array_equal(image.resist, reference.resist)
+
+
 @pytest.mark.parametrize("backend,workers", [("numpy", 1), ("scipy", 2)])
 def test_uncached_layout_holds_no_batch_of_tiles(backend, workers):
     """A second 1024 px production-tile image peaks (traced allocations)
@@ -373,7 +453,8 @@ class TestPipelineValidation:
                                 TilingSpec(tile_px=32, guard_px=8),
                                 engine.aerial_batch,
                                 engine.resist_model.develop, np.float64,
-                                out_dir=str(out_dir), **kwargs)
+                                share_threads=None, out_dir=str(out_dir),
+                                **kwargs)
         assert not out_dir.exists()
 
     def test_engine_rejects_bad_batch_before_touching_out_dir(self, engine,

@@ -39,6 +39,7 @@ from repro.layout.geometry import Rect
 from repro.masks.layout import Layout
 from repro.optics import OpticsConfig
 from repro.optics.process_window import measure_cd, widest_feature_row
+from repro.optics.resist import ConstantThresholdResist
 from repro.optics.source import CircularSource
 from repro.service.jobs import WorkerPool
 from repro.sweep import FocusExposureGrid, ProcessWindowSweep
@@ -333,7 +334,9 @@ def test_a_share_raising_mid_layout_settles_the_others_first(monkeypatch,
     thread's share raises at its second tile while the helpers' shares are
     still imaging.  The error propagates only after every other share
     stopped writing, the ``out_dir`` gets no ``meta.json``, and the next
-    call images it all."""
+    call images it all.  Then the same through the tile cache, whose
+    batch is stitched and developed in three shares: a ``develop`` that
+    raises in a helper's share."""
     layout = (np.random.default_rng(8).random((70, 90)) > 0.7).astype(float)
     poison = layout.copy()
     # In the windows of tiles 1, 2, 7 and 8 (rows 0-1, columns 1-2 of the
@@ -369,6 +372,67 @@ def test_a_share_raising_mid_layout_settles_the_others_first(monkeypatch,
     np.testing.assert_array_equal(np.asarray(result.aerial), expected.aerial)
     np.testing.assert_array_equal(np.asarray(result.resist), expected.resist)
     assert (out_dir / "meta.json").exists()
+
+    monkeypatch.setattr(batched, "_band_limited_chunk", healthy)
+    engine.tile_cache = TileResultCache()
+    developed, lock = [], threading.Lock()
+    develop = ConstantThresholdResist.develop
+
+    def breaking(self, aerial):
+        helper = threading.current_thread().name.startswith("repro-block")
+        with lock:
+            developed.append(helper)
+            if helper and developed.count(True) == 2:
+                raise RuntimeError("a helper's stitch broke")
+        threading.Event().wait(0.005)  # the others are mid-stitch
+        return develop(self, aerial)
+
+    monkeypatch.setattr(ConstantThresholdResist, "develop", breaking)
+    out_dir = tmp_path / "broken-cached"
+    with pytest.raises(RuntimeError, match="a helper's stitch broke"):
+        engine.image_layout(layout, guard_px=GUARD, out_dir=str(out_dir))
+    settled = len(developed)
+    threading.Event().wait(0.05)
+    assert len(developed) == settled  # nobody was still stitching
+    assert False in developed and 0 < settled < 30
+    assert not (out_dir / "meta.json").exists()
+    monkeypatch.setattr(ConstantThresholdResist, "develop", develop)
+    result = engine.image_layout(layout, guard_px=GUARD,
+                                 out_dir=str(out_dir))
+    np.testing.assert_array_equal(np.asarray(result.aerial), expected.aerial)
+    np.testing.assert_array_equal(np.asarray(result.resist), expected.resist)
+    assert result.tile_stats.misses == 0
+    assert (out_dir / "meta.json").exists()
+
+
+@pytest.mark.parametrize("backend,workers,helpers", [
+    ("scipy", 2, True), ("scipy", 1, False), ("numpy", 2, False)])
+def test_a_cached_batch_is_stitched_in_the_imaging_shares(
+        backend, workers, helpers, layouts, monkeypatch):
+    """A tile-cached batch's cores are stitched and developed in the shares
+    ``image_tiles`` would use — on a helper thread too when the backend
+    shares tiles out — cold and warm, and equal the reference."""
+    dense, _ = layouts["dense"]
+    engine = _spec(backend, "float64", workers).build()
+    engine.tile_cache = TileResultCache()
+    expected = reference_image_layout(engine, dense, guard_px=GUARD)
+    threads = set()
+    develop = ConstantThresholdResist.develop
+
+    def spy(self, aerial):
+        threads.add(threading.current_thread().name)
+        return develop(self, aerial)
+
+    monkeypatch.setattr(ConstantThresholdResist, "develop", spy)
+    for warm in (False, True):
+        threads.clear()
+        image = engine.image_layout(dense, guard_px=GUARD)
+        assert image.num_tiles == 30 and (image.tile_stats.misses == 0) == warm
+        np.testing.assert_array_equal(image.aerial, expected.aerial)
+        np.testing.assert_array_equal(image.resist, expected.resist)
+        assert threading.current_thread().name in threads
+        assert any(name.startswith("repro-block") for name in threads) \
+            == helpers
 
 
 def test_close_leaves_no_worker_thread_alive():

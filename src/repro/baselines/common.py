@@ -92,9 +92,7 @@ class ImageToImageModel:
             raise ValueError("mask must be a 2-D image")
         tile_size = mask.shape[-1]
         work = self._to_work(mask[None])[:, None, :, :]
-        self.network.eval()
         prediction = self.network(Tensor(work)).data[0, 0]
-        self.network.train()
         full = self._to_full(prediction[None], tile_size)[0]
         # Clip after the band-limited resize: the interpolation can undershoot zero.
         return np.clip(full, 0.0, None)
@@ -109,9 +107,7 @@ class ImageToImageModel:
             masks = masks[None]
         tile_size = masks.shape[-1]
         work = self._to_work(masks)[:, None, :, :]
-        self.network.eval()
         predictions = self.network(Tensor(work)).data[:, 0]
-        self.network.train()
         full = self._to_full(predictions, tile_size)
         return np.clip(full, 0.0, None)
 

@@ -35,8 +35,6 @@ class PositionalEncoding:
 
     #: dimensionality of the produced feature vectors
     output_dim: int = 2
-    #: whether the produced features are complex-valued
-    complex_output: bool = False
 
     def __call__(self, coordinates: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -51,7 +49,6 @@ class IdentityEncoding(PositionalEncoding):
 
     def __init__(self) -> None:
         self.output_dim = 2
-        self.complex_output = True
 
     def __call__(self, coordinates: np.ndarray) -> np.ndarray:
         coordinates = np.asarray(coordinates, dtype=float)
@@ -72,7 +69,6 @@ class NeRFEncoding(PositionalEncoding):
             raise ValueError("num_frequencies must be positive")
         self.num_frequencies = num_frequencies
         self.output_dim = 2 * 2 * num_frequencies
-        self.complex_output = True
 
     def __call__(self, coordinates: np.ndarray) -> np.ndarray:
         coordinates = np.asarray(coordinates, dtype=float)
@@ -106,7 +102,6 @@ class RandomFourierEncoding(PositionalEncoding):
         rng = np.random.default_rng(seed)
         self.frequencies = rng.normal(scale=sigma, size=(num_features, 2))
         self.output_dim = 2 * num_features
-        self.complex_output = True
 
     def __call__(self, coordinates: np.ndarray) -> np.ndarray:
         coordinates = np.asarray(coordinates, dtype=float)

@@ -4,9 +4,10 @@
 through.  It owns a fixed frequency-domain kernel bank — golden SOCS kernels,
 learned Nitho kernels, anything of shape ``(r, n, m)`` — and provides:
 
-* batched imaging (:meth:`aerial_batch`, :meth:`resist_batch`; a single
-  tile — :meth:`aerial`, :meth:`resist` — is a batch of one) through the one
-  SOCS forward in :mod:`repro.engine.batched`,
+* batched imaging (:meth:`aerial_batch`; a single tile — :meth:`aerial`,
+  :meth:`resist` — is a batch of one, and ``resist_model.develop`` turns any
+  aerial batch into resist) through the one SOCS forward in
+  :mod:`repro.engine.batched`,
 * large-layout imaging (:meth:`image_layout`) via the guard-banded tiling
   pipeline in :mod:`repro.engine.tiling`, lifting the historical
   "exactly one tile" restriction,
@@ -275,9 +276,6 @@ class ExecutionEngine:
         if mask.ndim != 2:
             raise ValueError("mask must be a 2-D image")
         return self.aerial_batch(mask[None])[0]
-
-    def resist_batch(self, masks: np.ndarray) -> np.ndarray:
-        return self.resist_model.develop(self.aerial_batch(masks))
 
     def resist(self, mask: np.ndarray) -> np.ndarray:
         return self.resist_model.develop(self.aerial(mask))

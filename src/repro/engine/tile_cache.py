@@ -129,15 +129,6 @@ class TileCacheStats:
             setattr(self, name, getattr(self, name) + value)
         return self
 
-    @property
-    def served(self) -> int:
-        """Tiles that skipped imaging entirely."""
-        return self.hits + self.zero_hits + self.disk_loads
-
-    @property
-    def hit_rate(self) -> float:
-        return self.served / self.tiles if self.tiles else 0.0
-
 
 class TileResultCache:
     """Thread-safe content-addressed cache of imaged aerial tiles.

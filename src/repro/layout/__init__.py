@@ -39,7 +39,7 @@ Readers plug in wherever a dense layout was accepted —
 (16, 16)
 >>> int(reader.read_window(0, 0, 16, 16).sum())   # 8 x 4 px of metal
 32
->>> dense = reader.materialise()
+>>> dense = reader.read_window(0, 0, *reader.shape)
 >>> np.array_equal(as_layout_reader(dense).read_window(0, 0, 4, 8),
 ...                dense[:4, :8])
 True

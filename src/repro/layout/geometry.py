@@ -55,9 +55,6 @@ class Rect:
             raise ValueError("expansion margin collapses the rectangle")
         return Rect(self.x - margin, self.y - margin, new_width, new_height)
 
-    def translated(self, dx: float, dy: float) -> "Rect":
-        return Rect(self.x + dx, self.y + dy, self.width, self.height)
-
 
 @dataclass(frozen=True)
 class Polygon:
@@ -68,11 +65,6 @@ class Polygon:
     def __post_init__(self) -> None:
         if len(self.vertices) < 3:
             raise ValueError("polygon needs at least three vertices")
-
-    def bounding_box(self) -> Rect:
-        xs = [v[0] for v in self.vertices]
-        ys = [v[1] for v in self.vertices]
-        return Rect(min(xs), min(ys), max(xs) - min(xs), max(ys) - min(ys))
 
     def to_rects(self) -> List[Rect]:
         """Decompose into rectangles by vertical slab sweep (rectilinear polygons only).

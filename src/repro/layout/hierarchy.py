@@ -158,16 +158,6 @@ class Transform(NamedTuple):
         return Transform(a=mag * cos, b=-mag * sin * sy,
                          c=mag * sin, d=mag * cos * sy, tx=tx, ty=ty)
 
-    def compose(self, inner: "Transform") -> "Transform":
-        """``self`` after ``inner``: ``(self . inner)(p) = self(inner(p))``."""
-        return Transform(
-            a=self.a * inner.a + self.b * inner.c,
-            b=self.a * inner.b + self.b * inner.d,
-            c=self.c * inner.a + self.d * inner.c,
-            d=self.c * inner.b + self.d * inner.d,
-            tx=self.a * inner.tx + self.b * inner.ty + self.tx,
-            ty=self.c * inner.tx + self.d * inner.ty + self.ty)
-
     def apply(self, x: float, y: float) -> Tuple[float, float]:
         return (self.a * x + self.b * y + self.tx,
                 self.c * x + self.d * y + self.ty)
@@ -568,8 +558,9 @@ class HierarchicalLayoutReader:
                 continue
             # Constants of this (instance, parent transform), shared by
             # every array element: the composed linear part and the child's
-            # box under it.  Each expression keeps the operation order of
-            # Transform.compose / apply_box, so no coordinate moves a bit.
+            # box under it.  Windows, the digest and the flatten oracle all
+            # run this one walk, so each expression has a single operation
+            # order and no coordinate moves a bit between them.
             la, lb, lc, ld = instance.linear
             a, b = ta * la + tb * lc, ta * lb + tb * ld
             c, d = tc * la + td * lc, tc * lb + td * ld
@@ -749,10 +740,6 @@ class HierarchicalLayoutReader:
         input of a window)."""
         return self._layers
 
-    @property
-    def top_cell(self) -> str:
-        return self._top
-
     def read_window(self, row: int, col: int, height: int,
                     width: int) -> np.ndarray:
         if height <= 0 or width <= 0:
@@ -862,40 +849,3 @@ class HierarchicalLayoutReader:
         return GeometryLayoutReader(self.flatten_shapes(),
                                     self.pixel_size_nm, shape=self._shape,
                                     layers=self.layers)
-
-    def materialise(self) -> np.ndarray:
-        """The full dense raster — for tests and small layouts only."""
-        return self.read_window(0, 0, *self._shape)
-
-    @property
-    def cell_count(self) -> int:
-        return len(self.library.cells)
-
-    @property
-    def instance_count(self) -> int:
-        """Total placed cell copies under the top cell (arrays expanded —
-        arithmetically, nothing is materialised)."""
-        counts: Dict[str, int] = {}
-
-        def resolve(name: str) -> int:
-            if name not in counts:
-                counts[name] = 1 + sum(
-                    instance.columns * instance.rows * resolve(instance.cell)
-                    for instance in self._instances[name])
-            return counts[name]
-
-        return resolve(self._top)
-
-    @property
-    def depth(self) -> int:
-        """Levels in the placement tree under (and including) the top cell."""
-        depths: Dict[str, int] = {}
-
-        def resolve(name: str) -> int:
-            if name not in depths:
-                children = [resolve(instance.cell)
-                            for instance in self._instances[name]]
-                depths[name] = 1 + (max(children) if children else 0)
-            return depths[name]
-
-        return resolve(self._top)

@@ -142,7 +142,6 @@ class GeometryLayoutReader:
             raise ValueError("raster shape must be positive")
         self._pixel_size_nm = float(pixel_size_nm)
         self._shape = (int(shape[0]), int(shape[1]))
-        self._rects: Dict[str, List[Rect]] = {}
         self._indices: Dict[str, _BucketGrid] = {}
         #: Candidate shapes touched by the most recent ``read_window`` —
         #: the O(window) observable the tests pin.
@@ -150,42 +149,21 @@ class GeometryLayoutReader:
         for layer, layer_shapes in shapes.items():
             for item in layer_shapes:
                 self._add_shape(layer, item)
-        self._layers = tuple(sorted(self._rects)) if layers is None \
+        self._layers = tuple(sorted(self._indices)) if layers is None \
             else tuple(layers)
         for layer in self.layers:
-            if layer not in self._rects:
-                self._rects[layer] = []
-                self._indices[layer] = _BucketGrid()
+            self._indices.setdefault(layer, _BucketGrid())
 
     # ------------------------------------------------------------------ #
     # construction
     # ------------------------------------------------------------------ #
-    @classmethod
-    def from_layout(cls, layout, pixel_size_nm: Optional[float] = None,
-                    shape: Optional[Tuple[int, int]] = None,
-                    **kwargs) -> "GeometryLayoutReader":
-        """Index a :class:`repro.masks.layout.Layout` (rectangle container).
-
-        With ``shape`` given, ``pixel_size_nm`` defaults to the pitch that
-        maps the layout extent onto ``shape[0]`` rows — the same convention
-        as ``Layout.rasterize(layer, tile_size_px)``.
-        """
-        if pixel_size_nm is None:
-            if shape is None:
-                raise ValueError("pass pixel_size_nm and/or shape")
-            pixel_size_nm = layout.extent_nm / shape[0]
-        return cls(layout.layers, pixel_size_nm, shape=shape,
-                   extent_nm=layout.extent_nm, **kwargs)
-
     def _add_shape(self, layer: str, item: Shape) -> None:
         """Index one rectangle or rectilinear polygon on ``layer`` (at
         construction only: a reader's windows never change afterwards)."""
         rects = item.to_rects() if isinstance(item, Polygon) else [item]
-        store = self._rects.setdefault(layer, [])
         grid = self._indices.setdefault(layer, _BucketGrid())
         height, width = self._shape
         for rect in rects:
-            store.append(rect)
             row0, row1 = _pixel_interval(rect.y, rect.y2, self.pixel_size_nm,
                                          height)
             col0, col1 = _pixel_interval(rect.x, rect.x2, self.pixel_size_nm,
@@ -253,16 +231,3 @@ class GeometryLayoutReader:
         return layout_digest(self._shape, self.pixel_size_nm, (
             (layer, zip(grid.rows0, grid.rows1, grid.cols0, grid.cols1))
             for layer, grid in grids))
-
-    # ------------------------------------------------------------------ #
-    # conveniences
-    # ------------------------------------------------------------------ #
-    def shape_count(self, layer: Optional[str] = None) -> int:
-        """Indexed shape count (rectangles, after polygon decomposition)."""
-        if layer is not None:
-            return len(self._indices.get(layer, ()))
-        return sum(len(grid) for grid in self._indices.values())
-
-    def materialise(self) -> np.ndarray:
-        """The full dense raster — for tests and small layouts only."""
-        return self.read_window(0, 0, *self._shape)

@@ -141,10 +141,6 @@ class ArrayLayoutReader:
     def digest(self) -> str:
         return array_digest(np.asarray(self._layout))
 
-    def materialise(self) -> np.ndarray:
-        """The full dense raster (a float copy of the wrapped array)."""
-        return self.read_window(0, 0, *self.shape)
-
 
 def is_layout_reader(source) -> bool:
     """True when ``source`` speaks the reader protocol (duck-typed)."""

@@ -8,7 +8,7 @@ and rasterise them for the lithography simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List
 
 import numpy as np
 
@@ -30,20 +30,8 @@ class Layout:
         """Add one rectangle to ``layer`` (created on first use)."""
         self.layers.setdefault(layer, []).append(shape)
 
-    def add_many(self, layer: str, shapes) -> None:
-        for shape in shapes:
-            self.add(layer, shape)
-
-    def layer_names(self) -> List[str]:
-        return sorted(self.layers)
-
     def shapes(self, layer: str) -> List[Rect]:
         return list(self.layers.get(layer, []))
-
-    def shape_count(self, layer: Optional[str] = None) -> int:
-        if layer is not None:
-            return len(self.layers.get(layer, []))
-        return sum(len(shapes) for shapes in self.layers.values())
 
     def clip(self, origin_x: float, origin_y: float, size_nm: float) -> "Layout":
         """Clip a square window into a new layout with coordinates relative to the window."""

@@ -22,7 +22,6 @@ class Module:
     def __init__(self) -> None:
         self._parameters: Dict[str, Tensor] = {}
         self._modules: Dict[str, "Module"] = {}
-        self.training = True
 
     # -- registration ---------------------------------------------------- #
     def register_parameter(self, name: str, tensor: Tensor) -> Tensor:
@@ -56,15 +55,6 @@ class Module:
     def zero_grad(self) -> None:
         for param in self.parameters():
             param.zero_grad()
-
-    def train(self, mode: bool = True) -> "Module":
-        self.training = mode
-        for module in self._modules.values():
-            module.train(mode)
-        return self
-
-    def eval(self) -> "Module":
-        return self.train(False)
 
     # -- sizing ------------------------------------------------------------ #
     def num_parameters(self) -> int:

@@ -116,10 +116,6 @@ class Tensor:
     def item(self) -> Union[float, complex]:
         return self.data.item()
 
-    def detach(self) -> "Tensor":
-        """Return a new tensor sharing data but severed from the graph."""
-        return Tensor(self.data, requires_grad=False)
-
     # ------------------------------------------------------------------ #
     # autograd driver
     # ------------------------------------------------------------------ #

@@ -74,8 +74,3 @@ class Pupil:
                     raise ValueError(f"unsupported Zernike Noll index {index}")
                 phase = phase + 2.0 * np.pi * coefficient * basis[index]
         return amplitude * np.exp(1j * phase) * inside
-
-    def is_ideal(self) -> bool:
-        """True when the pupil is a plain NA-limited disk (no phase errors)."""
-        return (self.defocus_nm == 0.0 and not self.zernike_coefficients
-                and self.apodization == 0.0)

@@ -25,7 +25,3 @@ class ConstantThresholdResist:
     def develop(self, aerial: np.ndarray) -> np.ndarray:
         """Binary resist pattern (1 = printed / exposed region)."""
         return (aerial > self.threshold).astype(np.uint8)
-
-    def soft_develop(self, aerial: np.ndarray, steepness: float = 50.0) -> np.ndarray:
-        """Differentiable sigmoid approximation used by gradient-based OPC."""
-        return 1.0 / (1.0 + np.exp(-steepness * (aerial - self.threshold)))

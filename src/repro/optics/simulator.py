@@ -18,7 +18,7 @@ Every SOCS image — one tile, a batch, a whole layout
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -57,9 +57,6 @@ class OpticsConfig:
     def field_size_nm(self) -> float:
         """Physical extent of one tile."""
         return self.pixel_size_nm * self.tile_size_px
-
-    def with_tile_size(self, tile_size_px: int) -> "OpticsConfig":
-        return replace(self, tile_size_px=tile_size_px)
 
 
 def default_illumination(config: OpticsConfig, source: Optional[Source] = None,
@@ -169,10 +166,6 @@ class LithographySimulator:
     def aerial_batch(self, masks: np.ndarray) -> np.ndarray:
         """Golden aerial images of a tile batch ``(B, H, W)`` in one vectorised pass."""
         return self.engine.aerial_batch(masks)
-
-    def resist_batch(self, masks: np.ndarray) -> np.ndarray:
-        """Golden binary resist images of a tile batch."""
-        return self.resist_model.develop(self.aerial_batch(masks))
 
     def _check_mask(self, mask: np.ndarray) -> None:
         mask = np.asarray(mask)

@@ -69,8 +69,8 @@ class SOCSKernels:
         eigenkernel: ``2 t`` or ``2 t - 1`` of them for a packed bank.
     total_energy:
         Trace of the source TCC (the sum of *all* eigenvalues, retained or
-        not); 0.0 when unknown, in which case :meth:`energy_captured`
-        reports full capture.
+        not); 0.0 when unknown.  ``eigenvalues.sum() / total_energy`` is
+        the fraction of the TCC energy the bank captures.
     """
 
     kernels: np.ndarray
@@ -82,13 +82,6 @@ class SOCSKernels:
     def order(self) -> int:
         """Rows of :attr:`kernels`: the transforms an image costs."""
         return self.kernels.shape[0]
-
-    def energy_captured(self) -> float:
-        """Fraction of total TCC energy captured by the retained kernels (0..1]."""
-        total = float(self.eigenvalues.sum()) if self.eigenvalues.size else 0.0
-        if self.total_energy <= 0:
-            return 1.0
-        return total / self.total_energy
 
     def real_field_kernels(self) -> np.ndarray:
         """The real-field eigenkernels a packed bank (:func:`socs_kernels`)

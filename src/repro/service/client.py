@@ -92,10 +92,6 @@ class ServiceClient:
             return json.loads(raw.decode("utf-8"))
         return raw.decode("utf-8")
 
-    def thumbnail(self, job_id: str, token: str) -> bytes:
-        """One stored aerial as PGM bytes."""
-        return self._request("GET", f"/campaigns/{job_id}/thumbnails/{token}")
-
     def wait(self, job_id: str, timeout: float = 120.0) -> Dict[str, Any]:
         """Poll until the job settles; returns its final status dict."""
         deadline = time.monotonic() + timeout

@@ -75,10 +75,8 @@ __all__ = [
     "CampaignJob",
     "CampaignManager",
     "CampaignRequest",
-    "JOB_STATES",
 ]
 
-JOB_STATES = ("queued", "running", "completed", "failed", "cancelled")
 #: Seconds between job-table reads in :meth:`CampaignManager.wait`.
 WAIT_POLL_S = 0.05
 

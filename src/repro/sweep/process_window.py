@@ -60,7 +60,7 @@ from ..optics.simulator import OpticsConfig
 from ..optics.source import Source
 from .grid import FocusExposureGrid
 from .report import format_cd_table, format_summary
-from .store import CampaignStore
+from .store import CampaignIdentityError, CampaignStore
 
 
 @dataclass(frozen=True)
@@ -234,7 +234,19 @@ class ProcessWindowSweep:
                 layout, grid.focus_values_nm, grid.dose_values, tolerance,
                 self.base_spec.fingerprint(), tile_px=tile_px,
                 guard_px=guard_px)
-            for entry in store.begin(identity, resume=resume).values():
+            completed = store.begin(identity, resume=resume)
+            # Every CD of a campaign is extracted at one resist threshold;
+            # a store pinned to another one belongs to another campaign.
+            resist_threshold = float(self.config.resist_threshold)
+            pinned = store.get_derived("resist_threshold")
+            if pinned is None:
+                store.set_derived("resist_threshold", resist_threshold)
+            elif float(pinned) != resist_threshold:
+                raise CampaignIdentityError(
+                    f"the manifest in {store.root} was measured at resist "
+                    f"threshold {float(pinned)!r}, not {resist_threshold!r}; "
+                    f"use a fresh store directory for a new campaign")
+            for entry in completed.values():
                 cds[(entry["focus_nm"], entry["dose"])] = entry["cd_nm"]
             cd_row = store.get_derived("cd_row")
             if store.get_derived("num_tiles") is not None:
@@ -285,7 +297,7 @@ class ProcessWindowSweep:
                                 pixel_size_nm=self.config.pixel_size_nm)
                 cds[(focus, dose)] = cd
                 if store is not None:
-                    store.record(focus, dose, cd, threshold)
+                    store.record(focus, dose, cd)
                 if progress is not None:
                     progress(focus, dose, cd)
         elapsed = time.perf_counter() - start

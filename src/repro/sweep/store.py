@@ -1,15 +1,15 @@
-"""Disk-backed campaign results: per-condition records + a resumable manifest.
+"""Disk-backed campaign results: a resumable manifest of per-condition CDs.
 
 A qualification campaign with thousands of (focus, dose) conditions cannot
 keep its results in RAM, and a multi-hour sweep that dies at condition 4 817
 must not recompute the first 4 816.  :class:`CampaignStore` gives the sweep
 layer both properties:
 
-* every completed condition is persisted **immediately** as its own record,
-* a condition is marked complete only *after* its record is safely on disk,
-  via an **append-only completion log** (one JSON line per condition, O(1)
-  per record — a thousands-of-conditions campaign never rewrites its whole
-  manifest per condition); the manifest itself is rewritten atomically
+* every completed condition is persisted **immediately** as one fsync'd
+  line of an **append-only completion log** — the line is the whole record
+  and its durable completion mark, O(1) per condition (a
+  thousands-of-conditions campaign never rewrites its whole manifest per
+  condition); the manifest itself is rewritten atomically
   (``atomic_write``) only at session boundaries, so a kill at any
   instant leaves either a complete condition or no trace of it — never a
   corrupt store (a torn final log line is ignored on load), and
@@ -33,16 +33,15 @@ Directory layout
                                # condition completed since the manifest was
                                # last consolidated (merged + truncated by
                                # the next begin())
-      cond_<id>.npz            # one record per completed condition
       aerial_f<focus>.npy      # optional per-focus aerial memmap
                                # (store_aerials=True; numpy .npy format,
                                # readable via np.load(..., mmap_mode="r"))
 
-Each ``cond_<id>.npz`` holds scalar arrays ``focus_nm``, ``dose``, ``cd_nm``
-and ``threshold`` (the dose-scaled resist threshold the CD was extracted
-at).  ``<id>`` is ``f<focus>_d<dose>`` with the floats in ``repr`` form
+A condition id is ``f<focus>_d<dose>`` with the floats in ``repr`` form
 (sanitised for filenames), so condition identity is exact — no float
-rounding ambiguity between runs.
+rounding ambiguity between runs.  Stores written before the log line became
+the whole record also hold one ``cond_<id>.npz`` per condition and a
+``"file"`` key per entry; both are ignored, and such a store resumes as is.
 
 Manifest schema (``manifest.json``)
 -----------------------------------
@@ -62,7 +61,8 @@ Manifest schema (``manifest.json``)
       "derived": {             # measured once, pinned for resumed runs
         "cd_row": 123,             # CD-extraction row (auto-tracked rows
                                    # must survive a resume unchanged)
-        "target_cd_nm": 45.0
+        "target_cd_nm": 45.0,
+        "resist_threshold": 0.225  # a resume under another one is refused
       },
       "tile_cache": {          # optional: tile-result-cache counters,
         "tiles": 640, "hits": 560,   # summed across (resumed) runs so
@@ -71,14 +71,12 @@ Manifest schema (``manifest.json``)
         "disk_errors": 0
       },
       "completed": {           # condition id -> inline summary
-        "f0.0_d1.0": {"focus_nm": 0.0, "dose": 1.0,
-                       "cd_nm": 45.0, "file": "cond_f0.0_d1.0.npz"}
+        "f0.0_d1.0": {"focus_nm": 0.0, "dose": 1.0, "cd_nm": 45.0}
       }
     }
 
 The inline ``cd_nm`` lets a resumed sweep rebuild the full focus-exposure
-matrix without opening a single ``.npz``; the per-condition files carry the
-full records for archival / downstream tooling.
+matrix from the manifest alone.
 """
 
 from __future__ import annotations
@@ -108,7 +106,7 @@ class CampaignIdentityError(RuntimeError):
 
 
 class CampaignStore:
-    """Directory of per-condition records with an atomic, resumable manifest.
+    """Directory of per-condition CDs with an atomic, resumable manifest.
 
     Parameters
     ----------
@@ -239,7 +237,8 @@ class CampaignStore:
         return self._require_open().get("derived", {}).get(key)
 
     def set_derived(self, key: str, value) -> None:
-        """Persist a once-measured campaign value (``cd_row``, ``target_cd_nm``)."""
+        """Persist a once-measured campaign value (``cd_row``,
+        ``target_cd_nm``, ``resist_threshold``)."""
         manifest = self._require_open()
         if manifest["derived"].get(key) != value:
             manifest["derived"][key] = value
@@ -271,37 +270,17 @@ class CampaignStore:
     def __len__(self) -> int:
         return len(self._require_open().get("completed", {}))
 
-    def record(self, focus_nm: float, dose: float, cd_nm: float,
-               threshold: float) -> str:
-        """Persist one completed condition; marks it complete durably, O(1).
-
-        The ``.npz`` record is written first, the completion-log append
-        second — so the store never marks complete a record that is not
-        fully on disk, and a campaign of thousands of conditions never
-        rewrites its whole manifest per condition.
-        """
+    def record(self, focus_nm: float, dose: float, cd_nm: float) -> str:
+        """Persist one completed condition durably, O(1): one fsync'd
+        completion-log line is the whole record, so a campaign of thousands
+        of conditions never rewrites its whole manifest per condition."""
         manifest = self._require_open()
         cond = condition_id(focus_nm, dose)
-        filename = f"cond_{cond}.npz"
-        np.savez_compressed(os.path.join(self.root, filename),
-                            focus_nm=np.asarray(float(focus_nm)),
-                            dose=np.asarray(float(dose)),
-                            cd_nm=np.asarray(float(cd_nm)),
-                            threshold=np.asarray(float(threshold)))
         entry = {"focus_nm": float(focus_nm), "dose": float(dose),
-                 "cd_nm": float(cd_nm), "file": filename}
+                 "cd_nm": float(cd_nm)}
         manifest["completed"][cond] = entry
         self._append_completion(cond, entry)
         return cond
-
-    def load_record(self, focus_nm: float, dose: float) -> Dict[str, float]:
-        """Reload one condition's full record from its ``.npz`` file."""
-        entry = self._require_open()["completed"].get(
-            condition_id(focus_nm, dose))
-        if entry is None:
-            raise KeyError(f"condition ({focus_nm}, {dose}) is not complete")
-        with np.load(os.path.join(self.root, entry["file"])) as data:
-            return {key: float(data[key]) for key in data.files}
 
     # ------------------------------------------------------------------ #
     # optional per-focus aerials
@@ -321,9 +300,6 @@ class CampaignStore:
         out[...] = aerial
         out.flush()
         return path
-
-    def load_aerial(self, focus_nm: float, mmap_mode: str = "r") -> np.ndarray:
-        return np.load(self.aerial_path(focus_nm), mmap_mode=mmap_mode)
 
     # ------------------------------------------------------------------ #
     # campaign identity helper

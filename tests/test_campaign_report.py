@@ -99,8 +99,8 @@ class TestCampaignReport:
         store = CampaignStore(str(tmp_path / "partial"))
         store.begin(identity, resume=True)
         store.set_derived("target_cd_nm", 100.0)
-        store.record(0.0, 1.0, 100.0, 0.225)
-        store.record(0.0, 0.95, 120.0, 0.237)
+        store.record(0.0, 1.0, 100.0)
+        store.record(0.0, 0.95, 120.0)
         report = load_campaign_report(str(tmp_path / "partial"))
         assert not report.is_complete
         assert report.completed_conditions == 2
@@ -118,7 +118,7 @@ class TestCampaignReport:
             "fingerprint")
         store = CampaignStore(str(tmp_path / "no-target"))
         store.begin(identity, resume=True)
-        store.record(-40.0, 1.0, 90.0, 0.225)  # nominal condition missing
+        store.record(-40.0, 1.0, 90.0)  # nominal condition missing
         report = load_campaign_report(str(tmp_path / "no-target"))
         assert report.window() is None
         text = render_campaign_report(report)  # renders without a summary
@@ -203,7 +203,7 @@ class TestReportFormats:
             "fingerprint")
         store = CampaignStore(str(tmp_path / "partial"))
         store.begin(identity, resume=True)
-        store.record(0.0, 1.0, 100.0, 0.225)
+        store.record(0.0, 1.0, 100.0)
         rendered = render_campaign_report_json(
             load_campaign_report(str(tmp_path / "partial")))
         data = json_module.loads(rendered)

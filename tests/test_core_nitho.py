@@ -207,8 +207,6 @@ class TestKernelBankEngine:
             engine.aerial(tiny_masks[0])
         with pytest.raises(ValueError, match="8 px tile"):
             engine.aerial_batch(tiny_masks[:2])
-        with pytest.raises(ValueError, match="8 px tile"):
-            engine.resist_batch(list(tiny_masks[:2]))
 
     def test_float32_bank(self, tiny_simulator, tiny_masks):
         from repro.backend import FLOAT32, ComputeConfig
@@ -247,6 +245,6 @@ class TestKernelBankEngine:
     def test_batch_helpers(self, tiny_simulator, tiny_masks):
         engine = ExecutionEngine(tiny_simulator.kernels.kernels)
         aerials = engine.aerial_batch(tiny_masks[:2])
-        resists = engine.resist_batch(tiny_masks[:2])
+        resists = engine.resist_model.develop(aerials)
         assert aerials.shape == (2, *tiny_masks[0].shape)
         assert resists.shape == (2, *tiny_masks[0].shape)

@@ -203,8 +203,8 @@ class TestShardedExecutor:
         assert imaged.num_tiles == reference.num_tiles
 
     def test_resist_batch_binary(self, spec, masks):
-        executor = ShardedExecutor()
-        resist = executor.warm(spec).resist_batch(masks)
+        engine = ShardedExecutor().warm(spec)
+        resist = engine.resist_model.develop(engine.aerial_batch(masks))
         assert set(np.unique(resist)).issubset({0, 1})
 
     def test_validation(self):

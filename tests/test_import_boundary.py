@@ -14,9 +14,9 @@ Every runtime case runs in a fresh subprocess, so the suite's own imports
 cannot mask a leak.
 
 The name census beside the static import walk holds ``src/repro`` to the
-other half of that statement: every public module-level function or class
-has a caller outside ``tests/``, or a line in :data:`UNCALLED_ALLOWED`
-saying why not.
+other half of that statement: every public module-level function, class or
+constant and every public method or property has a caller outside
+``tests/``, or a line in :data:`UNCALLED_ALLOWED` saying why not.
 """
 
 import ast
@@ -200,6 +200,11 @@ UNCALLED_ALLOWED = {
     "PixelatedSource": "a freeform illuminator for source=",
     "truncation_error_bound": "the SOCS truncation budget ROADMAP items 2 "
                               "and 9 gate on",
+    "do_GET": "http.server dispatches each request method by name",
+    "do_POST": "http.server dispatches each request method by name",
+    "do_DELETE": "http.server dispatches each request method by name",
+    "flatten": "the dense-flatten oracle the conformance tests pin "
+               "HierarchicalLayoutReader windows against",
 }
 
 
@@ -210,27 +215,48 @@ def python_files(directory: str):
                 yield os.path.join(root, name)
 
 
+def defined_names(tree: ast.Module):
+    """Every name a module defines: module-level ``def`` / ``class`` /
+    assignment targets, and each ``def`` in a class body (methods and
+    properties)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            yield from (target.id for target in targets
+                        if isinstance(target, ast.Name))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            yield from (member.name for member in node.body
+                        if isinstance(member, (ast.FunctionDef,
+                                               ast.AsyncFunctionDef)))
+
+
 def uncalled_public_names(repo: str = REPO) -> set:
-    """Module-level public ``def`` / ``class`` names under ``src/repro``
-    that no ``ast.Name`` / ``ast.Attribute`` under :data:`CALLER_DIRS`
-    mentions.  Imports (re-exports), ``__all__`` strings and ``tests/`` do
-    not count; methods are out of scope (their names collide with numpy's
-    and the stdlib's attributes)."""
+    """Public names under ``src/repro`` — module-level functions, classes
+    and constants, methods and properties — that no ``ast.Name`` /
+    ``ast.Attribute`` under :data:`CALLER_DIRS` mentions.  Imports
+    (re-exports), ``__all__`` strings, assignment targets and ``tests/`` do
+    not count.  A method whose name collides with another attribute (numpy's
+    ``.shape``) counts as called: a collision can hide an orphan, never
+    invent one."""
     defined = set()
     for path in python_files(os.path.join(repo, "src", "repro")):
         with open(path, encoding="utf-8") as handle:
             tree = ast.parse(handle.read(), filename=path)
-        defined.update(
-            node.name for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef))
-            and not node.name.startswith("_"))
+        defined.update(name for name in defined_names(tree)
+                       if not name.startswith("_"))
     mentioned = set()
     for directory in CALLER_DIRS:
         for path in python_files(os.path.join(repo, directory)):
             with open(path, encoding="utf-8") as handle:
                 tree = ast.parse(handle.read(), filename=path)
             for node in ast.walk(tree):
+                if isinstance(getattr(node, "ctx", None), ast.Store):
+                    continue
                 if isinstance(node, ast.Name):
                     mentioned.add(node.id)
                 elif isinstance(node, ast.Attribute):
@@ -238,9 +264,17 @@ def uncalled_public_names(repo: str = REPO) -> set:
     return defined - mentioned
 
 
+def check_census(repo: str = REPO, allowed=UNCALLED_ALLOWED) -> None:
+    """Fail on a new orphan and on a stale allow-list entry alike."""
+    found = uncalled_public_names(repo)
+    orphans, stale = sorted(found - set(allowed)), sorted(set(allowed) - found)
+    assert not orphans and not stale, (
+        f"uncalled (delete, or allow with a reason): {orphans}; "
+        f"stale allow-list entries (they have a caller now): {stale}")
+
+
 def test_every_public_name_has_a_caller_outside_the_tests():
-    """A new orphan fails here, and so does a stale allow-list entry."""
-    assert uncalled_public_names() == set(UNCALLED_ALLOWED)
+    check_census()
 
 
 def test_the_name_census_sees_every_spelling(tmp_path):
@@ -255,13 +289,33 @@ def test_the_name_census_sees_every_spelling(tmp_path):
         "def in_all():\n    pass\n\n"
         "def test_only():\n    pass\n\n"
         "def _private():\n    pass\n\n"
-        "class Orphan:\n    def method(self):\n        pass\n")
+        "LIMIT = 3\nUNREAD: int = 4\n\n"
+        "class Orphan:\n    def method(self):\n        pass\n\n"
+        "class Used:\n"
+        "    def __init__(self):\n        pass\n\n"
+        "    def called_method(self):\n        pass\n\n"
+        "    @property\n    def read_property(self):\n        pass\n\n"
+        "    def test_only_method(self):\n        pass\n\n"
+        "    @property\n    def test_only_property(self):\n        pass\n\n"
+        "    def _helper(self):\n        pass\n")
     (tmp_path / "tools").mkdir()
     (tmp_path / "tools" / "drive.py").write_text(
         "import repro.mod\nfrom repro.mod import called\n"
-        "called()\nrepro.mod.attribute_called()\n")
+        "called()\nrepro.mod.attribute_called()\n"
+        "obj = repro.mod.Used()\nobj.called_method()\n"
+        "print(obj.read_property, repro.mod.LIMIT)\n"
+        "UNREAD = None  # an assignment defines, it does not mention\n")
     (tmp_path / "tests").mkdir()
     (tmp_path / "tests" / "test_mod.py").write_text(
-        "from repro.mod import test_only\ntest_only()\n")
-    assert uncalled_public_names(str(tmp_path)) == {
-        "reexported", "in_all", "test_only", "Orphan"}
+        "from repro.mod import Used, test_only\ntest_only()\n"
+        "Used().test_only_method()\nUsed().test_only_property\n")
+    found = {"reexported", "in_all", "test_only", "Orphan", "method",
+             "UNREAD", "test_only_method", "test_only_property"}
+    assert uncalled_public_names(str(tmp_path)) == found
+    allowed = dict.fromkeys(found, "a reason")
+    check_census(str(tmp_path), allowed)
+    with pytest.raises(AssertionError, match=r"stale .*\['called_method'\]"):
+        check_census(str(tmp_path), {**allowed, "called_method": "stale"})
+    with pytest.raises(AssertionError, match=r"uncalled .*\['method'\]"):
+        check_census(str(tmp_path), {name: "a reason" for name in found
+                                     if name != "method"})

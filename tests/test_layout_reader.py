@@ -65,14 +65,21 @@ def random_layout(seed: int = 0, extent_nm: float = 768.0,
     return layout
 
 
+def indexed(layout: Layout, side: int) -> GeometryLayoutReader:
+    """``layout`` indexed onto a ``side`` x ``side`` raster — the pitch of
+    ``Layout.rasterize(layer, side)``."""
+    return GeometryLayoutReader(layout.layers, layout.extent_nm / side,
+                                shape=(side, side))
+
+
 @pytest.fixture(scope="module")
 def geometry_reader() -> GeometryLayoutReader:
-    return GeometryLayoutReader.from_layout(random_layout(), shape=(96, 96))
+    return indexed(random_layout(), 96)
 
 
 @pytest.fixture(scope="module")
 def dense(geometry_reader) -> np.ndarray:
-    return geometry_reader.materialise()
+    return geometry_reader.read_window(0, 0, *geometry_reader.shape)
 
 
 class TestArrayLayoutReader:
@@ -116,7 +123,7 @@ class TestArrayLayoutReader:
 class TestGeometryLayoutReader:
     def test_full_window_equals_dense_rasterize(self):
         layout = random_layout(seed=7)
-        reader = GeometryLayoutReader.from_layout(layout, shape=(128, 128))
+        reader = indexed(layout, 128)
         np.testing.assert_array_equal(reader.read_window(0, 0, 128, 128),
                                       layout.rasterize("m1", 128))
 
@@ -132,8 +139,8 @@ class TestGeometryLayoutReader:
     def test_window_queries_touch_o_window_shapes(self, geometry_reader):
         """A tile-sized window touches a small fraction of the index."""
         geometry_reader.read_window(32, 32, 24, 24)
-        assert 0 < geometry_reader.last_candidates < \
-            geometry_reader.shape_count() / 2
+        shapes = len(random_layout().shapes("m1"))
+        assert 0 < geometry_reader.last_candidates < shapes / 2
 
     def test_window_candidates_stay_flat_as_the_layout_grows(self):
         """One 20 px square per 32 px cell, so the shape count grows with
@@ -146,7 +153,6 @@ class TestGeometryLayoutReader:
                 {"m1": [Rect(32.0 * col + 4, 32.0 * row + 4, 20.0, 20.0)
                         for row in range(cells) for col in range(cells)]},
                 pixel_size_nm=1.0, shape=(side, side))
-            assert reader.shape_count() == cells * cells
             origins = np.random.default_rng(1).integers(0, side - 128,
                                                         size=(32, 2))
             counts[side] = []
@@ -170,15 +176,15 @@ class TestGeometryLayoutReader:
         both = GeometryLayoutReader(shapes, pixel_size_nm=8.0, extent_nm=64.0)
         only_a = GeometryLayoutReader(shapes, pixel_size_nm=8.0,
                                       extent_nm=64.0, layers=("a",))
-        assert both.materialise().sum() == 32
-        assert only_a.materialise().sum() == 16
+        assert both.read_window(0, 0, *both.shape).sum() == 32
+        assert only_a.read_window(0, 0, *only_a.shape).sum() == 16
 
     def test_digest_is_canonical(self):
         layout = random_layout(seed=11, shapes=40)
         reversed_layout = Layout(extent_nm=layout.extent_nm)
         for shape in reversed(layout.shapes("m1")):
             reversed_layout.add("m1", shape)
-        make = lambda lay: GeometryLayoutReader.from_layout(lay, shape=(64, 64))
+        make = lambda lay: indexed(lay, 64)
         assert make(layout).digest() == make(reversed_layout).digest()
         # shapes that rasterise outside the raster do not perturb identity
         outside = Layout(extent_nm=layout.extent_nm)
@@ -247,8 +253,7 @@ class TestConcurrentReads:
 
     @pytest.mark.parametrize("make", [
         lambda: load_layout_file(HIER4, pixel_size_nm=8.0),
-        lambda: GeometryLayoutReader.from_layout(random_layout(seed=5),
-                                                 shape=(96, 96)),
+        lambda: indexed(random_layout(seed=5), 96),
     ], ids=["hier4.gds", "geometry"])
     def test_four_threads_read_the_serial_windows(self, make):
         serial = make()
@@ -288,10 +293,17 @@ class TestLayoutFiles:
             json.dump(document, handle)
         reader = load_layout_file(path, pixel_size_nm=8.0)
         assert reader.shape == (32, 32)
-        assert reader.shape_count() > 1  # rect + decomposed polygon
         # the rect occupies 8x4 px starting at (2, 2)
         np.testing.assert_array_equal(
             reader.read_window(2, 2, 4, 8), 1.0)
+        # and the polygon decomposes into rectangles of its own
+        from repro.layout.geometry import rasterize
+
+        poly = Polygon(((0, 200), (48, 200), (48, 224), (24, 224),
+                        (24, 240), (0, 240)))
+        np.testing.assert_array_equal(
+            reader.read_window(0, 0, 32, 32),
+            rasterize([Rect(16, 16, 64, 32)] + poly.to_rects(), 32, 8.0))
 
     def test_gds_text_loader(self, tmp_path):
         """GDSII text is no longer read: the file is refused with an error
@@ -581,11 +593,11 @@ class TestSweepWiring:
     def test_single_tile_reader(self):
         layout = Layout(extent_nm=256.0)
         layout.add("m1", Rect(32, 64, 192, 96))
-        reader = GeometryLayoutReader.from_layout(layout, shape=(32, 32))
+        reader = indexed(layout, 32)
         config = OpticsConfig(tile_size_px=32, pixel_size_nm=8.0)
         grid = FocusExposureGrid(focus_values_nm=(0.0,), dose_values=(1.0,))
         via_reader = ProcessWindowSweep(config).run(reader, grid=grid)
-        via_dense = ProcessWindowSweep(config).run(reader.materialise(),
-                                                   grid=grid)
+        via_dense = ProcessWindowSweep(config).run(
+            reader.read_window(0, 0, *reader.shape), grid=grid)
         assert via_reader.window == via_dense.window
         assert via_reader.num_tiles == 1

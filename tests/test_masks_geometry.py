@@ -35,9 +35,11 @@ class TestRect:
         with pytest.raises(ValueError):
             rect.expanded(-6)
 
-    def test_translated(self):
-        rect = Rect(0, 0, 4, 4).translated(3, -2)
-        assert (rect.x, rect.y) == (3, -2)
+    def test_rasterised_rect_moves_with_its_origin(self):
+        base = rasterize([Rect(8, 8, 16, 24)], 16, 4.0)
+        moved = rasterize([Rect(8 + 12, 8 - 4, 16, 24)], 16, 4.0)
+        np.testing.assert_array_equal(moved, np.roll(base, (-1, 3),
+                                                     axis=(0, 1)))
 
     @given(x=st.floats(0, 100), y=st.floats(0, 100),
            w=st.floats(1, 50), h=st.floats(1, 50), margin=st.floats(0, 10))
@@ -52,10 +54,13 @@ class TestPolygon:
         with pytest.raises(ValueError):
             Polygon(((0, 0), (1, 1)))
 
-    def test_bounding_box(self):
-        poly = Polygon(((0, 0), (10, 0), (10, 20), (0, 20)))
-        box = poly.bounding_box()
-        assert (box.width, box.height) == (10, 20)
+    def test_decomposition_spans_the_vertex_extent(self):
+        vertices = ((0, 0), (20, 0), (20, 10), (10, 10), (10, 20), (0, 20))
+        rects = Polygon(vertices).to_rects()
+        assert min(r.x for r in rects) == 0
+        assert min(r.y for r in rects) == 0
+        assert max(r.x2 for r in rects) == 20
+        assert max(r.y2 for r in rects) == 20
 
     def test_rectangle_decomposition_of_l_shape(self):
         # L-shape: 20x10 bar plus 10x20 bar sharing a corner.

@@ -11,11 +11,11 @@ class TestLayout:
     def test_add_and_query(self):
         layout = Layout(extent_nm=1000.0)
         layout.add("M1", Rect(0, 0, 100, 50))
-        layout.add_many("M1", [Rect(200, 200, 50, 50), Rect(400, 400, 50, 50)])
+        layout.add("M1", Rect(200, 200, 50, 50))
         layout.add("V1", Rect(10, 10, 20, 20))
-        assert layout.layer_names() == ["M1", "V1"]
-        assert layout.shape_count("M1") == 3
-        assert layout.shape_count() == 4
+        assert sorted(layout.layers) == ["M1", "V1"]
+        assert layout.shapes("M1") == [Rect(0, 0, 100, 50),
+                                       Rect(200, 200, 50, 50)]
         assert layout.shapes("M2") == []
 
     def test_invalid_extent(self):
@@ -41,7 +41,7 @@ class TestLayout:
     def test_clip_excludes_outside_shapes(self):
         layout = Layout(extent_nm=1000.0)
         layout.add("M1", Rect(0, 0, 50, 50))
-        assert layout.clip(500, 500, 100).shape_count() == 0
+        assert layout.clip(500, 500, 100).layers == {}
 
     def test_clip_invalid_size(self):
         with pytest.raises(ValueError):

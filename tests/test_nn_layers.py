@@ -23,6 +23,15 @@ class TestModulePlumbing:
         assert real.num_parameters() == 12
         assert cplx.num_parameters() == 24
 
+    def test_sequential_applies_its_children_in_order(self):
+        first, second = nn.Linear(2, 3), nn.Linear(3, 2)
+        model = nn.Sequential(first, nn.ReLU(), second)
+        assert len(model) == 3
+        assert list(model)[0] is first and list(model)[2] is second
+        x = Tensor(RNG.normal(size=(4, 2)))
+        np.testing.assert_array_equal(
+            model(x).data, second(F.relu(first(x))).data)
+
     def test_size_megabytes_positive(self):
         assert nn.Linear(10, 10).size_megabytes() > 0
 
@@ -33,13 +42,6 @@ class TestModulePlumbing:
         assert model.weight.grad is not None
         model.zero_grad()
         assert model.weight.grad is None
-
-    def test_train_eval_propagates(self):
-        model = nn.Sequential(nn.Linear(2, 2), nn.ReLU())
-        model.eval()
-        assert all(not m.training for m in model)
-        model.train()
-        assert all(m.training for m in model)
 
     def test_state_dict_roundtrip(self):
         source = nn.Linear(3, 2, rng=np.random.default_rng(0))

@@ -27,6 +27,15 @@ class TestConstruction:
     def test_requires_grad_default_false(self):
         assert not Tensor([1.0]).requires_grad
 
+    def test_rewrapped_data_shares_memory_and_carries_no_gradient(self):
+        t = Tensor([1.0, 2.0], requires_grad=True)
+        constant = Tensor(t.data)
+        assert not constant.requires_grad
+        assert np.shares_memory(constant.data, t.data)
+        (t * constant).sum().backward()
+        np.testing.assert_array_equal(t.grad, [1.0, 2.0])
+        assert constant.grad is None
+
     def test_zeros_and_ones_helpers(self):
         assert np.all(zeros((2, 3)).data == 0)
         assert np.all(ones((2, 3)).data == 1)
@@ -52,12 +61,6 @@ class TestConstruction:
 
     def test_repr_mentions_shape(self):
         assert "shape=(2,)" in repr(Tensor([1.0, 2.0]))
-
-    def test_detach_shares_data_but_no_grad(self):
-        t = Tensor([1.0, 2.0], requires_grad=True)
-        d = t.detach()
-        assert not d.requires_grad
-        assert np.shares_memory(d.data, t.data)
 
 
 class TestBackwardDriver:

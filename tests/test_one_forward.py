@@ -122,8 +122,9 @@ class TestOneForward:
         recorder, single = _record(engine, lambda: engine.aerial(mask))
         self._assert_band_limited(recorder, engine)
         np.testing.assert_array_equal(single, engine.aerial_batch(mask[None])[0])
-        np.testing.assert_array_equal(engine.resist(mask),
-                                      engine.resist_batch(mask[None])[0])
+        np.testing.assert_array_equal(
+            engine.resist(mask),
+            engine.resist_model.develop(engine.aerial_batch(mask[None]))[0])
 
 
 class TestEvaluationImagesEachTileOnce:
@@ -241,7 +242,7 @@ class TestPersistedIdentities:
             layout, grid.focus_values_nm, grid.dose_values, 0.25, fingerprint)
         store = CampaignStore(str(root))
         store.begin(identity)
-        store.record(0.0, 0.9, cd_nm=61.0, threshold=0.25)
+        store.record(0.0, 0.9, cd_nm=61.0)
         with open(store.manifest_path, encoding="utf-8") as handle:
             assert json.load(handle)["campaign"]["optics_fingerprint"] \
                 == fingerprint

@@ -148,8 +148,9 @@ class TestResistModels:
         with pytest.raises(ValueError):
             ConstantThresholdResist(0.0)
 
-    def test_soft_develop_bounds_and_monotonicity(self, socs_kernels, sample_mask):
+    def test_develop_prints_exactly_above_threshold(self, socs_kernels,
+                                                    sample_mask):
         aerial = socs_aerial(sample_mask, socs_kernels.kernels)
-        soft = ConstantThresholdResist(0.3).soft_develop(aerial)
-        assert np.all((soft >= 0) & (soft <= 1))
-        assert soft[aerial > 0.5].min() > soft[aerial < 0.1].max()
+        resist = ConstantThresholdResist(0.3).develop(aerial)
+        assert resist[aerial > 0.3].all()
+        assert not resist[aerial < 0.3].any()

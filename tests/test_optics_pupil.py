@@ -15,15 +15,17 @@ class TestIdealPupil:
         values = np.unique(np.abs(transfer))
         assert set(np.round(values, 12)).issubset({0.0, 1.0})
 
+    def test_only_an_aberrated_pupil_carries_phase(self):
+        inside = GRID.radius <= 0.9
+        assert not Pupil().transfer(GRID).imag.any()
+        for pupil in (Pupil(defocus_nm=50.0),
+                      Pupil(zernike_coefficients={4: 0.1})):
+            assert np.abs(pupil.transfer(GRID).imag[inside]).max() > 1e-3
+
     def test_cutoff_at_unit_radius(self):
         transfer = np.abs(Pupil().transfer(GRID))
         assert transfer[GRID.radius <= 0.99].min() == 1.0
         assert transfer[GRID.radius > 1.01].max() == 0.0
-
-    def test_is_ideal_flag(self):
-        assert Pupil().is_ideal()
-        assert not Pupil(defocus_nm=50.0).is_ideal()
-        assert not Pupil(zernike_coefficients={4: 0.1}).is_ideal()
 
 
 class TestDefocusAndAberrations:

@@ -1,5 +1,7 @@
 """Tests for the LithographySimulator facade and its presets."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,16 +23,19 @@ class TestOpticsConfig:
         config = OpticsConfig(tile_size_px=128, pixel_size_nm=8.0)
         assert config.field_size_nm == 1024.0
 
+    def test_replaced_tile_size_keeps_the_optics(self):
+        config = dataclasses.replace(OpticsConfig(tile_size_px=64),
+                                     tile_size_px=128)
+        assert config.tile_size_px == 128
+        assert config.wavelength_nm == 193.0
+        with pytest.raises(ValueError):
+            dataclasses.replace(config, tile_size_px=0)
+
     def test_invalid_values_raise(self):
         with pytest.raises(ValueError):
             OpticsConfig(wavelength_nm=-1.0)
         with pytest.raises(ValueError):
             OpticsConfig(tile_size_px=0)
-
-    def test_with_tile_size(self):
-        config = OpticsConfig(tile_size_px=64).with_tile_size(128)
-        assert config.tile_size_px == 128
-        assert config.wavelength_nm == 193.0
 
 
 class TestSimulator:

@@ -22,6 +22,7 @@ import os
 import subprocess
 import sys
 import time
+import urllib.request
 
 import numpy as np
 import pytest
@@ -187,8 +188,10 @@ class TestHttpRoundTrip:
         client.wait(job["id"])
         report = client.report(job["id"], format="json")
         assert report["aerials"]
-        pgm = client.thumbnail(job["id"], report["aerials"][0])
-        assert pgm.startswith(b"P5")
+        url = (f"{server.url}/campaigns/{job['id']}/thumbnails/"
+               f"{report['aerials'][0]}")
+        with urllib.request.urlopen(url, timeout=30) as response:
+            assert response.read().startswith(b"P5")
 
 
 class TestSharedKernelCache:
@@ -249,12 +252,8 @@ class TestSharedWorkerPool:
 
 
 def durably_completed(store_dir):
-    """Conditions the store has marked complete (manifest + completion log).
-
-    Not a count of ``cond_*.npz`` files: a record exists a moment before its
-    completion-log line, and a kill landing in between leaves a file the
-    resume rightly recomputes.
-    """
+    """Conditions the store has marked complete (manifest + completion
+    log, whose line is each condition's whole record)."""
     try:
         return len(CampaignStore(store_dir).read_manifest()["completed"])
     except FileNotFoundError:
@@ -348,8 +347,8 @@ class TestJobProgress:
             np.zeros((8, 8)), FOCI, DOSES, 0.2, "fingerprint")
         store = CampaignStore(store_dir)
         store.begin(identity, resume=True)
-        store.record(0.0, 1.0, 100.0, 0.225)
-        store.record(40.0, 0.95, 120.0, 0.237)
+        store.record(0.0, 1.0, 100.0)
+        store.record(40.0, 0.95, 120.0)
         report = load_campaign_report(store_dir)
         job = CampaignJob(id="partial", request={}, store_dir=store_dir)
         assert job.as_dict()["progress"] == {
@@ -408,6 +407,43 @@ class TestStoredRequestRejection:
             manager.close()
         assert durably_completed(os.path.join(data_dir, "campaigns",
                                               "legacy")) == 4
+
+    def test_a_resume_under_another_resist_threshold_fails_naming_both(
+            self, tmp_path):
+        """A half-done campaign whose stored request now asks for another
+        resist threshold: the resumed job fails, naming the pinned and the
+        requested threshold, instead of mixing their CDs."""
+        data_dir = str(tmp_path / "svc")
+        store_dir = os.path.join(data_dir, "campaigns", "moved")
+        request = make_request()
+        parsed = CampaignRequest.from_dict(request)
+        done = []
+
+        def stop_part_way(focus, dose, cd):
+            done.append((focus, dose))
+            if len(done) == 2:
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            ProcessWindowSweep(parsed.optics_config(),
+                               compute=parsed.compute).run(
+                parsed.resolve_layout(), grid=parsed.focus_exposure_grid(),
+                tolerance=parsed.tolerance, store=store_dir,
+                progress=stop_part_way)
+        request["optics"]["resist_threshold"] = 0.4
+        with open(os.path.join(store_dir, "request.json"), "w",
+                  encoding="utf-8") as handle:
+            json.dump(request, handle)
+
+        manager = CampaignManager(data_dir, campaign_workers=1)
+        try:
+            job = manager.wait("moved")
+            assert job.state == "failed"
+            assert job.error.startswith("CampaignIdentityError: ")
+            assert "threshold 0.225, not 0.4" in job.error
+        finally:
+            manager.close()
+        assert durably_completed(store_dir) == 2
 
     def test_a_stored_removed_backend_fails_and_the_server_starts(
             self, tmp_path):

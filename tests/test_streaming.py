@@ -164,7 +164,8 @@ class TestStreamingEqualsInMemory:
             {"m1": [Rect(8.0 * col, 8.0 * row, 8.0, 8.0)
                     for row, col in zip(rows, cols)]},
             pixel_size_nm=8.0, shape=layout.shape)
-        np.testing.assert_array_equal(reader.materialise(), layout)
+        np.testing.assert_array_equal(
+            reader.read_window(0, 0, *reader.shape), layout)
         compute = ComputeConfig(fft_backend=backend_name, precision=precision)
         plain = EngineSpec(config=CONFIG, source=SOURCE,
                            compute=compute).build()

@@ -11,6 +11,9 @@ Pinned guarantees:
 * ``repro.cli sweep-window`` runs a whole campaign from the command line.
 """
 
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -318,6 +321,19 @@ class TestSweepWindowCLI:
         second = capsys.readouterr().out
         assert "0 computed, 9 resumed" in second
         assert first.splitlines()[-1] == second.splitlines()[-1]  # same window
+
+        # A store measured at another resist threshold is another campaign.
+        manifest_path = os.path.join(store, "manifest.json")
+        with open(manifest_path, encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        assert manifest["derived"]["resist_threshold"] == 0.225
+        manifest["derived"]["resist_threshold"] = 0.4
+        with open(manifest_path, "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle)
+        assert main(base_args + ["--resume"]) == 2
+        error = capsys.readouterr().err
+        assert error.startswith("error: ")
+        assert "threshold 0.4, not 0.225" in error
 
     def test_sweep_window_streaming_flag(self, tmp_path, capsys):
         """The flags that selected between paths are gone, not ignored: a

@@ -7,12 +7,18 @@ Pinned guarantees:
 * a campaign interrupted after ``k`` of ``F x D`` conditions re-runs
   computing **exactly** the remaining ``F x D - k`` (and nothing on a third
   run), with the resumed window identical to an uninterrupted campaign,
-* the auto-tracked CD row and the auto-measured target CD are pinned in the
-  manifest, so resumed runs measure the same feature,
+* the auto-tracked CD row, the auto-measured target CD and the resist
+  threshold are pinned in the manifest, so resumed runs measure the same
+  feature the same way,
 * a store refuses a *different* campaign (layout / grid / optics /
-  tolerance changes) and refuses silent reuse without ``resume=True``.
+  tolerance / resist threshold changes) and refuses silent reuse without
+  ``resume=True``,
+* a store written when every condition also had a ``cond_<id>.npz`` record
+  resumes and reports as before.
 """
 
+import dataclasses
+import glob
 import json
 import os
 
@@ -27,6 +33,9 @@ from repro.sweep import (
     FocusExposureGrid,
     ProcessWindowSweep,
     condition_id,
+    load_campaign_report,
+    render_campaign_report,
+    report_as_dict,
 )
 from repro.optics import OpticsConfig
 from repro.optics.source import CircularSource
@@ -58,12 +67,13 @@ class TestCampaignStoreUnit:
     def test_begin_fresh_and_record(self, tmp_path):
         store = CampaignStore(str(tmp_path / "s"))
         assert store.begin(self.IDENTITY) == {}
-        store.record(0.0, 1.0, cd_nm=42.0, threshold=0.225)
+        store.record(0.0, 1.0, cd_nm=42.0)
         assert len(store) == 1
-        entry = store.completed()[condition_id(0.0, 1.0)]
-        assert entry["cd_nm"] == 42.0
-        record = store.load_record(0.0, 1.0)
-        assert record["cd_nm"] == 42.0 and record["threshold"] == 0.225
+        assert store.completed()[condition_id(0.0, 1.0)] == {
+            "focus_nm": 0.0, "dose": 1.0, "cd_nm": 42.0}
+        # The log line is the whole record: no per-condition file.
+        assert sorted(os.listdir(store.root)) == ["completed.log",
+                                                  "manifest.json"]
         # A second store over the same dir resumes the completed map.
         reopened = CampaignStore(str(tmp_path / "s"))
         assert set(reopened.begin(self.IDENTITY)) == {condition_id(0.0, 1.0)}
@@ -73,7 +83,7 @@ class TestCampaignStoreUnit:
         consolidates the log into an atomic manifest rewrite."""
         store = CampaignStore(str(tmp_path / "s"))
         store.begin(self.IDENTITY)
-        store.record(0.0, 1.0, 1.0, 0.2)
+        store.record(0.0, 1.0, 1.0)
         assert os.path.exists(store.completion_log_path)
         with open(store.manifest_path, encoding="utf-8") as handle:
             manifest = json.load(handle)
@@ -83,8 +93,7 @@ class TestCampaignStoreUnit:
 
         reopened = CampaignStore(str(tmp_path / "s"))
         completed = reopened.begin(self.IDENTITY)
-        filename = completed[condition_id(0.0, 1.0)]["file"]
-        assert os.path.exists(os.path.join(store.root, filename))
+        assert completed[condition_id(0.0, 1.0)]["cd_nm"] == 1.0
         # Consolidated: the manifest file now owns the entry, the log is gone.
         assert not os.path.exists(store.completion_log_path)
         with open(store.manifest_path, encoding="utf-8") as handle:
@@ -93,7 +102,7 @@ class TestCampaignStoreUnit:
     def test_torn_log_tail_is_ignored(self, tmp_path):
         store = CampaignStore(str(tmp_path / "s"))
         store.begin(self.IDENTITY)
-        store.record(0.0, 1.0, 1.0, 0.2)
+        store.record(0.0, 1.0, 1.0)
         with open(store.completion_log_path, "a", encoding="utf-8") as handle:
             handle.write('{"id": "torn_condi')  # killed mid-append
         reopened = CampaignStore(str(tmp_path / "s"))
@@ -125,7 +134,7 @@ class TestCampaignStoreUnit:
     def test_requires_begin(self, tmp_path):
         store = CampaignStore(str(tmp_path / "s"))
         with pytest.raises(RuntimeError):
-            store.record(0.0, 1.0, 1.0, 0.2)
+            store.record(0.0, 1.0, 1.0)
 
     def test_condition_id_is_exact_and_filename_safe(self):
         assert condition_id(0.0, 1.0) == condition_id(0.0, 1.0)
@@ -148,8 +157,8 @@ class TestCampaignStoreUnit:
         store.begin(self.IDENTITY)
         aerial = np.arange(12.0).reshape(3, 4)
         assert store.save_aerial(-40.0, aerial) is not None
-        np.testing.assert_array_equal(np.asarray(store.load_aerial(-40.0)),
-                                      aerial)
+        np.testing.assert_array_equal(
+            np.load(store.aerial_path(-40.0), mmap_mode="r"), aerial)
         disabled = CampaignStore(str(tmp_path / "t"))
         disabled.begin(self.IDENTITY)
         assert disabled.save_aerial(0.0, aerial) is None
@@ -236,6 +245,63 @@ class TestSweepResumability:
             sweep.run(layout, grid=grid, tolerance=0.3, guard_px=16,
                       store=store_dir)
 
+    def test_a_resume_under_another_resist_threshold_is_refused(
+            self, line_mask, tmp_path):
+        """The optics fingerprint stops at the kernel bank, so the resist
+        threshold is pinned beside it: resuming under another threshold must
+        fail, not report the first threshold's CDs as its own."""
+        store_dir = str(tmp_path / "campaign")
+        grid = FocusExposureGrid((0.0,), (1.0,))
+        ProcessWindowSweep(CONFIG, source=SOURCE).run(
+            line_mask, grid=grid, tolerance=0.25, store=store_dir)
+        other = ProcessWindowSweep(
+            dataclasses.replace(CONFIG, resist_threshold=0.4), source=SOURCE)
+        with pytest.raises(CampaignIdentityError,
+                           match=r"threshold 0\.225, not 0\.4"):
+            other.run(line_mask, grid=grid, tolerance=0.25, store=store_dir)
+        manifest = CampaignStore(store_dir).read_manifest()
+        assert manifest["derived"]["resist_threshold"] == 0.225
+
+    def test_a_store_with_per_condition_files_resumes_and_reports(
+            self, line_mask, tmp_path):
+        """The layout written while every condition also had a
+        ``cond_<id>.npz`` record and a ``"file"`` key: it resumes with
+        nothing computed, reports the same, and is pinned to its resist
+        threshold on that run."""
+        store_dir = str(tmp_path / "campaign")
+        grid = FocusExposureGrid((0.0, 100.0), (0.9, 1.0))
+        sweep = ProcessWindowSweep(CONFIG, source=SOURCE)
+        first = sweep.run(line_mask, grid=grid, tolerance=0.25,
+                          store=store_dir)
+        store = CampaignStore(store_dir)
+        manifest = store.read_manifest()
+        del manifest["derived"]["resist_threshold"]
+        for cond, entry in manifest["completed"].items():
+            entry["file"] = f"cond_{cond}.npz"
+            threshold = CONFIG.resist_threshold / entry["dose"]
+            np.savez_compressed(
+                os.path.join(store_dir, entry["file"]),
+                focus_nm=np.asarray(entry["focus_nm"]),
+                dose=np.asarray(entry["dose"]),
+                cd_nm=np.asarray(entry["cd_nm"]),
+                threshold=np.asarray(threshold))
+        with open(store.manifest_path, "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle, indent=2, sort_keys=True)
+        os.unlink(store.completion_log_path)
+        text = render_campaign_report(load_campaign_report(store_dir))
+        data = report_as_dict(load_campaign_report(store_dir))
+
+        resumed = sweep.run(line_mask, grid=grid, tolerance=0.25,
+                            store=store_dir)
+        assert resumed.computed_conditions == 0
+        assert resumed.window == first.window
+        report = load_campaign_report(store_dir)
+        assert render_campaign_report(report) == text
+        pinned = report_as_dict(report)
+        assert pinned["derived"].pop("resist_threshold") == 0.225
+        assert pinned == data
+        assert len(glob.glob(os.path.join(store_dir, "cond_*.npz"))) == 4
+
     def test_different_layout_is_a_different_campaign(self, line_mask,
                                                       tmp_path):
         store_dir = str(tmp_path / "campaign")
@@ -276,5 +342,6 @@ class TestSweepResumability:
         sweep = ProcessWindowSweep(CONFIG, source=SOURCE)
         outcome = sweep.run(line_mask, grid=FocusExposureGrid((0.0,), (1.0,)),
                             tolerance=0.25, store=store, keep_aerials=True)
-        np.testing.assert_array_equal(np.asarray(store.load_aerial(0.0)),
-                                      outcome.aerials[0.0])
+        np.testing.assert_array_equal(
+            np.load(store.aerial_path(0.0), mmap_mode="r"),
+            outcome.aerials[0.0])

@@ -216,9 +216,9 @@ class TestTileResultCache:
                                                CONTEXT)
         assert image.batches == []  # nothing imaged the second time
         np.testing.assert_array_equal(second, first)
-        assert cache.stats.misses == 2 and cache.stats.served == 6
+        assert (cache.stats.tiles, cache.stats.misses) == (8, 2)
         # The call's own tally: this batch only, every tile served.
-        assert (tally.tiles, tally.misses, tally.served) == (4, 0, 4)
+        assert (tally.tiles, tally.misses) == (4, 0)
 
     def test_zero_fast_path_never_calls_image_batch(self):
         cache = TileResultCache()
@@ -622,7 +622,7 @@ class TestCachedImagingBitForBit:
             result = cached.image_layout(layout, tile_px=32, guard_px=0)
             np.testing.assert_array_equal(result.aerial, reference.aerial)
             assert cache.stats.misses - before.misses == misses
-            assert cache.stats.served - before.served == 16 - misses
+            assert cache.stats.tiles - before.tiles == 16
 
     def test_all_zero_layout_is_never_imaged(self):
         _, cached = engine_pair("numpy", "float64")
@@ -706,7 +706,8 @@ def _geometry_case():
         x, y = rng.uniform(0, 700, 2)
         w, h = rng.uniform(16, 90, 2)
         layout.add("m1", Rect(float(x), float(y), float(w), float(h)))
-    return (GeometryLayoutReader.from_layout(layout, shape=(96, 96)),
+    return (GeometryLayoutReader(layout.layers, layout.extent_nm / 96,
+                                 shape=(96, 96)),
             layout.rasterize("m1", 96))
 
 
@@ -848,7 +849,8 @@ class TestSweepIntegration:
         report = load_campaign_report(store_dir)
         rendered = render_campaign_report(report)
         assert "tile cache" in rendered
-        assert f"{cache.stats.served}/{cache.stats.tiles} tiles" in rendered
+        served = cache.stats.tiles - cache.stats.misses
+        assert f"{served}/{cache.stats.tiles} tiles" in rendered
 
     def test_cache_persists_across_foci(self, tmp_path, monkeypatch):
         """One cache serves every focus; banks differ per focus so tiles are

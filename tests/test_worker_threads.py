@@ -89,7 +89,8 @@ def _geometry_reader() -> GeometryLayoutReader:
         x, y = rng.uniform(0, 704, 2)
         w, h = rng.uniform(16, 90, 2)
         layout.add("m1", Rect(float(x), float(y), float(w), float(h)))
-    return GeometryLayoutReader.from_layout(layout, shape=(96, 96))
+    return GeometryLayoutReader(layout.layers, layout.extent_nm / 96,
+                                shape=(96, 96))
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +101,9 @@ def layouts():
     dense = _dense_raster()
     return {
         "dense": (dense, dense),
-        "geometry": (geometry, np.asarray(geometry.materialise(), float)),
+        "geometry": (geometry,
+                     np.asarray(geometry.read_window(0, 0, *geometry.shape),
+                                float)),
         "gds": (hierarchy,
                 np.asarray(hierarchy.read_window(0, 0, *hierarchy.shape),
                            float)),

@@ -260,7 +260,8 @@ class KernelBankCache:
         """Drop every in-memory entry and reset the counters (disk is kept)."""
         with self._lock:
             self._banks.clear()
-            self.stats = CacheStats()
+            # In place: a reference taken before the clear keeps counting.
+            vars(self.stats).update(vars(CacheStats()))
 
     def __len__(self) -> int:
         with self._lock:

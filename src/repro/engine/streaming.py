@@ -13,14 +13,17 @@ cache and share rule.  The layout is always a windowed
    of its thread shares reads its placements' guard-banded windows into
    its own block-sized mask buffer; with one, the placements go through
    the cache one batch at a time: each window is digested (an all-zero
-   one is tagged, not hashed) and the cache stage images only the batch's
-   first-occurrence misses,
+   one is tagged, not hashed) and the cache hands the same loop only the
+   batch's first-occurrence misses — its shares read each miss's window
+   into their mask buffers and write each image's core into the cache
+   entry it becomes,
 3. every tile's interior core is stitched straight into the output — a
    plain array, or a ``numpy.memmap`` when an ``out_dir`` is given — and
    developed core by core: inside the imaging share that made it on the
-   uncached path; batch by batch in the same shares on the cached one
-   (:func:`repro.engine.batched.run_shares`), so a warm op that images
-   nothing still spends its worker budget on the stitch.
+   uncached path; batch by batch, from the cache's core entries, in the
+   same shares on the cached one (:func:`repro.engine.batched.run_shares`),
+   so a warm op that images nothing still spends its worker budget on the
+   stitch.
 
 A repeat op reads only its misses.  A file-backed geometry reader
 (:class:`~repro.layout.HierarchicalLayoutReader`,
@@ -35,7 +38,9 @@ on every call.
 
 An arbitrarily large layout — dense or not, ``out_dir`` or not — therefore
 images in **O(threads x block) RAM** beside its output uncached, and in
-O(tile-batch) RAM (``ExecutionEngine.stream_batch_tiles`` tiles) cached.
+O(tile-batch) RAM (``ExecutionEngine.stream_batch_tiles`` tiles) beside its
+output and the cache's budget cached: a miss stays in its share's buffers
+until its core lands in the entry, so no batch-sized stack is built.
 
 Bit-for-bit guarantee
 ---------------------
@@ -131,7 +136,8 @@ def _digest_windows(reader, windows: Sequence[Tuple[int, int, int, int]],
 class _BatchWindows:
     """A batch's windows as :meth:`TileResultCache.image_tile_batch` reads
     them: the ones read to digest them, any other read on access — which
-    the cache makes only for a first-occurrence miss."""
+    the cache makes only for a first-occurrence miss, in the imaging share
+    that images it."""
 
     def __init__(self, reader, windows, read) -> None:
         self._reader, self._windows, self._read = reader, windows, read
@@ -178,8 +184,8 @@ def stream_image_layout(reader, tiling: TilingSpec,
         ``image_tiles(count, read, write)`` — the engine's imaging loop
         (:func:`repro.engine.batched.image_tiles` bound to its bank).
         Uncached, its ``read`` fills a share's mask buffer and its ``write``
-        stitches and develops each core; cached, it images each batch's
-        stack of misses (``write=None``: the call returns the images).
+        stitches and develops each core; cached, the tile cache calls it
+        with its own ``read`` / ``write`` for each batch's misses.
     develop:
         Elementwise resist development applied to each stitched core, so
         per-core application equals whole-raster application exactly.
@@ -227,14 +233,16 @@ def stream_image_layout(reader, tiling: TilingSpec,
             buffer[row] = window
         return buffer[:stop - start]
 
-    def write(start: int, images) -> None:
+    def write(start: int, images, offset: int = guard) -> None:
         # Cores are disjoint, so concurrent writers never touch one pixel;
         # development is elementwise, so the resist is filled core by core.
+        # ``offset``: where the core starts in each image (0 for a cache's
+        # cores, which hold nothing of the guard band).
         for image, place in zip(images, placements[start:start + len(images)]):
             rows = slice(place.row, place.row + place.core_h)
             cols = slice(place.col, place.col + place.core_w)
-            core = image[guard:guard + place.core_h,
-                         guard:guard + place.core_w]
+            core = image[offset:offset + place.core_h,
+                         offset:offset + place.core_w]
             aerial[rows, cols] = core
             resist[rows, cols] = develop(core)
 
@@ -249,9 +257,8 @@ def stream_image_layout(reader, tiling: TilingSpec,
             windows = [(place.row - guard, place.col - guard, tile, tile)
                        for place in placements[start:start + batch_tiles]]
             digests, read = _digest_windows(reader, windows)
-            images, tally = tile_cache.image_tile_batch(
-                _BatchWindows(reader, windows, read), digests,
-                lambda misses: image_tiles(len(misses), misses, None),
+            cores, tally = tile_cache.image_tile_batch(
+                _BatchWindows(reader, windows, read), digests, image_tiles,
                 cache_context)
             tile_stats += tally
             if aerial is None:
@@ -261,9 +268,9 @@ def stream_image_layout(reader, tiling: TilingSpec,
                 # fresh mapping faults in every page of them per call.
                 # Unzeroed, a reused heap chunk costs no memset either.
                 aerial, resist = allocate()
-            run_shares(len(images), share_threads(len(images)),
+            run_shares(len(cores), share_threads(len(cores)),
                        lambda share: write(start + share.start,
-                                           images[share.start:share.stop]))
+                                           cores[share.start:share.stop], 0))
 
     if out_dir is not None:
         aerial.flush()

@@ -8,7 +8,9 @@ images* by content: a tile's guard-banded pixels are hashed
 (:func:`tile_digest`), the digest is combined with everything else that
 determines the aerial result — the kernel-bank fingerprint, the FFT backend,
 the precision policy and the tile geometry (:class:`TileCacheContext`) — and
-the imaged tile is stored under that key.  A later tile with the same key is
+the imaged tile's *core* is stored under that key: the ``tile_px - 2 *
+guard_px`` square inside the guard band, all a stitch ever copies (198² of a
+256² production tile, 61 % of its bytes).  A later tile with the same key is
 served from the cache **bit for bit**: per-tile FFT work is independent of
 batch composition (pinned since the batching PR), so imaging a deduplicated
 sub-batch and scattering the results back is indistinguishable from imaging
@@ -19,26 +21,34 @@ Two tiers:
 * an in-process LRU tier bounded by ``max_bytes`` (oldest entries evicted
   first, so a huge layout cannot exhaust RAM through its own cache), and
 * an optional disk tier (``cache_dir`` or the ``REPRO_TILE_CACHE_DIR``
-  environment variable for the default cache) persisting each imaged tile as
-  a compressed ``.npz`` — the :class:`~repro.engine.cache.NpzDiskTier` the
-  kernel-bank cache persists through too — so repeated CLI runs and resumed
-  campaigns skip the FFTs entirely.
+  environment variable for the default cache) persisting each core as a
+  compressed ``.npz`` holding one ``core`` array — the
+  :class:`~repro.engine.cache.NpzDiskTier` the kernel-bank cache persists
+  through too — so repeated CLI runs and resumed campaigns skip the FFTs
+  entirely.  An entry holding a whole guard-banded ``tile`` (the format
+  before entries were cores; same key) is served as its core, and an entry
+  of any other shape or dtype is an unreadable one: counted, re-imaged and
+  overwritten.
 
 The all-zero fast path never touches either tier: an empty reticle tile
 images to exactly zero under every backend and precision (the DFT of an
 exactly-zero array is exactly ±0 and ``|0|^2`` is ``+0``), so zero tiles —
 :func:`tile_digest` answers :data:`ZERO_TILE_DIGEST` for an all-zero window
-instead of hashing it — are all served by one shared zero tile.
+instead of hashing it — are all served by one shared zero core.
 
 A repeat op reads only its misses.  The content key digests a window
 exactly as the layout reader produced it (its dtype is part of the key;
-nothing is cast or copied to hash it), :meth:`TileResultCache.image_tile_batch`
-touches a row of its batch only to stack a first-occurrence miss for
-imaging — so the layout pipeline, which keeps a file-backed reader's window
-digests (:mod:`repro.engine.streaming`), hands it rows that are read on
-access — and it hands back per-row *references*: a cached entry is
+nothing is cast or copied to hash it), and
+:meth:`TileResultCache.image_tile_batch` hands its first-occurrence misses
+to the engine's imaging loop (:func:`repro.engine.batched.image_tiles`):
+each share of the loop reads its misses' rows straight into its own mask
+buffer — the layout pipeline, which keeps a file-backed reader's window
+digests (:mod:`repro.engine.streaming`), hands over rows that are read on
+that access — and writes each image's core into the entry it becomes,
+allocated beforehand on the calling thread.  Nothing batch-sized is stacked
+or returned on the way.  Served rows are *references*: a cached entry is
 read-only and owned by the cache, so serving it copies nothing until the
-stitch writes its core into the output raster.
+stitch writes it into the output raster.
 
 :class:`TileCacheStats` counts every served tile (memory hits, zero hits,
 disk loads) and every miss, giving tests and the CLI an observable dedup
@@ -68,8 +78,9 @@ from .cache import NpzDiskTier
 #: must never collide with a content digest.
 ZERO_TILE_DIGEST = "zero"
 
-#: Default in-memory budget: enough for ~2000 float64 256px tiles while
-#: staying far from typical container limits.
+#: Default in-memory budget: ~1700 float64 cores of 198 px (a 256 px tile
+#: inside a 29 px guard band) while staying far from typical container
+#: limits.
 DEFAULT_MAX_BYTES = 512 * 2 ** 20
 
 
@@ -119,8 +130,9 @@ class TileCacheStats:
     disk_loads: int = 0
     misses: int = 0
     evictions: int = 0
-    #: Unreadable disk entries (torn / truncated ``.npz``): each one is also
-    #: counted as a miss, re-imaged and overwritten.
+    #: Unreadable disk entries (torn / truncated ``.npz``, or an array of
+    #: the wrong shape or dtype): each one is also counted as a miss,
+    #: re-imaged and overwritten.
     disk_errors: int = 0
 
     def __iadd__(self, other: "TileCacheStats") -> "TileCacheStats":
@@ -130,13 +142,31 @@ class TileCacheStats:
         return self
 
 
+def _decode_core(data, context: TileCacheContext) -> np.ndarray:
+    """The owned core a disk entry holds: its ``core`` array, or the core
+    of an older entry's whole ``tile``.  Anything of another shape or dtype
+    raises ``ValueError``, which the disk tier counts as unreadable."""
+    guard = context.guard_px
+    side = context.tile_px - 2 * guard
+    if "core" in data.files:
+        array, size, crop = data["core"], side, slice(None)
+    else:  # written before entries were cores: the whole guard-banded tile
+        array, size, crop = data["tile"], context.tile_px, \
+            slice(guard, guard + side)
+    dtype = resolve_precision(context.precision).real_dtype
+    if array.shape != (size, size) or array.dtype != dtype:
+        raise ValueError(f"a {array.dtype} {array.shape} entry where a "
+                         f"{dtype} ({size}, {size}) one belongs")
+    return np.array(array[crop, crop])
+
+
 class TileResultCache:
-    """Thread-safe content-addressed cache of imaged aerial tiles.
+    """Thread-safe content-addressed cache of imaged aerial tile cores.
 
     Parameters
     ----------
     cache_dir:
-        Optional directory for on-disk persistence of imaged tiles (created
+        Optional directory for on-disk persistence of imaged cores (created
         on first write).  ``None`` keeps the cache purely in-memory.
     max_bytes:
         In-memory LRU budget.  The newest entry always stays resident even
@@ -161,7 +191,8 @@ class TileResultCache:
     # ------------------------------------------------------------------ #
     def image_tile_batch(self, tiles: Sequence[np.ndarray],
                          digests: Sequence[str],
-                         image_batch: Callable[[np.ndarray], np.ndarray],
+                         image_batch: Callable[[int, Callable, Callable],
+                                               None],
                          context: TileCacheContext,
                          ) -> Tuple[List[np.ndarray], TileCacheStats]:
         """Image a batch through the cache: unique misses only, no scatter.
@@ -171,27 +202,30 @@ class TileResultCache:
         the reader's own dtype — and ``digests`` their :func:`tile_digest`
         values; only the first row of each miss is ever indexed, so a lazy
         sequence that reads a window on access reads just those.
-        ``image_batch`` is called **at most once**,
-        on the stack of first-occurrence misses; every other row is served
-        from the zero fast path, the in-memory tier, the disk tier, or its
-        within-batch duplicate.
+        ``image_batch(count, read, write)`` — the engine's imaging loop,
+        :func:`repro.engine.batched.image_tiles` bound to its bank — is
+        called **at most once**, for the first-occurrence misses: its
+        ``read`` fills a share's mask buffer from those rows and its
+        ``write`` copies each image's core into the entry it becomes.
+        Every other row is served from the zero fast path, the in-memory
+        tier, the disk tier, or its within-batch duplicate.
 
-        Returns ``(images, tally)``: one ``(tile_px, tile_px)`` image per
-        row, bit-for-bit what ``image_batch(tiles)`` would have produced — as
-        *references*, not copies: a read-only cache entry, a row of the
-        imaged sub-batch, or the shared read-only zero tile — and this call's
-        own :class:`TileCacheStats`, already added to :attr:`stats`.  Consume
-        the rows before the next ``image_batch`` call if that callable
-        reuses its output buffer.
+        Returns ``(cores, tally)``: one ``(core, core)`` core per row
+        (``core = tile_px - 2 * guard_px``: the pixels a stitch can copy),
+        bit-for-bit that crop of what the loop images for the row — as
+        *references*: a read-only cache entry or the shared read-only zero
+        core — and this call's own :class:`TileCacheStats`, already added
+        to :attr:`stats`.
         """
         if len(digests) != len(tiles):
             raise ValueError(
                 f"{len(digests)} digests for {len(tiles)} tiles")
         real_dtype = resolve_precision(context.precision).real_dtype
+        guard = context.guard_px
+        side = context.tile_px - 2 * guard
         # A zero-stride view: every empty tile of the batch reads the same
-        # eight bytes, and nothing tile-sized is allocated for them.
-        zero_tile = np.broadcast_to(real_dtype.type(0),
-                                    (context.tile_px, context.tile_px))
+        # eight bytes, and nothing core-sized is allocated for them.
+        zero_core = np.broadcast_to(real_dtype.type(0), (side, side))
         prefix = context.key_prefix()
         tally = TileCacheStats(tiles=len(digests))
         out: List[Optional[np.ndarray]] = [None] * len(digests)
@@ -200,7 +234,7 @@ class TileResultCache:
         with self._lock:
             for index, digest in enumerate(digests):
                 if digest == ZERO_TILE_DIGEST:
-                    out[index] = zero_tile
+                    out[index] = zero_core
                     tally.zero_hits += 1
                     continue
                 key = prefix + digest
@@ -209,27 +243,37 @@ class TileResultCache:
                     rows.append(index)
                     tally.hits += 1
                     continue
-                out[index] = self._lookup(key, tally)
+                out[index] = self._lookup(key, tally, context)
                 if out[index] is None:
                     pending[key] = [index]
                     tally.misses += 1
         if pending:
-            # Only the misses are stacked; the imaging loop casts that stack
-            # to the engine's real dtype, hits never leave the reader's.
-            imaged = np.asarray(image_batch(
-                np.stack([tiles[rows[0]] for rows in pending.values()])))
+            misses = [rows[0] for rows in pending.values()]
+            # Allocated here, on the calling thread: one allocated in a
+            # helper share would stay in that thread's malloc arena.
+            entries = [np.empty((side, side), real_dtype) for _ in misses]
+
+            def read(start: int, stop: int, buffer: np.ndarray) -> np.ndarray:
+                for row, index in enumerate(misses[start:stop]):
+                    buffer[row] = tiles[index]
+                return buffer[:stop - start]
+
+            def write(start: int, images: np.ndarray) -> None:
+                for row, image in enumerate(images, start):
+                    entries[row][...] = image[guard:guard + side,
+                                              guard:guard + side]
+
+            image_batch(len(misses), read, write)
             admitted = []
             with self._lock:
-                for result, (key, rows) in zip(imaged, pending.items()):
+                for entry, (key, rows) in zip(entries, pending.items()):
+                    entry.flags.writeable = False
                     for index in rows:
-                        out[index] = result
+                        out[index] = entry
                     if key not in self._memory:
-                        # An owned copy, never a row view: a view would pin
-                        # the whole imaged batch past its own eviction.
-                        admitted.append((key, self._admit(
-                            key, np.array(result), tally)))
+                        admitted.append((key, self._admit(key, entry, tally)))
             for key, entry in admitted:  # compression runs outside the lock
-                self._disk.save(key, tile=entry)
+                self._disk.save(key, core=entry)
         with self._lock:
             self.stats += tally
         return out, tally
@@ -237,14 +281,15 @@ class TileResultCache:
     # ------------------------------------------------------------------ #
     # tiers (lock held by callers, counting into the caller's tally)
     # ------------------------------------------------------------------ #
-    def _lookup(self, key: str, tally: TileCacheStats) -> Optional[np.ndarray]:
+    def _lookup(self, key: str, tally: TileCacheStats,
+                context: TileCacheContext) -> Optional[np.ndarray]:
         cached = self._memory.get(key)
         if cached is not None:
             self._memory.move_to_end(key)
             tally.hits += 1
             return cached
-        loaded = self._disk.load(
-            key, tally, lambda data: np.ascontiguousarray(data["tile"]))
+        loaded = self._disk.load(key, tally,
+                                 lambda data: _decode_core(data, context))
         if loaded is not None:
             tally.disk_loads += 1
             return self._admit(key, loaded, tally)  # promote, file left as is
@@ -267,7 +312,8 @@ class TileResultCache:
         with self._lock:
             self._memory.clear()
             self._memory_bytes = 0
-            self.stats = TileCacheStats()
+            # In place: a reference taken before the clear keeps counting.
+            vars(self.stats).update(vars(TileCacheStats()))
 
     def __len__(self) -> int:
         with self._lock:

@@ -31,7 +31,9 @@ with its own backward, kept as the node's oracle.
 The product cuts a layout's stream batches by one rule,
 ``ExecutionEngine.stream_batch_tiles``; :func:`stream_batches` is how a test
 makes it cut smaller ones, and :class:`RecordingTileCache` how it sees the
-rows each batch hands the tile cache.
+rows each batch hands the tile cache.  :func:`stack_imaging` lets a tile-cache
+test image its misses with a plain function of the miss stack instead of the
+engine's loop.
 
 It lives under ``tests/`` on purpose: the product keeps one path.
 """
@@ -46,6 +48,7 @@ from repro.backend import (
     get_backend,
     register_backend,
     registered_backends,
+    resolve_precision,
 )
 from repro.backend.fft import _INSTANCES, _REGISTRY
 from repro.engine import (
@@ -232,3 +235,25 @@ class RecordingTileCache(TileResultCache):
         self.batches.append([np.array(tiles[index])
                              for index in range(len(tiles))])
         return super().image_tile_batch(tiles, digests, image_batch, context)
+
+
+def stack_imaging(image, context):
+    """The imaging loop's protocol, ``image_tiles(count, read, write)``,
+    over ``image(stack)``: a function of one whole ``(count, tile_px,
+    tile_px)`` mask stack, what a test hands
+    ``TileResultCache.image_tile_batch`` in place of the engine's loop.
+
+    It reads all ``count`` tiles into one buffer in ``context``'s
+    precision, as the loop's mask buffer is, images them in one call and
+    writes them as one block; ``.batches`` keeps a copy of each stack.
+    """
+    shape = (context.tile_px, context.tile_px)
+    dtype = resolve_precision(context.precision).real_dtype
+
+    def image_tiles(count, read, write):
+        masks = read(0, count, np.empty((count,) + shape, dtype))
+        image_tiles.batches.append(masks.copy())
+        write(0, np.asarray(image(masks)))
+
+    image_tiles.batches = []
+    return image_tiles

@@ -641,6 +641,19 @@ class TestKernelBankCache:
         assert len(cache) == 0
         assert cache.stats.decompositions == 0
 
+    def test_stats_taken_before_a_clear_keep_counting(self):
+        """``.stats`` is the one live object: cleared in place, never
+        rebound, so a reference held across ``clear()`` sees what follows."""
+        cache = KernelBankCache()
+        config = OpticsConfig(tile_size_px=32, pixel_size_nm=8.0, max_socs_order=4)
+        held = cache.stats
+        cache.get_kernels(config, self.SOURCE, Pupil())
+        cache.clear()
+        assert held is cache.stats and held.decompositions == 0
+        cache.get_kernels(config, self.SOURCE, Pupil())
+        cache.get_kernels(config, self.SOURCE, Pupil())
+        assert (held.decompositions, held.misses, held.hits) == (1, 1, 1)
+
 
 class TestSOCSKernelsField:
     def test_total_energy_is_a_constructor_field(self):

@@ -11,7 +11,8 @@ reader and reads a window only when the cache images it.  Pinned here:
   duck-typed reader mutated between two tile-cached calls image the
   mutation: only the file-backed readers keep digests;
 * the saving itself — a warm call reads no window, a call after the tile
-  cache was cleared reads exactly its misses;
+  cache was cleared reads exactly its misses, each once, in the imaging
+  shares;
 * concurrency — four threads imaging one file at once parse it once, image
   what the serial call images, and their tallies sum to the cache's.
 """
@@ -30,7 +31,15 @@ import pytest
 from reference import reference_image_layout
 import repro.api as api
 from repro.backend import ComputeConfig
-from repro.engine import EngineSpec, TileResultCache, streaming
+from repro.engine import (
+    ZERO_TILE_DIGEST,
+    EngineSpec,
+    TileResultCache,
+    TilingSpec,
+    plan_tiles,
+    streaming,
+    tile_digest,
+)
 from repro.engine import tile_cache as tile_cache_module
 from repro.layout import (
     ArrayLayoutReader,
@@ -194,6 +203,47 @@ class TestWindowDigests:
         for repeat in (warm, cold):
             assert_same_image(repeat, first)
         assert_same_image(first, image(path, UNCACHED))
+
+    @pytest.mark.parametrize("backend,workers", [
+        ("numpy", 2), ("scipy", 1), ("scipy", 2)])
+    def test_misses_are_read_once_in_the_imaging_shares(
+            self, tmp_path, monkeypatch, fresh_memos, backend, workers):
+        """A kept reader whose tiles left the cache reads each of its
+        first-occurrence misses exactly once, inside the imaging shares —
+        on ``min(fft_workers, misses)`` threads when the backend shares
+        tiles out, on the caller alone otherwise — and no hit window."""
+        if backend == "scipy":
+            pytest.importorskip("scipy.fft")
+        compute = ComputeConfig(fft_backend=backend, fft_workers=workers,
+                                tile_cache=True)
+        path = str(tmp_path / "chip.gds")
+        with open(path, "wb") as handle:
+            handle.write(chip_bytes(24))
+        first = image(path, compute)
+        reader = load_layout_source(path, CONFIG.pixel_size_nm)
+        misses = {}  # digest -> the first window holding it, row-major
+        for place in plan_tiles(*reader.shape, TilingSpec(32, GUARD)):
+            window = (place.row - GUARD, place.col - GUARD, 32, 32)
+            misses.setdefault(tile_digest(reader.read_window(*window)),
+                              window)
+        misses.pop(ZERO_TILE_DIGEST, None)
+        reads = []
+        original = HierarchicalLayoutReader.read_window
+
+        def spy(self, *window):
+            reads.append((window, threading.current_thread().name))
+            return original(self, *window)
+
+        monkeypatch.setattr(HierarchicalLayoutReader, "read_window", spy)
+        fresh_memos.clear()
+        cold = image(path, compute)
+        assert cold.tile_stats.misses == len(misses) > 1
+        assert sorted(window for window, _ in reads) == \
+            sorted(misses.values())
+        threads = {thread for _, thread in reads}
+        assert len(threads) == (min(workers, len(misses))
+                                if backend == "scipy" else 1)
+        assert_same_image(cold, first)
 
     def test_memo_is_bounded_per_reader(self, tmp_path, window_reads,
                                         monkeypatch):

@@ -245,16 +245,18 @@ class TestStreamingEqualsInMemory:
 
     def test_tile_cache_misses_go_through_the_same_loop(self, engine,
                                                         monkeypatch):
-        """With a tile cache, each stream batch's stack of misses is one
-        call of the same imaging loop; ``aerial_batch`` is never entered."""
+        """With a tile cache, each stream batch's misses are one call of
+        the same imaging loop, which writes every image straight into the
+        cache and returns no stack; ``aerial_batch`` is never entered."""
         cached = execution.ExecutionEngine(engine.kernels, tile_size_px=32,
                                            tile_cache=TileResultCache())
         calls = []
         loop = execution.image_tiles
 
         def spy(count, read, write, **kwargs):
-            calls.append((count, write))
-            return loop(count, read, write, **kwargs)
+            result = loop(count, read, write, **kwargs)
+            calls.append((count, write, result))
+            return result
 
         def refuse(*args, **kwargs):
             raise AssertionError("a miss went through aerial_batch")
@@ -269,8 +271,9 @@ class TestStreamingEqualsInMemory:
         np.testing.assert_array_equal(image.aerial, reference.aerial)
         np.testing.assert_array_equal(image.resist, reference.resist)
         assert 0 < image.tile_stats.misses < image.num_tiles == 36
-        assert [write for _, write in calls] == [None] * len(calls)
-        assert sum(count for count, _ in calls) == image.tile_stats.misses
+        assert all(callable(write) and result is None
+                   for _, write, result in calls)
+        assert sum(count for count, _, _ in calls) == image.tile_stats.misses
         assert len(calls) <= 4
 
 

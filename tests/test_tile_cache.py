@@ -16,10 +16,14 @@ Pinned guarantees:
   windows, one ``read_window`` per placement, in the reader's dtype;
   ``tile_digest`` tags exactly the all-zero ones ``ZERO_TILE_DIGEST``,
 * each pixel moves once: geometry readers rasterise ``uint8`` windows equal
-  value-for-value to the float raster, only misses are stacked, an all-hit
-  batch allocates nothing tile-sized and its rows *are* the cache entries,
-* cache entries are owned read-only copies, so the LRU budget bounds memory,
-* the disk tier survives torn files and concurrent writers of one key,
+  value-for-value to the float raster, only misses are read (straight into
+  the imaging loop's mask buffer), an all-hit batch allocates nothing
+  tile-sized and its rows *are* the cache entries,
+* cache entries are owned read-only ``(core, core)`` arrays — the guard band
+  is never kept — so the LRU budget bounds memory in core bytes,
+* the disk tier survives torn files, files of the wrong shape or dtype and
+  concurrent writers of one key, and serves the whole-tile entries written
+  before entries were cores,
 * the disk tier round-trips imaged tiles to a fresh cache instance, and the
   LRU tier evicts oldest-first under a byte budget, and
 * a campaign store accumulates the sweep's cache counters and the rendered
@@ -36,7 +40,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import reference_image_layout, stream_batches
+from reference import reference_image_layout, stack_imaging, stream_batches
 from repro.backend import ComputeConfig
 from repro.engine import (
     ZERO_TILE_DIGEST,
@@ -65,16 +69,10 @@ CONTEXT = TileCacheContext(kernel_fingerprint="bank", backend="numpy",
                            precision="float64", tile_px=4, guard_px=0)
 
 
-def counting(function):
-    """Wrap an image_batch callable, recording every batch it was handed."""
-    batches = []
-
-    def wrapper(tiles):
-        batches.append(np.array(tiles))
-        return function(tiles)
-
-    wrapper.batches = batches
-    return wrapper
+def tripling(context=CONTEXT):
+    """An imaging loop for ``context`` whose "aerial" is three times the
+    mask, recording every miss stack it was handed."""
+    return stack_imaging(lambda batch: batch * 3.0, context)
 
 
 @functools.lru_cache(maxsize=None)
@@ -195,7 +193,7 @@ class TestTileResultCache:
     def test_images_unique_tiles_once_and_scatters(self):
         cache = TileResultCache()
         tiles, digests = self.batch()
-        image = counting(lambda batch: batch * 3.0)
+        image = tripling()
         out, tally = cache.image_tile_batch(tiles, digests, image, CONTEXT)
         assert len(image.batches) == 1
         np.testing.assert_array_equal(image.batches[0], tiles[:2])
@@ -209,9 +207,9 @@ class TestTileResultCache:
     def test_second_batch_is_served_entirely_from_memory(self):
         cache = TileResultCache()
         tiles, digests = self.batch()
-        first, _ = cache.image_tile_batch(tiles, digests,
-                                          lambda batch: batch * 3.0, CONTEXT)
-        image = counting(lambda batch: batch * 3.0)
+        first, _ = cache.image_tile_batch(tiles, digests, tripling(),
+                                          CONTEXT)
+        image = tripling()
         second, tally = cache.image_tile_batch(tiles, digests, image,
                                                CONTEXT)
         assert image.batches == []  # nothing imaged the second time
@@ -223,7 +221,7 @@ class TestTileResultCache:
     def test_zero_fast_path_never_calls_image_batch(self):
         cache = TileResultCache()
         tiles = np.zeros((3, 4, 4))
-        image = counting(lambda batch: batch)
+        image = tripling()
         out, _ = cache.image_tile_batch(tiles, [ZERO_TILE_DIGEST] * 3, image,
                                         CONTEXT)
         assert image.batches == []
@@ -237,26 +235,26 @@ class TestTileResultCache:
         cache = TileResultCache()
         tiles, digests = self.batch()
         context = dataclasses.replace(CONTEXT, precision="float32")
-        out, _ = cache.image_tile_batch(
-            tiles, digests,
-            lambda batch: (batch * 3.0).astype(np.float32), context)
+        out, _ = cache.image_tile_batch(tiles, digests, tripling(context),
+                                        context)
         assert [row.dtype for row in out] == [np.float32] * 4
         assert [row.shape for row in out] == [(4, 4)] * 4
         assert np.stack(out).dtype == np.float32
 
     def test_windows_may_be_an_unstacked_sequence_with_holes(self):
         """The extractor's contract: a list in the reader's dtype, ``None``
-        at zero rows; only first-occurrence misses are stacked and cast."""
+        at zero rows; only first-occurrence misses are read, each cast as
+        it lands in the imaging loop's mask buffer."""
         cache = TileResultCache()
         tile_a = np.full((4, 4), 2, dtype=np.uint8)
         tile_b = np.arange(16, dtype=np.uint8).reshape(4, 4)
         windows = [tile_a, None, tile_b, tile_a.copy()]
         digests = [tile_digest(tile_a), ZERO_TILE_DIGEST,
                    tile_digest(tile_b), tile_digest(tile_a)]
-        image = counting(lambda batch: batch * 3.0)
+        image = tripling()
         out, _ = cache.image_tile_batch(windows, digests, image, CONTEXT)
         assert len(image.batches) == 1
-        assert image.batches[0].dtype == np.uint8
+        assert image.batches[0].dtype == np.float64
         np.testing.assert_array_equal(image.batches[0],
                                       np.stack([tile_a, tile_b]))
         np.testing.assert_array_equal(
@@ -274,10 +272,9 @@ class TestTileResultCache:
         tiles = rng.random((count, side, side))
         digests = [tile_digest(tile) for tile in tiles]
         cache = TileResultCache()
-        cache.image_tile_batch(tiles, digests, lambda batch: batch * 3.0,
-                               context)
+        cache.image_tile_batch(tiles, digests, tripling(context), context)
 
-        def refuse(batch):
+        def refuse(count, read, write):
             raise AssertionError("an all-hit batch must not be imaged")
 
         tracemalloc.start()
@@ -295,27 +292,28 @@ class TestTileResultCache:
 
     def test_eviction_frees_memory_and_entries_are_read_only(self):
         """Regression: entries used to be row views of the imaged batch, so
-        evicting one freed nothing while the byte count said otherwise."""
+        evicting one freed nothing while the byte count said otherwise.
+        Every served row is an owned array of its own (an evicted one dies
+        with the caller's reference), never a view of a shared block."""
         tile_bytes = np.zeros((4, 4)).nbytes
         cache = TileResultCache(max_bytes=2 * tile_bytes)
         tiles = np.arange(5 * 16, dtype=float).reshape(5, 4, 4) + 1.0
         digests = [tile_digest(tile) for tile in tiles]
-        out, _ = cache.image_tile_batch(tiles, digests,
-                                        lambda batch: batch * 3.0, CONTEXT)
+        out, _ = cache.image_tile_batch(tiles, digests, tripling(), CONTEXT)
         assert cache.stats.evictions == 3 and len(cache) == 2
         survivors = list(cache._memory.values())
-        assert all(entry.base is None for entry in survivors)
-        assert not any(np.shares_memory(entry, row)
-                       for entry in survivors for row in out)
+        assert all(row.base is None for row in out)
+        assert not any(np.shares_memory(out[a], out[b])
+                       for a in range(len(out)) for b in range(a))
         assert cache._memory_bytes == sum(entry.nbytes
                                           for entry in survivors)
         served, _ = cache.image_tile_batch(tiles[-1:], digests[-1:],
-                                           lambda batch: batch * 3.0, CONTEXT)
+                                           tripling(), CONTEXT)
         np.testing.assert_array_equal(served[0], tiles[-1] * 3.0)
         with pytest.raises(ValueError, match="read-only"):
             served[0][0, 0] = 7.0
         zero, _ = cache.image_tile_batch([None], [ZERO_TILE_DIGEST],
-                                         lambda batch: batch, CONTEXT)
+                                         tripling(), CONTEXT)
         with pytest.raises(ValueError, match="read-only"):
             zero[0][0, 0] = 7.0
 
@@ -325,10 +323,10 @@ class TestTileResultCache:
         for value in (1.0, 2.0, 3.0):
             cache.image_tile_batch(np.full((1, 4, 4), value),
                                    [tile_digest(np.full((4, 4), value))],
-                                   lambda batch: batch, CONTEXT)
+                                   tripling(), CONTEXT)
         assert len(cache) == 1 and cache.stats.evictions == 2
         # The newest entry survived; the oldest must be re-imaged.
-        image = counting(lambda batch: batch)
+        image = tripling()
         cache.image_tile_batch(np.full((1, 4, 4), 3.0),
                                [tile_digest(np.full((4, 4), 3.0))],
                                image, CONTEXT)
@@ -341,10 +339,10 @@ class TestTileResultCache:
     def test_disk_tier_round_trips_to_a_fresh_cache(self, tmp_path):
         tiles, digests = self.batch()
         warm = TileResultCache(cache_dir=str(tmp_path))
-        expected, _ = warm.image_tile_batch(tiles, digests,
-                                            lambda batch: batch * 3.0, CONTEXT)
+        expected, _ = warm.image_tile_batch(tiles, digests, tripling(),
+                                            CONTEXT)
         cold = TileResultCache(cache_dir=str(tmp_path))
-        image = counting(lambda batch: batch * 3.0)
+        image = tripling()
         out, _ = cold.image_tile_batch(tiles, digests, image, CONTEXT)
         assert image.batches == []  # every tile came from disk or the batch
         np.testing.assert_array_equal(out, expected)
@@ -354,11 +352,67 @@ class TestTileResultCache:
     def test_clear_keeps_disk(self, tmp_path):
         tiles, digests = self.batch()
         cache = TileResultCache(cache_dir=str(tmp_path))
-        cache.image_tile_batch(tiles, digests, lambda batch: batch, CONTEXT)
+        cache.image_tile_batch(tiles, digests, tripling(), CONTEXT)
         cache.clear()
         assert len(cache) == 0 and cache.stats.tiles == 0
-        cache.image_tile_batch(tiles, digests, lambda batch: batch, CONTEXT)
+        cache.image_tile_batch(tiles, digests, tripling(), CONTEXT)
         assert cache.stats.disk_loads == 2
+
+    def test_stats_taken_before_a_clear_keep_counting(self):
+        """``.stats`` is the one live object: cleared in place, never
+        rebound, so a reference held across ``clear()`` sees what follows."""
+        tiles, digests = self.batch()
+        cache = TileResultCache()
+        held = cache.stats
+        cache.image_tile_batch(tiles, digests, tripling(), CONTEXT)
+        cache.clear()
+        assert held is cache.stats and held == TileCacheStats()
+        cache.image_tile_batch(tiles, digests, tripling(), CONTEXT)
+        assert (held.tiles, held.misses, held.hits, held.zero_hits) == \
+            (4, 2, 1, 1)
+
+    def test_entries_are_owned_read_only_cores(self, tmp_path):
+        """A guard-banded tile is kept as its core only: every entry —
+        imaged or loaded from disk — is an owned, read-only, C-contiguous
+        ``(core, core)`` array, and the LRU budget counts those bytes."""
+        context = dataclasses.replace(CONTEXT, tile_px=8, guard_px=2)
+        tiles = np.arange(3 * 64, dtype=float).reshape(3, 8, 8) + 1.0
+        digests = [tile_digest(tile) for tile in tiles]
+        core_bytes = np.zeros((4, 4)).nbytes
+        for source in ("imaged", "disk"):
+            cache = TileResultCache(cache_dir=str(tmp_path),
+                                    max_bytes=2 * core_bytes)
+            image = tripling(context)
+            out, _ = cache.image_tile_batch(tiles, digests, image, context)
+            assert (image.batches == []) == (source == "disk")
+            assert cache.stats.evictions == 1 and len(cache) == 2
+            assert cache._memory_bytes == 2 * core_bytes
+            for row, tile in zip(out, tiles):
+                assert row.shape == (4, 4) and row.base is None
+                assert row.flags.c_contiguous and not row.flags.writeable
+                np.testing.assert_array_equal(row, tile[2:6, 2:6] * 3.0)
+
+    def test_a_tile_entry_of_the_older_format_is_served_cropped(
+            self, tmp_path):
+        """An entry holding the whole guard-banded ``tile`` (what caches
+        wrote before entries were cores) is found under the same key and
+        served as its core, with nothing imaged."""
+        from repro.engine.cache import NpzDiskTier
+
+        context = dataclasses.replace(CONTEXT, tile_px=8, guard_px=2)
+        tiles = np.arange(2 * 64, dtype=float).reshape(2, 8, 8) + 1.0
+        digests = [tile_digest(tile) for tile in tiles]
+        disk = NpzDiskTier(str(tmp_path), "tiles")
+        for tile, digest in zip(tiles, digests):
+            disk.save(context.key_prefix() + digest, tile=tile * 3.0)
+        cache = TileResultCache(cache_dir=str(tmp_path))
+        image = tripling(context)
+        out, tally = cache.image_tile_batch(tiles, digests, image, context)
+        assert image.batches == []
+        assert (tally.disk_loads, tally.misses, tally.disk_errors) == (2, 0, 0)
+        for row, tile in zip(out, tiles):
+            assert row.shape == (4, 4) and row.base is None
+            np.testing.assert_array_equal(row, tile[2:6, 2:6] * 3.0)
 
     @pytest.mark.parametrize("damage", ["truncated", "empty", "garbage",
                                         "flipped"])
@@ -368,8 +422,8 @@ class TestTileResultCache:
         member's CRC-32 — a miss like the rest, never a wrong tile."""
         tiles, digests = self.batch()
         warm = TileResultCache(cache_dir=str(tmp_path))
-        expected, _ = warm.image_tile_batch(tiles, digests,
-                                            lambda batch: batch * 3.0, CONTEXT)
+        expected, _ = warm.image_tile_batch(tiles, digests, tripling(),
+                                            CONTEXT)
         files = sorted(tmp_path.glob("tiles-*.npz"))
         assert len(files) == 2
         intact = files[0].read_bytes()
@@ -381,7 +435,7 @@ class TestTileResultCache:
                               + bytes([intact[middle] ^ 0xFF])
                               + intact[middle + 1:]}[damage])
         cold = TileResultCache(cache_dir=str(tmp_path))
-        image = counting(lambda batch: batch * 3.0)
+        image = tripling()
         out, _ = cold.image_tile_batch(tiles, digests, image, CONTEXT)
         np.testing.assert_array_equal(np.stack(out), np.stack(expected))
         assert len(image.batches) == 1 and len(image.batches[0]) == 1
@@ -453,9 +507,11 @@ class TestTileResultCache:
         barrier = threading.Barrier(2, timeout=30)
         results, errors = [], []
 
-        def image(batch):
+        def triple(batch):
             barrier.wait()
             return batch * 3.0
+
+        image = stack_imaging(triple, context)
 
         def work():
             try:
@@ -502,8 +558,7 @@ class TestTileResultCache:
                 barrier.wait()
                 for _ in range(rounds):
                     tallies.append(cache.image_tile_batch(
-                        tiles, digests, lambda batch: batch * 3.0,
-                        CONTEXT)[1])
+                        tiles, digests, tripling(), CONTEXT)[1])
             except BaseException as exc:  # surfaced by the assert below
                 errors.append(exc)
 
@@ -694,6 +749,86 @@ class TestCachedImagingBitForBit:
         assert cache.stats.tiles == reference.num_tiles
         assert cache.stats.misses < cache.stats.tiles  # zero tiles dedup
         assert result.tile_stats == cache.stats
+
+
+def _disk_cached(tmp_path):
+    """A numpy / float64 engine whose tile cache persists under ``tmp_path``
+    (a fresh in-memory tier on each call)."""
+    return ExecutionEngine.for_optics(
+        CONFIG, source=SOURCE,
+        compute=ComputeConfig(fft_backend="numpy", tile_cache=False),
+        tile_cache=TileResultCache(cache_dir=str(tmp_path)))
+
+
+def _repeating_layout():
+    rng = np.random.default_rng(9)
+    cell = (rng.random((16, 16)) > 0.6).astype(float)
+    return np.tile(cell, (4, 5))
+
+
+class TestDiskEntries:
+    """What a layout run finds in the disk tier: ``core`` entries, the
+    whole-``tile`` entries written before entries were cores, and files of
+    neither shape."""
+
+    @pytest.mark.parametrize("malformed", [
+        {"tile": np.zeros((5, 5))},
+        {"tile": np.zeros((32, 32), np.float32)},
+        {"core": np.zeros((32, 32))},
+        {"core": np.zeros((16, 16), np.float32)},
+        {"aerial": np.zeros((16, 16))},
+    ], ids=["tile-5x5", "tile-float32", "core-32x32", "core-float32",
+            "no-known-array"])
+    def test_a_malformed_entry_is_a_counted_miss_and_is_overwritten(
+            self, tmp_path, malformed):
+        """A readable ``.npz`` of the wrong shape or dtype used to reach the
+        stitch (a ``(5, 5)`` tile crashed it with a broadcast error); it is
+        an unreadable entry: counted, re-imaged, overwritten."""
+        plain, _ = engine_pair("numpy", "float64")
+        layout = _repeating_layout()
+        reference = reference_image_layout(plain, layout, guard_px=8)
+        cold = _disk_cached(tmp_path).image_layout(layout, guard_px=8)
+        files = sorted(tmp_path.glob("tiles-*.npz"))
+        assert len(files) == cold.tile_stats.misses > 1
+        np.savez_compressed(files[0], **malformed)
+        result = _disk_cached(tmp_path).image_layout(layout, guard_px=8)
+        np.testing.assert_array_equal(result.aerial, reference.aerial)
+        np.testing.assert_array_equal(result.resist, reference.resist)
+        stats = result.tile_stats
+        assert (stats.disk_errors, stats.misses) == (1, 1)
+        assert stats.disk_loads == len(files) - 1
+        with np.load(files[0]) as data:
+            assert data.files == ["core"]
+            assert data["core"].shape == (16, 16)
+        again = _disk_cached(tmp_path).image_layout(layout, guard_px=8)
+        assert (again.tile_stats.misses, again.tile_stats.disk_errors) == \
+            (0, 0)
+
+    def test_older_tile_entries_serve_a_layout_with_nothing_imaged(
+            self, tmp_path):
+        """A disk tier of whole guard-banded ``tile`` entries under the
+        same keys: the layout is served from it bit for bit, nothing is
+        imaged and no file is added."""
+        from repro.engine.cache import NpzDiskTier
+
+        plain, _ = engine_pair("numpy", "float64")
+        layout = _repeating_layout()
+        tiling = plain.resolve_tiling(None, None, 8)
+        prefix = plain.tile_cache_context(tiling).key_prefix()
+        tiles, _ = extract_tiles(layout, tiling)
+        disk = NpzDiskTier(str(tmp_path), "tiles")
+        for tile, image in zip(tiles, plain.aerial_batch(tiles)):
+            if tile_digest(tile) != ZERO_TILE_DIGEST:
+                disk.save(prefix + tile_digest(tile), tile=image)
+        written = sorted(path.name for path in tmp_path.iterdir())
+        result = _disk_cached(tmp_path).image_layout(layout, guard_px=8)
+        reference = reference_image_layout(plain, layout, guard_px=8)
+        np.testing.assert_array_equal(result.aerial, reference.aerial)
+        np.testing.assert_array_equal(result.resist, reference.resist)
+        stats = result.tile_stats
+        assert stats.misses == 0 and stats.disk_errors == 0
+        assert stats.disk_loads == len(written) > 1
+        assert sorted(path.name for path in tmp_path.iterdir()) == written
 
 
 def _geometry_case():

@@ -7,7 +7,7 @@ production ones, never the reverse, and ``import repro`` loads neither.
 Production subpackages
 ----------------------
 ``repro.backend``
-    Compute-backend seam: FFT implementation registry and precision policy.
+    Compute-backend seam: the numpy FFT backend and precision policy.
 ``repro.optics``
     Hopkins / TCC / SOCS partially-coherent imaging (golden simulator) and
     the Eq. (10) kernel-window sizing.

@@ -13,7 +13,7 @@ picks defaults and wires the pieces):
 Compute policy rides in one place: every verb takes
 ``compute=ComputeConfig(...)`` (or inherits the ``REPRO_*`` environment
 through the consumers' defaults) instead of a drift-prone spread of
-``fft_backend=... / precision=...`` keywords — its ``fft_workers`` is also
+``fft_workers=... / precision=...`` keywords — its ``fft_workers`` is also
 how many threads an imaging call may occupy.  ``num_workers=`` is accepted
 and ignored (the end-to-end benchmark still passes it).
 """

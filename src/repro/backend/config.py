@@ -1,26 +1,24 @@
 """The unified, serialisable compute policy: :class:`ComputeConfig`.
 
-Historically the compute-policy knobs — ``fft_backend``, ``fft_workers``,
-``precision``, ``tile_cache`` — were threaded as loose keyword arguments
+Historically the compute-policy knobs — ``fft_workers``, ``precision``,
+``tile_cache`` — were threaded as loose keyword arguments
 through :class:`~repro.engine.ExecutionEngine`,
 :class:`~repro.engine.EngineSpec`, :class:`~repro.sweep.ProcessWindowSweep`
-and every CLI subcommand; today an engine is the one consumer of all four
+and every CLI subcommand; today an engine is the one consumer of all three
 (a spec and a sweep only carry the config to it).  A
 campaign *service* request needs that policy to be one serialisable object:
 :class:`ComputeConfig` is that object, a frozen dataclass that
 
 * is read from a service request's ``"compute"`` JSON object
-  (:meth:`from_dict`) and built from the CLI's four compute flags
-  ``--fft-backend``, ``--fft-workers``, ``--precision`` and
-  ``--tile-cache``, and
+  (:meth:`from_dict`) and built from the CLI's three compute flags
+  ``--fft-workers``, ``--precision`` and ``--tile-cache``, and
 * normalises names to concrete choices (:meth:`resolve`, written out with
-  :meth:`as_dict`) — e.g. ``fft_backend=None`` becomes the
-  ``auto``-resolved backend's name — so a run can record what it used.
+  :meth:`as_dict`) — e.g. ``precision=None`` becomes the environment's
+  precision name — so a run can record what it used.
 
 Every field defaults to ``None`` = "consumer decides", which preserves each
 consumer's historical default: the consumers read the environment
-themselves (``REPRO_FFT_BACKEND`` in :func:`~repro.backend.get_backend`,
-``REPRO_FFT_WORKERS`` in :func:`~repro.backend.fft.default_fft_workers`,
+themselves (``REPRO_FFT_WORKERS`` in :func:`~repro.backend.fft.default_fft_workers`,
 ``REPRO_PRECISION`` in :func:`~repro.backend.resolve_precision`,
 ``REPRO_TILE_CACHE`` in :func:`env_tile_cache_flag`).
 """
@@ -31,7 +29,6 @@ import os
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional
 
-from .fft import get_backend
 from .precision import AUTO_PRECISION, is_auto_precision, resolve_precision
 
 TILE_CACHE_ENV_VAR = "REPRO_TILE_CACHE"
@@ -40,7 +37,7 @@ TILE_CACHE_DIR_ENV_VAR = "REPRO_TILE_CACHE_DIR"
 #: The JSON field names, in canonical order.  ``from_dict`` rejects anything
 #: else loudly — a misspelled knob in a service request must not silently
 #: fall back to defaults.
-_FIELDS = ("fft_backend", "fft_workers", "precision", "tile_cache")
+_FIELDS = ("fft_workers", "precision", "tile_cache")
 
 _FALSY = {"", "0", "false", "no", "off"}
 
@@ -73,17 +70,11 @@ class ComputeConfig:
     accepting them as before, outside the config.
     """
 
-    fft_backend: Optional[str] = None
     fft_workers: Optional[int] = None
     precision: Optional[str] = None
     tile_cache: Optional[bool] = None
 
     def __post_init__(self) -> None:
-        if self.fft_backend is not None and not isinstance(self.fft_backend, str):
-            raise TypeError(
-                f"fft_backend must be a backend name or None, got "
-                f"{self.fft_backend!r}; pass FFTBackend instances directly "
-                f"to the consumer, not through ComputeConfig")
         if self.fft_workers is not None:
             if isinstance(self.fft_workers, bool) \
                     or not isinstance(self.fft_workers, int):
@@ -131,23 +122,16 @@ class ComputeConfig:
     def resolve(self) -> "ComputeConfig":
         """Pin every policy to a concrete, reproducible choice.
 
-        ``fft_backend`` becomes the resolved backend's registered name (the
-        ``auto`` / environment policy collapses to ``scipy`` or ``numpy``);
         ``precision`` becomes a concrete policy name, except the deferred
         ``auto`` spelling which survives (it needs a kernel bank and is
         resolved by the engines); ``tile_cache`` consults the environment
         when unset.  The result is what a campaign manifest should pin.
         """
-        backend = get_backend(self.fft_backend, workers=self.fft_workers)
-        if self.precision is None or is_auto_precision(self.precision):
-            precision = AUTO_PRECISION if is_auto_precision(self.precision) \
-                else resolve_precision(self.precision).name
-        else:
-            precision = resolve_precision(self.precision).name
+        precision = AUTO_PRECISION if is_auto_precision(self.precision) \
+            else resolve_precision(self.precision).name
         tile_cache = self.tile_cache
         if tile_cache is None:
             tile_cache = env_tile_cache_flag()
-        return ComputeConfig(fft_backend=backend.name,
-                             fft_workers=self.fft_workers,
+        return ComputeConfig(fft_workers=self.fft_workers,
                              precision=precision,
                              tile_cache=tile_cache)

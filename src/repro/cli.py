@@ -429,15 +429,10 @@ def _add_layout_options(parser: argparse.ArgumentParser, width: int,
 
 def _add_compute_options(parser: argparse.ArgumentParser) -> None:
     """Compute-policy knobs shared by the imaging subcommands."""
-    parser.add_argument("--fft-backend", default="",
-                        help="FFT backend (numpy/scipy/any registered name); "
-                             "default: REPRO_FFT_BACKEND or auto (scipy when "
-                             "importable)")
     parser.add_argument("--fft-workers", type=int, default=0,
-                        help="threads one imaging call may occupy on "
-                             "multi-threaded backends (never changes "
-                             "results); 0 = backend default "
-                             "(REPRO_FFT_WORKERS or all available CPUs)")
+                        help="threads one imaging call may spread its tiles "
+                             "over (never changes results); 0 = "
+                             "REPRO_FFT_WORKERS or all available CPUs")
     parser.add_argument("--precision", default="",
                         choices=("", "float64", "float32", "auto"),
                         help="imaging precision; float32 halves memory traffic "
@@ -458,13 +453,12 @@ def _add_compute_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _compute_from_args(arguments):
-    """The :class:`~repro.backend.ComputeConfig` of the four compute flags;
+    """The :class:`~repro.backend.ComputeConfig` of the three compute flags;
     an unset flag stays ``None`` and falls through to the consumers'
     ``REPRO_*`` environment defaults."""
     from .backend import ComputeConfig
 
-    return ComputeConfig(fft_backend=arguments.fft_backend or None,
-                         fft_workers=arguments.fft_workers or None,
+    return ComputeConfig(fft_workers=arguments.fft_workers or None,
                          precision=arguments.precision or None,
                          tile_cache=arguments.tile_cache)
 

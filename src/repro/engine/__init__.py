@@ -23,8 +23,8 @@ throughput benchmarks — runs through this package:
   result whatever the batch size,
 * :mod:`repro.engine.sharded` — :class:`EngineSpec` (the picklable recipe
   of an engine: optics, kernel-cache directory and compute policy) and
-  :class:`ShardedExecutor`, a plain memo of one engine per spec fingerprint
-  and tile-cache switch — each engine owns its own tile cache and
+  :class:`ShardedExecutor`, a plain memo of one engine per spec fingerprint,
+  thread budget and tile-cache switch — each engine owns its own tile cache and
   precision, and
 * :mod:`repro.engine.tile_cache` — the content-addressed tile-result cache
   (:class:`TileResultCache`): each *unique* guard-banded tile content is
@@ -34,9 +34,8 @@ throughput benchmarks — runs through this package:
 
 Every FFT and dtype decision is delegated to the compute-backend layer in
 :mod:`repro.backend`: engines take one ``compute=ComputeConfig(...)`` of
-policy names and default to the environment-selected backend
-(``REPRO_FFT_BACKEND``, auto = multi-threaded scipy when importable) at
-float64.  Layout input is a dense ``(H, W)`` raster or a windowed
+policy names and default to the numpy backend with a thread budget of
+``REPRO_FFT_WORKERS`` or the CPUs available, at float64.  Layout input is a dense ``(H, W)`` raster or a windowed
 :mod:`repro.layout` reader — readers are rasterised batch by batch, so the
 dense raster never needs to exist.
 

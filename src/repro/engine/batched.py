@@ -40,18 +40,19 @@ The thread budget is read off the backend too (``backend.workers``:
 ``fft_workers`` / ``REPRO_FFT_WORKERS``, default the CPUs available) and is
 spent **on tiles, not inside transforms** (:func:`share_threads`): a call
 of ``B > 1`` tiles runs as ``min(workers, B)`` contiguous shares
-(:func:`run_shares`, the package's one fan-out), each transforming through
-the backend's one-thread sibling
-(:meth:`~repro.backend.FFTBackend.single_threaded`) with its own mask
-buffer and scratch and its part of :data:`BLOCK_BYTES`.  A share reads its
-tiles (``read``), images them and hands each block on (``write``) before
-reading the next, so a layout's windows are read, imaged, stitched and
-developed inside the share.  Measured on 2 CPUs, 36 production tiles: two
-threads *inside* each transform buy 1.3x over one thread (the kernel
-product, embed, ``|field|^2`` and copies between transforms stay serial),
-two threads *on blocks* 1.6x, and a one-block batch of 2-4 tiles is faster
-as two shares too.  A backend without such a sibling (numpy, any
-transforms-only subclass) and a single tile stay on the calling thread.
+(:func:`run_shares`, the package's one fan-out), each transforming on its
+own thread with its own mask buffer and scratch and its part of
+:data:`BLOCK_BYTES`.  A share reads its tiles (``read``), images them and
+hands each block on (``write``) before reading the next, so a layout's
+windows are read, imaged, stitched and developed inside the share.
+Measured on 2 CPUs, 36 production tiles: two threads *inside* each
+transform (``scipy.fft``'s ``workers=2``) bought 1.3x over one thread (the
+kernel product, embed, ``|field|^2`` and copies between transforms stay
+serial), two threads *on blocks* 1.6x, and a one-block batch of 2-4 tiles is faster
+as two shares too.  A backend without a budget (``workers`` ``None``: a
+transforms-only subclass) and a single tile stay on the calling thread;
+for one 64-512 px tile, ``scipy.fft``'s ``workers=2`` was no faster than
+:meth:`~repro.backend.NumpyFFTBackend.ifft2`'s two passes on one thread.
 Shares never change a tile's bits: each 1-D line of each transform is an
 independent, deterministic work item.  The one thing this module keeps
 across calls is the idle helper threads (:func:`_helper_threads`).
@@ -104,8 +105,9 @@ BLOCK_BYTES = 6 * 2 ** 20
 #: rounding level: old tiles must never be stitched into a new image, nor an
 #: old store resumed half-new.  (``band=True``: the ``2n x 2m`` grid;
 #: ``band=fast-grid``: the band-limit grid, one complex eigenkernel per
-#: transform of a golden bank.)
-FORWARD_REVISION = "band=fast-grid|bank=packed-real-field"
+#: transform of a golden bank; ``fft=numpy``: ``numpy.fft``'s bits, where
+#: the default forward used to run on ``scipy.fft``.)
+FORWARD_REVISION = "band=fast-grid|bank=packed-real-field|fft=numpy"
 
 
 _helpers_lock = threading.Lock()
@@ -139,9 +141,9 @@ if hasattr(os, "register_at_fork"):
 
 def share_threads(xp: FFTBackend, count: int) -> int:
     """Threads a call of ``count`` tiles spreads over on backend ``xp``:
-    ``min(workers, count)`` when ``xp`` has a one-thread sibling to give
-    each share, else (numpy, any transforms-only backend) one."""
-    return 1 if xp.single_threaded() is xp else max(1, min(xp.workers, count))
+    ``min(workers, count)``, and one for a backend without a budget (a
+    transforms-only subclass)."""
+    return max(1, min(xp.workers or 1, count))
 
 
 def run_shares(count: int, threads: int, run: Callable[..., None],
@@ -279,7 +281,7 @@ def effective_chunk_tiles(batch: int, kernel_shape: Tuple[int, int, int],
 
 
 def batched_aerial_from_kernels(masks: np.ndarray, kernels: np.ndarray,
-                                backend: Optional[Union[FFTBackend, str]] = None,
+                                backend: Optional[FFTBackend] = None,
                                 precision: Optional[Union[Precision, str]] = None,
                                 ) -> np.ndarray:
     """Aerial images of a mask batch ``(B, H, W)`` -> ``(B, H, W)``.
@@ -297,14 +299,12 @@ def batched_aerial_from_kernels(masks: np.ndarray, kernels: np.ndarray,
         Complex frequency-domain kernel stack ``(r, n, m)`` (centred DC),
         each kernel already scaled by ``sqrt(eigenvalue)``.
     backend:
-        FFT backend (instance or registered name); ``None`` resolves the
-        default (``REPRO_FFT_BACKEND`` / auto).
+        FFT backend; ``None`` is :func:`~repro.backend.get_backend`'s.
     precision:
         Precision policy (:class:`~repro.backend.Precision` or name);
         ``None`` resolves the default (``REPRO_PRECISION`` / float64).
     """
-    xp = get_backend(backend) \
-        if backend is None or isinstance(backend, str) else backend
+    xp = get_backend() if backend is None else backend
     precision = resolve_precision(precision)
     masks = precision.as_real(masks)
     if masks.ndim != 3:
@@ -346,13 +346,10 @@ def image_tiles(count: int,
     out = None if write is not None \
         else np.empty((count,) + tile_shape, precision.real_dtype)
 
-    # One share per thread, each transforming through the one-thread
-    # sibling with its part of the budget (the cores share the cache
-    # BLOCK_BYTES names); a single tile keeps ``xp``'s threads to itself.
+    # One share per thread, each with its part of the budget (the cores
+    # share the cache BLOCK_BYTES names).
     threads = share_threads(xp, count)
     budget = BLOCK_BYTES // threads
-    if threads > 1:
-        xp = xp.single_threaded()
     block = effective_chunk_tiles(count, kernels.shape, out_h, out_w, budget,
                                   precision.complex_itemsize)
     evaluate = _band_limited_chunk if band_limited else _direct_chunk

@@ -17,11 +17,10 @@ learned Nitho kernels, anything of shape ``(r, n, m)`` — and provides:
   fingerprint runs at most once per process no matter how many simulators,
   experiments or benchmarks ask, and
 * the compute policy of :mod:`repro.backend`, carried by one
-  ``compute=ComputeConfig(...)``: ``fft_backend`` / ``fft_workers`` select
-  the FFT implementation (numpy, multi-threaded scipy, or anything
-  registered), ``precision`` selects the float64 / float32 dtype pair the
-  whole pipeline runs at (the cache's float64 bank is cast once, at
-  construction, so dtypes never mix).
+  ``compute=ComputeConfig(...)``: ``fft_workers`` sets the thread budget
+  the numpy backend spends on tile shares, ``precision`` selects the
+  float64 / float32 dtype pair the whole pipeline runs at (the cache's
+  float64 bank is cast once, at construction, so dtypes never mix).
 """
 
 from __future__ import annotations
@@ -95,7 +94,7 @@ def live_object(keyword: str, value, kind: type):
     if value is not None and not isinstance(value, kind):
         raise TypeError(
             f"{keyword}= takes a {kind.__name__} instance, got {value!r}; "
-            f"pass names and switches as compute=ComputeConfig({keyword}=...)")
+            f"names and switches go in compute=ComputeConfig(...)")
     return value
 
 
@@ -130,11 +129,10 @@ class ExecutionEngine:
             if compute.fft_workers is not None:
                 raise ValueError(
                     "fft_workers cannot be applied to an already-constructed "
-                    "FFTBackend instance; pass a backend name instead")
+                    "FFTBackend instance; set its workers instead")
             self.backend = fft_backend
         else:
-            self.backend = get_backend(compute.fft_backend,
-                                       workers=compute.fft_workers)
+            self.backend = get_backend(compute.fft_workers)
         self.kernels = kernels.astype(self.precision.complex_dtype)
         self.resist_model = ConstantThresholdResist(resist_threshold)
         #: Tile size the kernel bank was calibrated for.  The kernels sample

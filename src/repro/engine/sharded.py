@@ -3,8 +3,8 @@
 :class:`ShardedExecutor` images tile batches and layouts for a small
 :class:`EngineSpec` (optics config + source + pupil + kernel-cache directory
 + compute policy) per call rather than an engine: it is a bounded memo of
-``spec.build()``, keyed by the spec's fingerprint and its tile-cache switch,
-and every call forwards to the memoised engine.  Each engine owns what
+``spec.build()``, keyed by the spec's fingerprint, thread budget and
+tile-cache switch, and every call forwards to the memoised engine.  Each engine owns what
 decides its output — its kernel bank, precision and tile cache — so the
 executor keeps no second copy of any of them.  With a ``cache_dir`` on the
 spec (a sweep stamps the executor's, which defaults to
@@ -32,12 +32,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..backend import (
-    ComputeConfig,
-    get_backend,
-    is_auto_precision,
-    resolve_precision,
-)
+from ..backend import ComputeConfig, is_auto_precision, resolve_precision
 from ..backend.fft import available_cpus
 from ..optics.pupil import Pupil
 from ..optics.simulator import OpticsConfig, default_illumination
@@ -66,17 +61,15 @@ class EngineSpec:
     fingerprint (the engine-memo key and the campaign-store identity) and
     resolves its bank through the shared (disk-backed) kernel cache.
 
-    ``compute`` is normalised to concrete names at construction and always
-    reads back resolved: ``fft_backend`` the registered backend's name
-    (``None`` resolves the environment), ``precision`` ``"float64"`` or
-    ``"float32"`` (``"auto"`` is read off an engine built right here, which
-    autotunes against the float64 bank in ``cache_dir``) and ``fft_workers``
-    as given (wall-clock only: pocketfft is deterministic across worker
-    counts).  So whoever builds the engine later — this run or the one that
-    resumes its campaign store — reconstructs the exact same backend +
-    precision, and the fingerprint names what actually ran.  ``tile_cache``
-    is kept as given and left out of the fingerprint: cached tiles are
-    bit-for-bit the uncached ones, so the engine applies it as its own
+    ``compute`` is normalised at construction and always reads back
+    resolved: ``precision`` ``"float64"`` or ``"float32"`` (``"auto"`` is
+    read off an engine built right here, which autotunes against the
+    float64 bank in ``cache_dir``).  So whoever builds the engine later —
+    this run or the one that resumes its campaign store — reconstructs the
+    exact same precision, and the fingerprint names what actually ran.
+    ``fft_workers`` and ``tile_cache`` are kept as given and left out of the
+    fingerprint: no thread budget changes a bit, and cached tiles are
+    bit-for-bit the uncached ones, so the engine applies both as its own
     policy.
     """
 
@@ -95,7 +88,6 @@ class EngineSpec:
             if is_auto_precision(compute.precision) \
             else resolve_precision(compute.precision)
         object.__setattr__(self, "compute", ComputeConfig(
-            fft_backend=get_backend(compute.fft_backend).name,
             fft_workers=compute.fft_workers,
             precision=precision.name,
             tile_cache=compute.tile_cache))
@@ -107,13 +99,10 @@ class EngineSpec:
     def fingerprint(self) -> str:
         """Cache key: optics fingerprint + the engine options that change output."""
         base = optics_fingerprint(self.config, *self.resolved_optics())
-        compute = self.compute
         # A store written under another FORWARD_REVISION is refused, not resumed.
         return (
             f"{base}|order={getattr(self.config, 'max_socs_order', None)}"
-            f"|{FORWARD_REVISION}"
-            f"|backend={compute.fft_backend}|workers={compute.fft_workers}"
-            f"|prec={compute.precision}")
+            f"|{FORWARD_REVISION}|prec={self.compute.precision}")
 
     def with_focus(self, focus_nm: float) -> "EngineSpec":
         """The same imaging system refocused: config + pupil defocus replaced."""
@@ -149,7 +138,7 @@ class ShardedExecutor:
     """Image tile batches and layouts for an :class:`EngineSpec`.
 
     A bounded memo of ``spec.build()`` keyed by ``(spec.fingerprint(),
-    spec.compute.tile_cache)``: every call goes to the spec's engine, which
+    spec.compute.fft_workers, spec.compute.tile_cache)``: every call goes to the spec's engine, which
     owns its kernel bank, precision and tile cache, and whose batched core
     spends the spec's worker budget on the tiles.
 
@@ -190,8 +179,8 @@ class ShardedExecutor:
     # engines
     # ------------------------------------------------------------------ #
     def warm(self, spec: EngineSpec) -> ExecutionEngine:
-        """The engine for ``spec``, built once per fingerprint and tile-cache
-        switch, and memoised.
+        """The engine for ``spec``, built once per fingerprint, thread budget
+        and tile-cache switch, and memoised.
 
         With a ``cache_dir`` on the spec the build goes through a throwaway
         disk-backed cache: it writes the kernel bank as ``.npz`` (so the
@@ -200,7 +189,8 @@ class ShardedExecutor:
         lives only in the memoised engine.
         """
         return self._engines.get_or_build(
-            (spec.fingerprint(), spec.compute.tile_cache), spec.build)
+            (spec.fingerprint(), spec.compute.fft_workers,
+             spec.compute.tile_cache), spec.build)
 
     # ------------------------------------------------------------------ #
     # imaging

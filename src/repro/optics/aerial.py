@@ -35,8 +35,8 @@ def mask_spectrum(mask: np.ndarray, kernel_shape: Optional[Tuple[int, int]] = No
     ``(..., H, W)``; the transform always acts on the last two axes.  A
     complex mask raises ``ValueError``.
 
-    ``backend`` is the FFT backend to transform through; ``None`` resolves
-    the default (``REPRO_FFT_BACKEND`` / auto).
+    ``backend`` is the FFT backend to transform through; ``None`` is
+    :func:`~repro.backend.get_backend`'s.
     """
     backend = backend or get_backend()
     mask = np.asarray(mask)

@@ -52,8 +52,7 @@ def abbe_aerial(mask: np.ndarray, source: Source, pupil: Pupil,
         cut-off, which matches the lattice used for the TCC computation.
     backend:
         FFT backend for the per-source-point inverse transforms; ``None``
-        resolves the default (this loop is exactly where multi-threaded
-        scipy transforms pay off for the "traditional simulator" timings).
+        is :func:`~repro.backend.get_backend`'s.
     """
     backend = backend or get_backend()
     if mask.ndim != 2:

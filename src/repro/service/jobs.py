@@ -20,7 +20,7 @@ Requests are plain JSON::
       "optics":  {"tile_size_px": 32, "pixel_size_nm": 8.0,
                   "source": "annular"},                     (source optional)
       "grid":    {"focus_nm": [-40, 0, 40], "dose": [0.95, 1.0, 1.05]},
-      "compute": {"fft_backend": ..., "precision": ...},    (optional object)
+      "compute": {"fft_workers": ..., "precision": ...},    (optional object)
       "tolerance": 0.1, "target_cd_nm": null, "guard_px": null,
       "store_aerials": false                                (all optional)
     }

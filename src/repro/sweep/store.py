@@ -214,8 +214,8 @@ class CampaignStore:
         if existing.get("campaign") != dict(campaign):
             raise CampaignIdentityError(
                 f"the manifest in {self.root} records a different campaign "
-                f"(layout, grid, optics, tiling or tolerance changed); use "
-                f"a fresh store directory for a new campaign")
+                f"(layout, grid, optics, precision, tiling or tolerance "
+                f"changed); use a fresh store directory for a new campaign")
         self._manifest = existing
         # Consolidate: the log entries are in the manifest now, so rewrite
         # it once per session and truncate the log (atomic rewrite first —

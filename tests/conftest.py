@@ -9,7 +9,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from reference import transforms_only_registered
 from repro.core import NithoConfig, NithoModel
 from repro.masks import ICCAD2013Generator, ISPDMetalGenerator, ISPDViaGenerator
 from repro.optics import LithographySimulator, OpticsConfig, CircularSource
@@ -17,14 +16,6 @@ from repro.optics.simulator import lithosim_engine
 
 TINY_TILE = 48
 TINY_PIXEL_NM = 20.0
-
-
-@pytest.fixture(scope="module")
-def transforms_only_backend():
-    """``reference.TRANSFORMS_ONLY`` is a registered backend name for the
-    module (``pytestmark = pytest.mark.usefixtures(...)``)."""
-    with transforms_only_registered():
-        yield
 
 
 @pytest.fixture(scope="session")

@@ -23,6 +23,15 @@ which one ran by the transform shapes it issued, and
 :func:`band_limited_blocks` says how many tiles each of those transforms
 should have carried.
 
+The product has one FFT library, ``numpy.fft``.  :class:`ScipyOracle` is
+``scipy.fft`` behind the same four transforms, an independent
+implementation a test holds the product's transforms against.  The
+backend matrices run three cells (:data:`BACKEND_CELLS`): numpy on one
+share, numpy spending a budget of two threads on shares — which
+:func:`threads_seen` / :func:`assert_ran_on_shares` pin to the
+``repro-block`` helper threads, so the cell cannot quietly collapse into
+the one-share one — and a transforms-only subclass.
+
 Training and ILT differentiate through that forward's field expression as one
 autograd node (``repro.nn.functional.socs_intensity``);
 :func:`reference_socs_intensity` is the op-by-op chain it replaced, each op
@@ -39,18 +48,17 @@ It lives under ``tests/`` on purpose: the product keeps one path.
 """
 
 import contextlib
+import threading
 from unittest import mock
 
 import numpy as np
 
 from repro.backend import (
     FFTBackend,
+    NumpyFFTBackend,
     get_backend,
-    register_backend,
-    registered_backends,
     resolve_precision,
 )
-from repro.backend.fft import _INSTANCES, _REGISTRY
 from repro.engine import (
     LayoutImage,
     TileResultCache,
@@ -77,19 +85,6 @@ def embed_centre(block, height, width):
     left = width // 2 - bw // 2
     out[..., top:top + bh, left:left + bw] = block
     return out
-
-
-def available_backends():
-    """Registered backends that construct on this machine (the matrices'
-    axis: a backend whose library is missing drops out of it)."""
-    names = []
-    for name in registered_backends():
-        try:
-            get_backend(name)
-        except Exception:
-            continue
-        names.append(name)
-    return tuple(names)
 
 
 def reference_mask_spectrum(mask, kernel_shape=None):
@@ -140,17 +135,15 @@ def band_limited_blocks(batch, kernel_shape, out_shape, itemsize=16):
 
 
 class RecordingBackend(FFTBackend):
-    """Only ``name`` + the four transforms, forwarded to the ``inner`` backend
-    (``None`` = the default one, built with ``workers``) — exactly what
+    """Only ``name`` + the four transforms, forwarded to
+    ``get_backend(workers)`` — exactly what
     ``bench/probes.py::make_fft_probe`` subclasses — recording
     ``(method, shape)`` per call; ``irfft2`` records the shape it produces.
-    It has no one-thread sibling, so the batched core runs it as one share.
-    ``name`` defaults to the inner backend's; a registered instance passes
-    its registry name, so an ``EngineSpec`` resolves back to it."""
+    It has no ``workers``, so the batched core runs it as one share."""
 
-    def __init__(self, inner=None, workers=None, name=None):
-        self.inner = get_backend(inner, workers)
-        self.name = name or self.inner.name
+    def __init__(self, workers=None):
+        self.inner = get_backend(workers)
+        self.name = self.inner.name
         self.calls = []
 
     def shapes(self, method):
@@ -173,24 +166,84 @@ class RecordingBackend(FFTBackend):
         return self.inner.irfft2(array, s=s, norm=norm)
 
 
-#: The backend matrices' third cell, next to numpy and scipy: a
-#: :class:`RecordingBackend` over the ``auto`` backend, selectable by this
-#: name (``REPRO_FFT_BACKEND`` too) inside :func:`transforms_only_registered`.
-TRANSFORMS_ONLY = "transforms-only"
+class ScipyOracle(FFTBackend):
+    """``scipy.fft`` behind the four transforms, on one thread: an FFT
+    implementation independent of the product's ``numpy.fft``."""
+
+    name = "scipy-oracle"
+
+    def __init__(self):
+        import scipy.fft
+
+        self.fft = scipy.fft
+
+    def fft2(self, array, norm=None):
+        return self.fft.fft2(array, norm=norm)
+
+    def ifft2(self, array, norm=None):
+        return self.fft.ifft2(array, norm=norm)
+
+    def rfft2(self, array, norm=None):
+        return self.fft.rfft2(array, norm=norm)
+
+    def irfft2(self, array, s, norm=None):
+        return self.fft.irfft2(array, s=s, norm=norm)
+
+
+#: The backend matrices' cells: the numpy backend with a budget of one
+#: thread, the same with a budget of two (the share path) and a
+#: transforms-only :class:`RecordingBackend`.
+NUMPY, SHARES, TRANSFORMS_ONLY = "numpy", "numpy-shares", "transforms-only"
+BACKEND_CELLS = (NUMPY, SHARES, TRANSFORMS_ONLY)
+
+
+def cell_backend(cell):
+    """A backend for one of :data:`BACKEND_CELLS`."""
+    if cell == TRANSFORMS_ONLY:
+        return RecordingBackend(workers=1)
+    return get_backend(2 if cell == SHARES else 1)
+
+
+_TRANSFORMS = ("fft2", "ifft2", "rfft2", "irfft2", "rfft2_columns",
+               "irfft2_zero_extended")
 
 
 @contextlib.contextmanager
-def transforms_only_registered():
-    """Register :data:`TRANSFORMS_ONLY` through ``register_backend`` for the
-    ``with`` block; the registry holds ``numpy`` and ``scipy`` again after."""
-    register_backend(TRANSFORMS_ONLY,
-                     lambda workers: RecordingBackend("auto", workers,
-                                                      name=TRANSFORMS_ONLY))
-    try:
-        yield
-    finally:
-        _REGISTRY.pop(TRANSFORMS_ONLY, None)
-        _INSTANCES.clear()
+def threads_seen():
+    """Context manager yielding the set of names of the threads on which a
+    :class:`~repro.backend.NumpyFFTBackend` transform ran inside the
+    ``with`` block, whoever built the backend."""
+    seen = set()
+
+    def recorded(transform):
+        def transform_on_thread(self, *args, **kwargs):
+            seen.add(threading.current_thread().name)
+            return transform(self, *args, **kwargs)
+        return transform_on_thread
+
+    with contextlib.ExitStack() as stack:
+        for method in _TRANSFORMS:
+            stack.enter_context(mock.patch.object(
+                NumpyFFTBackend, method,
+                recorded(getattr(NumpyFFTBackend, method))))
+        yield seen
+
+
+def assert_ran_on_shares(seen):
+    """The calling thread and a ``repro-block`` helper both transformed."""
+    assert threading.current_thread().name in seen, seen
+    assert any(name.startswith("repro-block") for name in seen), seen
+
+
+@contextlib.contextmanager
+def transforms_only_engines():
+    """Every engine built inside the ``with`` block — an ``EngineSpec``'s,
+    an executor's, a sweep's — transforms through one
+    :class:`RecordingBackend`, which the context manager yields."""
+    recorder = RecordingBackend(workers=1)
+    with mock.patch("repro.engine.execution.get_backend",
+                    lambda *args: recorder):
+        yield recorder
 
 
 def reference_image_layout(engine, layout, tiling=None, *, tile_px=None,

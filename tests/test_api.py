@@ -13,7 +13,7 @@ from repro.engine import cache as cache_module
 from repro.optics.simulator import OpticsConfig
 
 OPTICS = OpticsConfig(tile_size_px=32, pixel_size_nm=8.0)
-COMPUTE = api.ComputeConfig(fft_backend="numpy", precision="float64")
+COMPUTE = api.ComputeConfig(precision="float64")
 
 
 def make_mask() -> np.ndarray:

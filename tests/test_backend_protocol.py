@@ -8,11 +8,9 @@ Pinned guarantees:
   engine and an executor, changing no output bit against the backend it
   forwards to (hypothesis-pinned across precisions and both block bodies),
 * **the protocol is transforms**: ``FFTBackend`` carries no array
-  namespace, residency flag or transfer counters, and the registry holds
-  ``numpy`` and ``scipy``,
-* **one-thread siblings**: ``single_threaded()`` is ``self`` for numpy and
-  for a transforms-only subclass (the batched core then runs one share),
-  and a cached ``workers=1`` scipy backend for a multi-worker scipy one,
+  namespace, residency flag, transfer counters or one-thread sibling,
+* **the share rule**: a call spends ``min(workers, tiles)`` shares on any
+  backend, and a transforms-only subclass (``workers`` ``None``) one,
 * ``--precision auto`` resolves deterministically everywhere an engine is
   built (constructor, ``for_optics``, ``EngineSpec``) and never leaks the
   string ``"auto"`` into a worker-bound spec.
@@ -28,10 +26,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from reference import (
-    TRANSFORMS_ONLY,
+    BACKEND_CELLS,
     RecordingBackend,
-    available_backends,
-    transforms_only_registered,
+    assert_ran_on_shares,
+    cell_backend,
+    threads_seen,
+    transforms_only_engines,
 )
 from repro.backend import (
     FLOAT32,
@@ -39,11 +39,9 @@ from repro.backend import (
     ComputeConfig,
     FFTBackend,
     NumpyFFTBackend,
-    ScipyFFTBackend,
     autotune_precision,
     get_backend,
     is_auto_precision,
-    registered_backends,
     resolve_precision,
 )
 from repro.engine import (
@@ -53,7 +51,7 @@ from repro.engine import (
     TileResultCache,
 )
 from repro.engine import tile_cache as tile_cache_module
-from repro.engine.batched import batched_aerial_from_kernels
+from repro.engine.batched import batched_aerial_from_kernels, share_threads
 from repro.engine.streaming import open_layout_dir
 from repro.layout import load_layout_source
 from repro.optics import OpticsConfig
@@ -73,74 +71,73 @@ binary_masks = arrays(np.float64, (4, 32, 32),
                       elements=st.sampled_from([0.0, 1.0]))
 
 
-def shipped(name):
-    if name not in available_backends():
-        pytest.skip(f"{name} does not construct here")
-    return name
-
-
 # --------------------------------------------------------------------------- #
 # four transforms are a backend
 # --------------------------------------------------------------------------- #
 class TestTransformsOnlyBackend:
-    @pytest.mark.parametrize("inner", ["numpy", "scipy"])
+    @pytest.mark.parametrize("workers", [1, 3])
     @settings(max_examples=10, deadline=None)
     @given(masks=binary_masks,
            precision=st.sampled_from(["float64", "float32"]),
            tile=st.sampled_from([32, 16]))
-    def test_batched_aerial_bit_for_bit(self, inner, masks, precision, tile):
+    def test_batched_aerial_bit_for_bit(self, workers, masks, precision,
+                                        tile):
         # 32 px fits the 18 px band-limit grid of the 9x9 bank (the
         # band-limited body); 16 px does not (the direct body).  The inner
         # backend shares the tiles out over its workers; the subclass has
-        # no one-thread sibling and images them as one share.
-        backend = get_backend(shipped(inner), workers=3)
+        # no budget and images them as one share.
+        backend = get_backend(workers)
         policy = resolve_precision(precision)
         masks = policy.as_real(masks[:, :tile, :tile])
         kernels = KERNELS.astype(policy.complex_dtype)
-        reference = batched_aerial_from_kernels(
-            masks, kernels, backend=backend, precision=policy)
-        probe = RecordingBackend(inner, workers=3)
+        with threads_seen() as seen:
+            reference = batched_aerial_from_kernels(
+                masks, kernels, backend=backend, precision=policy)
+        if workers > 1:
+            assert_ran_on_shares(seen)
+        probe = RecordingBackend(workers)
         result = batched_aerial_from_kernels(
             masks, kernels, backend=probe, precision=policy)
         assert probe.calls
         assert result.dtype == reference.dtype
         np.testing.assert_array_equal(reference, result)
 
-    @pytest.mark.parametrize("inner", ["numpy", "scipy"])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @settings(max_examples=10, deadline=None)
     @given(masks=binary_masks)
-    def test_mask_spectrum_bit_for_bit(self, inner, masks):
-        reference = mask_spectrum(masks, (9, 9),
-                                  backend=get_backend(shipped(inner)))
-        probe = RecordingBackend(inner)
+    def test_mask_spectrum_bit_for_bit(self, dtype, masks):
+        # numpy transforms a float32 mask in single precision; the
+        # subclass's inherited pruned transform must keep that too.
+        masks = masks.astype(dtype)
+        reference = mask_spectrum(masks, (9, 9), backend=get_backend())
+        probe = RecordingBackend()
         spectrum = mask_spectrum(masks, (9, 9), backend=probe)
         assert probe.calls
         assert isinstance(spectrum, np.ndarray)
+        assert spectrum.dtype == reference.dtype == np.result_type(
+            masks.dtype, np.complex64)
         np.testing.assert_array_equal(reference, spectrum)
 
     @pytest.mark.parametrize("precision", ["float64", "float32", "auto"])
-    def test_a_registered_subclass_is_what_a_spec_names_and_builds(
+    def test_a_transforms_only_subclass_keeps_the_spec_identity(
             self, precision):
-        """Registered under its own name, a transforms-only subclass
-        survives ``ComputeConfig.resolve`` and ``EngineSpec`` normalisation
-        (``auto`` precision builds an engine inside it) instead of
-        collapsing to the backend it forwards to, and the engine the spec
-        builds transforms through the registered instance."""
+        """The engine a spec builds may transform through a transforms-only
+        subclass (``auto`` precision builds an engine inside the spec):
+        its bits and the spec's fingerprint are the numpy backend's."""
         masks = (RNG.random((3, 32, 32)) > 0.5).astype(float)
-        with transforms_only_registered():
-            compute = ComputeConfig(fft_backend=TRANSFORMS_ONLY,
-                                    fft_workers=2, precision=precision,
-                                    tile_cache=False)
-            assert compute.resolve().fft_backend == TRANSFORMS_ONLY
+        compute = ComputeConfig(fft_workers=2, precision=precision,
+                                tile_cache=False)
+        plain = EngineSpec(config=CONFIG, compute=compute)
+        with transforms_only_engines() as recorder:
             spec = EngineSpec(config=CONFIG, compute=compute)
-            assert spec.compute.fft_backend == TRANSFORMS_ONLY
-            assert f"|backend={TRANSFORMS_ONLY}|" in spec.fingerprint()
-            recorder = get_backend(TRANSFORMS_ONLY, 2)
+            assert spec.fingerprint() == plain.fingerprint()
             engine = spec.build()
             assert engine.backend is recorder
             recorder.calls.clear()
-            engine.aerial_batch(masks)
+            result = engine.aerial_batch(masks)
             assert recorder.calls
+        np.testing.assert_array_equal(result,
+                                      plain.build().aerial_batch(masks))
 
     def test_transforms_only_backend_drives_an_engine(self, tmp_path):
         probe = RecordingBackend()
@@ -162,7 +159,6 @@ class TestTransformsOnlyBackend:
             self, monkeypatch):
         probe = RecordingBackend()
         spec = EngineSpec(config=CONFIG, compute=NO_CACHE)
-        assert spec.compute.fft_backend == probe.name
         reader = load_layout_source(HIER4, CONFIG.pixel_size_nm)
         with ShardedExecutor() as plain:
             expected = plain.image_layout(spec, reader, guard_px=8)
@@ -185,41 +181,39 @@ class TestTransformsOnlyBackend:
 # --------------------------------------------------------------------------- #
 class TestProtocolShape:
     def test_no_backend_carries_an_array_namespace(self):
-        """Host arrays are numpy arrays: no backend — base class, either
-        shipped one or a transforms-only subclass — offers a namespace."""
-        backends = [FFTBackend] + [get_backend(name)
-                                   for name in available_backends()] \
-            + [RecordingBackend("numpy")]
+        """Host arrays are numpy arrays: no backend — base class, a backend
+        cell or a transforms-only subclass — offers a namespace or a
+        one-thread sibling."""
+        backends = [FFTBackend] + [cell_backend(cell)
+                                   for cell in BACKEND_CELLS]
         for backend in backends:
             for attribute in ("device", "is_resident", "is_device_array",
                               "asarray", "to_host", "empty_host",
-                              "transfer_stats", "abs2_sum"):
+                              "transfer_stats", "abs2_sum",
+                              "single_threaded"):
                 assert not hasattr(backend, attribute), (backend, attribute)
 
-    def test_every_registered_backend_is_an_fft_backend(self):
-        assert registered_backends() == ("numpy", "scipy")
-        for name in available_backends():
-            assert isinstance(get_backend(name), FFTBackend), name
+    def test_every_backend_cell_is_an_fft_backend(self):
+        for cell in BACKEND_CELLS:
+            assert isinstance(cell_backend(cell), FFTBackend), cell
 
 
 # --------------------------------------------------------------------------- #
-# one-thread siblings
+# the share rule
 # --------------------------------------------------------------------------- #
-class TestSingleThreaded:
-    def test_numpy_and_transforms_only_are_their_own_sibling(self):
-        numpy_backend = NumpyFFTBackend()
-        assert numpy_backend.single_threaded() is numpy_backend
-        probe = RecordingBackend("numpy")
-        assert probe.single_threaded() is probe
+class TestShareRule:
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    def test_a_budget_is_spent_on_shares_and_never_more(self, workers):
+        backend = NumpyFFTBackend(workers)
+        for count in (0, 1, 2, 4, 8):
+            assert share_threads(backend, count) == max(1, min(workers,
+                                                               count))
 
-    def test_scipy_sibling_is_one_cached_one_worker_backend(self):
-        shipped("scipy")
-        backend = ScipyFFTBackend(workers=3)
-        single = backend.single_threaded()
-        assert isinstance(single, ScipyFFTBackend) and single.workers == 1
-        assert backend.single_threaded() is single
-        assert single.single_threaded() is single
-        assert backend.workers == 3
+    def test_a_transforms_only_subclass_keeps_one_share(self):
+        probe = RecordingBackend(3)
+        assert probe.workers is None
+        assert [share_threads(probe, count) for count in (0, 1, 4)] \
+            == [1, 1, 1]
 
 
 # --------------------------------------------------------------------------- #

@@ -29,7 +29,7 @@ OPTICS = OpticsConfig(tile_size_px=32, pixel_size_nm=8.0)
 
 class TestComputeConfig:
     def test_json_round_trip(self):
-        config = ComputeConfig(fft_backend="numpy", fft_workers=2,
+        config = ComputeConfig(fft_workers=2,
                                precision="float32", tile_cache=True)
         text = json.dumps(config.as_dict())
         assert ComputeConfig.from_dict(json.loads(text)) == config
@@ -40,10 +40,15 @@ class TestComputeConfig:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="fft_backnd"):
             ComputeConfig.from_dict({"fft_backnd": "numpy"})
-        # four fields, no fifth: the scheduler name is gone with its seam
-        assert len(dataclasses.fields(ComputeConfig)) == 4
+        # three fields: the scheduler name is gone with its seam, the
+        # backend name with the second FFT library
+        assert len(dataclasses.fields(ComputeConfig)) == 3
         with pytest.raises(ValueError, match="scheduler"):
             ComputeConfig.from_dict({"scheduler": "pool"})
+        with pytest.raises(ValueError, match=r"unknown ComputeConfig "
+                           r"field\(s\) fft_backend; known fields: "
+                           r"fft_workers, precision, tile_cache"):
+            ComputeConfig.from_dict({"fft_backend": "numpy"})
 
     @pytest.mark.parametrize("value,kind", [
         ('{"precision": "float32"}', "str"), (["numpy"], "list")],
@@ -88,16 +93,17 @@ class TestComputeConfig:
             else:
                 monkeypatch.setenv(var, value)
         assert env_tile_cache_flag() is expected
-        resolved = ComputeConfig(fft_backend="numpy").resolve().tile_cache
+        resolved = ComputeConfig().resolve().tile_cache
         assert resolved is expected
         assert (resolve_tile_cache(None) is not None) is bool(expected)
 
     def test_resolve_pins_concrete_names(self):
-        resolved = ComputeConfig(fft_backend="numpy").resolve()
-        assert resolved.fft_backend == "numpy"
+        resolved = ComputeConfig().resolve()
         assert resolved.precision in ("float64", "float32")
-        with pytest.raises(ValueError, match="registered backends"):
-            ComputeConfig(fft_backend="bogus").resolve()
+        assert resolved.fft_workers is None
+        assert list(resolved.as_dict()) == ["fft_workers", "precision",
+                                            "tile_cache"]
+        assert ComputeConfig(fft_workers=3).resolve().fft_workers == 3
 
 
 class TestLegacyShim:
@@ -113,7 +119,7 @@ class TestLegacyShim:
         spelling."""
         bank = np.zeros((1, 9, 9), dtype=complex)
         bank[0, 4, 4] = 1.0
-        with pytest.raises(TypeError, match=rf"ComputeConfig\({keyword}=|"
+        with pytest.raises(TypeError, match=rf"{keyword}= takes a|"
                            rf"unexpected keyword argument '{keyword}'"):
             ExecutionEngine(bank, **{keyword: name})
 
@@ -177,20 +183,23 @@ class TestLegacyShim:
         assert parameters(ShardedExecutor.image_layout) == [
             "spec", "layout", "tiling", "tile_px", "guard_px", "out_dir"]
         assert not hasattr(ShardedExecutor, "resist_batch")
-        # Names: the service's "compute" object in, the resolved record out.
+        # Names: the service's "compute" object in, the resolved record out;
+        # no backend name, since numpy is the one FFT library.
+        assert [field.name for field in dataclasses.fields(ComputeConfig)] \
+            == ["fft_workers", "precision", "tile_cache"]
         assert {name for name, member in vars(ComputeConfig).items()
                 if not name.startswith("_")
                 and callable(getattr(ComputeConfig, name))} == {
             "from_dict", "as_dict", "resolve"}
-        # The command line spells the policy with its four flags only.
+        # The command line spells the policy with its three flags only.
         verbs = next(action for action in build_parser()._actions
                      if action.dest == "command").choices
         for verb in ("image-layout", "sweep-window"):
             flags = {flag for action in verbs[verb]._actions
                      for flag in action.option_strings}
-            assert {"--fft-backend", "--fft-workers", "--precision",
-                    "--tile-cache"} <= flags
+            assert {"--fft-workers", "--precision", "--tile-cache"} <= flags
             assert "--compute-config" not in flags
+            assert "--fft-backend" not in flags
         # precision / compute reach the constructor through **kwargs, which
         # resolves "auto" against the bank: the cache holds no such rule.
         assert parameters(ExecutionEngine.for_optics) == [
@@ -214,19 +223,17 @@ class TestLegacyShim:
 
     def test_engine_spec_carries_one_resolved_compute(self):
         spec = EngineSpec(
-            config=OPTICS, compute=ComputeConfig(fft_backend="numpy",
-                                                 fft_workers=2,
+            config=OPTICS, compute=ComputeConfig(fft_workers=2,
                                                  precision="single",
                                                  tile_cache=True))
-        # concrete names, given workers and tile-cache switch
-        assert spec.compute == ComputeConfig(fft_backend="numpy",
-                                             fft_workers=2,
+        # a concrete name, given workers and tile-cache switch
+        assert spec.compute == ComputeConfig(fft_workers=2,
                                              precision="float32",
                                              tile_cache=True)
         assert EngineSpec(config=OPTICS, compute=spec.compute) == spec
         default = EngineSpec(config=OPTICS).compute
-        assert default.fft_backend == get_backend().name
-        assert default.precision == "float64"
+        assert default == ComputeConfig(precision="float64")
+        assert spec.build().backend is get_backend(2)
 
     @pytest.mark.parametrize("loose", [{"fft_backend": "numpy"},
                                        {"fft_workers": 2},
@@ -247,14 +254,16 @@ class TestLegacyShim:
 
 
 class TestCliCompute:
-    def test_the_four_flags_are_the_policy(self):
+    def test_the_three_flags_are_the_policy(self):
         def compute(*flags):
             return _compute_from_args(build_parser().parse_args(
                 ["image-layout", "--output", "x.npz", *flags]))
 
         assert compute() == ComputeConfig()
-        assert compute("--fft-backend", "numpy", "--fft-workers", "2",
-                       "--precision", "float32", "--tile-cache") == \
-            ComputeConfig(fft_backend="numpy", fft_workers=2,
-                          precision="float32", tile_cache=True)
+        assert compute("--fft-workers", "2", "--precision", "float32",
+                       "--tile-cache") == \
+            ComputeConfig(fft_workers=2, precision="float32",
+                          tile_cache=True)
         assert compute("--no-tile-cache").tile_cache is False
+        with pytest.raises(SystemExit):
+            compute("--fft-backend", "numpy")

@@ -53,7 +53,7 @@ class TestNithoModelStructure:
         model = NithoModel(tiny_optics, config)
         assert model.loss_grid == grid
         engine = model.execution_engine()
-        recorder = RecordingBackend(engine.backend.name)
+        recorder = RecordingBackend()
         engine.backend = recorder
         engine.aerial(tiny_masks[0])
         assert [shape[-2:] for shape in recorder.shapes("ifft2")] == [grid]

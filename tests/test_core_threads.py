@@ -4,14 +4,14 @@ Pinned guarantees:
 
 * ``rfft2_columns`` / ``irfft2_zero_extended`` equal the backend's own
   ``rfft2(...)[..., :cols]`` / zero-extended ``irfft2`` **bit for bit** on
-  every backend — the overriding ones (numpy, scipy), the inheriting ones
-  (transforms-only subclasses, registered or not) and whatever the
-  environment selects
-  (CI runs this file per ``REPRO_FFT_BACKEND`` x ``REPRO_FFT_WORKERS``),
+  every backend — the overriding one (numpy, on one share or on a budget
+  of two), the inheriting one (a transforms-only subclass) and whatever
+  the environment's budget builds (CI runs this file per
+  ``REPRO_FFT_WORKERS``),
 * a call of ``B > 1`` tiles spends ``min(backend.workers, B)`` threads on
   shares of the batch and never more — a one-block batch included; an
   executor call spends the spec's budget the same way whatever its
-  ``num_workers``, and moves no persisted identity,
+  ``num_workers``, and no budget moves the spec's fingerprint,
 * a share that raises propagates only once every share has settled, leaves
   no thread behind, and the next call works — also in a forked child,
 * a call of a single tile starts no thread at all.
@@ -28,34 +28,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import TRANSFORMS_ONLY, RecordingBackend, available_backends
-from repro.backend import ComputeConfig, get_backend, resolve_precision
-from repro.backend.fft import _REGISTRY, ScipyFFTBackend, register_backend
+from reference import (
+    BACKEND_CELLS,
+    SHARES,
+    TRANSFORMS_ONLY,
+    RecordingBackend,
+    cell_backend,
+)
+from repro.backend import (
+    ComputeConfig,
+    NumpyFFTBackend,
+    get_backend,
+    resolve_precision,
+)
 from repro.engine import EngineSpec, ShardedExecutor, batched
-from repro.engine.batched import batched_aerial_from_kernels
+from repro.engine.batched import FORWARD_REVISION, batched_aerial_from_kernels
 from repro.optics import OpticsConfig
-
-pytest.importorskip("scipy.fft")
-
-pytestmark = pytest.mark.usefixtures("transforms_only_backend")
 
 
 # --------------------------------------------------------------------------- #
 # the two optional transforms
 # --------------------------------------------------------------------------- #
 def _backend(name):
-    if name == "env":       # REPRO_FFT_BACKEND / REPRO_FFT_WORKERS as set
-        return get_backend()
-    if name == "recording":
-        return RecordingBackend("numpy")
-    if name not in available_backends():
-        pytest.skip(f"{name} does not construct here")
-    return get_backend(name)
+    if name == "env":       # REPRO_FFT_WORKERS as set
+        return NumpyFFTBackend()
+    return cell_backend(name)
 
 
-@pytest.mark.parametrize("name",
-                         ["numpy", "scipy", TRANSFORMS_ONLY, "recording",
-                          "env"])
+@pytest.mark.parametrize("name", BACKEND_CELLS + ("env",))
 @settings(max_examples=60, deadline=None)
 @given(height=st.sampled_from([1, 2, 3, 5, 8, 13, 16, 25, 31, 60, 64, 97]),
        width=st.sampled_from([1, 2, 3, 5, 8, 13, 16, 25, 31, 60, 64, 97]),
@@ -90,7 +90,7 @@ def test_pruned_transforms_equal_the_full_ones_bit_for_bit(
     assert given_real.tobytes() == real.tobytes()
     assert given_narrow.tobytes() == narrow.tobytes()
 
-    if name == "recording":
+    if name == TRANSFORMS_ONLY:
         # The base-class defaults are a complete backend: the four 2-D
         # transforms, on the full shapes, and nothing else.
         assert [call for call, _ in backend.calls] \
@@ -98,8 +98,8 @@ def test_pruned_transforms_equal_the_full_ones_bit_for_bit(
         assert {shape for _, shape in backend.calls} == {(2, height, width)}
 
 
-def test_scipy_rejects_an_unknown_norm_like_its_own_transforms():
-    backend = get_backend("scipy")
+def test_numpy_rejects_an_unknown_norm_like_its_own_transforms():
+    backend = get_backend()
     with pytest.raises(ValueError, match="norm"):
         backend.rfft2_columns(np.zeros((4, 4)), 2, norm="bogus")
     with pytest.raises(ValueError, match="norm"):
@@ -108,26 +108,25 @@ def test_scipy_rejects_an_unknown_norm_like_its_own_transforms():
 
 
 # --------------------------------------------------------------------------- #
-# a scipy backend that watches who calls it
+# a numpy backend that watches who calls it
 # --------------------------------------------------------------------------- #
 class Ledger:
-    """Shared by a :class:`Watched` backend and its one-thread sibling."""
+    """Who entered a watched ``ifft2``, how often and how many at once."""
 
     def __init__(self, fail_at=None, dwell_s=0.0):
         self.lock = threading.Lock()
         self.fail_at, self.dwell_s = fail_at, dwell_s
         self.calls = self.active = self.peak = 0
-        self.threads, self.worker_counts = set(), set()
+        self.threads = set()
 
     @contextlib.contextmanager
-    def entered(self, workers):
+    def entered(self):
         with self.lock:
             self.calls += 1
             call = self.calls
             self.active += 1
             self.peak = max(self.peak, self.active)
             self.threads.add(threading.get_ident())
-            self.worker_counts.add(workers)
         try:
             time.sleep(self.dwell_s)   # widen the overlap a race would need
             if call == self.fail_at:
@@ -138,8 +137,8 @@ class Ledger:
                 self.active -= 1
 
 
-class Watched(ScipyFFTBackend):
-    """scipy numerics; every ``ifft2`` (one per block) enters the ledger."""
+class Watched(NumpyFFTBackend):
+    """numpy numerics; every ``ifft2`` (one per block) enters the ledger."""
 
     name = "watched"
 
@@ -147,15 +146,8 @@ class Watched(ScipyFFTBackend):
         super().__init__(workers)
         self.ledger = ledger if ledger is not None else Ledger()
 
-    def single_threaded(self):
-        if self.workers == 1:
-            return self
-        if self._single is None:
-            self._single = Watched(1, self.ledger)
-        return self._single
-
     def ifft2(self, array, norm=None):
-        with self.ledger.entered(self.workers):
+        with self.ledger.entered():
             return super().ifft2(array, norm=norm)
 
 
@@ -167,7 +159,7 @@ def one_tile_blocks(monkeypatch):
     masks = (rng.random((8, 32, 32)) > 0.5).astype(float)
     monkeypatch.setattr(batched, "BLOCK_BYTES", 32 * 32 * 16)
     expected = batched_aerial_from_kernels(masks, kernels,
-                                           backend=get_backend("scipy", 1))
+                                           backend=get_backend(1))
     return masks, kernels, expected
 
 
@@ -181,11 +173,10 @@ def test_a_call_occupies_exactly_its_worker_budget(one_tile_blocks, workers):
     assert ledger.calls == 8 and ledger.active == 0
     assert ledger.peak <= workers
     # Contiguous shares (8 tiles over 5 workers are 4 shares of 2), the
-    # first on the calling thread, each through the one-thread sibling.
+    # first on the calling thread.
     shares = -(-8 // -(-8 // workers))
     assert min(2, shares) <= len(ledger.threads) <= shares
     assert threading.get_ident() in ledger.threads
-    assert ledger.worker_counts == {1}
 
 
 @pytest.mark.parametrize("fail_at", [1, 2, 5, 8])
@@ -219,7 +210,7 @@ def test_concurrent_callers_share_the_helper_threads(one_tile_blocks):
         try:
             for _ in range(5):
                 results[index] = batched_aerial_from_kernels(
-                    masks, kernels, backend=get_backend("scipy", 3))
+                    masks, kernels, backend=get_backend(3))
         except Exception as exc:  # noqa: BLE001 - reported below
             errors.append(exc)
 
@@ -243,7 +234,7 @@ def test_concurrent_callers_share_the_helper_threads(one_tile_blocks):
 
 def _image_in_child(conn, masks, kernels):
     result = batched_aerial_from_kernels(masks, kernels,
-                                         backend=get_backend("scipy", 2))
+                                         backend=get_backend(2))
     conn.send(result.tobytes())
     conn.close()
 
@@ -253,7 +244,7 @@ def _image_in_child(conn, masks, kernels):
 @pytest.mark.filterwarnings("ignore:.*fork.*:DeprecationWarning")
 def test_a_forked_child_starts_its_own_helper_threads(one_tile_blocks):
     masks, kernels, expected = one_tile_blocks
-    batched_aerial_from_kernels(masks, kernels, backend=get_backend("scipy", 2))
+    batched_aerial_from_kernels(masks, kernels, backend=get_backend(2))
     context = multiprocessing.get_context("fork")
     receiver, sender = context.Pipe(duplex=False)
     child = context.Process(target=_image_in_child,
@@ -277,8 +268,7 @@ def test_a_forked_child_starts_its_own_helper_threads(one_tile_blocks):
 @pytest.mark.parametrize("tiles", [2, 3, 4])
 def test_a_one_block_batch_spends_its_budget_on_tiles(tiles):
     """Up to four 256-px production-bank tiles are one block; on a budget
-    of two they still run as two one-thread shares, not as one call with
-    two-thread transforms."""
+    of two they still run as two shares."""
     rng = np.random.default_rng(tiles)
     kernels = rng.normal(size=(24, 29, 29)) * (1 + 0.5j)
     masks = (rng.random((tiles, 256, 256)) > 0.6).astype(float)
@@ -288,39 +278,44 @@ def test_a_one_block_batch_spends_its_budget_on_tiles(tiles):
     result = batched_aerial_from_kernels(masks, kernels, backend=backend)
     assert len(backend.ledger.threads) == 2
     assert threading.get_ident() in backend.ledger.threads
-    assert backend.ledger.worker_counts == {1}
     expected = batched_aerial_from_kernels(masks, kernels,
-                                           backend=get_backend("scipy", 1))
+                                           backend=get_backend(1))
     assert result.tobytes() == expected.tobytes()
 
 
-def test_an_executor_call_spends_the_spec_budget_and_moves_no_identity():
+def test_an_executor_call_spends_the_spec_budget_and_moves_no_identity(
+        monkeypatch):
     ledger = Ledger(dwell_s=0.002)
-    register_backend("watched", lambda workers: Watched(workers, ledger))
-    try:
-        config = OpticsConfig(tile_size_px=64, pixel_size_nm=4.0,
-                              max_socs_order=None)
-        spec = EngineSpec(config=config, compute=ComputeConfig(
-            fft_backend="watched", fft_workers=2, precision="float64"))
-        fingerprint = spec.fingerprint()
-        assert fingerprint.endswith("|backend=watched|workers=2|prec=float64")
-        masks = (np.random.default_rng(4).random((12, 64, 64)) > 0.6
-                 ).astype(float)
-        outputs = []
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(batched, "BLOCK_BYTES", 2 ** 16)  # several per share
-            for num_workers in (1, 2):  # accepted and ignored
-                ledger.peak, ledger.threads = 0, set()
-                ledger.worker_counts = set()
-                with ShardedExecutor(num_workers=num_workers) as executor:
-                    outputs.append(executor.aerial_batch(spec, masks))
-                # Two shares x one thread each, never more.
-                assert ledger.peak <= 2 and len(ledger.threads) == 2
-                assert ledger.worker_counts == {1}
-        assert outputs[0].tobytes() == outputs[1].tobytes()
-        assert spec.fingerprint() == fingerprint
-    finally:
-        _REGISTRY.pop("watched", None)
+    ifft2 = NumpyFFTBackend.ifft2
+
+    def watched(self, array, norm=None):
+        with ledger.entered():
+            return ifft2(self, array, norm=norm)
+
+    monkeypatch.setattr(NumpyFFTBackend, "ifft2", watched)
+    config = OpticsConfig(tile_size_px=64, pixel_size_nm=4.0,
+                          max_socs_order=None)
+    specs = {workers: EngineSpec(config=config, compute=ComputeConfig(
+        fft_workers=workers, precision="float64")) for workers in (1, 2, 3)}
+    spec = specs[2]
+    fingerprint = spec.fingerprint()
+    assert fingerprint.endswith(f"|{FORWARD_REVISION}|prec=float64")
+    assert {other.fingerprint() for other in specs.values()} == {fingerprint}
+    masks = (np.random.default_rng(4).random((12, 64, 64)) > 0.6
+             ).astype(float)
+    outputs = []
+    monkeypatch.setattr(batched, "BLOCK_BYTES", 2 ** 16)  # several per share
+    for num_workers in (1, 2):  # accepted and ignored
+        ledger.peak, ledger.threads = 0, set()
+        with ShardedExecutor(num_workers=num_workers) as executor:
+            outputs.append(executor.aerial_batch(spec, masks))
+            # One engine per budget: no budget is served another's.
+            assert executor.warm(specs[1]).backend.workers == 1
+            assert executor.warm(spec).backend.workers == 2
+        # Two shares, never more.
+        assert ledger.peak <= 2 and len(ledger.threads) == 2
+    assert outputs[0].tobytes() == outputs[1].tobytes()
+    assert spec.fingerprint() == fingerprint
 
 
 # --------------------------------------------------------------------------- #
@@ -328,8 +323,7 @@ def test_an_executor_call_spends_the_spec_budget_and_moves_no_identity():
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("returned", [True, False])
-@pytest.mark.parametrize("name", ["numpy", "scipy", TRANSFORMS_ONLY,
-                                  "recording"])
+@pytest.mark.parametrize("name", BACKEND_CELLS)
 def test_zero_tiles_image_to_nothing(name, returned, workers, monkeypatch):
     """``image_tiles(0, ...)`` returns an empty ``(0, H, W)`` stack — or,
     given a ``write``, writes nothing — on every backend, and starts no
@@ -338,8 +332,8 @@ def test_zero_tiles_image_to_nothing(name, returned, workers, monkeypatch):
         raise AssertionError("a zero-tile call imaged or wrote something")
 
     monkeypatch.setattr(batched, "_helper_threads", refuse)
-    backend = RecordingBackend("numpy", workers) if name == "recording" \
-        else get_backend(name, workers)
+    backend = RecordingBackend(workers) if name == TRANSFORMS_ONLY \
+        else get_backend(workers + (name == SHARES))
     rng = np.random.default_rng(6)
     kernels = rng.normal(size=(3, 9, 9)) + 1j * rng.normal(size=(3, 9, 9))
     for precision in map(resolve_precision, ("float64", "float32")):
@@ -371,8 +365,6 @@ def test_a_single_tile_starts_no_thread(monkeypatch):
     for shape in ((1, 256, 256), (1, 64, 64)):
         masks = (rng.random(shape) > 0.6).astype(float)
         batched_aerial_from_kernels(masks, kernels, backend=backend)
-    # ... and keeps the transforms' own threads.
-    assert backend.ledger.worker_counts == {4}
     assert backend.ledger.threads == {threading.get_ident()}
 
 
@@ -391,7 +383,7 @@ def test_thread_hand_off_does_not_tax_a_small_batch():
             times.append(time.perf_counter() - begin)
         return min(times)
 
-    one, two = get_backend("scipy", 1), get_backend("scipy", 2)
+    one, two = get_backend(1), get_backend(2)
     for tiles in (2, 4, 8):
         masks = (rng.random((tiles, 64, 64)) > 0.6).astype(float)
         best(two, masks)   # starts the helper thread, warms pocketfft's plans

@@ -6,8 +6,8 @@ Pinned guarantees:
   plain-numpy textbook oracle (``tests/reference.py::reference_aerial``)
   across dtypes, odd tile sizes, truncated kernel orders, block boundaries,
   both per-block bodies (band-limited grid / direct full size) and every
-  relation of that grid to ``2n`` (larger, equal, odd and smaller), on every
-  backend; block size — the one cut of a batch — never changes a tile's bits,
+  relation of that grid to ``2n`` (larger, equal, odd and smaller), in every
+  backend cell; block size — the one cut of a batch — never changes a tile's bits,
 * split -> image -> stitch round-trips arbitrary layouts, is exactly the
   per-tile path when no guard band is needed, and has vanishing seam error
   in the guarded interior,
@@ -27,11 +27,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import (
+    BACKEND_CELLS,
+    SHARES,
     TRANSFORMS_ONLY,
     RecordingBackend,
-    available_backends,
+    assert_ran_on_shares,
     band_limited_blocks,
+    cell_backend,
     reference_aerial,
+    threads_seen,
 )
 from repro.backend import get_backend, resolve_precision
 from repro.engine import (
@@ -60,9 +64,6 @@ from repro.utils.imaging import fourier_resize, fourier_resize_batch
 # size, so the band-limited chunk runs (a 14 px grid); the tiny fixtures (48 px
 # at 20 nm, a 27x27 window, a 54 px grid) take the direct full-size chunk.
 FINE = OpticsConfig(tile_size_px=64, pixel_size_nm=4.0, max_socs_order=None)
-
-pytestmark = pytest.mark.usefixtures("transforms_only_backend")
-
 
 @pytest.fixture(scope="module")
 def fine_engine():
@@ -141,9 +142,9 @@ class TestBatchedEquivalence:
                                             for rows in blocks]
         assert recorder.shapes("irfft2") == [(rows, 64, 64) for rows in blocks]
         reference = _oracle(random_masks, fine_engine.kernels)
-        for name in available_backends():
+        for cell in BACKEND_CELLS:
             fast = batched_aerial_from_kernels(random_masks, fine_engine.kernels,
-                                               backend=name)
+                                               backend=cell_backend(cell))
             np.testing.assert_allclose(fast, reference, rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("window, grid, tile", [
@@ -161,14 +162,16 @@ class TestBatchedEquivalence:
             + 1j * rng.normal(size=(3,) + window)
         masks = (rng.random((5,) + tile) > 0.6).astype(float)
         reference = reference_aerial(masks, kernels)
-        for name in available_backends():
-            recorder = RecordingBackend(name)
-            fast = batched_aerial_from_kernels(masks, kernels, backend=recorder)
-            assert {shape[-2:] for shape in recorder.shapes("ifft2")} == {grid}
+        recorder = RecordingBackend()
+        batched_aerial_from_kernels(masks, kernels, backend=recorder)
+        assert {shape[-2:] for shape in recorder.shapes("ifft2")} == {grid}
+        for cell in BACKEND_CELLS:
+            fast = batched_aerial_from_kernels(masks, kernels,
+                                               backend=cell_backend(cell))
             np.testing.assert_allclose(fast, reference, rtol=0,
                                        atol=1e-12 * reference.max())
 
-    @pytest.mark.parametrize("name", ["numpy", "scipy", TRANSFORMS_ONLY])
+    @pytest.mark.parametrize("name", BACKEND_CELLS)
     @settings(max_examples=15, deadline=None)
     @given(tiles=st.sampled_from([1, 2, 3, 5, 100]), batch=st.integers(1, 7),
            band_limited=st.booleans(), seed=st.integers(0, 2 ** 16),
@@ -179,19 +182,18 @@ class TestBatchedEquivalence:
         tiles, either per-block body, imaged on one thread or shared out over
         several — never changes a tile's bits, and a block's leftovers in the
         reused scratch never reach the next one: the all-zero tile still
-        images to exactly zero."""
-        if name not in available_backends():
-            pytest.skip(f"{name} does not construct here")
+        images to exactly zero.  The ``numpy-shares`` cell shares out on a
+        budget one above the drawn one."""
         rng = np.random.default_rng(seed)
         kernels = rng.normal(size=(3, 9, 9)) + 1j * rng.normal(size=(3, 9, 9))
         tile = 32 if band_limited else 16      # the grid is 18 x 18
         masks = (rng.random((batch, tile, tile)) > 0.5).astype(float)
         masks[batch // 2] = 0.0
-        whole = batched_aerial_from_kernels(
-            masks, kernels, backend=get_backend(name, workers=1))
+        whole = batched_aerial_from_kernels(masks, kernels,
+                                            backend=get_backend(1))
         # One tile's larger intermediate: (H, W) spectrum / (r, H, W) fields.
         per_tile = (32 * 32 if band_limited else 3 * 16 * 16) * 16
-        recorder = RecordingBackend(name)
+        recorder = RecordingBackend()
         shared = np.full_like(whole, np.nan)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(batched, "BLOCK_BYTES", tiles * per_tile)
@@ -199,16 +201,24 @@ class TestBatchedEquivalence:
             if band_limited:
                 assert band_limited_blocks(batch, kernels.shape, (32, 32)) \
                     == [shape[0] for shape in recorder.shapes("irfft2")]
-            # The same blocks shared out over the worker budget (scipy; the
-            # others have no one-thread sibling and stay on this thread),
-            # written into a NaN-filled result: every row is written.
+            # The same blocks shared out over the worker budget (numpy; a
+            # transforms-only backend has no budget and stays on this
+            # thread), written into a NaN-filled result: every row is
+            # written.
 
             def write(start, images):
                 shared[start:start + len(images)] = images
 
-            batched.image_tiles(batch, masks, write, kernels,
-                                get_backend(name, workers=workers),
-                                resolve_precision(None), (tile, tile))
+            with threads_seen() as seen:
+                batched.image_tiles(batch, masks, write, kernels,
+                                    RecordingBackend(workers)
+                                    if name == TRANSFORMS_ONLY
+                                    else get_backend(workers
+                                                     + (name == SHARES)),
+                                    resolve_precision(None), (tile, tile))
+        if name != TRANSFORMS_ONLY \
+                and min(workers + (name == SHARES), batch) > 1:
+            assert_ran_on_shares(seen)
         assert max(shape[0] for shape in recorder.shapes("ifft2")) \
             == min(tiles, batch)
         np.testing.assert_array_equal(cut, whole)
@@ -259,8 +269,9 @@ class TestBatchedEquivalence:
         assert recorder.shapes("ifft2") == [(len(masks), order, tile, tile)]
         assert recorder.shapes("irfft2") == []
         reference = _oracle(masks, kernels)
-        for name in available_backends():
-            direct = batched_aerial_from_kernels(masks, kernels, backend=name)
+        for cell in BACKEND_CELLS:
+            direct = batched_aerial_from_kernels(masks, kernels,
+                                                 backend=cell_backend(cell))
             np.testing.assert_allclose(direct, reference, rtol=1e-10, atol=1e-12)
 
     def test_clear_field_is_the_dc_sample_energy(self, fine_engine, tiny_simulator):
@@ -286,7 +297,7 @@ class TestBatchedEquivalence:
         itemsize = 16  # complex128
         tiny_budget = r * tile * tile * itemsize  # one tile's (r, H, W) fields
         monkeypatch.setattr(batched, "BLOCK_BYTES", tiny_budget)
-        recorder = RecordingBackend(engine.backend.name)
+        recorder = RecordingBackend()
         monkeypatch.setattr(engine, "backend", recorder)
         np.testing.assert_array_equal(engine.aerial_batch(masks), whole)
         assert recorder.shapes("ifft2") == [(1, r, tile, tile)] * len(masks)

@@ -29,7 +29,12 @@ import threading
 import numpy as np
 import pytest
 
-from reference import reference_image_layout, stream_batches
+from reference import (
+    assert_ran_on_shares,
+    reference_image_layout,
+    stream_batches,
+    threads_seen,
+)
 from repro.backend import ComputeConfig
 from repro.engine import (
     EngineSpec,
@@ -93,26 +98,22 @@ def _threads(spec, workers):
 
 
 class TestShardedExecutor:
-    @pytest.mark.parametrize("backend_name,precision", [
-        ("numpy", "float64"),
-        ("numpy", "float32"),
-        ("scipy", "float64"),
-        ("scipy", "float32"),
-    ])
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
     def test_sharded_equals_serial_under_every_compute_policy(
-            self, masks, tmp_path, backend_name, precision):
-        """The EngineSpec round-trip carries backend + precision: a
-        two-thread call is bit-for-bit the one-thread call under every
-        combination."""
-        if backend_name == "scipy":
-            pytest.importorskip("scipy.fft")
+            self, masks, tmp_path, workers, precision):
+        """The EngineSpec round-trip carries budget + precision: a call
+        on two or three shares is bit-for-bit the one-thread call under
+        every combination."""
         policy_spec = EngineSpec(
             config=CONFIG, source=SOURCE,
-            compute=ComputeConfig(fft_backend=backend_name,
-                                  precision=precision))
+            compute=ComputeConfig(precision=precision))
         with ShardedExecutor(cache_dir=str(tmp_path)) as executor:
             reference = executor.aerial_batch(_threads(policy_spec, 1), masks)
-            result = executor.aerial_batch(_threads(policy_spec, 2), masks)
+            with threads_seen() as seen:
+                result = executor.aerial_batch(
+                    _threads(policy_spec, workers), masks)
+        assert_ran_on_shares(seen)
         np.testing.assert_array_equal(result, reference)
         expected_dtype = np.float32 if precision == "float32" else np.float64
         assert result.dtype == expected_dtype
@@ -175,15 +176,13 @@ class TestShardedExecutor:
         assert engines[False].tile_cache is None
 
     def test_single_tile_batch_stays_serial(self, masks, monkeypatch):
-        pytest.importorskip("scipy.fft")
-
         def refuse():
             raise AssertionError("a one-tile batch asked for helper threads")
 
         monkeypatch.setattr(batched, "_helper_threads", refuse)
         executor = ShardedExecutor()
-        threaded = EngineSpec(config=CONFIG, source=SOURCE, compute=ComputeConfig(
-            fft_backend="scipy", fft_workers=4))
+        threaded = EngineSpec(config=CONFIG, source=SOURCE,
+                              compute=ComputeConfig(fft_workers=4))
         result = executor.aerial_batch(threaded, masks[:1])
         assert result.shape == (1, 32, 32)
 

@@ -96,6 +96,34 @@ assert main(["image-layout", "--width", "64", "--height", "32",
     assert paper_packages(modules) == {"masks"}
 
 
+def test_imaging_through_the_api_never_imports_scipy():
+    """numpy is the one FFT library: a fresh interpreter that images a
+    layout through ``repro.api.image_layout`` — a raster and a ``.gds``,
+    on one thread and on shares — never loads scipy, whose import used to
+    cost every process start ~0.4 s."""
+    script = f"""
+import sys
+import numpy as np
+from repro import api
+from repro.backend import ComputeConfig
+from repro.optics import OpticsConfig
+optics = OpticsConfig(tile_size_px=32, pixel_size_nm=8.0)
+raster = (np.random.default_rng(0).random((70, 90)) > 0.7) * 1.0
+for layout in (raster, {AREF_GRID!r}):
+    for workers in (1, 2):
+        image = api.image_layout(layout, optics, guard_px=8,
+                                 compute=ComputeConfig(fft_workers=workers))
+        assert image.aerial.any()
+print("SCIPY", sorted(name for name in sys.modules
+                      if name == "scipy" or name.startswith("scipy.")))
+"""
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "SCIPY []"
+
+
 def production_files():
     for entry in PRODUCTION:
         path = os.path.join(PACKAGE, entry)

@@ -2,7 +2,7 @@
 
 The headline invariant: a :class:`HierarchicalLayoutReader` over a cell
 graph is **bit-for-bit** equal to the dense flatten of that graph — every
-window, every backend (numpy / scipy), every precision (float64 / float32),
+window, one share and shares, every precision (float64 / float32),
 serial and sharded, in-memory and streaming — and shares the flat reader's
 canonical digest (campaign identity), while never materialising the flat
 raster or expanding instance arrays eagerly.  Plus the PR's synergy
@@ -22,7 +22,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import reference_image_layout, stream_batches
+from reference import (
+    assert_ran_on_shares,
+    reference_image_layout,
+    stream_batches,
+    threads_seen,
+)
 from repro.backend import ComputeConfig
 from repro.engine import (
     EngineSpec,
@@ -470,22 +475,23 @@ class TestSharedReaderThreads:
 class TestEngineWiring:
     """Imaging the hierarchy == imaging its dense flatten, bit for bit."""
 
-    @pytest.mark.parametrize("backend_name,precision", [
-        ("numpy", "float64"), ("numpy", "float32"),
-        ("scipy", "float64"), ("scipy", "float32"),
+    @pytest.mark.parametrize("workers,precision", [
+        (1, "float64"), (1, "float32"), (2, "float64"), (2, "float32"),
     ])
     def test_engine_image_layout_bitwise(self, hier_reader, hier_dense,
-                                         backend_name, precision):
-        if backend_name == "scipy":
-            pytest.importorskip("scipy.fft")
+                                         workers, precision):
+        """On one share, and on a budget of two spent on shares."""
         engine = ExecutionEngine.for_optics(CONFIG, compute=ComputeConfig(
-            fft_backend=backend_name, precision=precision))
+            fft_workers=workers, precision=precision))
         ref = reference_image_layout(engine, hier_dense, tile_px=32,
                                      guard_px=8)
         for batch_tiles in (None, 1, 2):
-            with stream_batches(engine, batch_tiles):
+            with stream_batches(engine, batch_tiles), \
+                    threads_seen() as seen:
                 imaged = engine.image_layout(hier_reader, tile_px=32,
                                              guard_px=8)
+            if workers > 1 and batch_tiles != 1:
+                assert_ran_on_shares(seen)
             assert imaged.num_tiles == ref.num_tiles
             np.testing.assert_array_equal(np.asarray(imaged.aerial),
                                           ref.aerial)

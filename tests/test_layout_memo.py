@@ -59,8 +59,8 @@ from repro.optics import OpticsConfig
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIG = OpticsConfig(tile_size_px=32, pixel_size_nm=8.0, max_socs_order=8)
-CACHED = ComputeConfig(fft_backend="numpy", tile_cache=True)
-UNCACHED = ComputeConfig(fft_backend="numpy", tile_cache=False)
+CACHED = ComputeConfig(tile_cache=True)
+UNCACHED = ComputeConfig(tile_cache=False)
 GUARD = 8
 
 
@@ -169,7 +169,7 @@ class TestReaderMemo:
             "from repro.optics import OpticsConfig\n"
             "image = api.image_layout(sys.argv[1], OpticsConfig("
             "tile_size_px=32, pixel_size_nm=8.0, max_socs_order=8), "
-            "compute=ComputeConfig(fft_backend='numpy', tile_cache=True), "
+            "compute=ComputeConfig(tile_cache=True), "
             f"guard_px={GUARD})\n"
             "np.savez(sys.argv[2], aerial=image.aerial, resist=image.resist)\n")
         out = str(tmp_path / "fresh.npz")
@@ -204,18 +204,13 @@ class TestWindowDigests:
             assert_same_image(repeat, first)
         assert_same_image(first, image(path, UNCACHED))
 
-    @pytest.mark.parametrize("backend,workers", [
-        ("numpy", 2), ("scipy", 1), ("scipy", 2)])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_misses_are_read_once_in_the_imaging_shares(
-            self, tmp_path, monkeypatch, fresh_memos, backend, workers):
+            self, tmp_path, monkeypatch, fresh_memos, workers):
         """A kept reader whose tiles left the cache reads each of its
         first-occurrence misses exactly once, inside the imaging shares —
-        on ``min(fft_workers, misses)`` threads when the backend shares
-        tiles out, on the caller alone otherwise — and no hit window."""
-        if backend == "scipy":
-            pytest.importorskip("scipy.fft")
-        compute = ComputeConfig(fft_backend=backend, fft_workers=workers,
-                                tile_cache=True)
+        one share per ``fft_workers`` thread — and no hit window."""
+        compute = ComputeConfig(fft_workers=workers, tile_cache=True)
         path = str(tmp_path / "chip.gds")
         with open(path, "wb") as handle:
             handle.write(chip_bytes(24))
@@ -241,8 +236,11 @@ class TestWindowDigests:
         assert sorted(window for window, _ in reads) == \
             sorted(misses.values())
         threads = {thread for _, thread in reads}
-        assert len(threads) == (min(workers, len(misses))
-                                if backend == "scipy" else 1)
+        # Contiguous shares (4 misses on 3 workers are 2 shares of 2), the
+        # first on the calling thread; a helper may run two of them.
+        shares = -(-len(misses) // -(-len(misses) // workers))
+        assert threading.current_thread().name in threads
+        assert min(2, shares) <= len(threads) <= shares
         assert_same_image(cold, first)
 
     def test_memo_is_bounded_per_reader(self, tmp_path, window_reads,

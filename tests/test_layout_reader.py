@@ -21,8 +21,10 @@ from hypothesis import strategies as st
 
 from reference import (
     RecordingTileCache,
+    assert_ran_on_shares,
     reference_image_layout,
     stream_batches,
+    threads_seen,
 )
 from repro.backend import ComputeConfig
 from repro.engine import (
@@ -425,22 +427,23 @@ class TestEngineWiring:
                 dense_tiles)
             del cache.batches[:]
 
-    @pytest.mark.parametrize("backend_name,precision", [
-        ("numpy", "float64"), ("numpy", "float32"),
-        ("scipy", "float64"), ("scipy", "float32"),
+    @pytest.mark.parametrize("workers,precision", [
+        (1, "float64"), (1, "float32"), (2, "float64"), (2, "float32"),
     ])
     def test_engine_image_layout_bitwise(self, geometry_reader, dense,
-                                         backend_name, precision):
-        if backend_name == "scipy":
-            pytest.importorskip("scipy.fft")
+                                         workers, precision):
+        """On one share, and on a budget of two spent on shares."""
         config = OpticsConfig(tile_size_px=32, pixel_size_nm=8.0)
         engine = ExecutionEngine.for_optics(config, compute=ComputeConfig(
-            fft_backend=backend_name, precision=precision))
+            fft_workers=workers, precision=precision))
         ref = reference_image_layout(engine, dense, tile_px=32, guard_px=8)
         for batch_tiles in (None, 1, 2):
-            with stream_batches(engine, batch_tiles):
+            with stream_batches(engine, batch_tiles), \
+                    threads_seen() as seen:
                 imaged = engine.image_layout(geometry_reader, tile_px=32,
                                              guard_px=8)
+            if workers > 1 and batch_tiles != 1:
+                assert_ran_on_shares(seen)
             assert imaged.num_tiles == ref.num_tiles
             np.testing.assert_array_equal(np.asarray(imaged.aerial),
                                           ref.aerial)

@@ -68,7 +68,7 @@ def model():
 
 def _record(engine, call):
     """Run ``call`` with ``engine`` imaging through a fresh recorder."""
-    recorder = RecordingBackend(engine.backend.name)
+    recorder = RecordingBackend()
     original, engine.backend = engine.backend, recorder
     try:
         result = call()
@@ -185,29 +185,36 @@ def test_three_front_doors_one_road(monkeypatch, env_precision):
 
 
 class TestPersistedIdentities:
-    """Values recorded when the golden bank became packed real-field kernel
-    pairs (``FORWARD_REVISION = "band=fast-grid|bank=packed-real-field"``;
-    they read ``band=fast-grid`` with a ``|chunk=268435456`` fossil and
-    ``2e209aef…`` / ``efffdd30…`` since the forward moved onto the
-    ``band_limit_grid``, ``band=True`` before).  The optics-fingerprint
+    """Values recorded when numpy became the one FFT library
+    (``FORWARD_REVISION = "band=fast-grid|bank=packed-real-field|fft=numpy"``,
+    and the spec fingerprint lost its ``|backend=…|workers=…``; they read
+    ``…|bank=packed-real-field|backend=numpy|workers=None`` and
+    ``79bb80f8…`` / ``f0e73f81…`` since the golden bank became packed
+    real-field kernel pairs, ``band=fast-grid`` with a
+    ``|chunk=268435456`` fossil before that).  The optics-fingerprint
     prefixes are older and do not move with the forward; the bank-cache key
     — the ``kernels-*.npz`` names — names how the bank was built."""
 
     CONFIG = OpticsConfig(tile_size_px=32, pixel_size_nm=8.0, max_socs_order=8)
     SOURCE = CircularSource(sigma=0.6)
-    COMPUTE = ComputeConfig(fft_backend="numpy", precision="float64")
+    COMPUTE = ComputeConfig(precision="float64")
     SPEC_FINGERPRINT = (
         "b2be813f119f3be7ff23adc3957f7114372de2f4|order=8|band=fast-grid"
-        "|bank=packed-real-field|backend=numpy|workers=None|prec=float64")
+        "|bank=packed-real-field|fft=numpy|prec=float64")
     REFOCUSED_FINGERPRINT = (
         "b98f51a438ffb53eb808e9f546aab3a3611b80b9|order=8|band=fast-grid"
-        "|bank=packed-real-field|backend=numpy|workers=None|prec=float64")
+        "|bank=packed-real-field|fft=numpy|prec=float64")
     WORKERS_FLOAT32_FINGERPRINT = (
         "b2be813f119f3be7ff23adc3957f7114372de2f4|order=8|band=fast-grid"
-        "|bank=packed-real-field|backend=numpy|workers=2|prec=float32")
+        "|bank=packed-real-field|fft=numpy|prec=float32")
+    #: What the default spec's fingerprint read before numpy became the one
+    #: FFT library (scipy was ``auto``'s choice).
+    SCIPY_FINGERPRINT = (
+        "b2be813f119f3be7ff23adc3957f7114372de2f4|order=8|band=fast-grid"
+        "|bank=packed-real-field|backend=scipy|workers=None|prec=float64")
     BANK = np.arange(3 * 5 * 5, dtype=float).reshape(3, 5, 5) * (1 + 0.5j)
-    BANK_FINGERPRINTS = {"float64": "79bb80f80567ef83e5c2a4fc573cd58646ef148c",
-                         "float32": "f0e73f81609bc8defdecd5528dfdf5625002c881"}
+    BANK_FINGERPRINTS = {"float64": "b32a50b017a68a6541f07c1e75f53d93002383cd",
+                         "float32": "b1ff834c6b1051ce6d433f96b6095d2f7d52c1b6"}
     BANK_FILE = "kernels-0671f6afbd9850daae41ad285b9863a8c3422323.npz"
 
     def test_engine_spec_fingerprint_is_unchanged(self):
@@ -257,10 +264,13 @@ class TestPersistedIdentities:
         assert resumed.skipped_conditions == 1
         assert resumed.computed_conditions == 1
 
-    def test_store_of_an_older_forward_is_refused_untouched(self, tmp_path):
+    @pytest.mark.parametrize("older", ["chunk", "scipy"])
+    def test_store_of_an_older_forward_is_refused_untouched(self, tmp_path,
+                                                            older):
         """Rounding-level old and new conditions never share one store."""
-        older = self.SPEC_FINGERPRINT.replace(
-            FORWARD_REVISION, "band=fast-grid|chunk=268435456")
+        older = self.SCIPY_FINGERPRINT if older == "scipy" else \
+            self.SPEC_FINGERPRINT.replace(FORWARD_REVISION,
+                                          "band=fast-grid|chunk=268435456")
         assert older != self.SPEC_FINGERPRINT
         root = tmp_path / "campaign"
         run = self._store_recorded_under(older, root)

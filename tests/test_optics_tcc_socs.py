@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.backend import ComputeConfig, autotune_precision
+from repro.backend import autotune_precision
 from repro.engine import ExecutionEngine, batched
 from repro.optics.kernel_dims import kernel_dimensions
 from repro.optics.pupil import Pupil
@@ -158,7 +158,6 @@ COARSE_OPTICS = OpticsConfig(tile_size_px=48, pixel_size_nm=20.0, max_socs_order
 # the tile's whole lattice.
 CLAMPED_OPTICS = OpticsConfig(tile_size_px=16, pixel_size_nm=100.0, max_socs_order=None)
 SYMMETRIC_SOURCES = ["circular", "annular", "dipole", "quadrupole"]
-NUMPY = ComputeConfig(fft_backend="numpy")
 
 
 def _kernel_shape(config):
@@ -205,7 +204,7 @@ def _banks(config, source_name, defocus_nm):
 
 
 def _aerials(kernel_banks, masks):
-    return [ExecutionEngine(kernels, compute=NUMPY).aerial_batch(masks)
+    return [ExecutionEngine(kernels).aerial_batch(masks)
             for kernels in kernel_banks]
 
 
@@ -303,7 +302,7 @@ def test_defocus_keeps_the_source_symmetry(defocus_nm):
     mask[40:216, 100:124] = 1.0
     mask[120:140, 20:236] = 1.0
     mask[60:70, 30:90] = 1.0
-    engine = ExecutionEngine(packed.kernels, compute=NUMPY)
+    engine = ExecutionEngine(packed.kernels)
     aerial = engine.aerial(mask)
     assert aerial.max() > 0.1
     np.testing.assert_allclose(engine.aerial(mask.T), aerial.T, rtol=0,

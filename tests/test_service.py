@@ -51,7 +51,7 @@ HIER4 = os.path.join(os.path.dirname(__file__), "data", "hier4.gds")
 
 FOCI = [-40.0, 0.0, 40.0]
 DOSES = [0.95, 1.0, 1.05]
-COMPUTE_JSON = {"fft_backend": "numpy", "precision": "float64"}
+COMPUTE_JSON = {"fft_workers": 1, "precision": "float64"}
 #: 96 px at 32 px tiles: 36 guard-banded tiles per focus.
 MULTI_TILE = {"layout": {"kind": "synthetic", "family": "B2m",
                          "width_px": 96, "height_px": 96, "seed": 1},
@@ -104,11 +104,10 @@ class TestRequestValidation:
         ({"compute": json.dumps(COMPUTE_JSON)},
          "compute must be a JSON object, got str"),
         ({"compute": ["numpy"]}, "compute must be a JSON object, got list"),
-        # Names inside the object resolve at submit, not in the job.
-        ({"compute": {"fft_backend": "nosuch"}},
-         "invalid compute: unknown FFT backend 'nosuch'"),
-        ({"compute": {"fft_backend": "fakegpu"}},
-         "invalid compute: unknown FFT backend 'fakegpu'"),
+        # Names inside the object resolve at submit, not in the job; numpy
+        # is the one FFT library, so a backend name is an unknown field.
+        ({"compute": {"fft_backend": "numpy"}},
+         "fft_backend; known fields: fft_workers, precision, tile_cache"),
         ({"compute": {"precision": "float16"}},
          "invalid compute: unknown precision 'float16'"),
     ]
@@ -445,10 +444,11 @@ class TestStoredRequestRejection:
             manager.close()
         assert durably_completed(store_dir) == 2
 
-    def test_a_stored_removed_backend_fails_and_the_server_starts(
+    def test_a_stored_backend_name_fails_and_the_server_starts(
             self, tmp_path):
-        """A campaign stored before the ``fakegpu`` backend was removed comes
-        back ``failed``, naming the backend; the server still serves."""
+        """A campaign stored while ``compute`` still named an FFT backend
+        comes back ``failed``, naming the field; the server still
+        serves."""
         data_dir = tmp_path / "svc"
         store_dir = data_dir / "campaigns" / "device"
         store_dir.mkdir(parents=True)
@@ -460,7 +460,8 @@ class TestStoredRequestRejection:
             status = client.status("device")
         assert status["state"] == "failed"
         assert status["error"].startswith("stored request.json rejected: ")
-        assert "unknown FFT backend 'fakegpu'" in status["error"]
+        assert "unknown ComputeConfig field(s) fft_backend" \
+            in status["error"]
 
     def test_removed_keys_get_the_typed_rejection(self):
         with pytest.raises(ValueError, match="unknown request field.*streaming"):

@@ -2,8 +2,8 @@
 
 The node's forward is the batched core's own field expression
 (``repro.engine.batched.coherent_fields``) and its backward the closed form
-stated in ``repro/nn/functional.py``.  Pinned here, each on the numpy and
-scipy backends and a transforms-only one:
+stated in ``repro/nn/functional.py``.  Pinned here, each on the numpy
+backend (one-thread and two-thread budgets) and a transforms-only one:
 
 * value, gradient and a central-difference check against
   ``tests/reference.py::reference_socs_intensity`` (the
@@ -21,23 +21,32 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from reference import TRANSFORMS_ONLY, reference_socs_intensity
-from repro.backend import get_backend
+import repro.backend
+from reference import (
+    BACKEND_CELLS,
+    RecordingBackend,
+    cell_backend,
+    reference_socs_intensity,
+)
 from repro.core import GradientILT, ILTSettings, NithoConfig, NithoModel
 from repro.masks import ICCAD2013Generator
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 from repro.optics import OpticsConfig, lithosim_engine
 
-BACKENDS = ["numpy", "scipy", TRANSFORMS_ONLY]
-
-pytestmark = pytest.mark.usefixtures("transforms_only_backend")
+# The node transforms on the calling thread whatever the budget.
+BACKENDS = BACKEND_CELLS
 
 
 @pytest.fixture(params=BACKENDS)
 def backend(request, monkeypatch):
-    monkeypatch.setenv("REPRO_FFT_BACKEND", request.param)
-    return get_backend()
+    """The cell's backend is the one every ``repro.nn`` transform resolves;
+    a transforms-only cell must have been reached."""
+    chosen = cell_backend(request.param)
+    monkeypatch.setattr(repro.backend, "get_backend", lambda *args: chosen)
+    yield chosen
+    if isinstance(chosen, RecordingBackend):
+        assert chosen.calls, "the cell never reached its backend"
 
 
 def _complex(rng, shape):

@@ -4,8 +4,9 @@ Pinned guarantees:
 
 * the batch-by-batch pipeline is **bit-for-bit** the plain unbatched
   reference (``tests/reference.py``: full tile stack, one ``aerial_batch``,
-  stitch, develop) — across guard bands, batch sizes, FFT backends (numpy /
-  scipy) and precisions (float64 / float32), including a hypothesis sweep
+  stitch, develop) — across guard bands, batch sizes, one share or a
+  budget of two spent on shares, and precisions (float64 / float32),
+  including a hypothesis sweep
   over random layout geometries,
 * one default-batch rule: a dense raster and the same raster behind a reader
   image in the same ``stream_batch_tiles`` batches,
@@ -29,8 +30,10 @@ from hypothesis import strategies as st
 
 from reference import (
     RecordingTileCache,
+    assert_ran_on_shares,
     reference_image_layout,
     stream_batches,
+    threads_seen,
 )
 from repro.backend import ComputeConfig
 from repro.engine import execution, streaming
@@ -121,44 +124,36 @@ class TestTileBatching:
 
 
 class TestStreamingEqualsInMemory:
-    @pytest.mark.parametrize("backend_name,precision", [
-        ("numpy", "float64"),
-        ("numpy", "float32"),
-        ("scipy", "float64"),
-        ("scipy", "float32"),
+    @pytest.mark.parametrize("workers,precision", [
+        (1, "float64"), (1, "float32"), (2, "float64"), (2, "float32"),
     ])
     @pytest.mark.parametrize("guard_px", [0, 8])
-    def test_bit_for_bit_across_policies(self, layout, backend_name,
+    def test_bit_for_bit_across_policies(self, layout, workers,
                                          precision, guard_px):
-        if backend_name == "scipy":
-            pytest.importorskip("scipy.fft")
         engine = EngineSpec(config=CONFIG, source=SOURCE,
-                            compute=ComputeConfig(fft_backend=backend_name,
+                            compute=ComputeConfig(fft_workers=workers,
                                                   precision=precision)).build()
         reference = reference_image_layout(engine, layout, guard_px=guard_px)
-        with stream_batches(engine, 3):
+        with stream_batches(engine, 3), threads_seen() as seen:
             streamed = engine.image_layout(layout, guard_px=guard_px)
+        if workers > 1:
+            assert_ran_on_shares(seen)
         np.testing.assert_array_equal(streamed.aerial, reference.aerial)
         np.testing.assert_array_equal(streamed.resist, reference.resist)
         assert streamed.num_tiles == reference.num_tiles
         assert streamed.aerial.dtype == reference.aerial.dtype
 
-    @pytest.mark.parametrize("backend_name,precision", [
-        ("numpy", "float64"),
-        ("numpy", "float32"),
-        ("scipy", "float64"),
-        ("scipy", "float32"),
+    @pytest.mark.parametrize("workers,precision", [
+        (1, "float64"), (1, "float32"), (2, "float64"), (2, "float32"),
     ])
     @pytest.mark.parametrize("guard_px", [0, 8])
-    def test_bit_for_bit_with_window_digests_kept(self, layout, backend_name,
+    def test_bit_for_bit_with_window_digests_kept(self, layout, workers,
                                                   precision, guard_px):
         """The same matrix through the tile cache, on a geometry reader
         whose window digests the pipeline keeps: the first call (every
         window read and digested), a repeat on a cold cache (only its
         misses read) and a warm repeat (no window read) all equal the
         reference."""
-        if backend_name == "scipy":
-            pytest.importorskip("scipy.fft")
         rows, cols = np.nonzero(layout)
         reader = GeometryLayoutReader(
             {"m1": [Rect(8.0 * col, 8.0 * row, 8.0, 8.0)
@@ -166,7 +161,7 @@ class TestStreamingEqualsInMemory:
             pixel_size_nm=8.0, shape=layout.shape)
         np.testing.assert_array_equal(
             reader.read_window(0, 0, *reader.shape), layout)
-        compute = ComputeConfig(fft_backend=backend_name, precision=precision)
+        compute = ComputeConfig(fft_workers=workers, precision=precision)
         plain = EngineSpec(config=CONFIG, source=SOURCE,
                            compute=compute).build()
         reference = reference_image_layout(plain, layout, guard_px=guard_px)
@@ -174,8 +169,10 @@ class TestStreamingEqualsInMemory:
             plain.kernels, tile_size_px=32, tile_cache=TileResultCache(),
             compute=compute) for _ in range(2))
         for engine in (first, repeat, repeat):
-            with stream_batches(engine, 3):
+            with stream_batches(engine, 3), threads_seen() as seen:
                 streamed = engine.image_layout(reader, guard_px=guard_px)
+            if workers > 1 and engine is first:
+                assert_ran_on_shares(seen)
             np.testing.assert_array_equal(streamed.aerial, reference.aerial)
             np.testing.assert_array_equal(streamed.resist, reference.resist)
         assert streamed.tile_stats.hits == streamed.num_tiles \
@@ -306,8 +303,7 @@ class TestUnzeroedRasters:
     def build(workers, precision, cached):
         engine = EngineSpec(config=CONFIG, source=SOURCE,
                             compute=ComputeConfig(
-                                fft_backend="scipy", fft_workers=workers,
-                                precision=precision,
+                                fft_workers=workers, precision=precision,
                                 tile_cache=False)).build()
         engine.tile_cache = TileResultCache() if cached else None
         return engine
@@ -326,7 +322,6 @@ class TestUnzeroedRasters:
                                     fill, seed):
         """Random ragged geometries (edge cores smaller than the core, some
         all-zero tiles), tile cache off / on, one or two stitching shares."""
-        pytest.importorskip("scipy.fft")
         rng = np.random.default_rng(seed)
         layout = (rng.random((height, width)) > 0.7).astype(float)
         layout[:blank_rows] = 0.0
@@ -356,8 +351,8 @@ class TestUnzeroedRasters:
         assert not np.array_equal(image.resist, reference.resist)
 
 
-@pytest.mark.parametrize("backend,workers", [("numpy", 1), ("scipy", 2)])
-def test_uncached_layout_holds_no_batch_of_tiles(backend, workers):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_uncached_layout_holds_no_batch_of_tiles(workers):
     """A second 1024 px production-tile image peaks (traced allocations)
     below its aerial + resist + four blocks: the (36, 256, 256) window and
     result stacks of the old path, 18.9 MB each, no longer exist."""
@@ -365,12 +360,9 @@ def test_uncached_layout_holds_no_batch_of_tiles(backend, workers):
 
     from repro.engine import ExecutionEngine, batched
 
-    if backend == "scipy":
-        pytest.importorskip("scipy.fft")
     engine = ExecutionEngine.for_optics(
         OpticsConfig(tile_size_px=256, pixel_size_nm=4.0),
-        compute=ComputeConfig(fft_backend=backend, fft_workers=workers,
-                              tile_cache=False))
+        compute=ComputeConfig(fft_workers=workers, tile_cache=False))
     layout = (np.random.default_rng(0).random((1024, 1024)) > 0.6
               ).astype(float)
     engine.image_layout(layout)
@@ -404,8 +396,7 @@ def test_out_dir_peak_does_not_grow_with_the_layout(tmp_path, monkeypatch,
     config = OpticsConfig(tile_size_px=64, pixel_size_nm=8.0,
                           max_socs_order=8)
     engine = EngineSpec(config=config, source=SOURCE,
-                        compute=ComputeConfig(fft_backend="numpy",
-                                              tile_cache=False)).build()
+                        compute=ComputeConfig(tile_cache=False)).build()
     cell = (np.random.default_rng(3).random((32, 32)) > 0.6).astype(float)
     peaks = []
     for reps in (16, 32):

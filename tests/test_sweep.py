@@ -17,6 +17,7 @@ import os
 import numpy as np
 import pytest
 
+from reference import assert_ran_on_shares, threads_seen
 from repro.backend import ComputeConfig
 from repro.engine import ShardedExecutor
 from repro.optics import LithographySimulator, OpticsConfig
@@ -168,7 +169,7 @@ class TestProcessWindowSweep:
             cache, "socs_kernels",
             lambda *args, **kw: calls.append(1) or plain(*args, **kw))
         grid = FocusExposureGrid((0.0, 73.0), (1.0,))  # foci no test shares
-        compute = ComputeConfig(fft_backend="numpy", precision="auto")
+        compute = ComputeConfig(precision="auto")
         with ShardedExecutor(cache_dir=str(tmp_path)) as executor:
             sweep = ProcessWindowSweep(
                 OpticsConfig(tile_size_px=TILE, pixel_size_nm=PIXEL,
@@ -179,7 +180,6 @@ class TestProcessWindowSweep:
         assert sweep.base_spec.cache_dir == str(tmp_path)
 
     def test_layout_sweep_sharded_matches_serial(self, tmp_path):
-        pytest.importorskip("scipy.fft")
         layout = np.zeros((80, 110))
         layout[10:70, 20:28] = 1.0   # off-centre vertical line
         layout[30:38, 40:100] = 1.0  # horizontal bar
@@ -187,16 +187,18 @@ class TestProcessWindowSweep:
         serial = ProcessWindowSweep(
             CONFIG, source=SOURCE,
             executor=ShardedExecutor(cache_dir=str(tmp_path)),
-            compute=ComputeConfig(fft_backend="scipy", fft_workers=1))
+            compute=ComputeConfig(fft_workers=1))
         serial_outcome = serial.run(layout, grid=grid, tolerance=0.3,
                                     guard_px=10, keep_aerials=True)
         assert serial_outcome.num_tiles > 1
-        with ShardedExecutor(cache_dir=str(tmp_path)) as executor:
+        with ShardedExecutor(cache_dir=str(tmp_path)) as executor, \
+                threads_seen() as seen:
             sharded = ProcessWindowSweep(
                 CONFIG, source=SOURCE, executor=executor,
-                compute=ComputeConfig(fft_backend="scipy", fft_workers=2))
+                compute=ComputeConfig(fft_workers=2))
             sharded_outcome = sharded.run(layout, grid=grid, tolerance=0.3,
                                           guard_px=10, keep_aerials=True)
+        assert_ran_on_shares(seen)
         assert sharded_outcome.window == serial_outcome.window
         for focus in grid.focus_values_nm:
             np.testing.assert_array_equal(sharded_outcome.aerials[focus],
@@ -252,8 +254,7 @@ class TestOneTileCampaign:
         for cached in (False, True):
             sweep = ProcessWindowSweep(
                 CONFIG, source=SOURCE, executor=ShardedExecutor(),
-                compute=ComputeConfig(fft_backend="numpy",
-                                      tile_cache=cached))
+                compute=ComputeConfig(tile_cache=cached))
             outcomes[cached] = sweep.run(
                 layout, grid=self.GRID, tolerance=0.25, keep_aerials=True,
                 store=str(tmp_path / f"store-{cached}"))
@@ -334,6 +335,35 @@ class TestSweepWindowCLI:
         error = capsys.readouterr().err
         assert error.startswith("error: ")
         assert "threshold 0.4, not 0.225" in error
+
+    def test_a_resume_under_another_fft_workers_computes_nothing(
+            self, tmp_path, capsys):
+        """No thread budget changes a bit, so none is part of a campaign's
+        identity: ``--fft-workers 1`` then ``--fft-workers 2 --resume``
+        resumes every condition to the same CD matrix.  The precision is
+        identity, and the refusal names it."""
+        from repro.cli import main
+
+        store = str(tmp_path / "campaign")
+        base_args = ["sweep-window", "--width", "96", "--height", "80",
+                     "--tile-size", "48", "--pixel-size-nm", "8",
+                     "--focus=-60,0,60", "--dose", "0.9,1.0,1.1",
+                     "--tolerance", "0.3", "--store", store]
+        one = str(tmp_path / "one.npz")
+        assert main(base_args + ["--fft-workers", "1", "--output", one]) == 0
+        assert "9 computed, 0 resumed" in capsys.readouterr().out
+        two = str(tmp_path / "two.npz")
+        assert main(base_args + ["--fft-workers", "2", "--resume",
+                                 "--output", two]) == 0
+        assert "0 computed, 9 resumed" in capsys.readouterr().out
+        with np.load(one) as first, np.load(two) as resumed:
+            assert sorted(first.files) == sorted(resumed.files)
+            for key in first.files:
+                assert first[key].tobytes() == resumed[key].tobytes(), key
+        assert main(base_args + ["--precision", "float32", "--resume"]) == 2
+        error = capsys.readouterr().err
+        assert "records a different campaign" in error
+        assert "precision" in error
 
     def test_sweep_window_streaming_flag(self, tmp_path, capsys):
         """The flags that selected between paths are gone, not ignored: a

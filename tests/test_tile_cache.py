@@ -2,9 +2,9 @@
 
 Pinned guarantees:
 
-* deduplicated imaging is **bit-for-bit** the uncached result — across FFT
-  backends (numpy / scipy), precisions (float64 / float32), serial and
-  sharded execution, in-memory and streaming paths, including a hypothesis
+* deduplicated imaging is **bit-for-bit** the uncached result — across one
+  share and shares, precisions (float64 / float32), serial and sharded
+  execution, in-memory and streaming paths, including a hypothesis
   sweep over random layout geometries,
 * a 2x2 instance array of one cell images exactly one unique tile; the
   other three are served from the cache (:class:`TileCacheStats` observable),
@@ -40,7 +40,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import reference_image_layout, stack_imaging, stream_batches
+from reference import (
+    NUMPY,
+    SHARES,
+    assert_ran_on_shares,
+    reference_image_layout,
+    stack_imaging,
+    stream_batches,
+    threads_seen,
+)
 from repro.backend import ComputeConfig
 from repro.engine import (
     ZERO_TILE_DIGEST,
@@ -76,10 +84,10 @@ def tripling(context=CONTEXT):
 
 
 @functools.lru_cache(maxsize=None)
-def engine_pair(backend, precision):
+def engine_pair(workers, precision):
     """(uncached, cached) engines sharing optics; kernel banks come from the
     process-wide kernel cache, so each pair is built once per session."""
-    compute = ComputeConfig(fft_backend=backend, precision=precision,
+    compute = ComputeConfig(fft_workers=workers, precision=precision,
                             tile_cache=False)
     build = functools.partial(ExecutionEngine.for_optics, CONFIG,
                               source=SOURCE, compute=compute)
@@ -98,7 +106,7 @@ class TestTileDigest:
     def test_key_prefix_separates_policies(self):
         prefixes = {
             CONTEXT.key_prefix(),
-            dataclasses.replace(CONTEXT, backend="scipy").key_prefix(),
+            dataclasses.replace(CONTEXT, backend="recording").key_prefix(),
             dataclasses.replace(CONTEXT, precision="float32").key_prefix(),
             dataclasses.replace(CONTEXT, guard_px=8).key_prefix(),
             dataclasses.replace(CONTEXT, kernel_fingerprint="x").key_prefix(),
@@ -647,7 +655,7 @@ class TestCachedImagingBitForBit:
         rng = np.random.default_rng(7)
         cell = (rng.random((32, 32)) > 0.7).astype(float)
         layout = np.tile(cell, (2, 2))
-        plain, cached = engine_pair("numpy", "float64")
+        plain, cached = engine_pair(1, "float64")
         cache = cached.tile_cache
         cache.clear()
         reference = reference_image_layout(plain, layout, tile_px=32,
@@ -667,7 +675,7 @@ class TestCachedImagingBitForBit:
                    for _ in range(4)]
         layout = np.block([[library[(row + col) % 4] for col in range(4)]
                            for row in range(4)])
-        plain, cached = engine_pair("numpy", "float64")
+        plain, cached = engine_pair(1, "float64")
         cache = cached.tile_cache
         cache.clear()
         reference = reference_image_layout(plain, layout, tile_px=32,
@@ -680,7 +688,7 @@ class TestCachedImagingBitForBit:
             assert cache.stats.tiles - before.tiles == 16
 
     def test_all_zero_layout_is_never_imaged(self):
-        _, cached = engine_pair("numpy", "float64")
+        _, cached = engine_pair(1, "float64")
         cache = cached.tile_cache
         cache.clear()
         result = cached.image_layout(np.zeros((64, 96)), tile_px=32,
@@ -689,31 +697,29 @@ class TestCachedImagingBitForBit:
         assert cache.stats.zero_hits == result.num_tiles
         assert cache.stats.misses == 0
 
-    @pytest.mark.parametrize("backend,precision", [
-        ("numpy", "float64"),
-        ("numpy", "float32"),
-        ("scipy", "float64"),
-        ("scipy", "float32"),
+    @pytest.mark.parametrize("workers,precision", [
+        (1, "float64"), (1, "float32"), (2, "float64"), (2, "float32"),
     ])
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(0, 10 ** 6), guard=st.sampled_from([0, 8]),
            height=st.integers(33, 70), width=st.integers(33, 96))
-    def test_dedup_is_bit_for_bit(self, backend, precision, seed, guard,
+    def test_dedup_is_bit_for_bit(self, workers, precision, seed, guard,
                                   height, width):
-        """Cached == the uncached reference, bit for bit, across backends,
-        precisions and one-batch / bounded-batch runs, on random repetitive
-        layouts."""
-        if backend == "scipy":
-            pytest.importorskip("scipy.fft")
+        """Cached == the uncached reference, bit for bit, on one share and
+        on shares, across precisions and one-batch / bounded-batch runs, on
+        random repetitive layouts."""
         rng = np.random.default_rng(seed)
         layout = np.zeros((height, width))
         for _ in range(int(rng.integers(0, 5))):
             row, col = rng.integers(0, height), rng.integers(0, width)
             layout[row:row + int(rng.integers(1, 20)),
                    col:col + int(rng.integers(1, 20))] = 1.0
-        plain, cached = engine_pair(backend, precision)
-        reference = reference_image_layout(plain, layout, tile_px=32,
-                                           guard_px=guard)
+        plain, cached = engine_pair(workers, precision)
+        with threads_seen() as seen:
+            reference = reference_image_layout(plain, layout, tile_px=32,
+                                               guard_px=guard)
+        if workers > 1:
+            assert_ran_on_shares(seen)
         dense = cached.image_layout(layout, tile_px=32, guard_px=guard)
         with stream_batches(cached, 3):
             streamed = cached.image_layout(layout, tile_px=32, guard_px=guard)
@@ -756,7 +762,7 @@ def _disk_cached(tmp_path):
     (a fresh in-memory tier on each call)."""
     return ExecutionEngine.for_optics(
         CONFIG, source=SOURCE,
-        compute=ComputeConfig(fft_backend="numpy", tile_cache=False),
+        compute=ComputeConfig(tile_cache=False),
         tile_cache=TileResultCache(cache_dir=str(tmp_path)))
 
 
@@ -784,7 +790,7 @@ class TestDiskEntries:
         """A readable ``.npz`` of the wrong shape or dtype used to reach the
         stitch (a ``(5, 5)`` tile crashed it with a broadcast error); it is
         an unreadable entry: counted, re-imaged, overwritten."""
-        plain, _ = engine_pair("numpy", "float64")
+        plain, _ = engine_pair(1, "float64")
         layout = _repeating_layout()
         reference = reference_image_layout(plain, layout, guard_px=8)
         cold = _disk_cached(tmp_path).image_layout(layout, guard_px=8)
@@ -811,7 +817,7 @@ class TestDiskEntries:
         imaged and no file is added."""
         from repro.engine.cache import NpzDiskTier
 
-        plain, _ = engine_pair("numpy", "float64")
+        plain, _ = engine_pair(1, "float64")
         layout = _repeating_layout()
         tiling = plain.resolve_tiling(None, None, 8)
         prefix = plain.tile_cache_context(tiling).key_prefix()
@@ -887,36 +893,36 @@ class TestCompactWindows:
         np.testing.assert_array_equal(window, expected)
         np.testing.assert_array_equal(window.astype(np.float64), expected)
 
-    @pytest.mark.parametrize("backend,precision", [
-        ("numpy", "float64"),
-        ("numpy", "float32"),
-        ("scipy", "float64"),
-        ("scipy", "float32"),
+    @pytest.mark.parametrize("cell,precision", [
+        (NUMPY, "float64"),
+        (NUMPY, "float32"),
+        (SHARES, "float64"),
+        (SHARES, "float32"),
     ])
     def test_images_to_the_identical_aerial(self, reader_case, tmp_path,
-                                            backend, precision, monkeypatch):
-        """{1, 2 threads} x {cache on, off}: the reader images bit for
-        bit the dense float64 raster's uncached reference."""
+                                            cell, precision, monkeypatch):
+        """{one share; budgets of 2 and 3 threads} x {cache on, off}: the
+        reader images bit for bit the dense float64 raster's uncached
+        reference."""
         from repro.engine import EngineSpec
 
-        if backend == "scipy":
-            pytest.importorskip("scipy.fft")
         reader, dense = reader_case
-        plain, _ = engine_pair(backend, precision)
+        plain, _ = engine_pair(1, precision)
         reference = reference_image_layout(plain, dense, tile_px=32,
                                            guard_px=8)
-        for workers in (1, 2):
+        for workers in ((2, 3) if cell == SHARES else (1,)):
             for cache in (None, TileResultCache()):
                 monkeypatch.setattr(tile_cache_module, "_default_cache",
                                     cache)
                 spec = EngineSpec(config=CONFIG, source=SOURCE,
                                   compute=ComputeConfig(
-                                      fft_backend=backend,
                                       fft_workers=workers,
                                       precision=precision,
                                       tile_cache=cache is not None))
-                with ShardedExecutor() as executor:
+                with ShardedExecutor() as executor, threads_seen() as seen:
                     result = executor.image_layout(spec, reader, guard_px=8)
+                    if workers > 1:
+                        assert_ran_on_shares(seen)
                     np.testing.assert_array_equal(result.aerial,
                                                   reference.aerial)
                     np.testing.assert_array_equal(result.resist,
@@ -940,7 +946,7 @@ class TestCompactWindows:
         cell = rng.random((32, 32))
         layout = np.tile(cell, (2, 3))
         layout[40:56, 10:70] = rng.random((16, 60))  # break some repeats
-        plain, cached = engine_pair("numpy", precision)
+        plain, cached = engine_pair(1, precision)
         cached.tile_cache.clear()
         reference = reference_image_layout(plain, layout, tile_px=32,
                                            guard_px=0)

@@ -5,13 +5,16 @@ parallel — it spends the spec's ``fft_workers`` on shares of its tiles —
 and ``ShardedExecutor.aerial_batch`` / ``image_layout`` /
 ``ProcessWindowSweep.run`` reach it batch by batch.  Every cell of
 
-    fft_workers {1, 2, 3} x backend {numpy, scipy, transforms-only}
+    fft_workers {1, 2, 3} x backend {numpy, numpy-shares, transforms-only}
     x precision {float64, float32} x tile cache {off, on}
     x layout source {dense raster, geometry reader, .gds hierarchy}
 
 must equal the test-side oracle (``tests/reference.py``: cut every tile, one
 one-thread ``aerial_batch``, stitch, develop — no batching, cache or
-threads) **bit for bit**; a sweep must equal per-focus oracle aerials and
+threads) **bit for bit**.  A ``numpy-shares`` cell runs the numpy
+backend on a budget one above the axis' (2, 3, 4); it, and a numpy cell
+with a budget of two or three, must have run shares on the ``repro-block``
+helper threads.  A sweep must equal per-focus oracle aerials and
 the CD matrix measured from them.  Also pinned: degenerate batches, what a
 raising share does to its siblings and to the executor, thread lifetime,
 and two concurrent campaigns on the service's campaign pool.
@@ -24,8 +27,15 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from reference import TRANSFORMS_ONLY, RecordingBackend, reference_image_layout
-from repro.backend import ComputeConfig, get_backend
+from reference import (
+    SHARES,
+    TRANSFORMS_ONLY,
+    assert_ran_on_shares,
+    reference_image_layout,
+    threads_seen,
+    transforms_only_engines,
+)
+from repro.backend import ComputeConfig
 from repro.engine import (
     EngineSpec,
     ShardedExecutor,
@@ -50,28 +60,32 @@ GUARD = 8
 HIER4 = os.path.join(os.path.dirname(__file__), "data", "hier4.gds")
 
 WORKERS = (1, 2, 3)
-BACKENDS = ("numpy", "scipy", TRANSFORMS_ONLY)
+BACKENDS = ("numpy", SHARES, TRANSFORMS_ONLY)
 PRECISIONS = ("float64", "float32")
 SOURCES = ("dense", "geometry", "gds")
 
-pytestmark = pytest.mark.usefixtures("transforms_only_backend")
-
 
 @pytest.fixture(autouse=True)
-def _transforms_only_cells_image_through_it(request):
-    """A transforms-only cell must transform through the registered
-    :class:`RecordingBackend` at the cell's worker count — not through the
-    backend it wraps — so the cell cannot collapse into the scipy one."""
+def _cells_take_their_path(request):
+    """A transforms-only cell must transform through a
+    :class:`~reference.RecordingBackend` — not through the backend it wraps
+    — and a numpy cell with a budget of two or more must run shares on the
+    helper threads, so neither can collapse into the one-share numpy
+    cell."""
     params = getattr(request.node, "callspec", None)
     params = params.params if params else {}
-    if params.get("backend") != TRANSFORMS_ONLY:
+    if params.get("backend") == TRANSFORMS_ONLY:
+        with transforms_only_engines() as recorder:
+            yield
+        assert recorder.calls, \
+            "the cell never reached the transforms-only backend"
+    elif params.get("backend") == SHARES or (
+            params.get("backend") == "numpy" and params.get("workers", 1) > 1):
+        with threads_seen() as seen:
+            yield
+        assert_ran_on_shares(seen)
+    else:
         yield
-        return
-    recorder = get_backend(TRANSFORMS_ONLY, params["workers"])
-    assert isinstance(recorder, RecordingBackend)
-    recorder.calls.clear()
-    yield
-    assert recorder.calls, "the cell never reached the transforms-only backend"
 
 
 def _dense_raster() -> np.ndarray:
@@ -112,18 +126,16 @@ def layouts():
 
 def _compute(backend: str, precision: str, workers: int = 1,
              tile_cache: bool = False) -> ComputeConfig:
-    if backend == "scipy":
-        pytest.importorskip("scipy.fft")
-    return ComputeConfig(fft_backend=backend, fft_workers=workers,
+    """A transforms-only cell's backend is the autouse fixture's business;
+    a ``numpy-shares`` cell's budget is one above the axis'."""
+    return ComputeConfig(fft_workers=workers + (backend == SHARES),
                          precision=precision, tile_cache=tile_cache)
 
 
 def _spec(backend: str, precision: str, workers: int = 1,
           tile_cache: bool = False) -> EngineSpec:
-    spec = EngineSpec(config=CONFIG, source=SOURCE, compute=_compute(
+    return EngineSpec(config=CONFIG, source=SOURCE, compute=_compute(
         backend, precision, workers, tile_cache))
-    assert spec.compute.fft_backend == backend  # a registered name resolves
-    return spec
 
 
 def _private_tile_cache(monkeypatch, tile_cache: bool) -> None:
@@ -154,7 +166,7 @@ def _breaking(monkeypatch, message, when=lambda masks: True):
 @pytest.mark.parametrize("workers", WORKERS)
 def test_aerial_batch_equals_one_engine_call(workers, backend, precision):
     masks = (np.random.default_rng(21).random((7, 32, 32)) > 0.7).astype(float)
-    expected = _spec(backend, precision).build().aerial_batch(masks)
+    expected = _spec("numpy", precision).build().aerial_batch(masks)
     with ShardedExecutor() as executor:
         result = executor.aerial_batch(_spec(backend, precision, workers),
                                        masks)
@@ -172,7 +184,7 @@ def test_image_layout_equals_reference(workers, backend, precision,
                                        tile_cache, source, layouts,
                                        monkeypatch):
     layout, dense = layouts[source]
-    expected = reference_image_layout(_spec(backend, precision).build(),
+    expected = reference_image_layout(_spec("numpy", precision).build(),
                                       dense, guard_px=GUARD)
     _private_tile_cache(monkeypatch, tile_cache)
     with ShardedExecutor() as executor:
@@ -195,7 +207,7 @@ def test_uncached_layout_in_small_blocks_equals_reference(
     the thread shares: one tile per block, so every share walks several
     blocks, in memory or into ``out_dir`` memmaps — the bits never move."""
     layout = (np.random.default_rng(17).random((70, 90)) > 0.7).astype(float)
-    expected = reference_image_layout(_spec(backend, precision).build(),
+    expected = reference_image_layout(_spec("numpy", precision).build(),
                                       layout, guard_px=GUARD)
     monkeypatch.setattr(batched, "BLOCK_BYTES", 1)
     engine = _spec(backend, precision, workers).build()
@@ -214,9 +226,9 @@ def test_uncached_layout_in_small_blocks_equals_reference(
 GRID = FocusExposureGrid((0.0, 80.0), (0.95, 1.05))
 
 
-def _reference_sweep(backend, precision, dense):
+def _reference_sweep(precision, dense):
     """Per-focus oracle aerials and the CD matrix measured from them."""
-    base = _spec(backend, precision)
+    base = _spec("numpy", precision)
     aerials = {focus: reference_image_layout(
         base.with_focus(focus).build(), dense, guard_px=GUARD).aerial
         for focus in GRID.focus_values_nm}
@@ -241,7 +253,7 @@ def test_sweep_equals_per_focus_reference(workers, backend, precision,
                                           monkeypatch):
     compute = _compute(backend, precision, workers, tile_cache)
     layout, dense = layouts[source]
-    aerials, matrix = _reference_sweep(backend, precision, dense)
+    aerials, matrix = _reference_sweep(precision, dense)
     _private_tile_cache(monkeypatch, tile_cache)
     with ShardedExecutor() as executor:
         outcome = ProcessWindowSweep(
@@ -270,7 +282,7 @@ class _CountingHelpers:
 
 @pytest.mark.parametrize("tiles", (0, 1, 2))
 def test_fewer_tiles_than_workers(tiles, monkeypatch):
-    spec = _spec("scipy", "float64", workers=3)
+    spec = _spec("numpy", "float64", workers=3)
     masks = (np.random.default_rng(3).random((tiles, 32, 32)) > 0.7) \
         .astype(float)
     helpers = _CountingHelpers(batched._helper_threads())
@@ -281,7 +293,7 @@ def test_fewer_tiles_than_workers(tiles, monkeypatch):
     assert helpers.submitted == (1 if tiles == 2 else 0)
     assert result.shape == (tiles, 32, 32)
     np.testing.assert_array_equal(
-        result, _spec("scipy", "float64").build().aerial_batch(masks))
+        result, _spec("numpy", "float64").build().aerial_batch(masks))
 
 
 # --------------------------------------------------------------------------- #
@@ -301,7 +313,7 @@ class _HeldPool:
 
 def test_raising_shard_cancels_the_unstarted_ones_and_propagates(
         monkeypatch):
-    spec = _spec("scipy", "float64", workers=3)  # 3 two-tile shares
+    spec = _spec("numpy", "float64", workers=3)  # 3 two-tile shares
     masks = np.zeros((6, 32, 32))
     pool = _HeldPool()
     monkeypatch.setattr(batched, "_helper_threads", lambda: pool)
@@ -315,9 +327,9 @@ def test_raising_shard_cancels_the_unstarted_ones_and_propagates(
 
 
 def test_executor_images_correctly_after_a_shard_raised(monkeypatch):
-    spec = _spec("scipy", "float64", workers=3)
+    spec = _spec("numpy", "float64", workers=3)
     masks = (np.random.default_rng(5).random((6, 32, 32)) > 0.7).astype(float)
-    expected = _spec("scipy", "float64").build().aerial_batch(masks)
+    expected = _spec("numpy", "float64").build().aerial_batch(masks)
     with ShardedExecutor() as executor:
         poison = masks.copy()
         poison[3] = -1.0  # in the second of three two-tile shares
@@ -345,8 +357,8 @@ def test_a_share_raising_mid_layout_settles_the_others_first(monkeypatch,
     # In the windows of tiles 1, 2, 7 and 8 (rows 0-1, columns 1-2 of the
     # 5 x 6 grid) only: all of them the first share's.
     poison[12:18, 28:34] = -1.0
-    engine = _spec("scipy", "float64", workers=3).build()
-    expected = reference_image_layout(_spec("scipy", "float64").build(),
+    engine = _spec("numpy", "float64", workers=3).build()
+    expected = reference_image_layout(_spec("numpy", "float64").build(),
                                       layout, guard_px=GUARD)
     imaged = []
     monkeypatch.setattr(batched, "BLOCK_BYTES", 1)
@@ -409,7 +421,8 @@ def test_a_share_raising_mid_layout_settles_the_others_first(monkeypatch,
 
 
 @pytest.mark.parametrize("backend,workers,helpers", [
-    ("scipy", 2, True), ("scipy", 1, False), ("numpy", 2, False)])
+    ("numpy", 2, True), ("numpy", 1, False), (SHARES, 2, True),
+    (TRANSFORMS_ONLY, 2, False)])
 def test_a_cached_batch_is_stitched_in_the_imaging_shares(
         backend, workers, helpers, layouts, monkeypatch):
     """A tile-cached batch's cores are stitched and developed in the shares
@@ -447,7 +460,7 @@ def test_close_leaves_no_worker_thread_alive():
 
     before = repro_threads()
     executor = ShardedExecutor()
-    executor.aerial_batch(_spec("scipy", "float64", workers=2),
+    executor.aerial_batch(_spec("numpy", "float64", workers=2),
                           np.zeros((4, 32, 32)))
     assert repro_threads() == before  # an executor starts no thread
     executor.close()
@@ -470,8 +483,7 @@ def test_close_leaves_no_worker_thread_alive():
 # --------------------------------------------------------------------------- #
 def test_shared_pool_drains_two_concurrent_campaigns(layouts):
     pool = WorkerPool(2)
-    compute = ComputeConfig(fft_backend="numpy", precision="float64",
-                            tile_cache=False)
+    compute = ComputeConfig(precision="float64", tile_cache=False)
 
     def campaign(name):
         with ShardedExecutor() as executor:
@@ -489,5 +501,5 @@ def test_shared_pool_drains_two_concurrent_campaigns(layouts):
     stats = pool.stats()
     assert stats["submitted"] == stats["completed"] == 2
     for name, outcome in outcomes.items():
-        _, matrix = _reference_sweep("numpy", "float64", layouts[name][1])
+        _, matrix = _reference_sweep("float64", layouts[name][1])
         assert outcome.window.cd_matrix() == matrix

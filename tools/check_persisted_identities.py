@@ -42,7 +42,8 @@ Then the kernel banks, on a directory holding only the parent's
    ``decompositions == 0``; then float32 and ``auto`` engines built on HEAD
    from those files decompose nothing, add no file, and have the
    ``kernel_fingerprint()`` of the parent's float32 engine (the same snippet
-   run on the parent, against a copy of the directory).
+   run on the parent, against a copy of the directory) — unless the
+   forward's identity moved, which that fingerprint names too.
 
 Moved name — HEAD builds its banks another way (the cache key names
 ``repro.optics.socs.BANK_BUILD``), so no parent bank may be served:
@@ -104,7 +105,7 @@ SINGLE_PRECISION_ENGINES = ["-c", (
     "banks = KernelBankCache(cache_dir=sys.argv[1])\n"
     "engines = {precision: ExecutionEngine.for_optics(\n"
     "    OpticsConfig(tile_size_px=32, pixel_size_nm=8.0), cache=banks,\n"
-    "    compute=ComputeConfig(fft_backend='numpy', precision=precision))\n"
+    "    compute=ComputeConfig(precision=precision))\n"
     "    for precision in ('float32', 'auto')}\n"
     "print(json.dumps({'decompositions': banks.stats.decompositions,\n"
     "                  **{name: [engine.precision.name,\n"
@@ -114,7 +115,9 @@ SINGLE_PRECISION_ENGINES = ["-c", (
 
 def run(checkout: str, work: str, *arguments: str, refused=False) -> str:
     """``python *arguments`` on ``checkout``'s code and the shared cache
-    directories; ``refused`` demands a non-zero exit and returns stderr."""
+    directories; ``refused`` demands a non-zero exit and returns stderr.
+    ``REPRO_FFT_BACKEND`` pins a parent that still selects among FFT
+    libraries to numpy, the one this checkout has."""
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"),
                REPRO_FFT_BACKEND="numpy",
                REPRO_TILE_CACHE_DIR=os.path.join(work, "tiles"),
@@ -216,10 +219,12 @@ def check_declared_break(work: str, store: str, written) -> None:
           f"byte-identical")
 
 
-def check_kernel_banks(work: str, parent: str, written, moved: bool) -> None:
+def check_kernel_banks(work: str, parent: str, written, moved: bool,
+                       forward_moved: bool) -> None:
     """HEAD on directories of the parent's bank files only: loads them all
     when its banks are named as the parent's, else builds its own and
-    leaves the parent's byte-identical."""
+    leaves the parent's byte-identical.  The engines' ``kernel_fingerprint``
+    also names the forward, so it moves when either did."""
     theirs = [path for path in written
               if os.path.basename(path).startswith("kernels-")]
     before = content(theirs)
@@ -246,8 +251,7 @@ def check_kernel_banks(work: str, parent: str, written, moved: bool) -> None:
     banks = KernelBankCache(cache_dir=kernels)
     spec = EngineSpec(config=OpticsConfig(tile_size_px=32,
                                           pixel_size_nm=8.0),
-                      compute=ComputeConfig(fft_backend="numpy",
-                                            precision="float64"))
+                      compute=ComputeConfig(precision="float64"))
     for focus in FOCI:
         spec.with_focus(focus).build(cache=banks)
     assert banks.stats.decompositions == built, banks.stats
@@ -267,7 +271,8 @@ def check_kernel_banks(work: str, parent: str, written, moved: bool) -> None:
     assert ours["decompositions"] == new, ours
     assert len(files(kernels)) == len(theirs) + new, sorted(files(kernels))
     assert ours["float32"] == ours["auto"], ours
-    assert (ours["float32"][1] == parents["float32"][1]) != moved, \
+    differs = moved or forward_moved
+    assert (ours["float32"][1] == parents["float32"][1]) != differs, \
         (ours, parents)
     assert content(theirs) == before
     for directory in ("parent-banks-foci", "parent-banks-single"):
@@ -275,7 +280,7 @@ def check_kernel_banks(work: str, parent: str, written, moved: bool) -> None:
         assert all(kept[os.path.basename(path)] == before[path]
                    for path in theirs), directory
     print(f"  ok: decompositions == {new}, kernel_fingerprint "
-          f"{ours['float32'][1]} {'!=' if moved else '=='} the parent's "
+          f"{ours['float32'][1]} {'!=' if differs else '=='} the parent's "
           f"float32 engine's, the parent's {len(theirs)} bank files "
           f"byte-identical")
 
@@ -299,7 +304,8 @@ def main() -> int:
 
         identities = [run(checkout, work, *FORWARD_IDENTITY)
                       for checkout in (parent, REPO_ROOT)]
-        if identities[0] == identities[1]:
+        forward_moved = identities[0] != identities[1]
+        if not forward_moved:
             check_compatible(work, store, parent_npz, written)
         else:
             print(f"forward identity moved: {identities[0].strip()} -> "
@@ -312,7 +318,8 @@ def main() -> int:
             print(f"kernel-bank name moved: {bank_names[0]} -> "
                   f"{bank_names[1]} (built another way)")
         check_kernel_banks(work, parent, written,
-                           moved=bank_names[0] != bank_names[1])
+                           moved=bank_names[0] != bank_names[1],
+                           forward_moved=forward_moved)
     print("persisted identities: safe against the parent checkout")
     return 0
 

@@ -155,47 +155,29 @@ def command_simulate(arguments) -> int:
     return 0
 
 
-def _layout_from_args(arguments):
-    """The ``--input`` layout — a dense raster (``.npy``/``.npz``) or a
-    windowed geometry reader, resolved by :mod:`repro.layout.sources` exactly
-    as the campaign service resolves its layout references — or, without
-    ``--input``, a synthesized raster."""
-    from .layout import load_layout_source, synthesize_layout_mask
-
-    if arguments.input:
-        return load_layout_source(arguments.input, arguments.pixel_size_nm)
-    return synthesize_layout_mask(arguments.height, arguments.width,
-                                  arguments.tile_size, arguments.pixel_size_nm,
-                                  arguments.family, arguments.seed)
-
-
 def _imaging_inputs(arguments):
-    """``(layout, EngineSpec)`` as the user described them, or ``None``
-    after printing ``error: ...`` for unusable input.
-
-    Checks every rule a bad value would break later — the guard band, and a
-    sweep's target CD and tolerance — and builds everything the job will
-    build (the spec resolves backend and precision *values*) before any
-    imaging, as ``CampaignRequest.from_dict`` does at submit.  Only this is
-    guarded: an error while imaging is a bug and keeps its traceback.
-    """
+    """``image-layout``'s ``(layout, EngineSpec)``, built before any
+    imaging (the spec resolves the precision), or ``None`` after printing
+    ``error: ...`` for unusable input.  Only this is guarded: an error while
+    imaging is a bug and keeps its traceback."""
     from .engine import EngineSpec, TilingSpec
+    from .layout import load_layout_source, synthesize_layout_mask
     from .optics.source import make_source
-    from .sweep import check_window_targets
 
     try:
         if arguments.guard >= 0:
             TilingSpec(arguments.tile_size, arguments.guard)
-        if arguments.command == "sweep-window":
-            check_window_targets(arguments.target_cd or None,
-                                 arguments.tolerance)
-        mask = _layout_from_args(arguments)
+        if arguments.input:
+            mask = load_layout_source(arguments.input, arguments.pixel_size_nm)
+        else:
+            mask = synthesize_layout_mask(
+                arguments.height, arguments.width, arguments.tile_size,
+                arguments.pixel_size_nm, arguments.family, arguments.seed)
         config = OpticsConfig(tile_size_px=arguments.tile_size,
                               pixel_size_nm=arguments.pixel_size_nm)
         source = make_source(arguments.source) if arguments.source else None
         spec = EngineSpec(config=config, source=source,
-                          compute=_compute_from_args(arguments),
-                          cache_dir=getattr(arguments, "cache_dir", "") or None)
+                          compute=_compute_from_args(arguments))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
@@ -268,56 +250,50 @@ def _parse_float_list(text: str, option: str) -> List[float]:
     return values
 
 
+def _campaign_request(arguments) -> dict:
+    """The ``sweep-window`` flags as the campaign service's request."""
+    layout = {"kind": "file", "path": arguments.input} if arguments.input \
+        else {"kind": "synthetic", "family": arguments.family,
+              "width_px": arguments.width, "height_px": arguments.height,
+              "seed": arguments.seed}
+    optics = {"tile_size_px": arguments.tile_size,
+              "pixel_size_nm": arguments.pixel_size_nm}
+    if arguments.source:
+        optics["source"] = arguments.source
+    return {"layout": layout, "optics": optics,
+            "grid": {"focus_nm": _parse_float_list(arguments.focus, "--focus"),
+                     "dose": _parse_float_list(arguments.dose, "--dose")},
+            "compute": _compute_from_args(arguments).as_dict(),
+            "tolerance": arguments.tolerance,
+            "target_cd_nm": arguments.target_cd,
+            "guard_px": arguments.guard if arguments.guard >= 0 else None,
+            "store_aerials": arguments.store_aerials}
+
+
 def command_sweep_window(arguments) -> int:
-    import time
+    from .sweep import CampaignIdentityError
+    from .sweep.campaign import CampaignRequest
 
-    from .engine import ShardedExecutor
-    from .optics.process_window import FocusExposurePoint
-    from .sweep import (
-        CampaignIdentityError,
-        CampaignStore,
-        FocusExposureGrid,
-        ProcessWindowSweep,
-    )
-
-    grid = FocusExposureGrid.from_sequences(
-        _parse_float_list(arguments.focus, "--focus"),
-        _parse_float_list(arguments.dose, "--dose"))
-    inputs = _imaging_inputs(arguments)
-    if inputs is None:
+    # Parsing builds everything the campaign uses: unusable input is one
+    # error line here, before any kernel bank; an error while imaging is a
+    # bug and keeps its traceback.
+    try:
+        request = CampaignRequest.from_dict(_campaign_request(arguments))
+    except (TypeError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    mask, spec = inputs
-    with ShardedExecutor(cache_dir=arguments.cache_dir or None) as executor:
-        sweep = ProcessWindowSweep(spec.config, source=spec.source,
-                                   executor=executor, compute=spec.compute)
-
-        # Build (or disk-load) the per-focus kernel banks before the timed
-        # campaign so the reported time measures imaging, not one-off bank
-        # decomposition.
-        for focus in grid.focus_values_nm:
-            sweep.engine_for_focus(focus)
-
-        start = time.perf_counter()
-        try:
-            outcome = sweep.run(mask, target_cd_nm=arguments.target_cd or None,
-                                grid=grid, tolerance=arguments.tolerance,
-                                guard_px=arguments.guard if arguments.guard >= 0
-                                else None,
-                                store=CampaignStore(
-                                    arguments.store,
-                                    store_aerials=arguments.store_aerials)
-                                if arguments.store else None,
-                                resume=arguments.resume)
-        except CampaignIdentityError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        elapsed = time.perf_counter() - start
-
+    try:
+        outcome = request.run(arguments.store or None, arguments.resume,
+                              arguments.cache_dir or None)
+    except CampaignIdentityError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    mask, grid = request.layout, request.grid
     height, width = mask.shape
     print(f"process window of a {height}x{width} px layout: "
           f"{len(grid.focus_values_nm)} focus x {len(grid.dose_values)} dose "
           f"conditions, {outcome.num_tiles} tiles per focus -> "
-          f"{elapsed:.2f} s")
+          f"{outcome.elapsed_s:.2f} s")
     if outcome.store_dir:
         print(f"campaign store: {outcome.store_dir} "
               f"({outcome.computed_conditions} computed, "
@@ -329,14 +305,12 @@ def command_sweep_window(arguments) -> int:
     print(outcome.summary())
 
     if arguments.output:
-        matrix = outcome.window.cd_matrix()
-        cd_nm = np.array([[matrix[focus][dose] for dose in grid.dose_values]
-                          for focus in grid.focus_values_nm])
-        in_spec = np.array(
-            [[outcome.window.in_spec(
-                FocusExposurePoint(focus, dose, matrix[focus][dose]))
-              for dose in grid.dose_values]
-             for focus in grid.focus_values_nm])
+        # the window's points are the grid's conditions, focus-major
+        points, shape = outcome.window.points, (len(grid.focus_values_nm),
+                                                len(grid.dose_values))
+        cd_nm = np.reshape([point.cd_nm for point in points], shape)
+        in_spec = np.reshape([outcome.window.in_spec(point)
+                              for point in points], shape)
         np.savez_compressed(arguments.output, mask=_dense_mask(mask), cd_nm=cd_nm,
                             in_spec=in_spec,
                             focus_values_nm=np.asarray(grid.focus_values_nm),

@@ -1,12 +1,8 @@
 """Turn a layout *description* into something the engines can image.
 
-The CLI and the campaign service both accept layouts three ways — a dense
-``.npy``/``.npz`` raster, a geometry file (repro-layout JSON /
-hierarchical binary GDSII, imaged through the windowed readers), or a
-synthesised benchmark canvas —
-and both must resolve them identically, or a service-submitted campaign
-would not be bit-for-bit comparable to the same campaign run via
-``repro sweep-window``.  These helpers are that single resolution path.
+A dense ``.npy``/``.npz`` raster, a geometry file (repro-layout JSON /
+hierarchical binary GDSII, imaged through the windowed readers) or a
+synthesised benchmark canvas: every entry point resolves layouts here.
 
 A geometry file is parsed once per process: :func:`load_layout_source`
 keeps the last :data:`READER_MEMO_LIMIT` readers it built, keyed by the

@@ -2,13 +2,12 @@
 
 Two layers, each usable on its own:
 
-* :mod:`repro.service.jobs` — :class:`CampaignManager`: validates JSON
-  campaign requests, runs each through the ordinary
-  :class:`~repro.sweep.ProcessWindowSweep` + resumable
-  :class:`~repro.sweep.CampaignStore` on one pool of ``campaign_workers``
-  threads (the ``queue`` block of ``/healthz``), and replays incomplete
-  campaigns on startup so a killed-and-restarted server computes exactly
-  the remainder.
+* :mod:`repro.service.jobs` — :class:`CampaignManager`: parses JSON
+  campaign requests and runs each — a
+  :class:`~repro.sweep.campaign.CampaignRequest`, as in ``repro
+  sweep-window`` — on one pool of ``campaign_workers`` threads (the
+  ``queue`` block of ``/healthz``), and replays incomplete campaigns on
+  startup so a killed-and-restarted server computes exactly the remainder.
 * :mod:`repro.service.server` / :mod:`repro.service.client` — the
   ``http.server`` surface (``repro serve``) and its urllib client.
 
@@ -16,8 +15,9 @@ Reports (json/html/text) and aerial thumbnails are rendered straight from
 the on-disk store with zero recomputation.
 """
 
+from ..sweep.campaign import CampaignRequest
 from .client import ServiceClient, ServiceError
-from .jobs import CampaignCancelled, CampaignJob, CampaignManager, CampaignRequest
+from .jobs import CampaignCancelled, CampaignJob, CampaignManager
 from .server import CampaignServer, serve
 
 __all__ = [

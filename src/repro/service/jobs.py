@@ -3,36 +3,21 @@
 The durable unit is a *campaign directory* under the service's data dir:
 ``<data_dir>/campaigns/<id>/`` holds the submitted ``request.json`` next to
 the ordinary resumable :class:`~repro.sweep.store.CampaignStore` files
-(manifest, completion log, per-condition ``.npz`` records, optional aerial
-memmaps).  Because the store is the same one ``repro sweep-window --store``
-writes, every durability property carries over unchanged: a SIGKILLed
-server loses nothing that was completed, and on restart the manager replays
-``request.json`` with ``resume=True`` so exactly the remaining conditions
-are computed.
+(manifest, completion log, optional aerial memmaps).  Because the store is
+the same one ``repro sweep-window --store`` writes, every durability
+property carries over unchanged: a SIGKILLed server loses nothing that was
+completed, and on restart the manager replays ``request.json`` with
+``resume=True`` so exactly the remaining conditions are computed.
 
-Requests are plain JSON::
-
-    {
-      "layout":  {"kind": "synthetic", "family": "B2m", "width_px": 192,
-                  "height_px": 128, "seed": 0}
-               | {"kind": "file", "path": "chip.npy"}      (server-local)
-               | {"kind": "array", "data": [[0, 1, ...], ...]},
-      "optics":  {"tile_size_px": 32, "pixel_size_nm": 8.0,
-                  "source": "annular"},                     (source optional)
-      "grid":    {"focus_nm": [-40, 0, 40], "dose": [0.95, 1.0, 1.05]},
-      "compute": {"fft_workers": ..., "precision": ...},    (optional object)
-      "tolerance": 0.1, "target_cd_nm": null, "guard_px": null,
-      "store_aerials": false                                (all optional)
-    }
-
-An incomplete campaign's ``request.json`` is replayed through the same
-validation as a fresh submission.  One this release cannot run (an unknown
-key such as the removed ``streaming`` / ``compute.scheduler``, malformed
-JSON) recovers as a ``failed`` job whose error names the problem; the other
-campaigns in the data dir still resume.  Job progress and the restart
-completeness check read the store through
-:func:`~repro.sweep.report.load_campaign_report`, the same view
-``campaign-report`` renders.
+A request is parsed at submit by
+:meth:`~repro.sweep.campaign.CampaignRequest.from_dict` — the parse
+``repro sweep-window`` runs on its flags — so a bad field is a 400, not a
+failed job found by polling.  A stored ``request.json`` this release cannot
+parse (such as one with the removed ``streaming`` key) recovers as a
+``failed`` job naming the problem; the other campaigns still resume.  Job
+progress and the restart completeness check read the store through
+:func:`~repro.sweep.report.load_campaign_report`, as ``campaign-report``
+does.
 
 Scheduling: the manager's one :class:`WorkerPool` runs the campaigns,
 ``campaign_workers`` at a time, each on one of its threads; inside a
@@ -53,28 +38,14 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-import numpy as np
-
-from ..backend import ComputeConfig
 from ..engine.cache import atomic_write
-from ..engine.sharded import ShardedExecutor
-from ..engine.tiling import TilingSpec
-from ..layout.sources import load_layout_source, synthesize_layout_mask
-from ..optics.simulator import OpticsConfig
-from ..optics.source import make_source
-from ..sweep import (
-    CampaignStore,
-    FocusExposureGrid,
-    ProcessWindowSweep,
-    check_window_targets,
-    load_campaign_report,
-)
+from ..sweep import load_campaign_report
+from ..sweep.campaign import CampaignRequest
 
 __all__ = [
     "CampaignCancelled",
     "CampaignJob",
     "CampaignManager",
-    "CampaignRequest",
 ]
 
 #: Seconds between job-table reads in :meth:`CampaignManager.wait`.
@@ -85,110 +56,11 @@ class CampaignCancelled(Exception):
     """Raised inside a sweep's progress callback to stop a cancelled job."""
 
 
-@dataclass(frozen=True)
-class CampaignRequest:
-    """A validated campaign submission (see the module docstring schema)."""
-
-    layout: Dict[str, Any]
-    optics: Dict[str, Any]
-    grid: Dict[str, Any]
-    compute: ComputeConfig = field(default_factory=ComputeConfig)
-    tolerance: float = 0.1
-    target_cd_nm: Optional[float] = None
-    guard_px: Optional[int] = None
-    store_aerials: bool = False
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "CampaignRequest":
-        if not isinstance(data, dict):
-            raise ValueError("campaign request must be a JSON object")
-        known = {"layout", "optics", "grid", "compute", "tolerance",
-                 "target_cd_nm", "guard_px", "store_aerials"}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValueError(
-                f"unknown request field(s) {', '.join(unknown)}; known "
-                f"fields: {', '.join(sorted(known))}")
-        for required in ("layout", "optics", "grid"):
-            if required not in data:
-                raise ValueError(f"campaign request needs a {required!r} block")
-        layout = dict(data["layout"])
-        kind = layout.get("kind")
-        if kind not in ("synthetic", "file", "array"):
-            raise ValueError(
-                f"layout.kind must be synthetic, file or array, got {kind!r}")
-        grid = dict(data["grid"])
-        for axis in ("focus_nm", "dose"):
-            values = grid.get(axis)
-            if not isinstance(values, (list, tuple)) or not values:
-                raise ValueError(f"grid.{axis} must be a non-empty list")
-        optics = dict(data["optics"])
-        if "tile_size_px" not in optics:
-            raise ValueError("optics.tile_size_px is required")
-        target = data.get("target_cd_nm")
-        compute = data.get("compute")
-        request = cls(
-            layout=layout, optics=optics, grid=grid,
-            compute=ComputeConfig.from_dict({} if compute is None else compute),
-            tolerance=float(data.get("tolerance", 0.1)),
-            target_cd_nm=float(target) if target else None,
-            guard_px=int(data["guard_px"])
-            if data.get("guard_px") is not None else None,
-            store_aerials=bool(data.get("store_aerials", False)))
-        check_window_targets(request.target_cd_nm, request.tolerance)
-        # Build everything the job will build, now: a bad block is the
-        # submitter's 400, not a failed job found by polling.
-        for block, build in (("optics", request.optics_config),
-                             ("optics.source", request.source),
-                             ("grid", request.focus_exposure_grid),
-                             ("compute", request.compute.resolve),
-                             ("guard_px", lambda: request.guard_px is None or
-                              TilingSpec(int(optics["tile_size_px"]),
-                                         request.guard_px))):
-            try:
-                build()
-            except (TypeError, ValueError, AttributeError) as exc:
-                raise ValueError(f"invalid {block}: {exc}") from exc
-        return request
-
-    # -- resolution ----------------------------------------------------- #
-    def optics_config(self) -> OpticsConfig:
-        kwargs = {key: value for key, value in self.optics.items()
-                  if key not in ("source",)}
-        return OpticsConfig(**kwargs)
-
-    def source(self):
-        name = self.optics.get("source")
-        return make_source(name) if name else None
-
-    def focus_exposure_grid(self) -> FocusExposureGrid:
-        return FocusExposureGrid.from_sequences(
-            [float(value) for value in self.grid["focus_nm"]],
-            [float(value) for value in self.grid["dose"]])
-
-    def resolve_layout(self) -> np.ndarray:
-        layout = self.layout
-        kind = layout["kind"]
-        pixel_size_nm = float(self.optics.get("pixel_size_nm", 4.0))
-        if kind == "file":
-            return load_layout_source(layout["path"], pixel_size_nm)
-        if kind == "array":
-            mask = np.asarray(layout["data"], dtype=float)
-            if mask.ndim != 2:
-                raise ValueError("layout.data must be a 2-D array")
-            return mask
-        return synthesize_layout_mask(
-            int(layout.get("height_px", 128)), int(layout.get("width_px", 128)),
-            int(self.optics["tile_size_px"]), pixel_size_nm,
-            str(layout.get("family", "B2m")), int(layout.get("seed", 0)))
-
-
 @dataclass
 class CampaignJob:
     """One campaign's lifecycle bookkeeping (the durable part is on disk)."""
 
     id: str
-    request: Dict[str, Any]
     store_dir: str
     state: str = "queued"
     error: Optional[str] = None
@@ -303,8 +175,7 @@ class CampaignManager:
         if not os.path.exists(request_path):
             with atomic_write(request_path) as handle:
                 json.dump(request, handle, indent=2, sort_keys=True)
-        job = CampaignJob(id=job_id, request=request, store_dir=store_dir,
-                          resumed=resume)
+        job = CampaignJob(id=job_id, store_dir=store_dir, resumed=resume)
         with self._lock:
             if self._closed:
                 raise RuntimeError("campaign manager is closed")
@@ -326,23 +197,21 @@ class CampaignManager:
                 report = load_campaign_report(store_dir)
             except FileNotFoundError:
                 report = None
-            request = None
             try:
                 with open(request_path, "r", encoding="utf-8") as handle:
                     request = json.load(handle)
                 if report is None or not report.is_complete:
                     self.submit(request, job_id=job_id, resume=True)
                     continue
-                job = CampaignJob(id=job_id, request=request,
-                                  store_dir=store_dir, state="completed",
+                job = CampaignJob(id=job_id, store_dir=store_dir,
+                                  state="completed",
                                   resumed=True, computed_conditions=0,
                                   resumed_conditions=report.completed_conditions)
             except (OSError, TypeError, ValueError) as exc:
                 # One campaign this release cannot run must not keep the
                 # server from starting (or the others from resuming).
-                job = CampaignJob(id=job_id, request=request,
-                                  store_dir=store_dir, state="failed",
-                                  resumed=True,
+                job = CampaignJob(id=job_id, store_dir=store_dir,
+                                  state="failed", resumed=True,
                                   error=f"stored request.json rejected: {exc}")
             job.finished_at = time.time()
             with self._lock:
@@ -359,26 +228,14 @@ class CampaignManager:
             return
         job.state = "running"
         job.started_at = time.time()
-        compute = parsed.compute
-        executor = ShardedExecutor(cache_dir=self.kernel_cache_dir)
+
+        def progress(focus: float, dose: float, cd: float) -> None:
+            if job.cancel_event.is_set():
+                raise CampaignCancelled(job.id)
+
         try:
-            layout = parsed.resolve_layout()
-            sweep = ProcessWindowSweep(parsed.optics_config(),
-                                       source=parsed.source(),
-                                       executor=executor, compute=compute)
-            store = CampaignStore(job.store_dir,
-                                  store_aerials=parsed.store_aerials)
-
-            def progress(focus: float, dose: float, cd: float) -> None:
-                if job.cancel_event.is_set():
-                    raise CampaignCancelled(job.id)
-
-            outcome = sweep.run(layout, target_cd_nm=parsed.target_cd_nm,
-                                grid=parsed.focus_exposure_grid(),
-                                tolerance=parsed.tolerance,
-                                guard_px=parsed.guard_px,
-                                store=store, resume=resume,
-                                progress=progress)
+            outcome = parsed.run(job.store_dir, resume, self.kernel_cache_dir,
+                                 progress)
             job.computed_conditions = outcome.computed_conditions
             job.resumed_conditions = outcome.skipped_conditions
             job.state = "completed"
@@ -389,7 +246,6 @@ class CampaignManager:
             job.error = f"{type(exc).__name__}: {exc}"
         finally:
             job.finished_at = time.time()
-            executor.close()
 
     # ------------------------------------------------------------------ #
     # inspection / control

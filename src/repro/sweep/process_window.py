@@ -98,9 +98,10 @@ def check_window_targets(target_cd_nm: Optional[float],
     """Reject a target CD or CD tolerance no process window can be judged
     against (``ValueError``); ``target_cd_nm=None`` = measure at nominal.
 
-    The one copy of the rule: :meth:`ProcessWindowSweep.run`, the CLI and
-    the campaign service all call it, the latter two before any kernel bank
-    is built.
+    The one copy of the rule: :meth:`ProcessWindowSweep.run` calls it, and
+    so does :meth:`repro.sweep.campaign.CampaignRequest.from_dict` — the
+    parse ``sweep-window`` and the campaign service share — before any
+    kernel bank is built.
     """
     if target_cd_nm is not None and target_cd_nm <= 0:
         raise ValueError("target_cd_nm must be positive")

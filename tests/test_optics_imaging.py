@@ -4,6 +4,8 @@ The key physics check lives here: the SOCS kernel path and the rigorous Abbe
 source-point summation must produce the same aerial image.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,8 @@ from repro.optics import (
 from repro.engine import ExecutionEngine
 from repro.optics.pupil import Pupil
 from repro.optics.socs import decompose_tcc
-from repro.optics.source import CircularSource, make_source
+from repro.optics.grid import make_grid
+from repro.optics.source import CircularSource, PixelatedSource, make_source
 from repro.optics.tcc import compute_tcc
 
 WAVELENGTH = 193.0
@@ -134,21 +137,39 @@ class TestSOCSEqualsAbbe:
         assert relative > 1e-6
 
     @pytest.mark.parametrize("defocus_nm", [0.0, 40.0])
-    @pytest.mark.parametrize("source", ["circular", "annular", "dipole",
-                                        "quadrupole"])
-    def test_full_rank_engine_is_the_abbe_oracle(self, source, defocus_nm):
-        """The first row of the physics error budget (ROADMAP item 2): with
+    @pytest.mark.parametrize("tile,source", [
+        (tile, source) for tile in ("64px-8nm", "256px-1nm")
+        for source in ("circular", "annular", "dipole", "quadrupole")]
+        + [("256px-1nm", "pixelated")])
+    def test_full_rank_engine_is_the_abbe_oracle(self, tile, source,
+                                                 defocus_nm):
+        """The first rows of the physics error budget (ROADMAP item 2): with
         no SOCS truncation (``max_socs_order=None``) the production forward
         — packed bank, band-limit grid, ``numpy.fft`` — is the rigorous
-        Abbe source-point sum to 1e-12 on a 64 px / 8 nm tile, for every
-        illuminator, in and out of focus."""
-        mask = (np.random.default_rng(0).random((64, 64)) > 0.7) * 1.0
+        Abbe source-point sum to 1e-12, in and out of focus, on a 64 px /
+        8 nm tile and on the production ``OpticsConfig()`` tile (256 px /
+        1 nm, a 7 x 7 source lattice): for every named illuminator, and
+        there for a free-form one too (uniform weights on the 9 lattice
+        samples with sigma <= 1)."""
+        optics = OpticsConfig(max_socs_order=None)
+        if tile == "64px-8nm":
+            optics = dataclasses.replace(optics, tile_size_px=64,
+                                         pixel_size_nm=8.0)
+        if source == "pixelated":
+            lattice = make_grid(7, 7, optics.field_size_nm,
+                                optics.wavelength_nm,
+                                optics.numerical_aperture).radius <= 1.0
+            assert np.count_nonzero(lattice) == 9
+            illuminator = PixelatedSource(lattice * 1.0)
+        else:
+            illuminator = make_source(source)
+        size = optics.tile_size_px
+        mask = (np.random.default_rng(0).random((size, size)) > 0.7) * 1.0
         images = {}
         for focus in (0.0, defocus_nm):
             simulator = LithographySimulator(
-                OpticsConfig(tile_size_px=64, pixel_size_nm=8.0,
-                             max_socs_order=None, defocus_nm=focus),
-                source=make_source(source))
+                dataclasses.replace(optics, defocus_nm=focus),
+                source=illuminator)
             images[focus] = simulator.aerial(mask)
             rigorous = simulator.aerial_rigorous(mask)
             assert np.abs(images[focus] - rigorous).max() <= 1e-12

@@ -39,12 +39,7 @@ from repro.service import (
     ServiceClient,
     ServiceError,
 )
-from repro.sweep import (
-    CampaignStore,
-    ProcessWindowSweep,
-    load_campaign_report,
-    report_as_dict,
-)
+from repro.sweep import CampaignStore, load_campaign_report, report_as_dict
 
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 HIER4 = os.path.join(os.path.dirname(__file__), "data", "hier4.gds")
@@ -110,6 +105,13 @@ class TestRequestValidation:
          "fft_backend; known fields: fft_workers, precision, tile_cache"),
         ({"compute": {"precision": "float16"}},
          "invalid compute: unknown precision 'float16'"),
+        # The scalars are typed: nothing is truncated, read as truthy or
+        # handed to float() raw.
+        ({"guard_px": 1.7}, "guard_px must be an integer, got 1.7"),
+        ({"store_aerials": "false"},
+         'store_aerials must be true or false, got "false"'),
+        ({"target_cd_nm": True}, "target_cd_nm must be a number, got true"),
+        ({"tolerance": None}, "tolerance must be a number, got null"),
     ]
 
     @pytest.mark.parametrize("overrides,message", BAD_BLOCKS)
@@ -130,7 +132,7 @@ class TestRequestValidation:
 
     def test_resolves_layouts_like_the_cli(self):
         parsed = CampaignRequest.from_dict(make_request(seed=3))
-        layout = parsed.resolve_layout()
+        layout = parsed.layout
         expected = synthesize_layout_mask(64, 64, 64, 8.0, "B2m", 3)
         np.testing.assert_array_equal(layout, expected)
 
@@ -349,7 +351,7 @@ class TestJobProgress:
         store.record(0.0, 1.0, 100.0)
         store.record(40.0, 0.95, 120.0)
         report = load_campaign_report(store_dir)
-        job = CampaignJob(id="partial", request={}, store_dir=store_dir)
+        job = CampaignJob(id="partial", store_dir=store_dir)
         assert job.as_dict()["progress"] == {
             "completed": report.completed_conditions,
             "total": report.total_conditions}
@@ -380,12 +382,7 @@ class TestStoredRequestRejection:
                     raise KeyboardInterrupt
 
             with pytest.raises(KeyboardInterrupt):
-                ProcessWindowSweep(parsed.optics_config(),
-                                   compute=parsed.compute).run(
-                    parsed.resolve_layout(),
-                    grid=parsed.focus_exposure_grid(),
-                    tolerance=parsed.tolerance, store=store_dir,
-                    progress=stop_part_way)
+                parsed.run(store_dir, True, None, stop_part_way)
             with open(os.path.join(store_dir, "request.json"), "w",
                       encoding="utf-8") as handle:
                 json.dump(request, handle)
@@ -424,11 +421,7 @@ class TestStoredRequestRejection:
                 raise KeyboardInterrupt
 
         with pytest.raises(KeyboardInterrupt):
-            ProcessWindowSweep(parsed.optics_config(),
-                               compute=parsed.compute).run(
-                parsed.resolve_layout(), grid=parsed.focus_exposure_grid(),
-                tolerance=parsed.tolerance, store=store_dir,
-                progress=stop_part_way)
+            parsed.run(store_dir, True, None, stop_part_way)
         request["optics"]["resist_threshold"] = 0.4
         with open(os.path.join(store_dir, "request.json"), "w",
                   encoding="utf-8") as handle:

@@ -1,16 +1,20 @@
 """The FFT backend: one protocol owning every transform in the repo.
 
 Every FFT in the imaging stack goes through an :class:`FFTBackend` — the one
-backend protocol: four required transforms, two optional ones and a thread
-budget (``workers``).  The base class implements everything but the four
-transforms, so a subclass that only defines those is a complete backend.
+backend protocol: four required transforms, three optional ones and a
+thread budget (``workers``).  The base class implements everything but the
+four transforms, so a subclass that only defines those is a complete
+backend.
 
-The optional transforms are the two places the batched core knows part of a
-2-D real transform is wasted: :meth:`FFTBackend.rfft2_columns` (it keeps 15
-of a 256-px tile's 129 half-spectrum columns) and
+The optional transforms are the three places the batched core knows part of
+a 2-D transform is wasted: :meth:`FFTBackend.rfft2_columns` (it keeps 15
+of a 256-px tile's 129 half-spectrum columns),
 :meth:`FFTBackend.irfft2_zero_extended` (it inverse-transforms a half
-spectrum of which 100 of 129 columns are zero).  The base class writes both
-in terms of ``rfft2`` / ``irfft2``; a backend whose 2-D real transform *is*
+spectrum of which 100 of 129 columns are zero, and may keep only a window
+of the output rows: a tile's 198-row core of 256) and
+:meth:`FFTBackend.ifft2_row_band` (the coherent fields: 29 of 60 rows carry
+data, the rest are zero).  The base class writes all three in terms of the
+four 2-D transforms on the full shapes; a backend whose 2-D transform *is*
 two 1-D passes overrides them with those passes minus the lines that are
 discarded or zero — **bit for bit** the base-class result, which means
 scaling exactly where the library scales.
@@ -40,15 +44,24 @@ import numpy as np
 FFT_WORKERS_ENV_VAR = "REPRO_FFT_WORKERS"
 
 
+def _row_band_split(band: np.ndarray, height: int) -> Tuple[int, int]:
+    """Where a row band's top part ends and its bottom part starts once it
+    is zero-extended to ``height`` rows."""
+    n = band.shape[-2]
+    if n > height:
+        raise ValueError(f"band ({n} rows) larger than target ({height} rows)")
+    return n - n // 2, height - n // 2
+
+
 class FFTBackend:
     """The one backend protocol: the 2-D transforms the imaging stack calls.
 
     A subclass must provide the four transforms: they act on the last two
     axes, honour the numpy ``norm`` conventions and preserve the precision
     family of the input (single-precision in, single-precision out).  None
-    may modify its input array — the batched core reuses one zero-padded
-    scratch array across transforms (a multi-dimensional c2r that works in
-    place is the classic offender: copy first).  The two optional
+    may modify its input array — the batched core reuses zero-padded
+    scratch arrays across transforms (a multi-dimensional c2r that works in
+    place is the classic offender: copy first).  The three optional
     transforms are complete as inherited, so a transforms-only subclass is
     a complete backend.
     """
@@ -85,16 +98,36 @@ class FFTBackend:
         return self.rfft2(array, norm=norm)[..., :cols]
 
     def irfft2_zero_extended(self, array: np.ndarray, s: Tuple[int, int],
-                             norm: Optional[str] = None) -> np.ndarray:
-        """:meth:`irfft2` of ``array`` zero-extended along its last axis to
-        the ``s[1] // 2 + 1`` columns of a half spectrum, bit for bit.
+                             norm: Optional[str] = None,
+                             rows: slice = slice(None)) -> np.ndarray:
+        """Output ``rows`` of :meth:`irfft2` of ``array`` zero-extended
+        along its last axis to the ``s[1] // 2 + 1`` columns of a half
+        spectrum, bit for bit.
 
-        An override may skip the column passes of the all-zero columns.
+        An override may skip the column passes of the all-zero columns and
+        the row passes of the output rows not kept.
         """
         full = np.zeros(tuple(array.shape[:-1]) + (s[1] // 2 + 1,),
                         array.dtype)
         full[..., :array.shape[-1]] = array
-        return self.irfft2(full, s=s, norm=norm)
+        return self.irfft2(full, s=s, norm=norm)[..., rows, :]
+
+    def ifft2_row_band(self, band: np.ndarray, height: int,
+                       norm: Optional[str] = None) -> np.ndarray:
+        """:meth:`ifft2` of the ``(..., n, W)`` row ``band`` zero-extended
+        to ``height`` rows in unshifted order — its first ``n - n // 2``
+        rows at the top, the rest at the bottom (the split
+        :func:`~repro.optics.grid.embed_centre_unshifted` writes) — bit for
+        bit.
+
+        An override may skip the row passes of the all-zero rows.
+        """
+        top, bottom = _row_band_split(band, height)
+        full = np.zeros(band.shape[:-2] + (height, band.shape[-1]),
+                        band.dtype)
+        full[..., :top, :] = band[..., :top, :]
+        full[..., bottom:, :] = band[..., top:, :]
+        return self.ifft2(full, norm=norm)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"{type(self).__name__}(name={self.name!r})"
@@ -169,9 +202,24 @@ class NumpyFFTBackend(FFTBackend):
         half = np.fft.rfft(array, axis=-1, norm=norm)
         return np.fft.fft(half[..., :cols], axis=-2, norm=norm)
 
-    def irfft2_zero_extended(self, array, s, norm=None):
+    def irfft2_zero_extended(self, array, s, norm=None, rows=slice(None)):
         columns = np.fft.ifft(array, n=s[0], axis=-2, norm=norm)
-        return np.fft.irfft(columns, n=s[1], axis=-1, norm=norm)
+        return np.fft.irfft(columns[..., rows, :], n=s[1], axis=-1,
+                            norm=norm)
+
+    # ifft2 is ifft along the rows, then down the columns: an all-zero row
+    # stays exactly +0 under the first pass, so only the band's rows are
+    # transformed, straight into their place in the output.
+    def ifft2_row_band(self, band, height, norm=None):
+        top, bottom = _row_band_split(band, height)
+        out = np.empty(band.shape[:-2] + (height, band.shape[-1]),
+                       np.result_type(band.dtype, np.complex64))
+        np.fft.ifft(band[..., :top, :], axis=-1, norm=norm,
+                    out=out[..., :top, :])
+        out[..., top:bottom, :] = 0
+        np.fft.ifft(band[..., top:, :], axis=-1, norm=norm,
+                    out=out[..., bottom:, :])
+        return np.fft.ifft(out, axis=-2, norm=norm, out=out)
 
 
 _INSTANCES: Dict[Optional[int], NumpyFFTBackend] = {}

@@ -274,6 +274,13 @@ def command_sweep_window(arguments) -> int:
     from .sweep import CampaignIdentityError
     from .sweep.campaign import CampaignRequest
 
+    # Both flags act on the store: without one they would run a fresh
+    # campaign and keep nothing.
+    for flag, given in (("--resume", arguments.resume),
+                        ("--store-aerials", arguments.store_aerials)):
+        if given and not arguments.store:
+            print(f"error: {flag} needs --store", file=sys.stderr)
+            return 2
     # Parsing builds everything the campaign uses: unusable input is one
     # error line here, before any kernel bank; an error while imaging is a
     # bug and keeps its traceback.

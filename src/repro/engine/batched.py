@@ -9,7 +9,8 @@ the pipeline as one array program:
 
 1. one broadcast FFT produces every mask spectrum at once,
 2. one broadcast multiply forms the ``(block, r, n, m)`` kernel products,
-3. one batched inverse FFT returns the coherent fields, and
+3. one batched inverse FFT of their ``n``-row band returns the coherent
+   fields, and
 4. a reduction over the kernel axis yields the aerial intensities.
 
 Steps 2-3 are :func:`coherent_fields`, the package's one statement of
@@ -30,11 +31,15 @@ grid (coarse pixels, tiny tiles) is evaluated at full size instead
 The block budget is :data:`BLOCK_BYTES`, so neither per-block
 intermediate — the coherent-field stack, the upsampling spectrum — leaves
 the CPU caches for DRAM.  The band-limited body works through two zeroed
-scratch arrays — the embedded kernel products and the corner rows of the
-upsampling half spectrum, whose non-zero parts every block overwrites.
-The scratch relies on no transform modifying its input (an
+scratch arrays — the row band of embedded kernel products and the corner
+rows of the upsampling half spectrum, whose non-zero parts every block
+overwrites.  The scratch relies on no transform modifying its input (an
 :class:`~repro.backend.FFTBackend` contract); block size never changes a
 tile's result.
+
+What a tile returns is its **core** (:func:`image_tiles`' ``guard``): the
+square a stitch or a tile-cache entry keeps, bit for bit that crop of the
+whole image.
 
 The thread budget is read off the backend too (``backend.workers``:
 ``fft_workers`` / ``REPRO_FFT_WORKERS``, default the CPUs available) and is
@@ -57,11 +62,16 @@ Shares never change a tile's bits: each 1-D line of each transform is an
 independent, deterministic work item.  The one thing this module keeps
 across calls is the idle helper threads (:func:`_helper_threads`).
 
-Both full-size real transforms skip the passes nobody reads: the mask
-spectrum keeps ``m // 2 + 1`` of a tile's ``W // 2 + 1`` half-spectrum
-columns (``rfft2_columns``), and the upsampling inverse-transforms a half
-spectrum whose columns from ``m`` on are zero (``irfft2_zero_extended``) —
-bit for bit the full transforms' results on every backend.
+Every transform but the intensity's small ``rfft2`` skips passes nobody
+reads or whose input is zero: the mask spectrum keeps ``m // 2 + 1`` of a
+tile's ``W // 2 + 1`` half-spectrum columns (``rfft2_columns``); the
+coherent fields transform the ``n`` of ``grid_h`` rows that carry data
+(``ifft2_row_band``: 29 of 60 on the production bank); and the upsampling
+inverse-transforms a half spectrum whose columns from ``m`` on are zero,
+finishing only the core's rows (``irfft2_zero_extended``: 198 of 256 on a
+production tile) — bit for bit the full transforms' results on every
+backend.  Measured on 2 CPUs at the production tile (numpy): pruning the
+field rows took 4-7 % off a block, pruning the upsampled rows too 9-12 %.
 
 Every transform goes through the pluggable compute backend
 (:mod:`repro.backend`); everything between them — kernel products, embeds,
@@ -173,24 +183,31 @@ def run_shares(count: int, threads: int, run: Callable[..., None],
 
 
 def coherent_fields(kernels, spectra, grid_h: int, grid_w: int,
-                    xp: FFTBackend, out=None):
+                    xp: FFTBackend, band=None):
     """Eq. (4)'s coherent fields ``ifft2(embed(K_i * S_b))``: ``(r, n, m)``
-    kernels and ``(B, n, m)`` centred spectra -> ``(B, r, grid_h, grid_w)``,
-    embedded into the reusable zeroed ``out`` when given.
+    kernels and ``(B, n, m)`` centred spectra -> ``(B, r, grid_h, grid_w)``.
+
+    The products are embedded along the columns only, into the
+    ``(B, r, n, grid_w)`` row band (the reusable ``band``, zero wherever no
+    embed writes, when given); the backend's
+    :meth:`~repro.backend.FFTBackend.ifft2_row_band` zero-extends the rows.
     """
     products = kernels[None, :, :, :] * spectra[:, None, :, :]
-    embedded = embed_centre_unshifted(products, grid_h, grid_w, out=out)
-    return xp.ifft2(embedded, norm="ortho")
+    band = embed_centre_unshifted(products, kernels.shape[-2], grid_w,
+                                  out=band)
+    return xp.ifft2_row_band(band, grid_h, norm="ortho")
 
 
-def _direct_chunk(masks, kernels, out_h: int, out_w: int, xp: FFTBackend):
+def _direct_chunk(masks, kernels, out_h: int, out_w: int, guard: int,
+                  xp: FFTBackend):
     """One block at full output resolution, for an output smaller than the
-    :func:`band_limit_grid`.
+    :func:`band_limit_grid`: the ``guard``-cropped cores.
     """
     n, m = kernels.shape[-2], kernels.shape[-1]
     spectra = mask_spectrum(masks, (n, m), backend=xp)          # (B, n, m)
     fields = coherent_fields(kernels, spectra, out_h, out_w, xp)
-    return np.sum(np.abs(fields) ** 2, axis=1)
+    intensity = np.sum(np.abs(fields) ** 2, axis=1)
+    return intensity[:, guard:out_h - guard, guard:out_w - guard]
 
 
 def band_limit_grid(n: int, m: int) -> Tuple[int, int]:
@@ -209,21 +226,20 @@ def band_limit_grid(n: int, m: int) -> Tuple[int, int]:
     return fast_len(2 * n - 1), fast_len(2 * m - 1)
 
 
-def _band_limited_chunk(masks, kernels, out_h: int, out_w: int,
-                        xp: FFTBackend, embedded, padded):
+def _band_limited_chunk(masks, kernels, out_h: int, out_w: int, guard: int,
+                        xp: FFTBackend, band, padded):
     """One block, exactly, on the intensity band-limit grid + Fourier
-    upsampling.
+    upsampling: the ``guard``-cropped cores.
 
-    ``embedded`` ``(>= rows, r, gh, gw)`` and ``padded``
-    ``(>= rows, out_h, m)`` are the caller's scratch, zero wherever no block
-    writes.
+    ``band`` ``(>= rows, r, n, gw)`` and ``padded`` ``(>= rows, out_h, m)``
+    are the caller's scratch, zero wherever no block writes.
     """
     n, m = kernels.shape[-2], kernels.shape[-1]
-    grid_h, grid_w = embedded.shape[-2:]
+    grid_h, grid_w = band_limit_grid(n, m)
     rows = masks.shape[0]
     spectra = mask_spectrum(masks, (n, m), backend=xp)
     fields = coherent_fields(kernels, spectra, grid_h, grid_w, xp,
-                             out=embedded[:rows])
+                             band=band[:rows])
     small = np.sum(np.abs(fields) ** 2, axis=1)            # (rows, gh, gw)
 
     # The intensity spectrum occupies the centred samples |row| < n,
@@ -234,12 +250,17 @@ def _band_limited_chunk(masks, kernels, out_h: int, out_w: int,
     # without ever forming the full spectrum or shifting it.  The "forward"
     # norm preserves sample values; the area ratio restores the
     # orthonormal-FFT intensity scale of the full-resolution evaluation.
+    # Only the core rows are inverse-transformed to the end; the columns
+    # of a real transform's output come whole and are cropped.
     scale = masks.dtype.type((grid_h * grid_w) / float(out_h * out_w))
     half = xp.rfft2_columns(small, m, norm="forward") * scale
     spectrum = padded[:rows]
     spectrum[..., :n, :] = half[..., :n, :]
     spectrum[..., out_h - (n - 1):, :] = half[..., grid_h - (n - 1):, :]
-    return xp.irfft2_zero_extended(spectrum, s=(out_h, out_w), norm="forward")
+    cores = xp.irfft2_zero_extended(spectrum, s=(out_h, out_w),
+                                    norm="forward",
+                                    rows=slice(guard, out_h - guard))
+    return cores[..., guard:out_w - guard]
 
 
 def batch_chunk_size(batch: int, order: int, height: int, width: int,
@@ -321,21 +342,25 @@ def image_tiles(count: int,
                                                  np.ndarray]],
                 write: Optional[Callable[[int, np.ndarray], None]],
                 kernels: np.ndarray, xp: FFTBackend, precision: Precision,
-                tile_shape: Tuple[int, int]) -> Optional[np.ndarray]:
+                tile_shape: Tuple[int, int],
+                guard: int = 0) -> Optional[np.ndarray]:
     """Image tiles ``0 .. count - 1``: the package's one imaging loop.
 
     ``read`` holds the masks: a ``(count, H, W)`` real stack, imaged a row
     block at a time, or ``read(start, stop, buffer)`` returning tiles
     ``start .. stop - 1`` as one ``(stop - start, H, W)`` array — normally
     ``buffer``, the share's own block-sized mask buffer (in
-    ``precision``), filled tile by tile.  ``write(start, images)`` receives
-    each block's aerial images, valid only for the duration of the call —
-    copy what you keep; without ``write`` the call returns the
-    ``(count, H, W)`` images.  ``kernels`` is the ``(r, n, m)`` bank, cast
-    to ``precision``.
+    ``precision``), filled tile by tile.  Each tile's image is its
+    **core**: the ``(H - 2 guard, W - 2 guard)`` square inside a ``guard``
+    px band, bit for bit that crop of the whole image, and the guard rows
+    are never upsampled.  ``write(start, cores)`` receives each block's
+    cores, valid only for the duration of the call — copy what you keep;
+    without ``write`` the call returns the ``(count, H - 2 guard,
+    W - 2 guard)`` cores.  ``kernels`` is the ``(r, n, m)`` bank, cast to
+    ``precision``.
 
     Each thread share reads its tiles into a block-sized mask buffer of
-    its own, images them block by block and writes every image before the
+    its own, images them block by block and writes every core before the
     next block, so nothing ``count``-sized is ever allocated.
     """
     out_h, out_w = tile_shape
@@ -343,8 +368,8 @@ def image_tiles(count: int,
     grid = intensity_grid(n, m, out_h, out_w)
     band_limited = grid == band_limit_grid(n, m)
     stack = None if callable(read) else precision.as_real(read)
-    out = None if write is not None \
-        else np.empty((count,) + tile_shape, precision.real_dtype)
+    out = None if write is not None else np.empty(
+        (count, out_h - 2 * guard, out_w - 2 * guard), precision.real_dtype)
 
     # One share per thread, each with its part of the budget (the cores
     # share the cache BLOCK_BYTES names).
@@ -361,20 +386,24 @@ def image_tiles(count: int,
         if not band_limited:
             return masks, ()
         # Zeroed once: every block overwrites the same corners and no zero.
-        return masks, (np.zeros((rows, order) + grid, kernels.dtype),
+        # No field scratch: each block's fields are allocated by the share
+        # that writes them (one allocated here, on the calling thread, made
+        # two shares of 2-8 64-px tiles 20-40 % slower than one, measured
+        # on 2 CPUs).
+        return masks, (np.zeros((rows, order, n, grid[1]), kernels.dtype),
                        np.zeros((rows, out_h, m), kernels.dtype))
 
     def image(share: range, masks: Optional[np.ndarray],
               scratch: tuple) -> None:
         for start in range(share.start, share.stop, block):
             stop = min(start + block, share.stop)
-            tiles = evaluate(stack[start:stop] if masks is None
+            cores = evaluate(stack[start:stop] if masks is None
                              else read(start, stop, masks),
-                             kernels, out_h, out_w, xp, *scratch)
+                             kernels, out_h, out_w, guard, xp, *scratch)
             if write is None:
-                out[start:stop] = tiles
+                out[start:stop] = cores
             else:
-                write(start, tiles)
+                write(start, cores)
 
     run_shares(count, threads, image, workspace)
     return out

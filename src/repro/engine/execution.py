@@ -354,7 +354,8 @@ class ExecutionEngine:
         self._check_tile_shape(tile_shape)
         batch_tiles = self.stream_batch_tiles(tiling)
         image = partial(image_tiles, kernels=self.kernels, xp=self.backend,
-                        precision=self.precision, tile_shape=tile_shape)
+                        precision=self.precision, tile_shape=tile_shape,
+                        guard=tiling.guard_px)
         aerial, resist, num_tiles, tile_stats = stream_image_layout(
             layout, tiling, image, self.resist_model.develop,
             self.precision.real_dtype, batch_tiles,

@@ -233,16 +233,14 @@ def stream_image_layout(reader, tiling: TilingSpec,
             buffer[row] = window
         return buffer[:stop - start]
 
-    def write(start: int, images, offset: int = guard) -> None:
+    def write(start: int, cores) -> None:
         # Cores are disjoint, so concurrent writers never touch one pixel;
         # development is elementwise, so the resist is filled core by core.
-        # ``offset``: where the core starts in each image (0 for a cache's
-        # cores, which hold nothing of the guard band).
-        for image, place in zip(images, placements[start:start + len(images)]):
+        # A core at the layout's far edge is only partly inside it.
+        for core, place in zip(cores, placements[start:start + len(cores)]):
             rows = slice(place.row, place.row + place.core_h)
             cols = slice(place.col, place.col + place.core_w)
-            core = image[offset:offset + place.core_h,
-                         offset:offset + place.core_w]
+            core = core[:place.core_h, :place.core_w]
             aerial[rows, cols] = core
             resist[rows, cols] = develop(core)
 
@@ -270,7 +268,7 @@ def stream_image_layout(reader, tiling: TilingSpec,
                 aerial, resist = allocate()
             run_shares(len(cores), share_threads(len(cores)),
                        lambda share: write(start + share.start,
-                                           cores[share.start:share.stop], 0))
+                                           cores[share.start:share.stop]))
 
     if out_dir is not None:
         aerial.flush()

@@ -206,7 +206,8 @@ class TileResultCache:
         :func:`repro.engine.batched.image_tiles` bound to its bank — is
         called **at most once**, for the first-occurrence misses: its
         ``read`` fills a share's mask buffer from those rows and its
-        ``write`` copies each image's core into the entry it becomes.
+        ``write`` copies each core it is handed (the loop images cores)
+        into the entry it becomes.
         Every other row is served from the zero fast path, the in-memory
         tier, the disk tier, or its within-batch duplicate.
 
@@ -221,8 +222,7 @@ class TileResultCache:
             raise ValueError(
                 f"{len(digests)} digests for {len(tiles)} tiles")
         real_dtype = resolve_precision(context.precision).real_dtype
-        guard = context.guard_px
-        side = context.tile_px - 2 * guard
+        side = context.tile_px - 2 * context.guard_px
         # A zero-stride view: every empty tile of the batch reads the same
         # eight bytes, and nothing core-sized is allocated for them.
         zero_core = np.broadcast_to(real_dtype.type(0), (side, side))
@@ -258,10 +258,9 @@ class TileResultCache:
                     buffer[row] = tiles[index]
                 return buffer[:stop - start]
 
-            def write(start: int, images: np.ndarray) -> None:
-                for row, image in enumerate(images, start):
-                    entries[row][...] = image[guard:guard + side,
-                                              guard:guard + side]
+            def write(start: int, cores: np.ndarray) -> None:
+                for row, core in enumerate(cores, start):
+                    entries[row][...] = core
 
             image_batch(len(misses), read, write)
             admitted = []

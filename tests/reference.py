@@ -205,7 +205,7 @@ def cell_backend(cell):
 
 
 _TRANSFORMS = ("fft2", "ifft2", "rfft2", "irfft2", "rfft2_columns",
-               "irfft2_zero_extended")
+               "irfft2_zero_extended", "ifft2_row_band")
 
 
 @contextlib.contextmanager
@@ -298,15 +298,17 @@ def stack_imaging(image, context):
 
     It reads all ``count`` tiles into one buffer in ``context``'s
     precision, as the loop's mask buffer is, images them in one call and
-    writes them as one block; ``.batches`` keeps a copy of each stack.
+    writes their cores (the ``context.guard_px`` crop, as the loop writes
+    them) as one block; ``.batches`` keeps a copy of each stack.
     """
     shape = (context.tile_px, context.tile_px)
     dtype = resolve_precision(context.precision).real_dtype
+    core = slice(context.guard_px, context.tile_px - context.guard_px)
 
     def image_tiles(count, read, write):
         masks = read(0, count, np.empty((count,) + shape, dtype))
         image_tiles.batches.append(masks.copy())
-        write(0, np.asarray(image(masks)))
+        write(0, np.asarray(image(masks))[:, core, core])
 
     image_tiles.batches = []
     return image_tiles

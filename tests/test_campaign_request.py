@@ -186,6 +186,25 @@ def test_a_resume_of_a_complete_store_builds_no_bank(tmp_path, capsys,
     assert "(0 computed, 9 resumed)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flags", [["--resume"], ["--store-aerials"],
+                                   ["--resume", "--store-aerials"]])
+def test_a_store_flag_without_a_store_is_refused(flags, tmp_path, capsys,
+                                                 monkeypatch):
+    """``--resume`` / ``--store-aerials`` act on ``--store``: without one
+    they are one ``error:`` line naming it and exit 2, before any kernel
+    bank is built and with nothing written."""
+    def no_bank(*args, **kwargs):
+        raise AssertionError("a kernel bank was built without a store")
+
+    monkeypatch.setattr(KernelBankCache, "get_kernels", no_bank)
+    output = tmp_path / "out.npz"
+    assert main(["sweep-window", *SMALL, *flags, "--focus=-40,0,40",
+                 "--dose", "0.95,1.0,1.05", "--output", str(output)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {flags[0]} needs --store\n"
+    assert captured.out == "" and not output.exists()
+
+
 def test_the_layout_is_drawn_at_the_pixel_size_it_is_imaged_at():
     """A request that leaves ``pixel_size_nm`` to ``OpticsConfig`` paints
     its layout at that same pixel size."""

@@ -1,12 +1,14 @@
-"""The batched core's thread budget and its two pruned transforms.
+"""The batched core's thread budget and its three pruned transforms.
 
 Pinned guarantees:
 
-* ``rfft2_columns`` / ``irfft2_zero_extended`` equal the backend's own
-  ``rfft2(...)[..., :cols]`` / zero-extended ``irfft2`` **bit for bit** on
-  every backend — the overriding one (numpy, on one share or on a budget
-  of two), the inheriting one (a transforms-only subclass) and whatever
-  the environment's budget builds (CI runs this file per
+* ``rfft2_columns`` / ``irfft2_zero_extended`` (any window of its output
+  rows) / ``ifft2_row_band`` equal the backend's own
+  ``rfft2(...)[..., :cols]`` / zero-extended ``irfft2`` / row-zero-extended
+  ``ifft2`` **bit for bit**, input untouched, on every backend — the
+  overriding one (numpy, on one share or on a budget of two), the
+  inheriting one (a transforms-only subclass) and whatever the
+  environment's budget builds (CI runs this file per
   ``REPRO_FFT_WORKERS``),
 * a call of ``B > 1`` tiles spends ``min(backend.workers, B)`` threads on
   shares of the batch and never more — a one-block batch included; an
@@ -25,7 +27,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference import (
@@ -47,7 +49,7 @@ from repro.optics import OpticsConfig
 
 
 # --------------------------------------------------------------------------- #
-# the two optional transforms
+# the three optional transforms
 # --------------------------------------------------------------------------- #
 def _backend(name):
     if name == "env":       # REPRO_FFT_WORKERS as set
@@ -59,10 +61,20 @@ def _backend(name):
 @settings(max_examples=60, deadline=None)
 @given(height=st.sampled_from([1, 2, 3, 5, 8, 13, 16, 25, 31, 60, 64, 97]),
        width=st.sampled_from([1, 2, 3, 5, 8, 13, 16, 25, 31, 60, 64, 97]),
-       cols=st.integers(1, 49), norm=st.sampled_from([None, "ortho", "forward"]),
+       cols=st.integers(1, 49), band_rows=st.integers(1, 97),
+       window=st.tuples(st.integers(0, 97), st.integers(0, 97)),
+       norm=st.sampled_from([None, "ortho", "forward"]),
        single=st.booleans(), seed=st.integers(0, 2 ** 16))
+# The production shapes: an odd 29-row band into 60 rows, a 198-row core of
+# 256; and an even band into an odd height.
+@example(height=60, width=60, cols=29, band_rows=29, window=(0, 60),
+         norm="ortho", single=False, seed=0)
+@example(height=256, width=256, cols=29, band_rows=29, window=(29, 227),
+         norm="forward", single=True, seed=1)
+@example(height=97, width=25, cols=7, band_rows=28, window=(3, 94),
+         norm=None, single=True, seed=2)
 def test_pruned_transforms_equal_the_full_ones_bit_for_bit(
-        name, height, width, cols, norm, single, seed):
+        name, height, width, cols, band_rows, window, norm, single, seed):
     backend = _backend(name)
     cols = min(cols, width // 2 + 1)
     rng = np.random.default_rng(seed)
@@ -86,15 +98,41 @@ def test_pruned_transforms_equal_the_full_ones_bit_for_bit(
                                        norm=norm)
     assert got.dtype == expected.dtype
     assert got.tobytes() == expected.tobytes()
-    # Neither may modify its input: the core's scratch is reused.
+    # ... and any window of its output rows (the core keeps the core's).
+    rows = slice(min(window[0], height), min(max(window), height))
+    got = backend.irfft2_zero_extended(given_narrow, s=(height, width),
+                                       norm=norm, rows=rows)
+    assert got.dtype == expected.dtype
+    assert np.ascontiguousarray(got).tobytes() \
+        == np.ascontiguousarray(expected[..., rows, :]).tobytes()
+
+    # The coherent fields' row band: `n` rows, their first n - n // 2 at the
+    # top of `height`, the rest at the bottom, every other row zero.
+    n = min(band_rows, height)
+    band = (rng.standard_normal((2, n, width))
+            + 1j * rng.standard_normal((2, n, width))).astype(
+                np.complex64 if single else np.complex128)
+    top = n - n // 2
+    full = np.zeros((2, height, width), band.dtype)
+    full[:, :top] = band[:, :top]
+    full[:, height - n // 2:] = band[:, top:]
+    expected = backend.ifft2(full, norm=norm)
+    given_band = band.copy()
+    got = backend.ifft2_row_band(given_band, height, norm=norm)
+    assert got.dtype == expected.dtype == band.dtype
+    assert got.tobytes() == expected.tobytes()
+
+    # None may modify its input: the core's scratch is reused.
     assert given_real.tobytes() == real.tobytes()
     assert given_narrow.tobytes() == narrow.tobytes()
+    assert given_band.tobytes() == band.tobytes()
 
     if name == TRANSFORMS_ONLY:
         # The base-class defaults are a complete backend: the four 2-D
         # transforms, on the full shapes, and nothing else.
         assert [call for call, _ in backend.calls] \
-            == ["rfft2", "rfft2", "irfft2", "irfft2"]
+            == ["rfft2", "rfft2", "irfft2", "irfft2", "irfft2",
+                "ifft2", "ifft2"]
         assert {shape for _, shape in backend.calls} == {(2, height, width)}
 
 
@@ -105,13 +143,22 @@ def test_numpy_rejects_an_unknown_norm_like_its_own_transforms():
     with pytest.raises(ValueError, match="norm"):
         backend.irfft2_zero_extended(np.zeros((4, 2), complex), (4, 4),
                                      norm="bogus")
+    with pytest.raises(ValueError, match="norm"):
+        backend.ifft2_row_band(np.zeros((2, 4), complex), 4, norm="bogus")
+
+
+@pytest.mark.parametrize("name", BACKEND_CELLS)
+def test_a_row_band_taller_than_its_target_is_refused(name):
+    with pytest.raises(ValueError, match="larger than target"):
+        cell_backend(name).ifft2_row_band(np.zeros((5, 4), complex), 4)
 
 
 # --------------------------------------------------------------------------- #
 # a numpy backend that watches who calls it
 # --------------------------------------------------------------------------- #
 class Ledger:
-    """Who entered a watched ``ifft2``, how often and how many at once."""
+    """Who entered a watched field transform, how often and how many at
+    once."""
 
     def __init__(self, fail_at=None, dwell_s=0.0):
         self.lock = threading.Lock()
@@ -138,7 +185,8 @@ class Ledger:
 
 
 class Watched(NumpyFFTBackend):
-    """numpy numerics; every ``ifft2`` (one per block) enters the ledger."""
+    """numpy numerics; every coherent-field transform (``ifft2_row_band``,
+    one per block) enters the ledger."""
 
     name = "watched"
 
@@ -146,9 +194,9 @@ class Watched(NumpyFFTBackend):
         super().__init__(workers)
         self.ledger = ledger if ledger is not None else Ledger()
 
-    def ifft2(self, array, norm=None):
+    def ifft2_row_band(self, band, height, norm=None):
         with self.ledger.entered():
-            return super().ifft2(array, norm=norm)
+            return super().ifft2_row_band(band, height, norm=norm)
 
 
 @pytest.fixture()
@@ -286,13 +334,13 @@ def test_a_one_block_batch_spends_its_budget_on_tiles(tiles):
 def test_an_executor_call_spends_the_spec_budget_and_moves_no_identity(
         monkeypatch):
     ledger = Ledger(dwell_s=0.002)
-    ifft2 = NumpyFFTBackend.ifft2
+    ifft2_row_band = NumpyFFTBackend.ifft2_row_band
 
-    def watched(self, array, norm=None):
+    def watched(self, band, height, norm=None):
         with ledger.entered():
-            return ifft2(self, array, norm=norm)
+            return ifft2_row_band(self, band, height, norm=norm)
 
-    monkeypatch.setattr(NumpyFFTBackend, "ifft2", watched)
+    monkeypatch.setattr(NumpyFFTBackend, "ifft2_row_band", watched)
     config = OpticsConfig(tile_size_px=64, pixel_size_nm=4.0,
                           max_socs_order=None)
     specs = {workers: EngineSpec(config=config, compute=ComputeConfig(

@@ -10,7 +10,8 @@ Pinned guarantees:
   backend cell; block size — the one cut of a batch — never changes a tile's bits,
 * split -> image -> stitch round-trips arbitrary layouts, is exactly the
   per-tile path when no guard band is needed, and has vanishing seam error
-  in the guarded interior,
+  in the guarded interior; a guard band only crops what the batched core
+  images, bit for bit,
 * the kernel-bank cache decomposes one float64 bank at most once per optics
   fingerprint per process (and round-trips through disk, written outside
   its lock).
@@ -340,6 +341,46 @@ class TestBatchedEquivalence:
         batched = model.predict_batch(masks)
         looped = np.stack([model.predict_aerial(mask) for mask in masks])
         np.testing.assert_allclose(batched, looped, rtol=1e-9, atol=1e-10)
+
+
+class TestCoreImages:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    @pytest.mark.parametrize("tile, guards", [
+        (64, (0, 3, default_guard_px((9, 9), 64))),   # band-limited (18 px)
+        (16, (0, 2, default_guard_px((9, 9), 16)))])  # direct: 16 < 18
+    def test_a_guard_crops_the_guardless_images_bit_for_bit(
+            self, tile, guards, precision, workers, monkeypatch):
+        """``image_tiles(guard=g)`` returns — and writes — the cores, bit for
+        bit the ``[g:-g, g:-g]`` crop of the ``guard=0`` images, on either
+        per-block body and any worker budget, over several blocks."""
+        rng = np.random.default_rng(tile + workers)
+        kernels = rng.normal(size=(3, 9, 9)) + 1j * rng.normal(size=(3, 9, 9))
+        masks = (rng.random((7, tile, tile)) > 0.5).astype(float)
+        precision = resolve_precision(precision)
+        kernels = precision.as_complex(kernels)
+        backend = get_backend(workers)
+        # Several blocks: two direct tiles or one band-limited tile each.
+        monkeypatch.setattr(batched, "BLOCK_BYTES", 2 * 3 * 16 * 16 * 16)
+        whole = batched.image_tiles(len(masks), masks, None, kernels,
+                                    backend, precision, (tile, tile), 0)
+        assert whole.shape == masks.shape
+        for guard in guards:
+            core = slice(guard, tile - guard)
+            expected = np.ascontiguousarray(whole[:, core, core])
+            cores = batched.image_tiles(len(masks), masks, None, kernels,
+                                        backend, precision, (tile, tile),
+                                        guard)
+            assert cores.dtype == precision.real_dtype
+            assert cores.tobytes() == expected.tobytes(), guard
+            written = np.full_like(expected, np.nan)
+
+            def write(start, images):
+                written[start:start + len(images)] = images
+
+            batched.image_tiles(len(masks), masks, write, kernels, backend,
+                                precision, (tile, tile), guard)
+            assert written.tobytes() == expected.tobytes(), guard
 
 
 class TestTruncate:

@@ -290,11 +290,10 @@ def stream_image_layout(reader, tiling: TilingSpec,
     return aerial, resist, len(placements), tile_stats
 
 
-def open_layout_dir(out_dir: str, mmap_mode: str = "r",
-                    ) -> Tuple[np.ndarray, np.ndarray, dict]:
+def open_layout_dir(out_dir: str) -> Tuple[np.ndarray, np.ndarray, dict]:
     """Reopen a streamed layout directory as ``(aerial, resist, meta)``.
 
-    Arrays come back as read-only memmaps (``mmap_mode="r"``), so inspecting
+    Arrays come back as read-only memmaps, so inspecting
     a huge streamed result costs no RAM beyond the pages actually touched.
     """
     meta_path = os.path.join(out_dir, META_FILE)
@@ -304,6 +303,6 @@ def open_layout_dir(out_dir: str, mmap_mode: str = "r",
             f"(missing {META_FILE})")
     with open(meta_path, "r", encoding="utf-8") as handle:
         meta = json.load(handle)
-    aerial = np.load(os.path.join(out_dir, AERIAL_FILE), mmap_mode=mmap_mode)
-    resist = np.load(os.path.join(out_dir, RESIST_FILE), mmap_mode=mmap_mode)
+    aerial = np.load(os.path.join(out_dir, AERIAL_FILE), mmap_mode="r")
+    resist = np.load(os.path.join(out_dir, RESIST_FILE), mmap_mode="r")
     return aerial, resist, meta

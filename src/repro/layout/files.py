@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .gdsii import LayoutFormatError, looks_like_binary_gds, parse_gds
 from .geometry import Polygon, Rect
@@ -79,14 +79,12 @@ def _read_json_layout(path: str, data: bytes,
     return shapes, float(document["extent_nm"])
 
 
-def load_layout_file(path: str, pixel_size_nm: float,
-                     shape: Optional[Tuple[int, int]] = None,
-                     layers=None):
+def load_layout_file(path: str, pixel_size_nm: float):
     """Load a JSON or binary-GDSII layout file as a windowed reader.
 
-    ``shape`` fixes the raster dimensions; by default they follow the file's
-    recorded extent (JSON) or the shapes' bounding box rounded up to whole
-    pixels (GDSII).  Binary GDSII returns a lazy
+    The raster dimensions follow the file's recorded extent (JSON) or the
+    shapes' bounding box rounded up to whole pixels (GDSII); every layer is
+    rasterised, unioned.  Binary GDSII returns a lazy
     :class:`~repro.layout.hierarchy.HierarchicalLayoutReader` (the cell
     hierarchy is never flattened); JSON a
     :class:`~repro.layout.indexed.GeometryLayoutReader`.  Every call reads
@@ -94,24 +92,20 @@ def load_layout_file(path: str, pixel_size_nm: float,
     keeps the readers it builds.
     """
     return layout_reader_from_bytes(path, read_layout_bytes(path),
-                                    pixel_size_nm, shape=shape,
-                                    layers=layers)
+                                    pixel_size_nm)
 
 
-def layout_reader_from_bytes(path: str, data: bytes, pixel_size_nm: float,
-                             shape: Optional[Tuple[int, int]] = None,
-                             layers=None):
+def layout_reader_from_bytes(path: str, data: bytes, pixel_size_nm: float):
     """:func:`load_layout_file` on ``data``, the bytes already read from
     ``path`` (whose suffix picks the format and which labels errors)."""
     if path.endswith(".json"):
         shapes, extent_nm = _read_json_layout(path, data)
-        return GeometryLayoutReader(shapes, pixel_size_nm, shape=shape,
-                                    extent_nm=extent_nm, layers=layers)
+        return GeometryLayoutReader(shapes, pixel_size_nm,
+                                    extent_nm=extent_nm)
     from .hierarchy import HierarchicalLayoutReader
 
     return HierarchicalLayoutReader(_parse_binary_gds(path, data),
-                                    pixel_size_nm, shape=shape,
-                                    layers=layers, source=path)
+                                    pixel_size_nm, source=path)
 
 
 #: File suffixes the CLI treats as layout files rather than a dense

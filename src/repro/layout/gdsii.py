@@ -218,15 +218,14 @@ def _decode_payload(datatype: int, payload: bytes, offset: int,
     raise fail(f"unknown payload data type {datatype}")
 
 
-def iter_records(data: bytes, source: str = "<bytes>",
-                 stop_after_endlib: bool = True) -> Iterator[Record]:
+def iter_records(data: bytes, source: str = "<bytes>") -> Iterator[Record]:
     """Tokenize a binary GDSII byte stream into :class:`Record` values.
 
     Always makes forward progress (record size is validated >= the 4-byte
     header before use), so no input can hang the tokenizer; truncation at
     any byte raises :class:`LayoutFormatError` with the record offset.
     Trailing NUL tape padding after ``ENDLIB`` is tolerated; any other
-    trailing bytes are an error.
+    trailing bytes, and a stream without ``ENDLIB``, are an error.
     """
     position, size = 0, len(data)
     while position < size:
@@ -253,7 +252,7 @@ def iter_records(data: bytes, source: str = "<bytes>",
         values = _decode_payload(datatype, payload, position, source)
         yield Record(position, rectype, datatype, values)
         position += record_size
-        if rectype == ENDLIB and stop_after_endlib:
+        if rectype == ENDLIB:
             remainder = data[position:]
             if remainder.strip(b"\x00"):
                 raise LayoutFormatError(
@@ -261,9 +260,8 @@ def iter_records(data: bytes, source: str = "<bytes>",
                     f"{len(remainder)} bytes of non-padding data after "
                     f"ENDLIB")
             return
-    if stop_after_endlib:
-        raise LayoutFormatError(source, size,
-                                "stream ended without an ENDLIB record")
+    raise LayoutFormatError(source, size,
+                            "stream ended without an ENDLIB record")
 
 
 def looks_like_binary_gds(head: bytes) -> bool:

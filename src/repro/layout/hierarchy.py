@@ -269,25 +269,18 @@ class HierarchicalLayoutReader:
         a path, parsed on the spot).
     pixel_size_nm:
         Raster sampling pitch.
-    top:
-        Root cell name.  Defaults to the library's single unreferenced cell;
-        ambiguous libraries (several top cells) must name one.
-    shape:
-        Raster dimensions ``(H, W)``; defaults to the square hull of the top
-        cell's bounding box, rounded up to whole pixels.
-    layers:
-        Layers rasterised by :meth:`read_window` (GDSII layer numbers as
-        strings, matching the flat readers; default: all, unioned).
+
+    The root is the library's single unreferenced cell; the raster is the
+    square hull of its bounding box, rounded up to whole pixels; every layer
+    (GDSII layer numbers as strings, matching the flat readers) is
+    rasterised, unioned.
 
     Raises :class:`~repro.layout.gdsii.LayoutFormatError` on cyclic cell
-    graphs, unknown top cells and layouts with no rasterisable content (when
-    no ``shape`` is given).
+    graphs, libraries without exactly one top cell and layouts with no
+    rasterisable content.
     """
 
     def __init__(self, library, pixel_size_nm: float,
-                 top: Optional[str] = None,
-                 shape: Optional[Tuple[int, int]] = None,
-                 layers: Optional[Iterable[str]] = None,
                  source: Optional[str] = None):
         if not isinstance(library, GDSLibrary):
             library = parse_gds(library, name=source)
@@ -296,7 +289,7 @@ class HierarchicalLayoutReader:
         self.library = library
         self._pixel_size_nm = float(pixel_size_nm)
         self._source = source or library.name
-        self._top = self._resolve_top(top)
+        self._top = self._resolve_top()
         self._check_acyclic()
         unit = library.unit_nm
         bucket_nm = DEFAULT_BUCKET_PX * self.pixel_size_nm
@@ -334,14 +327,9 @@ class HierarchicalLayoutReader:
         self._rasters: Dict[tuple, Tuple[np.ndarray, int, int]] = {}
         self._raster_bytes = 0
         self._memo_lock = threading.Lock()
-        all_layers = sorted({layer for grids in self._grids.values()
-                             for layer in grids})
-        self._layers = tuple(all_layers) if layers is None else tuple(layers)
-        if shape is None:
-            shape = self._default_shape()
-        if shape[0] <= 0 or shape[1] <= 0:
-            raise ValueError("raster shape must be positive")
-        self._shape = (int(shape[0]), int(shape[1]))
+        self._layers = tuple(sorted({layer for grids in self._grids.values()
+                                     for layer in grids}))
+        self._shape = self._default_shape()
         #: Rectangles painted plus cell rasters blitted by the most recent
         #: ``read_window`` — the flat-in-instance-count observable the
         #: tests pin.
@@ -351,18 +339,10 @@ class HierarchicalLayoutReader:
     # -------------------------------------------------------------- #
     # graph validation / derived geometry
     # -------------------------------------------------------------- #
-    def _resolve_top(self, top: Optional[str]) -> str:
-        cells = self.library.cells
-        if not cells:
+    def _resolve_top(self) -> str:
+        if not self.library.cells:
             raise LayoutFormatError(self._source, 0,
                                     "library defines no structures")
-        if top is not None:
-            if top not in cells:
-                raise LayoutFormatError(
-                    self._source, 0,
-                    f"top cell {top!r} is not defined (cells: "
-                    f"{', '.join(sorted(cells))})")
-            return top
         tops = self.library.top_cells
         if len(tops) == 1:
             return tops[0]
@@ -454,8 +434,7 @@ class HierarchicalLayoutReader:
         if box is None or box[2] <= 0 or box[3] <= 0:
             raise LayoutFormatError(
                 self._source, 0,
-                f"top cell {self._top!r} has no rasterisable content "
-                f"(pass shape=(H, W) to rasterise an empty window)")
+                f"top cell {self._top!r} has no rasterisable content")
         side = int(-(-max(box[2], box[3]) // self.pixel_size_nm))  # ceil
         return side, side
 
@@ -545,8 +524,6 @@ class HierarchicalLayoutReader:
         else:
             local = transform.invert_box(*window)
             for layer, grid in grids.items():
-                if self.layers and layer not in self.layers:
-                    continue
                 for index in grid.query(*local):
                     chip = transform.apply_box(*grid.boxes[index])
                     if _boxes_intersect(chip, window):
@@ -703,9 +680,7 @@ class HierarchicalLayoutReader:
         raster = np.zeros((height, width), dtype=np.uint8)
         origin = Transform(a, b, c, d, phase_x - col_origin * pixel,
                            phase_y - row_origin * pixel)
-        for layer, x1, y1, x2, y2 in self._iter_cell(cell, origin, None):
-            if self.layers and layer not in self.layers:
-                continue
+        for _, x1, y1, x2, y2 in self._iter_cell(cell, origin, None):
             row0, row1 = _pixel_interval(y1, y2, pixel, height)
             col0, col1 = _pixel_interval(x1, x2, pixel, width)
             if row1 > row0 and col1 > col0:
@@ -802,8 +777,11 @@ class HierarchicalLayoutReader:
         one canonical :func:`~repro.layout.indexed.layout_digest`, so whether
         a campaign loads
         the hierarchical ``.gds`` or a pre-flattened equivalent, the store
-        sees one identity.  Computed once and cached (the walk enumerates
-        every placed rectangle; windows never pay this cost).
+        sees one identity.  (A layer drawn only with zero-area boundaries
+        is hashed here, empty, but flattens to no rectangle, so it is the
+        one thing the flattened reader's digest leaves out.)  Computed once
+        and cached (the walk enumerates every placed rectangle; windows
+        never pay this cost).
         """
         if self._digest is not None:
             return self._digest
@@ -812,8 +790,6 @@ class HierarchicalLayoutReader:
         intervals: Dict[str, set] = {layer: set() for layer in self.layers}
         for layer, x1, y1, x2, y2 in self._iter_cell(
                 self._top, Transform.identity(), None):
-            if layer not in intervals:
-                continue
             row0, row1 = _pixel_interval(y1, y2, pixel, height)
             col0, col1 = _pixel_interval(x1, x2, pixel, width)
             if row1 > row0 and col1 > col0:
@@ -833,8 +809,6 @@ class HierarchicalLayoutReader:
         shapes: Dict[str, List] = {}
         for layer, x1, y1, x2, y2 in self._iter_cell(
                 self._top, Transform.identity(), None):
-            if self.layers and layer not in self.layers:
-                continue
             shapes.setdefault(layer, []).append(
                 Rect(x1, y1, x2 - x1, y2 - y1))
         return shapes
@@ -847,5 +821,4 @@ class HierarchicalLayoutReader:
         from .indexed import GeometryLayoutReader
 
         return GeometryLayoutReader(self.flatten_shapes(),
-                                    self.pixel_size_nm, shape=self._shape,
-                                    layers=self.layers)
+                                    self.pixel_size_nm, shape=self._shape)

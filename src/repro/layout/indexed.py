@@ -112,9 +112,9 @@ class GeometryLayoutReader:
     shape:
         Raster dimensions ``(H, W)``; defaults to the square implied by
         ``extent_nm`` (one of the two must be given).
-    layers:
-        Layers rasterised by :meth:`read_window` (default: all, unioned —
-        a mask is bright wherever any selected layer has a shape).
+
+    Every layer is rasterised: a mask is bright wherever any layer has a
+    shape.
 
     >>> from repro.layout.geometry import Rect
     >>> reader = GeometryLayoutReader({"metal": [Rect(8, 8, 16, 16)]},
@@ -129,8 +129,7 @@ class GeometryLayoutReader:
     def __init__(self, shapes: Mapping[str, Sequence[Shape]],
                  pixel_size_nm: float,
                  shape: Optional[Tuple[int, int]] = None,
-                 extent_nm: Optional[float] = None,
-                 layers: Optional[Iterable[str]] = None):
+                 extent_nm: Optional[float] = None):
         if pixel_size_nm <= 0:
             raise ValueError("pixel_size_nm must be positive")
         if shape is None:
@@ -149,10 +148,7 @@ class GeometryLayoutReader:
         for layer, layer_shapes in shapes.items():
             for item in layer_shapes:
                 self._add_shape(layer, item)
-        self._layers = tuple(sorted(self._indices)) if layers is None \
-            else tuple(layers)
-        for layer in self.layers:
-            self._indices.setdefault(layer, _BucketGrid())
+        self._layers = tuple(sorted(self._indices))
 
     # ------------------------------------------------------------------ #
     # construction

@@ -31,7 +31,6 @@ class FrequencyGrid:
 
     fx: np.ndarray
     fy: np.ndarray
-    pixel_size_nm: float
     wavelength_nm: float
     numerical_aperture: float
 
@@ -51,7 +50,7 @@ def centred_indices(size: int) -> np.ndarray:
 
 
 def make_grid(height: int, width: int, field_size_nm: float, wavelength_nm: float,
-              numerical_aperture: float, pixel_size_nm: float = 1.0) -> FrequencyGrid:
+              numerical_aperture: float) -> FrequencyGrid:
     """Build the normalised frequency grid of an ``height x width`` spectrum window.
 
     Parameters
@@ -69,8 +68,7 @@ def make_grid(height: int, width: int, field_size_nm: float, wavelength_nm: floa
     ky = centred_indices(height) * spacing / cutoff
     kx = centred_indices(width) * spacing / cutoff
     fx, fy = np.meshgrid(kx, ky)
-    return FrequencyGrid(fx=fx, fy=fy, pixel_size_nm=pixel_size_nm,
-                         wavelength_nm=wavelength_nm,
+    return FrequencyGrid(fx=fx, fy=fy, wavelength_nm=wavelength_nm,
                          numerical_aperture=numerical_aperture)
 
 

@@ -13,11 +13,9 @@ Fig. 5 throughput comparison.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from ..backend import FFTBackend, get_backend
+from ..backend import get_backend
 from .grid import centred_indices, make_grid
 from .pupil import Pupil
 from .source import Source
@@ -37,33 +35,26 @@ def _shift_map(values: np.ndarray, row_shift: int, col_shift: int) -> np.ndarray
 
 def abbe_aerial(mask: np.ndarray, source: Source, pupil: Pupil,
                 field_size_nm: float, wavelength_nm: float,
-                numerical_aperture: float,
-                source_grid_size: Optional[int] = None,
-                backend: Optional[FFTBackend] = None) -> np.ndarray:
+                numerical_aperture: float) -> np.ndarray:
     """Aerial image of ``mask`` by direct Abbe summation over source points.
 
     Parameters
     ----------
     mask:
         Real 2-D mask image.
-    source_grid_size:
-        Number of samples per axis of the source sampling window.  Defaults to
-        the number of frequency samples falling inside twice the pupil
-        cut-off, which matches the lattice used for the TCC computation.
-    backend:
-        FFT backend for the per-source-point inverse transforms; ``None``
-        is :func:`~repro.backend.get_backend`'s.
+
+    The source is sampled on the frequency samples inside twice the pupil
+    cut-off, the lattice the TCC computation uses; the transforms run on
+    :func:`~repro.backend.get_backend`'s backend.
     """
-    backend = backend or get_backend()
+    backend = get_backend()
     if mask.ndim != 2:
         raise ValueError("mask must be a 2-D image")
     height, width = mask.shape
 
-    if source_grid_size is None:
-        # One lattice point per mask-spectrum sample inside |f| <= 2 NA / lambda.
-        cutoff_index = int(np.floor(field_size_nm * 2.0 * numerical_aperture / wavelength_nm))
-        source_grid_size = 2 * cutoff_index + 1
-        source_grid_size = min(source_grid_size, min(height, width))
+    # One lattice point per mask-spectrum sample inside |f| <= 2 NA / lambda.
+    cutoff_index = int(np.floor(field_size_nm * 2.0 * numerical_aperture / wavelength_nm))
+    source_grid_size = min(2 * cutoff_index + 1, height, width)
 
     source_grid = make_grid(source_grid_size, source_grid_size, field_size_nm,
                             wavelength_nm, numerical_aperture)

@@ -85,13 +85,11 @@ class LithographySimulator:
 
     def __init__(self, config: Optional[OpticsConfig] = None,
                  source: Optional[Source] = None,
-                 pupil: Optional[Pupil] = None,
-                 cache=None):
+                 pupil: Optional[Pupil] = None):
         self.config = config or OpticsConfig()
         self.source, self.pupil = default_illumination(self.config, source,
                                                        pupil)
         self.resist_model = ConstantThresholdResist(self.config.resist_threshold)
-        self._cache = cache
         self._kernels: Optional[SOCSKernels] = None
         self._engine = None
 
@@ -108,31 +106,24 @@ class LithographySimulator:
             pixel_size_nm=self.config.pixel_size_nm)
 
     @property
-    def kernel_cache(self):
-        """The kernel-bank cache serving this simulator (process-wide by default)."""
-        if self._cache is None:
-            from ..engine.cache import default_kernel_cache
-
-            self._cache = default_kernel_cache()
-        return self._cache
-
-    @property
     def kernels(self) -> SOCSKernels:
         """SOCS kernel bank, built at most once per optics fingerprint."""
         if self._kernels is None:
-            self._kernels = self.kernel_cache.get_kernels(
+            from ..engine.cache import default_kernel_cache
+
+            self._kernels = default_kernel_cache().get_kernels(
                 self.config, self.source, self.pupil)
         return self._kernels
 
     @property
     def engine(self):
         """The batched :class:`~repro.engine.execution.ExecutionEngine` for these
-        optics, its bank served by :attr:`kernel_cache`."""
+        optics, its bank served by the process-wide kernel-bank cache."""
         if self._engine is None:
             from ..engine.execution import ExecutionEngine
 
             self._engine = ExecutionEngine.for_optics(
-                self.config, self.source, self.pupil, cache=self.kernel_cache)
+                self.config, self.source, self.pupil)
         return self._engine
 
     # ------------------------------------------------------------------ #
@@ -183,10 +174,10 @@ def lithosim_engine(tile_size_px: int = 256, pixel_size_nm: float = 4.0) -> Lith
     return LithographySimulator(config=config, source=CircularSource(sigma=0.6))
 
 
-def calibre_like_engine(tile_size_px: int = 256, pixel_size_nm: float = 4.0,
-                        defocus_nm: float = 0.0) -> LithographySimulator:
+def calibre_like_engine(tile_size_px: int = 256, pixel_size_nm: float = 4.0
+                        ) -> LithographySimulator:
     """Preset mimicking the commercial engine used for the ISPD-2019 layers (annular source)."""
     config = OpticsConfig(tile_size_px=tile_size_px, pixel_size_nm=pixel_size_nm,
-                          resist_threshold=0.225, defocus_nm=defocus_nm)
+                          resist_threshold=0.225)
     return LithographySimulator(config=config,
                                 source=AnnularSource(sigma_inner=0.6, sigma_outer=0.9))

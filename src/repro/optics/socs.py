@@ -97,13 +97,12 @@ class SOCSKernels:
         return pairs.reshape((-1,) + tuple(self.kernel_shape))[:count]
 
 
-def _kept_count(eigenvalues: np.ndarray, max_order: Optional[int],
-                energy_tolerance: float) -> int:
+def _kept_count(eigenvalues: np.ndarray, max_order: Optional[int]) -> int:
     """How many of the descending ``eigenvalues`` a bank keeps: every one
-    above ``energy_tolerance`` times the largest, at most ``max_order`` of
+    above ``ENERGY_TOLERANCE`` times the largest, at most ``max_order`` of
     them and at least one."""
     if eigenvalues.size and eigenvalues[0] > 0:
-        count = int(np.count_nonzero(eigenvalues > energy_tolerance * eigenvalues[0]))
+        count = int(np.count_nonzero(eigenvalues > ENERGY_TOLERANCE * eigenvalues[0]))
     else:
         count = 0
     if max_order is not None:
@@ -112,13 +111,13 @@ def _kept_count(eigenvalues: np.ndarray, max_order: Optional[int],
 
 
 def _truncate(eigenvalues: np.ndarray, eigenvectors: np.ndarray,
-              kernel_shape: Tuple[int, int], max_order: Optional[int],
-              energy_tolerance: float) -> SOCSKernels:
+              kernel_shape: Tuple[int, int], max_order: Optional[int]
+              ) -> SOCSKernels:
     """Kernels from descending, non-negative eigenpairs (vectors as columns),
     cut by :func:`_kept_count`; ``total_energy`` is the sum of all
     eigenvalues given.
     """
-    count = _kept_count(eigenvalues, max_order, energy_tolerance)
+    count = _kept_count(eigenvalues, max_order)
     n, m = kernel_shape
     kept_values = eigenvalues[:count]
     kept_vectors = eigenvectors[:, :count]
@@ -129,25 +128,22 @@ def _truncate(eigenvalues: np.ndarray, eigenvectors: np.ndarray,
                        total_energy=float(eigenvalues.sum()))
 
 
-def decompose_tcc(tcc: TCCResult, max_order: Optional[int] = None,
-                  energy_tolerance: float = ENERGY_TOLERANCE) -> SOCSKernels:
+def decompose_tcc(tcc: TCCResult, max_order: Optional[int] = None
+                  ) -> SOCSKernels:
     """Eigendecompose a TCC matrix into SOCS kernels.
 
     Parameters
     ----------
     max_order:
         Keep at most this many kernels.  ``None`` keeps every kernel whose
-        eigenvalue exceeds ``energy_tolerance`` times the largest one.
-    energy_tolerance:
-        Relative eigenvalue threshold below which kernels are discarded.
+        eigenvalue exceeds ``ENERGY_TOLERANCE`` times the largest one.
     """
     eigenvalues, eigenvectors = np.linalg.eigh(tcc.matrix)
     # eigh returns ascending order; we want the dominant kernels first.
     order = np.argsort(eigenvalues)[::-1]
     # Numerical noise can produce tiny negative eigenvalues; clamp them.
     return _truncate(np.clip(eigenvalues[order], 0.0, None),
-                     eigenvectors[:, order], tcc.kernel_shape, max_order,
-                     energy_tolerance)
+                     eigenvectors[:, order], tcc.kernel_shape, max_order)
 
 
 def _mirror_indices(kernel_shape: Tuple[int, int]) -> np.ndarray:
@@ -223,9 +219,8 @@ def socs_kernels(source: Source, pupil: Pupil, kernel_shape: Tuple[int, int],
 
     # The retained trace of T's own top-r eigen bank is the budget.
     complex_values = np.linalg.svd(stack, compute_uv=False) ** 2
-    budget = complex_values[:_kept_count(complex_values, max_order,
-                                         ENERGY_TOLERANCE)].sum()
-    usable = _kept_count(eigenvalues, None, ENERGY_TOLERANCE)
+    budget = complex_values[:_kept_count(complex_values, max_order)].sum()
+    usable = _kept_count(eigenvalues, None)
     reached = np.cumsum(eigenvalues[:usable]) >= budget * (1 - _TRACE_SLACK)
     count = int(np.argmax(reached)) + 1 if reached.any() else usable
     # A cut inside a degenerate eigenspace would keep an arbitrary vector of

@@ -12,7 +12,7 @@ production kernel bank is built from that stack directly and never forms it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -59,14 +59,13 @@ def _offset_window(values: np.ndarray, row_offset: int, col_offset: int,
 
 def shifted_pupil_stack(source: Source, pupil: Pupil, kernel_shape: Tuple[int, int],
                         field_size_nm: float, wavelength_nm: float,
-                        numerical_aperture: float,
-                        source_shape: Optional[Tuple[int, int]] = None
+                        numerical_aperture: float
                         ) -> Tuple[np.ndarray, np.ndarray]:
     """The factors of Eq. (2): ``T = A diag(J) A^H``.
 
-    Row ``p`` of ``A`` (``(n*m, sn*sm)``) is the pupil shifted to kernel
+    Row ``p`` of ``A`` (``(n*m, n*m)``) is the pupil shifted to kernel
     frequency ``f_p`` and sampled at every source point, ``H(s + f_p)``;
-    ``J`` (``(sn*sm,)``) is the normalised source intensity at those points.
+    ``J`` (``(n*m,)``) is the normalised source intensity at those points.
     Both the TCC (:func:`compute_tcc`) and the SOCS kernels built without it
     (:func:`repro.optics.socs.socs_kernels`) start here, so the pupil-offset
     convention is written once.
@@ -78,44 +77,39 @@ def shifted_pupil_stack(source: Source, pupil: Pupil, kernel_shape: Tuple[int, i
         :func:`repro.optics.kernel_dims.kernel_dimensions`.
     field_size_nm:
         Physical tile extent; sets the frequency sampling pitch.
-    source_shape:
-        Resolution of the source sampling grid.  Defaults to the kernel
-        window, which keeps the source and mask spectra on the same lattice.
+
+    The source is sampled on the kernel window itself, which keeps the
+    source and mask spectra on the same lattice.
     """
     n, m = kernel_shape
     if n <= 0 or m <= 0:
         raise ValueError("kernel_shape entries must be positive")
-    if source_shape is None:
-        source_shape = kernel_shape
-    sn, sm = source_shape
 
-    source_grid = make_grid(sn, sm, field_size_nm, wavelength_nm, numerical_aperture)
+    source_grid = make_grid(n, m, field_size_nm, wavelength_nm, numerical_aperture)
     weights = source.normalized_intensity(source_grid)
 
     # The pupil must be evaluated at source + kernel offsets, so sample it on
     # an extended window covering both.
-    ext_h, ext_w = sn + n, sm + m
-    pupil_grid = make_grid(ext_h, ext_w, field_size_nm, wavelength_nm, numerical_aperture)
+    pupil_grid = make_grid(2 * n, 2 * m, field_size_nm, wavelength_nm, numerical_aperture)
     pupil_map = pupil.transfer(pupil_grid)
 
     rows = centred_indices(n)
     cols = centred_indices(m)
     order = n * m
 
-    # Pre-compute H(s + f) for every kernel frequency f as an (order, sn, sm) stack.
-    shifted = np.empty((order, sn, sm), dtype=np.complex128)
+    # Pre-compute H(s + f) for every kernel frequency f as an (order, n, m) stack.
+    shifted = np.empty((order, n, m), dtype=np.complex128)
     flat_index = 0
     for row_offset in rows:
         for col_offset in cols:
-            shifted[flat_index] = _offset_window(pupil_map, int(row_offset), int(col_offset), sn, sm)
+            shifted[flat_index] = _offset_window(pupil_map, int(row_offset), int(col_offset), n, m)
             flat_index += 1
     return shifted.reshape(order, -1), weights.reshape(-1)
 
 
 def compute_tcc(source: Source, pupil: Pupil, kernel_shape: Tuple[int, int],
                 field_size_nm: float, wavelength_nm: float,
-                numerical_aperture: float,
-                source_shape: Optional[Tuple[int, int]] = None) -> TCCResult:
+                numerical_aperture: float) -> TCCResult:
     """Compute the TCC matrix on the ``kernel_shape`` frequency window.
 
     The computation discretises Eq. (2): for every source sample ``s`` with
@@ -125,14 +119,13 @@ def compute_tcc(source: Source, pupil: Pupil, kernel_shape: Tuple[int, int],
     """
     shifted, weights = shifted_pupil_stack(
         source, pupil, kernel_shape, field_size_nm, wavelength_nm,
-        numerical_aperture, source_shape)
+        numerical_aperture)
 
     # T[p, q] = sum_s J(s) * H(s + f_p) * conj(H(s + f_q))
     matrix = (shifted * weights[None, :]) @ np.conj(shifted.T)
 
     # Enforce exact Hermitian symmetry against round-off.
     matrix = 0.5 * (matrix + np.conj(matrix.T))
-    sn, sm = source_shape or kernel_shape
     return TCCResult(matrix=matrix, kernel_shape=tuple(kernel_shape),
-                     grid=make_grid(sn, sm, field_size_nm, wavelength_nm,
+                     grid=make_grid(*kernel_shape, field_size_nm, wavelength_nm,
                                     numerical_aperture))

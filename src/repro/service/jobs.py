@@ -64,7 +64,7 @@ class CampaignJob:
     store_dir: str
     state: str = "queued"
     error: Optional[str] = None
-    created_at: float = field(default_factory=time.time)
+    created_at: float = field(init=False, default_factory=time.time)
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
     #: Conditions imaged by the most recent run vs served from the store —
@@ -72,7 +72,8 @@ class CampaignJob:
     computed_conditions: Optional[int] = None
     resumed_conditions: Optional[int] = None
     resumed: bool = False
-    cancel_event: threading.Event = field(default_factory=threading.Event,
+    cancel_event: threading.Event = field(init=False,
+                                          default_factory=threading.Event,
                                           repr=False)
 
     def as_dict(self) -> Dict[str, Any]:

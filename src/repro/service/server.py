@@ -62,11 +62,6 @@ class _CampaignRequestHandler(BaseHTTPRequestHandler):
     def manager(self) -> CampaignManager:
         return self.server.manager  # type: ignore[attr-defined]
 
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        if getattr(self.server, "quiet", True):
-            return
-        super().log_message(format, *args)
-
     def _send(self, status: int, body: bytes, content_type: str) -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
@@ -204,7 +199,7 @@ class CampaignServer:
     """
 
     def __init__(self, data_dir: str, host: str = "127.0.0.1", port: int = 0,
-                 campaign_workers: int = 2, quiet: bool = True,
+                 campaign_workers: int = 2,
                  manager: Optional[CampaignManager] = None):
         self.manager = manager or CampaignManager(
             data_dir, campaign_workers=campaign_workers)
@@ -212,7 +207,6 @@ class CampaignServer:
                                           _CampaignRequestHandler)
         self._httpd.daemon_threads = True
         self._httpd.manager = self.manager  # type: ignore[attr-defined]
-        self._httpd.quiet = quiet  # type: ignore[attr-defined]
         self.host, self.port = self._httpd.server_address[:2]
         self._thread: Optional[threading.Thread] = None
 
@@ -253,10 +247,10 @@ class CampaignServer:
 
 
 def serve(data_dir: str, host: str = "127.0.0.1", port: int = 8765,
-          campaign_workers: int = 2, quiet: bool = False) -> None:
+          campaign_workers: int = 2) -> None:
     """Blocking entry point behind ``repro serve``."""
     server = CampaignServer(data_dir, host=host, port=port,
-                            campaign_workers=campaign_workers, quiet=quiet)
+                            campaign_workers=campaign_workers)
     print(f"campaign service listening on {server.url} "
           f"(data dir: {os.path.abspath(data_dir)})")
     server.serve_forever()

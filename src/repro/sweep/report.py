@@ -366,20 +366,18 @@ def render_campaign_report_html(report: CampaignReport) -> str:
     return "\n".join(head + table + tail)
 
 
-def save_aerial_thumbnails(report: CampaignReport, directory: str,
-                           max_width_px: int = 512) -> Dict[str, str]:
+def save_aerial_thumbnails(report: CampaignReport,
+                           directory: str) -> Dict[str, str]:
     """Write each stored aerial as an 8-bit PGM thumbnail; token -> path.
 
-    Aerials wider than ``max_width_px`` are strided down to thumbnail scale
-    **before** any dense work — like the ASCII rendering, a multi-GB
-    memmapped aerial stays on disk and only the sampled pixels are read.
+    Aerials wider than 512 px are strided down to thumbnail scale **before**
+    any dense work — like the ASCII rendering, a multi-GB memmapped aerial
+    stays on disk and only the sampled pixels are read.
     """
-    if max_width_px <= 0:
-        raise ValueError("max_width_px must be positive")
     paths: Dict[str, str] = {}
     for token, path in report.aerial_files():
         aerial = np.load(path, mmap_mode="r")
-        step = max(1, -(-aerial.shape[1] // max_width_px))  # ceil
+        step = max(1, -(-aerial.shape[1] // 512))  # ceil
         paths[token] = write_pgm(
             np.asarray(aerial[::step, ::step], dtype=float),
             os.path.join(directory, f"aerial_f{token}.pgm"))

@@ -75,9 +75,9 @@ def fourier_resize_batch(images: np.ndarray, output_shape: Tuple[int, int]) -> n
     return np.real(np.fft.ifft2(np.fft.ifftshift(resized, axes=(-2, -1)), norm="forward"))
 
 
-def binarize(image: np.ndarray, threshold: float = 0.5) -> np.ndarray:
-    """Threshold an image to {0, 1} with values above ``threshold`` mapping to 1."""
-    return (np.asarray(image, dtype=float) > threshold).astype(np.uint8)
+def binarize(image: np.ndarray) -> np.ndarray:
+    """Threshold an image to {0, 1} with values above 0.5 mapping to 1."""
+    return (np.asarray(image, dtype=float) > 0.5).astype(np.uint8)
 
 
 def normalize01(image: np.ndarray) -> np.ndarray:

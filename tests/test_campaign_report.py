@@ -7,6 +7,7 @@ move.
 """
 
 import os
+import types
 
 import numpy as np
 import pytest
@@ -132,16 +133,16 @@ class TestCampaignReport:
             with open(path, "rb") as handle:
                 assert handle.read(2) == b"P5"
 
-    def test_thumbnails_are_downsampled(self, completed_store, tmp_path):
-        """Huge memmapped aerials must not be materialised at full size."""
-        report = load_campaign_report(completed_store)
-        paths = save_aerial_thumbnails(report, str(tmp_path / "small"),
-                                       max_width_px=16)
-        for path in paths.values():
-            with open(path, "rb") as handle:
-                header = handle.readline() + handle.readline()
-            width = int(header.split()[1])
-            assert width <= 16  # 32 px aerial strided down, never full-res
+    def test_thumbnails_are_downsampled(self, tmp_path):
+        """Huge memmapped aerials must not be materialised at full size:
+        one wider than 512 px is strided down to at most 512."""
+        aerial = str(tmp_path / "aerial_f0.npy")
+        np.save(aerial, np.zeros((3, 1100)))
+        report = types.SimpleNamespace(aerial_files=lambda: [("0", aerial)])
+        paths = save_aerial_thumbnails(report, str(tmp_path / "small"))
+        with open(paths["0"], "rb") as handle:
+            header = handle.readline() + handle.readline()
+        assert header.split()[1:] == [b"367", b"1"]  # every third pixel
 
 
 class TestCampaignReportCLI:

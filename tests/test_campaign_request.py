@@ -166,6 +166,7 @@ def test_exit_2_on_the_cli_is_a_400_with_the_same_message(
     if cli is None:
         return
     store, output = tmp_path / "store", tmp_path / "out.npz"
+    capsys.readouterr()  # the server's request log
     assert sweep_window(cli(bad_layouts), store, output) == 2
     assert capsys.readouterr().err == f"error: {excinfo.value.message}\n"
     assert not store.exists() and not output.exists()

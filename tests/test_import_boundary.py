@@ -16,7 +16,10 @@ cannot mask a leak.
 The name census beside the static import walk holds ``src/repro`` to the
 other half of that statement: every public module-level function, class or
 constant and every public method or property has a caller outside
-``tests/``, or a line in :data:`UNCALLED_ALLOWED` saying why not.
+``tests/``, or a line in :data:`UNCALLED_ALLOWED` saying why not.  The
+parameter census does the same for settings: every defaulted parameter and
+dataclass field of production has a caller outside ``tests/`` that sets it,
+or a line in :data:`UNSET_ALLOWED` (rules: :func:`unset_settings`).
 """
 
 import ast
@@ -347,3 +350,327 @@ def test_the_name_census_sees_every_spelling(tmp_path):
     with pytest.raises(AssertionError, match=r"uncalled .*\['method'\]"):
         check_census(str(tmp_path), {name: "a reason" for name in found
                                      if name != "method"})
+
+
+#: Settings that are outside input, so the parameter census does not hold
+#: them: a module (every parameter in it) or one ``function(parameter)``.
+SETTINGS_EXEMPT = {
+    "api.py": "the library spelling of the CLI flags, which are outside "
+              "input",
+    "main(argv)": "the command line, which is outside input",
+}
+#: Where a defaulted parameter is a setting: production and the CLI.
+SETTING_MODULES = tuple(entry for entry in PRODUCTION + ("cli.py",)
+                        if entry not in SETTINGS_EXEMPT)
+#: Defaulted parameters and dataclass fields that nothing outside
+#: ``tests/`` sets, each with the reason it stays a parameter.
+UNSET_ALLOWED = {
+    "ServiceClient(timeout)": "a deployment setting: how long a client "
+                              "waits on a slow server",
+    "TileResultCache(max_bytes)": "a deployment setting: the tile cache's "
+                                  "memory budget",
+    "configure_default_tile_cache(cache_dir)": "a deployment setting: where "
+                                               "the process's tile cache "
+                                               "persists",
+    "configure_default_tile_cache(max_bytes)": "a deployment setting: the "
+                                               "process's tile cache budget",
+    "CampaignServer(manager)": "the seam a test hands its own "
+                               "CampaignManager through",
+    "Pupil(apodization)": "a physical parameter of the paper's pupil",
+    "DipoleSource(centre)": "a physical parameter of the paper's source",
+    "DipoleSource(pole_radius)": "a physical parameter of the paper's "
+                                 "source",
+    "DipoleSource(vertical)": "a physical parameter of the paper's source",
+    "QuadrupoleSource(centre)": "a physical parameter of the paper's "
+                                "source",
+    "QuadrupoleSource(pole_radius)": "a physical parameter of the paper's "
+                                     "source",
+    "LithographySimulator(pupil)": "a physical parameter: the pupil the "
+                                   "golden simulator images through",
+}
+
+
+class Signature:
+    """The parameters one call name can reach: ``key`` names its settings
+    (``function``, ``Class.method``, or ``Class`` for ``__init__`` and for
+    a dataclass's fields), ``params`` are the positional ones in order."""
+
+    def __init__(self, key: str, params: list, defaulted: set):
+        self.key, self.params, self.defaulted = key, params, defaulted
+
+
+def _called_name(node):
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(_called_name(getattr(decorator, "func", decorator))
+               == "dataclass" for decorator in node.decorator_list)
+
+
+def _function_signature(key: str, function, is_method: bool) -> Signature:
+    args = function.args
+    positional = [arg.arg for arg in args.posonlyargs + args.args]
+    defaulted = set(positional[len(positional) - len(args.defaults):]) \
+        if args.defaults else set()
+    defaulted |= {arg.arg for arg, default in
+                  zip(args.kwonlyargs, args.kw_defaults) if default is not None}
+    static = any(_called_name(decorator) == "staticmethod"
+                 for decorator in function.decorator_list)
+    if is_method and not static:
+        positional = positional[1:]  # self / cls
+    return Signature(key, positional, defaulted)
+
+
+def setting_files(repo: str = REPO):
+    for entry in SETTING_MODULES:
+        path = os.path.join(repo, "src", "repro", entry)
+        if os.path.isfile(path):
+            yield path
+        yield from python_files(path)
+
+
+def setting_signatures(repo: str = REPO):
+    """``(call name -> [Signature], dataclass signatures)`` of every
+    module-level function, method and class in :data:`SETTING_MODULES`.
+    A class call reaches its ``__init__`` or its dataclass fields (a base
+    dataclass's first), inherited when it defines neither; dunder methods
+    other than ``__init__`` are called by the language, not by name."""
+    classes, index = {}, {}
+    for path in setting_files(repo):
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), filename=path)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                index.setdefault(node.name, []).append(
+                    _function_signature(node.name, node, False))
+            elif isinstance(node, ast.ClassDef):
+                classes[node.name] = node
+
+    def fields(node):
+        for base in node.bases:
+            if _called_name(base) in classes:
+                yield from fields(classes[_called_name(base)])
+        for member in node.body:
+            if not (isinstance(member, ast.AnnAssign)
+                    and isinstance(member.target, ast.Name)) \
+                    or "ClassVar" in ast.unparse(member.annotation):
+                continue
+            value = member.value
+            if isinstance(value, ast.Call) and _called_name(value.func) \
+                    == "field" and any(keyword.arg == "init"
+                                       for keyword in value.keywords):
+                continue  # init=False: not a constructor parameter
+            yield member.target.id, value is not None
+
+    constructors = {}
+
+    def constructor(name):
+        if name not in constructors:
+            node, found = classes[name], None
+            if _is_dataclass(node):
+                pairs = list(fields(node))
+                found = Signature(name, [field for field, _ in pairs],
+                                  {field for field, default in pairs if default})
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) \
+                        and member.name == "__init__":
+                    found = _function_signature(name, member, True)
+            for base in node.bases:
+                if found is None and _called_name(base) in classes:
+                    found = constructor(_called_name(base))
+            constructors[name] = found
+        return constructors[name]
+
+    for name, node in classes.items():
+        if constructor(name) is not None:
+            index.setdefault(name, []).append(constructor(name))
+        for member in node.body:
+            if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and not member.name.startswith("__"):
+                index.setdefault(member.name, []).append(_function_signature(
+                    f"{name}.{member.name}", member, True))
+    dataclasses_ = [constructor(name) for name, node in classes.items()
+                    if _is_dataclass(node)]
+    return index, dataclasses_
+
+
+def unset_settings(repo: str = REPO):
+    """``(settings, unset)``: every defaulted parameter and dataclass field
+    under :data:`SETTING_MODULES` as ``"key(name)"``, and those no call
+    under :data:`CALLER_DIRS` sets.
+
+    - A call sets a parameter when it passes it by keyword or by position.
+    - ``functools.partial(f, ...)`` counts as a call to ``f``.
+    - Inside a class, ``cls(...)`` and ``type(self)(...)`` call that class.
+    - ``dataclasses.replace(x, k=...)`` sets field ``k`` of every
+      dataclass that has one.
+    - A call with ``*args`` or ``**kwargs`` sets every parameter of its
+      callee.
+    - A bare name that is the calling function's own defaulted parameter
+      only forwards it: the setting counts once that parameter is set,
+      iterated to a fixpoint.
+    - A dataclass field the program assigns after construction (an
+      attribute store of its name) is state, not a setting; so is a field
+      with ``init=False``.
+    - Calls resolve by name, so a collision counts as set: it can hide an
+      orphan, never invent one.
+    - :data:`SETTINGS_EXEMPT` is outside input: set by definition.
+    """
+    index, dataclasses_ = setting_signatures(repo)
+    owners = {signature.key: signature
+              for signatures in index.values() for signature in signatures}
+    tracked = {os.path.realpath(path) for path in setting_files(repo)}
+    done = {key for key in SETTINGS_EXEMPT if "(" in key}
+    forwards, state = [], set()
+
+    def settle(setting, value, scopes):
+        if isinstance(value, ast.Name):
+            for key, params in reversed(scopes):
+                if value.id in params:
+                    if key in owners and value.id in owners[key].defaulted:
+                        forwards.append((f"{key}({value.id})", setting))
+                        return
+                    break
+        done.add(setting)
+
+    def call(node, klass, scopes):
+        func, args = node.func, list(node.args)
+        if _called_name(func) == "partial" and args:
+            func, args = args[0], args[1:]
+        if _called_name(func) == "replace":
+            for keyword in node.keywords:
+                for signature in dataclasses_:
+                    if keyword.arg in signature.params:
+                        settle(f"{signature.key}({keyword.arg})",
+                               keyword.value, scopes)
+            return
+        name = _called_name(func)
+        if klass and (name == "cls" or isinstance(func, ast.Call)
+                      and _called_name(func.func) == "type"):
+            name = klass
+        spread = any(isinstance(arg, ast.Starred) for arg in args) \
+            or any(keyword.arg is None for keyword in node.keywords)
+        for signature in index.get(name, ()):
+            if spread:
+                done.update(f"{signature.key}({param})"
+                            for param in signature.defaulted)
+                continue
+            for param, value in zip(signature.params, args):
+                settle(f"{signature.key}({param})", value, scopes)
+            for keyword in node.keywords:
+                settle(f"{signature.key}({keyword.arg})", keyword.value,
+                       scopes)
+
+    def visit(node, klass, scopes, in_setting_module):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name, scopes, in_setting_module)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+                key = None
+                if in_setting_module and not scopes \
+                        and not isinstance(child, ast.Lambda):
+                    key = child.name if klass is None else klass \
+                        if child.name == "__init__" else f"{klass}.{child.name}"
+                args = child.args
+                params = {arg.arg for arg in args.posonlyargs + args.args
+                          + args.kwonlyargs}
+                visit(child, klass, scopes + [(key, params)],
+                      in_setting_module)
+                continue
+            if isinstance(child, ast.Attribute) \
+                    and isinstance(child.ctx, ast.Store):
+                state.add(child.attr)
+            if isinstance(child, ast.Call):
+                call(child, klass, scopes)
+            visit(child, klass, scopes, in_setting_module)
+
+    for directory in CALLER_DIRS:
+        for path in python_files(os.path.join(repo, directory)):
+            with open(path, encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), filename=path)
+            visit(tree, None, [], os.path.realpath(path) in tracked)
+    grew = True
+    while grew:
+        grew = False
+        for source, setting in forwards:
+            if source in done and setting not in done:
+                done.add(setting)
+                grew = True
+    fields = {signature.key for signature in dataclasses_}
+    settings = {f"{signature.key}({param})" for signature in owners.values()
+                for param in signature.defaulted
+                if not (signature.key in fields and param in state)}
+    return settings, settings - done
+
+
+def check_parameter_census(repo: str = REPO, allowed=UNSET_ALLOWED) -> None:
+    """Fail on a new unset setting and on a stale allow-list entry alike."""
+    _, found = unset_settings(repo)
+    orphans, stale = sorted(found - set(allowed)), sorted(set(allowed) - found)
+    assert not orphans and not stale, (
+        f"never set outside the tests (make it a constant, or allow it with "
+        f"a reason): {orphans}; stale allow-list entries (set now, or "
+        f"gone): {stale}")
+
+
+def test_every_defaulted_parameter_is_set_outside_the_tests():
+    check_parameter_census()
+
+
+def test_the_parameter_census_sees_every_spelling(tmp_path):
+    package = tmp_path / "src" / "repro" / "engine"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(
+        "from dataclasses import dataclass, field\n\n"
+        "def by_keyword(a, b=1):\n    pass\n\n"
+        "def by_position(a, b=1):\n    pass\n\n"
+        "def by_partial(a, b=1):\n    pass\n\n"
+        "def by_spread(a, *, b=1):\n    pass\n\n"
+        "def forwarded(a, b=1):\n    pass\n\n"
+        "def relay_inner(b=1):\n    forwarded(0, b=b)\n\n"
+        "def relay(b=1):\n    relay_inner(b)\n\n"
+        "def dead_end(a, b=1):\n    pass\n\n"
+        "def dead_relay(b=1):\n    dead_end(0, b)\n\n"
+        "def test_only(a, b=1):\n    pass\n\n"
+        "class Built:\n"
+        "    def __init__(self, size=1):\n        pass\n\n"
+        "    @classmethod\n"
+        "    def make(cls):\n        return cls(size=2)\n\n"
+        "class Copied:\n"
+        "    def __init__(self, size=1):\n        pass\n\n"
+        "    def again(self):\n        return type(self)(2)\n\n"
+        "@dataclass\nclass Options:\n"
+        "    depth: int = 1\n    width: int = 2\n    hits: int = 0\n"
+        "    stamp: float = field(init=False, default=0.0)\n"
+        "    unset: int = 3\n")
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "drive.py").write_text(
+        "import dataclasses\nimport functools\n"
+        "from repro.engine import mod\n"
+        "mod.by_keyword(0, b=2)\nmod.by_position(0, 2)\n"
+        "functools.partial(mod.by_partial, b=2)(0)\n"
+        "mod.by_spread(0, **{'b': 2})\nmod.relay(b=5)\nmod.dead_relay()\n"
+        "mod.Built.make()\nmod.Copied().again()\n"
+        "options = dataclasses.replace(mod.Options(depth=5), width=3)\n"
+        "options.hits += 1\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_mod.py").write_text(
+        "from repro.engine import mod\n"
+        "mod.test_only(0, b=3)\nmod.dead_relay(b=4)\n"
+        "mod.Options(unset=4)\n")
+    settings, found = unset_settings(str(tmp_path))
+    assert "Options(hits)" not in settings  # state
+    assert "Options(stamp)" not in settings  # init=False
+    assert found == {"dead_end(b)", "dead_relay(b)", "test_only(b)",
+                     "Options(unset)"}
+    allowed = dict.fromkeys(found, "a reason")
+    check_parameter_census(str(tmp_path), allowed)
+    with pytest.raises(AssertionError, match=r"stale .*\['forwarded\(b\)'\]"):
+        check_parameter_census(str(tmp_path),
+                               {**allowed, "forwarded(b)": "stale"})
+    with pytest.raises(AssertionError, match=r"tests.*\['dead_end\(b\)'\]"):
+        check_parameter_census(str(tmp_path), {
+            name: "a reason" for name in found if name != "dead_end(b)"})

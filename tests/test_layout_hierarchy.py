@@ -183,18 +183,7 @@ class TestHierarchyResolution:
         reader.read_window(32, 32, 32, 32)
         assert 0 < reader.last_candidates <= 12 < total_rects
 
-    def test_explicit_top_cell(self):
-        library = parse_gds(HIER4)
-        row_only = HierarchicalLayoutReader(library, pixel_size_nm=8.0,
-                                            top="ROW")
-        chip = HierarchicalLayoutReader(library, pixel_size_nm=8.0)
-        assert row_only.read_window(0, 0, *row_only.shape).any()
-        assert row_only.digest() != chip.digest()
-        assert _depth(library, "ROW") == 3
-        with pytest.raises(LayoutFormatError, match="not defined"):
-            HierarchicalLayoutReader(library, pixel_size_nm=8.0, top="NOPE")
-
-    def test_ambiguous_top_cell_requires_choice(self):
+    def test_ambiguous_top_cell_is_rejected(self):
         cells = {
             "A": GDSCell("A", [_rect(1, 0, 0, 8, 8)], []),
             "B": GDSCell("B", [_rect(1, 0, 0, 16, 16)], []),
@@ -205,9 +194,6 @@ class TestHierarchyResolution:
         assert excinfo.value.message == (
             "ambiguous top cell: the layout has 2 top cells (A, B) and must "
             "have exactly one; re-export it with a single top cell")
-        picked = HierarchicalLayoutReader(library, pixel_size_nm=8.0,
-                                          top="B")
-        assert picked.shape == (2, 2)
 
     def test_cycle_detection(self):
         cells = {
@@ -218,7 +204,7 @@ class TestHierarchyResolution:
         }
         library = parse_gds(write_gds(cells), name="cyclic")
         with pytest.raises(LayoutFormatError, match="cycle"):
-            HierarchicalLayoutReader(library, pixel_size_nm=8.0, top="T")
+            HierarchicalLayoutReader(library, pixel_size_nm=8.0)
 
     def test_fine_database_unit_is_transparent(self):
         """0.5 nm database units: same nm geometry, same raster, same
@@ -299,8 +285,13 @@ class TestRoundTripProperty:
         emitted = write_gds(cells, path, unit_nm=unit_nm)
         # byte-stable emitter: parse -> re-emit is the identity
         assert write_gds(parse_gds(path)) == emitted
-        reader = load_layout_file(path, pixel_size_nm=pixel,
-                                  shape=(48, 48))
+        try:
+            reader = load_layout_file(path, pixel_size_nm=pixel)
+        except LayoutFormatError as error:
+            # the raster is the top cell's hull from the origin: a top cell
+            # whose geometry lies all left of or below it has none
+            assert error.message.endswith("has no rasterisable content")
+            return
         assert isinstance(reader, HierarchicalLayoutReader)
         flat = reader.flatten()
         np.testing.assert_array_equal(reader.read_window(0, 0, *reader.shape),

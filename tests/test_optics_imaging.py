@@ -39,7 +39,7 @@ KERNEL_SHAPE = kernel_dimensions(TILE, TILE, WAVELENGTH, NA, PIXEL)
 def socs_kernels():
     tcc = compute_tcc(CircularSource(sigma=0.6), Pupil(), KERNEL_SHAPE,
                       field_size_nm=FIELD, wavelength_nm=WAVELENGTH, numerical_aperture=NA)
-    return decompose_tcc(tcc, max_order=None, energy_tolerance=1e-12)
+    return decompose_tcc(tcc)
 
 
 def socs_aerial(mask, kernels):

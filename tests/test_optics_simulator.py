@@ -103,8 +103,3 @@ class TestPresets:
         b = calibre_like_engine(32, 16.0).aerial(mask)
         assert not np.allclose(a, b)
 
-    def test_defocus_changes_calibre_image(self, tiny_masks):
-        mask = tiny_masks[0][:32, :32]
-        focused = calibre_like_engine(32, 16.0).aerial(mask)
-        defocused = calibre_like_engine(32, 16.0, defocus_nm=120.0).aerial(mask)
-        assert not np.allclose(focused, defocused)

@@ -1,5 +1,7 @@
 """Tests for the TCC computation and SOCS decomposition (the heart of the golden simulator)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -9,13 +11,13 @@ from repro.backend import autotune_precision
 from repro.engine import ExecutionEngine, batched
 from repro.optics.kernel_dims import kernel_dimensions
 from repro.optics.pupil import Pupil
-from repro.optics.simulator import OpticsConfig
+from repro.optics.simulator import LithographySimulator, OpticsConfig
 from repro.optics.socs import (
     UnpairedWindowError, _mirror_indices, decompose_tcc, socs_kernels,
     truncation_error_bound)
 from repro.optics.source import (
     AnnularSource, CircularSource, DipoleSource, PixelatedSource,
-    QuadrupoleSource)
+    QuadrupoleSource, make_source)
 from repro.optics.tcc import TCCResult, compute_tcc, shifted_pupil_stack
 
 WAVELENGTH = 193.0
@@ -113,7 +115,7 @@ class TestSOCS:
         assert reconstruction_error(20) < reconstruction_error(3)
 
     def test_full_order_reconstructs_tcc(self, tcc_circular):
-        kernels = decompose_tcc(tcc_circular, max_order=None, energy_tolerance=0.0)
+        kernels = decompose_tcc(tcc_circular)
         flat = kernels.kernels.reshape(kernels.order, -1)
         approx = np.einsum("ip,iq->pq", flat, np.conj(flat))
         relative = np.linalg.norm(approx - tcc_circular.matrix) / np.linalg.norm(tcc_circular.matrix)
@@ -142,6 +144,31 @@ class TestTruncationBound:
     def test_bound_is_a_fraction(self, tcc_circular):
         bound = truncation_error_bound(tcc_circular, 1)
         assert 0.0 <= bound <= 1.0
+
+    @pytest.mark.parametrize("order", [4, 8, 12])
+    @pytest.mark.parametrize("source", ["annular", "circular", "dipole",
+                                        "quadrupole"])
+    def test_aerial_error_is_within_the_bound(self, source, order):
+        """A row of the physics error budget (ROADMAP item 2): the golden
+        forward cut at ``max_socs_order=r`` differs from the full-rank one,
+        as a share of the clear-field intensity, by at most the discarded
+        trace share ``truncation_error_bound(T, r)`` (64 px / 8 nm tile,
+        seeded 0.3-density random mask; docs/architecture.md records
+        the numbers)."""
+        optics = OpticsConfig(tile_size_px=64, pixel_size_nm=8.0,
+                              max_socs_order=None)
+        illuminator = make_source(source)
+        full = LithographySimulator(optics, source=illuminator)
+        cut = LithographySimulator(
+            dataclasses.replace(optics, max_socs_order=order),
+            source=illuminator)
+        mask = (np.random.default_rng(0).random((64, 64)) > 0.7) * 1.0
+        error = np.abs(cut.aerial(mask) - full.aerial(mask)).max()
+        clear = full.aerial(np.ones((64, 64))).max()
+        tcc = compute_tcc(illuminator, Pupil(), full.kernel_shape,
+                          optics.field_size_nm, optics.wavelength_nm,
+                          optics.numerical_aperture)
+        assert error / clear <= truncation_error_bound(tcc, order)
 
 
 # The production build, ``socs_kernels`` (a packed bank of real-field kernels

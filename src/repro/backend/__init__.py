@@ -30,7 +30,7 @@ Usage
 -----
 >>> import numpy as np
 >>> from repro.backend import ComputeConfig, get_backend, resolve_precision
->>> backend = get_backend(workers=2)        # or get_backend() = env / CPUs
+>>> backend = get_backend(workers=2)        # or get_backend() = CPU budget
 >>> backend.name, backend.workers
 ('numpy', 2)
 >>> backend.rfft2(np.ones((8, 8)), norm="ortho").shape   # half spectrum
@@ -46,10 +46,11 @@ dtype('complex64')
 >>> engine.backend.name, engine.kernels.dtype
 ('numpy', dtype('complex64'))
 
-Selection can also be driven entirely from the environment::
+Policy has no second spelling in the environment: ``REPRO_FFT_WORKERS``
+only caps the CPU budget a process may use (``fft_workers=None``), and a
+``None`` precision is float64::
 
-    REPRO_FFT_WORKERS=8 REPRO_PRECISION=float32 \
-        python -m repro.cli image-layout ...
+    REPRO_FFT_WORKERS=8 python -m repro.cli image-layout --precision float32 ...
 
 Guarantees
 ----------
@@ -69,16 +70,11 @@ from .fft import (
     default_fft_workers,
     get_backend,
 )
-from .config import (
-    TILE_CACHE_DIR_ENV_VAR,
-    TILE_CACHE_ENV_VAR,
-    ComputeConfig,
-)
+from .config import ComputeConfig
 from .precision import (
     AUTO_PRECISION,
     FLOAT32,
     FLOAT64,
-    PRECISION_ENV_VAR,
     Precision,
     autotune_precision,
     available_precisions,
@@ -90,8 +86,7 @@ __all__ = [
     "FFTBackend", "NumpyFFTBackend", "get_backend",
     "available_cpus", "default_fft_workers", "FFT_WORKERS_ENV_VAR",
     "Precision", "FLOAT32", "FLOAT64", "resolve_precision",
-    "available_precisions", "PRECISION_ENV_VAR",
+    "available_precisions",
     "AUTO_PRECISION", "is_auto_precision", "autotune_precision",
     "ComputeConfig",
-    "TILE_CACHE_ENV_VAR", "TILE_CACHE_DIR_ENV_VAR",
 ]

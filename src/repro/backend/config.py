@@ -13,61 +13,39 @@ campaign *service* request needs that policy to be one serialisable object:
   (:meth:`from_dict`) and built from the CLI's three compute flags
   ``--fft-workers``, ``--precision`` and ``--tile-cache``, and
 * normalises names to concrete choices (:meth:`resolve`, written out with
-  :meth:`as_dict`) — e.g. ``precision=None`` becomes the environment's
-  precision name — so a run can record what it used.
+  :meth:`as_dict`) — e.g. ``precision=None`` becomes ``"float64"`` — so a
+  run can record what it used.
 
-Every field defaults to ``None`` = "consumer decides", which preserves each
-consumer's historical default: the consumers read the environment
-themselves (``REPRO_FFT_WORKERS`` in :func:`~repro.backend.fft.default_fft_workers`,
-``REPRO_PRECISION`` in :func:`~repro.backend.resolve_precision`,
-``REPRO_TILE_CACHE`` in :func:`env_tile_cache_flag`).
+Every field defaults to ``None`` = the code's default: the process's CPU
+budget (:func:`~repro.backend.fft.default_fft_workers`), float64, and no
+tile cache.  The config is the one spelling of compute policy; the
+environment names only deployment settings (the CPU budget and where the
+disk tiers live), never a policy.
 """
 
 from __future__ import annotations
 
-import os
+import dataclasses
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional
 
 from .precision import AUTO_PRECISION, is_auto_precision, resolve_precision
-
-TILE_CACHE_ENV_VAR = "REPRO_TILE_CACHE"
-TILE_CACHE_DIR_ENV_VAR = "REPRO_TILE_CACHE_DIR"
 
 #: The JSON field names, in canonical order.  ``from_dict`` rejects anything
 #: else loudly — a misspelled knob in a service request must not silently
 #: fall back to defaults.
 _FIELDS = ("fft_workers", "precision", "tile_cache")
 
-_FALSY = {"", "0", "false", "no", "off"}
-
-
-def env_tile_cache_flag() -> Optional[bool]:
-    """The tile-cache on/off verdict of the environment, or ``None`` = unset.
-
-    The one parser of these variables (``ComputeConfig`` and
-    :func:`repro.engine.tile_cache.resolve_tile_cache` both ask here):
-    ``REPRO_TILE_CACHE`` switches caching on unless falsy (empty counts as
-    falsy), and setting ``REPRO_TILE_CACHE_DIR`` alone also implies on.
-    """
-    flag = os.environ.get(TILE_CACHE_ENV_VAR)
-    if flag is not None:
-        return flag.strip().lower() not in _FALSY
-    if os.environ.get(TILE_CACHE_DIR_ENV_VAR):
-        return True
-    return None
-
 
 @dataclass(frozen=True)
 class ComputeConfig:
     """One serialisable object for every compute-policy knob.
 
-    ``None`` for any field means "consumer decides" — the consumer applies
-    its historical default (usually: consult the environment).  Fields hold
-    *names*, never live objects, so a config pickles and crosses process /
-    HTTP boundaries; places that accept rich instances
-    (an :class:`~repro.backend.FFTBackend`, a ``TileResultCache``) keep
-    accepting them as before, outside the config.
+    ``None`` for any field means the code's default (the CPU budget,
+    float64, no tile cache).  Fields hold *names*, never live objects, so a
+    config pickles and crosses process / HTTP boundaries; places that accept
+    rich instances (an :class:`~repro.backend.FFTBackend`, a
+    ``TileResultCache``) keep accepting them as before, outside the config.
     """
 
     fft_workers: Optional[int] = None
@@ -124,14 +102,9 @@ class ComputeConfig:
 
         ``precision`` becomes a concrete policy name, except the deferred
         ``auto`` spelling which survives (it needs a kernel bank and is
-        resolved by the engines); ``tile_cache`` consults the environment
-        when unset.  The result is what a campaign manifest should pin.
+        resolved by the engines).  The result is what a campaign manifest
+        should pin.
         """
         precision = AUTO_PRECISION if is_auto_precision(self.precision) \
             else resolve_precision(self.precision).name
-        tile_cache = self.tile_cache
-        if tile_cache is None:
-            tile_cache = env_tile_cache_flag()
-        return ComputeConfig(fft_workers=self.fft_workers,
-                             precision=precision,
-                             tile_cache=tile_cache)
+        return dataclasses.replace(self, precision=precision)

@@ -14,12 +14,11 @@ chunk.  A :class:`Precision` names the dtype pair every layer agrees on:
   float64 reference that the property tests pin.
 
 ``float64`` stays the default everywhere; ``float32`` is strictly opt-in
-(constructor argument, ``--precision`` on the CLI, or the
-``REPRO_PRECISION`` environment variable).  A third spelling, ``auto``,
-defers the choice to :func:`autotune_precision`: once a kernel bank is known,
-float32 is picked exactly when the bank's own SOCS truncation error already
-dominates the float32 dtype error — measured once per bank, resolved to a
-concrete policy before any worker sees it.
+(``ComputeConfig(precision=...)`` or ``--precision`` on the CLI).  A third
+spelling, ``auto``, defers the choice to :func:`autotune_precision`: once a
+kernel bank is known, float32 is picked exactly when the bank's own SOCS
+truncation error already dominates the float32 dtype error — measured once
+per bank, resolved to a concrete policy before any worker sees it.
 """
 
 from __future__ import annotations
@@ -28,8 +27,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
-
-PRECISION_ENV_VAR = "REPRO_PRECISION"
 
 #: The deferred spelling: engines resolve it per kernel bank via
 #: :func:`autotune_precision`; :func:`resolve_precision` refuses it (no bank
@@ -80,17 +77,9 @@ def available_precisions() -> tuple:
     return tuple(sorted(_PRECISIONS))
 
 
-def is_auto_precision(precision: Optional[Union[str, "Precision", np.dtype, type]]
-                      = None) -> bool:
-    """Whether the requested precision is the deferred ``auto`` policy.
-
-    ``None`` consults ``REPRO_PRECISION`` — so ``REPRO_PRECISION=auto`` works
-    everywhere a kernel bank is in reach (engine construction, specs, CLI).
-    """
-    import os
-
-    if precision is None:
-        precision = os.environ.get(PRECISION_ENV_VAR) or ""
+def is_auto_precision(
+        precision: Optional[Union[str, "Precision", np.dtype, type]]) -> bool:
+    """Whether the requested precision is the deferred ``auto`` policy."""
     return isinstance(precision, str) and \
         precision.strip().lower() == AUTO_PRECISION
 
@@ -123,15 +112,12 @@ def resolve_precision(precision: Optional[Union[str, "Precision", np.dtype, type
                       ) -> Precision:
     """Resolve any reasonable spelling of a precision to its policy object.
 
-    ``None`` consults the ``REPRO_PRECISION`` environment variable and falls
-    back to :data:`FLOAT64`.  Unknown names fail loudly with the list of
+    ``None`` is :data:`FLOAT64`.  Unknown names fail loudly with the list of
     supported precisions; the deferred ``auto`` spelling is rejected here
     with a pointer to the bank-aware resolvers.
     """
-    import os
-
     if precision is None:
-        precision = os.environ.get(PRECISION_ENV_VAR) or FLOAT64.name
+        return FLOAT64
     if isinstance(precision, Precision):
         return precision
     if isinstance(precision, str):

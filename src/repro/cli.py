@@ -403,6 +403,8 @@ def _add_layout_options(parser: argparse.ArgumentParser, width: int,
     parser.add_argument("--pixel-size-nm", type=float, default=4.0)
     parser.add_argument("--family", default="B2m", choices=("B1", "B2m", "B2v"),
                         help="synthetic layout family when no --input is given")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="seed of the synthetic layout")
     parser.add_argument("--source", default="",
                         help="illuminator (circular/annular/dipole/quadrupole); "
                              "default: the engine's annular source")
@@ -420,23 +422,19 @@ def _add_compute_options(parser: argparse.ArgumentParser) -> None:
                              "and doubles the chunked batch size; auto picks "
                              "float32 when the kernel bank's own SOCS "
                              "truncation error dominates the dtype error "
-                             "(measured once per bank) "
-                             "(default: REPRO_PRECISION or float64)")
+                             "(measured once per bank) (default: float64)")
     parser.add_argument("--tile-cache", action=argparse.BooleanOptionalAction,
                         default=None,
                         help="content-addressed tile-result cache: image each "
                              "unique guard-banded tile once, stitch every "
                              "repeat from the cache (bit-for-bit identical); "
-                             "default: on when REPRO_TILE_CACHE or "
-                             "REPRO_TILE_CACHE_DIR is set, else off; "
-                             "REPRO_TILE_CACHE_DIR adds a disk tier that "
-                             "persists across runs")
+                             "default: off; REPRO_TILE_CACHE_DIR adds a disk "
+                             "tier that persists across runs")
 
 
 def _compute_from_args(arguments):
     """The :class:`~repro.backend.ComputeConfig` of the three compute flags;
-    an unset flag stays ``None`` and falls through to the consumers'
-    ``REPRO_*`` environment defaults."""
+    an unset flag stays ``None``, the code's default."""
     from .backend import ComputeConfig
 
     return ComputeConfig(fft_workers=arguments.fft_workers or None,
@@ -490,7 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
                "  repro image-layout --width 8192 --height 8192 --out chip_dir\n"
                "  # both: bounded-memory imaging plus an npz copy\n"
                "  repro image-layout --out chip_dir --output chip.npz\n")
-    _add_common(image_layout)
     _add_layout_options(image_layout, width=1024, height=768)
     image_layout.add_argument("--output", default="",
                               help="output .npz path (this and/or --out)")
@@ -515,7 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
                "  repro sweep-window --store campaign_dir --resume --output window.npz\n"
                "  # a layout larger than RAM images in bounded tile batches\n"
                "  repro sweep-window --store campaign_dir --input huge.npy\n")
-    _add_common(sweep)
     _add_layout_options(sweep, width=512, height=384)
     # argparse treats a bare "-80,-40,0" as an option string; widening the
     # (private, but stable across 3.10-3.13) negative-number matcher lets
@@ -538,9 +534,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "persist here across runs "
                             "(default: REPRO_KERNEL_CACHE_DIR)")
     sweep.add_argument("--store", default="",
-                       help="campaign-store directory: per-condition .npz "
-                            "records + a resumable manifest (see "
-                            "repro.sweep.store)")
+                       help="campaign-store directory: a resumable "
+                            "manifest + a completion log with one line per "
+                            "condition (see repro.sweep.store)")
     sweep.add_argument("--resume", action="store_true",
                        help="continue an interrupted campaign in --store, "
                             "skipping completed conditions (without this "

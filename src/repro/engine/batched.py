@@ -323,7 +323,7 @@ def batched_aerial_from_kernels(masks: np.ndarray, kernels: np.ndarray,
         FFT backend; ``None`` is :func:`~repro.backend.get_backend`'s.
     precision:
         Precision policy (:class:`~repro.backend.Precision` or name);
-        ``None`` resolves the default (``REPRO_PRECISION`` / float64).
+        ``None`` is float64.
     """
     xp = get_backend() if backend is None else backend
     precision = resolve_precision(precision)

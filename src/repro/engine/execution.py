@@ -142,9 +142,8 @@ class ExecutionEngine:
         #: mask size (``None`` = uncalibrated bank, any size accepted).
         self.tile_size_px = tile_size_px
         #: Content-addressed tile-result cache (None = caching off): the
-        #: injected instance, else ``compute.tile_cache`` — True / False /
-        #: None, None consulting REPRO_TILE_CACHE / REPRO_TILE_CACHE_DIR
-        #: (see resolve_tile_cache).
+        #: injected instance, else the process-wide one when
+        #: ``compute.tile_cache`` is True (see resolve_tile_cache).
         self.tile_cache = tile_cache if tile_cache is not None \
             else resolve_tile_cache(compute.tile_cache)
         self._kernel_fingerprint: Optional[str] = None
@@ -201,13 +200,9 @@ class ExecutionEngine:
                           resist_threshold=self.resist_model.threshold,
                           tile_size_px=self.tile_size_px,
                           fft_backend=self.backend,
-                          # A live cache is shared as-is; otherwise caching
-                          # stays off regardless of the environment.
                           tile_cache=self.tile_cache,
                           compute=ComputeConfig(
-                              precision=self.precision.name,
-                              tile_cache=False
-                              if self.tile_cache is None else None))
+                              precision=self.precision.name))
 
     def kernel_energy(self) -> np.ndarray:
         """Per-row energy ``sum |K_i|^2``: a SOCS eigenvalue per eigenkernel,

@@ -7,10 +7,11 @@
 tile-cache switch, and every call forwards to the memoised engine.  Each engine owns what
 decides its output — its kernel bank, precision and tile cache — so the
 executor keeps no second copy of any of them.  With a ``cache_dir`` on the
-spec (a sweep stamps the executor's, which defaults to
-``REPRO_KERNEL_CACHE_DIR``) the kernel banks persist as ``.npz``, so a
-later run — a resumed campaign, a restarted service — loads them instead of
-re-running the thin SVD of the lit shifted-pupil stack (~30 ms cold).
+spec (a sweep stamps the executor's) the kernel banks persist as ``.npz``,
+so a later run — a resumed campaign, a restarted service — loads them
+instead of re-running the thin SVD of the lit shifted-pupil stack (~30 ms
+cold); without one the spec's engine draws on the process-wide kernel
+cache, which persists to ``REPRO_KERNEL_CACHE_DIR`` when that is set.
 
 Tiles run in parallel in one place only, the batched core
 (:mod:`repro.engine.batched`), which spends the spec's worker budget
@@ -26,7 +27,6 @@ them.
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -80,9 +80,8 @@ class EngineSpec:
     compute: Optional[ComputeConfig] = None
 
     def __post_init__(self):
-        # Normalised HERE, at construction: "auto" / env-var / None must not
-        # be re-interpreted when the engine is built (a resumed run's
-        # environment could differ).
+        # "auto" is pinned HERE, at construction, against the bank: the
+        # engine built later (maybe by a resumed run) must not re-decide.
         compute = self.compute if self.compute is not None else ComputeConfig()
         precision = self.build().precision \
             if is_auto_precision(compute.precision) \
@@ -151,14 +150,13 @@ class ShardedExecutor:
     cache_dir:
         The kernel-bank directory a :class:`~repro.sweep.ProcessWindowSweep`
         stamps on the specs it derives (the spec, not the executor, names
-        the directory its engine loads from); defaults to
-        ``REPRO_KERNEL_CACHE_DIR``.
+        the directory its engine loads from); ``None`` leaves the specs to
+        the process-wide kernel cache.
     """
 
     def __init__(self, num_workers: Optional[int] = None,
                  cache_dir: Optional[str] = None):
-        self.cache_dir = cache_dir if cache_dir is not None else \
-            os.environ.get("REPRO_KERNEL_CACHE_DIR")
+        self.cache_dir = cache_dir
         self._engines = LockedLRU(ENGINE_MEMO_LIMIT)
 
     # ------------------------------------------------------------------ #

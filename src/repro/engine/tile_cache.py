@@ -70,7 +70,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..backend import resolve_precision
-from ..backend.config import env_tile_cache_flag
 from .cache import NpzDiskTier
 
 #: Sentinel digest for an all-zero (empty reticle) guard-banded tile.  Not a
@@ -351,21 +350,14 @@ def resolve_tile_cache(tile_cache=None) -> Optional[TileResultCache]:
 
     * a :class:`TileResultCache` instance — used as-is,
     * ``True`` — the process-wide default cache,
-    * ``False`` — caching off, regardless of the environment,
-    * ``None`` — consult the environment
-      (:func:`repro.backend.config.env_tile_cache_flag`):
-      ``REPRO_TILE_CACHE`` switches the default cache on (any value but
-      empty / ``0`` / ``false`` / ``no`` / ``off``), and setting
-      ``REPRO_TILE_CACHE_DIR`` alone also implies on.
+    * ``False`` or ``None`` — caching off.
     """
     if isinstance(tile_cache, TileResultCache):
         return tile_cache
     if tile_cache is True:
         return default_tile_cache()
-    if tile_cache is False:
+    if tile_cache is False or tile_cache is None:
         return None
-    if tile_cache is not None:
-        raise TypeError(
-            f"tile_cache must be a TileResultCache, bool or None, "
-            f"got {tile_cache!r}")
-    return default_tile_cache() if env_tile_cache_flag() else None
+    raise TypeError(
+        f"tile_cache must be a TileResultCache, bool or None, "
+        f"got {tile_cache!r}")

@@ -777,11 +777,8 @@ class HierarchicalLayoutReader:
         one canonical :func:`~repro.layout.indexed.layout_digest`, so whether
         a campaign loads
         the hierarchical ``.gds`` or a pre-flattened equivalent, the store
-        sees one identity.  (A layer drawn only with zero-area boundaries
-        is hashed here, empty, but flattens to no rectangle, so it is the
-        one thing the flattened reader's digest leaves out.)  Computed once
-        and cached (the walk enumerates every placed rectangle; windows
-        never pay this cost).
+        sees one identity.  Computed once and cached (the walk enumerates
+        every placed rectangle; windows never pay this cost).
         """
         if self._digest is not None:
             return self._digest

@@ -46,7 +46,8 @@ def layout_digest(shape: Tuple[int, int], pixel_size_nm: float,
     ``intervals`` yields ``(layer, pixel intervals)`` in layer order, each
     interval a shape's clipped integer ``(row0, row1, col0, col1)``; they
     are hashed sorted and de-duplicated per layer, after the raster
-    geometry (shape + pixel pitch).  Every reader of geometry — flat or
+    geometry (shape + pixel pitch).  A layer without an interval draws
+    nothing and is left out.  Every reader of geometry — flat or
     hierarchical — hashes through here, so equal rasterised geometry is one
     identity whichever reader loaded it.
     """
@@ -54,8 +55,11 @@ def layout_digest(shape: Tuple[int, int], pixel_size_nm: float,
     digest.update(f"repro-layout-reader|shape={shape}"
                   f"|pixel={pixel_size_nm!r}".encode("ascii"))
     for layer, spans in intervals:
+        spans = sorted(set(spans))
+        if not spans:
+            continue
         digest.update(f"|layer={layer}:".encode("utf-8"))
-        for interval in sorted(set(spans)):
+        for interval in spans:
             digest.update(repr(interval).encode("ascii"))
     return digest.hexdigest()
 

@@ -26,14 +26,13 @@ Campaign-scale features:
   against the same store computes exactly the remaining conditions.
 * **Content-addressed tile dedup** — switch the process-wide tile
   cache on for the campaign's engines (``compute=ComputeConfig(
-  tile_cache=True)``, the CLI's ``--tile-cache``, or ``REPRO_TILE_CACHE`` /
-  ``REPRO_TILE_CACHE_DIR``) and each focus images only its *unique* tile
-  contents (each focus's kernel fingerprint keys its own namespace); with a
-  disk tier, resumed runs hit across processes.  The run's own hit/miss
-  counters (the tallies its ``image_layout`` calls return, untouched by
-  campaigns sharing the cache) come back as ``SweepOutcome.tile_stats`` and
-  accumulate in the store's manifest, so ``campaign-report`` shows dedup
-  effectiveness with zero recomputation.
+  tile_cache=True)`` or the CLI's ``--tile-cache``) and each focus images
+  only its *unique* tile contents (each focus's kernel fingerprint keys its
+  own namespace); with a disk tier, resumed runs hit across processes.  The
+  run's own hit/miss counters (the tallies its ``image_layout`` calls
+  return, untouched by campaigns sharing the cache) come back as
+  ``SweepOutcome.tile_stats`` and accumulate in the store's manifest, so
+  ``campaign-report`` shows dedup effectiveness with zero recomputation.
 """
 
 from __future__ import annotations
@@ -133,8 +132,7 @@ class ProcessWindowSweep:
         The unified :class:`~repro.backend.ComputeConfig`, threaded into
         every :class:`EngineSpec` the campaign derives: every focus images
         through the same FFT backend at the same precision (``None`` fields
-        resolve the environment defaults at construction) and with the same
-        ``tile_cache`` switch.
+        are the code's defaults) and with the same ``tile_cache`` switch.
     """
 
     def __init__(self, config: OpticsConfig, source: Optional[Source] = None,

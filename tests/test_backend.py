@@ -155,9 +155,9 @@ class TestPrecisionPolicy:
     def test_float32_spellings(self, spelling):
         assert resolve_precision(spelling) is FLOAT32
 
-    def test_env_var(self, monkeypatch):
+    def test_the_environment_selects_no_precision(self, monkeypatch):
         monkeypatch.setenv("REPRO_PRECISION", "float32")
-        assert resolve_precision() is FLOAT32
+        assert resolve_precision() is FLOAT64
 
     def test_unknown_precision_fails_loudly(self):
         with pytest.raises(ValueError, match="supported precisions"):
@@ -191,17 +191,6 @@ class TestPrecisionPolicy:
         assert len(cache) == 1 and cache.stats.decompositions == 1
         np.testing.assert_array_equal(engine32.kernels,
                                       bank.kernels.astype(np.complex64))
-
-    def test_env_selected_float32_bank_terminates(self, monkeypatch):
-        """REPRO_PRECISION=float32: one decomposition, a complex64 engine —
-        the cache serves its float64 master whatever the environment says."""
-        monkeypatch.setenv("REPRO_PRECISION", "float32")
-        cache = KernelBankCache()
-        engine = ExecutionEngine.for_optics(FINE, SOURCE, cache=cache)
-        assert engine.kernels.dtype == np.complex64
-        assert cache.get_kernels(FINE, SOURCE, Pupil()).kernels.dtype == \
-            np.complex128
-        assert cache.stats.decompositions == 1
 
     def test_cache_disk_roundtrip_preserves_precision(self, tmp_path):
         writer = KernelBankCache(cache_dir=str(tmp_path))
@@ -476,11 +465,9 @@ class TestEngineSpecComputePolicy:
         assert spec.with_focus(40.0).compute == spec.compute
 
     def test_spec_resolution_ignores_worker_environment(self, monkeypatch):
-        """Policy is frozen at construction: a worker's env cannot reinterpret it."""
+        """A worker's environment cannot reinterpret a spec's policy."""
         spec = EngineSpec(config=FINE, source=SOURCE)
         monkeypatch.setenv("REPRO_PRECISION", "float16")
-        # The spec already carries a concrete name; building consults it,
-        # not the (now bogus) environment.
         engine = spec.build(cache=KernelBankCache())
         assert engine.precision.name == "float64"
 

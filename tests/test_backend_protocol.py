@@ -239,7 +239,7 @@ class TestAutoPrecision:
         assert not is_auto_precision("float32")
         assert not is_auto_precision(FLOAT64)
         monkeypatch.setenv("REPRO_PRECISION", "auto")
-        assert is_auto_precision(None)
+        assert not is_auto_precision(None)
 
     def test_resolve_precision_rejects_auto_with_pointer(self):
         with pytest.raises(ValueError, match="kernel bank"):

@@ -198,3 +198,56 @@ class TestImagingVerbsRejectBadInput:
             main(["image-layout", "--width", "64", "--height", "64",
                   "--tile-size", "32", "--pixel-size-nm", "8",
                   "--output", str(tmp_path / "out.npz")])
+
+
+class TestTheEnvironmentIsNoPolicy:
+    """Precision and tile caching have one spelling, the flags: the old
+    ``REPRO_PRECISION`` / ``REPRO_TILE_CACHE`` switch nothing, and
+    ``REPRO_TILE_CACHE_DIR`` only says where the disk tier lives."""
+
+    ARGUMENTS = ["image-layout", "--width", "64", "--height", "64",
+                 "--tile-size", "32", "--pixel-size-nm", "8", "--guard", "8"]
+
+    def run(self, output, capsys, *flags):
+        assert main([*self.ARGUMENTS, *flags, "--output", str(output)]) == 0
+        with np.load(output) as saved:
+            arrays = {key: saved[key] for key in saved.files}
+        return arrays, capsys.readouterr().out
+
+    def test_deleted_variables_are_ignored(self, tmp_path, capsys,
+                                           monkeypatch):
+        from repro.engine import tile_cache as tile_cache_module
+
+        monkeypatch.setattr(tile_cache_module, "_default_cache", None)
+        for name in ("REPRO_PRECISION", "REPRO_TILE_CACHE",
+                     "REPRO_TILE_CACHE_DIR"):
+            monkeypatch.delenv(name, raising=False)
+        clean, _ = self.run(tmp_path / "clean.npz", capsys)
+
+        tiles = tmp_path / "tiles"
+        monkeypatch.setenv("REPRO_PRECISION", "float32")
+        monkeypatch.setenv("REPRO_TILE_CACHE", "1")
+        monkeypatch.setenv("REPRO_TILE_CACHE_DIR", str(tiles))
+        dirty, printed = self.run(tmp_path / "dirty.npz", capsys)
+        assert sorted(dirty) == sorted(clean)
+        for key, array in clean.items():
+            assert dirty[key].dtype == array.dtype, key
+            assert dirty[key].tobytes() == array.tobytes(), key
+        assert "tile cache:" not in printed
+        assert not list(tiles.glob("tiles-*.npz"))
+
+        cached, printed = self.run(tmp_path / "cached.npz", capsys,
+                                   "--tile-cache")
+        assert "tile cache:" in printed
+        assert list(tiles.glob("tiles-*.npz"))
+        for key, array in clean.items():
+            assert cached[key].tobytes() == array.tobytes(), key
+
+    @pytest.mark.parametrize("verb", ["image-layout", "sweep-window"])
+    def test_imaging_verbs_take_no_preset(self, verb, capsys):
+        """Only the synthetic layout's ``--seed`` is theirs."""
+        assert build_parser().parse_args([verb, "--seed", "4"]).seed == 4
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([verb, "--preset", "tiny"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --preset" in capsys.readouterr().err

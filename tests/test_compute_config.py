@@ -69,33 +69,20 @@ class TestComputeConfig:
         with pytest.raises(TypeError, match="instances directly"):
             ComputeConfig(precision=np.float32)
 
-    @pytest.mark.parametrize("flag,cache_dir,expected", [
-        ("", None, False), ("", "/tmp/somewhere", False),
-        ("0", None, False), ("off", "/tmp/somewhere", False),
-        ("1", None, True), (None, "/tmp/somewhere", True),
-        (None, None, None),
+    @pytest.mark.parametrize("variable,value", [
+        ("REPRO_TILE_CACHE", "1"), ("REPRO_TILE_CACHE_DIR", "/tmp/somewhere"),
+        ("REPRO_PRECISION", "float32"), ("REPRO_PRECISION", "auto"),
     ])
-    def test_one_tile_cache_env_parser(self, monkeypatch, flag, cache_dir,
-                                       expected):
-        """``ComputeConfig.resolve`` and the engine's ``resolve_tile_cache``
-        read ``REPRO_TILE_CACHE`` / ``_DIR`` through one parser, so they
-        cannot disagree — the empty string used to be on here and off
-        there."""
-        from repro.backend.config import env_tile_cache_flag
+    def test_the_environment_is_no_policy(self, monkeypatch, variable,
+                                          value):
+        """A ``None`` field is the code's default whatever the environment
+        says: float64 and no tile cache."""
         from repro.engine import resolve_tile_cache
-        from repro.engine import tile_cache as tile_cache_module
 
-        monkeypatch.setattr(tile_cache_module, "_default_cache", None)
-        for var, value in (("REPRO_TILE_CACHE", flag),
-                           ("REPRO_TILE_CACHE_DIR", cache_dir)):
-            if value is None:
-                monkeypatch.delenv(var, raising=False)
-            else:
-                monkeypatch.setenv(var, value)
-        assert env_tile_cache_flag() is expected
-        resolved = ComputeConfig().resolve().tile_cache
-        assert resolved is expected
-        assert (resolve_tile_cache(None) is not None) is bool(expected)
+        monkeypatch.setenv(variable, value)
+        assert ComputeConfig().resolve() == ComputeConfig(
+            precision="float64")
+        assert resolve_tile_cache(None) is None
 
     def test_resolve_pins_concrete_names(self):
         resolved = ComputeConfig().resolve()

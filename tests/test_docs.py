@@ -78,6 +78,25 @@ class TestDocsDrift:
         assert any("--no-such-flag" in error and "does not report" in error
                    for error in errors)
 
+    def test_checker_detects_an_env_row_nothing_reads(self, tmp_path):
+        docs = tmp_path / "docs"
+        docs.mkdir()
+        (docs / "cli.md").write_text(
+            "| variable | meaning |\n|---|---|\n"
+            "| `REPRO_READ` | read by the product |\n"
+            "| `REPRO_SEED` | read by the benchmarks |\n"
+            "| `REPRO_GONE` | read by nothing |\n")
+        package = tmp_path / "src" / "repro"
+        package.mkdir(parents=True)
+        (package / "mod.py").write_text(
+            '"""Mentions REPRO_GONE."""\nimport os\n'
+            "os.environ.get('REPRO_READ')\n")
+        (tmp_path / "benchmarks").mkdir()
+        (tmp_path / "benchmarks" / "conftest.py").write_text(
+            "import os\nos.environ.get('REPRO_SEED')\n")
+        errors = check_docs.check_env_vars(str(tmp_path))
+        assert len(errors) == 1 and "REPRO_GONE" in errors[0], errors
+
     def test_checker_detects_broken_link(self, tmp_path):
         (tmp_path / "README.md").write_text("[gone](docs/missing.md)\n")
         errors = check_docs.check_links(str(tmp_path))

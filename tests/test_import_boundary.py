@@ -19,12 +19,16 @@ constant and every public method or property has a caller outside
 ``tests/``, or a line in :data:`UNCALLED_ALLOWED` saying why not.  The
 parameter census does the same for settings: every defaulted parameter and
 dataclass field of production has a caller outside ``tests/`` that sets it,
-or a line in :data:`UNSET_ALLOWED` (rules: :func:`unset_settings`).
+or a line in :data:`UNSET_ALLOWED` (rules: :func:`unset_settings`).  The
+environment census does it for ``REPRO_*`` variables: every one the program
+reads is set by a caller outside ``tests/`` and has a line in
+:data:`ENV_ALLOWED` (rules: :func:`environment_variables`).
 """
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -674,3 +678,117 @@ def test_the_parameter_census_sees_every_spelling(tmp_path):
     with pytest.raises(AssertionError, match=r"tests.*\['dead_end\(b\)'\]"):
         check_parameter_census(str(tmp_path), {
             name: "a reason" for name in found if name != "dead_end(b)"})
+
+
+#: Where a variable counts as set: CI and everything that drives the product.
+SETTER_DIRS = (".github/workflows", "tools", "bench", "benchmarks",
+               "examples")
+SETTER_SUFFIXES = (".py", ".yml", ".yaml", ".sh")
+#: The ``REPRO_*`` variables the program reads, each with the reason it is
+#: the environment's to name.  Compute policy is not: it has one spelling,
+#: ``ComputeConfig``.
+ENV_ALLOWED = {
+    "REPRO_FFT_WORKERS": "a deployment setting: the CPU budget a process "
+                         "may use",
+    "REPRO_KERNEL_CACHE_DIR": "a deployment setting: where the kernel-bank "
+                              "disk tier lives",
+    "REPRO_TILE_CACHE_DIR": "a deployment setting: where the tile-cache "
+                            "disk tier lives",
+    "REPRO_PRESET": "the scale of the paper experiments",
+}
+ENV_NAME = re.compile(r"REPRO_[A-Z_]+")
+ENV_ASSIGNMENT = re.compile(r"\b(REPRO_[A-Z_]+)=(?!=)")
+
+
+def environment_variables(repo: str = REPO):
+    """``(read, set)``: the ``REPRO_*`` names the program reads and those
+    something outside ``tests/`` sets.
+
+    A name is read when a string constant under ``src/repro`` is exactly
+    that name (a docstring or help text that mentions it is not).  A name is
+    set when a file under :data:`SETTER_DIRS` assigns it as ``NAME=`` (a
+    shell assignment or a keyword argument)."""
+    read = set()
+    for path in python_files(os.path.join(repo, "src", "repro")):
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), filename=path)
+        read.update(node.value for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant)
+                    and isinstance(node.value, str)
+                    and ENV_NAME.fullmatch(node.value))
+    assigned = set()
+    for directory in SETTER_DIRS:
+        for root, _, names in os.walk(os.path.join(repo, directory)):
+            for name in names:
+                if name.endswith(SETTER_SUFFIXES):
+                    with open(os.path.join(root, name),
+                              encoding="utf-8") as handle:
+                        assigned.update(ENV_ASSIGNMENT.findall(handle.read()))
+    return read, assigned
+
+
+def check_env_census(repo: str = REPO, allowed=ENV_ALLOWED) -> None:
+    """Fail on a variable read but never set, on one without a reason, and
+    on a stale allow-list entry."""
+    read, assigned = environment_variables(repo)
+    unset, unreasoned = sorted(read - assigned), sorted(read - set(allowed))
+    stale = sorted(set(allowed) - read)
+    assert not unset and not unreasoned and not stale, (
+        f"read but never set outside the tests (make it a ComputeConfig "
+        f"field or a constant): {unset}; read without a reason (add one to "
+        f"ENV_ALLOWED): {unreasoned}; stale ENV_ALLOWED entries (no longer "
+        f"read): {stale}")
+
+
+def test_every_environment_variable_is_a_deployment_setting():
+    """Rules: :func:`environment_variables`.  Every ``REPRO_*`` variable
+    the program reads must be set by a caller outside ``tests/`` and have a
+    reason in :data:`ENV_ALLOWED`; an entry nothing reads is stale."""
+    check_env_census()
+    assert environment_variables()[0] == set(ENV_ALLOWED)
+
+
+def test_the_env_census_sees_every_spelling(tmp_path):
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(
+        '"""Mentions REPRO_DOCUMENTED, which is not a read."""\n'
+        "import os\n\n"
+        "NAME = 'REPRO_BY_CONSTANT'\n"
+        "os.environ.get('REPRO_BY_CI')\n"
+        "os.environ.get('REPRO_TEST_ONLY')\n"
+        "message = f'REPRO_IN_FSTRING={NAME}'\n"
+        "help_text = 'default: REPRO_IN_HELP or off'\n")
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "drive.py").write_text(
+        "import os\nenv = dict(os.environ, REPRO_BY_CONSTANT='1')\n"
+        "assert env.get('REPRO_BY_CI') == 'x'\n")
+    workflows = tmp_path / ".github" / "workflows"
+    workflows.mkdir(parents=True)
+    (workflows / "ci.yml").write_text(
+        "run: |\n  export REPRO_BY_CI=/tmp/x\n  PYTHONPATH=src REPRO_UNREAD=1 "
+        "python -m pytest\n  test \"$REPRO_DOCUMENTED\" == \"\"\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_mod.py").write_text(
+        "import os\nos.environ['REPRO_TEST_ONLY'] = '1'\n"
+        "env = dict(REPRO_TEST_ONLY='1')\n")
+    read, assigned = environment_variables(str(tmp_path))
+    assert read == {"REPRO_BY_CONSTANT", "REPRO_BY_CI", "REPRO_TEST_ONLY"}
+    assert assigned == {"REPRO_BY_CONSTANT", "REPRO_BY_CI", "REPRO_UNREAD"}
+    allowed = {"REPRO_BY_CONSTANT": "a reason", "REPRO_BY_CI": "a reason",
+               "REPRO_TEST_ONLY": "a reason"}
+    with pytest.raises(AssertionError,
+                       match=r"never set .*\['REPRO_TEST_ONLY'\]"):
+        check_env_census(str(tmp_path), allowed)
+    (tmp_path / "tools" / "drive.py").write_text(
+        "import os\nenv = dict(os.environ, REPRO_BY_CONSTANT='1', "
+        "REPRO_TEST_ONLY='2')\n")
+    check_env_census(str(tmp_path), allowed)
+    with pytest.raises(AssertionError,
+                       match=r"without a reason .*\['REPRO_BY_CI'\]"):
+        check_env_census(str(tmp_path), {
+            name: reason for name, reason in allowed.items()
+            if name != "REPRO_BY_CI"})
+    with pytest.raises(AssertionError, match=r"stale .*\['REPRO_UNREAD'\]"):
+        check_env_census(str(tmp_path), {**allowed,
+                                         "REPRO_UNREAD": "stale"})

@@ -173,6 +173,22 @@ class TestHierarchyResolution:
         finer = load_layout_file(HIER4, pixel_size_nm=4.0)
         assert finer.digest() != hier_reader.digest()
 
+    def test_a_layer_that_draws_nothing_is_no_identity(self, tmp_path):
+        """A layer drawn only with a collinear boundary rasterises to
+        nothing, so it leaves the digest, and the flatten oracle's, as the
+        file without it has them."""
+        def digest_pair(name, boundaries):
+            path = tmp_path / name
+            path.write_bytes(write_gds({"TOP": GDSCell(
+                "TOP", [_rect(1, 0, 0, 64, 48), *boundaries], [])}))
+            reader = load_layout_file(str(path), pixel_size_nm=8.0)
+            return reader.digest(), reader.flatten().digest()
+
+        plain = digest_pair("plain.gds", [])
+        drawn = digest_pair("drawn.gds", [GDSBoundary(
+            5, ((8, 8), (24, 8), (40, 8)))])
+        assert drawn == plain and plain[0] == plain[1]
+
     def test_window_cost_is_flat_in_instance_count(self):
         """One tile of a 64-instance array paints the few placed cells it
         touches (``last_candidates``: rectangles painted + cell rasters

@@ -282,6 +282,20 @@ class TestConcurrentReads:
 
 
 class TestLayoutFiles:
+    def test_a_layer_of_degenerate_polygons_is_no_identity(self, tmp_path):
+        layout = Layout(extent_nm=256.0)
+        layout.add("m1", Rect(16, 16, 64, 32))
+        path = save_layout(layout, str(tmp_path / "chip.json"))
+        plain = load_layout_file(path, pixel_size_nm=8.0).digest()
+        document = json.loads(open(path).read())
+        document["polygons"] = {"m2": [[[0, 200], [48, 200], [96, 200]],
+                                       [[8, 8], [8, 8], [8, 8]]]}
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(document, handle)
+        reader = load_layout_file(path, pixel_size_nm=8.0)
+        assert reader.layers == ("m1", "m2")
+        assert reader.digest() == plain
+
     def test_json_roundtrip_with_polygons(self, tmp_path):
         layout = Layout(extent_nm=256.0)
         layout.add("m1", Rect(16, 16, 64, 32))

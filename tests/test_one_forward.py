@@ -5,7 +5,7 @@ Pinned guarantees:
 * the golden simulator, an ``EngineSpec`` and a direct caller reach their
   engine by one road — ``ExecutionEngine.for_optics`` — so against one
   kernel cache they cost one decomposition in total and hold the same bank,
-  whatever ``REPRO_PRECISION`` says,
+  whatever precision the spec and the direct caller ask for,
 
 * every public "mask -> aerial image" entry point — golden simulator or
   learned model, one tile or a batch — runs the batched band-limited core:
@@ -160,28 +160,27 @@ class TestEvaluationImagesEachTileOnce:
             assert metrics[key] == pytest.approx(value, abs=1e-10), key
 
 
-@pytest.mark.parametrize("env_precision", [None, "float32", "auto"])
-def test_three_front_doors_one_road(monkeypatch, env_precision):
-    if env_precision is None:
-        monkeypatch.delenv("REPRO_PRECISION", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_PRECISION", env_precision)
+@pytest.mark.parametrize("precision", [None, "float32", "auto"])
+def test_three_front_doors_one_road(monkeypatch, precision):
     shared = KernelBankCache()
     monkeypatch.setattr(cache_module, "_default_cache", shared)
     config = OpticsConfig(tile_size_px=32, pixel_size_nm=8.0, max_socs_order=8)
+    compute = ComputeConfig(precision=precision)
 
     golden = LithographySimulator(config).engine
-    spec = EngineSpec(config=config)
-    others = [spec.build(), ExecutionEngine.for_optics(config)]
+    spec = EngineSpec(config=config, compute=compute)
+    others = [spec.build(), ExecutionEngine.for_optics(config,
+                                                       compute=compute)]
 
     assert shared.stats.decompositions == 1
-    assert spec.compute.precision == golden.precision.name
-    if env_precision != "auto":
-        assert golden.precision.name == (env_precision or "float64")
+    assert golden.precision.name == "float64"
+    if precision != "auto":
+        assert spec.compute.precision == (precision or "float64")
     for engine in others:
-        assert engine.precision is golden.precision
-        assert engine.kernels.dtype == golden.precision.complex_dtype
-        assert np.array_equal(engine.kernels, golden.kernels)
+        assert engine.precision.name == spec.compute.precision
+        assert np.array_equal(
+            engine.kernels,
+            golden.kernels.astype(engine.precision.complex_dtype))
 
 
 class TestPersistedIdentities:

@@ -599,7 +599,6 @@ class TestTileResultCache:
 
     def test_resolve_tile_cache(self, monkeypatch):
         monkeypatch.setattr(tile_cache_module, "_default_cache", None)
-        monkeypatch.delenv("REPRO_TILE_CACHE", raising=False)
         monkeypatch.delenv("REPRO_TILE_CACHE_DIR", raising=False)
         cache = TileResultCache()
         assert resolve_tile_cache(cache) is cache
@@ -608,16 +607,12 @@ class TestTileResultCache:
         assert resolve_tile_cache(True) is tile_cache_module.default_tile_cache()
         with pytest.raises(TypeError):
             resolve_tile_cache("yes")
-        monkeypatch.setenv("REPRO_TILE_CACHE", "1")
-        assert resolve_tile_cache(None) is not None
-        monkeypatch.setenv("REPRO_TILE_CACHE", "off")
-        assert resolve_tile_cache(None) is None
-        monkeypatch.delenv("REPRO_TILE_CACHE")
+        # The directory names where the disk tier lives; it switches
+        # nothing on.
         monkeypatch.setenv("REPRO_TILE_CACHE_DIR", "/tmp/somewhere")
         monkeypatch.setattr(tile_cache_module, "_default_cache", None)
-        resolved = resolve_tile_cache(None)
-        assert resolved is not None
-        assert resolved.cache_dir == "/tmp/somewhere"
+        assert resolve_tile_cache(None) is None
+        assert resolve_tile_cache(True).cache_dir == "/tmp/somewhere"
 
     def test_concurrent_first_callers_share_one_default_cache(self,
                                                               monkeypatch):

@@ -14,7 +14,11 @@ violation (run by the CI ``docs`` job and by ``tests/test_docs.py``):
    ``format_help()`` text, so adding, renaming or removing an option without
    touching the docs fails CI.
 2. **Environment-variable table**: every ``REPRO_*`` variable referenced
-   anywhere under ``src/repro`` must be documented in ``docs/cli.md``.
+   anywhere under ``src/repro`` must be documented in ``docs/cli.md``, and
+   the other direction — every variable the table has a row for must be
+   read under ``src/repro``, ``bench/`` or ``benchmarks/`` (a string
+   constant there spells its exact name), so a deleted variable cannot keep
+   its row.
 3. **Markdown links**: every relative link in ``README.md`` and
    ``docs/*.md`` must resolve to an existing file (external http(s) links
    are not fetched — the check stays offline and deterministic).
@@ -31,6 +35,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import ast
 import glob
 import importlib
 import os
@@ -41,6 +46,9 @@ from typing import Dict, List, Set
 FLAG_PATTERN = re.compile(r"--[a-z][a-z0-9-]*")
 LINK_PATTERN = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 ENV_PATTERN = re.compile(r"REPRO_[A-Z_]+")
+ENV_ROW_PATTERN = re.compile(r"^\| `(REPRO_[A-Z_]+)`", re.MULTILINE)
+#: Where a documented variable may be read: the product and its benchmarks.
+ENV_READER_DIRS = (os.path.join("src", "repro"), "bench", "benchmarks")
 CODE_SPAN_PATTERN = re.compile(r"`([^`\n]+)`")
 API_NAME_PATTERN = re.compile(r"(?<![\w.])repro(?:\.[A-Za-z_]\w*)+")
 #: Help-text boilerplate that mentions flags of *other* commands (examples,
@@ -110,15 +118,29 @@ def check_env_vars(root: str) -> List[str]:
     if not os.path.exists(path):
         return []  # already reported by check_cli_docs
     with open(path, "r", encoding="utf-8") as handle:
-        documented = set(ENV_PATTERN.findall(handle.read()))
+        text = handle.read()
+    documented = set(ENV_PATTERN.findall(text))
     used: Set[str] = set()
     for source in glob.glob(os.path.join(root, "src", "repro", "**", "*.py"),
                             recursive=True):
         with open(source, "r", encoding="utf-8") as handle:
             used.update(ENV_PATTERN.findall(handle.read()))
+    read: Set[str] = set()
+    for directory in ENV_READER_DIRS:
+        for source in glob.glob(os.path.join(root, directory, "**", "*.py"),
+                                recursive=True):
+            with open(source, "r", encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), filename=source)
+            read.update(node.value for node in ast.walk(tree)
+                        if isinstance(node, ast.Constant)
+                        and isinstance(node.value, str)
+                        and ENV_PATTERN.fullmatch(node.value))
     return [f"docs/cli.md: environment variable {name} (referenced under "
             f"src/repro) is undocumented"
-            for name in sorted(used - documented)]
+            for name in sorted(used - documented)] + [
+        f"docs/cli.md: the environment table documents {name}, which "
+        f"nothing under src/repro, bench/ or benchmarks/ reads"
+        for name in sorted(set(ENV_ROW_PATTERN.findall(text)) - read)]
 
 
 def markdown_documents(root: str) -> List[str]:

@@ -11,7 +11,9 @@ the pipeline as one array program:
 2. one broadcast multiply forms the ``(block, r, n, m)`` kernel products,
 3. one batched inverse FFT of their ``n``-row band returns the coherent
    fields, and
-4. a reduction over the kernel axis yields the aerial intensities.
+4. one pass over the fields' real and imaginary parts sums their squares
+   over the kernel axis into the aerial intensities
+   (:func:`_field_intensity`: ``(sum re^2) + (sum im^2)``, no ``hypot``).
 
 Steps 2-3 are :func:`coherent_fields`, the package's one statement of
 Eq. (4)'s fields; training and ILT differentiate through it too.
@@ -104,9 +106,11 @@ from ..optics.grid import embed_centre_unshifted
 #: caches, so the threads of one call divide it.  The packed production bank
 #: is 12 x 29 x 29 (0.66 MiB of fields per tile), so on 256 px tiles the
 #: 1 MiB upsampling spectrum sets the block: 6 tiles on one thread, 3 per
-#: share on two.  Measured on 2 CPUs with a 36-tile batch: one thread is as
-#: fast at 3 MiB and 12 % slower at 12; on two threads 3 MiB in all
-#: (1 tile per share) is no faster, often 20 % slower, and 12 MiB no faster.
+#: share on two.  Measured for that bank on 2 CPUs at two threads, op by op
+#: in one process (paired median op time against 6 MiB, two runs): 4 MiB
+#: +3.5-4.6 % on a 1024 px dense raster and +1.1-3.5 % on a cold tile-cached
+#: .gds chip, for 5-6 MiB less peak RSS; 8 MiB -1.2 / +0.5 % and -2.2 /
+#: -1.5 %, for 5.5 MiB more.
 BLOCK_BYTES = 6 * 2 ** 20
 
 #: Names this module's output bits in the tile-cache key
@@ -116,8 +120,11 @@ BLOCK_BYTES = 6 * 2 ** 20
 #: old store resumed half-new.  (``band=True``: the ``2n x 2m`` grid;
 #: ``band=fast-grid``: the band-limit grid, one complex eigenkernel per
 #: transform of a golden bank; ``fft=numpy``: ``numpy.fft``'s bits, where
-#: the default forward used to run on ``scipy.fft``.)
-FORWARD_REVISION = "band=fast-grid|bank=packed-real-field|fft=numpy"
+#: the default forward used to run on ``scipy.fft``; ``abs2=pairs``: the
+#: intensity is ``(sum re^2) + (sum im^2)`` over the kernel axis
+#: (:func:`_field_intensity`), where it used to sum ``np.abs(field) ** 2``.)
+FORWARD_REVISION = ("band=fast-grid|bank=packed-real-field|fft=numpy"
+                    "|abs2=pairs")
 
 
 _helpers_lock = threading.Lock()
@@ -206,8 +213,25 @@ def _direct_chunk(masks, kernels, out_h: int, out_w: int, guard: int,
     n, m = kernels.shape[-2], kernels.shape[-1]
     spectra = mask_spectrum(masks, (n, m), backend=xp)          # (B, n, m)
     fields = coherent_fields(kernels, spectra, out_h, out_w, xp)
-    intensity = np.sum(np.abs(fields) ** 2, axis=1)
+    intensity = _field_intensity(fields)
     return intensity[:, guard:out_h - guard, guard:out_w - guard]
+
+
+def _field_intensity(fields):
+    """``sum_r |fields[:, r]|^2``: ``(B, r, h, w)`` complex -> ``(B, h, w)``.
+
+    One pass over the fields' float view squares and sums each real and
+    each imaginary part over the kernel axis; adding the pairs comes last:
+    ``(sum re^2) + (sum im^2)`` — for a packed bank, the two real kernels'
+    intensities.  ``np.abs`` would take a square root per sample and two
+    field-sized temporaries: measured on 2 CPUs, one thread, blocks of six
+    256 px production tiles, 63 us a tile against 122; adding ``re^2 +
+    im^2`` per sample first took 183-500, two einsums over ``.real`` and
+    ``.imag`` 129.
+    """
+    parts = fields.view(np.finfo(fields.dtype).dtype)
+    squares = np.einsum("brij,brij->bij", parts, parts)
+    return squares[..., 0::2] + squares[..., 1::2]
 
 
 def band_limit_grid(n: int, m: int) -> Tuple[int, int]:
@@ -240,7 +264,7 @@ def _band_limited_chunk(masks, kernels, out_h: int, out_w: int, guard: int,
     spectra = mask_spectrum(masks, (n, m), backend=xp)
     fields = coherent_fields(kernels, spectra, grid_h, grid_w, xp,
                              band=band[:rows])
-    small = np.sum(np.abs(fields) ** 2, axis=1)            # (rows, gh, gw)
+    small = _field_intensity(fields)                       # (rows, gh, gw)
 
     # The intensity spectrum occupies the centred samples |row| < n,
     # |col| < m, so zero-padding it to (out_h, out_w) is an exact sinc

@@ -11,12 +11,14 @@ cache and share rule.  The layout is always a windowed
 2. the one fork: without a tile cache the engine's imaging loop
    (:func:`repro.engine.batched.image_tiles`) takes all of them, and each
    of its thread shares reads its placements' guard-banded windows into
-   its own block-sized mask buffer; with one, the placements go through
-   the cache one batch at a time: each window is digested (an all-zero
-   one is tagged, not hashed) and the cache hands the same loop only the
-   batch's first-occurrence misses — its shares read each miss's window
-   into their mask buffers and write each image's core into the cache
-   entry it becomes,
+   its own block-sized mask buffer (a dense raster's
+   :class:`~repro.layout.ArrayLayoutReader` writes each window straight
+   into it: one copy, the margin beyond the layout zeroed); with one, the
+   placements go through the cache one batch at a time: each window is
+   digested (an all-zero one is tagged, not hashed) and the cache hands the
+   same loop only the batch's first-occurrence misses — its shares read
+   each miss's window into their mask buffers and write each image's core
+   into the cache entry it becomes,
 3. every tile's interior core is stitched straight into the output — a
    plain array, or a ``numpy.memmap`` when an ``out_dir`` is given — and
    developed core by core: inside the imaging share that made it on the
@@ -82,10 +84,11 @@ import numpy as np
 
 from ..layout.hierarchy import HierarchicalLayoutReader
 from ..layout.indexed import GeometryLayoutReader
+from ..layout.reader import ArrayLayoutReader
 from .batched import run_shares
 from .cache import atomic_write
 from .tile_cache import TileCacheStats, tile_digest
-from .tiling import TilingSpec, extract_tile_batch, plan_tiles
+from .tiling import TilePlacement, TilingSpec, plan_tiles
 
 AERIAL_FILE = "aerial.npy"
 RESIST_FILE = "resist.npy"
@@ -227,10 +230,21 @@ def stream_image_layout(reader, tiling: TilingSpec,
         return (_allocate(out_dir, AERIAL_FILE, (height, width), real_dtype),
                 _allocate(out_dir, RESIST_FILE, (height, width), np.uint8))
 
+    tile = tiling.tile_px
+    # A dense raster's reader writes each window straight into the mask
+    # buffer (exact type: a subclass may not take ``out=``); any other
+    # reader's window is copied in.
+    fills_buffer = type(reader) is ArrayLayoutReader
+
+    def window(place: TilePlacement) -> Tuple[int, int, int, int]:
+        return place.row - guard, place.col - guard, tile, tile
+
     def read(start: int, stop: int, buffer: np.ndarray) -> np.ndarray:
-        for row, window in enumerate(extract_tile_batch(
-                reader, placements[start:stop], tiling)):
-            buffer[row] = window
+        for row, place in enumerate(placements[start:stop]):
+            if fills_buffer:
+                reader.read_window(*window(place), out=buffer[row])
+            else:
+                buffer[row] = reader.read_window(*window(place))
         return buffer[:stop - start]
 
     def write(start: int, cores) -> None:
@@ -250,9 +264,8 @@ def stream_image_layout(reader, tiling: TilingSpec,
         image_tiles(len(placements), read, write)
     else:
         tile_stats = TileCacheStats()
-        tile = tiling.tile_px
         for start in range(0, len(placements), batch_tiles):
-            windows = [(place.row - guard, place.col - guard, tile, tile)
+            windows = [window(place)
                        for place in placements[start:start + batch_tiles]]
             digests, read = _digest_windows(reader, windows)
             cores, tally = tile_cache.image_tile_batch(

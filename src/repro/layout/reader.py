@@ -32,7 +32,7 @@ Implementations in this package:
 from __future__ import annotations
 
 import hashlib
-from typing import Protocol, Tuple, runtime_checkable
+from typing import Optional, Protocol, Tuple, runtime_checkable
 
 import numpy as np
 
@@ -123,19 +123,31 @@ class ArrayLayoutReader:
     def shape(self) -> Tuple[int, int]:
         return int(self._layout.shape[0]), int(self._layout.shape[1])
 
-    def read_window(self, row: int, col: int, height: int,
-                    width: int) -> np.ndarray:
+    def read_window(self, row: int, col: int, height: int, width: int,
+                    out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The protocol's window.  Given ``out``, a ``(height, width)``
+        array of any real dtype, the window is written into it and ``out``
+        returned: the raster's part copied once, cast on assignment, and
+        only the margin beyond the layout zeroed."""
         if height <= 0 or width <= 0:
             raise ValueError("window dimensions must be positive")
-        out = np.zeros((height, width), dtype=self._layout.dtype)
+        if out is None:
+            out = np.empty((height, width), dtype=self._layout.dtype)
+        elif out.shape != (height, width):
+            raise ValueError(f"out has shape {out.shape}, the window "
+                             f"{(height, width)}")
         layout_h, layout_w = self.shape
-        src_top, src_left = max(row, 0), max(col, 0)
-        src_bottom = min(row + height, layout_h)
-        src_right = min(col + width, layout_w)
-        if src_bottom > src_top and src_right > src_left:
-            out[src_top - row:src_bottom - row,
-                src_left - col:src_right - col] = (
-                self._layout[src_top:src_bottom, src_left:src_right])
+        # The window's rows top .. bottom - 1 and columns left .. right - 1
+        # lie inside the layout (an empty range when none does).
+        top, left = min(max(-row, 0), height), min(max(-col, 0), width)
+        bottom = max(min(layout_h - row, height), top)
+        right = max(min(layout_w - col, width), left)
+        out[:top] = 0
+        out[bottom:] = 0
+        out[top:bottom, :left] = 0
+        out[top:bottom, right:] = 0
+        out[top:bottom, left:right] = self._layout[
+            row + top:row + bottom, col + left:col + right]
         return out
 
     def digest(self) -> str:

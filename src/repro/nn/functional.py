@@ -350,9 +350,11 @@ def imag(a) -> Tensor:
 def abs2(a) -> Tensor:
     """Squared magnitude ``|z|^2``; real-valued output.
 
-    Computed as the batched core's ``|field|^2`` reduction computes it, so
-    an op chain through here rounds like :func:`socs_intensity` also on
-    truly complex fields (a packed kernel pair's)."""
+    ``np.abs(z) ** 2``, as :func:`socs_intensity` forms it, so an op chain
+    through here and :func:`sum` rounds like that node also on truly
+    complex fields (a packed kernel pair's).  The batched core sums the
+    squared parts in another order and differs at rounding level; no
+    elementwise op rounds like it."""
     a = as_tensor(a)
     out_data = np.abs(a.data) ** 2
 
@@ -519,9 +521,13 @@ def ifftshift2(a) -> Tensor:
 def socs_intensity(kernels, spectra, grid: Tuple[int, int]) -> Tensor:
     """Eq. (4): ``(r, n, m)`` kernels and centred ``(B, n, m)`` spectra ->
     ``(B, grid_h, grid_w)`` intensities, through the batched core's
-    :func:`~repro.engine.batched.coherent_fields` and its ``|field|^2`` sum
-    (backward: the module docstring).  Host arrays in and out, like
-    :func:`fft2`."""
+    :func:`~repro.engine.batched.coherent_fields` (backward: the module
+    docstring).  Host arrays in and out, like :func:`fft2`.
+
+    The intensity is ``sum(np.abs(fields) ** 2)``, bit for bit :func:`abs2`
+    then :func:`sum` — the op chain an ILT loss through this node is pinned
+    against — not the batched core's ``(sum re^2) + (sum im^2)``, which
+    rounds otherwise."""
     from ..backend import get_backend  # deferred: keep nn importable standalone
     from ..engine.batched import coherent_fields
     from ..optics.grid import crop_centre

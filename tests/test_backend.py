@@ -428,7 +428,7 @@ class TestEngineSpecComputePolicy:
     def test_spec_resolves_concrete_precision(self):
         spec = EngineSpec(config=FINE, source=SOURCE)
         assert spec.compute == ComputeConfig(precision="float64")
-        assert spec.fingerprint().endswith("|fft=numpy|prec=float64")
+        assert spec.fingerprint().endswith("|abs2=pairs|prec=float64")
 
     def test_spec_roundtrips_budget_and_precision(self):
         spec = EngineSpec(config=FINE, source=SOURCE,

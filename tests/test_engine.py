@@ -124,6 +124,28 @@ class TestBatchedEquivalence:
         with pytest.raises(ValueError, match="47.*64 px tile"):
             fine_engine.aerial_batch(masks)
 
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    @pytest.mark.parametrize("shape", [
+        (3, 12, 60, 60),   # band-limited blocks of the production bank
+        (1, 7, 60, 60),    # one tile, an odd order
+        (2, 5, 23, 17),    # the direct body's full-size, odd fields
+    ])
+    def test_the_intensity_reduction_is_the_sum_of_squared_magnitudes(
+            self, dtype, shape):
+        """``(sum re^2) + (sum im^2)`` rounds otherwise than ``sum |f|^2``,
+        within 1e-15 relative in float64 (4.5 eps of either dtype)."""
+        rng = np.random.default_rng(sum(shape))
+        fields = (rng.standard_normal(shape)
+                  + 1j * rng.standard_normal(shape)).astype(dtype)
+        intensity = batched._field_intensity(fields)
+        expected = np.sum(np.abs(fields) ** 2, axis=1)
+        assert intensity.dtype == expected.dtype
+        assert intensity.shape == expected.shape
+        assert (intensity >= 0).all()
+        np.testing.assert_allclose(
+            intensity, expected,
+            rtol=4.5 * np.finfo(expected.dtype).eps, atol=0)
+
     @pytest.mark.parametrize("order", [1, 3])
     def test_truncated_orders(self, fine_engine, random_masks, order):
         truncated = fine_engine.truncate(order)

@@ -728,14 +728,15 @@ def environment_variables(repo: str = REPO):
 
 
 def check_env_census(repo: str = REPO, allowed=ENV_ALLOWED) -> None:
-    """Fail on a variable read but never set, on one without a reason, and
-    on a stale allow-list entry."""
+    """Fail on a variable read but never set, on one set but never read, on
+    one without a reason, and on a stale allow-list entry."""
     read, assigned = environment_variables(repo)
     unset, unreasoned = sorted(read - assigned), sorted(read - set(allowed))
-    stale = sorted(set(allowed) - read)
-    assert not unset and not unreasoned and not stale, (
+    unread, stale = sorted(assigned - read), sorted(set(allowed) - read)
+    assert not unset and not unread and not unreasoned and not stale, (
         f"read but never set outside the tests (make it a ComputeConfig "
-        f"field or a constant): {unset}; read without a reason (add one to "
+        f"field or a constant): {unset}; set but never read (delete the "
+        f"setter): {unread}; read without a reason (add one to "
         f"ENV_ALLOWED): {unreasoned}; stale ENV_ALLOWED entries (no longer "
         f"read): {stale}")
 
@@ -743,7 +744,8 @@ def check_env_census(repo: str = REPO, allowed=ENV_ALLOWED) -> None:
 def test_every_environment_variable_is_a_deployment_setting():
     """Rules: :func:`environment_variables`.  Every ``REPRO_*`` variable
     the program reads must be set by a caller outside ``tests/`` and have a
-    reason in :data:`ENV_ALLOWED`; an entry nothing reads is stale."""
+    reason in :data:`ENV_ALLOWED`; an entry nothing reads is stale, and so
+    is a setter of a variable nothing reads."""
     check_env_census()
     assert environment_variables()[0] == set(ENV_ALLOWED)
 
@@ -783,6 +785,12 @@ def test_the_env_census_sees_every_spelling(tmp_path):
     (tmp_path / "tools" / "drive.py").write_text(
         "import os\nenv = dict(os.environ, REPRO_BY_CONSTANT='1', "
         "REPRO_TEST_ONLY='2')\n")
+    with pytest.raises(AssertionError,
+                       match=r"never read \(.*\): \['REPRO_UNREAD'\]"):
+        check_env_census(str(tmp_path), allowed)
+    (workflows / "ci.yml").write_text(
+        "run: |\n  export REPRO_BY_CI=/tmp/x\n  PYTHONPATH=src "
+        "python -m pytest\n")
     check_env_census(str(tmp_path), allowed)
     with pytest.raises(AssertionError,
                        match=r"without a reason .*\['REPRO_BY_CI'\]"):

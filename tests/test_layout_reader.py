@@ -104,11 +104,46 @@ class TestArrayLayoutReader:
         np.testing.assert_array_equal(window[2:, :2], 1.0)
         assert reader.read_window(100, 100, 4, 4).sum() == 0
 
+    @pytest.mark.parametrize("source", ["float64", "float32", "memmap"])
+    @pytest.mark.parametrize("buffer", [np.float64, np.float32])
+    def test_a_window_written_into_out_is_the_allocating_read(
+            self, tmp_path, source, buffer):
+        """Inside the layout, straddling each edge and corner, fully outside
+        and larger than it: ``out=`` (pre-filled with NaN) ends up holding
+        the allocating read cast to its dtype, and both are the zero-padded
+        raster."""
+        raster = np.random.default_rng(5).random((12, 17))
+        if source == "memmap":
+            np.save(tmp_path / "raster.npy", raster)
+            raster = np.load(tmp_path / "raster.npy", mmap_mode="r")
+        else:
+            raster = raster.astype(source)
+        reader = ArrayLayoutReader(raster)
+        padded = np.pad(np.asarray(raster), 40)
+        windows = [(row, col, 6, 7)           # inside, each edge and corner
+                   for row in (-3, 3, 9) for col in (-4, 5, 13)]
+        windows += [(-10, 2, 5, 5), (20, 2, 5, 5), (2, -30, 5, 5),
+                    (2, 40, 5, 5), (-30, -30, 4, 4), (15, 20, 3, 3)]
+        windows += [(0, 0, 12, 17), (-2, -3, 16, 24), (-5, 4, 30, 9)]
+        for row, col, height, width in windows:
+            out = np.full((height, width), np.nan, buffer)
+            assert reader.read_window(row, col, height, width, out=out) \
+                is out
+            window = reader.read_window(row, col, height, width)
+            assert window.dtype == raster.dtype
+            np.testing.assert_array_equal(
+                window, padded[row + 40:row + 40 + height,
+                               col + 40:col + 40 + width])
+            np.testing.assert_array_equal(out, window.astype(buffer))
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             ArrayLayoutReader(np.zeros(5))
         with pytest.raises(ValueError):
             ArrayLayoutReader(np.zeros((4, 4))).read_window(0, 0, 0, 4)
+        with pytest.raises(ValueError, match=r"out has shape \(4, 3\)"):
+            ArrayLayoutReader(np.zeros((4, 4))).read_window(
+                0, 0, 4, 4, out=np.empty((4, 3)))
 
     def test_digest_matches_store_layout_digest(self):
         """Dense campaign identity is unchanged: same hash either spelling."""

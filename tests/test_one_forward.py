@@ -184,9 +184,11 @@ def test_three_front_doors_one_road(monkeypatch, precision):
 
 
 class TestPersistedIdentities:
-    """Values recorded when numpy became the one FFT library
-    (``FORWARD_REVISION = "band=fast-grid|bank=packed-real-field|fft=numpy"``,
-    and the spec fingerprint lost its ``|backend=…|workers=…``; they read
+    """Values recorded when the intensity became ``(sum re^2) + (sum im^2)``
+    (``FORWARD_REVISION`` gained ``|abs2=pairs``; the fingerprints ended
+    ``|fft=numpy`` and the bank's read ``b32a50b0…`` / ``b1ff834c…`` before,
+    since numpy became the one FFT library, when the spec fingerprint lost
+    its ``|backend=…|workers=…``; they read
     ``…|bank=packed-real-field|backend=numpy|workers=None`` and
     ``79bb80f8…`` / ``f0e73f81…`` since the golden bank became packed
     real-field kernel pairs, ``band=fast-grid`` with a
@@ -199,21 +201,26 @@ class TestPersistedIdentities:
     COMPUTE = ComputeConfig(precision="float64")
     SPEC_FINGERPRINT = (
         "b2be813f119f3be7ff23adc3957f7114372de2f4|order=8|band=fast-grid"
-        "|bank=packed-real-field|fft=numpy|prec=float64")
+        "|bank=packed-real-field|fft=numpy|abs2=pairs|prec=float64")
     REFOCUSED_FINGERPRINT = (
         "b98f51a438ffb53eb808e9f546aab3a3611b80b9|order=8|band=fast-grid"
-        "|bank=packed-real-field|fft=numpy|prec=float64")
+        "|bank=packed-real-field|fft=numpy|abs2=pairs|prec=float64")
     WORKERS_FLOAT32_FINGERPRINT = (
         "b2be813f119f3be7ff23adc3957f7114372de2f4|order=8|band=fast-grid"
-        "|bank=packed-real-field|fft=numpy|prec=float32")
-    #: What the default spec's fingerprint read before numpy became the one
-    #: FFT library (scipy was ``auto``'s choice).
+        "|bank=packed-real-field|fft=numpy|abs2=pairs|prec=float32")
+    #: What the default spec's fingerprint read while the intensity summed
+    #: ``np.abs(field) ** 2``.
+    HYPOT_FINGERPRINT = (
+        "b2be813f119f3be7ff23adc3957f7114372de2f4|order=8|band=fast-grid"
+        "|bank=packed-real-field|fft=numpy|prec=float64")
+    #: What it read before numpy became the one FFT library (scipy was
+    #: ``auto``'s choice).
     SCIPY_FINGERPRINT = (
         "b2be813f119f3be7ff23adc3957f7114372de2f4|order=8|band=fast-grid"
         "|bank=packed-real-field|backend=scipy|workers=None|prec=float64")
     BANK = np.arange(3 * 5 * 5, dtype=float).reshape(3, 5, 5) * (1 + 0.5j)
-    BANK_FINGERPRINTS = {"float64": "b32a50b017a68a6541f07c1e75f53d93002383cd",
-                         "float32": "b1ff834c6b1051ce6d433f96b6095d2f7d52c1b6"}
+    BANK_FINGERPRINTS = {"float64": "b0bc9bc113be2197c67a2f2535e8e6c400a9c78a",
+                         "float32": "29aee059385a9ebd0428f76e11b9717c6d08ccac"}
     BANK_FILE = "kernels-0671f6afbd9850daae41ad285b9863a8c3422323.npz"
 
     def test_engine_spec_fingerprint_is_unchanged(self):
@@ -263,13 +270,14 @@ class TestPersistedIdentities:
         assert resumed.skipped_conditions == 1
         assert resumed.computed_conditions == 1
 
-    @pytest.mark.parametrize("older", ["chunk", "scipy"])
+    @pytest.mark.parametrize("older", ["chunk", "scipy", "hypot"])
     def test_store_of_an_older_forward_is_refused_untouched(self, tmp_path,
                                                             older):
         """Rounding-level old and new conditions never share one store."""
-        older = self.SCIPY_FINGERPRINT if older == "scipy" else \
-            self.SPEC_FINGERPRINT.replace(FORWARD_REVISION,
-                                          "band=fast-grid|chunk=268435456")
+        older = {"chunk": self.SPEC_FINGERPRINT.replace(
+                     FORWARD_REVISION, "band=fast-grid|chunk=268435456"),
+                 "scipy": self.SCIPY_FINGERPRINT,
+                 "hypot": self.HYPOT_FINGERPRINT}[older]
         assert older != self.SPEC_FINGERPRINT
         root = tmp_path / "campaign"
         run = self._store_recorded_under(older, root)

@@ -11,7 +11,8 @@ Pinned guarantees:
 * one default-batch rule: a dense raster and the same raster behind a reader
   image in the same ``stream_batch_tiles`` batches,
 * the tile cache sees every placement exactly once, in row-major stream
-  batches whose rows are the reader's windows,
+  batches whose rows are the reader's windows; without it, a dense
+  raster's windows are written straight into the shares' mask buffers,
 * the ``out_dir`` memmap layout round-trips through ``open_layout_dir``
   (self-describing ``.npy`` files + ``meta.json``), and a rejected call
   leaves no file behind, and
@@ -48,7 +49,11 @@ from repro.engine import (
     stitch_into,
     stream_image_layout,
 )
-from repro.layout import GeometryLayoutReader, as_layout_reader
+from repro.layout import (
+    ArrayLayoutReader,
+    GeometryLayoutReader,
+    as_layout_reader,
+)
 from repro.layout.geometry import Rect
 from repro.optics import OpticsConfig
 from repro.optics.source import CircularSource
@@ -142,6 +147,35 @@ class TestStreamingEqualsInMemory:
         np.testing.assert_array_equal(streamed.resist, reference.resist)
         assert streamed.num_tiles == reference.num_tiles
         assert streamed.aerial.dtype == reference.aerial.dtype
+
+    @pytest.mark.parametrize("workers,precision", [
+        (1, "float64"), (2, "float32"),
+    ])
+    def test_a_dense_raster_is_read_into_the_mask_buffers(
+            self, layout, workers, precision, monkeypatch):
+        """Uncached, the dense raster's reader writes every placement's
+        window straight into its share's mask buffer (``out=``, in the
+        engine's dtype): no window is allocated and copied again."""
+        engine = EngineSpec(config=CONFIG, source=SOURCE,
+                            compute=ComputeConfig(fft_workers=workers,
+                                                  precision=precision)).build()
+        reference = reference_image_layout(engine, layout, guard_px=8)
+        reads = []
+        read_window = ArrayLayoutReader.read_window
+
+        def spy(reader, *window, out=None):
+            reads.append((window, None if out is None else out.dtype))
+            return read_window(reader, *window, out=out)
+
+        monkeypatch.setattr(ArrayLayoutReader, "read_window", spy)
+        with stream_batches(engine, 3):
+            streamed = engine.image_layout(layout, guard_px=8)
+        placements = plan_tiles(*layout.shape, TilingSpec(32, 8))
+        assert sorted(reads) == sorted(
+            ((place.row - 8, place.col - 8, 32, 32),
+             engine.precision.real_dtype) for place in placements)
+        np.testing.assert_array_equal(streamed.aerial, reference.aerial)
+        np.testing.assert_array_equal(streamed.resist, reference.resist)
 
     @pytest.mark.parametrize("workers,precision", [
         (1, "float64"), (1, "float32"), (2, "float64"), (2, "float32"),

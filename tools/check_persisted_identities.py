@@ -115,14 +115,10 @@ SINGLE_PRECISION_ENGINES = ["-c", (
 
 def run(checkout: str, work: str, *arguments: str, refused=False) -> str:
     """``python *arguments`` on ``checkout``'s code and the shared cache
-    directories; ``refused`` demands a non-zero exit and returns stderr.
-    ``REPRO_FFT_BACKEND`` pins a parent that still selects among FFT
-    libraries to numpy, the one this checkout has."""
+    directories; ``refused`` demands a non-zero exit and returns stderr."""
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"),
-               REPRO_FFT_BACKEND="numpy",
                REPRO_TILE_CACHE_DIR=os.path.join(work, "tiles"),
                REPRO_KERNEL_CACHE_DIR=os.path.join(work, "kernels"))
-    env.pop("REPRO_PRECISION", None)
     done = subprocess.run([sys.executable, *arguments],
                           env=env, capture_output=True, text=True)
     if (done.returncode != 0) != refused:

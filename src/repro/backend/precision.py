@@ -54,10 +54,6 @@ class Precision:
         """Cast to the policy's real dtype (no copy when already right)."""
         return np.asarray(array, dtype=self.real_dtype)
 
-    def as_complex(self, array: np.ndarray) -> np.ndarray:
-        """Cast to the policy's complex dtype (no copy when already right)."""
-        return np.asarray(array, dtype=self.complex_dtype)
-
 
 FLOAT64 = Precision(name="float64", real_dtype=np.dtype(np.float64),
                     complex_dtype=np.dtype(np.complex128), aerial_rtol=0.0)
@@ -68,8 +64,6 @@ FLOAT32 = Precision(name="float32", real_dtype=np.dtype(np.float32),
                     complex_dtype=np.dtype(np.complex64), aerial_rtol=1e-4)
 
 _PRECISIONS = {FLOAT64.name: FLOAT64, FLOAT32.name: FLOAT32}
-# Friendly aliases (numpy dtype names / chars included via np.dtype below).
-_ALIASES = {"double": FLOAT64, "fp64": FLOAT64, "single": FLOAT32, "fp32": FLOAT32}
 
 
 def available_precisions() -> tuple:
@@ -77,11 +71,9 @@ def available_precisions() -> tuple:
     return tuple(sorted(_PRECISIONS))
 
 
-def is_auto_precision(
-        precision: Optional[Union[str, "Precision", np.dtype, type]]) -> bool:
+def is_auto_precision(precision: Optional[Union[str, "Precision"]]) -> bool:
     """Whether the requested precision is the deferred ``auto`` policy."""
-    return isinstance(precision, str) and \
-        precision.strip().lower() == AUTO_PRECISION
+    return precision == AUTO_PRECISION
 
 
 def autotune_precision(kernels: np.ndarray) -> Precision:
@@ -108,39 +100,27 @@ def autotune_precision(kernels: np.ndarray) -> Precision:
     return FLOAT32 if truncation_share >= FLOAT32.aerial_rtol else FLOAT64
 
 
-def resolve_precision(precision: Optional[Union[str, "Precision", np.dtype, type]] = None,
+def resolve_precision(precision: Optional[Union[str, "Precision"]] = None,
                       ) -> Precision:
-    """Resolve any reasonable spelling of a precision to its policy object.
+    """The policy object of ``None`` (:data:`FLOAT64`), a :class:`Precision`
+    or a policy name (``"float64"`` / ``"float32"``).
 
-    ``None`` is :data:`FLOAT64`.  Unknown names fail loudly with the list of
-    supported precisions; the deferred ``auto`` spelling is rejected here
-    with a pointer to the bank-aware resolvers.
+    Any other value fails loudly with the list of supported precisions; the
+    deferred ``auto`` spelling is rejected here with a pointer to the
+    bank-aware resolvers.
     """
     if precision is None:
         return FLOAT64
     if isinstance(precision, Precision):
         return precision
-    if isinstance(precision, str):
-        key = precision.strip().lower()
-        if key == AUTO_PRECISION:
-            raise ValueError(
-                "precision 'auto' needs a kernel bank to measure truncation "
-                "error against; pass it to ExecutionEngine / EngineSpec / "
-                "the CLI --precision flag (resolved via autotune_precision) "
-                "instead of resolve_precision")
-        if key in _PRECISIONS:
-            return _PRECISIONS[key]
-        if key in _ALIASES:
-            return _ALIASES[key]
-    else:
-        try:
-            dtype = np.dtype(precision)
-        except TypeError:
-            dtype = None
-        if dtype is not None:
-            for policy in _PRECISIONS.values():
-                if dtype in (policy.real_dtype, policy.complex_dtype):
-                    return policy
+    if precision == AUTO_PRECISION:
+        raise ValueError(
+            "precision 'auto' needs a kernel bank to measure truncation "
+            "error against; pass it to ExecutionEngine / EngineSpec / "
+            "the CLI --precision flag (resolved via autotune_precision) "
+            "instead of resolve_precision")
+    if isinstance(precision, str) and precision in _PRECISIONS:
+        return _PRECISIONS[precision]
     raise ValueError(
         f"unknown precision {precision!r}; supported precisions: "
         f"{', '.join(available_precisions())}")

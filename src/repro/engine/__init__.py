@@ -4,16 +4,19 @@ Everything that images masks — the golden simulator, the kernel-bank engine,
 Nitho's fast-lithography export, the baselines' batch inference and the
 throughput benchmarks — runs through this package:
 
-* :mod:`repro.engine.batched` — the batched SOCS core (one broadcast FFT
-  pipeline per cache-sized block, band-limited) and the one fan-out that
-  spends the backend's worker budget on shares of a call's tiles,
+* :mod:`repro.engine.batched` — the batched SOCS core: ``image_tiles``,
+  the one imaging loop behind ``aerial_batch`` and ``image_layout`` (one
+  broadcast FFT pipeline per cache-sized block, band-limited), and the one
+  fan-out that spends the backend's worker budget on shares of a call's
+  tiles,
 * :mod:`repro.engine.cache` — the process-wide kernel-bank cache keyed by an
   optics fingerprint (one float64 bank per optics and order, built at most
   once per process from a thin SVD of the lit shifted-pupil stack, ~30 ms
   cold; no TCC is formed) and the ``.npz`` disk tier it
   shares with the tile cache,
-* :mod:`repro.engine.tiling` — guard-banded splitting / stitching of
-  arbitrary ``(H, W)`` layouts,
+* :mod:`repro.engine.tiling` — the guard-banded tile geometry of
+  arbitrary ``(H, W)`` layouts and its plain cut-all / stitch-all
+  statement (``extract_tiles`` / ``stitch_tiles``),
 * :mod:`repro.engine.execution` — the :class:`ExecutionEngine` facade tying
   the three together,
 * :mod:`repro.engine.streaming` — the one layout-imaging pipeline every
@@ -64,11 +67,7 @@ process-wide cache, and campaigns go through :class:`ShardedExecutor` /
 :mod:`repro.sweep`.
 """
 
-from .batched import (
-    batch_chunk_size,
-    batched_aerial_from_kernels,
-    effective_chunk_tiles,
-)
+from .batched import batch_chunk_size, effective_chunk_tiles
 from .cache import (
     CacheStats,
     KernelBankCache,
@@ -97,16 +96,13 @@ from .tiling import (
     TilePlacement,
     TilingSpec,
     default_guard_px,
-    extract_tile_batch,
     extract_tiles,
     plan_tiles,
-    stitch_into,
     stitch_tiles,
 )
 
 __all__ = [
     "batch_chunk_size",
-    "batched_aerial_from_kernels",
     "effective_chunk_tiles",
     "CacheStats", "KernelBankCache", "default_kernel_cache",
     "optics_fingerprint",
@@ -117,6 +113,5 @@ __all__ = [
     "TileResultCache", "configure_default_tile_cache", "default_tile_cache",
     "resolve_tile_cache", "tile_digest",
     "TilingSpec", "TilePlacement", "default_guard_px",
-    "plan_tiles", "extract_tiles", "extract_tile_batch",
-    "stitch_into", "stitch_tiles",
+    "plan_tiles", "extract_tiles", "stitch_tiles",
 ]

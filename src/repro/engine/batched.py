@@ -2,7 +2,7 @@
 
 Every aerial image in the package (a single tile, a batch, a layout tile, a
 learned or a golden bank) comes from one loop, :func:`image_tiles`: a
-stack through :func:`batched_aerial_from_kernels`, a layout's windows
+stack through ``ExecutionEngine.aerial_batch``, a layout's windows
 through ``ExecutionEngine.image_layout``.  The tiles are cut **once**, into
 blocks of :func:`effective_chunk_tiles` tiles, and each block moves through
 the pipeline as one array program:
@@ -92,11 +92,11 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from ..backend import FFTBackend, Precision, get_backend, resolve_precision
+from ..backend import FFTBackend, Precision
 from ..optics.aerial import mask_spectrum
 from ..optics.grid import embed_centre_unshifted
 
@@ -325,63 +325,23 @@ def effective_chunk_tiles(batch: int, kernel_shape: Tuple[int, int, int],
                                 budget_bytes, itemsize))
 
 
-def batched_aerial_from_kernels(masks: np.ndarray, kernels: np.ndarray,
-                                backend: Optional[FFTBackend] = None,
-                                precision: Optional[Union[Precision, str]] = None,
-                                ) -> np.ndarray:
-    """Aerial images of a mask batch ``(B, H, W)`` -> ``(B, H, W)``.
-
-    Evaluated on the intensity band-limit grid (:func:`band_limit_grid`) and
-    Fourier-upsampled (exact) whenever that grid fits the output; at full
-    output size otherwise.  This is :func:`image_tiles` reading blocks of
-    ``masks`` rows and landing them in the same rows of the result.
-
-    Parameters
-    ----------
-    masks:
-        Real mask batch ``(B, H, W)``; any real dtype is accepted.
-    kernels:
-        Complex frequency-domain kernel stack ``(r, n, m)`` (centred DC),
-        each kernel already scaled by ``sqrt(eigenvalue)``.
-    backend:
-        FFT backend; ``None`` is :func:`~repro.backend.get_backend`'s.
-    precision:
-        Precision policy (:class:`~repro.backend.Precision` or name);
-        ``None`` is float64.
-    """
-    xp = get_backend() if backend is None else backend
-    precision = resolve_precision(precision)
-    masks = precision.as_real(masks)
-    if masks.ndim != 3:
-        raise ValueError("masks must have shape (B, H, W)")
-    kernels = precision.as_complex(kernels)
-    if kernels.ndim != 3:
-        raise ValueError("kernels must have shape (r, n, m)")
-    return image_tiles(masks.shape[0], masks, None, kernels, xp, precision,
-                       masks.shape[-2:])
-
-
 def image_tiles(count: int,
-                read: Union[np.ndarray, Callable[[int, int, np.ndarray],
-                                                 np.ndarray]],
-                write: Optional[Callable[[int, np.ndarray], None]],
+                read: Callable[[int, int, np.ndarray], np.ndarray],
+                write: Callable[[int, np.ndarray], None],
                 kernels: np.ndarray, xp: FFTBackend, precision: Precision,
-                tile_shape: Tuple[int, int],
-                guard: int = 0) -> Optional[np.ndarray]:
+                tile_shape: Tuple[int, int], guard: int = 0) -> None:
     """Image tiles ``0 .. count - 1``: the package's one imaging loop.
 
-    ``read`` holds the masks: a ``(count, H, W)`` real stack, imaged a row
-    block at a time, or ``read(start, stop, buffer)`` returning tiles
-    ``start .. stop - 1`` as one ``(stop - start, H, W)`` array — normally
-    ``buffer``, the share's own block-sized mask buffer (in
-    ``precision``), filled tile by tile.  Each tile's image is its
-    **core**: the ``(H - 2 guard, W - 2 guard)`` square inside a ``guard``
-    px band, bit for bit that crop of the whole image, and the guard rows
-    are never upsampled.  ``write(start, cores)`` receives each block's
-    cores, valid only for the duration of the call — copy what you keep;
-    without ``write`` the call returns the ``(count, H - 2 guard,
-    W - 2 guard)`` cores.  ``kernels`` is the ``(r, n, m)`` bank, cast to
-    ``precision``.
+    ``read(start, stop, buffer)`` returns tiles ``start .. stop - 1`` as
+    one ``(stop - start, H, W)`` real array in ``precision`` — normally
+    ``buffer``, the share's own block-sized mask buffer, filled tile by
+    tile; a caller holding a stack may return a view of it instead.  Each
+    tile's image is its **core**: the ``(H - 2 guard, W - 2 guard)``
+    square inside a ``guard`` px band, bit for bit that crop of the whole
+    image, and the guard rows are never upsampled.  ``write(start,
+    cores)`` receives each block's cores, valid only for the duration of
+    the call — copy what you keep.  ``kernels`` is the ``(r, n, m)`` bank,
+    cast to ``precision``.
 
     Each thread share reads its tiles into a block-sized mask buffer of
     its own, images them block by block and writes every core before the
@@ -391,9 +351,6 @@ def image_tiles(count: int,
     order, n, m = kernels.shape
     grid = intensity_grid(n, m, out_h, out_w)
     band_limited = grid == band_limit_grid(n, m)
-    stack = None if callable(read) else precision.as_real(read)
-    out = None if write is not None else np.empty(
-        (count, out_h - 2 * guard, out_w - 2 * guard), precision.real_dtype)
 
     # One share per thread, each with its part of the budget (the cores
     # share the cache BLOCK_BYTES names).
@@ -405,8 +362,7 @@ def image_tiles(count: int,
 
     def workspace(share: range) -> tuple:
         rows = min(block, len(share))
-        masks = None if stack is not None \
-            else np.empty((rows,) + tile_shape, precision.real_dtype)
+        masks = np.empty((rows,) + tile_shape, precision.real_dtype)
         if not band_limited:
             return masks, ()
         # Zeroed once: every block overwrites the same corners and no zero.
@@ -417,17 +373,10 @@ def image_tiles(count: int,
         return masks, (np.zeros((rows, order, n, grid[1]), kernels.dtype),
                        np.zeros((rows, out_h, m), kernels.dtype))
 
-    def image(share: range, masks: Optional[np.ndarray],
-              scratch: tuple) -> None:
+    def image(share: range, masks: np.ndarray, scratch: tuple) -> None:
         for start in range(share.start, share.stop, block):
             stop = min(start + block, share.stop)
-            cores = evaluate(stack[start:stop] if masks is None
-                             else read(start, stop, masks),
-                             kernels, out_h, out_w, guard, xp, *scratch)
-            if write is None:
-                out[start:stop] = cores
-            else:
-                write(start, cores)
+            write(start, evaluate(read(start, stop, masks), kernels, out_h,
+                                  out_w, guard, xp, *scratch))
 
     run_shares(count, threads, image, workspace)
-    return out

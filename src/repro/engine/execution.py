@@ -45,7 +45,6 @@ from ..optics.resist import ConstantThresholdResist
 from ..optics.simulator import default_illumination
 from .batched import (
     FORWARD_REVISION,
-    batched_aerial_from_kernels,
     effective_chunk_tiles,
     image_tiles,
     share_threads,
@@ -243,7 +242,9 @@ class ExecutionEngine:
     # imaging
     # ------------------------------------------------------------------ #
     def aerial_batch(self, masks: np.ndarray) -> np.ndarray:
-        """Aerial images of a mask batch ``(B, H, W)`` in one vectorised pass.
+        """Aerial images of a mask batch ``(B, H, W)`` in one vectorised pass:
+        the imaging loop reads views of the cast stack and writes each
+        block's images into the result's rows.
 
         A bank with a calibrated :attr:`tile_size_px` images masks of
         exactly that size; any other raises ``ValueError`` (the kernels would
@@ -251,10 +252,18 @@ class ExecutionEngine:
         """
         masks = np.stack([self.precision.as_real(mask) for mask in masks], axis=0) \
             if isinstance(masks, (list, tuple)) else self.precision.as_real(masks)
+        if masks.ndim != 3:
+            raise ValueError("masks must have shape (B, H, W)")
         self._check_tile_shape(masks.shape[-2:])
-        return batched_aerial_from_kernels(
-            masks, self.kernels, backend=self.backend,
-            precision=self.precision)
+        out = np.empty(masks.shape, self.precision.real_dtype)
+
+        def write(start: int, cores: np.ndarray) -> None:
+            out[start:start + len(cores)] = cores
+
+        image_tiles(len(masks), lambda start, stop, _: masks[start:stop],
+                    write, kernels=self.kernels, xp=self.backend,
+                    precision=self.precision, tile_shape=masks.shape[-2:])
+        return out
 
     def _check_tile_shape(self, shape: Tuple[int, ...]) -> None:
         tile = self.tile_size_px

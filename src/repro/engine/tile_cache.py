@@ -25,10 +25,8 @@ Two tiers:
   compressed ``.npz`` holding one ``core`` array — the
   :class:`~repro.engine.cache.NpzDiskTier` the kernel-bank cache persists
   through too — so repeated CLI runs and resumed campaigns skip the FFTs
-  entirely.  An entry holding a whole guard-banded ``tile`` (the format
-  before entries were cores; same key) is served as its core, and an entry
-  of any other shape or dtype is an unreadable one: counted, re-imaged and
-  overwritten.
+  entirely.  An entry without a ``core`` of the key's shape and dtype is
+  an unreadable one: counted, re-imaged and overwritten.
 
 The all-zero fast path never touches either tier: an empty reticle tile
 images to exactly zero under every backend and precision (the DFT of an
@@ -142,21 +140,16 @@ class TileCacheStats:
 
 
 def _decode_core(data, context: TileCacheContext) -> np.ndarray:
-    """The owned core a disk entry holds: its ``core`` array, or the core
-    of an older entry's whole ``tile``.  Anything of another shape or dtype
-    raises ``ValueError``, which the disk tier counts as unreadable."""
-    guard = context.guard_px
-    side = context.tile_px - 2 * guard
-    if "core" in data.files:
-        array, size, crop = data["core"], side, slice(None)
-    else:  # written before entries were cores: the whole guard-banded tile
-        array, size, crop = data["tile"], context.tile_px, \
-            slice(guard, guard + side)
+    """The owned core a disk entry's ``core`` array holds.  A missing
+    ``core``, or one of another shape or dtype, raises (``KeyError`` /
+    ``ValueError``), which the disk tier counts as unreadable."""
+    core = data["core"]
+    side = context.tile_px - 2 * context.guard_px
     dtype = resolve_precision(context.precision).real_dtype
-    if array.shape != (size, size) or array.dtype != dtype:
-        raise ValueError(f"a {array.dtype} {array.shape} entry where a "
-                         f"{dtype} ({size}, {size}) one belongs")
-    return np.array(array[crop, crop])
+    if core.shape != (side, side) or core.dtype != dtype:
+        raise ValueError(f"a {core.dtype} {core.shape} entry where a "
+                         f"{dtype} ({side}, {side}) one belongs")
+    return np.array(core)
 
 
 class TileResultCache:

@@ -23,17 +23,16 @@ Guarantees
   has unbounded support.  Choose ``guard_px`` of the order of the kernel
   window for production work; :func:`default_guard_px` applies that rule.
 
-Pixels come from a :class:`repro.layout.LayoutReader` and nowhere else:
-:func:`extract_tile_batch` is one ``read_window`` per placement, yielding
-the reader's own arrays, and what a batch is *for* — one stack to image, or
-a list to digest for the tile cache — is the pipeline's decision
-(:mod:`repro.engine.streaming`), not the extractor's.
+The functions here are the plain cut-all / stitch-all statement of that
+contract (:func:`extract_tiles`, :func:`stitch_tiles`): the layout pipeline
+(:mod:`repro.engine.streaming`) plans with :func:`plan_tiles` and reads and
+stitches window by window itself, bit for bit what these produce.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -94,75 +93,27 @@ def plan_tiles(height: int, width: int, spec: TilingSpec) -> List[TilePlacement]
     return placements
 
 
-def extract_tile_batch(reader, placements: Sequence[TilePlacement],
-                       spec: TilingSpec) -> Iterator[np.ndarray]:
-    """Yield the guard-banded window of each placement, one ``read_window`` each.
-
-    ``reader`` is a :class:`repro.layout.LayoutReader`; every window comes
-    back exactly as the reader produced it — its array, its dtype, zeros
-    beyond the layout boundary (an empty reticle) — and lazily, so a caller
-    that copies each one onward (:func:`stack_windows`) never holds a second
-    batch, while the tile-cache stage keeps the list and hashes it in place.
-    """
-    tile, guard = spec.tile_px, spec.guard_px
-    for place in placements:
-        yield reader.read_window(place.row - guard, place.col - guard,
-                                 tile, tile)
-
-
-def stack_windows(windows: Iterable[np.ndarray], count: int) -> np.ndarray:
-    """Fill one ``(count, tile_px, tile_px)`` stack from ``count`` windows.
-
-    The stack is allocated once, in the first window's dtype, and filled
-    window by window: np.empty, not np.zeros — every row is overwritten
-    (pinned by tests/test_tile_cache.py), so the O(batch) memset would be
-    pure waste.
-    """
-    windows = iter(windows)
-    first = next(windows)
-    tiles = np.empty((count,) + first.shape, dtype=first.dtype)
-    tiles[0] = first
-    for index, window in enumerate(windows, start=1):
-        tiles[index] = window
-    return tiles
-
-
 def extract_tiles(layout, spec: TilingSpec,
                   ) -> Tuple[np.ndarray, List[TilePlacement]]:
     """Cut a layout into guard-banded tiles ``(N, tile_px, tile_px)``.
 
-    The all-placements convenience over :func:`extract_tile_batch` for
-    callers holding a whole layout: ``layout`` is a dense 2-D array (a
-    ``numpy.memmap`` pages in only the windows read) or a layout reader, and
-    the stack has the dtype of the reader's windows.
+    ``layout`` is a dense 2-D array (a ``numpy.memmap`` pages in only the
+    windows read) or a :class:`repro.layout.LayoutReader`: one
+    ``read_window`` per placement, zeros beyond the layout boundary (an
+    empty reticle).  The stack is allocated once, in the first window's
+    dtype, and filled window by window.
     """
     reader = as_layout_reader(layout)
     placements = plan_tiles(*reader.shape, spec)
-    return stack_windows(extract_tile_batch(reader, placements, spec),
-                         len(placements)), placements
-
-
-def stitch_into(out: np.ndarray, tile_images: Sequence[np.ndarray],
-                placements: Sequence[TilePlacement], spec: TilingSpec) -> None:
-    """Write each tile's interior core into ``out`` at its placement.
-
-    ``out`` is any preallocated ``(H, W)`` array — an in-memory buffer or a
-    ``numpy.memmap`` — so the layout pipeline can stitch one batch at
-    a time without holding the assembled raster and the tile stack together.
-    ``tile_images`` is an ``(N, tile_px, tile_px)`` stack or any sequence of
-    ``(tile_px, tile_px)`` images (the tile cache's per-row references); it
-    is read row by row and never stacked.  Every layout pixel belongs to
-    exactly one core, so repeated calls over disjoint placement batches
-    write each output pixel exactly once.
-    """
-    if len(tile_images) != len(placements):
-        raise ValueError(
-            f"{len(tile_images)} tile images for {len(placements)} placements")
-    guard = spec.guard_px
-    for image, place in zip(tile_images, placements):
-        out[place.row:place.row + place.core_h,
-            place.col:place.col + place.core_w] = (
-            image[guard:guard + place.core_h, guard:guard + place.core_w])
+    tile, guard = spec.tile_px, spec.guard_px
+    windows = (reader.read_window(place.row - guard, place.col - guard,
+                                  tile, tile) for place in placements)
+    first = next(windows)
+    tiles = np.empty((len(placements),) + first.shape, dtype=first.dtype)
+    tiles[0] = first
+    for index, window in enumerate(windows, start=1):
+        tiles[index] = window
+    return tiles, placements
 
 
 def stitch_tiles(tile_images: np.ndarray, placements: Sequence[TilePlacement],
@@ -171,6 +122,13 @@ def stitch_tiles(tile_images: np.ndarray, placements: Sequence[TilePlacement],
     tile_images = np.asarray(tile_images)
     if tile_images.ndim != 3:
         raise ValueError("tile_images must have shape (N, tile_px, tile_px)")
+    if len(tile_images) != len(placements):
+        raise ValueError(
+            f"{len(tile_images)} tile images for {len(placements)} placements")
     out = np.zeros((height, width), dtype=tile_images.dtype)
-    stitch_into(out, tile_images, placements, spec)
+    guard = spec.guard_px
+    for image, place in zip(tile_images, placements):
+        out[place.row:place.row + place.core_h,
+            place.col:place.col + place.core_w] = (
+            image[guard:guard + place.core_h, guard:guard + place.core_w])
     return out

@@ -48,9 +48,6 @@ __all__ = [
     "CampaignManager",
 ]
 
-#: Seconds between job-table reads in :meth:`CampaignManager.wait`.
-WAIT_POLL_S = 0.05
-
 
 class CampaignCancelled(Exception):
     """Raised inside a sweep's progress callback to stop a cancelled job."""
@@ -271,19 +268,6 @@ class CampaignManager:
             job.state = "cancelled"
             job.finished_at = time.time()
         return job
-
-    def wait(self, job_id: str, timeout: float = 60.0) -> CampaignJob:
-        """Block until a job settles (tests / CLI convenience)."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            job = self.get(job_id)
-            if job is None:
-                raise KeyError(job_id)
-            if job.state in ("completed", "failed", "cancelled"):
-                return job
-            time.sleep(WAIT_POLL_S)
-        raise TimeoutError(f"campaign {job_id} still "
-                           f"{self.get(job_id).state} after {timeout}s")
 
     def close(self, wait: bool = True) -> None:
         with self._lock:

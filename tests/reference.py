@@ -16,10 +16,12 @@ a Hermitian gather, shift-free embeds, half-spectrum upsampling — so
 textbook full-spectrum expressions of Algorithm 1 in plain ``numpy.fft``,
 touching no compute backend at all.
 
-The product also has exactly one SOCS forward
-(``repro.engine.batched.batched_aerial_from_kernels``), which picks its
-per-block body from array shapes alone; :class:`RecordingBackend` lets a test see
-which one ran by the transform shapes it issued, and
+The product also has exactly one SOCS forward (``ExecutionEngine.aerial_batch``
+driving ``repro.engine.batched.image_tiles``), which picks its per-block body
+from array shapes alone; :func:`bank_aerial` images a mask stack through it
+with a bare kernel bank, a backend and a precision name,
+:class:`RecordingBackend` lets a test see which body ran by the transform
+shapes it issued, and
 :func:`band_limited_blocks` says how many tiles each of those transforms
 should have carried.
 
@@ -54,12 +56,14 @@ from unittest import mock
 import numpy as np
 
 from repro.backend import (
+    ComputeConfig,
     FFTBackend,
     NumpyFFTBackend,
     get_backend,
     resolve_precision,
 )
 from repro.engine import (
+    ExecutionEngine,
     LayoutImage,
     TileResultCache,
     batched,
@@ -132,6 +136,16 @@ def band_limited_blocks(batch, kernel_shape, out_shape, itemsize=16):
     per_tile = max(order * grid_h * grid_w, out_shape[0] * out_shape[1])
     block = max(1, min(batched.BLOCK_BYTES // (per_tile * itemsize), batch))
     return [min(block, batch - start) for start in range(0, batch, block)]
+
+
+def bank_aerial(masks, kernels, backend=None, precision=None):
+    """``aerial_batch`` of a ``(B, H, W)`` mask stack on an uncalibrated
+    engine over the ``(r, n, m)`` bank ``kernels``: ``backend`` an
+    :class:`~repro.backend.FFTBackend` (``None``: the default), ``precision``
+    a policy name (``None``: float64)."""
+    engine = ExecutionEngine(kernels, fft_backend=backend,
+                             compute=ComputeConfig(precision=precision))
+    return engine.aerial_batch(masks)
 
 
 class RecordingBackend(FFTBackend):

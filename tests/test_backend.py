@@ -40,6 +40,7 @@ from reference import (
     RecordingBackend,
     ScipyOracle,
     assert_ran_on_shares,
+    bank_aerial,
     cell_backend,
     embed_centre,
     reference_aerial,
@@ -54,6 +55,7 @@ from repro.backend import (
     NumpyFFTBackend,
     default_fft_workers,
     get_backend,
+    is_auto_precision,
     resolve_precision,
 )
 from repro.engine import (
@@ -61,7 +63,6 @@ from repro.engine import (
     ExecutionEngine,
     KernelBankCache,
     batch_chunk_size,
-    batched_aerial_from_kernels,
 )
 from repro.optics import OpticsConfig
 from repro.optics.aerial import mask_spectrum
@@ -150,10 +151,21 @@ class TestPrecisionPolicy:
         assert resolve_precision() is FLOAT64
         assert resolve_precision(None).complex_dtype == np.complex128
 
-    @pytest.mark.parametrize("spelling", ["float32", "single", np.float32,
-                                          np.complex64, FLOAT32])
+    @pytest.mark.parametrize("spelling", ["float32", FLOAT32])
     def test_float32_spellings(self, spelling):
         assert resolve_precision(spelling) is FLOAT32
+
+    @pytest.mark.parametrize("spelling", ["single", "FLOAT32", " float32",
+                                          np.float32, np.dtype(np.float32),
+                                          "AUTO"])
+    def test_a_precision_has_one_spelling(self, spelling):
+        """A policy name is matched exactly: no alias, no case or
+        whitespace folding, no numpy dtype — and ``auto`` only as
+        spelled."""
+        with pytest.raises(ValueError, match="supported precisions: "
+                                             "float32, float64"):
+            resolve_precision(spelling)
+        assert not is_auto_precision(spelling)
 
     def test_the_environment_selects_no_precision(self, monkeypatch):
         monkeypatch.setenv("REPRO_PRECISION", "float32")
@@ -263,7 +275,7 @@ class TestHalfSpectrumEquivalence:
         full = reference_aerial(mask, kernels)
         for cell in BACKEND_CELLS:
             with threads_seen() as seen:
-                fast = batched_aerial_from_kernels(
+                fast = bank_aerial(
                     mask, kernels, backend=cell_backend(cell))
             if cell == SHARES:
                 assert_ran_on_shares(seen)
@@ -274,13 +286,13 @@ class TestHalfSpectrumEquivalence:
         # 7x7 bank, so the direct full-size chunk runs (shapes decide).
         masks = (np.random.default_rng(3).random((4, 12, 12)) > 0.6).astype(float)
         recorder = RecordingBackend()
-        batched_aerial_from_kernels(masks, kernels, backend=recorder)
+        bank_aerial(masks, kernels, backend=recorder)
         assert recorder.shapes("ifft2") == [(4, len(kernels), 12, 12)]
         assert recorder.shapes("irfft2") == []
         full = reference_aerial(masks, kernels)
         for cell in BACKEND_CELLS:
             with threads_seen() as seen:
-                fast = batched_aerial_from_kernels(
+                fast = bank_aerial(
                     masks, kernels, backend=cell_backend(cell))
             if cell == SHARES:
                 assert_ran_on_shares(seen)
@@ -307,15 +319,12 @@ class TestHalfSpectrumEquivalence:
         numpy backend, and an independent FFT library (``scipy.fft``,
         test-side) to 1e-12."""
         masks = (np.random.default_rng(9).random((3, 64, 64)) > 0.7).astype(float)
-        reference = batched_aerial_from_kernels(masks, kernels,
-                                                backend=get_backend(1))
+        reference = bank_aerial(masks, kernels, backend=get_backend(1))
         for cell in BACKEND_CELLS:
-            other = batched_aerial_from_kernels(masks, kernels,
-                                                backend=cell_backend(cell))
+            other = bank_aerial(masks, kernels, backend=cell_backend(cell))
             np.testing.assert_array_equal(other, reference)
         pytest.importorskip("scipy.fft")
-        oracle = batched_aerial_from_kernels(masks, kernels,
-                                             backend=ScipyOracle())
+        oracle = bank_aerial(masks, kernels, backend=ScipyOracle())
         np.testing.assert_allclose(reference, oracle, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -341,11 +350,9 @@ class TestHalfSpectrumEquivalence:
 
     def test_workers_never_change_results(self, kernels):
         masks = (np.random.default_rng(10).random((4, 64, 64)) > 0.7).astype(float)
-        one = batched_aerial_from_kernels(masks, kernels,
-                                          backend=get_backend(1))
+        one = bank_aerial(masks, kernels, backend=get_backend(1))
         with threads_seen() as seen:
-            many = batched_aerial_from_kernels(masks, kernels,
-                                               backend=get_backend(4))
+            many = bank_aerial(masks, kernels, backend=get_backend(4))
         assert_ran_on_shares(seen)
         np.testing.assert_array_equal(one, many)
 
@@ -356,8 +363,8 @@ class TestFloat32Accuracy:
     @given(mask=binary_masks)
     @settings(max_examples=8, deadline=None)
     def test_single_precision_aerials_within_documented_rtol(self, kernels, mask):
-        ref = batched_aerial_from_kernels(mask, kernels, precision="float64")
-        low = batched_aerial_from_kernels(mask, kernels, precision="float32")
+        ref = bank_aerial(mask, kernels, precision="float64")
+        low = bank_aerial(mask, kernels, precision="float32")
         assert low.dtype == np.float32
         scale = max(float(ref.max()), 1e-30)
         assert np.abs(low - ref).max() / scale < FLOAT32.aerial_rtol

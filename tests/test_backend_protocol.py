@@ -29,6 +29,7 @@ from reference import (
     BACKEND_CELLS,
     RecordingBackend,
     assert_ran_on_shares,
+    bank_aerial,
     cell_backend,
     threads_seen,
     transforms_only_engines,
@@ -51,7 +52,7 @@ from repro.engine import (
     TileResultCache,
 )
 from repro.engine import tile_cache as tile_cache_module
-from repro.engine.batched import batched_aerial_from_kernels, share_threads
+from repro.engine.batched import share_threads
 from repro.engine.streaming import open_layout_dir
 from repro.layout import load_layout_source
 from repro.optics import OpticsConfig
@@ -91,13 +92,13 @@ class TestTransformsOnlyBackend:
         masks = policy.as_real(masks[:, :tile, :tile])
         kernels = KERNELS.astype(policy.complex_dtype)
         with threads_seen() as seen:
-            reference = batched_aerial_from_kernels(
-                masks, kernels, backend=backend, precision=policy)
+            reference = bank_aerial(
+                masks, kernels, backend=backend, precision=precision)
         if workers > 1:
             assert_ran_on_shares(seen)
         probe = RecordingBackend(workers)
-        result = batched_aerial_from_kernels(
-            masks, kernels, backend=probe, precision=policy)
+        result = bank_aerial(
+            masks, kernels, backend=probe, precision=precision)
         assert probe.calls
         assert result.dtype == reference.dtype
         np.testing.assert_array_equal(reference, result)

@@ -141,6 +141,10 @@ BAD = {
         layout={"kind": "array"}),
         "layout.data must be a 2-D array of numbers"),
     # argparse's choices and int type refuse these on the CLI first.
+    "precision alias": (None, lambda files: request(
+        compute={"precision": "single"}),
+        "invalid compute: unknown precision 'single'; supported precisions: "
+        "float32, float64"),
     "unknown family": (None, lambda files: request(
         layout=dict(SYNTHETIC, family="B9")), "unknown layout family 'B9'"),
     "width not an integer": (None, lambda files: request(
@@ -170,6 +174,21 @@ def test_exit_2_on_the_cli_is_a_400_with_the_same_message(
     assert sweep_window(cli(bad_layouts), store, output) == 2
     assert capsys.readouterr().err == f"error: {excinfo.value.message}\n"
     assert not store.exists() and not output.exists()
+
+
+@pytest.mark.parametrize("precision", ["single", "FLOAT32"])
+def test_the_cli_spells_a_precision_one_way(precision, tmp_path, capsys,
+                                            monkeypatch):
+    def no_bank(*args, **kwargs):
+        raise AssertionError("a kernel bank was built for a bad campaign")
+
+    monkeypatch.setattr(KernelBankCache, "get_kernels", no_bank)
+    store = tmp_path / "store"
+    with pytest.raises(SystemExit) as excinfo:
+        sweep_window(SMALL + ["--precision", precision], store)
+    assert excinfo.value.code == 2
+    assert f"invalid choice: '{precision}'" in capsys.readouterr().err
+    assert not store.exists()
 
 
 def test_a_resume_of_a_complete_store_builds_no_bank(tmp_path, capsys,

@@ -137,7 +137,6 @@ class TestLegacyShim:
         left has a caller outside the tests."""
         import inspect
 
-        from repro.engine import batched_aerial_from_kernels
         from repro.service import CampaignManager, ServiceClient
         from repro.sweep import ProcessWindowSweep
 
@@ -145,12 +144,10 @@ class TestLegacyShim:
             return [name for name in inspect.signature(function).parameters
                     if name != "self"]
 
-        # Every image is at the mask's own resolution.
-        assert parameters(batched_aerial_from_kernels) == [
-            "masks", "kernels", "backend", "precision"]
         assert parameters(ExecutionEngine.__init__) == [
             "kernels", "resist_threshold", "tile_size_px", "fft_backend",
             "tile_cache", "compute"]
+        # Every image is at the mask's own resolution.
         assert parameters(ExecutionEngine.aerial_batch) == ["masks"]
         # The stream batch is always stream_batch_tiles(tiling).
         assert parameters(ExecutionEngine.image_layout) == [
@@ -197,7 +194,7 @@ class TestLegacyShim:
         assert not hasattr(KernelBankCache, "trim_memory")
         assert parameters(CampaignManager.__init__) == [
             "data_dir", "campaign_workers"]
-        assert parameters(CampaignManager.wait) == ["job_id", "timeout"]
+        assert not hasattr(CampaignManager, "wait")  # callers poll get()
         assert parameters(ServiceClient.wait) == ["job_id", "timeout"]
         # The paper's model: the training grid is the engine's and the
         # learning-rate schedule is the one loop's, neither a setting.
@@ -211,7 +208,7 @@ class TestLegacyShim:
     def test_engine_spec_carries_one_resolved_compute(self):
         spec = EngineSpec(
             config=OPTICS, compute=ComputeConfig(fft_workers=2,
-                                                 precision="single",
+                                                 precision="float32",
                                                  tile_cache=True))
         # a concrete name, given workers and tile-cache switch
         assert spec.compute == ComputeConfig(fft_workers=2,

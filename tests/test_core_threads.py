@@ -35,6 +35,7 @@ from reference import (
     SHARES,
     TRANSFORMS_ONLY,
     RecordingBackend,
+    bank_aerial,
     cell_backend,
 )
 from repro.backend import (
@@ -43,8 +44,13 @@ from repro.backend import (
     get_backend,
     resolve_precision,
 )
-from repro.engine import EngineSpec, ShardedExecutor, batched
-from repro.engine.batched import FORWARD_REVISION, batched_aerial_from_kernels
+from repro.engine import (
+    EngineSpec,
+    ExecutionEngine,
+    ShardedExecutor,
+    batched,
+)
+from repro.engine.batched import FORWARD_REVISION
 from repro.optics import OpticsConfig
 
 
@@ -206,8 +212,7 @@ def one_tile_blocks(monkeypatch):
     kernels = rng.normal(size=(3, 9, 9)) + 1j * rng.normal(size=(3, 9, 9))
     masks = (rng.random((8, 32, 32)) > 0.5).astype(float)
     monkeypatch.setattr(batched, "BLOCK_BYTES", 32 * 32 * 16)
-    expected = batched_aerial_from_kernels(masks, kernels,
-                                           backend=get_backend(1))
+    expected = bank_aerial(masks, kernels, backend=get_backend(1))
     return masks, kernels, expected
 
 
@@ -215,7 +220,7 @@ def one_tile_blocks(monkeypatch):
 def test_a_call_occupies_exactly_its_worker_budget(one_tile_blocks, workers):
     masks, kernels, expected = one_tile_blocks
     backend = Watched(workers, Ledger(dwell_s=0.002))
-    result = batched_aerial_from_kernels(masks, kernels, backend=backend)
+    result = bank_aerial(masks, kernels, backend=backend)
     assert result.tobytes() == expected.tobytes()
     ledger = backend.ledger
     assert ledger.calls == 8 and ledger.active == 0
@@ -230,12 +235,12 @@ def test_a_call_occupies_exactly_its_worker_budget(one_tile_blocks, workers):
 @pytest.mark.parametrize("fail_at", [1, 2, 5, 8])
 def test_a_share_that_raises_settles_the_others_first(one_tile_blocks, fail_at):
     masks, kernels, expected = one_tile_blocks
-    batched_aerial_from_kernels(masks, kernels, backend=Watched(3))
+    bank_aerial(masks, kernels, backend=Watched(3))
     baseline = threading.active_count()   # the persistent helpers exist now
 
     backend = Watched(3, Ledger(fail_at=fail_at, dwell_s=0.005))
     with pytest.raises(RuntimeError, match=f"transform {fail_at} broke"):
-        batched_aerial_from_kernels(masks, kernels, backend=backend)
+        bank_aerial(masks, kernels, backend=backend)
     # Settled: nobody is inside a transform, no thread was left behind ...
     assert backend.ledger.active == 0
     assert threading.active_count() == baseline
@@ -243,7 +248,7 @@ def test_a_share_that_raises_settles_the_others_first(one_tile_blocks, fail_at):
     time.sleep(0.03)
     assert backend.ledger.calls == settled
     # ... and the next call images every tile.
-    again = batched_aerial_from_kernels(masks, kernels, backend=Watched(3))
+    again = bank_aerial(masks, kernels, backend=Watched(3))
     assert again.tobytes() == expected.tobytes()
     assert threading.active_count() == baseline
 
@@ -257,7 +262,7 @@ def test_concurrent_callers_share_the_helper_threads(one_tile_blocks):
     def caller(index):
         try:
             for _ in range(5):
-                results[index] = batched_aerial_from_kernels(
+                results[index] = bank_aerial(
                     masks, kernels, backend=get_backend(3))
         except Exception as exc:  # noqa: BLE001 - reported below
             errors.append(exc)
@@ -281,8 +286,7 @@ def test_concurrent_callers_share_the_helper_threads(one_tile_blocks):
 
 
 def _image_in_child(conn, masks, kernels):
-    result = batched_aerial_from_kernels(masks, kernels,
-                                         backend=get_backend(2))
+    result = bank_aerial(masks, kernels, backend=get_backend(2))
     conn.send(result.tobytes())
     conn.close()
 
@@ -292,7 +296,7 @@ def _image_in_child(conn, masks, kernels):
 @pytest.mark.filterwarnings("ignore:.*fork.*:DeprecationWarning")
 def test_a_forked_child_starts_its_own_helper_threads(one_tile_blocks):
     masks, kernels, expected = one_tile_blocks
-    batched_aerial_from_kernels(masks, kernels, backend=get_backend(2))
+    bank_aerial(masks, kernels, backend=get_backend(2))
     context = multiprocessing.get_context("fork")
     receiver, sender = context.Pipe(duplex=False)
     child = context.Process(target=_image_in_child,
@@ -323,11 +327,10 @@ def test_a_one_block_batch_spends_its_budget_on_tiles(tiles):
     assert batched.effective_chunk_tiles(
         tiles, kernels.shape, 256, 256, batched.BLOCK_BYTES) == tiles
     backend = Watched(2)
-    result = batched_aerial_from_kernels(masks, kernels, backend=backend)
+    result = bank_aerial(masks, kernels, backend=backend)
     assert len(backend.ledger.threads) == 2
     assert threading.get_ident() in backend.ledger.threads
-    expected = batched_aerial_from_kernels(masks, kernels,
-                                           backend=get_backend(1))
+    expected = bank_aerial(masks, kernels, backend=get_backend(1))
     assert result.tobytes() == expected.tobytes()
 
 
@@ -370,12 +373,11 @@ def test_an_executor_call_spends_the_spec_budget_and_moves_no_identity(
 # small calls pay nothing
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("workers", [1, 3])
-@pytest.mark.parametrize("returned", [True, False])
 @pytest.mark.parametrize("name", BACKEND_CELLS)
-def test_zero_tiles_image_to_nothing(name, returned, workers, monkeypatch):
-    """``image_tiles(0, ...)`` returns an empty ``(0, H, W)`` stack — or,
-    given a ``write``, writes nothing — on every backend, and starts no
-    thread and no transform."""
+def test_zero_tiles_image_to_nothing(name, workers, monkeypatch):
+    """``image_tiles(0, ...)`` reads and writes nothing on every backend,
+    and starts no thread and no transform; an empty ``aerial_batch`` is an
+    empty ``(0, H, W)`` stack."""
     def refuse(*args):
         raise AssertionError("a zero-tile call imaged or wrote something")
 
@@ -386,17 +388,10 @@ def test_zero_tiles_image_to_nothing(name, returned, workers, monkeypatch):
     kernels = rng.normal(size=(3, 9, 9)) + 1j * rng.normal(size=(3, 9, 9))
     for precision in map(resolve_precision, ("float64", "float32")):
         for tile in (32, 16):       # band-limited and direct bodies
-            result = batched.image_tiles(
-                0, np.zeros((0, tile, tile)), None if returned else refuse,
-                precision.as_complex(kernels), backend, precision,
-                (tile, tile))
-            if returned:
-                assert result.shape == (0, tile, tile)
-                assert result.dtype == precision.real_dtype
-            else:
-                assert result is None
-    empty = batched_aerial_from_kernels(np.zeros((0, 32, 32)), kernels,
-                                        backend=backend)
+            batched.image_tiles(0, refuse, refuse,
+                                kernels.astype(precision.complex_dtype),
+                                backend, precision, (tile, tile))
+    empty = bank_aerial(np.zeros((0, 32, 32)), kernels, backend=backend)
     assert empty.shape == (0, 32, 32) and empty.dtype == np.float64
     if isinstance(backend, RecordingBackend):
         assert backend.calls == []
@@ -412,7 +407,7 @@ def test_a_single_tile_starts_no_thread(monkeypatch):
     backend = Watched(4)
     for shape in ((1, 256, 256), (1, 64, 64)):
         masks = (rng.random(shape) > 0.6).astype(float)
-        batched_aerial_from_kernels(masks, kernels, backend=backend)
+        bank_aerial(masks, kernels, backend=backend)
     assert backend.ledger.threads == {threading.get_ident()}
 
 
@@ -423,20 +418,21 @@ def test_thread_hand_off_does_not_tax_a_small_batch():
     spell on the host slows both."""
     rng = np.random.default_rng(3)
     kernels = rng.normal(size=(24, 29, 29)) * (1 + 0.5j)
-    one, two = get_backend(1), get_backend(2)
+    one, two = (ExecutionEngine(kernels, fft_backend=get_backend(workers))
+                for workers in (1, 2))
 
     def best_interleaved(masks):
         times = ([], [])
         for _ in range(9):
-            for backend, spent in zip((one, two), times):
+            for engine, spent in zip((one, two), times):
                 begin = time.perf_counter()
-                batched_aerial_from_kernels(masks, kernels, backend=backend)
+                engine.aerial_batch(masks)
                 spent.append(time.perf_counter() - begin)
         return min(times[0]), min(times[1])
 
     for tiles in (2, 4, 8):
         masks = (rng.random((tiles, 64, 64)) > 0.6).astype(float)
         # starts the helper thread, warms pocketfft's plans
-        batched_aerial_from_kernels(masks, kernels, backend=two)
+        two.aerial_batch(masks)
         single, shared = best_interleaved(masks)
         assert shared < 1.5 * single, tiles

@@ -34,6 +34,7 @@ from reference import (
     RecordingBackend,
     assert_ran_on_shares,
     band_limited_blocks,
+    bank_aerial,
     cell_backend,
     reference_aerial,
     threads_seen,
@@ -44,7 +45,6 @@ from repro.engine import (
     KernelBankCache,
     TilingSpec,
     batch_chunk_size,
-    batched_aerial_from_kernels,
     effective_chunk_tiles,
     extract_tiles,
     optics_fingerprint,
@@ -54,7 +54,7 @@ from repro.engine import (
 from repro.engine import batched
 from repro.engine.batched import band_limit_grid
 from repro.engine.cache import default_kernel_cache, describe_component
-from repro.engine.tiling import default_guard_px, stack_windows
+from repro.engine.tiling import default_guard_px
 from repro.optics import OpticsConfig, LithographySimulator
 from repro.optics.pupil import Pupil
 from repro.optics.socs import SOCSKernels
@@ -103,7 +103,7 @@ class TestBatchedEquivalence:
     def test_matches_per_tile_path(self, tiny_simulator, tiny_masks):
         kernels = tiny_simulator.kernels.kernels
         reference = _oracle(tiny_masks, kernels)
-        batched = batched_aerial_from_kernels(np.asarray(tiny_masks, dtype=float), kernels)
+        batched = bank_aerial(np.asarray(tiny_masks, dtype=float), kernels)
         np.testing.assert_allclose(batched, reference, rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.uint8])
@@ -159,15 +159,14 @@ class TestBatchedEquivalence:
         order = fine_engine.order
         blocks = band_limited_blocks(6, fine_engine.kernels.shape, (64, 64))
         recorder = RecordingBackend()
-        batched_aerial_from_kernels(random_masks, fine_engine.kernels,
-                                    backend=recorder)
+        bank_aerial(random_masks, fine_engine.kernels, backend=recorder)
         assert recorder.shapes("ifft2") == [(rows, order) + grid
                                             for rows in blocks]
         assert recorder.shapes("irfft2") == [(rows, 64, 64) for rows in blocks]
         reference = _oracle(random_masks, fine_engine.kernels)
         for cell in BACKEND_CELLS:
-            fast = batched_aerial_from_kernels(random_masks, fine_engine.kernels,
-                                               backend=cell_backend(cell))
+            fast = bank_aerial(random_masks, fine_engine.kernels,
+                               backend=cell_backend(cell))
             np.testing.assert_allclose(fast, reference, rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("window, grid, tile", [
@@ -186,11 +185,10 @@ class TestBatchedEquivalence:
         masks = (rng.random((5,) + tile) > 0.6).astype(float)
         reference = reference_aerial(masks, kernels)
         recorder = RecordingBackend()
-        batched_aerial_from_kernels(masks, kernels, backend=recorder)
+        bank_aerial(masks, kernels, backend=recorder)
         assert {shape[-2:] for shape in recorder.shapes("ifft2")} == {grid}
         for cell in BACKEND_CELLS:
-            fast = batched_aerial_from_kernels(masks, kernels,
-                                               backend=cell_backend(cell))
+            fast = bank_aerial(masks, kernels, backend=cell_backend(cell))
             np.testing.assert_allclose(fast, reference, rtol=0,
                                        atol=1e-12 * reference.max())
 
@@ -212,15 +210,14 @@ class TestBatchedEquivalence:
         tile = 32 if band_limited else 16      # the grid is 18 x 18
         masks = (rng.random((batch, tile, tile)) > 0.5).astype(float)
         masks[batch // 2] = 0.0
-        whole = batched_aerial_from_kernels(masks, kernels,
-                                            backend=get_backend(1))
+        whole = bank_aerial(masks, kernels, backend=get_backend(1))
         # One tile's larger intermediate: (H, W) spectrum / (r, H, W) fields.
         per_tile = (32 * 32 if band_limited else 3 * 16 * 16) * 16
         recorder = RecordingBackend()
         shared = np.full_like(whole, np.nan)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(batched, "BLOCK_BYTES", tiles * per_tile)
-            cut = batched_aerial_from_kernels(masks, kernels, backend=recorder)
+            cut = bank_aerial(masks, kernels, backend=recorder)
             if band_limited:
                 assert band_limited_blocks(batch, kernels.shape, (32, 32)) \
                     == [shape[0] for shape in recorder.shapes("irfft2")]
@@ -233,7 +230,8 @@ class TestBatchedEquivalence:
                 shared[start:start + len(images)] = images
 
             with threads_seen() as seen:
-                batched.image_tiles(batch, masks, write, kernels,
+                batched.image_tiles(batch, lambda start, stop, _:
+                                    masks[start:stop], write, kernels,
                                     RecordingBackend(workers)
                                     if name == TRANSFORMS_ONLY
                                     else get_backend(workers
@@ -257,7 +255,7 @@ class TestBatchedEquivalence:
         kernels = rng.normal(size=(24, 29, 29)) * (1 + 0.5j)
         masks = (rng.random((36, 64, 64)) > 0.7).astype(float)
         recorder = RecordingBackend()
-        batched_aerial_from_kernels(masks, kernels, backend=recorder)
+        bank_aerial(masks, kernels, backend=recorder)
         fields = recorder.shapes("ifft2")
         assert [shape[0] for shape in fields] \
             == band_limited_blocks(36, kernels.shape, (64, 64)) == [4] * 9
@@ -272,7 +270,7 @@ class TestBatchedEquivalence:
         kernels = rng.normal(size=(8, 7, 7)) * (1 + 0.5j)
         masks = (rng.random((20, 256, 256)) > 0.7).astype(float)
         recorder = RecordingBackend()
-        batched_aerial_from_kernels(masks, kernels, backend=recorder)
+        bank_aerial(masks, kernels, backend=recorder)
         blocks = band_limited_blocks(20, kernels.shape, (256, 256))
         assert blocks == [6, 6, 6, 2]
         assert [shape[0] for shape in recorder.shapes("irfft2")] == blocks
@@ -288,13 +286,12 @@ class TestBatchedEquivalence:
         assert band_limit_grid(n, m)[0] > tile  # the grid does not fit the output
         masks = np.asarray(tiny_masks, dtype=float)
         recorder = RecordingBackend()
-        batched_aerial_from_kernels(masks, kernels, backend=recorder)
+        bank_aerial(masks, kernels, backend=recorder)
         assert recorder.shapes("ifft2") == [(len(masks), order, tile, tile)]
         assert recorder.shapes("irfft2") == []
         reference = _oracle(masks, kernels)
         for cell in BACKEND_CELLS:
-            direct = batched_aerial_from_kernels(masks, kernels,
-                                                 backend=cell_backend(cell))
+            direct = bank_aerial(masks, kernels, backend=cell_backend(cell))
             np.testing.assert_allclose(direct, reference, rtol=1e-10, atol=1e-12)
 
     def test_clear_field_is_the_dc_sample_energy(self, fine_engine, tiny_simulator):
@@ -373,36 +370,38 @@ class TestCoreImages:
         (16, (0, 2, default_guard_px((9, 9), 16)))])  # direct: 16 < 18
     def test_a_guard_crops_the_guardless_images_bit_for_bit(
             self, tile, guards, precision, workers, monkeypatch):
-        """``image_tiles(guard=g)`` returns — and writes — the cores, bit for
-        bit the ``[g:-g, g:-g]`` crop of the ``guard=0`` images, on either
-        per-block body and any worker budget, over several blocks."""
+        """``image_tiles(guard=g)`` writes the cores, in ``precision``, bit
+        for bit the ``[g:-g, g:-g]`` crop of the ``guard=0`` images, on
+        either per-block body and any worker budget, over several blocks."""
         rng = np.random.default_rng(tile + workers)
         kernels = rng.normal(size=(3, 9, 9)) + 1j * rng.normal(size=(3, 9, 9))
         masks = (rng.random((7, tile, tile)) > 0.5).astype(float)
         precision = resolve_precision(precision)
-        kernels = precision.as_complex(kernels)
+        kernels = kernels.astype(precision.complex_dtype)
         backend = get_backend(workers)
         # Several blocks: two direct tiles or one band-limited tile each.
         monkeypatch.setattr(batched, "BLOCK_BYTES", 2 * 3 * 16 * 16 * 16)
-        whole = batched.image_tiles(len(masks), masks, None, kernels,
-                                    backend, precision, (tile, tile), 0)
-        assert whole.shape == masks.shape
+        masks = precision.as_real(masks)
+
+        def cores(guard):
+            side = tile - 2 * guard
+            written = np.full((len(masks), side, side), np.nan,
+                              precision.real_dtype)
+
+            def write(start, images):
+                assert images.dtype == precision.real_dtype
+                written[start:start + len(images)] = images
+
+            batched.image_tiles(len(masks), lambda start, stop, _:
+                                masks[start:stop], write, kernels, backend,
+                                precision, (tile, tile), guard)
+            return written
+
+        whole = cores(0)
         for guard in guards:
             core = slice(guard, tile - guard)
             expected = np.ascontiguousarray(whole[:, core, core])
-            cores = batched.image_tiles(len(masks), masks, None, kernels,
-                                        backend, precision, (tile, tile),
-                                        guard)
-            assert cores.dtype == precision.real_dtype
-            assert cores.tobytes() == expected.tobytes(), guard
-            written = np.full_like(expected, np.nan)
-
-            def write(start, images):
-                written[start:start + len(images)] = images
-
-            batched.image_tiles(len(masks), masks, write, kernels, backend,
-                                precision, (tile, tile), guard)
-            assert written.tobytes() == expected.tobytes(), guard
+            assert cores(guard).tobytes() == expected.tobytes(), guard
 
 
 class TestTruncate:
@@ -495,10 +494,11 @@ class TestTiling:
         assert default_guard_px((41, 41), tile_px) == guard
         assert TilingSpec(tile_px=tile_px, guard_px=guard).core_px >= 1
 
-    def test_stack_windows_keeps_order_and_the_first_dtype(self):
-        windows = [np.full((3, 3), value, dtype=np.float32) for value in range(4)]
-        stack = stack_windows(iter(windows), len(windows))
+    def test_extract_tiles_keeps_order_and_the_windows_dtype(self):
+        layout = np.repeat(np.arange(4, dtype=np.float32), 3)[None, :]
+        stack, placements = extract_tiles(layout, TilingSpec(tile_px=3))
         assert stack.shape == (4, 3, 3) and stack.dtype == np.float32
+        assert [place.col for place in placements] == [0, 3, 6, 9]
         np.testing.assert_array_equal(stack[:, 0, 0], [0, 1, 2, 3])
 
     def test_invalid_specs(self):

@@ -66,6 +66,18 @@ def make_request(seed: int = 0, **overrides) -> dict:
     return request
 
 
+def settled(manager: CampaignManager, job_id: str,
+            timeout: float = 60.0) -> CampaignJob:
+    """Poll the manager's job table until ``job_id`` settles."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        job = manager.get(job_id)
+        if job.state in ("completed", "failed", "cancelled"):
+            return job
+        time.sleep(0.05)
+    raise TimeoutError(f"campaign {job_id} still {job.state} after {timeout}s")
+
+
 @pytest.fixture()
 def server(tmp_path):
     with CampaignServer(str(tmp_path / "svc"), campaign_workers=2) as svc:
@@ -326,7 +338,7 @@ class TestKillAndResume:
         manager = CampaignManager(data_dir, campaign_workers=1)
         try:
             job = manager.submit(make_request())
-            manager.wait(job.id)
+            settled(manager, job.id)
         finally:
             manager.close()
         revived = CampaignManager(data_dir, campaign_workers=1)
@@ -395,7 +407,7 @@ class TestStoredRequestRejection:
             assert "streaming" in failed.error
             assert failed.as_dict()["progress"] == {"completed": 4,
                                                     "total": total}
-            job = manager.wait("valid")
+            job = settled(manager, "valid")
             assert job.state == "completed", job.error
             assert job.computed_conditions == total - 4
             assert job.resumed_conditions == 4
@@ -429,7 +441,7 @@ class TestStoredRequestRejection:
 
         manager = CampaignManager(data_dir, campaign_workers=1)
         try:
-            job = manager.wait("moved")
+            job = settled(manager, "moved")
             assert job.state == "failed"
             assert job.error.startswith("CampaignIdentityError: ")
             assert "threshold 0.225, not 0.4" in job.error

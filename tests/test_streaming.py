@@ -42,11 +42,10 @@ from repro.engine import (
     EngineSpec,
     TileResultCache,
     TilingSpec,
-    extract_tile_batch,
     extract_tiles,
     open_layout_dir,
     plan_tiles,
-    stitch_into,
+    stitch_tiles,
     stream_image_layout,
 )
 from repro.layout import (
@@ -101,13 +100,14 @@ class TestTileBatching:
             np.stack([row for batch in cache.batches for row in batch]),
             full)
 
-    def test_extract_tile_batch_is_a_slice_of_extract_tiles(self, layout):
+    def test_extract_tiles_is_one_read_window_per_placement(self, layout):
         spec = TilingSpec(tile_px=32, guard_px=6)
         full, placements = extract_tiles(layout, spec)
-        subset = placements[2:5]
+        assert placements == plan_tiles(*layout.shape, spec)
+        reader = as_layout_reader(layout)
         np.testing.assert_array_equal(
-            list(extract_tile_batch(as_layout_reader(layout), subset, spec)),
-            full[2:5])
+            [reader.read_window(place.row - 6, place.col - 6, 32, 32)
+             for place in placements], full)
 
     def test_batch_tiles_validation(self, engine, layout):
         with pytest.raises(ValueError, match="batch_tiles"):
@@ -115,17 +115,15 @@ class TestTileBatching:
                                 TilingSpec(tile_px=32), None, None,
                                 np.float64, 0, None)
 
-    def test_stitch_into_is_split_inverse(self, layout):
-        """Incremental stitch of the raw tiles reproduces the layout exactly."""
+    def test_stitch_tiles_is_split_inverse(self, layout):
+        """Stitching the raw tiles reproduces the layout exactly; a stack
+        of another length than the placements is refused."""
         spec = TilingSpec(tile_px=32, guard_px=8)
-        placements = plan_tiles(*layout.shape, spec)
-        reader = as_layout_reader(layout)
-        out = np.zeros_like(layout)
-        for start in range(0, len(placements), 5):
-            subset = placements[start:start + 5]
-            stitch_into(out, list(extract_tile_batch(reader, subset, spec)),
-                        subset, spec)
-        np.testing.assert_array_equal(out, layout)
+        tiles, placements = extract_tiles(layout, spec)
+        np.testing.assert_array_equal(
+            stitch_tiles(tiles, placements, *layout.shape, spec), layout)
+        with pytest.raises(ValueError, match="tile images for"):
+            stitch_tiles(tiles[1:], placements, *layout.shape, spec)
 
 
 class TestStreamingEqualsInMemory:
@@ -281,6 +279,9 @@ class TestStreamingEqualsInMemory:
         cache and returns no stack; ``aerial_batch`` is never entered."""
         cached = execution.ExecutionEngine(engine.kernels, tile_size_px=32,
                                            tile_cache=TileResultCache())
+        cell = (np.random.default_rng(5).random((16, 16)) > 0.5).astype(float)
+        dense = np.tile(cell, (6, 6))
+        reference = reference_image_layout(engine, dense, guard_px=8)
         calls = []
         loop = execution.image_tiles
 
@@ -294,11 +295,8 @@ class TestStreamingEqualsInMemory:
 
         monkeypatch.setattr(execution, "image_tiles", spy)
         monkeypatch.setattr(cached, "aerial_batch", refuse)
-        cell = (np.random.default_rng(5).random((16, 16)) > 0.5).astype(float)
-        dense = np.tile(cell, (6, 6))
         with stream_batches(cached, 9):
             image = cached.image_layout(dense, guard_px=8)
-        reference = reference_image_layout(engine, dense, guard_px=8)
         np.testing.assert_array_equal(image.aerial, reference.aerial)
         np.testing.assert_array_equal(image.resist, reference.resist)
         assert 0 < image.tile_stats.misses < image.num_tiles == 36

@@ -10,20 +10,19 @@ Pinned guarantees:
   other three are served from the cache (:class:`TileCacheStats` observable),
 * all-zero tiles are served by the constant fast path without ever calling
   the imaging function,
-* the one tile stack is an ``np.empty`` allocation whose every row is
-  written (the satellite that dropped the ``np.zeros`` memset), and
-  ``extract_tile_batch`` builds no stack at all: it yields the reader's own
-  windows, one ``read_window`` per placement, in the reader's dtype;
-  ``tile_digest`` tags exactly the all-zero ones ``ZERO_TILE_DIGEST``,
+* the oracle's tile stack (``extract_tiles``) is an ``np.empty`` allocation
+  whose every row is written, one ``read_window`` per placement, in the
+  reader's dtype; ``tile_digest`` tags exactly the all-zero windows
+  ``ZERO_TILE_DIGEST``,
 * each pixel moves once: geometry readers rasterise ``uint8`` windows equal
   value-for-value to the float raster, only misses are read (straight into
   the imaging loop's mask buffer), an all-hit batch allocates nothing
   tile-sized and its rows *are* the cache entries,
 * cache entries are owned read-only ``(core, core)`` arrays — the guard band
   is never kept — so the LRU budget bounds memory in core bytes,
-* the disk tier survives torn files, files of the wrong shape or dtype and
-  concurrent writers of one key, and serves the whole-tile entries written
-  before entries were cores,
+* the disk tier survives torn files, files of the wrong shape or dtype
+  (a whole guard-banded ``tile`` included) and concurrent writers of one
+  key,
 * the disk tier round-trips imaged tiles to a fresh cache instance, and the
   LRU tier evicts oldest-first under a byte budget, and
 * a campaign store accumulates the sweep's cache counters and the rendered
@@ -58,7 +57,6 @@ from repro.engine import (
     TileCacheStats,
     TileResultCache,
     TilingSpec,
-    extract_tile_batch,
     extract_tiles,
     plan_tiles,
     resolve_tile_cache,
@@ -114,21 +112,23 @@ class TestTileDigest:
         assert len(prefixes) == 5
 
 
-class TestExtractTileBatchDigests:
-    """One return shape: the reader's own windows, one ``read_window`` per
-    placement; :func:`tile_digest` alone says which of them are empty."""
+class TestWindowDigests:
+    """The reader's own windows, one ``read_window`` per placement;
+    :func:`tile_digest` alone says which of them are empty."""
 
     LAYOUT = np.zeros((64, 64))
     LAYOUT[8:24, 8:24] = 1.0  # content only in the top-left tile
 
     def test_digest_mode_matches_plain_mode(self):
-        """What the pipeline's cache branch digests is, row for row, what
-        its uncached branch stacks — and ``ZERO_TILE_DIGEST`` tags exactly
-        the all-zero rows; every other one is digested by content."""
+        """What the pipeline's cache branch digests — the reader's windows —
+        is, row for row, what the oracle stacks, and ``ZERO_TILE_DIGEST``
+        tags exactly the all-zero rows; every other one is digested by
+        content."""
         spec = TilingSpec(tile_px=32, guard_px=8)
         stack, placements = extract_tiles(self.LAYOUT, spec)
-        windows = list(extract_tile_batch(ArrayLayoutReader(self.LAYOUT),
-                                          placements, spec))
+        reader = ArrayLayoutReader(self.LAYOUT)
+        windows = [reader.read_window(place.row - 8, place.col - 8, 32, 32)
+                   for place in placements]
         assert len(windows) == len(stack) == len(placements)
         digests = [tile_digest(window) for window in windows]
         assert 0 < digests.count(ZERO_TILE_DIGEST) < len(digests)
@@ -142,8 +142,7 @@ class TestExtractTileBatchDigests:
 
     def test_every_row_is_written(self, monkeypatch):
         """Pin the np.zeros -> np.empty switch: poison the allocation with
-        NaNs and require that the one stack is fully overwritten — and that
-        yielding windows allocates no tile stack in the first place."""
+        NaNs and require that the one stack is fully overwritten."""
         real_empty = np.empty
         stacks = []
 
@@ -160,15 +159,11 @@ class TestExtractTileBatchDigests:
         tiles, placements = extract_tiles(self.LAYOUT, spec)
         assert np.isfinite(tiles).all()
         assert stacks == [tiles.shape]
-        windows = list(extract_tile_batch(ArrayLayoutReader(self.LAYOUT),
-                                          placements, spec))
-        assert stacks == [tiles.shape]  # nothing (N, tile, tile) was built
-        assert all(np.isfinite(window).all() for window in windows)
 
     def test_windows_are_kept_as_the_reader_produced_them(self):
-        """Each placement is exactly one ``read_window`` call and its array
-        comes back untouched: uint8 coverage stays uint8, in the window
-        list and in the uncached stack alike."""
+        """Each placement is exactly one ``read_window`` call, and uint8
+        coverage stays uint8, in the reader's windows and in the oracle's
+        stack alike."""
         reader = GeometryLayoutReader({"m1": [Rect(0, 0, 64, 64)]},
                                       pixel_size_nm=8.0, extent_nm=512.0)
         produced = []
@@ -176,17 +171,14 @@ class TestExtractTileBatchDigests:
         reader.read_window = lambda *args: (produced.append(real_read(*args)),
                                             produced[-1])[1]
         spec = TilingSpec(tile_px=32, guard_px=0)
-        placements = plan_tiles(*reader.shape, spec)
-        windows = list(extract_tile_batch(reader, placements, spec))
+        stack, placements = extract_tiles(reader, spec)
+        assert placements == plan_tiles(*reader.shape, spec)
         assert len(produced) == len(placements)
-        assert all(window is made for window, made in zip(windows, produced))
-        assert windows[0].dtype == np.uint8
-        digests = [tile_digest(window) for window in windows]
+        assert produced[0].dtype == stack.dtype == np.uint8
+        digests = [tile_digest(window) for window in produced]
         assert digests.count(ZERO_TILE_DIGEST) == len(placements) - 1
         assert digests[0] != ZERO_TILE_DIGEST
-        stack, _ = extract_tiles(reader, spec)
-        assert stack.dtype == np.uint8
-        np.testing.assert_array_equal(stack, windows)
+        np.testing.assert_array_equal(stack, produced)
 
 
 class TestTileResultCache:
@@ -399,28 +391,6 @@ class TestTileResultCache:
                 assert row.shape == (4, 4) and row.base is None
                 assert row.flags.c_contiguous and not row.flags.writeable
                 np.testing.assert_array_equal(row, tile[2:6, 2:6] * 3.0)
-
-    def test_a_tile_entry_of_the_older_format_is_served_cropped(
-            self, tmp_path):
-        """An entry holding the whole guard-banded ``tile`` (what caches
-        wrote before entries were cores) is found under the same key and
-        served as its core, with nothing imaged."""
-        from repro.engine.cache import NpzDiskTier
-
-        context = dataclasses.replace(CONTEXT, tile_px=8, guard_px=2)
-        tiles = np.arange(2 * 64, dtype=float).reshape(2, 8, 8) + 1.0
-        digests = [tile_digest(tile) for tile in tiles]
-        disk = NpzDiskTier(str(tmp_path), "tiles")
-        for tile, digest in zip(tiles, digests):
-            disk.save(context.key_prefix() + digest, tile=tile * 3.0)
-        cache = TileResultCache(cache_dir=str(tmp_path))
-        image = tripling(context)
-        out, tally = cache.image_tile_batch(tiles, digests, image, context)
-        assert image.batches == []
-        assert (tally.disk_loads, tally.misses, tally.disk_errors) == (2, 0, 0)
-        for row, tile in zip(out, tiles):
-            assert row.shape == (4, 4) and row.base is None
-            np.testing.assert_array_equal(row, tile[2:6, 2:6] * 3.0)
 
     @pytest.mark.parametrize("damage", ["truncated", "empty", "garbage",
                                         "flipped"])
@@ -768,23 +738,25 @@ def _repeating_layout():
 
 
 class TestDiskEntries:
-    """What a layout run finds in the disk tier: ``core`` entries, the
-    whole-``tile`` entries written before entries were cores, and files of
-    neither shape."""
+    """What a layout run finds in the disk tier: ``core`` entries, and
+    files of another shape."""
 
     @pytest.mark.parametrize("malformed", [
+        {"tile": np.zeros((32, 32))},
         {"tile": np.zeros((5, 5))},
         {"tile": np.zeros((32, 32), np.float32)},
         {"core": np.zeros((32, 32))},
         {"core": np.zeros((16, 16), np.float32)},
         {"aerial": np.zeros((16, 16))},
-    ], ids=["tile-5x5", "tile-float32", "core-32x32", "core-float32",
-            "no-known-array"])
+    ], ids=["tile-32x32", "tile-5x5", "tile-float32", "core-32x32",
+            "core-float32", "no-known-array"])
     def test_a_malformed_entry_is_a_counted_miss_and_is_overwritten(
             self, tmp_path, malformed):
         """A readable ``.npz`` of the wrong shape or dtype used to reach the
         stitch (a ``(5, 5)`` tile crashed it with a broadcast error); it is
-        an unreadable entry: counted, re-imaged, overwritten."""
+        an unreadable entry: counted, re-imaged, overwritten.  So is a
+        whole guard-banded ``tile`` of the right shape: only a ``core`` is
+        an entry."""
         plain, _ = engine_pair(1, "float64")
         layout = _repeating_layout()
         reference = reference_image_layout(plain, layout, guard_px=8)
@@ -804,32 +776,6 @@ class TestDiskEntries:
         again = _disk_cached(tmp_path).image_layout(layout, guard_px=8)
         assert (again.tile_stats.misses, again.tile_stats.disk_errors) == \
             (0, 0)
-
-    def test_older_tile_entries_serve_a_layout_with_nothing_imaged(
-            self, tmp_path):
-        """A disk tier of whole guard-banded ``tile`` entries under the
-        same keys: the layout is served from it bit for bit, nothing is
-        imaged and no file is added."""
-        from repro.engine.cache import NpzDiskTier
-
-        plain, _ = engine_pair(1, "float64")
-        layout = _repeating_layout()
-        tiling = plain.resolve_tiling(None, None, 8)
-        prefix = plain.tile_cache_context(tiling).key_prefix()
-        tiles, _ = extract_tiles(layout, tiling)
-        disk = NpzDiskTier(str(tmp_path), "tiles")
-        for tile, image in zip(tiles, plain.aerial_batch(tiles)):
-            if tile_digest(tile) != ZERO_TILE_DIGEST:
-                disk.save(prefix + tile_digest(tile), tile=image)
-        written = sorted(path.name for path in tmp_path.iterdir())
-        result = _disk_cached(tmp_path).image_layout(layout, guard_px=8)
-        reference = reference_image_layout(plain, layout, guard_px=8)
-        np.testing.assert_array_equal(result.aerial, reference.aerial)
-        np.testing.assert_array_equal(result.resist, reference.resist)
-        stats = result.tile_stats
-        assert stats.misses == 0 and stats.disk_errors == 0
-        assert stats.disk_loads == len(written) > 1
-        assert sorted(path.name for path in tmp_path.iterdir()) == written
 
 
 def _geometry_case():

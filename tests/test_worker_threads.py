@@ -1,6 +1,6 @@
 """Conformance of the one parallel path: the batched core's shares.
 
-A ``batched_aerial_from_kernels`` call is the only place tiles run in
+A ``batched.image_tiles`` call is the only place tiles are imaged in
 parallel — it spends the spec's ``fft_workers`` on shares of its tiles —
 and ``ShardedExecutor.aerial_batch`` / ``image_layout`` /
 ``ProcessWindowSweep.run`` reach it batch by batch.  Every cell of

@@ -352,6 +352,18 @@ class TestBatchedEquivalence:
         with pytest.raises(ValueError):
             tiny_simulator.aerial_batch(np.zeros((2, 8, 8)))
 
+    @pytest.mark.parametrize("shape", [(64, 64), (1, 2, 64, 64)])
+    def test_batch_rejects_a_stack_that_is_not_three_dimensional(
+            self, fine_engine, shape):
+        """A calibrated and a bare bank both refuse before any transform."""
+        recorder = RecordingBackend()
+        bare = ExecutionEngine(fine_engine.kernels, fft_backend=recorder)
+        for engine in (fine_engine, bare):
+            with pytest.raises(ValueError,
+                               match=r"masks must have shape \(B, H, W\)"):
+                engine.aerial_batch(np.zeros(shape))
+        assert recorder.calls == []
+
     def test_baseline_predict_batch_matches_per_tile(self, tiny_masks):
         from repro.baselines.tempo import TempoModel
 

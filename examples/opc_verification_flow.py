@@ -13,29 +13,29 @@ Run with:  python examples/opc_verification_flow.py
 import time
 
 from repro.core import NithoConfig, NithoModel
-from repro.masks import Layout, Rect, iter_tiles, rule_based_opc
+from repro.layout import GeometryLayoutReader
+from repro.masks import Rect, rule_based_opc
 from repro.masks.generators import ISPDMetalGenerator
 from repro.metrics import mean_iou
 from repro.optics import OpticsConfig, calibre_like_engine
 
 
-def build_layout(extent_nm: float) -> Layout:
+def build_layout(extent_nm: float) -> dict:
     """A small routed block: horizontal tracks on M1 with a few vertical straps."""
-    layout = Layout(extent_nm=extent_nm)
     pitch, width = 128.0, 48.0
-    for track in range(int(extent_nm // pitch)):
-        y = track * pitch + (pitch - width) / 2
-        layout.add("M1", Rect(32.0, y, extent_nm - 64.0, width))
-    for column in range(3):
-        x = (column + 1) * extent_nm / 4
-        layout.add("M1", Rect(x, 64.0, width, extent_nm - 128.0))
-    return layout
+    tracks = [Rect(32.0, track * pitch + (pitch - width) / 2, extent_nm - 64.0, width)
+              for track in range(int(extent_nm // pitch))]
+    straps = [Rect((column + 1) * extent_nm / 4, 64.0, width, extent_nm - 128.0)
+              for column in range(3)]
+    return {"M1": tracks + straps}
 
 
 def main() -> None:
     tile_size_px, pixel_size_nm = 64, 16.0
     tile_extent_nm = tile_size_px * pixel_size_nm
-    layout = build_layout(extent_nm=2 * tile_extent_nm)   # a 2x2 grid of tiles
+    extent_nm = 2 * tile_extent_nm                        # a 2x2 grid of tiles
+    reader = GeometryLayoutReader(build_layout(extent_nm), pixel_size_nm,
+                                  extent_nm=extent_nm)
 
     simulator = calibre_like_engine(tile_size_px=tile_size_px, pixel_size_nm=pixel_size_nm)
 
@@ -51,13 +51,14 @@ def main() -> None:
     nitho.fit(train_masks, train_aerials)
     fast_engine = nitho.execution_engine()
 
-    tiles = list(iter_tiles(layout, "M1", tile_size_px, tile_extent_nm, dataset="block"))
+    tiles = [reader.read_window(row * tile_size_px, col * tile_size_px,
+                                tile_size_px, tile_size_px).astype(float)
+             for row in range(2) for col in range(2)]
     print(f"layout tiled into {len(tiles)} tiles of {tile_extent_nm:.0f} nm")
 
     results = []
     slow_time = fast_time = 0.0
-    for tile in tiles:
-        target = tile.mask
+    for index, target in enumerate(tiles):
         corrected = rule_based_opc(target)
 
         start = time.perf_counter()
@@ -70,7 +71,7 @@ def main() -> None:
 
         fidelity = mean_iou(target, golden_resist)
         agreement = mean_iou(golden_resist, fast_resist)
-        results.append((tile.index, fidelity, agreement))
+        results.append((index, fidelity, agreement))
 
     print("\ntile | print fidelity (target vs golden print) | fast-vs-golden agreement")
     for index, fidelity, agreement in results:

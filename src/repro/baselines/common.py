@@ -25,7 +25,7 @@ from .. import nn
 from ..nn.optim import fit_minibatches
 from ..nn.tensor import Tensor
 from ..optics.resist import ConstantThresholdResist
-from ..utils.imaging import fourier_resize_batch
+from ..utils.imaging import fourier_resize
 
 
 class ImageToImageModel:
@@ -58,12 +58,12 @@ class ImageToImageModel:
         res = self.work_resolution
         if images.shape[-1] == res:
             return images
-        return fourier_resize_batch(images, (res, res))
+        return fourier_resize(images, (res, res))
 
     def _to_full(self, images: np.ndarray, tile_size: int) -> np.ndarray:
         if images.shape[-1] == tile_size:
             return images
-        return fourier_resize_batch(images, (tile_size, tile_size))
+        return fourier_resize(images, (tile_size, tile_size))
 
     # ------------------------------------------------------------------ #
     # training

@@ -26,8 +26,8 @@ Subcommands cover the typical library workflow without writing any Python:
   process-window campaigns over HTTP (see :mod:`repro.service` and
   ``docs/service.md``); campaigns persist through the resumable store, so a
   killed server recomputes exactly the remainder on restart,
-* ``experiments``— run every table / figure driver (same as
-  ``python -m repro.experiments.runner``).
+* ``experiments``— run every table / figure driver
+  (:func:`repro.experiments.run_all`).
 
 ``image-layout`` and ``sweep-window`` accept ``--input`` as a dense raster
 (``.npy``/``.npz``) **or** a geometry layout file (``.json`` in the

@@ -143,14 +143,14 @@ class NithoModel:
 
     def prepare_targets(self, aerials: np.ndarray) -> np.ndarray:
         """Resample golden aerial images to the :attr:`loss_grid`."""
-        from ..utils.imaging import fourier_resize_batch
+        from ..utils.imaging import fourier_resize
 
         aerials = np.asarray(aerials, dtype=float)
         if aerials.ndim == 2:
             aerials = aerials[None]
         if self.loss_grid == aerials.shape[-2:]:
             return aerials
-        return fourier_resize_batch(aerials, self.loss_grid)
+        return fourier_resize(aerials, self.loss_grid)
 
     # ------------------------------------------------------------------ #
     # differentiable forward pass

@@ -1,13 +1,12 @@
 """Run every experiment of the paper and print the resulting tables.
 
-``python -m repro.experiments.runner --preset small`` regenerates the whole
+``python -m repro.cli experiments --preset small`` regenerates the whole
 evaluation section; ``benchmarks/results/`` holds the tables the benchmark
 harness last wrote.
 """
 
 from __future__ import annotations
 
-import argparse
 from typing import Dict, Optional
 
 from .ablations import run_real_vs_complex_ablation, run_rff_sigma_ablation, run_socs_order_ablation
@@ -79,17 +78,3 @@ def run_all(preset: str = "tiny", seed: int = 0, include_ablations: bool = True,
         record("ablation_rff_sigma", sigma, sigma["table"])
 
     return results
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--preset", default="tiny", choices=("tiny", "small", "default"))
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--skip-ablations", action="store_true")
-    arguments = parser.parse_args()
-    run_all(preset=arguments.preset, seed=arguments.seed,
-            include_ablations=not arguments.skip_ablations)
-
-
-if __name__ == "__main__":
-    main()

@@ -21,7 +21,8 @@ and three implementations cover the spectrum:
 
 :func:`load_layout_file` opens JSON / binary-GDSII scenario files on disk
 as one of them (binary streams are detected by content; anything else, and
-malformed streams, raise :class:`LayoutFormatError` with a file offset).
+malformed streams, raise :class:`LayoutFormatError` with a file offset);
+:func:`save_layout` writes the JSON one.
 
 Readers plug in wherever a dense layout was accepted —
 ``ExecutionEngine.image_layout(reader)``,
@@ -45,7 +46,12 @@ Readers plug in wherever a dense layout was accepted —
 True
 """
 
-from .files import LAYOUT_FILE_SUFFIXES, is_layout_file, load_layout_file
+from .files import (
+    LAYOUT_FILE_SUFFIXES,
+    is_layout_file,
+    load_layout_file,
+    save_layout,
+)
 from .gdsii import (
     GDSBoundary,
     GDSCell,
@@ -74,7 +80,7 @@ from .reader import (
 __all__ = [
     "LayoutReader", "ArrayLayoutReader", "GeometryLayoutReader",
     "as_layout_reader", "is_layout_reader", "array_digest", "source_digest",
-    "load_layout_file", "is_layout_file", "LAYOUT_FILE_SUFFIXES", "DEFAULT_BUCKET_PX",
+    "load_layout_file", "save_layout", "is_layout_file", "LAYOUT_FILE_SUFFIXES", "DEFAULT_BUCKET_PX",
     "load_layout_mask", "load_layout_source", "synthesize_layout_mask",
     "LayoutFormatError", "parse_gds", "write_gds", "GDSLibrary", "GDSCell",
     "GDSBoundary", "GDSReference", "HierarchicalLayoutReader", "Transform",

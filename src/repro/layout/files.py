@@ -5,8 +5,8 @@ This module reads two on-disk formats straight into a windowed
 :class:`~repro.layout.reader.LayoutReader`, so a scenario file can drive the
 whole out-of-core pipeline without a dense raster ever existing:
 
-* the ``repro-layout`` **JSON** format written by
-  :func:`repro.masks.io.save_layout` (layer -> rectangle list, nm units),
+* the ``repro-layout`` **JSON** format :func:`save_layout` writes (layer
+  -> rectangle list, nm units),
   extended with an optional ``"polygons"`` mapping
   (layer -> list of ``[x, y]`` vertex rings, rectilinear), and
 * **binary GDSII** (the native ``.gds`` record stream, detected by its
@@ -26,14 +26,14 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .gdsii import LayoutFormatError, looks_like_binary_gds, parse_gds
 from .geometry import Polygon, Rect
 from .indexed import GeometryLayoutReader
 
-#: The JSON format :func:`repro.masks.io.save_layout` writes; a file
-#: without a ``"version"`` is read as version 1.
+#: The JSON format :func:`save_layout` writes; a file without a
+#: ``"version"`` is read as version 1.
 LAYOUT_FORMAT = "repro-layout"
 LAYOUT_FORMAT_VERSION = 1
 
@@ -55,6 +55,26 @@ def _parse_binary_gds(path: str, data: bytes):
             "(GDSII text is no longer read — export the layout as binary "
             ".gds)")
     return parse_gds(data, name=path)
+
+
+def save_layout(shapes: Mapping[str, Sequence[Rect]], extent_nm: float,
+                path: str) -> str:
+    """Write layer -> rectangles (nm) and the extent as repro-layout JSON,
+    creating missing parent directories; returns ``path``."""
+    document = {
+        "format": LAYOUT_FORMAT,
+        "version": LAYOUT_FORMAT_VERSION,
+        "extent_nm": extent_nm,
+        "layers": {
+            layer: [[rect.x, rect.y, rect.width, rect.height]
+                    for rect in rects]
+            for layer, rects in shapes.items()
+        },
+    }
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(document, handle, indent=2)
+    return path
 
 
 def _read_json_layout(path: str, data: bytes,

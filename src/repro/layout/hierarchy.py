@@ -91,7 +91,7 @@ import numpy as np
 
 from .gdsii import GDSLibrary, LayoutFormatError, parse_gds
 from .geometry import Polygon, Rect, _pixel_interval
-from .indexed import DEFAULT_BUCKET_PX, layout_digest
+from .indexed import DEFAULT_BUCKET_PX, _BucketGrid, layout_digest
 
 __all__ = [
     "Transform",
@@ -184,41 +184,6 @@ class Transform(NamedTuple):
         return min(px, qx), min(py, qy), max(px, qx), max(py, qy)
 
 
-class _NmBucketGrid:
-    """One cell+layer spatial index over local-frame nm rectangles.
-
-    Built exactly once per cell regardless of how many times (or at what
-    magnification) the cell is instantiated; negative local coordinates are
-    fine (floored bucket indices).
-    """
-
-    def __init__(self, bucket_nm: float):
-        self._bucket_nm = float(bucket_nm)
-        self.boxes: List[Tuple[float, float, float, float]] = []
-        self._buckets: Dict[Tuple[int, int], List[int]] = {}
-
-    def __len__(self) -> int:
-        return len(self.boxes)
-
-    def _span(self, low: float, high: float) -> range:
-        size = self._bucket_nm
-        return range(math.floor(low / size), math.floor(high / size) + 1)
-
-    def add(self, x1: float, y1: float, x2: float, y2: float) -> None:
-        index = len(self.boxes)
-        self.boxes.append((x1, y1, x2, y2))
-        for by in self._span(y1, y2):
-            for bx in self._span(x1, x2):
-                self._buckets.setdefault((by, bx), []).append(index)
-
-    def query(self, x1: float, y1: float, x2: float, y2: float) -> List[int]:
-        candidates: set = set()
-        for by in self._span(y1, y2):
-            for bx in self._span(x1, x2):
-                candidates.update(self._buckets.get((by, bx), ()))
-        return sorted(candidates)
-
-
 @dataclass(frozen=True)
 class _Instance:
     """One placement, pre-scaled to nm: an SREF is the 1x1 array case.
@@ -294,14 +259,14 @@ class HierarchicalLayoutReader:
         unit = library.unit_nm
         bucket_nm = DEFAULT_BUCKET_PX * self.pixel_size_nm
         #: cell -> layer -> bucket grid over local nm rects (built once).
-        self._grids: Dict[str, Dict[str, _NmBucketGrid]] = {}
+        self._grids: Dict[str, Dict[str, _BucketGrid]] = {}
         #: cell -> placements with nm origins / displacement vectors.
         self._instances: Dict[str, List[_Instance]] = {}
         for name, cell in library.cells.items():
-            grids: Dict[str, _NmBucketGrid] = {}
+            grids: Dict[str, _BucketGrid] = {}
             for boundary in cell.boundaries:
                 layer = str(boundary.layer)
-                grid = grids.setdefault(layer, _NmBucketGrid(bucket_nm))
+                grid = grids.setdefault(layer, _BucketGrid(bucket_nm))
                 ring = tuple((x * unit, y * unit) for x, y in boundary.xy)
                 for rect in Polygon(ring).to_rects():
                     grid.add(rect.x, rect.y, rect.x2, rect.y2)

@@ -3,8 +3,11 @@
 A full-chip layout holds millions of rectangles; rasterising a 256 px tile
 must not iterate all of them.  :class:`GeometryLayoutReader` indexes every
 shape into a per-layer **bucket grid** at construction: the raster is divided
-into ``DEFAULT_BUCKET_PX``-sized cells and each shape is registered with every
-cell its pixel footprint overlaps.  A window query then gathers candidates from
+into ``DEFAULT_BUCKET_PX``-sized cells and each shape's pixel box is
+registered with every cell it spans.  That grid is this module's
+``_BucketGrid``, the one spatial index of the layout frontend: the
+hierarchical reader indexes each cell's nm rectangles in it too.  A window
+query then gathers candidates from
 only the cells the window touches, so the work per window is proportional to
 the shapes *near the window*, not to the layout — ``last_candidates`` stays
 flat while the layout area grows 16x (``tests/test_layout_reader.py``).
@@ -24,6 +27,7 @@ slices of it.  Rectilinear polygons participate via
 from __future__ import annotations
 
 import hashlib
+import math
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -65,41 +69,40 @@ def layout_digest(shape: Tuple[int, int], pixel_size_nm: float,
 
 
 class _BucketGrid:
-    """One layer's spatial index: bucket cell -> ids of overlapping shapes."""
+    """One spatial index over ``(x1, y1, x2, y2)`` boxes: bucket cell -> ids.
 
-    def __init__(self):
-        self.rows0: List[int] = []
-        self.rows1: List[int] = []
-        self.cols0: List[int] = []
-        self.cols1: List[int] = []
-        self.buckets: Dict[Tuple[int, int], List[int]] = {}
+    A box is registered with every ``bucket_size`` cell of its closed floor
+    span (negative coordinates are fine), and :meth:`query` returns the
+    sorted ids of the boxes sharing a cell with the query box — candidates,
+    which the caller intersects exactly.  Both geometry readers index
+    through it: :class:`GeometryLayoutReader` over pixel boxes, the
+    hierarchical reader over each cell's local-frame nm rectangles.
+    """
+
+    def __init__(self, bucket_size: float):
+        self._bucket_size = float(bucket_size)
+        self.boxes: List[Tuple[float, float, float, float]] = []
+        self._buckets: Dict[Tuple[int, int], List[int]] = {}
 
     def __len__(self) -> int:
-        return len(self.rows0)
+        return len(self.boxes)
 
-    def add(self, row0: int, row1: int, col0: int, col1: int) -> None:
-        """Register one shape's (clipped, half-open) pixel rectangle."""
-        if row1 <= row0 or col1 <= col0:
-            return  # rasterises to nothing — never worth indexing
-        index = len(self.rows0)
-        self.rows0.append(row0)
-        self.rows1.append(row1)
-        self.cols0.append(col0)
-        self.cols1.append(col1)
-        size = DEFAULT_BUCKET_PX
-        for brow in range(row0 // size, (row1 - 1) // size + 1):
-            for bcol in range(col0 // size, (col1 - 1) // size + 1):
-                self.buckets.setdefault((brow, bcol), []).append(index)
+    def _span(self, low: float, high: float) -> range:
+        size = self._bucket_size
+        return range(math.floor(low / size), math.floor(high / size) + 1)
 
-    def query(self, row0: int, row1: int, col0: int, col1: int) -> List[int]:
-        """Candidate shape ids whose buckets overlap the pixel window."""
-        if row1 <= row0 or col1 <= col0:
-            return []
-        size = DEFAULT_BUCKET_PX
+    def add(self, x1: float, y1: float, x2: float, y2: float) -> None:
+        index = len(self.boxes)
+        self.boxes.append((x1, y1, x2, y2))
+        for by in self._span(y1, y2):
+            for bx in self._span(x1, x2):
+                self._buckets.setdefault((by, bx), []).append(index)
+
+    def query(self, x1: float, y1: float, x2: float, y2: float) -> List[int]:
         candidates: set = set()
-        for brow in range(row0 // size, (row1 - 1) // size + 1):
-            for bcol in range(col0 // size, (col1 - 1) // size + 1):
-                candidates.update(self.buckets.get((brow, bcol), ()))
+        for by in self._span(y1, y2):
+            for bx in self._span(x1, x2):
+                candidates.update(self._buckets.get((by, bx), ()))
         return sorted(candidates)
 
 
@@ -161,14 +164,16 @@ class GeometryLayoutReader:
         """Index one rectangle or rectilinear polygon on ``layer`` (at
         construction only: a reader's windows never change afterwards)."""
         rects = item.to_rects() if isinstance(item, Polygon) else [item]
-        grid = self._indices.setdefault(layer, _BucketGrid())
+        grid = self._indices.setdefault(layer,
+                                        _BucketGrid(DEFAULT_BUCKET_PX))
         height, width = self._shape
         for rect in rects:
             row0, row1 = _pixel_interval(rect.y, rect.y2, self.pixel_size_nm,
                                          height)
             col0, col1 = _pixel_interval(rect.x, rect.x2, self.pixel_size_nm,
                                          width)
-            grid.add(row0, row1, col0, col1)
+            if row1 > row0 and col1 > col0:  # else it rasterises to nothing
+                grid.add(col0, row0, col1, row1)
 
     # ------------------------------------------------------------------ #
     # the reader protocol
@@ -203,13 +208,12 @@ class GeometryLayoutReader:
         count = 0
         for layer in self.layers:
             grid = self._indices[layer]
-            candidates = grid.query(row0, row1, col0, col1)
+            candidates = grid.query(col0, row0, col1, row1)
             count += len(candidates)
             for index in candidates:
-                top = max(grid.rows0[index], row0)
-                bottom = min(grid.rows1[index], row1)
-                left = max(grid.cols0[index], col0)
-                right = min(grid.cols1[index], col1)
+                left, top, right, bottom = grid.boxes[index]
+                top, bottom = max(top, row0), min(bottom, row1)
+                left, right = max(left, col0), min(right, col1)
                 if bottom > top and right > left:
                     out[top - row:bottom - row, left - col:right - col] = 1
         self.last_candidates = count
@@ -227,7 +231,7 @@ class GeometryLayoutReader:
         single pixel.  (Two different interval decompositions of the same
         covered area do hash differently; decompose consistently.)
         """
-        grids = ((layer, self._indices[layer]) for layer in self.layers)
         return layout_digest(self._shape, self.pixel_size_nm, (
-            (layer, zip(grid.rows0, grid.rows1, grid.cols0, grid.cols1))
-            for layer, grid in grids))
+            (layer, ((row0, row1, col0, col1) for col0, row0, col1, row1
+                     in self._indices[layer].boxes))
+            for layer in self.layers))

@@ -1,14 +1,12 @@
-"""Persistence for layouts and benchmark datasets.
+"""Persistence for benchmark datasets.
 
-Real benchmark suites are distributed as layout archives plus pre-computed
-golden images; this module provides the equivalent for the synthetic
-reproduction so expensive dataset builds (and trained-model inputs) can be
-generated once and reused:
-
-* layouts   -> a small JSON format (layer name -> rectangle list, nm units)
-  that :func:`repro.layout.load_layout_file` reads,
-* datasets  -> a single compressed ``.npz`` archive with all six image stacks
-  and the metadata needed to rebuild the :class:`~repro.masks.datasets.LithoDataset`.
+Real benchmark suites ship pre-computed golden images; this module provides
+the equivalent for the synthetic reproduction so expensive dataset builds
+(and trained-model inputs) can be generated once and reused: a dataset is a
+single compressed ``.npz`` archive with all six image stacks and the
+metadata needed to rebuild the :class:`~repro.masks.datasets.LithoDataset`.
+Layouts are not datasets: :func:`repro.layout.save_layout` writes the
+repro-layout JSON next to its reader.
 """
 
 from __future__ import annotations
@@ -19,44 +17,14 @@ from typing import Dict
 
 import numpy as np
 
-from ..layout.files import LAYOUT_FORMAT, LAYOUT_FORMAT_VERSION
 from .datasets import LithoDataset
-from .layout import Layout
 
 _DATASET_FORMAT_VERSION = 1
 
 
-def _ensure_parent(path: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-
-
-# --------------------------------------------------------------------------- #
-# layouts
-# --------------------------------------------------------------------------- #
-def save_layout(layout: Layout, path: str) -> str:
-    """Write a layout as JSON; returns the path."""
-    document = {
-        "format": LAYOUT_FORMAT,
-        "version": LAYOUT_FORMAT_VERSION,
-        "extent_nm": layout.extent_nm,
-        "layers": {
-            layer: [[rect.x, rect.y, rect.width, rect.height] for rect in shapes]
-            for layer, shapes in layout.layers.items()
-        },
-    }
-    _ensure_parent(path)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2)
-    return path
-
-
-# --------------------------------------------------------------------------- #
-# datasets
-# --------------------------------------------------------------------------- #
 def save_dataset(dataset: LithoDataset, path: str) -> str:
     """Write a dataset (all six image stacks + metadata) as a compressed ``.npz``."""
-    _ensure_parent(path)
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     metadata = json.dumps({
         "format": "repro-dataset",
         "version": _DATASET_FORMAT_VERSION,

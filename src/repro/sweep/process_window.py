@@ -229,7 +229,7 @@ class ProcessWindowSweep:
         tile_stats: Optional[TileCacheStats] = None
 
         if store is not None:
-            identity, _ = CampaignStore.campaign_identity(
+            identity = CampaignStore.campaign_identity(
                 layout, grid.focus_values_nm, grid.dose_values, tolerance,
                 self.base_spec.fingerprint(), tile_px=tile_px,
                 guard_px=guard_px)

@@ -84,7 +84,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional
 
 import numpy as np
 
@@ -309,8 +309,8 @@ class CampaignStore:
                           dose_values: Iterable[float], tolerance: float,
                           optics_fingerprint: str,
                           tile_px: Optional[int] = None,
-                          guard_px: Optional[int] = None) -> Tuple[dict, str]:
-        """The manifest identity block for a sweep (and the layout digest).
+                          guard_px: Optional[int] = None) -> dict:
+        """The manifest identity block for a sweep.
 
         ``layout`` is a dense raster (hashed byte-for-byte) or a windowed
         :class:`repro.layout.LayoutReader` (its canonical shape digest —
@@ -321,13 +321,11 @@ class CampaignStore:
         optics fingerprint): guard width changes seam behaviour and hence
         CDs, so a resume under different tiling must be refused, not mixed.
         """
-        digest = source_digest(layout)
-        return ({"layout_sha256": digest,
-                 "layout_shape": [int(s) for s in layout.shape],
-                 "optics_fingerprint": optics_fingerprint,
-                 "focus_values_nm": [float(f) for f in focus_values_nm],
-                 "dose_values": [float(d) for d in dose_values],
-                 "tolerance": float(tolerance),
-                 "tile_px": None if tile_px is None else int(tile_px),
-                 "guard_px": None if guard_px is None else int(guard_px)},
-                digest)
+        return {"layout_sha256": source_digest(layout),
+                "layout_shape": [int(s) for s in layout.shape],
+                "optics_fingerprint": optics_fingerprint,
+                "focus_values_nm": [float(f) for f in focus_values_nm],
+                "dose_values": [float(d) for d in dose_values],
+                "tolerance": float(tolerance),
+                "tile_px": None if tile_px is None else int(tile_px),
+                "guard_px": None if guard_px is None else int(guard_px)}

@@ -16,45 +16,17 @@ from typing import Tuple
 import numpy as np
 
 
-def fourier_resize(image: np.ndarray, output_shape: Tuple[int, int]) -> np.ndarray:
-    """Resize a real image by cropping / zero-padding its centred spectrum.
+def fourier_resize(images: np.ndarray, output_shape: Tuple[int, int]) -> np.ndarray:
+    """Resize real images ``(..., H, W)`` by cropping / zero-padding their
+    centred spectra.
 
-    Pixel values are preserved (the DC component is untouched) because the
-    transform pair uses ``norm="forward"``.
-    """
-    image = np.asarray(image, dtype=float)
-    if image.ndim != 2:
-        raise ValueError("fourier_resize expects a 2-D image")
-    out_h, out_w = output_shape
-    if out_h <= 0 or out_w <= 0:
-        raise ValueError("output_shape entries must be positive")
-    in_h, in_w = image.shape
-    if (out_h, out_w) == (in_h, in_w):
-        return image.copy()
-
-    spectrum = np.fft.fftshift(np.fft.fft2(image, norm="forward"))
-    resized = np.zeros((out_h, out_w), dtype=complex)
-
-    crop_h, crop_w = min(in_h, out_h), min(in_w, out_w)
-    src_top = in_h // 2 - crop_h // 2
-    src_left = in_w // 2 - crop_w // 2
-    dst_top = out_h // 2 - crop_h // 2
-    dst_left = out_w // 2 - crop_w // 2
-    resized[dst_top:dst_top + crop_h, dst_left:dst_left + crop_w] = (
-        spectrum[src_top:src_top + crop_h, src_left:src_left + crop_w])
-    return np.real(np.fft.ifft2(np.fft.ifftshift(resized), norm="forward"))
-
-
-def fourier_resize_batch(images: np.ndarray, output_shape: Tuple[int, int]) -> np.ndarray:
-    """Band-limited resize of an image batch ``(..., H, W)`` in one FFT pass.
-
-    Vectorised counterpart of :func:`fourier_resize`: the spectrum crop /
-    zero-pad acts on the last two axes, so a whole batch moves through a
-    single transform pair instead of a Python loop.
+    The crop / zero-pad acts on the last two axes, so a whole batch moves
+    through a single transform pair.  Pixel values are preserved (the DC
+    component is untouched) because the pair uses ``norm="forward"``.
     """
     images = np.asarray(images, dtype=float)
     if images.ndim < 2:
-        raise ValueError("fourier_resize_batch expects at least a 2-D image")
+        raise ValueError("fourier_resize expects at least a 2-D image")
     out_h, out_w = output_shape
     if out_h <= 0 or out_w <= 0:
         raise ValueError("output_shape entries must be positive")

@@ -94,7 +94,7 @@ class TestCampaignReport:
 
     def test_partial_campaign_renders_progress(self, tmp_path):
         """A store a killed (or live) sweep left behind still reports."""
-        identity, _ = CampaignStore.campaign_identity(
+        identity = CampaignStore.campaign_identity(
             make_mask(), GRID.focus_values_nm, GRID.dose_values, 0.1,
             "fingerprint")
         store = CampaignStore(str(tmp_path / "partial"))
@@ -114,7 +114,7 @@ class TestCampaignReport:
         assert "120.0*" in text  # out of the 10% band around 100 nm
 
     def test_window_is_none_without_target(self, tmp_path):
-        identity, _ = CampaignStore.campaign_identity(
+        identity = CampaignStore.campaign_identity(
             make_mask(), GRID.focus_values_nm, GRID.dose_values, 0.1,
             "fingerprint")
         store = CampaignStore(str(tmp_path / "no-target"))
@@ -199,7 +199,7 @@ class TestReportFormats:
 
         from repro.sweep import render_campaign_report_json
 
-        identity, _ = CampaignStore.campaign_identity(
+        identity = CampaignStore.campaign_identity(
             make_mask(), GRID.focus_values_nm, GRID.dose_values, 0.1,
             "fingerprint")
         store = CampaignStore(str(tmp_path / "partial"))

@@ -59,7 +59,7 @@ from repro.optics import OpticsConfig, LithographySimulator
 from repro.optics.pupil import Pupil
 from repro.optics.socs import SOCSKernels
 from repro.optics.source import AnnularSource, CircularSource, PixelatedSource
-from repro.utils.imaging import fourier_resize, fourier_resize_batch
+from repro.utils.imaging import fourier_resize
 
 # A fine-pitch configuration whose kernel window (7x7) is far below the tile
 # size, so the band-limited chunk runs (a 14 px grid); the tiny fixtures (48 px
@@ -760,15 +760,15 @@ class TestSOCSKernelsField:
 class TestFourierResizeBatch:
     def test_matches_per_image_resize(self):
         images = np.random.default_rng(7).random((3, 16, 16))
-        batched = fourier_resize_batch(images, (24, 24))
+        batched = fourier_resize(images, (24, 24))
         looped = np.stack([fourier_resize(img, (24, 24)) for img in images])
         np.testing.assert_allclose(batched, looped, rtol=1e-12, atol=1e-12)
 
     def test_identity_and_validation(self):
         images = np.random.default_rng(8).random((2, 8, 8))
-        np.testing.assert_allclose(fourier_resize_batch(images, (8, 8)), images)
+        np.testing.assert_allclose(fourier_resize(images, (8, 8)), images)
         with pytest.raises(ValueError):
-            fourier_resize_batch(images, (0, 8))
+            fourier_resize(images, (0, 8))
 
 
 class TestImageLayoutCLI:

@@ -45,33 +45,35 @@ from repro.layout import (
     is_layout_reader,
     load_layout_file,
     load_layout_mask,
+    save_layout,
     source_digest,
 )
 from repro.layout.files import layout_reader_from_bytes, read_layout_bytes
-from repro.layout.geometry import Polygon, Rect
+from repro.layout.geometry import Polygon, Rect, rasterize
 from repro.layout.indexed import layout_digest
-from repro.masks.io import save_layout
-from repro.masks.layout import Layout
 from repro.optics.simulator import OpticsConfig
 from repro.sweep import CampaignStore, FocusExposureGrid, ProcessWindowSweep
 
 
-def random_layout(seed: int = 0, extent_nm: float = 768.0,
-                  shapes: int = 120) -> Layout:
+#: Extent of :func:`random_layout`'s square (nm).
+EXTENT_NM = 768.0
+
+
+def random_layout(seed: int = 0, shapes: int = 120) -> dict:
+    """``shapes`` random rectangles on layer ``m1`` inside ``EXTENT_NM``."""
     rng = np.random.default_rng(seed)
-    layout = Layout(extent_nm=extent_nm)
+    rects = []
     for _ in range(shapes):
-        x, y = rng.uniform(0, extent_nm - 64, 2)
+        x, y = rng.uniform(0, EXTENT_NM - 64, 2)
         w, h = rng.uniform(16, 90, 2)
-        layout.add("m1", Rect(float(x), float(y), float(w), float(h)))
-    return layout
+        rects.append(Rect(float(x), float(y), float(w), float(h)))
+    return {"m1": rects}
 
 
-def indexed(layout: Layout, side: int) -> GeometryLayoutReader:
-    """``layout`` indexed onto a ``side`` x ``side`` raster — the pitch of
-    ``Layout.rasterize(layer, side)``."""
-    return GeometryLayoutReader(layout.layers, layout.extent_nm / side,
-                                shape=(side, side))
+def indexed(layout: dict, side: int) -> GeometryLayoutReader:
+    """``layout`` indexed onto a ``side`` x ``side`` raster of the
+    ``EXTENT_NM`` square."""
+    return GeometryLayoutReader(layout, EXTENT_NM / side, shape=(side, side))
 
 
 @pytest.fixture(scope="module")
@@ -162,7 +164,8 @@ class TestGeometryLayoutReader:
         layout = random_layout(seed=7)
         reader = indexed(layout, 128)
         np.testing.assert_array_equal(reader.read_window(0, 0, 128, 128),
-                                      layout.rasterize("m1", 128))
+                                      rasterize(layout["m1"], 128,
+                                                EXTENT_NM / 128))
 
     @given(row=st.integers(-16, 120), col=st.integers(-16, 120),
            height=st.integers(1, 64), width=st.integers(1, 64))
@@ -176,7 +179,7 @@ class TestGeometryLayoutReader:
     def test_window_queries_touch_o_window_shapes(self, geometry_reader):
         """A tile-sized window touches a small fraction of the index."""
         geometry_reader.read_window(32, 32, 24, 24)
-        shapes = len(random_layout().shapes("m1"))
+        shapes = len(random_layout()["m1"])
         assert 0 < geometry_reader.last_candidates < shapes / 2
 
     def test_window_candidates_stay_flat_as_the_layout_grows(self):
@@ -203,8 +206,6 @@ class TestGeometryLayoutReader:
                         (0, 40)))
         reader = GeometryLayoutReader({"m": [poly]}, pixel_size_nm=4.0,
                                       extent_nm=64.0)
-        from repro.layout.geometry import rasterize
-
         np.testing.assert_array_equal(reader.read_window(0, 0, 16, 16),
                                       rasterize(poly.to_rects(), 16, 4.0))
 
@@ -215,24 +216,15 @@ class TestGeometryLayoutReader:
         assert both.read_window(0, 0, *both.shape).sum() == 32
 
     def test_digest_is_canonical(self):
-        layout = random_layout(seed=11, shapes=40)
-        reversed_layout = Layout(extent_nm=layout.extent_nm)
-        for shape in reversed(layout.shapes("m1")):
-            reversed_layout.add("m1", shape)
-        make = lambda lay: indexed(lay, 64)
-        assert make(layout).digest() == make(reversed_layout).digest()
+        rects = random_layout(seed=11, shapes=40)["m1"]
+        make = lambda shapes: indexed({"m1": shapes}, 64)
+        assert make(rects).digest() == make(rects[::-1]).digest()
         # shapes that rasterise outside the raster do not perturb identity
-        outside = Layout(extent_nm=layout.extent_nm)
-        for shape in layout.shapes("m1"):
-            outside.add("m1", shape)
-        outside.add("m1", Rect(10_000.0, 10_000.0, 5.0, 5.0))
-        assert make(outside).digest() == make(layout).digest()
+        outside = rects + [Rect(10_000.0, 10_000.0, 5.0, 5.0)]
+        assert make(outside).digest() == make(rects).digest()
         # but real content changes do
-        changed = Layout(extent_nm=layout.extent_nm)
-        for shape in layout.shapes("m1"):
-            changed.add("m1", shape)
-        changed.add("m1", Rect(8.0, 8.0, 64.0, 64.0))
-        assert make(changed).digest() != make(layout).digest()
+        changed = rects + [Rect(8.0, 8.0, 64.0, 64.0)]
+        assert make(changed).digest() != make(rects).digest()
 
     def test_digest_is_the_pinned_identity_format(self):
         """Stored campaigns were written under this identity: the raster
@@ -318,9 +310,8 @@ class TestConcurrentReads:
 
 class TestLayoutFiles:
     def test_a_layer_of_degenerate_polygons_is_no_identity(self, tmp_path):
-        layout = Layout(extent_nm=256.0)
-        layout.add("m1", Rect(16, 16, 64, 32))
-        path = save_layout(layout, str(tmp_path / "chip.json"))
+        path = save_layout({"m1": [Rect(16, 16, 64, 32)]}, 256.0,
+                           str(tmp_path / "chip.json"))
         plain = load_layout_file(path, pixel_size_nm=8.0).digest()
         document = json.loads(open(path).read())
         document["polygons"] = {"m2": [[[0, 200], [48, 200], [96, 200]],
@@ -332,9 +323,8 @@ class TestLayoutFiles:
         assert reader.digest() == plain
 
     def test_json_roundtrip_with_polygons(self, tmp_path):
-        layout = Layout(extent_nm=256.0)
-        layout.add("m1", Rect(16, 16, 64, 32))
-        path = save_layout(layout, str(tmp_path / "chip.json"))
+        path = save_layout({"m1": [Rect(16, 16, 64, 32)]}, 256.0,
+                           str(tmp_path / "chip.json"))
         document = json.loads(open(path).read())
         document["polygons"] = {"m1": [[[0, 200], [48, 200], [48, 224],
                                         [24, 224], [24, 240], [0, 240]]]}
@@ -346,8 +336,6 @@ class TestLayoutFiles:
         np.testing.assert_array_equal(
             reader.read_window(2, 2, 4, 8), 1.0)
         # and the polygon decomposes into rectangles of its own
-        from repro.layout.geometry import rasterize
-
         poly = Polygon(((0, 200), (48, 200), (48, 224), (24, 224),
                         (24, 240), (0, 240)))
         np.testing.assert_array_equal(
@@ -404,9 +392,8 @@ class TestLayoutFiles:
 
     def test_reader_from_bytes_needs_only_the_bytes(self, tmp_path):
         """The bytes read once are the whole input: the file may be gone."""
-        layout = Layout(extent_nm=256.0)
-        layout.add("m1", Rect(16, 16, 64, 32))
-        path = save_layout(layout, str(tmp_path / "chip.json"))
+        path = save_layout({"m1": [Rect(16, 16, 64, 32)]}, 256.0,
+                           str(tmp_path / "chip.json"))
         expected = load_layout_file(path, pixel_size_nm=8.0).read_window(
             0, 0, 32, 32)
         data = read_layout_bytes(path)
@@ -445,6 +432,65 @@ class TestLayoutFiles:
             load_layout_file(str(empty), pixel_size_nm=8.0)
         with pytest.raises(FileNotFoundError):
             load_layout_file(str(tmp_path / "missing.json"), pixel_size_nm=8.0)
+
+
+#: Layer -> rectangles of the pinned JSON layout (a 128 nm square); layer
+#: ``far`` only rasterises outside the raster.
+PINNED_SHAPES = {"m1": [Rect(0.0, 0.0, 32.0, 32.0), Rect(40.0, 8.0, 16.0, 24.0),
+                        Rect(8.5, 100.25, 60.0, 12.0)],
+                 "v1": [Rect(16.0, 16.0, 8.0, 8.0)],
+                 "far": [Rect(10_000.0, 10_000.0, 5.0, 5.0)]}
+
+
+class TestPinnedLayoutIdentity:
+    """Stored campaigns and tile caches are keyed by these digests: no
+    change to a reader's container or spatial index may move them."""
+
+    @pytest.mark.parametrize("name, pixel_size_nm, digest", [
+        ("aref_grid.gds", 4.0, "dc4f168f0c2224170546b475316bac78"
+                               "cdf4a631aa8cdd6c99c8af9721c94656"),
+        ("aref_grid.gds", 8.0, "445ffff3d13835534ffe1faab760d9aa"
+                               "28333dac8b6984e02bc9edffdc3895f6"),
+        ("flat_boundaries.gds", 4.0, "748d0cde8cec497a8ec522f7b4c86204"
+                                     "85dcda55ce7aa032d7093d0f523c451b"),
+        ("flat_boundaries.gds", 8.0, "0a3b269e608de16d87f2498656a1a6c9"
+                                     "9596389b27c7f628c8452008e9097a04"),
+        ("hier4.gds", 4.0, "daa8a6c9465386802240e9d4b326b965"
+                           "f53cca0aaae15cfccdea4ed0d6809a52"),
+        ("hier4.gds", 8.0, "492bea5e486efd0be15aa7268a09b62d"
+                           "789677f44b22f4bf2a8183d7f76af5b4"),
+        ("units_fine.gds", 4.0, "748d0cde8cec497a8ec522f7b4c86204"
+                                "85dcda55ce7aa032d7093d0f523c451b"),
+        ("units_fine.gds", 8.0, "0a3b269e608de16d87f2498656a1a6c9"
+                                "9596389b27c7f628c8452008e9097a04"),
+        ("units_offgrid.gds", 4.0, "60101d088164686c621fa15ae669ab16"
+                                   "05eb08eba09d8f156cd371ef24a6ba7e"),
+        ("units_offgrid.gds", 8.0, "9a5b0b16a3e4396ba384e193b42e4331"
+                                   "28d4acf24b0dee5986852df3f5946213"),
+    ])
+    def test_gds_digest(self, name, pixel_size_nm, digest):
+        reader = load_layout_file(
+            os.path.join(os.path.dirname(__file__), "data", name),
+            pixel_size_nm)
+        assert reader.digest() == reader.flatten().digest() == digest
+
+    @pytest.mark.parametrize("pixel_size_nm, digest", [
+        (4.0, "eeb5aa453983838ea383a6fefd54528d"
+              "37e7aa4d06dd11ae8dea5ca3a7f09931"),
+        (8.0, "474405ec877aa4a160276e4a828eef7a"
+              "a74b810e0da5c4407955236ca11d675d"),
+    ])
+    def test_json_roundtrip_digest_and_raster(self, tmp_path, pixel_size_nm,
+                                              digest):
+        path = save_layout(PINNED_SHAPES, 128.0, str(tmp_path / "chip.json"))
+        loaded = load_layout_file(path, pixel_size_nm)
+        direct = GeometryLayoutReader(PINNED_SHAPES, pixel_size_nm,
+                                      extent_nm=128.0)
+        assert loaded.layers == direct.layers == ("far", "m1", "v1")
+        assert loaded.digest() == direct.digest() == digest
+        np.testing.assert_array_equal(
+            loaded.read_window(0, 0, *loaded.shape),
+            direct.read_window(0, 0, *direct.shape))
 
 
 class TestEngineWiring:
@@ -641,9 +687,8 @@ class TestSweepWiring:
         assert again.window == first.window
 
     def test_single_tile_reader(self):
-        layout = Layout(extent_nm=256.0)
-        layout.add("m1", Rect(32, 64, 192, 96))
-        reader = indexed(layout, 32)
+        reader = GeometryLayoutReader({"m1": [Rect(32, 64, 192, 96)]},
+                                      pixel_size_nm=8.0, extent_nm=256.0)
         config = OpticsConfig(tile_size_px=32, pixel_size_nm=8.0)
         grid = FocusExposureGrid(focus_values_nm=(0.0,), dose_values=(1.0,))
         via_reader = ProcessWindowSweep(config).run(reader, grid=grid)

@@ -1,23 +1,28 @@
-"""Tests for layout / dataset persistence (repro.masks.io)."""
+"""Tests for layout JSON (repro.layout.save_layout) and dataset
+persistence (repro.masks.io)."""
 
 import json
 
 import numpy as np
 import pytest
 
-from repro.layout import GeometryLayoutReader, LayoutFormatError, load_layout_file
-from repro.masks import Layout, Rect
+from repro.layout import (
+    GeometryLayoutReader,
+    LayoutFormatError,
+    load_layout_file,
+    save_layout,
+)
+from repro.layout.geometry import Rect, rasterize
 from repro.masks.datasets import DatasetSpec, build_dataset
-from repro.masks.io import load_dataset, save_dataset, save_layout
+from repro.masks.io import load_dataset, save_dataset
+
+EXTENT_NM = 1000.0
 
 
 @pytest.fixture()
 def sample_layout():
-    layout = Layout(extent_nm=1000.0)
-    layout.add("M1", Rect(10, 20, 100, 50))
-    layout.add("M1", Rect(300, 400, 50, 200))
-    layout.add("V1", Rect(120, 40, 30, 30))
-    return layout
+    return {"M1": [Rect(10, 20, 100, 50), Rect(300, 400, 50, 200)],
+            "V1": [Rect(120, 40, 30, 30)]}
 
 
 @pytest.fixture(scope="module")
@@ -31,21 +36,22 @@ class TestLayoutIO:
     :func:`repro.layout.load_layout_file` reads."""
 
     def test_roundtrip_preserves_shapes(self, sample_layout, tmp_path):
-        path = save_layout(sample_layout, str(tmp_path / "nested" / "layout.json"))
-        restored = load_layout_file(path, pixel_size_nm=1000.0 / 32)
+        path = save_layout(sample_layout, EXTENT_NM,
+                           str(tmp_path / "nested" / "layout.json"))
+        restored = load_layout_file(path, pixel_size_nm=EXTENT_NM / 32)
         assert restored.shape == (32, 32)  # the recorded extent
-        assert list(restored.layers) == sorted(sample_layout.layers)
+        assert list(restored.layers) == sorted(sample_layout)
         assert restored.digest() == GeometryLayoutReader(
-            sample_layout.layers, sample_layout.extent_nm / 32,
-            shape=(32, 32)).digest()
+            sample_layout, EXTENT_NM / 32, shape=(32, 32)).digest()
 
     def test_roundtrip_preserves_rasterisation(self, sample_layout, tmp_path):
-        path = save_layout(sample_layout, str(tmp_path / "layout.json"))
-        restored = load_layout_file(path, pixel_size_nm=1000.0 / 32)
+        path = save_layout(sample_layout, EXTENT_NM,
+                           str(tmp_path / "layout.json"))
+        restored = load_layout_file(path, pixel_size_nm=EXTENT_NM / 32)
         np.testing.assert_array_equal(
             restored.read_window(0, 0, *restored.shape),
-            np.maximum.reduce([sample_layout.rasterize(layer, 32)
-                               for layer in sample_layout.layers]))
+            rasterize([rect for rects in sample_layout.values()
+                       for rect in rects], 32, EXTENT_NM / 32))
 
     def test_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "other.json"
@@ -54,7 +60,8 @@ class TestLayoutIO:
             load_layout_file(str(path), pixel_size_nm=8.0)
 
     def test_rejects_wrong_version(self, sample_layout, tmp_path):
-        path = save_layout(sample_layout, str(tmp_path / "layout.json"))
+        path = save_layout(sample_layout, EXTENT_NM,
+                           str(tmp_path / "layout.json"))
         document = json.loads(open(path).read())
         document["version"] = 999
         open(path, "w").write(json.dumps(document))
@@ -63,7 +70,8 @@ class TestLayoutIO:
 
     def test_a_file_without_a_version_reads_as_version_1(self, sample_layout,
                                                          tmp_path):
-        path = save_layout(sample_layout, str(tmp_path / "layout.json"))
+        path = save_layout(sample_layout, EXTENT_NM,
+                           str(tmp_path / "layout.json"))
         document = json.loads(open(path).read())
         assert document.pop("version") == 1
         unversioned = tmp_path / "unversioned.json"

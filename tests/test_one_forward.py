@@ -251,7 +251,7 @@ class TestPersistedIdentities:
         layout = np.zeros((32, 32))
         layout[4:-4, 12:20] = 1.0
         grid = FocusExposureGrid((0.0,), (0.9, 1.0))
-        identity, _ = CampaignStore.campaign_identity(
+        identity = CampaignStore.campaign_identity(
             layout, grid.focus_values_nm, grid.dose_values, 0.25, fingerprint)
         store = CampaignStore(str(root))
         store.begin(identity)

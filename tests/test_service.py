@@ -356,7 +356,7 @@ class TestJobProgress:
         """A partial store: the status endpoint's progress is the campaign
         report's completion count, not a second reading of the manifest."""
         store_dir = str(tmp_path / "partial")
-        identity, _ = CampaignStore.campaign_identity(
+        identity = CampaignStore.campaign_identity(
             np.zeros((8, 8)), FOCI, DOSES, 0.2, "fingerprint")
         store = CampaignStore(store_dir)
         store.begin(identity, resume=True)

@@ -228,7 +228,7 @@ class TestSweepResumability:
         store.begin(CampaignStore.campaign_identity(
             np.asarray(line_mask, dtype=float), GRID.focus_values_nm,
             GRID.dose_values, 0.25,
-            sweep.base_spec.fingerprint())[0])
+            sweep.base_spec.fingerprint()))
         assert store.get_derived("cd_row") is not None
 
     def test_different_guard_is_a_different_campaign(self, tmp_path):

@@ -64,7 +64,7 @@ from repro.engine import (
 )
 from repro.engine import tile_cache as tile_cache_module
 from repro.layout import ArrayLayoutReader, GeometryLayoutReader
-from repro.layout.geometry import Rect
+from repro.layout.geometry import Rect, rasterize
 from repro.optics import OpticsConfig
 from repro.optics.source import CircularSource
 
@@ -780,24 +780,20 @@ class TestDiskEntries:
 
 def _geometry_case():
     """(reader, float64 raster by the independent dense rasteriser)."""
-    from repro.masks.layout import Layout
-
     rng = np.random.default_rng(0)
-    layout = Layout(extent_nm=768.0)
+    rects = []
     for _ in range(60):
         x, y = rng.uniform(0, 700, 2)
         w, h = rng.uniform(16, 90, 2)
-        layout.add("m1", Rect(float(x), float(y), float(w), float(h)))
-    return (GeometryLayoutReader(layout.layers, layout.extent_nm / 96,
-                                 shape=(96, 96)),
-            layout.rasterize("m1", 96))
+        rects.append(Rect(float(x), float(y), float(w), float(h)))
+    return (GeometryLayoutReader({"m1": rects}, 768.0 / 96, shape=(96, 96)),
+            rasterize(rects, 96, 768.0 / 96))
 
 
 def _hierarchy_case():
     import os
 
     from repro.layout import load_layout_file
-    from repro.layout.geometry import rasterize
 
     reader = load_layout_file(
         os.path.join(os.path.dirname(__file__), "data", "hier4.gds"),

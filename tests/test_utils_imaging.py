@@ -46,9 +46,14 @@ class TestFourierResize:
         back = fourier_resize(down, (32, 32))
         np.testing.assert_allclose(back, image, atol=1e-9)
 
-    def test_invalid_inputs(self):
+    def test_accepts_a_batch_and_rejects_1d(self):
+        images = RNG.random((4, 4, 4))
+        np.testing.assert_allclose(
+            fourier_resize(images, (8, 8)),
+            np.stack([fourier_resize(image, (8, 8)) for image in images]),
+            rtol=0, atol=1e-12)
         with pytest.raises(ValueError):
-            fourier_resize(RNG.random((4, 4, 4)), (8, 8))
+            fourier_resize(RNG.random(8), (8, 8))
         with pytest.raises(ValueError):
             fourier_resize(RNG.random((8, 8)), (0, 8))
 

@@ -46,7 +46,6 @@ from repro.engine import (
 from repro.engine import tile_cache as tile_cache_module
 from repro.layout import GeometryLayoutReader, load_layout_file
 from repro.layout.geometry import Rect
-from repro.masks.layout import Layout
 from repro.optics import OpticsConfig
 from repro.optics.process_window import measure_cd, widest_feature_row
 from repro.optics.resist import ConstantThresholdResist
@@ -98,13 +97,12 @@ def _dense_raster() -> np.ndarray:
 
 def _geometry_reader() -> GeometryLayoutReader:
     rng = np.random.default_rng(0)
-    layout = Layout(extent_nm=768.0)
+    rects = []
     for _ in range(60):
         x, y = rng.uniform(0, 704, 2)
         w, h = rng.uniform(16, 90, 2)
-        layout.add("m1", Rect(float(x), float(y), float(w), float(h)))
-    return GeometryLayoutReader(layout.layers, layout.extent_nm / 96,
-                                shape=(96, 96))
+        rects.append(Rect(float(x), float(y), float(w), float(h)))
+    return GeometryLayoutReader({"m1": rects}, 768.0 / 96, shape=(96, 96))
 
 
 @pytest.fixture(scope="module")
